@@ -592,6 +592,14 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
             out.retransmissions, out.dup_results_dropped
         );
     }
+    if out.wire_flushes > 0 {
+        println!(
+            "wire        : {} frames sent in {} flushes ({:.1} frames/flush)",
+            out.frames_sent,
+            out.wire_flushes,
+            out.frames_sent as f64 / out.wire_flushes as f64
+        );
+    }
     if !out.shed_records.is_empty() {
         println!(
             "shed        : {} records dropped at the dispatcher under overload",

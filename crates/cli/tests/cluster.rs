@@ -9,7 +9,9 @@
 //! on ephemeral loopback ports (the launcher binds 127.0.0.1:0).
 
 use ssj_core::{JoinConfig, Window};
-use ssj_distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use ssj_distrib::{ClusterBackend, ClusterConfig, LocalAlgo, PartitionMethod, Strategy};
+use ssj_partition::LengthPartition;
+use ssj_text::{Record, RecordId, TokenId};
 use std::path::PathBuf;
 use std::time::Duration;
 use testkit::{
@@ -324,4 +326,102 @@ fn tcp_golden_digests_match_in_process_and_replay_exactly() {
     assert_eq!(tcp_a, tcp_b, "TCP replay diverged under logical time");
     assert_eq!(tcp_a, inproc, "TCP and in-process transcripts diverged");
     assert_eq!(tcp_a.len(), case.k);
+}
+
+#[test]
+fn tcp_clean_run_coalesces_frames_and_never_retransmits() {
+    // The flush contract, pinned: on a clean run the launcher's frames
+    // leave in batches (not one write per frame), nothing waits in a
+    // batch long enough to be retransmitted, and batching changes neither
+    // the result nor a single outbound byte.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = base_case();
+        case.records = 6_000;
+        case.join = case.join.with_window(Window::Count(500));
+        let records = testkit::differential_records(59, case.records);
+        let run = |backend: ClusterBackend| {
+            let mut cfg = cluster_config_for(59, &case, backend);
+            cfg.logical_time = true;
+            ssj_distrib::run_cluster(&records, &cfg)
+        };
+        let tcp = run(tcp_backend());
+        let inproc = run(ClusterBackend::InProcess);
+
+        assert!(!tcp.pairs.is_empty(), "workload produced no pairs");
+        assert_eq!(sorted_keys(&tcp.pairs), sorted_keys(&inproc.pairs));
+        assert_eq!(tcp.wire_digests, inproc.wire_digests);
+        assert_eq!(tcp.retransmissions, 0, "a batched frame went stale");
+        assert!(tcp.frames_sent >= case.records as u64);
+        assert!(
+            tcp.frames_sent >= 8 * tcp.wire_flushes,
+            "{} frames left in {} flushes",
+            tcp.frames_sent,
+            tcp.wire_flushes
+        );
+        assert_eq!(
+            (inproc.frames_sent, inproc.wire_flushes),
+            (0, 0),
+            "channel wires do not batch"
+        );
+        let snap = tcp.metrics_snapshot();
+        for name in [
+            "dssj_cluster_frames_sent_total",
+            "dssj_cluster_wire_flushes_total",
+        ] {
+            assert!(
+                snap.names().contains(&name),
+                "{name} missing from the snapshot"
+            );
+        }
+    });
+}
+
+#[test]
+fn tcp_sparse_links_are_flushed_before_their_frames_go_stale() {
+    // Nearly every record has length 10 and lives on task 0; one in fifty
+    // is long and lands on task 1 or 2, whose links therefore never reach
+    // a batch threshold on their own. Only the every-32-records flush
+    // stands between those frames and the 40 ms retransmission timer.
+    with_deadline(TEST_DEADLINE, || {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |below: u32| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32 % below
+        };
+        let records: Vec<Record> = (0..60_000u64)
+            .map(|id| {
+                let len = match id % 100 {
+                    0 => 40,
+                    50 => 90,
+                    _ => 10,
+                };
+                // A narrow vocabulary per length class, so near-duplicates
+                // (and result pairs) do occur.
+                let mut tokens: Vec<u32> = (0..len as u32 + 3).collect();
+                while tokens.len() > len {
+                    tokens.remove(next(tokens.len() as u32) as usize);
+                }
+                let tokens = tokens.into_iter().map(TokenId).collect();
+                Record::from_sorted(RecordId(id), id, tokens)
+            })
+            .collect();
+
+        let join = JoinConfig::jaccard(0.7).with_window(Window::Count(200));
+        let mut cfg = ClusterConfig::recommended(3, join, tcp_backend());
+        cfg.strategy = Strategy::Length(LengthPartition::from_uppers(vec![20, 60, 120]));
+        let out = ssj_distrib::run_cluster(&records, &cfg);
+
+        let handled: Vec<u64> = out.joiners.iter().map(|j| j.stats.probed).collect();
+        let total: u64 = handled.iter().sum();
+        assert!(
+            handled[0] * 100 > total * 95,
+            "input is not skewed enough to test anything: {handled:?}"
+        );
+        assert!(handled[1] > 0 && handled[2] > 0, "sparse links unused");
+        assert!(!out.pairs.is_empty(), "workload produced no pairs");
+        assert_eq!(out.retransmissions, 0, "a sparse link's frame went stale");
+        assert_eq!(out.dup_results_dropped, 0);
+    });
 }

@@ -54,6 +54,32 @@
 //! socket reader, which closes the kernel receive window, so pressure is
 //! real end to end.
 //!
+//! # Who flushes a wire, and when
+//!
+//! [`Wire::send`] only queues a frame in the wire's write batch (see the
+//! flush contract in [`stormlite::transport`]); the launcher decides when
+//! a batch becomes a `write(2)`, and it never flushes per record:
+//!
+//! * the batcher flushes itself at [`stormlite::BATCH_MAX_FRAMES`] frames
+//!   or [`stormlite::BATCH_MAX_BYTES`] bytes — the steady state on a busy
+//!   link;
+//! * every launcher path that is about to *wait* flushes all links first:
+//!   the in-flight backpressure spin, the drain and end-of-stream loops
+//!   (every `pump` with a non-zero idle wait), respawn/restore, `Eos`;
+//! * at least once every `BATCH_MAX_FRAMES` dispatched source records all
+//!   links are flushed, so a frame on a sparsely-routed link is never
+//!   older than ~32 records' dispatch time — microseconds to a few
+//!   milliseconds, far inside the 40 ms base retransmission timeout, so
+//!   batching can never be mistaken for loss;
+//! * heartbeats bypass all of this and flush immediately: a probe exists
+//!   to make an idle-but-alive wire visible *now*, and the detector's
+//!   latency bound assumes it left when it was stamped.
+//!
+//! Nodes follow the same rule from the other side: `node_serve` flushes
+//! its results and acks whenever its inbound queue runs empty. The
+//! coalescing this buys is reported as [`ClusterResult::frames_sent`] ÷
+//! [`ClusterResult::wire_flushes`].
+//!
 //! # Determinism over real sockets — what holds and what cannot
 //!
 //! With [`ClusterConfig::logical_time`] set, ingest/barrier stamps come
@@ -354,6 +380,12 @@ pub struct ClusterResult {
     pub dup_results_dropped: u64,
     /// Frames retransmitted by the at-least-once layer.
     pub retransmissions: u64,
+    /// Frames the launcher queued on its wires, every kind and every
+    /// incarnation (0 on the in-process backend, which does not batch).
+    pub frames_sent: u64,
+    /// Write batches those frames left in — one `write(2)` each over TCP;
+    /// `frames_sent / wire_flushes` is the coalescing ratio.
+    pub wire_flushes: u64,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
     /// Launcher-side per-stage latencies (route, dispatch, deliver,
@@ -396,7 +428,7 @@ impl ClusterResult {
     /// `RunReport::metrics_snapshot`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let counters: [(&str, &str, u64); 17] = [
+        let counters: [(&str, &str, u64); 19] = [
             (
                 "dssj_cluster_pairs_total",
                 "Distinct verified result pairs",
@@ -421,6 +453,16 @@ impl ClusterResult {
                 "dssj_cluster_retransmissions_total",
                 "Frames retransmitted by the at-least-once layer",
                 self.retransmissions,
+            ),
+            (
+                "dssj_cluster_frames_sent_total",
+                "Frames queued on launcher-to-joiner wires",
+                self.frames_sent,
+            ),
+            (
+                "dssj_cluster_wire_flushes_total",
+                "Write batches flushed to launcher-to-joiner wires",
+                self.wire_flushes,
             ),
             (
                 "dssj_cluster_epochs_committed_total",
@@ -881,6 +923,13 @@ struct NodeLink {
     /// order (the node processes in order over FIFO wires), so this is
     /// always a contiguous suffix of the sequence space.
     unacked: BTreeMap<u64, PendingFrame>,
+    /// No unacked frame is overdue before this instant — a lower bound on
+    /// every frame's `last_sent + backoff(retries)`, so the timer pass can
+    /// skip the link without looking at `unacked`. Only ever too early,
+    /// never too late: an ack leaves it stale (the next pass past it
+    /// rescans and tightens it), anything that makes a frame due sooner
+    /// lowers it on the spot.
+    retry_due: Instant,
     acked: u64,
     chaos: Option<ChaosLink>,
     incarnation: u64,
@@ -929,6 +978,13 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Folds the batch counters of a wire about to be dropped into `total`.
+fn retire_batch_counters(total: &mut (u64, u64), wire: &dyn Wire) {
+    let (frames, flushes) = wire.batch_counters();
+    total.0 += frames;
+    total.1 += flushes;
 }
 
 fn backoff(retry: &RetryConfig, retries: u32) -> Duration {
@@ -984,6 +1040,10 @@ struct Launcher<'a> {
     // Metrics and control.
     stages: StageProfile,
     retransmissions: u64,
+    /// Source records dispatched since every link was last flushed.
+    unflushed_records: usize,
+    /// Batch counters of wires already replaced by a respawn.
+    retired_batch_counters: (u64, u64),
     shed_log: Vec<u64>,
     /// Epoch publications already forwarded to the coordinator — a
     /// restarted node reprocessing a barrier re-sends its snapshot, and
@@ -1029,6 +1089,8 @@ impl<'a> Launcher<'a> {
             latency: LatencyHistogram::new(),
             stages: StageProfile::new(),
             retransmissions: 0,
+            unflushed_records: 0,
+            retired_batch_counters: (0, 0),
             shed_log: Vec::new(),
             published: FxHashSet::default(),
             fault_armed: cfg.fault,
@@ -1142,6 +1204,7 @@ impl<'a> Launcher<'a> {
                 proc: proc_,
                 next_seq: 0,
                 unacked: BTreeMap::new(),
+                retry_due: Instant::now(),
                 acked: 0,
                 chaos,
                 incarnation: 0,
@@ -1178,6 +1241,10 @@ impl<'a> Launcher<'a> {
             let t0 = Instant::now();
             self.dispatch(msg);
             self.stages.record(Stage::Dispatch, t0.elapsed());
+            self.unflushed_records += 1;
+            if self.unflushed_records >= stormlite::BATCH_MAX_FRAMES {
+                self.flush_links();
+            }
             self.pump(Duration::ZERO);
             self.service_timers();
             self.service_health();
@@ -1241,6 +1308,7 @@ impl<'a> Launcher<'a> {
                 restored_from_epoch: link.restored_from_epoch,
             });
             digests.push(link.digest);
+            retire_batch_counters(&mut self.retired_batch_counters, link.wire.as_ref());
             drop(link.wire);
             match link.proc {
                 NodeProc::Thread(Some(handle)) => {
@@ -1266,6 +1334,8 @@ impl<'a> Launcher<'a> {
             restored_cut,
             dup_results_dropped: self.dup_results_dropped,
             retransmissions: self.retransmissions,
+            frames_sent: self.retired_batch_counters.0,
+            wire_flushes: self.retired_batch_counters.1,
             epochs_committed: self
                 .checkpoint
                 .as_ref()
@@ -1520,12 +1590,14 @@ impl<'a> Launcher<'a> {
         } else {
             unsealed
         };
+        let now = Instant::now();
+        link.retry_due = link.retry_due.min(now + backoff(&self.cfg.retry, 0));
         link.unacked.insert(
             seq,
             PendingFrame {
                 msg,
                 record_meta,
-                last_sent: Instant::now(),
+                last_sent: now,
                 retries: 0,
             },
         );
@@ -1536,16 +1608,36 @@ impl<'a> Launcher<'a> {
     /// one is armed. A send failure means the node died mid-write; the
     /// frame stays in `unacked` and recovery retransmits it.
     fn transmit(&mut self, task: usize, frame: Vec<u8>) {
-        let frames = match &mut self.links[task].chaos {
-            Some(chaos) => chaos.transmit(frame),
-            None => vec![frame],
-        };
+        self.put_on_wire(task, frame, ChaosLink::transmit);
+    }
+
+    /// Queues `frame` on the wire — directly, or as whatever the armed
+    /// chaos link's `gate` makes of it.
+    fn put_on_wire(
+        &mut self,
+        task: usize,
+        frame: Vec<u8>,
+        gate: fn(&mut ChaosLink, Vec<u8>) -> Vec<Vec<u8>>,
+    ) {
         let link = &mut self.links[task];
-        for f in frames {
-            if link.wire.send(&f).is_err() {
-                self.pending_dead = Some(task);
-                return;
-            }
+        let sent = match &mut link.chaos {
+            Some(chaos) => gate(chaos, frame)
+                .iter()
+                .try_for_each(|f| link.wire.send(f)),
+            None => link.wire.send(&frame),
+        };
+        if sent.is_err() {
+            self.pending_dead = Some(task);
+        }
+    }
+
+    /// Forces every link's write batch onto its wire (see the module docs
+    /// for who calls this and why). A flush failure means the node is
+    /// going away; the reader side classifies and reports the close.
+    fn flush_links(&mut self) {
+        self.unflushed_records = 0;
+        for link in self.links.iter_mut().filter(|l| !l.fenced) {
+            let _ = link.wire.flush();
         }
     }
 
@@ -1561,15 +1653,20 @@ impl<'a> Launcher<'a> {
     }
 
     /// Drains every wire's inbound queue, then handles any death or
-    /// supervised kill noticed along the way. With `idle_wait` nonzero
-    /// and nothing received, sleeps briefly to avoid a hot spin.
+    /// supervised kill noticed along the way. A nonzero `idle_wait` means
+    /// the caller is waiting on the nodes: every link is flushed first,
+    /// and with nothing received the launcher sleeps briefly to avoid a
+    /// hot spin. `Duration::ZERO` is the per-record poll and flushes
+    /// nothing.
     fn pump(&mut self, idle_wait: Duration) {
+        if !idle_wait.is_zero() {
+            self.flush_links();
+        }
         let mut got = false;
         for task in 0..self.links.len() {
             if self.links[task].fenced {
                 continue;
             }
-            let _ = self.links[task].wire.flush();
             // A two-way partition also cuts the inbound direction: frames
             // that arrive while the window is active are held in order and
             // released once it heals, so the node looks silent without
@@ -1711,6 +1808,8 @@ impl<'a> Launcher<'a> {
                     for p in self.links[task].unacked.values_mut() {
                         p.retries = 0;
                     }
+                    // Shorter backoffs are due sooner: rescan next pass.
+                    self.links[task].retry_due = Instant::now();
                 }
                 if let (Some(recovery), Some((id, ts))) = (&self.recovery, acked.record_meta) {
                     recovery.mark_processed(task, id, ts);
@@ -1788,13 +1887,19 @@ impl<'a> Launcher<'a> {
         true
     }
 
-    /// Retransmits overdue unacked frames with exponential backoff.
+    /// Retransmits overdue unacked frames with exponential backoff. Runs
+    /// after every dispatched record, so a link with nothing due costs one
+    /// comparison against its `retry_due`; only a link past it is walked.
     fn service_timers(&mut self) {
         let retry = self.cfg.retry;
+        let now = Instant::now();
         for task in 0..self.links.len() {
-            let now = Instant::now();
+            if now < self.links[task].retry_due {
+                continue;
+            }
             let checksums = self.links[task].checksums;
             let mut resend: Vec<(Vec<u8>, Duration)> = Vec::new();
+            let mut next_due = now + retry.base_timeout;
             for (&seq, p) in self.links[task].unacked.iter_mut() {
                 let age = now.duration_since(p.last_sent);
                 if age >= backoff(&retry, p.retries) {
@@ -1813,7 +1918,9 @@ impl<'a> Launcher<'a> {
                     };
                     resend.push((frame, age));
                 }
+                next_due = next_due.min(p.last_sent + backoff(&retry, p.retries));
             }
+            self.links[task].retry_due = next_due;
             for (frame, age) in resend {
                 self.retransmissions += 1;
                 self.stages.record(Stage::Retry, age);
@@ -1877,17 +1984,7 @@ impl<'a> Launcher<'a> {
     /// Sends a control frame (heartbeat) through the wire's chaos gate
     /// without advancing the data-transmission ordinal or the digest.
     fn transmit_control(&mut self, task: usize, frame: Vec<u8>) {
-        let frames = match &mut self.links[task].chaos {
-            Some(chaos) => chaos.transmit_control(frame),
-            None => vec![frame],
-        };
-        let link = &mut self.links[task];
-        for f in frames {
-            if link.wire.send(&f).is_err() {
-                self.pending_dead = Some(task);
-                return;
-            }
-        }
+        self.put_on_wire(task, frame, ChaosLink::transmit_control);
     }
 
     /// A node is dead or suspect: respawn it while the recovery budget
@@ -2052,6 +2149,7 @@ impl<'a> Launcher<'a> {
         let (wire, proc_) = self.spawn_one(task);
         let old_wire = std::mem::replace(&mut self.links[task].wire, wire);
         self.links[task].proc = proc_;
+        retire_batch_counters(&mut self.retired_batch_counters, old_wire.as_ref());
         drop(old_wire);
         if let Some(handle) = old_thread {
             let _ = handle.join();

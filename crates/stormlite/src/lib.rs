@@ -61,6 +61,6 @@ pub use sim::{Scheduler, SimConfig, SimRun, Transcript};
 pub use topology::Topology;
 pub use transport::{
     channel_wire_pair, channel_wire_pair_asym, listen_loopback, read_frame, write_frame,
-    ChannelWire, ChaosLink, ChaosWindow, CloseReason, FrameBatcher, LinkOutage, TcpWire, Wire,
-    WireEvent, MAX_FRAME_BYTES,
+    ChannelWire, ChaosLink, ChaosWindow, CloseReason, FrameBatcher, FrameParser, LinkOutage,
+    TcpWire, Wire, WireEvent, BATCH_MAX_BYTES, BATCH_MAX_FRAMES, MAX_FRAME_BYTES,
 };

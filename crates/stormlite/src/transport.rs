@@ -16,6 +16,26 @@
 //!   draining the socket, the kernel receive window closes, and
 //!   backpressure propagates to the sender for real.
 //!
+//! # Who flushes, who reads
+//!
+//! Both directions of a [`TcpWire`] cost one syscall and one queue
+//! hand-off per *burst*, not per frame.
+//!
+//! * **Outbound.** [`Wire::send`] only appends to the [`FrameBatcher`];
+//!   bytes reach the socket when a batcher threshold trips
+//!   ([`BATCH_MAX_FRAMES`] / [`BATCH_MAX_BYTES`]), when the owner calls
+//!   [`Wire::flush`], or when the owner blocks in [`Wire::recv_timeout`]
+//!   on an empty inbound queue. The owner's contract is therefore *flush
+//!   before you wait on anything but this wire* — a sender that polls with
+//!   [`Wire::try_recv`] and never flushes can hold a frame back forever.
+//! * **Inbound.** The reader thread issues one `read(2)` into a reused
+//!   [`BATCH_MAX_BYTES`] buffer, a [`FrameParser`] cuts every complete
+//!   frame out of it, and the whole burst crosses to the consumer in one
+//!   channel send. The queue bound counts *frames across bursts*: the
+//!   reader starts a new read only while fewer than `capacity` frames are
+//!   queued, so the queue holds at most `capacity` frames plus the one
+//!   burst that crossed the line.
+//!
 //! Both backends speak frames (`Vec<u8>`); what the bytes mean is the
 //! caller's business (the distributed join layers its own message codec on
 //! top). Link-fault chaos composes with either backend through
@@ -24,10 +44,12 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::link::{LinkAction, LinkFault, LinkFaultPlan};
 
@@ -78,6 +100,103 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Option<Vec
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// Incremental decoder for the [`write_frame`] framing, fed from one
+/// reused buffer: each [`FrameParser::read_from`] call issues a single
+/// `read` and hands back every frame that read completed, however the
+/// stream cut them. Produces exactly the frames a [`read_frame`] loop
+/// would, with one read per burst instead of two per frame.
+///
+/// A frame that cannot fit the buffer is read straight into its own
+/// allocation (made only after the `max_frame` check), so the buffer
+/// never grows and large payloads are not copied twice.
+#[derive(Debug)]
+pub struct FrameParser {
+    buf: Box<[u8]>,
+    /// Bytes received but not yet parsed: `buf[..filled]`, always starting
+    /// on a frame boundary.
+    filled: usize,
+    /// A frame larger than `buf` being received in place: its payload and
+    /// how much of it has arrived.
+    large: Option<(Vec<u8>, usize)>,
+    max_frame: usize,
+}
+
+impl FrameParser {
+    /// A parser reading through a `buf_bytes` buffer (at least one length
+    /// prefix) and refusing length prefixes above `max_frame`.
+    pub fn new(buf_bytes: usize, max_frame: usize) -> Self {
+        Self {
+            buf: vec![0u8; buf_bytes.max(4)].into_boxed_slice(),
+            filled: 0,
+            large: None,
+            max_frame,
+        }
+    }
+
+    /// Reads once from `r` and appends every frame completed by that read
+    /// to `out`. Returns `None` while the stream is still up, or why it
+    /// ended: [`CloseReason::Clean`] for EOF exactly on a frame boundary,
+    /// [`CloseReason::Error`] for EOF inside a frame, an I/O error, or a
+    /// length prefix above `max_frame` (frames ahead of the bad prefix are
+    /// still appended).
+    pub fn read_from<R: Read>(&mut self, r: &mut R, out: &mut Vec<Vec<u8>>) -> Option<CloseReason> {
+        match r.read(self.space()) {
+            Ok(0) if self.filled == 0 && self.large.is_none() => Some(CloseReason::Clean),
+            Ok(0) => Some(CloseReason::Error),
+            Ok(n) => self.advance(n, out),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => None,
+            Err(_) => Some(CloseReason::Error),
+        }
+    }
+
+    /// Where the next bytes of the stream belong. Never empty: a frame
+    /// left incomplete in `buf` is one that fits it.
+    fn space(&mut self) -> &mut [u8] {
+        match &mut self.large {
+            Some((payload, got)) => &mut payload[*got..],
+            None => &mut self.buf[self.filled..],
+        }
+    }
+
+    /// Accounts for `n` bytes just written into [`Self::space`]; `Some` is
+    /// a length prefix above `max_frame`, which ends the stream.
+    fn advance(&mut self, n: usize, out: &mut Vec<Vec<u8>>) -> Option<CloseReason> {
+        if let Some((payload, got)) = &mut self.large {
+            *got += n;
+            if *got == payload.len() {
+                out.extend(self.large.take().map(|(payload, _)| payload));
+            }
+            return None;
+        }
+        self.filled += n;
+        let mut at = 0;
+        while let Some(prefix) = self.buf[at..self.filled].first_chunk::<4>() {
+            let len = u32::from_le_bytes(*prefix) as usize;
+            if len > self.max_frame {
+                return Some(CloseReason::Error);
+            }
+            let body = &self.buf[at + 4..self.filled];
+            if body.len() >= len {
+                out.push(body[..len].to_vec());
+                at += 4 + len;
+            } else if len > self.buf.len() - 4 {
+                let mut payload = vec![0u8; len];
+                payload[..body.len()].copy_from_slice(body);
+                self.large = Some((payload, body.len()));
+                at = self.filled;
+                break;
+            } else {
+                break;
+            }
+        }
+        // Move the incomplete tail (less than one frame) to the front so
+        // the next read has the rest of the buffer to fill.
+        self.buf.copy_within(at..self.filled, 0);
+        self.filled -= at;
+        None
+    }
 }
 
 /// Coalesces outbound frames into one write buffer so many small tuples
@@ -195,6 +314,13 @@ pub trait Wire: Send {
     /// Number of inbound frames queued but not yet received — the bounded
     /// buffer depth the shed watermark reads.
     fn queue_depth(&self) -> usize;
+
+    /// `(frames sent, write batches flushed)` on the outbound side; the
+    /// coalescing ratio is `frames / flushes`. `(0, 0)` for a backend that
+    /// does not batch.
+    fn batch_counters(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// The in-process backend: a pair of bounded crossbeam channels, one per
@@ -258,18 +384,27 @@ impl Wire for ChannelWire {
 
 /// The TCP backend: a blocking socket with a dedicated reader thread.
 ///
-/// The reader thread decodes length-prefixed frames off the socket into a
-/// bounded channel. When that channel fills, the reader blocks, stops
-/// draining the socket, and the kernel's receive window closes — so the
-/// bounded in-memory queue *is* the bounded socket buffer, and its depth
-/// ([`Wire::queue_depth`]) feeds the same shed watermark as the in-process
-/// backend. Outbound frames go through a [`FrameBatcher`].
+/// The reader thread reads the socket a burst at a time and hands each
+/// burst's frames over in one channel send (see the module docs). It
+/// starts a read only while fewer than `capacity` frames are queued;
+/// otherwise it parks, stops draining the socket, and the kernel's receive
+/// window closes — so the bounded in-memory queue *is* the bounded socket
+/// buffer, and its depth in frames ([`Wire::queue_depth`]) feeds the same
+/// shed watermark as the in-process backend. Outbound frames go through a
+/// [`FrameBatcher`].
 ///
 /// Dropping a `TcpWire` shuts the socket down in both directions, which
 /// unblocks and terminates the reader thread.
 pub struct TcpWire {
     writer: FrameBatcher<TcpStream>,
     rx: Receiver<ReadItem>,
+    /// Frames of the burst being consumed, already off the channel.
+    ready: std::vec::IntoIter<Vec<u8>>,
+    /// Frames the reader has handed over and the consumer has not yet
+    /// received (channel plus `ready`). The reader adds a burst at a time,
+    /// the consumer subtracts one per received frame.
+    queued: Arc<AtomicUsize>,
+    capacity: usize,
     reader: Option<JoinHandle<()>>,
     stream: TcpStream,
     /// Close reason reported by the reader thread's end-of-stream
@@ -277,64 +412,108 @@ pub struct TcpWire {
     closed: Option<CloseReason>,
 }
 
-/// What the reader thread hands over: decoded frames, then exactly one
-/// end-of-stream sentinel carrying the close classification.
+/// What the reader thread hands over: bursts of decoded frames (never
+/// empty), then exactly one end-of-stream sentinel carrying the close
+/// classification.
 enum ReadItem {
-    Frame(Vec<u8>),
+    Frames(Vec<Vec<u8>>),
     End(CloseReason),
 }
 
 impl TcpWire {
     /// Wraps a connected stream; inbound frames queue up to `capacity`
-    /// before socket-level backpressure engages.
+    /// (plus the burst that crosses it) before socket-level backpressure
+    /// engages.
     pub fn new(stream: TcpStream, capacity: usize) -> io::Result<Self> {
         // Frames are already batched application-side; Nagle only adds
         // latency on the flush boundary.
         stream.set_nodelay(true)?;
+        let capacity = capacity.max(1);
         let reader_stream = stream.try_clone()?;
-        let (tx, rx) = bounded(capacity.max(1));
+        // The frame count below is the bound; the channel itself never
+        // holds more bursts than that many frames.
+        let (tx, rx) = unbounded();
+        let queued = Arc::new(AtomicUsize::new(0));
+        let reader_queued = Arc::clone(&queued);
         let reader = std::thread::Builder::new()
             .name("tcp-wire-reader".into())
-            .spawn(move || read_loop(reader_stream, tx))?;
+            .spawn(move || read_loop(reader_stream, tx, &reader_queued, capacity))?;
         Ok(Self {
             writer: FrameBatcher::new(stream.try_clone()?),
             rx,
+            ready: Vec::new().into_iter(),
+            queued,
+            capacity,
             reader: Some(reader),
             stream,
             closed: None,
         })
     }
 
-    /// Frames pushed / batch flushes on the outbound side (coalescing
-    /// ratio).
-    pub fn batch_counters(&self) -> (u64, u64) {
-        self.writer.counters()
+    /// Takes the next frame of the burst in hand, reopening the reader's
+    /// gate when this frame brings the queue back under its bound.
+    fn next_ready(&mut self) -> Option<Vec<u8>> {
+        let frame = self.ready.next()?;
+        if self.queued.fetch_sub(1, Ordering::SeqCst) == self.capacity {
+            if let Some(reader) = &self.reader {
+                reader.thread().unpark();
+            }
+        }
+        Some(frame)
+    }
+
+    /// What a receive can answer without touching the channel: the next
+    /// frame of the burst in hand, or the latched close.
+    fn buffered(&mut self) -> Option<WireEvent> {
+        self.next_ready()
+            .map(WireEvent::Frame)
+            .or(self.closed.map(WireEvent::Closed))
+    }
+
+    fn on_item(&mut self, item: ReadItem) -> WireEvent {
+        match item {
+            ReadItem::Frames(burst) => {
+                self.ready = burst.into_iter();
+                let frame = self
+                    .next_ready()
+                    .expect("the reader never sends an empty burst");
+                WireEvent::Frame(frame)
+            }
+            ReadItem::End(reason) => {
+                self.closed = Some(reason);
+                WireEvent::Closed(reason)
+            }
+        }
     }
 }
 
-fn read_loop(mut stream: TcpStream, tx: Sender<ReadItem>) {
+fn read_loop(mut stream: TcpStream, tx: Sender<ReadItem>, queued: &AtomicUsize, capacity: usize) {
+    let mut parser = FrameParser::new(BATCH_MAX_BYTES, MAX_FRAME_BYTES);
     loop {
-        match read_frame(&mut stream, MAX_FRAME_BYTES) {
-            Ok(Some(frame)) => {
-                if tx.send(ReadItem::Frame(frame)).is_err() {
-                    return; // receiver gone: wire dropped
-                }
+        // The queue bound: no read starts while `capacity` frames wait.
+        // `park` returns once the consumer's `unpark` (sent after the
+        // decrement that crosses the bound) is pending, so the re-check
+        // sees that decrement; a spurious return just re-checks.
+        while queued.load(Ordering::SeqCst) >= capacity {
+            std::thread::park();
+        }
+        let mut burst = Vec::new();
+        let end = parser.read_from(&mut stream, &mut burst);
+        if !burst.is_empty() {
+            queued.fetch_add(burst.len(), Ordering::SeqCst);
+            if tx.send(ReadItem::Frames(burst)).is_err() {
+                return; // receiver gone: wire dropped
             }
-            // No more frames will arrive either way, but the two cases
-            // mean different things to a supervisor: EOF at a frame
-            // boundary is an orderly shutdown, anything else (reset,
-            // mid-frame truncation, garbage length prefix) is a failure.
-            // The sentinel queues *behind* frames that did arrive, so the
-            // delivered prefix is never lost and the close reason is seen
-            // only after it drains.
-            Ok(None) => {
-                let _ = tx.send(ReadItem::End(CloseReason::Clean));
-                return;
-            }
-            Err(_) => {
-                let _ = tx.send(ReadItem::End(CloseReason::Error));
-                return;
-            }
+        }
+        // No more frames will arrive either way, but the two cases mean
+        // different things to a supervisor: EOF at a frame boundary is an
+        // orderly shutdown, anything else (reset, mid-frame truncation,
+        // garbage length prefix) is a failure. The sentinel queues
+        // *behind* frames that did arrive, so the delivered prefix is
+        // never lost and the close reason is seen only after it drains.
+        if let Some(reason) = end {
+            let _ = tx.send(ReadItem::End(reason));
+            return;
         }
     }
 }
@@ -349,8 +528,8 @@ impl Wire for TcpWire {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> io::Result<WireEvent> {
-        if let Some(reason) = self.closed {
-            return Ok(WireEvent::Closed(reason));
+        if let Some(event) = self.buffered() {
+            return Ok(event);
         }
         if self.rx.is_empty() {
             // About to block on the peer: push any batched-but-unflushed
@@ -368,8 +547,8 @@ impl Wire for TcpWire {
     }
 
     fn try_recv(&mut self) -> io::Result<WireEvent> {
-        if let Some(reason) = self.closed {
-            return Ok(WireEvent::Closed(reason));
+        if let Some(event) = self.buffered() {
+            return Ok(event);
         }
         match self.rx.try_recv() {
             Ok(item) => Ok(self.on_item(item)),
@@ -379,19 +558,11 @@ impl Wire for TcpWire {
     }
 
     fn queue_depth(&self) -> usize {
-        self.rx.len()
+        self.queued.load(Ordering::SeqCst)
     }
-}
 
-impl TcpWire {
-    fn on_item(&mut self, item: ReadItem) -> WireEvent {
-        match item {
-            ReadItem::Frame(f) => WireEvent::Frame(f),
-            ReadItem::End(reason) => {
-                self.closed = Some(reason);
-                WireEvent::Closed(reason)
-            }
-        }
+    fn batch_counters(&self) -> (u64, u64) {
+        self.writer.counters()
     }
 }
 
@@ -399,6 +570,13 @@ impl Drop for TcpWire {
     fn drop(&mut self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
         if let Some(handle) = self.reader.take() {
+            // Nothing will be received again. The reader may be parked on
+            // a full queue, or still draining what the kernel buffered
+            // before the shutdown: drop the receiving end so its next
+            // hand-off fails, and open the gate so it gets that far.
+            self.rx = unbounded().1;
+            self.queued.store(0, Ordering::SeqCst);
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
