@@ -81,7 +81,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                     fault: None,
                     chaos_seed: None,
                     shed_watermark: None,
-                    replay_buffer_cap: None,
                     checkpoint: None,
                     restore_from: None,
                     dispatch_batch,

@@ -33,7 +33,6 @@ fn cfg(scheduler: Scheduler) -> DistributedJoinConfig {
         fault: None,
         chaos_seed: None,
         shed_watermark: None,
-        replay_buffer_cap: None,
         checkpoint: None,
         restore_from: None,
         dispatch_batch: None,

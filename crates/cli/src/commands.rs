@@ -158,7 +158,6 @@ fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, A
         chaos_seed: parse_opt(args, "chaos-seed")?,
         // Degraded mode: shed whole records above this queue depth.
         shed_watermark: parse_opt(args, "shed-watermark")?,
-        replay_buffer_cap: None,
         checkpoint,
         restore_from,
         // Batch dispatcher emits to amortize per-message channel overhead;

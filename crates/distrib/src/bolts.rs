@@ -1,16 +1,15 @@
-//! The three processing vertices of the join topology.
+//! The topology driver: the three processing vertices of the join, as
+//! stormlite bolts around the crate's shared `operators`.
 
 use crate::checkpoint::CheckpointCoordinator;
+use crate::driver::lost_state;
 use crate::msg::{JoinMsg, RecordMsg};
-use crate::recovery::{RecoveryState, ReplayEntry};
-use crate::route::{token_owner, Router};
+use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
+use crate::recovery::RecoveryState;
+use crate::route::Router;
 use obs::{Stage, StageProfile};
 use parking_lot::Mutex;
-use ssj_core::join::bistream::BiStreamJoiner;
-use ssj_core::snapshot::SnapshotEntry;
-use ssj_core::window::EvictionQueue;
-use ssj_core::{JoinStats, MatchPair, StreamJoiner, Threshold, Window};
-use ssj_text::{FxHashMap, Record, RecordId, TokenId};
+use ssj_core::{JoinStats, MatchPair};
 use std::sync::Arc;
 use std::time::Duration;
 use stormlite::{BarrierAligner, Bolt, LatencyHistogram, Outbox, Timestamp};
@@ -20,14 +19,14 @@ use stormlite::{BarrierAligner, Bolt, LatencyHistogram, Outbox, Timestamp};
 /// run-shared profile once, when the bolt finishes. Recording reads only
 /// the topology clock — it never mutates it and draws no randomness — so
 /// enabling stage profiling leaves simulated transcripts byte-identical.
-pub struct StageRecorder {
+pub(crate) struct StageRecorder {
     local: StageProfile,
     shared: Arc<Mutex<StageProfile>>,
 }
 
 impl StageRecorder {
     /// A recorder that flushes into `shared` on [`StageRecorder::flush`].
-    pub fn new(shared: Arc<Mutex<StageProfile>>) -> Self {
+    pub(crate) fn new(shared: Arc<Mutex<StageProfile>>) -> Self {
         Self {
             local: StageProfile::new(),
             shared,
@@ -40,362 +39,107 @@ impl StageRecorder {
     }
 
     /// Merges the task-local samples into the shared profile.
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         self.shared.lock().merge(&self.local);
         self.local = StageProfile::new();
     }
 }
 
-/// The dispatcher's side of checkpointing: counts dispatched records and
-/// opens an epoch (injecting one barrier per joiner wire) every
-/// [`CheckpointCoordinator::interval`] of them.
-struct DispatcherCheckpoint {
-    coordinator: Arc<CheckpointCoordinator>,
-    /// Whether routed payloads carry sides (recorded in manifests).
-    bistream: bool,
-    /// Records dispatched since the last barrier.
-    routed_since_barrier: u64,
-    /// Id of the last dispatched record — the next barrier's cut.
-    last_dispatched: Option<u64>,
-    /// Per task: last index-target id routed there (its snapshot cut).
-    cuts: Vec<Option<u64>>,
-}
-
-/// Ships `buf` to `task` as one message: unwrapped when it holds a single
-/// message (no envelope overhead, identical wire shape to unbatched runs),
-/// as a [`JoinMsg::Batch`] otherwise.
-fn flush_buffer(buf: &mut Vec<JoinMsg>, task: usize, out: &mut Outbox<JoinMsg>) {
-    match buf.len() {
-        0 => {}
-        1 => out.emit_direct(task, buf.pop().expect("len checked")),
-        _ => out.emit_direct(task, JoinMsg::Batch(std::mem::take(buf))),
-    }
-}
-
 /// Routes each arriving record to its index/probe joiners. One task.
-pub struct DispatcherBolt<R: Router> {
-    router: R,
-    /// Replay buffers fed for every index target (fault-injected runs only).
-    recovery: Option<Arc<RecoveryState>>,
-    /// Degraded mode: shed whole records when any target joiner's queue is
-    /// at least this deep. `None` = never shed (backpressure blocks instead).
-    shed_watermark: Option<usize>,
+pub(crate) struct DispatcherBolt<R: Router> {
+    dispatcher: Dispatcher<R>,
     /// Ids of shed records, for exact recall accounting by the caller.
     shed_log: Arc<Mutex<Vec<u64>>>,
-    /// Barrier injection state (checkpointing runs only).
-    checkpoint: Option<DispatcherCheckpoint>,
     /// Per-stage latency recording (observability-enabled runs only).
     stages: Option<StageRecorder>,
-    /// Batch size for record emits (`None` = emit each message directly).
-    batch: Option<usize>,
-    /// Per-task pending messages, flushed as one [`JoinMsg::Batch`] when
-    /// `batch` messages accumulate, before every barrier, and at finish.
-    buffers: Vec<Vec<JoinMsg>>,
 }
 
 impl<R: Router> DispatcherBolt<R> {
-    /// A dispatcher around a router.
-    pub fn new(router: R) -> Self {
-        Self {
-            router,
-            recovery: None,
-            shed_watermark: None,
-            shed_log: Arc::new(Mutex::new(Vec::new())),
-            checkpoint: None,
-            stages: None,
-            batch: None,
-            buffers: Vec::new(),
-        }
-    }
-
-    /// Records per-stage latencies into `shared` (see [`StageRecorder`]).
-    /// `None` (the default) records nothing and costs nothing.
-    pub fn with_stages(mut self, shared: Option<Arc<Mutex<StageProfile>>>) -> Self {
-        self.stages = shared.map(StageRecorder::new);
-        self
-    }
-
-    /// Feeds the recovery replay buffers as records are routed.
-    pub fn with_recovery(mut self, recovery: Option<Arc<RecoveryState>>) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Enables load shedding at `watermark` queued messages, logging shed
-    /// record ids into `log`. Shedding drops the *whole* record — it is
-    /// neither probed nor indexed anywhere — so the surviving output is
-    /// exactly the join of the kept records.
-    pub fn with_shedding(mut self, watermark: Option<usize>, log: Arc<Mutex<Vec<u64>>>) -> Self {
-        self.shed_watermark = watermark;
-        self.shed_log = log;
-        self
-    }
-
-    /// Enables barrier injection every `coordinator.interval()` dispatched
-    /// records. `bistream` is recorded in each epoch's manifest so a
-    /// restore can validate topology shape.
-    pub fn with_checkpointing(
-        mut self,
-        coordinator: Option<Arc<CheckpointCoordinator>>,
-        bistream: bool,
+    /// A dispatcher bolt logging shed record ids into `shed_log` and, when
+    /// `stages` is set, route latencies into it (see [`StageRecorder`]).
+    pub(crate) fn new(
+        dispatcher: Dispatcher<R>,
+        shed_log: Arc<Mutex<Vec<u64>>>,
+        stages: Option<Arc<Mutex<StageProfile>>>,
     ) -> Self {
-        self.checkpoint = coordinator.map(|coordinator| DispatcherCheckpoint {
-            cuts: vec![None; coordinator.k()],
-            coordinator,
-            bistream,
-            routed_since_barrier: 0,
-            last_dispatched: None,
-        });
-        self
-    }
-
-    /// Batches record emits: up to `batch` messages per joiner wire are
-    /// shipped as one [`JoinMsg::Batch`], amortizing per-message channel
-    /// overhead. `None` (the default) emits every message individually.
-    /// Joiners unpack batches in order, so results are identical either
-    /// way. With shedding enabled, the queue-depth probe only sees batches
-    /// already shipped — the watermark becomes approximate by up to one
-    /// batch per wire.
-    pub fn with_batching(mut self, batch: Option<usize>) -> Self {
-        assert!(batch != Some(0), "dispatch batch size must be at least 1");
-        self.batch = batch;
-        self
-    }
-
-    /// Emits `msg` to `task`, through the pending batch when batching is on.
-    fn push(&mut self, task: usize, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        let Some(batch) = self.batch else {
-            out.emit_direct(task, msg);
-            return;
-        };
-        if self.buffers.len() <= task {
-            self.buffers.resize_with(task + 1, Vec::new);
-        }
-        let buf = &mut self.buffers[task];
-        buf.push(msg);
-        if buf.len() >= batch {
-            flush_buffer(buf, task, out);
+        Self {
+            dispatcher,
+            shed_log,
+            stages: stages.map(StageRecorder::new),
         }
     }
+}
 
-    /// Ships every pending batch. Must run before any barrier injection so
-    /// the barrier stays ordered behind everything dispatched before it,
-    /// and at stream end so no message is stranded.
-    fn flush_batches(&mut self, out: &mut Outbox<JoinMsg>) {
-        for (task, buf) in self.buffers.iter_mut().enumerate() {
-            flush_buffer(buf, task, out);
-        }
+/// The dispatcher's view of the topology: the task's outbox is the clock
+/// and the `k` direct wires, queue depth is the backlog.
+struct OutboxPort<'a> {
+    out: &'a mut Outbox<JoinMsg>,
+    stages: &'a mut Option<StageRecorder>,
+}
+
+impl DispatchPort for OutboxPort<'_> {
+    fn now(&mut self) -> Timestamp {
+        self.out.now()
     }
 
-    /// Buffers `payload` for replay at `task` before its index message is
-    /// emitted (the ordering [`RecoveryState::buffer_index_target`]
-    /// requires).
-    fn buffer_for_replay(&self, task: usize, payload: &RecordMsg) {
-        if let Some(recovery) = &self.recovery {
-            recovery.buffer_index_target(task, ReplayEntry::from_payload(payload));
-        }
+    fn backlog(&self, task: usize) -> usize {
+        self.out.direct_queue_depth(task)
     }
 
-    /// Checkpoint bookkeeping after a record's messages are emitted: the
-    /// record joins the current epoch, and once the interval fills the
-    /// dispatcher opens the next epoch and injects its barrier down every
-    /// joiner wire (including joiners this record skipped — every task must
-    /// publish for the epoch to commit).
-    fn note_dispatched(&mut self, id: u64, index_targets: &[usize], out: &mut Outbox<JoinMsg>) {
-        let Some(cp) = &mut self.checkpoint else {
-            return;
-        };
-        cp.last_dispatched = Some(id);
-        for &t in index_targets {
-            cp.cuts[t] = Some(id);
-        }
-        cp.routed_since_barrier += 1;
-        if cp.routed_since_barrier < cp.coordinator.interval() {
-            return;
-        }
-        cp.routed_since_barrier = 0;
-        let injected_at = out.now();
-        let epoch = cp.coordinator.begin_epoch(
-            injected_at,
-            cp.last_dispatched.expect("set just above"),
-            cp.cuts.clone(),
-            cp.bistream,
-            self.router.length_partition().cloned(),
-        );
-        let k = cp.cuts.len();
-        // Pending batches hold messages dispatched before this barrier;
-        // flush them first so every wire sees them ahead of it.
-        self.flush_batches(out);
-        for t in 0..k {
-            out.emit_direct(t, JoinMsg::Barrier { epoch, injected_at });
+    fn reachable(&self, _task: usize) -> bool {
+        true
+    }
+
+    fn send(&mut self, task: usize, msg: JoinMsg) {
+        self.out.emit_direct(task, msg);
+    }
+
+    fn routed(&mut self, payload: &RecordMsg, fanout: usize) {
+        // Route span: anchored on the ingest stamp the dispatcher already
+        // read, so stage recording adds no clock mutation and no extra
+        // reads when disabled.
+        if self.stages.is_some() || self.out.tracing() {
+            let dur = self.out.now().saturating_since(payload.ingest);
+            if let Some(st) = self.stages {
+                st.record(Stage::Route, dur);
+            }
+            self.out.trace_span(
+                Stage::Route,
+                payload.ingest,
+                payload.record.id().0,
+                fanout as u64,
+            );
         }
     }
 }
 
 impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        let incoming = msg.payload().expect("dispatcher receives record messages");
-        // Latency is measured from the moment the dispatcher makes the
-        // routing decision (the paper measures processing latency, not
-        // source queueing). The stamp reads the topology clock, so
-        // simulated runs measure virtual time.
-        let payload = RecordMsg {
-            record: incoming.record.clone(),
-            ingest: out.now(),
-            side: incoming.side,
+        let mut port = OutboxPort {
+            out,
+            stages: &mut self.stages,
         };
-        let decision = self.router.route(&payload.record);
-        // Route span: anchored on the ingest stamp already read above, so
-        // stage recording adds no clock mutation and no extra reads when
-        // disabled. `b` is the record's total fanout.
-        if self.stages.is_some() || out.tracing() {
-            let dur = out.now().saturating_since(payload.ingest);
-            if let Some(st) = &mut self.stages {
-                st.record(Stage::Route, dur);
-            }
-            out.trace_span(
-                Stage::Route,
-                payload.ingest,
-                payload.record.id().0,
-                (decision.index.len() + decision.probe.len()) as u64,
-            );
-        }
-        if matches!(msg, JoinMsg::Index(_)) {
-            // Restore re-dispatch: the driver replays a checkpoint's window
-            // as index-only source tuples. They rebuild joiner state through
-            // the current router — no probes (their results already exist),
-            // no shedding (they are state, not load) — and join the current
-            // epoch like any dispatched record, so a barrier mid-restore
-            // still cuts a consistent prefix.
-            for &ix in &decision.index {
-                self.buffer_for_replay(ix, &payload);
-                self.push(ix, JoinMsg::Index(payload.clone()), out);
-            }
-            self.note_dispatched(payload.record.id().0, &decision.index, out);
-            return;
-        }
-        if let Some(watermark) = self.shed_watermark {
-            // Overload check: deepest downstream queue among this record's
-            // targets. Shedding happens *before* any emit or replay
-            // buffering, so a shed record leaves no trace downstream and
-            // the run's output is exactly the join of the kept records.
-            let depth = decision
-                .index
-                .iter()
-                .chain(decision.probe.iter())
-                .map(|&t| out.direct_queue_depth(t))
-                .max()
-                .unwrap_or(0);
-            if depth >= watermark {
+        match self.dispatcher.dispatch(&msg, &mut port) {
+            Dispatched::Sent => {}
+            Dispatched::Shed { depth } => {
+                let id = msg.record().expect("dispatched a record").id().0;
                 out.record_shed(1);
-                out.trace_instant(Stage::Shed, payload.record.id().0, depth as u64);
-                self.shed_log.lock().push(payload.record.id().0);
-                return;
+                out.trace_instant(Stage::Shed, id, depth as u64);
+                self.shed_log.lock().push(id);
             }
+            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
         }
-        let mut probe_iter = decision.probe.iter().peekable();
-        for &ix in &decision.index {
-            // Emit probes ordered before/interleaved with the index target;
-            // a target in both sets gets the atomic combined message.
-            while let Some(&&p) = probe_iter.peek() {
-                if p < ix {
-                    self.push(p, JoinMsg::Probe(payload.clone()), out);
-                    probe_iter.next();
-                } else {
-                    break;
-                }
-            }
-            self.buffer_for_replay(ix, &payload);
-            if probe_iter.peek() == Some(&&ix) {
-                probe_iter.next();
-                self.push(ix, JoinMsg::ProbeAndIndex(payload.clone()), out);
-            } else {
-                self.push(ix, JoinMsg::Index(payload.clone()), out);
-            }
-        }
-        for &p in probe_iter {
-            self.push(p, JoinMsg::Probe(payload.clone()), out);
-        }
-        self.note_dispatched(payload.record.id().0, &decision.index, out);
     }
 
     fn finish(&mut self, out: &mut Outbox<JoinMsg>) {
-        self.flush_batches(out);
+        self.dispatcher.flush(&mut OutboxPort {
+            out,
+            stages: &mut self.stages,
+        });
         if let Some(st) = &mut self.stages {
             st.flush();
         }
     }
-}
-
-/// Exact duplicate-result elimination for replicating routers.
-///
-/// Under prefix routing, the pair `(s, r)` is produced at every joiner
-/// owning a token in `prefix(r) ∩ prefix(s)`. Exactly one joiner emits it:
-/// the owner of the *smallest* common prefix token. Each joiner remembers
-/// the prefix token set of every record it indexed (cheap: prefixes are
-/// short, token storage is shared) so it can evaluate the rule locally.
-pub(crate) struct PrefixDedup {
-    threshold: Threshold,
-    window: Window,
-    k: usize,
-    me: usize,
-    prefixes: FxHashMap<RecordId, Box<[TokenId]>>,
-    queue: EvictionQueue<RecordId>,
-}
-
-impl PrefixDedup {
-    /// A dedup filter for joiner `me` of `k` under the given join config
-    /// (used directly by the cluster node engine, which has no bolt).
-    pub(crate) fn new(threshold: Threshold, window: Window, k: usize, me: usize) -> Self {
-        Self {
-            threshold,
-            window,
-            k,
-            me,
-            prefixes: FxHashMap::default(),
-            queue: EvictionQueue::new(),
-        }
-    }
-
-    pub(crate) fn advance(&mut self, probe_id: u64, probe_ts: u64) {
-        let prefixes = &mut self.prefixes;
-        self.queue
-            .drain_expired(self.window, probe_id, probe_ts, |id| {
-                prefixes.remove(&id);
-            });
-    }
-
-    pub(crate) fn on_index(&mut self, record: &Record) {
-        let p = self.threshold.prefix_len(record.len());
-        self.prefixes
-            .insert(record.id(), record.prefix(p).to_vec().into());
-        self.queue
-            .push(record.id().0, record.timestamp(), record.id());
-    }
-
-    pub(crate) fn should_emit(&self, probe: &Record, earlier: RecordId) -> bool {
-        let stored = self
-            .prefixes
-            .get(&earlier)
-            .expect("matched record was indexed here");
-        let p = self.threshold.prefix_len(probe.len());
-        let min_common = first_common(probe.prefix(p), stored)
-            .expect("a matching pair always shares a prefix token");
-        token_owner(min_common, self.k) == self.me
-    }
-}
-
-/// First (smallest) common element of two ascending token slices.
-fn first_common(a: &[TokenId], b: &[TokenId]) -> Option<TokenId> {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => return Some(a[i]),
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    None
 }
 
 /// Final per-joiner statistics published when the topology drains.
@@ -415,112 +159,17 @@ pub struct JoinerSnapshot {
     pub incarnation: u64,
     /// Records replayed into this task across all of its restarts.
     pub replayed: u64,
-    /// Replay-buffer entries evicted by the buffer cap before expiry —
-    /// nonzero means a restart may have restored less than its full window.
-    pub replay_overflow: u64,
     /// The checkpoint epoch the surviving incarnation restored its window
     /// from, if it came up after a crash with a complete epoch available
     /// (`None` = fresh start or plain buffer replay).
     pub restored_from_epoch: Option<u64>,
 }
 
-/// The joiner's local state: one index for self-joins, a pair of indexes
-/// for bi-stream joins. Shared with the cluster node engine
-/// (`crate::cluster`), which drives the same state machine over a socket
-/// instead of a topology wire.
-pub(crate) enum LocalState {
-    Solo(Box<dyn StreamJoiner + Send>),
-    Bi(BiStreamJoiner<Box<dyn StreamJoiner + Send>>),
-}
-
-impl LocalState {
-    /// One index per side for bi-stream joins.
-    pub(crate) fn bi(factory: impl FnMut() -> Box<dyn StreamJoiner + Send>) -> Self {
-        LocalState::Bi(BiStreamJoiner::new(factory))
-    }
-
-    pub(crate) fn probe(&mut self, payload: &RecordMsg, buf: &mut Vec<MatchPair>) {
-        match (self, payload.side) {
-            (LocalState::Solo(j), None) => j.probe(&payload.record, buf),
-            (LocalState::Bi(j), Some(side)) => j.probe(side, &payload.record, buf),
-            _ => panic!("message side does not match the joiner mode"),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, payload: &RecordMsg) {
-        match (self, payload.side) {
-            (LocalState::Solo(j), None) => j.insert(&payload.record),
-            (LocalState::Bi(j), Some(side)) => j.insert(side, &payload.record),
-            _ => panic!("message side does not match the joiner mode"),
-        }
-    }
-
-    /// Rebuilds index state from replayed entries — index-only, nothing is
-    /// probed and no results are produced.
-    pub(crate) fn restore(&mut self, entries: &[ReplayEntry]) {
-        match self {
-            LocalState::Solo(j) => {
-                let records: Vec<Record> = entries.iter().map(|e| e.record.clone()).collect();
-                j.restore(&records);
-            }
-            LocalState::Bi(j) => {
-                for e in entries {
-                    j.insert(e.side.expect("bi-stream entries carry a side"), &e.record);
-                }
-            }
-        }
-    }
-
-    /// The in-window records this joiner holds, as checkpoint snapshot
-    /// entries in ascending id order.
-    pub(crate) fn window_snapshot(&self) -> Vec<SnapshotEntry> {
-        match self {
-            LocalState::Solo(j) => j.window_snapshot().into_iter().map(|r| (None, r)).collect(),
-            LocalState::Bi(j) => j
-                .window_snapshot()
-                .into_iter()
-                .map(|(side, r)| (Some(side), r))
-                .collect(),
-        }
-    }
-
-    pub(crate) fn snapshot(&mut self, task: usize) -> JoinerSnapshot {
-        match self {
-            LocalState::Solo(j) => JoinerSnapshot {
-                task,
-                stats: j.stats().clone(),
-                stored: j.stored(),
-                postings: j.postings(),
-                incarnation: 0,
-                replayed: 0,
-                replay_overflow: 0,
-                restored_from_epoch: None,
-            },
-            LocalState::Bi(j) => {
-                let stored = j.stored();
-                let postings = j.postings();
-                JoinerSnapshot {
-                    task,
-                    stats: j.stats().clone(),
-                    stored,
-                    postings,
-                    incarnation: 0,
-                    replayed: 0,
-                    replay_overflow: 0,
-                    restored_from_epoch: None,
-                }
-            }
-        }
-    }
-}
-
-/// One of the `k` parallel joiners: wraps any local [`StreamJoiner`]
-/// (self-join) or a [`BiStreamJoiner`] pair (R–S join).
-pub struct JoinerBolt {
-    local: LocalState,
-    dedup: Option<PrefixDedup>,
+/// One of the `k` parallel joiners: a [`Joiner`] plus the topology's
+/// spans, processing watermark and checkpoint publication.
+pub(crate) struct JoinerBolt {
+    joiner: Joiner,
     task: usize,
-    buf: Vec<MatchPair>,
     snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
@@ -534,38 +183,42 @@ pub struct JoinerBolt {
 }
 
 impl JoinerBolt {
-    fn with_state(
-        local: LocalState,
-        dedup_cfg: Option<(Threshold, Window, usize)>,
+    /// Joiner bolt `task`. `recovery` must be provided exactly when the
+    /// run injects faults or checkpoints, `coordinator` exactly when it
+    /// checkpoints; `stages` turns on stage latency recording. A rebuilt
+    /// bolt (an incarnation after a crash) re-indexes the state its
+    /// predecessor lost before it sees its first message.
+    pub(crate) fn new(
+        joiner: Joiner,
         task: usize,
         snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
         recovery: Option<Arc<RecoveryState>>,
         coordinator: Option<Arc<CheckpointCoordinator>>,
+        stages: Option<Arc<Mutex<StageProfile>>>,
     ) -> Self {
-        let dedup =
-            dedup_cfg.map(|(threshold, window, k)| PrefixDedup::new(threshold, window, k, task));
         let mut bolt = Self {
-            local,
-            dedup,
+            joiner,
             task,
-            buf: Vec::new(),
             snapshots,
             recovery,
             coordinator,
             aligner: BarrierAligner::new(1),
             incarnation: 0,
             restored_from_epoch: None,
-            stages: None,
+            stages: stages.map(StageRecorder::new),
         };
-        bolt.replay_lost_state();
+        if let Some(recovery) = &bolt.recovery {
+            bolt.incarnation = recovery.begin_incarnation(task);
+            if bolt.incarnation > 0 {
+                let (snapshot, tail) = lost_state(recovery, bolt.coordinator.as_deref(), task);
+                if let Some((epoch, entries)) = snapshot {
+                    bolt.restored_from_epoch = Some(epoch);
+                    bolt.joiner.restore(&entries);
+                }
+                bolt.joiner.restore(&tail);
+            }
+        }
         bolt
-    }
-
-    /// Records per-stage latencies into `shared` (see [`StageRecorder`]).
-    /// `None` (the default) records nothing and costs nothing.
-    pub fn with_stages(mut self, shared: Option<Arc<Mutex<StageProfile>>>) -> Self {
-        self.stages = shared.map(StageRecorder::new);
-        self
     }
 
     /// Stage timing start: reads the clock only when stage profiling or
@@ -594,129 +247,27 @@ impl JoinerBolt {
         out.trace_span(stage, t0, a, b);
     }
 
-    /// Records (or bundle members) currently held by the local joiner.
-    fn stored_len(&self) -> u64 {
-        match &self.local {
-            LocalState::Solo(j) => j.stored() as u64,
-            LocalState::Bi(j) => j.stored() as u64,
-        }
-    }
-
-    /// Crash recovery: a restarted incarnation rebuilds the index state its
-    /// predecessor lost. With checkpointing, the bulk comes from the latest
-    /// complete epoch's snapshot; the replay buffer — truncated at every
-    /// commit to entries after the snapshot cut, so the two never overlap —
-    /// covers only the uncheckpointed tail, bounding replay work by the
-    /// checkpoint interval instead of the window size. Both paths are
-    /// index-only: restore re-emits nothing, so no result pair is
-    /// duplicated.
-    fn replay_lost_state(&mut self) {
-        let Some(recovery) = &self.recovery else {
-            return;
-        };
-        self.incarnation = recovery.begin_incarnation(self.task);
-        if self.incarnation == 0 {
-            return;
-        }
-        // Snapshot and replay-buffer suffix must be captured atomically
-        // with respect to epoch commits: a commit between the two reads
-        // would truncate the buffer past the (older) snapshot being
-        // restored, silently dropping the records between the two cuts.
-        let (snapshot, entries) = match &self.coordinator {
-            Some(c) => c.restore_and_replay_for(self.task),
-            None => (None, recovery.replay_for(self.task)),
-        };
-        if let Some((epoch, snapshot)) = snapshot {
-            self.restored_from_epoch = Some(epoch);
-            let restored: Vec<ReplayEntry> = snapshot
-                .into_iter()
-                .map(|(side, record)| ReplayEntry { record, side })
-                .collect();
-            self.local.restore(&restored);
-            if let Some(d) = &mut self.dedup {
-                for e in &restored {
-                    d.on_index(&e.record);
-                }
-            }
-        }
-        self.local.restore(&entries);
-        if let Some(d) = &mut self.dedup {
-            for e in &entries {
-                d.on_index(&e.record);
-            }
-        }
-    }
-
-    /// A self-join joiner bolt. `dedup_cfg` must be provided exactly when
-    /// the router replicates records (`Router::needs_result_dedup`);
-    /// `recovery` exactly when the run injects faults or checkpoints;
-    /// `coordinator` exactly when the run checkpoints.
-    pub fn new(
-        joiner: Box<dyn StreamJoiner + Send>,
-        dedup_cfg: Option<(Threshold, Window, usize)>,
-        task: usize,
-        snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
-        recovery: Option<Arc<RecoveryState>>,
-        coordinator: Option<Arc<CheckpointCoordinator>>,
-    ) -> Self {
-        Self::with_state(
-            LocalState::Solo(joiner),
-            dedup_cfg,
-            task,
-            snapshots,
-            recovery,
-            coordinator,
-        )
-    }
-
-    /// A bi-stream (R–S) joiner bolt holding one index per side.
-    pub fn new_bistream(
-        factory: impl FnMut() -> Box<dyn StreamJoiner + Send>,
-        dedup_cfg: Option<(Threshold, Window, usize)>,
-        task: usize,
-        snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
-        recovery: Option<Arc<RecoveryState>>,
-        coordinator: Option<Arc<CheckpointCoordinator>>,
-    ) -> Self {
-        Self::with_state(
-            LocalState::Bi(BiStreamJoiner::new(factory)),
-            dedup_cfg,
-            task,
-            snapshots,
-            recovery,
-            coordinator,
-        )
-    }
-
-    fn probe(&mut self, payload: &RecordMsg, out: &mut Outbox<JoinMsg>) -> u64 {
-        self.buf.clear();
-        self.local.probe(payload, &mut self.buf);
-        let mut emitted = 0u64;
-        for pair in self.buf.drain(..) {
-            if let Some(d) = &self.dedup {
-                if !d.should_emit(&payload.record, pair.earlier) {
-                    continue;
-                }
-            }
-            emitted += 1;
+    /// Probes and emits the results, under a verify span.
+    fn probe(&mut self, payload: &RecordMsg, out: &mut Outbox<JoinMsg>) {
+        let t0 = self.stage_start(out);
+        let pairs = self.joiner.probe(payload);
+        for &pair in pairs {
             out.emit(JoinMsg::Result {
                 pair,
                 ingest: payload.ingest,
             });
         }
-        emitted
+        let emitted = pairs.len() as u64;
+        self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
     }
 
-    fn insert(&mut self, payload: &RecordMsg) {
-        self.local.insert(payload);
-        if let Some(d) = &mut self.dedup {
-            d.on_index(&payload.record);
-        }
-    }
-
-    fn advance_dedup(&mut self, record: &Record) {
-        if let Some(d) = &mut self.dedup {
-            d.advance(record.id().0, record.timestamp());
+    /// Indexes the record, under an index span.
+    fn insert(&mut self, payload: &RecordMsg, out: &mut Outbox<JoinMsg>) {
+        let t0 = self.stage_start(out);
+        self.joiner.insert(payload);
+        if t0.is_some() {
+            let stored = self.joiner.stored() as u64;
+            self.stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
         }
     }
 }
@@ -726,31 +277,17 @@ impl Bolt<JoinMsg> for JoinerBolt {
         let processed = msg.record().map(|r| (r.id().0, r.timestamp()));
         match msg {
             JoinMsg::Probe(payload) => {
-                self.advance_dedup(&payload.record);
-                let t0 = self.stage_start(out);
-                let emitted = self.probe(&payload, out);
-                self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
+                self.joiner.advance(&payload.record);
+                self.probe(&payload, out);
             }
             JoinMsg::Index(payload) => {
-                self.advance_dedup(&payload.record);
-                let t0 = self.stage_start(out);
-                self.insert(&payload);
-                if t0.is_some() {
-                    let stored = self.stored_len();
-                    self.stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
-                }
+                self.joiner.advance(&payload.record);
+                self.insert(&payload, out);
             }
             JoinMsg::ProbeAndIndex(payload) => {
-                self.advance_dedup(&payload.record);
-                let t0 = self.stage_start(out);
-                let emitted = self.probe(&payload, out);
-                self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
-                let t1 = self.stage_start(out);
-                self.insert(&payload);
-                if t1.is_some() {
-                    let stored = self.stored_len();
-                    self.stage_end(Stage::Index, t1, payload.record.id().0, stored, out);
-                }
+                self.joiner.advance(&payload.record);
+                self.probe(&payload, out);
+                self.insert(&payload, out);
             }
             JoinMsg::Batch(msgs) => {
                 // Unpack in dispatch order: each sub-message runs the full
@@ -779,7 +316,7 @@ impl Bolt<JoinMsg> for JoinerBolt {
                         .coordinator
                         .as_ref()
                         .expect("barrier received without a checkpoint coordinator");
-                    let entries = self.local.window_snapshot();
+                    let entries = self.joiner.window_snapshot();
                     let outcome = coordinator.publish(epoch, self.task, &entries);
                     out.record_checkpoint(outcome.bytes);
                     out.trace_instant(Stage::Checkpoint, epoch, outcome.bytes);
@@ -803,14 +340,19 @@ impl Bolt<JoinMsg> for JoinerBolt {
     }
 
     fn finish(&mut self, _out: &mut Outbox<JoinMsg>) {
-        let mut snapshot = self.local.snapshot(self.task);
-        snapshot.incarnation = self.incarnation;
-        snapshot.restored_from_epoch = self.restored_from_epoch;
-        if let Some(recovery) = &self.recovery {
-            snapshot.replayed = recovery.replayed(self.task);
-            snapshot.replay_overflow = recovery.overflowed(self.task);
-        }
-        self.snapshots.lock().push(snapshot);
+        let (stats, stored, postings) = self.joiner.counters();
+        self.snapshots.lock().push(JoinerSnapshot {
+            task: self.task,
+            stats,
+            stored,
+            postings,
+            incarnation: self.incarnation,
+            replayed: self
+                .recovery
+                .as_ref()
+                .map_or(0, |recovery| recovery.replayed(self.task)),
+            restored_from_epoch: self.restored_from_epoch,
+        });
         if let Some(st) = &mut self.stages {
             st.flush();
         }
@@ -827,7 +369,7 @@ pub struct SinkState {
 }
 
 /// Terminal bolt: collects result pairs and measures latency. One task.
-pub struct SinkBolt {
+pub(crate) struct SinkBolt {
     state: Arc<Mutex<SinkState>>,
     /// Per-stage latency recording (observability-enabled runs only).
     stages: Option<StageRecorder>,
@@ -835,7 +377,7 @@ pub struct SinkBolt {
 
 impl SinkBolt {
     /// A sink writing into shared state.
-    pub fn new(state: Arc<Mutex<SinkState>>) -> Self {
+    pub(crate) fn new(state: Arc<Mutex<SinkState>>) -> Self {
         Self {
             state,
             stages: None,
@@ -844,7 +386,7 @@ impl SinkBolt {
 
     /// Records the dispatch-to-result latency of every pair under
     /// [`Stage::Emit`] in `shared` (see [`StageRecorder`]).
-    pub fn with_stages(mut self, shared: Option<Arc<Mutex<StageProfile>>>) -> Self {
+    pub(crate) fn with_stages(mut self, shared: Option<Arc<Mutex<StageProfile>>>) -> Self {
         self.stages = shared.map(StageRecorder::new);
         self
     }
@@ -874,67 +416,5 @@ impl Bolt<JoinMsg> for SinkBolt {
         if let Some(st) = &mut self.stages {
             st.flush();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tid(xs: &[u32]) -> Vec<TokenId> {
-        xs.iter().copied().map(TokenId).collect()
-    }
-
-    #[test]
-    fn first_common_finds_smallest() {
-        assert_eq!(
-            first_common(&tid(&[2, 5, 9]), &tid(&[3, 5, 9])),
-            Some(TokenId(5))
-        );
-        assert_eq!(first_common(&tid(&[1, 2]), &tid(&[3, 4])), None);
-        assert_eq!(first_common(&tid(&[]), &tid(&[1])), None);
-        assert_eq!(first_common(&tid(&[7]), &tid(&[7])), Some(TokenId(7)));
-    }
-
-    #[test]
-    fn dedup_emits_exactly_one_owner() {
-        let threshold = Threshold::jaccard(0.5);
-        let k = 4;
-        let r = Record::from_sorted(RecordId(1), 1, tid(&[10, 20, 30, 40]));
-        let s = Record::from_sorted(RecordId(0), 0, tid(&[10, 20, 30, 41]));
-        // Build one dedup per joiner, index s everywhere (as replication
-        // would), and count how many would emit the pair.
-        let emitted: usize = (0..k)
-            .filter(|&me| {
-                let mut d = PrefixDedup {
-                    threshold,
-                    window: Window::Unbounded,
-                    k,
-                    me,
-                    prefixes: FxHashMap::default(),
-                    queue: EvictionQueue::new(),
-                };
-                d.on_index(&s);
-                d.should_emit(&r, RecordId(0))
-            })
-            .count();
-        assert_eq!(emitted, 1);
-    }
-
-    #[test]
-    fn dedup_window_eviction_drops_prefixes() {
-        let mut d = PrefixDedup {
-            threshold: Threshold::jaccard(0.5),
-            window: Window::Count(1),
-            k: 2,
-            me: 0,
-            prefixes: FxHashMap::default(),
-            queue: EvictionQueue::new(),
-        };
-        let s = Record::from_sorted(RecordId(0), 0, tid(&[1, 2, 3]));
-        d.on_index(&s);
-        assert_eq!(d.prefixes.len(), 1);
-        d.advance(5, 5);
-        assert!(d.prefixes.is_empty());
     }
 }

@@ -20,8 +20,7 @@
 //! so a restore that has to quarantine a corrupt newest snapshot can fall
 //! back one epoch and still replay the gap exactly. Post-crash replay
 //! stays O(epoch interval) even under
-//! [`Window::Unbounded`](ssj_core::Window), and a capped buffer sized
-//! above *two* intervals can no longer overflow.
+//! [`Window::Unbounded`](ssj_core::Window).
 //!
 //! Two stores are provided: [`MemStore`] (tests, simulation) and
 //! [`FileStore`] (epoch-stamped snapshot files encoded with the `ssj-text`
@@ -29,15 +28,14 @@
 //! rebuilds a topology from the latest complete checkpoint through
 //! [`load_latest`] and the driver's `restore_from` path.
 //!
-//! # Integrity (store format v2)
+//! # Integrity
 //!
 //! Every `.snap` part and `MANIFEST` payload is wrapped in an 8-byte
 //! envelope — [`STORE_MAGIC`] plus a CRC32C of the payload (see
 //! [`seal_payload`] / [`open_payload`]) — written at the *coordinator*
 //! layer so any [`SnapshotStore`], including fault-injecting test
-//! wrappers, exercises verification on read-back. Envelope-less (v1)
-//! payloads still open: their own magics (`SNWP` / `SNWM`) cannot collide
-//! with `CRC2`. A payload that fails its check is never trusted:
+//! wrappers, exercises verification on read-back. A payload without the
+//! envelope, or one that fails its check, is never trusted:
 //! [`load_latest_verified`] quarantines the epoch and falls back to the
 //! newest fully-verified earlier one, the in-run restore path
 //! ([`CheckpointCoordinator::restore_and_replay_for`]) does the same
@@ -250,13 +248,10 @@ impl SnapshotStore for FileStore {
     }
 }
 
-/// Magic prefixing every store-format-v2 payload (`"CRC2"` on disk).
-///
-/// Distinct from both v1 payload magics (`SNWP` window parts, `SNWM`
-/// manifests), so [`open_payload`] can dispatch on the first four bytes.
+/// Magic prefixing every stored payload (`"CRC2"` on disk).
 pub const STORE_MAGIC: u32 = 0x3243_5243;
 
-/// Wraps a store payload in the v2 integrity envelope:
+/// Wraps a store payload in the integrity envelope:
 /// `[STORE_MAGIC u32 le][crc32c(payload) u32 le][payload]`.
 pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
@@ -266,29 +261,25 @@ pub fn seal_payload(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unwraps a store payload read back from a [`SnapshotStore`].
-///
-/// A v2 envelope is verified and stripped; anything else passes through
-/// as a v1 (pre-checksum) payload, whose own decoder still validates its
-/// magic — a bit flip inside the envelope header destroys the `CRC2`
-/// magic and lands here too, so no flipped byte goes undetected.
+/// Unwraps a store payload read back from a [`SnapshotStore`]: the
+/// envelope is verified and stripped.
 ///
 /// # Errors
-/// Fails with [`io::ErrorKind::InvalidData`] when a v2 checksum does not
-/// match its payload.
+/// Fails with [`io::ErrorKind::InvalidData`] when the envelope is missing
+/// (too short, or a damaged magic) or the checksum does not match the
+/// payload — either way the bytes are rot, and the caller quarantines
+/// them.
 pub fn open_payload(bytes: &[u8]) -> io::Result<&[u8]> {
-    if bytes.len() >= 8 && bytes[..4] == STORE_MAGIC.to_le_bytes() {
-        let want = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-        let payload = &bytes[8..];
-        if stormlite::crc32c(payload) != want {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "store payload checksum mismatch",
-            ));
-        }
-        return Ok(payload);
+    let bad = |what| io::Error::new(io::ErrorKind::InvalidData, what);
+    if bytes.len() < 8 || bytes[..4] != STORE_MAGIC.to_le_bytes() {
+        return Err(bad("store payload has no integrity envelope"));
     }
-    Ok(bytes)
+    let want = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
+    let payload = &bytes[8..];
+    if stormlite::crc32c(payload) != want {
+        return Err(bad("store payload checksum mismatch"));
+    }
+    Ok(payload)
 }
 
 /// What a committed epoch's manifest records: enough to validate and
@@ -1243,19 +1234,12 @@ mod tests {
         for bit in 0..sealed.len() * 8 {
             let mut bad = sealed.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            if bad[..4] == STORE_MAGIC.to_le_bytes() {
-                assert!(open_payload(&bad).is_err(), "undetected flip at bit {bit}");
-            } else {
-                // A flip that destroys the magic falls through as a "v1"
-                // payload — whose own decoder must then reject it, since
-                // its first four bytes are now a mangled CRC2, not SNWP.
-                assert!(decode_window_slice(open_payload(&bad).unwrap()).is_err());
-            }
+            assert!(open_payload(&bad).is_err(), "undetected flip at bit {bit}");
         }
     }
 
     #[test]
-    fn v1_payloads_pass_through_unwrapped() {
+    fn envelope_less_payloads_are_rejected() {
         let manifest = Manifest {
             epoch: 3,
             cut_id: 10,
@@ -1264,9 +1248,11 @@ mod tests {
             partition: None,
         }
         .encode();
-        assert_eq!(open_payload(&manifest).unwrap(), &manifest[..]);
         let part = encode_window_vec(&entries(&[1, 2])).unwrap();
-        assert_eq!(open_payload(&part).unwrap(), &part[..]);
+        for raw in [&manifest[..], &part[..], &[][..]] {
+            let err = open_payload(raw).expect_err("no envelope, no trust");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     /// Commits two epochs, bit-rots the newest part, and proves the in-run
@@ -1434,19 +1420,21 @@ mod tests {
             (Some(Side::Right), rec(9)),
         ])
         .unwrap();
-        store.put(2, "joiner-0", &part0).unwrap();
-        store.put(2, "joiner-1", &part1).unwrap();
+        store.put(2, "joiner-0", &seal_payload(&part0)).unwrap();
+        store.put(2, "joiner-1", &seal_payload(&part1)).unwrap();
         store
             .commit(
                 2,
-                &Manifest {
-                    epoch: 2,
-                    cut_id: 9,
-                    k: 2,
-                    bistream: false,
-                    partition: Some(LengthPartition::from_uppers(vec![3, 50])),
-                }
-                .encode(),
+                &seal_payload(
+                    &Manifest {
+                        epoch: 2,
+                        cut_id: 9,
+                        k: 2,
+                        bistream: false,
+                        partition: Some(LengthPartition::from_uppers(vec![3, 50])),
+                    }
+                    .encode(),
+                ),
             )
             .unwrap();
         let image = load_latest(&store).unwrap().unwrap();
@@ -1463,22 +1451,29 @@ mod tests {
     fn load_latest_rejects_a_complete_epoch_with_missing_parts() {
         let store = MemStore::new();
         store
-            .put(1, "joiner-0", &encode_window_vec(&entries(&[1])).unwrap())
+            .put(
+                1,
+                "joiner-0",
+                &seal_payload(&encode_window_vec(&entries(&[1])).unwrap()),
+            )
             .unwrap();
         store
             .commit(
                 1,
-                &Manifest {
-                    epoch: 1,
-                    cut_id: 3,
-                    k: 2,
-                    bistream: false,
-                    partition: None,
-                }
-                .encode(),
+                &seal_payload(
+                    &Manifest {
+                        epoch: 1,
+                        cut_id: 3,
+                        k: 2,
+                        bistream: false,
+                        partition: None,
+                    }
+                    .encode(),
+                ),
             )
             .unwrap();
-        assert!(load_latest(&store).is_err());
+        let err = load_latest(&store).expect_err("a committed epoch lost a part");
+        assert!(err.to_string().contains("missing part"), "{err}");
     }
 
     #[test]

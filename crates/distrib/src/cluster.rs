@@ -5,7 +5,10 @@
 //! k joiners → sink — but split it at the process boundary: the launcher
 //! keeps the source, the dispatcher (router, shed watermark, recovery
 //! buffers, checkpoint coordinator) and the sink, while each joiner runs
-//! behind one [`stormlite::Wire`]. Two backends are interchangeable:
+//! behind one [`stormlite::Wire`]. The dispatch and join algorithms are
+//! the ones the topology runs (the crate's `operators` module); this is the
+//! run-time around them — sequenced sessions, retransmission,
+//! supervision. Two backends are interchangeable:
 //!
 //! * [`ClusterBackend::InProcess`] — joiners are threads behind channel
 //!   wires. Same protocol, no sockets; this is the reference the TCP
@@ -47,9 +50,8 @@
 //!
 //! The launcher bounds in-flight (sent-but-unacked) frames per wire at
 //! `channel_capacity` — the cluster analogue of the in-process bounded
-//! channel — and, when a shed watermark is set, sheds whole records whose
-//! deepest target backlog reaches the watermark, before any emit or
-//! replay buffering, mirroring [`crate::bolts::DispatcherBolt`]. On the
+//! channel — and that in-flight count is the backlog the dispatcher's
+//! shed watermark watches. On the
 //! node side the TCP receive queue is bounded too: a full queue stops the
 //! socket reader, which closes the kernel receive window, so pressure is
 //! real end to end.
@@ -115,13 +117,17 @@ use stormlite::{
     Wire, WireEvent,
 };
 
-use crate::bolts::{JoinerSnapshot, LocalState, PrefixDedup};
+use crate::bolts::JoinerSnapshot;
 use crate::checkpoint::{CheckpointConfig, CheckpointCoordinator, SnapshotStore};
-use crate::driver::{build_router, prepare_restore, DistributedJoinConfig, LocalAlgo, Strategy};
+use crate::driver::{
+    build_recovery, build_router, lost_state, prepare_restore, DistributedJoinConfig, LocalAlgo,
+    Strategy,
+};
 use crate::msg::{JoinMsg, RecordMsg};
-use crate::recovery::{RecoveryState, ReplayEntry};
+use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
+use crate::recovery::RecoveryState;
 use crate::route::Router;
-use crate::wire::{send_frame, Frame, NodeConfig, NodeReport, MIN_PROTO_VERSION, PROTO_VERSION};
+use crate::wire::{send_frame, Frame, NodeConfig, NodeReport, PROTO_VERSION};
 
 /// How joiner tasks are hosted.
 #[derive(Debug, Clone)]
@@ -192,8 +198,8 @@ pub enum OutageKind {
     /// order) until the window passes.
     PartitionTwoWay,
     /// Outbound (launcher→node) data frames in the window each have one
-    /// bit flipped in flight. With frame checksums (protocol v3) the node
-    /// detects the mismatch and dies with an error close, which the
+    /// bit flipped in flight. The node's frame checksum detects the
+    /// mismatch and it dies with an error close, which the
     /// launcher heals exactly like a crash — corruption is a dropped
     /// frame with extra steps.
     Corrupt,
@@ -279,13 +285,6 @@ pub struct ClusterConfig {
     pub outages: Vec<ClusterOutage>,
     /// Heartbeat liveness detection and recovery budgets.
     pub health: Option<HealthConfig>,
-    /// Protocol version the in-process node threads announce in their
-    /// `Hello` — a test knob proving the launcher interoperates with
-    /// older peers (`Some(2)` runs the link without frame checksums,
-    /// exactly as a stale `ssj-node` binary would). `None` = current
-    /// [`PROTO_VERSION`]. Ignored by the TCP backend, where the spawned
-    /// binary's own version speaks for itself.
-    pub node_proto: Option<u16>,
     /// Retransmission backoff for unacked frames.
     pub retry: RetryConfig,
     /// Stamp ingest/barrier times from a logical counter instead of the
@@ -314,7 +313,6 @@ impl ClusterConfig {
             fault: None,
             outages: Vec::new(),
             health: None,
-            node_proto: None,
             retry: RetryConfig {
                 base_timeout: Duration::from_millis(40),
                 backoff_factor: 2,
@@ -629,153 +627,58 @@ const NODE_INBOUND_CAP: usize = 4096;
 /// writing results while the launcher is blocked writing data.
 const LAUNCHER_INBOUND_CAP: usize = 1 << 20;
 
-/// A joiner node's engine: the same local state machine as the in-process
-/// joiner bolt, driven by wire frames instead of topology tuples.
-struct NodeEngine {
-    local: LocalState,
-    dedup: Option<PrefixDedup>,
-    task: usize,
-    buf: Vec<MatchPair>,
-    /// Whether outbound frames carry a CRC32C trailer (protocol ≥ 3).
-    checksums: bool,
-}
-
-impl NodeEngine {
-    fn new(cfg: &NodeConfig, checksums: bool) -> Self {
-        let threshold = Threshold::new(cfg.sim, cfg.tau);
-        let jc = JoinConfig {
-            threshold,
-            window: cfg.window,
-        };
-        let local = if cfg.bistream {
-            LocalState::bi(|| cfg.algo.build(jc))
-        } else {
-            LocalState::Solo(cfg.algo.build(jc))
-        };
-        let dedup = cfg
-            .dedup
-            .then(|| PrefixDedup::new(threshold, cfg.window, cfg.k as usize, cfg.task as usize));
-        Self {
-            local,
-            dedup,
-            task: cfg.task as usize,
-            buf: Vec::new(),
-            checksums,
-        }
-    }
-
-    fn advance(&mut self, record: &Record) {
-        if let Some(d) = &mut self.dedup {
-            d.advance(record.id().0, record.timestamp());
-        }
-    }
-
-    fn probe(&mut self, payload: &RecordMsg, wire: &mut dyn Wire) -> io::Result<()> {
-        let mut pairs = std::mem::take(&mut self.buf);
-        pairs.clear();
-        self.local.probe(payload, &mut pairs);
-        for pair in &pairs {
-            if let Some(d) = &self.dedup {
-                if !d.should_emit(&payload.record, pair.earlier) {
-                    continue;
-                }
-            }
-            send_frame(
-                wire,
-                &Frame::Result {
-                    pair: *pair,
-                    ingest: payload.ingest,
-                },
-                self.checksums,
-            )?;
-        }
-        self.buf = pairs;
-        Ok(())
-    }
-
-    fn insert(&mut self, payload: &RecordMsg) {
-        self.local.insert(payload);
-        if let Some(d) = &mut self.dedup {
-            d.on_index(&payload.record);
-        }
-    }
-
-    /// Processes one in-order message. Every frame it produces is written
-    /// to the wire *before* the caller writes the message's ack, which is
-    /// what lets an ack stand in for "all of this message's output
-    /// arrived".
-    fn process(&mut self, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
-        match msg {
-            JoinMsg::Probe(payload) => {
-                self.advance(&payload.record);
-                self.probe(&payload, wire)?;
-            }
-            JoinMsg::Index(payload) => {
-                self.advance(&payload.record);
-                self.insert(&payload);
-            }
-            JoinMsg::ProbeAndIndex(payload) => {
-                self.advance(&payload.record);
-                self.probe(&payload, wire)?;
-                self.insert(&payload);
-            }
-            JoinMsg::Barrier { epoch, .. } => {
-                let entries = self.local.window_snapshot();
-                let bytes = encode_window_vec(&entries)?;
-                send_frame(
-                    wire,
-                    &Frame::Snapshot {
-                        epoch,
-                        task: self.task as u32,
-                        window: bytes,
-                    },
-                    self.checksums,
-                )?;
-            }
-            JoinMsg::Batch(msgs) => {
-                // The cluster launcher ships one message per data frame
-                // today, but a batch decodes to plain in-order processing
-                // either way (the codec rejects nesting).
-                for m in msgs {
-                    self.process(m, wire)?;
-                }
-            }
-            JoinMsg::Result { .. } => {
-                return Err(proto_err("nodes never receive result messages"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Index-only state rebuild from a [`Frame::Restore`] body — mirrors
-    /// the in-process replay path (nothing is probed, no results are
-    /// produced, so a restore can never duplicate a pair).
-    fn apply_restore(&mut self, window: &[u8]) -> io::Result<()> {
-        let entries: Vec<ReplayEntry> = decode_window_slice(window)?
-            .into_iter()
-            .map(|(side, record)| ReplayEntry { record, side })
-            .collect();
-        self.local.restore(&entries);
-        if let Some(d) = &mut self.dedup {
-            for e in &entries {
-                d.on_index(&e.record);
-            }
-        }
-        Ok(())
-    }
-
-    fn report(&mut self) -> NodeReport {
-        let snap = self.local.snapshot(self.task);
-        NodeReport {
-            stats: snap.stats,
-            stored: snap.stored as u64,
-            postings: snap.postings as u64,
-        }
-    }
-}
-
 fn proto_err(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
+/// Applies one in-order message to the node's joiner. Every frame it
+/// produces is written to the wire *before* the caller writes the
+/// message's ack, which is what lets an ack stand in for "all of this
+/// message's output arrived".
+fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
+    let mut send_results = |pairs: &[MatchPair], ingest| {
+        pairs
+            .iter()
+            .try_for_each(|&pair| send_frame(wire, &Frame::Result { pair, ingest }))
+    };
+    match msg {
+        JoinMsg::Probe(payload) => {
+            joiner.advance(&payload.record);
+            send_results(joiner.probe(&payload), payload.ingest)?;
+        }
+        JoinMsg::Index(payload) => {
+            joiner.advance(&payload.record);
+            joiner.insert(&payload);
+        }
+        JoinMsg::ProbeAndIndex(payload) => {
+            joiner.advance(&payload.record);
+            send_results(joiner.probe(&payload), payload.ingest)?;
+            joiner.insert(&payload);
+        }
+        JoinMsg::Barrier { epoch, .. } => {
+            let window = encode_window_vec(&joiner.window_snapshot())?;
+            send_frame(
+                wire,
+                &Frame::Snapshot {
+                    epoch,
+                    task,
+                    window,
+                },
+            )?;
+        }
+        JoinMsg::Batch(msgs) => {
+            // The launcher ships one message per data frame today, but a
+            // batch is plain in-order processing either way (the codec
+            // rejects nesting).
+            for m in msgs {
+                node_apply(joiner, task, m, wire)?;
+            }
+        }
+        JoinMsg::Result { .. } => {
+            return Err(proto_err("nodes never receive result messages"));
+        }
+    }
+    Ok(())
 }
 
 /// Serves one joiner node over an established wire: handshake, then
@@ -784,27 +687,16 @@ fn proto_err(what: impl Into<String>) -> io::Error {
 /// connection plus this loop, and the in-process backend runs the same
 /// loop on a thread.
 pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
-    node_serve_at(wire, task, PROTO_VERSION)
-}
-
-/// [`node_serve`] announcing an explicit protocol version — the
-/// interop-test entry point for emulating an older node. At `proto < 3`
-/// the link runs without frame checksums, exactly as a v2 binary would.
-/// The `Hello` itself always travels unsealed: it is what negotiates
-/// whether checksums are on for the rest of the stream.
-pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result<()> {
-    let checksums = proto >= 3;
-    send_frame(
-        wire,
-        &Frame::Hello {
-            proto,
-            task: task as u32,
-        },
-        false,
-    )?;
+    // The `Hello` is the one unsealed frame: the launcher must be able to
+    // read the version out of it whatever the peer speaks.
+    let hello = Frame::Hello {
+        proto: PROTO_VERSION,
+        task: task as u32,
+    };
+    wire.send(&hello.encode()?)?;
     wire.flush()?;
     let cfg = match wire.recv_timeout(Duration::from_secs(30))? {
-        WireEvent::Frame(b) => match Frame::decode_checked(&b, checksums)? {
+        WireEvent::Frame(b) => match Frame::decode_checked(&b, true)? {
             Frame::Config(c) => c,
             other => return Err(proto_err(format!("expected Config, got {other:?}"))),
         },
@@ -814,7 +706,12 @@ pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result
     if cfg.task as usize != task {
         return Err(proto_err("Config addressed to a different task"));
     }
-    let mut engine = NodeEngine::new(&cfg, checksums);
+    let join = JoinConfig {
+        threshold: Threshold::new(cfg.sim, cfg.tau),
+        window: cfg.window,
+    };
+    let dedup = cfg.dedup.then_some((cfg.k as usize, task));
+    let mut joiner = Joiner::new(cfg.algo, join, cfg.bistream, dedup);
     let mut next_seq = cfg.resume_seq;
     // Out-of-order arrivals (chaos delays/duplicates) wait here until the
     // sequence gap closes; processing is strictly in `seq` order.
@@ -831,34 +728,40 @@ pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result
         match event {
             WireEvent::Idle => continue,
             WireEvent::Closed(_) => return Ok(()), // launcher is done with us
-            WireEvent::Frame(b) => match Frame::decode_checked(&b, checksums)? {
+            WireEvent::Frame(b) => match Frame::decode_checked(&b, true)? {
                 Frame::Heartbeat { nonce, sent_at } => {
                     // Echo immediately and flush: the probe exists to make
                     // an idle-but-alive wire visible, so it must not sit
                     // in the outbound batch.
-                    send_frame(wire, &Frame::HealthAck { nonce, sent_at }, checksums)?;
+                    send_frame(wire, &Frame::HealthAck { nonce, sent_at })?;
                     wire.flush()?;
                 }
                 Frame::Data { seq, msg } => {
                     if seq < next_seq {
                         // Retransmission of an already-processed frame: its
                         // effects (and results) are final; just re-ack.
-                        send_frame(wire, &Frame::Ack { seq }, checksums)?;
+                        send_frame(wire, &Frame::Ack { seq })?;
                     } else {
                         pending.insert(seq, msg);
                         while let Some(msg) = pending.remove(&next_seq) {
-                            engine.process(msg, wire)?;
-                            send_frame(wire, &Frame::Ack { seq: next_seq }, checksums)?;
+                            node_apply(&mut joiner, cfg.task, msg, wire)?;
+                            send_frame(wire, &Frame::Ack { seq: next_seq })?;
                             next_seq += 1;
                         }
                     }
                 }
-                Frame::Restore { window } => engine.apply_restore(&window)?,
+                Frame::Restore { window } => joiner.restore(&decode_window_slice(&window)?),
                 Frame::Eos => {
                     if !pending.is_empty() {
                         return Err(proto_err("end of stream with unfilled sequence gaps"));
                     }
-                    send_frame(wire, &Frame::Done(engine.report()), checksums)?;
+                    let (stats, stored, postings) = joiner.counters();
+                    let report = NodeReport {
+                        stats,
+                        stored: stored as u64,
+                        postings: postings as u64,
+                    };
+                    send_frame(wire, &Frame::Done(report))?;
                     wire.flush()?;
                     // Linger until the launcher closes, so the Done frame
                     // is never lost to an early teardown.
@@ -870,13 +773,9 @@ pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result
                                 // lingering, so a slow teardown is never
                                 // mistaken for a hung node.
                                 if let Ok(Frame::Heartbeat { nonce, sent_at }) =
-                                    Frame::decode_checked(&b, checksums)
+                                    Frame::decode_checked(&b, true)
                                 {
-                                    send_frame(
-                                        wire,
-                                        &Frame::HealthAck { nonce, sent_at },
-                                        checksums,
-                                    )?;
+                                    send_frame(wire, &Frame::HealthAck { nonce, sent_at })?;
                                     wire.flush()?;
                                 }
                             }
@@ -915,6 +814,18 @@ struct PendingFrame {
     retries: u32,
 }
 
+impl PendingFrame {
+    /// The sealed `Data` frame that (re)transmits this message as `seq`.
+    fn sealed(&self, seq: u64) -> Vec<u8> {
+        Frame::Data {
+            seq,
+            msg: self.msg.clone(),
+        }
+        .encode_sealed()
+        .expect("data frames are always encodable")
+    }
+}
+
 struct NodeLink {
     wire: Box<dyn Wire>,
     proc: NodeProc,
@@ -924,7 +835,7 @@ struct NodeLink {
     /// always a contiguous suffix of the sequence space.
     unacked: BTreeMap<u64, PendingFrame>,
     /// No unacked frame is overdue before this instant — a lower bound on
-    /// every frame's `last_sent + backoff(retries)`, so the timer pass can
+    /// every frame's `last_sent + timeout_after(retries)`, so the timer pass can
     /// skip the link without looking at `unacked`. Only ever too early,
     /// never too late: an ack leaves it stale (the next pass past it
     /// rescans and tightens it), anything that makes a frame due sooner
@@ -951,9 +862,6 @@ struct NodeLink {
     health_respawns: u32,
     /// Fenced: budget exhausted, partition shed, wire abandoned.
     fenced: bool,
-    /// Whether frames on this link carry CRC32C trailers — negotiated
-    /// from the node's `Hello` protocol version (≥ 3).
-    checksums: bool,
     /// Scripted [`OutageKind::CorruptInbound`] windows, keyed on this
     /// wire's inbound frame ordinal.
     corrupt_inbound: Vec<ChaosWindow>,
@@ -987,11 +895,6 @@ fn retire_batch_counters(total: &mut (u64, u64), wire: &dyn Wire) {
     total.1 += flushes;
 }
 
-fn backoff(retry: &RetryConfig, retries: u32) -> Duration {
-    let factor = retry.backoff_factor.saturating_pow(retries.min(16)).max(1);
-    (retry.base_timeout * factor).min(retry.max_timeout)
-}
-
 enum RunClock {
     Wall(Instant),
     Logical(u64),
@@ -1011,24 +914,13 @@ impl RunClock {
     }
 }
 
-/// Dispatcher-side checkpoint bookkeeping, mirroring the in-process
-/// dispatcher bolt's barrier injection.
-struct CheckpointDriver {
-    coordinator: Arc<CheckpointCoordinator>,
-    routed_since_barrier: u64,
-    last_dispatched: Option<u64>,
-    /// Per task: last index-target id routed there (its snapshot cut).
-    cuts: Vec<Option<u64>>,
-}
-
 struct Launcher<'a> {
     cfg: &'a ClusterConfig,
     bistream: bool,
     arrival: Vec<Record>,
-    router: Option<Box<dyn Router + Send>>,
     needs_dedup: bool,
     recovery: Option<Arc<RecoveryState>>,
-    checkpoint: Option<CheckpointDriver>,
+    coordinator: Option<Arc<CheckpointCoordinator>>,
     links: Vec<NodeLink>,
     listener: Option<TcpListener>,
     clock: RunClock,
@@ -1039,6 +931,8 @@ struct Launcher<'a> {
     latency: LatencyHistogram,
     // Metrics and control.
     stages: StageProfile,
+    /// When dispatch of the current source record began.
+    record_started: Instant,
     retransmissions: u64,
     /// Source records dispatched since every link was last flushed.
     unflushed_records: usize,
@@ -1072,10 +966,9 @@ impl<'a> Launcher<'a> {
             cfg,
             bistream,
             arrival,
-            router: None,
             needs_dedup: false,
             recovery: None,
-            checkpoint: None,
+            coordinator: None,
             links: Vec::new(),
             listener: None,
             clock: if cfg.logical_time {
@@ -1088,6 +981,7 @@ impl<'a> Launcher<'a> {
             dup_results_dropped: 0,
             latency: LatencyHistogram::new(),
             stages: StageProfile::new(),
+            record_started: Instant::now(),
             retransmissions: 0,
             unflushed_records: 0,
             retired_batch_counters: (0, 0),
@@ -1141,28 +1035,28 @@ impl<'a> Launcher<'a> {
 
         let router = build_router(&strategy, threshold, window, self.cfg.k, &self.arrival);
         self.needs_dedup = router.needs_result_dedup();
-        self.router = Some(router);
 
-        // Recovery machinery is needed whenever anything can kill a node:
-        // scripted faults, checkpoint restores, the liveness detector, or
-        // scripted outages (which drive the detector into respawns).
-        let can_lose_a_node = self.cfg.fault.is_some()
-            || self.cfg.checkpoint.is_some()
-            || self.cfg.health.is_some()
-            || !self.cfg.outages.is_empty();
-        self.recovery = can_lose_a_node.then(|| Arc::new(RecoveryState::new(self.cfg.k, window)));
-        self.checkpoint = self.cfg.checkpoint.as_ref().map(|cp| {
-            let recovery = self.recovery.clone().expect("created just above");
-            CheckpointDriver {
-                coordinator: Arc::new(
-                    CheckpointCoordinator::new(self.cfg.k, cp, recovery)
-                        .expect("checkpoint store unavailable"),
-                ),
-                routed_since_barrier: 0,
-                last_dispatched: None,
-                cuts: vec![None; self.cfg.k],
-            }
-        });
+        // Anything that can kill a node needs the recovery machinery:
+        // scripted faults, the liveness detector, or scripted outages
+        // (which drive the detector into respawns).
+        let can_lose_a_node =
+            self.cfg.fault.is_some() || self.cfg.health.is_some() || !self.cfg.outages.is_empty();
+        (self.recovery, self.coordinator) = build_recovery(
+            self.cfg.k,
+            window,
+            can_lose_a_node,
+            self.cfg.checkpoint.as_ref(),
+        );
+        // Dispatch batching is a topology-path option; here every data
+        // frame carries one message.
+        let mut dispatcher = Dispatcher::new(
+            router,
+            self.bistream,
+            self.recovery.clone(),
+            self.coordinator.clone(),
+            self.cfg.shed_watermark,
+            None,
+        );
 
         if matches!(self.cfg.backend, ClusterBackend::Tcp { .. }) {
             self.listener =
@@ -1217,7 +1111,6 @@ impl<'a> Launcher<'a> {
                 held_inbound: Vec::new(),
                 health_respawns: 0,
                 fenced: false,
-                checksums: false,
                 corrupt_inbound,
                 inbound_seq: 0,
                 poisoned: false,
@@ -1225,22 +1118,29 @@ impl<'a> Launcher<'a> {
             if let Some(r) = &self.recovery {
                 r.begin_incarnation(task);
             }
-            let (hello, proto) =
-                read_hello(self.links[task].wire.as_mut()).expect("node handshake failed");
+            let hello = read_hello(self.links[task].wire.as_mut()).expect("node handshake failed");
             assert_eq!(hello as usize, task, "node announced the wrong task");
-            self.links[task].checksums = proto >= 3;
             let config = self.node_config(task, 0);
             let link = &mut self.links[task];
-            send_frame(link.wire.as_mut(), &Frame::Config(config), link.checksums)
-                .expect("send node config");
+            send_frame(link.wire.as_mut(), &Frame::Config(config)).expect("send node config");
             link.wire.flush().expect("flush node config");
         }
 
         // Dispatch the stream.
         for msg in source {
-            let t0 = Instant::now();
-            self.dispatch(msg);
-            self.stages.record(Stage::Dispatch, t0.elapsed());
+            self.record_started = Instant::now();
+            let outcome = dispatcher.dispatch(&msg, &mut self);
+            if outcome != Dispatched::Sent {
+                let id = msg.record().expect("dispatched a record").id().0;
+                // A record shed for an unreachable (fenced) target also
+                // joins the set the sink filters pairs against.
+                if outcome == Dispatched::Unreachable {
+                    self.shed_ids.insert(id);
+                }
+                self.shed_log.push(id);
+            }
+            self.stages
+                .record(Stage::Dispatch, self.record_started.elapsed());
             self.unflushed_records += 1;
             if self.unflushed_records >= stormlite::BATCH_MAX_FRAMES {
                 self.flush_links();
@@ -1292,11 +1192,7 @@ impl<'a> Launcher<'a> {
             }
             // A fenced task has no final report; its counters default.
             let report = link.done.clone().unwrap_or_default();
-            let (replayed, replay_overflow) = self
-                .recovery
-                .as_ref()
-                .map(|r| (r.replayed(task), r.overflowed(task)))
-                .unwrap_or((0, 0));
+            let replayed = self.recovery.as_ref().map_or(0, |r| r.replayed(task));
             joiners.push(JoinerSnapshot {
                 task,
                 stats: report.stats,
@@ -1304,7 +1200,6 @@ impl<'a> Launcher<'a> {
                 postings: report.postings as usize,
                 incarnation: link.incarnation,
                 replayed,
-                replay_overflow,
                 restored_from_epoch: link.restored_from_epoch,
             });
             digests.push(link.digest);
@@ -1321,8 +1216,8 @@ impl<'a> Launcher<'a> {
             }
         }
         let mut integrity = restore_integrity;
-        if let Some(cp) = &self.checkpoint {
-            integrity.merge(&cp.coordinator.integrity());
+        if let Some(coordinator) = &self.coordinator {
+            integrity.merge(&coordinator.integrity());
         }
         integrity.corrupt_frames = self.health_report.corrupt_frames;
         ClusterResult {
@@ -1337,10 +1232,9 @@ impl<'a> Launcher<'a> {
             frames_sent: self.retired_batch_counters.0,
             wire_flushes: self.retired_batch_counters.1,
             epochs_committed: self
-                .checkpoint
+                .coordinator
                 .as_ref()
-                .map(|cp| cp.coordinator.epochs_committed())
-                .unwrap_or(0),
+                .map_or(0, |c| c.epochs_committed()),
             stages: self.stages,
             latency: self.latency,
             wire_digests: self.cfg.logical_time.then_some(digests),
@@ -1375,10 +1269,9 @@ impl<'a> Launcher<'a> {
                     LAUNCHER_INBOUND_CAP,
                 );
                 let mut node_wire = node_end;
-                let proto = self.cfg.node_proto.unwrap_or(PROTO_VERSION);
                 let handle = std::thread::Builder::new()
                     .name(format!("ssj-node-{task}"))
-                    .spawn(move || node_serve_at(&mut node_wire, task, proto))
+                    .spawn(move || node_serve(&mut node_wire, task))
                     .expect("spawn node thread");
                 (Box::new(launcher_end), NodeProc::Thread(Some(handle)))
             }
@@ -1400,181 +1293,12 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    /// Routes and emits one source message, mirroring the in-process
-    /// dispatcher bolt exactly: restore tuples index-only with no
-    /// shedding, shed check before any side effect, probes interleaved
-    /// around index targets, replay buffering before every index emit,
-    /// barrier bookkeeping last.
-    fn dispatch(&mut self, msg: JoinMsg) {
-        let incoming = msg.payload().expect("source messages carry records");
-        let payload = RecordMsg {
-            record: incoming.record.clone(),
-            ingest: self.clock.now(),
-            side: incoming.side,
-        };
-        let t0 = Instant::now();
-        let decision = self
-            .router
-            .as_mut()
-            .expect("router built before dispatch")
-            .route(&payload.record);
-        self.stages.record(Stage::Route, t0.elapsed());
-        let id = payload.record.id().0;
-        let meta = Some((id, payload.record.timestamp()));
-
-        if matches!(msg, JoinMsg::Index(_)) {
-            // Restore re-dispatch: index-only state rebuild — no probes
-            // (their results already exist), no shedding (state, not load).
-            // Fenced targets are simply skipped: any future probe that
-            // would have needed this state there is itself shed below.
-            for &ix in &decision.index {
-                if self.links[ix].fenced {
-                    continue;
-                }
-                self.buffer_for_replay(ix, &payload);
-                self.send_with_backpressure(ix, JoinMsg::Index(payload.clone()), meta);
-            }
-            self.note_dispatched(id, &decision.index);
-            return;
-        }
-        if self.any_fenced {
-            // Fenced-partition shedding: a record with *any* fenced target
-            // is shed whole. Routing completeness makes this exact — if a
-            // surviving record could match this one, its probe targets
-            // would include every task where this record indexes, so pairs
-            // between two surviving records never route through a fenced
-            // task.
-            let hits_fenced = decision
-                .index
-                .iter()
-                .chain(decision.probe.iter())
-                .any(|&t| self.links[t].fenced);
-            if hits_fenced {
-                self.shed_ids.insert(id);
-                self.shed_log.push(id);
-                return;
-            }
-        }
-        if let Some(watermark) = self.cfg.shed_watermark {
-            // Deepest backlog among this record's targets, checked before
-            // any emit or replay buffering so a shed record leaves no
-            // trace downstream.
-            let depth = decision
-                .index
-                .iter()
-                .chain(decision.probe.iter())
-                .map(|&t| self.links[t].unacked.len())
-                .max()
-                .unwrap_or(0);
-            if depth >= watermark {
-                self.shed_log.push(id);
-                return;
-            }
-        }
-        let mut probe_iter = decision.probe.iter().peekable();
-        for &ix in &decision.index {
-            while let Some(&&p) = probe_iter.peek() {
-                if p < ix {
-                    self.send_with_backpressure(p, JoinMsg::Probe(payload.clone()), meta);
-                    probe_iter.next();
-                } else {
-                    break;
-                }
-            }
-            self.buffer_for_replay(ix, &payload);
-            if probe_iter.peek() == Some(&&ix) {
-                probe_iter.next();
-                self.send_with_backpressure(ix, JoinMsg::ProbeAndIndex(payload.clone()), meta);
-            } else {
-                self.send_with_backpressure(ix, JoinMsg::Index(payload.clone()), meta);
-            }
-        }
-        for &p in probe_iter {
-            self.send_with_backpressure(p, JoinMsg::Probe(payload.clone()), meta);
-        }
-        self.note_dispatched(id, &decision.index);
-    }
-
-    fn buffer_for_replay(&self, task: usize, payload: &RecordMsg) {
-        if let Some(recovery) = &self.recovery {
-            recovery.buffer_index_target(task, ReplayEntry::from_payload(payload));
-        }
-    }
-
-    /// Checkpoint bookkeeping after a record's messages are emitted; at
-    /// every interval boundary a barrier goes down all k wires.
-    fn note_dispatched(&mut self, id: u64, index_targets: &[usize]) {
-        // After a fence the coordinator can never again collect all k
-        // snapshots, so no new epoch is started; in-flight epochs simply
-        // never commit, which nothing blocks on.
-        if self.any_fenced {
-            return;
-        }
-        let barrier = {
-            let Some(cp) = &mut self.checkpoint else {
-                return;
-            };
-            cp.last_dispatched = Some(id);
-            for &t in index_targets {
-                cp.cuts[t] = Some(id);
-            }
-            cp.routed_since_barrier += 1;
-            if cp.routed_since_barrier < cp.coordinator.interval() {
-                return;
-            }
-            cp.routed_since_barrier = 0;
-            let injected_at = self.clock.now();
-            let epoch = cp.coordinator.begin_epoch(
-                injected_at,
-                cp.last_dispatched.expect("set just above"),
-                cp.cuts.clone(),
-                self.bistream,
-                self.router
-                    .as_ref()
-                    .expect("router built before dispatch")
-                    .length_partition()
-                    .cloned(),
-            );
-            (epoch, injected_at)
-        };
-        let (epoch, injected_at) = barrier;
-        for t in 0..self.cfg.k {
-            self.send_with_backpressure(t, JoinMsg::Barrier { epoch, injected_at }, None);
-        }
-    }
-
-    /// Sends after bounding this wire's in-flight backlog at the channel
-    /// capacity — the launcher-side equivalent of a bounded channel
-    /// blocking the dispatcher.
-    fn send_with_backpressure(&mut self, task: usize, msg: JoinMsg, meta: Option<(u64, u64)>) {
-        loop {
-            if self.links[task].fenced {
-                // The target was fenced mid-dispatch (recovery triggered
-                // from inside this wait): shed the whole record so the
-                // surviving-set accounting stays exact. Frames of this
-                // record already sent elsewhere are filtered at the sink.
-                if let Some((id, _)) = meta {
-                    if self.shed_ids.insert(id) {
-                        self.shed_log.push(id);
-                    }
-                }
-                return;
-            }
-            if self.links[task].unacked.len() < self.cfg.channel_capacity {
-                break;
-            }
-            self.pump(Duration::from_micros(200));
-            self.service_timers();
-            self.service_health();
-        }
-        self.send_data(task, msg, meta);
-    }
-
     /// Assigns the next sequence number, records the frame as in-flight,
     /// folds its bytes into the wire digest, and transmits. The digest
-    /// folds the *unsealed* frame bytes, so golden digests are identical
-    /// whether or not the link negotiated checksums.
-    fn send_data(&mut self, task: usize, msg: JoinMsg, record_meta: Option<(u64, u64)>) {
+    /// folds the *unsealed* frame bytes: it pins what was dispatched, not
+    /// the integrity trailer.
+    fn send_data(&mut self, task: usize, msg: JoinMsg) {
+        let record_meta = msg.record().map(|r| (r.id().0, r.timestamp()));
         let link = &mut self.links[task];
         let seq = link.next_seq;
         link.next_seq += 1;
@@ -1585,13 +1309,9 @@ impl<'a> Launcher<'a> {
         .encode()
         .expect("data frames are always encodable");
         link.digest = fnv1a(link.digest, &unsealed);
-        let frame = if link.checksums {
-            stormlite::seal(unsealed)
-        } else {
-            unsealed
-        };
+        let frame = stormlite::seal(unsealed);
         let now = Instant::now();
-        link.retry_due = link.retry_due.min(now + backoff(&self.cfg.retry, 0));
+        link.retry_due = link.retry_due.min(now + self.cfg.retry.timeout_after(0));
         link.unacked.insert(
             seq,
             PendingFrame {
@@ -1645,9 +1365,7 @@ impl<'a> Launcher<'a> {
         debug_assert!(self.links[task].unacked.is_empty(), "Eos before full ack");
         self.links[task].eos_sent = true;
         let link = &mut self.links[task];
-        if send_frame(link.wire.as_mut(), &Frame::Eos, link.checksums).is_err()
-            || link.wire.flush().is_err()
-        {
+        if send_frame(link.wire.as_mut(), &Frame::Eos).is_err() || link.wire.flush().is_err() {
             self.recover_or_fence(task); // re-sends Eos on the fresh wire
         }
     }
@@ -1787,7 +1505,7 @@ impl<'a> Launcher<'a> {
     /// protocol-violating: the incarnation is poisoned and the caller
     /// must stop consuming it and trigger recovery.
     fn on_frame(&mut self, task: usize, bytes: &[u8]) -> bool {
-        let frame = match Frame::decode_checked(bytes, self.links[task].checksums) {
+        let frame = match Frame::decode_checked(bytes, true) {
             Ok(f) => f,
             Err(_) => return self.note_corrupt(task, false),
         };
@@ -1856,17 +1574,16 @@ impl<'a> Launcher<'a> {
                 let Ok(entries) = decode_window_slice(&window) else {
                     return self.note_corrupt(task, true);
                 };
-                if self.checkpoint.is_none() {
+                let Some(coordinator) = &self.coordinator else {
                     // A snapshot with no checkpointing armed is a
                     // protocol violation — classified, not a panic.
                     return self.note_corrupt(task, false);
-                }
+                };
                 // Publish-dedup: a restarted node reprocessing a barrier
                 // re-sends its snapshot; the first publication stands.
                 if self.published.insert((epoch, u64::from(from))) {
-                    let cp = self.checkpoint.as_ref().expect("checked just above");
                     let t0 = Instant::now();
-                    cp.coordinator.publish(epoch, from as usize, &entries);
+                    coordinator.publish(epoch, from as usize, &entries);
                     self.stages.record(Stage::Checkpoint, t0.elapsed());
                 }
             }
@@ -1897,28 +1614,16 @@ impl<'a> Launcher<'a> {
             if now < self.links[task].retry_due {
                 continue;
             }
-            let checksums = self.links[task].checksums;
             let mut resend: Vec<(Vec<u8>, Duration)> = Vec::new();
             let mut next_due = now + retry.base_timeout;
             for (&seq, p) in self.links[task].unacked.iter_mut() {
                 let age = now.duration_since(p.last_sent);
-                if age >= backoff(&retry, p.retries) {
+                if age >= retry.timeout_after(p.retries) {
                     p.last_sent = now;
                     p.retries += 1;
-                    let frame = Frame::Data {
-                        seq,
-                        msg: p.msg.clone(),
-                    }
-                    .encode()
-                    .expect("data frames are always encodable");
-                    let frame = if checksums {
-                        stormlite::seal(frame)
-                    } else {
-                        frame
-                    };
-                    resend.push((frame, age));
+                    resend.push((p.sealed(seq), age));
                 }
-                next_due = next_due.min(p.last_sent + backoff(&retry, p.retries));
+                next_due = next_due.min(p.last_sent + retry.timeout_after(p.retries));
             }
             self.links[task].retry_due = next_due;
             for (frame, age) in resend {
@@ -1951,13 +1656,8 @@ impl<'a> Launcher<'a> {
                     nonce: self.hb_nonce,
                     sent_at: self.wall_nanos(),
                 }
-                .encode()
+                .encode_sealed()
                 .expect("heartbeats are always encodable");
-                let frame = if self.links[task].checksums {
-                    stormlite::seal(frame)
-                } else {
-                    frame
-                };
                 self.transmit_control(task, frame);
                 let _ = self.links[task].wire.flush();
             }
@@ -2160,19 +1860,15 @@ impl<'a> Launcher<'a> {
             .expect("asserted above")
             .begin_incarnation(task);
 
-        let (hello, proto) =
-            read_hello(self.links[task].wire.as_mut()).expect("respawn handshake failed");
+        let hello = read_hello(self.links[task].wire.as_mut()).expect("respawn handshake failed");
         assert_eq!(
             hello as usize, task,
             "respawned node announced the wrong task"
         );
-        // Fresh incarnation: fresh liveness horizon, fresh trust, fresh
-        // checksum negotiation.
+        // Fresh incarnation: fresh liveness horizon, fresh trust.
         self.links[task].last_seen = Instant::now();
         self.links[task].hb_last = Instant::now();
         self.links[task].poisoned = false;
-        self.links[task].checksums = proto >= 3;
-        let checksums = self.links[task].checksums;
         // Unacked seqs form a contiguous suffix; the node resumes at its
         // lowest (or at next_seq when nothing is in flight).
         let resume = self.links[task]
@@ -2182,53 +1878,30 @@ impl<'a> Launcher<'a> {
             .copied()
             .unwrap_or(self.links[task].next_seq);
         let config = self.node_config(task, resume);
-        send_frame(
-            self.links[task].wire.as_mut(),
-            &Frame::Config(config),
-            checksums,
-        )
-        .expect("send respawn config");
+        send_frame(self.links[task].wire.as_mut(), &Frame::Config(config))
+            .expect("send respawn config");
 
         // Replay the lost index state: the committed snapshot (if any)
         // plus the replay-buffer suffix it does not cover, both applied
         // index-only ahead of any data (FIFO guarantees the order).
-        let (snapshot, replay) = match &self.checkpoint {
-            Some(cp) => cp.coordinator.restore_and_replay_for(task),
-            None => (
-                None,
-                self.recovery
-                    .as_ref()
-                    .expect("asserted above")
-                    .replay_for(task),
-            ),
-        };
+        let (snapshot, tail) = lost_state(
+            self.recovery.as_ref().expect("asserted above"),
+            self.coordinator.as_deref(),
+            task,
+        );
         if let Some((epoch, entries)) = snapshot {
             self.links[task].restored_from_epoch = Some(epoch);
             self.send_restore(task, &entries);
         }
-        if !replay.is_empty() {
-            let entries: Vec<SnapshotEntry> =
-                replay.into_iter().map(|e| (e.side, e.record)).collect();
-            self.send_restore(task, &entries);
+        if !tail.is_empty() {
+            self.send_restore(task, &tail);
         }
 
         // Retransmit the unacked suffix: original order, original seqs.
         let frames: Vec<Vec<u8>> = self.links[task]
             .unacked
             .iter()
-            .map(|(&seq, p)| {
-                let f = Frame::Data {
-                    seq,
-                    msg: p.msg.clone(),
-                }
-                .encode()
-                .expect("data frames are always encodable");
-                if checksums {
-                    stormlite::seal(f)
-                } else {
-                    f
-                }
-            })
+            .map(|(&seq, p)| p.sealed(seq))
             .collect();
         let now = Instant::now();
         for p in self.links[task].unacked.values_mut() {
@@ -2239,41 +1912,83 @@ impl<'a> Launcher<'a> {
             self.transmit(task, frame);
         }
         if self.links[task].eos_sent {
-            let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos, checksums);
+            let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos);
         }
         let _ = self.links[task].wire.flush();
     }
 
     fn send_restore(&mut self, task: usize, entries: &[SnapshotEntry]) {
-        let bytes = encode_window_vec(entries).expect("window entries are always encodable");
-        let checksums = self.links[task].checksums;
-        send_frame(
-            self.links[task].wire.as_mut(),
-            &Frame::Restore { window: bytes },
-            checksums,
-        )
-        .expect("send restore frame");
+        let window = encode_window_vec(entries).expect("window entries are always encodable");
+        send_frame(self.links[task].wire.as_mut(), &Frame::Restore { window })
+            .expect("send restore frame");
     }
 }
 
-/// Reads the node's `Hello` off a fresh wire and returns its task index
-/// and announced protocol version. Any version in
-/// [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`] is accepted — the caller
-/// enables per-link frame checksums iff the peer speaks ≥ 3. The Hello
-/// itself always travels unsealed (it is the negotiation).
-fn read_hello(wire: &mut dyn Wire) -> io::Result<(u32, u16)> {
+/// The dispatcher's view of the cluster: the run clock, and per joiner a
+/// sequenced at-least-once wire whose in-flight (sent-but-unacked) frames
+/// are its backlog.
+impl DispatchPort for Launcher<'_> {
+    fn now(&mut self) -> Timestamp {
+        self.clock.now()
+    }
+
+    fn backlog(&self, task: usize) -> usize {
+        self.links[task].unacked.len()
+    }
+
+    fn reachable(&self, task: usize) -> bool {
+        !self.links[task].fenced
+    }
+
+    /// Sends after bounding this wire's in-flight backlog at the channel
+    /// capacity — the launcher-side equivalent of a bounded channel
+    /// blocking the dispatcher.
+    fn send(&mut self, task: usize, msg: JoinMsg) {
+        loop {
+            if self.links[task].fenced {
+                // The target was fenced mid-dispatch (recovery triggered
+                // from inside this wait): shed the whole record so the
+                // surviving-set accounting stays exact. Frames of this
+                // record already sent elsewhere are filtered at the sink.
+                if let Some(record) = msg.record() {
+                    if self.shed_ids.insert(record.id().0) {
+                        self.shed_log.push(record.id().0);
+                    }
+                }
+                return;
+            }
+            if self.links[task].unacked.len() < self.cfg.channel_capacity {
+                break;
+            }
+            self.pump(Duration::from_micros(200));
+            self.service_timers();
+            self.service_health();
+        }
+        self.send_data(task, msg);
+    }
+
+    fn routed(&mut self, _payload: &RecordMsg, _fanout: usize) {
+        self.stages
+            .record(Stage::Route, self.record_started.elapsed());
+    }
+}
+
+/// Reads the node's `Hello` — the one unsealed frame — off a fresh wire
+/// and returns its task index. A peer announcing any protocol version
+/// but [`PROTO_VERSION`] is refused: every later frame is sealed, and a
+/// peer that disagrees about that would misparse the first one.
+fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         match wire.recv_timeout(Duration::from_millis(200))? {
             WireEvent::Frame(b) => match Frame::decode(&b)? {
                 Frame::Hello { proto, task } => {
-                    if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto) {
+                    if proto != PROTO_VERSION {
                         return Err(proto_err(format!(
-                            "node speaks protocol {proto}, launcher speaks \
-                             {MIN_PROTO_VERSION}..={PROTO_VERSION}"
+                            "node speaks protocol {proto}, launcher speaks {PROTO_VERSION}"
                         )));
                     }
-                    return Ok((task, proto));
+                    return Ok(task);
                 }
                 other => return Err(proto_err(format!("expected Hello, got {other:?}"))),
             },
@@ -2287,5 +2002,38 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<(u32, u16)> {
             }
             WireEvent::Closed(_) => return Err(proto_err("node closed during handshake")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// There is one protocol version: a peer announcing an older or a
+    /// newer one is refused at the `Hello`, with an error naming both.
+    #[test]
+    fn a_hello_of_any_other_protocol_version_is_refused() {
+        for proto in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+            let (mut launcher, mut node) = stormlite::channel_wire_pair(4);
+            let hello = Frame::Hello { proto, task: 0 };
+            node.send(&hello.encode().unwrap()).unwrap();
+            node.flush().unwrap();
+            let err = read_hello(&mut launcher).expect_err("version mismatch must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("protocol {proto}"))
+                    && msg.contains(&format!("speaks {PROTO_VERSION}")),
+                "the refusal should name both versions: {msg}"
+            );
+        }
+        let (mut launcher, mut node) = stormlite::channel_wire_pair(4);
+        let hello = Frame::Hello {
+            proto: PROTO_VERSION,
+            task: 5,
+        };
+        node.send(&hello.encode().unwrap()).unwrap();
+        node.flush().unwrap();
+        assert_eq!(read_hello(&mut launcher).unwrap(), 5);
     }
 }

@@ -7,10 +7,12 @@ use crate::checkpoint::{
     load_latest_verified, CheckpointConfig, CheckpointCoordinator, SnapshotStore,
 };
 use crate::msg::{JoinMsg, RecordMsg};
+use crate::operators::{Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::{BroadcastRouter, EpochRouter, LengthRouter, PrefixRouter, Router};
 use obs::{RunTrace, StageProfile, TraceConfig, TraceSink};
 use parking_lot::Mutex;
+use ssj_core::snapshot::SnapshotEntry;
 use ssj_core::{
     AllPairsJoiner, BundleConfig, BundleJoiner, JoinConfig, MatchPair, NaiveJoiner, PpJoinJoiner,
     StreamJoiner, Threshold, Window,
@@ -199,12 +201,6 @@ pub struct DistributedJoinConfig {
     /// accountable. `None` (the default) never sheds — backpressure blocks
     /// the dispatcher instead.
     pub shed_watermark: Option<usize>,
-    /// Caps each joiner's crash-recovery replay buffer at this many
-    /// entries (see [`RecoveryState::with_buffer_cap`]). Only meaningful
-    /// together with `fault`; `None` leaves the buffer bounded by window
-    /// expiry alone — unless `checkpoint` is also set, which truncates the
-    /// buffer at every epoch commit regardless.
-    pub replay_buffer_cap: Option<usize>,
     /// Epoch-based coordinated checkpointing: inject a barrier every
     /// `interval` dispatched records, snapshot every joiner's window into
     /// the configured [`SnapshotStore`], and truncate replay buffers as
@@ -264,7 +260,6 @@ impl DistributedJoinConfig {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -290,13 +285,6 @@ impl DistributedJoinConfig {
     /// [`Self::shed_watermark`]).
     pub fn with_shed_watermark(mut self, watermark: usize) -> Self {
         self.shed_watermark = Some(watermark);
-        self
-    }
-
-    /// Caps the crash-recovery replay buffer (see
-    /// [`Self::replay_buffer_cap`]).
-    pub fn with_replay_buffer_cap(mut self, cap: usize) -> Self {
-        self.replay_buffer_cap = Some(cap);
         self
     }
 
@@ -520,8 +508,8 @@ pub(crate) fn build_router(
     }
 }
 
-/// Applies a checkpoint image to a prepared source stream, mirroring the
-/// driver's restore path exactly: records at or below the image's cut are
+/// Applies a checkpoint image to a prepared source stream — the restore
+/// path of both run-times: records at or below the image's cut are
 /// dropped, the snapshotted window re-enters ahead of the stream as
 /// index-only tuples, and a persisted partition overrides the strategy.
 /// Returns `(restored_cut, prepended, integrity)` — `prepended` restore
@@ -573,6 +561,51 @@ pub(crate) fn prepare_restore(
     (Some(cut), prepended, integrity)
 }
 
+/// Builds the recovery machinery a run needs: replay buffers whenever a
+/// joiner can lose its state mid-run (`can_lose_state`) or the run
+/// checkpoints — epoch commits truncate the buffers, and a crashed joiner
+/// replays the uncheckpointed tail — plus the epoch coordinator exactly
+/// when `checkpoint` is set.
+pub(crate) fn build_recovery(
+    k: usize,
+    window: Window,
+    can_lose_state: bool,
+    checkpoint: Option<&CheckpointConfig>,
+) -> (
+    Option<Arc<RecoveryState>>,
+    Option<Arc<CheckpointCoordinator>>,
+) {
+    let recovery =
+        (can_lose_state || checkpoint.is_some()).then(|| Arc::new(RecoveryState::new(k, window)));
+    let coordinator = checkpoint.map(|cp| {
+        let recovery = Arc::clone(recovery.as_ref().expect("created just above"));
+        Arc::new(CheckpointCoordinator::new(k, cp, recovery).expect("checkpoint store unavailable"))
+    });
+    (recovery, coordinator)
+}
+
+/// The index state a restarted incarnation of `task` must rebuild: the
+/// newest verified committed snapshot with its epoch (when checkpointing),
+/// then the replay-buffer tail it does not cover. Truncated at every
+/// commit, the buffer holds only that uncheckpointed tail, which bounds
+/// replay work by the checkpoint interval instead of the window size.
+///
+/// The two are captured atomically with respect to epoch commits: a commit
+/// between the reads would truncate the buffer past the (older) snapshot
+/// being restored, silently dropping the records between the two cuts.
+pub(crate) fn lost_state(
+    recovery: &RecoveryState,
+    coordinator: Option<&CheckpointCoordinator>,
+    task: usize,
+) -> (Option<(u64, Vec<SnapshotEntry>)>, Vec<SnapshotEntry>) {
+    let (snapshot, tail) = match coordinator {
+        Some(c) => c.restore_and_replay_for(task),
+        None => (None, recovery.replay_for(task)),
+    };
+    let tail = tail.into_iter().map(|e| (e.side, e.record)).collect();
+    (snapshot, tail)
+}
+
 fn run_internal(
     source: Vec<JoinMsg>,
     arrival_order: &[Record],
@@ -616,22 +649,8 @@ fn run_internal(
             );
         }
     }
-    // Checkpointing needs the replay machinery too: epoch commits truncate
-    // the buffers, and a crashed joiner replays the uncheckpointed tail.
-    let recovery: Option<Arc<RecoveryState>> = (cfg.fault.is_some() || cfg.checkpoint.is_some())
-        .then(|| {
-            let mut state = RecoveryState::new(cfg.k, window);
-            if let Some(cap) = cfg.replay_buffer_cap {
-                state = state.with_buffer_cap(cap);
-            }
-            Arc::new(state)
-        });
-    let coordinator: Option<Arc<CheckpointCoordinator>> = cfg.checkpoint.as_ref().map(|cp| {
-        let recovery = recovery.clone().expect("created just above");
-        Arc::new(
-            CheckpointCoordinator::new(cfg.k, cp, recovery).expect("checkpoint store unavailable"),
-        )
-    });
+    let (recovery, coordinator) =
+        build_recovery(cfg.k, window, cfg.fault.is_some(), cfg.checkpoint.as_ref());
 
     let sink_state = Arc::new(Mutex::new(SinkState::default()));
     let snapshots: Arc<Mutex<Vec<JoinerSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
@@ -664,14 +683,18 @@ fn run_internal(
     // The dispatcher is stateful (routers mutate) and single-task; move the
     // router into the one instance the factory builds.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut router_slot = Some(
-        DispatcherBolt::new(router)
-            .with_recovery(recovery.clone())
-            .with_shedding(cfg.shed_watermark, Arc::clone(&shed_log))
-            .with_checkpointing(coordinator.clone(), bistream)
-            .with_batching(cfg.dispatch_batch)
-            .with_stages(stage_shared.clone()),
-    );
+    let mut router_slot = Some(DispatcherBolt::new(
+        Dispatcher::new(
+            router,
+            bistream,
+            recovery.clone(),
+            coordinator.clone(),
+            cfg.shed_watermark,
+            cfg.dispatch_batch,
+        ),
+        Arc::clone(&shed_log),
+        stage_shared.clone(),
+    ));
     topology.bolt("dispatcher", 1, move |_| {
         router_slot.take().expect("dispatcher built once")
     });
@@ -683,28 +706,14 @@ fn run_internal(
     let joiner_stages = stage_shared.clone();
     let joiner_coordinator = coordinator.clone();
     topology.bolt("joiner", cfg.k, move |task| {
-        let dedup = needs_dedup.then_some((join_cfg.threshold, join_cfg.window, k));
-        if bistream {
-            JoinerBolt::new_bistream(
-                || local.build(join_cfg),
-                dedup,
-                task,
-                Arc::clone(&snaps),
-                recovery.clone(),
-                joiner_coordinator.clone(),
-            )
-            .with_stages(joiner_stages.clone())
-        } else {
-            JoinerBolt::new(
-                local.build(join_cfg),
-                dedup,
-                task,
-                Arc::clone(&snaps),
-                recovery.clone(),
-                joiner_coordinator.clone(),
-            )
-            .with_stages(joiner_stages.clone())
-        }
+        JoinerBolt::new(
+            Joiner::new(local, join_cfg, bistream, needs_dedup.then_some((k, task))),
+            task,
+            Arc::clone(&snaps),
+            recovery.clone(),
+            joiner_coordinator.clone(),
+            joiner_stages.clone(),
+        )
     });
 
     let sink_shared = Arc::clone(&sink_state);
@@ -841,7 +850,6 @@ mod tests {
                 fault: None,
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
@@ -867,7 +875,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -892,7 +899,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -927,7 +933,6 @@ mod tests {
                 fault: None,
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
@@ -969,7 +974,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -995,7 +999,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1025,7 +1028,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1062,7 +1064,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1133,7 +1134,6 @@ mod tests {
                 fault: None,
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
@@ -1168,7 +1168,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1209,7 +1208,6 @@ mod tests {
                 fault: Some(FaultPlan::new().crash("joiner", 1, 40)),
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
@@ -1261,7 +1259,6 @@ mod tests {
             ),
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1297,7 +1294,6 @@ mod tests {
             fault: Some(FaultPlan::new().crash("joiner", 0, 50)),
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1388,7 +1384,6 @@ mod tests {
             fault: Some(FaultPlan::new().crash("joiner", 1, 40)),
             chaos_seed: Some(99),
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1419,7 +1414,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: Some(4),
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1450,79 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_replay_buffer_overflows_loudly_and_stays_duplicate_free() {
-        let records = workload(800, 0.3);
-        let join = JoinConfig::jaccard(0.7); // unbounded window: buffer grows
-        let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 100,
-            },
-            channel_capacity: 128,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-            chaos_seed: None,
-            shed_watermark: None,
-            replay_buffer_cap: Some(20),
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        let result = run_distributed(&records, &cfg);
-        assert!(
-            result.joiners[1].replay_overflow > 0,
-            "cap of 20 under an unbounded window must overflow"
-        );
-        // Lossy-but-loud: recovery may miss pairs (evicted index state)
-        // but never invents or duplicates them.
-        let keys = run_keys_of(&result);
-        let full: std::collections::HashSet<(u64, u64)> = expect.iter().copied().collect();
-        assert!(keys.iter().all(|k| full.contains(k)), "spurious pairs");
-        assert!(keys.len() <= expect.len());
-    }
-
-    #[test]
-    fn replay_cap_wider_than_window_keeps_recovery_exact() {
-        let records = workload(800, 0.3);
-        let join = JoinConfig {
-            threshold: Threshold::jaccard(0.7),
-            window: Window::Count(100),
-        };
-        let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 100,
-            },
-            channel_capacity: 128,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-            chaos_seed: None,
-            shed_watermark: None,
-            // Window::Count(100) keeps ≤ ~101 in-window entries per task;
-            // a 400-entry cap is never the binding constraint.
-            replay_buffer_cap: Some(400),
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        let result = run_distributed(&records, &cfg);
-        assert_eq!(run_keys_of(&result), expect);
-        assert!(result.joiners.iter().all(|j| j.replay_overflow == 0));
-    }
-
-    #[test]
     fn checkpointed_crash_recovery_stays_exact() {
         let records = workload(800, 0.3);
         let join = JoinConfig::jaccard(0.7); // unbounded window
@@ -1546,7 +1467,6 @@ mod tests {
                 fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
                 restore_from: None,
                 dispatch_batch: None,
@@ -1565,46 +1485,6 @@ mod tests {
                 "{name}: restart predates every commit despite 100 tuples at interval 16"
             );
         }
-    }
-
-    #[test]
-    fn checkpointing_removes_capped_buffer_overflow_loss() {
-        // The counterpart of
-        // `capped_replay_buffer_overflows_loudly_and_stays_duplicate_free`:
-        // the identical unbounded-window workload whose replay buffer
-        // overflows a small cap without checkpointing loses nothing once
-        // epoch commits truncate the buffer faster than it fills.
-        let records = workload(800, 0.3);
-        let join = JoinConfig::jaccard(0.7); // unbounded window: buffer grows
-        let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 100,
-            },
-            channel_capacity: 32,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-            chaos_seed: None,
-            shed_watermark: None,
-            // Far below the ~800/3 entries a task would otherwise buffer
-            // under an unbounded window, but above interval + in-flight.
-            replay_buffer_cap: Some(100),
-            checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        let result = run_distributed(&records, &cfg);
-        assert!(
-            result.joiners.iter().all(|j| j.replay_overflow == 0),
-            "epoch commits must keep the capped buffer from overflowing"
-        );
-        assert_eq!(run_keys_of(&result), expect);
     }
 
     #[test]
@@ -1630,7 +1510,6 @@ mod tests {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -1820,7 +1699,6 @@ mod tests {
             fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
             restore_from: None,
             dispatch_batch: Some(8),

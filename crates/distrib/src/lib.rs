@@ -16,11 +16,15 @@
 //! * **Broadcast** ([`route::BroadcastRouter`]) — index round-robin, probe
 //!   everywhere.
 //!
+//! The dispatch and join algorithms are written once (the crate-private
+//! `operators` module) and executed by two run-times:
 //! [`driver::run_distributed`] assembles the dispatcher → joiners → sink
-//! topology on [`stormlite`], runs a record stream through it, and returns
-//! the result pairs plus throughput / communication / load / latency
-//! measurements — the observables of every distributed experiment in
-//! EXPERIMENTS.md.
+//! topology on [`stormlite`] (threads or deterministic simulation), runs a
+//! record stream through it, and returns the result pairs plus throughput
+//! / communication / load / latency measurements — the observables of
+//! every distributed experiment in EXPERIMENTS.md;
+//! [`cluster::run_cluster`] splits the same pipeline at the process
+//! boundary, with each joiner behind a socket.
 
 #![warn(missing_docs)]
 
@@ -29,6 +33,7 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod driver;
 pub mod msg;
+mod operators;
 pub mod pace;
 pub mod recovery;
 pub mod route;
@@ -40,9 +45,8 @@ pub use checkpoint::{
     ScrubReport, SnapshotStore, STORE_MAGIC,
 };
 pub use cluster::{
-    node_main, node_serve, node_serve_at, run_cluster, run_cluster_bistream, ClusterBackend,
-    ClusterConfig, ClusterFault, ClusterOutage, ClusterResult, HealthConfig, HealthReport,
-    OutageKind,
+    node_main, node_serve, run_cluster, run_cluster_bistream, ClusterBackend, ClusterConfig,
+    ClusterFault, ClusterOutage, ClusterResult, HealthConfig, HealthReport, OutageKind,
 };
 pub use driver::{
     calibrate_partition, run_bistream_distributed, run_distributed, DistributedJoinConfig,

@@ -71,8 +71,6 @@ struct TaskRecovery {
     incarnations: AtomicU64,
     /// Records replayed into this task across all restarts.
     replayed: AtomicU64,
-    /// Entries evicted by the buffer cap before they could expire.
-    overflow: AtomicU64,
     /// Entries dropped because a completed checkpoint now covers them.
     truncated: AtomicU64,
 }
@@ -85,7 +83,6 @@ impl TaskRecovery {
             watermark_ts: AtomicU64::new(0),
             incarnations: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
         }
     }
@@ -107,9 +104,6 @@ impl TaskRecovery {
 #[derive(Debug)]
 pub struct RecoveryState {
     window: Window,
-    /// Per-task replay-buffer entry cap (`None` = bounded only by window
-    /// expiry — which under [`Window::Unbounded`] means O(stream)).
-    buffer_cap: Option<usize>,
     tasks: Vec<TaskRecovery>,
 }
 
@@ -118,21 +112,8 @@ impl RecoveryState {
     pub fn new(k: usize, window: Window) -> Self {
         Self {
             window,
-            buffer_cap: None,
             tasks: (0..k).map(|_| TaskRecovery::new()).collect(),
         }
-    }
-
-    /// Caps each task's replay buffer at `cap` entries. When the cap is
-    /// hit the *oldest* entry is evicted and counted in
-    /// [`overflowed`](Self::overflowed): recovery after an overflow may
-    /// restore less than the full window, but the loss is explicit — the
-    /// alternative under [`Window::Unbounded`] is a buffer that grows with
-    /// the whole stream.
-    pub fn with_buffer_cap(mut self, cap: usize) -> Self {
-        assert!(cap >= 1, "a zero-entry replay buffer cannot replay");
-        self.buffer_cap = Some(cap);
-        self
     }
 
     /// Dispatcher side: records that `entry` was routed to `task` as an
@@ -158,15 +139,6 @@ impl RecoveryState {
                 } else {
                     break;
                 }
-            }
-        }
-        // Enforce the cap after expiry-trimming: evictions are a last
-        // resort, taken only when in-window state alone exceeds the cap,
-        // and every one is counted so capped recovery degrades loudly.
-        if let Some(cap) = self.buffer_cap {
-            while buf.len() > cap {
-                buf.pop_front();
-                t.overflow.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -220,8 +192,7 @@ impl RecoveryState {
     /// This is what bounds the replay buffer under [`Window::Unbounded`]:
     /// with an epoch committed every `interval` records, buffered state
     /// tops out near `interval` plus the in-flight backlog, independent of
-    /// stream length — so a buffer cap sized above the interval never
-    /// overflows and capped recovery loses nothing.
+    /// stream length.
     pub fn commit_snapshot(&self, task: usize, through_id: Option<u64>) {
         let Some(through) = through_id else { return };
         let t = &self.tasks[task];
@@ -257,13 +228,6 @@ impl RecoveryState {
     /// Currently buffered entries for `task` (test observability).
     pub fn buffered(&self, task: usize) -> usize {
         self.tasks[task].buffer.lock().len()
-    }
-
-    /// Replay-buffer entries for `task` evicted by the cap before they
-    /// expired. Nonzero means a restart of this task may have restored
-    /// less than its full lost window.
-    pub fn overflowed(&self, task: usize) -> u64 {
-        self.tasks[task].overflow.load(Ordering::Relaxed)
     }
 
     /// Buffered entries for `task` dropped because a completed checkpoint
@@ -338,47 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn buffer_cap_evicts_oldest_and_counts_overflow() {
-        let r = RecoveryState::new(1, Window::Unbounded).with_buffer_cap(4);
-        for id in 0..10 {
-            r.buffer_index_target(0, entry(id, id));
-        }
-        assert_eq!(r.buffered(0), 4);
-        assert_eq!(r.overflowed(0), 6);
-        // Replay after overflow restores only what survived the cap.
-        r.mark_processed(0, 9, 9);
-        let ids: Vec<u64> = r.replay_for(0).iter().map(|e| e.record.id().0).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn cap_larger_than_window_never_overflows() {
-        // Count(3) keeps the buffer at ≤ 4 entries (watermark trims), so a
-        // cap of 8 is never hit: expiry does the bounding, not eviction.
-        let r = RecoveryState::new(1, Window::Count(3)).with_buffer_cap(8);
-        for id in 0..50 {
-            r.buffer_index_target(0, entry(id, id));
-            r.mark_processed(0, id, id);
-        }
-        assert_eq!(r.overflowed(0), 0);
-        assert!(r.buffered(0) <= 8);
-    }
-
-    #[test]
-    fn uncapped_unbounded_buffer_grows_with_stream() {
+    fn unbounded_buffer_grows_with_stream() {
         let r = RecoveryState::new(1, Window::Unbounded);
         for id in 0..50 {
             r.buffer_index_target(0, entry(id, id));
             r.mark_processed(0, id, id);
         }
         assert_eq!(r.buffered(0), 50);
-        assert_eq!(r.overflowed(0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-entry replay buffer")]
-    fn zero_cap_rejected() {
-        let _ = RecoveryState::new(1, Window::Unbounded).with_buffer_cap(0);
     }
 
     #[test]
@@ -408,18 +338,16 @@ mod tests {
     #[test]
     fn periodic_commits_bound_an_unbounded_buffer() {
         // Mirrors the checkpointing loop: an epoch commit every 8 records
-        // keeps the unbounded-window buffer near the interval, so a cap of
-        // 16 is never hit and nothing is lost to overflow.
-        let r = RecoveryState::new(1, Window::Unbounded).with_buffer_cap(16);
+        // keeps the unbounded-window buffer near the interval.
+        let r = RecoveryState::new(1, Window::Unbounded);
         for id in 0..200u64 {
             r.buffer_index_target(0, entry(id, id));
             r.mark_processed(0, id, id);
             if (id + 1) % 8 == 0 {
                 r.commit_snapshot(0, Some(id));
             }
+            assert!(r.buffered(0) <= 8);
         }
-        assert_eq!(r.overflowed(0), 0);
-        assert!(r.buffered(0) <= 8);
     }
 
     #[test]

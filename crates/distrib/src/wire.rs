@@ -43,15 +43,9 @@ use crate::msg::{JoinMsg, RecordMsg};
 /// ([`stormlite::crc32c()`]), so a flipped bit on the wire is a *detected*
 /// corruption (classified error close → respawn + session-resume
 /// retransmission) rather than a misparse or a silently wrong decode.
-/// The [`Frame::Hello`] itself always travels unsealed: it is what
-/// negotiates whether checksums are on. The launcher still accepts
-/// [`MIN_PROTO_VERSION`] peers and simply leaves checksums off for that
-/// link, so a v2 node interoperates unchanged.
+/// Only the [`Frame::Hello`] travels unsealed, so a peer of any version
+/// can read it; the launcher refuses every version but this one.
 pub const PROTO_VERSION: u16 = 3;
-
-/// Oldest peer protocol version the launcher still speaks (without
-/// frame checksums).
-pub const MIN_PROTO_VERSION: u16 = 2;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CONFIG: u8 = 0x02;
@@ -571,14 +565,14 @@ impl Frame {
     }
 
     /// Serializes this frame and appends the CRC32C trailer — the form
-    /// every post-handshake frame travels in from protocol v3 on.
+    /// every post-handshake frame travels in.
     pub fn encode_sealed(&self) -> io::Result<Vec<u8>> {
         Ok(stormlite::seal(self.encode()?))
     }
 
     /// Deserializes one received payload, verifying and stripping the
-    /// CRC32C trailer first when `checksums` is on (protocol ≥ 3 was
-    /// negotiated for the link). A checksum mismatch or short trailer is
+    /// CRC32C trailer first when `checksums` is on (every frame but the
+    /// `Hello`). A checksum mismatch or short trailer is
     /// [`io::ErrorKind::InvalidData`] — the caller must treat it as a
     /// corrupt frame (error-disconnect), never attempt a plain parse of
     /// the same bytes.
@@ -699,18 +693,10 @@ impl Frame {
     }
 }
 
-/// Sends one protocol frame over a transport wire (no flush), sealed
-/// with a CRC32C trailer when `checksums` was negotiated for the link.
-pub fn send_frame(
-    wire: &mut dyn stormlite::Wire,
-    frame: &Frame,
-    checksums: bool,
-) -> io::Result<()> {
-    if checksums {
-        wire.send(&frame.encode_sealed()?)
-    } else {
-        wire.send(&frame.encode()?)
-    }
+/// Sends one post-handshake protocol frame over a transport wire, sealed
+/// (no flush).
+pub fn send_frame(wire: &mut dyn stormlite::Wire, frame: &Frame) -> io::Result<()> {
+    wire.send(&frame.encode_sealed()?)
 }
 
 #[cfg(test)]

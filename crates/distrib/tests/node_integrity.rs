@@ -6,7 +6,7 @@
 
 use ssj_core::{JoinConfig, SimFn, Threshold, Window};
 use ssj_distrib::wire::{Frame, NodeConfig, PROTO_VERSION};
-use ssj_distrib::{node_serve, node_serve_at, JoinMsg, RecordMsg};
+use ssj_distrib::{node_serve, JoinMsg, RecordMsg};
 use ssj_text::{Record, RecordId, TokenId};
 use std::io;
 use std::time::Duration;
@@ -41,10 +41,10 @@ fn data_frame(seq: u64, id: u64) -> Frame {
 }
 
 /// Drains the node's Hello so the test can speak launcher.
-fn expect_hello(wire: &mut dyn Wire, proto: u16) {
+fn expect_hello(wire: &mut dyn Wire) {
     match wire.recv_timeout(Duration::from_secs(5)).unwrap() {
         WireEvent::Frame(b) => match Frame::decode_checked(&b, false).unwrap() {
-            Frame::Hello { proto: p, task: 0 } => assert_eq!(p, proto),
+            Frame::Hello { proto, task: 0 } => assert_eq!(proto, PROTO_VERSION),
             other => panic!("expected Hello, got {other:?}"),
         },
         other => panic!("expected Hello frame, got {other:?}"),
@@ -55,7 +55,7 @@ fn expect_hello(wire: &mut dyn Wire, proto: u16) {
 fn garbage_instead_of_config_is_an_error_not_a_panic() {
     let (mut launcher, mut node_wire) = channel_wire_pair(64);
     let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
-    expect_hello(&mut launcher, PROTO_VERSION);
+    expect_hello(&mut launcher);
     launcher.send(b"\xde\xad\xbe\xef not a frame").unwrap();
     launcher.flush().unwrap();
     let err = node
@@ -69,7 +69,7 @@ fn garbage_instead_of_config_is_an_error_not_a_panic() {
 fn garbage_data_frame_mid_stream_is_an_error_not_a_panic() {
     let (mut launcher, mut node_wire) = channel_wire_pair(64);
     let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
-    expect_hello(&mut launcher, PROTO_VERSION);
+    expect_hello(&mut launcher);
     launcher
         .send(&config_frame(0).encode_sealed().unwrap())
         .unwrap();
@@ -87,7 +87,7 @@ fn garbage_data_frame_mid_stream_is_an_error_not_a_panic() {
 fn single_bit_flip_on_a_valid_frame_is_a_checksum_mismatch() {
     let (mut launcher, mut node_wire) = channel_wire_pair(64);
     let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
-    expect_hello(&mut launcher, PROTO_VERSION);
+    expect_hello(&mut launcher);
     launcher
         .send(&config_frame(0).encode_sealed().unwrap())
         .unwrap();
@@ -103,37 +103,4 @@ fn single_bit_flip_on_a_valid_frame_is_a_checksum_mismatch() {
         msg.contains("checksum"),
         "a sealed-frame flip should die on the checksum, not misparse: {msg}"
     );
-}
-
-#[test]
-fn v2_node_runs_unsealed_and_still_rejects_garbage() {
-    let (mut launcher, mut node_wire) = channel_wire_pair(64);
-    let node = std::thread::spawn(move || node_serve_at(&mut node_wire, 0, 2));
-    expect_hello(&mut launcher, 2);
-    // A v2 peer speaks the unsealed encoding end to end.
-    launcher.send(&config_frame(0).encode().unwrap()).unwrap();
-    launcher.send(&data_frame(0, 1).encode().unwrap()).unwrap();
-    launcher.flush().unwrap();
-    // Its ack comes back unsealed too.
-    let acked = loop {
-        match launcher.recv_timeout(Duration::from_secs(5)).unwrap() {
-            WireEvent::Frame(b) => {
-                if let Frame::Ack { seq } = Frame::decode_checked(&b, false).unwrap() {
-                    break seq;
-                }
-            }
-            WireEvent::Idle => {}
-            other => panic!("wire died early: {other:?}"),
-        }
-    };
-    assert_eq!(acked, 0);
-    // Garbage is still structurally invalid without checksums: error, not
-    // panic, not a silent misparse.
-    launcher.send(&[0xFFu8; 64]).unwrap();
-    launcher.flush().unwrap();
-    let err = node
-        .join()
-        .unwrap()
-        .expect_err("garbage must fail on v2 too");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }

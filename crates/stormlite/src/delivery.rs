@@ -71,7 +71,7 @@ impl Default for RetryConfig {
 impl RetryConfig {
     /// The nominal retry timeout after `retries` previous retransmissions
     /// of a tuple: `base * factor^retries`, capped at `max_timeout`.
-    pub(crate) fn timeout_after(&self, retries: u32) -> Duration {
+    pub fn timeout_after(&self, retries: u32) -> Duration {
         let factor = self.backoff_factor.max(1).saturating_pow(retries.min(16));
         (self.base_timeout * factor).min(self.max_timeout)
     }

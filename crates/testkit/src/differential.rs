@@ -261,7 +261,6 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         fault: None,
         chaos_seed: case.chaos.then_some(seed),
         shed_watermark: case.shed_watermark,
-        replay_buffer_cap: None,
         checkpoint: case.checkpoint_interval.map(CheckpointConfig::in_memory),
         restore_from: None,
         dispatch_batch: None,
@@ -374,7 +373,6 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         fault: None,
         chaos_seed: case.chaos.then_some(seed),
         shed_watermark: None,
-        replay_buffer_cap: None,
         checkpoint: Some(CheckpointConfig::new(interval, Arc::clone(&store))),
         restore_from: None,
         dispatch_batch: None,

@@ -93,7 +93,6 @@ pub fn reference_checkpoint_run(seed: u64) -> ssj_distrib::DistributedJoinResult
         fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
         chaos_seed: Some(seed),
         shed_watermark: None,
-        replay_buffer_cap: None,
         checkpoint: Some(CheckpointConfig::in_memory(25)),
         restore_from: None,
         dispatch_batch: None,
@@ -137,7 +136,6 @@ pub fn reference_traceable_run(seed: u64, traced: bool) -> ssj_distrib::Distribu
         fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
         chaos_seed: Some(seed),
         shed_watermark: None,
-        replay_buffer_cap: None,
         checkpoint: Some(CheckpointConfig::in_memory(25)),
         restore_from: None,
         dispatch_batch: None,

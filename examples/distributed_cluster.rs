@@ -48,7 +48,6 @@ fn main() {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,

@@ -80,7 +80,6 @@ fn bistream_window_and_prefix_strategy() {
         fault: None,
         chaos_seed: None,
         shed_watermark: None,
-        replay_buffer_cap: None,
         checkpoint: None,
         restore_from: None,
         dispatch_batch: None,

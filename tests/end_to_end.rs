@@ -71,7 +71,6 @@ fn text_pipeline_to_distributed_join() {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,

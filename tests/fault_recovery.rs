@@ -116,7 +116,6 @@ proptest! {
                     fault: Some(FaultPlan::new().crash_seeded("joiner", k, 150, fault_seed)),
                     chaos_seed: None,
                     shed_watermark: None,
-                    replay_buffer_cap: None,
                     checkpoint: None,
                     restore_from: None,
                     dispatch_batch: None,
@@ -177,7 +176,6 @@ proptest! {
             fault: Some(plan),
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
@@ -230,7 +228,6 @@ proptest! {
                 fault: Some(FaultPlan::new().crash_seeded("joiner", k, 120, fault_seed)),
                 chaos_seed: Some(chaos_seed),
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
@@ -290,7 +287,6 @@ proptest! {
             fault: Some(FaultPlan::new().crash_seeded("joiner", k, 120, fault_seed)),
             chaos_seed: Some(chaos_seed),
             shed_watermark: shed,
-            replay_buffer_cap: None,
             checkpoint: Some(CheckpointConfig::in_memory(interval)),
             restore_from: None,
             dispatch_batch: None,

@@ -14,8 +14,8 @@
 
 use dssj::core::{JoinConfig, Window};
 use dssj::distrib::{
-    run_cluster, CheckpointConfig, ClusterBackend, LocalAlgo, MemStore, PartitionMethod,
-    SnapshotStore, Strategy,
+    load_latest_verified, run_cluster, scrub, CheckpointConfig, ClusterBackend, LocalAlgo,
+    MemStore, PartitionMethod, SnapshotStore, Strategy,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -212,37 +212,46 @@ fn dropped_commits_leave_nothing_to_restore_and_recompute_exactly() {
     });
 }
 
-/// Version negotiation: a v2 node (no frame checksums) must interop with
-/// the v3 launcher on the same wire protocol and produce the identical
-/// result — the Hello handshake downgrades the link to unsealed frames,
-/// and the wire digests (folded over unsealed bytes) must not move.
+/// There is one store format: a manifest or part without the `CRC2`
+/// envelope is rot like any other, not a legacy payload to pass through.
+/// `scrub` must report it corrupt and `load_latest_verified` must skip
+/// its epoch for the newest fully-enveloped one.
 #[test]
-fn v2_nodes_interop_unsealed_and_bit_exact() {
+fn envelope_less_payloads_are_quarantined_like_any_rot() {
     with_deadline(CASE_DEADLINE, move || {
         let seed = 21u64;
         let case = base_case(150, 3, 0.7, false);
         let records = differential_records(seed, case.records);
-        let run_at = |proto: Option<u16>| {
-            let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-            cfg.node_proto = proto;
-            cfg.logical_time = true;
-            run_cluster(&records, &cfg)
-        };
-        let v3 = run_at(None);
-        let v2 = run_at(Some(2));
-        assert!(!v3.pairs.is_empty(), "workload produced no pairs");
-        assert_eq!(
-            oracle::sorted_keys(&v3.pairs),
-            oracle::sorted_keys(&v2.pairs),
-            "v2 and v3 links disagree on the result"
+        let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
+        let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
+        cfg.checkpoint = Some(CheckpointConfig::new(20, Arc::clone(&store)));
+        let _ = run_cluster(&records, &cfg);
+        let epochs = store.epochs().unwrap();
+        assert!(
+            epochs.len() >= 3,
+            "need three committed epochs to strip two"
         );
-        assert!(v2.integrity.is_clean() && v3.integrity.is_clean());
-        // Digests fold over unsealed frame bytes, so the negotiated
-        // checksum layer is invisible to the golden transcript.
-        assert_eq!(
-            v3.wire_digests, v2.wire_digests,
-            "checksum negotiation perturbed the wire transcript"
-        );
+        let (newest, second) = (epochs[epochs.len() - 1], epochs[epochs.len() - 2]);
+
+        // Strip the 8-byte envelope: the payloads underneath are intact.
+        let manifest = store.manifest(newest).unwrap().unwrap();
+        store.commit(newest, &manifest[8..]).unwrap();
+        let part = store.get(second, "joiner-1").unwrap().unwrap();
+        store.put(second, "joiner-1", &part[8..]).unwrap();
+
+        let report = scrub(store.as_ref()).unwrap();
+        let corrupt: Vec<u64> = report
+            .epochs
+            .iter()
+            .filter(|e| !e.ok)
+            .map(|e| e.epoch)
+            .collect();
+        assert_eq!(corrupt, vec![second, newest]);
+
+        let scan = load_latest_verified(store.as_ref()).unwrap();
+        assert_eq!(scan.fallback_depth(), 2);
+        let image = scan.image.expect("an older epoch still verifies");
+        assert_eq!(image.epoch, epochs[epochs.len() - 3]);
     });
 }
 

@@ -91,7 +91,6 @@ fn distributed_overlap_equals_naive_under_every_strategy() {
             fault: None,
             chaos_seed: None,
             shed_watermark: None,
-            replay_buffer_cap: None,
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,

@@ -102,7 +102,6 @@ fn distributed_window_equals_local_window() {
                 fault: None,
                 chaos_seed: None,
                 shed_watermark: None,
-                replay_buffer_cap: None,
                 checkpoint: None,
                 restore_from: None,
                 dispatch_batch: None,
