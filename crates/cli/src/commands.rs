@@ -26,7 +26,9 @@ pub fn usage() -> ExitCode {
   dssj join      --input FILE [--tau T=0.8] [--algo bundle|ppjoin|allpairs]
                  [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10]
                  [--chaos-seed S] [--shed-watermark W] [--source-rate R]
-                 [--dispatch-batch B] [--sim SEED]
+                 [--sim SEED]
+                 [--dispatch-batch B]   (B messages per joiner wire in, one
+                                         batch of results back out per batch)
                  [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
                  [--restore-from DIR [--verify-restore]] [--trace-out FILE]
                  [--chrome-out FILE] [--metrics-out FILE]

@@ -180,6 +180,10 @@ pub(crate) struct JoinerBolt {
     restored_from_epoch: Option<u64>,
     /// Per-stage latency recording (observability-enabled runs only).
     stages: Option<StageRecorder>,
+    /// Result pairs of the inbound batch being unpacked. Empty between
+    /// engine messages; kept for its capacity, so that an outbound batch
+    /// costs one allocation of exactly its size.
+    held: Vec<JoinMsg>,
 }
 
 impl JoinerBolt {
@@ -206,6 +210,7 @@ impl JoinerBolt {
             incarnation: 0,
             restored_from_epoch: None,
             stages: stages.map(StageRecorder::new),
+            held: Vec::new(),
         };
         if let Some(recovery) = &bolt.recovery {
             bolt.incarnation = recovery.begin_incarnation(task);
@@ -247,15 +252,20 @@ impl JoinerBolt {
         out.trace_span(stage, t0, a, b);
     }
 
-    /// Probes and emits the results, under a verify span.
-    fn probe(&mut self, payload: &RecordMsg, out: &mut Outbox<JoinMsg>) {
+    /// Probes, under a verify span. The result pairs are emitted one by
+    /// one, or held back when the probe is part of an inbound batch (see
+    /// [`Bolt::execute`]).
+    fn probe(&mut self, payload: &RecordMsg, batched: bool, out: &mut Outbox<JoinMsg>) {
         let t0 = self.stage_start(out);
         let pairs = self.joiner.probe(payload);
-        for &pair in pairs {
-            out.emit(JoinMsg::Result {
-                pair,
-                ingest: payload.ingest,
-            });
+        let results = pairs.iter().map(|&pair| JoinMsg::Result {
+            pair,
+            ingest: payload.ingest,
+        });
+        if batched {
+            self.held.extend(results);
+        } else {
+            results.for_each(|r| out.emit(r));
         }
         let emitted = pairs.len() as u64;
         self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
@@ -270,15 +280,21 @@ impl JoinerBolt {
             self.stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
         }
     }
-}
 
-impl Bolt<JoinMsg> for JoinerBolt {
-    fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
+    /// Processes one message that is not a batch; `batched` says whether
+    /// it arrived inside one. Returns the `(id, timestamp)` of the record
+    /// it carried, for the watermark.
+    fn apply(
+        &mut self,
+        msg: JoinMsg,
+        batched: bool,
+        out: &mut Outbox<JoinMsg>,
+    ) -> Option<(u64, u64)> {
         let processed = msg.record().map(|r| (r.id().0, r.timestamp()));
         match msg {
             JoinMsg::Probe(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, out);
+                self.probe(&payload, batched, out);
             }
             JoinMsg::Index(payload) => {
                 self.joiner.advance(&payload.record);
@@ -286,17 +302,10 @@ impl Bolt<JoinMsg> for JoinerBolt {
             }
             JoinMsg::ProbeAndIndex(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, out);
+                self.probe(&payload, batched, out);
                 self.insert(&payload, out);
             }
-            JoinMsg::Batch(msgs) => {
-                // Unpack in dispatch order: each sub-message runs the full
-                // per-message path (dedup advance, stage spans, watermark),
-                // so batching is invisible to everything downstream.
-                for m in msgs {
-                    self.execute(m, out);
-                }
-            }
+            JoinMsg::Batch(_) => unreachable!("batches are never nested"),
             JoinMsg::Result { .. } => unreachable!("joiners do not receive results"),
             JoinMsg::Barrier { epoch, injected_at } => {
                 // Alignment stall: how long the barrier sat behind data in
@@ -332,8 +341,38 @@ impl Bolt<JoinMsg> for JoinerBolt {
                 }
             }
         }
-        // Watermark last: published only once the record's effects (results
-        // emitted, index updated) are fully visible.
+        processed
+    }
+}
+
+impl Bolt<JoinMsg> for JoinerBolt {
+    /// One engine message in, at most one out per probe — or, for an
+    /// inbound [`JoinMsg::Batch`], at most one out for the whole batch:
+    /// its sub-messages run the full per-message path in dispatch order
+    /// (dedup advance, stage spans) while their result pairs are held
+    /// back, and leave as a single batch of [`JoinMsg::Result`]s when the
+    /// inbound batch ends. Results never wait for a later message, so
+    /// batching adds no latency beyond the batch's own processing time.
+    fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
+        let processed = match msg {
+            JoinMsg::Batch(msgs) => {
+                let mut last = None;
+                for m in msgs {
+                    last = self.apply(m, true, out).or(last);
+                }
+                if !self.held.is_empty() {
+                    out.emit(JoinMsg::Batch(self.held.drain(..).collect()));
+                }
+                last
+            }
+            msg => self.apply(msg, false, out),
+        };
+        // Watermark last, once per engine message: published only when
+        // everything the message carried is fully visible (results
+        // emitted, index updated). A batch therefore advances it in one
+        // step, to its last record, after its held results have left — the
+        // unit the engine redelivers after an injected crash, or drops as
+        // poisoned after a panic, is the whole batch too.
         if let (Some(recovery), Some((id, ts))) = (&self.recovery, processed) {
             recovery.mark_processed(self.task, id, ts);
         }
@@ -390,31 +429,243 @@ impl SinkBolt {
         self.stages = shared.map(StageRecorder::new);
         self
     }
+
+    /// Collects `results` — every one a [`JoinMsg::Result`] — under one
+    /// lock and one clock read.
+    fn collect(&mut self, results: &[JoinMsg], out: &mut Outbox<JoinMsg>) {
+        // Dispatch-to-result latency on the topology clock: wall time in
+        // threaded runs, virtual time in simulation.
+        let now = out.now();
+        let mut s = self.state.lock();
+        for msg in results {
+            let JoinMsg::Result { pair, ingest } = msg else {
+                unreachable!("sink only receives results")
+            };
+            let latency = now.saturating_since(*ingest);
+            if let Some(st) = &mut self.stages {
+                st.record(Stage::Emit, latency);
+            }
+            let (earlier, later) = pair.key();
+            out.trace_instant_at(Stage::Emit, now, earlier, later);
+            s.pairs.push(*pair);
+            s.latency.record(latency);
+        }
+    }
 }
 
 impl Bolt<JoinMsg> for SinkBolt {
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
         match msg {
-            JoinMsg::Result { pair, ingest } => {
-                // Dispatch-to-result latency on the topology clock:
-                // wall time in threaded runs, virtual time in simulation.
-                let latency = out.now().saturating_since(ingest);
-                if let Some(st) = &mut self.stages {
-                    st.record(Stage::Emit, latency);
-                }
-                let (earlier, later) = pair.key();
-                out.trace_instant(Stage::Emit, earlier, later);
-                let mut s = self.state.lock();
-                s.pairs.push(pair);
-                s.latency.record(latency);
-            }
-            _ => unreachable!("sink only receives results"),
+            JoinMsg::Batch(results) => self.collect(&results, out),
+            result => self.collect(std::slice::from_ref(&result), out),
         }
     }
 
     fn finish(&mut self, _out: &mut Outbox<JoinMsg>) {
         if let Some(st) = &mut self.stages {
             st.flush();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::LocalAlgo;
+    use crate::recovery::ReplayEntry;
+    use ssj_core::join::bistream::Side;
+    use ssj_core::{JoinConfig, Window};
+    use ssj_text::{Record, RecordId, TokenId};
+    use stormlite::{Grouping, RunReport, SimConfig, Topology};
+
+    fn payload(id: u64, tokens: &[u32]) -> RecordMsg {
+        let tokens = tokens.iter().copied().map(TokenId).collect();
+        RecordMsg::solo(
+            Record::from_sorted(RecordId(id), id, tokens),
+            Timestamp::from_nanos(id),
+        )
+    }
+
+    /// Feeds `input` to a single joiner task (τ = 0.5, no dedup) and
+    /// returns every message it sent on, in order, with the run report.
+    fn run_joiner(
+        input: Vec<JoinMsg>,
+        recovery: Option<Arc<RecoveryState>>,
+    ) -> (Vec<JoinMsg>, RunReport) {
+        let mut t = Topology::new().with_supervised_restarts(1);
+        t.spout("source", input);
+        t.bolt("joiner", 1, move |task| {
+            let joiner = Joiner::new(LocalAlgo::PpJoin, JoinConfig::jaccard(0.5), false, None);
+            JoinerBolt::new(joiner, task, Arc::default(), recovery.clone(), None, None)
+        });
+        let sent = t.collector("sink");
+        t.wire("source", "joiner", Grouping::global());
+        t.wire("joiner", "sink", Grouping::global());
+        let report = t.run_sim(SimConfig::seeded(1)).report;
+        let sent = std::mem::take(&mut *sent.lock());
+        (sent, report)
+    }
+
+    fn result_key(msg: &JoinMsg) -> (u64, u64, Timestamp) {
+        match msg {
+            JoinMsg::Result { pair, ingest } => (pair.earlier.0, pair.later.0, *ingest),
+            other => panic!("expected a result, got {other:?}"),
+        }
+    }
+
+    /// Two stored records, then a probe-and-index and a probe that each
+    /// match several of what is stored by then.
+    fn matching_stream() -> (Vec<JoinMsg>, Vec<JoinMsg>) {
+        let stored = vec![
+            JoinMsg::Index(payload(0, &[1, 2, 3, 4])),
+            JoinMsg::Index(payload(1, &[1, 2, 3, 5])),
+        ];
+        let probes = vec![
+            JoinMsg::ProbeAndIndex(payload(2, &[1, 2, 3, 4, 5])),
+            JoinMsg::Probe(payload(3, &[1, 2, 3, 4])),
+        ];
+        (stored, probes)
+    }
+
+    #[test]
+    fn unbatched_probes_emit_one_result_message_per_pair() {
+        let (mut input, probes) = matching_stream();
+        input.extend(probes);
+        let (sent, report) = run_joiner(input, None);
+        assert!(report.is_clean());
+        let keys: Vec<_> = sent.iter().map(result_key).collect();
+        // Record 2 matches 0 and 1; record 3 matches 0, 1 and 2. Each pair
+        // carries its probe's ingest stamp.
+        assert_eq!(keys.len(), 5);
+        assert!(keys[..2].iter().all(|k| k.1 == 2 && k.2.as_nanos() == 2));
+        assert!(keys[2..].iter().all(|k| k.1 == 3 && k.2.as_nanos() == 3));
+        assert_eq!(report.component("joiner").msgs_out, 5);
+    }
+
+    #[test]
+    fn a_batch_in_yields_one_batch_out_with_the_pairs_in_probe_order() {
+        let (stored, probes) = matching_stream();
+        let (unbatched, _) = run_joiner([stored.clone(), probes.clone()].concat(), None);
+        let mut input = stored;
+        input.push(JoinMsg::Batch(probes));
+        let (sent, report) = run_joiner(input, None);
+        assert!(report.is_clean());
+        assert_eq!(sent.len(), 1, "one message out for one batch in");
+        let JoinMsg::Batch(results) = &sent[0] else {
+            panic!("expected a batch, got {:?}", sent[0]);
+        };
+        assert_eq!(
+            results.iter().map(result_key).collect::<Vec<_>>(),
+            unbatched.iter().map(result_key).collect::<Vec<_>>(),
+            "batching must not reorder or restamp results"
+        );
+        assert_eq!(report.component("joiner").msgs_out, 1);
+    }
+
+    #[test]
+    fn a_batch_without_pairs_yields_nothing() {
+        let input = vec![JoinMsg::Batch(vec![
+            JoinMsg::ProbeAndIndex(payload(0, &[1, 2, 3])),
+            JoinMsg::Probe(payload(1, &[7, 8, 9])),
+            JoinMsg::Index(payload(2, &[4, 5, 6])),
+        ])];
+        let (sent, report) = run_joiner(input, None);
+        assert!(report.is_clean());
+        assert!(sent.is_empty(), "sent {sent:?}");
+    }
+
+    /// The engine drops a tuple whose `execute` panicked; for a batch that
+    /// is the whole batch. Its held results die with the instance, and the
+    /// watermark never covered its records, so the rebuilt instance does
+    /// not get their index state back either.
+    #[test]
+    fn a_batch_that_panics_is_lost_whole_and_accounted_once() {
+        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
+        let records = [
+            payload(0, &[1, 2, 3, 4]),
+            payload(1, &[1, 2, 3, 5]),
+            payload(2, &[1, 2, 3, 4, 5]),
+        ];
+        for p in &records {
+            recovery.buffer_index_target(0, ReplayEntry::from_payload(p));
+        }
+        let [r0, r1, r2] = records;
+        let wrong_mode = RecordMsg {
+            side: Some(Side::Left),
+            ..payload(9, &[1, 2, 3])
+        };
+        let input = vec![
+            JoinMsg::ProbeAndIndex(r0),
+            JoinMsg::Batch(vec![
+                JoinMsg::ProbeAndIndex(r1), // matches r0: held, never sent
+                JoinMsg::Probe(wrong_mode), // a sided message in a self-join panics
+            ]),
+            JoinMsg::ProbeAndIndex(r2),
+        ];
+        let (sent, report) = run_joiner(input, Some(recovery));
+        assert_eq!(report.dropped_poisoned(), 1);
+        assert_eq!(report.total_restarts(), 1);
+        // The rebuilt joiner holds r0 (replayed up to the watermark) and
+        // not r1, so r2 finds exactly one match.
+        let keys: Vec<_> = sent.iter().map(result_key).collect();
+        assert_eq!(keys, vec![(0, 2, Timestamp::from_nanos(2))]);
+    }
+
+    /// Feeds `input` to a sink task; returns its state, its emit-stage
+    /// sample count, and the run report.
+    fn run_sink(input: Vec<JoinMsg>) -> (SinkState, u64, RunReport) {
+        let state = Arc::new(Mutex::new(SinkState::default()));
+        let stages = Arc::new(Mutex::new(StageProfile::new()));
+        let mut t = Topology::new();
+        t.spout("source", input);
+        let (shared, shared_stages) = (Arc::clone(&state), Arc::clone(&stages));
+        t.bolt("sink", 1, move |_| {
+            SinkBolt::new(Arc::clone(&shared)).with_stages(Some(Arc::clone(&shared_stages)))
+        });
+        t.wire("source", "sink", Grouping::global());
+        let report = t.run_sim(SimConfig::seeded(1)).report;
+        let state = std::mem::take(&mut *state.lock());
+        let emits = stages.lock().get(Stage::Emit).count();
+        (state, emits, report)
+    }
+
+    fn result(earlier: u64, later: u64) -> JoinMsg {
+        JoinMsg::Result {
+            pair: MatchPair {
+                earlier: RecordId(earlier),
+                later: RecordId(later),
+                similarity: 0.75,
+            },
+            ingest: Timestamp::ZERO,
+        }
+    }
+
+    #[test]
+    fn the_sink_collects_single_and_batched_results_one_sample_per_pair() {
+        let input = vec![
+            result(0, 1),
+            JoinMsg::Batch(vec![result(0, 2), result(1, 2), result(0, 3)]),
+            result(2, 3),
+        ];
+        let (state, emits, report) = run_sink(input);
+        assert!(report.is_clean());
+        let keys: Vec<_> = state.pairs.iter().map(MatchPair::key).collect();
+        assert_eq!(keys, vec![(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]);
+        assert_eq!(state.latency.count(), 5);
+        assert_eq!(emits, 5);
+        assert_eq!(report.component("sink").msgs_in, 3);
+    }
+
+    #[test]
+    fn the_sink_rejects_anything_but_results() {
+        for bad in [
+            JoinMsg::Probe(payload(0, &[1])),
+            JoinMsg::Batch(vec![result(0, 1), JoinMsg::Index(payload(0, &[1]))]),
+            JoinMsg::Batch(vec![JoinMsg::Batch(vec![result(0, 1)])]),
+        ] {
+            let (_, _, report) = run_sink(vec![bad]);
+            assert_eq!(report.failures.len(), 1);
+            assert!(report.failures[0].2.contains("sink only receives results"));
         }
     }
 }

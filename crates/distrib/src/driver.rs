@@ -214,15 +214,19 @@ pub struct DistributedJoinConfig {
     /// persisted length partition overrides the configured strategy.
     /// `None` (the default) starts empty.
     pub restore_from: Option<Arc<dyn SnapshotStore>>,
-    /// Batch dispatcher→joiner emits: up to this many messages per joiner
-    /// wire ship as one [`crate::msg::JoinMsg::Batch`], amortizing
-    /// per-message channel overhead on the dispatcher's hot path. Joiners
-    /// unpack batches in dispatch order, batches flush before every
-    /// checkpoint barrier and at stream end, and every per-message effect
-    /// (dedup advance, replay watermark, stage spans) still runs per
-    /// sub-message — so results, recovery, and checkpoint semantics are
-    /// identical to unbatched runs. `None` (the default) emits every
-    /// message individually.
+    /// Batch every joiner edge: the dispatcher ships up to this many
+    /// messages per joiner wire as one [`crate::msg::JoinMsg::Batch`], and
+    /// a joiner answers each inbound batch with at most one batch of its
+    /// results, sent when the inbound batch ends — amortizing per-message
+    /// channel overhead on both hot edges. Joiners unpack batches in
+    /// dispatch order through the full per-message path (dedup advance,
+    /// stage spans), dispatcher batches flush before every checkpoint
+    /// barrier and at stream end, and results never wait for later input
+    /// — so results, recovery, checkpoint semantics and (up to a batch's
+    /// own processing time) latency match unbatched runs. A batch is one
+    /// engine tuple: the replay watermark advances once per batch, and a
+    /// panic inside one drops the whole batch as the one poisoned tuple.
+    /// `None` (the default) and `Some(1)` send every message individually.
     pub dispatch_batch: Option<usize>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
@@ -302,7 +306,7 @@ impl DistributedJoinConfig {
         self
     }
 
-    /// Batches dispatcher emits at this size (see [`Self::dispatch_batch`]).
+    /// Batches the joiner edges at this size (see [`Self::dispatch_batch`]).
     pub fn with_dispatch_batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "dispatch batch size must be at least 1");
         self.dispatch_batch = Some(batch);
@@ -1660,6 +1664,34 @@ mod tests {
                     local.name()
                 );
             }
+        }
+
+        // A result-heavy stream, where the joiner→sink edge carries several
+        // times the traffic of the dispatcher's: result batches must
+        // survive lossy at-least-once wires and a joiner crash, on a
+        // replayable schedule. (The aol profile's very short records over
+        // a small vocabulary repeat often enough for that at this length.)
+        use ssj_workloads::{DatasetProfile, StreamGenerator};
+        let profile = DatasetProfile::aol().with_vocab(40);
+        let records = StreamGenerator::new(profile, 42).take_records(3000);
+        let join = JoinConfig::jaccard(0.8);
+        let expect = ground_truth(&records, join);
+        assert!(
+            expect.len() >= 3 * records.len(),
+            "only {} pairs from {} records: not result-heavy",
+            expect.len(),
+            records.len()
+        );
+        for batch in [1usize, 8, 64] {
+            let cfg = DistributedJoinConfig::recommended(4, join)
+                .with_dispatch_batch(batch)
+                .with_chaos(5)
+                .with_fault(FaultPlan::new().crash("joiner", 1, 3))
+                .with_sim(batch as u64);
+            let result = run_distributed(&records, &cfg);
+            assert_eq!(run_keys_of(&result), expect, "aol batch={batch}");
+            assert_eq!(result.report.total_restarts(), 1, "aol batch={batch}");
+            assert_eq!(result.latency.count(), expect.len() as u64);
         }
     }
 

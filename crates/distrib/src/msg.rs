@@ -49,13 +49,22 @@ pub enum JoinMsg {
         /// Dispatch time of the probing record, on the topology clock.
         ingest: Timestamp,
     },
-    /// Several record-bearing messages shipped down one wire as a single
-    /// engine message, in dispatch order. The dispatcher fills one batch
-    /// per joiner wire (see `DistributedJoinConfig::dispatch_batch`) to
-    /// amortize routing and channel overhead; receivers unpack and process
-    /// the contents exactly as if they had arrived individually, so
-    /// batching never changes results. Batches are flushed before every
-    /// barrier injection and at stream end, and are never nested.
+    /// Several messages shipped down one wire as a single engine message,
+    /// in order; never nested. With `DistributedJoinConfig::dispatch_batch`
+    /// set, both joiner edges carry them, to amortize per-message engine
+    /// overhead:
+    ///
+    /// * dispatcher → joiner: up to that many record-bearing messages per
+    ///   joiner wire, in dispatch order, flushed before every barrier
+    ///   injection and at stream end. The joiner runs each through the
+    ///   full per-message path, so batching never changes results;
+    /// * joiner → sink: the [`JoinMsg::Result`]s of one inbound batch, in
+    ///   probe order, sent when that inbound batch ends (nothing is sent
+    ///   when it produced none). Results never wait for later input.
+    ///
+    /// A batch is one engine tuple: it is redelivered whole after an
+    /// injected crash, dropped whole (and counted once) if processing it
+    /// panics, and moves the joiner's recovery watermark once.
     Batch(Vec<JoinMsg>),
     /// A checkpoint barrier control tuple. The dispatcher injects one per
     /// epoch down every joiner wire; a joiner receiving it snapshots its

@@ -12,7 +12,8 @@
 //!   the in-flight backlog — except under [`Window::Unbounded`], where it
 //!   grows with the stream (an unbounded window *is* O(stream) state).
 //! * the **watermark**: after fully processing any record-bearing tuple,
-//!   the joiner publishes that record's `(id, timestamp)`. Because the
+//!   the joiner publishes that record's `(id, timestamp)` — for a batch,
+//!   its last record's, once the whole batch is processed. Because the
 //!   single dispatcher feeds each joiner over one FIFO wire, a watermark of
 //!   `w` proves every message with record id ≤ `w` was fully processed
 //!   (its results already emitted) and every message with id > `w` is

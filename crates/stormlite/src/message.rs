@@ -284,7 +284,7 @@ impl<M: Message> OutWire<M> {
                 Pending {
                     msg: msg.clone(),
                     sent_at: now,
-                    last_tx: self.clock.now(),
+                    last_tx: now,
                     retries: 0,
                 },
             );
@@ -549,8 +549,18 @@ impl<M: Message> Outbox<M> {
     /// cannot change a simulated run's transcript.
     #[inline]
     pub fn trace_instant(&mut self, stage: Stage, a: u64, b: u64) {
+        if self.tracer.is_some() {
+            self.trace_instant_at(stage, self.clock.now(), a, b);
+        }
+    }
+
+    /// [`trace_instant`](Self::trace_instant) stamped with `at`, a clock
+    /// reading the caller already holds — for recording many events
+    /// without a clock read each.
+    #[inline]
+    pub fn trace_instant_at(&mut self, stage: Stage, at: Timestamp, a: u64, b: u64) {
         if let Some(tr) = &mut self.tracer {
-            tr.record(Event::instant(self.clock.now().as_nanos(), stage, a, b));
+            tr.record(Event::instant(at.as_nanos(), stage, a, b));
         }
     }
 
@@ -580,56 +590,70 @@ impl<M: Message> Outbox<M> {
         self.clock.now()
     }
 
-    /// Emits along all non-direct outgoing wires.
+    /// Emits along all non-direct outgoing wires. The last destination
+    /// takes `msg` itself; only the others get clones.
     pub fn emit(&mut self, msg: M) {
         let now = self.clock.now();
-        let n_wires = self.wires.len();
-        for w in 0..n_wires {
+        let Some(last) = self
+            .wires
+            .iter()
+            .rposition(|w| !matches!(w.grouping, Grouping::Direct))
+        else {
+            return;
+        };
+        let mut msg = Some(msg);
+        for w in 0..=last {
             let wire = &mut self.wires[w];
-            match &wire.grouping {
+            let n = wire.senders.len();
+            // This wire's destination tasks, `first..end`.
+            let (first, end) = match &wire.grouping {
                 Grouping::Direct => continue,
                 Grouping::Shuffle => {
-                    let t = wire.rr_next % wire.senders.len();
+                    let t = wire.rr_next % n;
                     wire.rr_next = wire.rr_next.wrapping_add(1);
-                    let m = msg.clone();
-                    wire.dispatch(t, m, now, &mut self.metrics, &mut self.tracer);
+                    (t, t + 1)
                 }
-                Grouping::Global => {
-                    let m = msg.clone();
-                    wire.dispatch(0, m, now, &mut self.metrics, &mut self.tracer);
-                }
+                Grouping::Global => (0, 1),
                 Grouping::Fields(f) => {
-                    let t = (f(&msg) % wire.senders.len() as u64) as usize;
-                    let m = msg.clone();
-                    wire.dispatch(t, m, now, &mut self.metrics, &mut self.tracer);
+                    let key = f(msg
+                        .as_ref()
+                        .expect("moved out only at the last destination"));
+                    let t = (key % n as u64) as usize;
+                    (t, t + 1)
                 }
-                Grouping::Broadcast => {
-                    for t in 0..wire.senders.len() {
-                        let m = msg.clone();
-                        wire.dispatch(t, m, now, &mut self.metrics, &mut self.tracer);
-                    }
-                }
+                Grouping::Broadcast => (0, n),
+            };
+            for t in first..end {
+                let m = if w == last && t + 1 == end {
+                    msg.take()
+                } else {
+                    msg.clone()
+                };
+                let m = m.expect("moved out only at the last destination");
+                wire.dispatch(t, m, now, &mut self.metrics, &mut self.tracer);
             }
         }
     }
 
-    /// Emits to one specific task along every direct outgoing wire.
+    /// Emits to one specific task along every direct outgoing wire (the
+    /// last one takes `msg` itself, the others get clones).
     ///
     /// # Panics
     /// Panics if no outgoing wire uses [`Grouping::Direct`] or the task
     /// index is out of range.
     pub fn emit_direct(&mut self, task: usize, msg: M) {
         let now = self.clock.now();
-        let mut hit = false;
-        for wire in &mut self.wires {
-            if !matches!(wire.grouping, Grouping::Direct) {
-                continue;
+        let last = self
+            .wires
+            .iter()
+            .rposition(|w| matches!(w.grouping, Grouping::Direct))
+            .expect("emit_direct requires a Direct-grouped outgoing wire");
+        for wire in &mut self.wires[..last] {
+            if matches!(wire.grouping, Grouping::Direct) {
+                wire.dispatch(task, msg.clone(), now, &mut self.metrics, &mut self.tracer);
             }
-            hit = true;
-            let m = msg.clone();
-            wire.dispatch(task, m, now, &mut self.metrics, &mut self.tracer);
         }
-        assert!(hit, "emit_direct requires a Direct-grouped outgoing wire");
+        self.wires[last].dispatch(task, msg, now, &mut self.metrics, &mut self.tracer);
     }
 
     /// Current depth of `task`'s input queue, maximized over this task's
@@ -864,6 +888,60 @@ mod tests {
         o.emit(N(9)); // no non-direct wires: silently routes nowhere
         assert_eq!(data_count(&rs[0]), 0);
         assert_eq!(data_count(&rs[2]), 1);
+    }
+
+    /// A message that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted(Arc<std::sync::atomic::AtomicUsize>);
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+    impl Message for Counted {}
+
+    #[test]
+    fn emission_moves_the_message_into_its_last_destination() {
+        let wire = |grouping, n: usize| {
+            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+            (OutWire::plain(grouping, senders), receivers)
+        };
+        let (global, rx_global) = wire(Grouping::global(), 1);
+        let (direct_a, rx_direct_a) = wire(Grouping::Direct, 2);
+        let (broadcast, rx_broadcast) = wire(Grouping::broadcast(), 3);
+        let (direct_b, rx_direct_b) = wire(Grouping::Direct, 2);
+        let mut o = Outbox {
+            wires: vec![global, direct_a, broadcast, direct_b],
+            task_index: 0,
+            metrics: TaskMetrics::default(),
+            clock: Clock::wall(),
+            tracer: None,
+        };
+        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = || clones.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let delivered = |rs: &[Receiver<Envelope<Counted>>]| -> Vec<usize> {
+            rs.iter().map(|r| r.try_iter().count()).collect()
+        };
+
+        // One global + three broadcast destinations: three clones, and the
+        // last broadcast task gets the original.
+        o.emit(Counted(Arc::clone(&clones)));
+        assert_eq!(count(), 3);
+        assert_eq!(delivered(&rx_global), [1]);
+        assert_eq!(delivered(&rx_broadcast), [1, 1, 1]);
+
+        // Two direct wires: one clone.
+        o.emit_direct(1, Counted(Arc::clone(&clones)));
+        assert_eq!(count(), 1);
+        assert_eq!(delivered(&rx_direct_a), [0, 1]);
+        assert_eq!(delivered(&rx_direct_b), [0, 1]);
+
+        // A single destination — the joiner → sink shape — clones nothing.
+        o.wires.truncate(1);
+        o.emit(Counted(Arc::clone(&clones)));
+        assert_eq!(count(), 0);
+        assert_eq!(delivered(&rx_global), [1]);
     }
 
     #[test]

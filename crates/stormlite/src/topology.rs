@@ -702,10 +702,13 @@ impl<M: Message> BoltCore<M> {
         // the core mutably; restored below to keep the buffer's capacity.
         let mut deliverable = std::mem::take(&mut self.deliverable);
         for (msg, sent_at) in deliverable.drain(..) {
+            // One clock read ends the tuple's queue wait and starts its
+            // execution.
+            let mut t0 = outbox.clock.now();
             outbox
                 .metrics
                 .queue_wait
-                .record(outbox.clock.now().saturating_since(sent_at));
+                .record(t0.saturating_since(sent_at));
             outbox.metrics.msgs_in += 1;
             outbox.metrics.bytes_in += msg.wire_bytes();
             // Injected crash boundary: the instance dies having fully
@@ -718,6 +721,8 @@ impl<M: Message> BoltCore<M> {
                     self.processed
                 ));
                 self.rebuild();
+                // Rebuilding (state replay included) is not execution.
+                t0 = outbox.clock.now();
             }
             let Some(instance) = self.bolt.as_deref_mut() else {
                 // A dead bolt keeps draining its queue so upstream
@@ -725,7 +730,6 @@ impl<M: Message> BoltCore<M> {
                 // discarded.
                 continue;
             };
-            let t0 = outbox.clock.now();
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 instance.execute(msg, outbox)
             }));

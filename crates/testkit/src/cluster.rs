@@ -45,6 +45,10 @@ pub fn cluster_config_for(
     case: &DifferentialCase,
     backend: ClusterBackend,
 ) -> ClusterConfig {
+    assert!(
+        case.dispatch_batch.is_none(),
+        "edge batching is a topology knob; the cluster launcher frames one message at a time"
+    );
     let mut cfg = ClusterConfig::recommended(case.k, case.join, backend);
     cfg.local = case.local;
     cfg.strategy = case.strategy.clone();

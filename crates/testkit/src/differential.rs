@@ -82,6 +82,12 @@ pub struct DifferentialCase {
     /// store. Checkpointing must never change the output, so the oracle
     /// comparison is unchanged; it composes with every other knob.
     pub checkpoint_interval: Option<u64>,
+    /// Batch every topology edge at this size (see
+    /// `DistributedJoinConfig::dispatch_batch`). Batching must never change
+    /// the output, so the oracle comparison is unchanged; it composes with
+    /// every other simulated knob. Topology-only: the cluster launcher
+    /// frames one message at a time, so the cluster harness rejects it.
+    pub dispatch_batch: Option<usize>,
     /// Link outages (stall / partition windows) injected on cluster wires.
     /// Consumed by the cluster harness only — the simulated topology has
     /// no wall-clock links, so [`run_differential`] rejects cases that set
@@ -115,6 +121,7 @@ impl DifferentialCase {
             chaos: false,
             shed_watermark: None,
             checkpoint_interval: None,
+            dispatch_batch: None,
             outages: Vec::new(),
             recovery_budget: None,
         }
@@ -156,6 +163,12 @@ impl DifferentialCase {
     /// Checkpoints every `interval` dispatched records.
     pub fn with_checkpoints(mut self, interval: u64) -> Self {
         self.checkpoint_interval = Some(interval);
+        self
+    }
+
+    /// Batches every topology edge at `batch` messages (`None` = off).
+    pub fn with_dispatch_batch(mut self, batch: Option<usize>) -> Self {
+        self.dispatch_batch = batch;
         self
     }
 
@@ -263,7 +276,7 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         shed_watermark: case.shed_watermark,
         checkpoint: case.checkpoint_interval.map(CheckpointConfig::in_memory),
         restore_from: None,
-        dispatch_batch: None,
+        dispatch_batch: case.dispatch_batch,
         trace: None,
         scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
     };
@@ -375,7 +388,7 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         shed_watermark: None,
         checkpoint: Some(CheckpointConfig::new(interval, Arc::clone(&store))),
         restore_from: None,
-        dispatch_batch: None,
+        dispatch_batch: case.dispatch_batch,
         trace: None,
         scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
     };

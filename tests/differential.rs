@@ -58,6 +58,14 @@ fn window(idx: usize) -> Window {
     }
 }
 
+/// Edge batching: off, the unwrapped-singleton size, and a size that
+/// packs several messages per wire.
+const BATCHES: usize = 3;
+
+fn batch(idx: usize) -> Option<usize> {
+    [None, Some(1), Some(8)][idx]
+}
+
 fn case(k: usize, tau: f64, strat: usize, loc: usize, win: usize) -> DifferentialCase {
     let join = JoinConfig {
         threshold: Threshold::jaccard(tau),
@@ -125,8 +133,12 @@ proptest! {
         strat in 0usize..STRATEGIES,
         loc in 0usize..LOCALS,
         win in 0usize..WINDOWS,
+        bat in 0usize..BATCHES,
     ) {
-        run_differential(seed, &case(k, tau, strat, loc, win));
+        run_differential(
+            seed,
+            &case(k, tau, strat, loc, win).with_dispatch_batch(batch(bat)),
+        );
     }
 
     /// Random configuration under injected joiner crashes and/or lossy
@@ -141,8 +153,9 @@ proptest! {
         loc in 0usize..LOCALS,
         win in 0usize..WINDOWS,
         fault in 1usize..4, // bit 0: crash, bit 1: chaos
+        bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, loc, win);
+        let mut c = case(k, tau, strat, loc, win).with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
             c = c.with_crash();
         }
@@ -165,8 +178,11 @@ proptest! {
         win in 0usize..WINDOWS,
         interval in 8u64..48,
         fault in 0usize..4, // bit 0: crash, bit 1: chaos
+        bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, loc, win).with_checkpoints(interval);
+        let mut c = case(k, tau, strat, loc, win)
+            .with_checkpoints(interval)
+            .with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
             c = c.with_crash();
         }
@@ -189,8 +205,11 @@ proptest! {
         win in 0usize..WINDOWS,
         interval in 8u64..48,
         crash in 0usize..2,
+        bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, loc, win).with_checkpoints(interval);
+        let mut c = case(k, tau, strat, loc, win)
+            .with_checkpoints(interval)
+            .with_dispatch_batch(batch(bat));
         if crash == 1 {
             c = c.with_crash();
         }
@@ -205,8 +224,14 @@ proptest! {
         tau in 0.55f64..0.9,
         loc in 0usize..LOCALS,
         win in 0usize..WINDOWS,
+        bat in 0usize..BATCHES,
     ) {
-        run_differential(seed, &case(k, tau, 0, loc, win).bistream());
+        run_differential(
+            seed,
+            &case(k, tau, 0, loc, win)
+                .bistream()
+                .with_dispatch_batch(batch(bat)),
+        );
     }
 
     /// Load shedding under simulation: the result must equal the oracle
@@ -218,10 +243,13 @@ proptest! {
         tau in 0.55f64..0.9,
         loc in 0usize..LOCALS,
         watermark in 2usize..8,
+        bat in 0usize..BATCHES,
     ) {
         let out = run_differential(
             seed,
-            &case(k, tau, 0, loc, 1).with_shedding(watermark),
+            &case(k, tau, 0, loc, 1)
+                .with_shedding(watermark)
+                .with_dispatch_batch(batch(bat)),
         );
         prop_assert!(out.recall > 0.0 && out.recall <= 1.0);
     }
