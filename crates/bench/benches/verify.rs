@@ -1,5 +1,6 @@
-//! Micro-benchmarks: verification kernels (merge, early termination,
-//! delta-based batch verification).
+//! Micro-benchmarks: the two verification kernels (scalar merge, and SSE2
+//! on x86-64) at full length and under early termination, and delta-based
+//! batch verification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ssj_core::verify;
@@ -17,7 +18,11 @@ fn bench_overlap(c: &mut Criterion) {
         let b = tokens(len as u32, 3, 3); // ~2/3 overlap
         g.throughput(Throughput::Elements(len as u64));
         g.bench_with_input(BenchmarkId::new("merge", len), &len, |bench, _| {
-            bench.iter(|| black_box(verify::overlap(black_box(&a), black_box(&b))))
+            bench.iter(|| black_box(verify::overlap_merge(black_box(&a), black_box(&b), 0, 0)))
+        });
+        #[cfg(target_arch = "x86_64")]
+        g.bench_with_input(BenchmarkId::new("simd", len), &len, |bench, _| {
+            bench.iter(|| black_box(verify::overlap_simd(black_box(&a), black_box(&b), 0, 0)))
         });
         g.bench_with_input(
             BenchmarkId::new("early_term_high", len),

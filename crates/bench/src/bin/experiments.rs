@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! experiments [--n N] [--quick] [--results DIR] <id>...
-//!   ids: check t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 f9 f10 f11 f12 f13 f14 f15 f16 f18 a1 all
+//!   ids: check t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 f9 f11 f12 f13 f14 f15 f16 f18 a1 all
 //! ```
 
 use ssj_bench::{exps, Scale};
@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const IDS: &[&str] = &[
-    "check", "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f10", "f11", "f12",
-    "f13", "f14", "f15", "f16", "f18", "a1", "e2e",
+    "check", "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f11", "f12", "f13",
+    "f14", "f15", "f16", "f18", "a1",
 ];
 
 fn usage() -> ExitCode {
@@ -80,7 +80,6 @@ fn main() -> ExitCode {
             "f7" => exps::f7(scale, &results),
             "f8" => exps::f8(scale, &results),
             "f9" => exps::f9(scale, &results),
-            "f10" => exps::f10(scale, &results),
             "f11" => exps::f11(scale, &results),
             "f12" => exps::f12(scale, &results),
             "f13" => exps::f13(scale, &results),
@@ -89,7 +88,6 @@ fn main() -> ExitCode {
             "f16" => exps::f16(scale, &results),
             "f18" => exps::f18(scale, &results),
             "a1" => exps::a1(scale, &results),
-            "e2e" => exps::e2e(scale, &results),
             other => {
                 eprintln!("unknown experiment id: {other}");
                 return usage();

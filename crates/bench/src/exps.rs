@@ -15,11 +15,10 @@ use ssj_distrib::{
     run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy,
 };
 use ssj_partition::{
-    equal_depth, equal_width, imbalance, load_aware, load_aware_greedy, CostModel, EpochConfig,
-    LengthHistogram,
+    equal_depth, equal_width, imbalance, load_aware, load_aware_greedy, CostModel, LengthHistogram,
 };
 use ssj_text::{FxHashSet, TokenId};
-use ssj_workloads::{DatasetProfile, DriftConfig, DriftingGenerator};
+use ssj_workloads::DatasetProfile;
 use std::path::Path;
 use std::time::Instant;
 use stormlite::FaultPlan;
@@ -552,69 +551,6 @@ pub fn f9(scale: Scale, results: &Path) {
         ]);
     }
     t.emit(results, "f9_window_size");
-}
-
-/// F10 — online repartitioning under length drift (static vs epoched).
-pub fn f10(scale: Scale, results: &Path) {
-    let n = scale.n().max(10_000);
-    let tau = 0.6;
-    let k = 8;
-    let join = JoinConfig {
-        threshold: Threshold::jaccard(tau),
-        window: Window::Count((n / 5) as u64),
-    };
-    // Lengths triple over the first half of the stream: by the end, almost
-    // every record is longer than anything in the calibration sample, so a
-    // static plan funnels the entire (clamped) stream into its last joiner
-    // — the staleness catastrophe online repartitioning exists to fix.
-    let drift = DriftConfig::length_drift(n / 2, 3.0);
-    let recs = DriftingGenerator::new(DatasetProfile::dblp(), SEED, drift).take_records(n);
-    let sample = (n / 20).max(100);
-    // The table exposes the full trade-off: online repartitioning improves
-    // balance (busy_imbalance) but pays for it in transition probe fan-out
-    // (msgs/rec) — during a plan transition probes target the union of all
-    // active plans to stay exact. Whether that trade wins depends on the
-    // ratio of per-record join cost to message-handling cost; see
-    // EXPERIMENTS.md for the analysis.
-    let mut t = Table::new(
-        &format!(
-            "F10: drift (length x3 over {}): static vs online repartitioning, k = {k}",
-            n / 2
-        ),
-        &[
-            "strategy",
-            "wall_rps",
-            "modeled_rps",
-            "busy_imbalance",
-            "msgs/rec",
-            "results",
-        ],
-    );
-    for (name, strategy) in [
-        ("static", length_auto(sample)),
-        (
-            "online",
-            Strategy::LengthOnline {
-                sample,
-                epoch: EpochConfig {
-                    check_every: (n as u64 / 10).max(500),
-                    rebalance_factor: 1.3,
-                    max_plans: 3,
-                },
-            },
-        ),
-    ] {
-        let out = run_distributed(&recs, &dist_cfg(k, join, LocalAlgo::PpJoin, strategy));
-        t.row(vec![
-            name.into(),
-            fnum(out.throughput()),
-            fnum(out.modeled_throughput()),
-            fnum(out.load_imbalance()),
-            fnum(out.msgs_per_record()),
-            out.pairs.len().to_string(),
-        ]);
-    }
-    t.emit(results, "f10_drift");
 }
 
 /// F11 — local joiner throughput vs stream length (index-growth
@@ -1572,164 +1508,6 @@ pub fn f18(scale: Scale, results: &Path) {
     }
     let _ = std::fs::remove_dir_all(&tmp);
     t.emit(results, "f18_integrity");
-}
-
-/// Day of the current UTC date as `YYYY-MM-DD` (Hinnant's civil-from-days
-/// algorithm, so the harness needs no calendar dependency).
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Appends `entry` (a JSON object) to a JSON-array file, creating the file
-/// as `[entry]` if it does not exist. The file stays pretty-printed with
-/// one entry per array slot so diffs show exactly one new trajectory point.
-fn append_json_entry(path: &Path, entry: &str) {
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let body = match std::fs::read_to_string(path) {
-        Ok(old) => {
-            let trimmed = old.trim_end();
-            let without_close = trimmed
-                .strip_suffix(']')
-                .unwrap_or_else(|| panic!("{}: expected a JSON array file", path.display()))
-                .trim_end();
-            let sep = if without_close.ends_with('[') {
-                ""
-            } else {
-                ","
-            };
-            format!("{without_close}{sep}\n{entry}\n]\n")
-        }
-        Err(_) => format!("[\n{entry}\n]\n"),
-    };
-    std::fs::write(path, body).expect("write perf trajectory");
-}
-
-/// E2E — one traced end-to-end run appended as a perf-trajectory point to
-/// `results/BENCH_e2e.json`: throughput (records/s) plus per-stage p50/p99
-/// from the driver's [`obs::StageProfile`]. Repeated runs accumulate a
-/// history of end-to-end performance alongside the evolving code.
-pub fn e2e(scale: Scale, results: &Path) {
-    let n = scale.n();
-    let recs = records(&DatasetProfile::tweet(), n);
-    let join = JoinConfig::jaccard(0.8);
-    let cfg = DistributedJoinConfig {
-        trace: Some(ssj_distrib::TraceConfig::default()),
-        ..dist_cfg(4, join, LocalAlgo::bundle(), length_auto(5_000))
-    };
-    let out = run_distributed(&recs, &cfg);
-
-    let mut t = Table::new(
-        &format!("E2E: traced end-to-end run (tweet, n = {n}, k = 4, tau = 0.8)"),
-        &["stage", "count", "p50_us", "p99_us"],
-    );
-    let stage_json = stage_rows(&mut t, &out.stages);
-    t.emit(results, "e2e_stages");
-
-    let entry = format!(
-        "  {{\n    \"bench\": \"e2e_tweet_threads\",\n    \"date\": \"{}\",\n    \
-         \"records\": {n},\n    \"k\": 4,\n    \"tau\": 0.8,\n    \"pairs\": {},\n    \
-         \"records_per_s\": {:.0},\n    \"trace_spans\": {},\n    \"stages\": {{\n{stage_json}\n    }}\n  }}",
-        today_utc(),
-        out.pairs.len(),
-        out.throughput(),
-        out.trace.as_ref().map_or(0, obs::RunTrace::len),
-    );
-    append_json_entry(&results.join("BENCH_e2e.json"), &entry);
-    println!(
-        "appended trajectory point to {}\n",
-        results.join("BENCH_e2e.json").display()
-    );
-
-    // Same workload through the TCP cluster: k real ssj-node processes on
-    // localhost sockets. The pair set must match the threads run exactly;
-    // the trajectory point prices the wire (codec, batching, acks).
-    let Some(bin) = node_bin() else {
-        println!(
-            "ssj-node binary not found — skipping the TCP cluster row \
-             (set SSJ_NODE_BIN or run `cargo build --release --bin ssj-node`)\n"
-        );
-        return;
-    };
-    let mut ccfg = ssj_distrib::ClusterConfig::recommended(
-        4,
-        join,
-        ssj_distrib::ClusterBackend::Tcp { node_bin: bin },
-    );
-    ccfg.local = LocalAlgo::bundle();
-    ccfg.strategy = length_auto(5_000);
-    let cout = ssj_distrib::run_cluster(&recs, &ccfg);
-    let mut want: Vec<(u64, u64)> = out.pairs.iter().map(|m| m.key()).collect();
-    want.sort_unstable();
-    let mut got: Vec<(u64, u64)> = cout.pairs.iter().map(|m| m.key()).collect();
-    got.sort_unstable();
-    assert_eq!(want, got, "TCP cluster diverged from the threads run");
-
-    let mut t = Table::new(
-        &format!("E2E: TCP cluster run (tweet, n = {n}, k = 4, tau = 0.8, ssj-node processes)"),
-        &["stage", "count", "p50_us", "p99_us"],
-    );
-    let stage_json = stage_rows(&mut t, &cout.stages);
-    t.emit(results, "e2e_tcp_stages");
-    let entry = format!(
-        "  {{\n    \"bench\": \"e2e_tweet_tcp_cluster\",\n    \"date\": \"{}\",\n    \
-         \"records\": {n},\n    \"k\": 4,\n    \"tau\": 0.8,\n    \"pairs\": {},\n    \
-         \"records_per_s\": {:.0},\n    \"latency_p50_ns\": {},\n    \"latency_p99_ns\": {},\n    \
-         \"retransmissions\": {},\n    \"stages\": {{\n{stage_json}\n    }}\n  }}",
-        today_utc(),
-        cout.pairs.len(),
-        cout.throughput(),
-        cout.latency.quantile(0.5).as_nanos(),
-        cout.latency.quantile(0.99).as_nanos(),
-        cout.retransmissions,
-    );
-    append_json_entry(&results.join("BENCH_e2e.json"), &entry);
-    println!(
-        "appended TCP-backend trajectory point to {}\n",
-        results.join("BENCH_e2e.json").display()
-    );
-}
-
-/// Fills a stage-latency table from `stages` and returns the matching
-/// JSON fragment for the perf-trajectory entry.
-fn stage_rows(t: &mut Table, stages: &obs::StageProfile) -> String {
-    let mut stage_json = String::new();
-    for (stage, h) in stages.stages() {
-        if h.count() == 0 {
-            continue;
-        }
-        let p50 = h.quantile(0.5).as_nanos();
-        let p99 = h.quantile(0.99).as_nanos();
-        t.row(vec![
-            stage.name().into(),
-            h.count().to_string(),
-            fnum(p50 as f64 / 1e3),
-            fnum(p99 as f64 / 1e3),
-        ]);
-        if !stage_json.is_empty() {
-            stage_json.push_str(",\n");
-        }
-        stage_json.push_str(&format!(
-            "      \"{}\": {{ \"count\": {}, \"p50_ns\": {p50}, \"p99_ns\": {p99} }}",
-            stage.name(),
-            h.count()
-        ));
-    }
-    stage_json
 }
 
 /// Correctness smoke: naive vs the full distributed recommended setup on a

@@ -381,7 +381,9 @@ fn tcp_sparse_links_are_flushed_before_their_frames_go_stale() {
     // Nearly every record has length 10 and lives on task 0; one in fifty
     // is long and lands on task 1 or 2, whose links therefore never reach
     // a batch threshold on their own. Only the every-32-records flush
-    // stands between those frames and the 40 ms retransmission timer.
+    // stands between those frames and the 40 ms retransmission timer, so
+    // the contract under test is the flush itself: the launcher never
+    // dispatches more than `BATCH_MAX_FRAMES` records without one.
     with_deadline(TEST_DEADLINE, || {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |below: u32| {
@@ -421,7 +423,17 @@ fn tcp_sparse_links_are_flushed_before_their_frames_go_stale() {
         );
         assert!(handled[1] > 0 && handled[2] > 0, "sparse links unused");
         assert!(!out.pairs.is_empty(), "workload produced no pairs");
-        assert_eq!(out.retransmissions, 0, "a sparse link's frame went stale");
-        assert_eq!(out.dup_results_dropped, 0);
+        assert!(
+            out.unflushed_records_high_water <= ssj_distrib::BATCH_MAX_FRAMES,
+            "{} records were dispatched between two all-link flushes",
+            out.unflushed_records_high_water
+        );
+        // The wall-clock consequence is only asserted where a slow host
+        // cannot be what trips the timer: a debug-build launcher on a
+        // loaded 2-vCPU machine can take 40 ms over 32 records by itself.
+        if !cfg!(debug_assertions) {
+            assert_eq!(out.retransmissions, 0, "a sparse link's frame went stale");
+            assert_eq!(out.dup_results_dropped, 0);
+        }
     });
 }

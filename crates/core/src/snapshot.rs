@@ -25,6 +25,11 @@ use std::io::{self, Cursor, Read, Write};
 /// Magic number leading every window snapshot.
 const MAGIC: u32 = 0x5057_4e53;
 
+/// Most entries [`decode_window`] reserves room for before it has read
+/// any: the count comes from disk, so a corrupt header must not size an
+/// allocation. Larger windows grow as their entries arrive.
+const PREALLOC_ENTRIES: usize = 1024;
+
 /// One snapshot entry: a live window record, side-tagged iff it belongs to
 /// a bi-stream joiner.
 pub type SnapshotEntry = (Option<Side>, Record);
@@ -103,7 +108,7 @@ pub fn decode_window<R: Read>(input: &mut R) -> io::Result<Vec<SnapshotEntry>> {
         ));
     }
     let count = u32::from_le_bytes(head[4..].try_into().expect("4 bytes")) as usize;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = Vec::with_capacity(count.min(PREALLOC_ENTRIES));
     let mut prev: Option<u64> = None;
     for _ in 0..count {
         let mut tag = [0u8; 1];

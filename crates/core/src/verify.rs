@@ -12,31 +12,24 @@
 //!   against a large one (binary search per element), used by bundle batch
 //!   verification to apply per-member token deltas.
 //!
-//! Under the hood every entry point routes through one of four exact
-//! **kernels**, selected per call by cheap shape tests (see
-//! [`GALLOP_RATIO`] and the density rule in the dispatcher):
+//! Under the hood every entry point routes through one of two exact
+//! **kernels**, selected by platform only:
 //!
-//! * [`overlap_merge`] — the plain sorted-merge, and the oracle the other
-//!   kernels are differentially tested against (`tests/verify_kernels.rs`);
-//! * [`overlap_gallop`] — galloping (exponential + binary search) probe of
-//!   the shorter side into the longer one, for skewed length ratios;
-//! * [`overlap_bitset`] — word-parallel `u64` bitset blocks (block id =
-//!   `token >> 6`, one popcount per shared block), for short/dense records;
 //! * [`overlap_simd`] — SSE2 block intersection (4 lanes of `a` against
-//!   all rotations of 4 lanes of `b`), the merge path on `x86_64`.
+//!   all rotations of 4 lanes of `b`), the path taken on `x86_64`;
+//! * [`overlap_merge`] — the plain sorted-merge: the portable path, and the
+//!   oracle the SIMD kernel is differentially tested against
+//!   (`tests/verify_kernels.rs`).
 //!
-//! Every kernel honours the same contract: it returns `Some(exact)` iff
-//! the exact intersection size reaches `min_required`, else `None`. The
-//! *outcome* therefore depends only on the operands, never on the kernel
-//! chosen — early termination merely decides how soon a `None` is known.
+//! Both honour the same contract: `Some(exact)` iff the exact intersection
+//! size reaches `min_required`, else `None`. The *outcome* therefore
+//! depends only on the operands, never on the kernel — early termination
+//! merely decides how soon a `None` is known. Both are `O(n + m)`; the
+//! length filter bounds `m / n` of every verified pair by `1/τ` (Jaccard),
+//! so no workload has a shape where a sub-linear kernel would pay (DESIGN
+//! §12 has the census).
 
 use ssj_text::TokenId;
-
-/// Length ratio beyond which the galloping kernel beats the merge: gallop
-/// when the longer side is more than this many times the shorter one.
-/// Measured on the `verify` criterion bench (skewed 8-vs-512 pairs are
-/// ~3× faster galloping; near-equal lengths are faster merged).
-pub const GALLOP_RATIO: usize = 8;
 
 #[inline]
 fn finish(o: usize, min_required: usize) -> Option<usize> {
@@ -79,37 +72,17 @@ pub fn overlap_from(
     dispatch(a, b, acc, min_required)
 }
 
-/// Kernel selection. Shape tests in order of decreasing payoff:
-/// skewed lengths → gallop; dense token span (≥ one token per 64-id block
-/// on average) → bitset blocks; otherwise the scalar merge.
+/// Kernel selection, by platform only: SSE2 is part of the x86-64
+/// baseline, everything else takes the scalar merge.
 #[inline]
 fn dispatch(a: &[TokenId], b: &[TokenId], acc: usize, min_required: usize) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return finish(acc, min_required);
-    }
-    if m > n * GALLOP_RATIO {
-        return overlap_gallop(a, b, acc, min_required);
-    }
-    if n > m * GALLOP_RATIO {
-        return overlap_gallop(b, a, acc, min_required);
-    }
-    // Density test: blocks spanned by the combined id range vs. total
-    // tokens. At least one token per block on average means most block
-    // visits popcount several tokens at once.
-    let lo = a[0].0.min(b[0].0);
-    let hi = a[n - 1].0.max(b[m - 1].0);
-    let blocks = ((hi - lo) >> 6) as usize + 1;
-    if blocks <= n + m {
-        return overlap_bitset(a, b, acc, min_required);
-    }
     #[cfg(target_arch = "x86_64")]
     return overlap_simd(a, b, acc, min_required);
     #[cfg(not(target_arch = "x86_64"))]
     overlap_merge(a, b, acc, min_required)
 }
 
-/// The plain sorted-merge kernel (and the oracle for the other kernels):
+/// The plain sorted-merge kernel (and the oracle for [`overlap_simd`]):
 /// `acc + |a ∩ b|` if it reaches `min_required`, else `None`.
 pub fn overlap_merge(
     a: &[TokenId],
@@ -210,93 +183,6 @@ pub fn overlap_simd(
             o += usize::from(x == y);
             i += usize::from(x <= y);
             j += usize::from(y <= x);
-        }
-    }
-    finish(o, min_required)
-}
-
-/// Galloping kernel for skewed lengths: probes each token of `probe` into
-/// `haystack` with an exponential search that resumes where the previous
-/// probe left off. `O(|probe| · log(gap))` — wins when
-/// `|haystack| ≫ |probe|`. Exact under the same `Some`/`None` contract.
-pub fn overlap_gallop(
-    probe: &[TokenId],
-    haystack: &[TokenId],
-    acc: usize,
-    min_required: usize,
-) -> Option<usize> {
-    let mut o = acc;
-    let mut lo = 0usize;
-    for (k, &t) in probe.iter().enumerate() {
-        // Every unprocessed probe token could still match.
-        if o + (probe.len() - k) < min_required {
-            return None;
-        }
-        if lo >= haystack.len() {
-            break;
-        }
-        // Exponential bound: first index ≥ lo whose token is ≥ t lies in
-        // (lo, lo + bound] once the loop stops.
-        let mut bound = 1usize;
-        while lo + bound < haystack.len() && haystack[lo + bound] < t {
-            bound <<= 1;
-        }
-        let end = (lo + bound + 1).min(haystack.len());
-        match haystack[lo..end].binary_search(&t) {
-            Ok(p) => {
-                o += 1;
-                lo += p + 1;
-            }
-            Err(p) => lo += p,
-        }
-    }
-    finish(o, min_required)
-}
-
-/// Word-parallel kernel for short/dense records: walks both slices by
-/// 64-id block (`token >> 6`), gathers each side's tokens of the shared
-/// block into a `u64` mask, and adds one `popcount` of the AND per block.
-/// Exact under the same `Some`/`None` contract; the early-termination
-/// bound is checked once per block rather than once per token.
-pub fn overlap_bitset(
-    a: &[TokenId],
-    b: &[TokenId],
-    acc: usize,
-    min_required: usize,
-) -> Option<usize> {
-    let (n, m) = (a.len(), b.len());
-    let mut i = 0;
-    let mut j = 0;
-    let mut o = acc;
-    while i < n && j < m {
-        let remaining = (n - i).min(m - j);
-        if o + remaining < min_required {
-            return None;
-        }
-        let ba = a[i].0 >> 6;
-        let bb = b[j].0 >> 6;
-        if ba < bb {
-            i += 1;
-            while i < n && a[i].0 >> 6 < bb {
-                i += 1;
-            }
-        } else if bb < ba {
-            j += 1;
-            while j < m && b[j].0 >> 6 < ba {
-                j += 1;
-            }
-        } else {
-            let mut wa = 0u64;
-            while i < n && a[i].0 >> 6 == ba {
-                wa |= 1 << (a[i].0 & 63);
-                i += 1;
-            }
-            let mut wb = 0u64;
-            while j < m && b[j].0 >> 6 == ba {
-                wb |= 1 << (b[j].0 & 63);
-                j += 1;
-            }
-            o += (wa & wb).count_ones() as usize;
         }
     }
     finish(o, min_required)

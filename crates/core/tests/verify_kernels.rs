@@ -4,9 +4,9 @@
 //! The verify module's contract: a kernel returns `Some(exact)` iff the
 //! exact intersection size (plus any accumulator) reaches `min_required`,
 //! else `None` — the *outcome* depends only on the operands, never on the
-//! kernel chosen. Here every kernel (merge, gallop, bitset, SIMD on
-//! x86-64) and every public entry point is checked against a hash-set
-//! intersection over adversarial shapes and proptest-generated sets.
+//! kernel chosen. Here both kernels (merge, and SIMD on x86-64) and every
+//! public entry point are checked against a tree-set intersection over
+//! adversarial shapes and proptest-generated sets.
 
 use proptest::prelude::*;
 use ssj_core::verify;
@@ -27,17 +27,9 @@ fn naive(a: &[TokenId], b: &[TokenId]) -> usize {
 /// The shared kernel signature: `(a, b, acc, min_required)`.
 type Kernel = fn(&[TokenId], &[TokenId], usize, usize) -> Option<usize>;
 
-/// Every kernel, by name. `overlap_gallop` is asymmetric (probe vs
-/// haystack), so it appears in both orientations.
+/// Every kernel, by name.
 fn kernels() -> Vec<(&'static str, Kernel)> {
-    let mut v: Vec<(&'static str, Kernel)> = vec![
-        ("merge", verify::overlap_merge),
-        ("gallop", verify::overlap_gallop),
-        ("gallop_rev", |a, b, acc, min| {
-            verify::overlap_gallop(b, a, acc, min)
-        }),
-        ("bitset", verify::overlap_bitset),
-    ];
+    let mut v: Vec<(&'static str, Kernel)> = vec![("merge", verify::overlap_merge)];
     #[cfg(target_arch = "x86_64")]
     v.push(("simd", verify::overlap_simd));
     v
@@ -122,10 +114,11 @@ fn lengths_straddling_the_simd_lane_width() {
 }
 
 #[test]
-fn lengths_straddling_the_gallop_ratio() {
-    // m/n around GALLOP_RATIO flips the dispatcher between gallop and the
-    // block kernels; the direct kernel calls must agree regardless.
-    let r = verify::GALLOP_RATIO as u32;
+fn skewed_length_ratios() {
+    // m/n around 8 and 32: one side runs out of blocks while the other has
+    // dozens left, so the SIMD kernel's block loop ends early and its
+    // scalar tail does the rest.
+    let r = 8u32;
     for n in [1u32, 2, 5] {
         for m in [n * r - 1, n * r, n * r + 1, n * r * 4] {
             let a: Vec<TokenId> = (0..n).map(|i| TokenId(i * 97)).collect();
@@ -138,10 +131,9 @@ fn lengths_straddling_the_gallop_ratio() {
 }
 
 #[test]
-fn tokens_straddling_bitset_block_boundaries() {
-    // Ids packed around multiples of 64 hit the bitset kernel's block
-    // transitions; sparse ids (stride 1000) fail its density test yet the
-    // direct call must still be exact.
+fn dense_and_sparse_id_ranges() {
+    // Runs of consecutive ids (several matches per 4-lane block), sparse
+    // ids (stride 1000, at most one), and one of each.
     assert_contract(
         &toks(&[62, 63, 64, 65, 126, 127, 128, 129]),
         &toks(&[63, 64, 127, 128, 191, 192]),
@@ -181,8 +173,7 @@ fn sorted_set(max: u32, len: usize) -> impl Strategy<Value = Vec<TokenId>> {
 }
 
 proptest! {
-    /// Sparse universe: the dispatcher's density test usually fails, so
-    /// direct kernel calls are the only way these shapes reach bitset.
+    /// Sparse universe: few matches, most blocks skipped without one.
     #[test]
     fn kernels_agree_on_sparse_sets(
         a in sorted_set(100_000, 120),
@@ -198,7 +189,7 @@ proptest! {
     }
 
     /// Dense universe: heavy overlap, long shared blocks, every id range
-    /// packed — the bitset and SIMD kernels' favourite shapes.
+    /// packed — several matches per SIMD block.
     #[test]
     fn kernels_agree_on_dense_sets(
         a in sorted_set(300, 150),
@@ -214,7 +205,7 @@ proptest! {
     }
 
     /// Skewed lengths: a handful of tokens against hundreds, both
-    /// orientations, straddling the dispatcher's gallop cutover.
+    /// orientations.
     #[test]
     fn kernels_agree_on_skewed_sets(
         a in sorted_set(5_000, 8),

@@ -26,7 +26,7 @@
 //! [`FileStore`] (epoch-stamped snapshot files encoded with the `ssj-text`
 //! record codec via [`ssj_core::snapshot`]). A whole-process restart
 //! rebuilds a topology from the latest complete checkpoint through
-//! [`load_latest`] and the driver's `restore_from` path.
+//! [`load_latest_verified`] and the driver's `restore_from` path.
 //!
 //! # Integrity
 //!
@@ -367,11 +367,13 @@ impl Manifest {
         let partition = match take(33..34)?[0] {
             0 => None,
             1 => {
+                // Every declared bound must be present before anything is
+                // allocated for them.
                 let count = u32_at(34)? as usize;
-                let mut uppers = Vec::with_capacity(count);
-                for i in 0..count {
-                    uppers.push(u64_at(38 + 8 * i)? as usize);
-                }
+                let uppers = take(38..38usize.saturating_add(count.saturating_mul(8)))?
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+                    .collect();
                 Some(LengthPartition::from_uppers(uppers))
             }
             _ => return Err(bad("bad partition flag")),
@@ -631,16 +633,6 @@ impl CheckpointCoordinator {
         }
     }
 
-    /// Joiner side, on restart: the verified snapshot to restore `task`
-    /// from — the newest epoch committed *in this run* whose part passes
-    /// its integrity check, falling back across the retained epochs — or
-    /// `None` before the first commit (plain buffer replay then covers
-    /// everything) or when every retained epoch is quarantined.
-    pub fn restore_for(&self, task: usize) -> Option<(u64, Vec<SnapshotEntry>)> {
-        let mut inner = self.inner.lock();
-        self.verified_restore_locked(&mut inner, task).0
-    }
-
     /// Joiner side, on restart: atomically pairs the newest *verified*
     /// committed snapshot with the replay-buffer suffix past its cut. The
     /// two are read under the coordinator lock so no epoch can commit —
@@ -837,29 +829,6 @@ fn load_epoch(store: &dyn SnapshotStore, epoch: u64) -> Result<CheckpointImage, 
     })
 }
 
-/// Loads the latest complete checkpoint from `store`, or `None` if no
-/// epoch ever committed.
-///
-/// Replicating strategies store one record at several joiners; the union
-/// is deduplicated by id (windows are judged per record, so every copy is
-/// identical) and re-sorted into arrival order, ready to re-dispatch
-/// through a fresh router.
-///
-/// This is the *strict* reader: any verification failure is an error. Use
-/// [`load_latest_verified`] to fall back across corrupt epochs instead.
-///
-/// # Errors
-/// Fails on store I/O errors, a corrupt manifest or snapshot, or a
-/// committed epoch missing one of its parts.
-pub fn load_latest(store: &dyn SnapshotStore) -> io::Result<Option<CheckpointImage>> {
-    let Some(epoch) = store.latest_complete()? else {
-        return Ok(None);
-    };
-    load_epoch(store, epoch)
-        .map(Some)
-        .map_err(EpochFault::into_error)
-}
-
 /// Outcome of a verified restore scan over a whole store: the newest
 /// fully-verified checkpoint (if any) plus the audit trail of every newer
 /// epoch that had to be quarantined to reach it.
@@ -898,8 +867,11 @@ impl RestoreScan {
 
 /// Walks every committed epoch in `store` newest-first and returns the
 /// first one that fully verifies, quarantining (skipping and counting)
-/// each corrupt epoch on the way — the verified-restore counterpart of
-/// the strict [`load_latest`]. A store whose every epoch is corrupt
+/// each corrupt epoch on the way. Replicating strategies store one record
+/// at several joiners; the image's window is their union, deduplicated by
+/// id (windows are judged per record, so every copy is identical) and in
+/// arrival order, ready to re-dispatch through a fresh router. A store
+/// with no committed epoch, or whose every epoch is corrupt,
 /// yields `image: None` with the full quarantine list: the caller decides
 /// whether to recompute from scratch or abort, but is never handed
 /// unverified state and never panics.
@@ -1195,7 +1167,10 @@ mod tests {
         let coord = CheckpointCoordinator::new(2, &cfg, Arc::clone(&recovery)).unwrap();
         let epoch = coord.begin_epoch(Timestamp::ZERO, 9, vec![Some(8), Some(7)], false, None);
         assert_eq!(epoch, 1);
-        assert!(coord.restore_for(0).is_none(), "nothing committed yet");
+        assert!(
+            coord.restore_and_replay_for(0).0.is_none(),
+            "nothing committed yet"
+        );
 
         let first = coord.publish(epoch, 0, &entries(&[0, 2, 4, 6, 8]));
         assert!(!first.completed);
@@ -1212,7 +1187,7 @@ mod tests {
         assert_eq!(recovery.buffered(0), 5);
         assert_eq!(recovery.buffered(1), 5);
 
-        let (e, restored) = coord.restore_for(1).unwrap();
+        let (e, restored) = coord.restore_and_replay_for(1).0.unwrap();
         assert_eq!(e, 1);
         let ids: Vec<u64> = restored.iter().map(|(_, r)| r.id().0).collect();
         assert_eq!(ids, vec![1, 3, 5, 7, 9]);
@@ -1346,8 +1321,6 @@ mod tests {
         assert_eq!(scan.corrupt_manifests, 1);
         assert_eq!(scan.fallback_depth(), 2);
         assert_eq!(scan.integrity().quarantined_epochs, 2);
-        // The strict reader refuses the same store outright.
-        assert!(load_latest(&store).is_err());
 
         let report = scrub(&store).unwrap();
         assert_eq!(report.epochs.len(), 3);
@@ -1408,9 +1381,9 @@ mod tests {
     }
 
     #[test]
-    fn load_latest_unions_and_dedups_task_windows() {
+    fn verified_load_unions_and_dedups_task_windows() {
         let store = MemStore::new();
-        assert!(load_latest(&store).unwrap().is_none());
+        assert!(load_latest_verified(&store).unwrap().image.is_none());
         // Replicated record 5 appears in both task snapshots (broadcast-
         // style routing); the image must carry it once.
         let part0 = encode_window_vec(&entries(&[1, 5])).unwrap();
@@ -1437,7 +1410,9 @@ mod tests {
                 ),
             )
             .unwrap();
-        let image = load_latest(&store).unwrap().unwrap();
+        let scan = load_latest_verified(&store).unwrap();
+        assert!(scan.quarantined.is_empty());
+        let image = scan.image.unwrap();
         assert_eq!(image.epoch, 2);
         assert_eq!(image.cut_id, 9);
         assert_eq!(image.k, 2);
@@ -1448,7 +1423,7 @@ mod tests {
     }
 
     #[test]
-    fn load_latest_rejects_a_complete_epoch_with_missing_parts() {
+    fn verified_load_quarantines_a_complete_epoch_with_missing_parts() {
         let store = MemStore::new();
         store
             .put(
@@ -1472,8 +1447,12 @@ mod tests {
                 ),
             )
             .unwrap();
-        let err = load_latest(&store).expect_err("a committed epoch lost a part");
-        assert!(err.to_string().contains("missing part"), "{err}");
+        let scan = load_latest_verified(&store).unwrap();
+        assert!(scan.image.is_none(), "a committed epoch lost a part");
+        assert_eq!(scan.quarantined, vec![1]);
+        assert_eq!(scan.corrupt_snapshot_parts, 1);
+        let err = scrub(&store).unwrap().epochs[0].error.clone().unwrap();
+        assert!(err.contains("missing part"), "{err}");
     }
 
     #[test]

@@ -384,6 +384,11 @@ pub struct ClusterResult {
     /// Write batches those frames left in — one `write(2)` each over TCP;
     /// `frames_sent / wire_flushes` is the coalescing ratio.
     pub wire_flushes: u64,
+    /// Most source records the launcher ever dispatched between two
+    /// flushes of all links. The flush contract in the module docs bounds
+    /// it by [`stormlite::BATCH_MAX_FRAMES`], which is what keeps a frame
+    /// on a sparsely-routed link from outliving the retransmission timer.
+    pub unflushed_records_high_water: usize,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
     /// Launcher-side per-stage latencies (route, dispatch, deliver,
@@ -936,6 +941,8 @@ struct Launcher<'a> {
     retransmissions: u64,
     /// Source records dispatched since every link was last flushed.
     unflushed_records: usize,
+    /// The most `unflushed_records` ever reached.
+    unflushed_high_water: usize,
     /// Batch counters of wires already replaced by a respawn.
     retired_batch_counters: (u64, u64),
     shed_log: Vec<u64>,
@@ -984,6 +991,7 @@ impl<'a> Launcher<'a> {
             record_started: Instant::now(),
             retransmissions: 0,
             unflushed_records: 0,
+            unflushed_high_water: 0,
             retired_batch_counters: (0, 0),
             shed_log: Vec::new(),
             published: FxHashSet::default(),
@@ -1033,7 +1041,7 @@ impl<'a> Launcher<'a> {
         }
         let n_records = source.len() - prepended;
 
-        let router = build_router(&strategy, threshold, window, self.cfg.k, &self.arrival);
+        let router = build_router(&strategy, threshold, self.cfg.k, &self.arrival);
         self.needs_dedup = router.needs_result_dedup();
 
         // Anything that can kill a node needs the recovery machinery:
@@ -1142,6 +1150,7 @@ impl<'a> Launcher<'a> {
             self.stages
                 .record(Stage::Dispatch, self.record_started.elapsed());
             self.unflushed_records += 1;
+            self.unflushed_high_water = self.unflushed_high_water.max(self.unflushed_records);
             if self.unflushed_records >= stormlite::BATCH_MAX_FRAMES {
                 self.flush_links();
             }
@@ -1231,6 +1240,7 @@ impl<'a> Launcher<'a> {
             retransmissions: self.retransmissions,
             frames_sent: self.retired_batch_counters.0,
             wire_flushes: self.retired_batch_counters.1,
+            unflushed_records_high_water: self.unflushed_high_water,
             epochs_committed: self
                 .coordinator
                 .as_ref()

@@ -9,7 +9,7 @@ use crate::checkpoint::{
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
-use crate::route::{BroadcastRouter, EpochRouter, LengthRouter, PrefixRouter, Router};
+use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
 use obs::{RunTrace, StageProfile, TraceConfig, TraceSink};
 use parking_lot::Mutex;
 use ssj_core::snapshot::SnapshotEntry;
@@ -18,8 +18,8 @@ use ssj_core::{
     StreamJoiner, Threshold, Window,
 };
 use ssj_partition::{
-    equal_depth, equal_width, load_aware, load_aware_greedy, CostModel, EpochConfig,
-    EpochedPartitioner, LengthHistogram, LengthPartition,
+    equal_depth, equal_width, load_aware, load_aware_greedy, CostModel, LengthHistogram,
+    LengthPartition,
 };
 use ssj_text::Record;
 use std::sync::Arc;
@@ -141,13 +141,6 @@ pub enum Strategy {
         /// Calibration sample size.
         sample: usize,
     },
-    /// Length-based routing with online repartitioning under drift.
-    LengthOnline {
-        /// Calibration sample size for the initial plan.
-        sample: usize,
-        /// Drift-detection policy.
-        epoch: EpochConfig,
-    },
     /// Prefix-token hash routing (replicating baseline).
     Prefix,
     /// Round-robin index + probe broadcast (baseline).
@@ -159,7 +152,6 @@ impl Strategy {
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::Length(_) | Strategy::LengthAuto { .. } => "length",
-            Strategy::LengthOnline { .. } => "length-online",
             Strategy::Prefix => "prefix",
             Strategy::Broadcast => "broadcast",
         }
@@ -476,15 +468,14 @@ pub fn run_bistream_distributed(
     run_internal(source, &sample, true, cfg)
 }
 
-/// Instantiates the router a strategy describes, calibrating data-dependent
-/// strategies (`LengthAuto` / `LengthOnline`) from a prefix of
-/// `arrival_order`. Shared by the in-process driver and the cluster
-/// launcher (`crate::cluster`) so both route identically for the same
-/// input — a precondition for the cross-process differential tests.
+/// Instantiates the router a strategy describes, calibrating the
+/// data-dependent `LengthAuto` from a prefix of `arrival_order`. Shared by
+/// the in-process driver and the cluster launcher (`crate::cluster`) so
+/// both route identically for the same input — a precondition for the
+/// cross-process differential tests.
 pub(crate) fn build_router(
     strategy: &Strategy,
     threshold: Threshold,
-    window: Window,
     k: usize,
     arrival_order: &[Record],
 ) -> Box<dyn Router + Send> {
@@ -498,14 +489,6 @@ pub(crate) fn build_router(
             let sample = &arrival_order[..take.min(arrival_order.len())];
             let partition = calibrate_partition(sample, threshold, k, *method);
             Box::new(LengthRouter::new(threshold, partition))
-        }
-        Strategy::LengthOnline { sample, epoch } => {
-            let take = (*sample).clamp(1, arrival_order.len().max(1));
-            let sample = &arrival_order[..take.min(arrival_order.len())];
-            let initial = calibrate_partition(sample, threshold, k, PartitionMethod::LoadAware);
-            Box::new(EpochRouter::new(EpochedPartitioner::new(
-                threshold, window, initial, *epoch,
-            )))
         }
         Strategy::Prefix => Box::new(PrefixRouter::new(threshold, k)),
         Strategy::Broadcast => Box::new(BroadcastRouter::new(k)),
@@ -642,7 +625,7 @@ fn run_internal(
     // streamed workload the run's rates are normalized by.
     let n_records = source.len() - prepended;
 
-    let router = build_router(&strategy, threshold, window, cfg.k, arrival_order);
+    let router = build_router(&strategy, threshold, cfg.k, arrival_order);
     let needs_dedup = router.needs_result_dedup();
 
     if let Some(plan) = &cfg.fault {
@@ -945,46 +928,6 @@ mod tests {
             };
             assert_eq!(run_keys(&records, &cfg), expect);
         }
-    }
-
-    #[test]
-    fn online_repartitioning_stays_exact_under_drift() {
-        use ssj_workloads::{DatasetProfile, DriftConfig, DriftingGenerator};
-        let records = DriftingGenerator::new(
-            DatasetProfile::dblp(),
-            7,
-            DriftConfig::length_drift(600, 2.0),
-        )
-        .take_records(1200);
-        let join = JoinConfig {
-            threshold: Threshold::jaccard(0.7),
-            window: Window::Count(300),
-        };
-        let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 4,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthOnline {
-                sample: 150,
-                epoch: EpochConfig {
-                    check_every: 200,
-                    rebalance_factor: 1.1,
-                    max_plans: 4,
-                },
-            },
-            channel_capacity: 256,
-            source_rate: None,
-            fault: None,
-            chaos_seed: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        assert_eq!(run_keys(&records, &cfg), expect);
     }
 
     #[test]

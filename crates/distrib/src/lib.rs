@@ -40,7 +40,7 @@ pub mod route;
 pub mod wire;
 
 pub use checkpoint::{
-    load_latest, load_latest_verified, open_payload, scrub, seal_payload, CheckpointConfig,
+    load_latest_verified, open_payload, scrub, seal_payload, CheckpointConfig,
     CheckpointCoordinator, CheckpointImage, EpochScrub, FileStore, MemStore, RestoreScan,
     ScrubReport, SnapshotStore, STORE_MAGIC,
 };
@@ -57,9 +57,10 @@ pub use pace::PacedIter;
 pub use recovery::{RecoveryState, ReplayEntry};
 pub use route::{BroadcastRouter, LengthRouter, PrefixRouter, RouteDecision, Router};
 // Re-exported so callers configuring `DistributedJoinConfig::scheduler`
-// or consuming `ClusterResult::integrity` don't need a direct stormlite
-// dependency.
-pub use stormlite::{IntegrityReport, Scheduler, SimConfig};
+// or consuming `ClusterResult::integrity` /
+// `ClusterResult::unflushed_records_high_water` don't need a direct
+// stormlite dependency.
+pub use stormlite::{IntegrityReport, Scheduler, SimConfig, BATCH_MAX_FRAMES};
 // Re-exported so callers enabling `DistributedJoinConfig::trace` and
 // consuming `DistributedJoinResult::trace`/`stages` don't need a direct
 // obs dependency.

@@ -184,60 +184,6 @@ impl Router for PrefixRouter {
     }
 }
 
-/// Length-based routing with online repartitioning: wraps an
-/// [`EpochedPartitioner`](ssj_partition::EpochedPartitioner), feeding it
-/// every routed record so it can detect drift and install new plans.
-/// Probes target the union of all active plans, keeping results exact
-/// through plan transitions.
-#[derive(Debug)]
-pub struct EpochRouter {
-    epoched: ssj_partition::EpochedPartitioner,
-    /// Plans installed during this run (for reporting).
-    pub installs: u32,
-}
-
-impl EpochRouter {
-    /// A drift-reactive router.
-    pub fn new(epoched: ssj_partition::EpochedPartitioner) -> Self {
-        Self {
-            epoched,
-            installs: 0,
-        }
-    }
-
-    /// Plans currently probe-visible.
-    pub fn active_plans(&self) -> usize {
-        self.epoched.active_plans()
-    }
-}
-
-impl Router for EpochRouter {
-    fn name(&self) -> &'static str {
-        "length-online"
-    }
-
-    fn k(&self) -> usize {
-        self.epoched.k()
-    }
-
-    fn route(&mut self, record: &Record) -> RouteDecision {
-        if self.epoched.observe(record).is_some() {
-            self.installs += 1;
-        }
-        RouteDecision {
-            index: vec![self.epoched.index_partition(record.len())],
-            probe: self.epoched.probe_partitions(record.len()),
-        }
-    }
-
-    fn length_partition(&self) -> Option<&LengthPartition> {
-        // Older plans only matter for records already routed under them; a
-        // restore re-dispatches the live window through the current plan,
-        // so that is the one worth persisting.
-        Some(self.epoched.current_partition())
-    }
-}
-
 /// Round-robin index, probe-everywhere broadcast.
 #[derive(Debug, Clone)]
 pub struct BroadcastRouter {

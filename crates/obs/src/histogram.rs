@@ -232,8 +232,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_quantiles_at_every_edge() {
-        // Unifying the histogram behind the metrics registry means
-        // exporters call quantile() on histograms that never saw a sample
+        // Exporters call quantile() on histograms that never saw a sample
         // (e.g. barrier_stall without checkpointing). Every quantile —
         // including the edges and out-of-range inputs — must be zero, not
         // a panic.

@@ -1,5 +1,5 @@
 //! obs — observability primitives for dssj: structured trace events,
-//! bounded per-task event rings, a metrics registry, per-stage latency
+//! bounded per-task event rings, metric snapshots, per-stage latency
 //! histograms, and byte-deterministic exporters (JSONL trace, Prometheus
 //! text exposition, chrome://tracing JSON).
 //!
@@ -27,8 +27,5 @@ mod trace;
 pub use event::{Event, Stage};
 pub use export::{prometheus, trace_chrome, trace_jsonl};
 pub use histogram::LatencyHistogram;
-pub use metric::{
-    Counter, Gauge, HistogramMetric, HistogramSummary, Metric, MetricSample, MetricValue,
-    MetricsSnapshot, Registry, StageProfile,
-};
+pub use metric::{HistogramSummary, MetricSample, MetricValue, MetricsSnapshot, StageProfile};
 pub use trace::{RunTrace, TaskTrace, TaskTracer, TraceConfig, TraceSink};

@@ -1,17 +1,13 @@
-//! The metrics registry: counters, gauges and histograms unified behind
-//! one [`Metric`] trait, snapshotted into an ordered, exportable
-//! [`MetricsSnapshot`].
+//! Metric samples: counters, gauges and histogram summaries collected
+//! into an ordered, exportable [`MetricsSnapshot`], plus the per-stage
+//! latency profile the join pipeline records into.
 //!
-//! Instruments are cheap shared handles (`Arc`): the owner registers
-//! them once and hands clones to whatever records into them. A snapshot
-//! walks the registry in registration order, so two snapshots of the
-//! same registry state always produce the same sample order — a
-//! prerequisite for byte-deterministic Prometheus output.
+//! Producers push samples in a fixed order at the end of a run, so the
+//! same run state always yields the same sample order — a prerequisite
+//! for byte-deterministic Prometheus output.
 
 use crate::event::Stage;
 use crate::histogram::LatencyHistogram;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Snapshot value of one metric.
@@ -139,233 +135,6 @@ fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-/// A named instrument that can report its current value into a snapshot.
-pub trait Metric: Send + Sync {
-    /// Snapshot-stable metric name.
-    fn name(&self) -> &str;
-    /// One-line human description.
-    fn help(&self) -> &str;
-    /// The current value.
-    fn value(&self) -> MetricValue;
-}
-
-/// Lock-free monotonically increasing counter.
-#[derive(Debug)]
-pub struct Counter {
-    name: String,
-    help: String,
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new(name: impl Into<String>, help: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            help: help.into(),
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Metric for Counter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn help(&self) -> &str {
-        &self.help
-    }
-    fn value(&self) -> MetricValue {
-        MetricValue::Counter(self.get())
-    }
-}
-
-/// Lock-free point-in-time gauge.
-#[derive(Debug)]
-pub struct Gauge {
-    name: String,
-    help: String,
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new(name: impl Into<String>, help: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            help: help.into(),
-            value: AtomicI64::new(0),
-        }
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-impl Metric for Gauge {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn help(&self) -> &str {
-        &self.help
-    }
-    fn value(&self) -> MetricValue {
-        MetricValue::Gauge(self.get())
-    }
-}
-
-/// Shared histogram instrument. Recording takes a short mutex — use
-/// task-local [`LatencyHistogram`]s merged at completion for hot paths,
-/// and this handle where cross-thread sharing is the point.
-#[derive(Debug)]
-pub struct HistogramMetric {
-    name: String,
-    help: String,
-    inner: Mutex<LatencyHistogram>,
-}
-
-impl HistogramMetric {
-    /// An empty shared histogram.
-    pub fn new(name: impl Into<String>, help: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            help: help.into(),
-            inner: Mutex::new(LatencyHistogram::new()),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, latency: Duration) {
-        let mut h = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        h.record(latency);
-    }
-
-    /// Merges a task-local histogram in.
-    pub fn merge(&self, other: &LatencyHistogram) {
-        let mut h = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        h.merge(other);
-    }
-
-    /// A copy of the current distribution.
-    pub fn snapshot(&self) -> LatencyHistogram {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-impl Metric for HistogramMetric {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn help(&self) -> &str {
-        &self.help
-    }
-    fn value(&self) -> MetricValue {
-        MetricValue::Histogram(HistogramSummary::from(&self.snapshot()))
-    }
-}
-
-/// A registry of instruments, snapshotted in registration order.
-#[derive(Default)]
-pub struct Registry {
-    metrics: Vec<Arc<dyn Metric>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers an existing instrument handle.
-    pub fn register(&mut self, metric: Arc<dyn Metric>) {
-        self.metrics.push(metric);
-    }
-
-    /// Creates and registers a counter, returning the recording handle.
-    pub fn counter(&mut self, name: &str, help: &str) -> Arc<Counter> {
-        let c = Arc::new(Counter::new(name, help));
-        self.register(c.clone());
-        c
-    }
-
-    /// Creates and registers a gauge, returning the recording handle.
-    pub fn gauge(&mut self, name: &str, help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new(name, help));
-        self.register(g.clone());
-        g
-    }
-
-    /// Creates and registers a shared histogram, returning the handle.
-    pub fn histogram(&mut self, name: &str, help: &str) -> Arc<HistogramMetric> {
-        let h = Arc::new(HistogramMetric::new(name, help));
-        self.register(h.clone());
-        h
-    }
-
-    /// Number of registered instruments.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether no instruments are registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Samples every instrument, in registration order.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new();
-        for m in &self.metrics {
-            snap.samples.push(MetricSample {
-                name: m.name().into(),
-                help: m.help().into(),
-                labels: Vec::new(),
-                value: m.value(),
-            });
-        }
-        snap
-    }
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("metrics", &self.metrics.len())
-            .finish()
-    }
-}
-
 /// Per-stage latency histograms for the join pipeline: one
 /// [`LatencyHistogram`] slot per [`Stage`], recorded task-locally and
 /// merged across tasks at run completion.
@@ -415,50 +184,6 @@ impl StageProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_roundtrip() {
-        let c = Counter::new("hits_total", "hits");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert!(matches!(c.value(), MetricValue::Counter(5)));
-        let g = Gauge::new("depth", "queue depth");
-        g.set(7);
-        g.add(-2);
-        assert_eq!(g.get(), 5);
-        assert!(matches!(g.value(), MetricValue::Gauge(5)));
-    }
-
-    #[test]
-    fn registry_snapshots_in_registration_order() {
-        let mut r = Registry::new();
-        let c = r.counter("b_total", "second alphabetically, first registered");
-        let _g = r.gauge("a_depth", "first alphabetically");
-        let h = r.histogram("lat_ns", "latency");
-        c.add(3);
-        h.record(Duration::from_nanos(100));
-        let snap = r.snapshot();
-        assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
-        let names: Vec<&str> = snap.samples.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["b_total", "a_depth", "lat_ns"]);
-        match &snap.samples[2].value {
-            MetricValue::Histogram(s) => assert_eq!(s.count, 1),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn histogram_metric_merges_task_locals() {
-        let shared = HistogramMetric::new("x_ns", "x");
-        let mut local = LatencyHistogram::new();
-        local.record(Duration::from_nanos(50));
-        local.record(Duration::from_nanos(60));
-        shared.merge(&local);
-        shared.record(Duration::from_nanos(70));
-        assert_eq!(shared.snapshot().count(), 3);
-    }
 
     #[test]
     fn stage_profile_records_and_merges() {

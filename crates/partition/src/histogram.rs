@@ -86,12 +86,6 @@ impl LengthHistogram {
         }
         self.total += other.total;
     }
-
-    /// Forgets all counts, keeping capacity.
-    pub fn clear(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.total = 0;
-    }
 }
 
 #[cfg(test)]
@@ -145,16 +139,5 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.max_len(), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn clear_keeps_working() {
-        let mut h = LengthHistogram::new();
-        h.add(4);
-        h.clear();
-        assert!(h.is_empty());
-        h.add(2);
-        assert_eq!(h.count(2), 1);
-        assert_eq!(h.count(4), 0);
     }
 }

@@ -10,6 +10,11 @@ use crate::record::{Record, RecordId};
 use crate::token::TokenId;
 use std::io::{self, Read, Write};
 
+/// Most tokens [`decode_record`] reserves room for before it has read any:
+/// the count comes from the input, so a corrupt or hostile header must not
+/// size an allocation. Longer records grow as their tokens arrive.
+const PREALLOC_TOKENS: usize = 4096;
+
 /// Encodes one record to a writer. Returns the bytes written — always
 /// equal to [`Record::wire_bytes`].
 pub fn encode_record<W: Write>(record: &Record, out: &mut W) -> io::Result<u64> {
@@ -42,7 +47,7 @@ pub fn decode_record<R: Read>(input: &mut R) -> io::Result<Option<Record>> {
             "record with zero tokens",
         ));
     }
-    let mut tokens = Vec::with_capacity(n);
+    let mut tokens = Vec::with_capacity(n.min(PREALLOC_TOKENS));
     let mut buf = [0u8; 4];
     let mut prev: Option<u32> = None;
     for _ in 0..n {

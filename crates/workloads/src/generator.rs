@@ -53,13 +53,6 @@ impl StreamGenerator {
         &self.profile
     }
 
-    /// Mutable profile access (used by the drift wrapper to re-parameterise
-    /// the length distribution mid-stream). The Zipf table is *not*
-    /// rebuilt, so `vocab`/`skew` edits through this handle have no effect.
-    pub fn profile_mut(&mut self) -> &mut DatasetProfile {
-        &mut self.profile
-    }
-
     /// Generates the next record.
     pub fn next_record(&mut self) -> Record {
         self.clock_ms = self.arrival.next_ts(&mut self.rng, self.clock_ms);

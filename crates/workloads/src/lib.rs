@@ -11,8 +11,6 @@
 //! * **near-duplicate density** — a configurable fraction of records are
 //!   mutated copies of recent ones ([`generator`]), the phenomenon the
 //!   bundle joiner exploits;
-//! * **drift** — slow changes of length and token popularity over the
-//!   stream ([`drift`]), exercising online repartitioning;
 //! * **arrival processes** — uniform / Poisson / bursty timestamping
 //!   ([`arrival`]).
 //!
@@ -31,13 +29,11 @@
 
 pub mod alias;
 pub mod arrival;
-pub mod drift;
 pub mod generator;
 pub mod profile;
 pub mod zipf;
 
 pub use arrival::ArrivalProcess;
-pub use drift::{DriftConfig, DriftingGenerator};
 pub use generator::StreamGenerator;
 pub use profile::{DatasetProfile, LengthDist};
 pub use zipf::ZipfSampler;

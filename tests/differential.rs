@@ -11,7 +11,7 @@
 
 use dssj::core::{JoinConfig, Threshold, Window};
 use dssj::distrib::{LocalAlgo, PartitionMethod, Strategy};
-use dssj::partition::EpochConfig;
+use dssj::partition::LengthPartition;
 use proptest::prelude::*;
 use testkit::{run_differential, run_restore_differential, DifferentialCase};
 
@@ -19,22 +19,18 @@ const STRATEGIES: usize = 4;
 const LOCALS: usize = 5;
 const WINDOWS: usize = 3;
 
-fn strategy(idx: usize) -> Strategy {
+fn strategy(idx: usize, k: usize) -> Strategy {
     match idx {
         0 => Strategy::LengthAuto {
             method: PartitionMethod::LoadAware,
             sample: 50,
         },
-        1 => Strategy::LengthOnline {
-            sample: 50,
-            // Aggressive epoching so repartitioning actually fires on
-            // short differential streams.
-            epoch: EpochConfig {
-                check_every: 40,
-                rebalance_factor: 1.1,
-                max_plans: 4,
-            },
-        },
+        // An explicit, deliberately skewed partition (uppers 3, 6, 12, …):
+        // the shape a restore installs from a manifest, with near-empty
+        // joiners at the short end and everything long on the last one.
+        1 => Strategy::Length(LengthPartition::from_uppers(
+            (0..k).map(|i| 3 << i).collect(),
+        )),
         2 => Strategy::Prefix,
         _ => Strategy::Broadcast,
     }
@@ -71,7 +67,7 @@ fn case(k: usize, tau: f64, strat: usize, loc: usize, win: usize) -> Differentia
         threshold: Threshold::jaccard(tau),
         window: window(win),
     };
-    DifferentialCase::new(120, k, join, local(loc), strategy(strat))
+    DifferentialCase::new(120, k, join, local(loc), strategy(strat, k))
 }
 
 /// The full configuration matrix, one simulated run each: no combination

@@ -15,7 +15,7 @@ use dssj::distrib::{
     run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler,
     Strategy as DistStrategy,
 };
-use dssj::partition::EpochConfig;
+use dssj::partition::LengthPartition;
 use dssj::stormlite::FaultPlan;
 use dssj::workloads::{DatasetProfile, LengthDist, StreamGenerator};
 use proptest::prelude::*;
@@ -48,20 +48,17 @@ fn sorted_keys(pairs: &[dssj::MatchPair]) -> Vec<(u64, u64)> {
     keys
 }
 
-fn strategies() -> [DistStrategy; 4] {
+fn strategies(k: usize) -> [DistStrategy; 4] {
     [
         DistStrategy::LengthAuto {
             method: PartitionMethod::LoadAware,
             sample: 60,
         },
-        DistStrategy::LengthOnline {
-            sample: 60,
-            epoch: EpochConfig {
-                check_every: 80,
-                rebalance_factor: 1.1,
-                max_plans: 3,
-            },
-        },
+        // Explicit and skewed (uppers 3, 6, 12, …): short-end joiners
+        // nearly idle, the last one owning every long record.
+        DistStrategy::Length(LengthPartition::from_uppers(
+            (0..k).map(|i| 3 << i).collect(),
+        )),
         DistStrategy::Prefix,
         DistStrategy::Broadcast,
     ]
@@ -104,7 +101,7 @@ proptest! {
         let mut naive = NaiveJoiner::new(join);
         let expect = sorted_keys(&run_stream(&mut naive, &records));
 
-        for strategy in strategies() {
+        for strategy in strategies(k) {
             for local in LOCALS {
                 let cfg = DistributedJoinConfig {
                     k,
@@ -160,7 +157,7 @@ proptest! {
         let mut naive = NaiveJoiner::new(join);
         let expect = sorted_keys(&run_stream(&mut naive, &records));
 
-        let strategy = strategies()[strat_idx].clone();
+        let strategy = strategies(k)[strat_idx].clone();
         let local = LOCALS[local_idx];
         let plan = FaultPlan::new()
             .crash_seeded("joiner", k, 150, fault_seed)
@@ -217,7 +214,7 @@ proptest! {
         let expect = sorted_keys(&run_stream(&mut naive, &records));
         let local = LOCALS[local_idx];
 
-        for strategy in strategies() {
+        for strategy in strategies(k) {
             let cfg = DistributedJoinConfig {
                 k,
                 join,
@@ -276,7 +273,7 @@ proptest! {
             threshold: Threshold::jaccard(tau),
             window: Window::Count(60),
         };
-        let strategy = strategies()[strat_idx].clone();
+        let strategy = strategies(k)[strat_idx].clone();
         let cfg = DistributedJoinConfig {
             k,
             join,
