@@ -1013,6 +1013,7 @@ pub fn f15(scale: Scale, results: &Path) {
         let mut c = ClusterConfig::recommended(k, join, backend.clone());
         c.local = LocalAlgo::bundle();
         c.strategy = length_auto(2_000);
+        c.dispatch_batch = None; // the committed rows are per-message framing
         c
     };
     let fault = ClusterFault {
@@ -1197,6 +1198,9 @@ pub fn f16(scale: Scale, results: &Path) {
         c.local = LocalAlgo::bundle();
         c.strategy = length_auto(2_000);
         c.health = Some(health);
+        // Outage windows are placed by frame ordinal on the per-message
+        // frame stream; batching would move them.
+        c.dispatch_batch = None;
         c
     };
     let fault = ClusterFault {
@@ -1392,6 +1396,7 @@ pub fn f18(scale: Scale, results: &Path) {
         let mut c = ClusterConfig::recommended(k, join, ClusterBackend::InProcess);
         c.local = LocalAlgo::bundle();
         c.strategy = length_auto(2_000);
+        c.dispatch_batch = None; // the committed rows are per-message framing
         c
     };
 

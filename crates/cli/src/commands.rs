@@ -40,6 +40,8 @@ pub fn usage() -> ExitCode {
   dssj cluster   --input FILE | --left FILE --right FILE
                  [--tau T=0.8] [--algo A] [--k K=2] [--backend tcp|inprocess]
                  [--node-bin PATH] [--chaos-seed S] [--shed-watermark W]
+                 [--dispatch-batch B=32]   (B messages per data frame, one
+                                            results frame and one ack back)
                  [--kill-task T --kill-after N] [--logical-time]
                  [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
                  [--heartbeat-interval MS=25] [--suspect-after MS=250]
@@ -105,6 +107,14 @@ fn parse_opt<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<T>, 
     }
 }
 
+fn dispatch_batch(args: &Args) -> Result<Option<usize>, ArgError> {
+    let batch: Option<usize> = parse_opt(args, "dispatch-batch")?;
+    if batch == Some(0) {
+        return Err(ArgError("--dispatch-batch must be > 0".into()));
+    }
+    Ok(batch)
+}
+
 fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, ArgError> {
     let k: usize = args.get_or("k", 4)?;
     let scheduler = match parse_opt::<u64>(args, "sim")? {
@@ -140,10 +150,7 @@ fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, A
         ) as _),
         None => None,
     };
-    let dispatch_batch: Option<usize> = parse_opt(args, "dispatch-batch")?;
-    if dispatch_batch == Some(0) {
-        return Err(ArgError("--dispatch-batch must be > 0".into()));
-    }
+    let dispatch_batch = dispatch_batch(args)?;
     Ok(DistributedJoinConfig {
         k,
         join,
@@ -520,6 +527,9 @@ fn cluster_config(
     cfg.local = local_algo(args)?;
     cfg.chaos_seed = parse_opt(args, "chaos-seed")?;
     cfg.shed_watermark = parse_opt(args, "shed-watermark")?;
+    if let Some(batch) = dispatch_batch(args)? {
+        cfg.dispatch_batch = Some(batch);
+    }
     cfg.checkpoint = checkpoint;
     cfg.restore_from = restore_from;
     cfg.fault = fault;
@@ -591,6 +601,15 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
         println!(
             "reliability : {} retransmissions, {} duplicate results dropped",
             out.retransmissions, out.dup_results_dropped
+        );
+    }
+    if out.data_frames > 0 {
+        println!(
+            "batch       : {} records, {} messages in {} data frames ({:.1} messages/frame)",
+            out.records,
+            out.routed_messages,
+            out.data_frames,
+            out.routed_messages as f64 / out.data_frames as f64
         );
     }
     if out.wire_flushes > 0 {

@@ -138,6 +138,54 @@ fn join_under_chaos_finds_the_same_pairs() {
 }
 
 #[test]
+fn cluster_reports_what_batching_amortised_and_rejects_a_zero_batch() {
+    let input = write_temp("cluster_batch.txt", &DOCS.repeat(40));
+    let input = input.to_str().unwrap();
+    let run = |batch: &[&str]| {
+        let mut args = vec![
+            "cluster",
+            "--input",
+            input,
+            "--tau",
+            "0.6",
+            "--backend",
+            "inprocess",
+        ];
+        args.extend_from_slice(batch);
+        dssj(&args)
+    };
+    // Omitted = the recommended batch: far fewer data frames than messages.
+    let out = run(&[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("batch "))
+        .unwrap_or_else(|| panic!("no batch line in:\n{stdout}"));
+    assert!(line.contains("160 records"), "{line}");
+    let per_frame: f64 = line
+        .rsplit('(')
+        .next()
+        .and_then(|tail| tail.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no ratio in: {line}"));
+    assert!(per_frame >= 4.0, "{line}");
+    // One message per frame on request.
+    let out = run(&["--dispatch-batch", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(1.0 messages/frame)"), "{stdout}");
+    // Zero is refused, as on `dssj join`.
+    let out = run(&["--dispatch-batch", "0"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--dispatch-batch must be > 0"), "{stderr}");
+}
+
+#[test]
 fn bad_chaos_seed_rejected() {
     let input = write_temp("chaos_seed.txt", "a b c\n");
     let out = dssj(&[

@@ -2,7 +2,9 @@
 //! processes over localhost TCP and must be bit-exact with both the
 //! reference oracle and the in-process backend — through clean runs,
 //! supervised kills of live processes, link chaos, and checkpoint
-//! restores that cross a process boundary.
+//! restores that cross a process boundary. Every fault test has a
+//! `tcp_batched_*` twin that runs the same scenario with batched `Data`
+//! frames (see [`batched_case`]).
 //!
 //! Cargo builds the `ssj-node` binary for us and hands its path over via
 //! `CARGO_BIN_EXE_ssj-node`, so these tests need no manual setup and run
@@ -44,6 +46,27 @@ fn base_case() -> DifferentialCase {
             sample: 50,
         },
     )
+}
+
+/// The batched twin of [`base_case`]: eight messages per `Data` frame, and
+/// a stream four times as long, so that a wire still sees some fifty data
+/// frames and the frame-ordinal windows of the unbatched tests keep their
+/// place on it.
+fn batched_case() -> DifferentialCase {
+    let mut case = base_case().with_dispatch_batch(Some(8));
+    case.records = 600;
+    case
+}
+
+/// What every batched twin also checks: the run really framed batches.
+fn assert_batched(out: &testkit::ClusterDifferentialOutcome) {
+    let r = &out.result;
+    assert!(
+        r.routed_messages >= 4 * r.data_frames,
+        "{} messages left in {} data frames — nothing was batched",
+        r.routed_messages,
+        r.data_frames
+    );
 }
 
 #[test]
@@ -105,6 +128,166 @@ fn tcp_cluster_restore_crosses_process_boundaries() {
     let out = run_cluster_restore_differential(9, &base_case(), tcp_backend());
     assert!(out.cut.is_some(), "phase one committed no epoch");
     assert!(out.pairs > 0, "post-cut suffix produced no pairs");
+}
+
+#[test]
+fn tcp_batched_cluster_recovers_from_a_killed_node_process() {
+    let mut case = batched_case().with_crash_at(100);
+    case.join = case.join.with_window(Window::Count(60));
+    let out = run_cluster_differential(23, &case, tcp_backend());
+    assert!(out.pairs > 0);
+    assert_batched(&out);
+}
+
+#[test]
+fn tcp_batched_kill_with_a_batch_in_flight_resends_it_whole() {
+    // Over a real socket a healthy node usually acks what it was sent
+    // before SIGKILL reaches it, so "a batch was in flight" has to be
+    // arranged: with one node and batches of 32, every data frame carries
+    // exactly 32 messages, so the kill horizon of 640 acked messages is
+    // the ack of frame 20 — and a stall window holds transmissions 21–30
+    // on the launcher's side of the wire. When that ack is read, every
+    // frame sent since is unacknowledged and the node has never seen it.
+    // The respawned node gets those frames, whole batches under their
+    // original seqs, some of them twice (once released by the stall, once
+    // retransmitted) — and the result is still the oracle's, pair for
+    // pair, asserted inside run_cluster_differential with the restart.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = base_case()
+            .with_dispatch_batch(Some(ssj_distrib::BATCH_MAX_FRAMES))
+            .with_crash_at(640)
+            .with_stall(0, 20, 10);
+        case.records = 2_000;
+        case.k = 1;
+        case.join = case.join.with_window(Window::Count(60));
+        let out = run_cluster_differential(23, &case, tcp_backend());
+        assert!(out.pairs > 0);
+        assert_eq!(out.shed, 0);
+        let r = &out.result;
+        assert_eq!(
+            r.routed_messages,
+            32 * r.data_frames - 16,
+            "2000 = 62 * 32 + 16"
+        );
+        assert!(r.health.stalled_frames > 0, "stall never fired");
+        assert!(
+            r.retransmissions > 0,
+            "the killed node had nothing in flight"
+        );
+    });
+}
+
+#[test]
+fn tcp_batched_crash_composes_with_link_chaos() {
+    let mut case = batched_case().with_crash_at(100).with_chaos();
+    case.join = case.join.with_window(Window::Count(60));
+    let out = run_cluster_differential(23, &case, tcp_backend());
+    assert_batched(&out);
+    assert!(
+        out.result.retransmissions > 0,
+        "chaos was requested but nothing was ever retransmitted"
+    );
+}
+
+#[test]
+fn tcp_batched_checkpointed_crash_matches_oracle() {
+    let mut case = batched_case().with_crash_at(100).with_checkpoints(20);
+    case.join = case.join.with_window(Window::Count(60));
+    let out = run_cluster_differential(17, &case, tcp_backend());
+    assert_batched(&out);
+    assert!(
+        out.result.epochs_committed > 0,
+        "no epoch ever committed — the checkpoint knob did nothing"
+    );
+}
+
+#[test]
+fn tcp_batched_restore_crosses_process_boundaries() {
+    let out = run_cluster_restore_differential(9, &batched_case(), tcp_backend());
+    assert!(out.cut.is_some(), "phase one committed no epoch");
+    assert!(out.pairs > 0, "post-cut suffix produced no pairs");
+}
+
+#[test]
+fn tcp_batched_outage_windows_are_masked_exactly() {
+    // Stall, one-way and two-way partition on a batched wire: a window
+    // holds or drops whole batches, and each must be seen to have fired.
+    with_deadline(TEST_DEADLINE, || {
+        let stall = batched_case().with_stall(1, 10, 15);
+        let out = run_cluster_differential(41, &stall, tcp_backend());
+        assert_eq!(out.shed, 0);
+        assert_batched(&out);
+        assert!(out.result.health.stalled_frames > 0, "stall never fired");
+
+        let one_way = batched_case().with_partition(0, 8, 12, false);
+        let out = run_cluster_differential(43, &one_way, tcp_backend());
+        assert_eq!(out.shed, 0);
+        assert_batched(&out);
+        assert!(
+            out.result.health.partition_dropped_frames > 0,
+            "partition never fired"
+        );
+        assert!(
+            out.result.retransmissions > 0,
+            "dropped frames were never retransmitted"
+        );
+
+        // 64 messages in flight are some ten frames of eight: the window
+        // swallows them and their first retransmission wave at 40 ms, so
+        // the wire is still dark when the 80 ms deadline passes, and the
+        // respawn's retransmission closes it.
+        let two_way = batched_case().with_partition(0, 10, 24, true);
+        let out = run_cluster_differential(47, &two_way, tcp_backend());
+        assert_eq!(out.shed, 0);
+        assert_batched(&out);
+        let h = &out.result.health;
+        assert!(h.partition_dropped_frames > 0, "partition never fired");
+        assert!(h.suspects >= 1, "the detector never fired");
+        assert!(h.respawns >= 1, "a suspect node was never respawned");
+    });
+}
+
+#[test]
+fn tcp_batched_corruption_windows_heal_exactly() {
+    with_deadline(TEST_DEADLINE, || {
+        // A flipped bit in a batch costs the node its checksum and its
+        // life; the batch comes again, whole, to its successor.
+        let outbound = batched_case().with_corruption(1, 10, 2, false);
+        let out = run_cluster_differential(29, &outbound, tcp_backend());
+        assert_eq!(out.shed, 0, "healing must not shed");
+        assert_batched(&out);
+        assert!(
+            out.result.health.respawns >= 1,
+            "corruption never triggered a healing respawn"
+        );
+
+        // Launcher side: the window lands on `Results` and `Ack` frames.
+        let inbound = batched_case().with_corruption(0, 12, 2, true);
+        let out = run_cluster_differential(37, &inbound, tcp_backend());
+        assert_batched(&out);
+        assert!(
+            out.result.integrity.corrupt_frames >= 1,
+            "inbound corruption window never hit a frame"
+        );
+        assert!(out.result.health.respawns >= 1);
+    });
+}
+
+#[test]
+fn tcp_batched_exhausted_budget_fences_with_exact_shed_accounting() {
+    // As unbatched, with one more thing to get right: every record inside
+    // a batch that was in flight to the fenced node, or framed for it
+    // afterwards, is shed — the shed-adjusted oracle inside
+    // run_cluster_differential is exact only if none is missed.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = batched_case().with_crash_at(30).with_recovery_budget(0);
+        case.join = case.join.with_window(Window::Count(60));
+        let out = run_cluster_differential(23, &case, tcp_backend());
+        assert_batched(&out);
+        assert_eq!(out.result.health.fenced_tasks.len(), 1);
+        assert!(out.shed > 0, "a fenced task with no records is vacuous");
+        assert_eq!(out.result.health.respawns, 0);
+    });
 }
 
 #[test]
@@ -309,23 +492,26 @@ fn tcp_golden_digests_match_in_process_and_replay_exactly() {
     // must be identical run-to-run over real sockets AND across backends.
     // (Ack/result interleaving stays nondeterministic — see the
     // determinism contract in ssj_distrib::cluster's module docs.)
-    let case = base_case();
-    let records = testkit::differential_records(41, case.records);
+    // Batched, the stream also fixes where each batch is cut, which may
+    // depend on the record count alone, never on when an ack arrived.
+    for case in [base_case(), batched_case()] {
+        let records = testkit::differential_records(41, case.records);
 
-    let digests_for = |backend: ClusterBackend| {
-        let mut cfg = cluster_config_for(41, &case, backend);
-        cfg.logical_time = true;
-        ssj_distrib::run_cluster(&records, &cfg)
-            .wire_digests
-            .expect("logical-time runs always produce wire digests")
-    };
+        let digests_for = |backend: ClusterBackend| {
+            let mut cfg = cluster_config_for(41, &case, backend);
+            cfg.logical_time = true;
+            ssj_distrib::run_cluster(&records, &cfg)
+                .wire_digests
+                .expect("logical-time runs always produce wire digests")
+        };
 
-    let tcp_a = digests_for(tcp_backend());
-    let tcp_b = digests_for(tcp_backend());
-    let inproc = digests_for(ClusterBackend::InProcess);
-    assert_eq!(tcp_a, tcp_b, "TCP replay diverged under logical time");
-    assert_eq!(tcp_a, inproc, "TCP and in-process transcripts diverged");
-    assert_eq!(tcp_a.len(), case.k);
+        let tcp_a = digests_for(tcp_backend());
+        let tcp_b = digests_for(tcp_backend());
+        let inproc = digests_for(ClusterBackend::InProcess);
+        assert_eq!(tcp_a, tcp_b, "TCP replay diverged under logical time");
+        assert_eq!(tcp_a, inproc, "TCP and in-process transcripts diverged");
+        assert_eq!(tcp_a.len(), case.k);
+    }
 }
 
 #[test]
@@ -339,13 +525,14 @@ fn tcp_clean_run_coalesces_frames_and_never_retransmits() {
         case.records = 6_000;
         case.join = case.join.with_window(Window::Count(500));
         let records = testkit::differential_records(59, case.records);
-        let run = |backend: ClusterBackend| {
+        let run = |backend: ClusterBackend, batch: Option<usize>| {
             let mut cfg = cluster_config_for(59, &case, backend);
             cfg.logical_time = true;
+            cfg.dispatch_batch = batch;
             ssj_distrib::run_cluster(&records, &cfg)
         };
-        let tcp = run(tcp_backend());
-        let inproc = run(ClusterBackend::InProcess);
+        let tcp = run(tcp_backend(), None);
+        let inproc = run(ClusterBackend::InProcess, None);
 
         assert!(!tcp.pairs.is_empty(), "workload produced no pairs");
         assert_eq!(sorted_keys(&tcp.pairs), sorted_keys(&inproc.pairs));
@@ -363,10 +550,38 @@ fn tcp_clean_run_coalesces_frames_and_never_retransmits() {
             (0, 0),
             "channel wires do not batch"
         );
+        assert_eq!(
+            tcp.routed_messages, tcp.data_frames,
+            "unbatched, a data frame is one message"
+        );
+
+        // The same run at the recommended batch: the frames the write
+        // batcher used to coalesce are now one sealed frame to begin with,
+        // and still nothing goes stale or comes twice.
+        let batched = run(tcp_backend(), Some(ssj_distrib::BATCH_MAX_FRAMES));
+        let batched_inproc = run(
+            ClusterBackend::InProcess,
+            Some(ssj_distrib::BATCH_MAX_FRAMES),
+        );
+        assert_eq!(sorted_keys(&batched.pairs), sorted_keys(&tcp.pairs));
+        assert_eq!(batched.wire_digests, batched_inproc.wire_digests);
+        assert_ne!(batched.wire_digests, tcp.wire_digests);
+        assert_eq!(batched.routed_messages, tcp.routed_messages);
+        assert!(
+            batched.routed_messages >= 8 * batched.data_frames,
+            "{} messages left in {} data frames",
+            batched.routed_messages,
+            batched.data_frames
+        );
+        assert_eq!(batched.retransmissions, 0, "a batched frame went stale");
+        assert_eq!(batched.dup_results_dropped, 0);
+
         let snap = tcp.metrics_snapshot();
         for name in [
             "dssj_cluster_frames_sent_total",
             "dssj_cluster_wire_flushes_total",
+            "dssj_cluster_routed_messages_total",
+            "dssj_cluster_data_frames_total",
         ] {
             assert!(
                 snap.names().contains(&name),

@@ -19,19 +19,49 @@
 //!
 //! # The at-least-once protocol, over the wire
 //!
-//! Every routed [`JoinMsg`] travels as a `Data{seq, msg}` frame with a
-//! per-connection sequence number. A node processes frames in strict
-//! `seq` order (buffering out-of-order arrivals, re-acking
-//! retransmissions of already-processed sequence numbers), writes every
-//! result/snapshot frame a message produces *before* its `Ack{seq}` on
-//! the same FIFO stream, and the launcher retransmits unacked frames on a
-//! backoff timer built from [`stormlite::RetryConfig`]. Because acks
-//! follow results in FIFO order, a received ack proves every result of
-//! that message arrived; conversely any lost output suffix corresponds to
-//! unacked frames, which are reprocessed after recovery — producing
+//! A `Data{seq, msg}` frame is one sequenced unit with a per-connection
+//! sequence number. It carries either one routed [`JoinMsg`] or, with
+//! [`ClusterConfig::dispatch_batch`] set, one [`JoinMsg::Batch`] of up to
+//! that many record-bearing messages for this wire in dispatch order —
+//! encoded once, sealed with one CRC, tracked by one `unacked` entry and
+//! one retransmit timer. Barriers always travel alone: the dispatcher
+//! flushes its pending batches ahead of every barrier.
+//!
+//! A node processes frames in strict `seq` order (buffering out-of-order
+//! arrivals, re-acking retransmissions of already-processed sequence
+//! numbers). It answers a batch with at most one `Results` frame (all of
+//! the batch's pairs, in probe order; nothing when there were none) and a
+//! message that arrived outside a batch result by result, one `Result`
+//! frame per pair; either way every result/snapshot frame a unit produces
+//! is written *before* its single `Ack{seq}` on the same FIFO stream, and
+//! the launcher retransmits unacked frames on a backoff timer built from
+//! [`stormlite::RetryConfig`]. Because acks follow results in FIFO order,
+//! a received ack proves every result of everything that frame carried
+//! arrived; conversely any lost output suffix corresponds to unacked
+//! frames, which are reprocessed after recovery — producing
 //! byte-identical duplicate results the launcher's sink drops by pair
 //! key. The net effect is effectively-once output, exactly what the
 //! in-process engine's reliable wires deliver.
+//!
+//! # What is counted in messages, and what in frames
+//!
+//! Batching changes how many frames move, not what the knobs mean:
+//!
+//! * the in-flight bound ([`ClusterConfig::channel_capacity`]) and the
+//!   backlog the shed watermark reads count routed *messages*, a batch
+//!   counting its length — so `shed_watermark` and memory keep their
+//!   scale, and one batch may overshoot the bound by less than its length;
+//! * [`ClusterFault::after_acks`] counts acknowledged *messages*, so a
+//!   kill horizon lands at the same stream position batched or not;
+//! * the recovery watermark moves once per ack, to the last record the
+//!   acked frame carried;
+//! * fencing sheds *every* record inside an in-flight batch, and inside a
+//!   batch refused because its target was fenced meanwhile;
+//! * [`ClusterOutage`] windows keep counting frame *transmissions* — one
+//!   per batch.
+//!
+//! [`ClusterResult::routed_messages`] ÷ [`ClusterResult::data_frames`] is
+//! what batching amortised.
 //!
 //! # Crash recovery
 //!
@@ -42,16 +72,22 @@
 //! the node, replays its lost index state over [`Frame::Restore`]
 //! (checkpoint snapshot plus the replay-buffer tail, index-only exactly
 //! like the in-process replay path) and retransmits the unacked frames in
-//! their original order under their original sequence numbers. The
-//! restored state equals the state after the acked prefix, so
-//! reprocessing the unacked suffix is bit-exact.
+//! their original order under their original sequence numbers — whole
+//! batches, as first framed. The restored state equals the state after the
+//! acked prefix, which always ends on a frame boundary, so reprocessing the
+//! unacked suffix is bit-exact. A node that dies mid-batch has sent neither
+//! that batch's `Results` nor its ack, so the batch is reprocessed whole:
+//! the cost of a mid-batch death is at most one batch of repeated join
+//! work per wire, and a `Results` frame that was delivered without its ack
+//! comes again and is dropped pair by pair at the sink.
 //!
 //! # Backpressure → shedding
 //!
-//! The launcher bounds in-flight (sent-but-unacked) frames per wire at
+//! The launcher bounds in-flight (sent-but-unacked) messages per wire at
 //! `channel_capacity` — the cluster analogue of the in-process bounded
 //! channel — and that in-flight count is the backlog the dispatcher's
-//! shed watermark watches. On the
+//! shed watermark watches. While it waits for room on a wire it blocks on
+//! *that* wire's inbound side, so the ack it needs wakes it. On the
 //! node side the TCP receive queue is bounded too: a full queue stops the
 //! socket reader, which closes the kernel receive window, so pressure is
 //! real end to end.
@@ -68,11 +104,15 @@
 //! * every launcher path that is about to *wait* flushes all links first:
 //!   the in-flight backpressure spin, the drain and end-of-stream loops
 //!   (every `pump` with a non-zero idle wait), respawn/restore, `Eos`;
-//! * at least once every `BATCH_MAX_FRAMES` dispatched source records all
-//!   links are flushed, so a frame on a sparsely-routed link is never
-//!   older than ~32 records' dispatch time — microseconds to a few
-//!   milliseconds, far inside the 40 ms base retransmission timeout, so
-//!   batching can never be mistaken for loss;
+//! * at least once every `BATCH_MAX_FRAMES` dispatched source records the
+//!   dispatcher's pending batches are framed and all links are flushed, so
+//!   a message on a sparsely-routed link is never older than ~32 records'
+//!   dispatch time — microseconds to a few milliseconds, far inside the
+//!   40 ms base retransmission timeout, so batching can never be mistaken
+//!   for loss. The launcher's housekeeping (poll every wire, retransmit
+//!   timers, failure detector) runs at the same points, not per record;
+//! * pending batches are also framed ahead of every barrier and before the
+//!   end-of-stream drain, so no message is stranded behind either;
 //! * heartbeats bypass all of this and flush immediately: a probe exists
 //!   to make an idle-but-alive wire visible *now*, and the detector's
 //!   latency bound assumes it left when it was stamped.
@@ -127,7 +167,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::Router;
-use crate::wire::{send_frame, Frame, NodeConfig, NodeReport, PROTO_VERSION};
+use crate::wire::{encode_data, send_frame, Frame, NodeConfig, NodeReport, PROTO_VERSION};
 
 /// How joiner tasks are hosted.
 #[derive(Debug, Clone)]
@@ -143,13 +183,14 @@ pub enum ClusterBackend {
 }
 
 /// A supervised mid-run kill: the launcher kills joiner `task` once it
-/// has acknowledged `after_acks` frames, then restarts it and replays —
+/// has acknowledged `after_acks` messages, then restarts it and replays —
 /// the cluster analogue of [`stormlite::FaultPlan`]'s joiner crashes.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterFault {
     /// Which joiner task to kill.
     pub task: usize,
-    /// Kill after this many acknowledged frames from that task.
+    /// Kill after this many acknowledged messages from that task (an
+    /// acked batch counts its length).
     pub after_acks: u64,
 }
 
@@ -267,9 +308,15 @@ pub struct ClusterConfig {
     pub strategy: Strategy,
     /// Where joiners run.
     pub backend: ClusterBackend,
-    /// Per-wire in-flight bound (sent-but-unacked frames) — the cluster
-    /// analogue of the in-process bounded channel capacity.
+    /// Per-wire in-flight bound in sent-but-unacked messages (a batch
+    /// counts its length) — the cluster analogue of the in-process bounded
+    /// channel capacity.
     pub channel_capacity: usize,
+    /// Frame up to this many messages per wire as one sequenced
+    /// [`JoinMsg::Batch`] — same meaning as
+    /// [`DistributedJoinConfig::dispatch_batch`]. `None` frames every
+    /// message on its own.
+    pub dispatch_batch: Option<usize>,
     /// Seeded link chaos on every launcher→joiner wire (drops, dups,
     /// delays — masked by the at-least-once protocol).
     pub chaos_seed: Option<u64>,
@@ -306,6 +353,7 @@ impl ClusterConfig {
             strategy: base.strategy,
             backend,
             channel_capacity: 256,
+            dispatch_batch: Some(stormlite::BATCH_MAX_FRAMES),
             chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
@@ -378,6 +426,13 @@ pub struct ClusterResult {
     pub dup_results_dropped: u64,
     /// Frames retransmitted by the at-least-once layer.
     pub retransmissions: u64,
+    /// Messages the dispatcher routed onto the wires (barriers included),
+    /// a batch counting its length.
+    pub routed_messages: u64,
+    /// Sequenced `Data` frames those messages first left in, summed over
+    /// the wires; `routed_messages / data_frames` is what
+    /// [`ClusterConfig::dispatch_batch`] amortised.
+    pub data_frames: u64,
     /// Frames the launcher queued on its wires, every kind and every
     /// incarnation (0 on the in-process backend, which does not batch).
     pub frames_sent: u64,
@@ -431,7 +486,7 @@ impl ClusterResult {
     /// `RunReport::metrics_snapshot`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let counters: [(&str, &str, u64); 19] = [
+        let counters: [(&str, &str, u64); 21] = [
             (
                 "dssj_cluster_pairs_total",
                 "Distinct verified result pairs",
@@ -456,6 +511,16 @@ impl ClusterResult {
                 "dssj_cluster_retransmissions_total",
                 "Frames retransmitted by the at-least-once layer",
                 self.retransmissions,
+            ),
+            (
+                "dssj_cluster_routed_messages_total",
+                "Messages routed onto launcher-to-joiner wires",
+                self.routed_messages,
+            ),
+            (
+                "dssj_cluster_data_frames_total",
+                "Sequenced data frames those messages first left in",
+                self.data_frames,
             ),
             (
                 "dssj_cluster_frames_sent_total",
@@ -636,30 +701,37 @@ fn proto_err(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-/// Applies one in-order message to the node's joiner. Every frame it
-/// produces is written to the wire *before* the caller writes the
-/// message's ack, which is what lets an ack stand in for "all of this
-/// message's output arrived".
-fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
-    let mut send_results = |pairs: &[MatchPair], ingest| {
-        pairs
-            .iter()
-            .try_for_each(|&pair| send_frame(wire, &Frame::Result { pair, ingest }))
+/// Runs one record-bearing message through the joiner — expire, probe,
+/// insert, whichever of them its kind asks for — handing a probe's pairs
+/// and the probing record's ingest stamp to `emit`.
+fn node_join(
+    joiner: &mut Joiner,
+    msg: &JoinMsg,
+    mut emit: impl FnMut(&[MatchPair], Timestamp) -> io::Result<()>,
+) -> io::Result<()> {
+    let Some(payload) = msg.payload() else {
+        return Err(proto_err(
+            "a result, or a barrier or batch inside a batch, is not a message for a node",
+        ));
     };
+    joiner.advance(&payload.record);
+    if !matches!(msg, JoinMsg::Index(_)) {
+        emit(joiner.probe(payload), payload.ingest)?;
+    }
+    if msg.indexes() {
+        joiner.insert(payload);
+    }
+    Ok(())
+}
+
+/// Applies the contents of one in-order data frame to the node's joiner.
+/// Every frame it produces is written to the wire *before* the caller
+/// writes the frame's ack, which is what lets an ack stand in for "all of
+/// this frame's output arrived". A batch holds its pairs back and answers
+/// with at most one `Results` frame; a message outside a batch is answered
+/// result by result.
+fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
     match msg {
-        JoinMsg::Probe(payload) => {
-            joiner.advance(&payload.record);
-            send_results(joiner.probe(&payload), payload.ingest)?;
-        }
-        JoinMsg::Index(payload) => {
-            joiner.advance(&payload.record);
-            joiner.insert(&payload);
-        }
-        JoinMsg::ProbeAndIndex(payload) => {
-            joiner.advance(&payload.record);
-            send_results(joiner.probe(&payload), payload.ingest)?;
-            joiner.insert(&payload);
-        }
         JoinMsg::Barrier { epoch, .. } => {
             let window = encode_window_vec(&joiner.window_snapshot())?;
             send_frame(
@@ -669,21 +741,27 @@ fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire)
                     task,
                     window,
                 },
-            )?;
+            )
         }
         JoinMsg::Batch(msgs) => {
-            // The launcher ships one message per data frame today, but a
-            // batch is plain in-order processing either way (the codec
-            // rejects nesting).
-            for m in msgs {
-                node_apply(joiner, task, m, wire)?;
+            let mut held = Vec::new();
+            for m in &msgs {
+                node_join(joiner, m, |pairs, ingest| {
+                    held.extend(pairs.iter().map(|&pair| (pair, ingest)));
+                    Ok(())
+                })?;
             }
+            if !held.is_empty() {
+                send_frame(wire, &Frame::Results(held))?;
+            }
+            Ok(())
         }
-        JoinMsg::Result { .. } => {
-            return Err(proto_err("nodes never receive result messages"));
-        }
+        msg => node_join(joiner, &msg, |pairs, ingest| {
+            pairs
+                .iter()
+                .try_for_each(|&pair| send_frame(wire, &Frame::Result { pair, ingest }))
+        }),
     }
-    Ok(())
 }
 
 /// Serves one joiner node over an established wire: handshake, then
@@ -811,10 +889,8 @@ enum NodeProc {
 }
 
 struct PendingFrame {
+    /// What the frame carries: one message, or one batch.
     msg: JoinMsg,
-    /// `(id, timestamp)` of the carried record (`None` for barriers):
-    /// drives [`RecoveryState::mark_processed`] when the ack arrives.
-    record_meta: Option<(u64, u64)>,
     last_sent: Instant,
     retries: u32,
 }
@@ -822,13 +898,24 @@ struct PendingFrame {
 impl PendingFrame {
     /// The sealed `Data` frame that (re)transmits this message as `seq`.
     fn sealed(&self, seq: u64) -> Vec<u8> {
-        Frame::Data {
-            seq,
-            msg: self.msg.clone(),
-        }
-        .encode_sealed()
-        .expect("data frames are always encodable")
+        stormlite::seal(encode_data(seq, &self.msg).expect("data frames are always encodable"))
     }
+}
+
+/// The routed messages one data frame carries: a batch's, or the message
+/// itself.
+fn carried(msg: &JoinMsg) -> &[JoinMsg] {
+    match msg {
+        JoinMsg::Batch(msgs) => msgs,
+        msg => std::slice::from_ref(msg),
+    }
+}
+
+/// Ids of the records one data frame carries (none for a barrier).
+fn carried_ids(msg: &JoinMsg) -> impl Iterator<Item = u64> + '_ {
+    carried(msg)
+        .iter()
+        .filter_map(|m| m.record().map(|r| r.id().0))
 }
 
 struct NodeLink {
@@ -839,6 +926,9 @@ struct NodeLink {
     /// order (the node processes in order over FIFO wires), so this is
     /// always a contiguous suffix of the sequence space.
     unacked: BTreeMap<u64, PendingFrame>,
+    /// Messages those frames carry — what the in-flight bound and the shed
+    /// watermark count.
+    in_flight: usize,
     /// No unacked frame is overdue before this instant — a lower bound on
     /// every frame's `last_sent + timeout_after(retries)`, so the timer pass can
     /// skip the link without looking at `unacked`. Only ever too early,
@@ -846,11 +936,14 @@ struct NodeLink {
     /// rescans and tightens it), anything that makes a frame due sooner
     /// lowers it on the spot.
     retry_due: Instant,
+    /// Messages acknowledged so far (what [`ClusterFault::after_acks`]
+    /// counts).
     acked: u64,
     chaos: Option<ChaosLink>,
     incarnation: u64,
     restored_from_epoch: Option<u64>,
-    /// FNV-1a over first-transmission data-frame bytes, in seq order.
+    /// FNV-1a over first-transmission data-frame bytes, in seq order
+    /// (folded under `logical_time` only).
     digest: u64,
     eos_sent: bool,
     done: Option<NodeReport>,
@@ -880,6 +973,41 @@ struct NodeLink {
     /// remaining inbound backlog is discarded instead of drained during
     /// the respawn. Cleared once the fresh incarnation is up.
     poisoned: bool,
+}
+
+impl NodeLink {
+    /// A link to a freshly spawned node: nothing sent, nothing seen.
+    fn new(
+        wire: Box<dyn Wire>,
+        proc: NodeProc,
+        chaos: Option<ChaosLink>,
+        corrupt_inbound: Vec<ChaosWindow>,
+    ) -> Self {
+        let now = Instant::now();
+        Self {
+            wire,
+            proc,
+            next_seq: 0,
+            unacked: BTreeMap::new(),
+            in_flight: 0,
+            retry_due: now,
+            acked: 0,
+            chaos,
+            incarnation: 0,
+            restored_from_epoch: None,
+            digest: FNV_OFFSET,
+            eos_sent: false,
+            done: None,
+            last_seen: now,
+            hb_last: now,
+            held_inbound: Vec::new(),
+            health_respawns: 0,
+            fenced: false,
+            corrupt_inbound,
+            inbound_seq: 0,
+            poisoned: false,
+        }
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -917,6 +1045,15 @@ impl RunClock {
             }
         }
     }
+
+    /// Wall time since the run began; `None` under logical time, where
+    /// latencies are meaningless.
+    fn wall_elapsed(&self) -> Option<Duration> {
+        match self {
+            RunClock::Wall(anchor) => Some(anchor.elapsed()),
+            RunClock::Logical(_) => None,
+        }
+    }
 }
 
 struct Launcher<'a> {
@@ -939,6 +1076,8 @@ struct Launcher<'a> {
     /// When dispatch of the current source record began.
     record_started: Instant,
     retransmissions: u64,
+    /// Messages handed to `send_data`, a batch counting its length.
+    routed_messages: u64,
     /// Source records dispatched since every link was last flushed.
     unflushed_records: usize,
     /// The most `unflushed_records` ever reached.
@@ -990,6 +1129,7 @@ impl<'a> Launcher<'a> {
             stages: StageProfile::new(),
             record_started: Instant::now(),
             retransmissions: 0,
+            routed_messages: 0,
             unflushed_records: 0,
             unflushed_high_water: 0,
             retired_batch_counters: (0, 0),
@@ -1055,15 +1195,13 @@ impl<'a> Launcher<'a> {
             can_lose_a_node,
             self.cfg.checkpoint.as_ref(),
         );
-        // Dispatch batching is a topology-path option; here every data
-        // frame carries one message.
         let mut dispatcher = Dispatcher::new(
             router,
             self.bistream,
             self.recovery.clone(),
             self.coordinator.clone(),
             self.cfg.shed_watermark,
-            None,
+            self.cfg.dispatch_batch,
         );
 
         if matches!(self.cfg.backend, ClusterBackend::Tcp { .. }) {
@@ -1101,28 +1239,8 @@ impl<'a> Launcher<'a> {
                 (None, false) => Some(ChaosLink::from_outages(outages)),
                 (None, true) => None,
             };
-            self.links.push(NodeLink {
-                wire,
-                proc: proc_,
-                next_seq: 0,
-                unacked: BTreeMap::new(),
-                retry_due: Instant::now(),
-                acked: 0,
-                chaos,
-                incarnation: 0,
-                restored_from_epoch: None,
-                digest: FNV_OFFSET,
-                eos_sent: false,
-                done: None,
-                last_seen: Instant::now(),
-                hb_last: Instant::now(),
-                held_inbound: Vec::new(),
-                health_respawns: 0,
-                fenced: false,
-                corrupt_inbound,
-                inbound_seq: 0,
-                poisoned: false,
-            });
+            self.links
+                .push(NodeLink::new(wire, proc_, chaos, corrupt_inbound));
             if let Some(r) = &self.recovery {
                 r.begin_incarnation(task);
             }
@@ -1135,7 +1253,7 @@ impl<'a> Launcher<'a> {
         }
 
         // Dispatch the stream.
-        for msg in source {
+        for (dispatched, msg) in source.into_iter().enumerate() {
             self.record_started = Instant::now();
             let outcome = dispatcher.dispatch(&msg, &mut self);
             if outcome != Dispatched::Sent {
@@ -1151,20 +1269,35 @@ impl<'a> Launcher<'a> {
                 .record(Stage::Dispatch, self.record_started.elapsed());
             self.unflushed_records += 1;
             self.unflushed_high_water = self.unflushed_high_water.max(self.unflushed_records);
-            if self.unflushed_records >= stormlite::BATCH_MAX_FRAMES {
-                self.flush_links();
+            if self.cfg.shed_watermark.is_some() {
+                // The watermark reads the in-flight count, which only
+                // falls when acks are taken off the wires: with shedding
+                // armed that cannot wait for the next flush point, or a
+                // healthy cluster would look backlogged.
+                self.pump(Duration::ZERO, None);
             }
-            self.pump(Duration::ZERO);
-            self.service_timers();
-            self.service_health();
+            if (dispatched + 1) % stormlite::BATCH_MAX_FRAMES == 0 {
+                // The flush point: frame what the dispatcher still holds,
+                // push every link's write batch out, then do the
+                // housekeeping a record does not need done for it alone.
+                // Placed by record count alone — `unflushed_records` also
+                // resets whenever a blocked send flushes, and batch cuts
+                // that followed it would depend on timing.
+                dispatcher.flush(&mut self);
+                self.flush_links();
+                self.pump(Duration::ZERO, None);
+                self.service_timers();
+                self.service_health();
+            }
         }
+        dispatcher.flush(&mut self);
         // Drain: every frame acked (fenced wires already dropped theirs).
         while self
             .links
             .iter()
             .any(|l| !l.fenced && !l.unacked.is_empty())
         {
-            self.pump(Duration::from_micros(500));
+            self.pump(Duration::from_micros(500), None);
             self.service_timers();
             self.service_health();
         }
@@ -1186,13 +1319,14 @@ impl<'a> Launcher<'a> {
             self.send_eos(task);
         }
         while self.links.iter().any(|l| !l.fenced && l.done.is_none()) {
-            self.pump(Duration::from_micros(500));
+            self.pump(Duration::from_micros(500), None);
             self.service_health();
         }
 
         // Teardown: closing the wires releases the lingering nodes.
         let mut joiners = Vec::new();
         let mut digests = Vec::new();
+        let data_frames = self.links.iter().map(|l| l.next_seq).sum();
         for (task, link) in self.links.drain(..).enumerate() {
             if let Some(chaos) = &link.chaos {
                 let (stalled, dropped) = chaos.outage_counters();
@@ -1238,6 +1372,8 @@ impl<'a> Launcher<'a> {
             restored_cut,
             dup_results_dropped: self.dup_results_dropped,
             retransmissions: self.retransmissions,
+            routed_messages: self.routed_messages,
+            data_frames,
             frames_sent: self.retired_batch_counters.0,
             wire_flushes: self.retired_batch_counters.1,
             unflushed_records_high_water: self.unflushed_high_water,
@@ -1303,30 +1439,29 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    /// Assigns the next sequence number, records the frame as in-flight,
-    /// folds its bytes into the wire digest, and transmits. The digest
-    /// folds the *unsealed* frame bytes: it pins what was dispatched, not
-    /// the integrity trailer.
+    /// Frames `msg` — one message or one batch — as the wire's next
+    /// sequenced unit: assigns the sequence number, records the frame as
+    /// in-flight, and transmits. Under `logical_time` its bytes are folded
+    /// into the wire digest first — the *unsealed* bytes: the digest pins
+    /// what was dispatched, not the integrity trailer.
     fn send_data(&mut self, task: usize, msg: JoinMsg) {
-        let record_meta = msg.record().map(|r| (r.id().0, r.timestamp()));
+        let messages = carried(&msg).len();
+        self.routed_messages += messages as u64;
         let link = &mut self.links[task];
         let seq = link.next_seq;
         link.next_seq += 1;
-        let unsealed = Frame::Data {
-            seq,
-            msg: msg.clone(),
+        let unsealed = encode_data(seq, &msg).expect("data frames are always encodable");
+        if self.cfg.logical_time {
+            link.digest = fnv1a(link.digest, &unsealed);
         }
-        .encode()
-        .expect("data frames are always encodable");
-        link.digest = fnv1a(link.digest, &unsealed);
         let frame = stormlite::seal(unsealed);
         let now = Instant::now();
         link.retry_due = link.retry_due.min(now + self.cfg.retry.timeout_after(0));
+        link.in_flight += messages;
         link.unacked.insert(
             seq,
             PendingFrame {
                 msg,
-                record_meta,
                 last_sent: now,
                 retries: 0,
             },
@@ -1383,10 +1518,11 @@ impl<'a> Launcher<'a> {
     /// Drains every wire's inbound queue, then handles any death or
     /// supervised kill noticed along the way. A nonzero `idle_wait` means
     /// the caller is waiting on the nodes: every link is flushed first,
-    /// and with nothing received the launcher sleeps briefly to avoid a
-    /// hot spin. `Duration::ZERO` is the per-record poll and flushes
-    /// nothing.
-    fn pump(&mut self, idle_wait: Duration) {
+    /// and with nothing received the launcher waits that long — on
+    /// `blocked_on`'s wire when the caller needs an ack from one task in
+    /// particular (so its arrival ends the wait), asleep otherwise.
+    /// `Duration::ZERO` is the flush-point poll and flushes nothing.
+    fn pump(&mut self, idle_wait: Duration, blocked_on: Option<usize>) {
         if !idle_wait.is_zero() {
             self.flush_links();
         }
@@ -1399,10 +1535,7 @@ impl<'a> Launcher<'a> {
             // that arrive while the window is active are held in order and
             // released once it heals, so the node looks silent without
             // anything being lost.
-            let inbound_blocked = self.links[task]
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.inbound_blocked());
+            let inbound_blocked = self.inbound_blocked(task);
             if !inbound_blocked && !self.links[task].held_inbound.is_empty() {
                 let held = std::mem::take(&mut self.links[task].held_inbound);
                 for b in held {
@@ -1417,47 +1550,31 @@ impl<'a> Launcher<'a> {
                     }
                 }
             }
-            loop {
-                if self.links[task].fenced {
-                    break; // fenced from inside on_frame handling
+            // Stop at a fence raised from inside `on_frame` handling, and
+            // stop consuming a poisoned incarnation.
+            while !self.links[task].fenced && !self.links[task].poisoned {
+                let event = self.links[task].wire.try_recv();
+                if !self.absorb(task, event, inbound_blocked, &mut got) {
+                    break;
                 }
-                if self.links[task].poisoned {
-                    break; // stop consuming a poisoned incarnation
+            }
+        }
+        if !got && !idle_wait.is_zero() {
+            // A link whose inbound side is held, discarded or abandoned
+            // must not be read here, or holding and discarding would leak.
+            let wait_on = blocked_on.filter(|&task| {
+                let link = &self.links[task];
+                self.pending_dead.is_none()
+                    && !link.fenced
+                    && !link.poisoned
+                    && !self.inbound_blocked(task)
+            });
+            match wait_on {
+                Some(task) => {
+                    let event = self.links[task].wire.recv_timeout(idle_wait);
+                    self.absorb(task, event, false, &mut got);
                 }
-                match self.links[task].wire.try_recv() {
-                    Ok(WireEvent::Frame(b)) => {
-                        let mut b = b;
-                        self.scripted_rx_corruption(task, &mut b);
-                        if inbound_blocked {
-                            self.links[task].held_inbound.push(b);
-                            continue; // held frames are not a life sign
-                        }
-                        got = true;
-                        self.links[task].last_seen = Instant::now();
-                        if !self.on_frame(task, &b) {
-                            self.pending_dead = Some(task);
-                            break;
-                        }
-                    }
-                    Ok(WireEvent::Idle) => break,
-                    Ok(WireEvent::Closed(reason)) => {
-                        if self.links[task].done.is_none() {
-                            match reason {
-                                CloseReason::Clean => self.health_report.clean_closes += 1,
-                                _ => self.health_report.error_closes += 1,
-                            }
-                            self.pending_dead = Some(task);
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        if self.links[task].done.is_none() {
-                            self.health_report.error_closes += 1;
-                            self.pending_dead = Some(task);
-                        }
-                        break;
-                    }
-                }
+                None => std::thread::sleep(idle_wait),
             }
         }
         if let Some(t) = self.pending_kill.take() {
@@ -1466,8 +1583,57 @@ impl<'a> Launcher<'a> {
         if let Some(t) = self.pending_dead.take() {
             self.recover_or_fence(t);
         }
-        if !got && !idle_wait.is_zero() {
-            std::thread::sleep(idle_wait);
+    }
+
+    /// Whether a two-way partition window currently holds `task`'s
+    /// inbound direction.
+    fn inbound_blocked(&self, task: usize) -> bool {
+        self.links[task]
+            .chaos
+            .as_ref()
+            .is_some_and(|c| c.inbound_blocked())
+    }
+
+    /// Handles one event `pump` took off `task`'s wire: a frame is run
+    /// through the scripted corruption windows and then held (two-way
+    /// partition) or recorded as a life sign and processed; a close marks
+    /// the node dead. Sets `got` when a frame was processed, and returns
+    /// whether the wire may have more to read right now.
+    fn absorb(
+        &mut self,
+        task: usize,
+        event: io::Result<WireEvent>,
+        inbound_blocked: bool,
+        got: &mut bool,
+    ) -> bool {
+        match event {
+            Ok(WireEvent::Frame(mut b)) => {
+                self.scripted_rx_corruption(task, &mut b);
+                if inbound_blocked {
+                    self.links[task].held_inbound.push(b);
+                    return true; // held frames are not a life sign
+                }
+                *got = true;
+                self.links[task].last_seen = Instant::now();
+                if !self.on_frame(task, &b) {
+                    self.pending_dead = Some(task);
+                    return false;
+                }
+                true
+            }
+            Ok(WireEvent::Idle) => false,
+            closed => {
+                if self.links[task].done.is_none() {
+                    match closed {
+                        Ok(WireEvent::Closed(CloseReason::Clean)) => {
+                            self.health_report.clean_closes += 1
+                        }
+                        _ => self.health_report.error_closes += 1,
+                    }
+                    self.pending_dead = Some(task);
+                }
+                false
+            }
         }
     }
 
@@ -1524,7 +1690,9 @@ impl<'a> Launcher<'a> {
                 let Some(acked) = self.links[task].unacked.remove(&seq) else {
                     return true; // re-ack of a frame a retransmission already covered
                 };
-                self.links[task].acked += 1;
+                let messages = carried(&acked.msg);
+                self.links[task].in_flight -= messages.len();
+                self.links[task].acked += messages.len() as u64;
                 self.stages
                     .record(Stage::Deliver, acked.last_sent.elapsed());
                 if acked.retries > 0 {
@@ -1539,8 +1707,11 @@ impl<'a> Launcher<'a> {
                     // Shorter backoffs are due sooner: rescan next pass.
                     self.links[task].retry_due = Instant::now();
                 }
-                if let (Some(recovery), Some((id, ts))) = (&self.recovery, acked.record_meta) {
-                    recovery.mark_processed(task, id, ts);
+                // The watermark moves once per ack, to the last record
+                // the frame carried (a barrier carries none).
+                let last = messages.iter().rev().find_map(JoinMsg::record);
+                if let (Some(recovery), Some(record)) = (&self.recovery, last) {
+                    recovery.mark_processed(task, record.id().0, record.timestamp());
                 }
                 if let Some(fault) = self.fault_armed {
                     if fault.task == task && self.links[task].acked >= fault.after_acks {
@@ -1550,26 +1721,13 @@ impl<'a> Launcher<'a> {
                 }
             }
             Frame::Result { pair, ingest } => {
-                // Results touching a fence-shed record are excluded: the
-                // shed set defines the surviving records, and the reported
-                // join is exactly the join over survivors.
-                if self.any_fenced
-                    && (self.shed_ids.contains(&pair.earlier.0)
-                        || self.shed_ids.contains(&pair.later.0))
-                {
-                    return true;
-                }
-                if self.seen.insert(pair.key()) {
-                    if let RunClock::Wall(anchor) = &self.clock {
-                        let lat = anchor
-                            .elapsed()
-                            .saturating_sub(Duration::from_nanos(ingest.as_nanos()));
-                        self.latency.record(lat);
-                        self.stages.record(Stage::Emit, lat);
-                    }
-                    self.pairs.push(pair);
-                } else {
-                    self.dup_results_dropped += 1;
+                let now = self.clock.wall_elapsed();
+                self.collect(pair, ingest, now);
+            }
+            Frame::Results(results) => {
+                let now = self.clock.wall_elapsed();
+                for (pair, ingest) in results {
+                    self.collect(pair, ingest, now);
                 }
             }
             Frame::Snapshot {
@@ -1614,9 +1772,33 @@ impl<'a> Launcher<'a> {
         true
     }
 
+    /// The sink: takes one result pair that arrived at run time `now`
+    /// (`None` under logical time). Results touching a fence-shed record
+    /// are excluded — the shed set defines the surviving records, and the
+    /// reported join is exactly the join over survivors — and a pair seen
+    /// before (reprocessing after a crash or chaos) is dropped by key.
+    fn collect(&mut self, pair: MatchPair, ingest: Timestamp, now: Option<Duration>) {
+        if self.any_fenced
+            && (self.shed_ids.contains(&pair.earlier.0) || self.shed_ids.contains(&pair.later.0))
+        {
+            return;
+        }
+        if !self.seen.insert(pair.key()) {
+            self.dup_results_dropped += 1;
+            return;
+        }
+        if let Some(now) = now {
+            let lat = now.saturating_sub(Duration::from_nanos(ingest.as_nanos()));
+            self.latency.record(lat);
+            self.stages.record(Stage::Emit, lat);
+        }
+        self.pairs.push(pair);
+    }
+
     /// Retransmits overdue unacked frames with exponential backoff. Runs
-    /// after every dispatched record, so a link with nothing due costs one
-    /// comparison against its `retry_due`; only a link past it is walked.
+    /// at every flush point and in every wait loop, so a link with nothing
+    /// due costs one comparison against its `retry_due`; only a link past
+    /// it is walked.
     fn service_timers(&mut self) {
         let retry = self.cfg.retry;
         let now = Instant::now();
@@ -1746,27 +1928,20 @@ impl<'a> Launcher<'a> {
             // exit when their wire drops at teardown.
             let _ = child.kill();
         }
-        // Retroactively shed the in-flight suffix: whether the dead node
-        // processed those records is unknowable, so they leave the
-        // surviving set entirely.
-        let inflight: Vec<u64> = self.links[task]
+        // Retroactively shed the in-flight suffix — every record inside
+        // every unacked frame: whether the dead node processed those
+        // records is unknowable, so they leave the surviving set entirely.
+        let link = &mut self.links[task];
+        let inflight: Vec<u64> = link
             .unacked
             .values()
-            .filter_map(|p| p.record_meta.map(|(id, _)| id))
+            .flat_map(|p| carried_ids(&p.msg))
             .collect();
-        self.links[task].unacked.clear();
-        self.links[task].held_inbound.clear();
+        link.unacked.clear();
+        link.in_flight = 0;
+        link.held_inbound.clear();
         let shed_now = inflight.len() as u64;
-        for id in inflight {
-            if self.shed_ids.insert(id) {
-                self.shed_log.push(id);
-            }
-        }
-        // Purge pairs already emitted with a now-shed endpoint; future
-        // arrivals are filtered in `on_frame`.
-        let shed_ids = &self.shed_ids;
-        self.pairs
-            .retain(|p| !shed_ids.contains(&p.earlier.0) && !shed_ids.contains(&p.later.0));
+        self.shed_for_fence(inflight);
         self.stages.record(Stage::Fence, Duration::ZERO);
         self.health_events.push(Event::instant(
             self.wall_nanos(),
@@ -1774,6 +1949,20 @@ impl<'a> Launcher<'a> {
             task as u64,
             shed_now,
         ));
+    }
+
+    /// Removes `ids` from the surviving set on behalf of a fenced task
+    /// and purges pairs already emitted with a now-shed endpoint; future
+    /// arrivals are filtered in `collect`.
+    fn shed_for_fence(&mut self, ids: impl IntoIterator<Item = u64>) {
+        for id in ids {
+            if self.shed_ids.insert(id) {
+                self.shed_log.push(id);
+            }
+        }
+        let shed_ids = &self.shed_ids;
+        self.pairs
+            .retain(|p| !shed_ids.contains(&p.earlier.0) && !shed_ids.contains(&p.later.0));
     }
 
     /// Consumes whatever `task` already delivered without blocking.
@@ -1935,15 +2124,15 @@ impl<'a> Launcher<'a> {
 }
 
 /// The dispatcher's view of the cluster: the run clock, and per joiner a
-/// sequenced at-least-once wire whose in-flight (sent-but-unacked) frames
-/// are its backlog.
+/// sequenced at-least-once wire whose in-flight (sent-but-unacked)
+/// messages are its backlog.
 impl DispatchPort for Launcher<'_> {
     fn now(&mut self) -> Timestamp {
         self.clock.now()
     }
 
     fn backlog(&self, task: usize) -> usize {
-        self.links[task].unacked.len()
+        self.links[task].in_flight
     }
 
     fn reachable(&self, task: usize) -> bool {
@@ -1952,25 +2141,23 @@ impl DispatchPort for Launcher<'_> {
 
     /// Sends after bounding this wire's in-flight backlog at the channel
     /// capacity — the launcher-side equivalent of a bounded channel
-    /// blocking the dispatcher.
+    /// blocking the dispatcher. The bound is checked before the send, so
+    /// a batch may overshoot it by less than its length.
     fn send(&mut self, task: usize, msg: JoinMsg) {
         loop {
             if self.links[task].fenced {
-                // The target was fenced mid-dispatch (recovery triggered
-                // from inside this wait): shed the whole record so the
-                // surviving-set accounting stays exact. Frames of this
-                // record already sent elsewhere are filtered at the sink.
-                if let Some(record) = msg.record() {
-                    if self.shed_ids.insert(record.id().0) {
-                        self.shed_log.push(record.id().0);
-                    }
-                }
+                // The target was fenced since these records were routed
+                // (from inside this wait, or while they sat in a pending
+                // batch): shed every one of them whole so the
+                // surviving-set accounting stays exact. Their messages
+                // already sent elsewhere are filtered at the sink.
+                self.shed_for_fence(carried_ids(&msg));
                 return;
             }
-            if self.links[task].unacked.len() < self.cfg.channel_capacity {
+            if self.links[task].in_flight < self.cfg.channel_capacity {
                 break;
             }
-            self.pump(Duration::from_micros(200));
+            self.pump(Duration::from_micros(200), Some(task));
             self.service_timers();
             self.service_health();
         }
@@ -2018,6 +2205,348 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::ReplayEntry;
+    use ssj_core::Window;
+    use ssj_text::{RecordId, TokenId};
+    use stormlite::ChannelWire;
+
+    fn rec(id: u64, tokens: &[u32]) -> Record {
+        let tokens = tokens.iter().copied().map(TokenId).collect();
+        Record::from_sorted(RecordId(id), id, tokens)
+    }
+
+    /// Message `id` of a stream of identical records: each one matches
+    /// every earlier one.
+    fn msg(id: u64) -> JoinMsg {
+        JoinMsg::ProbeAndIndex(RecordMsg::solo(rec(id, &[1, 2, 3]), Timestamp::ZERO))
+    }
+
+    fn batch(ids: std::ops::Range<u64>) -> JoinMsg {
+        JoinMsg::Batch(ids.map(msg).collect())
+    }
+
+    fn test_config(k: usize) -> ClusterConfig {
+        ClusterConfig::recommended(k, JoinConfig::jaccard(0.7), ClusterBackend::InProcess)
+    }
+
+    /// A launcher wired to `cfg.k` channel wires whose node ends the test
+    /// holds — the test plays every node. `chaos` goes on task 0's link.
+    fn launcher(cfg: &ClusterConfig, chaos: Option<ChaosLink>) -> (Launcher<'_>, Vec<ChannelWire>) {
+        let mut launcher = Launcher::new(Vec::new(), false, cfg);
+        let mut chaos = chaos;
+        let mut nodes = Vec::new();
+        for _ in 0..cfg.k {
+            let (ours, theirs) = stormlite::channel_wire_pair(64);
+            launcher.links.push(NodeLink::new(
+                Box::new(ours),
+                NodeProc::Thread(None),
+                chaos.take(),
+                Vec::new(),
+            ));
+            nodes.push(theirs);
+        }
+        (launcher, nodes)
+    }
+
+    fn sealed(frame: &Frame) -> Vec<u8> {
+        frame.encode_sealed().unwrap()
+    }
+
+    /// The next frame waiting on `wire`, if any.
+    fn next_frame(wire: &mut dyn Wire) -> Option<Frame> {
+        match wire.try_recv().unwrap() {
+            WireEvent::Frame(b) => Some(Frame::decode_checked(&b, true).unwrap()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_in_flight_bound_and_the_backlog_count_messages_not_frames() {
+        let mut cfg = test_config(1);
+        cfg.channel_capacity = 4;
+        let (mut l, mut nodes) = launcher(&cfg, None);
+        l.send(0, batch(0..3));
+        assert_eq!(l.backlog(0), 3);
+        // 3 < 4, so the next batch goes out and overshoots the bound by
+        // less than its length.
+        l.send(0, batch(3..6));
+        assert_eq!((l.backlog(0), l.links[0].unacked.len()), (6, 2));
+        // 6 >= 4: the third send has to wait for the first batch's ack,
+        // which takes three messages out of flight at once. The wait is on
+        // this wire, so the queued ack ends it.
+        nodes[0].send(&sealed(&Frame::Ack { seq: 0 })).unwrap();
+        l.send(0, msg(6));
+        assert_eq!((l.backlog(0), l.links[0].unacked.len()), (4, 2));
+        assert_eq!(l.links[0].acked, 3);
+        assert_eq!((l.routed_messages, l.links[0].next_seq), (7, 3));
+        // What reached the node: three sequenced frames, 3 + 3 + 1.
+        let sizes: Vec<(u64, usize)> = std::iter::from_fn(|| next_frame(&mut nodes[0]))
+            .map(|f| match f {
+                Frame::Data { seq, msg } => (seq, carried(&msg).len()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(sizes, vec![(0, 3), (1, 3), (2, 1)]);
+    }
+
+    #[test]
+    fn an_ack_counts_its_messages_and_moves_the_watermark_once_to_the_last_record() {
+        let mut cfg = test_config(1);
+        cfg.fault = Some(ClusterFault {
+            task: 0,
+            after_acks: 5,
+        });
+        let (mut l, _nodes) = launcher(&cfg, None);
+        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
+        for id in 0..6 {
+            let payload = RecordMsg::solo(rec(id, &[1, 2, 3]), Timestamp::ZERO);
+            recovery.buffer_index_target(0, ReplayEntry::from_payload(&payload));
+        }
+        l.recovery = Some(Arc::clone(&recovery));
+        l.send(0, batch(0..3));
+        l.send(0, batch(3..6));
+        assert!(recovery.replay_for(0).is_empty(), "nothing acked yet");
+
+        assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 0 })));
+        assert_eq!(l.links[0].acked, 3);
+        assert_eq!(l.pending_kill, None, "3 messages acked, the horizon is 5");
+        let replay: Vec<u64> = recovery
+            .replay_for(0)
+            .iter()
+            .map(|e| e.record.id().0)
+            .collect();
+        assert_eq!(
+            replay,
+            vec![0, 1, 2],
+            "watermark at the batch's last record"
+        );
+
+        // The second ack crosses the horizon mid-batch: the kill lands
+        // where an unbatched run's sixth ack would have put it, at most a
+        // batch late, never early.
+        assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
+        assert_eq!(l.links[0].acked, 6);
+        assert_eq!(l.pending_kill, Some(0));
+        assert_eq!(recovery.replay_for(0).len(), 6);
+        // A re-ack changes nothing.
+        assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
+        assert_eq!((l.links[0].acked, l.backlog(0)), (6, 0));
+    }
+
+    #[test]
+    fn fencing_sheds_every_record_of_an_in_flight_batch_and_of_a_refused_one() {
+        let cfg = test_config(2);
+        let (mut l, _nodes) = launcher(&cfg, None);
+        let pair = |earlier: u64, later: u64| MatchPair {
+            earlier: RecordId(earlier),
+            later: RecordId(later),
+            similarity: 1.0,
+        };
+        let results = vec![
+            (pair(0, 1), Timestamp::ZERO),
+            (pair(0, 4), Timestamp::ZERO),
+            (pair(7, 8), Timestamp::ZERO),
+        ];
+        // One clock read per `Results` frame, every pair through the sink.
+        assert!(l.on_frame(1, &sealed(&Frame::Results(results.clone()))));
+        assert_eq!(l.pairs.len(), 3);
+        assert!(l.on_frame(1, &sealed(&Frame::Results(results))));
+        assert_eq!((l.pairs.len(), l.dup_results_dropped), (3, 3));
+
+        l.send(0, batch(1..4));
+        l.send(
+            0,
+            JoinMsg::Barrier {
+                epoch: 1,
+                injected_at: Timestamp::ZERO,
+            },
+        );
+        l.fence(0);
+        assert_eq!(l.shed_log, vec![1, 2, 3], "every id of the in-flight batch");
+        assert_eq!(l.backlog(0), 0);
+        assert_eq!(l.pairs.len(), 2, "the pair touching record 1 is purged");
+
+        // A batch routed before the fence but framed after it is refused
+        // whole, and pairs its records already produced elsewhere go too.
+        l.send(0, batch(4..6));
+        assert_eq!(l.shed_log, vec![1, 2, 3, 4, 5]);
+        assert_eq!(
+            l.links[0].next_seq, 2,
+            "nothing was framed for a fenced task"
+        );
+        assert_eq!(
+            l.pairs.iter().map(MatchPair::key).collect::<Vec<_>>(),
+            vec![(7, 8)]
+        );
+        // And what arrives later for a shed record is filtered.
+        let late = Frame::Result {
+            pair: pair(5, 9),
+            ingest: Timestamp::ZERO,
+        };
+        assert!(l.on_frame(1, &sealed(&late)));
+        assert_eq!(l.pairs.len(), 1);
+    }
+
+    #[test]
+    fn an_outage_window_counts_one_transmission_per_batch() {
+        let cfg = test_config(1);
+        let window = ChaosWindow { after: 1, len: 1 };
+        let chaos = ChaosLink::from_outages(vec![LinkOutage::Partition {
+            window,
+            two_way: false,
+        }]);
+        let (mut l, mut nodes) = launcher(&cfg, Some(chaos));
+        l.send(0, batch(0..8)); // transmission 1
+        l.send(0, batch(8..16)); // transmission 2: inside the window
+        l.send(0, msg(16)); // transmission 3
+        let seqs: Vec<u64> = std::iter::from_fn(|| next_frame(&mut nodes[0]))
+            .map(|f| match f {
+                Frame::Data { seq, .. } => seq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            seqs,
+            vec![0, 2],
+            "exactly the second frame was dropped, whole"
+        );
+        let (_, dropped) = l.links[0].chaos.as_ref().unwrap().outage_counters();
+        assert_eq!(dropped, 1);
+        assert_eq!(l.backlog(0), 17, "the dropped batch is still in flight");
+    }
+
+    #[test]
+    fn wire_digests_fold_only_under_logical_time_and_a_retransmission_repeats_the_bytes() {
+        let mut cfg = test_config(1);
+        let (mut l, _nodes) = launcher(&cfg, None);
+        l.send(0, batch(0..4));
+        assert_eq!(
+            l.links[0].digest, FNV_OFFSET,
+            "wall-clock runs report no digest"
+        );
+        // A retransmission carries the bytes of the first transmission.
+        let first = Frame::Data {
+            seq: 0,
+            msg: batch(0..4),
+        };
+        assert_eq!(l.links[0].unacked[&0].sealed(0), sealed(&first));
+        drop(l);
+
+        cfg.logical_time = true;
+        let (mut l, _nodes) = launcher(&cfg, None);
+        l.send(0, batch(0..4));
+        assert_eq!(
+            l.links[0].digest,
+            fnv1a(FNV_OFFSET, &first.encode().unwrap())
+        );
+    }
+
+    /// Plays launcher to `node_serve` over a channel wire and returns the
+    /// node's replies to `frames`, in order, plus how the node ended.
+    fn serve(frames: Vec<Frame>) -> (Vec<Frame>, io::Result<()>) {
+        let (mut wire, mut node_wire) = stormlite::channel_wire_pair(256);
+        let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
+        assert_eq!(read_hello(&mut wire).unwrap(), 0);
+        let cfg = test_config(1);
+        let mut config = Launcher::new(Vec::new(), false, &cfg).node_config(0, 0);
+        config.algo = LocalAlgo::PpJoin;
+        send_frame(&mut wire, &Frame::Config(config)).unwrap();
+        for f in &frames {
+            send_frame(&mut wire, f).unwrap();
+        }
+        // A node that already died of a protocol error is not listening.
+        let _ = send_frame(&mut wire, &Frame::Eos);
+        let mut replies = Vec::new();
+        loop {
+            match wire.recv_timeout(Duration::from_secs(20)).unwrap() {
+                WireEvent::Frame(b) => match Frame::decode_checked(&b, true).unwrap() {
+                    Frame::Done(_) => break,
+                    f => replies.push(f),
+                },
+                WireEvent::Closed(_) => break,
+                WireEvent::Idle => panic!("node went quiet"),
+            }
+        }
+        drop(wire);
+        (replies, node.join().unwrap())
+    }
+
+    fn kinds(replies: &[Frame]) -> String {
+        replies
+            .iter()
+            .map(|f| match f {
+                Frame::Result { .. } => "r".to_string(),
+                Frame::Results(pairs) => format!("R{}", pairs.len()),
+                Frame::Ack { seq } => format!("a{seq}"),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    #[test]
+    fn a_node_answers_a_message_pair_by_pair_and_a_batch_with_one_results_frame() {
+        let data = |seq, msg| Frame::Data { seq, msg };
+        // Unbatched in: `Result`*, then the `Ack` — the shape the layer
+        // probe in `perf/` speaks.
+        let (replies, end) = serve((0..4).map(|i| data(i, msg(i))).collect());
+        end.unwrap();
+        assert_eq!(kinds(&replies), "a0 r a1 r r a2 r r r a3");
+
+        // Batch in: at most one `Results` (none when the batch found no
+        // pair), then exactly one `Ack`; batched and unbatched frames mix
+        // on one wire, and the pairs are the same 0 + 1 + 2 + 3 + 4.
+        let unlike = RecordMsg::solo(rec(0, &[7, 8, 9]), Timestamp::ZERO);
+        let (replies, end) = serve(vec![
+            data(0, JoinMsg::Batch(vec![JoinMsg::Index(unlike)])),
+            data(1, batch(1..4)),
+            data(2, msg(4)),
+            data(3, batch(5..6)),
+        ]);
+        end.unwrap();
+        assert_eq!(kinds(&replies), "a0 R3 a1 r r r a2 R4 a3");
+        let Frame::Results(pairs) = &replies[1] else {
+            unreachable!("checked by kinds")
+        };
+        let keys: Vec<_> = pairs.iter().map(|(p, _)| p.key()).collect();
+        assert_eq!(keys, vec![(1, 2), (1, 3), (2, 3)], "probe order");
+    }
+
+    #[test]
+    fn a_barrier_or_result_inside_a_batch_is_a_protocol_error() {
+        let barrier = JoinMsg::Barrier {
+            epoch: 1,
+            injected_at: Timestamp::ZERO,
+        };
+        let result = JoinMsg::Result {
+            pair: MatchPair {
+                earlier: RecordId(0),
+                later: RecordId(1),
+                similarity: 1.0,
+            },
+            ingest: Timestamp::ZERO,
+        };
+        for intruder in [barrier, result] {
+            let frame = Frame::Data {
+                seq: 0,
+                msg: JoinMsg::Batch(vec![msg(0), intruder, msg(1)]),
+            };
+            let (replies, end) = serve(vec![frame]);
+            assert!(
+                replies.is_empty(),
+                "neither results nor an ack: {replies:?}"
+            );
+            assert_eq!(end.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        // A nested batch does not even decode.
+        let nested = JoinMsg::Batch(vec![JoinMsg::Batch(vec![msg(0)])]);
+        let (replies, end) = serve(vec![Frame::Data {
+            seq: 0,
+            msg: nested,
+        }]);
+        assert!(replies.is_empty());
+        assert_eq!(end.unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
 
     /// There is one protocol version: a peer announcing an older or a
     /// newer one is refused at the `Hello`, with an error naming both.

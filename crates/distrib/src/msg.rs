@@ -50,21 +50,30 @@ pub enum JoinMsg {
         ingest: Timestamp,
     },
     /// Several messages shipped down one wire as a single engine message,
-    /// in order; never nested. With `DistributedJoinConfig::dispatch_batch`
-    /// set, both joiner edges carry them, to amortize per-message engine
+    /// in order; never nested. With `dispatch_batch` set
+    /// (`DistributedJoinConfig` or `ClusterConfig`), three edges carry
+    /// them, to amortize per-message engine and per-frame session
     /// overhead:
     ///
-    /// * dispatcher → joiner: up to that many record-bearing messages per
-    ///   joiner wire, in dispatch order, flushed before every barrier
-    ///   injection and at stream end. The joiner runs each through the
-    ///   full per-message path, so batching never changes results;
-    /// * joiner → sink: the [`JoinMsg::Result`]s of one inbound batch, in
-    ///   probe order, sent when that inbound batch ends (nothing is sent
-    ///   when it produced none). Results never wait for later input.
+    /// * dispatcher → joiner (topology): up to that many record-bearing
+    ///   messages per joiner wire, in dispatch order, flushed before every
+    ///   barrier injection and at stream end. The joiner runs each through
+    ///   the full per-message path, so batching never changes results;
+    /// * joiner → sink (topology): the [`JoinMsg::Result`]s of one inbound
+    ///   batch, in probe order, sent when that inbound batch ends (nothing
+    ///   is sent when it produced none). Results never wait for later
+    ///   input;
+    /// * launcher → node (cluster): the same dispatcher batches, each
+    ///   framed as one sequenced `Data` frame — additionally flushed every
+    ///   `BATCH_MAX_FRAMES` source records — and answered by the node with
+    ///   at most one `Results` frame and one ack. The node → launcher
+    ///   direction has its own frame for that and never carries a
+    ///   `JoinMsg`.
     ///
-    /// A batch is one engine tuple: it is redelivered whole after an
-    /// injected crash, dropped whole (and counted once) if processing it
-    /// panics, and moves the joiner's recovery watermark once.
+    /// A batch is one engine tuple: it is redelivered (on the cluster:
+    /// retransmitted under its original sequence number) whole after a
+    /// crash, dropped whole (and counted once) if processing it panics,
+    /// and moves the joiner's recovery watermark once.
     Batch(Vec<JoinMsg>),
     /// A checkpoint barrier control tuple. The dispatcher injects one per
     /// epoch down every joiner wire; a joiner receiving it snapshots its

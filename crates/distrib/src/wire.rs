@@ -45,7 +45,13 @@ use crate::msg::{JoinMsg, RecordMsg};
 /// retransmission) rather than a misparse or a silently wrong decode.
 /// Only the [`Frame::Hello`] travels unsealed, so a peer of any version
 /// can read it; the launcher refuses every version but this one.
-pub const PROTO_VERSION: u16 = 3;
+///
+/// Version 4 batches the data path: a [`Frame::Data`] may carry a
+/// [`JoinMsg::Batch`] as one sequenced unit, which a node answers with at
+/// most one [`Frame::Results`] and exactly one [`Frame::Ack`]. A v3 node
+/// would answer the same batch pair by pair and reject the new tag from a
+/// v4 peer, so the bump makes the mismatch fail at the handshake.
+pub const PROTO_VERSION: u16 = 4;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CONFIG: u8 = 0x02;
@@ -58,6 +64,11 @@ const TAG_DONE: u8 = 0x08;
 const TAG_RESTORE: u8 = 0x09;
 const TAG_HEARTBEAT: u8 = 0x0A;
 const TAG_HEALTH_ACK: u8 = 0x0B;
+const TAG_RESULTS: u8 = 0x0C;
+
+/// Encoded size of one [`Frame::Results`] entry: two ids, the similarity
+/// and the ingest stamp.
+const RESULT_ENTRY_BYTES: u64 = 32;
 
 const MSG_PROBE: u8 = 0;
 const MSG_INDEX: u8 = 1;
@@ -115,29 +126,35 @@ pub enum Frame {
     },
     /// Launcher → node: engine configuration (handshake reply).
     Config(NodeConfig),
-    /// Launcher → node: one routed [`JoinMsg`] under the at-least-once
-    /// protocol. `seq` increases by one per *distinct* message on this
-    /// wire; retransmissions reuse the original `seq` so the node can
-    /// deduplicate.
+    /// Launcher → node: one routed [`JoinMsg`] — or one
+    /// [`JoinMsg::Batch`] of them — under the at-least-once protocol.
+    /// `seq` increases by one per *distinct* frame on this wire, whatever
+    /// it carries; retransmissions reuse the original `seq` so the node
+    /// can deduplicate.
     Data {
         /// Per-wire sequence number.
         seq: u64,
-        /// The routed message.
+        /// The routed message, or a batch of them.
         msg: JoinMsg,
     },
-    /// Node → launcher: `seq` has been fully processed and all of its
-    /// results were written to the wire *before* this ack.
+    /// Node → launcher: everything `seq` carried has been fully processed
+    /// and all of its results were written to the wire *before* this ack.
     Ack {
         /// The acknowledged sequence number.
         seq: u64,
     },
-    /// Node → launcher: one verified result pair.
+    /// Node → launcher: one verified result pair — the reply to a probe
+    /// that arrived outside a batch.
     Result {
         /// The matching pair.
         pair: MatchPair,
         /// Dispatch timestamp of the probing record.
         ingest: Timestamp,
     },
+    /// Node → launcher: every result pair of one inbound batch, in probe
+    /// order, each with the dispatch timestamp of its probing record.
+    /// Never empty: a batch without results is answered by its ack alone.
+    Results(Vec<(MatchPair, Timestamp)>),
     /// Node → launcher: this node's window snapshot for a barrier epoch
     /// (`window` is the `ssj_core::snapshot` encoding); the launcher
     /// publishes it to the checkpoint coordinator on the node's behalf.
@@ -231,6 +248,22 @@ fn bad(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
+fn put_result(out: &mut Vec<u8>, pair: &MatchPair, ingest: Timestamp) {
+    put_u64(out, pair.earlier.0);
+    put_u64(out, pair.later.0);
+    put_f64(out, pair.similarity);
+    put_u64(out, ingest.as_nanos());
+}
+
+fn get_result<R: Read>(r: &mut R) -> io::Result<(MatchPair, Timestamp)> {
+    let pair = MatchPair {
+        earlier: RecordId(get_u64(r)?),
+        later: RecordId(get_u64(r)?),
+        similarity: get_f64(r)?,
+    };
+    Ok((pair, Timestamp::from_nanos(get_u64(r)?)))
+}
+
 fn encode_side(out: &mut Vec<u8>, side: Option<Side>) {
     out.push(match side {
         None => 0,
@@ -283,10 +316,7 @@ pub fn encode_join_msg(out: &mut Vec<u8>, msg: &JoinMsg) -> io::Result<()> {
         }
         JoinMsg::Result { pair, ingest } => {
             out.push(MSG_RESULT);
-            put_u64(out, pair.earlier.0);
-            put_u64(out, pair.later.0);
-            put_f64(out, pair.similarity);
-            put_u64(out, ingest.as_nanos());
+            put_result(out, pair, *ingest);
         }
         JoinMsg::Barrier { epoch, injected_at } => {
             out.push(MSG_BARRIER);
@@ -312,18 +342,8 @@ pub fn decode_join_msg<R: Read>(r: &mut R) -> io::Result<JoinMsg> {
         MSG_INDEX => Ok(JoinMsg::Index(decode_record_msg(r)?)),
         MSG_PROBE_AND_INDEX => Ok(JoinMsg::ProbeAndIndex(decode_record_msg(r)?)),
         MSG_RESULT => {
-            let earlier = RecordId(get_u64(r)?);
-            let later = RecordId(get_u64(r)?);
-            let similarity = get_f64(r)?;
-            let ingest = Timestamp::from_nanos(get_u64(r)?);
-            Ok(JoinMsg::Result {
-                pair: MatchPair {
-                    earlier,
-                    later,
-                    similarity,
-                },
-                ingest,
-            })
+            let (pair, ingest) = get_result(r)?;
+            Ok(JoinMsg::Result { pair, ingest })
         }
         MSG_BARRIER => Ok(JoinMsg::Barrier {
             epoch: get_u64(r)?,
@@ -487,6 +507,18 @@ fn stats_from_array(a: [u64; STATS_FIELDS]) -> JoinStats {
     s
 }
 
+/// The unsealed bytes of `Frame::Data { seq, msg }`, encoded from a
+/// borrowed message: the launcher keeps every in-flight message for
+/// retransmission and must not clone it (for a batch, a `Vec` of records)
+/// just to put it on the wire.
+pub fn encode_data(seq: u64, msg: &JoinMsg) -> io::Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(64);
+    out.push(TAG_DATA);
+    put_u64(&mut out, seq);
+    encode_join_msg(&mut out, msg)?;
+    Ok(out)
+}
+
 impl Frame {
     /// Serializes this frame into the byte payload of one transport frame.
     pub fn encode(&self) -> io::Result<Vec<u8>> {
@@ -509,21 +541,22 @@ impl Frame {
                 out.push(u8::from(cfg.dedup));
                 put_u64(&mut out, cfg.resume_seq);
             }
-            Frame::Data { seq, msg } => {
-                out.push(TAG_DATA);
-                put_u64(&mut out, *seq);
-                encode_join_msg(&mut out, msg)?;
-            }
+            Frame::Data { seq, msg } => return encode_data(*seq, msg),
             Frame::Ack { seq } => {
                 out.push(TAG_ACK);
                 put_u64(&mut out, *seq);
             }
             Frame::Result { pair, ingest } => {
                 out.push(TAG_RESULT);
-                put_u64(&mut out, pair.earlier.0);
-                put_u64(&mut out, pair.later.0);
-                put_f64(&mut out, pair.similarity);
-                put_u64(&mut out, ingest.as_nanos());
+                put_result(&mut out, pair, *ingest);
+            }
+            Frame::Results(results) => {
+                out.push(TAG_RESULTS);
+                let count = u32::try_from(results.len()).map_err(|_| bad("too many results"))?;
+                put_u32(&mut out, count);
+                for (pair, ingest) in results {
+                    put_result(&mut out, pair, *ingest);
+                }
             }
             Frame::Snapshot {
                 epoch,
@@ -632,14 +665,24 @@ impl Frame {
                 msg: decode_join_msg(r)?,
             }),
             TAG_ACK => Ok(Frame::Ack { seq: get_u64(r)? }),
-            TAG_RESULT => Ok(Frame::Result {
-                pair: MatchPair {
-                    earlier: RecordId(get_u64(r)?),
-                    later: RecordId(get_u64(r)?),
-                    similarity: get_f64(r)?,
-                },
-                ingest: Timestamp::from_nanos(get_u64(r)?),
-            }),
+            TAG_RESULT => {
+                let (pair, ingest) = get_result(r)?;
+                Ok(Frame::Result { pair, ingest })
+            }
+            TAG_RESULTS => {
+                let count = get_u32(r)?;
+                // Entries are fixed-width, so the declared count is checked
+                // against the bytes actually present before it sizes an
+                // allocation.
+                let remaining = r.get_ref().len() as u64 - r.position();
+                if u64::from(count) * RESULT_ENTRY_BYTES > remaining {
+                    return Err(bad("truncated results body"));
+                }
+                (0..count)
+                    .map(|_| get_result(r))
+                    .collect::<io::Result<Vec<_>>>()
+                    .map(Frame::Results)
+            }
             TAG_SNAPSHOT => {
                 let epoch = get_u64(r)?;
                 let task = get_u32(r)?;
@@ -708,6 +751,19 @@ mod tests {
         ssj_text::Record::from_sorted(RecordId(id), id * 3, vec![TokenId(1), TokenId(5)])
     }
 
+    fn results(n: u64) -> Vec<(MatchPair, Timestamp)> {
+        (0..n)
+            .map(|i| {
+                let pair = MatchPair {
+                    earlier: RecordId(i),
+                    later: RecordId(i + 7),
+                    similarity: 0.75 + i as f64 / 64.0,
+                };
+                (pair, Timestamp::from_nanos(100 + i))
+            })
+            .collect()
+    }
+
     #[test]
     fn every_frame_kind_roundtrips_byte_exactly() {
         let frames = vec![
@@ -743,6 +799,7 @@ mod tests {
                 },
                 ingest: Timestamp::from_nanos(9),
             },
+            Frame::Results(results(3)),
             Frame::Snapshot {
                 epoch: 5,
                 task: 1,
@@ -817,6 +874,34 @@ mod tests {
         )
         .unwrap();
         assert!(decode_join_msg(&mut nested.as_slice()).is_err());
+    }
+
+    #[test]
+    fn results_frames_keep_every_pair_and_reject_damage() {
+        let want = results(3);
+        let full = Frame::Results(want.clone()).encode().unwrap();
+        assert_eq!(full.len(), 1 + 4 + 3 * RESULT_ENTRY_BYTES as usize);
+        let Frame::Results(got) = Frame::decode(&full).unwrap() else {
+            panic!("decoded to a different frame kind");
+        };
+        assert_eq!(got.len(), want.len());
+        for ((gp, gi), (wp, wi)) in got.iter().zip(&want) {
+            assert_eq!(
+                (gp.key(), gp.similarity.to_bits()),
+                (wp.key(), wp.similarity.to_bits())
+            );
+            assert_eq!(gi, wi);
+        }
+        for cut in 1..full.len() {
+            assert!(Frame::decode(&full[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut padded = full.clone();
+        padded.push(0);
+        assert!(Frame::decode(&padded).is_err(), "trailing byte");
+        // The tag after the last one in use is still unknown.
+        let mut unknown = full;
+        unknown[0] = TAG_RESULTS + 1;
+        assert!(Frame::decode(&unknown).is_err(), "unknown tag");
     }
 
     #[test]

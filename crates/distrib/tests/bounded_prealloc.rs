@@ -6,6 +6,7 @@
 
 use ssj_core::snapshot::decode_window_slice;
 use ssj_distrib::checkpoint::Manifest;
+use ssj_distrib::wire::Frame;
 use ssj_partition::LengthPartition;
 use ssj_text::codec::decode_record;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -71,6 +72,18 @@ fn snapshot_header_claiming_u32_max_entries_is_refused_unallocated() {
     let (err, allocated) = refused(|| decode_window_slice(&header));
     assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     assert!(allocated < BUDGET, "allocated {allocated} B for 0 entries");
+}
+
+#[test]
+fn results_frame_claiming_u32_max_pairs_is_refused_unallocated() {
+    // A well-formed empty `Results` frame with its pair count overwritten.
+    let mut header = Frame::Results(Vec::new()).encode().unwrap();
+    assert_eq!(header.len(), 5);
+    header[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (err, allocated) = refused(|| Frame::decode(&header));
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("truncated"), "{err}");
+    assert!(allocated < BUDGET, "allocated {allocated} B for 0 pairs");
 }
 
 #[test]

@@ -274,6 +274,18 @@ fn every_frame_type(seed: u64) -> Vec<Frame> {
             },
             ingest: Timestamp::from_nanos(seed),
         },
+        Frame::Results(
+            (0..seed % 3 + 1)
+                .map(|i| {
+                    let pair = MatchPair {
+                        earlier: RecordId(seed % 999),
+                        later: RecordId(seed % 999 + 1 + i),
+                        similarity: 0.75,
+                    };
+                    (pair, Timestamp::from_nanos(seed + i))
+                })
+                .collect(),
+        ),
         Frame::Snapshot {
             epoch: seed % 13,
             task: (seed % 5) as u32,

@@ -45,11 +45,10 @@ pub fn cluster_config_for(
     case: &DifferentialCase,
     backend: ClusterBackend,
 ) -> ClusterConfig {
-    assert!(
-        case.dispatch_batch.is_none(),
-        "edge batching is a topology knob; the cluster launcher frames one message at a time"
-    );
     let mut cfg = ClusterConfig::recommended(case.k, case.join, backend);
+    // Unbatched unless the case asks: every ordinal-keyed outage and kill
+    // horizon, and the pinned digests, were placed on that frame stream.
+    cfg.dispatch_batch = case.dispatch_batch;
     cfg.local = case.local;
     cfg.strategy = case.strategy.clone();
     cfg.channel_capacity = 64;

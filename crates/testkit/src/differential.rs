@@ -82,11 +82,13 @@ pub struct DifferentialCase {
     /// store. Checkpointing must never change the output, so the oracle
     /// comparison is unchanged; it composes with every other knob.
     pub checkpoint_interval: Option<u64>,
-    /// Batch every topology edge at this size (see
-    /// `DistributedJoinConfig::dispatch_batch`). Batching must never change
-    /// the output, so the oracle comparison is unchanged; it composes with
-    /// every other simulated knob. Topology-only: the cluster launcher
-    /// frames one message at a time, so the cluster harness rejects it.
+    /// Batch every joiner edge at this size (see
+    /// `DistributedJoinConfig::dispatch_batch` and
+    /// `ClusterConfig::dispatch_batch`). Batching must never change the
+    /// output, so the oracle comparison is unchanged; it composes with
+    /// every other knob, simulated or cluster. Note that a cluster case's
+    /// outage windows count frame transmissions, of which a batched run
+    /// makes fewer.
     pub dispatch_batch: Option<usize>,
     /// Link outages (stall / partition windows) injected on cluster wires.
     /// Consumed by the cluster harness only — the simulated topology has
@@ -166,7 +168,7 @@ impl DifferentialCase {
         self
     }
 
-    /// Batches every topology edge at `batch` messages (`None` = off).
+    /// Batches every joiner edge at `batch` messages (`None` = off).
     pub fn with_dispatch_batch(mut self, batch: Option<usize>) -> Self {
         self.dispatch_batch = batch;
         self

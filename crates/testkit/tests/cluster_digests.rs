@@ -8,9 +8,13 @@
 //! launcher→joiner wire, in sequence order. It therefore pins what the
 //! dispatch algorithm emits — routing, probe/index interleaving,
 //! `ProbeAndIndex` fusion, barrier placement — and every clock read it
-//! makes. The other digest tests compare two runs of the *same* build
-//! (run-to-run, backend-to-backend); these constants compare against the
-//! build that captured them.
+//! makes. Each configuration is pinned twice: framed one message per
+//! `Data` frame (`dispatch_batch: None`, the six constants that predate
+//! batching) and batched at 8, where the digest additionally pins where
+//! batches are cut — every 8th message on a wire, every flush point, ahead
+//! of every barrier. The other digest tests compare two runs of the *same*
+//! build (run-to-run, backend-to-backend); these constants compare against
+//! the build that captured them.
 //!
 //! After an *intentional* change to the dispatch order or the data-frame
 //! encoding, print fresh values with
@@ -32,8 +36,18 @@ const LENGTH_AUTO: Strategy = Strategy::LengthAuto {
     sample: 80,
 };
 
-/// `(name, strategy, checkpoint interval, bistream, digests)`.
-type Pin = (&'static str, Strategy, Option<u64>, bool, [u64; 3]);
+/// `(name, strategy, checkpoint interval, bistream, unbatched digests,
+/// digests at dispatch_batch 8)`.
+type Pin = (
+    &'static str,
+    Strategy,
+    Option<u64>,
+    bool,
+    [u64; 3],
+    [u64; 3],
+);
+
+const BATCHED: Option<usize> = Some(8);
 
 const PINS: [Pin; 6] = [
     (
@@ -42,6 +56,7 @@ const PINS: [Pin; 6] = [
         None,
         false,
         [0x43c87c148dcc545f, 0x0c8c93696638a6ab, 0x620d70e369442b06],
+        [0xef190c6ddf36c459, 0x4cd366cf589ac3a5, 0x1658c7751d5ee1e5],
     ),
     (
         "length-auto/bistream",
@@ -49,6 +64,7 @@ const PINS: [Pin; 6] = [
         None,
         true,
         [0x8e0b134b5597312e, 0xb6cc65d9270a51bd, 0x2fc0abd91896cdf6],
+        [0x1337bbf133b67fd6, 0x58c9ec559ba841e5, 0x548de9ad670b50d5],
     ),
     (
         "prefix/self",
@@ -56,6 +72,7 @@ const PINS: [Pin; 6] = [
         None,
         false,
         [0x099e92c1aab2c279, 0x0b0e431506ec0b84, 0x1ee2395ac8f025d5],
+        [0xc667198244edaee9, 0x0df14f12a7aee8f0, 0x103294e5663b236d],
     ),
     (
         "prefix/bistream",
@@ -63,6 +80,7 @@ const PINS: [Pin; 6] = [
         None,
         true,
         [0xd8547fe58e69ce92, 0x86b9c8f97e658b91, 0xf476b510cb1aa75e],
+        [0x4b313943b56554f0, 0x140e672bc50fe2e1, 0xdd62d763a14541a6],
     ),
     (
         "length-auto+ckpt/self",
@@ -70,6 +88,7 @@ const PINS: [Pin; 6] = [
         Some(40),
         false,
         [0x423c6ea3549bb800, 0x87878dcde1fa7c7e, 0x1dfb4b8e1ba28b2b],
+        [0x5def7dce2c3c9325, 0x266dff2f21821c2e, 0x049ed7b1dc732aa5],
     ),
     (
         "length-auto+ckpt/bistream",
@@ -77,10 +96,16 @@ const PINS: [Pin; 6] = [
         Some(40),
         true,
         [0x68db182915566745, 0xc38e570fa882d86c, 0x787c5078d7b0c63b],
+        [0xae5143f75bde4c4a, 0x4841f6897873d5f4, 0xee4fcd1f29a5fe0f],
     ),
 ];
 
-fn digests(strategy: Strategy, checkpoint: Option<u64>, bistream: bool) -> Vec<u64> {
+fn digests(
+    strategy: Strategy,
+    checkpoint: Option<u64>,
+    bistream: bool,
+    batch: Option<usize>,
+) -> Vec<u64> {
     let mut case = DifferentialCase::new(
         240,
         3,
@@ -90,6 +115,7 @@ fn digests(strategy: Strategy, checkpoint: Option<u64>, bistream: bool) -> Vec<u
     );
     case.bistream = bistream;
     case.checkpoint_interval = checkpoint;
+    case.dispatch_batch = batch;
     let mut cfg = cluster_config_for(SEED, &case, ClusterBackend::InProcess);
     cfg.logical_time = true;
     let records = differential_records(SEED, case.records);
@@ -110,21 +136,29 @@ fn digests(strategy: Strategy, checkpoint: Option<u64>, bistream: bool) -> Vec<u
 
 #[test]
 fn launcher_wire_digests_match_the_pinned_constants() {
-    for (name, strategy, checkpoint, bistream, want) in PINS {
-        let got = digests(strategy, checkpoint, bistream);
-        assert_eq!(
-            got, want,
-            "{name}: the launcher's outbound data stream changed — if that is \
-             intentional, re-pin with the `print` test (see the module docs)"
-        );
+    for (name, strategy, checkpoint, bistream, unbatched, batched) in PINS {
+        for (batch, want) in [(None, unbatched), (BATCHED, batched)] {
+            let got = digests(strategy.clone(), checkpoint, bistream, batch);
+            assert_eq!(
+                got, want,
+                "{name} at dispatch_batch {batch:?}: the launcher's outbound data \
+                 stream changed — if that is intentional, re-pin with the `print` \
+                 test (see the module docs)"
+            );
+        }
     }
 }
 
 #[test]
 #[ignore = "prints fresh digests for re-pinning after an intentional change"]
 fn print() {
-    for (name, strategy, checkpoint, bistream, _) in PINS {
-        let d = digests(strategy, checkpoint, bistream);
-        println!("{name}: [{:#018x}, {:#018x}, {:#018x}]", d[0], d[1], d[2]);
+    for (name, strategy, checkpoint, bistream, ..) in PINS {
+        for batch in [None, BATCHED] {
+            let d = digests(strategy.clone(), checkpoint, bistream, batch);
+            println!(
+                "{name} @ {batch:?}: [{:#018x}, {:#018x}, {:#018x}]",
+                d[0], d[1], d[2]
+            );
+        }
     }
 }

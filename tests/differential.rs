@@ -8,12 +8,23 @@
 //! simulation makes each case fully deterministic, so a failing seed here
 //! is a complete reproduction recipe, and CI sweeps seeds by exporting
 //! `PROPTEST_RNG_SEED` (see the `sim-differential` job).
+//!
+//! The second block pins the same oracle on the cluster launcher's
+//! in-process backend across its `dispatch_batch` settings — the frame
+//! stream changes shape under batching (one `Data`, one `Results`, one ack
+//! per batch), the result set may not. Those runs are real threads on the
+//! wall clock, so a seed reproduces the inputs and the scripted faults but
+//! not the interleaving; each body runs under a deadline.
 
 use dssj::core::{JoinConfig, Threshold, Window};
-use dssj::distrib::{LocalAlgo, PartitionMethod, Strategy};
+use dssj::distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
 use dssj::partition::LengthPartition;
 use proptest::prelude::*;
-use testkit::{run_differential, run_restore_differential, DifferentialCase};
+use std::time::Duration;
+use testkit::{
+    run_cluster_differential_relaxed, run_cluster_restore_differential, run_differential,
+    run_restore_differential, with_deadline, DifferentialCase,
+};
 
 const STRATEGIES: usize = 4;
 const LOCALS: usize = 5;
@@ -60,6 +71,23 @@ const BATCHES: usize = 3;
 
 fn batch(idx: usize) -> Option<usize> {
     [None, Some(1), Some(8)][idx]
+}
+
+/// Cluster framing: one message per `Data` frame, the unwrapped-singleton
+/// size, several messages per frame, and the recommended size.
+const CLUSTER_BATCHES: usize = 4;
+
+fn cluster_batch(idx: usize) -> Option<usize> {
+    [None, Some(1), Some(8), Some(32)][idx]
+}
+
+/// A hung cluster must fail its case, not the job.
+const CLUSTER_DEADLINE: Duration = Duration::from_secs(60);
+
+fn on_cluster(seed: u64, case: DifferentialCase) -> testkit::ClusterDifferentialOutcome {
+    with_deadline(CLUSTER_DEADLINE, move || {
+        run_cluster_differential_relaxed(seed, &case, ClusterBackend::InProcess)
+    })
 }
 
 fn case(k: usize, tau: f64, strat: usize, loc: usize, win: usize) -> DifferentialCase {
@@ -248,5 +276,151 @@ proptest! {
                 .with_dispatch_batch(batch(bat)),
         );
         prop_assert!(out.recall > 0.0 && out.recall <= 1.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random configuration, fault-free, on the cluster launcher: every
+    /// framing of the data path equals the oracle.
+    #[test]
+    fn cluster_runs_match_oracle(
+        seed in 0u64..1_000_000,
+        k in 1usize..5,
+        tau in 0.55f64..0.9,
+        strat in 0usize..STRATEGIES,
+        loc in 0usize..LOCALS,
+        win in 0usize..WINDOWS,
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let c = case(k, tau, strat, loc, win).with_dispatch_batch(cluster_batch(bat));
+        let out = on_cluster(seed, c);
+        prop_assert_eq!(out.shed, 0);
+    }
+
+    /// A supervised kill and/or seeded link chaos: whole batches are
+    /// retransmitted under their original seqs and the sink drops what
+    /// comes twice, so the oracle still matches exactly.
+    #[test]
+    fn faulty_cluster_runs_match_oracle(
+        seed in 0u64..1_000_000,
+        k in 1usize..5,
+        tau in 0.55f64..0.9,
+        strat in 0usize..STRATEGIES,
+        win in 0usize..WINDOWS,
+        fault in 1usize..4, // bit 0: kill, bit 1: chaos
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let mut c = case(k, tau, strat, 4, win).with_dispatch_batch(cluster_batch(bat));
+        if fault & 1 != 0 {
+            c = c.with_crash();
+        }
+        if fault & 2 != 0 {
+            c = c.with_chaos();
+        }
+        on_cluster(seed, c);
+    }
+
+    /// Barriers travel alone between batches; a killed node comes back
+    /// from the last committed epoch plus the replay tail, which ends on
+    /// a frame boundary.
+    #[test]
+    fn checkpointed_cluster_runs_match_oracle(
+        seed in 0u64..1_000_000,
+        k in 1usize..5,
+        tau in 0.55f64..0.9,
+        strat in 0usize..STRATEGIES,
+        win in 0usize..WINDOWS,
+        interval in 8u64..48,
+        fault in 0usize..4, // bit 0: kill, bit 1: chaos
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let mut c = case(k, tau, strat, 4, win)
+            .with_checkpoints(interval)
+            .with_dispatch_batch(cluster_batch(bat));
+        if fault & 1 != 0 {
+            c = c.with_crash();
+        }
+        if fault & 2 != 0 {
+            c = c.with_chaos();
+        }
+        let out = on_cluster(seed, c);
+        prop_assert!(out.result.epochs_committed > 0, "no epoch ever committed");
+    }
+
+    /// Whole-cluster crash and restore from the latest complete epoch:
+    /// the rebuilt cluster owes exactly the post-cut oracle pairs.
+    #[test]
+    fn restored_cluster_runs_match_oracle(
+        seed in 0u64..1_000_000,
+        k in 1usize..5,
+        tau in 0.55f64..0.9,
+        strat in 0usize..STRATEGIES,
+        win in 0usize..WINDOWS,
+        interval in 8u64..24,
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let c = case(k, tau, strat, 4, win)
+            .with_checkpoints(interval)
+            .with_dispatch_batch(cluster_batch(bat));
+        let out = with_deadline(CLUSTER_DEADLINE, move || {
+            run_cluster_restore_differential(seed, &c, ClusterBackend::InProcess)
+        });
+        prop_assert!(out.cut.is_some(), "phase one committed no epoch");
+    }
+
+    /// Shedding against the in-flight message count: whatever is shed,
+    /// the result is the oracle over the surviving records.
+    #[test]
+    fn shedding_cluster_runs_match_adjusted_oracle(
+        seed in 0u64..1_000_000,
+        k in 2usize..5,
+        tau in 0.55f64..0.9,
+        watermark in 2usize..8,
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let c = case(k, tau, 0, 4, 1)
+            .with_shedding(watermark)
+            .with_dispatch_batch(cluster_batch(bat));
+        on_cluster(seed, c);
+    }
+
+    /// Budget zero: the kill fences its task, and every record inside an
+    /// in-flight or refused batch leaves the surviving set.
+    #[test]
+    fn fenced_cluster_runs_match_adjusted_oracle(
+        seed in 0u64..1_000_000,
+        k in 2usize..5,
+        tau in 0.55f64..0.9,
+        horizon in 5u64..40,
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let c = case(k, tau, 0, 4, 1)
+            .with_crash_at(horizon)
+            .with_recovery_budget(0)
+            .with_dispatch_batch(cluster_batch(bat));
+        let out = on_cluster(seed, c);
+        if out.result.health.fenced_tasks.is_empty() {
+            prop_assert_eq!(out.shed, 0, "shed without a fence");
+        } else {
+            prop_assert_eq!(out.result.health.respawns, 0, "budget 0 respawned");
+        }
+    }
+
+    /// Bi-stream joins on the cluster equal the cross-side oracle.
+    #[test]
+    fn cluster_bistream_runs_match_oracle(
+        seed in 0u64..1_000_000,
+        k in 1usize..4,
+        tau in 0.55f64..0.9,
+        loc in 0usize..LOCALS,
+        win in 0usize..WINDOWS,
+        bat in 0usize..CLUSTER_BATCHES,
+    ) {
+        let c = case(k, tau, 0, loc, win)
+            .bistream()
+            .with_dispatch_batch(cluster_batch(bat));
+        on_cluster(seed, c);
     }
 }
