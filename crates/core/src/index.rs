@@ -1,7 +1,8 @@
 //! Storage machinery shared by the indexed joiners: a flat columnar record
 //! store with a token arena and liveness bitmap, an arena-backed inverted
 //! prefix index with lazy posting pruning, a tombstoning slot slab for the
-//! bundle joiner, and a stamp-based candidate deduplication filter.
+//! bundle joiner, a stamp-based candidate deduplication filter, and the
+//! per-probe candidate accumulator the positional joiners share.
 //!
 //! The hot structures are **flat**: record token sets live back-to-back in
 //! one `Vec<TokenId>` arena (so verification reads are contiguous), posting
@@ -22,37 +23,62 @@ use ssj_text::{FxHashMap, Record, RecordId, TokenId};
 /// Slot handle into a [`RecordStore`] or [`SlotStore`].
 pub type Slot = u32;
 
+/// Hints the CPU to pull `target`'s cache line in ahead of a read.
+#[inline]
+fn prefetch<T>(target: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch is a pure cache hint on a valid address; it cannot
+    // fault or alter program state.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch(
+            (target as *const T).cast::<i8>(),
+            std::arch::x86_64::_MM_HINT_T0,
+        );
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
+}
+
 /// A tombstoning slab of values addressed by [`Slot`], with a liveness
-/// bitmap so "is this slot live?" never touches the values. Used by the
-/// bundle joiner, whose stored values are structured (not flat records).
+/// bitmap so "is this slot live?" never touches the values, and one small
+/// `Copy` **head** per slot in a dense column of its own. Used by the
+/// bundle joiner, whose stored values are structured (not flat records):
+/// what a candidate's first visit reads lives in the head column — a few
+/// words per slot, packed — so a prefix scan touches the ~100-byte value
+/// only for the candidates it goes on to verify. Head and value are
+/// inserted, tombstoned and compacted together; a field lives in exactly
+/// one of them.
 #[derive(Debug)]
-pub struct SlotStore<T> {
+pub struct SlotStore<H, T> {
     slots: Vec<Option<T>>,
+    heads: Vec<H>,
     live_bits: Vec<u64>,
     live: usize,
 }
 
-impl<T> Default for SlotStore<T> {
+impl<H, T> Default for SlotStore<H, T> {
     fn default() -> Self {
         Self {
             slots: Vec::new(),
+            heads: Vec::new(),
             live_bits: Vec::new(),
             live: 0,
         }
     }
 }
 
-impl<T> SlotStore<T> {
+impl<H: Copy, T> SlotStore<H, T> {
     /// An empty store.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stores a value, returning its slot. Slots are not reused until
-    /// [`compact`](Self::compact).
-    pub fn insert(&mut self, value: T) -> Slot {
+    /// Stores a head and its value, returning their slot. Slots are not
+    /// reused until [`compact`](Self::compact).
+    pub fn insert(&mut self, head: H, value: T) -> Slot {
         let slot = self.slots.len() as Slot;
         self.slots.push(Some(value));
+        self.heads.push(head);
         let word = slot as usize >> 6;
         if word >= self.live_bits.len() {
             self.live_bits.push(0);
@@ -70,6 +96,24 @@ impl<T> SlotStore<T> {
             .is_some_and(|w| w >> (slot & 63) & 1 == 1)
     }
 
+    /// The head of `slot`.
+    ///
+    /// Valid for live slots; a dead slot still reads its last head until
+    /// the next compaction, so callers must check liveness.
+    #[inline]
+    pub fn head(&self, slot: Slot) -> H {
+        self.heads[slot as usize]
+    }
+
+    /// Hints the CPU to pull `slot`'s head into cache ahead of a
+    /// [`head`](Self::head).
+    #[inline]
+    pub fn prefetch_head(&self, slot: Slot) {
+        if let Some(h) = self.heads.get(slot as usize) {
+            prefetch(h);
+        }
+    }
+
     /// The value in `slot`, if still live.
     #[inline]
     pub fn get(&self, slot: Slot) -> Option<&T> {
@@ -79,25 +123,16 @@ impl<T> SlotStore<T> {
     /// Hints the CPU to pull `slot`'s value into cache ahead of a `get`.
     #[inline]
     pub fn prefetch(&self, slot: Slot) {
-        #[cfg(target_arch = "x86_64")]
         if let Some(s) = self.slots.get(slot as usize) {
-            // SAFETY: prefetch is a pure cache hint on a valid address; it
-            // cannot fault or alter program state.
-            unsafe {
-                std::arch::x86_64::_mm_prefetch(
-                    (s as *const Option<T>).cast::<i8>(),
-                    std::arch::x86_64::_MM_HINT_T0,
-                );
-            }
+            prefetch(s);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
     }
 
-    /// Mutable access to the value in `slot`, if still live.
+    /// Mutable access to the head and value in `slot`, if still live.
     #[inline]
-    pub fn get_mut(&mut self, slot: Slot) -> Option<&mut T> {
-        self.slots.get_mut(slot as usize).and_then(|s| s.as_mut())
+    pub fn get_mut(&mut self, slot: Slot) -> Option<(&mut H, &mut T)> {
+        let value = self.slots.get_mut(slot as usize)?.as_mut()?;
+        Some((&mut self.heads[slot as usize], value))
     }
 
     /// Tombstones `slot`, returning the value.
@@ -133,19 +168,22 @@ impl<T> SlotStore<T> {
         self.slots.len()
     }
 
-    /// Rebuilds the slab with live values only and returns the remap table:
-    /// `remap[old_slot] = new_slot` (or [`Slot::MAX`] for dead slots).
-    /// Callers must rewrite every structure holding slots.
+    /// Rebuilds the slab with live heads and values only and returns the
+    /// remap table: `remap[old_slot] = new_slot` (or [`Slot::MAX`] for dead
+    /// slots). Callers must rewrite every structure holding slots.
     pub fn compact(&mut self) -> Vec<Slot> {
         let mut remap = vec![Slot::MAX; self.slots.len()];
         let mut new_slots = Vec::with_capacity(self.live);
+        let mut new_heads = Vec::with_capacity(self.live);
         for (old, slot) in self.slots.drain(..).enumerate() {
             if let Some(value) = slot {
                 remap[old] = new_slots.len() as Slot;
                 new_slots.push(Some(value));
+                new_heads.push(self.heads[old]);
             }
         }
         self.slots = new_slots;
+        self.heads = new_heads;
         self.live_bits.clear();
         self.live_bits
             .resize(self.slots.len().div_ceil(64), u64::MAX);
@@ -237,21 +275,11 @@ impl RecordStore {
     /// current candidate's verification instead of stalling the next one.
     #[inline]
     pub fn prefetch_tokens(&self, slot: Slot) {
-        #[cfg(target_arch = "x86_64")]
         if let Some(m) = self.meta.get(slot as usize) {
             if let Some(first) = self.tokens.get(m.tok_start as usize) {
-                // SAFETY: prefetch is a pure cache hint on a valid address;
-                // it cannot fault or alter program state.
-                unsafe {
-                    std::arch::x86_64::_mm_prefetch(
-                        (first as *const TokenId).cast::<i8>(),
-                        std::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
+                prefetch(first);
             }
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = slot;
     }
 
     /// Token-set size of the record in `slot`.
@@ -347,13 +375,22 @@ impl RecordStore {
 }
 
 /// One posting: which slot contains the record, and at which token position
-/// the posted token sits (needed by the positional filter).
+/// the posted token sits (needed by the positional filter). A bundle posting
+/// carries the token's position in the bundle's representative, or
+/// [`Posting::NO_POS`] for a token the representative does not contain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// Store slot of the indexed record (or bundle).
     pub slot: Slot,
     /// 0-based position of the token within the record.
     pub pos: u32,
+}
+
+impl Posting {
+    /// `pos` of a posting whose token has no position: the bundle joiner
+    /// posts a member's prefix token under the bundle even when the
+    /// representative lacks it, so that the prefix filter stays complete.
+    pub const NO_POS: u32 = u32::MAX;
 }
 
 /// Filler for arena holes; never visible through a list range.
@@ -366,6 +403,10 @@ const HOLE: Posting = Posting {
 /// index); larger ids spill to a hash map. 2^17 entries cap the table at
 /// ~1.5 MiB while covering the realistic vocabularies whole.
 const DIRECT_SPAN: usize = 1 << 17;
+
+/// How many postings ahead [`InvertedIndex::scan_prune`] announces a slot:
+/// one cache line of postings.
+const SCAN_AHEAD: usize = 8;
 
 /// Initial capacity of a fresh posting list; lists double (relocating to
 /// the arena tail) when full.
@@ -480,10 +521,14 @@ impl InvertedIndex {
 
     /// Scans the posting list of `token`, pruning dead postings in place.
     /// `is_live` decides liveness by slot; `visit` sees each live posting,
-    /// in original insertion order.
+    /// in original insertion order. `ahead` is handed the slot of the
+    /// posting a cache line of postings further on, so a caller whose
+    /// `visit` reads per-slot state can start that fetch early (pass
+    /// `|_| {}` otherwise).
     pub fn scan_prune(
         &mut self,
         token: TokenId,
+        ahead: impl Fn(Slot),
         mut is_live: impl FnMut(Slot) -> bool,
         mut visit: impl FnMut(Posting),
     ) {
@@ -494,11 +539,15 @@ impl InvertedIndex {
         let start = lr.start as usize;
         let w = {
             let list = &mut self.arena[start..start + lr.len as usize];
+            list.iter().take(SCAN_AHEAD).for_each(|p| ahead(p.slot));
             // Fast path: no dead posting yet — pure read sweep, no
             // write-back. Falls into the two-pointer compaction from the
             // first dead entry onward.
             let mut w = list.len();
             for (r, &p) in list.iter().enumerate() {
+                if let Some(next) = list.get(r + SCAN_AHEAD) {
+                    ahead(next.slot);
+                }
                 if is_live(p.slot) {
                     visit(p);
                 } else {
@@ -508,6 +557,9 @@ impl InvertedIndex {
             }
             if w < list.len() {
                 for r in w + 1..list.len() {
+                    if let Some(next) = list.get(r + SCAN_AHEAD) {
+                        ahead(next.slot);
+                    }
                     let p = list[r];
                     if is_live(p.slot) {
                         visit(p);
@@ -688,6 +740,77 @@ impl SeenFilter {
     }
 }
 
+/// Slot → per-probe candidate accumulator, without hashing: a dense
+/// `cands` vector plus a stamped per-slot index (the [`SeenFilter`]
+/// trick), so the prefix-scan inner loop costs one stamp compare per
+/// posting instead of a hash-map probe. `A` is whatever the joiner
+/// accumulates per candidate while it scans (PPJoin: shared-token count
+/// and last shared positions; bundle: the same against a representative).
+#[derive(Debug)]
+pub struct CandMap<A> {
+    /// Per-slot epoch stamp; the `idx` entry is valid iff it matches.
+    stamps: Vec<u32>,
+    /// Per-slot index into `cands`, valid under the current stamp.
+    idx: Vec<u32>,
+    epoch: u32,
+    /// This probe's candidates in first-visit order.
+    cands: Vec<A>,
+}
+
+impl<A> Default for CandMap<A> {
+    fn default() -> Self {
+        Self {
+            stamps: Vec::new(),
+            idx: Vec::new(),
+            epoch: 0,
+            cands: Vec::new(),
+        }
+    }
+}
+
+impl<A> CandMap<A> {
+    /// Starts a new probe; all slots become absent.
+    pub fn next_probe(&mut self) {
+        self.cands.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: old stamps could alias (every 2^32 probes).
+            self.stamps.iter_mut().for_each(|s| *s = u32::MAX);
+            self.epoch = 1;
+        }
+    }
+
+    /// The accumulator for `slot`, inserting `init()` on first visit.
+    #[inline]
+    pub fn entry(&mut self, slot: Slot, init: impl FnOnce() -> A) -> &mut A {
+        let i = slot as usize;
+        if i >= self.stamps.len() {
+            self.stamps.resize(i + 1, self.epoch.wrapping_sub(1));
+            self.idx.resize(i + 1, 0);
+        }
+        if self.stamps[i] != self.epoch {
+            self.stamps[i] = self.epoch;
+            self.idx[i] = self.cands.len() as u32;
+            self.cands.push(init());
+        }
+        &mut self.cands[self.idx[i] as usize]
+    }
+
+    /// This probe's accumulators, in first-visit order.
+    #[inline]
+    pub fn cands(&self) -> &[A] {
+        &self.cands
+    }
+
+    /// Clears the map after a store compaction (slot meanings changed).
+    pub fn reset(&mut self) {
+        self.stamps.clear();
+        self.idx.clear();
+        self.cands.clear();
+        self.epoch = 0;
+    }
+}
+
 /// When should an index structure compact? Once the dead fraction exceeds
 /// half and enough garbage has accumulated to be worth the rebuild.
 #[inline]
@@ -697,17 +820,16 @@ pub fn should_compact(live: usize, dead: usize) -> bool {
 
 /// Drives a full compaction across the structures the per-record indexed
 /// joiners share. Returns the remap so callers can rewrite any extra slot
-/// holders.
+/// holders; per-probe scratch keyed by slot ([`SeenFilter`], [`CandMap`])
+/// is the caller's to `reset`.
 pub fn compact_all(
     store: &mut RecordStore,
     index: &mut InvertedIndex,
     queue: &mut EvictionQueue<Slot>,
-    seen: &mut SeenFilter,
 ) -> Vec<Slot> {
     let remap = store.compact();
     index.apply_remap(&remap);
     queue_apply_remap(queue, &remap);
-    seen.reset();
     remap
 }
 
@@ -791,12 +913,12 @@ mod tests {
         idx.add(t, Posting { slot: 1, pos: 2 });
         idx.add(t, Posting { slot: 2, pos: 1 });
         let mut seen = Vec::new();
-        idx.scan_prune(t, |slot| slot != 1, |p| seen.push(p.slot));
+        idx.scan_prune(t, |_| {}, |slot| slot != 1, |p| seen.push(p.slot));
         assert_eq!(seen, vec![0, 2]);
         assert_eq!(idx.postings(), 2);
         // Second scan no longer sees slot 1.
         let mut seen2 = Vec::new();
-        idx.scan_prune(t, |_| true, |p| seen2.push(p.slot));
+        idx.scan_prune(t, |_| {}, |_| true, |p| seen2.push(p.slot));
         assert_eq!(seen2, vec![0, 2]);
     }
 
@@ -811,7 +933,7 @@ mod tests {
             idx.add(TokenId(9), Posting { slot: i, pos: 0 });
         }
         let mut order = Vec::new();
-        idx.scan_prune(t, |_| true, |p| order.push(p.slot));
+        idx.scan_prune(t, |_| {}, |_| true, |p| order.push(p.slot));
         assert_eq!(order, (0..20).collect::<Vec<_>>());
     }
 
@@ -819,7 +941,7 @@ mod tests {
     fn index_empty_list_removed() {
         let mut idx = InvertedIndex::new();
         idx.add(TokenId(1), Posting { slot: 0, pos: 0 });
-        idx.scan_prune(TokenId(1), |_| false, |_| panic!("nothing live"));
+        idx.scan_prune(TokenId(1), |_| {}, |_| false, |_| panic!("nothing live"));
         assert_eq!(idx.tokens(), 0);
         assert_eq!(idx.postings(), 0);
     }
@@ -832,9 +954,9 @@ mod tests {
         idx.add(big, Posting { slot: 1, pos: 1 });
         assert_eq!(idx.tokens(), 1);
         let mut seen = Vec::new();
-        idx.scan_prune(big, |slot| slot != 0, |p| seen.push(p.slot));
+        idx.scan_prune(big, |_| {}, |slot| slot != 0, |p| seen.push(p.slot));
         assert_eq!(seen, vec![1]);
-        idx.scan_prune(big, |_| false, |_| {});
+        idx.scan_prune(big, |_| {}, |_| false, |_| {});
         assert_eq!(idx.tokens(), 0);
         assert_eq!(idx.postings(), 0);
     }
@@ -850,7 +972,7 @@ mod tests {
         assert_eq!(idx.postings(), 2);
         assert_eq!(idx.garbage_len(), 0, "remap rebuilds hole-free");
         let mut seen = Vec::new();
-        idx.scan_prune(TokenId(1), |_| true, |p| seen.push(p.slot));
+        idx.scan_prune(TokenId(1), |_| {}, |_| true, |p| seen.push(p.slot));
         assert_eq!(seen, vec![0]);
     }
 
@@ -865,11 +987,11 @@ mod tests {
         assert_eq!(idx.postings(), 3);
         // Slot 1 "dies", but no scan has touched token 2's list: the stale
         // posting stays counted (upper bound, not live count).
-        idx.scan_prune(TokenId(1), |slot| slot != 1, |_| {});
+        idx.scan_prune(TokenId(1), |_| {}, |slot| slot != 1, |_| {});
         assert_eq!(idx.postings(), 2, "token 1 pruned, token 2 not yet");
         // The lazy part: token 2's list still stores its dead posting.
         let mut hits = 0;
-        idx.scan_prune(TokenId(2), |slot| slot != 1, |_| hits += 1);
+        idx.scan_prune(TokenId(2), |_| {}, |slot| slot != 1, |_| hits += 1);
         assert_eq!(hits, 0);
         assert_eq!(idx.postings(), 1, "now exact again");
         assert_eq!(idx.tokens(), 1);
@@ -893,7 +1015,7 @@ mod tests {
         );
         // Order survived the rebuilds.
         let mut order = Vec::new();
-        idx.scan_prune(TokenId(0), |_| true, |p| order.push(p.slot));
+        idx.scan_prune(TokenId(0), |_| {}, |_| true, |p| order.push(p.slot));
         assert_eq!(order, (0..32).collect::<Vec<_>>());
         assert_eq!(idx.postings(), 200 * 32);
     }
@@ -918,18 +1040,37 @@ mod tests {
     }
 
     #[test]
+    fn cand_map_accumulates_per_slot_within_a_probe() {
+        let mut m: CandMap<(Slot, u32)> = CandMap::default();
+        m.next_probe();
+        m.entry(7, || (7, 0)).1 += 1;
+        m.entry(2, || (2, 0)).1 += 1;
+        m.entry(7, || unreachable!("second visit")).1 += 1;
+        assert_eq!(m.cands(), &[(7, 2), (2, 1)], "first-visit order");
+        m.next_probe();
+        assert!(m.cands().is_empty());
+        assert_eq!(*m.entry(7, || (7, 0)), (7, 0), "absent again");
+        m.reset();
+        m.next_probe();
+        assert_eq!(*m.entry(1000, || (1000, 9)), (1000, 9));
+    }
+
+    #[test]
     fn slot_store_liveness_bitmap_tracks_slots() {
-        let mut s: SlotStore<u32> = SlotStore::new();
-        let a = s.insert(10);
-        let b = s.insert(20);
+        let mut s: SlotStore<u8, u32> = SlotStore::new();
+        let a = s.insert(1, 10);
+        let b = s.insert(2, 20);
         assert!(s.is_live(a) && s.is_live(b));
         assert!(!s.is_live(99));
         s.remove(a);
         assert!(!s.is_live(a));
+        *s.get_mut(b).expect("live").0 += 5;
         let remap = s.compact();
         assert_eq!(remap[b as usize], 0);
         assert!(s.is_live(0));
         assert!(!s.is_live(1));
+        // The head column moves with its value.
+        assert_eq!((s.head(0), s.get(0)), (7, Some(&20)));
     }
 
     #[test]
@@ -937,19 +1078,18 @@ mod tests {
         let mut store = RecordStore::new();
         let mut index = InvertedIndex::new();
         let mut queue = EvictionQueue::new();
-        let mut seen = SeenFilter::new();
         let a = store.insert(&rec(1, &[1]));
         let b = store.insert(&rec(2, &[1]));
         index.add(TokenId(1), Posting { slot: a, pos: 0 });
         index.add(TokenId(1), Posting { slot: b, pos: 0 });
         queue.push(2, 2, b);
         store.remove(a); // evicted; note queue no longer holds it
-        let remap = compact_all(&mut store, &mut index, &mut queue, &mut seen);
+        let remap = compact_all(&mut store, &mut index, &mut queue);
         assert_eq!(remap[b as usize], 0);
         assert_eq!(store.live(), 1);
         assert_eq!(index.postings(), 1);
         let mut slots = Vec::new();
-        index.scan_prune(TokenId(1), |_| true, |p| slots.push(p.slot));
+        index.scan_prune(TokenId(1), |_| {}, |_| true, |p| slots.push(p.slot));
         assert_eq!(slots, vec![0]);
     }
 

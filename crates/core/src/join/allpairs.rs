@@ -51,7 +51,8 @@ impl AllPairsJoiner {
                 stats.evicted += 1;
             });
         if should_compact(store.live(), store.dead()) {
-            compact_all(store, &mut self.index, &mut self.queue, &mut self.seen);
+            compact_all(store, &mut self.index, &mut self.queue);
+            self.seen.reset();
         }
     }
 
@@ -97,6 +98,7 @@ impl StreamJoiner for AllPairsJoiner {
             for &tok in record.prefix(self.bounds.prefix_len()) {
                 self.index.scan_prune(
                     tok,
+                    |_| {},
                     |slot| store.is_live(slot),
                     |p| {
                         stats.posting_hits += 1;

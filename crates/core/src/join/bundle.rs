@@ -20,9 +20,29 @@
 //! member is verified with the exact acceptance predicate, and the bundle
 //! posting set is the union of its members' prefix tokens, so the prefix
 //! filter stays complete.
+//!
+//! The prefix scan is **positional**, like PPJoin's, against the
+//! representative. A posting carries its token's position `j` in the
+//! representative ([`Posting::NO_POS`] for a token only a member's `add`
+//! contributed), and each bundle knows `closed`, the length of the
+//! representative's leading run that is posted in full. Probe tokens and
+//! representative tokens both ascend, so one candidate's hits arrive in
+//! ascending `(i, j)`, and while `j < closed` every shared token to the
+//! left has itself been a hit: the hit count `α` *is* `|r[..i] ∩ rep[..j]|`.
+//! Past `closed` up to `j − closed` shared tokens may be unposted, so `α`
+//! is only a lower bound there and the left overlap is bounded by
+//! `min(α + (j − closed), i, j)`. At each hit the bundle is dropped when
+//! `left + 1 + min(|r|−i−1, |rep|−j−1)` cannot reach the loosest overlap
+//! *with the representative* that any use of the bundle needs — a member's
+//! requirement discounted by `max_add`, because
+//! `|r ∩ m| ≤ |r ∩ rep| + |add_m|`, or the absorption threshold's — which
+//! is the same quantity the shared verification already terminates
+//! against. Survivors verify from the last hit below `closed` onward,
+//! reusing the exact `α` there; a bundle met only through `NO_POS` hits, or
+//! only past `closed`, verifies from the start.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{should_compact, InvertedIndex, Posting, SeenFilter, Slot, SlotStore};
+use crate::index::{should_compact, CandMap, InvertedIndex, Posting, Slot, SlotStore};
 use crate::sim::{ProbeBounds, Threshold};
 use crate::stats::JoinStats;
 use crate::verify;
@@ -104,7 +124,33 @@ struct Member {
 /// bundles never absorb anyone, so this keeps them allocation-free).
 const FOUNDER_IDX: u32 = u32::MAX;
 
-/// A group of near-duplicate records sharing one representative.
+/// What a candidate bundle's first visit reads: the store's dense head
+/// column, so a prefix scan decides "filtered or not, and against which
+/// overlap" without touching the [`Bundle`] itself.
+#[derive(Debug, Clone, Copy)]
+struct BundleHead {
+    /// Length bounds over alive members (for the bundle-level length
+    /// filter).
+    min_len: u32,
+    max_len: u32,
+    /// Largest `|add|` among alive members — bounds how far a member's
+    /// overlap can exceed the representative's. Maintained incrementally on
+    /// absorption, recomputed on eviction.
+    max_add: u32,
+    /// Length of the representative's leading run whose tokens are all
+    /// posted: the founder's prefix, extended whenever a member's prefix
+    /// posts the next representative token. Postings outlive the members
+    /// that brought them, so it never shrinks.
+    closed: u32,
+    /// `|rep|`, fixed at founding.
+    rep_len: u32,
+    /// Members absorbed so far, evicted ones included — what the member
+    /// cap counts, and the next member's index.
+    absorbed: u32,
+}
+
+/// A group of near-duplicate records sharing one representative. Its
+/// length bounds and counters live in its [`BundleHead`].
 #[derive(Debug)]
 struct Bundle {
     /// The founding record; its token set is the representative. The
@@ -116,36 +162,155 @@ struct Bundle {
     members: Vec<Member>,
     /// Live member count, founder included.
     alive: u32,
-    /// Length bounds over alive members (for the bundle-level length
-    /// filter).
-    min_len: u32,
-    max_len: u32,
-    /// Largest `|add|` among alive members — bounds how far a member's
-    /// overlap can exceed the representative's. Maintained incrementally on
-    /// absorption, recomputed on eviction.
-    max_add: u32,
-    /// Tokens posted to the inverted index for this bundle (sorted). The
-    /// union of members' prefix tokens — the completeness invariant.
-    posted: Vec<TokenId>,
+    /// Tokens posted to the inverted index for this bundle (sorted), other
+    /// than the representative's leading `closed` tokens, which always
+    /// are: empty until a member's prefix brings a token of its own, so
+    /// most bundles never allocate it. Together the two are the union of
+    /// members' prefix tokens — the completeness invariant.
+    posted_beyond: Vec<TokenId>,
 }
 
 impl Bundle {
-    fn recompute_len_bounds(&mut self) {
+    fn recompute_len_bounds(&self, head: &mut BundleHead) {
         let mut min_len = u32::MAX;
         let mut max_len = 0;
         let mut max_add = 0;
         if self.founder_alive {
-            min_len = self.rep.len() as u32;
-            max_len = self.rep.len() as u32;
+            min_len = head.rep_len;
+            max_len = head.rep_len;
         }
         for m in self.members.iter().filter(|m| m.alive) {
             min_len = min_len.min(m.len);
             max_len = max_len.max(m.len);
             max_add = max_add.max(m.add.len() as u32);
         }
-        self.min_len = min_len;
-        self.max_len = max_len;
-        self.max_add = max_add;
+        head.min_len = min_len;
+        head.max_len = max_len;
+        head.max_add = max_add;
+    }
+}
+
+/// `min_required` of a candidate nothing needs verified: filtered at its
+/// first visit, or dropped by the positional filter.
+const SKIP: u32 = u32::MAX;
+
+/// Per-candidate-bundle accumulator built during the prefix scan.
+#[derive(Debug, Clone, Copy)]
+struct BundleAcc {
+    slot: Slot,
+    /// The loosest overlap with the representative that any use of this
+    /// bundle needs, or [`SKIP`].
+    min_required: u32,
+    /// Copied from the head at the first visit, so a later hit reads this
+    /// accumulator only.
+    closed: u32,
+    rep_len: u32,
+    /// Representative-token hits so far.
+    alpha: u32,
+    /// Probe and representative positions just past the last hit below
+    /// `closed`, and `α` as of that hit — the exact overlap of the two
+    /// prefixes that end there. All zero while there is no such hit.
+    resume_probe: u32,
+    resume_rep: u32,
+    resume_alpha: u32,
+    /// Some alive member passes the bundle-level length filter.
+    members_in_range: bool,
+    /// The bundle could absorb the probing record.
+    groupable: bool,
+}
+
+/// One scan's constants: what [`Scan::open`] decides a first visit with.
+struct Scan<'a> {
+    bounds: &'a ProbeBounds,
+    group_bounds: &'a ProbeBounds,
+    /// Length-filter window for join results.
+    lo: usize,
+    hi: Option<usize>,
+    /// Matches are being collected (not an insert-only scan).
+    emit: bool,
+    /// An absorption target is wanted.
+    want_group: bool,
+    max_members: usize,
+}
+
+impl Scan<'_> {
+    /// First visit of candidate `slot`: the bundle-level filters and the
+    /// overlap everything downstream terminates against.
+    #[inline]
+    fn open(
+        &self,
+        slot: Slot,
+        store: &SlotStore<BundleHead, Bundle>,
+        stats: &mut JoinStats,
+    ) -> BundleAcc {
+        stats.candidates += 1;
+        let head = store.head(slot);
+        let lrep = head.rep_len as usize;
+        // Bundle-level length filter for join results.
+        let members_in_range = (head.max_len as usize) >= self.lo
+            && self.hi.is_none_or(|h| (head.min_len as usize) <= h);
+        // Is this bundle even a possible absorption target?
+        let groupable = self.want_group
+            && (head.absorbed as usize) + 1 < self.max_members
+            && self.group_bounds.length_compatible(lrep);
+        let mut acc = BundleAcc {
+            slot,
+            min_required: SKIP,
+            closed: head.closed,
+            rep_len: head.rep_len,
+            alpha: 0,
+            resume_probe: 0,
+            resume_rep: 0,
+            resume_alpha: 0,
+            members_in_range,
+            groupable,
+        };
+        if !members_in_range && !groupable {
+            stats.length_filtered += 1;
+            return acc;
+        }
+        // Early termination is valid against the loosest requirement
+        // anything downstream could have: for member emission, the
+        // smallest member min-overlap discounted by how much a member's
+        // `add` tokens could raise its overlap above the representative's;
+        // for the grouping decision, the absorption threshold's own
+        // min-overlap (an overlap below it cannot reach `bundle_tau`
+        // either). Verification returns the *exact* overlap whenever it
+        // returns at all, so both uses stay exact.
+        if members_in_range && self.emit {
+            // Minimum member requirement without walking the member list:
+            // `min_overlap` is nondecreasing in the candidate length for
+            // every similarity function, so when the shortest alive member
+            // passes the length filter it is the one with the loosest
+            // requirement (and `members_in_range` already guarantees
+            // `min_len ≤ hi`). Only when the shortest member falls below
+            // the filter window do we scan for the shortest member
+            // actually inside it — none may be: the bounds can straddle
+            // the window.
+            let base = if head.min_len as usize >= self.lo {
+                Some(self.bounds.min_overlap(head.min_len as usize))
+            } else {
+                let bundle = store.get(slot).expect("candidates are live");
+                let founder = (bundle.founder_alive && self.bounds.length_compatible(lrep))
+                    .then(|| self.bounds.min_overlap(lrep));
+                bundle
+                    .members
+                    .iter()
+                    .filter(|m| m.alive && self.bounds.length_compatible(m.len as usize))
+                    .map(|m| self.bounds.min_overlap(m.len as usize))
+                    .chain(founder)
+                    .min()
+            };
+            if let Some(base) = base {
+                acc.min_required = base.saturating_sub(head.max_add as usize) as u32;
+            }
+        }
+        if groupable {
+            acc.min_required = acc
+                .min_required
+                .min(self.group_bounds.min_overlap(lrep) as u32);
+        }
+        acc
     }
 }
 
@@ -153,14 +318,14 @@ impl Bundle {
 #[derive(Debug)]
 pub struct BundleJoiner {
     cfg: BundleConfig,
-    store: SlotStore<Bundle>,
+    store: SlotStore<BundleHead, Bundle>,
     index: InvertedIndex,
     /// Eviction entries: (bundle slot, member index).
     queue: EvictionQueue<(Slot, u32)>,
-    seen: SeenFilter,
     stats: JoinStats,
     live_members: usize,
-    candidates: Vec<Slot>,
+    /// Scratch: per-probe candidate accumulators (cleared, not freed).
+    acc: CandMap<BundleAcc>,
     /// Per-probe integer bound memo for the join threshold.
     bounds: ProbeBounds,
     /// Per-probe integer bound memo for the absorption threshold.
@@ -178,10 +343,9 @@ impl BundleJoiner {
             store: SlotStore::new(),
             index: InvertedIndex::new(),
             queue: EvictionQueue::new(),
-            seen: SeenFilter::new(),
             stats: JoinStats::new(),
             live_members: 0,
-            candidates: Vec::new(),
+            acc: CandMap::default(),
             bounds: ProbeBounds::new(t),
             group_bounds: ProbeBounds::new(bundle_threshold),
         }
@@ -206,7 +370,7 @@ impl BundleJoiner {
             probe_id,
             probe_ts,
             |(slot, member_idx)| {
-                let bundle = store.get_mut(slot).expect("queued member in live bundle");
+                let (head, bundle) = store.get_mut(slot).expect("queued member in live bundle");
                 if member_idx == FOUNDER_IDX {
                     debug_assert!(bundle.founder_alive, "founder evicted twice");
                     bundle.founder_alive = false;
@@ -221,7 +385,7 @@ impl BundleJoiner {
                 if bundle.alive == 0 {
                     store.remove(slot);
                 } else {
-                    bundle.recompute_len_bounds();
+                    bundle.recompute_len_bounds(head);
                 }
             },
         );
@@ -230,35 +394,13 @@ impl BundleJoiner {
             self.index.apply_remap(&remap);
             self.queue
                 .for_each_payload_mut(|(slot, _)| *slot = remap[*slot as usize]);
-            self.seen.reset();
+            self.acc.reset();
         }
     }
 
-    /// Prefix-scan candidate bundles into `self.candidates` (deduplicated).
-    fn collect_candidates(&mut self, record: &Record) {
-        self.seen.next_epoch();
-        self.candidates.clear();
-        let store = &self.store;
-        let seen = &mut self.seen;
-        let candidates = &mut self.candidates;
-        let stats = &mut self.stats;
-        for &tok in record.prefix(self.bounds.prefix_len()) {
-            self.index.scan_prune(
-                tok,
-                |slot| store.is_live(slot),
-                |p| {
-                    stats.posting_hits += 1;
-                    if seen.first_visit(p.slot) {
-                        candidates.push(p.slot);
-                    }
-                },
-            );
-        }
-    }
-
-    /// Batch-verifies `record` against candidate bundles, optionally
-    /// emitting matches, and returns the best absorption target
-    /// `(slot, similarity-to-rep)` if one qualifies.
+    /// Scans `record`'s prefix for candidate bundles, batch-verifies the
+    /// survivors, optionally emitting matches, and returns the best
+    /// absorption target `(slot, similarity-to-rep)` if one qualifies.
     fn probe_internal(
         &mut self,
         record: &Record,
@@ -271,105 +413,100 @@ impl BundleJoiner {
         if want_group {
             self.group_bounds.rebuild(lr);
         }
-        let lo = t.min_len(lr);
-        let hi = t.max_len(lr);
+        let scan = Scan {
+            bounds: &self.bounds,
+            group_bounds: &self.group_bounds,
+            lo: t.min_len(lr),
+            hi: t.max_len(lr),
+            emit: out.is_some(),
+            want_group,
+            max_members: self.cfg.max_members,
+        };
 
-        self.collect_candidates(record);
+        self.acc.next_probe();
+        {
+            let store = &self.store;
+            let acc = &mut self.acc;
+            let stats = &mut self.stats;
+            for (i, &tok) in record.prefix(self.bounds.prefix_len()).iter().enumerate() {
+                let i = i as u32;
+                self.index.scan_prune(
+                    tok,
+                    |slot| store.prefetch_head(slot),
+                    |slot| store.is_live(slot),
+                    |p| {
+                        stats.posting_hits += 1;
+                        let c = acc.entry(p.slot, || scan.open(p.slot, store, stats));
+                        if c.min_required == SKIP || p.pos == Posting::NO_POS {
+                            return;
+                        }
+                        // Positional filter: the most `|r ∩ rep|` can be if
+                        // this shared token is counted.
+                        let j = p.pos;
+                        let left = (c.alpha + j.saturating_sub(c.closed)).min(i).min(j);
+                        let right = (lr as u32 - i - 1).min(c.rep_len - j - 1);
+                        if left + 1 + right < c.min_required {
+                            c.min_required = SKIP;
+                            stats.position_filtered += 1;
+                            return;
+                        }
+                        c.alpha += 1;
+                        if j < c.closed {
+                            c.resume_probe = i + 1;
+                            c.resume_rep = j + 1;
+                            c.resume_alpha = c.alpha;
+                        }
+                    },
+                );
+            }
+        }
+
         let mut best: Option<(Slot, f64)> = None;
-
-        for i in 0..self.candidates.len() {
-            let slot = self.candidates[i];
-            // Overlap the next candidate bundle's header fetch with this
-            // one's verification (bundle slots rarely share cache lines).
-            if let Some(&next) = self.candidates.get(i + 1) {
-                self.store.prefetch(next);
-            }
-            let bundle = self.store.get(slot).expect("candidates are live");
-            self.stats.candidates += 1;
-
-            // Bundle-level length filter for join results.
-            let members_in_range = bundle.alive > 0
-                && (bundle.max_len as usize) >= lo
-                && hi.is_none_or(|h| (bundle.min_len as usize) <= h);
-            // Is this bundle even a possible absorption target?
-            let lrep = bundle.rep.len();
-            let groupable = want_group
-                && bundle.members.len() + 1 < self.cfg.max_members
-                && self.group_bounds.length_compatible(lrep);
-            if !members_in_range && !groupable {
-                self.stats.length_filtered += 1;
+        for (n, &c) in self.acc.cands().iter().enumerate() {
+            if c.min_required == SKIP {
                 continue;
             }
-            if out.is_none() && !groupable {
-                // Insert-only scan: this bundle can't absorb the record and
-                // no matches are being collected — nothing to verify.
-                continue;
+            // Overlap the next surviving bundle's fetch with this one's
+            // verification (bundle slots rarely share cache lines).
+            let rest = &self.acc.cands()[n + 1..];
+            if let Some(next) = rest.iter().find(|c| c.min_required != SKIP) {
+                self.store.prefetch(next.slot);
             }
+            let bundle = self.store.get(c.slot).expect("candidates are live");
+            let rep = bundle.rep.tokens();
+            let lrep = rep.len();
 
-            // Shared verification: one merge against the representative.
-            // Early termination is valid against the loosest requirement
-            // anything downstream could have: for member emission, the
-            // smallest member min-overlap discounted by how much a member's
-            // `add` tokens could raise its overlap above the
-            // representative's; for the grouping decision, the absorption
-            // threshold's own min-overlap (an overlap below it cannot reach
-            // `bundle_tau` either). `overlap_with_min` returns the *exact*
-            // overlap whenever it returns at all, so both uses stay exact.
-            let member_req = if members_in_range && out.is_some() {
-                // Minimum member requirement without walking the member
-                // list: `min_overlap` is nondecreasing in the candidate
-                // length for every similarity function, so when the
-                // shortest alive member passes the length filter it is the
-                // one with the loosest requirement (and `members_in_range`
-                // already guarantees `min_len ≤ hi`). Only when the
-                // shortest member falls below the filter window do we scan
-                // for the shortest member actually inside it.
-                let base = if bundle.min_len as usize >= lo {
-                    self.bounds.min_overlap(bundle.min_len as usize)
-                } else {
-                    let founder = (bundle.founder_alive && self.bounds.length_compatible(lrep))
-                        .then(|| self.bounds.min_overlap(lrep));
-                    bundle
-                        .members
-                        .iter()
-                        .filter(|m| m.alive && self.bounds.length_compatible(m.len as usize))
-                        .map(|m| self.bounds.min_overlap(m.len as usize))
-                        .chain(founder)
-                        .min()
-                        .unwrap_or(usize::MAX)
-                };
-                base.saturating_sub(bundle.max_add as usize)
-            } else {
-                usize::MAX
-            };
-            let group_req = if groupable {
-                self.group_bounds.min_overlap(lrep)
-            } else {
-                usize::MAX
-            };
-            let min_required = member_req.min(group_req);
-            if min_required == usize::MAX {
-                // The bundle's length bounds straddle the filter interval
-                // without any member actually inside it, and grouping does
-                // not apply: nothing to verify.
-                continue;
-            }
+            // Shared verification: one merge against the representative,
+            // resumed past the last hit below `closed` when there is one.
+            let min_required = c.min_required as usize;
             self.stats.verifications += 1;
-            self.stats.verify_steps += (lr + lrep) as u64;
-            let Some(o_rep) =
-                verify::overlap_with_min(record.tokens(), bundle.rep.tokens(), min_required)
-            else {
+            let o_rep = if c.resume_probe > 0 {
+                let (from_r, from_rep) = (c.resume_probe as usize, c.resume_rep as usize);
+                self.stats.verify_steps += ((lr - from_r) + (lrep - from_rep)) as u64;
+                verify::overlap_from(
+                    record.tokens(),
+                    rep,
+                    from_r,
+                    from_rep,
+                    c.resume_alpha as usize,
+                    min_required,
+                )
+            } else {
+                self.stats.verify_steps += (lr + lrep) as u64;
+                verify::overlap_with_min(record.tokens(), rep, min_required)
+            };
+            let Some(o_rep) = o_rep else {
                 continue;
             };
 
-            if groupable {
+            if c.groupable {
                 let sim_rep = t.similarity(o_rep, lr, lrep);
                 if sim_rep >= self.cfg.bundle_tau && best.is_none_or(|(_, s)| sim_rep > s) {
-                    best = Some((slot, sim_rep));
+                    best = Some((c.slot, sim_rep));
                 }
             }
 
-            if !members_in_range {
+            if !c.members_in_range {
                 continue;
             }
             if let Some(out) = out.as_deref_mut() {
@@ -412,37 +549,55 @@ impl BundleJoiner {
     /// Inserts `record`, absorbing it into `target` when the delta fits,
     /// founding a new bundle otherwise.
     fn insert_with(&mut self, record: &Record, target: Option<(Slot, f64)>) {
+        let len = record.len() as u32;
         if let Some((slot, _)) = target {
-            if let Some(bundle) = self.store.get_mut(slot) {
+            if let Some((head, bundle)) = self.store.get_mut(slot) {
+                let rep = bundle.rep.tokens();
                 let max_delta =
-                    ((self.cfg.max_delta_frac * bundle.rep.len() as f64).floor() as usize).max(1);
-                let (add, del) = token_deltas(record.tokens(), bundle.rep.tokens());
-                if bundle.members.len() + 1 < self.cfg.max_members
+                    ((self.cfg.max_delta_frac * rep.len() as f64).floor() as usize).max(1);
+                let (add, del) = token_deltas(record.tokens(), rep);
+                if (head.absorbed as usize) + 1 < self.cfg.max_members
                     && add.len() + del.len() <= max_delta
                 {
                     // Post any prefix tokens this member brings that the
-                    // bundle has not posted yet (keeps the union invariant).
+                    // bundle has not posted yet (keeps the union invariant),
+                    // at their position in the representative if it has
+                    // them.
                     self.bounds.rebuild(record.len());
-                    let prefix = record.prefix(self.bounds.prefix_len());
-                    for &tok in prefix {
-                        if let Err(ins) = bundle.posted.binary_search(&tok) {
-                            bundle.posted.insert(ins, tok);
-                            self.index.add(tok, Posting { slot, pos: 0 });
+                    let closed_run = &rep[..head.closed as usize];
+                    for &tok in record.prefix(self.bounds.prefix_len()) {
+                        if closed_run.binary_search(&tok).is_ok() {
+                            continue;
+                        }
+                        if let Err(ins) = bundle.posted_beyond.binary_search(&tok) {
+                            bundle.posted_beyond.insert(ins, tok);
+                            let pos = rep
+                                .binary_search(&tok)
+                                .map_or(Posting::NO_POS, |j| j as u32);
+                            self.index.add(tok, Posting { slot, pos });
                             self.stats.postings_created += 1;
                         }
                     }
-                    let member_idx = bundle.members.len() as u32;
-                    bundle.max_add = bundle.max_add.max(add.len() as u32);
+                    while rep
+                        .get(head.closed as usize)
+                        .is_some_and(|tok| bundle.posted_beyond.binary_search(tok).is_ok())
+                    {
+                        head.closed += 1;
+                    }
+                    let member_idx = head.absorbed;
+                    debug_assert_eq!(member_idx as usize, bundle.members.len());
+                    head.absorbed += 1;
+                    head.max_add = head.max_add.max(add.len() as u32);
+                    head.min_len = head.min_len.min(len);
+                    head.max_len = head.max_len.max(len);
                     bundle.members.push(Member {
                         id: record.id(),
-                        len: record.len() as u32,
+                        len,
                         add: add.into(),
                         del: del.into(),
                         alive: true,
                     });
                     bundle.alive += 1;
-                    bundle.min_len = bundle.min_len.min(record.len() as u32);
-                    bundle.max_len = bundle.max_len.max(record.len() as u32);
                     self.queue
                         .push(record.id().0, record.timestamp(), (slot, member_idx));
                     self.live_members += 1;
@@ -456,20 +611,28 @@ impl BundleJoiner {
         // Found a new bundle. The founder lives inline as the
         // representative: no member allocation for singleton bundles.
         self.bounds.rebuild(record.len());
-        let posted: Vec<TokenId> = record.prefix(self.bounds.prefix_len()).to_vec();
-        let slot = self.store.insert(Bundle {
-            rep: record.clone(),
-            founder_alive: true,
-            members: Vec::new(),
-            alive: 1,
-            min_len: record.len() as u32,
-            max_len: record.len() as u32,
+        let prefix = record.prefix(self.bounds.prefix_len());
+        let head = BundleHead {
+            min_len: len,
+            max_len: len,
             max_add: 0,
-            posted,
-        });
-        let bundle = self.store.get(slot).expect("just inserted");
-        for &tok in &bundle.posted {
-            self.index.add(tok, Posting { slot, pos: 0 });
+            closed: prefix.len() as u32,
+            rep_len: len,
+            absorbed: 0,
+        };
+        let slot = self.store.insert(
+            head,
+            Bundle {
+                rep: record.clone(),
+                founder_alive: true,
+                members: Vec::new(),
+                alive: 1,
+                posted_beyond: Vec::new(),
+            },
+        );
+        for (pos, &tok) in prefix.iter().enumerate() {
+            let pos = pos as u32;
+            self.index.add(tok, Posting { slot, pos });
             self.stats.postings_created += 1;
         }
         self.queue
@@ -757,5 +920,75 @@ mod tests {
         }
         let cfg = BundleConfig::new(JoinConfig::jaccard(0.8)).with_bundle_tau(0.5);
         assert_same_as_naive(cfg, &records);
+    }
+
+    /// A member's prefix can post a representative token *past* an
+    /// unposted one. A probe that hits there may share the unposted token
+    /// too, so the hit count alone is not the left overlap: without the
+    /// `j − closed` allowance this probe's bound reads 8 < 9 and its match
+    /// with the founder is lost.
+    #[test]
+    fn a_hit_past_closed_allows_for_the_unposted_tokens_before_it() {
+        let join = JoinConfig::jaccard(0.69);
+        let mut j = BundleJoiner::new(BundleConfig::new(join).with_bundle_tau(0.6));
+        let mut out = Vec::new();
+        // Founder: prefix of 4, so positions 0..4 are posted and closed.
+        j.process(
+            &rec(0, &[1, 6, 12, 15, 17, 18, 20, 28, 30, 32, 38, 39]),
+            &mut out,
+        );
+        // Member without 1 and 17: its prefix 6, 12, 15, 18 posts 18 —
+        // position 5 — and leaves 17, position 4, unposted.
+        j.process(&rec(1, &[6, 12, 15, 18, 20, 28, 30, 32, 38, 39]), &mut out);
+        assert_eq!((j.bundles(), j.stats().bundle_absorbed), (1, 1));
+        assert_eq!(j.store.head(0).closed, 4);
+        let mut at_18 = Vec::new();
+        j.index
+            .scan_prune(TokenId(18), |_| {}, |_| true, |p| at_18.push(p));
+        assert_eq!(at_18, vec![Posting { slot: 0, pos: 5 }]);
+        out.clear();
+        // Shares 15 (a hit below `closed`), 17 (unposted) and 18 (a hit
+        // past `closed`) with the founder, and every token after: overlap
+        // 9 of the 9 required at |r| = 10, |rep| = 12.
+        j.process(&rec(2, &[10, 15, 17, 18, 20, 28, 30, 32, 38, 39]), &mut out);
+        assert_eq!(out.iter().map(|m| m.key()).collect::<Vec<_>>(), [(0, 2)]);
+        assert_eq!(j.stats().position_filtered, 0);
+    }
+
+    /// A prefix token the representative lacks is posted without a
+    /// position: it makes the bundle a candidate and says nothing else.
+    #[test]
+    fn a_members_add_token_is_posted_without_a_position() {
+        let join = JoinConfig::jaccard(0.6);
+        let mut j = BundleJoiner::new(BundleConfig::new(join).with_bundle_tau(0.6));
+        let mut out = Vec::new();
+        j.process(
+            &rec(0, &[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]),
+            &mut out,
+        );
+        // 5 replaces 10: the member's prefix starts with a token the
+        // representative does not have.
+        j.process(&rec(1, &[5, 20, 30, 40, 50, 60, 70, 80, 90, 100]), &mut out);
+        assert_eq!(j.stats().bundle_absorbed, 1);
+        let mut at_5 = Vec::new();
+        j.index
+            .scan_prune(TokenId(5), |_| {}, |_| true, |p| at_5.push(p));
+        assert_eq!(
+            at_5,
+            vec![Posting {
+                slot: 0,
+                pos: Posting::NO_POS
+            }]
+        );
+        out.clear();
+        // Found through 5 alone (60 and 70 are past the posted run),
+        // verified from the start, matched by the member only.
+        j.process(&rec(2, &[5, 60, 70, 80, 90, 100]), &mut out);
+        assert_eq!(out.iter().map(|m| m.key()).collect::<Vec<_>>(), [(1, 2)]);
+        assert_eq!(
+            j.stats().posting_hits,
+            4 + 1,
+            "record 1's four hits, then one"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! | [`NaiveJoiner`] | none (scan) | — | full merge |
 //! | [`AllPairsJoiner`] | prefix index | length | early-terminated merge |
 //! | [`PpJoinJoiner`] | prefix index | length + positional | resumed merge |
-//! | [`BundleJoiner`] | bundle prefix index | bundle length bounds | shared + per-member delta |
+//! | [`BundleJoiner`] | bundle prefix index | bundle length bounds + positional (vs. representative) | shared resumed merge + per-member delta |
 //!
 //! All four apply the identical acceptance predicate
 //! [`Threshold::matches`](crate::sim::Threshold::matches), so their result

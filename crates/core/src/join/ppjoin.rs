@@ -17,7 +17,7 @@
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
 use crate::index::{
-    compact_all, should_compact, InvertedIndex, Posting, RecordStore, SeenFilter, Slot,
+    compact_all, should_compact, CandMap, InvertedIndex, Posting, RecordStore, Slot,
 };
 use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
@@ -40,57 +40,6 @@ struct CandAcc {
     pruned: bool,
 }
 
-/// Slot → per-probe candidate accumulator, without hashing: a dense
-/// `cands` vector plus a stamped per-slot index (the [`SeenFilter`]
-/// trick), so the prefix-scan inner loop costs one stamp compare per
-/// posting instead of a hash-map probe.
-#[derive(Debug, Default)]
-struct CandMap {
-    /// Per-slot epoch stamp; the `idx` entry is valid iff it matches.
-    stamps: Vec<u32>,
-    /// Per-slot index into `cands`, valid under the current stamp.
-    idx: Vec<u32>,
-    epoch: u32,
-    /// This probe's candidates in first-visit order.
-    cands: Vec<CandAcc>,
-}
-
-impl CandMap {
-    /// Starts a new probe; all slots become absent.
-    fn next_probe(&mut self) {
-        self.cands.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.iter_mut().for_each(|s| *s = u32::MAX);
-            self.epoch = 1;
-        }
-    }
-
-    /// The accumulator for `slot`, inserting `init(slot)` on first visit.
-    #[inline]
-    fn entry(&mut self, slot: Slot, init: impl FnOnce() -> CandAcc) -> &mut CandAcc {
-        let i = slot as usize;
-        if i >= self.stamps.len() {
-            self.stamps.resize(i + 1, self.epoch.wrapping_sub(1));
-            self.idx.resize(i + 1, 0);
-        }
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
-            self.idx[i] = self.cands.len() as u32;
-            self.cands.push(init());
-        }
-        &mut self.cands[self.idx[i] as usize]
-    }
-
-    /// Clears the map after a store compaction (slot meanings changed).
-    fn reset(&mut self) {
-        self.stamps.clear();
-        self.idx.clear();
-        self.cands.clear();
-        self.epoch = 0;
-    }
-}
-
 /// Prefix + length + positional filtering joiner (Xiao et al.'s PPJoin
 /// adapted to arbitrary-arrival-order streams).
 #[derive(Debug)]
@@ -101,10 +50,9 @@ pub struct PpJoinJoiner {
     store: RecordStore,
     index: InvertedIndex,
     queue: EvictionQueue<Slot>,
-    seen: SeenFilter,
     stats: JoinStats,
     /// Scratch: per-probe candidate accumulators (cleared, not freed).
-    acc: CandMap,
+    acc: CandMap<CandAcc>,
     /// Per-probe integer bound memo (kills per-hit float math).
     bounds: ProbeBounds,
 }
@@ -118,7 +66,6 @@ impl PpJoinJoiner {
             store: RecordStore::new(),
             index: InvertedIndex::new(),
             queue: EvictionQueue::new(),
-            seen: SeenFilter::new(),
             stats: JoinStats::new(),
             acc: CandMap::default(),
             bounds: ProbeBounds::new(cfg.threshold),
@@ -134,7 +81,7 @@ impl PpJoinJoiner {
                 stats.evicted += 1;
             });
         if should_compact(store.live(), store.dead()) {
-            compact_all(store, &mut self.index, &mut self.queue, &mut self.seen);
+            compact_all(store, &mut self.index, &mut self.queue);
             self.acc.reset();
         }
     }
@@ -192,6 +139,7 @@ impl StreamJoiner for PpJoinJoiner {
             for (i, &tok) in record.prefix(bounds.prefix_len()).iter().enumerate() {
                 self.index.scan_prune(
                     tok,
+                    |_| {},
                     |slot| store.is_live(slot),
                     |p| {
                         stats.posting_hits += 1;
@@ -234,8 +182,7 @@ impl StreamJoiner for PpJoinJoiner {
         }
 
         // Resumed verification of the survivors, in first-visit order.
-        for idx in 0..self.acc.cands.len() {
-            let cand = self.acc.cands[idx];
+        for &cand in self.acc.cands() {
             if cand.pruned || cand.alpha == 0 {
                 continue;
             }

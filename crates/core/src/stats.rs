@@ -19,13 +19,21 @@ pub struct JoinStats {
     pub candidates: u64,
     /// Candidates removed by the length filter.
     pub length_filtered: u64,
-    /// Candidates removed by the positional filter (PPJoin only).
+    /// Candidates removed by the positional filter: PPJoin's, per record;
+    /// the bundle joiner's, per candidate *bundle* — one count drops the
+    /// verification of every member at once, on a bound over the probe's
+    /// overlap with the representative.
     pub position_filtered: u64,
     /// Candidates removed by the suffix filter (PPJoin+ only).
     pub suffix_filtered: u64,
-    /// Full verifications performed (merge-based).
+    /// Merge-based verifications performed: per candidate record, or per
+    /// candidate bundle (one merge against its representative).
     pub verifications: u64,
-    /// Token-merge steps spent in verification (cost proxy).
+    /// Token-merge steps spent in verification (cost proxy): the summed
+    /// lengths of the two slices handed to the merge. A verification
+    /// resumed after the scan's last shared position (PPJoin always, the
+    /// bundle joiner when a hit fell in the representative's fully posted
+    /// run) counts the two tails only.
     pub verify_steps: u64,
     /// Cheap delta verifications performed (bundle batch verification).
     pub delta_verifications: u64,

@@ -9,9 +9,7 @@
 //! [`InvertedIndex::apply_remap`], hole-free arenas after a rebuild, and
 //! snapshots that cannot tell whether a compaction happened.
 
-use ssj_core::index::{
-    compact_all, should_compact, InvertedIndex, Posting, RecordStore, SeenFilter, Slot,
-};
+use ssj_core::index::{compact_all, should_compact, InvertedIndex, Posting, RecordStore, Slot};
 use ssj_core::snapshot::{encode_window_vec, SnapshotEntry};
 use ssj_core::window::EvictionQueue;
 use ssj_core::Window;
@@ -82,7 +80,6 @@ fn postings_is_an_upper_bound_until_remap_makes_it_exact() {
     let mut store = RecordStore::new();
     let mut index = InvertedIndex::new();
     let mut queue: EvictionQueue<Slot> = EvictionQueue::new();
-    let mut seen = SeenFilter::new();
 
     // 6 records sharing token 7; tokens 100+i are private.
     let records: Vec<Record> = (0..6).map(|i| rec(i, &[7, 100 + i as u32])).collect();
@@ -107,19 +104,29 @@ fn postings_is_an_upper_bound_until_remap_makes_it_exact() {
 
     // A scan over the shared token prunes its dead postings exactly.
     let mut visited = Vec::new();
-    index.scan_prune(TokenId(7), |s| store.is_live(s), |p| visited.push(p.slot));
+    index.scan_prune(
+        TokenId(7),
+        |_| {},
+        |s| store.is_live(s),
+        |p| visited.push(p.slot),
+    );
     assert_eq!(visited, vec![slots[2], slots[3], slots[4], slots[5]]);
     assert_eq!(index.postings(), 10, "2 dead postings pruned from token 7");
 
     // Remap drops every remaining dead posting: exact again.
-    let remap = compact_all(&mut store, &mut index, &mut queue, &mut seen);
+    let remap = compact_all(&mut store, &mut index, &mut queue);
     assert_eq!(index.postings(), 8, "4 live records x 2 tokens");
     assert_eq!(index.garbage_len(), 0, "rebuilt arena is hole-free");
     assert_eq!(queue.len(), 4);
 
     // Post-remap scans see the renumbered slots, same order, same records.
     let mut after = Vec::new();
-    index.scan_prune(TokenId(7), |s| store.is_live(s), |p| after.push(p.slot));
+    index.scan_prune(
+        TokenId(7),
+        |_| {},
+        |s| store.is_live(s),
+        |p| after.push(p.slot),
+    );
     let expect: Vec<Slot> = slots[2..].iter().map(|&s| remap[s as usize]).collect();
     assert_eq!(after, expect);
     for (&new, old_id) in after.iter().zip([2u64, 3, 4, 5]) {
@@ -132,7 +139,6 @@ fn interleaved_add_evict_prune_compact_matches_a_reference_model() {
     let mut store = RecordStore::new();
     let mut index = InvertedIndex::new();
     let mut queue: EvictionQueue<Slot> = EvictionQueue::new();
-    let mut seen = SeenFilter::new();
     // Reference: record id -> token list, for everything currently live.
     let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
 
@@ -163,10 +169,10 @@ fn interleaved_add_evict_prune_compact_matches_a_reference_model() {
         model.insert(id, toks.clone());
 
         if id % 16 == 0 {
-            index.scan_prune(TokenId(toks[0]), |s| store.is_live(s), |_| {});
+            index.scan_prune(TokenId(toks[0]), |_| {}, |s| store.is_live(s), |_| {});
         }
         if should_compact(store.live(), store.dead()) {
-            compact_all(&mut store, &mut index, &mut queue, &mut seen);
+            compact_all(&mut store, &mut index, &mut queue);
             compactions += 1;
             assert_eq!(index.garbage_len(), 0);
             assert_eq!(store.dead(), 0);
@@ -175,7 +181,7 @@ fn interleaved_add_evict_prune_compact_matches_a_reference_model() {
     assert!(compactions > 0, "workload never tripped the threshold");
 
     // Settle to exact, then compare the whole index to the model.
-    compact_all(&mut store, &mut index, &mut queue, &mut seen);
+    compact_all(&mut store, &mut index, &mut queue);
     let model_postings: usize = model.values().map(Vec::len).sum();
     assert_eq!(index.postings(), model_postings);
     assert_eq!(store.live(), model.len());
@@ -183,6 +189,7 @@ fn interleaved_add_evict_prune_compact_matches_a_reference_model() {
     for t in 0..797u32 {
         index.scan_prune(
             TokenId(t),
+            |_| {},
             |s| store.is_live(s),
             |p| {
                 scanned
@@ -207,7 +214,6 @@ fn window_snapshot_is_identical_across_compaction() {
     let mut store = RecordStore::new();
     let mut index = InvertedIndex::new();
     let mut queue: EvictionQueue<Slot> = EvictionQueue::new();
-    let mut seen = SeenFilter::new();
     for id in 0..2000u64 {
         let r = rec(id, &[(id % 50) as u32, 60 + (id % 40) as u32, 200]);
         let slot = store.insert(&r);
@@ -229,7 +235,7 @@ fn window_snapshot_is_identical_across_compaction() {
     };
     let before = snap(&store, &queue);
     let bytes_before = encode_window_vec(&before).unwrap();
-    compact_all(&mut store, &mut index, &mut queue, &mut seen);
+    compact_all(&mut store, &mut index, &mut queue);
     let after = snap(&store, &queue);
     let bytes_after = encode_window_vec(&after).unwrap();
     assert_eq!(before.len(), 301, "ids 1699..=1999 stay in-window");

@@ -252,12 +252,23 @@ impl JoinerBolt {
         out.trace_span(stage, t0, a, b);
     }
 
-    /// Probes, under a verify span. The result pairs are emitted one by
-    /// one, or held back when the probe is part of an inbound batch (see
+    /// Probes, under a verify span — with `fused`, through the one scan
+    /// that also indexes the record. The result pairs are emitted one by
+    /// one, or held back when the message is part of an inbound batch (see
     /// [`Bolt::execute`]).
-    fn probe(&mut self, payload: &RecordMsg, batched: bool, out: &mut Outbox<JoinMsg>) {
+    fn probe(
+        &mut self,
+        payload: &RecordMsg,
+        fused: bool,
+        batched: bool,
+        out: &mut Outbox<JoinMsg>,
+    ) {
         let t0 = self.stage_start(out);
-        let pairs = self.joiner.probe(payload);
+        let pairs = if fused {
+            self.joiner.process(payload)
+        } else {
+            self.joiner.probe(payload)
+        };
         let results = pairs.iter().map(|&pair| JoinMsg::Result {
             pair,
             ingest: payload.ingest,
@@ -271,10 +282,16 @@ impl JoinerBolt {
         self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
     }
 
-    /// Indexes the record, under an index span.
-    fn insert(&mut self, payload: &RecordMsg, out: &mut Outbox<JoinMsg>) {
+    /// Indexes the record, under an index span. A record whose `fused`
+    /// probe already indexed it still gets the span (`b` = records
+    /// stored), so every indexed record has one in every trace; under
+    /// Threads that span times the gauge read, not a second scan — the
+    /// indexing work sits inside the record's verify span.
+    fn index(&mut self, payload: &RecordMsg, fused: bool, out: &mut Outbox<JoinMsg>) {
         let t0 = self.stage_start(out);
-        self.joiner.insert(payload);
+        if !fused {
+            self.joiner.insert(payload);
+        }
         if t0.is_some() {
             let stored = self.joiner.stored() as u64;
             self.stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
@@ -294,16 +311,16 @@ impl JoinerBolt {
         match msg {
             JoinMsg::Probe(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, batched, out);
+                self.probe(&payload, false, batched, out);
             }
             JoinMsg::Index(payload) => {
                 self.joiner.advance(&payload.record);
-                self.insert(&payload, out);
+                self.index(&payload, false, out);
             }
             JoinMsg::ProbeAndIndex(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, batched, out);
-                self.insert(&payload, out);
+                self.probe(&payload, true, batched, out);
+                self.index(&payload, true, out);
             }
             JoinMsg::Batch(_) => unreachable!("batches are never nested"),
             JoinMsg::Result { .. } => unreachable!("joiners do not receive results"),

@@ -701,9 +701,9 @@ fn proto_err(what: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
-/// Runs one record-bearing message through the joiner — expire, probe,
-/// insert, whichever of them its kind asks for — handing a probe's pairs
-/// and the probing record's ingest stamp to `emit`.
+/// Runs one record-bearing message through the joiner — expire, then
+/// probe, insert or the fused probe-and-insert, as its kind asks — handing
+/// a probe's pairs and the probing record's ingest stamp to `emit`.
 fn node_join(
     joiner: &mut Joiner,
     msg: &JoinMsg,
@@ -715,13 +715,14 @@ fn node_join(
         ));
     };
     joiner.advance(&payload.record);
-    if !matches!(msg, JoinMsg::Index(_)) {
-        emit(joiner.probe(payload), payload.ingest)?;
+    match msg {
+        JoinMsg::Index(_) => {
+            joiner.insert(payload);
+            Ok(())
+        }
+        JoinMsg::ProbeAndIndex(_) => emit(joiner.process(payload), payload.ingest),
+        _ => emit(joiner.probe(payload), payload.ingest),
     }
-    if msg.indexes() {
-        joiner.insert(payload);
-    }
-    Ok(())
 }
 
 /// Applies the contents of one in-order data frame to the node's joiner.

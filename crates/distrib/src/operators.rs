@@ -341,8 +341,10 @@ enum LocalState {
 /// router, its result-dedup filter.
 ///
 /// A record-bearing message is processed as [`advance`](Self::advance),
-/// then [`probe`](Self::probe) and/or [`insert`](Self::insert) in that
-/// order; a barrier is answered with
+/// then whichever of [`probe`](Self::probe), [`insert`](Self::insert) and
+/// [`process`](Self::process) its kind names — a probe-and-index message
+/// is always the fused `process`, one index scan, never `probe` then
+/// `insert`; a barrier is answered with
 /// [`window_snapshot`](Self::window_snapshot); lost state comes back
 /// through [`restore`](Self::restore).
 pub(crate) struct Joiner {
@@ -390,11 +392,35 @@ impl Joiner {
             (LocalState::Bi(j), Some(side)) => j.probe(side, &payload.record, &mut self.buf),
             _ => panic!("message side does not match the joiner mode"),
         }
-        if let Some(d) = &self.dedup {
-            self.buf
-                .retain(|pair| d.should_emit(&payload.record, pair.earlier));
+        self.retain_owned(&payload.record);
+        &self.buf
+    }
+
+    /// [`probe`](Self::probe) then [`insert`](Self::insert) as the local
+    /// joiner's one fused step — the same pairs and the same index state,
+    /// from a single scan of the index.
+    pub(crate) fn process(&mut self, payload: &RecordMsg) -> &[MatchPair] {
+        self.buf.clear();
+        match (&mut self.local, payload.side) {
+            (LocalState::Solo(j), None) => j.process(&payload.record, &mut self.buf),
+            (LocalState::Bi(j), Some(side)) => j.process(side, &payload.record, &mut self.buf),
+            _ => panic!("message side does not match the joiner mode"),
+        }
+        // The probing record only enters the dedup filter once its own
+        // pairs are placed, as when `insert` follows `probe`.
+        self.retain_owned(&payload.record);
+        if let Some(d) = &mut self.dedup {
+            d.on_index(&payload.record);
         }
         &self.buf
+    }
+
+    /// Drops from `buf` the pairs of `probe` that another joiner emits
+    /// under the dedup rule.
+    fn retain_owned(&mut self, probe: &Record) {
+        if let Some(d) = &self.dedup {
+            self.buf.retain(|pair| d.should_emit(probe, pair.earlier));
+        }
     }
 
     /// Stores `payload`'s record in the index.
@@ -861,5 +887,49 @@ mod tests {
         }
         assert_eq!(emitted.len(), 1, "emitted at {emitted:?}");
         assert_eq!(emitted[0].1, (0, 1));
+    }
+
+    /// The fused step is `probe` then `insert`, pair for pair, with the
+    /// dedup filter on: every joiner of a prefix-routed run (which probes
+    /// exactly where it indexes) is driven both ways over its messages.
+    #[test]
+    fn process_is_probe_then_insert_pair_for_pair_under_prefix_dedup() {
+        let records = workload(400);
+        let join = JoinConfig {
+            threshold: Threshold::jaccard(0.6),
+            window: Window::Count(150),
+        };
+        let mut router = PrefixRouter::new(join.threshold, K);
+        let targets: Vec<Vec<usize>> = records.iter().map(|r| router.route(r).index).collect();
+        let mut pairs = 0;
+        for local in [LocalAlgo::bundle(), LocalAlgo::PpJoin, LocalAlgo::AllPairs] {
+            for me in 0..K {
+                let mut fused = Joiner::new(local, join, false, Some((K, me)));
+                let mut split = Joiner::new(local, join, false, Some((K, me)));
+                for (r, _) in records
+                    .iter()
+                    .zip(&targets)
+                    .filter(|(_, t)| t.contains(&me))
+                {
+                    let msg = RecordMsg::solo(r.clone(), Timestamp::ZERO);
+                    fused.advance(r);
+                    split.advance(r);
+                    let expect = split.probe(&msg).to_vec();
+                    split.insert(&msg);
+                    let got = fused.process(&msg);
+                    assert_eq!(got, expect, "{} task {me} {:?}", local.name(), r.id());
+                    pairs += got.len();
+                }
+                assert_eq!(fused.window_snapshot(), split.window_snapshot());
+                let ((f, f_stored, f_postings), (s, s_stored, s_postings)) =
+                    (fused.counters(), split.counters());
+                assert_eq!((f_stored, f_postings), (s_stored, s_postings));
+                assert_eq!(
+                    (f.results, f.bundles_created, f.bundle_absorbed),
+                    (s.results, s.bundles_created, s.bundle_absorbed)
+                );
+            }
+        }
+        assert!(pairs > 0, "the test must bite");
     }
 }

@@ -8,7 +8,8 @@
 //! or a verification that stops one token early flips an outcome — and
 //! every local algorithm, run through the distributed driver over a
 //! length partition that splits the universe's lengths in two, must
-//! produce precisely the pairs the verify-everything join does.
+//! produce precisely the pairs the verify-everything join does. The bundle
+//! joiner must get there with multi-member bundles on every measure.
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, SimFn, Threshold, Window};
@@ -68,6 +69,10 @@ fn every_local_algorithm_agrees_with_naive_exactly_on_the_threshold() {
     ];
     let mut on_threshold = 0usize;
     for sim in [SimFn::Jaccard, SimFn::Cosine, SimFn::Dice, SimFn::Overlap] {
+        // Records the bundle joiner absorbed into another record's bundle:
+        // with none, its members, deltas and positional bounds would go
+        // untested on this measure's boundaries.
+        let mut absorbed = 0;
         for tau in boundary_taus(sim) {
             let threshold = Threshold::new(sim, tau);
             let join = JoinConfig {
@@ -87,11 +92,18 @@ fn every_local_algorithm_agrees_with_naive_exactly_on_the_threshold() {
                         scheduler: Scheduler::Sim(SimConfig::seeded(7)),
                         ..DistributedJoinConfig::recommended(2, join)
                     };
-                    let got = sorted_keys(&run_distributed(records, &cfg).pairs);
+                    let run = run_distributed(records, &cfg);
+                    let got = sorted_keys(&run.pairs);
                     assert_eq!(got, expect, "{sim:?} τ={tau} local={}", local.name());
+                    absorbed += run
+                        .joiners
+                        .iter()
+                        .map(|j| j.stats.bundle_absorbed)
+                        .sum::<u64>();
                 }
             }
         }
+        assert!(absorbed > 0, "{sim:?}: no bundle ever had a second member");
     }
     assert!(on_threshold > 1_000, "only {on_threshold} boundary pairs");
 }
