@@ -27,8 +27,9 @@ pub fn usage() -> ExitCode {
                  [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10]
                  [--chaos-seed S] [--shed-watermark W] [--source-rate R]
                  [--sim SEED]
-                 [--dispatch-batch B]   (B messages per joiner wire in, one
-                                         batch of results back out per batch)
+                 [--dispatch-batch B]   (every edge: B records per source
+                                         message unless --source-rate, B messages
+                                         per joiner wire, one result batch back)
                  [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
                  [--restore-from DIR [--verify-restore]] [--trace-out FILE]
                  [--chrome-out FILE] [--metrics-out FILE]

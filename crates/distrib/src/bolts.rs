@@ -45,7 +45,8 @@ impl StageRecorder {
     }
 }
 
-/// Routes each arriving record to its index/probe joiners. One task.
+/// Routes each arriving record, alone or inside a source batch, to its
+/// index/probe joiners. One task.
 pub(crate) struct DispatcherBolt<R: Router> {
     dispatcher: Dispatcher<R>,
     /// Ids of shed records, for exact recall accounting by the caller.
@@ -66,6 +67,24 @@ impl<R: Router> DispatcherBolt<R> {
             dispatcher,
             shed_log,
             stages: stages.map(StageRecorder::new),
+        }
+    }
+
+    /// Dispatches one source message and accounts for a shed record.
+    fn dispatch(&mut self, msg: &JoinMsg, out: &mut Outbox<JoinMsg>) {
+        let mut port = OutboxPort {
+            out,
+            stages: &mut self.stages,
+        };
+        match self.dispatcher.dispatch(msg, &mut port) {
+            Dispatched::Sent => {}
+            Dispatched::Shed { depth } => {
+                let id = msg.record().expect("dispatched a record").id().0;
+                out.record_shed(1);
+                out.trace_instant(Stage::Shed, id, depth as u64);
+                self.shed_log.lock().push(id);
+            }
+            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
         }
     }
 }
@@ -114,20 +133,17 @@ impl DispatchPort for OutboxPort<'_> {
 }
 
 impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
+    /// An inbound [`JoinMsg::Batch`] (the source edge under
+    /// `dispatch_batch`) is unpacked record by record through the one
+    /// dispatch path, so the ingest stamp, the shed decision, the replay
+    /// feed and the epoch boundary — a barrier opens at the interval's
+    /// exact record, mid-batch if that is where it falls — are those of an
+    /// unbatched run. Only the engine's own accounting (queue wait, the
+    /// `Execute` span, `msgs_in`) is per engine message.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        let mut port = OutboxPort {
-            out,
-            stages: &mut self.stages,
-        };
-        match self.dispatcher.dispatch(&msg, &mut port) {
-            Dispatched::Sent => {}
-            Dispatched::Shed { depth } => {
-                let id = msg.record().expect("dispatched a record").id().0;
-                out.record_shed(1);
-                out.trace_instant(Stage::Shed, id, depth as u64);
-                self.shed_log.lock().push(id);
-            }
-            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
+        match msg {
+            JoinMsg::Batch(msgs) => msgs.iter().for_each(|m| self.dispatch(m, out)),
+            msg => self.dispatch(&msg, out),
         }
     }
 

@@ -169,7 +169,9 @@ pub struct DistributedJoinConfig {
     pub local: LocalAlgo,
     /// Distribution strategy.
     pub strategy: Strategy,
-    /// Per-task input queue depth (backpressure).
+    /// Per-task input queue depth (backpressure), in engine messages: with
+    /// [`Self::dispatch_batch`] set to `b`, a full queue holds up to `b`
+    /// times as many records, on every edge.
     pub channel_capacity: usize,
     /// Pace the source to this many records per second (`None` = as fast
     /// as the pipeline accepts; used by the latency experiments).
@@ -206,19 +208,28 @@ pub struct DistributedJoinConfig {
     /// persisted length partition overrides the configured strategy.
     /// `None` (the default) starts empty.
     pub restore_from: Option<Arc<dyn SnapshotStore>>,
-    /// Batch every joiner edge: the dispatcher ships up to this many
-    /// messages per joiner wire as one [`crate::msg::JoinMsg::Batch`], and
-    /// a joiner answers each inbound batch with at most one batch of its
-    /// results, sent when the inbound batch ends — amortizing per-message
-    /// channel overhead on both hot edges. Joiners unpack batches in
-    /// dispatch order through the full per-message path (dedup advance,
-    /// stage spans), dispatcher batches flush before every checkpoint
-    /// barrier and at stream end, and results never wait for later input
-    /// — so results, recovery, checkpoint semantics and (up to a batch's
-    /// own processing time) latency match unbatched runs. A batch is one
-    /// engine tuple: the replay watermark advances once per batch, and a
-    /// panic inside one drops the whole batch as the one poisoned tuple.
-    /// `None` (the default) and `Some(1)` send every message individually.
+    /// Batch every edge. The source hands the dispatcher up to this many
+    /// records as one [`crate::msg::JoinMsg::Batch`] (restore tuples ride
+    /// in them like live records), the dispatcher ships up to this many
+    /// messages per joiner wire as one batch, and a joiner answers each
+    /// inbound batch with at most one batch of its results, sent when the
+    /// inbound batch ends — amortizing per-message engine overhead on all
+    /// three edges. Both receivers unpack a batch in order through the full
+    /// per-message path: the dispatcher stamps, sheds, feeds the replay
+    /// buffer and opens an epoch record by record (a barrier falls at the
+    /// interval's exact record, mid-batch if need be); joiners run dedup
+    /// advance and stage spans per message. Dispatcher batches flush
+    /// before every checkpoint barrier and at stream end, and results
+    /// never wait for later input — so results, recovery, checkpoint
+    /// semantics and (up to a batch's own processing time) latency match
+    /// unbatched runs. A batch is one engine tuple: one sequenced tuple on
+    /// an at-least-once wire, one `Dispatch` instant and one `Execute`
+    /// span in a trace; the replay watermark advances once per batch, and
+    /// a panic inside one drops the whole batch as the one poisoned tuple.
+    /// A paced source ([`Self::source_rate`]) keeps one message per
+    /// record: its queue is not full, and a batch would hold a due record
+    /// back for the later ones that fill it. `None` (the default) and
+    /// `Some(1)` send every message individually.
     pub dispatch_batch: Option<usize>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
@@ -298,7 +309,7 @@ impl DistributedJoinConfig {
         self
     }
 
-    /// Batches the joiner edges at this size (see [`Self::dispatch_batch`]).
+    /// Batches every edge at this size (see [`Self::dispatch_batch`]).
     pub fn with_dispatch_batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "dispatch batch size must be at least 1");
         self.dispatch_batch = Some(batch);
@@ -659,12 +670,17 @@ fn run_internal(
     if let Some(plan) = &cfg.fault {
         topology = topology.with_fault_plan(plan.clone());
     }
-    match cfg.source_rate {
-        Some(rate) => topology.spout(
+    // The source does no work, so unpaced its queue into the dispatcher is
+    // always full and every message costs a hop plus a wake-up of the
+    // parked spout: `dispatch_batch` batches this edge like the others. A
+    // paced source is exempt (see [`DistributedJoinConfig::dispatch_batch`]).
+    match (cfg.source_rate, cfg.dispatch_batch) {
+        (Some(rate), _) => topology.spout(
             "source",
             crate::pace::PacedIter::new(source.into_iter(), rate),
         ),
-        None => topology.spout("source", source),
+        (None, Some(batch)) if batch > 1 => topology.spout("source", batched(source, batch)),
+        (None, _) => topology.spout("source", source),
     }
 
     // The dispatcher is stateful (routers mutate) and single-task; move the
@@ -783,6 +799,21 @@ fn run_internal(
         trace,
         stages,
     }
+}
+
+/// `source` in chunks of `batch`, each one [`JoinMsg::Batch`], built as the
+/// spout pulls them; a lone remainder stays unwrapped, the shape
+/// `operators::Dispatcher` gives a joiner wire's last message.
+fn batched(source: Vec<JoinMsg>, batch: usize) -> impl Iterator<Item = JoinMsg> + Send {
+    let mut source = source.into_iter();
+    std::iter::from_fn(move || {
+        let mut chunk: Vec<JoinMsg> = source.by_ref().take(batch).collect();
+        match chunk.len() {
+            0 => None,
+            1 => chunk.pop(),
+            _ => Some(JoinMsg::Batch(chunk)),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -1636,6 +1667,29 @@ mod tests {
             assert_eq!(result.report.total_restarts(), 1, "aol batch={batch}");
             assert_eq!(result.latency.count(), expect.len() as u64);
         }
+    }
+
+    #[test]
+    fn source_batches_are_cut_by_count_and_a_lone_remainder_stays_unwrapped() {
+        let source: Vec<JoinMsg> = workload(65, 0.0)
+            .into_iter()
+            .map(|r| JoinMsg::ProbeAndIndex(RecordMsg::solo(r, Timestamp::ZERO)))
+            .collect();
+        let ids = |msgs: &[JoinMsg]| -> Vec<u64> {
+            msgs.iter().map(|m| m.record().unwrap().id().0).collect()
+        };
+        let sent: Vec<JoinMsg> = batched(source.clone(), 32).collect();
+        // The 65th arrives as itself, the wire shape of an unbatched run.
+        assert!(matches!(sent.last(), Some(JoinMsg::ProbeAndIndex(_))));
+        let chunks: Vec<Vec<u64>> = sent
+            .into_iter()
+            .map(|m| match m {
+                JoinMsg::Batch(msgs) => ids(&msgs),
+                lone => ids(&[lone]),
+            })
+            .collect();
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [32, 32, 1]);
+        assert_eq!(chunks.concat(), ids(&source));
     }
 
     #[test]

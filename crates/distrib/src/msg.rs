@@ -51,10 +51,15 @@ pub enum JoinMsg {
     },
     /// Several messages shipped down one wire as a single engine message,
     /// in order; never nested. With `dispatch_batch` set
-    /// (`DistributedJoinConfig` or `ClusterConfig`), three edges carry
+    /// (`DistributedJoinConfig` or `ClusterConfig`), four edges carry
     /// them, to amortize per-message engine and per-frame session
     /// overhead:
     ///
+    /// * source → dispatcher (topology, unpaced sources): that many source
+    ///   messages, live records and restore tuples alike, in arrival
+    ///   order. The dispatcher runs each through the per-record dispatch
+    ///   path, so stamps, shed decisions and epoch boundaries are those of
+    ///   an unbatched run;
     /// * dispatcher → joiner (topology): up to that many record-bearing
     ///   messages per joiner wire, in dispatch order, flushed before every
     ///   barrier injection and at stream end. The joiner runs each through

@@ -13,7 +13,7 @@
 //!
 //! | stage      | `a`              | `b`                     |
 //! |------------|------------------|-------------------------|
-//! | dispatch   | record ordinal   | —                       |
+//! | dispatch   | pull ordinal     | —                       |
 //! | route      | record id        | fan-out (targets)       |
 //! | deliver    | link id          | sequence number         |
 //! | retry      | sequence number  | retry count             |
@@ -36,7 +36,8 @@
 /// [`Stage::ALL`], so exporters and goldens never reorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// A spout handed one record to the topology.
+    /// A spout handed one item of its source to the topology: a record,
+    /// or a batch of them.
     Dispatch,
     /// A dispatcher routing decision: one record mapped to its target
     /// joiner task(s).

@@ -82,8 +82,8 @@ pub struct DifferentialCase {
     /// store. Checkpointing must never change the output, so the oracle
     /// comparison is unchanged; it composes with every other knob.
     pub checkpoint_interval: Option<u64>,
-    /// Batch every joiner edge at this size (see
-    /// `DistributedJoinConfig::dispatch_batch` and
+    /// Batch every edge at this size — on the simulated topology the
+    /// source edge too (see `DistributedJoinConfig::dispatch_batch` and
     /// `ClusterConfig::dispatch_batch`). Batching must never change the
     /// output, so the oracle comparison is unchanged; it composes with
     /// every other knob, simulated or cluster. Note that a cluster case's
@@ -168,7 +168,7 @@ impl DifferentialCase {
         self
     }
 
-    /// Batches every joiner edge at `batch` messages (`None` = off).
+    /// Batches every edge at `batch` messages (`None` = off).
     pub fn with_dispatch_batch(mut self, batch: Option<usize>) -> Self {
         self.dispatch_batch = batch;
         self

@@ -65,19 +65,15 @@ fn window(idx: usize) -> Window {
     }
 }
 
-/// Edge batching: off, the unwrapped-singleton size, and a size that
-/// packs several messages per wire.
-const BATCHES: usize = 3;
+/// Edge batching (topology) and data-path framing (cluster): off, the
+/// unwrapped-singleton size, a size that packs several messages per wire
+/// or frame, and the recommended size. The last two also batch the
+/// topology's source → dispatcher edge — in the chaos arms a lossy,
+/// at-least-once wire on which a batch is one sequenced tuple — with 120
+/// records as three full batches and a remainder at 32.
+const BATCHES: usize = 4;
 
 fn batch(idx: usize) -> Option<usize> {
-    [None, Some(1), Some(8)][idx]
-}
-
-/// Cluster framing: one message per `Data` frame, the unwrapped-singleton
-/// size, several messages per frame, and the recommended size.
-const CLUSTER_BATCHES: usize = 4;
-
-fn cluster_batch(idx: usize) -> Option<usize> {
     [None, Some(1), Some(8), Some(32)][idx]
 }
 
@@ -292,9 +288,9 @@ proptest! {
         strat in 0usize..STRATEGIES,
         loc in 0usize..LOCALS,
         win in 0usize..WINDOWS,
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
-        let c = case(k, tau, strat, loc, win).with_dispatch_batch(cluster_batch(bat));
+        let c = case(k, tau, strat, loc, win).with_dispatch_batch(batch(bat));
         let out = on_cluster(seed, c);
         prop_assert_eq!(out.shed, 0);
     }
@@ -310,9 +306,9 @@ proptest! {
         strat in 0usize..STRATEGIES,
         win in 0usize..WINDOWS,
         fault in 1usize..4, // bit 0: kill, bit 1: chaos
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, 4, win).with_dispatch_batch(cluster_batch(bat));
+        let mut c = case(k, tau, strat, 4, win).with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
             c = c.with_crash();
         }
@@ -334,11 +330,11 @@ proptest! {
         win in 0usize..WINDOWS,
         interval in 8u64..48,
         fault in 0usize..4, // bit 0: kill, bit 1: chaos
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
         let mut c = case(k, tau, strat, 4, win)
             .with_checkpoints(interval)
-            .with_dispatch_batch(cluster_batch(bat));
+            .with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
             c = c.with_crash();
         }
@@ -359,11 +355,11 @@ proptest! {
         strat in 0usize..STRATEGIES,
         win in 0usize..WINDOWS,
         interval in 8u64..24,
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
         let c = case(k, tau, strat, 4, win)
             .with_checkpoints(interval)
-            .with_dispatch_batch(cluster_batch(bat));
+            .with_dispatch_batch(batch(bat));
         let out = with_deadline(CLUSTER_DEADLINE, move || {
             run_cluster_restore_differential(seed, &c, ClusterBackend::InProcess)
         });
@@ -378,11 +374,11 @@ proptest! {
         k in 2usize..5,
         tau in 0.55f64..0.9,
         watermark in 2usize..8,
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
         let c = case(k, tau, 0, 4, 1)
             .with_shedding(watermark)
-            .with_dispatch_batch(cluster_batch(bat));
+            .with_dispatch_batch(batch(bat));
         on_cluster(seed, c);
     }
 
@@ -394,12 +390,12 @@ proptest! {
         k in 2usize..5,
         tau in 0.55f64..0.9,
         horizon in 5u64..40,
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
         let c = case(k, tau, 0, 4, 1)
             .with_crash_at(horizon)
             .with_recovery_budget(0)
-            .with_dispatch_batch(cluster_batch(bat));
+            .with_dispatch_batch(batch(bat));
         let out = on_cluster(seed, c);
         if out.result.health.fenced_tasks.is_empty() {
             prop_assert_eq!(out.shed, 0, "shed without a fence");
@@ -416,11 +412,11 @@ proptest! {
         tau in 0.55f64..0.9,
         loc in 0usize..LOCALS,
         win in 0usize..WINDOWS,
-        bat in 0usize..CLUSTER_BATCHES,
+        bat in 0usize..BATCHES,
     ) {
         let c = case(k, tau, 0, loc, win)
             .bistream()
-            .with_dispatch_batch(cluster_batch(bat));
+            .with_dispatch_batch(batch(bat));
         on_cluster(seed, c);
     }
 }
