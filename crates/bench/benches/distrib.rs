@@ -79,7 +79,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                     channel_capacity: 1024,
                     source_rate: None,
                     fault: None,
-                    chaos_seed: None,
                     shed_watermark: None,
                     checkpoint: None,
                     restore_from: None,

@@ -25,8 +25,7 @@ pub fn usage() -> ExitCode {
         "usage:
   dssj join      --input FILE [--tau T=0.8] [--algo bundle|ppjoin|allpairs]
                  [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10]
-                 [--chaos-seed S] [--shed-watermark W] [--source-rate R]
-                 [--sim SEED]
+                 [--shed-watermark W] [--source-rate R] [--sim SEED]
                  [--dispatch-batch B]   (every edge: B records per source
                                          message unless --source-rate, B messages
                                          per joiner wire, one result batch back)
@@ -34,7 +33,7 @@ pub fn usage() -> ExitCode {
                  [--restore-from DIR [--verify-restore]] [--trace-out FILE]
                  [--chrome-out FILE] [--metrics-out FILE]
   dssj bistream  --left FILE --right FILE [--tau T=0.8] [--algo A] [--k K=4]
-                 [--chaos-seed S] [--source-rate R] [--sim SEED]
+                 [--source-rate R] [--sim SEED]
                  [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
                  [--restore-from DIR [--verify-restore]] [--trace-out FILE]
                  [--chrome-out FILE] [--metrics-out FILE]
@@ -117,6 +116,10 @@ fn dispatch_batch(args: &Args) -> Result<Option<usize>, ArgError> {
 }
 
 fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, ArgError> {
+    args.forbid(
+        "chaos-seed",
+        "link chaos is a cluster feature: use `dssj cluster --chaos-seed`",
+    )?;
     let k: usize = args.get_or("k", 4)?;
     let scheduler = match parse_opt::<u64>(args, "sim")? {
         // Deterministic replay: the whole topology runs on the virtual
@@ -163,9 +166,6 @@ fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, A
         channel_capacity: 1024,
         source_rate: parse_opt(args, "source-rate")?,
         fault: None,
-        // Chaos mode: lossy wires masked by at-least-once delivery — the
-        // result set is unchanged, the cost shows up in the summary.
-        chaos_seed: parse_opt(args, "chaos-seed")?,
         // Degraded mode: shed whole records above this queue depth.
         shed_watermark: parse_opt(args, "shed-watermark")?,
         checkpoint,
@@ -231,8 +231,7 @@ fn verify_restore(args: &Args) -> CliResult {
 }
 
 /// One summary line for corruption the run detected and survived —
-/// printed only when something actually rotted, mirroring the chaos and
-/// shed lines.
+/// printed only when something actually rotted, mirroring the shed line.
 fn print_integrity(integrity: &ssj_distrib::IntegrityReport) {
     if integrity.is_clean() {
         return;
@@ -263,18 +262,6 @@ fn print_summary(out: &ssj_distrib::DistributedJoinResult) {
         out.latency.mean().as_secs_f64() * 1e6,
         out.latency.quantile(0.99).as_secs_f64() * 1e6
     );
-    let (dropped, duped, delayed) = out.report.link_faults();
-    if dropped + duped + delayed > 0 {
-        println!(
-            "chaos       : link faults {} dropped / {} duplicated / {} delayed, \
-             {} retries, {} duplicate deliveries suppressed",
-            dropped,
-            duped,
-            delayed,
-            out.report.total_retries(),
-            out.report.total_dup_drops()
-        );
-    }
     if out.report.shed() > 0 {
         println!(
             "shed        : {} records dropped at the dispatcher under overload",

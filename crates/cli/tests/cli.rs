@@ -113,14 +113,16 @@ fn generate_then_partition_roundtrip() {
 }
 
 #[test]
-fn join_under_chaos_finds_the_same_pairs() {
-    let input = write_temp("join_chaos.txt", DOCS);
+fn cluster_under_chaos_finds_the_same_pairs() {
+    let input = write_temp("cluster_chaos.txt", DOCS);
     let out = dssj(&[
-        "join",
+        "cluster",
         "--input",
         input.to_str().unwrap(),
         "--tau",
         "0.6",
+        "--backend",
+        "inprocess",
         "--chaos-seed",
         "42",
     ]);
@@ -130,8 +132,8 @@ fn join_under_chaos_finds_the_same_pairs() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // At-least-once delivery masks the injected link faults: the result
-    // set is identical to the clean run's.
+    // The session layer masks the injected link faults: the result set is
+    // identical to the clean run's.
     assert!(stdout.contains("pairs       : 2"), "{stdout}");
     assert!(stdout.contains("line 0 <-> line 1"), "{stdout}");
     assert!(stdout.contains("line 2 <-> line 3"), "{stdout}");
@@ -187,11 +189,38 @@ fn cluster_reports_what_batching_amortised_and_rejects_a_zero_batch() {
 
 #[test]
 fn bad_chaos_seed_rejected() {
+    // Topology wires cannot lose a tuple, so the flag names no behaviour
+    // of `join` / `bistream`; the error says where it went.
     let input = write_temp("chaos_seed.txt", "a b c\n");
+    let input = input.to_str().unwrap();
+    for args in [
+        vec!["join", "--input", input, "--chaos-seed", "42"],
+        vec![
+            "bistream",
+            "--left",
+            input,
+            "--right",
+            input,
+            "--chaos-seed",
+            "42",
+        ],
+    ] {
+        let out = dssj(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--chaos-seed: link chaos is a cluster feature")
+                && stderr.contains("dssj cluster --chaos-seed"),
+            "{stderr}"
+        );
+    }
+    // On the cluster the flag is still parsed.
     let out = dssj(&[
-        "join",
+        "cluster",
         "--input",
-        input.to_str().unwrap(),
+        input,
+        "--backend",
+        "inprocess",
         "--chaos-seed",
         "not-a-number",
     ]);

@@ -40,8 +40,11 @@
 //! arrived; conversely any lost output suffix corresponds to unacked
 //! frames, which are reprocessed after recovery — producing
 //! byte-identical duplicate results the launcher's sink drops by pair
-//! key. The net effect is effectively-once output, exactly what the
-//! in-process engine's reliable wires deliver.
+//! key. The net effect is effectively-once output. This is the one
+//! seq/ack/retry/dedup layer in the workspace — a topology's in-process
+//! wires are reliable FIFO channels and need none — and a frame more than
+//! [`NODE_INBOUND_CAP`] ahead of a node's cursor is a protocol error, so a
+//! gap the peer never fills cannot grow the reorder buffer without bound.
 //!
 //! # What is counted in messages, and what in frames
 //!
@@ -686,11 +689,14 @@ pub fn run_cluster_bistream(
 // Node side
 // ---------------------------------------------------------------------------
 
-/// Node-side inbound frame queue bound. The launcher's in-flight cap is
-/// the tight bound; this only absorbs retransmission/duplication slack
-/// before socket backpressure (a stalled reader, a closed TCP window)
-/// kicks in and feeds the launcher's shed watermark.
-const NODE_INBOUND_CAP: usize = 4096;
+/// Node-side inbound bound, on the frame queue and on how far ahead of
+/// its sequence cursor a node buffers. The launcher's in-flight cap
+/// ([`ClusterConfig::channel_capacity`], which may not exceed this) is the
+/// tight bound; this only absorbs retransmission/duplication slack before
+/// socket backpressure (a stalled reader, a closed TCP window) kicks in
+/// and feeds the launcher's shed watermark — and makes a peer that opens a
+/// sequence gap it never fills a protocol error, not unbounded memory.
+pub const NODE_INBOUND_CAP: usize = 4096;
 
 /// Launcher-side inbound queue bound — effectively unbounded, because
 /// the launcher must never deadlock against a node that is blocked
@@ -798,7 +804,8 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
     let mut joiner = Joiner::new(cfg.algo, join, cfg.bistream, dedup);
     let mut next_seq = cfg.resume_seq;
     // Out-of-order arrivals (chaos delays/duplicates) wait here until the
-    // sequence gap closes; processing is strictly in `seq` order.
+    // sequence gap closes; processing is strictly in `seq` order. Keys stay
+    // within `NODE_INBOUND_CAP` of `next_seq`, which bounds the map.
     let mut pending: BTreeMap<u64, JoinMsg> = BTreeMap::new();
     loop {
         let event = if wire.queue_depth() > 0 {
@@ -825,6 +832,11 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
                         // Retransmission of an already-processed frame: its
                         // effects (and results) are final; just re-ack.
                         send_frame(wire, &Frame::Ack { seq })?;
+                    } else if seq - next_seq > NODE_INBOUND_CAP as u64 {
+                        return Err(proto_err(format!(
+                            "Data seq {seq} is more than {NODE_INBOUND_CAP} frames ahead \
+                             of the next expected seq {next_seq}"
+                        )));
                     } else {
                         pending.insert(seq, msg);
                         while let Some(msg) = pending.remove(&next_seq) {
@@ -1109,6 +1121,10 @@ struct Launcher<'a> {
 impl<'a> Launcher<'a> {
     fn new(arrival: Vec<Record>, bistream: bool, cfg: &'a ClusterConfig) -> Self {
         assert!(cfg.k >= 1, "need at least one joiner");
+        assert!(
+            cfg.channel_capacity <= NODE_INBOUND_CAP,
+            "a node refuses frames more than {NODE_INBOUND_CAP} ahead of its cursor"
+        );
         Self {
             cfg,
             bistream,

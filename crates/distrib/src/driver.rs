@@ -23,10 +23,9 @@ use ssj_partition::{
 };
 use ssj_text::Record;
 use std::sync::Arc;
-use std::time::Duration;
 use stormlite::{
-    Delivery, FaultPlan, Grouping, LatencyHistogram, LinkFault, LinkFaultPlan, RetryConfig,
-    RunReport, Scheduler, SimConfig, Timestamp, Topology, Transcript,
+    FaultPlan, Grouping, LatencyHistogram, RunReport, Scheduler, SimConfig, Timestamp, Topology,
+    Transcript,
 };
 
 /// Which local join algorithm each joiner runs.
@@ -182,12 +181,6 @@ pub struct DistributedJoinConfig {
     /// tasks: the dispatcher is stateful-built-once and the sink keeps its
     /// state in shared memory, so neither needs (nor supports) replay.
     pub fault: Option<FaultPlan>,
-    /// Chaos mode: seed a [`LinkFaultPlan`] that makes every wire lossy
-    /// (seeded drop/duplicate/delay rates) and upgrades every wire to
-    /// [`Delivery::AtLeastOnce`], which masks the faults — the output stays
-    /// exactly the fault-free result. `None` (the default) keeps plain
-    /// wires with zero overhead.
-    pub chaos_seed: Option<u64>,
     /// Degraded mode: shed whole records at the dispatcher whenever any
     /// target joiner's input queue holds at least this many messages. Shed
     /// record ids are reported in
@@ -222,10 +215,10 @@ pub struct DistributedJoinConfig {
     /// before every checkpoint barrier and at stream end, and results
     /// never wait for later input — so results, recovery, checkpoint
     /// semantics and (up to a batch's own processing time) latency match
-    /// unbatched runs. A batch is one engine tuple: one sequenced tuple on
-    /// an at-least-once wire, one `Dispatch` instant and one `Execute`
-    /// span in a trace; the replay watermark advances once per batch, and
-    /// a panic inside one drops the whole batch as the one poisoned tuple.
+    /// unbatched runs. A batch is one engine tuple: one `Dispatch` instant
+    /// and one `Execute` span in a trace; the replay watermark advances
+    /// once per batch, and a panic inside one drops the whole batch as the
+    /// one poisoned tuple.
     /// A paced source ([`Self::source_rate`]) keeps one message per
     /// record: its queue is not full, and a batch would hold a due record
     /// back for the later ones that fill it. `None` (the default) and
@@ -265,7 +258,6 @@ impl DistributedJoinConfig {
             channel_capacity: 1024,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -278,13 +270,6 @@ impl DistributedJoinConfig {
     /// Adds an injected fault plan (see [`FaultPlan`]).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Makes every wire lossy under the seeded chaos plan and reliable
-    /// under at-least-once delivery (see [`Self::chaos_seed`]).
-    pub fn with_chaos(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
         self
     }
 
@@ -725,35 +710,9 @@ fn run_internal(
         SinkBolt::new(Arc::clone(&sink_shared)).with_stages(sink_stages.clone())
     });
 
-    match cfg.chaos_seed {
-        Some(seed) => {
-            // Chaos mode: every wire drops/duplicates/delays with seeded
-            // rates, and every wire runs at-least-once so the protocol
-            // masks the faults. Retry timeouts are tightened well below
-            // the defaults — these are in-process links where a round trip
-            // is microseconds, and the experiments time whole runs.
-            let retry = RetryConfig {
-                base_timeout: Duration::from_micros(500),
-                backoff_factor: 2,
-                max_timeout: Duration::from_millis(16),
-            };
-            let reliable = Delivery::AtLeastOnce(retry);
-            topology = topology.with_link_faults(
-                LinkFaultPlan::new(seed)
-                    .lossy("source", "dispatcher", LinkFault::seeded(seed ^ 1))
-                    .lossy("dispatcher", "joiner", LinkFault::seeded(seed ^ 2))
-                    .lossy("joiner", "sink", LinkFault::seeded(seed ^ 3)),
-            );
-            topology.wire_with("source", "dispatcher", Grouping::global(), reliable);
-            topology.wire_with("dispatcher", "joiner", Grouping::direct(), reliable);
-            topology.wire_with("joiner", "sink", Grouping::global(), reliable);
-        }
-        None => {
-            topology.wire("source", "dispatcher", Grouping::global());
-            topology.wire("dispatcher", "joiner", Grouping::direct());
-            topology.wire("joiner", "sink", Grouping::global());
-        }
-    }
+    topology.wire("source", "dispatcher", Grouping::global());
+    topology.wire("dispatcher", "joiner", Grouping::direct());
+    topology.wire("joiner", "sink", Grouping::global());
 
     let (mut report, transcript) = match cfg.scheduler {
         Scheduler::Sim(sim_cfg) => {
@@ -866,7 +825,6 @@ mod tests {
                 channel_capacity: 256,
                 source_rate: None,
                 fault: None,
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: None,
                 restore_from: None,
@@ -891,7 +849,6 @@ mod tests {
             channel_capacity: 256,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -915,7 +872,6 @@ mod tests {
             channel_capacity: 256,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -949,7 +905,6 @@ mod tests {
                 channel_capacity: 128,
                 source_rate: None,
                 fault: None,
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: None,
                 restore_from: None,
@@ -975,7 +930,6 @@ mod tests {
             channel_capacity: 256,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1004,7 +958,6 @@ mod tests {
             channel_capacity: 256,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1040,7 +993,6 @@ mod tests {
             channel_capacity: 64,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1110,7 +1062,6 @@ mod tests {
                 channel_capacity: 128,
                 source_rate: None,
                 fault: None,
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: None,
                 restore_from: None,
@@ -1144,7 +1095,6 @@ mod tests {
             channel_capacity: 64,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1184,7 +1134,6 @@ mod tests {
                 channel_capacity: 128,
                 source_rate: None,
                 fault: Some(FaultPlan::new().crash("joiner", 1, 40)),
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: None,
                 restore_from: None,
@@ -1235,7 +1184,6 @@ mod tests {
                     .crash("joiner", 0, 120)
                     .crash("joiner", 2, 0),
             ),
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1270,7 +1218,6 @@ mod tests {
             channel_capacity: 64,
             source_rate: None,
             fault: Some(FaultPlan::new().crash("joiner", 0, 50)),
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1315,65 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_mode_output_matches_fault_free_run() {
-        let records = workload(500, 0.3);
-        let join = JoinConfig::jaccard(0.7);
-        let expect = ground_truth(&records, join);
-        for seed in [1u64, 7, 42] {
-            let cfg = DistributedJoinConfig {
-                chaos_seed: Some(seed),
-                channel_capacity: 64,
-                ..DistributedJoinConfig::recommended(3, join)
-            };
-            let result = run_distributed(&records, &cfg);
-            let mut keys: Vec<_> = result.pairs.iter().map(|m| m.key()).collect();
-            keys.sort_unstable();
-            assert_eq!(keys, expect, "seed={seed}");
-            let (dropped, duped, delayed) = result.report.link_faults();
-            assert!(
-                dropped + duped + delayed > 0,
-                "seed={seed}: chaos plan injected nothing"
-            );
-            assert!(
-                result.report.total_retries() > 0,
-                "seed={seed}: drops must force retries"
-            );
-        }
-    }
-
-    #[test]
-    fn chaos_composes_with_joiner_crashes() {
-        let records = workload(600, 0.3);
-        let join = JoinConfig {
-            threshold: Threshold::jaccard(0.7),
-            window: Window::Count(150),
-        };
-        let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 100,
-            },
-            channel_capacity: 64,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 1, 40)),
-            chaos_seed: Some(99),
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        let result = run_distributed(&records, &cfg);
-        assert_eq!(run_keys_of(&result), expect);
-        assert_eq!(result.report.total_restarts(), 1);
-    }
-
-    #[test]
     fn shedding_under_overload_accounts_for_recall_exactly() {
         // Slow joiners (naive local join over an unbounded window) behind
         // tiny queues force the dispatcher over the shed watermark.
@@ -1390,7 +1278,6 @@ mod tests {
             channel_capacity: 8,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: Some(4),
             checkpoint: None,
             restore_from: None,
@@ -1443,7 +1330,6 @@ mod tests {
                 channel_capacity: 32,
                 source_rate: None,
                 fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
                 restore_from: None,
@@ -1486,7 +1372,6 @@ mod tests {
             channel_capacity: 64,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -1642,8 +1527,7 @@ mod tests {
 
         // A result-heavy stream, where the joiner→sink edge carries several
         // times the traffic of the dispatcher's: result batches must
-        // survive lossy at-least-once wires and a joiner crash, on a
-        // replayable schedule. (The aol profile's very short records over
+        // survive a joiner crash, on a replayable schedule. (The aol profile's very short records over
         // a small vocabulary repeat often enough for that at this length.)
         use ssj_workloads::{DatasetProfile, StreamGenerator};
         let profile = DatasetProfile::aol().with_vocab(40);
@@ -1659,7 +1543,6 @@ mod tests {
         for batch in [1usize, 8, 64] {
             let cfg = DistributedJoinConfig::recommended(4, join)
                 .with_dispatch_batch(batch)
-                .with_chaos(5)
                 .with_fault(FaultPlan::new().crash("joiner", 1, 3))
                 .with_sim(batch as u64);
             let result = run_distributed(&records, &cfg);
@@ -1726,7 +1609,6 @@ mod tests {
             channel_capacity: 32,
             source_rate: None,
             fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
             restore_from: None,

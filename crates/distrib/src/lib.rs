@@ -47,6 +47,7 @@ pub use checkpoint::{
 pub use cluster::{
     node_main, node_serve, run_cluster, run_cluster_bistream, ClusterBackend, ClusterConfig,
     ClusterFault, ClusterOutage, ClusterResult, HealthConfig, HealthReport, OutageKind,
+    NODE_INBOUND_CAP,
 };
 pub use driver::{
     calibrate_partition, run_bistream_distributed, run_distributed, DistributedJoinConfig,

@@ -5,9 +5,9 @@
 //! [wall clock](Clock::wall) anchored at topology start, so timestamps are
 //! nanoseconds of real elapsed run time. A simulated run (see
 //! [`crate::sim`]) uses a *virtual* clock that only moves when the
-//! scheduler advances it — queue-wait histograms, retry backoff timers and
-//! end-to-end latencies then measure deterministic virtual time, and the
-//! same seed reproduces the same numbers bit for bit.
+//! scheduler advances it — queue-wait histograms and end-to-end latencies
+//! then measure deterministic virtual time, and the same seed reproduces
+//! the same numbers bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,14 +40,6 @@ impl Timestamp {
     /// `earlier` is in the future.
     pub fn saturating_since(self, earlier: Timestamp) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
-    /// This timestamp shifted `d` later.
-    pub fn plus(self, d: Duration) -> Timestamp {
-        Timestamp(
-            self.0
-                .saturating_add(d.as_nanos().min(u64::MAX as u128) as u64),
-        )
     }
 }
 
@@ -94,8 +86,7 @@ impl Clock {
     }
 
     /// A virtual clock frozen at [`Timestamp::ZERO`]. Time only moves via
-    /// [`advance`](Self::advance) / [`advance_to`](Self::advance_to) — the
-    /// simulation scheduler owns that.
+    /// [`advance`](Self::advance) — the simulation scheduler owns that.
     pub fn virtual_start() -> Self {
         Clock {
             inner: Arc::new(ClockInner::Virtual(AtomicU64::new(0))),
@@ -124,14 +115,6 @@ impl Clock {
             ns.fetch_add(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
         }
     }
-
-    /// Moves a virtual clock forward to `t` if `t` is in the future; never
-    /// moves time backwards. No-op on a wall clock.
-    pub fn advance_to(&self, t: Timestamp) {
-        if let ClockInner::Virtual(ns) = &*self.inner {
-            ns.fetch_max(t.0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -145,10 +128,6 @@ mod tests {
         assert_eq!(c.now(), Timestamp::ZERO);
         c.advance(Duration::from_micros(5));
         assert_eq!(c.now(), Timestamp::from_nanos(5_000));
-        c.advance_to(Timestamp::from_nanos(3_000)); // backwards: no-op
-        assert_eq!(c.now(), Timestamp::from_nanos(5_000));
-        c.advance_to(Timestamp::from_nanos(9_000));
-        assert_eq!(c.now(), Timestamp::from_nanos(9_000));
     }
 
     #[test]
@@ -173,8 +152,7 @@ mod tests {
     #[test]
     fn timestamp_arithmetic() {
         let a = Timestamp::from_nanos(1_000);
-        let b = a.plus(Duration::from_nanos(500));
-        assert_eq!(b.as_nanos(), 1_500);
+        let b = Timestamp::from_nanos(1_500);
         assert_eq!(b.saturating_since(a), Duration::from_nanos(500));
         assert_eq!(a.saturating_since(b), Duration::ZERO);
     }

@@ -14,6 +14,8 @@
 //! empty plan adds no per-tuple work to the hot path beyond one branch on an
 //! empty slice.
 
+use crate::link::splitmix64;
+
 /// One injected crash: `component` task `task` dies after fully processing
 /// `after_tuples` data tuples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,15 +104,6 @@ impl FaultPlan {
         points.sort_unstable();
         points
     }
-}
-
-/// SplitMix64: a tiny, high-quality mixing function — enough to spread a
-/// test seed over tasks and crash points without a rand dependency.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

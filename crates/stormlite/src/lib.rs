@@ -6,8 +6,11 @@
 //! grouping (shuffle / fields / broadcast / direct / global), per-edge FIFO
 //! order, and a completion signal. stormlite provides exactly that,
 //! in-process: one OS thread per task, bounded crossbeam channels between
-//! them (providing natural backpressure), an end-of-stream protocol, and
-//! per-task metrics (throughput, queue wait, bytes moved).
+//! them (reliable, FIFO, providing natural backpressure), an end-of-stream
+//! protocol, and per-task metrics (throughput, queue wait, bytes moved).
+//! Links that can lose a frame belong to the layer above: [`transport`]
+//! and [`link`] carry the framing, chaos and retry policy the cluster's
+//! launcher↔node sessions are built from.
 //!
 //! ```
 //! use stormlite::{Bolt, Grouping, Message, Outbox, Topology};
@@ -38,7 +41,6 @@
 
 pub mod clock;
 pub mod crc32c;
-pub mod delivery;
 pub mod fault;
 pub mod grouping;
 pub mod link;
@@ -50,10 +52,9 @@ pub mod transport;
 
 pub use clock::{Clock, Timestamp};
 pub use crc32c::{crc32c, open_sealed, seal};
-pub use delivery::{Delivery, RetryConfig};
 pub use fault::{FaultPlan, FaultSpec};
 pub use grouping::Grouping;
-pub use link::{LinkFault, LinkFaultPlan, LinkFaultSpec};
+pub use link::{LinkFault, RetryConfig};
 pub use message::{BarrierAligner, Bolt, CollectorBolt, Message, Outbox};
 pub use metrics::{IntegrityReport, LatencyHistogram, RunReport, TaskMetrics};
 pub use obs::{RunTrace, Stage, TraceConfig, TraceSink};

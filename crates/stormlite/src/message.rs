@@ -1,11 +1,9 @@
 //! Messages, bolts and the emission context.
 
 use crate::clock::{Clock, Timestamp};
-use crate::delivery::RetryConfig;
 use crate::grouping::Grouping;
-use crate::link::{ChaosDice, LinkAction};
 use crate::metrics::TaskMetrics;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use obs::{Event, Stage, TaskTrace, TaskTracer};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -25,53 +23,14 @@ pub trait Message: Send + Clone + 'static {
     }
 }
 
-/// An acknowledgement flowing back from a receiver to the sending task of
-/// one reliable wire: "task `dest` has received sequence number `seq`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Ack {
-    pub(crate) dest: usize,
-    pub(crate) seq: u64,
-}
-
 /// The envelope moving through channels: payload plus queueing metadata,
 /// or the end-of-stream marker.
 pub(crate) enum Envelope<M> {
     /// A data tuple and the run time it was enqueued (for queue-wait
-    /// metrics). Best-effort wires only.
+    /// metrics).
     Data(M, Timestamp),
-    /// A data tuple on a reliable wire: stamped with its link identity and
-    /// per-destination sequence number, and carrying the handle the
-    /// receiver acknowledges on. Retransmissions reuse the original
-    /// `sent_at` so queue-wait metrics include retry latency.
-    Seq {
-        /// The payload.
-        msg: M,
-        /// Original emission time.
-        sent_at: Timestamp,
-        /// Identity of the (wire, sender task) link this flows on.
-        link: u64,
-        /// Dense per-(link, destination) sequence number.
-        seq: u64,
-        /// Where the receiver acknowledges receipt.
-        ack: Sender<Ack>,
-    },
     /// One upstream task finished.
     Eos,
-}
-
-impl<M: std::fmt::Debug> std::fmt::Debug for Envelope<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Envelope::Data(m, _) => f.debug_tuple("Data").field(m).finish(),
-            Envelope::Seq { msg, link, seq, .. } => f
-                .debug_struct("Seq")
-                .field("msg", msg)
-                .field("link", link)
-                .field("seq", seq)
-                .finish(),
-            Envelope::Eos => f.write_str("Eos"),
-        }
-    }
 }
 
 /// A processing vertex: receives tuples, may emit downstream.
@@ -104,170 +63,24 @@ impl<M: Message> Bolt<M> for CollectorBolt<M> {
     }
 }
 
-/// A transmittable unit: what the chaos layer and the retry loop re-send.
-enum Packet<M> {
-    Plain(M, Timestamp),
-    Seq(M, Timestamp, u64),
-}
-
-impl<M: Clone> Clone for Packet<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Packet::Plain(m, t) => Packet::Plain(m.clone(), *t),
-            Packet::Seq(m, t, s) => Packet::Seq(m.clone(), *t, *s),
-        }
-    }
-}
-
-/// Sender-side chaos state of one lossy link: the decision dice plus the
-/// buffer of delayed transmissions (each released after its countdown of
-/// subsequent transmissions reaches zero).
-pub(crate) struct Chaos<M> {
-    dice: ChaosDice,
-    delayed: Vec<(usize, usize, Packet<M>)>,
-}
-
-impl<M> Chaos<M> {
-    pub(crate) fn new(dice: ChaosDice) -> Self {
-        Self {
-            dice,
-            delayed: Vec::new(),
-        }
-    }
-}
-
-/// One tuple awaiting acknowledgement on a reliable wire.
-struct Pending<M> {
-    msg: M,
-    sent_at: Timestamp,
-    last_tx: Timestamp,
-    retries: u32,
-}
-
-/// Sender-side state of one [`AtLeastOnce`](crate::Delivery::AtLeastOnce)
-/// wire: per-destination sequence counters, the unacknowledged window, and
-/// the ack backchannel. The sender keeps its own `ack_tx` clone so the ack
-/// channel can never disconnect while tuples are in flight.
-///
-/// The unacknowledged window is an ordered map so the retransmit scan
-/// visits tuples in a deterministic (destination, sequence) order — a
-/// requirement for the simulation scheduler, whose transcripts must be
-/// byte-identical across runs of the same seed.
-pub(crate) struct ReliableTx<M> {
-    retry: RetryConfig,
-    next_seq: Vec<u64>,
-    unacked: BTreeMap<(usize, u64), Pending<M>>,
-    ack_tx: Sender<Ack>,
-    ack_rx: Receiver<Ack>,
-}
-
-impl<M> ReliableTx<M> {
-    pub(crate) fn new(retry: RetryConfig, n_dests: usize) -> Self {
-        let (ack_tx, ack_rx) = unbounded();
-        Self {
-            retry,
-            next_seq: vec![0; n_dests],
-            unacked: BTreeMap::new(),
-            ack_tx,
-            ack_rx,
-        }
-    }
-}
-
-/// Receiver-side state of one reliable link: the next expected sequence
-/// number and the reorder buffer. Lives in the task's receive loop (not in
-/// the bolt instance), so it survives bolt crashes and restarts — dedup
-/// therefore composes with application-level replay.
-pub(crate) struct ReliableRx<M> {
-    next: u64,
-    pending: BTreeMap<u64, (M, Timestamp)>,
-}
-
-impl<M> Default for ReliableRx<M> {
-    fn default() -> Self {
-        Self {
-            next: 0,
-            pending: BTreeMap::new(),
-        }
-    }
-}
-
-impl<M> ReliableRx<M> {
-    /// Accepts one transmission. Returns `true` if it was a duplicate;
-    /// otherwise pushes every tuple that is now deliverable in sequence
-    /// order onto `deliverable`.
-    pub(crate) fn accept(
-        &mut self,
-        seq: u64,
-        msg: M,
-        sent_at: Timestamp,
-        deliverable: &mut Vec<(M, Timestamp)>,
-    ) -> bool {
-        if seq < self.next || self.pending.contains_key(&seq) {
-            return true;
-        }
-        self.pending.insert(seq, (msg, sent_at));
-        while let Some(entry) = self.pending.remove(&self.next) {
-            deliverable.push(entry);
-            self.next += 1;
-        }
-        false
-    }
-}
-
 /// One outgoing wire from a task: the grouping plus a sender per
-/// destination task, and the optional chaos / reliable-delivery layers.
+/// destination task. The channels are reliable and FIFO, so an emission is
+/// one `Envelope::Data` pushed once.
 pub(crate) struct OutWire<M> {
     pub(crate) grouping: Grouping<M>,
     pub(crate) senders: Vec<Sender<Envelope<M>>>,
     pub(crate) rr_next: usize,
-    /// Identity of this (wire, sender task) link, carried in every `Seq`
-    /// envelope so receivers keep independent per-link sequence state.
+    /// Identity of this (wire, sender task) link, as its Deliver trace
+    /// events name it.
     pub(crate) link: u64,
-    pub(crate) chaos: Option<Chaos<M>>,
-    pub(crate) reliable: Option<ReliableTx<M>>,
-    /// The run's time source; all retry deadlines and emission stamps read
-    /// it, so a virtual clock makes the whole wire simulation-steerable.
-    pub(crate) clock: Clock,
 }
 
 impl<M: Message> OutWire<M> {
-    /// A perfect best-effort wire (test construction convenience).
-    #[cfg(test)]
-    pub(crate) fn plain(grouping: Grouping<M>, senders: Vec<Sender<Envelope<M>>>) -> Self {
-        Self {
-            grouping,
-            senders,
-            rr_next: 0,
-            link: 0,
-            chaos: None,
-            reliable: None,
-            clock: Clock::wall(),
-        }
-    }
-
-    /// Records one Deliver trace event for a packet entering a channel.
-    /// Purely observational: no clock mutation, no RNG draw, so enabling
-    /// tracing cannot perturb transcripts.
-    fn trace_deliver(&self, tracer: &mut Option<TaskTracer>, packet: &Packet<M>) {
-        if let Some(tr) = tracer {
-            let seq = match packet {
-                Packet::Seq(_, _, s) => *s,
-                Packet::Plain(..) => 0,
-            };
-            tr.record(Event::instant(
-                self.clock.now().as_nanos(),
-                Stage::Deliver,
-                self.link,
-                seq,
-            ));
-        }
-    }
-
-    /// Queues one logical emission to `dest`, through the reliable layer
-    /// (sequence stamping + retry tracking) and the chaos layer.
+    /// Sends one emission to `dest`. The Deliver trace event is purely
+    /// observational: no clock read, no RNG draw, so enabling tracing
+    /// cannot perturb transcripts.
     fn dispatch(
-        &mut self,
+        &self,
         dest: usize,
         msg: M,
         now: Timestamp,
@@ -276,239 +89,12 @@ impl<M: Message> OutWire<M> {
     ) {
         metrics.msgs_out += 1;
         metrics.bytes_out += msg.wire_bytes();
-        let packet = if let Some(rel) = &mut self.reliable {
-            let seq = rel.next_seq[dest];
-            rel.next_seq[dest] = seq + 1;
-            rel.unacked.insert(
-                (dest, seq),
-                Pending {
-                    msg: msg.clone(),
-                    sent_at: now,
-                    last_tx: now,
-                    retries: 0,
-                },
-            );
-            Packet::Seq(msg, now, seq)
-        } else {
-            Packet::Plain(msg, now)
-        };
-        self.transmit(dest, packet, metrics, tracer);
-        self.pump(metrics, tracer);
-    }
-
-    /// One physical transmission attempt: rolls the chaos dice (if the
-    /// link is lossy), ages the delay buffer by one transmission, and
-    /// releases any delayed packets that have come due.
-    fn transmit(
-        &mut self,
-        dest: usize,
-        packet: Packet<M>,
-        metrics: &mut TaskMetrics,
-        tracer: &mut Option<TaskTracer>,
-    ) {
-        let Some(chaos) = &mut self.chaos else {
-            self.trace_deliver(tracer, &packet);
-            self.send_packet(dest, packet);
-            return;
-        };
-        // Age previously delayed packets by this transmission; collect the
-        // ones whose countdown expired.
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < chaos.delayed.len() {
-            chaos.delayed[i].0 -= 1;
-            if chaos.delayed[i].0 == 0 {
-                let (_, d, p) = chaos.delayed.swap_remove(i);
-                due.push((d, p));
-            } else {
-                i += 1;
-            }
+        if let Some(tr) = tracer {
+            tr.record(Event::instant(now.as_nanos(), Stage::Deliver, self.link, 0));
         }
-        match chaos.dice.roll() {
-            LinkAction::Pass => {
-                self.trace_deliver(tracer, &packet);
-                self.send_packet(dest, packet);
-            }
-            LinkAction::Drop => {
-                metrics.link_dropped += 1;
-            }
-            LinkAction::Duplicate => {
-                metrics.link_duped += 1;
-                self.trace_deliver(tracer, &packet);
-                self.trace_deliver(tracer, &packet);
-                self.send_packet(dest, packet.clone());
-                self.send_packet(dest, packet);
-            }
-            LinkAction::Delay(countdown) => {
-                metrics.link_delayed += 1;
-                self.chaos
-                    .as_mut()
-                    .expect("chaos checked above")
-                    .delayed
-                    .push((countdown, dest, packet));
-            }
-        }
-        for (d, p) in due {
-            // A delayed packet already had its fault; deliver it directly.
-            self.trace_deliver(tracer, &p);
-            self.send_packet(d, p);
-        }
-    }
-
-    /// Pushes one packet into the destination channel.
-    fn send_packet(&self, dest: usize, packet: Packet<M>) {
-        let envelope = match packet {
-            Packet::Plain(msg, sent_at) => Envelope::Data(msg, sent_at),
-            Packet::Seq(msg, sent_at, seq) => Envelope::Seq {
-                msg,
-                sent_at,
-                link: self.link,
-                seq,
-                ack: self
-                    .reliable
-                    .as_ref()
-                    .expect("Seq packets exist only on reliable wires")
-                    .ack_tx
-                    .clone(),
-            },
-        };
         self.senders[dest]
-            .send(envelope)
+            .send(Envelope::Data(msg, now))
             .expect("receiver alive until EOS");
-    }
-
-    /// Drains pending acknowledgements from the backchannel.
-    fn drain_acks(&mut self) {
-        if let Some(rel) = &mut self.reliable {
-            while let Ok(ack) = rel.ack_rx.try_recv() {
-                rel.unacked.remove(&(ack.dest, ack.seq));
-            }
-        }
-    }
-
-    /// The deterministic jitter salt for one pending tuple's retry timer:
-    /// a pure function of (link, destination, sequence, retry count), so
-    /// the overdue check and the simulator's idle-jump deadline agree.
-    fn retry_salt(link: u64, dest: usize, seq: u64, retries: u32) -> u64 {
-        link ^ (dest as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ seq.wrapping_mul(0xbf58_476d_1ce4_e5b9)
-            ^ ((retries as u64) << 56)
-    }
-
-    /// Retransmits every unacknowledged tuple whose (jittered) retry
-    /// timeout has expired. Retransmissions go through the chaos layer
-    /// again — each attempt rolls fresh dice, so a retried tuple is never
-    /// deterministically re-dropped.
-    fn retransmit_overdue(&mut self, metrics: &mut TaskMetrics, tracer: &mut Option<TaskTracer>) {
-        let now = self.clock.now();
-        let link = self.link;
-        let mut to_retx = Vec::new();
-        if let Some(rel) = &mut self.reliable {
-            for ((dest, seq), p) in rel.unacked.iter_mut() {
-                let salt = Self::retry_salt(link, *dest, *seq, p.retries);
-                if now.saturating_since(p.last_tx) >= rel.retry.jittered_timeout(p.retries, salt) {
-                    p.retries += 1;
-                    p.last_tx = now;
-                    metrics.retries += 1;
-                    metrics.max_backoff =
-                        metrics.max_backoff.max(rel.retry.timeout_after(p.retries));
-                    if let Some(tr) = tracer {
-                        tr.record(Event::instant(
-                            now.as_nanos(),
-                            Stage::Retry,
-                            *seq,
-                            u64::from(p.retries),
-                        ));
-                    }
-                    to_retx.push((*dest, Packet::Seq(p.msg.clone(), p.sent_at, *seq)));
-                }
-            }
-        }
-        for (dest, packet) in to_retx {
-            self.transmit(dest, packet, metrics, tracer);
-        }
-    }
-
-    /// Opportunistic maintenance, piggybacked on every emission: drain
-    /// acks, then retransmit anything overdue. A no-op on best-effort
-    /// wires and O(1) when nothing is pending.
-    fn pump(&mut self, metrics: &mut TaskMetrics, tracer: &mut Option<TaskTracer>) {
-        let Some(rel) = &self.reliable else { return };
-        let idle = rel.unacked.is_empty() && rel.ack_rx.is_empty();
-        if idle {
-            return;
-        }
-        self.drain_acks();
-        self.retransmit_overdue(metrics, tracer);
-    }
-
-    /// Releases every still-delayed packet immediately. Called at
-    /// end-of-stream (no further transmissions would age the buffer) and
-    /// between settle rounds.
-    fn flush_delayed(&mut self, tracer: &mut Option<TaskTracer>) {
-        if let Some(chaos) = &mut self.chaos {
-            for (_, dest, packet) in std::mem::take(&mut chaos.delayed) {
-                self.trace_deliver(tracer, &packet);
-                self.send_packet(dest, packet);
-            }
-        }
-    }
-
-    /// Blocks until every tuple sent on this wire has been acknowledged,
-    /// retransmitting as needed. Once this returns, the (FIFO) channel
-    /// holds no data the receiver has not already seen — so the EOS marker
-    /// sent after it cannot overtake any tuple.
-    ///
-    /// Threaded execution only: the wait spins on wall-clock
-    /// `recv_timeout`. Simulated runs settle incrementally through
-    /// [`sim_settle`](Self::sim_settle) instead.
-    fn settle(&mut self, metrics: &mut TaskMetrics, tracer: &mut Option<TaskTracer>) {
-        self.flush_delayed(tracer);
-        loop {
-            self.drain_acks();
-            let Some(rel) = &mut self.reliable else {
-                return;
-            };
-            if rel.unacked.is_empty() {
-                return;
-            }
-            // Wait briefly for in-flight acks before retrying; acks ride an
-            // unbounded channel the sender itself keeps open, so this can
-            // only time out, never disconnect, while tuples are pending.
-            let wait = rel.retry.base_timeout.min(Duration::from_millis(1));
-            if let Ok(ack) = rel.ack_rx.recv_timeout(wait) {
-                rel.unacked.remove(&(ack.dest, ack.seq));
-            }
-            self.retransmit_overdue(metrics, tracer);
-            self.flush_delayed(tracer);
-        }
-    }
-
-    /// One non-blocking settle round: flush delayed packets, drain acks,
-    /// retransmit anything overdue at the current (virtual) time. Returns
-    /// `None` once nothing on this wire awaits acknowledgement; otherwise
-    /// the earliest deadline at which a pending tuple becomes overdue, so
-    /// the simulation scheduler knows how far to advance the clock when
-    /// every task is otherwise idle.
-    pub(crate) fn sim_settle(
-        &mut self,
-        metrics: &mut TaskMetrics,
-        tracer: &mut Option<TaskTracer>,
-    ) -> Option<Timestamp> {
-        self.flush_delayed(tracer);
-        self.drain_acks();
-        self.retransmit_overdue(metrics, tracer);
-        self.flush_delayed(tracer);
-        self.drain_acks();
-        let link = self.link;
-        let rel = self.reliable.as_ref()?;
-        rel.unacked
-            .iter()
-            .map(|((dest, seq), p)| {
-                let salt = Self::retry_salt(link, *dest, *seq, p.retries);
-                p.last_tx.plus(rel.retry.jittered_timeout(p.retries, salt))
-            })
-            .min()
     }
 }
 
@@ -648,7 +234,7 @@ impl<M: Message> Outbox<M> {
             .iter()
             .rposition(|w| matches!(w.grouping, Grouping::Direct))
             .expect("emit_direct requires a Direct-grouped outgoing wire");
-        for wire in &mut self.wires[..last] {
+        for wire in &self.wires[..last] {
             if matches!(wire.grouping, Grouping::Direct) {
                 wire.dispatch(task, msg.clone(), now, &mut self.metrics, &mut self.tracer);
             }
@@ -698,40 +284,10 @@ impl<M: Message> Outbox<M> {
         self.metrics.checkpoint_latency.record(latency);
     }
 
+    /// Sends the EOS marker on every wire. The channels are FIFO, so it
+    /// cannot overtake a tuple emitted before it.
     pub(crate) fn send_eos(&mut self) {
-        for w in 0..self.wires.len() {
-            let wire = &mut self.wires[w];
-            // Reliable wires first settle (flush delayed transmissions,
-            // await every ack); only then may EOS enter the channel.
-            wire.settle(&mut self.metrics, &mut self.tracer);
-            wire.flush_delayed(&mut self.tracer);
-        }
-        self.send_eos_raw();
-    }
-
-    /// One non-blocking settle round over every wire. `None` means fully
-    /// settled (EOS may go out); otherwise the earliest retry deadline
-    /// across all wires.
-    pub(crate) fn sim_settle(&mut self) -> Option<Timestamp> {
-        let mut earliest: Option<Timestamp> = None;
-        for w in 0..self.wires.len() {
-            let wire = &mut self.wires[w];
-            if let Some(deadline) = wire.sim_settle(&mut self.metrics, &mut self.tracer) {
-                earliest = Some(match earliest {
-                    Some(e) if e <= deadline => e,
-                    _ => deadline,
-                });
-            }
-        }
-        earliest
-    }
-
-    /// Sends the EOS marker on every wire without settling first. The
-    /// simulation scheduler calls this only after
-    /// [`sim_settle`](Self::sim_settle) reported every wire settled.
-    pub(crate) fn send_eos_raw(&mut self) {
-        for wire in &mut self.wires {
-            wire.flush_delayed(&mut self.tracer);
+        for wire in &self.wires {
             for s in &wire.senders {
                 s.send(Envelope::Eos).expect("receiver alive until EOS");
             }
@@ -750,7 +306,7 @@ impl<M: Message> Outbox<M> {
 /// exactly once per epoch, when the last expected copy lands.
 ///
 /// This tracks arrival counts only — it does not buffer the data tuples
-/// that overtake a partially-aligned barrier. On FIFO effectively-once
+/// that overtake a partially-aligned barrier. On the topology's FIFO
 /// links fed by a *single* upstream task per epoch source (the
 /// dispatcher topology in ssj-distrib) no such buffering is needed:
 /// alignment is immediate and the aligner degenerates to pass-through.
@@ -801,7 +357,7 @@ impl BarrierAligner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Receiver};
 
     #[derive(Clone, Debug, PartialEq)]
     struct N(u64);
@@ -811,10 +367,16 @@ mod tests {
         }
     }
 
-    fn outbox_with(
-        grouping: Grouping<N>,
-        n: usize,
-    ) -> (Outbox<N>, Vec<crossbeam::channel::Receiver<Envelope<N>>>) {
+    fn plain<M>(grouping: Grouping<M>, senders: Vec<Sender<Envelope<M>>>) -> OutWire<M> {
+        OutWire {
+            grouping,
+            senders,
+            rr_next: 0,
+            link: 0,
+        }
+    }
+
+    fn outbox_with(grouping: Grouping<N>, n: usize) -> (Outbox<N>, Vec<Receiver<Envelope<N>>>) {
         let mut senders = Vec::new();
         let mut receivers = Vec::new();
         for _ in 0..n {
@@ -824,7 +386,7 @@ mod tests {
         }
         (
             Outbox {
-                wires: vec![OutWire::plain(grouping, senders)],
+                wires: vec![plain(grouping, senders)],
                 task_index: 0,
                 metrics: TaskMetrics::default(),
                 clock: Clock::wall(),
@@ -834,9 +396,9 @@ mod tests {
         )
     }
 
-    fn data_count(r: &crossbeam::channel::Receiver<Envelope<N>>) -> usize {
+    fn data_count(r: &Receiver<Envelope<N>>) -> usize {
         r.try_iter()
-            .filter(|e| matches!(e, Envelope::Data(..) | Envelope::Seq { .. }))
+            .filter(|e| matches!(e, Envelope::Data(..)))
             .count()
     }
 
@@ -905,7 +467,7 @@ mod tests {
     fn emission_moves_the_message_into_its_last_destination() {
         let wire = |grouping, n: usize| {
             let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            (OutWire::plain(grouping, senders), receivers)
+            (plain(grouping, senders), receivers)
         };
         let (global, rx_global) = wire(Grouping::global(), 1);
         let (direct_a, rx_direct_a) = wire(Grouping::Direct, 2);
@@ -979,29 +541,6 @@ mod tests {
         o.record_shed(3);
         o.record_shed(2);
         assert_eq!(o.metrics.shed, 5);
-    }
-
-    #[test]
-    fn reliable_rx_delivers_in_order_and_dedups() {
-        let mut rx = ReliableRx::default();
-        let now = Timestamp::ZERO;
-        let mut out = Vec::new();
-        // Out of order: 1 buffers, 0 releases both.
-        assert!(!rx.accept(1, N(1), now, &mut out));
-        assert!(out.is_empty());
-        assert!(!rx.accept(0, N(0), now, &mut out));
-        assert_eq!(out.iter().map(|(m, _)| m.0).collect::<Vec<_>>(), [0, 1]);
-        // Duplicates of delivered and pending seqs are rejected.
-        assert!(rx.accept(0, N(0), now, &mut out));
-        assert!(!rx.accept(3, N(3), now, &mut out));
-        assert!(rx.accept(3, N(3), now, &mut out));
-        assert_eq!(out.len(), 2);
-        // The gap fills, everything drains.
-        assert!(!rx.accept(2, N(2), now, &mut out));
-        assert_eq!(
-            out.iter().map(|(m, _)| m.0).collect::<Vec<_>>(),
-            [0, 1, 2, 3]
-        );
     }
 
     #[test]

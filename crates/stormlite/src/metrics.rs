@@ -31,26 +31,12 @@ pub struct TaskMetrics {
     pub busy: Duration,
     /// Time tuples spent waiting in this task's input queue.
     pub queue_wait: LatencyHistogram,
-    /// Retransmissions sent on this task's
-    /// [`AtLeastOnce`](crate::Delivery::AtLeastOnce) outgoing wires.
-    pub retries: u64,
-    /// Duplicate transmissions discarded by this task's receiver-side
-    /// dedup (reliable wires only).
-    pub dup_drops: u64,
-    /// Transmissions dropped by injected link faults on outgoing wires.
-    pub link_dropped: u64,
-    /// Transmissions duplicated by injected link faults.
-    pub link_duped: u64,
-    /// Transmissions delayed (reordered) by injected link faults.
-    pub link_delayed: u64,
     /// Input records shed by this task's overload policy
     /// (see [`Outbox::record_shed`](crate::Outbox::record_shed)).
     pub shed: u64,
     /// Tuples consumed by an organic bolt panic and never redelivered
     /// (see [`Topology::with_supervised_restarts`](crate::Topology::with_supervised_restarts)).
     pub dropped_poisoned: u64,
-    /// Largest retry backoff reached on this task's reliable wires.
-    pub max_backoff: Duration,
     /// Checkpoint snapshots captured by this task
     /// (see [`Outbox::record_checkpoint`](crate::Outbox::record_checkpoint)).
     pub checkpoints: u64,
@@ -74,14 +60,8 @@ impl TaskMetrics {
         self.bytes_out += other.bytes_out;
         self.busy += other.busy;
         self.queue_wait.merge(&other.queue_wait);
-        self.retries += other.retries;
-        self.dup_drops += other.dup_drops;
-        self.link_dropped += other.link_dropped;
-        self.link_duped += other.link_duped;
-        self.link_delayed += other.link_delayed;
         self.shed += other.shed;
         self.dropped_poisoned += other.dropped_poisoned;
-        self.max_backoff = self.max_backoff.max(other.max_backoff);
         self.checkpoints += other.checkpoints;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.checkpoint_latency.merge(&other.checkpoint_latency);
@@ -191,34 +171,6 @@ impl RunReport {
         self.tasks.iter().map(|(_, _, m)| m.dropped_poisoned).sum()
     }
 
-    /// Retransmissions across all reliable wires.
-    pub fn total_retries(&self) -> u64 {
-        self.tasks.iter().map(|(_, _, m)| m.retries).sum()
-    }
-
-    /// Duplicate transmissions discarded by receiver-side dedup across all
-    /// tasks.
-    pub fn total_dup_drops(&self) -> u64 {
-        self.tasks.iter().map(|(_, _, m)| m.dup_drops).sum()
-    }
-
-    /// Transmissions affected by injected link faults across all tasks:
-    /// `(dropped, duplicated, delayed)`.
-    pub fn link_faults(&self) -> (u64, u64, u64) {
-        self.tasks.iter().fold((0, 0, 0), |(d, u, l), (_, _, m)| {
-            (d + m.link_dropped, u + m.link_duped, l + m.link_delayed)
-        })
-    }
-
-    /// Largest retry backoff reached on any task's reliable wires.
-    pub fn max_backoff(&self) -> Duration {
-        self.tasks
-            .iter()
-            .map(|(_, _, m)| m.max_backoff)
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Checkpoint snapshots captured across all tasks.
     pub fn checkpoints(&self) -> u64 {
         self.tasks.iter().map(|(_, _, m)| m.checkpoints).sum()
@@ -275,7 +227,7 @@ impl RunReport {
             fn(&TaskMetrics) -> &LatencyHistogram,
         );
         let mut snap = obs::MetricsSnapshot::new();
-        let counters: [CounterRow; 14] = [
+        let counters: [CounterRow; 9] = [
             ("dssj_msgs_in_total", "Data tuples received", |m| m.msgs_in),
             ("dssj_msgs_out_total", "Data tuples emitted", |m| m.msgs_out),
             ("dssj_bytes_in_total", "Bytes received", |m| m.bytes_in),
@@ -284,31 +236,6 @@ impl RunReport {
                 "dssj_busy_ns_total",
                 "Nanoseconds spent inside execute",
                 |m| m.busy.as_nanos().min(u128::from(u64::MAX)) as u64,
-            ),
-            (
-                "dssj_retries_total",
-                "Retransmissions on reliable wires",
-                |m| m.retries,
-            ),
-            (
-                "dssj_dup_drops_total",
-                "Duplicates discarded by receiver dedup",
-                |m| m.dup_drops,
-            ),
-            (
-                "dssj_link_dropped_total",
-                "Transmissions dropped by link faults",
-                |m| m.link_dropped,
-            ),
-            (
-                "dssj_link_duped_total",
-                "Transmissions duplicated by link faults",
-                |m| m.link_duped,
-            ),
-            (
-                "dssj_link_delayed_total",
-                "Transmissions delayed by link faults",
-                |m| m.link_delayed,
             ),
             ("dssj_shed_total", "Records shed by overload policy", |m| {
                 m.shed
@@ -334,15 +261,6 @@ impl RunReport {
                 let task = task.to_string();
                 snap.push_counter(name, help, &[("comp", comp), ("task", &task)], get(m));
             }
-        }
-        for (comp, task, m) in &self.tasks {
-            let task = task.to_string();
-            snap.push_gauge(
-                "dssj_max_backoff_ns",
-                "Largest retry backoff reached",
-                &[("comp", comp), ("task", &task)],
-                m.max_backoff.as_nanos().min(i64::MAX as u128) as i64,
-            );
         }
         let hists: [HistRow; 3] = [
             ("dssj_queue_wait_ns", "Input queue wait latency", |m| {
@@ -497,14 +415,8 @@ mod tests {
             bytes_in: 3,
             bytes_out: 4,
             busy: Duration::from_nanos(5),
-            retries: 6,
-            dup_drops: 7,
-            link_dropped: 8,
-            link_duped: 9,
-            link_delayed: 10,
             shed: 11,
             dropped_poisoned: 12,
-            max_backoff: Duration::from_nanos(13),
             checkpoints: 14,
             checkpoint_bytes: 15,
             ..TaskMetrics::default()
@@ -535,16 +447,10 @@ mod tests {
             "dssj_bytes_in_total",
             "dssj_bytes_out_total",
             "dssj_busy_ns_total",
-            "dssj_retries_total",
-            "dssj_dup_drops_total",
-            "dssj_link_dropped_total",
-            "dssj_link_duped_total",
-            "dssj_link_delayed_total",
             "dssj_shed_total",
             "dssj_dropped_poisoned_total",
             "dssj_checkpoints_total",
             "dssj_checkpoint_bytes_total",
-            "dssj_max_backoff_ns",
             "dssj_queue_wait_ns",
             "dssj_checkpoint_latency_ns",
             "dssj_barrier_stall_ns",

@@ -15,16 +15,15 @@
 //!   interleaving.
 //! * **A virtual clock.** The topology runs on a
 //!   [`Clock::virtual_start`] clock that advances by [`SimConfig::tick`]
-//!   per step — and jumps straight to the earliest retransmission deadline
-//!   whenever every task is blocked waiting on retry backoff. Timers
-//!   (at-least-once retries, backoff, queue-wait and end-to-end latency
-//!   metrics) therefore run entirely on virtual time and are exactly
-//!   reproducible.
-//! * **All fault machinery included.** `FaultPlan` crashes,
-//!   `LinkFaultPlan` drop/dup/delay dice, reliable-delivery retries and
-//!   receiver dedup run unmodified — they were already deterministic per
-//!   seed; the scheduler removes the last source of nondeterminism, the
-//!   interleaving.
+//!   per step and never otherwise. Everything the engine or a bolt times
+//!   (queue wait, end-to-end and checkpoint latency, barrier stall)
+//!   therefore runs entirely on virtual time and is exactly reproducible.
+//! * **Crashes included.** `FaultPlan` crashes, supervised restarts and
+//!   the replay/checkpoint recovery built on them run unmodified — they
+//!   were already deterministic per seed; the scheduler removes the last
+//!   source of nondeterminism, the interleaving. Wires are the same
+//!   reliable FIFO channels as under threads: link loss is a property of
+//!   the cluster's sessions, not of a topology.
 //!
 //! Every scheduler decision is recorded in a [`Transcript`]: same seed ⇒
 //! byte-identical transcript, so a failure reproduces from its seed alone
@@ -81,10 +80,8 @@ pub struct SimConfig {
     /// Seed of the step-choice RNG. The seed alone determines the
     /// interleaving — and with it the full transcript.
     pub seed: u64,
-    /// Virtual time added per scheduler step. Retry backoff timers fire
-    /// once enough steps (or an idle jump) have passed this much virtual
-    /// time. The default of 1µs keeps default retry timeouts a few
-    /// thousand steps long.
+    /// Virtual time added per scheduler step: the unit every reported
+    /// latency of a simulated run is a whole multiple of.
     pub tick: Duration,
 }
 
@@ -108,7 +105,7 @@ impl SimConfig {
 }
 
 /// The recorded decision log of one simulated run: one line per scheduler
-/// event (task step, settle transition, idle clock jump).
+/// event (task step, finish, EOS hand-off).
 ///
 /// Transcripts are plain text — commit one as a golden file and any
 /// scheduler change that silently alters delivery order fails loudly as a
@@ -180,7 +177,7 @@ struct SimRng {
 impl SimRng {
     fn new(seed: u64) -> Self {
         Self {
-            // Decorrelate from the chaos dice streams, which hash raw
+            // Decorrelate from the fault-point streams, which hash raw
             // seeds through the same mixer.
             state: mix(seed ^ 0x5EED_5C4E_D01E_5EED),
         }
@@ -190,17 +187,6 @@ impl SimRng {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         mix(self.state)
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Still pulling / consuming input.
-    Running,
-    /// Input finished (or spout exhausted); draining reliable wires before
-    /// the task's own EOS may go out.
-    Settling,
-    /// EOS sent; the task no longer schedules.
-    Done,
 }
 
 enum TaskKind<M: Message> {
@@ -218,7 +204,8 @@ struct SimTask<M: Message> {
     task: usize,
     outbox: Outbox<M>,
     kind: TaskKind<M>,
-    phase: Phase,
+    /// EOS sent; the task no longer schedules.
+    done: bool,
     spout_failures: Vec<String>,
     /// Records pulled so far (spouts only): the dispatch-event ordinal.
     pulls: u64,
@@ -226,7 +213,7 @@ struct SimTask<M: Message> {
 
 impl<M: Message> SimTask<M> {
     fn runnable(&self) -> bool {
-        if self.phase != Phase::Running {
+        if self.done {
             return false;
         }
         match &self.kind {
@@ -264,7 +251,6 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
     }
 
     let expected_eos = expected_eos_counts(&topology.components, &topology.wires);
-    let names: Vec<String> = topology.components.iter().map(|c| c.name.clone()).collect();
     let trace = topology.trace.clone();
     let tracer_for = |comp: &str, task: usize| {
         trace
@@ -278,8 +264,6 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
             Kind::Spout(mut source) => {
                 let outbox = build_outbox(
                     &topology.wires,
-                    &names,
-                    &topology.link_plan,
                     &senders,
                     &clock,
                     i,
@@ -291,7 +275,7 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
                     task: 0,
                     outbox,
                     kind: TaskKind::Spout(source.take().expect("spout source present")),
-                    phase: Phase::Running,
+                    done: false,
                     spout_failures: Vec::new(),
                     pulls: 0,
                 });
@@ -302,8 +286,6 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
                 for (task, rx_slot) in comp_receivers.into_iter().enumerate() {
                     let outbox = build_outbox(
                         &topology.wires,
-                        &names,
-                        &topology.link_plan,
                         &senders,
                         &clock,
                         i,
@@ -325,7 +307,7 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
                             core,
                             rx: rx_slot.expect("receiver unclaimed"),
                         },
-                        phase: Phase::Running,
+                        done: false,
                         spout_failures: Vec::new(),
                         pulls: 0,
                     });
@@ -340,56 +322,20 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
     let mut lines: Vec<String> = Vec::new();
     let mut step: u64 = 0;
     loop {
-        // Settle phase: poll every settling task, in task order, for one
-        // non-blocking settle round. A fully settled task sends its EOS
-        // and is done; a blocked one reports its earliest retry deadline.
-        let mut earliest: Option<Timestamp> = None;
-        for t in tasks.iter_mut() {
-            if t.phase != Phase::Settling {
-                continue;
-            }
-            match t.outbox.sim_settle() {
-                None => {
-                    t.outbox.send_eos_raw();
-                    t.phase = Phase::Done;
-                    lines.push(format!(
-                        "t={} {}/{} settled eos-out",
-                        clock.now().as_nanos(),
-                        t.name,
-                        t.task
-                    ));
-                }
-                Some(deadline) => {
-                    earliest = Some(match earliest {
-                        Some(e) if e <= deadline => e,
-                        _ => deadline,
-                    });
-                }
-            }
-        }
-
         let runnable: Vec<usize> = (0..tasks.len()).filter(|&i| tasks[i].runnable()).collect();
         if runnable.is_empty() {
-            if tasks.iter().all(|t| t.phase == Phase::Done) {
-                break;
-            }
-            if let Some(deadline) = earliest {
-                // Everyone is idle until a retransmission comes due: jump
-                // the virtual clock straight to that deadline.
-                let target = deadline.max(clock.now().plus(cfg.tick));
-                clock.advance_to(target);
-                lines.push(format!("t={} idle-jump", clock.now().as_nanos()));
-                continue;
-            }
-            // No runnable task, nothing settling, not everyone done: the
-            // topology cannot make progress. With validated (acyclic,
-            // EOS-counted) topologies this is unreachable.
+            // Every task sends EOS when it finishes, so with a validated
+            // (acyclic, EOS-counted) topology nothing is left waiting.
             let stuck: Vec<String> = tasks
                 .iter()
-                .filter(|t| t.phase != Phase::Done)
+                .filter(|t| !t.done)
                 .map(|t| format!("{}/{}", t.name, t.task))
                 .collect();
-            panic!("simulation deadlock: tasks {stuck:?} can never progress");
+            assert!(
+                stuck.is_empty(),
+                "simulation deadlock: tasks {stuck:?} can never progress"
+            );
+            break;
         }
 
         let pick = runnable[(rng.next() % runnable.len() as u64) as usize];
@@ -408,12 +354,12 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
                         lines.push(format!("{step} t={now_ns} {}/{} pull", t.name, t.task));
                     }
                     Ok(None) => {
-                        t.phase = Phase::Settling;
+                        t.done = true;
                         lines.push(format!("{step} t={now_ns} {}/{} exhausted", t.name, t.task));
                     }
                     Err(panic) => {
                         t.spout_failures.push(panic_message(panic));
-                        t.phase = Phase::Settling;
+                        t.done = true;
                         lines.push(format!(
                             "{step} t={now_ns} {}/{} spout-panic",
                             t.name, t.task
@@ -424,17 +370,20 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
             TaskKind::Bolt { core, rx } => {
                 let envelope = rx.try_recv().expect("runnable bolt has queued input");
                 let desc = match &envelope {
-                    Envelope::Data(..) => "data".to_owned(),
-                    Envelope::Seq { link, seq, .. } => format!("seq link={link} seq={seq}"),
-                    Envelope::Eos => "eos".to_owned(),
+                    Envelope::Data(..) => "data",
+                    Envelope::Eos => "eos",
                 };
-                let finished = core.handle(envelope, &mut t.outbox);
+                t.done = core.handle(envelope, &mut t.outbox);
                 lines.push(format!("{step} t={now_ns} {}/{} {desc}", t.name, t.task));
-                if finished {
-                    t.phase = Phase::Settling;
+                if t.done {
                     lines.push(format!("{step} t={now_ns} {}/{} finish", t.name, t.task));
                 }
             }
+        }
+        if t.done {
+            // The wires are FIFO: EOS cannot overtake what the task emitted.
+            t.outbox.send_eos();
+            lines.push(format!("{step} t={now_ns} {}/{} eos-out", t.name, t.task));
         }
     }
 
@@ -475,10 +424,8 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::{Delivery, RetryConfig};
     use crate::fault::FaultPlan;
     use crate::grouping::Grouping;
-    use crate::link::{LinkFault, LinkFaultPlan};
 
     #[derive(Clone, Debug, PartialEq)]
     struct N(u64);
@@ -495,20 +442,13 @@ mod tests {
         }
     }
 
-    fn pipeline(
-        n: u64,
-        delivery: Delivery,
-        link_plan: LinkFaultPlan,
-        fault_plan: FaultPlan,
-    ) -> (Topology<N>, Arc<Mutex<Vec<N>>>) {
-        let mut t = Topology::new()
-            .with_link_faults(link_plan)
-            .with_fault_plan(fault_plan);
+    fn pipeline(n: u64, fault_plan: FaultPlan) -> (Topology<N>, Arc<Mutex<Vec<N>>>) {
+        let mut t = Topology::new().with_fault_plan(fault_plan);
         t.spout("src", (0..n).map(N));
         t.bolt("relay", 2, |_| AddOne);
         let out = t.collector("sink");
         t.wire("src", "relay", Grouping::shuffle());
-        t.wire_with("relay", "sink", Grouping::global(), delivery);
+        t.wire("relay", "sink", Grouping::global());
         (t, out)
     }
 
@@ -520,12 +460,7 @@ mod tests {
 
     #[test]
     fn sim_runs_a_plain_pipeline_to_completion() {
-        let (t, out) = pipeline(
-            100,
-            Delivery::BestEffort,
-            LinkFaultPlan::default(),
-            FaultPlan::new(),
-        );
+        let (t, out) = pipeline(100, FaultPlan::new());
         let run = t.run_sim(SimConfig::seeded(1));
         assert_eq!(sorted(&out), (1..=100u64).collect::<Vec<_>>());
         assert!(run.report.is_clean());
@@ -538,12 +473,7 @@ mod tests {
     #[test]
     fn same_seed_same_transcript_different_seed_differs() {
         let run_once = |seed| {
-            let (t, out) = pipeline(
-                60,
-                Delivery::BestEffort,
-                LinkFaultPlan::default(),
-                FaultPlan::new(),
-            );
+            let (t, out) = pipeline(60, FaultPlan::new());
             let run = t.run_sim(SimConfig::seeded(seed));
             (run, sorted(&out))
         };
@@ -562,12 +492,7 @@ mod tests {
 
     #[test]
     fn transcript_round_trips_through_text() {
-        let (t, _out) = pipeline(
-            20,
-            Delivery::BestEffort,
-            LinkFaultPlan::default(),
-            FaultPlan::new(),
-        );
+        let (t, _out) = pipeline(20, FaultPlan::new());
         let run = t.run_sim(SimConfig::seeded(9));
         let text = run.transcript.to_text();
         assert_eq!(Transcript::from_text(&text), run.transcript);
@@ -575,37 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn sim_masks_chaos_on_reliable_wires() {
-        // The threaded acceptance bar, now deterministic: seeded link
-        // faults on an at-least-once wire leave the output exact.
-        for seed in 0..20u64 {
-            let plan = LinkFaultPlan::new(seed).lossy("relay", "sink", LinkFault::seeded(seed));
-            let retry = RetryConfig {
-                base_timeout: Duration::from_micros(300),
-                backoff_factor: 2,
-                max_timeout: Duration::from_millis(8),
-            };
-            let (t, out) = pipeline(60, Delivery::AtLeastOnce(retry), plan, FaultPlan::new());
-            let run = t.run_sim(SimConfig::seeded(seed));
-            assert_eq!(
-                sorted(&out),
-                (1..=60u64).collect::<Vec<_>>(),
-                "seed {seed} corrupted the stream"
-            );
-            assert!(run.report.is_clean());
-        }
-    }
-
-    #[test]
-    fn sim_reliable_chaos_is_transcript_deterministic() {
+    fn sim_crash_is_transcript_deterministic() {
         let run_once = || {
-            let plan = LinkFaultPlan::new(5).lossy("relay", "sink", LinkFault::seeded(5));
-            let (t, out) = pipeline(
-                40,
-                Delivery::AtLeastOnce(RetryConfig::default()),
-                plan,
-                FaultPlan::new().crash("relay", 1, 7),
-            );
+            let (t, out) = pipeline(40, FaultPlan::new().crash("relay", 1, 7));
             let run = t.run_sim(SimConfig::seeded(11));
             (run, sorted(&out))
         };
@@ -619,12 +516,7 @@ mod tests {
 
     #[test]
     fn sim_latencies_are_virtual_time() {
-        let (t, _out) = pipeline(
-            50,
-            Delivery::BestEffort,
-            LinkFaultPlan::default(),
-            FaultPlan::new(),
-        );
+        let (t, _out) = pipeline(50, FaultPlan::new());
         let run = t.run_sim(SimConfig::seeded(3));
         let sink = run.report.component("sink");
         assert_eq!(sink.queue_wait.count(), 50);
@@ -637,12 +529,7 @@ mod tests {
 
     #[test]
     fn sim_crash_redelivers_exactly_once() {
-        let (t, out) = pipeline(
-            50,
-            Delivery::BestEffort,
-            LinkFaultPlan::default(),
-            FaultPlan::new().crash("relay", 0, 10),
-        );
+        let (t, out) = pipeline(50, FaultPlan::new().crash("relay", 0, 10));
         let run = t.run_sim(SimConfig::seeded(2));
         assert_eq!(sorted(&out), (1..=50u64).collect::<Vec<_>>());
         assert_eq!(run.report.total_restarts(), 1);
@@ -656,13 +543,7 @@ mod tests {
     #[test]
     fn sim_tracing_is_deterministic_and_leaves_transcript_unchanged() {
         let run_once = |traced: bool| {
-            let plan = LinkFaultPlan::new(5).lossy("relay", "sink", LinkFault::seeded(5));
-            let (t, out) = pipeline(
-                40,
-                Delivery::AtLeastOnce(RetryConfig::default()),
-                plan,
-                FaultPlan::new(),
-            );
+            let (t, out) = pipeline(40, FaultPlan::new());
             let sink = obs::TraceSink::new();
             let t = if traced {
                 t.with_tracing(sink.clone(), obs::TraceConfig::default())
@@ -677,7 +558,7 @@ mod tests {
         assert_eq!(ta, tb, "same seed must produce a byte-identical trace");
         assert!(!ta.is_empty());
         // Every pipeline stage the topology exercises shows up.
-        for span in ["dispatch", "deliver", "retry", "execute"] {
+        for span in ["dispatch", "deliver", "execute"] {
             assert!(
                 ta.contains(&format!("\"span\":\"{span}\"")),
                 "missing {span}"

@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
-use crate::link::{LinkAction, LinkFault, LinkFaultPlan};
+use crate::link::{ChaosDice, LinkAction, LinkFault};
 
 /// Hard upper bound on a single frame's payload, enforced by
 /// [`read_frame`]. A length prefix above this is treated as a corrupt or
@@ -640,10 +640,9 @@ pub enum LinkOutage {
 
 /// Deterministic link chaos for an outbound frame stream.
 ///
-/// Replays the same seeded drop/duplicate/delay dice as the in-process
-/// engine's lossy wires ([`crate::link`]), but against raw frames, so a
-/// TCP sender can inject identical network faults *above* the (reliable)
-/// socket. Delayed frames are held back and released after `1..=max_delay`
+/// Rolls the seeded drop/duplicate/delay dice of [`crate::link`] against
+/// raw frames, so a sender can inject network faults *above* a (reliable)
+/// socket or channel. Delayed frames are held back and released after `1..=max_delay`
 /// later transmissions, reordering the link; [`ChaosLink::drain`] releases
 /// any still-held frames at end of stream.
 ///
@@ -656,7 +655,7 @@ pub enum LinkOutage {
 /// is independent of how often the supervisor heartbeats.
 #[derive(Debug)]
 pub struct ChaosLink {
-    dice: Option<crate::link::ChaosDice>,
+    dice: Option<ChaosDice>,
     held: Vec<(u64, Vec<u8>)>,
     stalled: Vec<Vec<u8>>,
     outages: Vec<LinkOutage>,
@@ -667,16 +666,14 @@ pub struct ChaosLink {
 }
 
 impl ChaosLink {
-    /// A chaos link with the dice stream the in-process engine would use
-    /// for sending-task `sender_task` on wire number `wire_index` of a
-    /// plan seeded with `seed` carrying `fault`.
+    /// A chaos link applying `fault` with the decision stream of
+    /// sending-task `sender_task` on wire number `wire_index` under `seed`.
+    ///
+    /// # Panics
+    /// Panics if `fault`'s rates are out of range (see [`LinkFault`]).
     pub fn new(seed: u64, fault: LinkFault, wire_index: usize, sender_task: usize) -> Self {
-        let dice = LinkFaultPlan::new(seed)
-            .lossy("tx", "rx", fault)
-            .dice_for("tx", "rx", wire_index, sender_task)
-            .expect("single-wire plan always has dice");
         Self {
-            dice: Some(dice),
+            dice: Some(ChaosDice::new(seed, fault, wire_index, sender_task)),
             held: Vec::new(),
             stalled: Vec::new(),
             outages: Vec::new(),

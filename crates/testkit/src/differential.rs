@@ -4,7 +4,7 @@
 //!
 //! [`run_differential`] is the single entry point: it derives a workload
 //! from a seed, runs any [`Strategy`] × [`LocalAlgo`] × window
-//! configuration — optionally with injected joiner crashes, lossy links,
+//! configuration — optionally with injected joiner crashes, checkpoints
 //! and load shedding — under [`Scheduler::Sim`] with the same seed, and
 //! panics unless the produced pair set (keys *and* similarity values)
 //! equals the oracle's. Because the whole run is simulated, a failing seed
@@ -71,8 +71,9 @@ pub struct DifferentialCase {
     /// late horizon can land after the last record was dispatched.
     /// Cluster-only, like `outages`.
     pub crash_after: Option<u64>,
-    /// Make every wire lossy and at-least-once (the protocol must mask the
-    /// faults exactly).
+    /// Roll seeded drop/duplicate/delay dice on every launcher→node link
+    /// (the session layer must mask the faults exactly). Cluster-only,
+    /// like `outages`: a topology's in-process wires cannot lose a tuple.
     pub chaos: bool,
     /// Shed records above this dispatcher queue depth; the comparison then
     /// uses the shed-adjusted oracle. Incompatible with `bistream` (the
@@ -92,8 +93,8 @@ pub struct DifferentialCase {
     pub dispatch_batch: Option<usize>,
     /// Link outages (stall / partition windows) injected on cluster wires.
     /// Consumed by the cluster harness only — the simulated topology has
-    /// no wall-clock links, so [`run_differential`] rejects cases that set
-    /// this rather than silently running a weaker scenario.
+    /// no lossy links, so [`run_differential`] rejects cases that set
+    /// this (or `chaos`) rather than silently running a weaker scenario.
     pub outages: Vec<ClusterOutage>,
     /// Per-task respawn budget for the cluster's failure detector. Within
     /// budget recovery must mask faults exactly; once a task exhausts it
@@ -150,7 +151,7 @@ impl DifferentialCase {
         self
     }
 
-    /// Makes every wire lossy under at-least-once delivery.
+    /// Makes every launcher→node link lossy. Cluster-only.
     pub fn with_chaos(mut self) -> Self {
         self.chaos = true;
         self
@@ -231,6 +232,18 @@ impl DifferentialCase {
     }
 }
 
+fn assert_no_cluster_knobs(case: &DifferentialCase) {
+    assert!(
+        !case.chaos
+            && case.outages.is_empty()
+            && case.recovery_budget.is_none()
+            && case.crash_after.is_none(),
+        "link chaos, link outages, recovery budgets and crash horizons are \
+         cluster-only knobs; the simulated topology has no lossy or \
+         wall-clock wires to drop on, stall or fence"
+    );
+}
+
 /// What a differential run produced, after the oracle comparison passed.
 #[derive(Debug)]
 pub struct DifferentialOutcome {
@@ -258,12 +271,7 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         !(case.bistream && case.shed_watermark.is_some()),
         "shed accounting is only defined for the self-join oracle"
     );
-    assert!(
-        case.outages.is_empty() && case.recovery_budget.is_none() && case.crash_after.is_none(),
-        "link outages, recovery budgets and crash horizons are cluster-only \
-         knobs; the simulated topology has no wall-clock wires to stall or \
-         fence"
-    );
+    assert_no_cluster_knobs(case);
     let records = StreamGenerator::new(differential_profile(), seed).take_records(case.records);
 
     let mut cfg = DistributedJoinConfig {
@@ -274,7 +282,6 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         channel_capacity: 64,
         source_rate: None,
         fault: None,
-        chaos_seed: case.chaos.then_some(seed),
         shed_watermark: case.shed_watermark,
         checkpoint: case.checkpoint_interval.map(CheckpointConfig::in_memory),
         restore_from: None,
@@ -352,7 +359,7 @@ pub struct RestoreOutcome {
 /// (interval from [`DifferentialCase::checkpoint_interval`], default
 /// `records / 6`) into a shared in-memory store, then the whole process
 /// "dies" — everything but the store is discarded, composing with any
-/// in-run crash/chaos the case injects. Phase two rebuilds the topology
+/// in-run crash the case injects. Phase two rebuilds the topology
 /// from the store's latest complete checkpoint and streams the full
 /// workload; the driver skips records the checkpoint covers. The restored
 /// run must produce **exactly** the oracle pairs whose later (probing)
@@ -368,10 +375,7 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         case.shed_watermark.is_none(),
         "shed accounting is not defined across a restore boundary"
     );
-    assert!(
-        case.outages.is_empty() && case.recovery_budget.is_none() && case.crash_after.is_none(),
-        "link outages, recovery budgets and crash horizons are cluster-only knobs"
-    );
+    assert_no_cluster_knobs(case);
     let records = StreamGenerator::new(differential_profile(), seed).take_records(case.records);
     let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
     let interval = case
@@ -386,7 +390,6 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         channel_capacity: 64,
         source_rate: None,
         fault: None,
-        chaos_seed: case.chaos.then_some(seed),
         shed_watermark: None,
         checkpoint: Some(CheckpointConfig::new(interval, Arc::clone(&store))),
         restore_from: None,
@@ -489,10 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn crash_and_chaos_case_matches_oracle() {
-        let mut case = base_case().with_crash().with_chaos();
+    fn crash_case_matches_oracle() {
+        let mut case = base_case().with_crash();
         case.join = case.join.with_window(Window::Count(60));
-        run_differential(23, &case);
+        let out = run_differential(23, &case);
+        assert_eq!(out.result.report.total_restarts(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster-only")]
+    fn link_chaos_is_refused_rather_than_ignored() {
+        run_differential(23, &base_case().with_chaos());
     }
 
     #[test]
@@ -536,7 +546,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_outcome() {
-        let case = base_case().with_chaos();
+        let case = base_case().with_crash();
         let a = run_differential(42, &case);
         let b = run_differential(42, &case);
         assert_eq!(a.pairs, b.pairs);

@@ -11,12 +11,14 @@
 //! * [`differential`] — [`run_differential`]: execute any distribution
 //!   strategy × local algorithm × window configuration under stormlite's
 //!   deterministic simulation ([`stormlite::sim`]) and assert the result
-//!   equals the oracle exactly — with crashes, lossy links and load
+//!   equals the oracle exactly — with crashes, checkpoints and load
 //!   shedding in play. A failing seed replays the identical interleaving.
 //! * [`cluster`] — [`run_cluster_differential`]: execute the same cases on
 //!   the real launcher/node transport ([`ssj_distrib::cluster`]) — threads
 //!   or `ssj-node` OS processes over localhost TCP — against the same
-//!   oracle, closing the sim == in-process == cross-process triangle.
+//!   oracle, closing the sim == in-process == cross-process triangle, and
+//!   adding what only those sessions can suffer: lossy links, outages and
+//!   process kills.
 //! * [`transcript`] — golden-transcript recording and diffing: a frozen
 //!   reference run whose committed transcript must replay byte-identically.
 //! * [`fault`] — [`FaultStore`]: a checkpoint-store wrapper injecting

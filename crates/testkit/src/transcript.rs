@@ -2,26 +2,21 @@
 //!
 //! A [`Transcript`] is the full interleaving record
 //! of a simulated run. [`reference_run`] executes a fixed topology —
-//! exercising crashes, lossy links, at-least-once retries and the virtual
-//! clock all at once — whose transcript for a given seed is *frozen*: a
-//! golden copy is committed under `crates/testkit/golden/` and the
-//! regression test asserts byte-identical replay. Any change to scheduler
-//! order, retry timing, fault decisions, or transcript formatting shows up
-//! as a diff against the golden file, with [`diff`] pinpointing the first
-//! divergent step.
+//! exercising a crash and the virtual clock — whose transcript for a given
+//! seed is *frozen*: a golden copy is committed under
+//! `crates/testkit/golden/` and the regression test asserts byte-identical
+//! replay. Any change to scheduler order, fault decisions, or transcript
+//! formatting shows up as a diff against the golden file, with [`diff`]
+//! pinpointing the first divergent step.
 
-use std::time::Duration;
-use stormlite::{
-    Delivery, FaultPlan, Grouping, LinkFault, LinkFaultPlan, RetryConfig, SimConfig, SimRun,
-    Topology,
-};
+use stormlite::{FaultPlan, Grouping, SimConfig, SimRun, Topology};
 
 pub use stormlite::Transcript;
 
 /// The fixed simulated topology behind the golden transcripts: a 40-tuple
-/// source feeding 2 worker tasks over a lossy at-least-once wire, one
-/// seeded worker crash, and a global sink. Small enough to read by hand,
-/// rich enough to cover every transcript event kind.
+/// source feeding 2 worker tasks, one seeded worker crash, and a global
+/// sink. Small enough to read by hand, rich enough to cover every
+/// transcript event kind.
 pub fn reference_run(seed: u64) -> SimRun {
     #[derive(Clone)]
     struct Val(u64);
@@ -34,43 +29,22 @@ pub fn reference_run(seed: u64) -> SimRun {
         }
     }
 
-    let retry = RetryConfig {
-        base_timeout: Duration::from_micros(500),
-        backoff_factor: 2,
-        max_timeout: Duration::from_millis(16),
-    };
     let mut t: Topology<Val> = Topology::new();
     t.spout("source", (0..40u64).map(Val));
     t.bolt("double", 2, |_| Double);
     let _collected = t.collector("sink");
-    t.wire_with(
-        "source",
-        "double",
-        Grouping::shuffle(),
-        Delivery::AtLeastOnce(retry),
-    );
-    t.wire_with(
-        "double",
-        "sink",
-        Grouping::global(),
-        Delivery::AtLeastOnce(retry),
-    );
-    t = t
-        .with_fault_plan(FaultPlan::new().crash_seeded("double", 2, 15, seed))
-        .with_link_faults(
-            LinkFaultPlan::new(seed)
-                .lossy("source", "double", LinkFault::seeded(seed ^ 1))
-                .lossy("double", "sink", LinkFault::seeded(seed ^ 2)),
-        );
+    t.wire("source", "double", Grouping::shuffle());
+    t.wire("double", "sink", Grouping::global());
+    t = t.with_fault_plan(FaultPlan::new().crash_seeded("double", 2, 15, seed));
     t.run_sim(SimConfig::seeded(seed))
 }
 
 /// The checkpointed counterpart of [`reference_run`]: the full distributed
-/// join topology under simulation with epoch checkpointing, a seeded
-/// joiner crash, and chaos-mode lossy wires all active at once. Its
-/// transcript freezes the barrier/snapshot machinery's scheduling — epoch
-/// injection points, snapshot publishes, replay-buffer truncation — on top
-/// of everything the plain reference run covers.
+/// join topology under simulation with epoch checkpointing and a seeded
+/// joiner crash active at once. Its transcript freezes the
+/// barrier/snapshot machinery's scheduling — epoch injection points,
+/// snapshot publishes, replay-buffer truncation — on top of everything the
+/// plain reference run covers.
 pub fn reference_checkpoint_run(seed: u64) -> ssj_distrib::DistributedJoinResult {
     use ssj_core::JoinConfig;
     use ssj_distrib::{
@@ -91,7 +65,6 @@ pub fn reference_checkpoint_run(seed: u64) -> ssj_distrib::DistributedJoinResult
         channel_capacity: 32,
         source_rate: None,
         fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
-        chaos_seed: Some(seed),
         shed_watermark: None,
         checkpoint: Some(CheckpointConfig::in_memory(25)),
         restore_from: None,
@@ -134,7 +107,6 @@ pub fn reference_traceable_run(seed: u64, traced: bool) -> ssj_distrib::Distribu
         channel_capacity: 32,
         source_rate: None,
         fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
-        chaos_seed: Some(seed),
         shed_watermark: None,
         checkpoint: Some(CheckpointConfig::in_memory(25)),
         restore_from: None,

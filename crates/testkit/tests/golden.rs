@@ -2,10 +2,10 @@
 //! reference simulated run must replay byte-identically, forever.
 //!
 //! The transcript fixes the complete interleaving of
-//! [`testkit::reference_run`] — scheduler choices, retry timers, link
-//! faults, the injected crash, and the virtual-clock readings on every
-//! line. Any change to the simulation's decision order (a new RNG draw, a
-//! reordered settle poll, a changed transcript format) breaks this test
+//! [`testkit::reference_run`] — scheduler choices, the injected crash,
+//! and the virtual-clock readings on every line. Any change to the
+//! simulation's decision order (a new RNG draw, a moved EOS hand-off, a
+//! changed transcript format) breaks this test
 //! *loudly*, which is the point: determinism regressions must never land
 //! silently. After an *intentional* change, regenerate with
 //!

@@ -98,17 +98,44 @@ fn exported_metrics_schema_is_complete_and_stable() {
             "{name} must have exactly one HELP line"
         );
     }
-    // The chaos / checkpoint machinery this run exercises is all visible.
-    for name in [
-        "dssj_msgs_in_total",
+    // Exactly these families, in this order: what dashboards key on.
+    assert_eq!(
+        snap.names(),
+        [
+            "dssj_msgs_in_total",
+            "dssj_msgs_out_total",
+            "dssj_bytes_in_total",
+            "dssj_bytes_out_total",
+            "dssj_busy_ns_total",
+            "dssj_shed_total",
+            "dssj_dropped_poisoned_total",
+            "dssj_checkpoints_total",
+            "dssj_checkpoint_bytes_total",
+            "dssj_queue_wait_ns",
+            "dssj_checkpoint_latency_ns",
+            "dssj_barrier_stall_ns",
+            "dssj_task_failures_total",
+            "dssj_task_restarts_total",
+            "dssj_corrupt_frames_total",
+            "dssj_corrupt_snapshot_parts_total",
+            "dssj_corrupt_manifests_total",
+            "dssj_quarantined_epochs_total",
+            "dssj_restore_fallback_depth",
+            "dssj_run_elapsed_ns",
+        ]
+    );
+    // Topology wires are reliable FIFO: the retry / dedup / link-fault
+    // families went with the in-topology protocol that fed them (a
+    // cluster run reports its session counters in `HealthReport`).
+    for gone in [
         "dssj_retries_total",
+        "dssj_dup_drops_total",
         "dssj_link_dropped_total",
-        "dssj_checkpoints_total",
-        "dssj_barrier_stall_ns",
-        "dssj_task_failures_total",
-        "dssj_run_elapsed_ns",
+        "dssj_link_duped_total",
+        "dssj_link_delayed_total",
+        "dssj_max_backoff_ns",
     ] {
-        assert!(text.contains(name), "metrics export must include {name}");
+        assert!(!text.contains(gone), "{gone} has no source any more");
     }
     // Rendering is a pure function of the snapshot.
     assert_eq!(text, obs::prometheus(&snap));

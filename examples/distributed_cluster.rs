@@ -46,7 +46,6 @@ fn main() {
             channel_capacity: 1024,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,

@@ -78,7 +78,6 @@ fn bistream_window_and_prefix_strategy() {
         channel_capacity: 64,
         source_rate: None,
         fault: None,
-        chaos_seed: None,
         shed_watermark: None,
         checkpoint: None,
         restore_from: None,

@@ -69,7 +69,6 @@ fn text_pipeline_to_distributed_join() {
             channel_capacity: 128,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,

@@ -4,21 +4,25 @@
 //! result multiset must equal the naive no-fault ground truth — no lost
 //! pairs, no duplicated pairs — for every `Strategy` × `LocalAlgo`.
 //!
-//! The chaos composition test additionally wraps every wire in seeded
-//! link faults (drops, duplicates, bounded reordering via delay) masked
-//! by at-least-once delivery, on top of the injected crashes.
+//! The chaos composition tests run on the cluster launcher's in-process
+//! backend, the one place a link can lose a frame: every launcher→node
+//! link rolls seeded drop / duplicate / delay dice, masked by the
+//! sequenced `Data`/`Ack` sessions, on top of a supervised node kill.
+//! Those runs are real threads on the wall clock, so each body carries a
+//! deadline — a hung cluster must fail its case, not the job.
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
-use dssj::distrib::CheckpointConfig;
 use dssj::distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler,
-    Strategy as DistStrategy,
+    run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig, ClusterFault,
+    DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy as DistStrategy,
 };
 use dssj::partition::LengthPartition;
-use dssj::stormlite::FaultPlan;
+use dssj::stormlite::{FaultPlan, RetryConfig};
 use dssj::workloads::{DatasetProfile, LengthDist, StreamGenerator};
 use proptest::prelude::*;
+use std::time::Duration;
+use testkit::{with_deadline, DifferentialCase};
 
 fn profile_strategy() -> impl Strategy<Value = DatasetProfile> {
     (
@@ -76,6 +80,65 @@ const LOCALS: [LocalAlgo; 5] = [
     },
 ];
 
+const CASE_DEADLINE: Duration = Duration::from_secs(60);
+
+/// An in-process cluster of `k` nodes with chaos on every link and one
+/// supervised kill, task and ack count both derived from `fault_seed`
+/// (the kill never fires on a seed whose victim acks fewer messages).
+fn chaotic_cluster(
+    k: usize,
+    join: JoinConfig,
+    local: LocalAlgo,
+    strategy: DistStrategy,
+    fault_seed: u64,
+    chaos_seed: u64,
+) -> ClusterConfig {
+    let mut cfg = ClusterConfig::recommended(k, join, ClusterBackend::InProcess);
+    cfg.local = local;
+    cfg.strategy = strategy;
+    cfg.channel_capacity = 64;
+    cfg.chaos_seed = Some(chaos_seed);
+    cfg.fault = Some(ClusterFault {
+        task: (fault_seed % k as u64) as usize,
+        after_acks: 1 + (fault_seed / k as u64) % 60,
+    });
+    cfg
+}
+
+/// Over 100 seeds, seeded link chaos on every session of a 3-node cluster
+/// leaves the result equal to the oracle — and the sweep as a whole really
+/// did lose frames. The retry timeout is tightened well below the default:
+/// an in-process round trip is microseconds, and a spurious
+/// retransmission is only re-acked.
+#[test]
+fn cluster_sessions_mask_link_chaos_for_100_seeds() {
+    let join = JoinConfig::jaccard(0.7);
+    let strategy = DistStrategy::LengthAuto {
+        method: PartitionMethod::LoadAware,
+        sample: 50,
+    };
+    let case = DifferentialCase::new(300, 3, join, LocalAlgo::bundle(), strategy).with_chaos();
+    let (mut retransmissions, mut dup_results_dropped) = (0, 0);
+    for seed in 0..100u64 {
+        let records = testkit::differential_records(seed, case.records);
+        let mut cfg = testkit::cluster_config_for(seed, &case, ClusterBackend::InProcess);
+        cfg.retry = RetryConfig {
+            base_timeout: Duration::from_millis(4),
+            backoff_factor: 2,
+            max_timeout: Duration::from_millis(64),
+        };
+        let expect = testkit::self_join(&records, &join);
+        let out = with_deadline(CASE_DEADLINE, move || run_cluster(&records, &cfg));
+        testkit::assert_pairs_equal(seed, &out.pairs, expect, "chaotic cluster result");
+        retransmissions += out.retransmissions;
+        dup_results_dropped += out.dup_results_dropped;
+    }
+    assert!(
+        retransmissions + dup_results_dropped > 0,
+        "100 chaotic runs retransmitted nothing and dropped no duplicate result"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -111,7 +174,6 @@ proptest! {
                     channel_capacity: 64,
                     source_rate: None,
                     fault: Some(FaultPlan::new().crash_seeded("joiner", k, 150, fault_seed)),
-                    chaos_seed: None,
                     shed_watermark: None,
                     checkpoint: None,
                     restore_from: None,
@@ -171,7 +233,6 @@ proptest! {
             channel_capacity: 64,
             source_rate: None,
             fault: Some(plan),
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,
@@ -187,9 +248,9 @@ proptest! {
         );
     }
 
-    /// Full chaos composition: every wire drops/duplicates/delays under a
-    /// seeded `LinkFaultPlan` (masked by at-least-once delivery) while a
-    /// seeded joiner crash also fires — the result multiset must still
+    /// Full chaos composition: every launcher→node link drops, duplicates
+    /// and delays under seeded dice (masked by the session layer) while a
+    /// supervised node kill also fires — the result multiset must still
     /// equal the fault-free naive ground truth for every strategy, across
     /// local algorithms and window kinds.
     #[test]
@@ -214,45 +275,37 @@ proptest! {
         let expect = sorted_keys(&run_stream(&mut naive, &records));
         let local = LOCALS[local_idx];
 
-        for strategy in strategies(k) {
-            let cfg = DistributedJoinConfig {
-                k,
-                join,
-                local,
-                strategy: strategy.clone(),
-                channel_capacity: 64,
-                source_rate: None,
-                fault: Some(FaultPlan::new().crash_seeded("joiner", k, 120, fault_seed)),
-                chaos_seed: Some(chaos_seed),
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
-            let out = run_distributed(&records, &cfg);
+        let outs = with_deadline(CASE_DEADLINE, move || {
+            strategies(k).map(|strategy| {
+                let cfg =
+                    chaotic_cluster(k, join, local, strategy.clone(), fault_seed, chaos_seed);
+                (strategy, run_cluster(&records, &cfg))
+            })
+        });
+        for (strategy, out) in outs {
             let got = sorted_keys(&out.pairs);
             prop_assert_eq!(
                 got.windows(2).filter(|w| w[0] == w[1]).count(),
                 0,
-                "duplicate pairs under chaos: strategy={} local={} retries={}",
-                strategy.name(), local.name(), out.report.total_retries()
+                "duplicate pairs under chaos: strategy={} local={} retransmissions={}",
+                strategy.name(), local.name(), out.retransmissions
             );
             prop_assert_eq!(
                 &got, &expect,
-                "lost or spurious pairs under chaos: strategy={} local={} restarts={} retries={} dup_drops={}",
-                strategy.name(), local.name(), out.report.total_restarts(),
-                out.report.total_retries(), out.report.total_dup_drops()
+                "lost or spurious pairs under chaos: strategy={} local={} respawns={} \
+                 retransmissions={} dup_results_dropped={}",
+                strategy.name(), local.name(), out.health.respawns,
+                out.retransmissions, out.dup_results_dropped
             );
         }
     }
 
-    /// Everything at once: epoch checkpointing (random interval), a seeded
-    /// joiner crash, link chaos on every wire, and optional load shedding.
-    /// Replay-buffer truncation after each committed epoch must never lose
-    /// state, and the result must equal the oracle restricted to the
-    /// records the run itself chose to shed — exactly.
+    /// Everything at once: epoch checkpointing (random interval), a
+    /// supervised node kill, link chaos on every session, and optional
+    /// load shedding. A node respawned from the last committed epoch plus
+    /// the replay tail must never lose state, and the result must equal
+    /// the oracle restricted to the records the run itself chose to shed —
+    /// exactly.
     #[test]
     fn checkpointing_composes_with_crash_chaos_and_shedding(
         profile in profile_strategy(),
@@ -274,23 +327,14 @@ proptest! {
             window: Window::Count(60),
         };
         let strategy = strategies(k)[strat_idx].clone();
-        let cfg = DistributedJoinConfig {
-            k,
-            join,
-            local: LOCALS[local_idx],
-            strategy: strategy.clone(),
-            channel_capacity: 64,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash_seeded("joiner", k, 120, fault_seed)),
-            chaos_seed: Some(chaos_seed),
-            shed_watermark: shed,
-            checkpoint: Some(CheckpointConfig::in_memory(interval)),
-            restore_from: None,
-            dispatch_batch: None,
-                trace: None,
-            scheduler: Scheduler::Threads,
-        };
-        let out = run_distributed(&records, &cfg);
+        let mut cfg =
+            chaotic_cluster(k, join, LOCALS[local_idx], strategy.clone(), fault_seed, chaos_seed);
+        cfg.shed_watermark = shed;
+        cfg.checkpoint = Some(CheckpointConfig::in_memory(interval));
+        let (records, out) = with_deadline(CASE_DEADLINE, move || {
+            let out = run_cluster(&records, &cfg);
+            (records, out)
+        });
         let expect = sorted_keys(&testkit::self_join_surviving(
             &records,
             &join,
@@ -301,20 +345,20 @@ proptest! {
             got.windows(2).filter(|w| w[0] == w[1]).count(),
             0,
             "duplicate pairs: strategy={} local={} epochs={}",
-            strategy.name(), LOCALS[local_idx].name(), out.report.checkpoints()
+            strategy.name(), LOCALS[local_idx].name(), out.epochs_committed
         );
         prop_assert_eq!(
             &got, &expect,
-            "lost or spurious pairs: strategy={} local={} restarts={} checkpoints={} shed={}",
-            strategy.name(), LOCALS[local_idx].name(), out.report.total_restarts(),
-            out.report.checkpoints(), out.shed_records.len()
+            "lost or spurious pairs: strategy={} local={} respawns={} epochs={} shed={}",
+            strategy.name(), LOCALS[local_idx].name(), out.health.respawns,
+            out.epochs_committed, out.shed_records.len()
         );
         // Shedding drops records before they are dispatched (and counted
         // toward the barrier interval), so an epoch is only guaranteed to
-        // fire when shedding is off.
+        // commit when shedding is off.
         prop_assert!(
-            shed.is_some() || out.report.checkpoints() > 0,
-            "no snapshot was ever published despite interval {}", interval
+            shed.is_some() || out.epochs_committed > 0,
+            "no epoch ever committed despite interval {}", interval
         );
     }
 }

@@ -89,7 +89,6 @@ fn distributed_overlap_equals_naive_under_every_strategy() {
             channel_capacity: 64,
             source_rate: None,
             fault: None,
-            chaos_seed: None,
             shed_watermark: None,
             checkpoint: None,
             restore_from: None,

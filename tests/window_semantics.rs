@@ -100,7 +100,6 @@ fn distributed_window_equals_local_window() {
                 channel_capacity: 64,
                 source_rate: None,
                 fault: None,
-                chaos_seed: None,
                 shed_watermark: None,
                 checkpoint: None,
                 restore_from: None,
