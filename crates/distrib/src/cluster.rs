@@ -98,27 +98,26 @@
 //! # Who flushes a wire, and when
 //!
 //! [`Wire::send`] only queues a frame in the wire's write batch (see the
-//! flush contract in [`stormlite::transport`]); the launcher decides when
-//! a batch becomes a `write(2)`, and it never flushes per record:
+//! flush contract in [`stormlite::transport`]), which flushes itself at
+//! [`stormlite::BATCH_MAX_FRAMES`] frames or [`stormlite::BATCH_MAX_BYTES`]
+//! bytes. Pending batches are *framed* every `BATCH_MAX_FRAMES`-th source
+//! record, ahead of every barrier and before the drain — by record count
+//! alone, so batch cuts never depend on timing — with the housekeeping
+//! (poll, retransmit timers, failure detector) at the same points. A link
+//! is *written* by `write_link`, the launcher's only explicit flush, when:
 //!
-//! * the batcher flushes itself at [`stormlite::BATCH_MAX_FRAMES`] frames
-//!   or [`stormlite::BATCH_MAX_BYTES`] bytes — the steady state on a busy
-//!   link;
-//! * every launcher path that is about to *wait* flushes all links first:
-//!   the in-flight backpressure spin, the drain and end-of-stream loops
-//!   (every `pump` with a non-zero idle wait), respawn/restore, `Eos`;
-//! * at least once every `BATCH_MAX_FRAMES` dispatched source records the
-//!   dispatcher's pending batches are framed and all links are flushed, so
-//!   a message on a sparsely-routed link is never older than ~32 records'
-//!   dispatch time — microseconds to a few milliseconds, far inside the
-//!   40 ms base retransmission timeout, so batching can never be mistaken
-//!   for loss. The launcher's housekeeping (poll every wire, retransmit
-//!   timers, failure detector) runs at the same points, not per record;
-//! * pending batches are also framed ahead of every barrier and before the
-//!   end-of-stream drain, so no message is stranded behind either;
-//! * heartbeats bypass all of this and flush immediately: a probe exists
-//!   to make an idle-but-alive wire visible *now*, and the detector's
-//!   latency bound assumes it left when it was stamped.
+//! * the messages framed onto it since its last write reach half its
+//!   window — [`ClusterConfig::channel_capacity`], or a lower shed
+//!   watermark, whose backlog must be mostly written for acks to drain it;
+//! * a checkpoint barrier is framed on it, so no epoch waits on its traffic;
+//! * the launcher is about to wait (backpressure, drain, `Eos`, respawn),
+//!   sends a heartbeat, or resent frames on it in a timer pass.
+//!
+//! The retransmission clock starts at `write_link`, which stamps every
+//! frame framed since the last write; timers skip the rest, so no frame is
+//! resent for time it spent unwritten (a batcher-flushed one is resent
+//! late, never early). The price: a sparse link's frames wait for half a
+//! window of its own traffic or the next wait — at worst the drain.
 //!
 //! Nodes follow the same rule from the other side: `node_serve` flushes
 //! its results and acks whenever its inbound queue runs empty. The
@@ -144,7 +143,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -313,7 +312,8 @@ pub struct ClusterConfig {
     pub backend: ClusterBackend,
     /// Per-wire in-flight bound in sent-but-unacked messages (a batch
     /// counts its length) — the cluster analogue of the in-process bounded
-    /// channel capacity.
+    /// channel capacity. Half of it (or of a lower `shed_watermark`) is
+    /// the write unit: messages framed on a link before it is written.
     pub channel_capacity: usize,
     /// Frame up to this many messages per wire as one sequenced
     /// [`JoinMsg::Batch`] — same meaning as
@@ -442,11 +442,6 @@ pub struct ClusterResult {
     /// Write batches those frames left in — one `write(2)` each over TCP;
     /// `frames_sent / wire_flushes` is the coalescing ratio.
     pub wire_flushes: u64,
-    /// Most source records the launcher ever dispatched between two
-    /// flushes of all links. The flush contract in the module docs bounds
-    /// it by [`stormlite::BATCH_MAX_FRAMES`], which is what keeps a frame
-    /// on a sparsely-routed link from outliving the retransmission timer.
-    pub unflushed_records_high_water: usize,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
     /// Launcher-side per-stage latencies (route, dispatch, deliver,
@@ -659,7 +654,7 @@ pub fn run_cluster(records: &[Record], cfg: &ClusterConfig) -> ClusterResult {
         .iter()
         .map(|r| JoinMsg::Probe(RecordMsg::solo(r.clone(), Timestamp::ZERO)))
         .collect();
-    Launcher::new(records.to_vec(), false, cfg).run(source)
+    Launcher::new(records, false, cfg).run(source)
 }
 
 /// Runs a bi-stream (R–S) join on a cluster: the two streams are merged
@@ -682,7 +677,7 @@ pub fn run_cluster_bistream(
             })
         })
         .collect();
-    Launcher::new(arrival, true, cfg).run(source)
+    Launcher::new(&arrival, true, cfg).run(source)
 }
 
 // ---------------------------------------------------------------------------
@@ -904,6 +899,7 @@ enum NodeProc {
 struct PendingFrame {
     /// What the frame carries: one message, or one batch.
     msg: JoinMsg,
+    /// When the frame was last written (stamped by `write_link`).
     last_sent: Instant,
     retries: u32,
 }
@@ -947,8 +943,12 @@ struct NodeLink {
     /// skip the link without looking at `unacked`. Only ever too early,
     /// never too late: an ack leaves it stale (the next pass past it
     /// rescans and tightens it), anything that makes a frame due sooner
-    /// lowers it on the spot.
+    /// lowers it on the spot. Frames not yet written do not count.
     retry_due: Instant,
+    /// Frames from this seq on were framed since the last write, carrying
+    /// `unwritten` messages; their retransmission clock has not started.
+    unwritten_from: u64,
+    unwritten: usize,
     /// Messages acknowledged so far (what [`ClusterFault::after_acks`]
     /// counts).
     acked: u64,
@@ -1004,6 +1004,8 @@ impl NodeLink {
             unacked: BTreeMap::new(),
             in_flight: 0,
             retry_due: now,
+            unwritten_from: 0,
+            unwritten: 0,
             acked: 0,
             chaos,
             incarnation: 0,
@@ -1072,7 +1074,8 @@ impl RunClock {
 struct Launcher<'a> {
     cfg: &'a ClusterConfig,
     bistream: bool,
-    arrival: Vec<Record>,
+    /// The stream in arrival order, for partition calibration.
+    arrival: &'a [Record],
     needs_dedup: bool,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
@@ -1091,10 +1094,6 @@ struct Launcher<'a> {
     retransmissions: u64,
     /// Messages handed to `send_data`, a batch counting its length.
     routed_messages: u64,
-    /// Source records dispatched since every link was last flushed.
-    unflushed_records: usize,
-    /// The most `unflushed_records` ever reached.
-    unflushed_high_water: usize,
     /// Batch counters of wires already replaced by a respawn.
     retired_batch_counters: (u64, u64),
     shed_log: Vec<u64>,
@@ -1119,7 +1118,7 @@ struct Launcher<'a> {
 }
 
 impl<'a> Launcher<'a> {
-    fn new(arrival: Vec<Record>, bistream: bool, cfg: &'a ClusterConfig) -> Self {
+    fn new(arrival: &'a [Record], bistream: bool, cfg: &'a ClusterConfig) -> Self {
         assert!(cfg.k >= 1, "need at least one joiner");
         assert!(
             cfg.channel_capacity <= NODE_INBOUND_CAP,
@@ -1147,8 +1146,6 @@ impl<'a> Launcher<'a> {
             record_started: Instant::now(),
             retransmissions: 0,
             routed_messages: 0,
-            unflushed_records: 0,
-            unflushed_high_water: 0,
             retired_batch_counters: (0, 0),
             shed_log: Vec::new(),
             published: FxHashSet::default(),
@@ -1198,7 +1195,7 @@ impl<'a> Launcher<'a> {
         }
         let n_records = source.len() - prepended;
 
-        let router = build_router(&strategy, threshold, self.cfg.k, &self.arrival);
+        let router = build_router(&strategy, threshold, self.cfg.k, self.arrival);
         self.needs_dedup = router.needs_result_dedup();
 
         // Anything that can kill a node needs the recovery machinery:
@@ -1264,9 +1261,9 @@ impl<'a> Launcher<'a> {
             let hello = read_hello(self.links[task].wire.as_mut()).expect("node handshake failed");
             assert_eq!(hello as usize, task, "node announced the wrong task");
             let config = self.node_config(task, 0);
-            let link = &mut self.links[task];
-            send_frame(link.wire.as_mut(), &Frame::Config(config)).expect("send node config");
-            link.wire.flush().expect("flush node config");
+            send_frame(self.links[task].wire.as_mut(), &Frame::Config(config))
+                .expect("send node config");
+            self.write_link(task).expect("flush node config");
         }
 
         // Dispatch the stream.
@@ -1284,24 +1281,20 @@ impl<'a> Launcher<'a> {
             }
             self.stages
                 .record(Stage::Dispatch, self.record_started.elapsed());
-            self.unflushed_records += 1;
-            self.unflushed_high_water = self.unflushed_high_water.max(self.unflushed_records);
             if self.cfg.shed_watermark.is_some() {
                 // The watermark reads the in-flight count, which only
                 // falls when acks are taken off the wires: with shedding
-                // armed that cannot wait for the next flush point, or a
+                // armed that cannot wait for the next framing point, or a
                 // healthy cluster would look backlogged.
                 self.pump(Duration::ZERO, None);
             }
             if (dispatched + 1) % stormlite::BATCH_MAX_FRAMES == 0 {
-                // The flush point: frame what the dispatcher still holds,
-                // push every link's write batch out, then do the
-                // housekeeping a record does not need done for it alone.
-                // Placed by record count alone — `unflushed_records` also
-                // resets whenever a blocked send flushes, and batch cuts
-                // that followed it would depend on timing.
+                // The framing point: frame what the dispatcher still
+                // holds, then do the housekeeping a record does not need
+                // done for it alone. Placed by record count alone, so
+                // batch cuts never depend on timing; links are written by
+                // the half-window rule and before waits, not here.
                 dispatcher.flush(&mut self);
-                self.flush_links();
                 self.pump(Duration::ZERO, None);
                 self.service_timers();
                 self.service_health();
@@ -1393,7 +1386,6 @@ impl<'a> Launcher<'a> {
             data_frames,
             frames_sent: self.retired_batch_counters.0,
             wire_flushes: self.retired_batch_counters.1,
-            unflushed_records_high_water: self.unflushed_high_water,
             epochs_committed: self
                 .coordinator
                 .as_ref()
@@ -1441,7 +1433,7 @@ impl<'a> Launcher<'a> {
             ClusterBackend::Tcp { node_bin } => {
                 let listener = self.listener.as_ref().expect("listener bound before spawn");
                 let addr = listener.local_addr().expect("listener address").to_string();
-                let child = Command::new(node_bin)
+                let mut child = Command::new(node_bin)
                     .arg("--connect")
                     .arg(&addr)
                     .arg("--task")
@@ -1449,7 +1441,7 @@ impl<'a> Launcher<'a> {
                     .stdin(Stdio::null())
                     .spawn()
                     .unwrap_or_else(|e| panic!("cannot spawn {}: {e}", node_bin.display()));
-                let (stream, _) = listener.accept().expect("node never connected back");
+                let stream = accept_node(listener, &mut child, node_bin);
                 let wire = TcpWire::new(stream, LAUNCHER_INBOUND_CAP).expect("wrap node socket");
                 (Box::new(wire), NodeProc::Child(child))
             }
@@ -1458,11 +1450,12 @@ impl<'a> Launcher<'a> {
 
     /// Frames `msg` — one message or one batch — as the wire's next
     /// sequenced unit: assigns the sequence number, records the frame as
-    /// in-flight, and transmits. Under `logical_time` its bytes are folded
-    /// into the wire digest first — the *unsealed* bytes: the digest pins
-    /// what was dispatched, not the integrity trailer.
+    /// in-flight, queues it, and writes the link if it is a barrier or
+    /// completes a write unit. Under `logical_time` its *unsealed* bytes
+    /// are folded into the wire digest: it pins what was dispatched.
     fn send_data(&mut self, task: usize, msg: JoinMsg) {
         let messages = carried(&msg).len();
+        let barrier = matches!(msg, JoinMsg::Barrier { .. });
         self.routed_messages += messages as u64;
         let link = &mut self.links[task];
         let seq = link.next_seq;
@@ -1472,30 +1465,30 @@ impl<'a> Launcher<'a> {
             link.digest = fnv1a(link.digest, &unsealed);
         }
         let frame = stormlite::seal(unsealed);
-        let now = Instant::now();
-        link.retry_due = link.retry_due.min(now + self.cfg.retry.timeout_after(0));
         link.in_flight += messages;
+        link.unwritten += messages;
         link.unacked.insert(
             seq,
             PendingFrame {
                 msg,
-                last_sent: now,
+                last_sent: Instant::now(),
                 retries: 0,
             },
         );
-        self.transmit(task, frame);
-    }
-
-    /// Pushes one encoded frame through the wire, via the chaos link when
-    /// one is armed. A send failure means the node died mid-write; the
-    /// frame stays in `unacked` and recovery retransmits it.
-    fn transmit(&mut self, task: usize, frame: Vec<u8>) {
-        self.put_on_wire(task, frame, ChaosLink::transmit);
+        self.transmit(task, frame, ChaosLink::transmit);
+        let cap = self.cfg.channel_capacity;
+        let window = cap.min(self.cfg.shed_watermark.unwrap_or(cap));
+        if barrier || self.links[task].unwritten >= window.div_ceil(2) {
+            let _ = self.write_link(task);
+        }
     }
 
     /// Queues `frame` on the wire — directly, or as whatever the armed
-    /// chaos link's `gate` makes of it.
-    fn put_on_wire(
+    /// chaos link's `gate` makes of it: `ChaosLink::transmit` for data,
+    /// `ChaosLink::transmit_control` for a heartbeat. A send failure means
+    /// the node died mid-write; a data frame stays in `unacked` and
+    /// recovery retransmits it.
+    fn transmit(
         &mut self,
         task: usize,
         frame: Vec<u8>,
@@ -1513,35 +1506,49 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    /// Forces every link's write batch onto its wire (see the module docs
-    /// for who calls this and why). A flush failure means the node is
-    /// going away; the reader side classifies and reports the close.
-    fn flush_links(&mut self) {
-        self.unflushed_records = 0;
-        for link in self.links.iter_mut().filter(|l| !l.fenced) {
-            let _ = link.wire.flush();
+    /// Writes `task`'s batched frames — the one place a data link is
+    /// flushed (see the module docs) — and starts the retransmission clock
+    /// of every frame framed since the previous write. A failure means the
+    /// node is going away; the reader side reports the close.
+    fn write_link(&mut self, task: usize) -> io::Result<()> {
+        let link = &mut self.links[task];
+        let written = link.wire.flush();
+        if link.unwritten_from < link.next_seq {
+            let now = Instant::now();
+            for (_, p) in link.unacked.range_mut(link.unwritten_from..) {
+                p.last_sent = now;
+            }
+            link.retry_due = link.retry_due.min(now + self.cfg.retry.timeout_after(0));
         }
+        link.unwritten_from = link.next_seq;
+        link.unwritten = 0;
+        written
     }
 
     fn send_eos(&mut self, task: usize) {
         debug_assert!(self.links[task].unacked.is_empty(), "Eos before full ack");
         self.links[task].eos_sent = true;
-        let link = &mut self.links[task];
-        if send_frame(link.wire.as_mut(), &Frame::Eos).is_err() || link.wire.flush().is_err() {
+        let sent = send_frame(self.links[task].wire.as_mut(), &Frame::Eos)
+            .and_then(|()| self.write_link(task));
+        if sent.is_err() {
             self.recover_or_fence(task); // re-sends Eos on the fresh wire
         }
     }
 
     /// Drains every wire's inbound queue, then handles any death or
     /// supervised kill noticed along the way. A nonzero `idle_wait` means
-    /// the caller is waiting on the nodes: every link is flushed first,
+    /// the caller is waiting on the nodes: every link is written first,
     /// and with nothing received the launcher waits that long — on
     /// `blocked_on`'s wire when the caller needs an ack from one task in
     /// particular (so its arrival ends the wait), asleep otherwise.
-    /// `Duration::ZERO` is the flush-point poll and flushes nothing.
+    /// `Duration::ZERO` is the framing-point poll and writes nothing.
     fn pump(&mut self, idle_wait: Duration, blocked_on: Option<usize>) {
         if !idle_wait.is_zero() {
-            self.flush_links();
+            for task in 0..self.links.len() {
+                if !self.links[task].fenced {
+                    let _ = self.write_link(task);
+                }
+            }
         }
         let mut got = false;
         for task in 0..self.links.len() {
@@ -1812,10 +1819,10 @@ impl<'a> Launcher<'a> {
         self.pairs.push(pair);
     }
 
-    /// Retransmits overdue unacked frames with exponential backoff. Runs
-    /// at every flush point and in every wait loop, so a link with nothing
-    /// due costs one comparison against its `retry_due`; only a link past
-    /// it is walked.
+    /// Retransmits overdue written frames with exponential backoff, then
+    /// writes the links it resent on. Runs at every framing point and wait
+    /// loop; a link is walked only past its `retry_due`, and only up to its
+    /// first unwritten frame, whose clock has not started.
     fn service_timers(&mut self) {
         let retry = self.cfg.retry;
         let now = Instant::now();
@@ -1825,7 +1832,8 @@ impl<'a> Launcher<'a> {
             }
             let mut resend: Vec<(Vec<u8>, Duration)> = Vec::new();
             let mut next_due = now + retry.base_timeout;
-            for (&seq, p) in self.links[task].unacked.iter_mut() {
+            let link = &mut self.links[task];
+            for (&seq, p) in link.unacked.range_mut(..link.unwritten_from) {
                 let age = now.duration_since(p.last_sent);
                 if age >= retry.timeout_after(p.retries) {
                     p.last_sent = now;
@@ -1834,11 +1842,15 @@ impl<'a> Launcher<'a> {
                 }
                 next_due = next_due.min(p.last_sent + retry.timeout_after(p.retries));
             }
-            self.links[task].retry_due = next_due;
+            link.retry_due = next_due;
+            let resent = !resend.is_empty();
             for (frame, age) in resend {
                 self.retransmissions += 1;
                 self.stages.record(Stage::Retry, age);
-                self.transmit(task, frame);
+                self.transmit(task, frame, ChaosLink::transmit);
+            }
+            if resent {
+                let _ = self.write_link(task);
             }
         }
     }
@@ -1846,8 +1858,9 @@ impl<'a> Launcher<'a> {
     /// The failure detector: probes idle wires with heartbeats and
     /// declares wires silent past the deadline suspect. Runs on the wall
     /// clock even under logical time — heartbeats go through
-    /// `transmit_control`, which never advances the chaos ordinal or the
-    /// wire digest, so detector cadence cannot perturb determinism.
+    /// `ChaosLink::transmit_control`, which never advances the chaos
+    /// ordinal, and never touch the wire digest, so detector cadence
+    /// cannot perturb determinism.
     fn service_health(&mut self) {
         let Some(h) = self.cfg.health else {
             return;
@@ -1867,8 +1880,8 @@ impl<'a> Launcher<'a> {
                 }
                 .encode_sealed()
                 .expect("heartbeats are always encodable");
-                self.transmit_control(task, frame);
-                let _ = self.links[task].wire.flush();
+                self.transmit(task, frame, ChaosLink::transmit_control);
+                let _ = self.write_link(task);
             }
             let silent = now.duration_since(self.links[task].last_seen);
             if silent >= h.suspect_after {
@@ -1888,12 +1901,6 @@ impl<'a> Launcher<'a> {
         if let Some(t) = self.pending_dead.take() {
             self.recover_or_fence(t);
         }
-    }
-
-    /// Sends a control frame (heartbeat) through the wire's chaos gate
-    /// without advancing the data-transmission ordinal or the digest.
-    fn transmit_control(&mut self, task: usize, frame: Vec<u8>) {
-        self.put_on_wire(task, frame, ChaosLink::transmit_control);
     }
 
     /// A node is dead or suspect: respawn it while the recovery budget
@@ -2113,24 +2120,23 @@ impl<'a> Launcher<'a> {
             self.send_restore(task, &tail);
         }
 
-        // Retransmit the unacked suffix: original order, original seqs.
+        // Retransmit the unacked suffix: original order, original seqs —
+        // all of it unwritten on the fresh wire until the write below
+        // restarts its retransmission clocks.
         let frames: Vec<Vec<u8>> = self.links[task]
             .unacked
             .iter()
             .map(|(&seq, p)| p.sealed(seq))
             .collect();
-        let now = Instant::now();
-        for p in self.links[task].unacked.values_mut() {
-            p.last_sent = now;
-        }
+        self.links[task].unwritten_from = resume;
         self.retransmissions += frames.len() as u64;
         for frame in frames {
-            self.transmit(task, frame);
+            self.transmit(task, frame, ChaosLink::transmit);
         }
         if self.links[task].eos_sent {
             let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos);
         }
-        let _ = self.links[task].wire.flush();
+        let _ = self.write_link(task);
     }
 
     fn send_restore(&mut self, task: usize, entries: &[SnapshotEntry]) {
@@ -2185,6 +2191,34 @@ impl DispatchPort for Launcher<'_> {
         self.stages
             .record(Stage::Route, self.record_started.elapsed());
     }
+}
+
+/// Accepts the connection of the node just spawned as `child`, polling
+/// until the 30 s handshake deadline [`read_hello`] also keeps. A node
+/// that exits before it connects fails the run at once, with its exit
+/// status, instead of leaving the launcher in `accept` forever.
+fn accept_node(listener: &TcpListener, child: &mut Child, node_bin: &Path) -> TcpStream {
+    let bin = node_bin.display();
+    listener.set_nonblocking(true).expect("listener mode");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stream = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => panic!("accepting {bin}'s connection: {e}"),
+        }
+        if let Some(status) = child.try_wait().expect("poll the node process") {
+            panic!("{bin} exited with {status} before connecting back");
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{bin} never connected back");
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    };
+    // Some platforms hand the listener's O_NONBLOCK down to the socket.
+    stream.set_nonblocking(false).expect("socket mode");
+    stream
 }
 
 /// Reads the node's `Hello` — the one unsealed frame — off a fresh wire
@@ -2249,7 +2283,7 @@ mod tests {
     /// A launcher wired to `cfg.k` channel wires whose node ends the test
     /// holds — the test plays every node. `chaos` goes on task 0's link.
     fn launcher(cfg: &ClusterConfig, chaos: Option<ChaosLink>) -> (Launcher<'_>, Vec<ChannelWire>) {
-        let mut launcher = Launcher::new(Vec::new(), false, cfg);
+        let mut launcher = Launcher::new(&[], false, cfg);
         let mut chaos = chaos;
         let mut nodes = Vec::new();
         for _ in 0..cfg.k {
@@ -2458,6 +2492,65 @@ mod tests {
         );
     }
 
+    #[test]
+    fn the_retransmission_clock_starts_at_the_write_not_at_framing() {
+        let mut cfg = test_config(1);
+        cfg.channel_capacity = 8;
+        cfg.retry.base_timeout = Duration::from_millis(1);
+        let (mut l, _nodes) = launcher(&cfg, None);
+        l.send(0, batch(0..3));
+        std::thread::sleep(Duration::from_millis(5));
+        // Framed five timeouts ago but never written: not overdue.
+        l.service_timers();
+        assert_eq!(l.retransmissions, 0, "retransmitted an unwritten frame");
+
+        let before = Instant::now();
+        l.write_link(0).unwrap();
+        let after = Instant::now();
+        let link = &l.links[0];
+        assert!(
+            link.unacked[&0].last_sent >= before,
+            "the clock started at framing, not at the write"
+        );
+        assert!(link.retry_due <= after + cfg.retry.timeout_after(0));
+
+        std::thread::sleep(Duration::from_millis(5));
+        l.service_timers();
+        assert_eq!(l.retransmissions, 1, "a written frame times out");
+
+        // Half a window (4 of 8 messages) framed since the last write
+        // makes the link write itself.
+        l.send(0, batch(3..6));
+        assert_eq!(l.links[0].unwritten_from, 1);
+        l.send(0, msg(6));
+        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (3, 0));
+    }
+
+    #[test]
+    fn a_barrier_or_half_the_shed_watermark_writes_the_link() {
+        // Default capacity (half-window 128): a barrier does not wait for it.
+        let cfg = test_config(1);
+        let (mut l, _nodes) = launcher(&cfg, None);
+        l.send(0, msg(0));
+        assert_eq!(l.links[0].unwritten_from, 0);
+        let barrier = JoinMsg::Barrier {
+            epoch: 1,
+            injected_at: Timestamp::ZERO,
+        };
+        l.send(0, barrier);
+        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (2, 0));
+
+        // A watermark of 4 under the same capacity writes every 2
+        // messages, so the backlog it sheds on is never mostly unwritten.
+        let mut cfg = test_config(1);
+        cfg.shed_watermark = Some(4);
+        let (mut l, _nodes) = launcher(&cfg, None);
+        l.send(0, msg(0));
+        assert_eq!(l.links[0].unwritten_from, 0);
+        l.send(0, msg(1));
+        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (2, 0));
+    }
+
     /// Plays launcher to `node_serve` over a channel wire and returns the
     /// node's replies to `frames`, in order, plus how the node ended.
     fn serve(frames: Vec<Frame>) -> (Vec<Frame>, io::Result<()>) {
@@ -2465,7 +2558,7 @@ mod tests {
         let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
         assert_eq!(read_hello(&mut wire).unwrap(), 0);
         let cfg = test_config(1);
-        let mut config = Launcher::new(Vec::new(), false, &cfg).node_config(0, 0);
+        let mut config = Launcher::new(&[], false, &cfg).node_config(0, 0);
         config.algo = LocalAlgo::PpJoin;
         send_frame(&mut wire, &Frame::Config(config)).unwrap();
         for f in &frames {

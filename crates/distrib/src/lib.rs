@@ -58,9 +58,8 @@ pub use pace::PacedIter;
 pub use recovery::{RecoveryState, ReplayEntry};
 pub use route::{BroadcastRouter, LengthRouter, PrefixRouter, RouteDecision, Router};
 // Re-exported so callers configuring `DistributedJoinConfig::scheduler`
-// or consuming `ClusterResult::integrity` /
-// `ClusterResult::unflushed_records_high_water` don't need a direct
-// stormlite dependency.
+// or `ClusterConfig::dispatch_batch`, or consuming
+// `ClusterResult::integrity`, don't need a direct stormlite dependency.
 pub use stormlite::{IntegrityReport, Scheduler, SimConfig, BATCH_MAX_FRAMES};
 // Re-exported so callers enabling `DistributedJoinConfig::trace` and
 // consuming `DistributedJoinResult::trace`/`stages` don't need a direct
