@@ -3,21 +3,17 @@
 //!
 //! ```text
 //! experiments [--n N] [--quick] [--results DIR] <id>...
-//!   ids: check t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 f9 f11 f12 f13 f14 f15 f16 f18 a1 all
+//!   ids: t1 t2 f1 f2 f3 f4 f5 f6 f7 f8 f9 f11 a1 all
 //! ```
 
 use ssj_bench::{exps, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const IDS: &[&str] = &[
-    "check", "t1", "t2", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "f11", "f12", "f13",
-    "f14", "f15", "f16", "f18", "a1",
-];
-
 fn usage() -> ExitCode {
+    let ids: Vec<&str> = exps::ALL.iter().map(|(id, _)| *id).collect();
     eprintln!("usage: experiments [--n N] [--quick] [--results DIR] <id>...");
-    eprintln!("  ids: {} all", IDS.join(" "));
+    eprintln!("  ids: {} all", ids.join(" "));
     ExitCode::from(2)
 }
 
@@ -57,7 +53,7 @@ fn main() -> ExitCode {
         return usage();
     }
     if ids.iter().any(|i| i == "all") {
-        ids = IDS.iter().map(|s| (*s).to_owned()).collect();
+        ids = exps::ALL.iter().map(|(id, _)| (*id).to_owned()).collect();
     }
 
     println!(
@@ -66,32 +62,14 @@ fn main() -> ExitCode {
         scale.quick
     );
     for id in &ids {
+        let Some(&(_, run)) = exps::ALL.iter().find(|(known, _)| known == id) else {
+            eprintln!("unknown experiment id: {id}");
+            return usage();
+        };
         let t0 = std::time::Instant::now();
-        match id.as_str() {
-            "check" => exps::check(&results),
-            "t1" => exps::t1(scale, &results),
-            "t2" => exps::t2(scale, &results),
-            "f1" => exps::f1(scale, &results),
-            "f2" => exps::f2(scale, &results),
-            "f3" => exps::f3(scale, &results),
-            "f4" => exps::f4(scale, &results),
-            "f5" => exps::f5(scale, &results),
-            "f6" => exps::f6(scale, &results),
-            "f7" => exps::f7(scale, &results),
-            "f8" => exps::f8(scale, &results),
-            "f9" => exps::f9(scale, &results),
-            "f11" => exps::f11(scale, &results),
-            "f12" => exps::f12(scale, &results),
-            "f13" => exps::f13(scale, &results),
-            "f14" => exps::f14(scale, &results),
-            "f15" => exps::f15(scale, &results),
-            "f16" => exps::f16(scale, &results),
-            "f18" => exps::f18(scale, &results),
-            "a1" => exps::a1(scale, &results),
-            other => {
-                eprintln!("unknown experiment id: {other}");
-                return usage();
-            }
+        if let Err(e) = run(scale, &results) {
+            eprintln!("error: {id}: {e}");
+            return ExitCode::FAILURE;
         }
         eprintln!("[{id} took {:.1}s]", t0.elapsed().as_secs_f64());
     }

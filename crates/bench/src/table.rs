@@ -5,6 +5,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// A rectangular result table.
@@ -34,21 +35,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// Renders an aligned text table.
@@ -112,19 +98,21 @@ impl Table {
         out
     }
 
-    /// Prints the table and writes `results/<file>.csv`.
-    pub fn emit(&self, results_dir: &Path, file: &str) {
+    /// Prints the table and writes `<results_dir>/<file>.csv`.
+    ///
+    /// # Errors
+    /// Fails, naming the path, if the directory cannot be created or the
+    /// file cannot be written.
+    pub fn emit(&self, results_dir: &Path, file: &str) -> io::Result<()> {
         println!("{}", self.render());
-        if let Err(e) = fs::create_dir_all(results_dir) {
-            eprintln!("warning: cannot create {}: {e}", results_dir.display());
-            return;
-        }
         let path = results_dir.join(format!("{file}.csv"));
-        if let Err(e) = fs::write(&path, self.to_csv()) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        } else {
-            println!("-> {}\n", path.display());
-        }
+        fs::create_dir_all(results_dir)
+            .and_then(|()| fs::write(&path, self.to_csv()))
+            .map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+            })?;
+        println!("-> {}\n", path.display());
+        Ok(())
     }
 }
 
@@ -172,6 +160,18 @@ mod tests {
     fn width_mismatch_panics() {
         let mut t = Table::new("x", &["a"]);
         t.row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn emit_into_a_regular_file_fails_naming_the_path() {
+        let file = std::env::temp_dir().join(format!("ssj-results-file-{}", std::process::id()));
+        fs::write(&file, "").unwrap();
+        let err = Table::new("x", &["a"]).emit(&file, "out").unwrap_err();
+        let _ = fs::remove_file(&file);
+        assert!(
+            err.to_string().contains(&file.display().to_string()),
+            "{err}"
+        );
     }
 
     #[test]

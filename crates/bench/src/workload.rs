@@ -17,9 +17,6 @@ pub fn headline_profiles() -> Vec<DatasetProfile> {
     vec![DatasetProfile::aol(), DatasetProfile::enron()]
 }
 
-/// Re-export: arrival-rate pacing lives with the driver.
-pub use ssj_distrib::PacedIter;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,15 +10,20 @@
 //! sequenced `Data`/`Ack` sessions, on top of a supervised node kill.
 //! Those runs are real threads on the wall clock, so each body carries a
 //! deadline — a hung cluster must fail its case, not the job.
+//!
+//! How much a restart replays is pinned separately, on one simulated run
+//! per recovery mode, against a replay count derived from the routing.
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
 use dssj::distrib::{
     run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig, ClusterFault,
-    DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy as DistStrategy,
+    DistributedJoinConfig, LengthRouter, LocalAlgo, PartitionMethod, Router, Scheduler,
+    Strategy as DistStrategy,
 };
-use dssj::partition::LengthPartition;
+use dssj::partition::{equal_depth, LengthHistogram, LengthPartition};
 use dssj::stormlite::{FaultPlan, RetryConfig};
+use dssj::text::Record;
 use dssj::workloads::{DatasetProfile, LengthDist, StreamGenerator};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -136,6 +141,123 @@ fn cluster_sessions_mask_link_chaos_for_100_seeds() {
     assert!(
         retransmissions + dup_results_dropped > 0,
         "100 chaotic runs retransmitted nothing and dropped no duplicate result"
+    );
+}
+
+/// Joiner `task`'s inbound stream from an unbatched dispatcher, in order:
+/// `Some((id, indexed))` for each record routed there (probe, index or
+/// both in one message), `None` for the barrier after every `interval`
+/// records.
+fn inbound(
+    records: &[Record],
+    mut router: LengthRouter,
+    task: usize,
+    interval: Option<u64>,
+) -> Vec<Option<(u64, bool)>> {
+    let mut stream = Vec::new();
+    for (i, record) in records.iter().enumerate() {
+        let route = router.route(record);
+        let indexed = route.index.contains(&task);
+        if indexed || route.probe.contains(&task) {
+            stream.push(Some((record.id().0, indexed)));
+        }
+        if interval.is_some_and(|n| (i as u64 + 1).is_multiple_of(n)) {
+            stream.push(None);
+        }
+    }
+    stream
+}
+
+/// Replay volume after a late joiner crash. A restart re-indexes the
+/// crashed task's buffered index targets up to its watermark (the last
+/// record it fully processed):
+/// - a count window of `W` keeps those within `W` of the watermark, so at
+///   most `W + 1`;
+/// - an unbounded window without checkpoints keeps all of them;
+/// - with checkpoints, each commit truncates the buffer to the cut of the
+///   epoch before it (one epoch of grace, DESIGN §13), so the count starts
+///   at the epoch before the one the task restores.
+///
+/// Each count is derived from the dispatcher's routing and compared
+/// exactly, and every arm's pairs equal its crash-free run's.
+#[test]
+fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
+    const K: usize = 4;
+    const TASK: usize = 1;
+    const W: u64 = 500;
+    const INTERVAL: u64 = 500;
+    let records = StreamGenerator::new(DatasetProfile::aol(), 7).take_records(6_000);
+    let threshold = Threshold::jaccard(0.8);
+    let partition = equal_depth(&LengthHistogram::from_records(&records), K);
+
+    let arms = [
+        ("count window", Window::Count(W), None),
+        ("unbounded", Window::Unbounded, None),
+        ("unbounded + checkpoints", Window::Unbounded, Some(INTERVAL)),
+    ];
+    let mut replayed = Vec::new();
+    for (arm, window, interval) in arms {
+        let join = JoinConfig { threshold, window };
+        let stream = inbound(
+            &records,
+            LengthRouter::new(threshold, partition.clone()),
+            TASK,
+            interval,
+        );
+        // Crash once 90 % of the task's records are fully processed.
+        let late = stream.iter().flatten().count() * 9 / 10;
+        let (crash_after, watermark) = stream
+            .iter()
+            .enumerate()
+            .filter_map(|(at, msg)| msg.map(|(id, _)| (at as u64 + 1, id)))
+            .nth(late - 1)
+            .expect("the task receives records");
+
+        // A fresh config per run: each gets its own in-memory store, so
+        // epochs count from 1 in both.
+        let cfg = || {
+            DistributedJoinConfig {
+                strategy: DistStrategy::Length(partition.clone()),
+                checkpoint: interval.map(CheckpointConfig::in_memory),
+                ..DistributedJoinConfig::recommended(K, join)
+            }
+            .with_sim(7)
+        };
+        let clean = run_distributed(&records, &cfg());
+        let out = run_distributed(
+            &records,
+            &cfg().with_fault(FaultPlan::new().crash("joiner", TASK, crash_after)),
+        );
+        assert_eq!(
+            sorted_keys(&out.pairs),
+            sorted_keys(&clean.pairs),
+            "{arm}: pairs"
+        );
+        assert_eq!(out.report.total_restarts(), 1, "{arm}");
+
+        let joiner = &out.joiners[TASK];
+        let first = match (window, interval, joiner.restored_from_epoch) {
+            (Window::Count(w), None, None) => watermark.saturating_sub(w),
+            (_, None, None) => 0,
+            // Epoch `e`'s barrier follows record `e * interval - 1`.
+            (_, Some(interval), Some(epoch)) if epoch >= 2 => (epoch - 1) * interval,
+            (_, _, epoch) => panic!("{arm}: restored from epoch {epoch:?}"),
+        };
+        let expect = stream
+            .iter()
+            .flatten()
+            .filter(|&&(id, indexed)| indexed && (first..=watermark).contains(&id))
+            .count() as u64;
+        assert_eq!(joiner.replayed, expect, "{arm}: replayed");
+        replayed.push(joiner.replayed);
+    }
+    let [count, unbounded, checkpointed] = replayed[..] else {
+        unreachable!("three arms")
+    };
+    assert!(count <= W + 1, "count window replayed {count}");
+    assert!(
+        checkpointed < unbounded,
+        "checkpoints replayed {checkpointed}, no checkpoints {unbounded}"
     );
 }
 

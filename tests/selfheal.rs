@@ -68,9 +68,9 @@ fn with_outage(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Partition/stall chaos × checkpointing × crash, all within budget:
-    /// the cluster result must equal the clean oracle bit-exactly, with
-    /// nothing shed and nothing fenced.
+    /// Partition/stall chaos × checkpointing × crash, all within budget,
+    /// on self-joins and bi-streams: the cluster result must equal the
+    /// clean oracle bit-exactly, with nothing shed and nothing fenced.
     #[test]
     fn outages_checkpoints_and_crashes_compose_exactly(
         seed in 0u64..10_000,
@@ -82,6 +82,7 @@ proptest! {
         interval in 10u64..40,
         crash_raw in 0u8..2,
         windowed_raw in 0u8..2,
+        bistream_raw in 0u8..2,
     ) {
         let (crash, windowed) = (crash_raw == 1, windowed_raw == 1);
         let mut case = with_outage(
@@ -90,6 +91,9 @@ proptest! {
         ).with_checkpoints(interval);
         if crash {
             case = case.with_crash();
+        }
+        if bistream_raw == 1 {
+            case = case.bistream();
         }
         let out = with_deadline(CASE_DEADLINE, move || {
             run_cluster_differential_relaxed(seed, &case, ClusterBackend::InProcess)
