@@ -24,7 +24,7 @@ pub fn usage() -> ExitCode {
     eprintln!(
         "usage:
   dssj join      --input FILE [--tau T=0.8] [--algo bundle|ppjoin|allpairs]
-                 [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10]
+                 [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10] [--verbose]
                  [--shed-watermark W] [--source-rate R] [--sim SEED]
                  [--dispatch-batch B]   (every edge: B records per source
                                          message unless --source-rate, B messages
@@ -294,9 +294,17 @@ pub fn join(args: &Args) -> CliResult {
     write_exports(args, &out)?;
     if args.flag("verbose") {
         for j in &out.joiners {
+            let s = &j.stats;
             println!(
-                "joiner {}: indexed {} candidates {} verifications {} results {}",
-                j.task, j.stats.indexed, j.stats.candidates, j.stats.verifications, j.stats.results
+                "joiner {}: indexed {} probed {} posting_hits {} candidates {} \
+                 verifications {} results {}",
+                j.task,
+                s.indexed,
+                s.probed,
+                s.posting_hits,
+                s.candidates,
+                s.verifications,
+                s.results
             );
         }
     }

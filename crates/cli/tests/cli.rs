@@ -39,6 +39,46 @@ fn join_finds_similar_lines() {
 }
 
 #[test]
+fn verbose_join_prints_each_joiners_scan_counters() {
+    let input = write_temp("join_verbose.txt", &DOCS.repeat(10));
+    let out = dssj(&[
+        "join",
+        "--input",
+        input.to_str().unwrap(),
+        "--tau",
+        "0.6",
+        "--k",
+        "3",
+        "--verbose",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("joiner "))
+        .collect();
+    assert_eq!(lines.len(), 3, "{stdout}");
+    let field = |line: &str, name: &str| -> u64 {
+        let mut words = line.split_whitespace();
+        words.find(|w| *w == name);
+        words
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in: {line}"))
+    };
+    let mut posting_hits = 0;
+    for line in &lines {
+        field(line, "probed");
+        posting_hits += field(line, "posting_hits");
+    }
+    assert!(posting_hits > 0, "{stdout}");
+}
+
+#[test]
 fn join_with_qgrams() {
     let input = write_temp(
         "join_qgram.txt",

@@ -25,6 +25,10 @@ pub struct AllPairsJoiner {
     candidates: Vec<Slot>,
     /// Per-probe integer bound memo (kills per-candidate float math).
     bounds: ProbeBounds,
+    /// Length of the shortest record ever stored, `usize::MAX` before the
+    /// first: the probe prefix is sized for it
+    /// ([`ProbeBounds::probe_prefix_len`]).
+    floor: usize,
 }
 
 impl AllPairsJoiner {
@@ -39,6 +43,7 @@ impl AllPairsJoiner {
             stats: JoinStats::new(),
             candidates: Vec::new(),
             bounds: ProbeBounds::new(cfg.threshold),
+            floor: usize::MAX,
         }
     }
 
@@ -60,6 +65,7 @@ impl AllPairsJoiner {
     /// `process`, whose probe already evicted at this watermark).
     fn insert_unevicted(&mut self, record: &Record) {
         let slot = self.store.insert(record);
+        self.floor = self.floor.min(record.len());
         self.bounds.rebuild(record.len());
         for (pos, &tok) in record.prefix(self.bounds.prefix_len()).iter().enumerate() {
             self.index.add(
@@ -87,7 +93,8 @@ impl StreamJoiner for AllPairsJoiner {
         let lr = record.len();
         self.bounds.rebuild(lr);
 
-        // Candidate generation: any stored record sharing a prefix token.
+        // Candidate generation: any stored record sharing a token of the
+        // prefix the shortest stored length needs.
         self.seen.next_epoch();
         self.candidates.clear();
         {
@@ -95,7 +102,7 @@ impl StreamJoiner for AllPairsJoiner {
             let seen = &mut self.seen;
             let candidates = &mut self.candidates;
             let stats = &mut self.stats;
-            for &tok in record.prefix(self.bounds.prefix_len()) {
+            for &tok in record.prefix(self.bounds.probe_prefix_len(self.floor)) {
                 self.index.scan_prune(
                     tok,
                     |_| {},

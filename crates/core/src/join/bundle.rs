@@ -40,6 +40,11 @@
 //! against. Survivors verify from the last hit below `closed` onward,
 //! reusing the exact `α` there; a bundle met only through `NO_POS` hits, or
 //! only past `closed`, verifies from the start.
+//!
+//! The scan reads only as much of the probe as the shortest record the
+//! joiner has ever stored needs ([`ProbeBounds::probe_prefix_len`]), while
+//! every record still posts its full streaming prefix: the same joiner may
+//! later be probed by any length.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
 use crate::index::{should_compact, CandMap, InvertedIndex, Posting, Slot, SlotStore};
@@ -330,6 +335,10 @@ pub struct BundleJoiner {
     bounds: ProbeBounds,
     /// Per-probe integer bound memo for the absorption threshold.
     group_bounds: ProbeBounds,
+    /// Length of the shortest record ever stored, founder or member,
+    /// `usize::MAX` before the first: the probe prefix is sized for it
+    /// ([`ProbeBounds::probe_prefix_len`]).
+    floor: usize,
 }
 
 impl BundleJoiner {
@@ -348,6 +357,7 @@ impl BundleJoiner {
             acc: CandMap::default(),
             bounds: ProbeBounds::new(t),
             group_bounds: ProbeBounds::new(bundle_threshold),
+            floor: usize::MAX,
         }
     }
 
@@ -422,13 +432,29 @@ impl BundleJoiner {
             want_group,
             max_members: self.cfg.max_members,
         };
+        // Scan as much of the probe as the shortest stored record needs,
+        // for the join and for absorption. Absorption's prefix is the
+        // longer one when `bundle_tau` sits below τ; the join's streaming
+        // prefix caps it, as it caps every scan.
+        let join_len = if scan.emit {
+            self.bounds.probe_prefix_len(self.floor)
+        } else {
+            0
+        };
+        let group_len = if want_group {
+            let full = self.group_bounds.probe_prefix_len(self.floor);
+            full.min(self.bounds.prefix_len())
+        } else {
+            0
+        };
+        let scan_len = join_len.max(group_len);
 
         self.acc.next_probe();
         {
             let store = &self.store;
             let acc = &mut self.acc;
             let stats = &mut self.stats;
-            for (i, &tok) in record.prefix(self.bounds.prefix_len()).iter().enumerate() {
+            for (i, &tok) in record.prefix(scan_len).iter().enumerate() {
                 let i = i as u32;
                 self.index.scan_prune(
                     tok,
@@ -549,6 +575,7 @@ impl BundleJoiner {
     /// Inserts `record`, absorbing it into `target` when the delta fits,
     /// founding a new bundle otherwise.
     fn insert_with(&mut self, record: &Record, target: Option<(Slot, f64)>) {
+        self.floor = self.floor.min(record.len());
         let len = record.len() as u32;
         if let Some((slot, _)) = target {
             if let Some((head, bundle)) = self.store.get_mut(slot) {
@@ -981,14 +1008,19 @@ mod tests {
             }]
         );
         out.clear();
-        // Found through 5 alone (60 and 70 are past the posted run),
-        // verified from the start, matched by the member only.
+        // Found through 5 alone, verified from the start, matched by the
+        // member only.
         j.process(&rec(2, &[5, 60, 70, 80, 90, 100]), &mut out);
         assert_eq!(out.iter().map(|m| m.key()).collect::<Vec<_>>(), [(1, 2)]);
+        // Every stored record has 10 tokens, so each probe scans only the
+        // prefix a 10-token partner needs, not its full streaming prefix:
+        // record 1 reads 3 tokens (not 5) and hits 20 and 30; record 2
+        // reads 1 token (not 3, whose 60 and 70 are past the posted run
+        // anyway) and hits 5.
         assert_eq!(
             j.stats().posting_hits,
-            4 + 1,
-            "record 1's four hits, then one"
+            2 + 1,
+            "record 1's two hits, then one"
         );
     }
 }

@@ -55,6 +55,10 @@ pub struct PpJoinJoiner {
     acc: CandMap<CandAcc>,
     /// Per-probe integer bound memo (kills per-hit float math).
     bounds: ProbeBounds,
+    /// Length of the shortest record ever stored, `usize::MAX` before the
+    /// first: the probe prefix is sized for it
+    /// ([`ProbeBounds::probe_prefix_len`]).
+    floor: usize,
 }
 
 impl PpJoinJoiner {
@@ -69,6 +73,7 @@ impl PpJoinJoiner {
             stats: JoinStats::new(),
             acc: CandMap::default(),
             bounds: ProbeBounds::new(cfg.threshold),
+            floor: usize::MAX,
         }
     }
 
@@ -90,6 +95,7 @@ impl PpJoinJoiner {
     /// `process`, whose probe already evicted at this watermark).
     fn insert_unevicted(&mut self, record: &Record) {
         let slot = self.store.insert(record);
+        self.floor = self.floor.min(record.len());
         self.bounds.rebuild(record.len());
         for (pos, &tok) in record.prefix(self.bounds.prefix_len()).iter().enumerate() {
             self.index.add(
@@ -136,7 +142,8 @@ impl StreamJoiner for PpJoinJoiner {
             let acc = &mut self.acc;
             let stats = &mut self.stats;
             let bounds = &self.bounds;
-            for (i, &tok) in record.prefix(bounds.prefix_len()).iter().enumerate() {
+            let probe_prefix = record.prefix(bounds.probe_prefix_len(self.floor));
+            for (i, &tok) in probe_prefix.iter().enumerate() {
                 self.index.scan_prune(
                     tok,
                     |_| {},
@@ -335,10 +342,15 @@ mod tests {
         let mut out = Vec::new();
         // Share only the *second* prefix token: the candidate is generated,
         // but with both matching positions at index 1 the remaining-token
-        // bound (1 + min(8, 8) = 9) cannot reach min_overlap(10,10) = 10,
-        // so the positional filter kills it before verification.
+        // bound (1 + min(9, 8) = 9) cannot reach min_overlap(11,10) = 10,
+        // so the positional filter kills it before verification. (The
+        // probe is the longer one: a 10-token probe against a 10-token
+        // index would scan a single prefix token and never see 5.)
         j.process(&rec(0, &[1, 5, 30, 31, 32, 33, 34, 35, 36, 37]), &mut out);
-        j.process(&rec(1, &[2, 5, 40, 41, 42, 43, 44, 45, 46, 47]), &mut out);
+        j.process(
+            &rec(1, &[2, 5, 40, 41, 42, 43, 44, 45, 46, 47, 48]),
+            &mut out,
+        );
         assert!(out.is_empty());
         assert!(j.stats().position_filtered >= 1);
         assert_eq!(j.stats().verifications, 0);

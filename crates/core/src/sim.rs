@@ -50,7 +50,14 @@ impl SimFn {
 /// * [`prefix_len`](Self::prefix_len) — the streaming prefix length: two
 ///   matching records always share a token within each other's prefix of
 ///   this length (valid for *any* arrival order, unlike the shorter batch
-///   "index prefix" which assumes length-sorted processing).
+///   "index prefix" which assumes length-sorted processing);
+/// * [`pair_prefix_len`](Self::pair_prefix_len) — the same once the
+///   partner's length is known: the smallest token two matching records
+///   share lies within both pair prefixes;
+/// * [`ProbeBounds::probe_prefix_len`] — the probe prefix against an index
+///   whose every record is at least a given length long: the pair prefix
+///   of the shortest stored length, since `min_overlap` is nondecreasing
+///   in the partner length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Threshold {
     sim: SimFn,
@@ -65,6 +72,13 @@ fn ceil_eps(v: f64) -> usize {
 #[inline]
 fn floor_eps(v: f64) -> usize {
     (v + EPS).floor().max(0.0) as usize
+}
+
+/// The prefix of a length-`l` record that must hold a shared token when
+/// a match needs `min_overlap` of them: `l − min_overlap + 1`, at least 1.
+#[inline]
+fn prefix_for(l: usize, min_overlap: usize) -> usize {
+    (l + 1).saturating_sub(min_overlap).clamp(1, l.max(1))
 }
 
 impl Threshold {
@@ -175,16 +189,14 @@ impl Threshold {
     /// supported measure).
     #[inline]
     pub fn prefix_len(&self, l: usize) -> usize {
-        let t = self.min_overlap(l, self.min_len(l));
-        (l + 1).saturating_sub(t).clamp(1, l.max(1))
+        prefix_for(l, self.min_overlap(l, self.min_len(l)))
     }
 
     /// Pair-specific prefix length once both lengths are known (tighter than
     /// [`prefix_len`](Self::prefix_len); used for position-based pruning).
     #[inline]
     pub fn pair_prefix_len(&self, l: usize, l_partner: usize) -> usize {
-        let t = self.min_overlap(l, l_partner);
-        (l + 1).saturating_sub(t).clamp(1, l.max(1))
+        prefix_for(l, self.min_overlap(l, l_partner))
     }
 }
 
@@ -306,6 +318,28 @@ impl ProbeBounds {
     #[inline]
     pub fn prefix_len(&self) -> usize {
         self.prefix_len
+    }
+
+    /// The probe prefix the memoized length needs against an index whose
+    /// every record is at least `floor` tokens long:
+    /// [`prefix_len`](Self::prefix_len) when `floor ≤ min_len(l)`, 0 when
+    /// `floor > max_len(l)` or `floor` is `usize::MAX` (an index that has
+    /// stored nothing), and [`Threshold::pair_prefix_len`]`(l, floor)`
+    /// otherwise.
+    ///
+    /// Exact: `min_overlap` is nondecreasing in the partner length, so for
+    /// every stored partner `s` the pair prefix `pair_prefix_len(l, |s|)`
+    /// — which holds the smallest token the two share, if they match — is
+    /// no longer than this.
+    #[inline]
+    pub fn probe_prefix_len(&self, floor: usize) -> usize {
+        if floor <= self.lo {
+            self.prefix_len
+        } else if floor > self.hi || floor == usize::MAX {
+            0
+        } else {
+            prefix_for(self.l, self.min_overlap(floor))
+        }
     }
 
     #[inline]
