@@ -16,6 +16,17 @@
 //! *lazily* while a list is scanned (the scan already pays for the
 //! traversal), and the whole structure is compacted when the dead fraction
 //! grows too large, so memory stays proportional to the live window.
+//!
+//! A probe's scan is a chain of dependent cache misses: a token's list
+//! reference in the direct table, then its first postings, then each
+//! candidate's per-slot state. [`InvertedIndex::scan_prefix`] pipelines
+//! that chain across the prefix: while it scans token `i` it has already
+//! asked for token `i + 2`'s reference and token `i + 1`'s first postings,
+//! and within a list `scan_prune` announces each posting's slot a cache
+//! line of postings ahead. The joiners' verification loops likewise fetch
+//! the next survivor's record while the current one merges. Every such step
+//! is a cache hint or a plain read; nothing is written, so what a scan
+//! visits, and in which order, does not depend on it.
 
 use crate::window::EvictionQueue;
 use ssj_text::{FxHashMap, Record, RecordId, TokenId};
@@ -37,6 +48,22 @@ fn prefetch<T>(target: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = target;
+}
+
+/// Tokens per cache line.
+const LINE_TOKENS: usize = 16;
+
+/// Cache lines of a token run that [`prefetch_tokens`] pulls in: 64 tokens,
+/// what a verification merge typically reads before it terminates.
+const TOKEN_LINES: usize = 4;
+
+/// Hints the CPU to pull in the first four cache lines (64 tokens) of
+/// `tokens`, one candidate ahead of the merge that reads them.
+#[inline]
+pub(crate) fn prefetch_tokens(tokens: &[TokenId]) {
+    for t in tokens.iter().step_by(LINE_TOKENS).take(TOKEN_LINES) {
+        prefetch(t);
+    }
 }
 
 /// A tombstoning slab of values addressed by [`Slot`], with a liveness
@@ -270,14 +297,16 @@ impl RecordStore {
         &self.tokens[m.tok_start as usize..m.tok_start as usize + m.tok_len as usize]
     }
 
-    /// Hints the CPU to pull `slot`'s token run into cache. The candidate
-    /// loops call this one candidate ahead so the token fetch overlaps the
-    /// current candidate's verification instead of stalling the next one.
+    /// Hints the CPU to pull the first four cache lines (64 tokens) of
+    /// `slot`'s token run into cache. The candidate loops call this one
+    /// candidate ahead so the token fetch overlaps the current candidate's
+    /// verification instead of stalling the next one.
     #[inline]
     pub fn prefetch_tokens(&self, slot: Slot) {
         if let Some(m) = self.meta.get(slot as usize) {
-            if let Some(first) = self.tokens.get(m.tok_start as usize) {
-                prefetch(first);
+            let start = m.tok_start as usize;
+            if let Some(run) = self.tokens.get(start..start + m.tok_len as usize) {
+                prefetch_tokens(run);
             }
         }
     }
@@ -407,6 +436,14 @@ const DIRECT_SPAN: usize = 1 << 17;
 /// How many postings ahead [`InvertedIndex::scan_prune`] announces a slot:
 /// one cache line of postings.
 const SCAN_AHEAD: usize = 8;
+
+/// How many prefix tokens ahead of the one it scans
+/// [`InvertedIndex::scan_prefix`] fetches a token's list reference, and
+/// then — reading that reference a token later — its first postings. The
+/// slots those postings name are left to [`SCAN_AHEAD`], which announces
+/// the first of them as the token's scan starts.
+const REF_AHEAD: usize = 2;
+const POSTINGS_AHEAD: usize = 1;
 
 /// Initial capacity of a fresh posting list; lists double (relocating to
 /// the arena tail) when full.
@@ -583,6 +620,53 @@ impl InvertedIndex {
         }
     }
 
+    /// Hints the CPU to pull `token`'s list reference into cache, ahead of
+    /// a [`prefetch_postings`](Self::prefetch_postings) or a scan of it.
+    /// Spilled tokens are left alone: their reference is a hash probe away.
+    #[inline]
+    fn prefetch_ref(&self, token: TokenId) {
+        if let Some(lr) = self.direct.get(token.0 as usize) {
+            prefetch(lr);
+        }
+    }
+
+    /// Reads `token`'s list reference — cached by an earlier
+    /// [`prefetch_ref`](Self::prefetch_ref) — and hints the CPU to pull the
+    /// list's first postings in. Spilled tokens are left alone.
+    #[inline]
+    fn prefetch_postings(&self, token: TokenId) {
+        if let Some(lr) = self.direct.get(token.0 as usize) {
+            if let Some(first) = self.arena.get(lr.start as usize) {
+                prefetch(first);
+            }
+        }
+    }
+
+    /// [`scan_prune`](Self::scan_prune) of each token of `prefix` in turn,
+    /// pipelined: before scanning token `i` it asks for token `i + 2`'s list
+    /// reference and token `i + 1`'s first postings, so those misses
+    /// overlap token `i`'s scan instead of stalling the next one. `ahead`
+    /// and `is_live` are `scan_prune`'s; `visit` sees each live posting
+    /// with the prefix position of its token. What it sees, and in which
+    /// order, is exactly what scanning the tokens one by one would show.
+    pub fn scan_prefix(
+        &mut self,
+        prefix: &[TokenId],
+        ahead: impl Fn(Slot),
+        mut is_live: impl FnMut(Slot) -> bool,
+        mut visit: impl FnMut(usize, Posting),
+    ) {
+        for (i, &token) in prefix.iter().enumerate() {
+            if let Some(&t) = prefix.get(i + REF_AHEAD) {
+                self.prefetch_ref(t);
+            }
+            if let Some(&t) = prefix.get(i + POSTINGS_AHEAD) {
+                self.prefetch_postings(t);
+            }
+            self.scan_prune(token, &ahead, &mut is_live, |p| visit(i, p));
+        }
+    }
+
     /// Number of postings currently stored in the index. Exact for what is
     /// *stored*: incremented per [`add`](Self::add), decremented as
     /// [`scan_prune`](Self::scan_prune) discards postings whose slot died.
@@ -695,6 +779,10 @@ impl InvertedIndex {
 
 /// Stamp-based "first visit this probe?" filter over slots — O(1) dedup
 /// without clearing a set between probes.
+///
+/// Epochs run from 1 to `u32::MAX`; stamp 0 is never a live epoch, so it
+/// marks a slot unvisited — both a fresh one and, after the epoch counter
+/// wraps, every old one.
 #[derive(Debug, Default)]
 pub struct SeenFilter {
     stamps: Vec<u32>,
@@ -713,7 +801,7 @@ impl SeenFilter {
         if self.epoch == 0 {
             // Wrapped: old stamps could alias. Reset storage (rare: every
             // 2^32 probes).
-            self.stamps.iter_mut().for_each(|s| *s = u32::MAX);
+            self.stamps.fill(0);
             self.epoch = 1;
         }
     }
@@ -721,9 +809,10 @@ impl SeenFilter {
     /// True exactly on the first visit of `slot` in the current epoch.
     #[inline]
     pub fn first_visit(&mut self, slot: Slot) -> bool {
+        debug_assert_ne!(self.epoch, 0, "first_visit before next_epoch");
         let idx = slot as usize;
         if idx >= self.stamps.len() {
-            self.stamps.resize(idx + 1, self.epoch.wrapping_sub(1));
+            self.stamps.resize(idx + 1, 0);
         }
         if self.stamps[idx] == self.epoch {
             false
@@ -742,16 +831,16 @@ impl SeenFilter {
 
 /// Slot → per-probe candidate accumulator, without hashing: a dense
 /// `cands` vector plus a stamped per-slot index (the [`SeenFilter`]
-/// trick), so the prefix-scan inner loop costs one stamp compare per
-/// posting instead of a hash-map probe. `A` is whatever the joiner
-/// accumulates per candidate while it scans (PPJoin: shared-token count
-/// and last shared positions; bundle: the same against a representative).
+/// trick, with its epoch convention), so the prefix-scan inner loop costs
+/// one stamp compare per posting instead of a hash-map probe. `A` is
+/// whatever the joiner accumulates per candidate while it scans (PPJoin:
+/// shared-token count and last shared positions; bundle: the same against
+/// a representative).
 #[derive(Debug)]
 pub struct CandMap<A> {
-    /// Per-slot epoch stamp; the `idx` entry is valid iff it matches.
-    stamps: Vec<u32>,
-    /// Per-slot index into `cands`, valid under the current stamp.
-    idx: Vec<u32>,
+    /// Per-slot `(epoch stamp, index into cands)`, side by side so a hit
+    /// costs one random access; the index is valid iff the stamp matches.
+    slots: Vec<(u32, u32)>,
     epoch: u32,
     /// This probe's candidates in first-visit order.
     cands: Vec<A>,
@@ -760,8 +849,7 @@ pub struct CandMap<A> {
 impl<A> Default for CandMap<A> {
     fn default() -> Self {
         Self {
-            stamps: Vec::new(),
-            idx: Vec::new(),
+            slots: Vec::new(),
             epoch: 0,
             cands: Vec::new(),
         }
@@ -775,7 +863,7 @@ impl<A> CandMap<A> {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: old stamps could alias (every 2^32 probes).
-            self.stamps.iter_mut().for_each(|s| *s = u32::MAX);
+            self.slots.fill((0, 0));
             self.epoch = 1;
         }
     }
@@ -783,17 +871,18 @@ impl<A> CandMap<A> {
     /// The accumulator for `slot`, inserting `init()` on first visit.
     #[inline]
     pub fn entry(&mut self, slot: Slot, init: impl FnOnce() -> A) -> &mut A {
+        debug_assert_ne!(self.epoch, 0, "entry before next_probe");
         let i = slot as usize;
-        if i >= self.stamps.len() {
-            self.stamps.resize(i + 1, self.epoch.wrapping_sub(1));
-            self.idx.resize(i + 1, 0);
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, (0, 0));
         }
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
-            self.idx[i] = self.cands.len() as u32;
+        let (stamp, idx) = &mut self.slots[i];
+        if *stamp != self.epoch {
+            *stamp = self.epoch;
+            *idx = self.cands.len() as u32;
             self.cands.push(init());
         }
-        &mut self.cands[self.idx[i] as usize]
+        &mut self.cands[*idx as usize]
     }
 
     /// This probe's accumulators, in first-visit order.
@@ -804,8 +893,7 @@ impl<A> CandMap<A> {
 
     /// Clears the map after a store compaction (slot meanings changed).
     pub fn reset(&mut self) {
-        self.stamps.clear();
-        self.idx.clear();
+        self.slots.clear();
         self.cands.clear();
         self.epoch = 0;
     }
@@ -1031,6 +1119,22 @@ mod tests {
         assert!(f.first_visit(3));
     }
 
+    /// After the epoch counter wraps, a slot stamped before the wrap is
+    /// unvisited in every later epoch — up to and including `u32::MAX`.
+    #[test]
+    fn seen_filter_forgets_pre_wrap_stamps_for_a_whole_cycle() {
+        let mut f = SeenFilter::new();
+        f.next_epoch();
+        assert!(f.first_visit(5));
+        f.epoch = u32::MAX;
+        f.next_epoch();
+        assert_eq!(f.epoch, 1, "wrapped");
+        f.epoch = u32::MAX - 1;
+        f.next_epoch();
+        assert!(f.first_visit(5), "stamped before the wrap, unseen since");
+        assert!(!f.first_visit(5));
+    }
+
     #[test]
     fn seen_filter_grows() {
         let mut f = SeenFilter::new();
@@ -1053,6 +1157,55 @@ mod tests {
         m.reset();
         m.next_probe();
         assert_eq!(*m.entry(1000, || (1000, 9)), (1000, 9));
+    }
+
+    /// After the epoch counter wraps, a slot stamped before the wrap is
+    /// absent in every later probe — up to and including epoch `u32::MAX`,
+    /// where a stale index would name an accumulator that does not exist.
+    #[test]
+    fn cand_map_forgets_pre_wrap_stamps_for_a_whole_cycle() {
+        let mut m: CandMap<u32> = CandMap::default();
+        m.next_probe();
+        *m.entry(5, || 0) += 1;
+        m.epoch = u32::MAX;
+        m.next_probe();
+        assert_eq!(m.epoch, 1, "wrapped");
+        m.epoch = u32::MAX - 1;
+        m.next_probe();
+        assert_eq!(*m.entry(5, || 7), 7, "stamped before the wrap");
+        assert_eq!(m.cands(), &[7]);
+    }
+
+    /// The pipelined prefix scan visits exactly what scanning its tokens
+    /// one by one visits, in the same order, and prunes the same postings.
+    #[test]
+    fn scan_prefix_visits_what_a_token_by_token_scan_visits() {
+        let build = || {
+            let mut idx = InvertedIndex::new();
+            for slot in 0..40u32 {
+                for t in [slot % 7, 7 + slot % 3, 10 + slot % 11, 200_000 + slot % 2] {
+                    idx.add(TokenId(t), Posting { slot, pos: t % 5 });
+                }
+            }
+            idx
+        };
+        let prefix: Vec<TokenId> = [0, 3, 7, 9, 12, 15, 20, 200_001]
+            .into_iter()
+            .map(TokenId)
+            .collect();
+        let live = |slot: Slot| slot % 4 != 1;
+        let mut pipelined = build();
+        let mut seen = Vec::new();
+        pipelined.scan_prefix(&prefix, |_| {}, live, |i, p| seen.push((i, p)));
+        let mut one_by_one = build();
+        let mut expect = Vec::new();
+        for (i, &t) in prefix.iter().enumerate() {
+            one_by_one.scan_prune(t, |_| {}, live, |p| expect.push((i, p)));
+        }
+        assert!(expect.len() > 20);
+        assert_eq!(seen, expect);
+        assert_eq!(pipelined.postings(), one_by_one.postings());
+        assert_eq!(pipelined.tokens(), one_by_one.tokens());
     }
 
     #[test]

@@ -102,19 +102,17 @@ impl StreamJoiner for AllPairsJoiner {
             let seen = &mut self.seen;
             let candidates = &mut self.candidates;
             let stats = &mut self.stats;
-            for &tok in record.prefix(self.bounds.probe_prefix_len(self.floor)) {
-                self.index.scan_prune(
-                    tok,
-                    |_| {},
-                    |slot| store.is_live(slot),
-                    |p| {
-                        stats.posting_hits += 1;
-                        if seen.first_visit(p.slot) {
-                            candidates.push(p.slot);
-                        }
-                    },
-                );
-            }
+            self.index.scan_prefix(
+                record.prefix(self.bounds.probe_prefix_len(self.floor)),
+                |_| {},
+                |slot| store.is_live(slot),
+                |_, p| {
+                    stats.posting_hits += 1;
+                    if seen.first_visit(p.slot) {
+                        candidates.push(p.slot);
+                    }
+                },
+            );
         }
 
         // Filter + verify.

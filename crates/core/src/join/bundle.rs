@@ -47,7 +47,9 @@
 //! later be probed by any length.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{should_compact, CandMap, InvertedIndex, Posting, Slot, SlotStore};
+use crate::index::{
+    prefetch_tokens, should_compact, CandMap, InvertedIndex, Posting, Slot, SlotStore,
+};
 use crate::sim::{ProbeBounds, Threshold};
 use crate::stats::JoinStats;
 use crate::verify;
@@ -454,49 +456,56 @@ impl BundleJoiner {
             let store = &self.store;
             let acc = &mut self.acc;
             let stats = &mut self.stats;
-            for (i, &tok) in record.prefix(scan_len).iter().enumerate() {
-                let i = i as u32;
-                self.index.scan_prune(
-                    tok,
-                    |slot| store.prefetch_head(slot),
-                    |slot| store.is_live(slot),
-                    |p| {
-                        stats.posting_hits += 1;
-                        let c = acc.entry(p.slot, || scan.open(p.slot, store, stats));
-                        if c.min_required == SKIP || p.pos == Posting::NO_POS {
-                            return;
-                        }
-                        // Positional filter: the most `|r ∩ rep|` can be if
-                        // this shared token is counted.
-                        let j = p.pos;
-                        let left = (c.alpha + j.saturating_sub(c.closed)).min(i).min(j);
-                        let right = (lr as u32 - i - 1).min(c.rep_len - j - 1);
-                        if left + 1 + right < c.min_required {
-                            c.min_required = SKIP;
-                            stats.position_filtered += 1;
-                            return;
-                        }
-                        c.alpha += 1;
-                        if j < c.closed {
-                            c.resume_probe = i + 1;
-                            c.resume_rep = j + 1;
-                            c.resume_alpha = c.alpha;
-                        }
-                    },
-                );
-            }
+            self.index.scan_prefix(
+                record.prefix(scan_len),
+                |slot| store.prefetch_head(slot),
+                |slot| store.is_live(slot),
+                |i, p| {
+                    let i = i as u32;
+                    stats.posting_hits += 1;
+                    let c = acc.entry(p.slot, || scan.open(p.slot, store, stats));
+                    if c.min_required == SKIP || p.pos == Posting::NO_POS {
+                        return;
+                    }
+                    // Positional filter: the most `|r ∩ rep|` can be if
+                    // this shared token is counted.
+                    let j = p.pos;
+                    let left = (c.alpha + j.saturating_sub(c.closed)).min(i).min(j);
+                    let right = (lr as u32 - i - 1).min(c.rep_len - j - 1);
+                    if left + 1 + right < c.min_required {
+                        c.min_required = SKIP;
+                        stats.position_filtered += 1;
+                        return;
+                    }
+                    c.alpha += 1;
+                    if j < c.closed {
+                        c.resume_probe = i + 1;
+                        c.resume_rep = j + 1;
+                        c.resume_alpha = c.alpha;
+                    }
+                },
+            );
         }
 
         let mut best: Option<(Slot, f64)> = None;
-        for (n, &c) in self.acc.cands().iter().enumerate() {
-            if c.min_required == SKIP {
-                continue;
+        // Survivors in first-visit order, fetched ahead of their merge: the
+        // bundle of survivor n + 2, and the representative tokens of
+        // survivor n + 1, whose bundle the step before fetched (bundle
+        // slots and token runs rarely share cache lines).
+        let mut survivors = self
+            .acc
+            .cands()
+            .iter()
+            .copied()
+            .filter(|c| c.min_required != SKIP);
+        let (mut next, mut after) = (survivors.next(), survivors.next());
+        while let Some(c) = next {
+            (next, after) = (after, survivors.next());
+            if let Some(a) = after {
+                self.store.prefetch(a.slot);
             }
-            // Overlap the next surviving bundle's fetch with this one's
-            // verification (bundle slots rarely share cache lines).
-            let rest = &self.acc.cands()[n + 1..];
-            if let Some(next) = rest.iter().find(|c| c.min_required != SKIP) {
-                self.store.prefetch(next.slot);
+            if let Some(bundle) = next.and_then(|n| self.store.get(n.slot)) {
+                prefetch_tokens(bundle.rep.tokens());
             }
             let bundle = self.store.get(c.slot).expect("candidates are live");
             let rep = bundle.rep.tokens();

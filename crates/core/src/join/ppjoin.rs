@@ -17,7 +17,8 @@
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
 use crate::index::{
-    compact_all, should_compact, CandMap, InvertedIndex, Posting, RecordStore, Slot,
+    compact_all, prefetch_tokens, should_compact, CandMap, InvertedIndex, Posting, RecordStore,
+    Slot,
 };
 use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
@@ -142,56 +143,63 @@ impl StreamJoiner for PpJoinJoiner {
             let acc = &mut self.acc;
             let stats = &mut self.stats;
             let bounds = &self.bounds;
-            let probe_prefix = record.prefix(bounds.probe_prefix_len(self.floor));
-            for (i, &tok) in probe_prefix.iter().enumerate() {
-                self.index.scan_prune(
-                    tok,
-                    |_| {},
-                    |slot| store.is_live(slot),
-                    |p| {
-                        stats.posting_hits += 1;
-                        let ls = store.token_len(p.slot);
-                        let entry = acc.entry(p.slot, || {
-                            stats.candidates += 1;
-                            let pruned = if !bounds.length_compatible(ls) {
-                                stats.length_filtered += 1;
-                                true
-                            } else {
-                                false
-                            };
-                            CandAcc {
-                                slot: p.slot,
-                                alpha: 0,
-                                last_probe_pos: 0,
-                                last_index_pos: 0,
-                                pruned,
-                            }
-                        });
-                        if entry.pruned {
-                            return;
-                        }
-                        // Positional filter: best achievable total overlap if
-                        // this shared token is counted.
-                        let mo = bounds.min_overlap(ls);
-                        let remaining = (lr - i - 1).min(ls - p.pos as usize - 1);
-                        let ubound = entry.alpha as usize + 1 + remaining;
-                        if ubound < mo {
-                            entry.pruned = true;
-                            stats.position_filtered += 1;
+            self.index.scan_prefix(
+                record.prefix(bounds.probe_prefix_len(self.floor)),
+                |_| {},
+                |slot| store.is_live(slot),
+                |i, p| {
+                    stats.posting_hits += 1;
+                    let ls = store.token_len(p.slot);
+                    let entry = acc.entry(p.slot, || {
+                        stats.candidates += 1;
+                        let pruned = if !bounds.length_compatible(ls) {
+                            stats.length_filtered += 1;
+                            true
                         } else {
-                            entry.alpha += 1;
-                            entry.last_probe_pos = i as u32;
-                            entry.last_index_pos = p.pos;
+                            false
+                        };
+                        CandAcc {
+                            slot: p.slot,
+                            alpha: 0,
+                            last_probe_pos: 0,
+                            last_index_pos: 0,
+                            pruned,
                         }
-                    },
-                );
-            }
+                    });
+                    if entry.pruned {
+                        return;
+                    }
+                    // Positional filter: best achievable total overlap if
+                    // this shared token is counted.
+                    let mo = bounds.min_overlap(ls);
+                    let remaining = (lr - i - 1).min(ls - p.pos as usize - 1);
+                    let ubound = entry.alpha as usize + 1 + remaining;
+                    if ubound < mo {
+                        entry.pruned = true;
+                        stats.position_filtered += 1;
+                    } else {
+                        entry.alpha += 1;
+                        entry.last_probe_pos = i as u32;
+                        entry.last_index_pos = p.pos;
+                    }
+                },
+            );
         }
 
-        // Resumed verification of the survivors, in first-visit order.
-        for &cand in self.acc.cands() {
-            if cand.pruned || cand.alpha == 0 {
-                continue;
+        // Resumed verification of the survivors, in first-visit order, the
+        // next survivor's tokens — from where its merge resumes — fetched
+        // while this one merges.
+        let mut survivors = self
+            .acc
+            .cands()
+            .iter()
+            .copied()
+            .filter(|c| !c.pruned && c.alpha > 0);
+        let mut next = survivors.next();
+        while let Some(cand) = next {
+            next = survivors.next();
+            if let Some(n) = next {
+                prefetch_tokens(&self.store.tokens(n.slot)[n.last_index_pos as usize + 1..]);
             }
             let slot = cand.slot;
             let s_tokens = self.store.tokens(slot);
