@@ -12,7 +12,7 @@ use ssj_core::{
     Threshold, Window,
 };
 use ssj_distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy,
+    run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
 use ssj_partition::{
     equal_depth, equal_width, imbalance, load_aware, load_aware_greedy, CostModel, LengthHistogram,
@@ -58,24 +58,15 @@ fn dist_cfg(
     local: LocalAlgo,
     strategy: Strategy,
 ) -> DistributedJoinConfig {
-    DistributedJoinConfig {
-        k,
-        join,
+    // Default for all distributed experiments: 32-message dispatcher
+    // batches lift threaded throughput ~1.7x on the tweet workload and
+    // never change results (see the driver's batching tests).
+    DistributedJoinConfig::new(JoinSpec {
         local,
         strategy,
-        channel_capacity: 1024,
-        source_rate: None,
-        fault: None,
-        shed_watermark: None,
-        checkpoint: None,
-        restore_from: None,
-        // Default for all distributed experiments: 32-message dispatcher
-        // batches lift threaded throughput ~1.7x on the tweet workload and
-        // never change results (see the driver's batching tests).
         dispatch_batch: Some(32),
-        trace: None,
-        scheduler: Scheduler::Threads,
-    }
+        ..JoinSpec::recommended(k, join)
+    })
 }
 
 fn length_auto(sample: usize) -> Strategy {

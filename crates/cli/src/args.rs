@@ -1,7 +1,8 @@
 //! Tiny flag parser: `--key value` pairs plus boolean flags. Hand-rolled
 //! to keep the dependency set at the workspace's approved list.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Parsed command arguments.
@@ -9,6 +10,9 @@ use std::fmt;
 pub struct Args {
     values: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// Every key a lookup asked about, given or not — what
+    /// [`Args::reject_unread`] checks the given keys against.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// A parse or lookup failure, rendered to the user as-is.
@@ -48,20 +52,19 @@ impl Args {
 
     /// A required string value.
     pub fn required(&self, key: &str) -> Result<&str, ArgError> {
-        self.values
-            .get(key)
-            .map(String::as_str)
+        self.get(key)
             .ok_or_else(|| ArgError(format!("missing required --{key}")))
     }
 
     /// An optional string value.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_owned());
         self.values.get(key).map(String::as_str)
     }
 
     /// An optional parsed value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -71,12 +74,32 @@ impl Args {
 
     /// Whether a boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
+        self.read.borrow_mut().insert(key.to_owned());
         self.flags.iter().any(|f| f == key)
     }
 
     /// Whether the key appeared at all, as `--key value` or bare `--key`.
     pub fn has(&self, key: &str) -> bool {
-        self.values.contains_key(key) || self.flag(key)
+        self.flag(key) || self.values.contains_key(key)
+    }
+
+    /// Fails on the first given key no lookup asked about: a command calls
+    /// this once it has read all its options and before it does anything,
+    /// so a misspelt option or one another command reads (`--kill-task` on
+    /// `dssj join`) stops the run instead of being silently ignored.
+    pub fn reject_unread(&self, command: &str) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        match self
+            .values
+            .keys()
+            .chain(&self.flags)
+            .find(|k| !read.contains(*k))
+        {
+            Some(key) => Err(ArgError(format!(
+                "--{key}: not an option of dssj {command}"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Rejects `--key` if it was given, explaining why the combination is
@@ -167,6 +190,19 @@ mod tests {
         assert!(b
             .require_with("checkpoint-interval", "checkpoint-dir")
             .is_ok());
+    }
+
+    #[test]
+    fn only_keys_a_lookup_asked_about_pass() {
+        let a = Args::parse(&argv(&["--k", "4", "--windw", "9", "--verbose"])).unwrap();
+        assert_eq!(a.get_or("k", 1usize).unwrap(), 4);
+        a.flag("verbose");
+        // A lookup of an absent key reads it too, but cannot excuse another.
+        assert!(a.get("window").is_none());
+        let e = a.reject_unread("join").unwrap_err();
+        assert_eq!(e.to_string(), "--windw: not an option of dssj join");
+        a.has("windw");
+        assert!(a.reject_unread("join").is_ok());
     }
 
     #[test]

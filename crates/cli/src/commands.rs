@@ -1,11 +1,12 @@
-//! The four `dssj` subcommands.
+//! The `dssj` subcommands.
 
 use crate::args::{ArgError, Args};
-use ssj_core::{JoinConfig, Threshold, Window};
+use ssj_core::{JoinConfig, MatchPair, Threshold, Window};
 use ssj_distrib::{
     run_bistream_distributed, run_cluster, run_cluster_bistream, run_distributed, CheckpointConfig,
     ClusterBackend, ClusterConfig, ClusterFault, ClusterOutage, DistributedJoinConfig, FileStore,
-    HealthConfig, LocalAlgo, OutageKind, PartitionMethod, Scheduler, SimConfig, Strategy,
+    HealthConfig, JoinSpec, LocalAlgo, OutageKind, Scheduler, SimConfig, TraceConfig,
+    BATCH_MAX_FRAMES,
 };
 use ssj_partition::{imbalance, load_aware, CostModel, LengthHistogram};
 use ssj_text::{load_lines, Corpus, QGramTokenizer, Record, WordTokenizer};
@@ -23,47 +24,41 @@ type CliResult = Result<(), Box<dyn Error>>;
 pub fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  dssj join      --input FILE [--tau T=0.8] [--algo bundle|ppjoin|allpairs]
-                 [--qgram Q] [--window N] [--k K=4] [--show-pairs N=10] [--verbose]
-                 [--shed-watermark W] [--source-rate R] [--sim SEED]
-                 [--dispatch-batch B]   (every edge: B records per source
-                                         message unless --source-rate, B messages
-                                         per joiner wire, one result batch back)
-                 [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
-                 [--restore-from DIR [--verify-restore]] [--trace-out FILE]
-                 [--chrome-out FILE] [--metrics-out FILE]
-  dssj bistream  --left FILE --right FILE [--tau T=0.8] [--algo A] [--k K=4]
-                 [--source-rate R] [--sim SEED]
-                 [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
-                 [--restore-from DIR [--verify-restore]] [--trace-out FILE]
-                 [--chrome-out FILE] [--metrics-out FILE]
-  dssj cluster   --input FILE | --left FILE --right FILE
-                 [--tau T=0.8] [--algo A] [--k K=2] [--backend tcp|inprocess]
-                 [--node-bin PATH] [--chaos-seed S] [--shed-watermark W]
-                 [--dispatch-batch B=32]   (B messages per data frame, one
-                                            results frame and one ack back)
-                 [--kill-task T --kill-after N] [--logical-time]
-                 [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
-                 [--heartbeat-interval MS=25] [--suspect-after MS=250]
-                 [--recovery-budget N] [--retry-max-ms MS=640]
-                 [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
-                 [--restore-from DIR [--verify-restore]] [--show-pairs N=10]
-                 [--metrics-out FILE]
+  dssj join      --input FILE [JOIN] [--verbose] [--shed-watermark W] [TOPOLOGY]
+  dssj bistream  --left FILE --right FILE [JOIN] [--verbose] [TOPOLOGY]
+  dssj cluster   --input FILE [JOIN] [--shed-watermark W] [--recovery-budget N] [CLUSTER]
+  dssj cluster   --left FILE --right FILE [JOIN] [CLUSTER]
   dssj generate  --profile aol|dblp|enron|tweet --n N --out FILE [--seed S=1]
-  dssj partition --input FILE [--tau T=0.8] [--k K=8]
-  dssj scrub     DIR   (verify the checksums of every committed epoch)"
+  dssj partition --input FILE [--qgram Q] [--tau T=0.8] [--k K=8]
+  dssj scrub     DIR   (verify the checksums of every committed epoch)
+
+  JOIN:     [--qgram Q] [--tau T=0.8] [--window N] [--algo bundle|ppjoin|allpairs|naive]
+            [--k K=4, cluster K=2] [--show-pairs N=10]
+            [--dispatch-batch B, cluster B=32]   (B messages per joiner wire
+                  and one result batch back; on the topology also B records
+                  per source message unless --source-rate)
+            [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
+            [--restore-from DIR [--verify-restore]]
+  TOPOLOGY: [--source-rate R] [--sim SEED] [--trace-out FILE] [--chrome-out FILE]
+            [--metrics-out FILE]
+  CLUSTER:  [--backend tcp|inprocess] [--node-bin PATH] [--chaos-seed S]
+            [--kill-task T --kill-after N] [--logical-time]
+            [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
+            [--heartbeat-interval MS=25] [--suspect-after MS=250]
+            [--retry-max-ms MS=640] [--metrics-out FILE]
+  Every command refuses an option it does not read."
     );
     ExitCode::from(2)
 }
 
-fn load(path: &str, args: &Args) -> Result<Corpus, Box<dyn Error>> {
-    let corpus = match args.get("qgram") {
-        Some(q) => {
-            let q: usize = q
-                .parse()
-                .map_err(|_| ArgError(format!("--qgram: cannot parse '{q}'")))?;
-            load_lines(Path::new(path), QGramTokenizer::new(q), 1)?
-        }
+/// `--qgram Q`: tokenize into character q-grams instead of words.
+fn qgram(args: &Args) -> Result<Option<usize>, ArgError> {
+    parse_opt(args, "qgram")
+}
+
+fn load(path: &str, qgram: Option<usize>) -> Result<Corpus, Box<dyn Error>> {
+    let corpus = match qgram {
+        Some(q) => load_lines(Path::new(path), QGramTokenizer::new(q), 1)?,
         None => load_lines(Path::new(path), WordTokenizer::default(), 1)?,
     };
     Ok(corpus)
@@ -74,12 +69,9 @@ fn join_config(args: &Args) -> Result<JoinConfig, ArgError> {
     if !(0.0..=1.0).contains(&tau) || tau == 0.0 {
         return Err(ArgError(format!("--tau must be in (0, 1], got {tau}")));
     }
-    let window = match args.get("window") {
+    let window = match parse_opt(args, "window")? {
         None => Window::Unbounded,
-        Some(w) => Window::Count(
-            w.parse()
-                .map_err(|_| ArgError(format!("--window: cannot parse '{w}'")))?,
-        ),
+        Some(n) => Window::Count(n),
     };
     Ok(JoinConfig {
         threshold: Threshold::jaccard(tau),
@@ -107,33 +99,25 @@ fn parse_opt<T: std::str::FromStr>(args: &Args, key: &str) -> Result<Option<T>, 
     }
 }
 
-fn dispatch_batch(args: &Args) -> Result<Option<usize>, ArgError> {
-    let batch: Option<usize> = parse_opt(args, "dispatch-batch")?;
-    if batch == Some(0) {
-        return Err(ArgError("--dispatch-batch must be > 0".into()));
+/// The options `dssj join`, `bistream` and `cluster` share, parsed once into
+/// the [`JoinSpec`] every engine runs. The commands differ only in the
+/// defaults they pass (`k`, and the cluster's batched data path) and in
+/// refusing shedding on two streams.
+fn join_spec(
+    args: &Args,
+    k: usize,
+    dispatch_batch: Option<usize>,
+    bistream: bool,
+) -> Result<JoinSpec, ArgError> {
+    if bistream {
+        args.forbid(
+            "shed-watermark",
+            "cannot be combined with bistream input (shed accounting is only \
+             defined for self-joins)",
+        )?;
     }
-    Ok(batch)
-}
-
-fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, ArgError> {
-    args.forbid(
-        "chaos-seed",
-        "link chaos is a cluster feature: use `dssj cluster --chaos-seed`",
-    )?;
-    let k: usize = args.get_or("k", 4)?;
-    let scheduler = match parse_opt::<u64>(args, "sim")? {
-        // Deterministic replay: the whole topology runs on the virtual
-        // clock, so wall-clock pacing is meaningless there.
-        Some(seed) => {
-            args.forbid(
-                "source-rate",
-                "paces the source on the wall clock and cannot run under --sim",
-            )?;
-            Scheduler::Sim(SimConfig::seeded(seed))
-        }
-        None => Scheduler::Threads,
-    };
     args.require_with("checkpoint-interval", "checkpoint-dir")?;
+    args.require_with("verify-restore", "restore-from")?;
     let checkpoint = match args.get("checkpoint-dir") {
         Some(dir) => {
             let interval: u64 = args.get_or("checkpoint-interval", 1000)?;
@@ -154,54 +138,57 @@ fn dist_config(args: &Args, join: JoinConfig) -> Result<DistributedJoinConfig, A
         ) as _),
         None => None,
     };
-    let dispatch_batch = dispatch_batch(args)?;
-    Ok(DistributedJoinConfig {
-        k,
-        join,
+    let batch = parse_opt(args, "dispatch-batch")?;
+    if batch == Some(0) {
+        return Err(ArgError("--dispatch-batch must be > 0".into()));
+    }
+    Ok(JoinSpec {
         local: local_algo(args)?,
-        strategy: Strategy::LengthAuto {
-            method: PartitionMethod::LoadAware,
-            sample: 10_000,
-        },
-        channel_capacity: 1024,
-        source_rate: parse_opt(args, "source-rate")?,
-        fault: None,
-        // Degraded mode: shed whole records above this queue depth.
+        // Degraded mode: shed whole records above this backlog.
         shed_watermark: parse_opt(args, "shed-watermark")?,
         checkpoint,
         restore_from,
-        // Batch dispatcher emits to amortize per-message channel overhead;
-        // results are identical either way.
-        dispatch_batch,
-        scheduler,
-        // Tracing is observation-only: under --sim the same seed renders a
-        // byte-identical trace, and leaving both flags off keeps the hot
-        // path instrumentation-free.
-        trace: if args.has("trace-out") || args.has("chrome-out") {
-            Some(ssj_distrib::TraceConfig::default())
-        } else {
-            None
-        },
+        dispatch_batch: batch.or(dispatch_batch),
+        ..JoinSpec::recommended(args.get_or("k", k)?, join_config(args)?)
     })
 }
 
-/// Writes whichever observability exports were requested: a JSONL span
-/// trace (`--trace-out`), a chrome://tracing timeline (`--chrome-out`),
-/// and a Prometheus text-format metrics snapshot (`--metrics-out`).
-fn write_exports(args: &Args, out: &ssj_distrib::DistributedJoinResult) -> CliResult {
-    if let Some(path) = args.get("trace-out") {
-        let trace = out.trace.as_ref().expect("tracing enabled by --trace-out");
-        std::fs::write(path, obs::trace_jsonl(trace))?;
-        println!("trace       : {} spans -> {path}", trace.len());
+/// The observability exports of a topology run: a JSONL span trace
+/// (`--trace-out`), a chrome://tracing timeline (`--chrome-out`) and a
+/// Prometheus text-format metrics snapshot (`--metrics-out`).
+struct Exports<'a> {
+    trace: Option<&'a str>,
+    chrome: Option<&'a str>,
+    metrics: Option<&'a str>,
+}
+
+impl<'a> Exports<'a> {
+    fn parse(args: &'a Args) -> Self {
+        Self {
+            trace: args.get("trace-out"),
+            chrome: args.get("chrome-out"),
+            metrics: args.get("metrics-out"),
+        }
     }
-    if let Some(path) = args.get("chrome-out") {
-        let trace = out.trace.as_ref().expect("tracing enabled by --chrome-out");
-        std::fs::write(path, obs::trace_chrome(trace))?;
-        println!("chrome trace: {} spans -> {path}", trace.len());
+
+    fn write(&self, out: &ssj_distrib::DistributedJoinResult) -> CliResult {
+        if let Some(path) = self.trace {
+            let trace = out.trace.as_ref().expect("tracing enabled by --trace-out");
+            std::fs::write(path, obs::trace_jsonl(trace))?;
+            println!("trace       : {} spans -> {path}", trace.len());
+        }
+        if let Some(path) = self.chrome {
+            let trace = out.trace.as_ref().expect("tracing enabled by --chrome-out");
+            std::fs::write(path, obs::trace_chrome(trace))?;
+            println!("chrome trace: {} spans -> {path}", trace.len());
+        }
+        write_metrics(self.metrics, &out.report.metrics_snapshot())
     }
-    if let Some(path) = args.get("metrics-out") {
-        let snap = out.report.metrics_snapshot();
-        std::fs::write(path, obs::prometheus(&snap))?;
+}
+
+fn write_metrics(path: Option<&str>, snap: &obs::MetricsSnapshot) -> CliResult {
+    if let Some(path) = path {
+        std::fs::write(path, obs::prometheus(snap))?;
         println!("metrics     : {} series -> {path}", snap.samples.len());
     }
     Ok(())
@@ -213,7 +200,6 @@ fn write_exports(args: &Args, out: &ssj_distrib::DistributedJoinResult) -> CliRe
 /// would silently recompute from scratch, which an operator asking for
 /// verification presumably wants to know about instead.
 fn verify_restore(args: &Args) -> CliResult {
-    args.require_with("verify-restore", "restore-from")?;
     if !args.has("verify-restore") {
         return Ok(());
     }
@@ -228,6 +214,36 @@ fn verify_restore(args: &Args) -> CliResult {
         ))));
     }
     Ok(())
+}
+
+/// What a join command joins: one file with itself, or two files against
+/// each other under one shared dictionary.
+enum Inputs<'a> {
+    One(&'a str),
+    Two(&'a str, &'a str),
+}
+
+/// Prints the `show` most similar pairs of a self-join (by line number), or
+/// the first `show` of a bi-stream join (by record id).
+fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) {
+    if bistream {
+        for m in pairs.iter().take(show) {
+            println!("{:.3}  {:?} <-> {:?}", m.similarity, m.earlier, m.later);
+        }
+        return;
+    }
+    let mut pairs = pairs.to_vec();
+    pairs.sort_by(|a, b| {
+        b.similarity
+            .total_cmp(&a.similarity)
+            .then(a.key().cmp(&b.key()))
+    });
+    for m in pairs.iter().take(show) {
+        println!(
+            "{:.3}  line {} <-> line {}",
+            m.similarity, m.earlier.0, m.later.0
+        );
+    }
 }
 
 /// One summary line for corruption the run detected and survived —
@@ -247,7 +263,7 @@ fn print_integrity(integrity: &ssj_distrib::IntegrityReport) {
     );
 }
 
-fn print_summary(out: &ssj_distrib::DistributedJoinResult) {
+fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) {
     println!("records     : {}", out.records);
     println!("pairs       : {}", out.pairs.len());
     println!("throughput  : {:.0} records/s", out.throughput());
@@ -281,18 +297,7 @@ fn print_summary(out: &ssj_distrib::DistributedJoinResult) {
         println!("restored    : resumed from checkpoint cut at record id {cut}");
     }
     print_integrity(&out.report.integrity);
-}
-
-/// `dssj join` — self-join one file of line-documents.
-pub fn join(args: &Args) -> CliResult {
-    verify_restore(args)?;
-    let corpus = load(args.required("input")?, args)?;
-    let join = join_config(args)?;
-    let cfg = dist_config(args, join)?;
-    let out = run_distributed(corpus.records(), &cfg);
-    print_summary(&out);
-    write_exports(args, &out)?;
-    if args.flag("verbose") {
+    if verbose {
         for j in &out.joiners {
             let s = &j.stats;
             println!(
@@ -308,45 +313,59 @@ pub fn join(args: &Args) -> CliResult {
             );
         }
     }
-    let show: usize = args.get_or("show-pairs", 10)?;
-    let mut pairs = out.pairs.clone();
-    pairs.sort_by(|a, b| {
-        b.similarity
-            .total_cmp(&a.similarity)
-            .then(a.key().cmp(&b.key()))
-    });
-    for m in pairs.iter().take(show) {
-        println!(
-            "{:.3}  line {} <-> line {}",
-            m.similarity, m.earlier.0, m.later.0
-        );
-    }
-    Ok(())
 }
 
-/// `dssj bistream` — join two files against each other.
-pub fn bistream(args: &Args) -> CliResult {
-    // Shed-adjusted recall accounting is only defined for the self-join
-    // oracle; reject here instead of producing silently meaningless output.
+/// `dssj join` (one `--input` file joined with itself) and `dssj bistream`
+/// (`--left` joined against `--right`): the join on the stormlite
+/// topology, on threads or under `--sim`.
+pub fn join(args: &Args, bistream: bool) -> CliResult {
+    let inputs = if bistream {
+        Inputs::Two(args.required("left")?, args.required("right")?)
+    } else {
+        Inputs::One(args.required("input")?)
+    };
+    let qgram = qgram(args)?;
     args.forbid(
-        "shed-watermark",
-        "cannot be combined with bistream input (shed accounting is only \
-         defined for self-joins)",
+        "chaos-seed",
+        "link chaos is a cluster feature: use `dssj cluster --chaos-seed`",
     )?;
-    verify_restore(args)?;
-    // Token ids must come from one shared dictionary and record ids must be
-    // globally unique, so both files are tokenized together.
-    let (left_records, right_records) =
-        tokenize_together(args.required("left")?, args.required("right")?, args)?;
-    let join = join_config(args)?;
-    let cfg = dist_config(args, join)?;
-    let out = run_bistream_distributed(&left_records, &right_records, &cfg);
-    print_summary(&out);
-    write_exports(args, &out)?;
+    let scheduler = match parse_opt::<u64>(args, "sim")? {
+        // Deterministic replay: the whole topology runs on the virtual
+        // clock, so wall-clock pacing is meaningless there.
+        Some(seed) => {
+            args.forbid(
+                "source-rate",
+                "paces the source on the wall clock and cannot run under --sim",
+            )?;
+            Scheduler::Sim(SimConfig::seeded(seed))
+        }
+        None => Scheduler::Threads,
+    };
+    let exports = Exports::parse(args);
+    let cfg = DistributedJoinConfig {
+        source_rate: parse_opt(args, "source-rate")?,
+        scheduler,
+        // Tracing is observation-only: under --sim the same seed renders a
+        // byte-identical trace, and leaving both flags off keeps the hot
+        // path instrumentation-free.
+        trace: (exports.trace.is_some() || exports.chrome.is_some()).then(TraceConfig::default),
+        ..DistributedJoinConfig::new(join_spec(args, 4, None, bistream)?)
+    };
+    let verbose = args.flag("verbose");
     let show: usize = args.get_or("show-pairs", 10)?;
-    for m in out.pairs.iter().take(show) {
-        println!("{:.3}  {:?} <-> {:?}", m.similarity, m.earlier, m.later);
-    }
+    args.reject_unread(if bistream { "bistream" } else { "join" })?;
+
+    verify_restore(args)?;
+    let out = match inputs {
+        Inputs::One(path) => run_distributed(load(path, qgram)?.records(), &cfg),
+        Inputs::Two(left, right) => {
+            let (left, right) = tokenize_together(left, right, qgram)?;
+            run_bistream_distributed(&left, &right, &cfg)
+        }
+    };
+    print_summary(&out, verbose);
+    exports.write(&out)?;
+    print_pairs(&out.pairs, bistream, show);
     Ok(())
 }
 
@@ -357,7 +376,7 @@ pub fn bistream(args: &Args) -> CliResult {
 fn tokenize_together(
     left_path: &str,
     right_path: &str,
-    args: &Args,
+    qgram: Option<usize>,
 ) -> Result<(Vec<Record>, Vec<Record>), Box<dyn Error>> {
     use ssj_text::{CorpusBuilder, Tokenizer};
     fn build<T: Tokenizer>(
@@ -384,13 +403,8 @@ fn tokenize_together(
         }
         Ok((builder.build().into_records(), n_left))
     }
-    let (records, n_left) = match args.get("qgram") {
-        Some(q) => {
-            let q: usize = q
-                .parse()
-                .map_err(|_| ArgError(format!("--qgram: cannot parse '{q}'")))?;
-            build(left_path, right_path, QGramTokenizer::new(q))?
-        }
+    let (records, n_left) = match qgram {
+        Some(q) => build(left_path, right_path, QGramTokenizer::new(q))?,
         None => build(left_path, right_path, WordTokenizer::default())?,
     };
     let left = records[..n_left].to_vec();
@@ -447,16 +461,14 @@ fn parse_outages(
     Ok(())
 }
 
-fn cluster_config(
-    args: &Args,
-    join: JoinConfig,
-    bistream: bool,
-) -> Result<ClusterConfig, ArgError> {
-    let k: usize = args.get_or("k", 2)?;
+fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError> {
+    let spec = join_spec(args, 2, Some(BATCH_MAX_FRAMES), bistream)?;
+    let k = spec.k;
+    let node_bin = args.get("node-bin");
     let backend = match args.get("backend").unwrap_or("tcp") {
         "inprocess" | "in-process" => ClusterBackend::InProcess,
         "tcp" => {
-            let node_bin = match args.get("node-bin") {
+            let node_bin = match node_bin {
                 Some(p) => std::path::PathBuf::from(p),
                 // Default: the ssj-node binary installed next to dssj.
                 None => std::env::current_exe()
@@ -477,36 +489,8 @@ fn cluster_config(
         }
         other => return Err(ArgError(format!("--backend: unknown backend '{other}'"))),
     };
-    if bistream {
-        args.forbid(
-            "shed-watermark",
-            "cannot be combined with bistream input (shed accounting is only \
-             defined for self-joins)",
-        )?;
-    }
-    args.require_with("checkpoint-interval", "checkpoint-dir")?;
     args.require_with("kill-after", "kill-task")?;
     args.require_with("kill-task", "kill-after")?;
-    let checkpoint = match args.get("checkpoint-dir") {
-        Some(dir) => {
-            let interval: u64 = args.get_or("checkpoint-interval", 1000)?;
-            if interval == 0 {
-                return Err(ArgError("--checkpoint-interval must be > 0".into()));
-            }
-            Some(
-                CheckpointConfig::in_dir(interval, Path::new(dir))
-                    .map_err(|e| ArgError(format!("--checkpoint-dir {dir}: {e}")))?,
-            )
-        }
-        None => None,
-    };
-    let restore_from = match args.get("restore-from") {
-        Some(dir) => Some(Arc::new(
-            FileStore::open(Path::new(dir))
-                .map_err(|e| ArgError(format!("--restore-from {dir}: {e}")))?,
-        ) as _),
-        None => None,
-    };
     let fault = match (
         parse_opt::<usize>(args, "kill-task")?,
         parse_opt::<u64>(args, "kill-after")?,
@@ -519,15 +503,8 @@ fn cluster_config(
         }
         _ => None,
     };
-    let mut cfg = ClusterConfig::recommended(k, join, backend);
-    cfg.local = local_algo(args)?;
+    let mut cfg = ClusterConfig::new(spec, backend);
     cfg.chaos_seed = parse_opt(args, "chaos-seed")?;
-    cfg.shed_watermark = parse_opt(args, "shed-watermark")?;
-    if let Some(batch) = dispatch_batch(args)? {
-        cfg.dispatch_batch = Some(batch);
-    }
-    cfg.checkpoint = checkpoint;
-    cfg.restore_from = restore_from;
     cfg.fault = fault;
     cfg.logical_time = args.flag("logical-time");
 
@@ -679,49 +656,35 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
     print_integrity(&out.integrity);
 }
 
-/// Writes the cluster's Prometheus metrics snapshot when `--metrics-out`
-/// was given — liveness gauges, suspect/respawn/fence counters and the
-/// detection-latency histogram included.
-fn write_cluster_metrics(args: &Args, out: &ssj_distrib::ClusterResult) -> CliResult {
-    if let Some(path) = args.get("metrics-out") {
-        let snap = out.metrics_snapshot();
-        std::fs::write(path, obs::prometheus(&snap))?;
-        println!("metrics     : {} series -> {path}", snap.samples.len());
-    }
-    Ok(())
-}
-
 /// `dssj cluster` — run the join on k joiner processes over localhost
 /// TCP (or in-process threads behind the same protocol).
 pub fn cluster(args: &Args) -> CliResult {
-    verify_restore(args)?;
-    let join = join_config(args)?;
-    if args.has("left") || args.has("right") {
+    let bistream = args.has("left") || args.has("right");
+    let inputs = if bistream {
         args.forbid("input", "give either --input or --left/--right, not both")?;
-        let (left, right) =
-            tokenize_together(args.required("left")?, args.required("right")?, args)?;
-        let cfg = cluster_config(args, join, true)?;
-        let out = run_cluster_bistream(&left, &right, &cfg);
-        print_cluster_summary(&out, &cfg.backend);
-        write_cluster_metrics(args, &out)?;
-        let show: usize = args.get_or("show-pairs", 10)?;
-        for m in out.sorted_pairs().iter().take(show) {
-            println!("{:.3}  {:?} <-> {:?}", m.similarity, m.earlier, m.later);
-        }
-        return Ok(());
-    }
-    let corpus = load(args.required("input")?, args)?;
-    let cfg = cluster_config(args, join, false)?;
-    let out = run_cluster(corpus.records(), &cfg);
-    print_cluster_summary(&out, &cfg.backend);
-    write_cluster_metrics(args, &out)?;
+        Inputs::Two(args.required("left")?, args.required("right")?)
+    } else {
+        Inputs::One(args.required("input")?)
+    };
+    let qgram = qgram(args)?;
+    let cfg = cluster_config(args, bistream)?;
+    // The cluster's metrics snapshot includes liveness gauges,
+    // suspect/respawn/fence counters and the detection-latency histogram.
+    let metrics = args.get("metrics-out");
     let show: usize = args.get_or("show-pairs", 10)?;
-    for m in out.sorted_pairs().iter().take(show) {
-        println!(
-            "{:.3}  line {} <-> line {}",
-            m.similarity, m.earlier.0, m.later.0
-        );
-    }
+    args.reject_unread("cluster")?;
+
+    verify_restore(args)?;
+    let out = match inputs {
+        Inputs::One(path) => run_cluster(load(path, qgram)?.records(), &cfg),
+        Inputs::Two(left, right) => {
+            let (left, right) = tokenize_together(left, right, qgram)?;
+            run_cluster_bistream(&left, &right, &cfg)
+        }
+    };
+    print_cluster_summary(&out, &cfg.backend);
+    write_metrics(metrics, &out.metrics_snapshot())?;
+    print_pairs(&out.sorted_pairs(), bistream, show);
     Ok(())
 }
 
@@ -733,6 +696,7 @@ pub fn generate(args: &Args) -> CliResult {
     let n: usize = args.get_or("n", 10_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let out_path = args.required("out")?;
+    args.reject_unread("generate")?;
     let records = StreamGenerator::new(profile, seed).take_records(n);
     let mut file = std::io::BufWriter::new(std::fs::File::create(out_path)?);
     for r in &records {
@@ -753,9 +717,12 @@ pub fn generate(args: &Args) -> CliResult {
 
 /// `dssj partition` — show the load-aware partition plan for a corpus.
 pub fn partition(args: &Args) -> CliResult {
-    let corpus = load(args.required("input")?, args)?;
+    let input = args.required("input")?;
+    let qgram = qgram(args)?;
     let tau: f64 = args.get_or("tau", 0.8)?;
     let k: usize = args.get_or("k", 8)?;
+    args.reject_unread("partition")?;
+    let corpus = load(input, qgram)?;
     let hist = LengthHistogram::from_records(corpus.records());
     if hist.is_empty() {
         return Err(Box::new(ArgError("input has no records".into())));
@@ -788,6 +755,7 @@ pub fn partition(args: &Args) -> CliResult {
 /// a restore in a script.
 pub fn scrub(args: &Args) -> CliResult {
     let dir = args.required("dir")?;
+    args.reject_unread("scrub")?;
     let store =
         FileStore::open(Path::new(dir)).map_err(|e| ArgError(format!("scrub {dir}: {e}")))?;
     let report = ssj_distrib::scrub(&store)?;

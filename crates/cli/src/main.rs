@@ -1,16 +1,16 @@
 //! `dssj` — the command-line interface.
 //!
 //! ```text
-//! dssj join      --input FILE [--tau T] [--algo bundle|ppjoin|allpairs]
-//!                [--qgram Q] [--window N] [--k K] [--show-pairs N]
-//!                [--sim SEED] [--source-rate R] [--checkpoint-dir DIR]
-//!                [--checkpoint-interval N] [--restore-from DIR]
-//! dssj bistream  --left FILE --right FILE [--tau T] [--algo ...] [--k K]
+//! dssj join      --input FILE [--tau T] [--k K] [...]
+//! dssj bistream  --left FILE --right FILE [--tau T] [--k K] [...]
 //! dssj cluster   --input FILE [--k K] [--backend tcp|inprocess] [...]
 //! dssj generate  --profile aol|dblp|enron|tweet --n N --out FILE [--seed S]
 //! dssj partition --input FILE [--tau T] [--k K]
 //! dssj scrub     DIR
 //! ```
+//!
+//! `dssj` with no command prints every option; each command refuses an
+//! option it does not read.
 
 mod args;
 mod commands;
@@ -37,8 +37,8 @@ fn main() -> ExitCode {
         }
     };
     let result = match command.as_str() {
-        "join" => commands::join(&parsed),
-        "bistream" => commands::bistream(&parsed),
+        "join" => commands::join(&parsed, false),
+        "bistream" => commands::join(&parsed, true),
         "cluster" => commands::cluster(&parsed),
         "generate" => commands::generate(&parsed),
         "partition" => commands::partition(&parsed),

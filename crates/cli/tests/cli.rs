@@ -268,6 +268,97 @@ fn bad_chaos_seed_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("chaos-seed"));
 }
 
+/// Runs `dssj` on a whitespace-separated command line.
+fn dssj_line(line: &str) -> Output {
+    dssj(&line.split_whitespace().collect::<Vec<_>>())
+}
+
+/// A flag the command never reads stops it before the run, naming the
+/// flag and the command — a misspelt one, or one only another command
+/// reads — instead of running as if it had not been given.
+#[test]
+fn an_option_the_command_does_not_read_is_refused() {
+    let input = write_temp("unread.txt", DOCS);
+    let input = input.to_str().unwrap();
+    for (line, refused) in [
+        (
+            "join --input {in} --kill-task 0 --kill-after 5",
+            "--kill-after: not an option of dssj join",
+        ),
+        (
+            "join --input {in} --windw 100",
+            "--windw: not an option of dssj join",
+        ),
+        (
+            "bistream --left {in} --right {in} --backend tcp",
+            "--backend: not an option of dssj bistream",
+        ),
+        (
+            "cluster --input {in} --backend inprocess --sim 3",
+            "--sim: not an option of dssj cluster",
+        ),
+        (
+            "cluster --input {in} --backend inprocess --verbose",
+            "--verbose: not an option of dssj cluster",
+        ),
+        (
+            "partition --input {in} --window 9",
+            "--window: not an option of dssj partition",
+        ),
+    ] {
+        let out = dssj_line(&line.replace("{in}", input));
+        assert!(!out.status.success(), "{line}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(refused), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} ran before refusing");
+    }
+    // Every option a usage line lists is one its command reads.
+    let dir = std::env::temp_dir().join("dssj-cli-tests/unread");
+    let _ = std::fs::remove_dir_all(&dir);
+    for line in [
+        "join --input {in} --qgram 3 --tau 0.6 --window 50 --algo ppjoin --k 2 --show-pairs 1 \
+         --verbose --shed-watermark 64 --dispatch-batch 4 --checkpoint-dir {dir}/ckpt \
+         --checkpoint-interval 2 --sim 1 --trace-out {dir}/trace",
+        "join --input {in} --k 2 --restore-from {dir}/ckpt --verify-restore \
+         --chrome-out {dir}/chrome --metrics-out {dir}/metrics",
+        "bistream --left {in} --right {in} --verbose --dispatch-batch 4 --source-rate 1000000",
+        "cluster --input {in} --backend inprocess --node-bin /none --window 50 --qgram 3 \
+         --chaos-seed 1 --logical-time --retry-max-ms 640 --heartbeat-interval 25 \
+         --suspect-after 250",
+    ] {
+        let out = dssj_line(
+            &line
+                .replace("{in}", input)
+                .replace("{dir}", dir.to_str().unwrap()),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{line}: {stderr}");
+    }
+}
+
+/// `dssj join` and `dssj cluster` parse the join they share with one
+/// parser, so they refuse a bad option of it in the same words.
+#[test]
+fn join_and_cluster_refuse_a_bad_join_option_alike() {
+    let input = write_temp("spec.txt", DOCS);
+    let dir = std::env::temp_dir().join("dssj-cli-tests/spec-ckpt");
+    for bad in [
+        "--checkpoint-interval 5".to_owned(),
+        format!("--checkpoint-dir {} --checkpoint-interval 0", dir.display()),
+        "--dispatch-batch 0".to_owned(),
+        "--algo nope".to_owned(),
+    ] {
+        let refusal = |command: &str| {
+            let out = dssj_line(&format!("{command} --input {} {bad}", input.display()));
+            assert!(!out.status.success(), "{command} {bad}");
+            String::from_utf8_lossy(&out.stderr).into_owned()
+        };
+        let join = refusal("join");
+        assert!(join.starts_with("error: --"), "{bad}: {join}");
+        assert_eq!(join, refusal("cluster --backend inprocess"), "{bad}");
+    }
+}
+
 #[test]
 fn scrub_passes_clean_checkpoints_and_flags_bit_rot() {
     let input = write_temp("scrub_input.txt", DOCS);

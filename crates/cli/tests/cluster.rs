@@ -528,7 +528,7 @@ fn tcp_clean_run_coalesces_frames_and_never_retransmits() {
         let run = |backend: ClusterBackend, batch: Option<usize>| {
             let mut cfg = cluster_config_for(59, &case, backend);
             cfg.logical_time = true;
-            cfg.dispatch_batch = batch;
+            cfg.spec.dispatch_batch = batch;
             ssj_distrib::run_cluster(&records, &cfg)
         };
         let tcp = run(tcp_backend(), None);
@@ -637,7 +637,7 @@ fn tcp_sparse_links_never_retransmit_unwritten_frames() {
 
         let join = JoinConfig::jaccard(0.7).with_window(Window::Count(200));
         let mut cfg = ClusterConfig::recommended(3, join, tcp_backend());
-        cfg.strategy = Strategy::Length(LengthPartition::from_uppers(vec![20, 60, 120]));
+        cfg.spec.strategy = Strategy::Length(LengthPartition::from_uppers(vec![20, 60, 120]));
         let out = ssj_distrib::run_cluster(&records, &cfg);
 
         let handled: Vec<u64> = out.joiners.iter().map(|j| j.stats.probed).collect();
@@ -675,8 +675,8 @@ fn tcp_a_low_shed_watermark_keeps_its_links_written() {
         let records = testkit::differential_records(59, 60_000);
         for batch in [None, Some(ssj_distrib::BATCH_MAX_FRAMES)] {
             let mut cfg = ClusterConfig::recommended(3, JoinConfig::jaccard(0.7), tcp_backend());
-            cfg.dispatch_batch = batch;
-            cfg.shed_watermark = Some(4);
+            cfg.spec.dispatch_batch = batch;
+            cfg.spec.shed_watermark = Some(4);
             let out = ssj_distrib::run_cluster(&records, &cfg);
             let shed: std::collections::HashSet<u64> = out.shed_records.iter().copied().collect();
             let late = records[30_000..]

@@ -21,7 +21,7 @@
 //!
 //! A `Data{seq, msg}` frame is one sequenced unit with a per-connection
 //! sequence number. It carries either one routed [`JoinMsg`] or, with
-//! [`ClusterConfig::dispatch_batch`] set, one [`JoinMsg::Batch`] of up to
+//! [`JoinSpec::dispatch_batch`] set, one [`JoinMsg::Batch`] of up to
 //! that many record-bearing messages for this wire in dispatch order —
 //! encoded once, sealed with one CRC, tracked by one `unacked` entry and
 //! one retransmit timer. Barriers always travel alone: the dispatcher
@@ -150,25 +150,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{Event, LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
-use ssj_core::join::bistream::merge_streams;
 use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::{FxHashSet, Record};
 use stormlite::{
-    ChaosLink, ChaosWindow, CloseReason, LinkFault, LinkOutage, RetryConfig, TcpWire, Timestamp,
-    Wire, WireEvent,
+    ChaosLink, ChaosWindow, CloseReason, IntegrityReport, LinkFault, LinkOutage, RetryConfig,
+    TcpWire, Timestamp, Wire, WireEvent,
 };
 
 use crate::bolts::JoinerSnapshot;
-use crate::checkpoint::{CheckpointConfig, CheckpointCoordinator, SnapshotStore};
-use crate::driver::{
-    build_recovery, build_router, lost_state, prepare_restore, DistributedJoinConfig, LocalAlgo,
-    Strategy,
-};
+use crate::checkpoint::CheckpointCoordinator;
+use crate::driver::{lost_state, Input, JoinSpec};
 use crate::msg::{JoinMsg, RecordMsg};
-use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
+use crate::operators::{DispatchPort, Dispatched, Joiner};
 use crate::recovery::RecoveryState;
-use crate::route::Router;
 use crate::wire::{encode_data, send_frame, Frame, NodeConfig, NodeReport, PROTO_VERSION};
 
 /// How joiner tasks are hosted.
@@ -297,17 +292,13 @@ impl ClusterOutage {
     }
 }
 
-/// Configuration of one cluster run.
+/// How the launcher runs a [`JoinSpec`]: with `k` nodes (= joiner tasks)
+/// behind sequenced at-least-once wires.
 #[derive(Clone)]
 pub struct ClusterConfig {
-    /// Number of joiner tasks (= nodes).
-    pub k: usize,
-    /// Similarity threshold and window.
-    pub join: JoinConfig,
-    /// Local join algorithm each node runs.
-    pub local: LocalAlgo,
-    /// Routing strategy (calibrated launcher-side; nodes only join).
-    pub strategy: Strategy,
+    /// The join to run; the launcher hosts its dispatcher (routing,
+    /// shedding, checkpoint coordination, restore) and sink.
+    pub spec: JoinSpec,
     /// Where joiners run.
     pub backend: ClusterBackend,
     /// Per-wire in-flight bound in sent-but-unacked messages (a batch
@@ -315,20 +306,9 @@ pub struct ClusterConfig {
     /// channel capacity. Half of it (or of a lower `shed_watermark`) is
     /// the write unit: messages framed on a link before it is written.
     pub channel_capacity: usize,
-    /// Frame up to this many messages per wire as one sequenced
-    /// [`JoinMsg::Batch`] — same meaning as
-    /// [`DistributedJoinConfig::dispatch_batch`]. `None` frames every
-    /// message on its own.
-    pub dispatch_batch: Option<usize>,
     /// Seeded link chaos on every launcher→joiner wire (drops, dups,
     /// delays — masked by the at-least-once protocol).
     pub chaos_seed: Option<u64>,
-    /// Shed whole records when a target wire's backlog reaches this.
-    pub shed_watermark: Option<usize>,
-    /// Barrier-driven checkpointing, coordinated by the launcher.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Resume from the latest complete checkpoint in this store.
-    pub restore_from: Option<Arc<dyn SnapshotStore>>,
     /// Supervised mid-run kill + restart of one node.
     pub fault: Option<ClusterFault>,
     /// Scripted stall/partition windows on individual wires.
@@ -345,22 +325,25 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Paper-default cluster setup, mirroring
-    /// [`DistributedJoinConfig::recommended`].
+    /// [`JoinSpec::recommended`] with its data path batched at
+    /// [`stormlite::BATCH_MAX_FRAMES`] messages per frame, on `backend`.
     pub fn recommended(k: usize, join: JoinConfig, backend: ClusterBackend) -> Self {
-        let base = DistributedJoinConfig::recommended(k, join);
+        let spec = JoinSpec {
+            dispatch_batch: Some(stormlite::BATCH_MAX_FRAMES),
+            ..JoinSpec::recommended(k, join)
+        };
+        Self::new(spec, backend)
+    }
+
+    /// Runs `spec` on `backend` with 256 messages in flight per wire, the
+    /// localhost retransmission backoff, and no chaos, faults, outages or
+    /// failure detector.
+    pub fn new(spec: JoinSpec, backend: ClusterBackend) -> Self {
         Self {
-            k,
-            join,
-            local: base.local,
-            strategy: base.strategy,
+            spec,
             backend,
             channel_capacity: 256,
-            dispatch_batch: Some(stormlite::BATCH_MAX_FRAMES),
             chaos_seed: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
             fault: None,
             outages: Vec::new(),
             health: None,
@@ -398,10 +381,6 @@ pub struct HealthReport {
     pub clean_closes: u64,
     /// Wires that died with an I/O error or mid-frame truncation.
     pub error_closes: u64,
-    /// Inbound frames rejected as corrupt (checksum mismatch, undecodable
-    /// body, or a protocol-violating frame kind) — each one poisons its
-    /// incarnation and triggers recovery instead of a panic.
-    pub corrupt_frames: u64,
     /// Snapshot frames whose window payload failed to decode; the epoch
     /// publication is refused and the node recovered.
     pub corrupt_snapshots: u64,
@@ -434,7 +413,7 @@ pub struct ClusterResult {
     pub routed_messages: u64,
     /// Sequenced `Data` frames those messages first left in, summed over
     /// the wires; `routed_messages / data_frames` is what
-    /// [`ClusterConfig::dispatch_batch`] amortised.
+    /// [`JoinSpec::dispatch_batch`] amortised.
     pub data_frames: u64,
     /// Frames the launcher queued on its wires, every kind and every
     /// incarnation (0 on the in-process backend, which does not batch).
@@ -458,10 +437,12 @@ pub struct ClusterResult {
     /// Wall-clock suspect/recover/fence span events, in occurrence order
     /// (`a` = task, `b` = stage-specific operand; see [`obs::Stage`]).
     pub health_events: Vec<Event>,
-    /// End-to-end integrity counters: wire-frame rejections (mirroring
-    /// [`HealthReport::corrupt_frames`]) plus storage-side quarantines and
+    /// End-to-end integrity counters: inbound frames rejected as corrupt
+    /// (checksum mismatch, undecodable body, or a protocol-violating frame
+    /// kind — each one poisons its incarnation and triggers recovery
+    /// instead of a panic), plus storage-side quarantines and
     /// verified-restore fallbacks.
-    pub integrity: stormlite::IntegrityReport,
+    pub integrity: IntegrityReport,
 }
 
 impl ClusterResult {
@@ -568,7 +549,7 @@ impl ClusterResult {
             (
                 "dssj_cluster_corrupt_frames_total",
                 "Inbound frames rejected as corrupt",
-                self.health.corrupt_frames,
+                self.integrity.corrupt_frames,
             ),
             (
                 "dssj_cluster_corrupt_snapshots_total",
@@ -650,11 +631,7 @@ impl ClusterResult {
 
 /// Runs a self-join on a cluster and reports the joined output.
 pub fn run_cluster(records: &[Record], cfg: &ClusterConfig) -> ClusterResult {
-    let source: Vec<JoinMsg> = records
-        .iter()
-        .map(|r| JoinMsg::Probe(RecordMsg::solo(r.clone(), Timestamp::ZERO)))
-        .collect();
-    Launcher::new(records, false, cfg).run(source)
+    Launcher::new(cfg).run(Input::SelfJoin(records))
 }
 
 /// Runs a bi-stream (R–S) join on a cluster: the two streams are merged
@@ -665,19 +642,7 @@ pub fn run_cluster_bistream(
     right: &[Record],
     cfg: &ClusterConfig,
 ) -> ClusterResult {
-    let merged = merge_streams(left, right);
-    let arrival: Vec<Record> = merged.iter().map(|(_, r)| r.clone()).collect();
-    let source: Vec<JoinMsg> = merged
-        .into_iter()
-        .map(|(side, record)| {
-            JoinMsg::Probe(RecordMsg {
-                record,
-                ingest: Timestamp::ZERO,
-                side: Some(side),
-            })
-        })
-        .collect();
-    Launcher::new(&arrival, true, cfg).run(source)
+    Launcher::new(cfg).run(Input::Bistream(left, right))
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,8 +1039,6 @@ impl RunClock {
 struct Launcher<'a> {
     cfg: &'a ClusterConfig,
     bistream: bool,
-    /// The stream in arrival order, for partition calibration.
-    arrival: &'a [Record],
     needs_dedup: bool,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
@@ -1110,6 +1073,8 @@ struct Launcher<'a> {
     hb_nonce: u64,
     health_report: HealthReport,
     health_events: Vec<Event>,
+    /// Wire-frame rejections so far; storage-side counters join at the end.
+    integrity: IntegrityReport,
     /// Records shed by fencing (retroactive in-flight sheds included):
     /// the sink filters every past and future pair against this set so a
     /// fenced run reports exactly the surviving-record join.
@@ -1118,16 +1083,14 @@ struct Launcher<'a> {
 }
 
 impl<'a> Launcher<'a> {
-    fn new(arrival: &'a [Record], bistream: bool, cfg: &'a ClusterConfig) -> Self {
-        assert!(cfg.k >= 1, "need at least one joiner");
+    fn new(cfg: &'a ClusterConfig) -> Self {
         assert!(
             cfg.channel_capacity <= NODE_INBOUND_CAP,
             "a node refuses frames more than {NODE_INBOUND_CAP} ahead of its cursor"
         );
         Self {
             cfg,
-            bistream,
-            arrival,
+            bistream: false,
             needs_dedup: false,
             recovery: None,
             coordinator: None,
@@ -1156,6 +1119,7 @@ impl<'a> Launcher<'a> {
             hb_nonce: 0,
             health_report: HealthReport::default(),
             health_events: Vec::new(),
+            integrity: IntegrityReport::default(),
             shed_ids: FxHashSet::default(),
             any_fenced: false,
         }
@@ -1171,58 +1135,24 @@ impl<'a> Launcher<'a> {
             .min(u128::from(u64::MAX)) as u64
     }
 
-    fn run(mut self, source: Vec<JoinMsg>) -> ClusterResult {
+    fn run(mut self, input: Input<'_>) -> ClusterResult {
         let started = Instant::now();
-        let threshold = self.cfg.join.threshold;
-        let window = self.cfg.join.window;
-
-        // Restore path: identical source surgery to the in-process driver
-        // (drop covered records, prepend the window as index-only tuples,
-        // adopt the persisted partition).
-        let mut source = source;
-        let mut strategy = self.cfg.strategy.clone();
-        let mut restored_cut = None;
-        let mut prepended = 0;
-        let mut restore_integrity = stormlite::IntegrityReport::default();
-        if let Some(store) = &self.cfg.restore_from {
-            (restored_cut, prepended, restore_integrity) = prepare_restore(
-                &mut source,
-                &mut strategy,
-                store.as_ref(),
-                self.cfg.k,
-                self.bistream,
-            );
-        }
-        let n_records = source.len() - prepended;
-
-        let router = build_router(&strategy, threshold, self.cfg.k, self.arrival);
-        self.needs_dedup = router.needs_result_dedup();
-
+        let k = self.cfg.spec.k;
         // Anything that can kill a node needs the recovery machinery:
         // scripted faults, the liveness detector, or scripted outages
         // (which drive the detector into respawns).
         let can_lose_a_node =
             self.cfg.fault.is_some() || self.cfg.health.is_some() || !self.cfg.outages.is_empty();
-        (self.recovery, self.coordinator) = build_recovery(
-            self.cfg.k,
-            window,
-            can_lose_a_node,
-            self.cfg.checkpoint.as_ref(),
-        );
-        let mut dispatcher = Dispatcher::new(
-            router,
-            self.bistream,
-            self.recovery.clone(),
-            self.coordinator.clone(),
-            self.cfg.shed_watermark,
-            self.cfg.dispatch_batch,
-        );
+        let run = self.cfg.spec.assemble(input, can_lose_a_node);
+        (self.bistream, self.needs_dedup) = (run.bistream, run.needs_dedup);
+        (self.recovery, self.coordinator) = (run.recovery, run.coordinator);
+        let mut dispatcher = run.dispatcher;
 
         if matches!(self.cfg.backend, ClusterBackend::Tcp { .. }) {
             self.listener =
                 Some(stormlite::listen_loopback().expect("cannot bind a loopback listener"));
         }
-        for task in 0..self.cfg.k {
+        for task in 0..k {
             let (wire, proc_) = self.spawn_one(task);
             let outages: Vec<LinkOutage> = self
                 .cfg
@@ -1267,7 +1197,7 @@ impl<'a> Launcher<'a> {
         }
 
         // Dispatch the stream.
-        for (dispatched, msg) in source.into_iter().enumerate() {
+        for (dispatched, msg) in run.source.into_iter().enumerate() {
             self.record_started = Instant::now();
             let outcome = dispatcher.dispatch(&msg, &mut self);
             if outcome != Dispatched::Sent {
@@ -1281,7 +1211,7 @@ impl<'a> Launcher<'a> {
             }
             self.stages
                 .record(Stage::Dispatch, self.record_started.elapsed());
-            if self.cfg.shed_watermark.is_some() {
+            if self.cfg.spec.shed_watermark.is_some() {
                 // The watermark reads the in-flight count, which only
                 // falls when acks are taken off the wires: with shedding
                 // armed that cannot wait for the next framing point, or a
@@ -1314,7 +1244,7 @@ impl<'a> Launcher<'a> {
         // End of stream. Chaos-held (stalled/delayed) frames are released
         // first — all of them were already delivered via retransmission,
         // so the node just re-acks — then every node gets Eos and reports.
-        for task in 0..self.cfg.k {
+        for task in 0..k {
             if self.links[task].fenced {
                 continue;
             }
@@ -1368,18 +1298,15 @@ impl<'a> Launcher<'a> {
                 }
             }
         }
-        let mut integrity = restore_integrity;
-        if let Some(coordinator) = &self.coordinator {
-            integrity.merge(&coordinator.integrity());
-        }
-        integrity.corrupt_frames = self.health_report.corrupt_frames;
+        let storage = run.restored.integrity(self.coordinator.as_deref());
+        self.integrity.merge(&storage);
         ClusterResult {
             pairs: self.pairs,
             joiners,
-            records: n_records,
+            records: run.records,
             wall: started.elapsed(),
             shed_records: self.shed_log,
-            restored_cut,
+            restored_cut: run.restored.cut,
             dup_results_dropped: self.dup_results_dropped,
             retransmissions: self.retransmissions,
             routed_messages: self.routed_messages,
@@ -1395,18 +1322,19 @@ impl<'a> Launcher<'a> {
             wire_digests: self.cfg.logical_time.then_some(digests),
             health: self.health_report,
             health_events: self.health_events,
-            integrity,
+            integrity: self.integrity,
         }
     }
 
     fn node_config(&self, task: usize, resume_seq: u64) -> NodeConfig {
+        let spec = &self.cfg.spec;
         NodeConfig {
             task: task as u32,
-            k: self.cfg.k as u32,
-            sim: self.cfg.join.threshold.sim_fn(),
-            tau: self.cfg.join.threshold.tau(),
-            window: self.cfg.join.window,
-            algo: self.cfg.local,
+            k: spec.k as u32,
+            sim: spec.join.threshold.sim_fn(),
+            tau: spec.join.threshold.tau(),
+            window: spec.join.window,
+            algo: spec.local,
             bistream: self.bistream,
             dedup: self.needs_dedup,
             resume_seq,
@@ -1477,7 +1405,7 @@ impl<'a> Launcher<'a> {
         );
         self.transmit(task, frame, ChaosLink::transmit);
         let cap = self.cfg.channel_capacity;
-        let window = cap.min(self.cfg.shed_watermark.unwrap_or(cap));
+        let window = cap.min(self.cfg.spec.shed_watermark.unwrap_or(cap));
         if barrier || self.links[task].unwritten >= window.div_ceil(2) {
             let _ = self.write_link(task);
         }
@@ -1685,7 +1613,7 @@ impl<'a> Launcher<'a> {
     /// of an error close, never a panic. Always returns `false` so call
     /// sites can `return self.note_corrupt(..)`.
     fn note_corrupt(&mut self, task: usize, snapshot: bool) -> bool {
-        self.health_report.corrupt_frames += 1;
+        self.integrity.corrupt_frames += 1;
         if snapshot {
             self.health_report.corrupt_snapshots += 1;
         }
@@ -2256,6 +2184,7 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::LocalAlgo;
     use crate::recovery::ReplayEntry;
     use ssj_core::Window;
     use ssj_text::{RecordId, TokenId};
@@ -2280,13 +2209,14 @@ mod tests {
         ClusterConfig::recommended(k, JoinConfig::jaccard(0.7), ClusterBackend::InProcess)
     }
 
-    /// A launcher wired to `cfg.k` channel wires whose node ends the test
-    /// holds — the test plays every node. `chaos` goes on task 0's link.
+    /// A launcher wired to `cfg.spec.k` channel wires whose node ends the
+    /// test holds — the test plays every node. `chaos` goes on task 0's
+    /// link.
     fn launcher(cfg: &ClusterConfig, chaos: Option<ChaosLink>) -> (Launcher<'_>, Vec<ChannelWire>) {
-        let mut launcher = Launcher::new(&[], false, cfg);
+        let mut launcher = Launcher::new(cfg);
         let mut chaos = chaos;
         let mut nodes = Vec::new();
-        for _ in 0..cfg.k {
+        for _ in 0..cfg.spec.k {
             let (ours, theirs) = stormlite::channel_wire_pair(64);
             launcher.links.push(NodeLink::new(
                 Box::new(ours),
@@ -2543,7 +2473,7 @@ mod tests {
         // A watermark of 4 under the same capacity writes every 2
         // messages, so the backlog it sheds on is never mostly unwritten.
         let mut cfg = test_config(1);
-        cfg.shed_watermark = Some(4);
+        cfg.spec.shed_watermark = Some(4);
         let (mut l, _nodes) = launcher(&cfg, None);
         l.send(0, msg(0));
         assert_eq!(l.links[0].unwritten_from, 0);
@@ -2558,7 +2488,7 @@ mod tests {
         let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
         assert_eq!(read_hello(&mut wire).unwrap(), 0);
         let cfg = test_config(1);
-        let mut config = Launcher::new(&[], false, &cfg).node_config(0, 0);
+        let mut config = Launcher::new(&cfg).node_config(0, 0);
         config.algo = LocalAlgo::PpJoin;
         send_frame(&mut wire, &Frame::Config(config)).unwrap();
         for f in &frames {

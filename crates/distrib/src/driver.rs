@@ -12,10 +12,11 @@ use crate::recovery::RecoveryState;
 use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
 use obs::{RunTrace, StageProfile, TraceConfig, TraceSink};
 use parking_lot::Mutex;
+use ssj_core::join::bistream::merge_streams;
 use ssj_core::snapshot::SnapshotEntry;
 use ssj_core::{
     AllPairsJoiner, BundleConfig, BundleJoiner, JoinConfig, MatchPair, NaiveJoiner, PpJoinJoiner,
-    StreamJoiner, Threshold, Window,
+    StreamJoiner, Threshold,
 };
 use ssj_partition::{
     equal_depth, equal_width, load_aware, load_aware_greedy, CostModel, LengthHistogram,
@@ -24,8 +25,8 @@ use ssj_partition::{
 use ssj_text::Record;
 use std::sync::Arc;
 use stormlite::{
-    FaultPlan, Grouping, LatencyHistogram, RunReport, Scheduler, SimConfig, Timestamp, Topology,
-    Transcript,
+    FaultPlan, Grouping, IntegrityReport, LatencyHistogram, RunReport, Scheduler, SimConfig,
+    Timestamp, Topology, Transcript,
 };
 
 /// Which local join algorithm each joiner runs.
@@ -157,20 +158,92 @@ impl Strategy {
     }
 }
 
-/// Full configuration of a distributed run.
+/// The join a run computes, declared once for both engines: `k` joiners,
+/// routing and local algorithm, and what the dispatcher does besides
+/// routing. [`DistributedJoinConfig`] and [`crate::cluster::ClusterConfig`]
+/// embed one as `spec` and add only how their engine runs it, so one spec
+/// routes, sheds, cuts barriers and restores alike on both.
 #[derive(Debug, Clone)]
-pub struct DistributedJoinConfig {
+pub struct JoinSpec {
     /// Number of parallel joiners.
     pub k: usize,
     /// Threshold and window.
     pub join: JoinConfig,
     /// Local algorithm on each joiner.
     pub local: LocalAlgo,
-    /// Distribution strategy.
+    /// Distribution strategy, calibrated where the dispatcher runs (joiners
+    /// only join).
     pub strategy: Strategy,
+    /// Degraded mode: shed whole records at the dispatcher whenever any
+    /// target joiner's backlog (queued messages on the topology, unacked
+    /// ones on the cluster) reaches this. Shed ids are reported in the
+    /// result's `shed_records`, so recall loss is exactly accountable.
+    /// Self-joins only. `None` (the default) never sheds — backpressure
+    /// blocks the dispatcher instead.
+    pub shed_watermark: Option<usize>,
+    /// Epoch-based coordinated checkpointing: inject a barrier every
+    /// `interval` dispatched records, snapshot every joiner's window into
+    /// the configured [`SnapshotStore`], and truncate replay buffers as
+    /// epochs commit (see [`crate::checkpoint`]). `None` (the default)
+    /// never checkpoints.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Rebuild the pipeline's state (joiner windows, routing partition,
+    /// bistream sides) from the latest complete checkpoint in this store
+    /// before streaming: source records the checkpoint already covers are
+    /// skipped, the checkpointed window is re-dispatched index-only, and a
+    /// persisted length partition overrides the configured strategy.
+    /// `None` (the default) starts empty.
+    pub restore_from: Option<Arc<dyn SnapshotStore>>,
+    /// Batch the data path: the dispatcher ships up to this many messages
+    /// per joiner wire as one [`crate::msg::JoinMsg::Batch`] (one engine
+    /// tuple, or one sequenced `Data` frame), and a joiner answers each with
+    /// at most one batch of results, sent when the inbound batch ends. An
+    /// unpaced topology source also hands the dispatcher this many records
+    /// per message; a paced one ([`DistributedJoinConfig::source_rate`])
+    /// keeps one per record, not to hold a due record back.
+    ///
+    /// Batches unpack in order through the per-message path — the
+    /// dispatcher stamps, sheds, buffers for replay and opens epochs record
+    /// by record, so a barrier falls at the interval's exact record and
+    /// travels alone — and flush before every barrier and at stream end.
+    /// Results, recovery and checkpoints match unbatched runs; a topology
+    /// batch is one `Execute` span, advances the replay watermark once, and
+    /// a panic inside it drops it whole. `None` and `Some(1)` send messages
+    /// singly; of the `recommended` configurations only
+    /// [`crate::cluster::ClusterConfig::recommended`] batches, at
+    /// [`stormlite::BATCH_MAX_FRAMES`].
+    pub dispatch_batch: Option<usize>,
+}
+
+impl JoinSpec {
+    /// The paper's default setup: length-based routing (load-aware,
+    /// calibrated on the first 10k records) and the bundle join, with no
+    /// shedding, checkpointing, restore or batching.
+    pub fn recommended(k: usize, join: JoinConfig) -> Self {
+        Self {
+            k,
+            join,
+            local: LocalAlgo::bundle(),
+            strategy: Strategy::LengthAuto {
+                method: PartitionMethod::LoadAware,
+                sample: 10_000,
+            },
+            shed_watermark: None,
+            checkpoint: None,
+            restore_from: None,
+            dispatch_batch: None,
+        }
+    }
+}
+
+/// How the stormlite topology runs a [`JoinSpec`].
+#[derive(Debug, Clone)]
+pub struct DistributedJoinConfig {
+    /// The join to run.
+    pub spec: JoinSpec,
     /// Per-task input queue depth (backpressure), in engine messages: with
-    /// [`Self::dispatch_batch`] set to `b`, a full queue holds up to `b`
-    /// times as many records, on every edge.
+    /// [`JoinSpec::dispatch_batch`] set to `b`, a full queue holds up to
+    /// `b` times as many records, on every edge.
     pub channel_capacity: usize,
     /// Pace the source to this many records per second (`None` = as fast
     /// as the pipeline accepts; used by the latency experiments).
@@ -181,49 +254,6 @@ pub struct DistributedJoinConfig {
     /// tasks: the dispatcher is stateful-built-once and the sink keeps its
     /// state in shared memory, so neither needs (nor supports) replay.
     pub fault: Option<FaultPlan>,
-    /// Degraded mode: shed whole records at the dispatcher whenever any
-    /// target joiner's input queue holds at least this many messages. Shed
-    /// record ids are reported in
-    /// [`DistributedJoinResult::shed_records`] so recall loss is exactly
-    /// accountable. `None` (the default) never sheds — backpressure blocks
-    /// the dispatcher instead.
-    pub shed_watermark: Option<usize>,
-    /// Epoch-based coordinated checkpointing: inject a barrier every
-    /// `interval` dispatched records, snapshot every joiner's window into
-    /// the configured [`SnapshotStore`], and truncate replay buffers as
-    /// epochs commit (see [`crate::checkpoint`]). `None` (the default)
-    /// never checkpoints.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Rebuild the topology's state (joiner windows, routing partition,
-    /// bistream sides) from the latest complete checkpoint in this store
-    /// before streaming: source records the checkpoint already covers are
-    /// skipped, the checkpointed window is re-dispatched index-only, and a
-    /// persisted length partition overrides the configured strategy.
-    /// `None` (the default) starts empty.
-    pub restore_from: Option<Arc<dyn SnapshotStore>>,
-    /// Batch every edge. The source hands the dispatcher up to this many
-    /// records as one [`crate::msg::JoinMsg::Batch`] (restore tuples ride
-    /// in them like live records), the dispatcher ships up to this many
-    /// messages per joiner wire as one batch, and a joiner answers each
-    /// inbound batch with at most one batch of its results, sent when the
-    /// inbound batch ends — amortizing per-message engine overhead on all
-    /// three edges. Both receivers unpack a batch in order through the full
-    /// per-message path: the dispatcher stamps, sheds, feeds the replay
-    /// buffer and opens an epoch record by record (a barrier falls at the
-    /// interval's exact record, mid-batch if need be); joiners run dedup
-    /// advance and stage spans per message. Dispatcher batches flush
-    /// before every checkpoint barrier and at stream end, and results
-    /// never wait for later input — so results, recovery, checkpoint
-    /// semantics and (up to a batch's own processing time) latency match
-    /// unbatched runs. A batch is one engine tuple: one `Dispatch` instant
-    /// and one `Execute` span in a trace; the replay watermark advances
-    /// once per batch, and a panic inside one drops the whole batch as the
-    /// one poisoned tuple.
-    /// A paced source ([`Self::source_rate`]) keeps one message per
-    /// record: its queue is not full, and a batch would hold a due record
-    /// back for the later ones that fill it. `None` (the default) and
-    /// `Some(1)` send every message individually.
-    pub dispatch_batch: Option<usize>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
     /// single-threaded under a virtual clock with a seeded interleaving, so
@@ -244,26 +274,22 @@ pub struct DistributedJoinConfig {
 }
 
 impl DistributedJoinConfig {
-    /// The paper's default setup: length-based (load-aware, calibrated on
-    /// the first 10k records) + bundle join.
+    /// [`JoinSpec::recommended`] on threads, with no pacing, faults or
+    /// tracing.
     pub fn recommended(k: usize, join: JoinConfig) -> Self {
+        Self::new(JoinSpec::recommended(k, join))
+    }
+
+    /// Runs `spec` on threads with queues of 1 024 messages, and no
+    /// pacing, faults or tracing.
+    pub fn new(spec: JoinSpec) -> Self {
         Self {
-            k,
-            join,
-            local: LocalAlgo::bundle(),
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 10_000,
-            },
+            spec,
             channel_capacity: 1024,
             source_rate: None,
             fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
             scheduler: Scheduler::Threads,
+            trace: None,
         }
     }
 
@@ -273,31 +299,17 @@ impl DistributedJoinConfig {
         self
     }
 
-    /// Sheds records at the dispatcher above this queue depth (see
-    /// [`Self::shed_watermark`]).
-    pub fn with_shed_watermark(mut self, watermark: usize) -> Self {
-        self.shed_watermark = Some(watermark);
-        self
-    }
-
     /// Enables epoch-based coordinated checkpointing (see
-    /// [`Self::checkpoint`]).
+    /// [`JoinSpec::checkpoint`]).
     pub fn with_checkpointing(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = Some(checkpoint);
+        self.spec.checkpoint = Some(checkpoint);
         self
     }
 
-    /// Restores topology state from the latest complete checkpoint in
-    /// `store` before streaming (see [`Self::restore_from`]).
-    pub fn with_restore_from(mut self, store: Arc<dyn SnapshotStore>) -> Self {
-        self.restore_from = Some(store);
-        self
-    }
-
-    /// Batches every edge at this size (see [`Self::dispatch_batch`]).
+    /// Batches every edge at this size (see [`JoinSpec::dispatch_batch`]).
     pub fn with_dispatch_batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "dispatch batch size must be at least 1");
-        self.dispatch_batch = Some(batch);
+        self.spec.dispatch_batch = Some(batch);
         self
     }
 
@@ -332,11 +344,11 @@ pub struct DistributedJoinResult {
     pub wall: std::time::Duration,
     /// Ids of records shed by the dispatcher under degraded mode, in shed
     /// order. Always has exactly [`RunReport::shed`] entries; empty unless
-    /// [`DistributedJoinConfig::shed_watermark`] was set and overload
-    /// actually occurred.
+    /// [`JoinSpec::shed_watermark`] was set and overload actually
+    /// occurred.
     pub shed_records: Vec<u64>,
     /// When the run restored from a checkpoint
-    /// ([`DistributedJoinConfig::restore_from`] with a complete epoch
+    /// ([`JoinSpec::restore_from`] with a complete epoch
     /// available): the restored epoch's cut id. Source records at or below
     /// it were skipped as already covered.
     pub restored_cut: Option<u64>,
@@ -428,15 +440,7 @@ impl DistributedJoinResult {
 /// Runs `records` through the configured distributed self-join and returns
 /// the exact result set plus all measurements.
 pub fn run_distributed(records: &[Record], cfg: &DistributedJoinConfig) -> DistributedJoinResult {
-    // The source stamp is a placeholder: the dispatcher re-stamps every
-    // record with the topology clock when it first sees it, so latency
-    // measures dispatch-to-result on whichever clock (wall or virtual)
-    // the scheduler runs.
-    let source: Vec<JoinMsg> = records
-        .iter()
-        .map(|r| JoinMsg::ProbeAndIndex(RecordMsg::solo(r.clone(), Timestamp::ZERO)))
-        .collect();
-    run_internal(source, records, false, cfg)
+    run_topology(Input::SelfJoin(records), cfg)
 }
 
 /// Runs a bi-stream (R–S) join: every record of one stream is matched
@@ -448,123 +452,176 @@ pub fn run_bistream_distributed(
     right: &[Record],
     cfg: &DistributedJoinConfig,
 ) -> DistributedJoinResult {
-    use ssj_core::join::bistream::merge_streams;
-    let merged = merge_streams(left, right);
-    let sample: Vec<Record> = merged.iter().map(|(_, r)| r.clone()).collect();
-    let source: Vec<JoinMsg> = merged
-        .into_iter()
-        .map(|(side, record)| {
-            JoinMsg::ProbeAndIndex(RecordMsg {
-                record,
-                ingest: Timestamp::ZERO,
-                side: Some(side),
-            })
-        })
-        .collect();
-    run_internal(source, &sample, true, cfg)
+    run_topology(Input::Bistream(left, right), cfg)
 }
 
-/// Instantiates the router a strategy describes, calibrating the
-/// data-dependent `LengthAuto` from a prefix of `arrival_order`. Shared by
-/// the in-process driver and the cluster launcher (`crate::cluster`) so
-/// both route identically for the same input — a precondition for the
-/// cross-process differential tests.
-pub(crate) fn build_router(
-    strategy: &Strategy,
-    threshold: Threshold,
-    k: usize,
-    arrival_order: &[Record],
-) -> Box<dyn Router + Send> {
-    match strategy {
-        Strategy::Length(partition) => {
-            assert_eq!(partition.k(), k, "partition/k mismatch");
-            Box::new(LengthRouter::new(threshold, partition.clone()))
+/// What a run joins: one stream with itself, or two streams against each
+/// other, merged into one arrival order by record id.
+pub(crate) enum Input<'a> {
+    SelfJoin(&'a [Record]),
+    Bistream(&'a [Record], &'a [Record]),
+}
+
+/// Everything [`JoinSpec::assemble`] builds for one run; each engine wires
+/// it into its own run-time.
+pub(crate) struct Assembly {
+    /// The source stream: restore tuples (index-only) first, then every
+    /// record the restored cut does not cover.
+    pub(crate) source: Vec<JoinMsg>,
+    /// Streamed records, restore tuples excluded: what rates divide by.
+    pub(crate) records: usize,
+    pub(crate) bistream: bool,
+    pub(crate) dispatcher: Dispatcher<Box<dyn Router + Send>>,
+    /// Whether joiners must run the replicating routers' dedup rule.
+    pub(crate) needs_dedup: bool,
+    pub(crate) recovery: Option<Arc<RecoveryState>>,
+    pub(crate) coordinator: Option<Arc<CheckpointCoordinator>>,
+    pub(crate) restored: Restored,
+}
+
+/// What a restore resumed from.
+#[derive(Default)]
+pub(crate) struct Restored {
+    /// The restored epoch's cut id; `None` when nothing was restored.
+    pub(crate) cut: Option<u64>,
+    /// What the scan of the restore store rejected.
+    integrity: IntegrityReport,
+}
+
+impl Restored {
+    /// The run's storage integrity once it is over: the restore scan's
+    /// quarantines plus the in-run restore fallbacks of `coordinator`.
+    pub(crate) fn integrity(&self, coordinator: Option<&CheckpointCoordinator>) -> IntegrityReport {
+        let mut integrity = self.integrity;
+        if let Some(coordinator) = coordinator {
+            integrity.merge(&coordinator.integrity());
         }
-        Strategy::LengthAuto { method, sample } => {
-            let take = (*sample).clamp(1, arrival_order.len().max(1));
-            let sample = &arrival_order[..take.min(arrival_order.len())];
-            let partition = calibrate_partition(sample, threshold, k, *method);
-            Box::new(LengthRouter::new(threshold, partition))
-        }
-        Strategy::Prefix => Box::new(PrefixRouter::new(threshold, k)),
-        Strategy::Broadcast => Box::new(BroadcastRouter::new(k)),
+        integrity
     }
 }
 
-/// Applies a checkpoint image to a prepared source stream — the restore
-/// path of both run-times: records at or below the image's cut are
-/// dropped, the snapshotted window re-enters ahead of the stream as
-/// index-only tuples, and a persisted partition overrides the strategy.
-/// Returns `(restored_cut, prepended, integrity)` — `prepended` restore
-/// tuples at the head of `source` are state rebuild, not streamed
-/// workload.
-///
-/// Restore is *verified*: epochs whose manifest or parts fail their
-/// CRC32C check are quarantined and the walk falls back to the newest
-/// fully-verified earlier epoch (counted in the returned integrity
-/// report). When every epoch is corrupt, nothing is restored — the full
-/// source streams from scratch, which recomputes the exact result rather
-/// than trusting rotten state.
-pub(crate) fn prepare_restore(
-    source: &mut Vec<JoinMsg>,
-    strategy: &mut Strategy,
-    store: &dyn crate::checkpoint::SnapshotStore,
-    k: usize,
-    bistream: bool,
-) -> (Option<u64>, usize, stormlite::IntegrityReport) {
-    let scan = load_latest_verified(store).expect("restore store cannot enumerate its epochs");
-    let integrity = scan.integrity();
-    let Some(image) = scan.image else {
-        return (None, 0, integrity);
-    };
-    assert_eq!(image.k, k, "checkpoint was taken with a different k");
-    assert_eq!(
-        image.bistream, bistream,
-        "checkpoint topology shape (bistream) mismatch"
-    );
-    if let Some(partition) = image.partition {
-        *strategy = Strategy::Length(partition);
-    }
-    let cut = image.cut_id;
-    source.retain(|m| m.record().is_none_or(|r| r.id().0 > cut));
-    let mut restored: Vec<JoinMsg> = image
-        .window
-        .into_iter()
-        .map(|(side, record)| {
-            JoinMsg::Index(RecordMsg {
-                record,
-                ingest: Timestamp::ZERO,
-                side,
-            })
-        })
-        .collect();
-    let prepended = restored.len();
-    restored.append(source);
-    *source = restored;
-    (Some(cut), prepended, integrity)
-}
+impl JoinSpec {
+    /// The run set-up both engines share, so that for the same input they
+    /// route, shed, checkpoint and restore identically — the precondition
+    /// of every cross-engine differential test. `can_lose_state` says
+    /// whether the engine can lose a joiner's state mid-run: replay buffers
+    /// are kept then, and whenever the run checkpoints (epoch commits
+    /// truncate them, and a crashed joiner replays the uncheckpointed
+    /// tail).
+    ///
+    /// Restore is *verified*: epochs whose manifest or parts fail their
+    /// CRC32C check are quarantined and the walk falls back to the newest
+    /// fully-verified earlier epoch (counted in [`Restored::integrity`]).
+    /// When every epoch is corrupt nothing is restored — the full source
+    /// streams from scratch, which recomputes the exact result rather than
+    /// trusting rotten state.
+    pub(crate) fn assemble(&self, input: Input<'_>, can_lose_state: bool) -> Assembly {
+        assert!(self.k >= 1, "need at least one joiner");
+        let threshold = self.join.threshold;
+        // The stamp is a placeholder — the dispatcher re-stamps every record
+        // with the run clock when it first sees it, so latency measures
+        // dispatch-to-result on whichever clock the engine runs — and so is
+        // the kind: the dispatcher tells only a restore tuple (`Index`)
+        // apart, and sends each target what routing decides.
+        let msg = |record, side| RecordMsg {
+            record,
+            ingest: Timestamp::ZERO,
+            side,
+        };
+        let (mut source, bistream): (Vec<JoinMsg>, _) = match input {
+            Input::SelfJoin(records) => {
+                let live = records.iter().map(|r| msg(r.clone(), None));
+                (live.map(JoinMsg::ProbeAndIndex).collect(), false)
+            }
+            Input::Bistream(left, right) => {
+                let live = merge_streams(left, right).into_iter();
+                let live = live.map(|(side, r)| msg(r, Some(side)));
+                (live.map(JoinMsg::ProbeAndIndex).collect(), true)
+            }
+        };
 
-/// Builds the recovery machinery a run needs: replay buffers whenever a
-/// joiner can lose its state mid-run (`can_lose_state`) or the run
-/// checkpoints — epoch commits truncate the buffers, and a crashed joiner
-/// replays the uncheckpointed tail — plus the epoch coordinator exactly
-/// when `checkpoint` is set.
-pub(crate) fn build_recovery(
-    k: usize,
-    window: Window,
-    can_lose_state: bool,
-    checkpoint: Option<&CheckpointConfig>,
-) -> (
-    Option<Arc<RecoveryState>>,
-    Option<Arc<CheckpointCoordinator>>,
-) {
-    let recovery =
-        (can_lose_state || checkpoint.is_some()).then(|| Arc::new(RecoveryState::new(k, window)));
-    let coordinator = checkpoint.map(|cp| {
-        let recovery = Arc::clone(recovery.as_ref().expect("created just above"));
-        Arc::new(CheckpointCoordinator::new(k, cp, recovery).expect("checkpoint store unavailable"))
-    });
-    (recovery, coordinator)
+        let mut strategy = self.strategy.clone();
+        let mut restored = Restored::default();
+        let mut image = None;
+        if let Some(store) = &self.restore_from {
+            let scan = load_latest_verified(store.as_ref())
+                .expect("restore store cannot enumerate its epochs");
+            restored.integrity = scan.integrity();
+            if let Some(mut found) = scan.image {
+                assert_eq!(found.k, self.k, "checkpoint was taken with a different k");
+                assert_eq!(
+                    found.bistream, bistream,
+                    "checkpoint topology shape (bistream) mismatch"
+                );
+                if let Some(partition) = found.partition.take() {
+                    strategy = Strategy::Length(partition);
+                }
+                image = Some(found);
+            }
+        }
+
+        // A calibrated partition comes from the head of the arrival order,
+        // restored or not.
+        let router: Box<dyn Router + Send> = match strategy {
+            Strategy::Length(partition) => {
+                assert_eq!(partition.k(), self.k, "partition/k mismatch");
+                Box::new(LengthRouter::new(threshold, partition))
+            }
+            Strategy::LengthAuto { method, sample } => {
+                let sample: Vec<Record> = source
+                    .iter()
+                    .take(sample.max(1))
+                    .filter_map(|m| m.record().cloned())
+                    .collect();
+                let partition = calibrate_partition(&sample, threshold, self.k, method);
+                Box::new(LengthRouter::new(threshold, partition))
+            }
+            Strategy::Prefix => Box::new(PrefixRouter::new(threshold, self.k)),
+            Strategy::Broadcast => Box::new(BroadcastRouter::new(self.k)),
+        };
+
+        // The restore surgery: records the image covers are dropped, and its
+        // window re-enters through the dispatcher as index-only tuples (in id
+        // order, ahead of all new records), so any router — replicating ones
+        // and a persisted partition included — places them exactly as a
+        // live run would have.
+        let mut records = source.len();
+        if let Some(image) = image {
+            let cut = image.cut_id;
+            source.retain(|m| m.record().is_none_or(|r| r.id().0 > cut));
+            records = source.len();
+            let rebuilt = image.window.into_iter().map(|(side, r)| msg(r, side));
+            source = rebuilt.map(JoinMsg::Index).chain(source).collect();
+            restored.cut = Some(cut);
+        }
+
+        let recovery = (can_lose_state || self.checkpoint.is_some())
+            .then(|| Arc::new(RecoveryState::new(self.k, self.join.window)));
+        let coordinator = self.checkpoint.as_ref().map(|cp| {
+            let recovery = Arc::clone(recovery.as_ref().expect("created just above"));
+            let coordinator = CheckpointCoordinator::new(self.k, cp, recovery);
+            Arc::new(coordinator.expect("checkpoint store unavailable"))
+        });
+        let needs_dedup = router.needs_result_dedup();
+        let dispatcher = Dispatcher::new(
+            router,
+            bistream,
+            recovery.clone(),
+            coordinator.clone(),
+            self.shed_watermark,
+            self.dispatch_batch,
+        );
+        Assembly {
+            source,
+            records,
+            bistream,
+            dispatcher,
+            needs_dedup,
+            recovery,
+            coordinator,
+            restored,
+        }
+    }
 }
 
 /// The index state a restarted incarnation of `task` must rebuild: the
@@ -589,41 +646,11 @@ pub(crate) fn lost_state(
     (snapshot, tail)
 }
 
-fn run_internal(
-    source: Vec<JoinMsg>,
-    arrival_order: &[Record],
-    bistream: bool,
-    cfg: &DistributedJoinConfig,
-) -> DistributedJoinResult {
-    assert!(cfg.k >= 1, "need at least one joiner");
+fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoinResult {
     assert!(
         !(matches!(cfg.scheduler, Scheduler::Sim(_)) && cfg.source_rate.is_some()),
         "source_rate paces on the wall clock and cannot run under simulation"
     );
-    let threshold = cfg.join.threshold;
-    let window = cfg.join.window;
-
-    // Restore path: rebuild the checkpointed window before streaming. The
-    // image's records re-enter through the dispatcher as index-only tuples
-    // (in id order, ahead of all new records), so any router — including
-    // replicating ones and a freshly overridden partition — places them
-    // exactly as a live run would have.
-    let mut source = source;
-    let mut strategy = cfg.strategy.clone();
-    let mut restored_cut = None;
-    let mut prepended = 0;
-    let mut restore_integrity = stormlite::IntegrityReport::default();
-    if let Some(store) = &cfg.restore_from {
-        (restored_cut, prepended, restore_integrity) =
-            prepare_restore(&mut source, &mut strategy, store.as_ref(), cfg.k, bistream);
-    }
-    // Restore re-dispatch tuples rebuild state; they are not part of the
-    // streamed workload the run's rates are normalized by.
-    let n_records = source.len() - prepended;
-
-    let router = build_router(&strategy, threshold, cfg.k, arrival_order);
-    let needs_dedup = router.needs_result_dedup();
-
     if let Some(plan) = &cfg.fault {
         for spec in plan.specs() {
             assert_eq!(
@@ -632,8 +659,10 @@ fn run_internal(
             );
         }
     }
-    let (recovery, coordinator) =
-        build_recovery(cfg.k, window, cfg.fault.is_some(), cfg.checkpoint.as_ref());
+    let spec = &cfg.spec;
+    let run = spec.assemble(input, cfg.fault.is_some());
+    let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
+    let (recovery, coordinator) = (run.recovery, run.coordinator);
 
     let sink_state = Arc::new(Mutex::new(SinkState::default()));
     let snapshots: Arc<Mutex<Vec<JoinerSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
@@ -658,28 +687,21 @@ fn run_internal(
     // The source does no work, so unpaced its queue into the dispatcher is
     // always full and every message costs a hop plus a wake-up of the
     // parked spout: `dispatch_batch` batches this edge like the others. A
-    // paced source is exempt (see [`DistributedJoinConfig::dispatch_batch`]).
-    match (cfg.source_rate, cfg.dispatch_batch) {
+    // paced source is exempt (see [`JoinSpec::dispatch_batch`]).
+    match (cfg.source_rate, spec.dispatch_batch) {
         (Some(rate), _) => topology.spout(
             "source",
-            crate::pace::PacedIter::new(source.into_iter(), rate),
+            crate::pace::PacedIter::new(run.source.into_iter(), rate),
         ),
-        (None, Some(batch)) if batch > 1 => topology.spout("source", batched(source, batch)),
-        (None, _) => topology.spout("source", source),
+        (None, Some(batch)) if batch > 1 => topology.spout("source", batched(run.source, batch)),
+        (None, _) => topology.spout("source", run.source),
     }
 
     // The dispatcher is stateful (routers mutate) and single-task; move the
     // router into the one instance the factory builds.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let mut router_slot = Some(DispatcherBolt::new(
-        Dispatcher::new(
-            router,
-            bistream,
-            recovery.clone(),
-            coordinator.clone(),
-            cfg.shed_watermark,
-            cfg.dispatch_batch,
-        ),
+        run.dispatcher,
         Arc::clone(&shed_log),
         stage_shared.clone(),
     ));
@@ -687,13 +709,11 @@ fn run_internal(
         router_slot.take().expect("dispatcher built once")
     });
 
-    let join_cfg = cfg.join;
-    let local = cfg.local;
-    let k = cfg.k;
+    let (join_cfg, local, k) = (spec.join, spec.local, spec.k);
     let snaps = Arc::clone(&snapshots);
     let joiner_stages = stage_shared.clone();
     let joiner_coordinator = coordinator.clone();
-    topology.bolt("joiner", cfg.k, move |task| {
+    topology.bolt("joiner", k, move |task| {
         JoinerBolt::new(
             Joiner::new(local, join_cfg, bistream, needs_dedup.then_some((k, task))),
             task,
@@ -721,13 +741,9 @@ fn run_internal(
         }
         Scheduler::Threads => (topology.run_with(Scheduler::Threads), None),
     };
-    // Fold storage-side integrity observations into the report: the
-    // restore scan's quarantines plus any in-run restore fallbacks the
-    // coordinator performed.
-    report.integrity.merge(&restore_integrity);
-    if let Some(coord) = &coordinator {
-        report.integrity.merge(&coord.integrity());
-    }
+    report
+        .integrity
+        .merge(&run.restored.integrity(coordinator.as_deref()));
     let wall = report.elapsed;
 
     let mut sink = sink_state.lock();
@@ -750,10 +766,10 @@ fn run_internal(
         latency,
         report,
         joiners,
-        records: n_records,
+        records: run.records,
         wall,
         shed_records,
-        restored_cut,
+        restored_cut: run.restored.cut,
         transcript,
         trace,
         stages,
@@ -796,6 +812,26 @@ mod tests {
         keys
     }
 
+    /// `k` joiners running `local` under `strategy`, on threads behind
+    /// queues of `channel_capacity` messages.
+    fn config(
+        k: usize,
+        join: JoinConfig,
+        local: LocalAlgo,
+        strategy: Strategy,
+        channel_capacity: usize,
+    ) -> DistributedJoinConfig {
+        let spec = JoinSpec {
+            local,
+            strategy,
+            ..JoinSpec::recommended(k, join)
+        };
+        DistributedJoinConfig {
+            channel_capacity,
+            ..DistributedJoinConfig::new(spec)
+        }
+    }
+
     fn run_keys(records: &[Record], cfg: &DistributedJoinConfig) -> Vec<(u64, u64)> {
         let result = run_distributed(records, cfg);
         let mut keys: Vec<_> = result.pairs.iter().map(|m| m.key()).collect();
@@ -814,24 +850,16 @@ mod tests {
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
         for local in [LocalAlgo::AllPairs, LocalAlgo::PpJoin, LocalAlgo::bundle()] {
-            let cfg = DistributedJoinConfig {
-                k: 4,
+            let cfg = config(
+                4,
                 join,
                 local,
-                strategy: Strategy::LengthAuto {
+                Strategy::LengthAuto {
                     method: PartitionMethod::LoadAware,
                     sample: 200,
                 },
-                channel_capacity: 256,
-                source_rate: None,
-                fault: None,
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
+                256,
+            );
             assert_eq!(run_keys(&records, &cfg), expect, "local={}", local.name());
         }
     }
@@ -841,21 +869,7 @@ mod tests {
         let records = workload(600, 0.3);
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 4,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::Prefix,
-            channel_capacity: 256,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+        let cfg = config(4, join, LocalAlgo::PpJoin, Strategy::Prefix, 256);
         assert_eq!(run_keys(&records, &cfg), expect);
     }
 
@@ -864,21 +878,7 @@ mod tests {
         let records = workload(600, 0.3);
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::AllPairs,
-            strategy: Strategy::Broadcast,
-            channel_capacity: 256,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+        let cfg = config(3, join, LocalAlgo::AllPairs, Strategy::Broadcast, 256);
         assert_eq!(run_keys(&records, &cfg), expect);
     }
 
@@ -897,21 +897,7 @@ mod tests {
             },
             Strategy::Prefix,
         ] {
-            let cfg = DistributedJoinConfig {
-                k: 4,
-                join,
-                local: LocalAlgo::PpJoin,
-                strategy,
-                channel_capacity: 128,
-                source_rate: None,
-                fault: None,
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
+            let cfg = config(4, join, LocalAlgo::PpJoin, strategy, 128);
             assert_eq!(run_keys(&records, &cfg), expect);
         }
     }
@@ -919,24 +905,16 @@ mod tests {
     #[test]
     fn length_strategy_never_replicates() {
         let records = workload(500, 0.2);
-        let cfg = DistributedJoinConfig {
-            k: 4,
-            join: JoinConfig::jaccard(0.8),
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
+        let cfg = config(
+            4,
+            JoinConfig::jaccard(0.8),
+            LocalAlgo::PpJoin,
+            Strategy::LengthAuto {
                 method: PartitionMethod::LoadAware,
                 sample: 100,
             },
-            channel_capacity: 256,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            256,
+        );
         let result = run_distributed(&records, &cfg);
         assert!((result.replication() - 1.0).abs() < 1e-9);
         assert!(result.msgs_per_record() >= 1.0);
@@ -950,21 +928,7 @@ mod tests {
         use ssj_workloads::{DatasetProfile, StreamGenerator};
         let records = StreamGenerator::new(DatasetProfile::enron(), 42).take_records(300);
         let join = JoinConfig::jaccard(0.8);
-        let mk = |strategy| DistributedJoinConfig {
-            k: 8,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy,
-            channel_capacity: 256,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+        let mk = |strategy| config(8, join, LocalAlgo::PpJoin, strategy, 256);
         let length = run_distributed(
             &records,
             &mk(Strategy::LengthAuto {
@@ -982,24 +946,16 @@ mod tests {
         let records = workload(300, 0.3);
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 1,
+        let cfg = config(
+            1,
             join,
-            local: LocalAlgo::bundle(),
-            strategy: Strategy::LengthAuto {
+            LocalAlgo::bundle(),
+            Strategy::LengthAuto {
                 method: PartitionMethod::LoadAware,
                 sample: 50,
             },
-            channel_capacity: 64,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            64,
+        );
         assert_eq!(run_keys(&records, &cfg), expect);
     }
 
@@ -1054,21 +1010,7 @@ mod tests {
             (LocalAlgo::PpJoin, Strategy::Prefix),
             (LocalAlgo::AllPairs, Strategy::Broadcast),
         ] {
-            let cfg = DistributedJoinConfig {
-                k: 4,
-                join,
-                local,
-                strategy,
-                channel_capacity: 128,
-                source_rate: None,
-                fault: None,
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
+            let cfg = config(4, join, local, strategy, 128);
             let out = run_bistream_distributed(&left, &right, &cfg);
             let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();
             got.sort_unstable();
@@ -1084,24 +1026,16 @@ mod tests {
             window: Window::Count(90),
         };
         let expect = bistream_ground_truth(&left, &right, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
+        let cfg = config(
+            3,
             join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
+            LocalAlgo::PpJoin,
+            Strategy::LengthAuto {
                 method: PartitionMethod::EqualDepth,
                 sample: 80,
             },
-            channel_capacity: 64,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            64,
+        );
         let out = run_bistream_distributed(&left, &right, &cfg);
         let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();
         got.sort_unstable();
@@ -1126,21 +1060,8 @@ mod tests {
             Strategy::Broadcast,
         ] {
             let name = strategy.name();
-            let cfg = DistributedJoinConfig {
-                k: 4,
-                join,
-                local: LocalAlgo::PpJoin,
-                strategy,
-                channel_capacity: 128,
-                source_rate: None,
-                fault: Some(FaultPlan::new().crash("joiner", 1, 40)),
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
+            let cfg = config(4, join, LocalAlgo::PpJoin, strategy, 128)
+                .with_fault(FaultPlan::new().crash("joiner", 1, 40));
             let result = run_distributed(&records, &cfg);
             let mut keys: Vec<_> = result.pairs.iter().map(|m| m.key()).collect();
             keys.sort_unstable();
@@ -1167,30 +1088,17 @@ mod tests {
             window: Window::Count(200),
         };
         let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::bundle(),
-            strategy: Strategy::LengthAuto {
-                method: PartitionMethod::EqualDepth,
-                sample: 150,
-            },
-            channel_capacity: 128,
-            source_rate: None,
-            // Task 0 dies twice; task 2 dies once, before any input.
-            fault: Some(
-                FaultPlan::new()
-                    .crash("joiner", 0, 30)
-                    .crash("joiner", 0, 120)
-                    .crash("joiner", 2, 0),
-            ),
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
+        let strategy = Strategy::LengthAuto {
+            method: PartitionMethod::EqualDepth,
+            sample: 150,
         };
+        // Task 0 dies twice; task 2 dies once, before any input.
+        let cfg = config(3, join, LocalAlgo::bundle(), strategy, 128).with_fault(
+            FaultPlan::new()
+                .crash("joiner", 0, 30)
+                .crash("joiner", 0, 120)
+                .crash("joiner", 2, 0),
+        );
         let result = run_distributed(&records, &cfg);
         assert_eq!(run_keys_of(&result), expect);
         assert_eq!(result.report.total_restarts(), 3);
@@ -1207,24 +1115,17 @@ mod tests {
         };
         let expect = bistream_ground_truth(&left, &right, join);
         assert!(!expect.is_empty());
-        let cfg = DistributedJoinConfig {
-            k: 3,
+        let cfg = config(
+            3,
             join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
+            LocalAlgo::PpJoin,
+            Strategy::LengthAuto {
                 method: PartitionMethod::LoadAware,
                 sample: 100,
             },
-            channel_capacity: 64,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 0, 50)),
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            64,
+        )
+        .with_fault(FaultPlan::new().crash("joiner", 0, 50));
         let out = run_bistream_distributed(&left, &right, &cfg);
         assert_eq!(run_keys_of(&out), expect);
         assert_eq!(out.report.total_restarts(), 1);
@@ -1267,24 +1168,17 @@ mod tests {
         // tiny queues force the dispatcher over the shed watermark.
         let records = workload(2000, 0.3);
         let join = JoinConfig::jaccard(0.7);
-        let cfg = DistributedJoinConfig {
-            k: 2,
+        let mut cfg = config(
+            2,
             join,
-            local: LocalAlgo::Naive,
-            strategy: Strategy::LengthAuto {
+            LocalAlgo::Naive,
+            Strategy::LengthAuto {
                 method: PartitionMethod::LoadAware,
                 sample: 100,
             },
-            channel_capacity: 8,
-            source_rate: None,
-            fault: None,
-            shed_watermark: Some(4),
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            8,
+        );
+        cfg.spec.shed_watermark = Some(4);
         let result = run_distributed(&records, &cfg);
         assert!(
             result.report.shed() > 0,
@@ -1322,21 +1216,9 @@ mod tests {
             Strategy::Broadcast,
         ] {
             let name = strategy.name();
-            let cfg = DistributedJoinConfig {
-                k: 3,
-                join,
-                local: LocalAlgo::PpJoin,
-                strategy,
-                channel_capacity: 32,
-                source_rate: None,
-                fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-                shed_watermark: None,
-                checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
-            };
+            let cfg = config(3, join, LocalAlgo::PpJoin, strategy, 32)
+                .with_fault(FaultPlan::new().crash("joiner", 1, 100))
+                .with_checkpointing(CheckpointConfig::in_memory(16));
             let result = run_distributed(&records, &cfg);
             assert_eq!(run_keys_of(&result), expect, "{name}");
             assert_eq!(result.report.total_restarts(), 1, "{name}");
@@ -1353,7 +1235,7 @@ mod tests {
 
     #[test]
     fn restore_from_file_store_resumes_exactly() {
-        use crate::checkpoint::{CheckpointConfig, FileStore};
+        use crate::checkpoint::FileStore;
         let dir = std::env::temp_dir().join(format!("ssj-restore-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let records = workload(700, 0.3);
@@ -1361,24 +1243,16 @@ mod tests {
             threshold: Threshold::jaccard(0.7),
             window: Window::Count(120),
         };
-        let base = DistributedJoinConfig {
-            k: 3,
+        let base = config(
+            3,
             join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::LengthAuto {
+            LocalAlgo::PpJoin,
+            Strategy::LengthAuto {
                 method: PartitionMethod::LoadAware,
                 sample: 100,
             },
-            channel_capacity: 64,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            64,
+        );
 
         // Phase 1: checkpoint to disk while streaming, then "lose" the
         // process — only the snapshot directory survives.
@@ -1391,8 +1265,9 @@ mod tests {
         // Phase 2: a fresh topology restores from the directory and is fed
         // the same stream; it must skip everything the checkpoint covers
         // and produce exactly the pairs whose later record is post-cut.
-        let store = Arc::new(FileStore::open(&dir).unwrap());
-        let restored = run_distributed(&records, &base.clone().with_restore_from(store));
+        let mut phase2 = base.clone();
+        phase2.spec.restore_from = Some(Arc::new(FileStore::open(&dir).unwrap()));
+        let restored = run_distributed(&records, &phase2);
         let cut = restored.restored_cut.expect("a complete epoch was on disk");
         assert!(cut > 0 && (cut as usize) < records.len());
         let expect: Vec<(u64, u64)> = ground_truth(&records, join)
@@ -1407,11 +1282,9 @@ mod tests {
     fn checkpoint_metrics_surface_in_the_report() {
         let records = workload(400, 0.3);
         let join = JoinConfig::jaccard(0.7);
-        let cfg = DistributedJoinConfig {
-            checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(40)),
-            ..DistributedJoinConfig::recommended(3, join)
-        }
-        .with_sim(11);
+        let cfg = DistributedJoinConfig::recommended(3, join)
+            .with_checkpointing(CheckpointConfig::in_memory(40))
+            .with_sim(11);
         let result = run_distributed(&records, &cfg);
         let epochs = result.report.checkpoint_latency().count();
         assert!(epochs > 0, "no epoch committed");
@@ -1450,12 +1323,9 @@ mod tests {
         // resumes from the store's latest committed epoch, so sharing one
         // store across runs would shift epoch numbers (and the trace).
         let base = || {
-            DistributedJoinConfig {
-                checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(40)),
-                shed_watermark: None,
-                ..DistributedJoinConfig::recommended(3, join)
-            }
-            .with_sim(7)
+            DistributedJoinConfig::recommended(3, join)
+                .with_checkpointing(CheckpointConfig::in_memory(40))
+                .with_sim(7)
         };
 
         let a = run_distributed(&records, &base().with_trace(TraceConfig::default()));
@@ -1511,11 +1381,9 @@ mod tests {
             // 1 = the unwrapped-singleton path, 10_000 = larger than the
             // whole stream, so every message rides the finish-time flush.
             for batch in [1usize, 4, 64, 10_000] {
-                let cfg = DistributedJoinConfig {
-                    local,
-                    ..DistributedJoinConfig::recommended(4, join)
-                }
-                .with_dispatch_batch(batch);
+                let mut cfg =
+                    DistributedJoinConfig::recommended(4, join).with_dispatch_batch(batch);
+                cfg.spec.local = local;
                 assert_eq!(
                     run_keys(&records, &cfg),
                     expect,
@@ -1581,11 +1449,9 @@ mod tests {
         let join = JoinConfig::jaccard(0.7);
         // Fresh in-memory store per run (see the trace determinism test).
         let base = || {
-            DistributedJoinConfig {
-                checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(40)),
-                ..DistributedJoinConfig::recommended(3, join)
-            }
-            .with_sim(7)
+            DistributedJoinConfig::recommended(3, join)
+                .with_checkpointing(CheckpointConfig::in_memory(40))
+                .with_sim(7)
         };
         let unbatched = run_distributed(&records, &base());
         let batched = run_distributed(&records, &base().with_dispatch_batch(16));
@@ -1601,21 +1467,10 @@ mod tests {
         let records = workload(800, 0.3);
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
-        let cfg = DistributedJoinConfig {
-            k: 3,
-            join,
-            local: LocalAlgo::PpJoin,
-            strategy: Strategy::Prefix,
-            channel_capacity: 32,
-            source_rate: None,
-            fault: Some(FaultPlan::new().crash("joiner", 1, 100)),
-            shed_watermark: None,
-            checkpoint: Some(crate::checkpoint::CheckpointConfig::in_memory(16)),
-            restore_from: None,
-            dispatch_batch: Some(8),
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+        let cfg = config(3, join, LocalAlgo::PpJoin, Strategy::Prefix, 32)
+            .with_fault(FaultPlan::new().crash("joiner", 1, 100))
+            .with_checkpointing(CheckpointConfig::in_memory(16))
+            .with_dispatch_batch(8);
         let result = run_distributed(&records, &cfg);
         assert_eq!(run_keys_of(&result), expect);
         assert_eq!(result.report.total_restarts(), 1);

@@ -51,14 +51,14 @@ pub use cluster::{
 };
 pub use driver::{
     calibrate_partition, run_bistream_distributed, run_distributed, DistributedJoinConfig,
-    DistributedJoinResult, LocalAlgo, PartitionMethod, Strategy,
+    DistributedJoinResult, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
 pub use msg::{JoinMsg, RecordMsg};
 pub use pace::PacedIter;
 pub use recovery::{RecoveryState, ReplayEntry};
 pub use route::{BroadcastRouter, LengthRouter, PrefixRouter, RouteDecision, Router};
 // Re-exported so callers configuring `DistributedJoinConfig::scheduler`
-// or `ClusterConfig::dispatch_batch`, or consuming
+// or `JoinSpec::dispatch_batch`, or consuming
 // `ClusterResult::integrity`, don't need a direct stormlite dependency.
 pub use stormlite::{IntegrityReport, Scheduler, SimConfig, BATCH_MAX_FRAMES};
 // Re-exported so callers enabling `DistributedJoinConfig::trace` and

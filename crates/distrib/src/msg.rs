@@ -50,10 +50,9 @@ pub enum JoinMsg {
         ingest: Timestamp,
     },
     /// Several messages shipped down one wire as a single engine message,
-    /// in order; never nested. With `dispatch_batch` set
-    /// (`DistributedJoinConfig` or `ClusterConfig`), four edges carry
-    /// them, to amortize per-message engine and per-frame session
-    /// overhead:
+    /// in order; never nested. With [`crate::JoinSpec::dispatch_batch`]
+    /// set, four edges carry them, to amortize per-message engine and
+    /// per-frame session overhead:
     ///
     /// * source → dispatcher (topology, unpaced sources): that many source
     ///   messages, live records and restore tuples alike, in arrival

@@ -45,16 +45,11 @@ pub fn cluster_config_for(
     case: &DifferentialCase,
     backend: ClusterBackend,
 ) -> ClusterConfig {
-    let mut cfg = ClusterConfig::recommended(case.k, case.join, backend);
     // Unbatched unless the case asks: every ordinal-keyed outage and kill
     // horizon, and the pinned digests, were placed on that frame stream.
-    cfg.dispatch_batch = case.dispatch_batch;
-    cfg.local = case.local;
-    cfg.strategy = case.strategy.clone();
+    let mut cfg = ClusterConfig::new(case.spec(), backend);
     cfg.channel_capacity = 64;
     cfg.chaos_seed = case.chaos.then_some(seed);
-    cfg.shed_watermark = case.shed_watermark;
-    cfg.checkpoint = case.checkpoint_interval.map(CheckpointConfig::in_memory);
     if case.crash {
         // Same crash-horizon convention as the simulated differential: the
         // kill lands within the stream so it actually fires on most seeds.
@@ -195,13 +190,13 @@ pub fn run_cluster_restore_differential(
         .unwrap_or((case.records as u64 / 6).max(1));
 
     let mut phase1 = cluster_config_for(seed, case, backend.clone());
-    phase1.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&store)));
+    phase1.spec.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&store)));
 
     let mut phase2 = cluster_config_for(seed, case, backend);
     phase2.fault = None;
     phase2.chaos_seed = None;
-    phase2.checkpoint = None;
-    phase2.restore_from = Some(Arc::clone(&store));
+    phase2.spec.checkpoint = None;
+    phase2.spec.restore_from = Some(Arc::clone(&store));
     // Like chaos, link outages are phase-one faults: phase two is the
     // clean restored incarnation.
     phase2.outages.clear();

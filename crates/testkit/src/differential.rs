@@ -15,8 +15,8 @@ use crate::oracle;
 use ssj_core::{JoinConfig, MatchPair};
 use ssj_distrib::{
     run_bistream_distributed, run_distributed, CheckpointConfig, ClusterOutage,
-    DistributedJoinConfig, DistributedJoinResult, LocalAlgo, MemStore, OutageKind, SnapshotStore,
-    Strategy,
+    DistributedJoinConfig, DistributedJoinResult, JoinSpec, LocalAlgo, MemStore, OutageKind,
+    SnapshotStore, Strategy,
 };
 use ssj_text::Record;
 use ssj_workloads::{DatasetProfile, LengthDist, StreamGenerator};
@@ -84,10 +84,9 @@ pub struct DifferentialCase {
     /// comparison is unchanged; it composes with every other knob.
     pub checkpoint_interval: Option<u64>,
     /// Batch every edge at this size — on the simulated topology the
-    /// source edge too (see `DistributedJoinConfig::dispatch_batch` and
-    /// `ClusterConfig::dispatch_batch`). Batching must never change the
-    /// output, so the oracle comparison is unchanged; it composes with
-    /// every other knob, simulated or cluster. Note that a cluster case's
+    /// source edge too (see `JoinSpec::dispatch_batch`). Batching must
+    /// never change the output, so the oracle comparison is unchanged; it
+    /// composes with every other knob, simulated or cluster. Note that a cluster case's
     /// outage windows count frame transmissions, of which a batched run
     /// makes fewer.
     pub dispatch_batch: Option<usize>,
@@ -230,6 +229,28 @@ impl DifferentialCase {
         self.recovery_budget = Some(budget);
         self
     }
+
+    /// The join this case runs, on every harness: the simulated topology,
+    /// the in-process cluster and the TCP cluster.
+    pub fn spec(&self) -> JoinSpec {
+        JoinSpec {
+            local: self.local,
+            strategy: self.strategy.clone(),
+            shed_watermark: self.shed_watermark,
+            checkpoint: self.checkpoint_interval.map(CheckpointConfig::in_memory),
+            dispatch_batch: self.dispatch_batch,
+            ..JoinSpec::recommended(self.k, self.join)
+        }
+    }
+
+    /// [`Self::spec`] on the simulated topology, scheduled by `seed`.
+    fn simulated(&self, seed: u64) -> DistributedJoinConfig {
+        DistributedJoinConfig {
+            channel_capacity: 64,
+            scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
+            ..DistributedJoinConfig::new(self.spec())
+        }
+    }
 }
 
 fn assert_no_cluster_knobs(case: &DifferentialCase) {
@@ -274,21 +295,7 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
     assert_no_cluster_knobs(case);
     let records = StreamGenerator::new(differential_profile(), seed).take_records(case.records);
 
-    let mut cfg = DistributedJoinConfig {
-        k: case.k,
-        join: case.join,
-        local: case.local,
-        strategy: case.strategy.clone(),
-        channel_capacity: 64,
-        source_rate: None,
-        fault: None,
-        shed_watermark: case.shed_watermark,
-        checkpoint: case.checkpoint_interval.map(CheckpointConfig::in_memory),
-        restore_from: None,
-        dispatch_batch: case.dispatch_batch,
-        trace: None,
-        scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
-    };
+    let mut cfg = case.simulated(seed);
     if case.crash {
         // Crash point within the stream so the crash actually fires on
         // most seeds; recovery must reproduce the exact oracle result.
@@ -382,21 +389,9 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         .checkpoint_interval
         .unwrap_or((case.records as u64 / 6).max(1));
 
-    let mut phase1 = DistributedJoinConfig {
-        k: case.k,
-        join: case.join,
-        local: case.local,
-        strategy: case.strategy.clone(),
-        channel_capacity: 64,
-        source_rate: None,
-        fault: None,
-        shed_watermark: None,
-        checkpoint: Some(CheckpointConfig::new(interval, Arc::clone(&store))),
-        restore_from: None,
-        dispatch_batch: case.dispatch_batch,
-        trace: None,
-        scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
-    };
+    let mut phase1 = case
+        .simulated(seed)
+        .with_checkpointing(CheckpointConfig::new(interval, Arc::clone(&store)));
     if case.crash {
         let horizon = (case.records as u64 / 4).max(1);
         phase1.fault = Some(FaultPlan::new().crash_seeded("joiner", case.k, horizon, seed));
@@ -406,11 +401,9 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
     let survives = (records.len() * 3 / 5).max(1);
     let prefix = &records[..survives];
 
-    let mut phase2 = phase1.clone();
-    phase2.fault = None;
-    phase2.checkpoint = None;
-    phase2.restore_from = Some(Arc::clone(&store));
-    phase2.scheduler = Scheduler::Sim(SimConfig::seeded(seed ^ 0x5eed));
+    let mut phase2 = case.simulated(seed ^ 0x5eed);
+    phase2.spec.checkpoint = None;
+    phase2.spec.restore_from = Some(Arc::clone(&store));
 
     let split = |rs: &[Record]| -> (Vec<Record>, Vec<Record>) {
         rs.iter().cloned().partition(|r| r.id().0 % 2 == 0)

@@ -46,33 +46,7 @@ pub fn reference_run(seed: u64) -> SimRun {
 /// snapshot publishes, replay-buffer truncation — on top of everything the
 /// plain reference run covers.
 pub fn reference_checkpoint_run(seed: u64) -> ssj_distrib::DistributedJoinResult {
-    use ssj_core::JoinConfig;
-    use ssj_distrib::{
-        CheckpointConfig, DistributedJoinConfig, LocalAlgo, PartitionMethod, Strategy,
-    };
-    use ssj_workloads::StreamGenerator;
-
-    let records =
-        StreamGenerator::new(crate::differential::differential_profile(), seed).take_records(120);
-    let cfg = DistributedJoinConfig {
-        k: 2,
-        join: JoinConfig::jaccard(0.7),
-        local: LocalAlgo::PpJoin,
-        strategy: Strategy::LengthAuto {
-            method: PartitionMethod::LoadAware,
-            sample: 40,
-        },
-        channel_capacity: 32,
-        source_rate: None,
-        fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
-        shed_watermark: None,
-        checkpoint: Some(CheckpointConfig::in_memory(25)),
-        restore_from: None,
-        dispatch_batch: None,
-        trace: None,
-        scheduler: stormlite::Scheduler::Sim(SimConfig::seeded(seed)),
-    };
-    ssj_distrib::run_distributed(&records, &cfg)
+    reference_traceable_run(seed, false)
 }
 
 /// The traced counterpart of [`reference_checkpoint_run`]: the identical
@@ -90,29 +64,28 @@ pub fn reference_trace_run(seed: u64) -> ssj_distrib::DistributedJoinResult {
 pub fn reference_traceable_run(seed: u64, traced: bool) -> ssj_distrib::DistributedJoinResult {
     use ssj_core::JoinConfig;
     use ssj_distrib::{
-        CheckpointConfig, DistributedJoinConfig, LocalAlgo, PartitionMethod, Strategy, TraceConfig,
+        CheckpointConfig, DistributedJoinConfig, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
+        TraceConfig,
     };
     use ssj_workloads::StreamGenerator;
 
     let records =
         StreamGenerator::new(crate::differential::differential_profile(), seed).take_records(120);
-    let cfg = DistributedJoinConfig {
-        k: 2,
-        join: JoinConfig::jaccard(0.7),
+    let spec = JoinSpec {
         local: LocalAlgo::PpJoin,
         strategy: Strategy::LengthAuto {
             method: PartitionMethod::LoadAware,
             sample: 40,
         },
-        channel_capacity: 32,
-        source_rate: None,
-        fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
-        shed_watermark: None,
         checkpoint: Some(CheckpointConfig::in_memory(25)),
-        restore_from: None,
-        dispatch_batch: None,
-        trace: traced.then(TraceConfig::default),
+        ..JoinSpec::recommended(2, JoinConfig::jaccard(0.7))
+    };
+    let cfg = DistributedJoinConfig {
+        channel_capacity: 32,
+        fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
         scheduler: stormlite::Scheduler::Sim(SimConfig::seeded(seed)),
+        trace: traced.then(TraceConfig::default),
+        ..DistributedJoinConfig::new(spec)
     };
     ssj_distrib::run_distributed(&records, &cfg)
 }

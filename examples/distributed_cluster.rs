@@ -7,7 +7,7 @@
 
 use dssj::core::JoinConfig;
 use dssj::distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy,
+    run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
 use dssj::workloads::{DatasetProfile, StreamGenerator};
 
@@ -38,21 +38,11 @@ fn main() {
     ];
     let mut pair_counts = Vec::new();
     for (name, strategy) in strategies {
-        let cfg = DistributedJoinConfig {
-            k,
-            join,
+        let cfg = DistributedJoinConfig::new(JoinSpec {
             local: LocalAlgo::PpJoin,
             strategy,
-            channel_capacity: 1024,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
-        };
+            ..JoinSpec::recommended(k, join)
+        });
         let out = run_distributed(&records, &cfg);
         println!(
             "{:<14} {:>12.0} {:>10.2} {:>11.0} {:>12.2} {:>10}",

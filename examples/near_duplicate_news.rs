@@ -32,9 +32,9 @@ fn main() {
     let cfg = DistributedJoinConfig::recommended(8, JoinConfig::jaccard(0.8));
     println!(
         "running distributed join: k = {}, strategy = {}, local = {}\n",
-        cfg.k,
-        cfg.strategy.name(),
-        cfg.local.name()
+        cfg.spec.k,
+        cfg.spec.strategy.name(),
+        cfg.spec.local.name()
     );
     let out = run_distributed(&records, &cfg);
 

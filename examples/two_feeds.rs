@@ -40,7 +40,7 @@ fn main() {
         "running bi-stream join: wire = {} records, social = {} records, k = {}\n",
         wire.len(),
         social.len(),
-        cfg.k
+        cfg.spec.k
     );
     let out = run_bistream_distributed(&wire, &social, &cfg);
 

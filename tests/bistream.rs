@@ -3,7 +3,7 @@
 use dssj::core::join::bistream::{merge_streams, run_bistream, BiStreamJoiner, Side};
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
 use dssj::distrib::{
-    run_bistream_distributed, DistributedJoinConfig, LocalAlgo, Scheduler, Strategy,
+    run_bistream_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, Strategy,
 };
 use dssj::text::Record;
 use dssj::workloads::{DatasetProfile, StreamGenerator};
@@ -71,19 +71,12 @@ fn bistream_window_and_prefix_strategy() {
     };
     let expect = ground_truth(&left, &right, join);
     let cfg = DistributedJoinConfig {
-        k: 3,
-        join,
-        local: LocalAlgo::PpJoinPlus,
-        strategy: Strategy::Prefix,
         channel_capacity: 64,
-        source_rate: None,
-        fault: None,
-        shed_watermark: None,
-        checkpoint: None,
-        restore_from: None,
-        dispatch_batch: None,
-        trace: None,
-        scheduler: Scheduler::Threads,
+        ..DistributedJoinConfig::new(JoinSpec {
+            local: LocalAlgo::PpJoinPlus,
+            strategy: Strategy::Prefix,
+            ..JoinSpec::recommended(3, join)
+        })
     };
     let out = run_bistream_distributed(&left, &right, &cfg);
     let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();

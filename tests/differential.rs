@@ -18,13 +18,18 @@
 //! not the interleaving; each body runs under a deadline.
 
 use dssj::core::{JoinConfig, Threshold, Window};
-use dssj::distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use dssj::distrib::{
+    run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig,
+    DistributedJoinConfig, JoinSpec, LocalAlgo, MemStore, PartitionMethod, SnapshotStore, Strategy,
+};
 use dssj::partition::LengthPartition;
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 use testkit::{
-    run_cluster_differential_relaxed, run_cluster_restore_differential, run_differential,
-    run_restore_differential, with_deadline, DifferentialCase,
+    assert_pairs_equal, differential_records, run_cluster_differential_relaxed,
+    run_cluster_restore_differential, run_differential, run_restore_differential, self_join,
+    with_deadline, DifferentialCase,
 };
 
 const STRATEGIES: usize = 4;
@@ -139,6 +144,53 @@ fn every_combination_restores_exactly_from_checkpoint() {
         restored > STRATEGIES * LOCALS * WINDOWS / 2,
         "only {restored} matrix cells committed a checkpoint before the handover"
     );
+}
+
+/// One spec, two engines: a checkpoint the simulated topology writes, the
+/// in-process cluster restores, and the other way round. Both directions
+/// resume at the same cut and owe exactly the oracle's pairs past it.
+#[test]
+fn a_checkpoint_restores_across_engines() {
+    const SEED: u64 = 7;
+    let records = differential_records(SEED, 240);
+    let join = JoinConfig::jaccard(0.7).with_window(Window::Count(60));
+    let oracle = self_join(&records, &join);
+    // The first run sees this prefix and leaves nothing behind but its
+    // snapshot store.
+    let prefix = &records[..150];
+    let spec = JoinSpec {
+        dispatch_batch: Some(8),
+        ..JoinSpec::recommended(3, join)
+    };
+    let topology = |spec| DistributedJoinConfig::new(spec).with_sim(SEED);
+    let cluster = |spec| ClusterConfig::new(spec, ClusterBackend::InProcess);
+    let mut cuts = Vec::new();
+    for topology_writes in [true, false] {
+        let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
+        let writer = JoinSpec {
+            checkpoint: Some(CheckpointConfig::new(40, Arc::clone(&store))),
+            ..spec.clone()
+        };
+        let reader = JoinSpec {
+            restore_from: Some(store),
+            ..spec.clone()
+        };
+        let (cut, pairs) = if topology_writes {
+            run_distributed(prefix, &topology(writer));
+            let restored = run_cluster(&records, &cluster(reader));
+            (restored.restored_cut, restored.pairs)
+        } else {
+            run_cluster(prefix, &cluster(writer));
+            let restored = run_distributed(&records, &topology(reader));
+            (restored.restored_cut, restored.pairs)
+        };
+        let cut = cut.expect("the first run committed an epoch");
+        let owed = oracle.iter().filter(|m| m.later.0 > cut).copied().collect();
+        assert_pairs_equal(SEED, &pairs, owed, "restored on the other engine");
+        cuts.push(cut);
+    }
+    assert_eq!(cuts[0], cuts[1], "the engines cut the same checkpoint");
+    assert_eq!(cuts[0], prefix[119].id().0, "the last of three epochs");
 }
 
 proptest! {

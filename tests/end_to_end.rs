@@ -4,7 +4,7 @@
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner};
 use dssj::distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy,
+    run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
 use dssj::text::{CorpusBuilder, QGramTokenizer, WordTokenizer};
 
@@ -62,19 +62,12 @@ fn text_pipeline_to_distributed_join() {
         (LocalAlgo::AllPairs, Strategy::Broadcast),
     ] {
         let cfg = DistributedJoinConfig {
-            k: 4,
-            join,
-            local,
-            strategy,
             channel_capacity: 128,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
+            ..DistributedJoinConfig::new(JoinSpec {
+                local,
+                strategy,
+                ..JoinSpec::recommended(4, join)
+            })
         };
         let out = run_distributed(&records, &cfg);
         let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();

@@ -131,7 +131,7 @@ fn an_interval_that_ends_mid_batch_cuts_where_the_unbatched_run_cuts() {
     for batch in [None, Some(8), Some(32)] {
         let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
         let mut cfg = DistributedJoinConfig::recommended(3, join).with_sim(5);
-        cfg.dispatch_batch = batch;
+        cfg.spec.dispatch_batch = batch;
         let first = cfg
             .clone()
             .with_checkpointing(CheckpointConfig::new(INTERVAL, Arc::clone(&store)))
@@ -150,7 +150,8 @@ fn an_interval_that_ends_mid_batch_cuts_where_the_unbatched_run_cuts() {
             Some(unbatched) => assert_eq!(&epochs, unbatched, "batch {batch:?}"),
         }
 
-        let restored = run_distributed(&records, &cfg.with_restore_from(store));
+        cfg.spec.restore_from = Some(store);
+        let restored = run_distributed(&records, &cfg);
         let cut = restored.restored_cut.expect("restored from the last epoch");
         assert_eq!(cut, prefix.last().unwrap().id().0);
         let owed: Vec<MatchPair> = oracle.iter().copied().filter(|m| m.later.0 > cut).collect();

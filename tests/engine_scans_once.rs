@@ -18,7 +18,7 @@ use dssj::core::{
     AllPairsJoiner, BundleJoiner, JoinConfig, MatchPair, PpJoinJoiner, StreamJoiner, Window,
 };
 use dssj::distrib::{
-    run_cluster, run_distributed, ClusterBackend, ClusterConfig, DistributedJoinConfig,
+    run_cluster, run_distributed, ClusterBackend, ClusterConfig, DistributedJoinConfig, JoinSpec,
     LengthRouter, LocalAlgo, Router, Strategy,
 };
 use dssj::partition::LengthPartition;
@@ -71,14 +71,17 @@ fn a_single_joiner_does_exactly_the_work_of_run_stream() {
             assert!(expected[4] > 0, "the stream must form multi-member bundles");
         }
 
-        let topology = DistributedJoinConfig {
+        let spec = JoinSpec {
             local,
-            ..DistributedJoinConfig::recommended(1, join)
+            ..JoinSpec::recommended(1, join)
         };
-        let cluster = |dispatch_batch| ClusterConfig {
-            local,
-            dispatch_batch,
-            ..ClusterConfig::recommended(1, join, ClusterBackend::InProcess)
+        let topology = DistributedJoinConfig::new(spec.clone());
+        let cluster = |dispatch_batch| {
+            let spec = JoinSpec {
+                dispatch_batch,
+                ..spec.clone()
+            };
+            ClusterConfig::new(spec, ClusterBackend::InProcess)
         };
         let threads = run_distributed(&records, &topology);
         let batched = run_distributed(&records, &topology.clone().with_dispatch_batch(32));
@@ -165,16 +168,18 @@ fn four_joiners_each_do_exactly_the_work_of_their_routed_replay() {
             );
         }
 
-        let topology = DistributedJoinConfig {
+        let spec = JoinSpec {
             local,
             strategy: Strategy::Length(partition.clone()),
-            ..DistributedJoinConfig::recommended(partition.k(), join)
+            ..JoinSpec::recommended(partition.k(), join)
         };
-        let cluster = |dispatch_batch| ClusterConfig {
-            local,
-            dispatch_batch,
-            strategy: Strategy::Length(partition.clone()),
-            ..ClusterConfig::recommended(partition.k(), join, ClusterBackend::InProcess)
+        let topology = DistributedJoinConfig::new(spec.clone());
+        let cluster = |dispatch_batch| {
+            let spec = JoinSpec {
+                dispatch_batch,
+                ..spec.clone()
+            };
+            ClusterConfig::new(spec, ClusterBackend::InProcess)
         };
         let threads = run_distributed(&records, &topology);
         let batched = run_distributed(&records, &topology.clone().with_dispatch_batch(32));

@@ -18,7 +18,7 @@ use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
 use dssj::distrib::{
     run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig, ClusterFault,
-    DistributedJoinConfig, LengthRouter, LocalAlgo, PartitionMethod, Router, Scheduler,
+    DistributedJoinConfig, JoinSpec, LengthRouter, LocalAlgo, PartitionMethod, Router,
     Strategy as DistStrategy,
 };
 use dssj::partition::{equal_depth, LengthHistogram, LengthPartition};
@@ -87,6 +87,25 @@ const LOCALS: [LocalAlgo; 5] = [
 
 const CASE_DEADLINE: Duration = Duration::from_secs(60);
 
+/// `k` joiners running `local` under `strategy`, on threads behind queues
+/// of 64 messages.
+fn threads_64(
+    k: usize,
+    join: JoinConfig,
+    local: LocalAlgo,
+    strategy: DistStrategy,
+) -> DistributedJoinConfig {
+    let spec = JoinSpec {
+        local,
+        strategy,
+        ..JoinSpec::recommended(k, join)
+    };
+    DistributedJoinConfig {
+        channel_capacity: 64,
+        ..DistributedJoinConfig::new(spec)
+    }
+}
+
 /// An in-process cluster of `k` nodes with chaos on every link and one
 /// supervised kill, task and ack count both derived from `fault_seed`
 /// (the kill never fires on a seed whose victim acks fewer messages).
@@ -99,8 +118,8 @@ fn chaotic_cluster(
     chaos_seed: u64,
 ) -> ClusterConfig {
     let mut cfg = ClusterConfig::recommended(k, join, ClusterBackend::InProcess);
-    cfg.local = local;
-    cfg.strategy = strategy;
+    cfg.spec.local = local;
+    cfg.spec.strategy = strategy;
     cfg.channel_capacity = 64;
     cfg.chaos_seed = Some(chaos_seed);
     cfg.fault = Some(ClusterFault {
@@ -216,11 +235,11 @@ fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
         // A fresh config per run: each gets its own in-memory store, so
         // epochs count from 1 in both.
         let cfg = || {
-            DistributedJoinConfig {
+            DistributedJoinConfig::new(JoinSpec {
                 strategy: DistStrategy::Length(partition.clone()),
                 checkpoint: interval.map(CheckpointConfig::in_memory),
-                ..DistributedJoinConfig::recommended(K, join)
-            }
+                ..JoinSpec::recommended(K, join)
+            })
             .with_sim(7)
         };
         let clean = run_distributed(&records, &cfg());
@@ -288,21 +307,8 @@ proptest! {
 
         for strategy in strategies(k) {
             for local in LOCALS {
-                let cfg = DistributedJoinConfig {
-                    k,
-                    join,
-                    local,
-                    strategy: strategy.clone(),
-                    channel_capacity: 64,
-                    source_rate: None,
-                    fault: Some(FaultPlan::new().crash_seeded("joiner", k, 150, fault_seed)),
-                    shed_watermark: None,
-                    checkpoint: None,
-                    restore_from: None,
-                    dispatch_batch: None,
-                trace: None,
-                    scheduler: Scheduler::Threads,
-                };
+                let plan = FaultPlan::new().crash_seeded("joiner", k, 150, fault_seed);
+                let cfg = threads_64(k, join, local, strategy.clone()).with_fault(plan);
                 let out = run_distributed(&records, &cfg);
                 let got = sorted_keys(&out.pairs);
                 prop_assert_eq!(
@@ -347,21 +353,7 @@ proptest! {
             .crash_seeded("joiner", k, 150, fault_seed)
             .crash_seeded("joiner", k, 150, fault_seed.wrapping_add(1))
             .crash("joiner", (fault_seed % k as u64) as usize, 0);
-        let cfg = DistributedJoinConfig {
-            k,
-            join,
-            local,
-            strategy: strategy.clone(),
-            channel_capacity: 64,
-            source_rate: None,
-            fault: Some(plan),
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-                trace: None,
-            scheduler: Scheduler::Threads,
-        };
+        let cfg = threads_64(k, join, local, strategy.clone()).with_fault(plan);
         let out = run_distributed(&records, &cfg);
         prop_assert_eq!(
             &sorted_keys(&out.pairs), &expect,
@@ -451,8 +443,8 @@ proptest! {
         let strategy = strategies(k)[strat_idx].clone();
         let mut cfg =
             chaotic_cluster(k, join, LOCALS[local_idx], strategy.clone(), fault_seed, chaos_seed);
-        cfg.shed_watermark = shed;
-        cfg.checkpoint = Some(CheckpointConfig::in_memory(interval));
+        cfg.spec.shed_watermark = shed;
+        cfg.spec.checkpoint = Some(CheckpointConfig::in_memory(interval));
         let (records, out) = with_deadline(CASE_DEADLINE, move || {
             let out = run_cluster(&records, &cfg);
             (records, out)

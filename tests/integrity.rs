@@ -75,7 +75,7 @@ fn storage_fault_case(seed: u64) {
 
     let mut phase1 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
     phase1.chaos_seed = Some(seed);
-    phase1.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&dyn_store)));
+    phase1.spec.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&dyn_store)));
     let prefix = &records[..records.len() * 3 / 5];
     let _ = run_cluster(prefix, &phase1);
 
@@ -106,8 +106,8 @@ fn storage_fault_case(seed: u64) {
 
     let mut phase2 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
     phase2.chaos_seed = None;
-    phase2.checkpoint = None;
-    phase2.restore_from = Some(Arc::clone(&dyn_store));
+    phase2.spec.checkpoint = None;
+    phase2.spec.restore_from = Some(Arc::clone(&dyn_store));
     let restored = run_cluster(&records, &phase2);
 
     // Whatever cut the verified restore settled on, the result owes
@@ -189,7 +189,7 @@ fn dropped_commits_leave_nothing_to_restore_and_recompute_exactly() {
         }
         let dyn_store: Arc<dyn SnapshotStore> = store.clone();
         let mut phase1 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-        phase1.checkpoint = Some(CheckpointConfig::new(12, Arc::clone(&dyn_store)));
+        phase1.spec.checkpoint = Some(CheckpointConfig::new(12, Arc::clone(&dyn_store)));
         let _ = run_cluster(&records[..72], &phase1);
         assert!(
             store.hits().dropped_commits > 0,
@@ -198,8 +198,8 @@ fn dropped_commits_leave_nothing_to_restore_and_recompute_exactly() {
         assert_eq!(store.epochs().unwrap(), Vec::<u64>::new());
 
         let mut phase2 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-        phase2.checkpoint = None;
-        phase2.restore_from = Some(dyn_store);
+        phase2.spec.checkpoint = None;
+        phase2.spec.restore_from = Some(dyn_store);
         let restored = run_cluster(&records, &phase2);
         assert_eq!(restored.restored_cut, None);
         let expect = oracle::self_join_surviving(&records, &case.join, &[]);
@@ -224,7 +224,7 @@ fn envelope_less_payloads_are_quarantined_like_any_rot() {
         let records = differential_records(seed, case.records);
         let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
         let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-        cfg.checkpoint = Some(CheckpointConfig::new(20, Arc::clone(&store)));
+        cfg.spec.checkpoint = Some(CheckpointConfig::new(20, Arc::clone(&store)));
         let _ = run_cluster(&records, &cfg);
         let epochs = store.epochs().unwrap();
         assert!(

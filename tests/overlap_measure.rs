@@ -6,7 +6,7 @@
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, SimFn, Threshold, Window};
 use dssj::distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, PartitionMethod, Scheduler, Strategy,
+    run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
 use dssj::text::{Record, RecordId, TokenId};
 
@@ -82,19 +82,12 @@ fn distributed_overlap_equals_naive_under_every_strategy() {
         Strategy::Broadcast,
     ] {
         let dc = DistributedJoinConfig {
-            k: 4,
-            join: cfg,
-            local: LocalAlgo::AllPairs,
-            strategy,
             channel_capacity: 64,
-            source_rate: None,
-            fault: None,
-            shed_watermark: None,
-            checkpoint: None,
-            restore_from: None,
-            dispatch_batch: None,
-            trace: None,
-            scheduler: Scheduler::Threads,
+            ..DistributedJoinConfig::new(JoinSpec {
+                local: LocalAlgo::AllPairs,
+                strategy,
+                ..JoinSpec::recommended(4, cfg)
+            })
         };
         let out = run_distributed(&records, &dc);
         let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();

@@ -13,9 +13,7 @@
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, SimFn, Threshold, Window};
-use dssj::distrib::{
-    run_distributed, DistributedJoinConfig, LocalAlgo, Scheduler, SimConfig, Strategy,
-};
+use dssj::distrib::{run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, Strategy};
 use dssj::partition::LengthPartition;
 use dssj::text::{Record, RecordId, TokenId};
 use testkit::sorted_keys;
@@ -86,12 +84,12 @@ fn every_local_algorithm_agrees_with_naive_exactly_on_the_threshold() {
                 on_threshold += boundary;
                 let expect = sorted_keys(&naive);
                 for local in locals {
-                    let cfg = DistributedJoinConfig {
+                    let cfg = DistributedJoinConfig::new(JoinSpec {
                         local,
                         strategy: Strategy::Length(LengthPartition::from_uppers(vec![3, 6])),
-                        scheduler: Scheduler::Sim(SimConfig::seeded(7)),
-                        ..DistributedJoinConfig::recommended(2, join)
-                    };
+                        ..JoinSpec::recommended(2, join)
+                    })
+                    .with_sim(7);
                     let run = run_distributed(records, &cfg);
                     let got = sorted_keys(&run.pairs);
                     assert_eq!(got, expect, "{sim:?} τ={tau} local={}", local.name());

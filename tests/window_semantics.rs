@@ -4,7 +4,7 @@
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, StreamJoiner, Threshold, Window};
-use dssj::distrib::{run_distributed, DistributedJoinConfig, LocalAlgo, Scheduler, Strategy};
+use dssj::distrib::{run_distributed, DistributedJoinConfig, JoinSpec, LocalAlgo, Strategy};
 use dssj::text::{Record, RecordId, TokenId};
 
 fn rec(id: u64, ts: u64, toks: &[u32]) -> Record {
@@ -93,19 +93,12 @@ fn distributed_window_equals_local_window() {
             Strategy::Prefix,
         ] {
             let cfg = DistributedJoinConfig {
-                k: 3,
-                join,
-                local: LocalAlgo::bundle(),
-                strategy,
                 channel_capacity: 64,
-                source_rate: None,
-                fault: None,
-                shed_watermark: None,
-                checkpoint: None,
-                restore_from: None,
-                dispatch_batch: None,
-                trace: None,
-                scheduler: Scheduler::Threads,
+                ..DistributedJoinConfig::new(JoinSpec {
+                    local: LocalAlgo::bundle(),
+                    strategy,
+                    ..JoinSpec::recommended(3, join)
+                })
             };
             let out = run_distributed(&records, &cfg);
             let mut got: Vec<_> = out.pairs.iter().map(|m| m.key()).collect();
