@@ -1,34 +1,36 @@
 //! Storage machinery shared by the indexed joiners: a flat columnar record
-//! store with a token arena and liveness bitmap, an arena-backed inverted
-//! prefix index with lazy posting pruning, a tombstoning slot slab for the
-//! bundle joiner, a stamp-based candidate deduplication filter, and the
-//! per-probe candidate accumulator the positional joiners share.
+//! store over a token arena, an arena-backed inverted prefix index, a slot
+//! slab for the bundle joiner, a stamp-based candidate deduplication
+//! filter, and the per-probe candidate accumulator the positional joiners
+//! share.
 //!
-//! The hot structures are **flat**: record token sets live back-to-back in
-//! one `Vec<TokenId>` arena (so verification reads are contiguous), posting
-//! lists live back-to-back in one `Vec<Posting>` arena addressed by
-//! per-token `(start, len, cap)` ranges (so a candidate scan is a single
-//! contiguous sweep, with the token → range step a direct array index for
-//! ordinary token ids rather than a hash probe), and liveness is one bit
-//! per slot (so the prune predicate never touches record payloads).
+//! The hot structures are **flat**: record token sets live in one
+//! `Vec<TokenId>` arena (so verification reads are contiguous), posting
+//! lists live in one `Vec<Posting>` arena addressed by per-token
+//! `(start, len, cap)` ranges (so a candidate scan is a single contiguous
+//! sweep, with the token → range step a direct array index for ordinary
+//! token ids rather than a hash probe).
 //!
-//! Eviction marks slots dead; postings referencing dead slots are pruned
-//! *lazily* while a list is scanned (the scan already pays for the
-//! traversal), and the whole structure is compacted when the dead fraction
-//! grows too large, so memory stays proportional to the live window.
+//! The index holds one invariant: **a posting exists exactly while its slot
+//! is live.** A joiner removes a slot's postings
+//! ([`InvertedIndex::remove`]) before it frees the slot, so a scan never
+//! meets a dead slot and [`InvertedIndex::postings`] is an exact count.
+//! Freed memory is reused, never compacted: both arenas are carved into
+//! power-of-two blocks with a free list per size class, and both stores
+//! hand freed slots to the next insert. Nothing is ever renumbered, so no
+//! structure holding a slot needs rewriting.
 //!
 //! A probe's scan is a chain of dependent cache misses: a token's list
 //! reference in the direct table, then its first postings, then each
 //! candidate's per-slot state. [`InvertedIndex::scan_prefix`] pipelines
 //! that chain across the prefix: while it scans token `i` it has already
 //! asked for token `i + 2`'s reference and token `i + 1`'s first postings,
-//! and within a list `scan_prune` announces each posting's slot a cache
-//! line of postings ahead. The joiners' verification loops likewise fetch
-//! the next survivor's record while the current one merges. Every such step
-//! is a cache hint or a plain read; nothing is written, so what a scan
-//! visits, and in which order, does not depend on it.
+//! and within a list [`InvertedIndex::scan`] announces each posting's slot
+//! a cache line of postings ahead. The joiners' verification loops likewise
+//! fetch the next survivor's record while the current one merges. Every
+//! such step is a cache hint or a plain read, so what a scan visits, and in
+//! which order, does not depend on it.
 
-use crate::window::EvictionQueue;
 use ssj_text::{FxHashMap, Record, RecordId, TokenId};
 
 /// Slot handle into a [`RecordStore`] or [`SlotStore`].
@@ -66,21 +68,63 @@ pub(crate) fn prefetch_tokens(tokens: &[TokenId]) {
     }
 }
 
-/// A tombstoning slab of values addressed by [`Slot`], with a liveness
-/// bitmap so "is this slot live?" never touches the values, and one small
-/// `Copy` **head** per slot in a dense column of its own. Used by the
-/// bundle joiner, whose stored values are structured (not flat records):
-/// what a candidate's first visit reads lives in the head column — a few
-/// words per slot, packed — so a prefix scan touches the ~100-byte value
-/// only for the candidates it goes on to verify. Head and value are
-/// inserted, tombstoned and compacted together; a field lives in exactly
-/// one of them.
+/// The size class of a block holding `len` elements: `1 << class ≥ len`.
+#[inline]
+fn size_class(len: u32) -> u32 {
+    len.max(1).next_power_of_two().trailing_zeros()
+}
+
+/// One arena carved into power-of-two blocks, with a free list per size
+/// class: a freed block goes to the next request of its class, so the
+/// arena grows only when every block of that class is in use.
+#[derive(Debug)]
+struct Blocks<T> {
+    arena: Vec<T>,
+    /// `free[class]`: starts of the free blocks of `1 << class` elements.
+    free: [Vec<u32>; 32],
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Self {
+            arena: Vec::new(),
+            free: Default::default(),
+        }
+    }
+}
+
+impl<T: Copy> Blocks<T> {
+    /// The start of a block of `1 << class` elements; a fresh one is filled
+    /// with `fill`, a reused one keeps what its last owner left.
+    fn alloc(&mut self, class: u32, fill: T) -> u32 {
+        if let Some(start) = self.free[class as usize].pop() {
+            return start;
+        }
+        let start = self.arena.len();
+        self.arena.resize(start + (1 << class), fill);
+        start as u32
+    }
+
+    /// Returns the block at `start` to its class's free list.
+    fn free(&mut self, start: u32, class: u32) {
+        self.free[class as usize].push(start);
+    }
+}
+
+/// A slab of values addressed by [`Slot`], with one small `Copy` **head**
+/// per slot in a dense column of its own. Used by the bundle joiner, whose
+/// stored values are structured (not flat records): what a candidate's
+/// first visit reads lives in the head column — a few words per slot,
+/// packed — so a prefix scan touches the ~100-byte value only for the
+/// candidates it goes on to verify. Head and value are inserted and freed
+/// together; a field lives in exactly one of them. A freed slot is the next
+/// insert's.
 #[derive(Debug)]
 pub struct SlotStore<H, T> {
     slots: Vec<Option<T>>,
     heads: Vec<H>,
-    live_bits: Vec<u64>,
-    live: usize,
+    /// Freed slots, the last freed reused first.
+    free: Vec<Slot>,
 }
 
 impl<H, T> Default for SlotStore<H, T> {
@@ -88,8 +132,7 @@ impl<H, T> Default for SlotStore<H, T> {
         Self {
             slots: Vec::new(),
             heads: Vec::new(),
-            live_bits: Vec::new(),
-            live: 0,
+            free: Vec::new(),
         }
     }
 }
@@ -100,33 +143,23 @@ impl<H: Copy, T> SlotStore<H, T> {
         Self::default()
     }
 
-    /// Stores a head and its value, returning their slot. Slots are not
-    /// reused until [`compact`](Self::compact).
+    /// Stores a head and its value in a freed slot, or a new one, and
+    /// returns it.
     pub fn insert(&mut self, head: H, value: T) -> Slot {
-        let slot = self.slots.len() as Slot;
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(value);
+            self.heads[slot as usize] = head;
+            return slot;
+        }
         self.slots.push(Some(value));
         self.heads.push(head);
-        let word = slot as usize >> 6;
-        if word >= self.live_bits.len() {
-            self.live_bits.push(0);
-        }
-        self.live_bits[word] |= 1 << (slot & 63);
-        self.live += 1;
-        slot
-    }
-
-    /// Whether `slot` holds a live value — one bit test, no payload access.
-    #[inline]
-    pub fn is_live(&self, slot: Slot) -> bool {
-        self.live_bits
-            .get(slot as usize >> 6)
-            .is_some_and(|w| w >> (slot & 63) & 1 == 1)
+        (self.slots.len() - 1) as Slot
     }
 
     /// The head of `slot`.
     ///
-    /// Valid for live slots; a dead slot still reads its last head until
-    /// the next compaction, so callers must check liveness.
+    /// Valid for live slots; a freed slot reads its last head until it is
+    /// reused.
     #[inline]
     pub fn head(&self, slot: Slot) -> H {
         self.heads[slot as usize]
@@ -141,7 +174,7 @@ impl<H: Copy, T> SlotStore<H, T> {
         }
     }
 
-    /// The value in `slot`, if still live.
+    /// The value in `slot`, if live.
     #[inline]
     pub fn get(&self, slot: Slot) -> Option<&T> {
         self.slots.get(slot as usize).and_then(|s| s.as_ref())
@@ -155,72 +188,30 @@ impl<H: Copy, T> SlotStore<H, T> {
         }
     }
 
-    /// Mutable access to the head and value in `slot`, if still live.
+    /// Mutable access to the head and value in `slot`, if live.
     #[inline]
     pub fn get_mut(&mut self, slot: Slot) -> Option<(&mut H, &mut T)> {
         let value = self.slots.get_mut(slot as usize)?.as_mut()?;
         Some((&mut self.heads[slot as usize], value))
     }
 
-    /// Tombstones `slot`, returning the value.
+    /// Frees `slot`, returning its value.
     pub fn remove(&mut self, slot: Slot) -> Option<T> {
         let r = self.slots.get_mut(slot as usize).and_then(Option::take);
         if r.is_some() {
-            self.live_bits[slot as usize >> 6] &= !(1 << (slot & 63));
-            self.live -= 1;
+            self.free.push(slot);
         }
         r
     }
 
-    /// Iterates live `(slot, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Slot, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (i as Slot, v)))
-    }
-
     /// Live value count.
     pub fn live(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 
-    /// Dead (tombstoned) slot count.
-    pub fn dead(&self) -> usize {
-        self.slots.len() - self.live
-    }
-
-    /// Total slots allocated (live + dead).
+    /// Slots allocated, live or free: the most ever live at once.
     pub fn capacity_slots(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Rebuilds the slab with live heads and values only and returns the
-    /// remap table: `remap[old_slot] = new_slot` (or [`Slot::MAX`] for dead
-    /// slots). Callers must rewrite every structure holding slots.
-    pub fn compact(&mut self) -> Vec<Slot> {
-        let mut remap = vec![Slot::MAX; self.slots.len()];
-        let mut new_slots = Vec::with_capacity(self.live);
-        let mut new_heads = Vec::with_capacity(self.live);
-        for (old, slot) in self.slots.drain(..).enumerate() {
-            if let Some(value) = slot {
-                remap[old] = new_slots.len() as Slot;
-                new_slots.push(Some(value));
-                new_heads.push(self.heads[old]);
-            }
-        }
-        self.slots = new_slots;
-        self.heads = new_heads;
-        self.live_bits.clear();
-        self.live_bits
-            .resize(self.slots.len().div_ceil(64), u64::MAX);
-        if let Some(last) = self.live_bits.last_mut() {
-            let tail = self.slots.len() & 63;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        remap
     }
 }
 
@@ -239,18 +230,16 @@ struct RecMeta {
 /// The flat record slab used by the per-record joiners.
 ///
 /// Token sets are copied into one shared arena on insert (no per-record
-/// allocation, no `Arc` traffic on the hot path); identity, timestamp and
-/// the arena range live in one row per slot; liveness is a bitmap. Dead
-/// token ranges linger in the arena until [`compact`](Self::compact)
-/// rebuilds it, so arena size stays proportional to the live window under
-/// the same [`should_compact`] policy as the index.
+/// allocation, no `Arc` traffic on the hot path), each into a power-of-two
+/// block that [`remove`](Self::remove) returns for reuse; identity,
+/// timestamp and the arena range live in one row per slot, and a freed row
+/// is the next insert's.
 #[derive(Debug, Default)]
 pub struct RecordStore {
     meta: Vec<RecMeta>,
-    live_bits: Vec<u64>,
-    live: usize,
-    /// All live records' tokens, back to back in slot-insertion order.
-    tokens: Vec<TokenId>,
+    /// Freed slots, the last freed reused first.
+    free: Vec<Slot>,
+    tokens: Blocks<TokenId>,
 }
 
 impl RecordStore {
@@ -259,42 +248,34 @@ impl RecordStore {
         Self::default()
     }
 
-    /// Stores a record's identity, timestamp and tokens, returning its
-    /// slot. Slots are not reused until [`compact`](Self::compact).
+    /// Stores a record's identity, timestamp and tokens in a freed slot, or
+    /// a new one, and returns it.
     pub fn insert(&mut self, record: &Record) -> Slot {
-        let slot = self.meta.len() as Slot;
-        self.meta.push(RecMeta {
+        let len = record.len() as u32;
+        let start = self.tokens.alloc(size_class(len), TokenId(0));
+        self.tokens.arena[start as usize..(start + len) as usize].copy_from_slice(record.tokens());
+        let m = RecMeta {
             id: record.id(),
             stamp: record.timestamp(),
-            tok_start: self.tokens.len() as u32,
-            tok_len: record.len() as u32,
-        });
-        self.tokens.extend_from_slice(record.tokens());
-        let word = slot as usize >> 6;
-        if word >= self.live_bits.len() {
-            self.live_bits.push(0);
+            tok_start: start,
+            tok_len: len,
+        };
+        if let Some(slot) = self.free.pop() {
+            self.meta[slot as usize] = m;
+            return slot;
         }
-        self.live_bits[word] |= 1 << (slot & 63);
-        self.live += 1;
-        slot
-    }
-
-    /// Whether `slot` holds a live record — one bit test.
-    #[inline]
-    pub fn is_live(&self, slot: Slot) -> bool {
-        self.live_bits
-            .get(slot as usize >> 6)
-            .is_some_and(|w| w >> (slot & 63) & 1 == 1)
+        self.meta.push(m);
+        (self.meta.len() - 1) as Slot
     }
 
     /// The token set stored in `slot` (a contiguous arena slice).
     ///
-    /// Valid for live slots; a dead slot's range still reads its old
-    /// tokens until the next compaction, so callers must check liveness.
+    /// Valid for live slots only: a freed slot's range may already hold
+    /// another record's tokens.
     #[inline]
     pub fn tokens(&self, slot: Slot) -> &[TokenId] {
         let m = self.meta[slot as usize];
-        &self.tokens[m.tok_start as usize..m.tok_start as usize + m.tok_len as usize]
+        &self.tokens.arena[m.tok_start as usize..m.tok_start as usize + m.tok_len as usize]
     }
 
     /// Hints the CPU to pull the first four cache lines (64 tokens) of
@@ -305,7 +286,7 @@ impl RecordStore {
     pub fn prefetch_tokens(&self, slot: Slot) {
         if let Some(m) = self.meta.get(slot as usize) {
             let start = m.tok_start as usize;
-            if let Some(run) = self.tokens.get(start..start + m.tok_len as usize) {
+            if let Some(run) = self.tokens.arena.get(start..start + m.tok_len as usize) {
                 prefetch_tokens(run);
             }
         }
@@ -331,7 +312,6 @@ impl RecordStore {
 
     /// Reconstructs the full record in `slot` (snapshot path; allocates).
     pub fn to_record(&self, slot: Slot) -> Record {
-        debug_assert!(self.is_live(slot), "snapshotting a dead slot");
         Record::from_sorted(
             self.id(slot),
             self.timestamp(slot),
@@ -339,67 +319,27 @@ impl RecordStore {
         )
     }
 
-    /// Tombstones `slot`. Returns whether it was live.
-    pub fn remove(&mut self, slot: Slot) -> bool {
-        if !self.is_live(slot) {
-            return false;
-        }
-        self.live_bits[slot as usize >> 6] &= !(1 << (slot & 63));
-        self.live -= 1;
-        true
+    /// Frees live `slot` and its token block for reuse. Its postings must
+    /// already be gone from every index.
+    pub fn remove(&mut self, slot: Slot) {
+        let m = self.meta[slot as usize];
+        self.tokens.free(m.tok_start, size_class(m.tok_len));
+        self.free.push(slot);
     }
 
     /// Live record count.
     pub fn live(&self) -> usize {
-        self.live
+        self.meta.len() - self.free.len()
     }
 
-    /// Dead (tombstoned) slot count.
-    pub fn dead(&self) -> usize {
-        self.meta.len() - self.live
-    }
-
-    /// Total slots allocated (live + dead).
+    /// Slots allocated, live or free: the most ever live at once.
     pub fn capacity_slots(&self) -> usize {
         self.meta.len()
     }
 
-    /// Token-arena length, including dead records' ranges (test/metrics
-    /// hook for compaction accounting).
+    /// Token-arena length, free blocks included (test/metrics hook).
     pub fn token_arena_len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Rebuilds columns and token arena with live records only and returns
-    /// the remap table: `remap[old_slot] = new_slot` (or [`Slot::MAX`] for
-    /// dead slots). Callers must rewrite every structure holding slots.
-    pub fn compact(&mut self) -> Vec<Slot> {
-        let old = self.meta.len();
-        let mut remap = vec![Slot::MAX; old];
-        let mut meta = Vec::with_capacity(self.live);
-        let mut tokens = Vec::with_capacity(self.tokens.len());
-        for slot in 0..old as Slot {
-            if !self.is_live(slot) {
-                continue;
-            }
-            remap[slot as usize] = meta.len() as Slot;
-            let mut m = self.meta[slot as usize];
-            let start = tokens.len() as u32;
-            tokens.extend_from_slice(self.tokens(slot));
-            m.tok_start = start;
-            meta.push(m);
-        }
-        self.meta = meta;
-        self.tokens = tokens;
-        self.live_bits.clear();
-        self.live_bits.resize(self.live.div_ceil(64), u64::MAX);
-        if let Some(last) = self.live_bits.last_mut() {
-            let tail = self.live & 63;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        remap
+        self.tokens.arena.len()
     }
 }
 
@@ -422,7 +362,8 @@ impl Posting {
     pub const NO_POS: u32 = u32::MAX;
 }
 
-/// Filler for arena holes; never visible through a list range.
+/// Filler for a fresh block's unused tail; never visible through a list
+/// range.
 const HOLE: Posting = Posting {
     slot: Slot::MAX,
     pos: u32::MAX,
@@ -433,8 +374,8 @@ const HOLE: Posting = Posting {
 /// ~1.5 MiB while covering the realistic vocabularies whole.
 const DIRECT_SPAN: usize = 1 << 17;
 
-/// How many postings ahead [`InvertedIndex::scan_prune`] announces a slot:
-/// one cache line of postings.
+/// How many postings ahead [`InvertedIndex::scan`] announces a slot: one
+/// cache line of postings.
 const SCAN_AHEAD: usize = 8;
 
 /// How many prefix tokens ahead of the one it scans
@@ -445,12 +386,13 @@ const SCAN_AHEAD: usize = 8;
 const REF_AHEAD: usize = 2;
 const POSTINGS_AHEAD: usize = 1;
 
-/// Initial capacity of a fresh posting list; lists double (relocating to
-/// the arena tail) when full.
+/// Capacity of a fresh posting list; a full list moves to a block twice
+/// its size.
 const LIST_MIN_CAP: u32 = 2;
 
 /// A posting list's range in the arena: `arena[start..start+len]` is the
-/// list, `arena[start..start+cap]` is owned by it.
+/// list, `arena[start..start+cap]` is its block (`cap` a power of two, 0
+/// for a token without a list).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ListRef {
     start: u32,
@@ -458,33 +400,25 @@ struct ListRef {
     cap: u32,
 }
 
-impl ListRef {
-    #[inline]
-    fn is_empty(self) -> bool {
-        self.len == 0
-    }
-}
-
 /// Inverted index: token → postings, arena-backed.
 ///
-/// All posting lists live in one `Vec<Posting>` arena; per-token
-/// `(start, len, cap)` ranges make each candidate scan one contiguous
-/// sweep. A full list relocates to the arena tail with doubled capacity
-/// (append-heavy streaming workloads touch each list many times, so
-/// amortized-doubling beats exact-fit); the hole it leaves is garbage that
-/// an automatic arena rebuild reclaims once it outweighs the live data.
+/// Every posting list owns one power-of-two block of a single
+/// `Vec<Posting>` arena, so each candidate scan is one contiguous sweep. A
+/// full list moves to a block twice its size (append-heavy streaming
+/// workloads touch each list many times, so amortized doubling beats
+/// exact fit) and a list a quarter full to one half its size, so a block
+/// never holds less than a quarter of its capacity; the block a list
+/// leaves, like the block of a list that empties, goes to the next list
+/// that needs one of that size.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
     /// Token id < [`DIRECT_SPAN`] → list range, by direct array index.
     direct: Vec<ListRef>,
     /// Spill map for out-of-span token ids.
     spill: FxHashMap<TokenId, ListRef>,
-    arena: Vec<Posting>,
-    /// Postings currently stored (see [`postings`](Self::postings)).
-    live_postings: usize,
-    /// Arena slots no longer owned by any list (relocation holes plus
-    /// freed empty-list capacity).
-    garbage: usize,
+    blocks: Blocks<Posting>,
+    /// Postings stored (see [`postings`](Self::postings)).
+    postings: usize,
     /// Tokens with a non-empty posting list.
     token_lists: usize,
 }
@@ -516,107 +450,87 @@ impl InvertedIndex {
                 self.direct.resize(DIRECT_SPAN, ListRef::default());
             }
             self.direct[t] = lr;
-        } else if lr.is_empty() {
+        } else if lr.len == 0 {
             self.spill.remove(&token);
         } else {
             self.spill.insert(token, lr);
         }
     }
 
-    /// Adds a posting.
+    /// Appends a posting to `token`'s list.
     pub fn add(&mut self, token: TokenId, posting: Posting) {
         let mut lr = self.get_ref(token);
         if lr.len == lr.cap {
-            // Full (or fresh): place the list at the arena tail with
-            // doubled capacity; the old range becomes garbage.
-            let new_cap = (lr.cap * 2).max(LIST_MIN_CAP);
-            let new_start = self.arena.len() as u32;
-            if lr.len > 0 {
-                let s = lr.start as usize;
-                self.arena.extend_from_within(s..s + lr.len as usize);
-                self.garbage += lr.cap as usize;
-            }
-            self.arena.push(posting);
-            self.arena
-                .resize(new_start as usize + new_cap as usize, HOLE);
-            if lr.len == 0 {
-                self.token_lists += 1;
-            }
-            lr = ListRef {
-                start: new_start,
-                len: lr.len + 1,
-                cap: new_cap,
-            };
-        } else {
-            self.arena[(lr.start + lr.len) as usize] = posting;
-            lr.len += 1;
+            // Full (or absent): move to a block twice the size.
+            self.token_lists += usize::from(lr.cap == 0);
+            lr = self.relocate(lr, (lr.cap * 2).max(LIST_MIN_CAP));
         }
+        self.blocks.arena[(lr.start + lr.len) as usize] = posting;
+        lr.len += 1;
         self.set_ref(token, lr);
-        self.live_postings += 1;
-        self.maybe_rebuild();
+        self.postings += 1;
     }
 
-    /// Scans the posting list of `token`, pruning dead postings in place.
-    /// `is_live` decides liveness by slot; `visit` sees each live posting,
-    /// in original insertion order. `ahead` is handed the slot of the
-    /// posting a cache line of postings further on, so a caller whose
-    /// `visit` reads per-slot state can start that fetch early (pass
-    /// `|_| {}` otherwise).
-    pub fn scan_prune(
-        &mut self,
-        token: TokenId,
-        ahead: impl Fn(Slot),
-        mut is_live: impl FnMut(Slot) -> bool,
-        mut visit: impl FnMut(Posting),
-    ) {
+    /// Removes `slot`'s posting from `token`'s list, keeping the others in
+    /// insertion order. The list is searched from the front, where an
+    /// evicted slot's posting almost always sits: eviction runs in arrival
+    /// order. Moves the list to a block half the size once it is a quarter
+    /// full, and frees its block once it is empty.
+    ///
+    /// # Panics
+    /// If `token` has no posting for `slot`.
+    pub fn remove(&mut self, token: TokenId, slot: Slot) {
         let mut lr = self.get_ref(token);
-        if lr.is_empty() {
-            return;
-        }
         let start = lr.start as usize;
-        let w = {
-            let list = &mut self.arena[start..start + lr.len as usize];
-            list.iter().take(SCAN_AHEAD).for_each(|p| ahead(p.slot));
-            // Fast path: no dead posting yet — pure read sweep, no
-            // write-back. Falls into the two-pointer compaction from the
-            // first dead entry onward.
-            let mut w = list.len();
-            for (r, &p) in list.iter().enumerate() {
-                if let Some(next) = list.get(r + SCAN_AHEAD) {
-                    ahead(next.slot);
-                }
-                if is_live(p.slot) {
-                    visit(p);
-                } else {
-                    w = r;
-                    break;
-                }
+        let list = &mut self.blocks.arena[start..start + lr.len as usize];
+        let at = list
+            .iter()
+            .position(|p| p.slot == slot)
+            .expect("removed posting is indexed");
+        list.copy_within(at + 1.., at);
+        lr.len -= 1;
+        self.postings -= 1;
+        if lr.len == 0 {
+            self.blocks.free(lr.start, size_class(lr.cap));
+            self.token_lists -= 1;
+            lr = ListRef::default();
+        } else if lr.cap > LIST_MIN_CAP && lr.len <= lr.cap / 4 {
+            lr = self.relocate(lr, lr.cap / 2);
+        }
+        self.set_ref(token, lr);
+    }
+
+    /// Moves `lr`'s postings into a block of `cap`, freeing its old block.
+    fn relocate(&mut self, lr: ListRef, cap: u32) -> ListRef {
+        let start = self.blocks.alloc(size_class(cap), HOLE);
+        if lr.cap > 0 {
+            let old = lr.start as usize;
+            self.blocks
+                .arena
+                .copy_within(old..old + lr.len as usize, start as usize);
+            self.blocks.free(lr.start, size_class(lr.cap));
+        }
+        ListRef {
+            start,
+            len: lr.len,
+            cap,
+        }
+    }
+
+    /// Visits the posting list of `token` in insertion order. `ahead` is
+    /// handed the slot of the posting a cache line of postings further on,
+    /// so a caller whose `visit` reads per-slot state can start that fetch
+    /// early (pass `|_| {}` otherwise).
+    pub fn scan(&self, token: TokenId, ahead: impl Fn(Slot), mut visit: impl FnMut(Posting)) {
+        let lr = self.get_ref(token);
+        let start = lr.start as usize;
+        let list = &self.blocks.arena[start..start + lr.len as usize];
+        list.iter().take(SCAN_AHEAD).for_each(|p| ahead(p.slot));
+        for (r, &p) in list.iter().enumerate() {
+            if let Some(next) = list.get(r + SCAN_AHEAD) {
+                ahead(next.slot);
             }
-            if w < list.len() {
-                for r in w + 1..list.len() {
-                    if let Some(next) = list.get(r + SCAN_AHEAD) {
-                        ahead(next.slot);
-                    }
-                    let p = list[r];
-                    if is_live(p.slot) {
-                        visit(p);
-                        list[w] = p;
-                        w += 1;
-                    }
-                }
-            }
-            w
-        };
-        let removed = lr.len as usize - w;
-        if removed > 0 {
-            self.live_postings -= removed;
-            lr.len = w as u32;
-            if lr.is_empty() {
-                self.garbage += lr.cap as usize;
-                self.token_lists -= 1;
-                lr = ListRef::default();
-            }
-            self.set_ref(token, lr);
+            visit(p);
         }
     }
 
@@ -636,24 +550,23 @@ impl InvertedIndex {
     #[inline]
     fn prefetch_postings(&self, token: TokenId) {
         if let Some(lr) = self.direct.get(token.0 as usize) {
-            if let Some(first) = self.arena.get(lr.start as usize) {
+            if let Some(first) = self.blocks.arena.get(lr.start as usize) {
                 prefetch(first);
             }
         }
     }
 
-    /// [`scan_prune`](Self::scan_prune) of each token of `prefix` in turn,
-    /// pipelined: before scanning token `i` it asks for token `i + 2`'s list
-    /// reference and token `i + 1`'s first postings, so those misses
-    /// overlap token `i`'s scan instead of stalling the next one. `ahead`
-    /// and `is_live` are `scan_prune`'s; `visit` sees each live posting
-    /// with the prefix position of its token. What it sees, and in which
-    /// order, is exactly what scanning the tokens one by one would show.
+    /// [`scan`](Self::scan) of each token of `prefix` in turn, pipelined:
+    /// before scanning token `i` it asks for token `i + 2`'s list reference
+    /// and token `i + 1`'s first postings, so those misses overlap token
+    /// `i`'s scan instead of stalling the next one. `ahead` is `scan`'s;
+    /// `visit` sees each posting with the prefix position of its token.
+    /// What it sees, and in which order, is exactly what scanning the
+    /// tokens one by one would show.
     pub fn scan_prefix(
-        &mut self,
+        &self,
         prefix: &[TokenId],
         ahead: impl Fn(Slot),
-        mut is_live: impl FnMut(Slot) -> bool,
         mut visit: impl FnMut(usize, Posting),
     ) {
         for (i, &token) in prefix.iter().enumerate() {
@@ -663,20 +576,14 @@ impl InvertedIndex {
             if let Some(&t) = prefix.get(i + POSTINGS_AHEAD) {
                 self.prefetch_postings(t);
             }
-            self.scan_prune(token, &ahead, &mut is_live, |p| visit(i, p));
+            self.scan(token, &ahead, |p| visit(i, p));
         }
     }
 
-    /// Number of postings currently stored in the index. Exact for what is
-    /// *stored*: incremented per [`add`](Self::add), decremented as
-    /// [`scan_prune`](Self::scan_prune) discards postings whose slot died.
-    /// Because dead postings are pruned lazily, postings referencing
-    /// already-evicted slots remain counted until a scan touches their
-    /// list — so this is an upper bound on postings referencing live slots,
-    /// and exact again after [`apply_remap`](Self::apply_remap) (which
-    /// drops every dead posting).
+    /// Number of postings in the index: exact, because every posting of a
+    /// slot is [`remove`](Self::remove)d before the slot is freed.
     pub fn postings(&self) -> usize {
-        self.live_postings
+        self.postings
     }
 
     /// Number of distinct tokens with a non-empty posting list.
@@ -684,96 +591,9 @@ impl InvertedIndex {
         self.token_lists
     }
 
-    /// Arena length including holes (test/metrics hook for compaction
-    /// accounting).
+    /// Arena length, free blocks included (test/metrics hook).
     pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Arena slots currently lost to relocation holes and freed lists
-    /// (test/metrics hook).
-    pub fn garbage_len(&self) -> usize {
-        self.garbage
-    }
-
-    /// Drops dead postings everywhere and rewrites slots through `remap`
-    /// (from [`RecordStore::compact`]). Rebuilds the arena hole-free.
-    pub fn apply_remap(&mut self, remap: &[Slot]) {
-        let mut arena = Vec::with_capacity(self.live_postings);
-        let mut live = 0usize;
-        let mut token_lists = 0usize;
-        let rewrite = |lr: ListRef, arena: &mut Vec<Posting>, old: &[Posting]| -> ListRef {
-            let start = arena.len() as u32;
-            for &p in &old[lr.start as usize..(lr.start + lr.len) as usize] {
-                let new = remap[p.slot as usize];
-                if new != Slot::MAX {
-                    arena.push(Posting {
-                        slot: new,
-                        pos: p.pos,
-                    });
-                }
-            }
-            let len = arena.len() as u32 - start;
-            ListRef {
-                start,
-                len,
-                cap: len,
-            }
-        };
-        for t in 0..self.direct.len() {
-            let lr = self.direct[t];
-            if lr.is_empty() {
-                continue;
-            }
-            let new = rewrite(lr, &mut arena, &self.arena);
-            live += new.len as usize;
-            token_lists += usize::from(!new.is_empty());
-            self.direct[t] = if new.is_empty() {
-                ListRef::default()
-            } else {
-                new
-            };
-        }
-        self.spill.retain(|_, lr| {
-            let new = rewrite(*lr, &mut arena, &self.arena);
-            live += new.len as usize;
-            token_lists += usize::from(!new.is_empty());
-            *lr = new;
-            !new.is_empty()
-        });
-        self.arena = arena;
-        self.live_postings = live;
-        self.token_lists = token_lists;
-        self.garbage = 0;
-    }
-
-    /// Rebuilds the arena hole-free once garbage outweighs live data.
-    /// Identical list contents and order, exact-fit capacities.
-    fn maybe_rebuild(&mut self) {
-        if !should_compact(self.arena.len() - self.garbage, self.garbage) {
-            return;
-        }
-        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
-        let shrink = |lr: ListRef, arena: &mut Vec<Posting>, old: &[Posting]| -> ListRef {
-            let start = arena.len() as u32;
-            arena.extend_from_slice(&old[lr.start as usize..(lr.start + lr.len) as usize]);
-            ListRef {
-                start,
-                len: lr.len,
-                cap: lr.len,
-            }
-        };
-        for t in 0..self.direct.len() {
-            let lr = self.direct[t];
-            if !lr.is_empty() {
-                self.direct[t] = shrink(lr, &mut arena, &self.arena);
-            }
-        }
-        for lr in self.spill.values_mut() {
-            *lr = shrink(*lr, &mut arena, &self.arena);
-        }
-        self.arena = arena;
-        self.garbage = 0;
+        self.blocks.arena.len()
     }
 }
 
@@ -820,12 +640,6 @@ impl SeenFilter {
             self.stamps[idx] = self.epoch;
             true
         }
-    }
-
-    /// Clears the filter after a store compaction (slot meanings changed).
-    pub fn reset(&mut self) {
-        self.stamps.clear();
-        self.epoch = 0;
     }
 }
 
@@ -890,46 +704,6 @@ impl<A> CandMap<A> {
     pub fn cands(&self) -> &[A] {
         &self.cands
     }
-
-    /// Clears the map after a store compaction (slot meanings changed).
-    pub fn reset(&mut self) {
-        self.slots.clear();
-        self.cands.clear();
-        self.epoch = 0;
-    }
-}
-
-/// When should an index structure compact? Once the dead fraction exceeds
-/// half and enough garbage has accumulated to be worth the rebuild.
-#[inline]
-pub fn should_compact(live: usize, dead: usize) -> bool {
-    dead > 1024 && dead > live
-}
-
-/// Drives a full compaction across the structures the per-record indexed
-/// joiners share. Returns the remap so callers can rewrite any extra slot
-/// holders; per-probe scratch keyed by slot ([`SeenFilter`], [`CandMap`])
-/// is the caller's to `reset`.
-pub fn compact_all(
-    store: &mut RecordStore,
-    index: &mut InvertedIndex,
-    queue: &mut EvictionQueue<Slot>,
-) -> Vec<Slot> {
-    let remap = store.compact();
-    index.apply_remap(&remap);
-    queue_apply_remap(queue, &remap);
-    remap
-}
-
-fn queue_apply_remap(queue: &mut EvictionQueue<Slot>, remap: &[Slot]) {
-    // The eviction queue only contains live slots (eviction is the only
-    // source of tombstones and removes the entry as it kills the slot), so
-    // every remap lookup must succeed.
-    queue.for_each_payload_mut(|slot| {
-        let new = remap[*slot as usize];
-        debug_assert_ne!(new, Slot::MAX, "eviction queue held a dead slot");
-        *slot = new;
-    });
 }
 
 #[cfg(test)]
@@ -944,22 +718,38 @@ mod tests {
         )
     }
 
+    fn list(idx: &InvertedIndex, token: u32) -> Vec<Posting> {
+        let mut out = Vec::new();
+        idx.scan(TokenId(token), |_| {}, |p| out.push(p));
+        out
+    }
+
+    fn p(slot: Slot, pos: u32) -> Posting {
+        Posting { slot, pos }
+    }
+
     #[test]
-    fn store_insert_get_remove() {
+    fn store_reuses_freed_slots_and_token_blocks() {
         let mut s = RecordStore::new();
         let a = s.insert(&rec(1, &[1, 2]));
         let b = s.insert(&rec(2, &[3]));
         assert_eq!(s.live(), 2);
         assert_eq!(s.id(a), RecordId(1));
         assert_eq!(s.tokens(a), &[TokenId(1), TokenId(2)]);
-        assert!(s.remove(a));
-        assert!(!s.is_live(a));
+        let arena = s.token_arena_len();
+        s.remove(a);
         assert_eq!(s.live(), 1);
-        assert_eq!(s.dead(), 1);
-        assert!(s.is_live(b));
-        // Double remove is a no-op.
-        assert!(!s.remove(a));
-        assert_eq!(s.live(), 1);
+        assert_eq!(s.tokens(b), &[TokenId(3)]);
+        // The next insert takes the freed slot and, at the same size class,
+        // the freed token block.
+        let c = s.insert(&rec(3, &[4, 5]));
+        assert_eq!(c, a);
+        assert_eq!((s.live(), s.capacity_slots()), (2, 2));
+        assert_eq!(s.token_arena_len(), arena);
+        assert_eq!(
+            (s.id(c), s.tokens(c)),
+            (RecordId(3), &[TokenId(4), TokenId(5)][..])
+        );
     }
 
     #[test]
@@ -974,138 +764,91 @@ mod tests {
     }
 
     #[test]
-    fn store_compact_remaps_and_rebuilds_token_arena() {
-        let mut s = RecordStore::new();
-        let a = s.insert(&rec(1, &[1, 5]));
-        let b = s.insert(&rec(2, &[2]));
-        let c = s.insert(&rec(3, &[3, 4, 6]));
-        s.remove(b);
-        let before = s.token_arena_len();
-        let remap = s.compact();
-        assert_eq!(remap[a as usize], 0);
-        assert_eq!(remap[b as usize], Slot::MAX);
-        assert_eq!(remap[c as usize], 1);
-        assert_eq!(s.id(0), RecordId(1));
-        assert_eq!(s.tokens(0), &[TokenId(1), TokenId(5)]);
-        assert_eq!(s.id(1), RecordId(3));
-        assert_eq!(s.tokens(1), &[TokenId(3), TokenId(4), TokenId(6)]);
-        assert_eq!(s.dead(), 0);
-        assert_eq!(s.token_arena_len(), before - 1, "dead tokens reclaimed");
+    fn index_remove_keeps_insertion_order() {
+        let mut idx = InvertedIndex::new();
+        for slot in 0..5 {
+            idx.add(TokenId(7), p(slot, slot));
+        }
+        idx.remove(TokenId(7), 0);
+        idx.remove(TokenId(7), 3);
+        assert_eq!(list(&idx, 7), [p(1, 1), p(2, 2), p(4, 4)]);
+        assert_eq!((idx.postings(), idx.tokens()), (3, 1));
+        idx.add(TokenId(7), p(0, 9));
+        assert_eq!(list(&idx, 7), [p(1, 1), p(2, 2), p(4, 4), p(0, 9)]);
     }
 
     #[test]
-    fn index_scan_prunes_dead() {
+    #[should_panic(expected = "removed posting is indexed")]
+    fn index_remove_of_an_absent_posting_panics() {
         let mut idx = InvertedIndex::new();
-        let t = TokenId(7);
-        idx.add(t, Posting { slot: 0, pos: 0 });
-        idx.add(t, Posting { slot: 1, pos: 2 });
-        idx.add(t, Posting { slot: 2, pos: 1 });
-        let mut seen = Vec::new();
-        idx.scan_prune(t, |_| {}, |slot| slot != 1, |p| seen.push(p.slot));
-        assert_eq!(seen, vec![0, 2]);
-        assert_eq!(idx.postings(), 2);
-        // Second scan no longer sees slot 1.
-        let mut seen2 = Vec::new();
-        idx.scan_prune(t, |_| {}, |_| true, |p| seen2.push(p.slot));
-        assert_eq!(seen2, vec![0, 2]);
+        idx.add(TokenId(1), p(0, 0));
+        idx.remove(TokenId(1), 1);
     }
 
     #[test]
     fn index_scan_preserves_insertion_order_across_relocation() {
         let mut idx = InvertedIndex::new();
-        let t = TokenId(3);
         // Force several capacity doublings, interleaved with another token
         // so the relocations actually move.
         for i in 0..20u32 {
-            idx.add(t, Posting { slot: i, pos: i });
-            idx.add(TokenId(9), Posting { slot: i, pos: 0 });
+            idx.add(TokenId(3), p(i, i));
+            idx.add(TokenId(9), p(i, 0));
         }
-        let mut order = Vec::new();
-        idx.scan_prune(t, |_| {}, |_| true, |p| order.push(p.slot));
+        let order: Vec<Slot> = list(&idx, 3).iter().map(|p| p.slot).collect();
         assert_eq!(order, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
-    fn index_empty_list_removed() {
+    fn index_emptied_list_is_gone_and_its_block_reused() {
         let mut idx = InvertedIndex::new();
-        idx.add(TokenId(1), Posting { slot: 0, pos: 0 });
-        idx.scan_prune(TokenId(1), |_| {}, |_| false, |_| panic!("nothing live"));
-        assert_eq!(idx.tokens(), 0);
-        assert_eq!(idx.postings(), 0);
+        idx.add(TokenId(1), p(0, 0));
+        let arena = idx.arena_len();
+        idx.remove(TokenId(1), 0);
+        assert_eq!((idx.tokens(), idx.postings()), (0, 0));
+        assert!(list(&idx, 1).is_empty());
+        idx.add(TokenId(2), p(1, 0));
+        assert_eq!(idx.arena_len(), arena, "token 2 took token 1's block");
+        assert_eq!(list(&idx, 2), [p(1, 0)]);
     }
 
     #[test]
     fn index_spill_tokens_work_like_direct_ones() {
-        let big = TokenId(u32::MAX - 5); // far beyond the direct span
+        let big = u32::MAX - 5; // far beyond the direct span
         let mut idx = InvertedIndex::new();
-        idx.add(big, Posting { slot: 0, pos: 0 });
-        idx.add(big, Posting { slot: 1, pos: 1 });
+        idx.add(TokenId(big), p(0, 0));
+        idx.add(TokenId(big), p(1, 1));
         assert_eq!(idx.tokens(), 1);
-        let mut seen = Vec::new();
-        idx.scan_prune(big, |_| {}, |slot| slot != 0, |p| seen.push(p.slot));
-        assert_eq!(seen, vec![1]);
-        idx.scan_prune(big, |_| {}, |_| false, |_| {});
-        assert_eq!(idx.tokens(), 0);
-        assert_eq!(idx.postings(), 0);
+        idx.remove(TokenId(big), 0);
+        assert_eq!(list(&idx, big), [p(1, 1)]);
+        idx.remove(TokenId(big), 1);
+        assert_eq!((idx.tokens(), idx.postings()), (0, 0));
     }
 
+    /// Lists that grow, empty and grow again recycle their blocks: a second
+    /// round of the same shape does not lengthen the arena.
     #[test]
-    fn index_remap() {
+    fn index_recycles_relocated_and_emptied_blocks() {
         let mut idx = InvertedIndex::new();
-        idx.add(TokenId(1), Posting { slot: 0, pos: 0 });
-        idx.add(TokenId(1), Posting { slot: 1, pos: 0 });
-        idx.add(TokenId(2), Posting { slot: 1, pos: 1 });
-        // slot 0 dies, slot 1 becomes 0.
-        idx.apply_remap(&[Slot::MAX, 0]);
-        assert_eq!(idx.postings(), 2);
-        assert_eq!(idx.garbage_len(), 0, "remap rebuilds hole-free");
-        let mut seen = Vec::new();
-        idx.scan_prune(TokenId(1), |_| {}, |_| true, |p| seen.push(p.slot));
-        assert_eq!(seen, vec![0]);
-    }
-
-    /// Pins the `postings()` accounting the doc promises: exact for stored
-    /// postings, an upper bound on live-slot postings until a scan prunes.
-    #[test]
-    fn postings_counter_is_stored_count_until_pruned() {
-        let mut idx = InvertedIndex::new();
-        idx.add(TokenId(1), Posting { slot: 0, pos: 0 });
-        idx.add(TokenId(1), Posting { slot: 1, pos: 0 });
-        idx.add(TokenId(2), Posting { slot: 1, pos: 1 });
-        assert_eq!(idx.postings(), 3);
-        // Slot 1 "dies", but no scan has touched token 2's list: the stale
-        // posting stays counted (upper bound, not live count).
-        idx.scan_prune(TokenId(1), |_| {}, |slot| slot != 1, |_| {});
-        assert_eq!(idx.postings(), 2, "token 1 pruned, token 2 not yet");
-        // The lazy part: token 2's list still stores its dead posting.
-        let mut hits = 0;
-        idx.scan_prune(TokenId(2), |_| {}, |slot| slot != 1, |_| hits += 1);
-        assert_eq!(hits, 0);
-        assert_eq!(idx.postings(), 1, "now exact again");
-        assert_eq!(idx.tokens(), 1);
-    }
-
-    #[test]
-    fn index_arena_rebuild_reclaims_garbage() {
-        let mut idx = InvertedIndex::new();
-        // Grow many single-token lists through repeated doubling to pile
-        // up relocation garbage past the rebuild threshold.
-        for t in 0..200u32 {
-            for i in 0..32u32 {
-                idx.add(TokenId(t), Posting { slot: i, pos: 0 });
+        let fill = |idx: &mut InvertedIndex, base: u32| {
+            for t in base..base + 200 {
+                for slot in 0..32 {
+                    idx.add(TokenId(t), p(slot, 0));
+                }
+            }
+        };
+        fill(&mut idx, 0);
+        let arena = idx.arena_len();
+        assert_eq!(idx.postings(), 200 * 32);
+        for t in 0..200 {
+            for slot in 0..32 {
+                idx.remove(TokenId(t), slot);
             }
         }
-        assert!(
-            idx.garbage_len() < idx.arena_len() - idx.garbage_len() + 1025,
-            "rebuild keeps garbage below the live size (+threshold): {} vs {}",
-            idx.garbage_len(),
-            idx.arena_len()
-        );
-        // Order survived the rebuilds.
-        let mut order = Vec::new();
-        idx.scan_prune(TokenId(0), |_| {}, |_| true, |p| order.push(p.slot));
+        assert_eq!((idx.postings(), idx.tokens()), (0, 0));
+        fill(&mut idx, 1_000);
+        assert_eq!(idx.arena_len(), arena);
+        let order: Vec<Slot> = list(&idx, 1_000).iter().map(|p| p.slot).collect();
         assert_eq!(order, (0..32).collect::<Vec<_>>());
-        assert_eq!(idx.postings(), 200 * 32);
     }
 
     #[test]
@@ -1154,8 +897,6 @@ mod tests {
         m.next_probe();
         assert!(m.cands().is_empty());
         assert_eq!(*m.entry(7, || (7, 0)), (7, 0), "absent again");
-        m.reset();
-        m.next_probe();
         assert_eq!(*m.entry(1000, || (1000, 9)), (1000, 9));
     }
 
@@ -1177,79 +918,49 @@ mod tests {
     }
 
     /// The pipelined prefix scan visits exactly what scanning its tokens
-    /// one by one visits, in the same order, and prunes the same postings.
+    /// one by one visits, in the same order.
     #[test]
     fn scan_prefix_visits_what_a_token_by_token_scan_visits() {
-        let build = || {
-            let mut idx = InvertedIndex::new();
-            for slot in 0..40u32 {
-                for t in [slot % 7, 7 + slot % 3, 10 + slot % 11, 200_000 + slot % 2] {
-                    idx.add(TokenId(t), Posting { slot, pos: t % 5 });
-                }
+        let mut idx = InvertedIndex::new();
+        for slot in 0..40u32 {
+            for t in [slot % 7, 7 + slot % 3, 10 + slot % 11, 200_000 + slot % 2] {
+                idx.add(TokenId(t), p(slot, t % 5));
             }
-            idx
-        };
+        }
+        for slot in (1..40).step_by(4) {
+            for t in [slot % 7, 7 + slot % 3, 10 + slot % 11, 200_000 + slot % 2] {
+                idx.remove(TokenId(t), slot);
+            }
+        }
         let prefix: Vec<TokenId> = [0, 3, 7, 9, 12, 15, 20, 200_001]
             .into_iter()
             .map(TokenId)
             .collect();
-        let live = |slot: Slot| slot % 4 != 1;
-        let mut pipelined = build();
         let mut seen = Vec::new();
-        pipelined.scan_prefix(&prefix, |_| {}, live, |i, p| seen.push((i, p)));
-        let mut one_by_one = build();
+        idx.scan_prefix(&prefix, |_| {}, |i, p| seen.push((i, p)));
         let mut expect = Vec::new();
         for (i, &t) in prefix.iter().enumerate() {
-            one_by_one.scan_prune(t, |_| {}, live, |p| expect.push((i, p)));
+            idx.scan(t, |_| {}, |p| expect.push((i, p)));
         }
         assert!(expect.len() > 20);
+        assert!(expect.iter().all(|(_, p)| p.slot % 4 != 1));
         assert_eq!(seen, expect);
-        assert_eq!(pipelined.postings(), one_by_one.postings());
-        assert_eq!(pipelined.tokens(), one_by_one.tokens());
     }
 
     #[test]
-    fn slot_store_liveness_bitmap_tracks_slots() {
+    fn slot_store_reuses_freed_slots() {
         let mut s: SlotStore<u8, u32> = SlotStore::new();
         let a = s.insert(1, 10);
         let b = s.insert(2, 20);
-        assert!(s.is_live(a) && s.is_live(b));
-        assert!(!s.is_live(99));
-        s.remove(a);
-        assert!(!s.is_live(a));
+        assert_eq!(s.remove(a), Some(10));
+        assert_eq!(s.remove(a), None, "already free");
+        assert_eq!((s.get(a), s.live()), (None, 1));
         *s.get_mut(b).expect("live").0 += 5;
-        let remap = s.compact();
-        assert_eq!(remap[b as usize], 0);
-        assert!(s.is_live(0));
-        assert!(!s.is_live(1));
-        // The head column moves with its value.
-        assert_eq!((s.head(0), s.get(0)), (7, Some(&20)));
-    }
-
-    #[test]
-    fn compact_all_coordinates() {
-        let mut store = RecordStore::new();
-        let mut index = InvertedIndex::new();
-        let mut queue = EvictionQueue::new();
-        let a = store.insert(&rec(1, &[1]));
-        let b = store.insert(&rec(2, &[1]));
-        index.add(TokenId(1), Posting { slot: a, pos: 0 });
-        index.add(TokenId(1), Posting { slot: b, pos: 0 });
-        queue.push(2, 2, b);
-        store.remove(a); // evicted; note queue no longer holds it
-        let remap = compact_all(&mut store, &mut index, &mut queue);
-        assert_eq!(remap[b as usize], 0);
-        assert_eq!(store.live(), 1);
-        assert_eq!(index.postings(), 1);
-        let mut slots = Vec::new();
-        index.scan_prune(TokenId(1), |_| {}, |_| true, |p| slots.push(p.slot));
-        assert_eq!(slots, vec![0]);
-    }
-
-    #[test]
-    fn should_compact_thresholds() {
-        assert!(!should_compact(10, 5));
-        assert!(!should_compact(10, 1000)); // not enough absolute garbage
-        assert!(should_compact(1000, 1500));
+        assert_eq!((s.head(b), s.get(b)), (7, Some(&20)));
+        // The freed slot is the next insert's, head and value alike.
+        let c = s.insert(3, 30);
+        assert_eq!(c, a);
+        assert_eq!((s.head(c), s.get(c)), (3, Some(&30)));
+        assert_eq!((s.live(), s.capacity_slots()), (2, 2));
     }
 }

@@ -1,9 +1,7 @@
 //! Streaming AllPairs: prefix-index candidate generation + length filter.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{
-    compact_all, should_compact, InvertedIndex, Posting, RecordStore, SeenFilter, Slot,
-};
+use crate::index::{InvertedIndex, Posting, RecordStore, SeenFilter, Slot};
 use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
 use crate::verify;
@@ -47,18 +45,22 @@ impl AllPairsJoiner {
         }
     }
 
+    /// Evicts what the window no longer holds: each record's postings —
+    /// the streaming prefix [`insert_unevicted`](Self::insert_unevicted)
+    /// posted — then its slot.
     fn evict(&mut self, probe_id: u64, probe_ts: u64) {
-        let store = &mut self.store;
-        let stats = &mut self.stats;
+        let (store, index) = (&mut self.store, &mut self.index);
+        let (bounds, stats) = (&mut self.bounds, &mut self.stats);
         self.queue
             .drain_expired(self.cfg.window, probe_id, probe_ts, |slot| {
+                let tokens = store.tokens(slot);
+                bounds.rebuild(tokens.len());
+                for &tok in tokens.iter().take(bounds.prefix_len()) {
+                    index.remove(tok, slot);
+                }
                 store.remove(slot);
                 stats.evicted += 1;
             });
-        if should_compact(store.live(), store.dead()) {
-            compact_all(store, &mut self.index, &mut self.queue);
-            self.seen.reset();
-        }
     }
 
     /// Insert minus the eviction pass (shared by `insert` and the fused
@@ -97,23 +99,16 @@ impl StreamJoiner for AllPairsJoiner {
         // prefix the shortest stored length needs.
         self.seen.next_epoch();
         self.candidates.clear();
-        {
-            let store = &self.store;
-            let seen = &mut self.seen;
-            let candidates = &mut self.candidates;
-            let stats = &mut self.stats;
-            self.index.scan_prefix(
-                record.prefix(self.bounds.probe_prefix_len(self.floor)),
-                |_| {},
-                |slot| store.is_live(slot),
-                |_, p| {
-                    stats.posting_hits += 1;
-                    if seen.first_visit(p.slot) {
-                        candidates.push(p.slot);
-                    }
-                },
-            );
-        }
+        self.index.scan_prefix(
+            record.prefix(self.bounds.probe_prefix_len(self.floor)),
+            |_| {},
+            |_, p| {
+                self.stats.posting_hits += 1;
+                if self.seen.first_visit(p.slot) {
+                    self.candidates.push(p.slot);
+                }
+            },
+        );
 
         // Filter + verify.
         for i in 0..self.candidates.len() {

@@ -47,9 +47,7 @@
 //! later be probed by any length.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{
-    prefetch_tokens, should_compact, CandMap, InvertedIndex, Posting, Slot, SlotStore,
-};
+use crate::index::{prefetch_tokens, CandMap, InvertedIndex, Posting, Slot, SlotStore};
 use crate::sim::{ProbeBounds, Threshold};
 use crate::stats::JoinStats;
 use crate::verify;
@@ -172,8 +170,9 @@ struct Bundle {
     /// Tokens posted to the inverted index for this bundle (sorted), other
     /// than the representative's leading `closed` tokens, which always
     /// are: empty until a member's prefix brings a token of its own, so
-    /// most bundles never allocate it. Together the two are the union of
-    /// members' prefix tokens — the completeness invariant.
+    /// most bundles never allocate it. The two are disjoint, and together
+    /// they are the union of members' prefix tokens — the completeness
+    /// invariant — and exactly what eviction unposts.
     posted_beyond: Vec<TokenId>,
 }
 
@@ -373,8 +372,11 @@ impl BundleJoiner {
         self.store.live()
     }
 
+    /// Evicts what the window no longer holds. A bundle whose last member
+    /// goes takes its postings — `rep[..closed]` and `posted_beyond` — with
+    /// it, before its slot is freed.
     fn evict(&mut self, probe_id: u64, probe_ts: u64) {
-        let store = &mut self.store;
+        let (store, index) = (&mut self.store, &mut self.index);
         let stats = &mut self.stats;
         let live_members = &mut self.live_members;
         self.queue.drain_expired(
@@ -395,19 +397,16 @@ impl BundleJoiner {
                 *live_members -= 1;
                 stats.evicted += 1;
                 if bundle.alive == 0 {
+                    let posted = &bundle.rep.tokens()[..head.closed as usize];
+                    for &tok in posted.iter().chain(&bundle.posted_beyond) {
+                        index.remove(tok, slot);
+                    }
                     store.remove(slot);
                 } else {
                     bundle.recompute_len_bounds(head);
                 }
             },
         );
-        if should_compact(store.live(), store.dead()) {
-            let remap = store.compact();
-            self.index.apply_remap(&remap);
-            self.queue
-                .for_each_payload_mut(|(slot, _)| *slot = remap[*slot as usize]);
-            self.acc.reset();
-        }
     }
 
     /// Scans `record`'s prefix for candidate bundles, batch-verifies the
@@ -459,7 +458,6 @@ impl BundleJoiner {
             self.index.scan_prefix(
                 record.prefix(scan_len),
                 |slot| store.prefetch_head(slot),
-                |slot| store.is_live(slot),
                 |i, p| {
                     let i = i as u32;
                     stats.posting_hits += 1;
@@ -614,10 +612,14 @@ impl BundleJoiner {
                             self.stats.postings_created += 1;
                         }
                     }
-                    while rep
+                    // Extend the closed run over tokens members posted,
+                    // which then leave `posted_beyond`: a token is in one
+                    // of the two, never both.
+                    while let Some(at) = rep
                         .get(head.closed as usize)
-                        .is_some_and(|tok| bundle.posted_beyond.binary_search(tok).is_ok())
+                        .and_then(|tok| bundle.posted_beyond.binary_search(tok).ok())
                     {
+                        bundle.posted_beyond.remove(at);
                         head.closed += 1;
                     }
                     let member_idx = head.absorbed;
@@ -979,8 +981,7 @@ mod tests {
         assert_eq!((j.bundles(), j.stats().bundle_absorbed), (1, 1));
         assert_eq!(j.store.head(0).closed, 4);
         let mut at_18 = Vec::new();
-        j.index
-            .scan_prune(TokenId(18), |_| {}, |_| true, |p| at_18.push(p));
+        j.index.scan(TokenId(18), |_| {}, |p| at_18.push(p));
         assert_eq!(at_18, vec![Posting { slot: 0, pos: 5 }]);
         out.clear();
         // Shares 15 (a hit below `closed`), 17 (unposted) and 18 (a hit
@@ -1007,8 +1008,7 @@ mod tests {
         j.process(&rec(1, &[5, 20, 30, 40, 50, 60, 70, 80, 90, 100]), &mut out);
         assert_eq!(j.stats().bundle_absorbed, 1);
         let mut at_5 = Vec::new();
-        j.index
-            .scan_prune(TokenId(5), |_| {}, |_| true, |p| at_5.push(p));
+        j.index.scan(TokenId(5), |_| {}, |p| at_5.push(p));
         assert_eq!(
             at_5,
             vec![Posting {
@@ -1031,5 +1031,35 @@ mod tests {
             2 + 1,
             "record 1's two hits, then one"
         );
+    }
+
+    /// A member whose prefix fills the gap at `closed` extends the closed
+    /// run over the tokens members posted before it, and those leave
+    /// `posted_beyond`: each posted token is in exactly one of the two, so
+    /// evicting the bundle unposts each once and empties the index.
+    #[test]
+    fn closing_the_run_moves_tokens_out_of_posted_beyond() {
+        let join = JoinConfig::jaccard(0.69).with_window(Window::Count(3));
+        let mut j = BundleJoiner::new(BundleConfig::new(join).with_bundle_tau(0.6));
+        let posted = |j: &BundleJoiner| {
+            let bundle = j.store.get(0).expect("live");
+            (j.store.head(0).closed, bundle.posted_beyond.clone())
+        };
+        let mut out = Vec::new();
+        j.process(
+            &rec(0, &[1, 6, 12, 15, 17, 18, 20, 28, 30, 32, 38, 39]),
+            &mut out,
+        );
+        // Posts 18, position 5, past the unposted 17.
+        j.process(&rec(1, &[6, 12, 15, 18, 20, 28, 30, 32, 38, 39]), &mut out);
+        assert_eq!(posted(&j), (4, vec![TokenId(18)]));
+        // Posts 17, position 4: the run closes over 17 and 18.
+        j.process(&rec(2, &[12, 15, 17, 18, 20, 28, 30, 32, 38, 39]), &mut out);
+        assert_eq!((j.bundles(), j.stats().bundle_absorbed), (1, 2));
+        assert_eq!(posted(&j), (6, vec![]));
+        assert_eq!(j.postings(), 6);
+        // A probe past the window evicts all three members.
+        j.probe(&rec(10, &[100]), &mut out);
+        assert_eq!((j.stored(), j.bundles(), j.postings()), (0, 0, 0));
     }
 }

@@ -16,10 +16,7 @@
 //! reusing `α` instead of re-scanning the prefixes.
 
 use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{
-    compact_all, prefetch_tokens, should_compact, CandMap, InvertedIndex, Posting, RecordStore,
-    Slot,
-};
+use crate::index::{prefetch_tokens, CandMap, InvertedIndex, Posting, RecordStore, Slot};
 use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
 use crate::verify;
@@ -78,18 +75,22 @@ impl PpJoinJoiner {
         }
     }
 
+    /// Evicts what the window no longer holds: each record's postings —
+    /// the streaming prefix [`insert_unevicted`](Self::insert_unevicted)
+    /// posted — then its slot.
     fn evict(&mut self, probe_id: u64, probe_ts: u64) {
-        let store = &mut self.store;
-        let stats = &mut self.stats;
+        let (store, index) = (&mut self.store, &mut self.index);
+        let (bounds, stats) = (&mut self.bounds, &mut self.stats);
         self.queue
             .drain_expired(self.cfg.window, probe_id, probe_ts, |slot| {
+                let tokens = store.tokens(slot);
+                bounds.rebuild(tokens.len());
+                for &tok in tokens.iter().take(bounds.prefix_len()) {
+                    index.remove(tok, slot);
+                }
                 store.remove(slot);
                 stats.evicted += 1;
             });
-        if should_compact(store.live(), store.dead()) {
-            compact_all(store, &mut self.index, &mut self.queue);
-            self.acc.reset();
-        }
     }
 
     /// Insert minus the eviction pass (shared by `insert` and the fused
@@ -146,7 +147,6 @@ impl StreamJoiner for PpJoinJoiner {
             self.index.scan_prefix(
                 record.prefix(bounds.probe_prefix_len(self.floor)),
                 |_| {},
-                |slot| store.is_live(slot),
                 |i, p| {
                     stats.posting_hits += 1;
                     let ls = store.token_len(p.slot);

@@ -108,14 +108,6 @@ impl<T> EvictionQueue<T> {
             .map(|(id, ts, payload)| (*id, *ts, payload))
     }
 
-    /// Mutable access to every stored payload (used to rewrite slot handles
-    /// after a store compaction).
-    pub fn for_each_payload_mut(&mut self, mut f: impl FnMut(&mut T)) {
-        for (_, _, payload) in self.entries.iter_mut() {
-            f(payload);
-        }
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -7,8 +7,8 @@
 //! result, so only counters can show that it also changed no decision.
 //! Each pin is the counter vector of one `run_stream` of 2 000 records of
 //! one dataset profile, at the benchmark's threshold for that profile and
-//! under a `Count` window short enough that records are evicted and the
-//! store compacts, plus an FNV-1a digest of the emitted
+//! under a `Count` window short enough that records are evicted and their
+//! slots reused, plus an FNV-1a digest of the emitted
 //! `(earlier, later, similarity bits)` sequence in emit order. A counter
 //! that moves means a filter, a candidate or a verification moved; a
 //! digest that moves means a pair, a similarity or the emit order did.
@@ -31,8 +31,8 @@ use ssj_workloads::{DatasetProfile, StreamGenerator};
 
 const SEED: u64 = 7;
 const N: usize = 2_000;
-/// Short enough that three quarters of each stream is evicted and the
-/// record stores compact at least once.
+/// Short enough that three quarters of each stream is evicted, so the
+/// stores reuse slots and the indexes unpost.
 const WINDOW: Window = Window::Count(500);
 
 /// The pinned counters, in [`Work::of`]'s order, then the pair digest.

@@ -120,10 +120,10 @@ fn eviction_reclaims_index_memory() {
         let base = (i % 50) as u32 * 10;
         j.process(&rec(i, i, &[base, base + 1, base + 2, base + 3]), &mut out);
     }
-    // Stored records bounded by the window; postings bounded by compaction
-    // (lazy pruning means slightly more than live, but not 20k's worth).
-    assert!(j.stored() <= 101, "stored {}", j.stored());
-    assert!(j.postings() < 2_000, "postings {}", j.postings());
+    // Exactly the window is stored, and exactly its prefixes are posted:
+    // an evicted record's postings leave with it.
+    assert_eq!(j.stored(), 101);
+    assert_eq!(j.postings(), 101 * cfg.threshold.prefix_len(4));
 }
 
 #[test]
