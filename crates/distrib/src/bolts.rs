@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use ssj_core::{JoinStats, MatchPair};
 use std::sync::Arc;
 use std::time::Duration;
-use stormlite::{BarrierAligner, Bolt, LatencyHistogram, Outbox, Timestamp};
+use stormlite::{Bolt, LatencyHistogram, Outbox, Timestamp};
 
 /// Task-local per-stage latency recorder. Bolts record into the private
 /// [`StageProfile`] on the hot path (no locking) and merge it into the
@@ -189,9 +189,6 @@ pub(crate) struct JoinerBolt {
     snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
-    /// The dispatcher is this joiner's single upstream, so barriers align
-    /// on first sight — the aligner still guards the general invariant.
-    aligner: BarrierAligner,
     incarnation: u64,
     restored_from_epoch: Option<u64>,
     /// Per-stage latency recording (observability-enabled runs only).
@@ -222,7 +219,6 @@ impl JoinerBolt {
             snapshots,
             recovery,
             coordinator,
-            aligner: BarrierAligner::new(1),
             incarnation: 0,
             restored_from_epoch: None,
             stages: stages.map(StageRecorder::new),
@@ -353,23 +349,23 @@ impl JoinerBolt {
                     epoch,
                     stall.as_nanos().min(u128::from(u64::MAX)) as u64,
                 );
-                if self.aligner.observe(epoch) {
-                    let coordinator = self
-                        .coordinator
-                        .as_ref()
-                        .expect("barrier received without a checkpoint coordinator");
-                    let entries = self.joiner.window_snapshot();
-                    let outcome = coordinator.publish(epoch, self.task, &entries);
-                    out.record_checkpoint(outcome.bytes);
-                    out.trace_instant(Stage::Checkpoint, epoch, outcome.bytes);
-                    if outcome.completed {
-                        // Epoch latency, charged to the task that closed
-                        // it: barrier injection to durable commit.
-                        let lat = out.now().saturating_since(outcome.injected_at);
-                        out.record_checkpoint_latency(lat);
-                        if let Some(st) = &mut self.stages {
-                            st.record(Stage::Checkpoint, lat);
-                        }
+                // The dispatcher is this joiner's only upstream: the barrier
+                // is aligned on arrival.
+                let coordinator = self
+                    .coordinator
+                    .as_ref()
+                    .expect("barrier received without a checkpoint coordinator");
+                let entries = self.joiner.window_snapshot();
+                let outcome = coordinator.publish(epoch, self.task, &entries);
+                out.record_checkpoint(outcome.bytes);
+                out.trace_instant(Stage::Checkpoint, epoch, outcome.bytes);
+                if outcome.completed {
+                    // Epoch latency, charged to the task that closed it:
+                    // barrier injection to durable commit.
+                    let lat = out.now().saturating_since(outcome.injected_at);
+                    out.record_checkpoint_latency(lat);
+                    if let Some(st) = &mut self.stages {
+                        st.record(Stage::Checkpoint, lat);
                     }
                 }
             }
@@ -505,9 +501,8 @@ impl Bolt<JoinMsg> for SinkBolt {
 mod tests {
     use super::*;
     use crate::driver::LocalAlgo;
-    use crate::recovery::ReplayEntry;
     use ssj_core::join::bistream::Side;
-    use ssj_core::{JoinConfig, Window};
+    use ssj_core::JoinConfig;
     use ssj_text::{Record, RecordId, TokenId};
     use stormlite::{Grouping, RunReport, SimConfig, Topology};
 
@@ -521,15 +516,12 @@ mod tests {
 
     /// Feeds `input` to a single joiner task (τ = 0.5, no dedup) and
     /// returns every message it sent on, in order, with the run report.
-    fn run_joiner(
-        input: Vec<JoinMsg>,
-        recovery: Option<Arc<RecoveryState>>,
-    ) -> (Vec<JoinMsg>, RunReport) {
-        let mut t = Topology::new().with_supervised_restarts(1);
+    fn run_joiner(input: Vec<JoinMsg>) -> (Vec<JoinMsg>, RunReport) {
+        let mut t = Topology::new();
         t.spout("source", input);
         t.bolt("joiner", 1, move |task| {
             let joiner = Joiner::new(LocalAlgo::PpJoin, JoinConfig::jaccard(0.5), false, None);
-            JoinerBolt::new(joiner, task, Arc::default(), recovery.clone(), None, None)
+            JoinerBolt::new(joiner, task, Arc::default(), None, None, None)
         });
         let sent = t.collector("sink");
         t.wire("source", "joiner", Grouping::global());
@@ -564,7 +556,7 @@ mod tests {
     fn unbatched_probes_emit_one_result_message_per_pair() {
         let (mut input, probes) = matching_stream();
         input.extend(probes);
-        let (sent, report) = run_joiner(input, None);
+        let (sent, report) = run_joiner(input);
         assert!(report.is_clean());
         let keys: Vec<_> = sent.iter().map(result_key).collect();
         // Record 2 matches 0 and 1; record 3 matches 0, 1 and 2. Each pair
@@ -578,10 +570,10 @@ mod tests {
     #[test]
     fn a_batch_in_yields_one_batch_out_with_the_pairs_in_probe_order() {
         let (stored, probes) = matching_stream();
-        let (unbatched, _) = run_joiner([stored.clone(), probes.clone()].concat(), None);
+        let (unbatched, _) = run_joiner([stored.clone(), probes.clone()].concat());
         let mut input = stored;
         input.push(JoinMsg::Batch(probes));
-        let (sent, report) = run_joiner(input, None);
+        let (sent, report) = run_joiner(input);
         assert!(report.is_clean());
         assert_eq!(sent.len(), 1, "one message out for one batch in");
         let JoinMsg::Batch(results) = &sent[0] else {
@@ -602,46 +594,36 @@ mod tests {
             JoinMsg::Probe(payload(1, &[7, 8, 9])),
             JoinMsg::Index(payload(2, &[4, 5, 6])),
         ])];
-        let (sent, report) = run_joiner(input, None);
+        let (sent, report) = run_joiner(input);
         assert!(report.is_clean());
         assert!(sent.is_empty(), "sent {sent:?}");
     }
 
-    /// The engine drops a tuple whose `execute` panicked; for a batch that
-    /// is the whole batch. Its held results die with the instance, and the
-    /// watermark never covered its records, so the rebuilt instance does
-    /// not get their index state back either.
+    /// The engine drops a tuple whose `execute` panicked, and the bolt
+    /// instance with it; for a batch that is the whole batch. Its held
+    /// results die with the instance, and the dead task discards the rest
+    /// of its input.
     #[test]
     fn a_batch_that_panics_is_lost_whole_and_accounted_once() {
-        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
-        let records = [
-            payload(0, &[1, 2, 3, 4]),
-            payload(1, &[1, 2, 3, 5]),
-            payload(2, &[1, 2, 3, 4, 5]),
-        ];
-        for p in &records {
-            recovery.buffer_index_target(0, ReplayEntry::from_payload(p));
-        }
-        let [r0, r1, r2] = records;
         let wrong_mode = RecordMsg {
             side: Some(Side::Left),
             ..payload(9, &[1, 2, 3])
         };
         let input = vec![
-            JoinMsg::ProbeAndIndex(r0),
+            JoinMsg::ProbeAndIndex(payload(0, &[1, 2, 3, 4])),
             JoinMsg::Batch(vec![
-                JoinMsg::ProbeAndIndex(r1), // matches r0: held, never sent
+                JoinMsg::ProbeAndIndex(payload(1, &[1, 2, 3, 5])), // matches 0: held, never sent
                 JoinMsg::Probe(wrong_mode), // a sided message in a self-join panics
             ]),
-            JoinMsg::ProbeAndIndex(r2),
+            JoinMsg::ProbeAndIndex(payload(2, &[1, 2, 3, 4, 5])), // would match 0 and 1
         ];
-        let (sent, report) = run_joiner(input, Some(recovery));
+        let (sent, report) = run_joiner(input);
         assert_eq!(report.dropped_poisoned(), 1);
-        assert_eq!(report.total_restarts(), 1);
-        // The rebuilt joiner holds r0 (replayed up to the watermark) and
-        // not r1, so r2 finds exactly one match.
-        let keys: Vec<_> = sent.iter().map(result_key).collect();
-        assert_eq!(keys, vec![(0, 2, Timestamp::from_nanos(2))]);
+        assert_eq!(report.total_restarts(), 0);
+        assert_eq!(report.failures.len(), 1);
+        assert_eq!(report.failures[0].0, "joiner");
+        assert!(sent.is_empty(), "the dead task emitted {sent:?}");
+        assert_eq!(report.component("joiner").msgs_out, 0);
     }
 
     /// Feeds `input` to a sink task; returns its state, its emit-stage

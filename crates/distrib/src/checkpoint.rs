@@ -75,15 +75,17 @@ pub trait SnapshotStore: fmt::Debug + Send + Sync {
     /// this returns, a crashed process may restore from `epoch`.
     fn commit(&self, epoch: u64, manifest: &[u8]) -> io::Result<()>;
 
-    /// The newest epoch with a committed manifest, if any.
-    fn latest_complete(&self) -> io::Result<Option<u64>>;
-
     /// The manifest of a committed epoch.
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>>;
 
     /// Every epoch with a committed manifest, in ascending order. The
     /// verified-restore walk and [`scrub`] iterate this newest-first.
     fn epochs(&self) -> io::Result<Vec<u64>>;
+
+    /// The newest epoch with a committed manifest, if any.
+    fn latest_complete(&self) -> io::Result<Option<u64>> {
+        Ok(self.epochs()?.last().copied())
+    }
 }
 
 /// In-memory [`SnapshotStore`] for tests and simulation. Shareable across
@@ -116,10 +118,6 @@ impl SnapshotStore for MemStore {
     fn commit(&self, epoch: u64, manifest: &[u8]) -> io::Result<()> {
         self.manifests.lock().insert(epoch, manifest.to_vec());
         Ok(())
-    }
-
-    fn latest_complete(&self) -> io::Result<Option<u64>> {
-        Ok(self.manifests.lock().keys().next_back().copied())
     }
 
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
@@ -197,25 +195,6 @@ impl SnapshotStore for FileStore {
         fs::rename(&tmp, dir.join("MANIFEST"))
     }
 
-    fn latest_complete(&self) -> io::Result<Option<u64>> {
-        let mut latest = None;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(epoch) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("epoch-"))
-                .and_then(|e| e.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            if entry.path().join("MANIFEST").is_file() {
-                latest = latest.max(Some(epoch));
-            }
-        }
-        Ok(latest)
-    }
-
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
         let path = self.epoch_dir(epoch).join("MANIFEST");
         match fs::read(&path) {
@@ -238,7 +217,7 @@ impl SnapshotStore for FileStore {
                 continue;
             };
             // A directory without a MANIFEST is an uncommitted (possibly
-            // torn) attempt — invisible, exactly like `latest_complete`.
+            // torn) attempt — invisible to restore.
             if entry.path().join("MANIFEST").is_file() {
                 epochs.push(epoch);
             }

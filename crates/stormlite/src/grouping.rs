@@ -1,97 +1,25 @@
 //! Stream groupings: how tuples on a wire pick their destination task.
 
-use std::fmt;
-use std::sync::Arc;
-
-/// The routing policy of one wire, mirroring Storm's grouping vocabulary.
-pub enum Grouping<M> {
-    /// Round-robin over destination tasks (load balancing).
-    Shuffle,
-    /// All tuples to task 0 (aggregation points, sinks).
+/// The routing policy of one wire, in Storm's grouping vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grouping {
+    /// All tuples to task 0 (aggregation points, sinks), via
+    /// [`Outbox::emit`](crate::Outbox::emit).
     Global,
-    /// Every tuple to every destination task.
-    Broadcast,
-    /// Hash of a tuple-derived key picks the task (sticky routing).
-    Fields(Arc<dyn Fn(&M) -> u64 + Send + Sync>),
     /// The emitter names the destination task explicitly
     /// ([`Outbox::emit_direct`](crate::Outbox::emit_direct)) — how the
     /// dispatcher addresses individual joiners.
     Direct,
 }
 
-impl<M> Grouping<M> {
-    /// Round-robin grouping.
-    pub fn shuffle() -> Self {
-        Grouping::Shuffle
-    }
-
+impl Grouping {
     /// Everything to task 0.
     pub fn global() -> Self {
         Grouping::Global
     }
 
-    /// Every tuple to every task.
-    pub fn broadcast() -> Self {
-        Grouping::Broadcast
-    }
-
-    /// Key-hash grouping.
-    pub fn fields(key: impl Fn(&M) -> u64 + Send + Sync + 'static) -> Self {
-        Grouping::Fields(Arc::new(key))
-    }
-
     /// Emitter-addressed grouping.
     pub fn direct() -> Self {
         Grouping::Direct
-    }
-}
-
-impl<M> Clone for Grouping<M> {
-    fn clone(&self) -> Self {
-        match self {
-            Grouping::Shuffle => Grouping::Shuffle,
-            Grouping::Global => Grouping::Global,
-            Grouping::Broadcast => Grouping::Broadcast,
-            Grouping::Fields(f) => Grouping::Fields(Arc::clone(f)),
-            Grouping::Direct => Grouping::Direct,
-        }
-    }
-}
-
-impl<M> fmt::Debug for Grouping<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Grouping::Shuffle => "Shuffle",
-            Grouping::Global => "Global",
-            Grouping::Broadcast => "Broadcast",
-            Grouping::Fields(_) => "Fields(<key fn>)",
-            Grouping::Direct => "Direct",
-        };
-        f.write_str(name)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn debug_names() {
-        assert_eq!(format!("{:?}", Grouping::<u8>::shuffle()), "Shuffle");
-        assert_eq!(
-            format!("{:?}", Grouping::<u8>::fields(|_| 0)),
-            "Fields(<key fn>)"
-        );
-    }
-
-    #[test]
-    fn clone_preserves_variant() {
-        let g = Grouping::<u8>::broadcast();
-        assert!(matches!(g.clone(), Grouping::Broadcast));
-        let f = Grouping::<u8>::fields(|&b| b as u64);
-        match f.clone() {
-            Grouping::Fields(key) => assert_eq!(key(&3), 3),
-            _ => panic!("wrong variant"),
-        }
     }
 }

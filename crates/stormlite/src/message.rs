@@ -6,7 +6,6 @@ use crate::metrics::TaskMetrics;
 use crossbeam::channel::Sender;
 use obs::{Event, Stage, TaskTrace, TaskTracer};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,7 +15,7 @@ use std::time::Duration;
 /// override it to match what a binary codec would put on the network
 /// (the default charges the in-memory size, which is only right for plain
 /// data types).
-pub trait Message: Send + Clone + 'static {
+pub trait Message: Send + Sized + 'static {
     /// Serialized size of this message in bytes.
     fn wire_bytes(&self) -> u64 {
         std::mem::size_of::<Self>() as u64
@@ -63,13 +62,12 @@ impl<M: Message> Bolt<M> for CollectorBolt<M> {
     }
 }
 
-/// One outgoing wire from a task: the grouping plus a sender per
+/// The outgoing wire of a task: its grouping plus a sender per
 /// destination task. The channels are reliable and FIFO, so an emission is
 /// one `Envelope::Data` pushed once.
 pub(crate) struct OutWire<M> {
-    pub(crate) grouping: Grouping<M>,
+    pub(crate) grouping: Grouping,
     pub(crate) senders: Vec<Sender<Envelope<M>>>,
-    pub(crate) rr_next: usize,
     /// Identity of this (wire, sender task) link, as its Deliver trace
     /// events name it.
     pub(crate) link: u64,
@@ -100,12 +98,13 @@ impl<M: Message> OutWire<M> {
 
 /// The emission context handed to bolts (and used by spout drivers).
 ///
-/// `emit` routes a tuple along every outgoing non-direct wire according to
-/// its grouping; `emit_direct` addresses a specific task on the direct
-/// wires. Emission blocks when a downstream queue is full — that is the
+/// `emit` sends a tuple down a [`Grouping::Global`] outgoing wire;
+/// `emit_direct` addresses a specific task on a [`Grouping::Direct`] one.
+/// Emission blocks when the downstream queue is full — that is the
 /// backpressure path.
 pub struct Outbox<M: Message> {
-    pub(crate) wires: Vec<OutWire<M>>,
+    /// The task's one outgoing wire; `None` for a terminal bolt.
+    pub(crate) wire: Option<OutWire<M>>,
     pub(crate) task_index: usize,
     pub(crate) metrics: TaskMetrics,
     pub(crate) clock: Clock,
@@ -176,83 +175,42 @@ impl<M: Message> Outbox<M> {
         self.clock.now()
     }
 
-    /// Emits along all non-direct outgoing wires. The last destination
-    /// takes `msg` itself; only the others get clones.
+    /// Emits to task 0 of the outgoing wire when it is
+    /// [`Grouping::Global`]; routes nowhere otherwise.
     pub fn emit(&mut self, msg: M) {
-        let now = self.clock.now();
-        let Some(last) = self
-            .wires
-            .iter()
-            .rposition(|w| !matches!(w.grouping, Grouping::Direct))
-        else {
-            return;
-        };
-        let mut msg = Some(msg);
-        for w in 0..=last {
-            let wire = &mut self.wires[w];
-            let n = wire.senders.len();
-            // This wire's destination tasks, `first..end`.
-            let (first, end) = match &wire.grouping {
-                Grouping::Direct => continue,
-                Grouping::Shuffle => {
-                    let t = wire.rr_next % n;
-                    wire.rr_next = wire.rr_next.wrapping_add(1);
-                    (t, t + 1)
-                }
-                Grouping::Global => (0, 1),
-                Grouping::Fields(f) => {
-                    let key = f(msg
-                        .as_ref()
-                        .expect("moved out only at the last destination"));
-                    let t = (key % n as u64) as usize;
-                    (t, t + 1)
-                }
-                Grouping::Broadcast => (0, n),
-            };
-            for t in first..end {
-                let m = if w == last && t + 1 == end {
-                    msg.take()
-                } else {
-                    msg.clone()
-                };
-                let m = m.expect("moved out only at the last destination");
-                wire.dispatch(t, m, now, &mut self.metrics, &mut self.tracer);
-            }
+        if let Some(wire) = self
+            .wire
+            .as_ref()
+            .filter(|w| w.grouping == Grouping::Global)
+        {
+            let now = self.clock.now();
+            wire.dispatch(0, msg, now, &mut self.metrics, &mut self.tracer);
         }
     }
 
-    /// Emits to one specific task along every direct outgoing wire (the
-    /// last one takes `msg` itself, the others get clones).
+    /// Emits to one specific task along the outgoing wire.
     ///
     /// # Panics
-    /// Panics if no outgoing wire uses [`Grouping::Direct`] or the task
+    /// Panics if the outgoing wire is not [`Grouping::Direct`] or the task
     /// index is out of range.
     pub fn emit_direct(&mut self, task: usize, msg: M) {
-        let now = self.clock.now();
-        let last = self
-            .wires
-            .iter()
-            .rposition(|w| matches!(w.grouping, Grouping::Direct))
+        let wire = self
+            .wire
+            .as_ref()
+            .filter(|w| w.grouping == Grouping::Direct)
             .expect("emit_direct requires a Direct-grouped outgoing wire");
-        for wire in &self.wires[..last] {
-            if matches!(wire.grouping, Grouping::Direct) {
-                wire.dispatch(task, msg.clone(), now, &mut self.metrics, &mut self.tracer);
-            }
-        }
-        self.wires[last].dispatch(task, msg, now, &mut self.metrics, &mut self.tracer);
+        let now = self.clock.now();
+        wire.dispatch(task, msg, now, &mut self.metrics, &mut self.tracer);
     }
 
-    /// Current depth of `task`'s input queue, maximized over this task's
-    /// Direct-grouped outgoing wires — the signal an overload policy
-    /// watches before deciding to shed (zero when there is no direct
-    /// wire).
+    /// Current depth of `task`'s input queue on a Direct-grouped outgoing
+    /// wire — the signal an overload policy watches before deciding to
+    /// shed (zero when the wire is not direct).
     pub fn direct_queue_depth(&self, task: usize) -> usize {
-        self.wires
-            .iter()
-            .filter(|w| matches!(w.grouping, Grouping::Direct))
-            .map(|w| w.senders[task].len())
-            .max()
-            .unwrap_or(0)
+        self.wire
+            .as_ref()
+            .filter(|w| w.grouping == Grouping::Direct)
+            .map_or(0, |w| w.senders[task].len())
     }
 
     /// Records `n` input records dropped by this task's overload policy.
@@ -284,73 +242,12 @@ impl<M: Message> Outbox<M> {
         self.metrics.checkpoint_latency.record(latency);
     }
 
-    /// Sends the EOS marker on every wire. The channels are FIFO, so it
-    /// cannot overtake a tuple emitted before it.
+    /// Sends the EOS marker to every task of the outgoing wire. The
+    /// channels are FIFO, so it cannot overtake a tuple emitted before it.
     pub(crate) fn send_eos(&mut self) {
-        for wire in &self.wires {
-            for s in &wire.senders {
-                s.send(Envelope::Eos).expect("receiver alive until EOS");
-            }
+        for s in self.wire.iter().flat_map(|w| &w.senders) {
+            s.send(Envelope::Eos).expect("receiver alive until EOS");
         }
-    }
-}
-
-/// Alignment bookkeeping for barrier control tuples arriving from several
-/// upstream tasks.
-///
-/// A coordinated checkpoint injects one barrier per epoch into every wire
-/// feeding a bolt; the bolt must not snapshot until the barrier has
-/// arrived on *all* upstream links, or the snapshot would mix pre-barrier
-/// state from one link with post-barrier tuples from another. Feed every
-/// arriving barrier to [`observe`](Self::observe); it returns `true`
-/// exactly once per epoch, when the last expected copy lands.
-///
-/// This tracks arrival counts only — it does not buffer the data tuples
-/// that overtake a partially-aligned barrier. On the topology's FIFO
-/// links fed by a *single* upstream task per epoch source (the
-/// dispatcher topology in ssj-distrib) no such buffering is needed:
-/// alignment is immediate and the aligner degenerates to pass-through.
-#[derive(Debug)]
-pub struct BarrierAligner {
-    expected: usize,
-    seen: BTreeMap<u64, usize>,
-}
-
-impl BarrierAligner {
-    /// An aligner expecting one barrier copy per epoch from each of
-    /// `expected` upstream tasks.
-    ///
-    /// # Panics
-    /// Panics if `expected` is zero.
-    pub fn new(expected: usize) -> Self {
-        assert!(
-            expected > 0,
-            "a bolt with no upstream links sees no barriers"
-        );
-        Self {
-            expected,
-            seen: BTreeMap::new(),
-        }
-    }
-
-    /// Records one arrived barrier for `epoch`; returns `true` when this
-    /// was the last expected copy (the epoch is now aligned and its state
-    /// is forgotten).
-    pub fn observe(&mut self, epoch: u64) -> bool {
-        let n = self.seen.entry(epoch).or_insert(0);
-        *n += 1;
-        if *n >= self.expected {
-            self.seen.remove(&epoch);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of epochs currently part-aligned (some but not all copies
-    /// arrived).
-    pub fn pending(&self) -> usize {
-        self.seen.len()
     }
 }
 
@@ -359,7 +256,7 @@ mod tests {
     use super::*;
     use crossbeam::channel::{unbounded, Receiver};
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct N(u64);
     impl Message for N {
         fn wire_bytes(&self) -> u64 {
@@ -367,26 +264,15 @@ mod tests {
         }
     }
 
-    fn plain<M>(grouping: Grouping<M>, senders: Vec<Sender<Envelope<M>>>) -> OutWire<M> {
-        OutWire {
-            grouping,
-            senders,
-            rr_next: 0,
-            link: 0,
-        }
-    }
-
-    fn outbox_with(grouping: Grouping<N>, n: usize) -> (Outbox<N>, Vec<Receiver<Envelope<N>>>) {
-        let mut senders = Vec::new();
-        let mut receivers = Vec::new();
-        for _ in 0..n {
-            let (s, r) = unbounded();
-            senders.push(s);
-            receivers.push(r);
-        }
+    fn outbox_with(grouping: Grouping, n: usize) -> (Outbox<N>, Vec<Receiver<Envelope<N>>>) {
+        let (senders, receivers) = (0..n).map(|_| unbounded()).unzip();
         (
             Outbox {
-                wires: vec![plain(grouping, senders)],
+                wire: Some(OutWire {
+                    grouping,
+                    senders,
+                    link: 0,
+                }),
                 task_index: 0,
                 metrics: TaskMetrics::default(),
                 clock: Clock::wall(),
@@ -403,119 +289,34 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_round_robins() {
-        let (mut o, rs) = outbox_with(Grouping::shuffle(), 3);
-        for i in 0..9 {
-            o.emit(N(i));
-        }
-        for r in &rs {
-            assert_eq!(data_count(r), 3);
-        }
-        assert_eq!(o.metrics.msgs_out, 9);
-        assert_eq!(o.metrics.bytes_out, 72);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let (mut o, rs) = outbox_with(Grouping::broadcast(), 4);
-        o.emit(N(7));
-        for r in &rs {
-            assert_eq!(data_count(r), 1);
-        }
-        assert_eq!(o.metrics.msgs_out, 4);
-    }
-
-    #[test]
-    fn fields_grouping_is_sticky() {
-        let (mut o, rs) = outbox_with(Grouping::fields(|m: &N| m.0), 2);
-        for _ in 0..5 {
-            o.emit(N(4)); // 4 % 2 == 0
-        }
-        assert_eq!(data_count(&rs[0]), 5);
-        assert_eq!(data_count(&rs[1]), 0);
-    }
-
-    #[test]
     fn global_goes_to_task_zero() {
         let (mut o, rs) = outbox_with(Grouping::global(), 3);
         o.emit(N(1));
         assert_eq!(data_count(&rs[0]), 1);
         assert_eq!(data_count(&rs[1]), 0);
+        assert_eq!(o.metrics.msgs_out, 1);
+        assert_eq!(o.metrics.bytes_out, 8);
     }
 
     #[test]
     fn direct_targets_one_task() {
         let (mut o, rs) = outbox_with(Grouping::Direct, 3);
         o.emit_direct(2, N(5));
-        o.emit(N(9)); // no non-direct wires: silently routes nowhere
+        o.emit(N(9)); // not a global wire: silently routes nowhere
         assert_eq!(data_count(&rs[0]), 0);
         assert_eq!(data_count(&rs[2]), 1);
-    }
-
-    /// A message that counts how often it is cloned.
-    #[derive(Debug)]
-    struct Counted(Arc<std::sync::atomic::AtomicUsize>);
-    impl Clone for Counted {
-        fn clone(&self) -> Self {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Counted(Arc::clone(&self.0))
-        }
-    }
-    impl Message for Counted {}
-
-    #[test]
-    fn emission_moves_the_message_into_its_last_destination() {
-        let wire = |grouping, n: usize| {
-            let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-            (plain(grouping, senders), receivers)
-        };
-        let (global, rx_global) = wire(Grouping::global(), 1);
-        let (direct_a, rx_direct_a) = wire(Grouping::Direct, 2);
-        let (broadcast, rx_broadcast) = wire(Grouping::broadcast(), 3);
-        let (direct_b, rx_direct_b) = wire(Grouping::Direct, 2);
-        let mut o = Outbox {
-            wires: vec![global, direct_a, broadcast, direct_b],
-            task_index: 0,
-            metrics: TaskMetrics::default(),
-            clock: Clock::wall(),
-            tracer: None,
-        };
-        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let count = || clones.swap(0, std::sync::atomic::Ordering::Relaxed);
-        let delivered = |rs: &[Receiver<Envelope<Counted>>]| -> Vec<usize> {
-            rs.iter().map(|r| r.try_iter().count()).collect()
-        };
-
-        // One global + three broadcast destinations: three clones, and the
-        // last broadcast task gets the original.
-        o.emit(Counted(Arc::clone(&clones)));
-        assert_eq!(count(), 3);
-        assert_eq!(delivered(&rx_global), [1]);
-        assert_eq!(delivered(&rx_broadcast), [1, 1, 1]);
-
-        // Two direct wires: one clone.
-        o.emit_direct(1, Counted(Arc::clone(&clones)));
-        assert_eq!(count(), 1);
-        assert_eq!(delivered(&rx_direct_a), [0, 1]);
-        assert_eq!(delivered(&rx_direct_b), [0, 1]);
-
-        // A single destination — the joiner → sink shape — clones nothing.
-        o.wires.truncate(1);
-        o.emit(Counted(Arc::clone(&clones)));
-        assert_eq!(count(), 0);
-        assert_eq!(delivered(&rx_global), [1]);
     }
 
     #[test]
     #[should_panic(expected = "Direct-grouped")]
     fn emit_direct_without_direct_wire_panics() {
-        let (mut o, _rs) = outbox_with(Grouping::shuffle(), 2);
+        let (mut o, _rs) = outbox_with(Grouping::global(), 2);
         o.emit_direct(0, N(1));
     }
 
     #[test]
     fn eos_fans_out() {
-        let (mut o, rs) = outbox_with(Grouping::shuffle(), 2);
+        let (mut o, rs) = outbox_with(Grouping::Direct, 2);
         o.send_eos();
         for r in &rs {
             assert!(matches!(r.try_recv().unwrap(), Envelope::Eos));
@@ -541,40 +342,5 @@ mod tests {
         o.record_shed(3);
         o.record_shed(2);
         assert_eq!(o.metrics.shed, 5);
-    }
-
-    #[test]
-    fn single_upstream_barrier_aligns_immediately() {
-        let mut a = BarrierAligner::new(1);
-        assert!(a.observe(1));
-        assert!(a.observe(2));
-        assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn multi_upstream_barrier_aligns_on_last_copy() {
-        let mut a = BarrierAligner::new(3);
-        assert!(!a.observe(1));
-        assert!(!a.observe(1));
-        assert_eq!(a.pending(), 1);
-        assert!(a.observe(1));
-        assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    fn interleaved_epochs_align_independently() {
-        let mut a = BarrierAligner::new(2);
-        assert!(!a.observe(5));
-        assert!(!a.observe(6));
-        assert_eq!(a.pending(), 2);
-        assert!(a.observe(6));
-        assert!(a.observe(5));
-        assert_eq!(a.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no upstream links")]
-    fn zero_upstream_aligner_is_rejected() {
-        let _ = BarrierAligner::new(0);
     }
 }

@@ -34,8 +34,8 @@ pub struct TaskMetrics {
     /// Input records shed by this task's overload policy
     /// (see [`Outbox::record_shed`](crate::Outbox::record_shed)).
     pub shed: u64,
-    /// Tuples consumed by an organic bolt panic and never redelivered
-    /// (see [`Topology::with_supervised_restarts`](crate::Topology::with_supervised_restarts)).
+    /// Tuples consumed by an organic bolt panic: the panicking instance is
+    /// dropped and the tuple is never redelivered.
     pub dropped_poisoned: u64,
     /// Checkpoint snapshots captured by this task
     /// (see [`Outbox::record_checkpoint`](crate::Outbox::record_checkpoint)).
@@ -116,12 +116,12 @@ pub struct RunReport {
     /// `(component, task_index, metrics)` for every task.
     pub tasks: Vec<(String, usize, TaskMetrics)>,
     /// Tasks that panicked: `(component, task_index, panic message)`.
-    /// Injected faults are recorded here too. A failed task that is out of
-    /// restart budget drains (and discards) its remaining input, so the
-    /// topology always completes; results are partial unless the
-    /// application layer recovers the lost state.
+    /// Injected faults are recorded here too. A task whose bolt panicked
+    /// drains (and discards) its remaining input, so the topology always
+    /// completes; results are partial unless the application layer
+    /// recovers the lost state.
     pub failures: Vec<(String, usize, String)>,
-    /// Tasks that were rebuilt after a crash:
+    /// Tasks that were rebuilt after an injected crash:
     /// `(component, task_index, restart count)`. Only restarted tasks
     /// appear.
     pub restarts: Vec<(String, usize, u64)>,
@@ -138,7 +138,7 @@ impl RunReport {
         self.failures.is_empty()
     }
 
-    /// Total task restarts across the run (injected and organic).
+    /// Total task restarts across the run.
     pub fn total_restarts(&self) -> u64 {
         self.restarts.iter().map(|(_, _, n)| n).sum()
     }
@@ -146,16 +146,6 @@ impl RunReport {
     /// Sum of tuples processed across all tasks.
     pub fn total_processed(&self) -> u64 {
         self.tasks.iter().map(|(_, _, m)| m.msgs_in).sum()
-    }
-
-    /// Sum of tuples emitted across all tasks.
-    pub fn total_emitted(&self) -> u64 {
-        self.tasks.iter().map(|(_, _, m)| m.msgs_out).sum()
-    }
-
-    /// Sum of bytes moved between tasks (counted at emission).
-    pub fn total_bytes(&self) -> u64 {
-        self.tasks.iter().map(|(_, _, m)| m.bytes_out).sum()
     }
 
     /// Records shed by overload policies across all tasks. Every shed
@@ -331,18 +321,6 @@ impl RunReport {
         );
         snap
     }
-
-    /// Per-task `msgs_in` of one component (load-balance reporting).
-    pub fn component_task_loads(&self, name: &str) -> Vec<u64> {
-        let mut loads: Vec<(usize, u64)> = self
-            .tasks
-            .iter()
-            .filter(|(comp, _, _)| comp == name)
-            .map(|(_, task, m)| (*task, m.msgs_in))
-            .collect();
-        loads.sort_unstable();
-        loads.into_iter().map(|(_, l)| l).collect()
-    }
 }
 
 impl fmt::Display for RunReport {
@@ -399,8 +377,7 @@ mod tests {
         assert_eq!(report.total_restarts(), 0);
         assert_eq!(report.total_processed(), 12);
         assert_eq!(report.component("joiner").msgs_in, 12);
-        assert_eq!(report.component_task_loads("joiner"), vec![5, 7]);
-        assert_eq!(report.total_bytes(), 150);
+        assert_eq!(report.component("joiner").bytes_out, 150);
         let text = report.to_string();
         assert!(text.contains("joiner"));
     }

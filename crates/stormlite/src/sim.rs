@@ -18,12 +18,15 @@
 //!   per step and never otherwise. Everything the engine or a bolt times
 //!   (queue wait, end-to-end and checkpoint latency, barrier stall)
 //!   therefore runs entirely on virtual time and is exactly reproducible.
-//! * **Crashes included.** `FaultPlan` crashes, supervised restarts and
-//!   the replay/checkpoint recovery built on them run unmodified — they
-//!   were already deterministic per seed; the scheduler removes the last
-//!   source of nondeterminism, the interleaving. Wires are the same
-//!   reliable FIFO channels as under threads: link loss is a property of
-//!   the cluster's sessions, not of a topology.
+//! * **Crashes included.** `FaultPlan` crashes, their restarts and the
+//!   replay/checkpoint recovery built on them run unmodified — they are
+//!   deterministic per seed; the scheduler removes the last source of
+//!   nondeterminism, the interleaving. Wires are the same reliable FIFO
+//!   channels as under threads: link loss is a property of the cluster's
+//!   sessions, not of a topology.
+//! * **One task setup.** Both executors build their tasks and assemble
+//!   their [`RunReport`] through the same code; only the channels
+//!   (unbounded here) and the driving loop differ.
 //!
 //! Every scheduler decision is recorded in a [`Transcript`]: same seed ⇒
 //! byte-identical transcript, so a failure reproduces from its seed alone
@@ -32,7 +35,6 @@
 //! ```
 //! use stormlite::{Grouping, Message, SimConfig, Topology};
 //!
-//! #[derive(Clone)]
 //! struct Num(u64);
 //! impl Message for Num {}
 //!
@@ -40,7 +42,7 @@
 //!     let mut t = Topology::new();
 //!     t.spout("src", (0..10u64).map(Num));
 //!     let out = t.collector("sink");
-//!     t.wire("src", "sink", Grouping::shuffle());
+//!     t.wire("src", "sink", Grouping::global());
 //!     (t, out)
 //! };
 //! let (t1, out1) = build();
@@ -51,15 +53,12 @@
 //! assert_eq!(out1.lock().len(), out2.lock().len());
 //! ```
 
-use crate::clock::{Clock, Timestamp};
+use crate::clock::Clock;
 use crate::link::mix;
-use crate::message::{Envelope, Message, Outbox};
+use crate::message::{Envelope, Message};
 use crate::metrics::RunReport;
-use crate::topology::{build_outbox, expected_eos_counts, panic_message, BoltCore, Kind, Topology};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use obs::{Stage, TaskTracer};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::topology::{report, Pull, TaskKind, Topology};
+use crossbeam::channel::unbounded;
 use std::time::Duration;
 
 /// How a topology executes: real threads or deterministic simulation.
@@ -189,147 +188,44 @@ impl SimRng {
     }
 }
 
-enum TaskKind<M: Message> {
-    Spout(Box<dyn Iterator<Item = M> + Send>),
-    Bolt {
-        // Boxed: BoltCore is much larger than the spout variant and each
-        // task holds exactly one, so the indirection costs nothing.
-        core: Box<BoltCore<M>>,
-        rx: Receiver<Envelope<M>>,
-    },
-}
-
-struct SimTask<M: Message> {
-    name: String,
-    task: usize,
-    outbox: Outbox<M>,
-    kind: TaskKind<M>,
-    /// EOS sent; the task no longer schedules.
-    done: bool,
-    spout_failures: Vec<String>,
-    /// Records pulled so far (spouts only): the dispatch-event ordinal.
-    pulls: u64,
-}
-
-impl<M: Message> SimTask<M> {
-    fn runnable(&self) -> bool {
-        if self.done {
-            return false;
-        }
-        match &self.kind {
-            // A spout can always attempt a pull (exhaustion is discovered
-            // by the pull itself).
-            TaskKind::Spout(_) => true,
-            TaskKind::Bolt { rx, .. } => !rx.is_empty(),
-        }
-    }
-}
-
 /// Runs the topology to completion under the simulation scheduler.
 pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimRun {
-    topology.validate();
-    let n = topology.components.len();
     let clock = Clock::virtual_start();
-
     // Unbounded input channels: a single-threaded scheduler must never
     // block on a full queue (the consumer could not run concurrently).
     // Backpressure is irrelevant here — the scheduler controls all rates.
-    let mut senders: Vec<Vec<Sender<Envelope<M>>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Vec<Option<Receiver<Envelope<M>>>>> = Vec::with_capacity(n);
-    for c in &topology.components {
-        let mut comp_senders = Vec::new();
-        let mut comp_receivers = Vec::new();
-        if matches!(c.kind, Kind::Bolt(_)) {
-            for _ in 0..c.parallelism {
-                let (s, r) = unbounded();
-                comp_senders.push(s);
-                comp_receivers.push(Some(r));
-            }
-        }
-        senders.push(comp_senders);
-        receivers.push(comp_receivers);
-    }
-
-    let expected_eos = expected_eos_counts(&topology.components, &topology.wires);
-    let trace = topology.trace.clone();
-    let tracer_for = |comp: &str, task: usize| {
-        trace
-            .as_ref()
-            .map(|(_, cfg)| TaskTracer::new(comp, task, cfg.ring_capacity))
-    };
-
-    let mut tasks: Vec<SimTask<M>> = Vec::new();
-    for (i, c) in topology.components.into_iter().enumerate() {
-        match c.kind {
-            Kind::Spout(mut source) => {
-                let outbox = build_outbox(
-                    &topology.wires,
-                    &senders,
-                    &clock,
-                    i,
-                    0,
-                    tracer_for(&c.name, 0),
-                );
-                tasks.push(SimTask {
-                    name: c.name,
-                    task: 0,
-                    outbox,
-                    kind: TaskKind::Spout(source.take().expect("spout source present")),
-                    done: false,
-                    spout_failures: Vec::new(),
-                    pulls: 0,
-                });
-            }
-            Kind::Bolt(factory) => {
-                let factory = Arc::new(Mutex::new(factory));
-                let comp_receivers = std::mem::take(&mut receivers[i]);
-                for (task, rx_slot) in comp_receivers.into_iter().enumerate() {
-                    let outbox = build_outbox(
-                        &topology.wires,
-                        &senders,
-                        &clock,
-                        i,
-                        task,
-                        tracer_for(&c.name, task),
-                    );
-                    let core = Box::new(BoltCore::new(
-                        Arc::clone(&factory),
-                        task,
-                        expected_eos[i],
-                        topology.fault_plan.points_for(&c.name, task),
-                        topology.restart_budget,
-                    ));
-                    tasks.push(SimTask {
-                        name: c.name.clone(),
-                        task,
-                        outbox,
-                        kind: TaskKind::Bolt {
-                            core,
-                            rx: rx_slot.expect("receiver unclaimed"),
-                        },
-                        done: false,
-                        spout_failures: Vec::new(),
-                        pulls: 0,
-                    });
-                }
-            }
+    let (mut tasks, sink) = topology.into_tasks(&clock, unbounded);
+    for t in &mut tasks {
+        if let TaskKind::Bolt { core, .. } = &mut t.kind {
+            core.build();
         }
     }
-    drop(senders);
-    drop(receivers);
+    // EOS sent: the task no longer schedules.
+    let mut done = vec![false; tasks.len()];
 
     let mut rng = SimRng::new(cfg.seed);
     let mut lines: Vec<String> = Vec::new();
     let mut step: u64 = 0;
     loop {
-        let runnable: Vec<usize> = (0..tasks.len()).filter(|&i| tasks[i].runnable()).collect();
+        // A spout can always attempt a pull (exhaustion is discovered by
+        // the pull itself); a bolt runs when it has a queued envelope.
+        let runnable: Vec<usize> = (0..tasks.len())
+            .filter(|&i| {
+                !done[i]
+                    && match &tasks[i].kind {
+                        TaskKind::Spout { .. } => true,
+                        TaskKind::Bolt { rx, .. } => !rx.is_empty(),
+                    }
+            })
+            .collect();
         if runnable.is_empty() {
             // Every task sends EOS when it finishes, so with a validated
-            // (acyclic, EOS-counted) topology nothing is left waiting.
+            // (chained, EOS-counted) topology nothing is left waiting.
             let stuck: Vec<String> = tasks
                 .iter()
-                .filter(|t| !t.done)
-                .map(|t| format!("{}/{}", t.name, t.task))
+                .zip(&done)
+                .filter(|(_, &done)| !done)
+                .map(|(t, _)| format!("{}/{}", t.name, t.index))
                 .collect();
             assert!(
                 stuck.is_empty(),
@@ -343,80 +239,36 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
         clock.advance(cfg.tick);
         let now_ns = clock.now().as_nanos();
         let t = &mut tasks[pick];
-        match &mut t.kind {
-            TaskKind::Spout(source) => {
-                let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.next()));
-                match next {
-                    Ok(Some(msg)) => {
-                        t.outbox.trace_instant(Stage::Dispatch, t.pulls, 0);
-                        t.pulls += 1;
-                        t.outbox.emit(msg);
-                        lines.push(format!("{step} t={now_ns} {}/{} pull", t.name, t.task));
-                    }
-                    Ok(None) => {
-                        t.done = true;
-                        lines.push(format!("{step} t={now_ns} {}/{} exhausted", t.name, t.task));
-                    }
-                    Err(panic) => {
-                        t.spout_failures.push(panic_message(panic));
-                        t.done = true;
-                        lines.push(format!(
-                            "{step} t={now_ns} {}/{} spout-panic",
-                            t.name, t.task
-                        ));
-                    }
-                }
+        if let TaskKind::Bolt { core, rx } = &mut t.kind {
+            let envelope = rx.try_recv().expect("runnable bolt has queued input");
+            let desc = match &envelope {
+                Envelope::Data(..) => "data",
+                Envelope::Eos => "eos",
+            };
+            done[pick] = core.handle(envelope, &mut t.outbox);
+            lines.push(format!("{step} t={now_ns} {}/{} {desc}", t.name, t.index));
+            if done[pick] {
+                lines.push(format!("{step} t={now_ns} {}/{} finish", t.name, t.index));
             }
-            TaskKind::Bolt { core, rx } => {
-                let envelope = rx.try_recv().expect("runnable bolt has queued input");
-                let desc = match &envelope {
-                    Envelope::Data(..) => "data",
-                    Envelope::Eos => "eos",
-                };
-                t.done = core.handle(envelope, &mut t.outbox);
-                lines.push(format!("{step} t={now_ns} {}/{} {desc}", t.name, t.task));
-                if t.done {
-                    lines.push(format!("{step} t={now_ns} {}/{} finish", t.name, t.task));
-                }
-            }
+        } else {
+            let desc = match t.pull() {
+                Pull::Emitted => "pull",
+                Pull::Exhausted => "exhausted",
+                Pull::Panicked => "spout-panic",
+            };
+            done[pick] = desc != "pull";
+            lines.push(format!("{step} t={now_ns} {}/{} {desc}", t.name, t.index));
         }
-        if t.done {
+        if done[pick] {
             // The wires are FIFO: EOS cannot overtake what the task emitted.
             t.outbox.send_eos();
-            lines.push(format!("{step} t={now_ns} {}/{} eos-out", t.name, t.task));
+            lines.push(format!("{step} t={now_ns} {}/{} eos-out", t.name, t.index));
         }
     }
 
-    // Assemble the report in task order — the same order the threaded
-    // executor joins its handles in.
-    let mut report_tasks = Vec::new();
-    let mut failures = Vec::new();
-    let mut restarts = Vec::new();
-    for mut t in tasks {
-        if let (Some((sink, _)), Some(tt)) = (&trace, t.outbox.take_trace()) {
-            sink.push(tt);
-        }
-        let metrics = std::mem::take(&mut t.outbox.metrics);
-        let (task_failures, restart_count) = match t.kind {
-            TaskKind::Spout(_) => (t.spout_failures, 0),
-            TaskKind::Bolt { mut core, .. } => (std::mem::take(&mut core.failures), core.restarts),
-        };
-        for msg in task_failures {
-            failures.push((t.name.clone(), t.task, msg));
-        }
-        if restart_count > 0 {
-            restarts.push((t.name.clone(), t.task, restart_count));
-        }
-        report_tasks.push((t.name, t.task, metrics));
-    }
+    let ends = tasks.into_iter().map(|t| t.end(sink.as_ref())).collect();
     SimRun {
-        report: RunReport {
-            tasks: report_tasks,
-            failures,
-            restarts,
-            elapsed: clock.now().saturating_since(Timestamp::ZERO),
-            integrity: Default::default(),
-        },
+        report: report(ends, &clock),
         transcript: Transcript { lines },
     }
 }
@@ -426,8 +278,11 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::grouping::Grouping;
+    use crate::message::Outbox;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct N(u64);
     impl Message for N {
         fn wire_bytes(&self) -> u64 {
@@ -442,12 +297,22 @@ mod tests {
         }
     }
 
+    /// Alternates values between the two relay tasks.
+    struct Split;
+    impl crate::message::Bolt<N> for Split {
+        fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
+            out.emit_direct((msg.0 % 2) as usize, msg);
+        }
+    }
+
     fn pipeline(n: u64, fault_plan: FaultPlan) -> (Topology<N>, Arc<Mutex<Vec<N>>>) {
         let mut t = Topology::new().with_fault_plan(fault_plan);
         t.spout("src", (0..n).map(N));
+        t.bolt("split", 1, |_| Split);
         t.bolt("relay", 2, |_| AddOne);
         let out = t.collector("sink");
-        t.wire("src", "relay", Grouping::shuffle());
+        t.wire("src", "split", Grouping::global());
+        t.wire("split", "relay", Grouping::direct());
         t.wire("relay", "sink", Grouping::global());
         (t, out)
     }

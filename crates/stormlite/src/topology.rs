@@ -13,38 +13,39 @@ use std::sync::Arc;
 
 const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
-pub(crate) type BoltFactory<M> = Box<dyn FnMut(usize) -> Box<dyn Bolt<M>> + Send>;
+type BoltFactory<M> = Box<dyn FnMut(usize) -> Box<dyn Bolt<M>> + Send>;
 
-pub(crate) enum Kind<M: Message> {
-    Spout(Option<Box<dyn Iterator<Item = M> + Send>>),
+type Source<M> = Box<dyn Iterator<Item = M> + Send>;
+
+enum Kind<M: Message> {
+    Spout(Source<M>),
     Bolt(BoltFactory<M>),
 }
 
-pub(crate) struct Component<M: Message> {
-    pub(crate) name: String,
-    pub(crate) parallelism: usize,
-    pub(crate) kind: Kind<M>,
+struct Component<M: Message> {
+    name: String,
+    parallelism: usize,
+    kind: Kind<M>,
 }
 
-pub(crate) struct WireDef<M> {
-    pub(crate) from: usize,
-    pub(crate) to: usize,
-    pub(crate) grouping: Grouping<M>,
+struct WireDef {
+    from: usize,
+    to: usize,
+    grouping: Grouping,
 }
 
-/// A dataflow graph of spouts and bolts, executed with one thread per task
-/// (or, under [`Scheduler::Sim`], single-threaded and deterministic).
+/// A chain of spouts and bolts, executed with one thread per task (or,
+/// under [`Scheduler::Sim`], single-threaded and deterministic).
 ///
 /// Build with [`spout`](Self::spout) / [`bolt`](Self::bolt) /
 /// [`wire`](Self::wire), then call [`run`](Self::run); the call returns
 /// once every tuple has drained and every task has exited.
 pub struct Topology<M: Message> {
-    pub(crate) components: Vec<Component<M>>,
-    pub(crate) wires: Vec<WireDef<M>>,
-    pub(crate) channel_capacity: usize,
-    pub(crate) fault_plan: FaultPlan,
-    pub(crate) restart_budget: u64,
-    pub(crate) trace: Option<(TraceSink, TraceConfig)>,
+    components: Vec<Component<M>>,
+    wires: Vec<WireDef>,
+    channel_capacity: usize,
+    fault_plan: FaultPlan,
+    trace: Option<(TraceSink, TraceConfig)>,
 }
 
 impl<M: Message> Default for Topology<M> {
@@ -61,7 +62,6 @@ impl<M: Message> Topology<M> {
             wires: Vec::new(),
             channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             fault_plan: FaultPlan::new(),
-            restart_budget: 0,
             trace: None,
         }
     }
@@ -99,18 +99,6 @@ impl<M: Message> Topology<M> {
         self
     }
 
-    /// Allows each bolt task to survive up to `budget` *organic* panics
-    /// (panics raised by the bolt's own `execute`, as opposed to injected
-    /// faults): the instance is rebuilt from its factory and processing
-    /// continues with the next tuple. The tuple whose `execute` panicked is
-    /// **not** redelivered — it poisoned the instance once and would again.
-    /// The default budget of `0` preserves fail-and-drain semantics: a
-    /// panicked task discards the rest of its input.
-    pub fn with_supervised_restarts(mut self, budget: u64) -> Self {
-        self.restart_budget = budget;
-        self
-    }
-
     fn index_of(&self, name: &str) -> usize {
         self.components
             .iter()
@@ -138,7 +126,7 @@ impl<M: Message> Topology<M> {
         I: IntoIterator<Item = M>,
         I::IntoIter: Send + 'static,
     {
-        self.add(name, 1, Kind::Spout(Some(Box::new(source.into_iter()))));
+        self.add(name, 1, Kind::Spout(Box::new(source.into_iter())));
     }
 
     /// Adds a bolt with `parallelism` tasks; `factory(task_index)` builds
@@ -165,19 +153,35 @@ impl<M: Message> Topology<M> {
     }
 
     /// Connects `from` to `to` with a grouping, over a reliable FIFO
-    /// channel per destination task. `to` must be a bolt.
-    pub fn wire(&mut self, from: &str, to: &str, grouping: Grouping<M>) {
-        let from = self.index_of(from);
-        let to = self.index_of(to);
+    /// channel per destination task. A topology is a chain: `to` is a bolt
+    /// declared after `from`, and each component has at most one outbound
+    /// and one inbound wire.
+    pub fn wire(&mut self, from: &str, to: &str, grouping: Grouping) {
+        let (src, dst) = (self.index_of(from), self.index_of(to));
         assert!(
-            matches!(self.components[to].kind, Kind::Bolt(_)),
+            matches!(self.components[dst].kind, Kind::Bolt(_)),
             "cannot wire into a spout"
         );
-        self.wires.push(WireDef { from, to, grouping });
+        assert!(
+            src < dst,
+            "cannot wire '{from}' into '{to}', declared before it"
+        );
+        assert!(
+            self.wires.iter().all(|w| w.from != src),
+            "'{from}' already has an outbound wire"
+        );
+        assert!(
+            self.wires.iter().all(|w| w.to != dst),
+            "'{to}' already has an inbound wire"
+        );
+        self.wires.push(WireDef {
+            from: src,
+            to: dst,
+            grouping,
+        });
     }
 
-    pub(crate) fn validate(&self) {
-        // Every bolt needs input, and the graph must be acyclic.
+    fn validate(&self) {
         for (i, c) in self.components.iter().enumerate() {
             if matches!(c.kind, Kind::Bolt(_)) {
                 assert!(
@@ -187,24 +191,6 @@ impl<M: Message> Topology<M> {
                 );
             }
         }
-        // Kahn's algorithm for cycle detection.
-        let n = self.components.len();
-        let mut indeg = vec![0usize; n];
-        for w in &self.wires {
-            indeg[w.to] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut visited = 0;
-        while let Some(i) = queue.pop() {
-            visited += 1;
-            for w in self.wires.iter().filter(|w| w.from == i) {
-                indeg[w.to] -= 1;
-                if indeg[w.to] == 0 {
-                    queue.push(w.to);
-                }
-            }
-        }
-        assert_eq!(visited, n, "topology contains a cycle");
         // Fault plans must target existing bolt tasks: a typo'd component
         // or out-of-range task silently never firing would make a recovery
         // test vacuously pass.
@@ -231,6 +217,89 @@ impl<M: Message> Topology<M> {
         }
     }
 
+    /// Validates the topology and builds its tasks in declaration order,
+    /// each bolt task's input queue from `channel`, every outbox reading
+    /// `clock`. Returns them with the run's trace sink. Shared by the
+    /// threaded and the simulation executor.
+    pub(crate) fn into_tasks(
+        self,
+        clock: &Clock,
+        channel: impl Fn() -> (Sender<Envelope<M>>, Receiver<Envelope<M>>),
+    ) -> (Vec<Task<M>>, Option<TraceSink>) {
+        self.validate();
+        let (senders, mut receivers): (Vec<Vec<_>>, Vec<Vec<_>>) = self
+            .components
+            .iter()
+            .map(|c| match c.kind {
+                Kind::Spout(_) => (Vec::new(), Vec::new()),
+                Kind::Bolt(_) => (0..c.parallelism).map(|_| channel()).unzip(),
+            })
+            .unzip();
+        // A bolt expects one EOS per task of its one upstream component.
+        let upstream_tasks: Vec<usize> = (0..self.components.len())
+            .map(|i| {
+                self.wires
+                    .iter()
+                    .find(|w| w.to == i)
+                    .map_or(0, |w| self.components[w.from].parallelism)
+            })
+            .collect();
+        let (sink, ring) = match self.trace {
+            Some((sink, cfg)) => (Some(sink), Some(cfg.ring_capacity)),
+            None => (None, None),
+        };
+        let mut tasks = Vec::new();
+        for (i, c) in self.components.into_iter().enumerate() {
+            let out = self.wires.iter().enumerate().find(|(_, w)| w.from == i);
+            let outbox = |task: usize| Outbox {
+                wire: out.map(|(wire_index, w)| OutWire {
+                    grouping: w.grouping,
+                    senders: senders[w.to].clone(),
+                    link: ((wire_index as u64) << 32) | task as u64,
+                }),
+                task_index: task,
+                metrics: TaskMetrics::default(),
+                clock: clock.clone(),
+                tracer: ring.map(|cap| TaskTracer::new(c.name.as_str(), task, cap)),
+            };
+            match c.kind {
+                Kind::Spout(source) => tasks.push(Task {
+                    outbox: outbox(0),
+                    name: c.name,
+                    index: 0,
+                    kind: TaskKind::Spout {
+                        source,
+                        pulls: 0,
+                        failures: Vec::new(),
+                    },
+                }),
+                Kind::Bolt(factory) => {
+                    // The factory is shared across the component's tasks so
+                    // a crashed task can rebuild its bolt instance.
+                    let factory = Arc::new(Mutex::new(factory));
+                    for (task, rx) in std::mem::take(&mut receivers[i]).into_iter().enumerate() {
+                        let core = BoltCore::new(
+                            Arc::clone(&factory),
+                            task,
+                            upstream_tasks[i],
+                            self.fault_plan.points_for(&c.name, task),
+                        );
+                        tasks.push(Task {
+                            outbox: outbox(task),
+                            name: c.name.clone(),
+                            index: task,
+                            kind: TaskKind::Bolt {
+                                core: Box::new(core),
+                                rx,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+        (tasks, sink)
+    }
+
     /// Executes the topology to completion on the given scheduler.
     ///
     /// [`Scheduler::Threads`] is identical to [`run`](Self::run);
@@ -251,223 +320,157 @@ impl<M: Message> Topology<M> {
         crate::sim::execute(self, cfg)
     }
 
-    /// Executes the topology to completion and returns the run report.
+    /// Executes the topology to completion, one OS thread per task, and
+    /// returns the run report.
     pub fn run(self) -> RunReport {
-        self.validate();
-        let n = self.components.len();
         let clock = Clock::wall();
-
-        // Input channels: one per bolt task.
-        let mut senders: Vec<Vec<Sender<Envelope<M>>>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Vec<Option<Receiver<Envelope<M>>>>> = Vec::with_capacity(n);
-        for c in &self.components {
-            let mut comp_senders = Vec::new();
-            let mut comp_receivers = Vec::new();
-            match c.kind {
-                Kind::Spout(_) => {}
-                Kind::Bolt(_) => {
-                    for _ in 0..c.parallelism {
-                        let (s, r) = bounded(self.channel_capacity);
-                        comp_senders.push(s);
-                        comp_receivers.push(Some(r));
-                    }
-                }
-            }
-            senders.push(comp_senders);
-            receivers.push(comp_receivers);
-        }
-
-        let expected_eos = expected_eos_counts(&self.components, &self.wires);
-
-        let mut handles = Vec::new();
-        for (i, c) in self.components.into_iter().enumerate() {
-            match c.kind {
-                Kind::Spout(mut source) => {
-                    let tracer = self
-                        .trace
-                        .as_ref()
-                        .map(|(_, cfg)| TaskTracer::new(c.name.clone(), 0, cfg.ring_capacity));
-                    let sink = self.trace.as_ref().map(|(s, _)| s.clone());
-                    let mut outbox = build_outbox(&self.wires, &senders, &clock, i, 0, tracer);
-                    let name = c.name.clone();
-                    let source = source.take().expect("spout source present");
-                    handles.push((
-                        c.name,
-                        0usize,
-                        std::thread::Builder::new()
-                            .name(format!("{name}-0"))
-                            .spawn(move || {
-                                let result = run_spout(source, &mut outbox);
-                                if let (Some(s), Some(t)) = (&sink, outbox.take_trace()) {
-                                    s.push(t);
+        let capacity = self.channel_capacity;
+        let (tasks, sink) = self.into_tasks(&clock, || bounded(capacity));
+        let handles: Vec<_> = tasks
+            .into_iter()
+            .map(|mut task| {
+                let sink = sink.clone();
+                std::thread::Builder::new()
+                    .name(format!("{}-{}", task.name, task.index))
+                    .spawn(move || {
+                        if let TaskKind::Bolt { core, rx } = &mut task.kind {
+                            core.build();
+                            while let Ok(envelope) = rx.recv() {
+                                if core.handle(envelope, &mut task.outbox) {
+                                    break;
                                 }
-                                result
-                            })
-                            .expect("spawn spout"),
-                    ));
-                }
-                Kind::Bolt(factory) => {
-                    // The factory is shared across the component's task
-                    // threads so a supervised task can rebuild its bolt
-                    // instance after a crash.
-                    let factory = Arc::new(Mutex::new(factory));
-                    let comp_receivers = std::mem::take(&mut receivers[i]);
-                    for (task, rx_slot) in comp_receivers.into_iter().enumerate() {
-                        let tracer = self.trace.as_ref().map(|(_, cfg)| {
-                            TaskTracer::new(c.name.clone(), task, cfg.ring_capacity)
-                        });
-                        let sink = self.trace.as_ref().map(|(s, _)| s.clone());
-                        let mut outbox =
-                            build_outbox(&self.wires, &senders, &clock, i, task, tracer);
-                        let rx = rx_slot.expect("receiver unclaimed");
-                        let expected = expected_eos[i];
-                        let name = c.name.clone();
-                        let factory = Arc::clone(&factory);
-                        let fault_points = self.fault_plan.points_for(&c.name, task);
-                        let restart_budget = self.restart_budget;
-                        handles.push((
-                            c.name.clone(),
-                            task,
-                            std::thread::Builder::new()
-                                .name(format!("{name}-{task}"))
-                                .spawn(move || {
-                                    let mut core = BoltCore::new(
-                                        factory,
-                                        task,
-                                        expected,
-                                        fault_points,
-                                        restart_budget,
-                                    );
-                                    while let Ok(envelope) = rx.recv() {
-                                        if core.handle(envelope, &mut outbox) {
-                                            outbox.send_eos();
-                                            break;
-                                        }
-                                    }
-                                    if let (Some(s), Some(t)) = (&sink, outbox.take_trace()) {
-                                        s.push(t);
-                                    }
-                                    (
-                                        std::mem::take(&mut outbox.metrics),
-                                        std::mem::take(&mut core.failures),
-                                        core.restarts,
-                                    )
-                                })
-                                .expect("spawn bolt"),
-                        ));
-                    }
-                }
-            }
-        }
-        // The main thread keeps no senders: drop the matrices so channels
-        // close with their owning tasks.
-        drop(senders);
-        drop(receivers);
+                            }
+                        } else {
+                            while let Pull::Emitted = task.pull() {}
+                        }
+                        task.outbox.send_eos();
+                        task.end(sink.as_ref())
+                    })
+                    .expect("spawn task")
+            })
+            .collect();
+        let ends: Vec<TaskEnd> = handles
+            .into_iter()
+            .map(|h| h.join().expect("task thread itself never panics"))
+            .collect();
+        report(ends, &clock)
+    }
+}
 
-        let mut tasks = Vec::new();
-        let mut failures = Vec::new();
-        let mut restarts = Vec::new();
-        for (name, task, handle) in handles {
-            let (metrics, task_failures, restart_count) =
-                handle.join().expect("task thread itself never panics");
-            for msg in task_failures {
-                failures.push((name.clone(), task, msg));
-            }
-            if restart_count > 0 {
-                restarts.push((name.clone(), task, restart_count));
-            }
-            tasks.push((name, task, metrics));
-        }
-        RunReport {
-            tasks,
+/// One task of a running topology: its outbox, plus a spout's source or a
+/// bolt's core and input queue.
+pub(crate) struct Task<M: Message> {
+    pub(crate) name: String,
+    pub(crate) index: usize,
+    pub(crate) outbox: Outbox<M>,
+    pub(crate) kind: TaskKind<M>,
+}
+
+pub(crate) enum TaskKind<M: Message> {
+    Spout {
+        source: Source<M>,
+        /// Tuples pulled so far: the dispatch-event ordinal.
+        pulls: u64,
+        failures: Vec<String>,
+    },
+    Bolt {
+        // Boxed: BoltCore is much larger than the spout variant.
+        core: Box<BoltCore<M>>,
+        rx: Receiver<Envelope<M>>,
+    },
+}
+
+/// What one spout pull did.
+pub(crate) enum Pull {
+    Emitted,
+    Exhausted,
+    Panicked,
+}
+
+/// A finished task's row of the run report.
+pub(crate) struct TaskEnd {
+    name: String,
+    index: usize,
+    metrics: TaskMetrics,
+    failures: Vec<String>,
+    restarts: u64,
+}
+
+impl<M: Message> Task<M> {
+    /// Pulls the next tuple from this spout's source and emits it. Each
+    /// pull is isolated: a panicking source stops emitting, but the task
+    /// still sends EOS and the topology drains cleanly.
+    pub(crate) fn pull(&mut self) -> Pull {
+        let TaskKind::Spout {
+            source,
+            pulls,
             failures,
-            restarts,
-            elapsed: clock.now().saturating_since(Timestamp::ZERO),
-            // In-process wires cannot rot; corruption counters are filled
-            // in by layers that cross a real wire or disk.
-            integrity: Default::default(),
-        }
-    }
-}
-
-/// Expected EOS tokens per component = sum of upstream parallelism.
-pub(crate) fn expected_eos_counts<M: Message>(
-    components: &[Component<M>],
-    wires: &[WireDef<M>],
-) -> Vec<usize> {
-    (0..components.len())
-        .map(|i| {
-            wires
-                .iter()
-                .filter(|w| w.to == i)
-                .map(|w| components[w.from].parallelism)
-                .sum()
-        })
-        .collect()
-}
-
-/// Builds the outbox of one task: its outgoing wires, reading the run's
-/// shared clock, plus the task's trace ring when tracing is enabled. Used
-/// by both the threaded and the simulation executor.
-pub(crate) fn build_outbox<M: Message>(
-    wire_defs: &[WireDef<M>],
-    senders: &[Vec<Sender<Envelope<M>>>],
-    clock: &Clock,
-    comp: usize,
-    task: usize,
-    tracer: Option<TaskTracer>,
-) -> Outbox<M> {
-    let wires = wire_defs
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| w.from == comp)
-        .map(|(wire_index, w)| OutWire {
-            grouping: w.grouping.clone(),
-            senders: senders[w.to].clone(),
-            // Stagger round-robin start by task to avoid lockstep.
-            rr_next: task,
-            link: ((wire_index as u64) << 32) | task as u64,
-        })
-        .collect();
-    Outbox {
-        wires,
-        task_index: task,
-        metrics: TaskMetrics::default(),
-        clock: clock.clone(),
-        tracer,
-    }
-}
-
-fn run_spout<M: Message>(
-    source: Box<dyn Iterator<Item = M> + Send>,
-    outbox: &mut Outbox<M>,
-) -> (TaskMetrics, Vec<String>, u64) {
-    let mut source = source;
-    let mut failures = Vec::new();
-    let mut ordinal = 0u64;
-    loop {
-        // Each pull is isolated: a panicking source stops emitting but the
-        // topology still receives EOS and drains cleanly.
-        let next = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.next()));
-        match next {
+        } = &mut self.kind
+        else {
+            unreachable!("only spouts pull")
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.next())) {
             Ok(Some(msg)) => {
-                outbox.trace_instant(Stage::Dispatch, ordinal, 0);
-                ordinal += 1;
-                outbox.emit(msg);
+                self.outbox.trace_instant(Stage::Dispatch, *pulls, 0);
+                *pulls += 1;
+                self.outbox.emit(msg);
+                Pull::Emitted
             }
-            Ok(None) => break,
+            Ok(None) => Pull::Exhausted,
             Err(panic) => {
                 failures.push(panic_message(panic));
-                break;
+                Pull::Panicked
             }
         }
     }
-    outbox.send_eos();
-    (std::mem::take(&mut outbox.metrics), failures, 0)
+
+    /// Deposits the task's trace ring into `sink` and returns its report
+    /// row; the bolt instance is dropped here.
+    pub(crate) fn end(mut self, sink: Option<&TraceSink>) -> TaskEnd {
+        if let (Some(sink), Some(trace)) = (sink, self.outbox.take_trace()) {
+            sink.push(trace);
+        }
+        let (failures, restarts) = match self.kind {
+            TaskKind::Spout { failures, .. } => (failures, 0),
+            TaskKind::Bolt { core, .. } => (core.failures, core.restarts),
+        };
+        TaskEnd {
+            name: self.name,
+            index: self.index,
+            metrics: self.outbox.metrics,
+            failures,
+            restarts,
+        }
+    }
+}
+
+/// The run report of finished tasks, in task order — the order both
+/// executors build their tasks in.
+pub(crate) fn report(ends: Vec<TaskEnd>, clock: &Clock) -> RunReport {
+    let mut report = RunReport {
+        tasks: Vec::with_capacity(ends.len()),
+        failures: Vec::new(),
+        restarts: Vec::new(),
+        elapsed: clock.now().saturating_since(Timestamp::ZERO),
+        // In-process wires cannot rot; corruption counters are filled in
+        // by layers that cross a real wire or disk.
+        integrity: Default::default(),
+    };
+    for end in ends {
+        let at = |what| (end.name.clone(), end.index, what);
+        report.failures.extend(end.failures.into_iter().map(at));
+        if end.restarts > 0 {
+            report
+                .restarts
+                .push((end.name.clone(), end.index, end.restarts));
+        }
+        report.tasks.push((end.name, end.index, end.metrics));
+    }
+    report
 }
 
 /// Renders a caught panic payload for the run report.
-pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -477,26 +480,17 @@ pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Builds a fresh bolt instance, catching a panicking factory.
-fn build_bolt<M: Message>(
-    factory: &Mutex<BoltFactory<M>>,
-    task: usize,
-) -> Result<Box<dyn Bolt<M>>, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (factory.lock())(task)))
-        .map_err(panic_message)
-}
-
 /// The scheduler-independent heart of one bolt task: EOS accounting,
-/// injected-fault and supervised-restart handling, and tuple execution. The threaded executor drives it from a blocking
-/// `recv` loop; the simulation scheduler feeds it one envelope per step.
+/// injected-fault restarts, panic isolation and tuple execution. The
+/// threaded executor drives it from a blocking `recv` loop; the simulation
+/// scheduler feeds it one envelope per step.
 pub(crate) struct BoltCore<M: Message> {
     factory: Arc<Mutex<BoltFactory<M>>>,
     task: usize,
     expected_eos: usize,
     eos_seen: usize,
-    pub(crate) failures: Vec<String>,
-    pub(crate) restarts: u64,
-    organic_restarts_left: u64,
+    failures: Vec<String>,
+    restarts: u64,
     /// Tuples fully processed across all incarnations of this task;
     /// injected crash points are expressed in this count.
     processed: u64,
@@ -505,46 +499,35 @@ pub(crate) struct BoltCore<M: Message> {
 }
 
 impl<M: Message> BoltCore<M> {
-    pub(crate) fn new(
+    fn new(
         factory: Arc<Mutex<BoltFactory<M>>>,
         task: usize,
         expected_eos: usize,
         fault_points: Vec<u64>,
-        restart_budget: u64,
     ) -> Self {
-        let mut failures = Vec::new();
-        let bolt = match build_bolt(&factory, task) {
-            Ok(b) => Some(b),
-            Err(msg) => {
-                failures.push(msg);
-                None
-            }
-        };
         Self {
             factory,
             task,
             expected_eos,
             eos_seen: 0,
-            failures,
+            failures: Vec::new(),
             restarts: 0,
-            organic_restarts_left: restart_budget,
             processed: 0,
             next_fault: fault_points.into_iter().peekable(),
-            bolt,
+            bolt: None,
         }
     }
 
-    fn rebuild(&mut self) {
-        match build_bolt(&self.factory, self.task) {
-            Ok(b) => {
-                self.bolt = Some(b);
-                self.restarts += 1;
-            }
-            Err(msg) => {
-                self.failures.push(msg);
-                self.bolt = None;
-            }
-        }
+    /// Builds a fresh bolt instance from the factory. The executors build
+    /// the first one on the task's own thread, where its state will live,
+    /// before the first envelope. A panicking factory is recorded as a
+    /// failure and leaves the task without a bolt.
+    pub(crate) fn build(&mut self) {
+        let (factory, task) = (&self.factory, self.task);
+        self.bolt =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (factory.lock())(task)))
+                .map_err(|panic| self.failures.push(panic_message(panic)))
+                .ok();
     }
 
     /// Processes one envelope. Returns `true` once the last expected EOS
@@ -587,7 +570,10 @@ impl<M: Message> BoltCore<M> {
                 "injected fault: task crashed after {} tuples",
                 self.processed
             ));
-            self.rebuild();
+            self.build();
+            if self.bolt.is_some() {
+                self.restarts += 1;
+            }
             // Rebuilding (state replay included) is not execution.
             t0 = outbox.clock.now();
         }
@@ -604,20 +590,12 @@ impl<M: Message> BoltCore<M> {
         match r {
             Ok(()) => self.processed += 1,
             Err(panic) => {
+                // An organic panic kills the instance and consumes its
+                // tuple, counted as a poisoned drop so the loss is never
+                // silent; the task drains the rest of its input.
                 self.failures.push(panic_message(panic));
-                // An organic panic consumes its tuple: redelivering it to
-                // the fresh instance would just crash it again. The crashed
-                // instance counts as having processed it for fault-point
-                // bookkeeping — and is counted as a poisoned drop so the
-                // loss is never silent.
-                self.processed += 1;
                 outbox.metrics.dropped_poisoned += 1;
-                if self.organic_restarts_left > 0 {
-                    self.organic_restarts_left -= 1;
-                    self.rebuild();
-                } else {
-                    self.bolt = None;
-                }
+                self.bolt = None;
             }
         }
         false
@@ -628,7 +606,7 @@ impl<M: Message> BoltCore<M> {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Debug, PartialEq)]
     struct N(u64);
     impl Message for N {
         fn wire_bytes(&self) -> u64 {
@@ -640,6 +618,15 @@ mod tests {
     impl Bolt<N> for AddOne {
         fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
             out.emit(N(msg.0 + 1));
+        }
+    }
+
+    /// Forwards each value to task `value % fan` of the next stage, over a
+    /// Direct wire.
+    struct Spread(u64);
+    impl Bolt<N> for Spread {
+        fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
+            out.emit_direct((msg.0 % self.0) as usize, msg);
         }
     }
 
@@ -662,9 +649,11 @@ mod tests {
     fn linear_pipeline() {
         let mut t = Topology::new();
         t.spout("src", (0..100u64).map(N));
+        t.bolt("spread", 1, |_| Spread(4));
         t.bolt("inc", 4, |_| AddOne);
         let out = t.collector("sink");
-        t.wire("src", "inc", Grouping::shuffle());
+        t.wire("src", "spread", Grouping::global());
+        t.wire("spread", "inc", Grouping::direct());
         t.wire("inc", "sink", Grouping::global());
         let report = t.run();
         let mut values: Vec<u64> = out.lock().iter().map(|n| n.0).collect();
@@ -689,55 +678,7 @@ mod tests {
     }
 
     #[test]
-    fn fields_grouping_partitions_consistently() {
-        struct TagTask;
-        impl Bolt<N> for TagTask {
-            fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
-                // Encode the handling task into the high bits.
-                out.emit(N(msg.0 | ((out.task_index() as u64) << 32)));
-            }
-        }
-        let mut t = Topology::new();
-        t.spout("src", (0..200u64).map(|i| N(i % 10)));
-        t.bolt("tag", 4, |_| TagTask);
-        let out = t.collector("sink");
-        t.wire("src", "tag", Grouping::fields(|n: &N| n.0));
-        t.wire("tag", "sink", Grouping::global());
-        t.run();
-        // Every occurrence of the same key must have been handled by the
-        // same task.
-        let mut task_of_key = std::collections::HashMap::new();
-        for n in out.lock().iter() {
-            let key = n.0 & 0xFFFF_FFFF;
-            let task = n.0 >> 32;
-            let prev = task_of_key.insert(key, task);
-            assert!(prev.is_none() || prev == Some(task), "key {key} split");
-        }
-        assert_eq!(out.lock().len(), 200);
-    }
-
-    #[test]
-    fn broadcast_duplicates_to_all_tasks() {
-        let mut t = Topology::new();
-        t.spout("src", (0..10u64).map(N));
-        t.bolt("copy", 3, |_| AddOne);
-        let out = t.collector("sink");
-        t.wire("src", "copy", Grouping::broadcast());
-        t.wire("copy", "sink", Grouping::global());
-        let report = t.run();
-        assert_eq!(out.lock().len(), 30);
-        assert_eq!(report.component("copy").msgs_in, 30);
-    }
-
-    #[test]
     fn direct_grouping_addresses_tasks() {
-        struct Route;
-        impl Bolt<N> for Route {
-            fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
-                let target = (msg.0 % 3) as usize;
-                out.emit_direct(target, msg);
-            }
-        }
         struct Tag;
         impl Bolt<N> for Tag {
             fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
@@ -746,7 +687,7 @@ mod tests {
         }
         let mut t = Topology::new();
         t.spout("src", (0..30u64).map(N));
-        t.bolt("route", 1, |_| Route);
+        t.bolt("route", 1, |_| Spread(3));
         t.bolt("worker", 3, |_| Tag);
         let out = t.collector("sink");
         t.wire("src", "route", Grouping::global());
@@ -764,9 +705,11 @@ mod tests {
     fn finish_flushes_buffered_state() {
         let mut t = Topology::new();
         t.spout("src", (0..50u64).map(N));
+        t.bolt("spread", 1, |_| Spread(2));
         t.bolt("buffer", 2, |_| BufferAll { buf: Vec::new() });
         let out = t.collector("sink");
-        t.wire("src", "buffer", Grouping::shuffle());
+        t.wire("src", "spread", Grouping::global());
+        t.wire("spread", "buffer", Grouping::direct());
         t.wire("buffer", "sink", Grouping::global());
         t.run();
         assert_eq!(out.lock().len(), 50);
@@ -782,21 +725,6 @@ mod tests {
         t.wire("inc", "sink", Grouping::global());
         t.run();
         assert_eq!(out.lock().len(), 500);
-    }
-
-    #[test]
-    fn diamond_topology_merges() {
-        let mut t = Topology::new();
-        t.spout("src", (0..20u64).map(N));
-        t.bolt("left", 1, |_| AddOne);
-        t.bolt("right", 1, |_| AddOne);
-        let out = t.collector("sink");
-        t.wire("src", "left", Grouping::global());
-        t.wire("src", "right", Grouping::global());
-        t.wire("left", "sink", Grouping::global());
-        t.wire("right", "sink", Grouping::global());
-        t.run();
-        assert_eq!(out.lock().len(), 40);
     }
 
     #[test]
@@ -994,50 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_restart_survives_organic_panic_without_redelivery() {
-        let mut t = Topology::new().with_supervised_restarts(1);
-        t.spout("src", (0..50u64).map(N));
-        t.bolt("mine", 1, |_| Minefield);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        // The poison tuple (13) is consumed by the crash, not retried; the
-        // restarted instance handles everything after it.
-        let values: Vec<u64> = out.lock().iter().map(|n| n.0).collect();
-        let expect: Vec<u64> = (0..50u64).filter(|&v| v != 13).collect();
-        assert_eq!(values, expect);
-        assert_eq!(report.total_restarts(), 1);
-        assert_eq!(report.failures.len(), 1);
-    }
-
-    #[test]
-    fn organic_restart_budget_is_exhausted() {
-        // Two mines, budget one: the second panic kills the task for good.
-        struct TwoMines;
-        impl Bolt<N> for TwoMines {
-            fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
-                assert!(msg.0 != 5 && msg.0 != 10, "mine at {}", msg.0);
-                out.emit(msg);
-            }
-        }
-        let mut t = Topology::new().with_supervised_restarts(1);
-        t.spout("src", (0..20u64).map(N));
-        t.bolt("mine", 1, |_| TwoMines);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        let values: Vec<u64> = out.lock().iter().map(|n| n.0).collect();
-        // 0..5 pass, 5 crashes (restart), 6..10 pass, 10 crashes (budget
-        // spent → drain discards the rest).
-        let expect: Vec<u64> = (0..10u64).filter(|&v| v != 5).collect();
-        assert_eq!(values, expect);
-        assert_eq!(report.total_restarts(), 1);
-        assert_eq!(report.failures.len(), 2);
-    }
-
-    #[test]
     fn metrics_reconcile_across_wires() {
         // Multi-stage, multi-task chain: tuples emitted onto each wire must
         // equal tuples received from it, whether or not a fault fired.
@@ -1047,11 +931,11 @@ mod tests {
         ] {
             let mut t = Topology::new().with_fault_plan(plan);
             t.spout("src", (0..300u64).map(N));
-            t.bolt("stage1", 2, |_| AddOne);
+            t.bolt("stage1", 2, |_| Spread(3));
             t.bolt("stage2", 3, |_| AddOne);
             let out = t.collector("sink");
-            t.wire("src", "stage1", Grouping::shuffle());
-            t.wire("stage1", "stage2", Grouping::shuffle());
+            t.wire("src", "stage1", Grouping::global());
+            t.wire("stage1", "stage2", Grouping::direct());
             t.wire("stage2", "sink", Grouping::global());
             let report = t.run();
             drop(out);
@@ -1073,35 +957,23 @@ mod tests {
 
     #[test]
     fn poisoned_tuple_drop_is_counted() {
-        // Satellite regression: the tuple consumed by an organic panic is
-        // no longer a silent loss — dropped_poisoned traces it.
-        let mut t = Topology::new().with_supervised_restarts(1);
+        // The tuple consumed by an organic panic is never a silent loss:
+        // dropped_poisoned traces it, and the dead task restarts nothing.
+        let mut t = Topology::new();
         t.spout("src", (0..50u64).map(N));
         t.bolt("mine", 1, |_| Minefield);
         let out = t.collector("sink");
         t.wire("src", "mine", Grouping::global());
         t.wire("mine", "sink", Grouping::global());
         let report = t.run();
-        assert_eq!(out.lock().len(), 49);
+        assert_eq!(out.lock().len(), 13);
         assert_eq!(report.dropped_poisoned(), 1);
         assert_eq!(report.component("mine").dropped_poisoned, 1);
-        // The accounting closes the loop: in + poisoned drops == out for a
-        // 1:1 bolt.
+        assert_eq!(report.total_restarts(), 0);
+        // The dead task drains: it receives every tuple and emits none
+        // after the poisoned one.
         let mine = report.component("mine");
-        assert_eq!(mine.msgs_in, mine.msgs_out + mine.dropped_poisoned);
-    }
-
-    #[test]
-    fn poisoned_drops_counted_even_without_restart_budget() {
-        let mut t = Topology::new(); // budget 0: task dies on first panic
-        t.spout("src", (0..50u64).map(N));
-        t.bolt("mine", 1, |_| Minefield);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        drop(out);
-        assert_eq!(report.dropped_poisoned(), 1);
+        assert_eq!((mine.msgs_in, mine.msgs_out), (50, 13));
     }
 
     #[test]
@@ -1114,16 +986,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
-    fn cycles_rejected() {
+    #[should_panic(expected = "'src' already has an outbound wire")]
+    fn second_outbound_wire_rejected() {
         let mut t = Topology::new();
         t.spout("src", std::iter::empty::<N>());
         t.bolt("a", 1, |_| AddOne);
         t.bolt("b", 1, |_| AddOne);
         t.wire("src", "a", Grouping::global());
-        t.wire("a", "b", Grouping::global());
+        t.wire("src", "b", Grouping::global());
+    }
+
+    #[test]
+    #[should_panic(expected = "'sink' already has an inbound wire")]
+    fn second_inbound_wire_rejected() {
+        let mut t = Topology::new();
+        t.spout("left", std::iter::empty::<N>());
+        t.spout("right", std::iter::empty::<N>());
+        let _out = t.collector("sink");
+        t.wire("left", "sink", Grouping::global());
+        t.wire("right", "sink", Grouping::global());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot wire 'b' into 'a', declared before it")]
+    fn wire_to_an_earlier_component_rejected() {
+        let mut t = Topology::new();
+        t.spout("src", std::iter::empty::<N>());
+        t.bolt("a", 1, |_| AddOne);
+        t.bolt("b", 1, |_| AddOne);
         t.wire("b", "a", Grouping::global());
-        t.run();
     }
 
     #[test]
@@ -1138,7 +1029,7 @@ mod tests {
     #[should_panic(expected = "cannot wire into a spout")]
     fn wiring_into_spout_rejected() {
         let mut t = Topology::new();
-        t.spout("a", std::iter::empty::<N>());
+        t.bolt("a", 1, |_| AddOne);
         t.spout("b", std::iter::empty::<N>());
         t.wire("a", "b", Grouping::global());
     }

@@ -205,10 +205,6 @@ impl<S: SnapshotStore> SnapshotStore for FaultStore<S> {
         self.inner.commit(epoch, manifest)
     }
 
-    fn latest_complete(&self) -> io::Result<Option<u64>> {
-        self.inner.latest_complete()
-    }
-
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
         let bytes = self.inner.manifest(epoch)?;
         self.filter_read(epoch, None, bytes)

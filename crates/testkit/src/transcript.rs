@@ -13,12 +13,11 @@ use stormlite::{FaultPlan, Grouping, SimConfig, SimRun, Topology};
 
 pub use stormlite::Transcript;
 
-/// The fixed simulated topology behind the golden transcripts: a 40-tuple
-/// source feeding 2 worker tasks, one seeded worker crash, and a global
-/// sink. Small enough to read by hand, rich enough to cover every
-/// transcript event kind.
+/// The fixed simulated chain behind the golden transcripts: a 40-tuple
+/// source feeding one worker task that carries a seeded crash, and a sink.
+/// Small enough to read by hand, rich enough to cover every transcript
+/// event kind.
 pub fn reference_run(seed: u64) -> SimRun {
-    #[derive(Clone)]
     struct Val(u64);
     impl stormlite::Message for Val {}
 
@@ -31,11 +30,11 @@ pub fn reference_run(seed: u64) -> SimRun {
 
     let mut t: Topology<Val> = Topology::new();
     t.spout("source", (0..40u64).map(Val));
-    t.bolt("double", 2, |_| Double);
+    t.bolt("double", 1, |_| Double);
     let _collected = t.collector("sink");
-    t.wire("source", "double", Grouping::shuffle());
+    t.wire("source", "double", Grouping::global());
     t.wire("double", "sink", Grouping::global());
-    t = t.with_fault_plan(FaultPlan::new().crash_seeded("double", 2, 15, seed));
+    t = t.with_fault_plan(FaultPlan::new().crash_seeded("double", 1, 15, seed));
     t.run_sim(SimConfig::seeded(seed))
 }
 
