@@ -2,7 +2,6 @@
 //! stormlite bolts around the crate's shared `operators`.
 
 use crate::checkpoint::CheckpointCoordinator;
-use crate::driver::lost_state;
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
@@ -175,10 +174,6 @@ pub struct JoinerSnapshot {
     pub incarnation: u64,
     /// Records replayed into this task across all of its restarts.
     pub replayed: u64,
-    /// The checkpoint epoch the surviving incarnation restored its window
-    /// from, if it came up after a crash with a complete epoch available
-    /// (`None` = fresh start or plain buffer replay).
-    pub restored_from_epoch: Option<u64>,
 }
 
 /// One of the `k` parallel joiners: a [`Joiner`] plus the topology's
@@ -190,7 +185,6 @@ pub(crate) struct JoinerBolt {
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
     incarnation: u64,
-    restored_from_epoch: Option<u64>,
     /// Per-stage latency recording (observability-enabled runs only).
     stages: Option<StageRecorder>,
     /// Result pairs of the inbound batch being unpacked. Empty between
@@ -201,10 +195,10 @@ pub(crate) struct JoinerBolt {
 
 impl JoinerBolt {
     /// Joiner bolt `task`. `recovery` must be provided exactly when the
-    /// run injects faults or checkpoints, `coordinator` exactly when it
-    /// checkpoints; `stages` turns on stage latency recording. A rebuilt
-    /// bolt (an incarnation after a crash) re-indexes the state its
-    /// predecessor lost before it sees its first message.
+    /// run injects faults, `coordinator` exactly when it checkpoints;
+    /// `stages` turns on stage latency recording. A rebuilt bolt (an
+    /// incarnation after a crash) re-indexes the state its predecessor
+    /// lost, from the replay buffer, before it sees its first message.
     pub(crate) fn new(
         joiner: Joiner,
         task: usize,
@@ -220,19 +214,13 @@ impl JoinerBolt {
             recovery,
             coordinator,
             incarnation: 0,
-            restored_from_epoch: None,
             stages: stages.map(StageRecorder::new),
             held: Vec::new(),
         };
         if let Some(recovery) = &bolt.recovery {
             bolt.incarnation = recovery.begin_incarnation(task);
             if bolt.incarnation > 0 {
-                let (snapshot, tail) = lost_state(recovery, bolt.coordinator.as_deref(), task);
-                if let Some((epoch, entries)) = snapshot {
-                    bolt.restored_from_epoch = Some(epoch);
-                    bolt.joiner.restore(&entries);
-                }
-                bolt.joiner.restore(&tail);
+                bolt.joiner.restore(&recovery.replay_for(task));
             }
         }
         bolt
@@ -419,7 +407,6 @@ impl Bolt<JoinMsg> for JoinerBolt {
                 .recovery
                 .as_ref()
                 .map_or(0, |recovery| recovery.replayed(self.task)),
-            restored_from_epoch: self.restored_from_epoch,
         });
         if let Some(st) = &mut self.stages {
             st.flush();

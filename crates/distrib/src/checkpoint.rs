@@ -1,5 +1,4 @@
-//! Epoch-based coordinated checkpointing: durable snapshots and bounded
-//! replay.
+//! Epoch-based coordinated checkpointing: durable snapshots.
 //!
 //! The dispatcher periodically injects a [`JoinMsg::Barrier`] control
 //! tuple down every joiner wire (one barrier per *epoch*, every
@@ -14,19 +13,15 @@
 //! The [`CheckpointCoordinator`] tracks which of the `k` tasks have
 //! published for each in-flight epoch. When the last one lands, the epoch
 //! **commits**: the manifest (cut id, topology shape, routing partition)
-//! is written atomically, and every task's replay buffer is truncated to
-//! entries *after* the **previous** committed epoch's cut
-//! ([`RecoveryState::commit_snapshot`]) — one epoch of grace retention,
-//! so a restore that has to quarantine a corrupt newest snapshot can fall
-//! back one epoch and still replay the gap exactly. Post-crash replay
-//! stays O(epoch interval) even under
-//! [`Window::Unbounded`](ssj_core::Window).
+//! is written atomically. Checkpoints are durability only: a whole-process
+//! restart rebuilds a topology from the latest complete checkpoint through
+//! [`load_latest_verified`] and the driver's `restore_from` path, while a
+//! joiner that crashes mid-run rebuilds from its replay buffer alone
+//! ([`crate::recovery`]) and never reads the store.
 //!
 //! Two stores are provided: [`MemStore`] (tests, simulation) and
 //! [`FileStore`] (epoch-stamped snapshot files encoded with the `ssj-text`
-//! record codec via [`ssj_core::snapshot`]). A whole-process restart
-//! rebuilds a topology from the latest complete checkpoint through
-//! [`load_latest_verified`] and the driver's `restore_from` path.
+//! record codec via [`ssj_core::snapshot`]).
 //!
 //! # Integrity
 //!
@@ -37,19 +32,15 @@
 //! wrappers, exercises verification on read-back. A payload without the
 //! envelope, or one that fails its check, is never trusted:
 //! [`load_latest_verified`] quarantines the epoch and falls back to the
-//! newest fully-verified earlier one, the in-run restore path
-//! ([`CheckpointCoordinator::restore_and_replay_for`]) does the same
-//! across the retained epochs, and [`scrub`] audits a whole store
+//! newest fully-verified earlier one, and [`scrub`] audits a whole store
 //! offline. See `DESIGN.md` §13 for the threat model.
 //!
 //! [`JoinMsg::Barrier`]: crate::msg::JoinMsg::Barrier
-//! [`RecoveryState::commit_snapshot`]: crate::recovery::RecoveryState::commit_snapshot
 
-use crate::recovery::RecoveryState;
 use parking_lot::Mutex;
 use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
 use ssj_partition::LengthPartition;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
@@ -370,9 +361,9 @@ impl Manifest {
 /// Configuration of checkpointing for one run.
 #[derive(Clone)]
 pub struct CheckpointConfig {
-    /// Dispatch a barrier every this many routed records. The replay
-    /// buffer, the replay volume after a crash, and the data at risk in a
-    /// whole-process failure are all bounded by roughly this many records.
+    /// Dispatch a barrier every this many routed records. The data at
+    /// risk in a whole-process failure is bounded by roughly this many
+    /// records.
     pub interval: u64,
     /// Where snapshots and manifests are persisted.
     pub store: Arc<dyn SnapshotStore>,
@@ -432,9 +423,6 @@ pub struct PublishOutcome {
 #[derive(Debug)]
 struct Inflight {
     manifest: Manifest,
-    /// Per task: id of the last index-target record routed there before
-    /// the barrier (`None` = task held nothing of this prefix).
-    cuts: Vec<Option<u64>>,
     injected_at: Timestamp,
     /// Tasks yet to publish.
     pending: usize,
@@ -444,19 +432,7 @@ struct Inflight {
 struct CoordInner {
     next_epoch: u64,
     inflight: BTreeMap<u64, Inflight>,
-    latest_complete: Option<u64>,
     epochs_committed: u64,
-    /// The last (up to) two committed epochs with their per-task cuts,
-    /// oldest first. Replay-buffer truncation lags one epoch behind the
-    /// commit (grace retention), so an in-run restore that quarantines the
-    /// newest epoch can fall back to the previous one and still find every
-    /// record past *its* cut in the buffer.
-    retained: Vec<(u64, Vec<Option<u64>>)>,
-    /// Epochs whose snapshot failed verification during an in-run restore;
-    /// never offered again.
-    quarantined: BTreeSet<u64>,
-    corrupt_parts: u64,
-    max_fallback_depth: u64,
 }
 
 /// Shared epoch bookkeeping between the dispatcher (which opens epochs)
@@ -466,36 +442,27 @@ pub struct CheckpointCoordinator {
     k: usize,
     interval: u64,
     store: Arc<dyn SnapshotStore>,
-    recovery: Arc<RecoveryState>,
     inner: Mutex<CoordInner>,
 }
 
 impl CheckpointCoordinator {
-    /// A coordinator for `k` joiner tasks, committing into `cfg.store`
-    /// and truncating `recovery`'s replay buffers on every commit. Epoch
-    /// numbering continues after whatever the store already holds, so
-    /// restarting into a used [`FileStore`] directory never collides with
-    /// prior checkpoints.
+    /// A coordinator for `k` joiner tasks, committing into `cfg.store`.
+    /// Epoch numbering continues after whatever the store already holds,
+    /// so restarting into a used [`FileStore`] directory never collides
+    /// with prior checkpoints.
     ///
     /// # Errors
     /// Fails if the store cannot report its latest complete epoch.
-    pub fn new(k: usize, cfg: &CheckpointConfig, recovery: Arc<RecoveryState>) -> io::Result<Self> {
-        assert_eq!(recovery.k(), k, "recovery state and topology disagree on k");
+    pub fn new(k: usize, cfg: &CheckpointConfig) -> io::Result<Self> {
         let next_epoch = cfg.store.latest_complete()?.map_or(1, |e| e + 1);
         Ok(Self {
             k,
             interval: cfg.interval,
             store: Arc::clone(&cfg.store),
-            recovery,
             inner: Mutex::new(CoordInner {
                 next_epoch,
                 inflight: BTreeMap::new(),
-                latest_complete: None,
                 epochs_committed: 0,
-                retained: Vec::new(),
-                quarantined: BTreeSet::new(),
-                corrupt_parts: 0,
-                max_fallback_depth: 0,
             }),
         })
     }
@@ -505,24 +472,16 @@ impl CheckpointCoordinator {
         self.interval
     }
 
-    /// Joiner tasks per epoch.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Dispatcher side: opens a new epoch at a consistent cut. `cut_id` is
-    /// the id of the last record dispatched before the barrier; `cuts[t]`
-    /// the last *index-target* id routed to task `t` (what its snapshot
-    /// will cover). Returns the epoch number to stamp on the barrier.
+    /// the id of the last record dispatched before the barrier. Returns the
+    /// epoch number to stamp on the barrier.
     pub fn begin_epoch(
         &self,
         injected_at: Timestamp,
         cut_id: u64,
-        cuts: Vec<Option<u64>>,
         bistream: bool,
         partition: Option<LengthPartition>,
     ) -> u64 {
-        assert_eq!(cuts.len(), self.k, "one cut per joiner task");
         let mut inner = self.inner.lock();
         let epoch = inner.next_epoch;
         inner.next_epoch += 1;
@@ -537,7 +496,6 @@ impl CheckpointCoordinator {
             epoch,
             Inflight {
                 manifest,
-                cuts,
                 injected_at,
                 pending: self.k,
             },
@@ -547,8 +505,7 @@ impl CheckpointCoordinator {
 
     /// Joiner side: publishes `task`'s window snapshot for `epoch`. When
     /// the last task publishes, the epoch commits: the manifest is written
-    /// atomically and every task's replay buffer is truncated to entries
-    /// after its cut.
+    /// atomically.
     ///
     /// # Panics
     /// Panics on an unknown epoch (a barrier the dispatcher never
@@ -583,28 +540,7 @@ impl CheckpointCoordinator {
         self.store
             .commit(epoch, &seal_payload(&done.manifest.encode()))
             .expect("snapshot store commit failed");
-        inner.latest_complete = Some(epoch);
         inner.epochs_committed += 1;
-        inner.retained.push((epoch, done.cuts));
-        if inner.retained.len() > 2 {
-            inner.retained.remove(0);
-        }
-        // Grace retention: truncate each replay buffer only to the
-        // *previous* committed epoch's cut, so a restore that has to
-        // quarantine this epoch can fall back one epoch and still replay
-        // everything past the older cut. Truncation MUST happen while
-        // `inner` is still held: [`Self::restore_and_replay_for`] reads
-        // (retained epochs, replay buffer) under the same lock, and a
-        // commit slipping between a restarting joiner's two reads would
-        // truncate records the restored (older) snapshot does not cover —
-        // losing them.
-        if inner.retained.len() == 2 {
-            let prev_cuts = inner.retained[0].1.clone();
-            for (t, cut) in prev_cuts.iter().enumerate() {
-                self.recovery.commit_snapshot(t, *cut);
-            }
-        }
-        drop(inner);
         PublishOutcome {
             bytes: bytes.len() as u64,
             completed: true,
@@ -612,112 +548,10 @@ impl CheckpointCoordinator {
         }
     }
 
-    /// Joiner side, on restart: atomically pairs the newest *verified*
-    /// committed snapshot with the replay-buffer suffix past its cut. The
-    /// two are read under the coordinator lock so no epoch can commit —
-    /// and truncate the buffer past the snapshot being restored — between
-    /// the reads; with the lock released in between, records landing in
-    /// the gap between two cuts would be lost.
-    ///
-    /// A snapshot that fails its checksum or decode is quarantined (never
-    /// offered again, counted in [`Self::integrity`]) and the walk falls
-    /// back to the previous retained epoch; grace retention guarantees the
-    /// replay buffer still reaches back to that older cut, so the fallback
-    /// restore is exact. The returned replay entries are filtered to ids
-    /// past the restored epoch's cut — with the buffer retaining one extra
-    /// epoch, the raw buffer may overlap the snapshot.
-    pub fn restore_and_replay_for(
-        &self,
-        task: usize,
-    ) -> (
-        Option<(u64, Vec<SnapshotEntry>)>,
-        Vec<crate::recovery::ReplayEntry>,
-    ) {
-        let mut inner = self.inner.lock();
-        let (snapshot, cut) = self.verified_restore_locked(&mut inner, task);
-        let replay = self.recovery.replay_for(task);
-        drop(inner);
-        let replay = match (&snapshot, cut) {
-            (Some(_), Some(cut)) => replay
-                .into_iter()
-                .filter(|e| e.record.id().0 > cut)
-                .collect(),
-            // Restored epoch routed nothing to this task, or no snapshot
-            // at all: every buffered entry is uncovered.
-            _ => replay,
-        };
-        (snapshot, replay)
-    }
-
-    /// Walks the retained committed epochs newest-first under `inner`,
-    /// returning the first part that verifies plus the restored epoch's
-    /// cut for `task`. Unverifiable epochs are quarantined and counted.
-    fn verified_restore_locked(
-        &self,
-        inner: &mut CoordInner,
-        task: usize,
-    ) -> (Option<(u64, Vec<SnapshotEntry>)>, Option<u64>) {
-        let candidates: Vec<(u64, Option<u64>)> = inner
-            .retained
-            .iter()
-            .rev()
-            .map(|(e, cuts)| (*e, cuts[task]))
-            .collect();
-        let mut depth = 0u64;
-        for (epoch, cut) in candidates {
-            if inner.quarantined.contains(&epoch) {
-                depth += 1;
-                continue;
-            }
-            match self.try_fetch(epoch, task) {
-                Ok(entries) => {
-                    inner.max_fallback_depth = inner.max_fallback_depth.max(depth);
-                    return (Some((epoch, entries)), cut);
-                }
-                Err(_) => {
-                    inner.corrupt_parts += 1;
-                    inner.quarantined.insert(epoch);
-                    depth += 1;
-                }
-            }
-        }
-        inner.max_fallback_depth = inner.max_fallback_depth.max(depth);
-        (None, None)
-    }
-
-    /// Reads and verifies one task's part of a committed epoch.
-    fn try_fetch(&self, epoch: u64, task: usize) -> io::Result<Vec<SnapshotEntry>> {
-        let sealed = self.store.get(epoch, &part_name(task))?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("committed epoch {epoch} lost part {}", part_name(task)),
-            )
-        })?;
-        decode_window_slice(open_payload(&sealed)?)
-    }
-
-    /// Corruption observed by this coordinator's in-run restores. Only the
-    /// storage-side counters are populated; transport-frame corruption is
-    /// counted by the layer that owns the wire.
-    pub fn integrity(&self) -> stormlite::IntegrityReport {
-        let inner = self.inner.lock();
-        stormlite::IntegrityReport {
-            corrupt_snapshot_parts: inner.corrupt_parts,
-            quarantined_epochs: inner.quarantined.len() as u64,
-            restore_fallback_depth: inner.max_fallback_depth,
-            ..Default::default()
-        }
-    }
-
     /// Epochs committed by this coordinator (not counting pre-existing
     /// checkpoints in the store).
     pub fn epochs_committed(&self) -> u64 {
         self.inner.lock().epochs_committed
-    }
-
-    /// The newest epoch committed by this coordinator.
-    pub fn latest_complete(&self) -> Option<u64> {
-        self.inner.lock().latest_complete
     }
 }
 
@@ -988,7 +822,6 @@ pub fn scrub(store: &dyn SnapshotStore) -> io::Result<ScrubReport> {
 mod tests {
     use super::*;
     use ssj_core::join::bistream::Side;
-    use ssj_core::Window;
     use ssj_text::{Record, RecordId, TokenId};
 
     fn rec(id: u64) -> Record {
@@ -1130,55 +963,32 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_commits_when_all_tasks_publish_and_truncates_replay() {
-        let recovery = Arc::new(RecoveryState::new(2, Window::Unbounded));
-        for id in 0..10 {
-            let target = (id % 2) as usize;
-            recovery.buffer_index_target(
-                target,
-                crate::recovery::ReplayEntry {
-                    record: rec(id),
-                    side: None,
-                },
-            );
-        }
-        let cfg = CheckpointConfig::in_memory(5);
-        let coord = CheckpointCoordinator::new(2, &cfg, Arc::clone(&recovery)).unwrap();
-        let epoch = coord.begin_epoch(Timestamp::ZERO, 9, vec![Some(8), Some(7)], false, None);
+    fn coordinator_commits_when_all_tasks_publish() {
+        let store = Arc::new(MemStore::new());
+        let cfg = CheckpointConfig::new(5, Arc::clone(&store) as Arc<dyn SnapshotStore>);
+        let coord = CheckpointCoordinator::new(2, &cfg).unwrap();
+        let epoch = coord.begin_epoch(Timestamp::ZERO, 9, false, None);
         assert_eq!(epoch, 1);
-        assert!(
-            coord.restore_and_replay_for(0).0.is_none(),
-            "nothing committed yet"
-        );
 
         let first = coord.publish(epoch, 0, &entries(&[0, 2, 4, 6, 8]));
         assert!(!first.completed);
         assert_eq!(coord.epochs_committed(), 0);
-        assert_eq!(recovery.buffered(0), 5, "no truncation before commit");
+        assert_eq!(
+            store.manifest(1).unwrap(),
+            None,
+            "no commit before the last part"
+        );
 
         let second = coord.publish(epoch, 1, &entries(&[1, 3, 5, 7, 9]));
         assert!(second.completed);
         assert_eq!(coord.epochs_committed(), 1);
-        assert_eq!(coord.latest_complete(), Some(1));
-        // Grace retention: the first commit truncates nothing — the buffer
-        // must still reach back past this epoch so a restore that has to
-        // quarantine it stays exact.
-        assert_eq!(recovery.buffered(0), 5);
-        assert_eq!(recovery.buffered(1), 5);
+        let manifest = store.manifest(1).unwrap().expect("committed");
+        let manifest = Manifest::decode(open_payload(&manifest).unwrap()).unwrap();
+        assert_eq!((manifest.epoch, manifest.cut_id, manifest.k), (1, 9, 2));
 
-        let (e, restored) = coord.restore_and_replay_for(1).0.unwrap();
-        assert_eq!(e, 1);
-        let ids: Vec<u64> = restored.iter().map(|(_, r)| r.id().0).collect();
-        assert_eq!(ids, vec![1, 3, 5, 7, 9]);
-
-        // The second commit truncates to the *first* epoch's cuts (one
-        // epoch behind): task 0 ≤ 8 drops all five, task 1 ≤ 7 keeps 9.
-        let e2 = coord.begin_epoch(Timestamp::ZERO, 9, vec![Some(8), Some(9)], false, None);
-        assert!(!coord.publish(e2, 0, &entries(&[0, 2, 4, 6, 8])).completed);
-        assert!(coord.publish(e2, 1, &entries(&[1, 3, 5, 7, 9])).completed);
-        assert_eq!(recovery.buffered(0), 0);
-        assert_eq!(recovery.buffered(1), 1);
-        assert!(coord.integrity().is_clean());
+        let image = load_latest_verified(store.as_ref()).unwrap().image.unwrap();
+        let ids: Vec<u64> = image.window.iter().map(|(_, r)| r.id().0).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1207,61 +1017,6 @@ mod tests {
             let err = open_payload(raw).expect_err("no envelope, no trust");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
-    }
-
-    /// Commits two epochs, bit-rots the newest part, and proves the in-run
-    /// restore quarantines it, falls back one epoch, and still pairs the
-    /// older snapshot with exactly the replay suffix past *its* cut.
-    #[test]
-    fn in_run_restore_falls_back_past_a_corrupt_snapshot() {
-        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
-        for id in 0..10 {
-            recovery.buffer_index_target(
-                0,
-                crate::recovery::ReplayEntry {
-                    record: rec(id),
-                    side: None,
-                },
-            );
-        }
-        recovery.mark_processed(0, 9, 9);
-        let store = Arc::new(MemStore::new());
-        let cfg = CheckpointConfig::new(5, Arc::clone(&store) as Arc<dyn SnapshotStore>);
-        let coord = CheckpointCoordinator::new(1, &cfg, Arc::clone(&recovery)).unwrap();
-        let e1 = coord.begin_epoch(Timestamp::ZERO, 4, vec![Some(4)], false, None);
-        coord.publish(e1, 0, &entries(&[0, 1, 2, 3, 4]));
-        let e2 = coord.begin_epoch(Timestamp::ZERO, 7, vec![Some(7)], false, None);
-        coord.publish(e2, 0, &entries(&[0, 1, 2, 3, 4, 5, 6, 7]));
-
-        // Clean restore first: newest epoch, replay only past its cut.
-        let (snap, replay) = coord.restore_and_replay_for(0);
-        assert_eq!(snap.unwrap().0, e2);
-        let ids: Vec<u64> = replay.iter().map(|e| e.record.id().0).collect();
-        assert_eq!(ids, vec![8, 9], "replay must not overlap the snapshot");
-
-        // Bit-rot the newest epoch's only part in place.
-        store
-            .parts
-            .lock()
-            .get_mut(&(e2, "joiner-0".to_owned()))
-            .unwrap()[12] ^= 1;
-        let (snap, replay) = coord.restore_and_replay_for(0);
-        let (epoch, restored) = snap.expect("fallback epoch must restore");
-        assert_eq!(epoch, e1);
-        let ids: Vec<u64> = restored.iter().map(|(_, r)| r.id().0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        let ids: Vec<u64> = replay.iter().map(|e| e.record.id().0).collect();
-        assert_eq!(ids, vec![5, 6, 7, 8, 9], "grace retention covers the gap");
-        let integ = coord.integrity();
-        assert_eq!(integ.corrupt_snapshot_parts, 1);
-        assert_eq!(integ.quarantined_epochs, 1);
-        assert_eq!(integ.restore_fallback_depth, 1);
-
-        // The quarantine sticks: a later restore skips the epoch without
-        // re-reading (and re-counting) it.
-        let (snap, _) = coord.restore_and_replay_for(0);
-        assert_eq!(snap.unwrap().0, e1);
-        assert_eq!(coord.integrity().corrupt_snapshot_parts, 1);
     }
 
     #[test]
@@ -1353,9 +1108,8 @@ mod tests {
         store.put(4, "joiner-0", b"old").unwrap();
         store.commit(4, b"m").unwrap();
         let cfg = CheckpointConfig::new(10, Arc::clone(&store));
-        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
-        let coord = CheckpointCoordinator::new(1, &cfg, recovery).unwrap();
-        let epoch = coord.begin_epoch(Timestamp::ZERO, 0, vec![None], false, None);
+        let coord = CheckpointCoordinator::new(1, &cfg).unwrap();
+        let epoch = coord.begin_epoch(Timestamp::ZERO, 0, false, None);
         assert_eq!(epoch, 5, "epochs continue after the store's history");
     }
 

@@ -72,13 +72,13 @@
 //! failure), the launcher consumes whatever the node managed to deliver —
 //! TCP hands over the written prefix in order, so every ack, result and
 //! snapshot the node emitted before dying still counts — then restarts
-//! the node, replays its lost index state over [`Frame::Restore`]
-//! (checkpoint snapshot plus the replay-buffer tail, index-only exactly
-//! like the in-process replay path) and retransmits the unacked frames in
-//! their original order under their original sequence numbers — whole
-//! batches, as first framed. The restored state equals the state after the
-//! acked prefix, which always ends on a frame boundary, so reprocessing the
-//! unacked suffix is bit-exact. A node that dies mid-batch has sent neither
+//! the node, replays its lost index state over one [`Frame::Restore`]
+//! (the replay buffer's in-window records up to the watermark, index-only
+//! exactly like the in-process replay path) and retransmits the unacked
+//! frames in their original order under their original sequence numbers —
+//! whole batches, as first framed. The restored state equals the state
+//! after the acked prefix, which always ends on a frame boundary, so
+//! reprocessing the unacked suffix is bit-exact. A node that dies mid-batch has sent neither
 //! that batch's `Results` nor its ack, so the batch is reprocessed whole:
 //! the cost of a mid-batch death is at most one batch of repeated join
 //! work per wire, and a `Results` frame that was delivered without its ack
@@ -150,7 +150,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{Event, LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
-use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
+use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::{FxHashSet, Record};
 use stormlite::{
@@ -160,7 +160,7 @@ use stormlite::{
 
 use crate::bolts::JoinerSnapshot;
 use crate::checkpoint::CheckpointCoordinator;
-use crate::driver::{lost_state, Input, JoinSpec};
+use crate::driver::{Input, JoinSpec};
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Joiner};
 use crate::recovery::RecoveryState;
@@ -919,7 +919,6 @@ struct NodeLink {
     acked: u64,
     chaos: Option<ChaosLink>,
     incarnation: u64,
-    restored_from_epoch: Option<u64>,
     /// FNV-1a over first-transmission data-frame bytes, in seq order
     /// (folded under `logical_time` only).
     digest: u64,
@@ -974,7 +973,6 @@ impl NodeLink {
             acked: 0,
             chaos,
             incarnation: 0,
-            restored_from_epoch: None,
             digest: FNV_OFFSET,
             eos_sent: false,
             done: None,
@@ -1139,10 +1137,13 @@ impl<'a> Launcher<'a> {
         let started = Instant::now();
         let k = self.cfg.spec.k;
         // Anything that can kill a node needs the recovery machinery:
-        // scripted faults, the liveness detector, or scripted outages
-        // (which drive the detector into respawns).
-        let can_lose_a_node =
-            self.cfg.fault.is_some() || self.cfg.health.is_some() || !self.cfg.outages.is_empty();
+        // scripted faults, the liveness detector, scripted outages (which
+        // drive the detector into respawns), or checkpointing, whose runs
+        // respawn a node that dies unplanned.
+        let can_lose_a_node = self.cfg.fault.is_some()
+            || self.cfg.health.is_some()
+            || !self.cfg.outages.is_empty()
+            || self.cfg.spec.checkpoint.is_some();
         let run = self.cfg.spec.assemble(input, can_lose_a_node);
         (self.bistream, self.needs_dedup) = (run.bistream, run.needs_dedup);
         (self.recovery, self.coordinator) = (run.recovery, run.coordinator);
@@ -1283,7 +1284,6 @@ impl<'a> Launcher<'a> {
                 postings: report.postings as usize,
                 incarnation: link.incarnation,
                 replayed,
-                restored_from_epoch: link.restored_from_epoch,
             });
             digests.push(link.digest);
             retire_batch_counters(&mut self.retired_batch_counters, link.wire.as_ref());
@@ -1298,8 +1298,7 @@ impl<'a> Launcher<'a> {
                 }
             }
         }
-        let storage = run.restored.integrity(self.coordinator.as_deref());
-        self.integrity.merge(&storage);
+        self.integrity.merge(&run.restored.integrity);
         ClusterResult {
             pairs: self.pairs,
             joiners,
@@ -1962,10 +1961,9 @@ impl<'a> Launcher<'a> {
     /// delivered prefix, respawn, handshake with the resume sequence,
     /// replay lost index state, retransmit the unacked suffix.
     fn kill_and_respawn(&mut self, task: usize) {
-        assert!(
-            self.recovery.is_some(),
-            "node {task} died but no fault/checkpoint/health machinery is enabled"
-        );
+        let Some(recovery) = self.recovery.clone() else {
+            panic!("node {task} died but the run keeps no replay buffers");
+        };
         // Deliver any partition-held inbound frames first: they precede
         // whatever the drain below will surface, and skipping them would
         // punch holes in the contiguous unacked suffix the resume
@@ -2005,11 +2003,7 @@ impl<'a> Launcher<'a> {
         if let Some(handle) = old_thread {
             let _ = handle.join();
         }
-        self.links[task].incarnation = self
-            .recovery
-            .as_ref()
-            .expect("asserted above")
-            .begin_incarnation(task);
+        self.links[task].incarnation = recovery.begin_incarnation(task);
 
         let hello = read_hello(self.links[task].wire.as_mut()).expect("respawn handshake failed");
         assert_eq!(
@@ -2032,20 +2026,13 @@ impl<'a> Launcher<'a> {
         send_frame(self.links[task].wire.as_mut(), &Frame::Config(config))
             .expect("send respawn config");
 
-        // Replay the lost index state: the committed snapshot (if any)
-        // plus the replay-buffer suffix it does not cover, both applied
+        // Replay the lost index state from the replay buffer, applied
         // index-only ahead of any data (FIFO guarantees the order).
-        let (snapshot, tail) = lost_state(
-            self.recovery.as_ref().expect("asserted above"),
-            self.coordinator.as_deref(),
-            task,
-        );
-        if let Some((epoch, entries)) = snapshot {
-            self.links[task].restored_from_epoch = Some(epoch);
-            self.send_restore(task, &entries);
-        }
-        if !tail.is_empty() {
-            self.send_restore(task, &tail);
+        let lost = recovery.replay_for(task);
+        if !lost.is_empty() {
+            let window = encode_window_vec(&lost).expect("window entries are always encodable");
+            send_frame(self.links[task].wire.as_mut(), &Frame::Restore { window })
+                .expect("send restore frame");
         }
 
         // Retransmit the unacked suffix: original order, original seqs —
@@ -2065,12 +2052,6 @@ impl<'a> Launcher<'a> {
             let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos);
         }
         let _ = self.write_link(task);
-    }
-
-    fn send_restore(&mut self, task: usize, entries: &[SnapshotEntry]) {
-        let window = encode_window_vec(entries).expect("window entries are always encodable");
-        send_frame(self.links[task].wire.as_mut(), &Frame::Restore { window })
-            .expect("send restore frame");
     }
 }
 
@@ -2185,7 +2166,6 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
 mod tests {
     use super::*;
     use crate::driver::LocalAlgo;
-    use crate::recovery::ReplayEntry;
     use ssj_core::Window;
     use ssj_text::{RecordId, TokenId};
     use stormlite::ChannelWire;
@@ -2281,7 +2261,7 @@ mod tests {
         let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
         for id in 0..6 {
             let payload = RecordMsg::solo(rec(id, &[1, 2, 3]), Timestamp::ZERO);
-            recovery.buffer_index_target(0, ReplayEntry::from_payload(&payload));
+            recovery.buffer_index_target(0, &payload);
         }
         l.recovery = Some(Arc::clone(&recovery));
         l.send(0, batch(0..3));
@@ -2294,7 +2274,7 @@ mod tests {
         let replay: Vec<u64> = recovery
             .replay_for(0)
             .iter()
-            .map(|e| e.record.id().0)
+            .map(|(_, r)| r.id().0)
             .collect();
         assert_eq!(
             replay,

@@ -13,7 +13,6 @@ use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
 use obs::{RunTrace, StageProfile, TraceConfig, TraceSink};
 use parking_lot::Mutex;
 use ssj_core::join::bistream::merge_streams;
-use ssj_core::snapshot::SnapshotEntry;
 use ssj_core::{
     AllPairsJoiner, BundleConfig, BundleJoiner, JoinConfig, MatchPair, NaiveJoiner, PpJoinJoiner,
     StreamJoiner, Threshold,
@@ -182,10 +181,11 @@ pub struct JoinSpec {
     /// blocks the dispatcher instead.
     pub shed_watermark: Option<usize>,
     /// Epoch-based coordinated checkpointing: inject a barrier every
-    /// `interval` dispatched records, snapshot every joiner's window into
-    /// the configured [`SnapshotStore`], and truncate replay buffers as
-    /// epochs commit (see [`crate::checkpoint`]). `None` (the default)
-    /// never checkpoints.
+    /// `interval` dispatched records and snapshot every joiner's window
+    /// into the configured [`SnapshotStore`] (see [`crate::checkpoint`]).
+    /// Durability only: a later run can restore from the store, while a
+    /// joiner that crashes mid-run rebuilds from its replay buffer. `None`
+    /// (the default) never checkpoints.
     pub checkpoint: Option<CheckpointConfig>,
     /// Rebuild the pipeline's state (joiner windows, routing partition,
     /// bistream sides) from the latest complete checkpoint in this store
@@ -484,20 +484,9 @@ pub(crate) struct Assembly {
 pub(crate) struct Restored {
     /// The restored epoch's cut id; `None` when nothing was restored.
     pub(crate) cut: Option<u64>,
-    /// What the scan of the restore store rejected.
-    integrity: IntegrityReport,
-}
-
-impl Restored {
-    /// The run's storage integrity once it is over: the restore scan's
-    /// quarantines plus the in-run restore fallbacks of `coordinator`.
-    pub(crate) fn integrity(&self, coordinator: Option<&CheckpointCoordinator>) -> IntegrityReport {
-        let mut integrity = self.integrity;
-        if let Some(coordinator) = coordinator {
-            integrity.merge(&coordinator.integrity());
-        }
-        integrity
-    }
+    /// What the scan of the restore store rejected: the run's only storage
+    /// integrity counters.
+    pub(crate) integrity: IntegrityReport,
 }
 
 impl JoinSpec {
@@ -505,9 +494,7 @@ impl JoinSpec {
     /// route, shed, checkpoint and restore identically — the precondition
     /// of every cross-engine differential test. `can_lose_state` says
     /// whether the engine can lose a joiner's state mid-run: replay buffers
-    /// are kept then, and whenever the run checkpoints (epoch commits
-    /// truncate them, and a crashed joiner replays the uncheckpointed
-    /// tail).
+    /// are kept exactly then.
     ///
     /// Restore is *verified*: epochs whose manifest or parts fail their
     /// CRC32C check are quarantined and the walk falls back to the newest
@@ -595,11 +582,10 @@ impl JoinSpec {
             restored.cut = Some(cut);
         }
 
-        let recovery = (can_lose_state || self.checkpoint.is_some())
-            .then(|| Arc::new(RecoveryState::new(self.k, self.join.window)));
+        let recovery =
+            can_lose_state.then(|| Arc::new(RecoveryState::new(self.k, self.join.window)));
         let coordinator = self.checkpoint.as_ref().map(|cp| {
-            let recovery = Arc::clone(recovery.as_ref().expect("created just above"));
-            let coordinator = CheckpointCoordinator::new(self.k, cp, recovery);
+            let coordinator = CheckpointCoordinator::new(self.k, cp);
             Arc::new(coordinator.expect("checkpoint store unavailable"))
         });
         let needs_dedup = router.needs_result_dedup();
@@ -622,28 +608,6 @@ impl JoinSpec {
             restored,
         }
     }
-}
-
-/// The index state a restarted incarnation of `task` must rebuild: the
-/// newest verified committed snapshot with its epoch (when checkpointing),
-/// then the replay-buffer tail it does not cover. Truncated at every
-/// commit, the buffer holds only that uncheckpointed tail, which bounds
-/// replay work by the checkpoint interval instead of the window size.
-///
-/// The two are captured atomically with respect to epoch commits: a commit
-/// between the reads would truncate the buffer past the (older) snapshot
-/// being restored, silently dropping the records between the two cuts.
-pub(crate) fn lost_state(
-    recovery: &RecoveryState,
-    coordinator: Option<&CheckpointCoordinator>,
-    task: usize,
-) -> (Option<(u64, Vec<SnapshotEntry>)>, Vec<SnapshotEntry>) {
-    let (snapshot, tail) = match coordinator {
-        Some(c) => c.restore_and_replay_for(task),
-        None => (None, recovery.replay_for(task)),
-    };
-    let tail = tail.into_iter().map(|e| (e.side, e.record)).collect();
-    (snapshot, tail)
 }
 
 fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoinResult {
@@ -712,14 +676,13 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     let (join_cfg, local, k) = (spec.join, spec.local, spec.k);
     let snaps = Arc::clone(&snapshots);
     let joiner_stages = stage_shared.clone();
-    let joiner_coordinator = coordinator.clone();
     topology.bolt("joiner", k, move |task| {
         JoinerBolt::new(
             Joiner::new(local, join_cfg, bistream, needs_dedup.then_some((k, task))),
             task,
             Arc::clone(&snaps),
             recovery.clone(),
-            joiner_coordinator.clone(),
+            coordinator.clone(),
             joiner_stages.clone(),
         )
     });
@@ -741,9 +704,7 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         }
         Scheduler::Threads => (topology.run_with(Scheduler::Threads), None),
     };
-    report
-        .integrity
-        .merge(&run.restored.integrity(coordinator.as_deref()));
+    report.integrity.merge(&run.restored.integrity);
     let wall = report.elapsed;
 
     let mut sink = sink_state.lock();
@@ -1227,8 +1188,8 @@ mod tests {
                 "{name}: no epoch published"
             );
             assert!(
-                result.joiners[1].restored_from_epoch.is_some(),
-                "{name}: restart predates every commit despite 100 tuples at interval 16"
+                result.joiners[1].replayed > 0,
+                "{name}: the restarted joiner replayed nothing after 100 tuples"
             );
         }
     }

@@ -55,7 +55,7 @@ pub use driver::{
 };
 pub use msg::{JoinMsg, RecordMsg};
 pub use pace::PacedIter;
-pub use recovery::{RecoveryState, ReplayEntry};
+pub use recovery::RecoveryState;
 pub use route::{BroadcastRouter, LengthRouter, PrefixRouter, RouteDecision, Router};
 // Re-exported so callers configuring `DistributedJoinConfig::scheduler`
 // or `JoinSpec::dispatch_batch`, or consuming

@@ -16,7 +16,7 @@
 use crate::checkpoint::CheckpointCoordinator;
 use crate::driver::LocalAlgo;
 use crate::msg::{JoinMsg, RecordMsg};
-use crate::recovery::{RecoveryState, ReplayEntry};
+use crate::recovery::RecoveryState;
 use crate::route::{token_owner, Router};
 use ssj_core::join::bistream::BiStreamJoiner;
 use ssj_core::snapshot::SnapshotEntry;
@@ -84,8 +84,6 @@ pub(crate) struct Dispatcher<R: Router> {
     buffers: Vec<Vec<JoinMsg>>,
     /// Records dispatched since the last barrier.
     routed_since_barrier: u64,
-    /// Per task: last index-target id routed there (its snapshot cut).
-    cuts: Vec<Option<u64>>,
 }
 
 impl<R: Router> Dispatcher<R> {
@@ -112,7 +110,6 @@ impl<R: Router> Dispatcher<R> {
             batch,
             buffers: vec![Vec::new(); k],
             routed_since_barrier: 0,
-            cuts: vec![None; k],
         }
     }
 
@@ -142,7 +139,7 @@ impl<R: Router> Dispatcher<R> {
                 self.buffer_for_replay(ix, &payload);
                 self.push(ix, JoinMsg::Index(payload.clone()), port);
             }
-            self.close_record(id, &decision.index, port);
+            self.close_record(id, port);
             return Dispatched::Sent;
         }
         // Both shed checks run before any send or replay buffering: a shed
@@ -176,7 +173,7 @@ impl<R: Router> Dispatcher<R> {
         for p in probes {
             self.push(p, JoinMsg::Probe(payload.clone()), port);
         }
-        self.close_record(id, &decision.index, port);
+        self.close_record(id, port);
         Dispatched::Sent
     }
 
@@ -206,7 +203,7 @@ impl<R: Router> Dispatcher<R> {
     /// entry is buffered.
     fn buffer_for_replay(&self, task: usize, payload: &RecordMsg) {
         if let Some(recovery) = &self.recovery {
-            recovery.buffer_index_target(task, ReplayEntry::from_payload(payload));
+            recovery.buffer_index_target(task, payload);
         }
     }
 
@@ -215,19 +212,16 @@ impl<R: Router> Dispatcher<R> {
     /// opens with one barrier down every wire — including wires this
     /// record skipped, since every task must publish for the epoch to
     /// commit.
-    fn close_record<P: DispatchPort>(&mut self, id: u64, index_targets: &[usize], port: &mut P) {
+    fn close_record<P: DispatchPort>(&mut self, id: u64, port: &mut P) {
         let Some(coordinator) = &self.coordinator else {
             return;
         };
-        let k = self.cuts.len();
+        let k = self.buffers.len();
         // With a task unreachable no epoch can collect all k snapshots
         // again, so none is opened; epochs in flight never commit, which
         // nothing blocks on.
         if (0..k).any(|t| !port.reachable(t)) {
             return;
-        }
-        for &t in index_targets {
-            self.cuts[t] = Some(id);
         }
         self.routed_since_barrier += 1;
         if self.routed_since_barrier < coordinator.interval() {
@@ -238,7 +232,6 @@ impl<R: Router> Dispatcher<R> {
         let epoch = coordinator.begin_epoch(
             injected_at,
             id,
-            self.cuts.clone(),
             self.bistream,
             self.router.length_partition().cloned(),
         );
@@ -677,10 +670,8 @@ mod tests {
             (&[0, 3], &[0, 3]),
         ]);
         let recovery = Arc::new(RecoveryState::new(K, Window::Unbounded));
-        let coordinator = Arc::new(
-            CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(1), Arc::clone(&recovery))
-                .unwrap(),
-        );
+        let coordinator =
+            Arc::new(CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(1)).unwrap());
         let mut port = Recorder::default();
         let mut d = Dispatcher::new(
             router,
@@ -728,10 +719,8 @@ mod tests {
     fn a_restore_tuple_is_index_only_never_shed_and_counts_toward_the_epoch() {
         let router = Scripted::new(&[(&[1, 2], &[0, 1, 2]), (&[3], &[3])]);
         let recovery = Arc::new(RecoveryState::new(K, Window::Unbounded));
-        let coordinator = Arc::new(
-            CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(2), Arc::clone(&recovery))
-                .unwrap(),
-        );
+        let coordinator =
+            Arc::new(CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(2)).unwrap());
         let mut port = Recorder {
             backlog: [9; K],
             recovery: Some(Arc::clone(&recovery)),
@@ -780,10 +769,8 @@ mod tests {
     fn a_barrier_follows_everything_dispatched_before_it_on_every_wire() {
         let records = workload(40);
         let recovery = Arc::new(RecoveryState::new(K, Window::Unbounded));
-        let coordinator = Arc::new(
-            CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(8), Arc::clone(&recovery))
-                .unwrap(),
-        );
+        let coordinator =
+            Arc::new(CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(8)).unwrap());
         let mut port = Recorder::default();
         // Batching on, so the barrier also has to overtake nothing that is
         // still sitting in a pending batch.

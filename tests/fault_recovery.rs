@@ -11,8 +11,9 @@
 //! Those runs are real threads on the wall clock, so each body carries a
 //! deadline — a hung cluster must fail its case, not the job.
 //!
-//! How much a restart replays is pinned separately, on one simulated run
-//! per recovery mode, against a replay count derived from the routing.
+//! How much a restart replays is pinned separately, on simulated runs
+//! with and without checkpoints, against a replay count derived from the
+//! routing.
 
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
@@ -189,18 +190,15 @@ fn inbound(
 
 /// Replay volume after a late joiner crash. A restart re-indexes the
 /// crashed task's buffered index targets up to its watermark (the last
-/// record it fully processed):
-/// - a count window of `W` keeps those within `W` of the watermark, so at
-///   most `W + 1`;
-/// - an unbounded window without checkpoints keeps all of them;
-/// - with checkpoints, each commit truncates the buffer to the cut of the
-///   epoch before it (one epoch of grace, DESIGN §13), so the count starts
-///   at the epoch before the one the task restores.
+/// record it fully processed) that are still in the window of that
+/// watermark: at most `W + 1` under a count window of `W`, all of them
+/// under an unbounded one. Checkpoints are never read mid-run, so a
+/// checkpointed run replays exactly what its uncheckpointed twin does.
 ///
-/// Each count is derived from the dispatcher's routing and compared
-/// exactly, and every arm's pairs equal its crash-free run's.
+/// Each count is derived from the dispatcher's routing by one formula and
+/// compared exactly, and every arm's pairs equal its crash-free run's.
 #[test]
-fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
+fn late_crash_replays_exactly_the_live_window() {
     const K: usize = 4;
     const TASK: usize = 1;
     const W: u64 = 500;
@@ -211,6 +209,11 @@ fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
 
     let arms = [
         ("count window", Window::Count(W), None),
+        (
+            "count window + checkpoints",
+            Window::Count(W),
+            Some(INTERVAL),
+        ),
         ("unbounded", Window::Unbounded, None),
         ("unbounded + checkpoints", Window::Unbounded, Some(INTERVAL)),
     ];
@@ -232,8 +235,6 @@ fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
             .nth(late - 1)
             .expect("the task receives records");
 
-        // A fresh config per run: each gets its own in-memory store, so
-        // epochs count from 1 in both.
         let cfg = || {
             DistributedJoinConfig::new(JoinSpec {
                 strategy: DistStrategy::Length(partition.clone()),
@@ -254,30 +255,24 @@ fn late_crash_replays_the_window_or_the_uncheckpointed_tail() {
         );
         assert_eq!(out.report.total_restarts(), 1, "{arm}");
 
-        let joiner = &out.joiners[TASK];
-        let first = match (window, interval, joiner.restored_from_epoch) {
-            (Window::Count(w), None, None) => watermark.saturating_sub(w),
-            (_, None, None) => 0,
-            // Epoch `e`'s barrier follows record `e * interval - 1`.
-            (_, Some(interval), Some(epoch)) if epoch >= 2 => (epoch - 1) * interval,
-            (_, _, epoch) => panic!("{arm}: restored from epoch {epoch:?}"),
+        let first = match window {
+            Window::Count(w) => watermark.saturating_sub(w),
+            _ => 0,
         };
         let expect = stream
             .iter()
             .flatten()
             .filter(|&&(id, indexed)| indexed && (first..=watermark).contains(&id))
             .count() as u64;
-        assert_eq!(joiner.replayed, expect, "{arm}: replayed");
-        replayed.push(joiner.replayed);
+        assert_eq!(out.joiners[TASK].replayed, expect, "{arm}: replayed");
+        replayed.push(out.joiners[TASK].replayed);
     }
-    let [count, unbounded, checkpointed] = replayed[..] else {
-        unreachable!("three arms")
+    let [count, count_checkpointed, unbounded, unbounded_checkpointed] = replayed[..] else {
+        unreachable!("four arms")
     };
     assert!(count <= W + 1, "count window replayed {count}");
-    assert!(
-        checkpointed < unbounded,
-        "checkpoints replayed {checkpointed}, no checkpoints {unbounded}"
-    );
+    assert_eq!(count_checkpointed, count, "count window: checkpoints");
+    assert_eq!(unbounded_checkpointed, unbounded, "unbounded: checkpoints");
 }
 
 proptest! {

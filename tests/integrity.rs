@@ -14,9 +14,11 @@
 
 use dssj::core::{JoinConfig, Window};
 use dssj::distrib::{
-    load_latest_verified, run_cluster, scrub, CheckpointConfig, ClusterBackend, LocalAlgo,
-    MemStore, PartitionMethod, SnapshotStore, Strategy,
+    load_latest_verified, run_cluster, run_distributed, scrub, CheckpointConfig, ClusterBackend,
+    ClusterFault, DistributedJoinConfig, LocalAlgo, MemStore, PartitionMethod, SnapshotStore,
+    Strategy,
 };
+use dssj::stormlite::FaultPlan;
 use std::sync::Arc;
 use std::time::Duration;
 use testkit::{
@@ -172,6 +174,95 @@ fn storage_fault_sweep_restores_verified_or_recomputes_exactly() {
     for seed in 0..16 {
         with_deadline(CASE_DEADLINE, move || storage_fault_case(seed));
     }
+}
+
+/// A store whose every part of epochs 1..=32 rots and fails to read, so
+/// the run can checkpoint into it but nothing can be restored from it.
+fn unreadable_store(k: usize) -> Arc<FaultStore<MemStore>> {
+    let store = Arc::new(FaultStore::new(MemStore::new()));
+    for epoch in 1..=32 {
+        for task in 0..k {
+            let part = Some(format!("joiner-{task}"));
+            store.inject(StoreFault::BitRot {
+                epoch,
+                part: part.clone(),
+                offset: 77,
+            });
+            store.inject(StoreFault::ReadError { epoch, part });
+        }
+    }
+    store
+}
+
+/// A joiner that crashes mid-run rebuilds from its replay buffer alone:
+/// checkpoints are durability, never read while the run that wrote them
+/// is live. Both engines crash a joiner after several epochs committed
+/// into a store that can return nothing readable; the pairs must equal
+/// the crash-free run's, no integrity counter may move, and the store
+/// must never have served a faulty read.
+#[test]
+fn in_run_recovery_never_reads_the_checkpoint_store() {
+    let seed = 7u64;
+    let k = 3usize;
+    let case = base_case(300, k, 0.6, true);
+    let records = differential_records(seed, case.records);
+    let checkpointing = |store: &Arc<FaultStore<MemStore>>| {
+        let store: Arc<dyn SnapshotStore> = store.clone();
+        Some(CheckpointConfig::new(20, store))
+    };
+
+    // Simulated threads engine.
+    let sim = |fault: Option<FaultPlan>, store: &Arc<FaultStore<MemStore>>| {
+        let mut cfg = DistributedJoinConfig::new(case.spec()).with_sim(seed);
+        cfg.spec.checkpoint = checkpointing(store);
+        cfg.fault = fault;
+        run_distributed(&records, &cfg)
+    };
+    let clean = sim(None, &Arc::new(FaultStore::new(MemStore::new())));
+    let store = unreadable_store(k);
+    let out = sim(Some(FaultPlan::new().crash("joiner", 1, 200)), &store);
+    assert_eq!(out.report.total_restarts(), 1, "sim: the crash fired");
+    assert!(out.joiners[1].replayed > 0, "sim: nothing replayed");
+    assert!(store.epochs().unwrap().len() >= 5, "sim: too few epochs");
+    assert_pairs_equal(seed, &out.pairs, clean.pairs, "sim crash");
+    assert!(
+        out.report.integrity.is_clean(),
+        "sim: {:?}",
+        out.report.integrity
+    );
+    let hits = store.hits();
+    assert_eq!((hits.bit_rot, hits.read_errors), (0, 0), "sim: store read");
+
+    // In-process cluster.
+    with_deadline(CASE_DEADLINE, move || {
+        let cluster = |fault: Option<ClusterFault>, store: &Arc<FaultStore<MemStore>>| {
+            let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
+            cfg.spec.checkpoint = checkpointing(store);
+            cfg.fault = fault;
+            run_cluster(&records, &cfg)
+        };
+        let clean = cluster(None, &Arc::new(FaultStore::new(MemStore::new())));
+        let store = unreadable_store(k);
+        let fault = ClusterFault {
+            task: 1,
+            after_acks: 150,
+        };
+        let out = cluster(Some(fault), &store);
+        assert_eq!(out.joiners[1].incarnation, 1, "cluster: the kill fired");
+        assert!(out.joiners[1].replayed > 0, "cluster: nothing replayed");
+        assert!(
+            store.epochs().unwrap().len() >= 5,
+            "cluster: too few epochs"
+        );
+        assert_pairs_equal(seed, &out.pairs, clean.pairs, "cluster kill");
+        assert!(out.integrity.is_clean(), "cluster: {:?}", out.integrity);
+        let hits = store.hits();
+        assert_eq!(
+            (hits.bit_rot, hits.read_errors),
+            (0, 0),
+            "cluster: store read"
+        );
+    });
 }
 
 /// Dropped commits (crash-before-rename on every epoch): the store holds
