@@ -6,43 +6,11 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::Router;
-use obs::{Stage, StageProfile};
+use obs::Stage;
 use parking_lot::Mutex;
 use ssj_core::{JoinStats, MatchPair};
 use std::sync::Arc;
-use std::time::Duration;
 use stormlite::{Bolt, LatencyHistogram, Outbox, Timestamp};
-
-/// Task-local per-stage latency recorder. Bolts record into the private
-/// [`StageProfile`] on the hot path (no locking) and merge it into the
-/// run-shared profile once, when the bolt finishes. Recording reads only
-/// the topology clock — it never mutates it and draws no randomness — so
-/// enabling stage profiling leaves simulated transcripts byte-identical.
-pub(crate) struct StageRecorder {
-    local: StageProfile,
-    shared: Arc<Mutex<StageProfile>>,
-}
-
-impl StageRecorder {
-    /// A recorder that flushes into `shared` on [`StageRecorder::flush`].
-    pub(crate) fn new(shared: Arc<Mutex<StageProfile>>) -> Self {
-        Self {
-            local: StageProfile::new(),
-            shared,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, stage: Stage, dur: Duration) {
-        self.local.record(stage, dur);
-    }
-
-    /// Merges the task-local samples into the shared profile.
-    fn flush(&mut self) {
-        self.shared.lock().merge(&self.local);
-        self.local = StageProfile::new();
-    }
-}
 
 /// Routes each arriving record, alone or inside a source batch, to its
 /// index/probe joiners. One task.
@@ -50,32 +18,20 @@ pub(crate) struct DispatcherBolt<R: Router> {
     dispatcher: Dispatcher<R>,
     /// Ids of shed records, for exact recall accounting by the caller.
     shed_log: Arc<Mutex<Vec<u64>>>,
-    /// Per-stage latency recording (observability-enabled runs only).
-    stages: Option<StageRecorder>,
 }
 
 impl<R: Router> DispatcherBolt<R> {
-    /// A dispatcher bolt logging shed record ids into `shed_log` and, when
-    /// `stages` is set, route latencies into it (see [`StageRecorder`]).
-    pub(crate) fn new(
-        dispatcher: Dispatcher<R>,
-        shed_log: Arc<Mutex<Vec<u64>>>,
-        stages: Option<Arc<Mutex<StageProfile>>>,
-    ) -> Self {
+    /// A dispatcher bolt logging shed record ids into `shed_log`.
+    pub(crate) fn new(dispatcher: Dispatcher<R>, shed_log: Arc<Mutex<Vec<u64>>>) -> Self {
         Self {
             dispatcher,
             shed_log,
-            stages: stages.map(StageRecorder::new),
         }
     }
 
     /// Dispatches one source message and accounts for a shed record.
     fn dispatch(&mut self, msg: &JoinMsg, out: &mut Outbox<JoinMsg>) {
-        let mut port = OutboxPort {
-            out,
-            stages: &mut self.stages,
-        };
-        match self.dispatcher.dispatch(msg, &mut port) {
+        match self.dispatcher.dispatch(msg, &mut OutboxPort { out }) {
             Dispatched::Sent => {}
             Dispatched::Shed { depth } => {
                 let id = msg.record().expect("dispatched a record").id().0;
@@ -92,7 +48,6 @@ impl<R: Router> DispatcherBolt<R> {
 /// and the `k` direct wires, queue depth is the backlog.
 struct OutboxPort<'a> {
     out: &'a mut Outbox<JoinMsg>,
-    stages: &'a mut Option<StageRecorder>,
 }
 
 impl DispatchPort for OutboxPort<'_> {
@@ -114,20 +69,13 @@ impl DispatchPort for OutboxPort<'_> {
 
     fn routed(&mut self, payload: &RecordMsg, fanout: usize) {
         // Route span: anchored on the ingest stamp the dispatcher already
-        // read, so stage recording adds no clock mutation and no extra
-        // reads when disabled.
-        if self.stages.is_some() || self.out.tracing() {
-            let dur = self.out.now().saturating_since(payload.ingest);
-            if let Some(st) = self.stages {
-                st.record(Stage::Route, dur);
-            }
-            self.out.trace_span(
-                Stage::Route,
-                payload.ingest,
-                payload.record.id().0,
-                fanout as u64,
-            );
-        }
+        // read, so an untraced run reads no extra clock.
+        self.out.trace_span(
+            Stage::Route,
+            payload.ingest,
+            payload.record.id().0,
+            fanout as u64,
+        );
     }
 }
 
@@ -147,13 +95,7 @@ impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
     }
 
     fn finish(&mut self, out: &mut Outbox<JoinMsg>) {
-        self.dispatcher.flush(&mut OutboxPort {
-            out,
-            stages: &mut self.stages,
-        });
-        if let Some(st) = &mut self.stages {
-            st.flush();
-        }
+        self.dispatcher.flush(&mut OutboxPort { out });
     }
 }
 
@@ -185,8 +127,6 @@ pub(crate) struct JoinerBolt {
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
     incarnation: u64,
-    /// Per-stage latency recording (observability-enabled runs only).
-    stages: Option<StageRecorder>,
     /// Result pairs of the inbound batch being unpacked. Empty between
     /// engine messages; kept for its capacity, so that an outbound batch
     /// costs one allocation of exactly its size.
@@ -195,8 +135,8 @@ pub(crate) struct JoinerBolt {
 
 impl JoinerBolt {
     /// Joiner bolt `task`. `recovery` must be provided exactly when the
-    /// run injects faults, `coordinator` exactly when it checkpoints;
-    /// `stages` turns on stage latency recording. A rebuilt bolt (an
+    /// run injects faults, `coordinator` exactly when it checkpoints. A
+    /// rebuilt bolt (an
     /// incarnation after a crash) re-indexes the state its predecessor
     /// lost, from the replay buffer, before it sees its first message.
     pub(crate) fn new(
@@ -205,7 +145,6 @@ impl JoinerBolt {
         snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
         recovery: Option<Arc<RecoveryState>>,
         coordinator: Option<Arc<CheckpointCoordinator>>,
-        stages: Option<Arc<Mutex<StageProfile>>>,
     ) -> Self {
         let mut bolt = Self {
             joiner,
@@ -214,7 +153,6 @@ impl JoinerBolt {
             recovery,
             coordinator,
             incarnation: 0,
-            stages: stages.map(StageRecorder::new),
             held: Vec::new(),
         };
         if let Some(recovery) = &bolt.recovery {
@@ -226,30 +164,20 @@ impl JoinerBolt {
         bolt
     }
 
-    /// Stage timing start: reads the clock only when stage profiling or
-    /// tracing is on, so disabled runs pay nothing.
+    /// Stage timing start: reads the clock only when tracing is on, so
+    /// untraced runs pay nothing.
     #[inline]
-    fn stage_start(&self, out: &Outbox<JoinMsg>) -> Option<Timestamp> {
-        (self.stages.is_some() || out.tracing()).then(|| out.now())
+    fn stage_start(out: &Outbox<JoinMsg>) -> Option<Timestamp> {
+        out.tracing().then(|| out.now())
     }
 
-    /// Closes a stage span opened by [`Self::stage_start`]: records the
-    /// duration into the stage profile and emits a trace span. Purely
-    /// observational — no randomness, no clock mutation.
+    /// Closes a stage span opened by [`Self::stage_start`] with a trace
+    /// span. Purely observational — no randomness, no clock mutation.
     #[inline]
-    fn stage_end(
-        &mut self,
-        stage: Stage,
-        t0: Option<Timestamp>,
-        a: u64,
-        b: u64,
-        out: &mut Outbox<JoinMsg>,
-    ) {
-        let Some(t0) = t0 else { return };
-        if let Some(st) = &mut self.stages {
-            st.record(stage, out.now().saturating_since(t0));
+    fn stage_end(stage: Stage, t0: Option<Timestamp>, a: u64, b: u64, out: &mut Outbox<JoinMsg>) {
+        if let Some(t0) = t0 {
+            out.trace_span(stage, t0, a, b);
         }
-        out.trace_span(stage, t0, a, b);
     }
 
     /// Probes, under a verify span — with `fused`, through the one scan
@@ -263,7 +191,7 @@ impl JoinerBolt {
         batched: bool,
         out: &mut Outbox<JoinMsg>,
     ) {
-        let t0 = self.stage_start(out);
+        let t0 = Self::stage_start(out);
         let pairs = if fused {
             self.joiner.process(payload)
         } else {
@@ -279,7 +207,7 @@ impl JoinerBolt {
             results.for_each(|r| out.emit(r));
         }
         let emitted = pairs.len() as u64;
-        self.stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
+        Self::stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
     }
 
     /// Indexes the record, under an index span. A record whose `fused`
@@ -288,13 +216,13 @@ impl JoinerBolt {
     /// Threads that span times the gauge read, not a second scan — the
     /// indexing work sits inside the record's verify span.
     fn index(&mut self, payload: &RecordMsg, fused: bool, out: &mut Outbox<JoinMsg>) {
-        let t0 = self.stage_start(out);
+        let t0 = Self::stage_start(out);
         if !fused {
             self.joiner.insert(payload);
         }
         if t0.is_some() {
             let stored = self.joiner.stored() as u64;
-            self.stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
+            Self::stage_end(Stage::Index, t0, payload.record.id().0, stored, out);
         }
     }
 
@@ -329,9 +257,6 @@ impl JoinerBolt {
                 // this joiner's queue before the snapshot could be cut.
                 let stall = out.now().saturating_since(injected_at);
                 out.record_barrier_stall(stall);
-                if let Some(st) = &mut self.stages {
-                    st.record(Stage::Barrier, stall);
-                }
                 out.trace_instant(
                     Stage::Barrier,
                     epoch,
@@ -352,9 +277,6 @@ impl JoinerBolt {
                     // barrier injection to durable commit.
                     let lat = out.now().saturating_since(outcome.injected_at);
                     out.record_checkpoint_latency(lat);
-                    if let Some(st) = &mut self.stages {
-                        st.record(Stage::Checkpoint, lat);
-                    }
                 }
             }
         }
@@ -408,9 +330,6 @@ impl Bolt<JoinMsg> for JoinerBolt {
                 .as_ref()
                 .map_or(0, |recovery| recovery.replayed(self.task)),
         });
-        if let Some(st) = &mut self.stages {
-            st.flush();
-        }
     }
 }
 
@@ -426,24 +345,12 @@ pub struct SinkState {
 /// Terminal bolt: collects result pairs and measures latency. One task.
 pub(crate) struct SinkBolt {
     state: Arc<Mutex<SinkState>>,
-    /// Per-stage latency recording (observability-enabled runs only).
-    stages: Option<StageRecorder>,
 }
 
 impl SinkBolt {
     /// A sink writing into shared state.
     pub(crate) fn new(state: Arc<Mutex<SinkState>>) -> Self {
-        Self {
-            state,
-            stages: None,
-        }
-    }
-
-    /// Records the dispatch-to-result latency of every pair under
-    /// [`Stage::Emit`] in `shared` (see [`StageRecorder`]).
-    pub(crate) fn with_stages(mut self, shared: Option<Arc<Mutex<StageProfile>>>) -> Self {
-        self.stages = shared.map(StageRecorder::new);
-        self
+        Self { state }
     }
 
     /// Collects `results` — every one a [`JoinMsg::Result`] — under one
@@ -457,14 +364,10 @@ impl SinkBolt {
             let JoinMsg::Result { pair, ingest } = msg else {
                 unreachable!("sink only receives results")
             };
-            let latency = now.saturating_since(*ingest);
-            if let Some(st) = &mut self.stages {
-                st.record(Stage::Emit, latency);
-            }
             let (earlier, later) = pair.key();
             out.trace_instant_at(Stage::Emit, now, earlier, later);
             s.pairs.push(*pair);
-            s.latency.record(latency);
+            s.latency.record(now.saturating_since(*ingest));
         }
     }
 }
@@ -474,12 +377,6 @@ impl Bolt<JoinMsg> for SinkBolt {
         match msg {
             JoinMsg::Batch(results) => self.collect(&results, out),
             result => self.collect(std::slice::from_ref(&result), out),
-        }
-    }
-
-    fn finish(&mut self, _out: &mut Outbox<JoinMsg>) {
-        if let Some(st) = &mut self.stages {
-            st.flush();
         }
     }
 }
@@ -508,7 +405,7 @@ mod tests {
         t.spout("source", input);
         t.bolt("joiner", 1, move |task| {
             let joiner = Joiner::new(LocalAlgo::PpJoin, JoinConfig::jaccard(0.5), false, None);
-            JoinerBolt::new(joiner, task, Arc::default(), None, None, None)
+            JoinerBolt::new(joiner, task, Arc::default(), None, None)
         });
         let sent = t.collector("sink");
         t.wire("source", "joiner", Grouping::global());
@@ -613,22 +510,17 @@ mod tests {
         assert_eq!(report.component("joiner").msgs_out, 0);
     }
 
-    /// Feeds `input` to a sink task; returns its state, its emit-stage
-    /// sample count, and the run report.
-    fn run_sink(input: Vec<JoinMsg>) -> (SinkState, u64, RunReport) {
+    /// Feeds `input` to a sink task; returns its state and the run report.
+    fn run_sink(input: Vec<JoinMsg>) -> (SinkState, RunReport) {
         let state = Arc::new(Mutex::new(SinkState::default()));
-        let stages = Arc::new(Mutex::new(StageProfile::new()));
         let mut t = Topology::new();
         t.spout("source", input);
-        let (shared, shared_stages) = (Arc::clone(&state), Arc::clone(&stages));
-        t.bolt("sink", 1, move |_| {
-            SinkBolt::new(Arc::clone(&shared)).with_stages(Some(Arc::clone(&shared_stages)))
-        });
+        let shared = Arc::clone(&state);
+        t.bolt("sink", 1, move |_| SinkBolt::new(Arc::clone(&shared)));
         t.wire("source", "sink", Grouping::global());
         let report = t.run_sim(SimConfig::seeded(1)).report;
         let state = std::mem::take(&mut *state.lock());
-        let emits = stages.lock().get(Stage::Emit).count();
-        (state, emits, report)
+        (state, report)
     }
 
     fn result(earlier: u64, later: u64) -> JoinMsg {
@@ -649,12 +541,11 @@ mod tests {
             JoinMsg::Batch(vec![result(0, 2), result(1, 2), result(0, 3)]),
             result(2, 3),
         ];
-        let (state, emits, report) = run_sink(input);
+        let (state, report) = run_sink(input);
         assert!(report.is_clean());
         let keys: Vec<_> = state.pairs.iter().map(MatchPair::key).collect();
         assert_eq!(keys, vec![(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]);
         assert_eq!(state.latency.count(), 5);
-        assert_eq!(emits, 5);
         assert_eq!(report.component("sink").msgs_in, 3);
     }
 
@@ -665,7 +556,7 @@ mod tests {
             JoinMsg::Batch(vec![result(0, 1), JoinMsg::Index(payload(0, &[1]))]),
             JoinMsg::Batch(vec![JoinMsg::Batch(vec![result(0, 1)])]),
         ] {
-            let (_, _, report) = run_sink(vec![bad]);
+            let (_, report) = run_sink(vec![bad]);
             assert_eq!(report.failures.len(), 1);
             assert!(report.failures[0].2.contains("sink only receives results"));
         }

@@ -149,7 +149,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use obs::{Event, LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
+use obs::{LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
 use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::{FxHashSet, Record};
@@ -423,10 +423,12 @@ pub struct ClusterResult {
     pub wire_flushes: u64,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
-    /// Launcher-side per-stage latencies (route, dispatch, deliver,
-    /// retry, emit, checkpoint).
+    /// Launcher-side per-stage latencies (dispatch, route, deliver,
+    /// retry, emit, checkpoint, recover): the cluster's one per-stage
+    /// record.
     pub stages: StageProfile,
-    /// End-to-end dispatch→result latency (empty under logical time).
+    /// End-to-end dispatch→result latency (empty under logical time): a
+    /// copy of `stages`' emit histogram, taken at teardown.
     pub latency: LatencyHistogram,
     /// Per-wire FNV-1a digest of first-transmission data-frame bytes, in
     /// sequence order — present only under `logical_time`, where that
@@ -434,9 +436,6 @@ pub struct ClusterResult {
     pub wire_digests: Option<Vec<u64>>,
     /// Liveness and self-healing counters.
     pub health: HealthReport,
-    /// Wall-clock suspect/recover/fence span events, in occurrence order
-    /// (`a` = task, `b` = stage-specific operand; see [`obs::Stage`]).
-    pub health_events: Vec<Event>,
     /// End-to-end integrity counters: inbound frames rejected as corrupt
     /// (checksum mismatch, undecodable body, or a protocol-violating frame
     /// kind — each one poisons its incarnation and triggers recovery
@@ -1047,7 +1046,6 @@ struct Launcher<'a> {
     pairs: Vec<MatchPair>,
     seen: FxHashSet<(u64, u64)>,
     dup_results_dropped: u64,
-    latency: LatencyHistogram,
     // Metrics and control.
     stages: StageProfile,
     /// When dispatch of the current source record began.
@@ -1070,7 +1068,6 @@ struct Launcher<'a> {
     wall_anchor: Instant,
     hb_nonce: u64,
     health_report: HealthReport,
-    health_events: Vec<Event>,
     /// Wire-frame rejections so far; storage-side counters join at the end.
     integrity: IntegrityReport,
     /// Records shed by fencing (retroactive in-flight sheds included):
@@ -1102,7 +1099,6 @@ impl<'a> Launcher<'a> {
             pairs: Vec::new(),
             seen: FxHashSet::default(),
             dup_results_dropped: 0,
-            latency: LatencyHistogram::new(),
             stages: StageProfile::new(),
             record_started: Instant::now(),
             retransmissions: 0,
@@ -1116,16 +1112,15 @@ impl<'a> Launcher<'a> {
             wall_anchor: Instant::now(),
             hb_nonce: 0,
             health_report: HealthReport::default(),
-            health_events: Vec::new(),
             integrity: IntegrityReport::default(),
             shed_ids: FxHashSet::default(),
             any_fenced: false,
         }
     }
 
-    /// Wall nanoseconds since launcher construction — the event clock for
-    /// health spans, deliberately independent of the logical run clock so
-    /// detector activity can never perturb ingest stamps or digests.
+    /// Wall nanoseconds since launcher construction — the heartbeat stamp,
+    /// deliberately independent of the logical run clock so detector
+    /// activity can never perturb ingest stamps or digests.
     fn wall_nanos(&self) -> u64 {
         self.wall_anchor
             .elapsed()
@@ -1316,11 +1311,10 @@ impl<'a> Launcher<'a> {
                 .coordinator
                 .as_ref()
                 .map_or(0, |c| c.epochs_committed()),
+            latency: self.stages.get(Stage::Emit).clone(),
             stages: self.stages,
-            latency: self.latency,
             wire_digests: self.cfg.logical_time.then_some(digests),
             health: self.health_report,
-            health_events: self.health_events,
             integrity: self.integrity,
         }
     }
@@ -1607,7 +1601,7 @@ impl<'a> Launcher<'a> {
     }
 
     /// Classifies one corrupt or protocol-violating inbound frame: count
-    /// it, emit a span, and poison the incarnation so the caller discards
+    /// it and poison the incarnation so the caller discards
     /// its remaining output and recovers — the wire-corruption analogue
     /// of an error close, never a panic. Always returns `false` so call
     /// sites can `return self.note_corrupt(..)`.
@@ -1617,13 +1611,6 @@ impl<'a> Launcher<'a> {
             self.health_report.corrupt_snapshots += 1;
         }
         self.links[task].poisoned = true;
-        self.stages.record(Stage::Corrupt, Duration::ZERO);
-        self.health_events.push(Event::instant(
-            self.wall_nanos(),
-            Stage::Corrupt,
-            task as u64,
-            u64::from(snapshot),
-        ));
         false
     }
 
@@ -1740,7 +1727,6 @@ impl<'a> Launcher<'a> {
         }
         if let Some(now) = now {
             let lat = now.saturating_sub(Duration::from_nanos(ingest.as_nanos()));
-            self.latency.record(lat);
             self.stages.record(Stage::Emit, lat);
         }
         self.pairs.push(pair);
@@ -1814,14 +1800,6 @@ impl<'a> Launcher<'a> {
             if silent >= h.suspect_after {
                 self.health_report.suspects += 1;
                 self.health_report.detection_latency.record(silent);
-                self.stages.record(Stage::Suspect, silent);
-                self.health_events.push(Event::span(
-                    self.wall_nanos(),
-                    Stage::Suspect,
-                    silent.as_nanos().min(u128::from(u64::MAX)) as u64,
-                    task as u64,
-                    silent.as_nanos().min(u128::from(u64::MAX)) as u64,
-                ));
                 self.recover_or_fence(task);
             }
         }
@@ -1847,13 +1825,6 @@ impl<'a> Launcher<'a> {
         let t0 = Instant::now();
         self.kill_and_respawn(task);
         self.stages.record(Stage::Recover, t0.elapsed());
-        self.health_events.push(Event::span(
-            self.wall_nanos(),
-            Stage::Recover,
-            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            task as u64,
-            u64::from(self.links[task].health_respawns),
-        ));
     }
 
     /// Degrade gracefully: abandon the task and shed its partition with
@@ -1891,15 +1862,7 @@ impl<'a> Launcher<'a> {
         link.unacked.clear();
         link.in_flight = 0;
         link.held_inbound.clear();
-        let shed_now = inflight.len() as u64;
         self.shed_for_fence(inflight);
-        self.stages.record(Stage::Fence, Duration::ZERO);
-        self.health_events.push(Event::instant(
-            self.wall_nanos(),
-            Stage::Fence,
-            task as u64,
-            shed_now,
-        ));
     }
 
     /// Removes `ids` from the surviving set on behalf of a fenced task

@@ -10,7 +10,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
-use obs::{RunTrace, StageProfile, TraceConfig, TraceSink};
+use obs::{RunTrace, TraceConfig, TraceSink};
 use parking_lot::Mutex;
 use ssj_core::join::bistream::merge_streams;
 use ssj_core::{
@@ -18,8 +18,7 @@ use ssj_core::{
     StreamJoiner, Threshold,
 };
 use ssj_partition::{
-    equal_depth, equal_width, load_aware, load_aware_greedy, CostModel, LengthHistogram,
-    LengthPartition,
+    equal_depth, equal_width, load_aware, CostModel, LengthHistogram, LengthPartition,
 };
 use ssj_text::Record;
 use std::sync::Arc;
@@ -103,8 +102,6 @@ pub enum PartitionMethod {
     EqualDepth,
     /// Load-aware minimax DP over the cost mass `H(ℓ)` (the paper's).
     LoadAware,
-    /// Load-aware via binary search + greedy sweep.
-    LoadAwareGreedy,
 }
 
 /// Builds a length partition from a record sample.
@@ -120,9 +117,6 @@ pub fn calibrate_partition(
         PartitionMethod::EqualDepth => equal_depth(&hist, k),
         PartitionMethod::LoadAware => {
             load_aware(&CostModel::build(&hist, threshold, hist.max_len()), k)
-        }
-        PartitionMethod::LoadAwareGreedy => {
-            load_aware_greedy(&CostModel::build(&hist, threshold, hist.max_len()), k)
         }
     }
 }
@@ -261,15 +255,17 @@ pub struct DistributedJoinConfig {
     /// Simulated runs report virtual-time latencies and are incompatible
     /// with `source_rate` (pacing sleeps on the wall clock).
     pub scheduler: Scheduler,
-    /// Structured event tracing and per-stage latency profiling: every
+    /// Structured event tracing, the run's only per-stage record: every
     /// task records pipeline events (dispatch → route → deliver/retry →
     /// index → verify → emit, plus barrier/checkpoint/shed) into bounded
-    /// rings, collected into [`DistributedJoinResult::trace`], and the
-    /// bolts fill [`DistributedJoinResult::stages`]. Timestamps come from
-    /// the scheduler clock, so a simulated run's trace is byte-identical
-    /// per seed; instrumentation draws no randomness and never advances
-    /// the clock, so transcripts and results are unchanged by enabling
-    /// it. `None` (the default) records nothing and costs nothing.
+    /// rings, collected into [`DistributedJoinResult::trace`]. Barrier
+    /// stalls and epoch latencies are also in the [`RunReport`], and
+    /// result latencies in [`DistributedJoinResult::latency`], whether
+    /// traced or not. Timestamps come from the scheduler clock, so a
+    /// simulated run's trace is byte-identical per seed; instrumentation
+    /// draws no randomness and never advances the clock, so transcripts
+    /// and results are unchanged by enabling it. `None` (the default)
+    /// records nothing and costs nothing.
     pub trace: Option<TraceConfig>,
 }
 
@@ -320,7 +316,7 @@ impl DistributedJoinConfig {
         self
     }
 
-    /// Enables structured tracing and stage profiling (see [`Self::trace`]).
+    /// Enables structured tracing (see [`Self::trace`]).
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = Some(trace);
         self
@@ -360,10 +356,6 @@ pub struct DistributedJoinResult {
     /// [`DistributedJoinConfig::trace`] was set). Under simulation the
     /// rendered trace is byte-identical per seed.
     pub trace: Option<RunTrace>,
-    /// Per-stage latency histograms recorded by the pipeline's bolts
-    /// (route, index, verify, emit, barrier, checkpoint). Empty unless
-    /// [`DistributedJoinConfig::trace`] was set.
-    pub stages: StageProfile,
 }
 
 impl DistributedJoinResult {
@@ -631,14 +623,9 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     let sink_state = Arc::new(Mutex::new(SinkState::default()));
     let snapshots: Arc<Mutex<Vec<JoinerSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
 
-    // Observability: one sink collects every task's event ring, one shared
-    // profile aggregates the bolts' per-stage latencies. Both exist only
-    // when tracing is configured — disabled runs carry no tracer at all.
+    // Observability: one sink collects every task's event ring. It exists
+    // only when tracing is configured — disabled runs carry no tracer.
     let trace_sink = cfg.trace.as_ref().map(|tc| (TraceSink::new(), tc.clone()));
-    let stage_shared: Option<Arc<Mutex<StageProfile>>> = cfg
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(Mutex::new(StageProfile::new())));
 
     let mut topology: Topology<JoinMsg> =
         Topology::new().with_channel_capacity(cfg.channel_capacity);
@@ -664,18 +651,13 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     // The dispatcher is stateful (routers mutate) and single-task; move the
     // router into the one instance the factory builds.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut router_slot = Some(DispatcherBolt::new(
-        run.dispatcher,
-        Arc::clone(&shed_log),
-        stage_shared.clone(),
-    ));
+    let mut router_slot = Some(DispatcherBolt::new(run.dispatcher, Arc::clone(&shed_log)));
     topology.bolt("dispatcher", 1, move |_| {
         router_slot.take().expect("dispatcher built once")
     });
 
     let (join_cfg, local, k) = (spec.join, spec.local, spec.k);
     let snaps = Arc::clone(&snapshots);
-    let joiner_stages = stage_shared.clone();
     topology.bolt("joiner", k, move |task| {
         JoinerBolt::new(
             Joiner::new(local, join_cfg, bistream, needs_dedup.then_some((k, task))),
@@ -683,15 +665,11 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
             Arc::clone(&snaps),
             recovery.clone(),
             coordinator.clone(),
-            joiner_stages.clone(),
         )
     });
 
     let sink_shared = Arc::clone(&sink_state);
-    let sink_stages = stage_shared.clone();
-    topology.bolt("sink", 1, move |_| {
-        SinkBolt::new(Arc::clone(&sink_shared)).with_stages(sink_stages.clone())
-    });
+    topology.bolt("sink", 1, move |_| SinkBolt::new(Arc::clone(&sink_shared)));
 
     topology.wire("source", "dispatcher", Grouping::global());
     topology.wire("dispatcher", "joiner", Grouping::direct());
@@ -718,9 +696,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     debug_assert_eq!(shed_records.len() as u64, report.shed());
 
     let trace = trace_sink.map(|(sink, _)| sink.collect());
-    let stages = stage_shared
-        .map(|s| std::mem::take(&mut *s.lock()))
-        .unwrap_or_default();
 
     DistributedJoinResult {
         pairs,
@@ -733,7 +708,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         restored_cut: run.restored.cut,
         transcript,
         trace,
-        stages,
     }
 }
 
@@ -1313,13 +1287,17 @@ mod tests {
                 "missing {span}"
             );
         }
-        // Stage profile: every joiner probe and index landed a sample, and
-        // the sink recorded one emit latency per result pair.
-        assert_eq!(a.stages.get(obs::Stage::Emit).count(), a.pairs.len() as u64);
-        assert!(a.stages.get(obs::Stage::Route).count() >= 300);
-        assert!(a.stages.get(obs::Stage::Index).count() > 0);
-        assert!(a.stages.get(obs::Stage::Verify).count() > 0);
-        assert!(a.stages.get(obs::Stage::Barrier).count() > 0);
+        // The trace is the per-stage record: every record was routed, the
+        // joiners probed and indexed, and the sink saw one emit per pair.
+        let trace = a.trace.as_ref().expect("trace enabled");
+        assert_eq!(trace.dropped(), 0);
+        let events = || trace.tasks.iter().flat_map(|t| &t.events);
+        let count = |stage| events().filter(|e| e.stage == stage).count();
+        assert_eq!(count(obs::Stage::Emit), a.pairs.len());
+        assert!(count(obs::Stage::Route) >= 300);
+        for stage in [obs::Stage::Index, obs::Stage::Verify, obs::Stage::Barrier] {
+            assert!(count(stage) > 0, "no {} event", stage.name());
+        }
 
         // Observation only: the untraced run has the identical transcript,
         // results, and report counters.
@@ -1330,7 +1308,6 @@ mod tests {
         );
         assert_eq!(run_keys_of(&a), run_keys_of(&c));
         assert!(c.trace.is_none());
-        assert!(c.stages.is_empty());
     }
 
     #[test]

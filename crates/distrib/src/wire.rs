@@ -187,8 +187,9 @@ pub enum Frame {
     Heartbeat {
         /// Opaque probe identifier, echoed back verbatim.
         nonce: u64,
-        /// Launcher wall-clock nanos at send time, echoed back so the
-        /// launcher can histogram round-trip latency without a node clock.
+        /// Launcher wall-clock nanos at send time, echoed back verbatim.
+        /// The launcher only counts the echoes (`health_acks`); it reads
+        /// neither field back.
         sent_at: u64,
     },
     /// Node → launcher: echo of one [`Frame::Heartbeat`].

@@ -24,10 +24,10 @@
 //! | barrier    | epoch            | stall (ns)              |
 //! | checkpoint | epoch            | snapshot bytes          |
 //! | shed       | record id        | queue depth             |
-//! | suspect    | task index       | detection latency (ns)  |
-//! | recover    | task index       | respawn count           |
-//! | fence      | task index       | in-flight records shed  |
-//! | corrupt    | task index       | 1 if snapshot payload   |
+//! | recover    | —                | —                       |
+//!
+//! `recover` has no trace event: only the cluster launcher records it, as
+//! a [`StageProfile`](crate::StageProfile) sample of respawn time.
 
 /// The pipeline stage a trace event belongs to.
 ///
@@ -61,24 +61,14 @@ pub enum Stage {
     Checkpoint,
     /// A record was shed by the overload policy.
     Shed,
-    /// A liveness deadline expired: a node was declared suspect by the
-    /// failure detector (the span duration is the detection latency).
-    Suspect,
     /// A suspect node was respawned and its session resumed (the span
     /// duration covers kill, drain, handshake, restore and retransmit).
     Recover,
-    /// A task exhausted its recovery budget and was fenced; its remaining
-    /// partition is shed with exact recall accounting.
-    Fence,
-    /// A frame or snapshot payload failed its integrity check (checksum
-    /// mismatch or undecodable body) and was rejected — the poisoned
-    /// source is recovered instead of trusted.
-    Corrupt,
 }
 
 impl Stage {
     /// Every stage in discriminant order.
-    pub const ALL: [Stage; 15] = [
+    pub const ALL: [Stage; 12] = [
         Stage::Dispatch,
         Stage::Route,
         Stage::Deliver,
@@ -90,10 +80,7 @@ impl Stage {
         Stage::Barrier,
         Stage::Checkpoint,
         Stage::Shed,
-        Stage::Suspect,
         Stage::Recover,
-        Stage::Fence,
-        Stage::Corrupt,
     ];
 
     /// Stable lowercase name used by every exporter (and therefore baked
@@ -111,10 +98,7 @@ impl Stage {
             Stage::Barrier => "barrier",
             Stage::Checkpoint => "checkpoint",
             Stage::Shed => "shed",
-            Stage::Suspect => "suspect",
             Stage::Recover => "recover",
-            Stage::Fence => "fence",
-            Stage::Corrupt => "corrupt",
         }
     }
 }

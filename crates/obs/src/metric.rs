@@ -135,9 +135,9 @@ fn own_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Per-stage latency histograms for the join pipeline: one
-/// [`LatencyHistogram`] slot per [`Stage`], recorded task-locally and
-/// merged across tasks at run completion.
+/// Per-stage latency histograms: one [`LatencyHistogram`] slot per
+/// [`Stage`], filled by a single recorder (the cluster launcher, or
+/// `run_stream_profiled` on the local path).
 #[derive(Debug, Clone, Default)]
 pub struct StageProfile {
     hists: [LatencyHistogram; Stage::ALL.len()],
@@ -160,13 +160,6 @@ impl StageProfile {
         &self.hists[stage as usize]
     }
 
-    /// Merges another profile in, stage by stage.
-    pub fn merge(&mut self, other: &StageProfile) {
-        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
-            a.merge(b);
-        }
-    }
-
     /// Stages that recorded at least one sample, in [`Stage::ALL`] order.
     pub fn stages(&self) -> impl Iterator<Item = (Stage, &LatencyHistogram)> {
         Stage::ALL
@@ -186,14 +179,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_profile_records_and_merges() {
+    fn stage_profile_records_per_stage() {
         let mut a = StageProfile::new();
         assert!(a.is_empty());
         a.record(Stage::Verify, Duration::from_nanos(100));
         a.record(Stage::Index, Duration::from_nanos(10));
-        let mut b = StageProfile::new();
-        b.record(Stage::Verify, Duration::from_nanos(200));
-        a.merge(&b);
+        a.record(Stage::Verify, Duration::from_nanos(200));
+        assert!(!a.is_empty());
         assert_eq!(a.get(Stage::Verify).count(), 2);
         assert_eq!(a.get(Stage::Index).count(), 1);
         assert_eq!(a.get(Stage::Emit).count(), 0);

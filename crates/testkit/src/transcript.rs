@@ -41,9 +41,9 @@ pub fn reference_run(seed: u64) -> SimRun {
 /// The checkpointed counterpart of [`reference_run`]: the full distributed
 /// join topology under simulation with epoch checkpointing and a seeded
 /// joiner crash active at once. Its transcript freezes the
-/// barrier/snapshot machinery's scheduling — epoch injection points,
-/// snapshot publishes, replay-buffer truncation — on top of everything the
-/// plain reference run covers.
+/// barrier/snapshot machinery's scheduling — epoch injection points and
+/// snapshot publishes — on top of everything the plain reference run
+/// covers.
 pub fn reference_checkpoint_run(seed: u64) -> ssj_distrib::DistributedJoinResult {
     reference_traceable_run(seed, false)
 }

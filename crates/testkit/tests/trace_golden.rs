@@ -14,7 +14,14 @@
 //!
 //! and review the diff like any other golden-file change.
 
-use testkit::{reference_trace_run, reference_traceable_run};
+use obs::{MetricValue, MetricsSnapshot};
+use ssj_core::{JoinConfig, Window};
+use ssj_distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use std::time::Duration;
+use testkit::{
+    reference_trace_run, reference_traceable_run, run_cluster_differential, with_deadline,
+    DifferentialCase,
+};
 
 const GOLDEN_SEED: u64 = 7;
 const GOLDEN_TRACE: &str = include_str!("../golden/trace_seed7.jsonl");
@@ -76,8 +83,22 @@ fn disabling_instrumentation_changes_nothing_but_the_trace() {
     );
     // And the disabled run carries no observability state at all.
     assert!(plain.trace.is_none());
-    assert!(plain.stages.is_empty());
     assert!(traced.trace.is_some());
+}
+
+/// Every metric family of `snap` renders exactly one HELP and one TYPE
+/// line.
+fn assert_one_header_per_family(snap: &MetricsSnapshot) {
+    let text = obs::prometheus(snap);
+    for name in snap.names() {
+        for kind in ["HELP", "TYPE"] {
+            assert_eq!(
+                text.matches(&format!("# {kind} {name} ")).count(),
+                1,
+                "{name} must have exactly one {kind} line"
+            );
+        }
+    }
 }
 
 #[test]
@@ -85,19 +106,7 @@ fn exported_metrics_schema_is_complete_and_stable() {
     let run = reference_trace_run(GOLDEN_SEED);
     let snap = run.report.metrics_snapshot();
     let text = obs::prometheus(&snap);
-    // Every metric family appears exactly once, with HELP before TYPE.
-    for name in snap.names() {
-        assert_eq!(
-            text.matches(&format!("# TYPE {name} ")).count(),
-            1,
-            "{name} must have exactly one TYPE line"
-        );
-        assert_eq!(
-            text.matches(&format!("# HELP {name} ")).count(),
-            1,
-            "{name} must have exactly one HELP line"
-        );
-    }
+    assert_one_header_per_family(&snap);
     // Exactly these families, in this order: what dashboards key on.
     assert_eq!(
         snap.names(),
@@ -139,6 +148,99 @@ fn exported_metrics_schema_is_complete_and_stable() {
     }
     // Rendering is a pure function of the snapshot.
     assert_eq!(text, obs::prometheus(&snap));
+}
+
+#[test]
+fn cluster_metrics_schema_is_complete_and_stable() {
+    // A faulted in-process cluster: an inbound frame of task 0 is flipped
+    // (rejected as corrupt), task 1 crashes, and with no recovery budget
+    // a failed task is fenced rather than respawned.
+    let case = DifferentialCase::new(
+        150,
+        3,
+        JoinConfig::jaccard(0.7).with_window(Window::Count(60)),
+        LocalAlgo::bundle(),
+        Strategy::LengthAuto {
+            method: PartitionMethod::LoadAware,
+            sample: 50,
+        },
+    )
+    .with_corruption(0, 12, 2, true)
+    .with_crash_at(10)
+    .with_recovery_budget(0);
+    let out = with_deadline(Duration::from_secs(120), move || {
+        run_cluster_differential(37, &case, ClusterBackend::InProcess)
+    });
+    let snap = out.result.metrics_snapshot();
+    assert_one_header_per_family(&snap);
+    assert_eq!(
+        snap.names(),
+        [
+            "dssj_cluster_pairs_total",
+            "dssj_cluster_records_total",
+            "dssj_cluster_shed_records_total",
+            "dssj_cluster_dup_results_dropped_total",
+            "dssj_cluster_retransmissions_total",
+            "dssj_cluster_routed_messages_total",
+            "dssj_cluster_data_frames_total",
+            "dssj_cluster_frames_sent_total",
+            "dssj_cluster_wire_flushes_total",
+            "dssj_cluster_epochs_committed_total",
+            "dssj_cluster_heartbeats_sent_total",
+            "dssj_cluster_health_acks_total",
+            "dssj_cluster_suspects_total",
+            "dssj_cluster_respawns_total",
+            "dssj_cluster_stalled_frames_total",
+            "dssj_cluster_partition_dropped_frames_total",
+            "dssj_cluster_corrupt_frames_total",
+            "dssj_cluster_corrupt_snapshots_total",
+            "dssj_cluster_corrupt_snapshot_parts_total",
+            "dssj_cluster_corrupt_manifests_total",
+            "dssj_cluster_quarantined_epochs_total",
+            "dssj_cluster_wire_closes_total",
+            "dssj_cluster_joiners",
+            "dssj_cluster_fenced_tasks",
+            "dssj_cluster_restore_fallback_depth",
+            "dssj_cluster_result_latency",
+            "dssj_cluster_detection_latency",
+            "dssj_cluster_stage_latency",
+        ]
+    );
+    let value = |name: &str| {
+        let sample = snap.samples.iter().find(|s| s.name == name).unwrap();
+        match sample.value {
+            MetricValue::Counter(v) => v as i64,
+            MetricValue::Gauge(v) => v,
+            MetricValue::Histogram(_) => unreachable!("{name} is not a histogram"),
+        }
+    };
+    // The faults fired, so their families carry the values the stage
+    // histogram no longer copies.
+    assert!(value("dssj_cluster_fenced_tasks") > 0, "no task was fenced");
+    assert!(
+        value("dssj_cluster_corrupt_frames_total") > 0,
+        "no frame was rejected"
+    );
+    for sample in snap
+        .samples
+        .iter()
+        .filter(|s| s.name == "dssj_cluster_stage_latency")
+    {
+        let stage = &sample.labels[0].1;
+        assert!(
+            [
+                "dispatch",
+                "route",
+                "deliver",
+                "retry",
+                "emit",
+                "checkpoint",
+                "recover"
+            ]
+            .contains(&stage.as_str()),
+            "stage label {stage} has no launcher-side recorder"
+        );
+    }
 }
 
 #[test]

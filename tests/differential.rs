@@ -231,9 +231,9 @@ proptest! {
         run_differential(seed, &c);
     }
 
-    /// Checkpointing in the loop changes nothing observable: barriers,
-    /// snapshot publishes and replay-buffer truncation ride alongside
-    /// crashes, and the oracle must still match exactly.
+    /// Checkpointing in the loop changes nothing observable: barriers and
+    /// snapshot publishes ride alongside crashes, and the oracle must
+    /// still match exactly.
     #[test]
     fn checkpointed_runs_match_oracle(
         seed in 0u64..1_000_000,
