@@ -572,7 +572,7 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
     }
     if out.retransmissions + out.dup_results_dropped > 0 {
         println!(
-            "reliability : {} retransmissions, {} duplicate results dropped",
+            "reliability : {} retransmissions, {} result pairs discarded unacked",
             out.retransmissions, out.dup_results_dropped
         );
     }

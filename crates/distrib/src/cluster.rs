@@ -37,12 +37,15 @@
 //! the launcher retransmits unacked frames on a backoff timer built from
 //! [`stormlite::RetryConfig`]. Because acks follow results in FIFO order,
 //! a received ack proves every result of everything that frame carried
-//! arrived; conversely any lost output suffix corresponds to unacked
-//! frames, which are reprocessed after recovery — producing
-//! byte-identical duplicate results the launcher's sink drops by pair
-//! key. The net effect is effectively-once output. This is the one
-//! seq/ack/retry/dedup layer in the workspace — a topology's in-process
-//! wires are reliable FIFO channels and need none — and a frame more than
+//! arrived, so **results and snapshots are published at the ack that
+//! covers them**: until then they wait staged on their link, and a link
+//! whose incarnation dies or is poisoned discards what it staged. Any
+//! output lost that way belongs to an unacked frame, which the next
+//! incarnation reprocesses — and a node answers only frames it has not
+//! acked, re-acking a duplicate with nothing ahead of it — so each pair
+//! and each epoch snapshot is published exactly once, with no dedup. This
+//! is the one seq/ack/retry layer in the workspace — a topology's
+//! in-process wires are reliable FIFO channels and need none — and a frame more than
 //! [`NODE_INBOUND_CAP`] ahead of a node's cursor is a protocol error, so a
 //! gap the peer never fills cannot grow the reorder buffer without bound.
 //!
@@ -82,7 +85,7 @@
 //! that batch's `Results` nor its ack, so the batch is reprocessed whole:
 //! the cost of a mid-batch death is at most one batch of repeated join
 //! work per wire, and a `Results` frame that was delivered without its ack
-//! comes again and is dropped pair by pair at the sink.
+//! is discarded with its incarnation and published from the next one.
 //!
 //! # Backpressure → shedding
 //!
@@ -150,7 +153,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
-use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
+use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::{FxHashSet, Record};
 use stormlite::{
@@ -403,8 +406,10 @@ pub struct ClusterResult {
     pub shed_records: Vec<u64>,
     /// The checkpoint cut resumed from, if the run restored.
     pub restored_cut: Option<u64>,
-    /// Duplicate result frames dropped by the sink's pair-key filter —
-    /// nonzero only when crashes or chaos forced reprocessing.
+    /// Result pairs discarded unacked with a dead or poisoned incarnation:
+    /// its node sent them but not the ack that would have published them.
+    /// A respawned node reprocesses their frame; a fenced one's records
+    /// are shed.
     pub dup_results_dropped: u64,
     /// Frames retransmitted by the at-least-once layer.
     pub retransmissions: u64,
@@ -482,7 +487,7 @@ impl ClusterResult {
             ),
             (
                 "dssj_cluster_dup_results_dropped_total",
-                "Duplicate result frames dropped by the sink",
+                "Result pairs discarded unacked with a dead or poisoned incarnation",
                 self.dup_results_dropped,
             ),
             (
@@ -779,11 +784,11 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
             WireEvent::Idle => continue,
             WireEvent::Closed(_) => return Ok(()), // launcher is done with us
             WireEvent::Frame(b) => match Frame::decode_checked(&b, true)? {
-                Frame::Heartbeat { nonce, sent_at } => {
-                    // Echo immediately and flush: the probe exists to make
-                    // an idle-but-alive wire visible, so it must not sit
-                    // in the outbound batch.
-                    send_frame(wire, &Frame::HealthAck { nonce, sent_at })?;
+                Frame::Heartbeat => {
+                    // Answer immediately and flush: the probe exists to
+                    // make an idle-but-alive wire visible, so it must not
+                    // sit in the outbound batch.
+                    send_frame(wire, &Frame::HealthAck)?;
                     wire.flush()?;
                 }
                 Frame::Data { seq, msg } => {
@@ -827,10 +832,8 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
                                 // Keep answering liveness probes while
                                 // lingering, so a slow teardown is never
                                 // mistaken for a hung node.
-                                if let Ok(Frame::Heartbeat { nonce, sent_at }) =
-                                    Frame::decode_checked(&b, true)
-                                {
-                                    send_frame(wire, &Frame::HealthAck { nonce, sent_at })?;
+                                if let Ok(Frame::Heartbeat) = Frame::decode_checked(&b, true) {
+                                    send_frame(wire, &Frame::HealthAck)?;
                                     wire.flush()?;
                                 }
                             }
@@ -916,6 +919,13 @@ struct NodeLink {
     /// Messages acknowledged so far (what [`ClusterFault::after_acks`]
     /// counts).
     acked: u64,
+    /// What this incarnation sent ahead of an ack not yet received: result
+    /// pairs, and the decoded window of a barrier's snapshot (a barrier
+    /// travels alone, so at most one) with its epoch and task. The ack
+    /// that removes an `unacked` entry publishes them; a respawn or a
+    /// fence discards them.
+    staged: Vec<(MatchPair, Timestamp)>,
+    staged_snapshot: Option<(u64, usize, Vec<SnapshotEntry>)>,
     chaos: Option<ChaosLink>,
     incarnation: u64,
     /// FNV-1a over first-transmission data-frame bytes, in seq order
@@ -936,6 +946,10 @@ struct NodeLink {
     health_respawns: u32,
     /// Fenced: budget exhausted, partition shed, wire abandoned.
     fenced: bool,
+    /// This incarnation is over — it closed, failed a send, sent a frame
+    /// the launcher rejected, or reached its scripted kill — and is
+    /// respawned or fenced at the end of the current pass.
+    dead: bool,
     /// Scripted [`OutageKind::CorruptInbound`] windows, keyed on this
     /// wire's inbound frame ordinal.
     corrupt_inbound: Vec<ChaosWindow>,
@@ -970,6 +984,8 @@ impl NodeLink {
             unwritten_from: 0,
             unwritten: 0,
             acked: 0,
+            staged: Vec::new(),
+            staged_snapshot: None,
             chaos,
             incarnation: 0,
             digest: FNV_OFFSET,
@@ -980,6 +996,7 @@ impl NodeLink {
             held_inbound: Vec::new(),
             health_respawns: 0,
             fenced: false,
+            dead: false,
             corrupt_inbound,
             inbound_seq: 0,
             poisoned: false,
@@ -1044,7 +1061,6 @@ struct Launcher<'a> {
     clock: RunClock,
     // Sink state.
     pairs: Vec<MatchPair>,
-    seen: FxHashSet<(u64, u64)>,
     dup_results_dropped: u64,
     // Metrics and control.
     stages: StageProfile,
@@ -1056,17 +1072,8 @@ struct Launcher<'a> {
     /// Batch counters of wires already replaced by a respawn.
     retired_batch_counters: (u64, u64),
     shed_log: Vec<u64>,
-    /// Epoch publications already forwarded to the coordinator — a
-    /// restarted node reprocessing a barrier re-sends its snapshot, and
-    /// the coordinator treats over-publication as a protocol violation.
-    published: FxHashSet<(u64, u64)>,
     fault_armed: Option<ClusterFault>,
-    pending_kill: Option<usize>,
-    pending_dead: Option<usize>,
-    // Health / self-healing state. The detector runs on the wall clock
-    // even under logical time (see `HealthConfig`), anchored here.
-    wall_anchor: Instant,
-    hb_nonce: u64,
+    // Health / self-healing state.
     health_report: HealthReport,
     /// Wire-frame rejections so far; storage-side counters join at the end.
     integrity: IntegrityReport,
@@ -1097,7 +1104,6 @@ impl<'a> Launcher<'a> {
                 RunClock::Wall(Instant::now())
             },
             pairs: Vec::new(),
-            seen: FxHashSet::default(),
             dup_results_dropped: 0,
             stages: StageProfile::new(),
             record_started: Instant::now(),
@@ -1105,27 +1111,12 @@ impl<'a> Launcher<'a> {
             routed_messages: 0,
             retired_batch_counters: (0, 0),
             shed_log: Vec::new(),
-            published: FxHashSet::default(),
             fault_armed: cfg.fault,
-            pending_kill: None,
-            pending_dead: None,
-            wall_anchor: Instant::now(),
-            hb_nonce: 0,
             health_report: HealthReport::default(),
             integrity: IntegrityReport::default(),
             shed_ids: FxHashSet::default(),
             any_fenced: false,
         }
-    }
-
-    /// Wall nanoseconds since launcher construction — the heartbeat stamp,
-    /// deliberately independent of the logical run clock so detector
-    /// activity can never perturb ingest stamps or digests.
-    fn wall_nanos(&self) -> u64 {
-        self.wall_anchor
-            .elapsed()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64
     }
 
     fn run(mut self, input: Input<'_>) -> ClusterResult {
@@ -1423,7 +1414,7 @@ impl<'a> Launcher<'a> {
             None => link.wire.send(&frame),
         };
         if sent.is_err() {
-            self.pending_dead = Some(task);
+            self.links[task].dead = true;
         }
     }
 
@@ -1490,7 +1481,6 @@ impl<'a> Launcher<'a> {
                         // Corrupt frame: the rest of the held batch dies
                         // with the poisoned incarnation; recovery
                         // retransmits everything it covered.
-                        self.pending_dead = Some(task);
                         break;
                     }
                 }
@@ -1509,10 +1499,7 @@ impl<'a> Launcher<'a> {
             // must not be read here, or holding and discarding would leak.
             let wait_on = blocked_on.filter(|&task| {
                 let link = &self.links[task];
-                self.pending_dead.is_none()
-                    && !link.fenced
-                    && !link.poisoned
-                    && !self.inbound_blocked(task)
+                !link.dead && !link.fenced && !link.poisoned && !self.inbound_blocked(task)
             });
             match wait_on {
                 Some(task) => {
@@ -1522,11 +1509,15 @@ impl<'a> Launcher<'a> {
                 None => std::thread::sleep(idle_wait),
             }
         }
-        if let Some(t) = self.pending_kill.take() {
-            self.recover_or_fence(t);
-        }
-        if let Some(t) = self.pending_dead.take() {
-            self.recover_or_fence(t);
+        self.recover_dead();
+    }
+
+    /// Respawns (or fences) every link marked dead since the last pass.
+    fn recover_dead(&mut self) {
+        for task in 0..self.links.len() {
+            if std::mem::take(&mut self.links[task].dead) {
+                self.recover_or_fence(task);
+            }
         }
     }
 
@@ -1560,11 +1551,7 @@ impl<'a> Launcher<'a> {
                 }
                 *got = true;
                 self.links[task].last_seen = Instant::now();
-                if !self.on_frame(task, &b) {
-                    self.pending_dead = Some(task);
-                    return false;
-                }
-                true
+                self.on_frame(task, &b)
             }
             Ok(WireEvent::Idle) => false,
             closed => {
@@ -1575,7 +1562,7 @@ impl<'a> Launcher<'a> {
                         }
                         _ => self.health_report.error_closes += 1,
                     }
-                    self.pending_dead = Some(task);
+                    self.links[task].dead = true;
                 }
                 false
             }
@@ -1601,16 +1588,17 @@ impl<'a> Launcher<'a> {
     }
 
     /// Classifies one corrupt or protocol-violating inbound frame: count
-    /// it and poison the incarnation so the caller discards
-    /// its remaining output and recovers — the wire-corruption analogue
-    /// of an error close, never a panic. Always returns `false` so call
-    /// sites can `return self.note_corrupt(..)`.
+    /// it and poison the incarnation, so the caller stops consuming it and
+    /// the end of the pass recovers it — the wire-corruption analogue of
+    /// an error close, never a panic. Always returns `false` so call sites
+    /// can `return self.note_corrupt(..)`.
     fn note_corrupt(&mut self, task: usize, snapshot: bool) -> bool {
         self.integrity.corrupt_frames += 1;
         if snapshot {
             self.health_report.corrupt_snapshots += 1;
         }
         self.links[task].poisoned = true;
+        self.links[task].dead = true;
         false
     }
 
@@ -1626,8 +1614,15 @@ impl<'a> Launcher<'a> {
         match frame {
             Frame::Ack { seq } => {
                 let Some(acked) = self.links[task].unacked.remove(&seq) else {
-                    return true; // re-ack of a frame a retransmission already covered
+                    // A re-ack answers a duplicate `Data` frame and has
+                    // nothing ahead of it: staged output is a violation.
+                    let link = &self.links[task];
+                    if link.staged.is_empty() && link.staged_snapshot.is_none() {
+                        return true;
+                    }
+                    return self.note_corrupt(task, false);
                 };
+                self.publish_staged(task);
                 let messages = carried(&acked.msg);
                 self.links[task].in_flight -= messages.len();
                 self.links[task].acked += messages.len() as u64;
@@ -1654,51 +1649,33 @@ impl<'a> Launcher<'a> {
                 if let Some(fault) = self.fault_armed {
                     if fault.task == task && self.links[task].acked >= fault.after_acks {
                         self.fault_armed = None;
-                        self.pending_kill = Some(task);
+                        self.links[task].dead = true;
                     }
                 }
             }
-            Frame::Result { pair, ingest } => {
-                let now = self.clock.wall_elapsed();
-                self.collect(pair, ingest, now);
-            }
-            Frame::Results(results) => {
-                let now = self.clock.wall_elapsed();
-                for (pair, ingest) in results {
-                    self.collect(pair, ingest, now);
-                }
-            }
+            Frame::Result { pair, ingest } => self.links[task].staged.push((pair, ingest)),
+            Frame::Results(results) => self.links[task].staged.extend(results),
             Frame::Snapshot {
                 epoch,
                 task: from,
                 window,
             } => {
-                // Decode before the publish-dedup insert: a corrupt
-                // window must not permanently claim the `(epoch, task)`
-                // slot, or the respawned node's clean re-publication
-                // would be refused and the epoch could never commit.
                 let Ok(entries) = decode_window_slice(&window) else {
                     return self.note_corrupt(task, true);
                 };
-                let Some(coordinator) = &self.coordinator else {
+                if self.coordinator.is_none() {
                     // A snapshot with no checkpointing armed is a
                     // protocol violation — classified, not a panic.
                     return self.note_corrupt(task, false);
-                };
-                // Publish-dedup: a restarted node reprocessing a barrier
-                // re-sends its snapshot; the first publication stands.
-                if self.published.insert((epoch, u64::from(from))) {
-                    let t0 = Instant::now();
-                    coordinator.publish(epoch, from as usize, &entries);
-                    self.stages.record(Stage::Checkpoint, t0.elapsed());
                 }
+                self.links[task].staged_snapshot = Some((epoch, from as usize, entries));
             }
             Frame::Done(report) => {
                 self.links[task].done = Some(report);
             }
-            Frame::HealthAck { .. } => {
+            Frame::HealthAck => {
                 // The life sign itself was already recorded by `pump`
-                // (any inbound frame updates `last_seen`); the echo only
+                // (any inbound frame updates `last_seen`); the answer only
                 // feeds the counters.
                 self.health_report.health_acks += 1;
             }
@@ -1710,26 +1687,48 @@ impl<'a> Launcher<'a> {
         true
     }
 
-    /// The sink: takes one result pair that arrived at run time `now`
-    /// (`None` under logical time). Results touching a fence-shed record
-    /// are excluded — the shed set defines the surviving records, and the
-    /// reported join is exactly the join over survivors — and a pair seen
-    /// before (reprocessing after a crash or chaos) is dropped by key.
-    fn collect(&mut self, pair: MatchPair, ingest: Timestamp, now: Option<Duration>) {
-        if self.any_fenced
-            && (self.shed_ids.contains(&pair.earlier.0) || self.shed_ids.contains(&pair.later.0))
-        {
+    /// The sink: publishes what `task` staged ahead of the ack just taken
+    /// off its wire — its snapshot to the coordinator, its pairs to the
+    /// result, each with its emit latency (none under logical time).
+    /// Pairs touching a fence-shed record are excluded: the shed set
+    /// defines the surviving records, and the reported join is exactly the
+    /// join over survivors.
+    fn publish_staged(&mut self, task: usize) {
+        if let Some((epoch, from, entries)) = self.links[task].staged_snapshot.take() {
+            let coordinator = self
+                .coordinator
+                .as_ref()
+                .expect("staged only when checkpointing");
+            let t0 = Instant::now();
+            coordinator.publish(epoch, from, &entries);
+            self.stages.record(Stage::Checkpoint, t0.elapsed());
+        }
+        if self.links[task].staged.is_empty() {
             return;
         }
-        if !self.seen.insert(pair.key()) {
-            self.dup_results_dropped += 1;
-            return;
+        let now = self.clock.wall_elapsed();
+        let shed_ids = &self.shed_ids;
+        for (pair, ingest) in self.links[task].staged.drain(..) {
+            if self.any_fenced
+                && (shed_ids.contains(&pair.earlier.0) || shed_ids.contains(&pair.later.0))
+            {
+                continue;
+            }
+            if let Some(now) = now {
+                let lat = now.saturating_sub(Duration::from_nanos(ingest.as_nanos()));
+                self.stages.record(Stage::Emit, lat);
+            }
+            self.pairs.push(pair);
         }
-        if let Some(now) = now {
-            let lat = now.saturating_sub(Duration::from_nanos(ingest.as_nanos()));
-            self.stages.record(Stage::Emit, lat);
-        }
-        self.pairs.push(pair);
+    }
+
+    /// Discards what `task`'s dead or poisoned incarnation staged without
+    /// the ack that would have published it.
+    fn discard_staged(&mut self, task: usize) {
+        let link = &mut self.links[task];
+        self.dup_results_dropped += link.staged.len() as u64;
+        link.staged.clear();
+        link.staged_snapshot = None;
     }
 
     /// Retransmits overdue written frames with exponential backoff, then
@@ -1785,14 +1784,10 @@ impl<'a> Launcher<'a> {
             }
             if now.duration_since(self.links[task].hb_last) >= h.heartbeat_interval {
                 self.links[task].hb_last = now;
-                self.hb_nonce += 1;
                 self.health_report.heartbeats_sent += 1;
-                let frame = Frame::Heartbeat {
-                    nonce: self.hb_nonce,
-                    sent_at: self.wall_nanos(),
-                }
-                .encode_sealed()
-                .expect("heartbeats are always encodable");
+                let frame = Frame::Heartbeat
+                    .encode_sealed()
+                    .expect("heartbeats are always encodable");
                 self.transmit(task, frame, ChaosLink::transmit_control);
                 let _ = self.write_link(task);
             }
@@ -1803,9 +1798,7 @@ impl<'a> Launcher<'a> {
                 self.recover_or_fence(task);
             }
         }
-        if let Some(t) = self.pending_dead.take() {
-            self.recover_or_fence(t);
-        }
+        self.recover_dead();
     }
 
     /// A node is dead or suspect: respawn it while the recovery budget
@@ -1862,6 +1855,7 @@ impl<'a> Launcher<'a> {
         link.unacked.clear();
         link.in_flight = 0;
         link.held_inbound.clear();
+        self.discard_staged(task);
         self.shed_for_fence(inflight);
     }
 
@@ -1958,6 +1952,7 @@ impl<'a> Launcher<'a> {
                 old_thread = h;
             }
         }
+        self.discard_staged(task);
         let (wire, proc_) = self.spawn_one(task);
         let old_wire = std::mem::replace(&mut self.links[task].wire, wire);
         self.links[task].proc = proc_;
@@ -1977,6 +1972,7 @@ impl<'a> Launcher<'a> {
         self.links[task].last_seen = Instant::now();
         self.links[task].hb_last = Instant::now();
         self.links[task].poisoned = false;
+        self.links[task].dead = false;
         // Unacked seqs form a contiguous suffix; the node resumes at its
         // lowest (or at next_seq when nothing is in flight).
         let resume = self.links[task]
@@ -2233,7 +2229,7 @@ mod tests {
 
         assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 0 })));
         assert_eq!(l.links[0].acked, 3);
-        assert_eq!(l.pending_kill, None, "3 messages acked, the horizon is 5");
+        assert!(!l.links[0].dead, "3 messages acked, the horizon is 5");
         let replay: Vec<u64> = recovery
             .replay_for(0)
             .iter()
@@ -2250,32 +2246,37 @@ mod tests {
         // batch late, never early.
         assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
         assert_eq!(l.links[0].acked, 6);
-        assert_eq!(l.pending_kill, Some(0));
+        assert!(l.links[0].dead);
         assert_eq!(recovery.replay_for(0).len(), 6);
         // A re-ack changes nothing.
         assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
         assert_eq!((l.links[0].acked, l.backlog(0)), (6, 0));
     }
 
+    fn pair(earlier: u64, later: u64) -> MatchPair {
+        MatchPair {
+            earlier: RecordId(earlier),
+            later: RecordId(later),
+            similarity: 1.0,
+        }
+    }
+
     #[test]
     fn fencing_sheds_every_record_of_an_in_flight_batch_and_of_a_refused_one() {
         let cfg = test_config(2);
         let (mut l, _nodes) = launcher(&cfg, None);
-        let pair = |earlier: u64, later: u64| MatchPair {
-            earlier: RecordId(earlier),
-            later: RecordId(later),
-            similarity: 1.0,
-        };
         let results = vec![
             (pair(0, 1), Timestamp::ZERO),
             (pair(0, 4), Timestamp::ZERO),
             (pair(7, 8), Timestamp::ZERO),
         ];
-        // One clock read per `Results` frame, every pair through the sink.
-        assert!(l.on_frame(1, &sealed(&Frame::Results(results.clone()))));
-        assert_eq!(l.pairs.len(), 3);
+        // Task 1 answers its in-flight frame: the pairs wait for the ack,
+        // which publishes all of them through the sink.
+        l.send(1, batch(10..12));
         assert!(l.on_frame(1, &sealed(&Frame::Results(results))));
-        assert_eq!((l.pairs.len(), l.dup_results_dropped), (3, 3));
+        assert!(l.pairs.is_empty(), "published ahead of the ack");
+        assert!(l.on_frame(1, &sealed(&Frame::Ack { seq: 0 })));
+        assert_eq!(l.pairs.len(), 3);
 
         l.send(0, batch(1..4));
         l.send(
@@ -2285,7 +2286,13 @@ mod tests {
                 injected_at: Timestamp::ZERO,
             },
         );
+        // Task 0 answered its batch but never acked it: the fence
+        // discards the staged pair.
+        let staged = vec![(pair(2, 3), Timestamp::ZERO)];
+        assert!(l.on_frame(0, &sealed(&Frame::Results(staged))));
         l.fence(0);
+        assert!(l.links[0].staged.is_empty());
+        assert_eq!(l.dup_results_dropped, 1);
         assert_eq!(l.shed_log, vec![1, 2, 3], "every id of the in-flight batch");
         assert_eq!(l.backlog(0), 0);
         assert_eq!(l.pairs.len(), 2, "the pair touching record 1 is purged");
@@ -2302,13 +2309,88 @@ mod tests {
             l.pairs.iter().map(MatchPair::key).collect::<Vec<_>>(),
             vec![(7, 8)]
         );
-        // And what arrives later for a shed record is filtered.
+        // And what is published later for a shed record is filtered.
+        l.send(1, batch(12..13));
         let late = Frame::Result {
             pair: pair(5, 9),
             ingest: Timestamp::ZERO,
         };
         assert!(l.on_frame(1, &sealed(&late)));
+        assert!(l.on_frame(1, &sealed(&Frame::Ack { seq: 1 })));
         assert_eq!(l.pairs.len(), 1);
+    }
+
+    /// Task 0's first incarnation, played by the test, sends its answer to
+    /// seq 0 and dies before the ack; the launcher then respawns a real
+    /// in-process node, which reprocesses seq 0 and answers it again.
+    /// Returns the launcher once that answer is acked.
+    fn die_before_the_ack<'a>(
+        cfg: &'a ClusterConfig,
+        msg: JoinMsg,
+        answer: Frame,
+        coordinator: Option<Arc<CheckpointCoordinator>>,
+    ) -> Launcher<'a> {
+        let (mut l, mut nodes) = launcher(cfg, None);
+        let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
+        recovery.begin_incarnation(0);
+        l.recovery = Some(recovery);
+        l.coordinator = coordinator;
+        l.send(0, msg);
+        let _ = l.write_link(0);
+        assert!(matches!(
+            next_frame(&mut nodes[0]),
+            Some(Frame::Data { seq: 0, .. })
+        ));
+        send_frame(&mut nodes[0], &answer).unwrap();
+        nodes[0].flush().unwrap();
+        drop(nodes);
+        while !l.links[0].unacked.is_empty() {
+            l.pump(Duration::from_millis(1), Some(0));
+        }
+        assert_eq!(l.health_report.respawns, 1);
+        assert_eq!(l.links[0].incarnation, 1);
+        l
+    }
+
+    #[test]
+    fn a_results_frame_delivered_without_its_ack_is_published_once() {
+        let cfg = test_config(1);
+        let answer = Frame::Results(
+            [(0, 1), (0, 2), (1, 2)]
+                .map(|(a, b)| (pair(a, b), Timestamp::ZERO))
+                .to_vec(),
+        );
+        let l = die_before_the_ack(&cfg, batch(0..3), answer, None);
+        let keys: Vec<(u64, u64)> = l.pairs.iter().map(MatchPair::key).collect();
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            vec![(0, 1), (0, 2), (1, 2)],
+            "each pair once: {keys:?}"
+        );
+        assert_eq!(l.dup_results_dropped, 3, "the dead incarnation's frame");
+    }
+
+    #[test]
+    fn a_snapshot_delivered_without_its_ack_is_published_once() {
+        let cfg = test_config(1);
+        let checkpoint = crate::checkpoint::CheckpointConfig::in_memory(1);
+        let coordinator = Arc::new(CheckpointCoordinator::new(1, &checkpoint).unwrap());
+        let epoch = coordinator.begin_epoch(Timestamp::ZERO, 0, false, None);
+        let barrier = JoinMsg::Barrier {
+            epoch,
+            injected_at: Timestamp::ZERO,
+        };
+        let answer = Frame::Snapshot {
+            epoch,
+            task: 0,
+            window: encode_window_vec(&[]).unwrap(),
+        };
+        // A second publication of the epoch would panic in the coordinator.
+        let l = die_before_the_ack(&cfg, barrier, answer, Some(Arc::clone(&coordinator)));
+        assert_eq!(coordinator.epochs_committed(), 1);
+        assert_eq!(l.dup_results_dropped, 0, "a snapshot carries no pairs");
     }
 
     #[test]

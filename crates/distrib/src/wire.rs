@@ -33,25 +33,18 @@ use crate::driver::LocalAlgo;
 use crate::msg::{JoinMsg, RecordMsg};
 
 /// Wire-protocol version, exchanged during the handshake so a stale
-/// `ssj-node` binary fails fast instead of mis-decoding frames.
+/// `ssj-node` binary fails fast instead of mis-decoding frames: the
+/// launcher refuses every version but this one.
 ///
-/// Version 2 added the [`Frame::Heartbeat`]/[`Frame::HealthAck`] liveness
-/// probes; a v1 node would reject the unknown tags, so the version bump
-/// makes the mismatch fail at the handshake instead.
-///
-/// Version 3 seals every post-handshake frame with a CRC32C trailer
-/// ([`stormlite::crc32c()`]), so a flipped bit on the wire is a *detected*
-/// corruption (classified error close → respawn + session-resume
-/// retransmission) rather than a misparse or a silently wrong decode.
-/// Only the [`Frame::Hello`] travels unsealed, so a peer of any version
-/// can read it; the launcher refuses every version but this one.
-///
-/// Version 4 batches the data path: a [`Frame::Data`] may carry a
-/// [`JoinMsg::Batch`] as one sequenced unit, which a node answers with at
-/// most one [`Frame::Results`] and exactly one [`Frame::Ack`]. A v3 node
-/// would answer the same batch pair by pair and reject the new tag from a
-/// v4 peer, so the bump makes the mismatch fail at the handshake.
-pub const PROTO_VERSION: u16 = 4;
+/// Every frame after the [`Frame::Hello`] is sealed with a CRC32C trailer
+/// ([`stormlite::crc32c()`]), so a flipped bit is a detected corruption
+/// (classified error close → respawn + session-resume retransmission),
+/// never a misparse; only the `Hello` travels unsealed, so a peer of any
+/// version can read it. A [`Frame::Data`] carries one routed message or
+/// one [`JoinMsg::Batch`], which a node answers with at most one
+/// [`Frame::Results`] and exactly one [`Frame::Ack`]. The liveness probes
+/// [`Frame::Heartbeat`] and [`Frame::HealthAck`] are bare tags.
+pub const PROTO_VERSION: u16 = 5;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CONFIG: u8 = 0x02;
@@ -180,25 +173,13 @@ pub enum Frame {
     Eos,
     /// Node → launcher: final counters, then the node exits cleanly.
     Done(NodeReport),
-    /// Launcher → node: liveness probe. A healthy node echoes `nonce` and
-    /// `sent_at` back in a [`Frame::HealthAck`] immediately, even
-    /// mid-stream, so an idle-but-alive wire produces traffic the failure
-    /// detector can observe.
-    Heartbeat {
-        /// Opaque probe identifier, echoed back verbatim.
-        nonce: u64,
-        /// Launcher wall-clock nanos at send time, echoed back verbatim.
-        /// The launcher only counts the echoes (`health_acks`); it reads
-        /// neither field back.
-        sent_at: u64,
-    },
-    /// Node → launcher: echo of one [`Frame::Heartbeat`].
-    HealthAck {
-        /// The probe's `nonce`, verbatim.
-        nonce: u64,
-        /// The probe's `sent_at`, verbatim.
-        sent_at: u64,
-    },
+    /// Launcher → node: liveness probe. A healthy node answers with a
+    /// [`Frame::HealthAck`] immediately, even mid-stream, so an
+    /// idle-but-alive wire produces traffic the failure detector can
+    /// observe.
+    Heartbeat,
+    /// Node → launcher: the answer to one [`Frame::Heartbeat`].
+    HealthAck,
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -584,16 +565,8 @@ impl Frame {
                 put_u64(&mut out, report.stored);
                 put_u64(&mut out, report.postings);
             }
-            Frame::Heartbeat { nonce, sent_at } => {
-                out.push(TAG_HEARTBEAT);
-                put_u64(&mut out, *nonce);
-                put_u64(&mut out, *sent_at);
-            }
-            Frame::HealthAck { nonce, sent_at } => {
-                out.push(TAG_HEALTH_ACK);
-                put_u64(&mut out, *nonce);
-                put_u64(&mut out, *sent_at);
-            }
+            Frame::Heartbeat => out.push(TAG_HEARTBEAT),
+            Frame::HealthAck => out.push(TAG_HEALTH_ACK),
         }
         Ok(out)
     }
@@ -724,14 +697,8 @@ impl Frame {
                     postings,
                 }))
             }
-            TAG_HEARTBEAT => Ok(Frame::Heartbeat {
-                nonce: get_u64(r)?,
-                sent_at: get_u64(r)?,
-            }),
-            TAG_HEALTH_ACK => Ok(Frame::HealthAck {
-                nonce: get_u64(r)?,
-                sent_at: get_u64(r)?,
-            }),
+            TAG_HEARTBEAT => Ok(Frame::Heartbeat),
+            TAG_HEALTH_ACK => Ok(Frame::HealthAck),
             t => Err(bad(format!("unknown frame tag {t:#04x}"))),
         }
     }
@@ -820,14 +787,8 @@ mod tests {
                 stored: 6,
                 postings: 12,
             }),
-            Frame::Heartbeat {
-                nonce: 17,
-                sent_at: 123_456,
-            },
-            Frame::HealthAck {
-                nonce: 17,
-                sent_at: 123_456,
-            },
+            Frame::Heartbeat,
+            Frame::HealthAck,
         ];
         for f in frames {
             let bytes = f.encode().unwrap();

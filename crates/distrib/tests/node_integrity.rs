@@ -216,17 +216,8 @@ fn a_frame_too_far_ahead_of_the_cursor_is_refused_not_buffered() {
     // node stays up and answers a probe.
     let cap = NODE_INBOUND_CAP as u64;
     send(&mut launcher, data_frame(cap, 1));
-    send(
-        &mut launcher,
-        Frame::Heartbeat {
-            nonce: 9,
-            sent_at: 0,
-        },
-    );
-    assert!(matches!(
-        next_frame(&mut launcher),
-        Frame::HealthAck { nonce: 9, .. }
-    ));
+    send(&mut launcher, Frame::Heartbeat);
+    assert!(matches!(next_frame(&mut launcher), Frame::HealthAck));
     // One past it could only be filled by more frames than the node ever
     // holds: the peer is not speaking the protocol.
     send(&mut launcher, data_frame(cap + 1, 2));

@@ -100,27 +100,15 @@ proptest! {
     }
 
     #[test]
-    fn health_frames_roundtrip(
-        nonce in 0u64..=u64::MAX,
-        sent_at in 0u64..=u64::MAX,
+    fn health_frames_are_bare_tags_and_refuse_trailing_bytes(
+        garbage in proptest::collection::vec(0u8..=255, 1..32),
     ) {
-        roundtrip(&Frame::Heartbeat { nonce, sent_at });
-        roundtrip(&Frame::HealthAck { nonce, sent_at });
-    }
-
-    #[test]
-    fn truncated_health_frames_error_out(
-        nonce in 0u64..=u64::MAX,
-        sent_at in 0u64..=u64::MAX,
-        cut in 0usize..10_000,
-    ) {
-        for frame in [
-            Frame::Heartbeat { nonce, sent_at },
-            Frame::HealthAck { nonce, sent_at },
-        ] {
-            let bytes = frame.encode().unwrap();
-            let cut = 1 + cut % (bytes.len() - 1);
-            prop_assert!(Frame::decode(&bytes[..cut]).is_err());
+        for frame in [Frame::Heartbeat, Frame::HealthAck] {
+            let mut bytes = roundtrip(&frame);
+            prop_assert_eq!(bytes.len(), 1);
+            prop_assert!(Frame::decode(&[]).is_err());
+            bytes.extend_from_slice(&garbage);
+            prop_assert!(Frame::decode(&bytes).is_err());
         }
     }
 
@@ -299,14 +287,8 @@ fn every_frame_type(seed: u64) -> Vec<Frame> {
             stored: seed % 1_000,
             postings: seed % 10_000,
         }),
-        Frame::Heartbeat {
-            nonce: seed,
-            sent_at: seed.wrapping_mul(3),
-        },
-        Frame::HealthAck {
-            nonce: seed,
-            sent_at: seed.wrapping_mul(3),
-        },
+        Frame::Heartbeat,
+        Frame::HealthAck,
         Frame::Eos,
     ]
 }
