@@ -223,15 +223,10 @@ enum Inputs<'a> {
     Two(&'a str, &'a str),
 }
 
-/// Prints the `show` most similar pairs of a self-join (by line number), or
-/// the first `show` of a bi-stream join (by record id).
+/// Prints the `show` most similar pairs, ties by key: of a self-join by
+/// line number, of a bi-stream join by record id. The order does not
+/// depend on the order the run collected them in.
 fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) {
-    if bistream {
-        for m in pairs.iter().take(show) {
-            println!("{:.3}  {:?} <-> {:?}", m.similarity, m.earlier, m.later);
-        }
-        return;
-    }
     let mut pairs = pairs.to_vec();
     pairs.sort_by(|a, b| {
         b.similarity
@@ -239,10 +234,14 @@ fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) {
             .then(a.key().cmp(&b.key()))
     });
     for m in pairs.iter().take(show) {
-        println!(
-            "{:.3}  line {} <-> line {}",
-            m.similarity, m.earlier.0, m.later.0
-        );
+        if bistream {
+            println!("{:.3}  {:?} <-> {:?}", m.similarity, m.earlier, m.later);
+        } else {
+            println!(
+                "{:.3}  line {} <-> line {}",
+                m.similarity, m.earlier.0, m.later.0
+            );
+        }
     }
 }
 

@@ -123,6 +123,50 @@ fn bistream_joins_two_files() {
     assert!(stdout.contains("pairs       : 1"), "{stdout}");
 }
 
+/// `bistream` prints its pairs sorted (similarity, then key), not in the
+/// order a threaded run happened to collect them: two runs print the same
+/// lines.
+#[test]
+fn bistream_prints_the_same_pairs_in_the_same_order_every_run() {
+    let left: String = (0..60)
+        .map(|i| format!("storm front {} over the bay area w{}\n", i % 7, i % 3))
+        .collect();
+    let right: String = (0..60)
+        .map(|i| format!("storm front {} over the bay area w{}\n", i % 5, i % 4))
+        .collect();
+    let left = write_temp("bi_order_left.txt", &left);
+    let right = write_temp("bi_order_right.txt", &right);
+    let pair_lines = || {
+        let out = dssj(&[
+            "bistream",
+            "--left",
+            left.to_str().unwrap(),
+            "--right",
+            right.to_str().unwrap(),
+            "--tau",
+            "0.6",
+            "--k",
+            "4",
+            "--show-pairs",
+            "1000",
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let lines = stdout.lines().filter(|l| l.contains(" <-> "));
+        lines.map(str::to_owned).collect::<Vec<_>>()
+    };
+    let first = pair_lines();
+    assert!(
+        first.len() > 50,
+        "too few pairs to show an order: {first:?}"
+    );
+    assert_eq!(first, pair_lines());
+}
+
 #[test]
 fn generate_then_partition_roundtrip() {
     let corpus = std::env::temp_dir().join("dssj-cli-tests/gen.txt");

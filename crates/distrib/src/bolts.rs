@@ -1,5 +1,6 @@
-//! The topology driver: the three processing vertices of the join, as
-//! stormlite bolts around the crate's shared `operators`.
+//! The topology driver: the two processing vertices of the join, as
+//! stormlite bolts around the crate's shared `operators`. The joiner is
+//! the terminal bolt: it publishes its own result pairs.
 
 use crate::checkpoint::CheckpointCoordinator;
 use crate::msg::{JoinMsg, RecordMsg};
@@ -118,31 +119,46 @@ pub struct JoinerSnapshot {
     pub replayed: u64,
 }
 
+/// What one joiner task published over a run, across all of its
+/// incarnations: its result slot.
+#[derive(Debug, Default)]
+pub struct SinkState {
+    /// Every result pair, in publication order.
+    pub pairs: Vec<MatchPair>,
+    /// Dispatch-to-publication latency distribution, one sample per pair.
+    pub latency: LatencyHistogram,
+}
+
 /// One of the `k` parallel joiners: a [`Joiner`] plus the topology's
-/// spans, processing watermark and checkpoint publication.
+/// spans, result publication, processing watermark and checkpoint
+/// publication.
 pub(crate) struct JoinerBolt {
     joiner: Joiner,
     task: usize,
     snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
+    /// This task's result slot, outliving every incarnation of the task.
+    results: Arc<Mutex<SinkState>>,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
     incarnation: u64,
-    /// Result pairs of the inbound batch being unpacked. Empty between
-    /// engine messages; kept for its capacity, so that an outbound batch
-    /// costs one allocation of exactly its size.
-    held: Vec<JoinMsg>,
+    /// Result pairs of the engine message being executed, in probe order.
+    /// Empty between engine messages; kept for its capacity.
+    pairs: Vec<MatchPair>,
+    /// Per probe that found pairs: its ingest stamp and its pair count.
+    probes: Vec<(Timestamp, u64)>,
 }
 
 impl JoinerBolt {
-    /// Joiner bolt `task`. `recovery` must be provided exactly when the
-    /// run injects faults, `coordinator` exactly when it checkpoints. A
-    /// rebuilt bolt (an
-    /// incarnation after a crash) re-indexes the state its predecessor
-    /// lost, from the replay buffer, before it sees its first message.
+    /// Joiner bolt `task`, publishing into `results`. `recovery` must be
+    /// provided exactly when the run injects faults, `coordinator`
+    /// exactly when it checkpoints. A rebuilt bolt (an incarnation after a
+    /// crash) re-indexes the state its predecessor lost, from the replay
+    /// buffer, before it sees its first message.
     pub(crate) fn new(
         joiner: Joiner,
         task: usize,
         snapshots: Arc<Mutex<Vec<JoinerSnapshot>>>,
+        results: Arc<Mutex<SinkState>>,
         recovery: Option<Arc<RecoveryState>>,
         coordinator: Option<Arc<CheckpointCoordinator>>,
     ) -> Self {
@@ -150,10 +166,12 @@ impl JoinerBolt {
             joiner,
             task,
             snapshots,
+            results,
             recovery,
             coordinator,
             incarnation: 0,
-            held: Vec::new(),
+            pairs: Vec::new(),
+            probes: Vec::new(),
         };
         if let Some(recovery) = &bolt.recovery {
             bolt.incarnation = recovery.begin_incarnation(task);
@@ -181,33 +199,46 @@ impl JoinerBolt {
     }
 
     /// Probes, under a verify span — with `fused`, through the one scan
-    /// that also indexes the record. The result pairs are emitted one by
-    /// one, or held back when the message is part of an inbound batch (see
-    /// [`Bolt::execute`]).
-    fn probe(
-        &mut self,
-        payload: &RecordMsg,
-        fused: bool,
-        batched: bool,
-        out: &mut Outbox<JoinMsg>,
-    ) {
+    /// that also indexes the record. The result pairs are held until the
+    /// engine message ends (see [`Self::publish`]).
+    fn probe(&mut self, payload: &RecordMsg, fused: bool, out: &mut Outbox<JoinMsg>) {
         let t0 = Self::stage_start(out);
         let pairs = if fused {
             self.joiner.process(payload)
         } else {
             self.joiner.probe(payload)
         };
-        let results = pairs.iter().map(|&pair| JoinMsg::Result {
-            pair,
-            ingest: payload.ingest,
-        });
-        if batched {
-            self.held.extend(results);
-        } else {
-            results.for_each(|r| out.emit(r));
+        let found = pairs.len() as u64;
+        if found > 0 {
+            self.pairs.extend_from_slice(pairs);
+            self.probes.push((payload.ingest, found));
         }
-        let emitted = pairs.len() as u64;
-        Self::stage_end(Stage::Verify, t0, payload.record.id().0, emitted, out);
+        Self::stage_end(Stage::Verify, t0, payload.record.id().0, found, out);
+    }
+
+    /// Publishes the pairs held for the engine message just executed into
+    /// this task's result slot, under one lock and one clock read: one
+    /// latency sample per pair (one histogram update per probe, whose
+    /// pairs share its ingest stamp) and, when tracing, one `emit`
+    /// instant per pair.
+    fn publish(&mut self, out: &mut Outbox<JoinMsg>) {
+        if self.pairs.is_empty() {
+            return;
+        }
+        // Dispatch-to-publication latency on the topology clock: wall time
+        // in threaded runs, virtual time in simulation.
+        let now = out.now();
+        if out.tracing() {
+            for pair in &self.pairs {
+                let (earlier, later) = pair.key();
+                out.trace_instant_at(Stage::Emit, now, earlier, later);
+            }
+        }
+        let mut slot = self.results.lock();
+        slot.pairs.append(&mut self.pairs);
+        for (ingest, n) in self.probes.drain(..) {
+            slot.latency.record_n(now.saturating_since(ingest), n);
+        }
     }
 
     /// Indexes the record, under an index span. A record whose `fused`
@@ -226,20 +257,14 @@ impl JoinerBolt {
         }
     }
 
-    /// Processes one message that is not a batch; `batched` says whether
-    /// it arrived inside one. Returns the `(id, timestamp)` of the record
-    /// it carried, for the watermark.
-    fn apply(
-        &mut self,
-        msg: JoinMsg,
-        batched: bool,
-        out: &mut Outbox<JoinMsg>,
-    ) -> Option<(u64, u64)> {
+    /// Processes one message that is not a batch. Returns the
+    /// `(id, timestamp)` of the record it carried, for the watermark.
+    fn apply(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) -> Option<(u64, u64)> {
         let processed = msg.record().map(|r| (r.id().0, r.timestamp()));
         match msg {
             JoinMsg::Probe(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, false, batched, out);
+                self.probe(&payload, false, out);
             }
             JoinMsg::Index(payload) => {
                 self.joiner.advance(&payload.record);
@@ -247,11 +272,10 @@ impl JoinerBolt {
             }
             JoinMsg::ProbeAndIndex(payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, true, batched, out);
+                self.probe(&payload, true, out);
                 self.index(&payload, true, out);
             }
             JoinMsg::Batch(_) => unreachable!("batches are never nested"),
-            JoinMsg::Result { .. } => unreachable!("joiners do not receive results"),
             JoinMsg::Barrier { epoch, injected_at } => {
                 // Alignment stall: how long the barrier sat behind data in
                 // this joiner's queue before the snapshot could be cut.
@@ -285,31 +309,28 @@ impl JoinerBolt {
 }
 
 impl Bolt<JoinMsg> for JoinerBolt {
-    /// One engine message in, at most one out per probe — or, for an
-    /// inbound [`JoinMsg::Batch`], at most one out for the whole batch:
-    /// its sub-messages run the full per-message path in dispatch order
-    /// (dedup advance, stage spans) while their result pairs are held
-    /// back, and leave as a single batch of [`JoinMsg::Result`]s when the
-    /// inbound batch ends. Results never wait for a later message, so
-    /// batching adds no latency beyond the batch's own processing time.
+    /// One engine message in, its result pairs published at its end, in
+    /// probe order. An inbound [`JoinMsg::Batch`]'s sub-messages run the
+    /// full per-message path in dispatch order (dedup advance, stage
+    /// spans), and its pairs are published together when the batch ends.
+    /// Results never wait for a later message, so batching adds no latency
+    /// beyond the batch's own processing time.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
         let processed = match msg {
             JoinMsg::Batch(msgs) => {
                 let mut last = None;
                 for m in msgs {
-                    last = self.apply(m, true, out).or(last);
-                }
-                if !self.held.is_empty() {
-                    out.emit(JoinMsg::Batch(self.held.drain(..).collect()));
+                    last = self.apply(m, out).or(last);
                 }
                 last
             }
-            msg => self.apply(msg, false, out),
+            msg => self.apply(msg, out),
         };
+        self.publish(out);
         // Watermark last, once per engine message: published only when
         // everything the message carried is fully visible (results
-        // emitted, index updated). A batch therefore advances it in one
-        // step, to its last record, after its held results have left — the
+        // published, index updated). A batch therefore advances it in one
+        // step, to its last record, after its pairs are published — the
         // unit the engine redelivers after an injected crash, or drops as
         // poisoned after a panic, is the whole batch too.
         if let (Some(recovery), Some((id, ts))) = (&self.recovery, processed) {
@@ -333,62 +354,14 @@ impl Bolt<JoinMsg> for JoinerBolt {
     }
 }
 
-/// What the sink accumulated over a run.
-#[derive(Debug, Default)]
-pub struct SinkState {
-    /// Every result pair.
-    pub pairs: Vec<MatchPair>,
-    /// Dispatch-to-result latency distribution.
-    pub latency: LatencyHistogram,
-}
-
-/// Terminal bolt: collects result pairs and measures latency. One task.
-pub(crate) struct SinkBolt {
-    state: Arc<Mutex<SinkState>>,
-}
-
-impl SinkBolt {
-    /// A sink writing into shared state.
-    pub(crate) fn new(state: Arc<Mutex<SinkState>>) -> Self {
-        Self { state }
-    }
-
-    /// Collects `results` — every one a [`JoinMsg::Result`] — under one
-    /// lock and one clock read.
-    fn collect(&mut self, results: &[JoinMsg], out: &mut Outbox<JoinMsg>) {
-        // Dispatch-to-result latency on the topology clock: wall time in
-        // threaded runs, virtual time in simulation.
-        let now = out.now();
-        let mut s = self.state.lock();
-        for msg in results {
-            let JoinMsg::Result { pair, ingest } = msg else {
-                unreachable!("sink only receives results")
-            };
-            let (earlier, later) = pair.key();
-            out.trace_instant_at(Stage::Emit, now, earlier, later);
-            s.pairs.push(*pair);
-            s.latency.record(now.saturating_since(*ingest));
-        }
-    }
-}
-
-impl Bolt<JoinMsg> for SinkBolt {
-    fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        match msg {
-            JoinMsg::Batch(results) => self.collect(&results, out),
-            result => self.collect(std::slice::from_ref(&result), out),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::LocalAlgo;
     use ssj_core::join::bistream::Side;
-    use ssj_core::JoinConfig;
+    use ssj_core::{JoinConfig, Window};
     use ssj_text::{Record, RecordId, TokenId};
-    use stormlite::{Grouping, RunReport, SimConfig, Topology};
+    use stormlite::{FaultPlan, Grouping, RunReport, SimConfig, Topology};
 
     fn payload(id: u64, tokens: &[u32]) -> RecordMsg {
         let tokens = tokens.iter().copied().map(TokenId).collect();
@@ -398,28 +371,47 @@ mod tests {
         )
     }
 
-    /// Feeds `input` to a single joiner task (τ = 0.5, no dedup) and
-    /// returns every message it sent on, in order, with the run report.
-    fn run_joiner(input: Vec<JoinMsg>) -> (Vec<JoinMsg>, RunReport) {
+    /// Feeds `input` to a single, terminal joiner task (τ = 0.5, no
+    /// dedup), crashing it as `fault` says, and returns what it published
+    /// with the run report. A crashed joiner restores from a replay buffer
+    /// fed the way a dispatcher feeds it.
+    fn run_joiner(input: Vec<JoinMsg>, fault: Option<FaultPlan>) -> (SinkState, RunReport) {
+        let recovery = fault.as_ref().map(|_| {
+            let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
+            let carried = input.iter().flat_map(|m| match m {
+                JoinMsg::Batch(msgs) => msgs.iter().collect(),
+                m => vec![m],
+            });
+            for m in carried.filter(|m| m.indexes()) {
+                recovery.buffer_index_target(0, m.payload().expect("record-bearing"));
+            }
+            recovery
+        });
+        let slot = Arc::new(Mutex::new(SinkState::default()));
         let mut t = Topology::new();
+        if let Some(plan) = fault {
+            t = t.with_fault_plan(plan);
+        }
         t.spout("source", input);
+        let shared = Arc::clone(&slot);
         t.bolt("joiner", 1, move |task| {
             let joiner = Joiner::new(LocalAlgo::PpJoin, JoinConfig::jaccard(0.5), false, None);
-            JoinerBolt::new(joiner, task, Arc::default(), None, None)
+            let slot = Arc::clone(&shared);
+            JoinerBolt::new(joiner, task, Arc::default(), slot, recovery.clone(), None)
         });
-        let sent = t.collector("sink");
         t.wire("source", "joiner", Grouping::global());
-        t.wire("joiner", "sink", Grouping::global());
         let report = t.run_sim(SimConfig::seeded(1)).report;
-        let sent = std::mem::take(&mut *sent.lock());
-        (sent, report)
+        assert_eq!(
+            report.component("joiner").msgs_out,
+            0,
+            "the joiner is terminal"
+        );
+        let published = std::mem::take(&mut *slot.lock());
+        (published, report)
     }
 
-    fn result_key(msg: &JoinMsg) -> (u64, u64, Timestamp) {
-        match msg {
-            JoinMsg::Result { pair, ingest } => (pair.earlier.0, pair.later.0, *ingest),
-            other => panic!("expected a result, got {other:?}"),
-        }
+    fn keys(published: &SinkState) -> Vec<(u64, u64)> {
+        published.pairs.iter().map(MatchPair::key).collect()
     }
 
     /// Two stored records, then a probe-and-index and a probe that each
@@ -437,58 +429,39 @@ mod tests {
     }
 
     #[test]
-    fn unbatched_probes_emit_one_result_message_per_pair() {
-        let (mut input, probes) = matching_stream();
-        input.extend(probes);
-        let (sent, report) = run_joiner(input);
-        assert!(report.is_clean());
-        let keys: Vec<_> = sent.iter().map(result_key).collect();
-        // Record 2 matches 0 and 1; record 3 matches 0, 1 and 2. Each pair
-        // carries its probe's ingest stamp.
-        assert_eq!(keys.len(), 5);
-        assert!(keys[..2].iter().all(|k| k.1 == 2 && k.2.as_nanos() == 2));
-        assert!(keys[2..].iter().all(|k| k.1 == 3 && k.2.as_nanos() == 3));
-        assert_eq!(report.component("joiner").msgs_out, 5);
-    }
-
-    #[test]
-    fn a_batch_in_yields_one_batch_out_with_the_pairs_in_probe_order() {
+    fn batched_and_unbatched_input_publish_the_same_pairs_in_probe_order() {
         let (stored, probes) = matching_stream();
-        let (unbatched, _) = run_joiner([stored.clone(), probes.clone()].concat());
+        let (unbatched, report) = run_joiner([stored.clone(), probes.clone()].concat(), None);
+        assert!(report.is_clean());
+        // Record 2 matches 0 and 1; record 3 matches 0, 1 and 2.
+        let probe_order = vec![(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)];
+        assert_eq!(keys(&unbatched), probe_order);
+        assert_eq!(unbatched.latency.count(), 5, "one sample per pair");
+
         let mut input = stored;
         input.push(JoinMsg::Batch(probes));
-        let (sent, report) = run_joiner(input);
+        let (batched, report) = run_joiner(input, None);
         assert!(report.is_clean());
-        assert_eq!(sent.len(), 1, "one message out for one batch in");
-        let JoinMsg::Batch(results) = &sent[0] else {
-            panic!("expected a batch, got {:?}", sent[0]);
-        };
-        assert_eq!(
-            results.iter().map(result_key).collect::<Vec<_>>(),
-            unbatched.iter().map(result_key).collect::<Vec<_>>(),
-            "batching must not reorder or restamp results"
-        );
-        assert_eq!(report.component("joiner").msgs_out, 1);
-    }
+        assert_eq!(keys(&batched), probe_order, "batching must not reorder");
+        assert_eq!(batched.latency.count(), 5, "one sample per pair");
 
-    #[test]
-    fn a_batch_without_pairs_yields_nothing() {
+        // A batch without pairs publishes nothing.
         let input = vec![JoinMsg::Batch(vec![
             JoinMsg::ProbeAndIndex(payload(0, &[1, 2, 3])),
             JoinMsg::Probe(payload(1, &[7, 8, 9])),
             JoinMsg::Index(payload(2, &[4, 5, 6])),
         ])];
-        let (sent, report) = run_joiner(input);
+        let (nothing, report) = run_joiner(input, None);
         assert!(report.is_clean());
-        assert!(sent.is_empty(), "sent {sent:?}");
+        assert!(nothing.pairs.is_empty() && nothing.latency.is_empty());
     }
 
     /// The engine drops a tuple whose `execute` panicked, and the bolt
-    /// instance with it; for a batch that is the whole batch. Its held
-    /// results die with the instance, and the dead task discards the rest
-    /// of its input.
+    /// instance with it; for a batch that is the whole batch. The pairs it
+    /// held die with the instance, and the dead task discards the rest of
+    /// its input.
     #[test]
-    fn a_batch_that_panics_is_lost_whole_and_accounted_once() {
+    fn a_batch_that_panics_publishes_nothing_and_is_dropped_once() {
         let wrong_mode = RecordMsg {
             side: Some(Side::Left),
             ..payload(9, &[1, 2, 3])
@@ -496,69 +469,42 @@ mod tests {
         let input = vec![
             JoinMsg::ProbeAndIndex(payload(0, &[1, 2, 3, 4])),
             JoinMsg::Batch(vec![
-                JoinMsg::ProbeAndIndex(payload(1, &[1, 2, 3, 5])), // matches 0: held, never sent
+                JoinMsg::ProbeAndIndex(payload(1, &[1, 2, 3, 5])), // matches 0: held, never published
                 JoinMsg::Probe(wrong_mode), // a sided message in a self-join panics
             ]),
             JoinMsg::ProbeAndIndex(payload(2, &[1, 2, 3, 4, 5])), // would match 0 and 1
         ];
-        let (sent, report) = run_joiner(input);
+        let (published, report) = run_joiner(input, None);
         assert_eq!(report.dropped_poisoned(), 1);
         assert_eq!(report.total_restarts(), 0);
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].0, "joiner");
-        assert!(sent.is_empty(), "the dead task emitted {sent:?}");
-        assert_eq!(report.component("joiner").msgs_out, 0);
+        assert!(
+            published.pairs.is_empty(),
+            "published {:?}",
+            published.pairs
+        );
+        assert!(published.latency.is_empty());
     }
 
-    /// Feeds `input` to a sink task; returns its state and the run report.
-    fn run_sink(input: Vec<JoinMsg>) -> (SinkState, RunReport) {
-        let state = Arc::new(Mutex::new(SinkState::default()));
-        let mut t = Topology::new();
-        t.spout("source", input);
-        let shared = Arc::clone(&state);
-        t.bolt("sink", 1, move |_| SinkBolt::new(Arc::clone(&shared)));
-        t.wire("source", "sink", Grouping::global());
-        let report = t.run_sim(SimConfig::seeded(1)).report;
-        let state = std::mem::take(&mut *state.lock());
-        (state, report)
-    }
-
-    fn result(earlier: u64, later: u64) -> JoinMsg {
-        JoinMsg::Result {
-            pair: MatchPair {
-                earlier: RecordId(earlier),
-                later: RecordId(later),
-                similarity: 0.75,
-            },
-            ingest: Timestamp::ZERO,
-        }
-    }
-
+    /// An injected crash rebuilds the bolt between engine messages. What
+    /// the earlier incarnation published stays in the task's slot — the
+    /// messages that produced it are not redelivered — and the rebuilt one
+    /// appends the rest, so the slot holds exactly the uncrashed run's
+    /// pairs.
     #[test]
-    fn the_sink_collects_single_and_batched_results_one_sample_per_pair() {
-        let input = vec![
-            result(0, 1),
-            JoinMsg::Batch(vec![result(0, 2), result(1, 2), result(0, 3)]),
-            result(2, 3),
-        ];
-        let (state, report) = run_sink(input);
-        assert!(report.is_clean());
-        let keys: Vec<_> = state.pairs.iter().map(MatchPair::key).collect();
-        assert_eq!(keys, vec![(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)]);
-        assert_eq!(state.latency.count(), 5);
-        assert_eq!(report.component("sink").msgs_in, 3);
-    }
-
-    #[test]
-    fn the_sink_rejects_anything_but_results() {
-        for bad in [
-            JoinMsg::Probe(payload(0, &[1])),
-            JoinMsg::Batch(vec![result(0, 1), JoinMsg::Index(payload(0, &[1]))]),
-            JoinMsg::Batch(vec![JoinMsg::Batch(vec![result(0, 1)])]),
-        ] {
-            let (_, report) = run_sink(vec![bad]);
-            assert_eq!(report.failures.len(), 1);
-            assert!(report.failures[0].2.contains("sink only receives results"));
+    fn a_crashed_incarnations_pairs_stay_in_the_task_slot() {
+        let (stored, probes) = matching_stream();
+        let mut input = [stored, probes].concat();
+        input.push(JoinMsg::ProbeAndIndex(payload(4, &[1, 2, 3, 5, 6])));
+        let (want, _) = run_joiner(input.clone(), None);
+        for crash_at in 1..input.len() as u64 {
+            let plan = FaultPlan::new().crash("joiner", 0, crash_at);
+            let (got, report) = run_joiner(input.clone(), Some(plan));
+            assert_eq!(report.total_restarts(), 1, "crash at {crash_at}");
+            assert_eq!(report.dropped_poisoned(), 0, "crash at {crash_at}");
+            assert_eq!(keys(&got), keys(&want), "crash at {crash_at}");
+            assert_eq!(got.latency.count(), want.pairs.len() as u64);
         }
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! [`run_cluster`] / [`run_cluster_bistream`] run the same logical
 //! topology as [`crate::driver::run_distributed`] — source → dispatcher →
-//! k joiners → sink — but split it at the process boundary: the launcher
-//! keeps the source, the dispatcher (router, shed watermark, recovery
-//! buffers, checkpoint coordinator) and the sink, while each joiner runs
-//! behind one [`stormlite::Wire`]. The dispatch and join algorithms are
+//! k joiners — but split it at the process boundary: the launcher keeps
+//! the source, the dispatcher (router, shed watermark, recovery buffers,
+//! checkpoint coordinator) and collects the results, while each joiner
+//! runs behind one [`stormlite::Wire`]. The dispatch and join algorithms are
 //! the ones the topology runs (the crate's `operators` module); this is the
 //! run-time around them — sequenced sessions, retransmission,
 //! supervision. Two backends are interchangeable:
@@ -681,7 +681,7 @@ fn node_join(
 ) -> io::Result<()> {
     let Some(payload) = msg.payload() else {
         return Err(proto_err(
-            "a result, or a barrier or batch inside a batch, is not a message for a node",
+            "a barrier or batch inside a batch is not a message for a node",
         ));
     };
     joiner.advance(&payload.record);
@@ -2578,31 +2578,21 @@ mod tests {
     }
 
     #[test]
-    fn a_barrier_or_result_inside_a_batch_is_a_protocol_error() {
+    fn a_barrier_inside_a_batch_is_a_protocol_error() {
         let barrier = JoinMsg::Barrier {
             epoch: 1,
             injected_at: Timestamp::ZERO,
         };
-        let result = JoinMsg::Result {
-            pair: MatchPair {
-                earlier: RecordId(0),
-                later: RecordId(1),
-                similarity: 1.0,
-            },
-            ingest: Timestamp::ZERO,
+        let frame = Frame::Data {
+            seq: 0,
+            msg: JoinMsg::Batch(vec![msg(0), barrier, msg(1)]),
         };
-        for intruder in [barrier, result] {
-            let frame = Frame::Data {
-                seq: 0,
-                msg: JoinMsg::Batch(vec![msg(0), intruder, msg(1)]),
-            };
-            let (replies, end) = serve(vec![frame]);
-            assert!(
-                replies.is_empty(),
-                "neither results nor an ack: {replies:?}"
-            );
-            assert_eq!(end.unwrap_err().kind(), io::ErrorKind::InvalidData);
-        }
+        let (replies, end) = serve(vec![frame]);
+        assert!(
+            replies.is_empty(),
+            "neither results nor an ack: {replies:?}"
+        );
+        assert_eq!(end.unwrap_err().kind(), io::ErrorKind::InvalidData);
         // A nested batch does not even decode.
         let nested = JoinMsg::Batch(vec![JoinMsg::Batch(vec![msg(0)])]);
         let (replies, end) = serve(vec![Frame::Data {

@@ -2,7 +2,7 @@
 //! stream through it, and reports results plus every observable the
 //! evaluation needs (throughput, communication, load balance, latency).
 
-use crate::bolts::{DispatcherBolt, JoinerBolt, JoinerSnapshot, SinkBolt, SinkState};
+use crate::bolts::{DispatcherBolt, JoinerBolt, JoinerSnapshot, SinkState};
 use crate::checkpoint::{
     load_latest_verified, CheckpointConfig, CheckpointCoordinator, SnapshotStore,
 };
@@ -245,8 +245,9 @@ pub struct DistributedJoinConfig {
     /// Injected joiner crashes for recovery testing. `None` (the default
     /// everywhere outside fault experiments) skips all recovery machinery,
     /// so fault-free runs pay nothing. Plans may only target `"joiner"`
-    /// tasks: the dispatcher is stateful-built-once and the sink keeps its
-    /// state in shared memory, so neither needs (nor supports) replay.
+    /// tasks: the dispatcher is stateful-built-once, so it neither needs
+    /// nor supports replay; a joiner's published results live in a slot
+    /// that outlives its incarnations.
     pub fault: Option<FaultPlan>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
@@ -328,7 +329,8 @@ impl DistributedJoinConfig {
 pub struct DistributedJoinResult {
     /// All result pairs (exact, duplicate-free).
     pub pairs: Vec<MatchPair>,
-    /// Dispatch-to-result latency distribution.
+    /// Latency from dispatch to publication at the joiner, one sample per
+    /// pair.
     pub latency: LatencyHistogram,
     /// Per-task engine metrics.
     pub report: RunReport,
@@ -620,7 +622,22 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
     let (recovery, coordinator) = (run.recovery, run.coordinator);
 
-    let sink_state = Arc::new(Mutex::new(SinkState::default()));
+    // One result slot per joiner task, so the joiners never contend on a
+    // lock or grow one shared vector; a rebuilt incarnation keeps
+    // appending to its task's slot. Each slot's vector is first allocated
+    // here, on the thread that merges and frees it, because `realloc`
+    // keeps a growing vector in the allocator arena it started in; grown
+    // from empty on a joiner thread, it lands in a different per-thread
+    // arena each run and stays resident there once freed (DESIGN §12).
+    let slots: Vec<Arc<Mutex<SinkState>>> = (0..spec.k)
+        .map(|_| {
+            let pairs = Vec::with_capacity(SLOT_CAPACITY);
+            Arc::new(Mutex::new(SinkState {
+                pairs,
+                ..SinkState::default()
+            }))
+        })
+        .collect();
     let snapshots: Arc<Mutex<Vec<JoinerSnapshot>>> = Arc::new(Mutex::new(Vec::new()));
 
     // Observability: one sink collects every task's event ring. It exists
@@ -657,23 +674,20 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     });
 
     let (join_cfg, local, k) = (spec.join, spec.local, spec.k);
-    let snaps = Arc::clone(&snapshots);
+    let (snaps, task_slots) = (Arc::clone(&snapshots), slots.clone());
     topology.bolt("joiner", k, move |task| {
         JoinerBolt::new(
             Joiner::new(local, join_cfg, bistream, needs_dedup.then_some((k, task))),
             task,
             Arc::clone(&snaps),
+            Arc::clone(&task_slots[task]),
             recovery.clone(),
             coordinator.clone(),
         )
     });
 
-    let sink_shared = Arc::clone(&sink_state);
-    topology.bolt("sink", 1, move |_| SinkBolt::new(Arc::clone(&sink_shared)));
-
     topology.wire("source", "dispatcher", Grouping::global());
     topology.wire("dispatcher", "joiner", Grouping::direct());
-    topology.wire("joiner", "sink", Grouping::global());
 
     let (mut report, transcript) = match cfg.scheduler {
         Scheduler::Sim(sim_cfg) => {
@@ -685,10 +699,7 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     report.integrity.merge(&run.restored.integrity);
     let wall = report.elapsed;
 
-    let mut sink = sink_state.lock();
-    let pairs = std::mem::take(&mut sink.pairs);
-    let latency = sink.latency.clone();
-    drop(sink);
+    let (pairs, latency) = merge_slots(&slots);
     let mut joiners = std::mem::take(&mut *snapshots.lock());
     joiners.sort_by_key(|s| s.task);
 
@@ -709,6 +720,27 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         transcript,
         trace,
     }
+}
+
+/// Result pairs a joiner's slot holds before its vector first grows.
+const SLOT_CAPACITY: usize = 1024;
+
+/// Every slot's pairs in one vector, and their latencies in one
+/// histogram. The largest slot's vector is adopted and the others are
+/// appended to it, so the merge copies the fewest pairs.
+fn merge_slots(slots: &[Arc<Mutex<SinkState>>]) -> (Vec<MatchPair>, LatencyHistogram) {
+    let mut slots: Vec<SinkState> = slots
+        .iter()
+        .map(|s| std::mem::take(&mut *s.lock()))
+        .collect();
+    let mut latency = LatencyHistogram::new();
+    slots.iter().for_each(|s| latency.merge(&s.latency));
+    let total: usize = slots.iter().map(|s| s.pairs.len()).sum();
+    let largest = (0..slots.len()).max_by_key(|&t| slots[t].pairs.len());
+    let mut pairs = largest.map_or_else(Vec::new, |t| std::mem::take(&mut slots[t].pairs));
+    pairs.reserve_exact(total - pairs.len());
+    slots.iter().for_each(|s| pairs.extend_from_slice(&s.pairs));
+    (pairs, latency)
 }
 
 /// `source` in chunks of `batch`, each one [`JoinMsg::Batch`], built as the
@@ -1288,7 +1320,7 @@ mod tests {
             );
         }
         // The trace is the per-stage record: every record was routed, the
-        // joiners probed and indexed, and the sink saw one emit per pair.
+        // joiners probed and indexed, and published one emit per pair.
         let trace = a.trace.as_ref().expect("trace enabled");
         assert_eq!(trace.dropped(), 0);
         let events = || trace.tasks.iter().flat_map(|t| &t.events);
@@ -1331,9 +1363,9 @@ mod tests {
             }
         }
 
-        // A result-heavy stream, where the joiner→sink edge carries several
-        // times the traffic of the dispatcher's: result batches must
-        // survive a joiner crash, on a replayable schedule. (The aol profile's very short records over
+        // A result-heavy stream, where the joiners publish several times as
+        // many pairs as they receive records: what a crashed joiner
+        // published must survive it, on a replayable schedule. (The aol profile's very short records over
         // a small vocabulary repeat often enough for that at this length.)
         use ssj_workloads::{DatasetProfile, StreamGenerator};
         let profile = DatasetProfile::aol().with_vocab(40);

@@ -2,8 +2,8 @@
 //!
 //! A single dispatcher routes each arriving record to `k` parallel joiners
 //! as *probe* and/or *index* messages; joiners run a local
-//! [`StreamJoiner`](ssj_core::StreamJoiner) and emit result pairs to a
-//! sink. Three routing strategies are provided:
+//! [`StreamJoiner`](ssj_core::StreamJoiner) and publish their own result
+//! pairs. Three routing strategies are provided:
 //!
 //! * **Length-based** ([`route::LengthRouter`]) — the paper's scheme: index
 //!   at the one joiner owning the record's length (zero replication), probe
@@ -18,7 +18,7 @@
 //!
 //! The dispatch and join algorithms are written once (the crate-private
 //! `operators` module) and executed by two run-times:
-//! [`driver::run_distributed`] assembles the dispatcher → joiners → sink
+//! [`driver::run_distributed`] assembles the source → dispatcher → joiners
 //! topology on [`stormlite`] (threads or deterministic simulation), runs a
 //! record stream through it, and returns the result pairs plus throughput
 //! / communication / load / latency measurements — the observables of

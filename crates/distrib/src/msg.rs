@@ -1,7 +1,6 @@
 //! The tuple vocabulary of the join topology.
 
 use ssj_core::join::bistream::Side;
-use ssj_core::MatchPair;
 use ssj_text::Record;
 use stormlite::{Message, Timestamp};
 
@@ -9,7 +8,7 @@ use stormlite::{Message, Timestamp};
 ///
 /// `ingest` stamps carry the dispatch time (on the topology clock — real
 /// in threaded runs, virtual under simulation) through the pipeline so the
-/// sink can measure per-record processing latency. `side` is `None` for
+/// joiner can measure dispatch-to-publication latency. `side` is `None` for
 /// self-joins and tags the source stream for bi-stream (R–S) joins.
 #[derive(Debug, Clone)]
 pub struct RecordMsg {
@@ -32,7 +31,7 @@ impl RecordMsg {
     }
 }
 
-/// Messages flowing between dispatcher, joiners and sink.
+/// Messages flowing from the source through the dispatcher to the joiners.
 #[derive(Debug, Clone)]
 pub enum JoinMsg {
     /// Probe the local index with this record (do not store it).
@@ -42,16 +41,9 @@ pub enum JoinMsg {
     /// Probe first, then store — the atomic step used when one joiner is
     /// both a probe and the index target of the same record.
     ProbeAndIndex(RecordMsg),
-    /// A verified result pair.
-    Result {
-        /// The matching pair.
-        pair: MatchPair,
-        /// Dispatch time of the probing record, on the topology clock.
-        ingest: Timestamp,
-    },
     /// Several messages shipped down one wire as a single engine message,
     /// in order; never nested. With [`crate::JoinSpec::dispatch_batch`]
-    /// set, four edges carry them, to amortize per-message engine and
+    /// set, three edges carry them, to amortize per-message engine and
     /// per-frame session overhead:
     ///
     /// * source → dispatcher (topology, unpaced sources): that many source
@@ -62,11 +54,8 @@ pub enum JoinMsg {
     /// * dispatcher → joiner (topology): up to that many record-bearing
     ///   messages per joiner wire, in dispatch order, flushed before every
     ///   barrier injection and at stream end. The joiner runs each through
-    ///   the full per-message path, so batching never changes results;
-    /// * joiner → sink (topology): the [`JoinMsg::Result`]s of one inbound
-    ///   batch, in probe order, sent when that inbound batch ends (nothing
-    ///   is sent when it produced none). Results never wait for later
-    ///   input;
+    ///   the full per-message path, so batching never changes results, and
+    ///   publishes the batch's pairs, in probe order, when the batch ends;
     /// * launcher → node (cluster): the same dispatcher batches, each
     ///   framed as one sequenced `Data` frame — additionally flushed every
     ///   `BATCH_MAX_FRAMES` source records — and answered by the node with
@@ -99,7 +88,7 @@ impl JoinMsg {
     pub fn record(&self) -> Option<&Record> {
         match self {
             JoinMsg::Probe(m) | JoinMsg::Index(m) | JoinMsg::ProbeAndIndex(m) => Some(&m.record),
-            JoinMsg::Result { .. } | JoinMsg::Barrier { .. } | JoinMsg::Batch(_) => None,
+            JoinMsg::Barrier { .. } | JoinMsg::Batch(_) => None,
         }
     }
 
@@ -107,7 +96,7 @@ impl JoinMsg {
     pub fn payload(&self) -> Option<&RecordMsg> {
         match self {
             JoinMsg::Probe(m) | JoinMsg::Index(m) | JoinMsg::ProbeAndIndex(m) => Some(m),
-            JoinMsg::Result { .. } | JoinMsg::Barrier { .. } | JoinMsg::Batch(_) => None,
+            JoinMsg::Barrier { .. } | JoinMsg::Batch(_) => None,
         }
     }
 
@@ -126,12 +115,11 @@ impl Message for JoinMsg {
     fn wire_bytes(&self) -> u64 {
         // 1 tag byte + payload, matching what a compact binary codec would
         // ship: records as (id, ts, len, tokens) plus a side byte for
-        // bi-stream tuples, results as (id, id, sim).
+        // bi-stream tuples.
         match self {
             JoinMsg::Probe(m) | JoinMsg::Index(m) | JoinMsg::ProbeAndIndex(m) => {
                 1 + m.record.wire_bytes() + u64::from(m.side.is_some())
             }
-            JoinMsg::Result { .. } => 1 + 8 + 8 + 8,
             // tag + count + the framed sub-messages: batching costs 5 bytes
             // of envelope however many messages it carries.
             JoinMsg::Batch(msgs) => 1 + 4 + msgs.iter().map(Message::wire_bytes).sum::<u64>(),
@@ -168,21 +156,6 @@ mod tests {
             side: Some(Side::Left),
         });
         assert_eq!(m.wire_bytes(), 1 + 8 + 8 + 4 + 8 + 1);
-    }
-
-    #[test]
-    fn result_is_fixed_size() {
-        let m = JoinMsg::Result {
-            pair: MatchPair {
-                earlier: RecordId(0),
-                later: RecordId(1),
-                similarity: 0.9,
-            },
-            ingest: Timestamp::ZERO,
-        };
-        assert_eq!(m.wire_bytes(), 25);
-        assert!(m.record().is_none());
-        assert!(m.payload().is_none());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The pipeline's operator algorithms, defined once.
 //!
 //! The join is one logical pipeline — a dispatcher that routes each record
-//! (index at its owners, probe the joiners that may hold a match), `k`
-//! joiners, a sink — executed by two run-times: the stormlite topology
+//! (index at its owners, probe the joiners that may hold a match) and `k`
+//! joiners that produce the result pairs — executed by two run-times: the stormlite topology
 //! ([`crate::bolts`], threads or simulation) and the cluster launcher with
 //! its nodes ([`crate::cluster`]). Both are drivers around the two
 //! operators here:
@@ -10,7 +10,7 @@
 //! * [`Dispatcher`] decides what a record costs and in which order its
 //!   messages leave; a [`DispatchPort`] is all it needs from a run-time.
 //! * [`Joiner`] is a joiner task's local state machine; the driver moves
-//!   its results (a topology emit, a wire frame) and adds its own
+//!   its results (into a result slot, a wire frame) and adds its own
 //!   instrumentation between the steps.
 
 use crate::checkpoint::CheckpointCoordinator;
@@ -587,7 +587,6 @@ mod tests {
             JoinMsg::ProbeAndIndex(_) => "probe+index",
             JoinMsg::Barrier { .. } => "barrier",
             JoinMsg::Batch(_) => "batch",
-            JoinMsg::Result { .. } => "result",
         }
     }
 

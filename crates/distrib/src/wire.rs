@@ -18,8 +18,7 @@
 //!
 //! The realized byte sizes match the cost model that
 //! [`Message::wire_bytes`](stormlite::Message) has charged all along
-//! (tag + record + optional side byte, 25-byte results, 17-byte
-//! barriers), so in-process byte metrics and real socket traffic agree.
+//! (tag + record + optional side byte, 17-byte barriers), so in-process byte metrics and real socket traffic agree.
 
 use std::io::{self, Cursor, Read};
 
@@ -66,7 +65,6 @@ const RESULT_ENTRY_BYTES: u64 = 32;
 const MSG_PROBE: u8 = 0;
 const MSG_INDEX: u8 = 1;
 const MSG_PROBE_AND_INDEX: u8 = 2;
-const MSG_RESULT: u8 = 3;
 const MSG_BARRIER: u8 = 4;
 const MSG_BATCH: u8 = 5;
 
@@ -296,10 +294,6 @@ pub fn encode_join_msg(out: &mut Vec<u8>, msg: &JoinMsg) -> io::Result<()> {
             out.push(MSG_PROBE_AND_INDEX);
             encode_record_msg(out, m)?;
         }
-        JoinMsg::Result { pair, ingest } => {
-            out.push(MSG_RESULT);
-            put_result(out, pair, *ingest);
-        }
         JoinMsg::Barrier { epoch, injected_at } => {
             out.push(MSG_BARRIER);
             put_u64(out, *epoch);
@@ -323,10 +317,6 @@ pub fn decode_join_msg<R: Read>(r: &mut R) -> io::Result<JoinMsg> {
         MSG_PROBE => Ok(JoinMsg::Probe(decode_record_msg(r)?)),
         MSG_INDEX => Ok(JoinMsg::Index(decode_record_msg(r)?)),
         MSG_PROBE_AND_INDEX => Ok(JoinMsg::ProbeAndIndex(decode_record_msg(r)?)),
-        MSG_RESULT => {
-            let (pair, ingest) = get_result(r)?;
-            Ok(JoinMsg::Result { pair, ingest })
-        }
         MSG_BARRIER => Ok(JoinMsg::Barrier {
             epoch: get_u64(r)?,
             injected_at: Timestamp::from_nanos(get_u64(r)?),

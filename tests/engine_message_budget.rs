@@ -9,7 +9,11 @@
 //! whose queue is not full and whose records are due one at a time, is
 //! left unbatched.
 //!
-//! The second pins what a source batch must *not* move: the dispatcher
+//! The second pins the topology's shape: three components, the joiner
+//! terminal — it publishes its own pairs — so every engine message is one
+//! the source or the dispatcher sent, and a reintroduced hop fails it.
+//!
+//! The third pins what a source batch must *not* move: the dispatcher
 //! unpacks it record by record, so a checkpoint interval that ends in the
 //! middle of a batch opens its epoch at exactly the record an unbatched
 //! run opens it at.
@@ -89,6 +93,35 @@ fn dispatch_batch_batches_the_source_edge_unless_the_source_is_paced() {
         "the joiner edges lost their batching: {all_in} engine messages"
     );
     assert_eq!(sorted_keys(&paced.pairs), expected, "paced");
+}
+
+#[test]
+fn the_joiner_is_the_terminal_bolt_and_no_hop_follows_it() {
+    let records: Vec<Record> = StreamGenerator::new(DatasetProfile::tweet(), 29).take_records(N);
+    let join = JoinConfig::jaccard(0.7);
+    let base = DistributedJoinConfig::recommended(K, join);
+    for (engine, cfg) in [("threads", base.clone()), ("sim", base.with_sim(3))] {
+        for batch in [None, Some(BATCH)] {
+            let mut cfg = cfg.clone();
+            cfg.spec.dispatch_batch = batch;
+            let run = run_distributed(&records, &cfg);
+            let what = format!("{engine}, dispatch_batch {batch:?}");
+            assert!(!run.pairs.is_empty(), "{what}: no pairs to publish");
+            let mut components: Vec<&str> = run
+                .report
+                .tasks
+                .iter()
+                .map(|(c, _, _)| c.as_str())
+                .collect();
+            components.dedup();
+            assert_eq!(components, ["source", "dispatcher", "joiner"], "{what}");
+            let (source_out, _, all_in) = message_counts(&run);
+            let dispatcher_out = run.report.component("dispatcher").msgs_out;
+            assert_eq!(all_in, source_out + dispatcher_out, "{what}");
+            assert_eq!(run.report.component("joiner").msgs_out, 0, "{what}");
+            assert_eq!(run.latency.count(), run.pairs.len() as u64, "{what}");
+        }
+    }
 }
 
 /// Every committed epoch of `store`: its manifest (last dispatched id,
