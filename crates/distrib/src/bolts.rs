@@ -1,6 +1,7 @@
 //! The topology driver: the two processing vertices of the join, as
-//! stormlite bolts around the crate's shared `operators`. The joiner is
-//! the terminal bolt: it publishes its own result pairs.
+//! stormlite bolts around the crate's shared `operators`. The dispatcher
+//! is the handler of the topology's one spout; the joiner is the terminal
+//! bolt: it publishes its own result pairs.
 
 use crate::checkpoint::CheckpointCoordinator;
 use crate::msg::{JoinMsg, RecordMsg};
@@ -13,8 +14,8 @@ use ssj_core::{JoinStats, MatchPair};
 use std::sync::Arc;
 use stormlite::{Bolt, LatencyHistogram, Outbox, Timestamp};
 
-/// Routes each arriving record, alone or inside a source batch, to its
-/// index/probe joiners. One task.
+/// Routes each arriving record to its index/probe joiners: the handler of
+/// the `dispatcher` spout, so it runs on the task that pulls the source.
 pub(crate) struct DispatcherBolt<R: Router> {
     dispatcher: Dispatcher<R>,
     /// Ids of shed records, for exact recall accounting by the caller.
@@ -27,20 +28,6 @@ impl<R: Router> DispatcherBolt<R> {
         Self {
             dispatcher,
             shed_log,
-        }
-    }
-
-    /// Dispatches one source message and accounts for a shed record.
-    fn dispatch(&mut self, msg: &JoinMsg, out: &mut Outbox<JoinMsg>) {
-        match self.dispatcher.dispatch(msg, &mut OutboxPort { out }) {
-            Dispatched::Sent => {}
-            Dispatched::Shed { depth } => {
-                let id = msg.record().expect("dispatched a record").id().0;
-                out.record_shed(1);
-                out.trace_instant(Stage::Shed, id, depth as u64);
-                self.shed_log.lock().push(id);
-            }
-            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
         }
     }
 }
@@ -81,17 +68,17 @@ impl DispatchPort for OutboxPort<'_> {
 }
 
 impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
-    /// An inbound [`JoinMsg::Batch`] (the source edge under
-    /// `dispatch_batch`) is unpacked record by record through the one
-    /// dispatch path, so the ingest stamp, the shed decision, the replay
-    /// feed and the epoch boundary — a barrier opens at the interval's
-    /// exact record, mid-batch if that is where it falls — are those of an
-    /// unbatched run. Only the engine's own accounting (queue wait, the
-    /// `Execute` span, `msgs_in`) is per engine message.
+    /// Dispatches one source message and accounts for a shed record.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        match msg {
-            JoinMsg::Batch(msgs) => msgs.iter().for_each(|m| self.dispatch(m, out)),
-            msg => self.dispatch(&msg, out),
+        match self.dispatcher.dispatch(&msg, &mut OutboxPort { out }) {
+            Dispatched::Sent => {}
+            Dispatched::Shed { depth } => {
+                let id = msg.record().expect("dispatched a record").id().0;
+                out.record_shed(1);
+                out.trace_instant(Stage::Shed, id, depth as u64);
+                self.shed_log.lock().push(id);
+            }
+            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
         }
     }
 

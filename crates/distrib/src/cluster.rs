@@ -1,9 +1,9 @@
 //! Real-cluster execution: k joiner processes over sockets, one launcher.
 //!
 //! [`run_cluster`] / [`run_cluster_bistream`] run the same logical
-//! topology as [`crate::driver::run_distributed`] — source → dispatcher →
-//! k joiners — but split it at the process boundary: the launcher keeps
-//! the source, the dispatcher (router, shed watermark, recovery buffers,
+//! topology as [`crate::driver::run_distributed`] — a dispatcher pulling
+//! the source, feeding k joiners — but split it at the process boundary:
+//! the launcher keeps the source, the dispatcher (router, shed watermark, recovery buffers,
 //! checkpoint coordinator) and collects the results, while each joiner
 //! runs behind one [`stormlite::Wire`]. The dispatch and join algorithms are
 //! the ones the topology runs (the crate's `operators` module); this is the

@@ -188,18 +188,16 @@ pub struct JoinSpec {
     /// persisted length partition overrides the configured strategy.
     /// `None` (the default) starts empty.
     pub restore_from: Option<Arc<dyn SnapshotStore>>,
-    /// Batch the data path: the dispatcher ships up to this many messages
-    /// per joiner wire as one [`crate::msg::JoinMsg::Batch`] (one engine
-    /// tuple, or one sequenced `Data` frame), and a joiner answers each with
-    /// at most one batch of results, sent when the inbound batch ends. An
-    /// unpaced topology source also hands the dispatcher this many records
-    /// per message; a paced one ([`DistributedJoinConfig::source_rate`])
-    /// keeps one per record, not to hold a due record back.
+    /// Batch the dispatcher → joiner edge: the dispatcher ships up to this
+    /// many messages per joiner wire as one [`crate::msg::JoinMsg::Batch`]
+    /// (one engine tuple, or one sequenced `Data` frame), and a joiner
+    /// answers each with at most one batch of results, sent when the
+    /// inbound batch ends.
     ///
-    /// Batches unpack in order through the per-message path — the
-    /// dispatcher stamps, sheds, buffers for replay and opens epochs record
-    /// by record, so a barrier falls at the interval's exact record and
-    /// travels alone — and flush before every barrier and at stream end.
+    /// The dispatcher still stamps, sheds, buffers for replay and opens
+    /// epochs record by record, so a barrier falls at the interval's exact
+    /// record and travels alone; batches flush before every barrier and at
+    /// stream end, and unpack in order at the joiner.
     /// Results, recovery and checkpoints match unbatched runs; a topology
     /// batch is one `Execute` span, advances the replay watermark once, and
     /// a panic inside it drops it whole. `None` and `Some(1)` send messages
@@ -235,9 +233,9 @@ impl JoinSpec {
 pub struct DistributedJoinConfig {
     /// The join to run.
     pub spec: JoinSpec,
-    /// Per-task input queue depth (backpressure), in engine messages: with
-    /// [`JoinSpec::dispatch_batch`] set to `b`, a full queue holds up to
-    /// `b` times as many records, on every edge.
+    /// Per-joiner input queue depth (backpressure), in engine messages:
+    /// with [`JoinSpec::dispatch_batch`] set to `b`, a full queue holds up
+    /// to `b` times as many records.
     pub channel_capacity: usize,
     /// Pace the source to this many records per second (`None` = as fast
     /// as the pipeline accepts; used by the latency experiments).
@@ -245,9 +243,9 @@ pub struct DistributedJoinConfig {
     /// Injected joiner crashes for recovery testing. `None` (the default
     /// everywhere outside fault experiments) skips all recovery machinery,
     /// so fault-free runs pay nothing. Plans may only target `"joiner"`
-    /// tasks: the dispatcher is stateful-built-once, so it neither needs
-    /// nor supports replay; a joiner's published results live in a slot
-    /// that outlives its incarnations.
+    /// tasks: the dispatcher is the topology's spout, which stormlite
+    /// never crashes; a joiner's published results live in a slot that
+    /// outlives its incarnations.
     pub fault: Option<FaultPlan>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
@@ -303,7 +301,8 @@ impl DistributedJoinConfig {
         self
     }
 
-    /// Batches every edge at this size (see [`JoinSpec::dispatch_batch`]).
+    /// Batches the dispatcher → joiner edge at this size (see
+    /// [`JoinSpec::dispatch_batch`]).
     pub fn with_dispatch_batch(mut self, batch: usize) -> Self {
         assert!(batch >= 1, "dispatch batch size must be at least 1");
         self.spec.dispatch_batch = Some(batch);
@@ -395,7 +394,8 @@ impl DistributedJoinResult {
     }
 
     /// Critical-path throughput projection: records divided by the busiest
-    /// single task's busy time. On a genuinely parallel machine the
+    /// single task's busy time — a joiner's, since the dispatcher spout
+    /// records none (DESIGN §12). On a genuinely parallel machine the
     /// pipeline can go no faster than its most loaded stage; on the
     /// single-core containers these experiments often run in, wall-clock
     /// throughput cannot show parallel speedup, while this projection
@@ -609,14 +609,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         !(matches!(cfg.scheduler, Scheduler::Sim(_)) && cfg.source_rate.is_some()),
         "source_rate paces on the wall clock and cannot run under simulation"
     );
-    if let Some(plan) = &cfg.fault {
-        for spec in plan.specs() {
-            assert_eq!(
-                spec.component, "joiner",
-                "fault plans may only crash joiner tasks"
-            );
-        }
-    }
     let spec = &cfg.spec;
     let run = spec.assemble(input, cfg.fault.is_some());
     let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
@@ -652,26 +644,18 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     if let Some(plan) = &cfg.fault {
         topology = topology.with_fault_plan(plan.clone());
     }
-    // The source does no work, so unpaced its queue into the dispatcher is
-    // always full and every message costs a hop plus a wake-up of the
-    // parked spout: `dispatch_batch` batches this edge like the others. A
-    // paced source is exempt (see [`JoinSpec::dispatch_batch`]).
-    match (cfg.source_rate, spec.dispatch_batch) {
-        (Some(rate), _) => topology.spout(
-            "source",
-            crate::pace::PacedIter::new(run.source.into_iter(), rate),
-        ),
-        (None, Some(batch)) if batch > 1 => topology.spout("source", batched(run.source, batch)),
-        (None, _) => topology.spout("source", run.source),
-    }
-
-    // The dispatcher is stateful (routers mutate) and single-task; move the
-    // router into the one instance the factory builds.
+    // The dispatcher is the topology's source: its one task pulls the
+    // assembled stream and routes each record as it pulls it.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut router_slot = Some(DispatcherBolt::new(run.dispatcher, Arc::clone(&shed_log)));
-    topology.bolt("dispatcher", 1, move |_| {
-        router_slot.take().expect("dispatcher built once")
-    });
+    let dispatcher = DispatcherBolt::new(run.dispatcher, Arc::clone(&shed_log));
+    match cfg.source_rate {
+        Some(rate) => topology.spout_into(
+            "dispatcher",
+            crate::pace::PacedIter::new(run.source.into_iter(), rate),
+            dispatcher,
+        ),
+        None => topology.spout_into("dispatcher", run.source, dispatcher),
+    }
 
     let (join_cfg, local, k) = (spec.join, spec.local, spec.k);
     let (snaps, task_slots) = (Arc::clone(&snapshots), slots.clone());
@@ -686,7 +670,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         )
     });
 
-    topology.wire("source", "dispatcher", Grouping::global());
     topology.wire("dispatcher", "joiner", Grouping::direct());
 
     let (mut report, transcript) = match cfg.scheduler {
@@ -741,21 +724,6 @@ fn merge_slots(slots: &[Arc<Mutex<SinkState>>]) -> (Vec<MatchPair>, LatencyHisto
     pairs.reserve_exact(total - pairs.len());
     slots.iter().for_each(|s| pairs.extend_from_slice(&s.pairs));
     (pairs, latency)
-}
-
-/// `source` in chunks of `batch`, each one [`JoinMsg::Batch`], built as the
-/// spout pulls them; a lone remainder stays unwrapped, the shape
-/// `operators::Dispatcher` gives a joiner wire's last message.
-fn batched(source: Vec<JoinMsg>, batch: usize) -> impl Iterator<Item = JoinMsg> + Send {
-    let mut source = source.into_iter();
-    std::iter::from_fn(move || {
-        let mut chunk: Vec<JoinMsg> = source.by_ref().take(batch).collect();
-        match chunk.len() {
-            0 => None,
-            1 => chunk.pop(),
-            _ => Some(JoinMsg::Batch(chunk)),
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1110,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only crash joiner tasks")]
+    #[should_panic(expected = "fault plan targets spout 'dispatcher'")]
     fn faults_on_the_dispatcher_are_rejected() {
         let records = workload(50, 0.2);
         let cfg = DistributedJoinConfig::recommended(2, JoinConfig::jaccard(0.8))
@@ -1301,8 +1269,9 @@ mod tests {
         let tb = obs::trace_jsonl(b.trace.as_ref().expect("trace enabled"));
         assert_eq!(ta, tb, "same seed must render a byte-identical trace");
         assert!(!ta.is_empty());
-        // The full pipeline shows up: source dispatch, routing, delivery,
-        // bolt execution, index/verify, results, and checkpoint barriers.
+        // The full pipeline shows up: the dispatcher's pulls, routing,
+        // delivery, joiner execution, index/verify, results, and
+        // checkpoint barriers.
         for span in [
             "dispatch",
             "route",
@@ -1388,29 +1357,6 @@ mod tests {
             assert_eq!(result.report.total_restarts(), 1, "aol batch={batch}");
             assert_eq!(result.latency.count(), expect.len() as u64);
         }
-    }
-
-    #[test]
-    fn source_batches_are_cut_by_count_and_a_lone_remainder_stays_unwrapped() {
-        let source: Vec<JoinMsg> = workload(65, 0.0)
-            .into_iter()
-            .map(|r| JoinMsg::ProbeAndIndex(RecordMsg::solo(r, Timestamp::ZERO)))
-            .collect();
-        let ids = |msgs: &[JoinMsg]| -> Vec<u64> {
-            msgs.iter().map(|m| m.record().unwrap().id().0).collect()
-        };
-        let sent: Vec<JoinMsg> = batched(source.clone(), 32).collect();
-        // The 65th arrives as itself, the wire shape of an unbatched run.
-        assert!(matches!(sent.last(), Some(JoinMsg::ProbeAndIndex(_))));
-        let chunks: Vec<Vec<u64>> = sent
-            .into_iter()
-            .map(|m| match m {
-                JoinMsg::Batch(msgs) => ids(&msgs),
-                lone => ids(&[lone]),
-            })
-            .collect();
-        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [32, 32, 1]);
-        assert_eq!(chunks.concat(), ids(&source));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! The dispatch and join algorithms are written once (the crate-private
 //! `operators` module) and executed by two run-times:
-//! [`driver::run_distributed`] assembles the source → dispatcher → joiners
+//! [`driver::run_distributed`] assembles the dispatcher → joiners
 //! topology on [`stormlite`] (threads or deterministic simulation), runs a
 //! record stream through it, and returns the result pairs plus throughput
 //! / communication / load / latency measurements — the observables of

@@ -31,7 +31,7 @@ impl RecordMsg {
     }
 }
 
-/// Messages flowing from the source through the dispatcher to the joiners.
+/// Messages flowing from the dispatcher to the joiners.
 #[derive(Debug, Clone)]
 pub enum JoinMsg {
     /// Probe the local index with this record (do not store it).
@@ -43,14 +43,9 @@ pub enum JoinMsg {
     ProbeAndIndex(RecordMsg),
     /// Several messages shipped down one wire as a single engine message,
     /// in order; never nested. With [`crate::JoinSpec::dispatch_batch`]
-    /// set, three edges carry them, to amortize per-message engine and
-    /// per-frame session overhead:
+    /// set, the dispatcher → joiner edge carries them on both engines, to
+    /// amortize per-message engine and per-frame session overhead:
     ///
-    /// * source → dispatcher (topology, unpaced sources): that many source
-    ///   messages, live records and restore tuples alike, in arrival
-    ///   order. The dispatcher runs each through the per-record dispatch
-    ///   path, so stamps, shed decisions and epoch boundaries are those of
-    ///   an unbatched run;
     /// * dispatcher → joiner (topology): up to that many record-bearing
     ///   messages per joiner wire, in dispatch order, flushed before every
     ///   barrier injection and at stream end. The joiner runs each through

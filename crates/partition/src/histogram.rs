@@ -15,14 +15,6 @@ impl LengthHistogram {
         Self::default()
     }
 
-    /// An empty histogram pre-sized for lengths up to `max_len`.
-    pub fn with_max_len(max_len: usize) -> Self {
-        Self {
-            counts: vec![0; max_len + 1],
-            total: 0,
-        }
-    }
-
     /// Builds a histogram from a record sample.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a Record>) -> Self {
         let mut h = Self::new();

@@ -73,14 +73,6 @@ impl LengthPartition {
         (lo, self.uppers[i])
     }
 
-    /// The inclusive partition-index range whose length ranges intersect
-    /// `[lo_len, hi_len]`.
-    #[inline]
-    pub fn partitions_overlapping(&self, lo_len: usize, hi_len: usize) -> (usize, usize) {
-        debug_assert!(lo_len <= hi_len);
-        (self.partition_of(lo_len), self.partition_of(hi_len))
-    }
-
     /// The inclusive partition-index range a probe with partner-length
     /// interval `[lo, hi]` must visit (`hi = None` means unbounded).
     ///

@@ -62,6 +62,16 @@ impl<M: Message> Bolt<M> for CollectorBolt<M> {
     }
 }
 
+/// The handler of a plain [`Topology::spout`](crate::Topology::spout):
+/// emits each item it is handed.
+pub(crate) struct Forward;
+
+impl<M: Message> Bolt<M> for Forward {
+    fn execute(&mut self, msg: M, out: &mut Outbox<M>) {
+        out.emit(msg);
+    }
+}
+
 /// The outgoing wire of a task: its grouping plus a sender per
 /// destination task. The channels are reliable and FIFO, so an emission is
 /// one `Envelope::Data` pushed once.

@@ -252,7 +252,7 @@ pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimR
             }
         } else {
             let desc = match t.pull() {
-                Pull::Emitted => "pull",
+                Pull::Pulled => "pull",
                 Pull::Exhausted => "exhausted",
                 Pull::Panicked => "spout-panic",
             };

@@ -3,7 +3,7 @@
 use crate::clock::{Clock, Timestamp};
 use crate::fault::FaultPlan;
 use crate::grouping::Grouping;
-use crate::message::{Bolt, CollectorBolt, Envelope, Message, OutWire, Outbox};
+use crate::message::{Bolt, CollectorBolt, Envelope, Forward, Message, OutWire, Outbox};
 use crate::metrics::{RunReport, TaskMetrics};
 use crate::sim::{Scheduler, SimConfig, SimRun};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -18,7 +18,7 @@ type BoltFactory<M> = Box<dyn FnMut(usize) -> Box<dyn Bolt<M>> + Send>;
 type Source<M> = Box<dyn Iterator<Item = M> + Send>;
 
 enum Kind<M: Message> {
-    Spout(Source<M>),
+    Spout(Source<M>, Box<dyn Bolt<M>>),
     Bolt(BoltFactory<M>),
 }
 
@@ -37,9 +37,10 @@ struct WireDef {
 /// A chain of spouts and bolts, executed with one thread per task (or,
 /// under [`Scheduler::Sim`], single-threaded and deterministic).
 ///
-/// Build with [`spout`](Self::spout) / [`bolt`](Self::bolt) /
-/// [`wire`](Self::wire), then call [`run`](Self::run); the call returns
-/// once every tuple has drained and every task has exited.
+/// Build with [`spout`](Self::spout) / [`spout_into`](Self::spout_into) /
+/// [`bolt`](Self::bolt) / [`wire`](Self::wire), then call
+/// [`run`](Self::run); the call returns once every tuple has drained and
+/// every task has exited.
 pub struct Topology<M: Message> {
     components: Vec<Component<M>>,
     wires: Vec<WireDef>,
@@ -126,7 +127,21 @@ impl<M: Message> Topology<M> {
         I: IntoIterator<Item = M>,
         I::IntoIter: Send + 'static,
     {
-        self.add(name, 1, Kind::Spout(Box::new(source.into_iter())));
+        self.spout_into(name, source, Forward);
+    }
+
+    /// Adds a one-task source that runs `handler` on each item it pulls, in
+    /// order, then the handler's `finish` at exhaustion. A panic in either
+    /// ends the spout, is recorded in [`RunReport::failures`], and the task
+    /// still sends end-of-stream. A spout records no busy time.
+    pub fn spout_into<I, B>(&mut self, name: &str, source: I, handler: B)
+    where
+        I: IntoIterator<Item = M>,
+        I::IntoIter: Send + 'static,
+        B: Bolt<M> + 'static,
+    {
+        let source = Box::new(source.into_iter());
+        self.add(name, 1, Kind::Spout(source, Box::new(handler)));
     }
 
     /// Adds a bolt with `parallelism` tasks; `factory(task_index)` builds
@@ -231,7 +246,7 @@ impl<M: Message> Topology<M> {
             .components
             .iter()
             .map(|c| match c.kind {
-                Kind::Spout(_) => (Vec::new(), Vec::new()),
+                Kind::Spout(..) => (Vec::new(), Vec::new()),
                 Kind::Bolt(_) => (0..c.parallelism).map(|_| channel()).unzip(),
             })
             .unzip();
@@ -263,12 +278,13 @@ impl<M: Message> Topology<M> {
                 tracer: ring.map(|cap| TaskTracer::new(c.name.as_str(), task, cap)),
             };
             match c.kind {
-                Kind::Spout(source) => tasks.push(Task {
+                Kind::Spout(source, handler) => tasks.push(Task {
                     outbox: outbox(0),
                     name: c.name,
                     index: 0,
                     kind: TaskKind::Spout {
                         source,
+                        handler,
                         pulls: 0,
                         failures: Vec::new(),
                     },
@@ -341,7 +357,7 @@ impl<M: Message> Topology<M> {
                                 }
                             }
                         } else {
-                            while let Pull::Emitted = task.pull() {}
+                            while let Pull::Pulled = task.pull() {}
                         }
                         task.outbox.send_eos();
                         task.end(sink.as_ref())
@@ -357,8 +373,8 @@ impl<M: Message> Topology<M> {
     }
 }
 
-/// One task of a running topology: its outbox, plus a spout's source or a
-/// bolt's core and input queue.
+/// One task of a running topology: its outbox, plus a spout's source and
+/// handler or a bolt's core and input queue.
 pub(crate) struct Task<M: Message> {
     pub(crate) name: String,
     pub(crate) index: usize,
@@ -369,6 +385,7 @@ pub(crate) struct Task<M: Message> {
 pub(crate) enum TaskKind<M: Message> {
     Spout {
         source: Source<M>,
+        handler: Box<dyn Bolt<M>>,
         /// Tuples pulled so far: the dispatch-event ordinal.
         pulls: u64,
         failures: Vec<String>,
@@ -382,7 +399,7 @@ pub(crate) enum TaskKind<M: Message> {
 
 /// What one spout pull did.
 pub(crate) enum Pull {
-    Emitted,
+    Pulled,
     Exhausted,
     Panicked,
 }
@@ -397,26 +414,36 @@ pub(crate) struct TaskEnd {
 }
 
 impl<M: Message> Task<M> {
-    /// Pulls the next tuple from this spout's source and emits it. Each
-    /// pull is isolated: a panicking source stops emitting, but the task
-    /// still sends EOS and the topology drains cleanly.
+    /// Pulls the next tuple from this spout's source and hands it to the
+    /// handler, or runs the handler's `finish` at exhaustion. Each pull is
+    /// isolated: a panicking source or handler stops the spout, but the
+    /// task still sends EOS and the topology drains cleanly.
     pub(crate) fn pull(&mut self) -> Pull {
         let TaskKind::Spout {
             source,
+            handler,
             pulls,
             failures,
         } = &mut self.kind
         else {
             unreachable!("only spouts pull")
         };
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.next())) {
-            Ok(Some(msg)) => {
-                self.outbox.trace_instant(Stage::Dispatch, *pulls, 0);
+        let outbox = &mut self.outbox;
+        let pulled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let Some(msg) = source.next() else {
+                handler.finish(outbox);
+                return false;
+            };
+            outbox.trace_instant(Stage::Dispatch, *pulls, 0);
+            handler.execute(msg, outbox);
+            true
+        }));
+        match pulled {
+            Ok(true) => {
                 *pulls += 1;
-                self.outbox.emit(msg);
-                Pull::Emitted
+                Pull::Pulled
             }
-            Ok(None) => Pull::Exhausted,
+            Ok(false) => Pull::Exhausted,
             Err(panic) => {
                 failures.push(panic_message(panic));
                 Pull::Panicked
@@ -797,6 +824,86 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.failures[0].0, "src");
         assert_eq!(out.lock().len(), 7);
+    }
+
+    /// A spout handler that logs what it is handed and when it finishes,
+    /// emits each item, and panics on `mine`.
+    struct Logged {
+        log: Arc<Mutex<Vec<Option<u64>>>>,
+        mine: Option<u64>,
+    }
+    impl Bolt<N> for Logged {
+        fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
+            assert_ne!(Some(msg.0), self.mine, "handler hit the mine");
+            self.log.lock().push(Some(msg.0));
+            out.emit(msg);
+        }
+        fn finish(&mut self, _out: &mut Outbox<N>) {
+            self.log.lock().push(None);
+        }
+    }
+
+    /// Runs a `Logged` spout over `0..n` into a collector on `scheduler`:
+    /// the handler's log, what the collector got, and the report.
+    fn logged_spout(
+        n: u64,
+        mine: Option<u64>,
+        scheduler: Scheduler,
+    ) -> (Vec<Option<u64>>, usize, RunReport) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut t = Topology::new().with_channel_capacity(1);
+        let handler = Logged {
+            log: Arc::clone(&log),
+            mine,
+        };
+        t.spout_into("src", (0..n).map(N), handler);
+        let out = t.collector("sink");
+        t.wire("src", "sink", Grouping::global());
+        let report = t.run_with(scheduler);
+        let log = std::mem::take(&mut *log.lock());
+        let collected = out.lock().len();
+        (log, collected, report)
+    }
+
+    fn schedulers() -> [Scheduler; 2] {
+        [Scheduler::Threads, Scheduler::Sim(SimConfig::seeded(5))]
+    }
+
+    #[test]
+    fn spout_handler_sees_every_item_in_order_then_finishes_once() {
+        for scheduler in schedulers() {
+            let (log, collected, report) = logged_spout(100, None, scheduler);
+            let mut want: Vec<Option<u64>> = (0..100).map(Some).collect();
+            want.push(None);
+            assert_eq!(log, want, "{scheduler:?}");
+            assert_eq!(collected, 100, "{scheduler:?}");
+            assert!(report.is_clean(), "{scheduler:?}");
+            assert_eq!(report.component("src").msgs_out, 100, "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    fn panicking_spout_handler_is_reported_and_the_topology_drains() {
+        for scheduler in schedulers() {
+            let (log, collected, report) = logged_spout(50, Some(13), scheduler);
+            // Items before the mine were handled; `finish` never ran.
+            assert_eq!(log, (0..13).map(Some).collect::<Vec<_>>(), "{scheduler:?}");
+            assert_eq!(collected, 13, "{scheduler:?}");
+            assert_eq!(report.failures.len(), 1, "{scheduler:?}");
+            let (comp, task, msg) = &report.failures[0];
+            assert_eq!((comp.as_str(), *task), ("src", 0), "{scheduler:?}");
+            assert!(msg.contains("mine"), "panic message propagated: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan targets spout 'src'")]
+    fn fault_plan_naming_a_spout_with_a_handler_rejected() {
+        let mut t = Topology::new().with_fault_plan(crate::FaultPlan::new().crash("src", 0, 1));
+        t.spout_into("src", (0..5u64).map(N), AddOne);
+        let _out = t.collector("sink");
+        t.wire("src", "sink", Grouping::global());
+        t.run();
     }
 
     #[test]

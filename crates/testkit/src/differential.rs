@@ -83,10 +83,10 @@ pub struct DifferentialCase {
     /// store. Checkpointing must never change the output, so the oracle
     /// comparison is unchanged; it composes with every other knob.
     pub checkpoint_interval: Option<u64>,
-    /// Batch every edge at this size — on the simulated topology the
-    /// source edge too (see `JoinSpec::dispatch_batch`). Batching must
-    /// never change the output, so the oracle comparison is unchanged; it
-    /// composes with every other knob, simulated or cluster. Note that a cluster case's
+    /// Batch the dispatcher → joiner edge at this size (see
+    /// `JoinSpec::dispatch_batch`). Batching must never change the
+    /// output, so the oracle comparison is unchanged; it composes with
+    /// every other knob, simulated or cluster. Note that a cluster case's
     /// outage windows count frame transmissions, of which a batched run
     /// makes fewer.
     pub dispatch_batch: Option<usize>,
@@ -168,7 +168,8 @@ impl DifferentialCase {
         self
     }
 
-    /// Batches every edge at `batch` messages (`None` = off).
+    /// Batches the dispatcher → joiner edge at `batch` messages (`None` =
+    /// off).
     pub fn with_dispatch_batch(mut self, batch: Option<usize>) -> Self {
         self.dispatch_batch = batch;
         self

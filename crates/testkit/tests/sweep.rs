@@ -1,22 +1,30 @@
-//! Every kill point, not a sample: the in-process cluster killed at each
-//! `(task, after_acks)` cell of a small stream, under `logical_time`.
+//! Every kill point, not a sample, on both engines: the in-process cluster
+//! killed at each `(task, after_acks)` cell of a small stream, under
+//! `logical_time`, and the simulated topology crashed at each
+//! `(task, after_tuples)` cell of the same stream.
 //!
-//! A cell kills joiner `task` once it has acknowledged `after_acks`
-//! messages, then lets the launcher respawn it, restore its window from
-//! the replay buffer and retransmit the unacked frames. Each task's cells
-//! run from one ack up to the first horizon the stream never reaches (the
-//! run ends without a respawn). The cells are crossed with
+//! A cluster cell kills joiner `task` once it has acknowledged
+//! `after_acks` messages, then lets the launcher respawn it, restore its
+//! window from the replay buffer and retransmit the unacked frames. A
+//! topology cell crashes joiner `task` once it has processed `after_tuples`
+//! engine messages; the rebuilt incarnation restores from the replay
+//! buffer and takes over with the message in flight. Each task's cells run
+//! from the first kill point up to the first one the stream never reaches
+//! (the run ends without a respawn or restart). The cells are crossed with
 //! `dispatch_batch` None / 8 and checkpointing off / every 15 records, and
 //! every run must equal the O(n²) oracle as a sorted list of keys — so a
 //! pair published twice fails as surely as a lost one.
 //!
-//! The `#[test]` takes every 7th horizon; the full sweep is `#[ignore]`d
-//! and run by `scripts/sweep.sh`.
+//! The `#[test]`s take every 7th kill point; the full sweeps are
+//! `#[ignore]`d and run by `scripts/sweep.sh`.
 
-use ssj_core::{JoinConfig, Window};
+use ssj_core::{JoinConfig, MatchPair, Window};
 use ssj_distrib::{
-    run_cluster, ClusterBackend, ClusterFault, LocalAlgo, PartitionMethod, Strategy,
+    run_cluster, run_distributed, ClusterBackend, ClusterFault, DistributedJoinConfig, LocalAlgo,
+    PartitionMethod, Strategy,
 };
+use ssj_text::Record;
+use stormlite::FaultPlan;
 use testkit::{
     assert_pairs_equal, cluster_config_for, differential_records, self_join, DifferentialCase,
 };
@@ -25,9 +33,15 @@ const SEED: u64 = 19;
 const RECORDS: usize = 120;
 const K: usize = 3;
 
-/// Sweeps every `stride`-th kill horizon of every task in every cell and
-/// returns how many runs respawned a node.
-fn sweep(stride: usize) -> usize {
+/// Runs `kill(case, records, expect, task, point, cell)` at every
+/// `stride`-th kill point of every task in every cell, from `first` until
+/// `kill` reports that the run killed nothing; returns how many runs did.
+/// `cell` names the run in a failure message.
+fn sweep(
+    stride: usize,
+    first: u64,
+    kill: impl Fn(&DifferentialCase, &[Record], &[MatchPair], usize, u64, &str) -> bool,
+) -> usize {
     let join = JoinConfig::jaccard(0.7).with_window(Window::Count(60));
     let records = differential_records(SEED, RECORDS);
     let expect = self_join(&records, &join);
@@ -48,21 +62,12 @@ fn sweep(stride: usize) -> usize {
             .with_dispatch_batch(batch);
             case.checkpoint_interval = checkpoint;
             for task in 0..K {
-                for after_acks in (1..).step_by(stride) {
-                    let mut cfg = cluster_config_for(SEED, &case, ClusterBackend::InProcess);
-                    cfg.logical_time = true;
-                    cfg.fault = Some(ClusterFault {
-                        task,
-                        after_acks: after_acks as u64,
-                    });
-                    let out = run_cluster(&records, &cfg);
+                for point in (first..).step_by(stride) {
                     let cell = format!(
-                        "batch {batch:?}, checkpoint {checkpoint:?}, \
-                         task {task} killed after {after_acks} acks"
+                        "batch {batch:?}, checkpoint {checkpoint:?}, task {task}, kill point {point}"
                     );
-                    assert_pairs_equal(SEED, &out.pairs, expect.clone(), &cell);
-                    if out.health.respawns == 0 {
-                        break; // the horizon lies past this task's stream
+                    if !kill(&case, &records, &expect, task, point, &cell) {
+                        break; // the kill point lies past this task's stream
                     }
                     killed += 1;
                 }
@@ -72,14 +77,73 @@ fn sweep(stride: usize) -> usize {
     killed
 }
 
+/// The cluster killed after `after_acks` acks of `task`: whether it
+/// respawned a node.
+fn cluster_kill(
+    case: &DifferentialCase,
+    records: &[Record],
+    expect: &[MatchPair],
+    task: usize,
+    after_acks: u64,
+    cell: &str,
+) -> bool {
+    let mut cfg = cluster_config_for(SEED, case, ClusterBackend::InProcess);
+    cfg.logical_time = true;
+    cfg.fault = Some(ClusterFault { task, after_acks });
+    let out = run_cluster(records, &cfg);
+    assert_pairs_equal(SEED, &out.pairs, expect.to_vec(), cell);
+    out.health.respawns > 0
+}
+
+/// The simulated topology with joiner `task` crashed after it processed
+/// `after_tuples` engine messages: whether the crash fired.
+fn topology_kill(
+    case: &DifferentialCase,
+    records: &[Record],
+    expect: &[MatchPair],
+    task: usize,
+    after_tuples: u64,
+    cell: &str,
+) -> bool {
+    let cfg = DistributedJoinConfig::new(case.spec())
+        .with_sim(SEED)
+        .with_fault(FaultPlan::new().crash("joiner", task, after_tuples));
+    let out = run_distributed(records, &cfg);
+    assert_pairs_equal(SEED, &out.pairs, expect.to_vec(), cell);
+    if out.report.total_restarts() == 0 {
+        return false;
+    }
+    let survivor = out.joiners.iter().find(|j| j.task == task);
+    assert_eq!(survivor.map(|j| j.incarnation), Some(1), "{cell}");
+    true
+}
+
 #[test]
 fn every_seventh_kill_point_matches_the_oracle() {
-    assert!(sweep(7) > 4 * K, "the thinned sweep killed almost nothing");
+    assert!(
+        sweep(7, 1, cluster_kill) > 4 * K,
+        "the thinned sweep killed almost nothing"
+    );
 }
 
 #[test]
 #[ignore = "the full sweep; run by scripts/sweep.sh"]
 fn every_kill_point_matches_the_oracle() {
-    let killed = sweep(1);
+    let killed = sweep(1, 1, cluster_kill);
     println!("{killed} runs killed a node, each equal to the oracle");
+}
+
+#[test]
+fn every_seventh_topology_crash_point_matches_the_oracle() {
+    assert!(
+        sweep(7, 0, topology_kill) > 4 * K,
+        "the thinned sweep crashed almost nothing"
+    );
+}
+
+#[test]
+#[ignore = "the full sweep; run by scripts/sweep.sh"]
+fn every_topology_crash_point_matches_the_oracle() {
+    let killed = sweep(1, 0, topology_kill);
+    println!("{killed} runs crashed a joiner, each equal to the oracle");
 }

@@ -2,9 +2,9 @@
 //!
 //! This is the wire format the distributed layer's byte accounting assumes
 //! (`Record::wire_bytes`): little-endian `id: u64`, `timestamp: u64`,
-//! `len: u32`, then `len` token ids of 4 bytes each. It doubles as an
-//! on-disk corpus cache for the CLI and keeps the accounting honest: a
-//! record's metered size is exactly its encoded size.
+//! `len: u32`, then `len` token ids of 4 bytes each. Checkpoint snapshots
+//! and cluster data frames encode records with it, which keeps the
+//! accounting honest: a record's metered size is exactly its encoded size.
 
 use crate::record::{Record, RecordId};
 use crate::token::TokenId;
@@ -69,27 +69,6 @@ pub fn decode_record<R: Read>(input: &mut R) -> io::Result<Option<Record>> {
     )))
 }
 
-/// Encodes a whole stream of records.
-pub fn encode_stream<'a, W: Write>(
-    records: impl IntoIterator<Item = &'a Record>,
-    out: &mut W,
-) -> io::Result<u64> {
-    let mut bytes = 0;
-    for r in records {
-        bytes += encode_record(r, out)?;
-    }
-    Ok(bytes)
-}
-
-/// Decodes all records until end-of-stream.
-pub fn decode_stream<R: Read>(input: &mut R) -> io::Result<Vec<Record>> {
-    let mut out = Vec::new();
-    while let Some(r) = decode_record(input)? {
-        out.push(r);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +97,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        assert!(decode_stream(&mut [].as_slice()).unwrap().is_empty());
+        assert!(decode_record(&mut [].as_slice()).unwrap().is_none());
     }
 
     #[test]
@@ -167,9 +146,16 @@ mod tests {
                 })
                 .collect();
             let mut buf = Vec::new();
-            let bytes = encode_stream(&records, &mut buf).unwrap();
+            let mut bytes = 0;
+            for r in &records {
+                bytes += encode_record(r, &mut buf).unwrap();
+            }
             prop_assert_eq!(bytes as usize, buf.len());
-            let decoded = decode_stream(&mut buf.as_slice()).unwrap();
+            let mut input = buf.as_slice();
+            let mut decoded = Vec::new();
+            while let Some(r) = decode_record(&mut input).unwrap() {
+                decoded.push(r);
+            }
             prop_assert_eq!(decoded.len(), records.len());
             for (d, r) in decoded.iter().zip(&records) {
                 prop_assert_eq!(d.id(), r.id());

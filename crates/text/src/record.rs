@@ -103,15 +103,6 @@ impl Record {
     pub fn contains(&self, token: TokenId) -> bool {
         self.tokens.binary_search(&token).is_ok()
     }
-
-    /// Re-stamps the record with a new id and timestamp, sharing tokens.
-    pub fn restamped(&self, id: RecordId, timestamp: u64) -> Self {
-        Self {
-            id,
-            timestamp,
-            tokens: Arc::clone(&self.tokens),
-        }
-    }
 }
 
 impl fmt::Debug for Record {
@@ -215,15 +206,6 @@ mod tests {
     fn wire_bytes_counts_tokens() {
         let r = Record::from_sorted(RecordId(0), 0, tid(&[1, 2, 3]));
         assert_eq!(r.wire_bytes(), 8 + 8 + 4 + 12);
-    }
-
-    #[test]
-    fn restamped_shares_tokens() {
-        let r = Record::from_sorted(RecordId(0), 0, tid(&[1, 2]));
-        let s = r.restamped(RecordId(9), 99);
-        assert_eq!(s.id(), RecordId(9));
-        assert_eq!(s.timestamp(), 99);
-        assert_eq!(s.tokens(), r.tokens());
     }
 
     #[test]

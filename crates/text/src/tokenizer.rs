@@ -69,20 +69,13 @@ impl Tokenizer for WordTokenizer {
 #[derive(Debug, Clone)]
 pub struct QGramTokenizer {
     q: usize,
-    lowercase: bool,
 }
 
 impl QGramTokenizer {
     /// A q-gram tokenizer; `q` must be at least 1.
     pub fn new(q: usize) -> Self {
         assert!(q >= 1, "q-gram size must be >= 1");
-        Self { q, lowercase: true }
-    }
-
-    /// Disables lowercasing.
-    pub fn case_sensitive(mut self) -> Self {
-        self.lowercase = false;
-        self
+        Self { q }
     }
 
     /// The configured gram size.
@@ -93,8 +86,7 @@ impl QGramTokenizer {
 
 impl Tokenizer for QGramTokenizer {
     fn for_each_token(&self, text: &str, f: &mut dyn FnMut(&str)) {
-        // Normalize: collapse whitespace runs to single '_', optional
-        // lowercase. Collect chars so grams respect UTF-8 boundaries.
+        // Normalize: collapse whitespace runs to single '_', lowercase. Collect chars so grams respect UTF-8 boundaries.
         let mut chars: Vec<char> = Vec::with_capacity(text.len());
         let mut last_was_space = true; // also trims leading whitespace
         for c in text.chars() {
@@ -104,11 +96,7 @@ impl Tokenizer for QGramTokenizer {
                     last_was_space = true;
                 }
             } else {
-                if self.lowercase {
-                    chars.extend(c.to_lowercase());
-                } else {
-                    chars.push(c);
-                }
+                chars.extend(c.to_lowercase());
                 last_was_space = false;
             }
         }

@@ -6,21 +6,23 @@
 # takes every `cargo test` command in the workflow, joins its
 # `\`-continued lines, reruns it with `--list` (after the command's own
 # `--`, if it has one) and fails when the listing names no test. Env
-# assignments and `timeout N` wrappers before `cargo test` are dropped.
+# assignments and `timeout N` wrappers before `cargo test` are dropped, and
+# so is a `+toolchain` (`cargo +nightly test` lists on the default one).
 #   scripts/ci_filters.sh [workflow]   (default: .github/workflows/ci.yml)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workflow=${1:-.github/workflows/ci.yml}
 
 # One command per line: continuations joined, everything before `cargo
-# test` (the `run:` key, env assignments, `timeout N`) dropped, duplicates
-# (seed loops) listed once. Comments and step names never match.
+# test` (the `run:` key, env assignments, `timeout N`) and a `+toolchain`
+# dropped, duplicates (seed loops) listed once. Comments and step names
+# never match.
 commands=$(awk '
     { line = pending $0; pending = "" }
     line ~ /\\[[:space:]]*$/ { sub(/\\[[:space:]]*$/, " ", line); pending = line; next }
     { sub(/^[[:space:]]+/, "", line); sub(/^run:[[:space:]]*/, "", line) }
-    line ~ /^([A-Za-z_][A-Za-z0-9_]*=[^[:space:]]*[[:space:]]+)*(timeout[[:space:]]+[0-9]+[[:space:]]+)?cargo test/ {
-        sub(/^.*cargo test/, "cargo test", line)
+    line ~ /^([A-Za-z_][A-Za-z0-9_]*=[^[:space:]]*[[:space:]]+)*(timeout[[:space:]]+[0-9]+[[:space:]]+)?cargo (\+[^[:space:]]+ )?test/ {
+        sub(/^.*cargo (\+[^[:space:]]+ )?test/, "cargo test", line)
         gsub(/[[:space:]]+/, " ", line)
         sub(/ $/, "", line)
         if (!seen[line]++) print line

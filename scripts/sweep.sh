@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The full kill-point sweep: the in-process cluster killed after every ack
-# count of every task, crossed with dispatch_batch None / 8 and
-# checkpointing off / on, each run compared with the O(n^2) oracle
+# The full kill-point sweeps: the in-process cluster killed after every ack
+# count of every task, and the simulated topology's joiners crashed after
+# every tuple count, crossed with dispatch_batch None / 8 and checkpointing
+# off / on, each run compared with the O(n^2) oracle
 # (crates/testkit/tests/sweep.rs). Tier-1 runs every 7th point; this runs
 # them all.
 #   scripts/sweep.sh [cargo test args...]

@@ -73,9 +73,7 @@ fn window(idx: usize) -> Window {
 
 /// Edge batching (topology) and data-path framing (cluster): off, the
 /// unwrapped-singleton size, a size that packs several messages per wire
-/// or frame, and the recommended size. The last two also batch the
-/// topology's source → dispatcher edge, with 120 records as three full
-/// batches and a remainder at 32.
+/// or frame, and the recommended size.
 const BATCHES: usize = 4;
 
 fn batch(idx: usize) -> Option<usize> {

@@ -1,22 +1,21 @@
-//! `dispatch_batch` batches **every** edge of the topology, the source's
-//! included.
+//! `dispatch_batch` batches the one edge of the topology: the dispatcher
+//! spout's `k` wires into the joiners.
 //!
 //! Results cannot show how many engine messages carried them — a run that
-//! moves one envelope per record into the dispatcher is pair-for-pair the
-//! run that moves one per 32 — so the first test pins the counts: what the
-//! source emits, what the dispatcher receives, and the whole topology's
-//! messages per record, under both schedulers; and that a paced source,
-//! whose queue is not full and whose records are due one at a time, is
-//! left unbatched.
+//! moves one envelope per routed record into the joiners is pair-for-pair
+//! the run that moves one per 32 — so the first test pins the count: at a
+//! batch size of 32 the whole topology moves at most one engine message
+//! per four records, paced or not, under both schedulers.
 //!
-//! The second pins the topology's shape: three components, the joiner
-//! terminal — it publishes its own pairs — so every engine message is one
-//! the source or the dispatcher sent, and a reintroduced hop fails it.
+//! The second pins the topology's shape: two components, the dispatcher
+//! a spout and the joiner terminal — it publishes its own pairs — so every
+//! engine message is one the dispatcher sent, and a reintroduced hop fails
+//! it.
 //!
-//! The third pins what a source batch must *not* move: the dispatcher
-//! unpacks it record by record, so a checkpoint interval that ends in the
-//! middle of a batch opens its epoch at exactly the record an unbatched
-//! run opens it at.
+//! The third pins what a batch must *not* move: the dispatcher opens
+//! epochs record by record and flushes its batches before each barrier,
+//! so a checkpoint interval that ends in the middle of a batch opens its
+//! epoch at exactly the record an unbatched run opens it at.
 
 use dssj::core::join::run_stream;
 use dssj::core::snapshot::decode_window_slice;
@@ -36,18 +35,17 @@ const N: usize = 4_000;
 const K: usize = 4;
 const BATCH: usize = 32;
 
-/// `(source msgs_out, dispatcher msgs_in, Σ msgs_in over all tasks)`.
-fn message_counts(run: &DistributedJoinResult) -> (u64, u64, u64) {
+/// `(dispatcher msgs_out, Σ msgs_in over all tasks)`.
+fn message_counts(run: &DistributedJoinResult) -> (u64, u64) {
     assert!(run.report.is_clean(), "{:?}", run.report.failures);
     (
-        run.report.component("source").msgs_out,
-        run.report.component("dispatcher").msgs_in,
+        run.report.component("dispatcher").msgs_out,
         run.report.tasks.iter().map(|(_, _, m)| m.msgs_in).sum(),
     )
 }
 
 #[test]
-fn dispatch_batch_batches_the_source_edge_unless_the_source_is_paced() {
+fn dispatch_batch_bounds_engine_messages_per_record_paced_or_not() {
     let records: Vec<Record> = StreamGenerator::new(DatasetProfile::tweet(), 19).take_records(N);
     let join = JoinConfig::jaccard(0.8);
     let expected = sorted_keys(&run_stream(
@@ -56,43 +54,26 @@ fn dispatch_batch_batches_the_source_edge_unless_the_source_is_paced() {
     ));
     assert!(!expected.is_empty());
     // Length-based (load-aware) partitioning and the bundle joiner.
-    let base = DistributedJoinConfig::recommended(K, join);
+    let base = DistributedJoinConfig::recommended(K, join).with_dispatch_batch(BATCH);
+    // A paced source runs on the wall clock, so on threads only.
+    let paced = DistributedJoinConfig {
+        source_rate: Some(2e6),
+        ..base.clone()
+    };
     let n = N as u64;
-
-    for (engine, cfg) in [("threads", base.clone()), ("sim", base.clone().with_sim(7))] {
-        let batched = run_distributed(&records, &cfg.clone().with_dispatch_batch(BATCH));
-        let (source_out, dispatcher_in, all_in) = message_counts(&batched);
-        assert_eq!(source_out, n.div_ceil(BATCH as u64), "{engine}");
-        assert_eq!(dispatcher_in, source_out, "{engine}");
+    for (engine, cfg) in [
+        ("threads", base.clone()),
+        ("sim", base.with_sim(7)),
+        ("threads, paced", paced),
+    ] {
+        let run = run_distributed(&records, &cfg);
+        let (_, all_in) = message_counts(&run);
         assert!(
             all_in as f64 / n as f64 <= 0.25,
             "{engine}: {all_in} engine messages for {n} records"
         );
-        assert_eq!(sorted_keys(&batched.pairs), expected, "{engine}, batched");
-
-        // Unbatched, and a batch size of one: one message per record.
-        for cfg in [cfg.clone(), cfg.with_dispatch_batch(1)] {
-            let single = run_distributed(&records, &cfg);
-            let (source_out, dispatcher_in, _) = message_counts(&single);
-            assert_eq!((source_out, dispatcher_in), (n, n), "{engine}");
-            assert_eq!(sorted_keys(&single.pairs), expected, "{engine}, unbatched");
-        }
+        assert_eq!(sorted_keys(&run.pairs), expected, "{engine}");
     }
-
-    // A paced source (wall clock, so threads only) sends each record when
-    // it is due; the joiner edges are batched all the same.
-    let paced = DistributedJoinConfig {
-        source_rate: Some(2e6),
-        ..base.with_dispatch_batch(BATCH)
-    };
-    let paced = run_distributed(&records, &paced);
-    let (source_out, dispatcher_in, all_in) = message_counts(&paced);
-    assert_eq!((source_out, dispatcher_in), (n, n));
-    assert!(
-        (all_in - dispatcher_in) as f64 / n as f64 <= 0.25,
-        "the joiner edges lost their batching: {all_in} engine messages"
-    );
-    assert_eq!(sorted_keys(&paced.pairs), expected, "paced");
 }
 
 #[test]
@@ -114,10 +95,9 @@ fn the_joiner_is_the_terminal_bolt_and_no_hop_follows_it() {
                 .map(|(c, _, _)| c.as_str())
                 .collect();
             components.dedup();
-            assert_eq!(components, ["source", "dispatcher", "joiner"], "{what}");
-            let (source_out, _, all_in) = message_counts(&run);
-            let dispatcher_out = run.report.component("dispatcher").msgs_out;
-            assert_eq!(all_in, source_out + dispatcher_out, "{what}");
+            assert_eq!(components, ["dispatcher", "joiner"], "{what}");
+            let (dispatcher_out, all_in) = message_counts(&run);
+            assert_eq!(all_in, dispatcher_out, "{what}");
             assert_eq!(run.report.component("joiner").msgs_out, 0, "{what}");
             assert_eq!(run.latency.count(), run.pairs.len() as u64, "{what}");
         }
