@@ -128,45 +128,42 @@ impl<J: StreamJoiner> BiStreamJoiner<J> {
     }
 }
 
-/// Runs two pre-merged streams through a bi-stream joiner: `arrivals` is
-/// the global arrival order, each record tagged with its side.
-pub fn run_bistream<J: StreamJoiner>(
+/// Runs two merged streams through a bi-stream joiner: `arrivals` is the
+/// global arrival order, each record tagged with its side (as
+/// [`merge_streams`] yields it).
+pub fn run_bistream<'r, J: StreamJoiner>(
     joiner: &mut BiStreamJoiner<J>,
-    arrivals: &[(Side, Record)],
+    arrivals: impl IntoIterator<Item = (Side, &'r Record)>,
 ) -> Vec<MatchPair> {
     let mut out = Vec::new();
     for (side, record) in arrivals {
-        joiner.process(*side, record, &mut out);
+        joiner.process(side, record, &mut out);
     }
     out
 }
 
-/// Merges two id-ordered streams into one arrival sequence ordered by
-/// record id. Panics if any id appears on both sides (ids must be globally
-/// unique).
-pub fn merge_streams(left: &[Record], right: &[Record]) -> Vec<(Side, Record)> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() || j < right.len() {
-        let take_left = match (left.get(i), right.get(j)) {
+/// Merges two id-ordered streams, lazily, into one arrival sequence
+/// ordered by record id. Panics, when it reaches them, if an id appears
+/// on both sides (ids must be globally unique).
+pub fn merge_streams<'r>(
+    left: &'r [Record],
+    right: &'r [Record],
+) -> impl Iterator<Item = (Side, &'r Record)> {
+    let (mut left, mut right) = (left.iter().peekable(), right.iter().peekable());
+    std::iter::from_fn(move || {
+        let take_left = match (left.peek(), right.peek()) {
             (Some(l), Some(r)) => {
                 assert_ne!(l.id(), r.id(), "record ids must be globally unique");
                 l.id() < r.id()
             }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("loop condition"),
+            (l, _) => l.is_some(),
         };
         if take_left {
-            out.push((Side::Left, left[i].clone()));
-            i += 1;
+            left.next().map(|r| (Side::Left, r))
         } else {
-            out.push((Side::Right, right[j].clone()));
-            j += 1;
+            right.next().map(|r| (Side::Right, r))
         }
-    }
-    debug_assert!(out.windows(2).all(|w| w[0].1.id() < w[1].1.id()));
-    out
+    })
 }
 
 #[cfg(test)]
@@ -210,6 +207,11 @@ mod tests {
         keys
     }
 
+    /// `arrivals` as [`run_bistream`] takes them.
+    fn tagged(arrivals: &[(Side, Record)]) -> impl Iterator<Item = (Side, &Record)> {
+        arrivals.iter().map(|(side, r)| (*side, r))
+    }
+
     fn arrivals() -> Vec<(Side, Record)> {
         let mut v = Vec::new();
         for i in 0..60u64 {
@@ -251,13 +253,13 @@ mod tests {
             keys
         };
         let mut naive = BiStreamJoiner::new(|| NaiveJoiner::new(cfg));
-        assert_eq!(run(run_bistream(&mut naive, &arr)), expect);
+        assert_eq!(run(run_bistream(&mut naive, tagged(&arr))), expect);
         let mut ap = BiStreamJoiner::new(|| AllPairsJoiner::new(cfg));
-        assert_eq!(run(run_bistream(&mut ap, &arr)), expect);
+        assert_eq!(run(run_bistream(&mut ap, tagged(&arr))), expect);
         let mut pp = BiStreamJoiner::new(|| PpJoinJoiner::new(cfg));
-        assert_eq!(run(run_bistream(&mut pp, &arr)), expect);
+        assert_eq!(run(run_bistream(&mut pp, tagged(&arr))), expect);
         let mut bj = BiStreamJoiner::new(|| BundleJoiner::with_defaults(cfg));
-        assert_eq!(run(run_bistream(&mut bj, &arr)), expect);
+        assert_eq!(run(run_bistream(&mut bj, tagged(&arr))), expect);
     }
 
     #[test]
@@ -275,14 +277,14 @@ mod tests {
         let expect = naive_bi(&arr, cfg);
         assert!(expect.is_empty());
         let mut j = BiStreamJoiner::new(|| PpJoinJoiner::new(cfg));
-        assert!(run_bistream(&mut j, &arr).is_empty());
+        assert!(run_bistream(&mut j, tagged(&arr)).is_empty());
     }
 
     #[test]
     fn merge_streams_orders_by_id() {
         let left = vec![rec(0, &[1]), rec(3, &[2]), rec(4, &[3])];
         let right = vec![rec(1, &[4]), rec(2, &[5]), rec(7, &[6])];
-        let merged = merge_streams(&left, &right);
+        let merged: Vec<_> = merge_streams(&left, &right).collect();
         let ids: Vec<u64> = merged.iter().map(|(_, r)| r.id().0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 7]);
         assert_eq!(merged[0].0, Side::Left);
@@ -294,7 +296,7 @@ mod tests {
     fn merge_streams_rejects_duplicate_ids() {
         let left = vec![rec(1, &[1])];
         let right = vec![rec(1, &[2])];
-        let _ = merge_streams(&left, &right);
+        let _ = merge_streams(&left, &right).count();
     }
 
     #[test]

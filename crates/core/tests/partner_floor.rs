@@ -154,18 +154,18 @@ fn straight_and_restored<J: StreamJoiner>(
 /// [`straight_and_restored`] for a bi-stream joiner; sides alternate.
 fn bistream_straight_and_restored<J: StreamJoiner>(
     make: impl Fn() -> J,
-    arrivals: &[(Side, Record)],
+    arrivals: &[(Side, &Record)],
 ) -> (Vec<MatchPair>, Vec<MatchPair>) {
     let (head, tail) = arrivals.split_at(CUT as usize);
     let mut original = BiStreamJoiner::new(&make);
-    let mut pairs = run_bistream(&mut original, head);
+    let mut pairs = run_bistream(&mut original, head.iter().copied());
     let mut restored = BiStreamJoiner::new(&make);
     for (side, r) in original.window_snapshot() {
         restored.insert(side, &r);
     }
     let mut restored_pairs = pairs.clone();
-    restored_pairs.extend(run_bistream(&mut restored, tail));
-    pairs.extend(run_bistream(&mut original, tail));
+    restored_pairs.extend(run_bistream(&mut restored, tail.iter().copied()));
+    pairs.extend(run_bistream(&mut original, tail.iter().copied()));
     (pairs, restored_pairs)
 }
 
@@ -218,12 +218,12 @@ proptest! {
             }
         }
 
-        let arrivals: Vec<(Side, Record)> = records
+        let arrivals: Vec<(Side, &Record)> = records
             .iter()
-            .map(|r| (if r.id().0 % 2 == 0 { Side::Left } else { Side::Right }, r.clone()))
+            .map(|r| (if r.id().0 % 2 == 0 { Side::Left } else { Side::Right }, r))
             .collect();
         let mut naive = BiStreamJoiner::new(|| NaiveJoiner::new(join));
-        let expect = sorted(&run_bistream(&mut naive, &arrivals));
+        let expect = sorted(&run_bistream(&mut naive, arrivals.iter().copied()));
         let (straight, restored) = bistream_straight_and_restored(
             || BundleJoiner::with_defaults(join),
             &arrivals,

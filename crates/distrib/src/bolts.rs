@@ -70,10 +70,10 @@ impl DispatchPort for OutboxPort<'_> {
 impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
     /// Dispatches one source message and accounts for a shed record.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
-        match self.dispatcher.dispatch(&msg, &mut OutboxPort { out }) {
+        let id = msg.record().expect("dispatched a record").id().0;
+        match self.dispatcher.dispatch(msg, &mut OutboxPort { out }) {
             Dispatched::Sent => {}
             Dispatched::Shed { depth } => {
-                let id = msg.record().expect("dispatched a record").id().0;
                 out.record_shed(1);
                 out.trace_instant(Stage::Shed, id, depth as u64);
                 self.shed_log.lock().push(id);

@@ -1184,11 +1184,11 @@ impl<'a> Launcher<'a> {
         }
 
         // Dispatch the stream.
-        for (dispatched, msg) in run.source.into_iter().enumerate() {
+        for (dispatched, msg) in run.source.enumerate() {
             self.record_started = Instant::now();
-            let outcome = dispatcher.dispatch(&msg, &mut self);
+            let id = msg.record().expect("dispatched a record").id().0;
+            let outcome = dispatcher.dispatch(msg, &mut self);
             if outcome != Dispatched::Sent {
-                let id = msg.record().expect("dispatched a record").id().0;
                 // A record shed for an unreachable (fenced) target also
                 // joins the set the sink filters pairs against.
                 if outcome == Dispatched::Unreachable {

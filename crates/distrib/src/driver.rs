@@ -12,7 +12,7 @@ use crate::recovery::RecoveryState;
 use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
 use obs::{RunTrace, TraceConfig, TraceSink};
 use parking_lot::Mutex;
-use ssj_core::join::bistream::merge_streams;
+use ssj_core::join::bistream::{merge_streams, Side};
 use ssj_core::{
     AllPairsJoiner, BundleConfig, BundleJoiner, JoinConfig, MatchPair, NaiveJoiner, PpJoinJoiner,
     StreamJoiner, Threshold,
@@ -105,8 +105,8 @@ pub enum PartitionMethod {
 }
 
 /// Builds a length partition from a record sample.
-pub fn calibrate_partition(
-    sample: &[Record],
+pub fn calibrate_partition<'r>(
+    sample: impl IntoIterator<Item = &'r Record>,
     threshold: Threshold,
     k: usize,
     method: PartitionMethod,
@@ -451,17 +451,41 @@ pub fn run_bistream_distributed(
 
 /// What a run joins: one stream with itself, or two streams against each
 /// other, merged into one arrival order by record id.
+#[derive(Clone, Copy)]
 pub(crate) enum Input<'a> {
     SelfJoin(&'a [Record]),
     Bistream(&'a [Record], &'a [Record]),
 }
 
+impl<'a> Input<'a> {
+    /// The records past `cut` and how many there are. Ids ascend, so the
+    /// cut is a binary search on each stream.
+    fn arrivals(self, cut: Option<u64>) -> (Arrivals<'a>, usize) {
+        let past = |s: &'a [Record]| &s[cut.map_or(0, |c| s.partition_point(|r| r.id().0 <= c))..];
+        match self {
+            Input::SelfJoin(records) => {
+                let records = past(records);
+                (Box::new(records.iter().map(|r| (None, r))), records.len())
+            }
+            Input::Bistream(left, right) => {
+                let (left, right) = (past(left), past(right));
+                let merged = merge_streams(left, right).map(|(side, r)| (Some(side), r));
+                (Box::new(merged), left.len() + right.len())
+            }
+        }
+    }
+}
+
+/// Input records in arrival order, each with its side.
+type Arrivals<'a> = Box<dyn Iterator<Item = (Option<Side>, &'a Record)> + Send + 'a>;
+
 /// Everything [`JoinSpec::assemble`] builds for one run; each engine wires
 /// it into its own run-time.
-pub(crate) struct Assembly {
-    /// The source stream: restore tuples (index-only) first, then every
-    /// record the restored cut does not cover.
-    pub(crate) source: Vec<JoinMsg>,
+pub(crate) struct Assembly<'a> {
+    /// The source stream, lazy: restore tuples (index-only) first, then
+    /// each input record the restored cut does not cover, cloned only as
+    /// the dispatcher pulls it.
+    pub(crate) source: Box<dyn Iterator<Item = JoinMsg> + Send + 'a>,
     /// Streamed records, restore tuples excluded: what rates divide by.
     pub(crate) records: usize,
     pub(crate) bistream: bool,
@@ -496,30 +520,10 @@ impl JoinSpec {
     /// When every epoch is corrupt nothing is restored — the full source
     /// streams from scratch, which recomputes the exact result rather than
     /// trusting rotten state.
-    pub(crate) fn assemble(&self, input: Input<'_>, can_lose_state: bool) -> Assembly {
+    pub(crate) fn assemble<'a>(&self, input: Input<'a>, can_lose_state: bool) -> Assembly<'a> {
         assert!(self.k >= 1, "need at least one joiner");
         let threshold = self.join.threshold;
-        // The stamp is a placeholder — the dispatcher re-stamps every record
-        // with the run clock when it first sees it, so latency measures
-        // dispatch-to-result on whichever clock the engine runs — and so is
-        // the kind: the dispatcher tells only a restore tuple (`Index`)
-        // apart, and sends each target what routing decides.
-        let msg = |record, side| RecordMsg {
-            record,
-            ingest: Timestamp::ZERO,
-            side,
-        };
-        let (mut source, bistream): (Vec<JoinMsg>, _) = match input {
-            Input::SelfJoin(records) => {
-                let live = records.iter().map(|r| msg(r.clone(), None));
-                (live.map(JoinMsg::ProbeAndIndex).collect(), false)
-            }
-            Input::Bistream(left, right) => {
-                let live = merge_streams(left, right).into_iter();
-                let live = live.map(|(side, r)| msg(r, Some(side)));
-                (live.map(JoinMsg::ProbeAndIndex).collect(), true)
-            }
-        };
+        let bistream = matches!(input, Input::Bistream(..));
 
         let mut strategy = self.strategy.clone();
         let mut restored = Restored::default();
@@ -549,32 +553,35 @@ impl JoinSpec {
                 Box::new(LengthRouter::new(threshold, partition))
             }
             Strategy::LengthAuto { method, sample } => {
-                let sample: Vec<Record> = source
-                    .iter()
-                    .take(sample.max(1))
-                    .filter_map(|m| m.record().cloned())
-                    .collect();
-                let partition = calibrate_partition(&sample, threshold, self.k, method);
+                let head = input.arrivals(None).0.take(sample.max(1));
+                let partition =
+                    calibrate_partition(head.map(|(_, r)| r), threshold, self.k, method);
                 Box::new(LengthRouter::new(threshold, partition))
             }
             Strategy::Prefix => Box::new(PrefixRouter::new(threshold, self.k)),
             Strategy::Broadcast => Box::new(BroadcastRouter::new(self.k)),
         };
 
-        // The restore surgery: records the image covers are dropped, and its
+        // The restore surgery: records the image covers are skipped, and its
         // window re-enters through the dispatcher as index-only tuples (in id
         // order, ahead of all new records), so any router — replicating ones
         // and a persisted partition included — places them exactly as a
-        // live run would have.
-        let mut records = source.len();
-        if let Some(image) = image {
-            let cut = image.cut_id;
-            source.retain(|m| m.record().is_none_or(|r| r.id().0 > cut));
-            records = source.len();
-            let rebuilt = image.window.into_iter().map(|(side, r)| msg(r, side));
-            source = rebuilt.map(JoinMsg::Index).chain(source).collect();
-            restored.cut = Some(cut);
-        }
+        // live run would have. The stamp is a placeholder — the dispatcher
+        // re-stamps every record with the run clock when it first sees it,
+        // so latency measures dispatch-to-result on whichever clock the
+        // engine runs — and so is the live kind: the dispatcher tells only
+        // a restore tuple (`Index`) apart, and sends each target what
+        // routing decides.
+        let msg = |(side, record)| RecordMsg {
+            record,
+            ingest: Timestamp::ZERO,
+            side,
+        };
+        restored.cut = image.as_ref().map(|image| image.cut_id);
+        let (live, records) = input.arrivals(restored.cut);
+        let live = live.map(move |(side, r)| JoinMsg::ProbeAndIndex(msg((side, r.clone()))));
+        let window = image.map(|image| image.window).unwrap_or_default();
+        let source = Box::new(window.into_iter().map(msg).map(JoinMsg::Index).chain(live));
 
         let recovery =
             can_lose_state.then(|| Arc::new(RecoveryState::new(self.k, self.join.window)));
@@ -651,7 +658,7 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     match cfg.source_rate {
         Some(rate) => topology.spout_into(
             "dispatcher",
-            crate::pace::PacedIter::new(run.source.into_iter(), rate),
+            crate::pace::PacedIter::new(run.source, rate),
             dispatcher,
         ),
         None => topology.spout_into("dispatcher", run.source, dispatcher),
@@ -729,6 +736,7 @@ fn merge_slots(slots: &[Arc<Mutex<SinkState>>]) -> (Vec<MatchPair>, LatencyHisto
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SnapshotStore;
     use ssj_core::{join::run_stream, Window};
 
     fn workload(n: usize, dup_rate: f64) -> Vec<Record> {
@@ -777,6 +785,97 @@ mod tests {
             "duplicate result pairs"
         );
         keys
+    }
+
+    /// A source message as the tests compare it: kind, side and record.
+    fn pulled(msg: JoinMsg) -> (&'static str, Option<Side>, Record) {
+        let kind = match msg {
+            JoinMsg::Index(_) => "index",
+            JoinMsg::ProbeAndIndex(_) => "probe+index",
+            _ => "other",
+        };
+        let payload = msg.payload().expect("source messages carry records");
+        (kind, payload.side, payload.record.clone())
+    }
+
+    #[test]
+    fn the_lazy_source_pulls_what_was_materialised() {
+        use crate::checkpoint::MemStore;
+        let records = workload(400, 0.3);
+        let (left, right) = split_workload(400);
+        let join = JoinConfig::jaccard(0.7).with_window(Window::Count(100));
+        let sample = 5;
+        for bistream in [false, true] {
+            // The arrival order, built without `merge_streams`: every
+            // record with its side, by id.
+            let mut arrivals: Vec<(Option<Side>, &Record)> = if bistream {
+                let left = left.iter().map(|r| (Some(Side::Left), r));
+                left.chain(right.iter().map(|r| (Some(Side::Right), r)))
+                    .collect()
+            } else {
+                records.iter().map(|r| (None, r)).collect()
+            };
+            arrivals.sort_by_key(|(_, r)| r.id());
+            for restore in [false, true] {
+                let what = format!("bistream {bistream}, restore {restore}");
+                let mut spec = JoinSpec::recommended(3, join);
+                spec.strategy = Strategy::LengthAuto {
+                    method: PartitionMethod::LoadAware,
+                    sample,
+                };
+                if restore {
+                    // Phase one checkpoints the first 250 ids, then dies.
+                    let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
+                    let cfg = DistributedJoinConfig::new(spec.clone())
+                        .with_checkpointing(CheckpointConfig::new(40, Arc::clone(&store)));
+                    let head = |s: &[Record]| -> Vec<Record> {
+                        s.iter().filter(|r| r.id().0 < 250).cloned().collect()
+                    };
+                    match bistream {
+                        true => run_bistream_distributed(&head(&left), &head(&right), &cfg),
+                        false => run_distributed(&head(&records), &cfg),
+                    };
+                    spec.restore_from = Some(store);
+                }
+                let image = spec.restore_from.as_ref().map(|store| {
+                    let scan = load_latest_verified(store.as_ref()).unwrap();
+                    scan.image.expect("phase one committed an epoch")
+                });
+                // What `assemble` used to materialise: the image's window as
+                // restore tuples in id order, then every arrival past the cut.
+                let cut = image.as_ref().map(|image| image.cut_id);
+                let window = image.iter().flat_map(|image| &image.window);
+                let mut want: Vec<_> = window
+                    .map(|(side, r)| ("index", *side, r.clone()))
+                    .collect();
+                let restored = want.len();
+                assert_eq!(restored > 0, restore, "{what}");
+                let live = arrivals
+                    .iter()
+                    .filter(|(_, r)| cut.is_none_or(|c| r.id().0 > c));
+                want.extend(live.map(|&(side, r)| ("probe+index", side, r.clone())));
+
+                let input = match bistream {
+                    true => Input::Bistream(&left, &right),
+                    false => Input::SelfJoin(&records),
+                };
+                let run = spec.assemble(input, false);
+                let calibrate = |skip| {
+                    let head = arrivals.iter().skip(skip).take(sample).map(|&(_, r)| r);
+                    calibrate_partition(head, join.threshold, 3, PartitionMethod::LoadAware)
+                };
+                let calibrated = calibrate(0);
+                // The check can tell the head from the head shifted by one.
+                assert_ne!(calibrate(1), calibrated, "{what}");
+                assert_eq!(
+                    run.dispatcher.router.length_partition(),
+                    Some(&calibrated),
+                    "{what}"
+                );
+                assert_eq!(run.records, want.len() - restored, "{what}");
+                assert_eq!(run.source.map(pulled).collect::<Vec<_>>(), want, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -902,9 +1001,8 @@ mod tests {
         join: JoinConfig,
     ) -> Vec<(u64, u64)> {
         use ssj_core::join::bistream::{merge_streams, run_bistream, BiStreamJoiner};
-        let merged = merge_streams(left, right);
         let mut j = BiStreamJoiner::new(|| NaiveJoiner::new(join));
-        let mut keys: Vec<_> = run_bistream(&mut j, &merged)
+        let mut keys: Vec<_> = run_bistream(&mut j, merge_streams(left, right))
             .iter()
             .map(|m| m.key())
             .collect();

@@ -69,7 +69,7 @@ pub(crate) enum Dispatched {
 /// The dispatch operator: routes a record, sheds it or sends its
 /// messages, feeds the replay buffers, and opens checkpoint epochs.
 pub(crate) struct Dispatcher<R: Router> {
-    router: R,
+    pub(crate) router: R,
     /// Whether payloads carry sides (recorded in epoch manifests).
     bistream: bool,
     /// Replay buffers fed for every index target.
@@ -117,19 +117,22 @@ impl<R: Router> Dispatcher<R> {
     /// is a restore tuple: checkpointed window state re-entering through
     /// the current router, index-only (its results already exist) and
     /// never shed (it is state, not load).
-    pub(crate) fn dispatch<P: DispatchPort>(&mut self, msg: &JoinMsg, port: &mut P) -> Dispatched {
-        let incoming = msg.payload().expect("source messages carry records");
+    pub(crate) fn dispatch<P: DispatchPort>(&mut self, msg: JoinMsg, port: &mut P) -> Dispatched {
+        let restore = matches!(msg, JoinMsg::Index(_));
+        let incoming = match msg {
+            JoinMsg::Probe(m) | JoinMsg::Index(m) | JoinMsg::ProbeAndIndex(m) => m,
+            _ => panic!("source messages carry records"),
+        };
         // Latency is measured from the routing decision (the paper
         // measures processing latency, not source queueing).
         let payload = RecordMsg {
-            record: incoming.record.clone(),
             ingest: port.now(),
-            side: incoming.side,
+            ..incoming
         };
         let decision = self.router.route(&payload.record);
         port.routed(&payload, decision.index.len() + decision.probe.len());
         let id = payload.record.id().0;
-        if matches!(msg, JoinMsg::Index(_)) {
+        if restore {
             // An unreachable target is skipped: any later probe that would
             // have needed this state there is itself shed below.
             for &ix in &decision.index {
@@ -246,12 +249,16 @@ impl<R: Router> Dispatcher<R> {
 
 /// Sends `buf` to `task` as one message: unwrapped when it holds a single
 /// message (the wire shape of an unbatched run), as a [`JoinMsg::Batch`]
-/// otherwise.
+/// otherwise, leaving a buffer sized for the next batch so it never
+/// regrows from empty.
 fn flush_buffer<P: DispatchPort>(buf: &mut Vec<JoinMsg>, task: usize, port: &mut P) {
     match buf.len() {
         0 => {}
         1 => port.send(task, buf.pop().expect("len checked")),
-        _ => port.send(task, JoinMsg::Batch(std::mem::take(buf))),
+        n => port.send(
+            task,
+            JoinMsg::Batch(std::mem::replace(buf, Vec::with_capacity(n))),
+        ),
     }
 }
 
@@ -610,7 +617,7 @@ mod tests {
         for r in records {
             let decision = twin.route(r);
             let before = port.sent.len();
-            assert_eq!(d.dispatch(&source(r), &mut port), Dispatched::Sent);
+            assert_eq!(d.dispatch(source(r), &mut port), Dispatched::Sent);
             let mut expect: Vec<(usize, &str)> = (0..K)
                 .filter_map(|t| {
                     let ix = decision.index.contains(&t);
@@ -651,7 +658,7 @@ mod tests {
         let mut port = Recorder::default();
         let mut d = Dispatcher::new(router, false, None, None, None, None);
         assert_eq!(
-            d.dispatch(&source(&rec(0, &[1, 2])), &mut port),
+            d.dispatch(source(&rec(0, &[1, 2])), &mut port),
             Dispatched::Sent
         );
         assert_eq!(
@@ -683,14 +690,14 @@ mod tests {
         // A probe-only target at the watermark sheds the whole record.
         port.backlog[0] = 5;
         assert_eq!(
-            d.dispatch(&source(&rec(0, &[1, 2])), &mut port),
+            d.dispatch(source(&rec(0, &[1, 2])), &mut port),
             Dispatched::Shed { depth: 5 }
         );
         // So does an unreachable one, whatever the backlogs say.
         port.backlog[0] = 0;
         port.unreachable[0] = true;
         assert_eq!(
-            d.dispatch(&source(&rec(1, &[1, 2])), &mut port),
+            d.dispatch(source(&rec(1, &[1, 2])), &mut port),
             Dispatched::Unreachable
         );
         assert!(
@@ -702,7 +709,7 @@ mod tests {
         // With a task unreachable, a record that avoids it still goes out,
         // but no epoch is opened behind it (interval 1 would otherwise).
         assert_eq!(
-            d.dispatch(&source(&rec(2, &[1, 2])), &mut port),
+            d.dispatch(source(&rec(2, &[1, 2])), &mut port),
             Dispatched::Sent
         );
         assert_eq!(shape(&port.sent), vec![(2, "probe+index"), (3, "probe")]);
@@ -710,7 +717,7 @@ mod tests {
         // A restore tuple is state, not load: it skips the unreachable
         // target and still reaches the others.
         let restore = JoinMsg::Index(RecordMsg::solo(rec(3, &[1, 2]), Timestamp::ZERO));
-        assert_eq!(d.dispatch(&restore, &mut port), Dispatched::Sent);
+        assert_eq!(d.dispatch(restore, &mut port), Dispatched::Sent);
         assert_eq!(shape(&port.sent[2..]), vec![(3, "index")]);
     }
 
@@ -738,7 +745,7 @@ mod tests {
             ingest: Timestamp::ZERO,
             side: Some(Side::Right),
         });
-        assert_eq!(d.dispatch(&restore, &mut port), Dispatched::Sent);
+        assert_eq!(d.dispatch(restore, &mut port), Dispatched::Sent);
         // Index-only, past a watermark that would shed a live record,
         // with the side kept.
         assert_eq!(shape(&port.sent), vec![(1, "index"), (2, "index")]);
@@ -751,7 +758,7 @@ mod tests {
             ingest: Timestamp::ZERO,
             side: Some(Side::Left),
         });
-        assert_eq!(d.dispatch(&live, &mut port), Dispatched::Sent);
+        assert_eq!(d.dispatch(live, &mut port), Dispatched::Sent);
         assert_eq!(
             shape(&port.sent[2..]),
             vec![
@@ -782,7 +789,7 @@ mod tests {
             Some(3),
         );
         for r in &records {
-            d.dispatch(&source(r), &mut port);
+            d.dispatch(source(r), &mut port);
         }
         d.flush(&mut port);
         for task in 0..K {

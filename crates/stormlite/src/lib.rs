@@ -7,9 +7,12 @@
 //! task the emitter names), per-edge FIFO order, and a completion signal.
 //! stormlite provides exactly that, in-process: a [`Topology`] is a chain
 //! in which every component has at most one inbound and one outbound wire,
-//! run with one OS thread per task, bounded crossbeam channels between
-//! them (reliable, FIFO, providing natural backpressure), an end-of-stream
-//! protocol, and per-task metrics (throughput, queue wait, bytes moved).
+//! run with one scoped OS thread per task, bounded crossbeam channels
+//! between them (reliable, FIFO, providing natural backpressure), an
+//! end-of-stream protocol, and per-task metrics (throughput, queue wait,
+//! bytes moved). [`Topology::run`] joins every task before it returns, so
+//! spouts, handlers and bolts may borrow from the caller: a spout can
+//! iterate a slice the caller owns instead of a copy of it.
 //! A bolt that panics is dropped and its task drains its input; only an
 //! injected [`FaultPlan`] crash rebuilds a bolt. Links that can lose a
 //! frame belong to the layer above: [`transport`] and [`link`] carry the

@@ -189,7 +189,7 @@ impl SimRng {
 }
 
 /// Runs the topology to completion under the simulation scheduler.
-pub(crate) fn execute<M: Message>(topology: Topology<M>, cfg: SimConfig) -> SimRun {
+pub(crate) fn execute<M: Message>(topology: Topology<'_, M>, cfg: SimConfig) -> SimRun {
     let clock = Clock::virtual_start();
     // Unbounded input channels: a single-threaded scheduler must never
     // block on a full queue (the consumer could not run concurrently).
@@ -305,7 +305,7 @@ mod tests {
         }
     }
 
-    fn pipeline(n: u64, fault_plan: FaultPlan) -> (Topology<N>, Arc<Mutex<Vec<N>>>) {
+    fn pipeline(n: u64, fault_plan: FaultPlan) -> (Topology<'static, N>, Arc<Mutex<Vec<N>>>) {
         let mut t = Topology::new().with_fault_plan(fault_plan);
         t.spout("src", (0..n).map(N));
         t.bolt("split", 1, |_| Split);

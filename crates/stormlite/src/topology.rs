@@ -13,19 +13,19 @@ use std::sync::Arc;
 
 const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
-type BoltFactory<M> = Box<dyn FnMut(usize) -> Box<dyn Bolt<M>> + Send>;
+type BoltFactory<'a, M> = Box<dyn FnMut(usize) -> Box<dyn Bolt<M> + 'a> + Send + 'a>;
 
-type Source<M> = Box<dyn Iterator<Item = M> + Send>;
+type Source<'a, M> = Box<dyn Iterator<Item = M> + Send + 'a>;
 
-enum Kind<M: Message> {
-    Spout(Source<M>, Box<dyn Bolt<M>>),
-    Bolt(BoltFactory<M>),
+enum Kind<'a, M: Message> {
+    Spout(Source<'a, M>, Box<dyn Bolt<M> + 'a>),
+    Bolt(BoltFactory<'a, M>),
 }
 
-struct Component<M: Message> {
+struct Component<'a, M: Message> {
     name: String,
     parallelism: usize,
-    kind: Kind<M>,
+    kind: Kind<'a, M>,
 }
 
 struct WireDef {
@@ -41,21 +41,25 @@ struct WireDef {
 /// [`bolt`](Self::bolt) / [`wire`](Self::wire), then call
 /// [`run`](Self::run); the call returns once every tuple has drained and
 /// every task has exited.
-pub struct Topology<M: Message> {
-    components: Vec<Component<M>>,
+///
+/// Sources, handlers and bolt factories need only outlive `'a`, so a task
+/// may borrow from the caller — a spout can iterate a slice the caller
+/// owns — because [`run`](Self::run) joins every task before it returns.
+pub struct Topology<'a, M: Message> {
+    components: Vec<Component<'a, M>>,
     wires: Vec<WireDef>,
     channel_capacity: usize,
     fault_plan: FaultPlan,
     trace: Option<(TraceSink, TraceConfig)>,
 }
 
-impl<M: Message> Default for Topology<M> {
+impl<M: Message> Default for Topology<'_, M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Message> Topology<M> {
+impl<'a, M: Message> Topology<'a, M> {
     /// An empty topology.
     pub fn new() -> Self {
         Self {
@@ -107,7 +111,7 @@ impl<M: Message> Topology<M> {
             .unwrap_or_else(|| panic!("unknown component '{name}'"))
     }
 
-    fn add(&mut self, name: &str, parallelism: usize, kind: Kind<M>) {
+    fn add(&mut self, name: &str, parallelism: usize, kind: Kind<'a, M>) {
         assert!(parallelism >= 1, "parallelism must be at least 1");
         assert!(
             self.components.iter().all(|c| c.name != name),
@@ -125,7 +129,7 @@ impl<M: Message> Topology<M> {
     pub fn spout<I>(&mut self, name: &str, source: I)
     where
         I: IntoIterator<Item = M>,
-        I::IntoIter: Send + 'static,
+        I::IntoIter: Send + 'a,
     {
         self.spout_into(name, source, Forward);
     }
@@ -137,8 +141,8 @@ impl<M: Message> Topology<M> {
     pub fn spout_into<I, B>(&mut self, name: &str, source: I, handler: B)
     where
         I: IntoIterator<Item = M>,
-        I::IntoIter: Send + 'static,
-        B: Bolt<M> + 'static,
+        I::IntoIter: Send + 'a,
+        B: Bolt<M> + 'a,
     {
         let source = Box::new(source.into_iter());
         self.add(name, 1, Kind::Spout(source, Box::new(handler)));
@@ -148,8 +152,8 @@ impl<M: Message> Topology<M> {
     /// each task's instance.
     pub fn bolt<B, F>(&mut self, name: &str, parallelism: usize, mut factory: F)
     where
-        B: Bolt<M> + 'static,
-        F: FnMut(usize) -> B + Send + 'static,
+        B: Bolt<M> + 'a,
+        F: FnMut(usize) -> B + Send + 'a,
     {
         self.add(
             name,
@@ -240,7 +244,7 @@ impl<M: Message> Topology<M> {
         self,
         clock: &Clock,
         channel: impl Fn() -> (Sender<Envelope<M>>, Receiver<Envelope<M>>),
-    ) -> (Vec<Task<M>>, Option<TraceSink>) {
+    ) -> (Vec<Task<'a, M>>, Option<TraceSink>) {
         self.validate();
         let (senders, mut receivers): (Vec<Vec<_>>, Vec<Vec<_>>) = self
             .components
@@ -336,63 +340,65 @@ impl<M: Message> Topology<M> {
         crate::sim::execute(self, cfg)
     }
 
-    /// Executes the topology to completion, one OS thread per task, and
-    /// returns the run report.
+    /// Executes the topology to completion, one scoped OS thread per task,
+    /// and returns the run report once every task has been joined.
     pub fn run(self) -> RunReport {
         let clock = Clock::wall();
         let capacity = self.channel_capacity;
         let (tasks, sink) = self.into_tasks(&clock, || bounded(capacity));
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|mut task| {
-                let sink = sink.clone();
-                std::thread::Builder::new()
-                    .name(format!("{}-{}", task.name, task.index))
-                    .spawn(move || {
-                        if let TaskKind::Bolt { core, rx } = &mut task.kind {
-                            core.build();
-                            while let Ok(envelope) = rx.recv() {
-                                if core.handle(envelope, &mut task.outbox) {
-                                    break;
+        let sink = sink.as_ref();
+        let ends: Vec<TaskEnd> = std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .map(|mut task| {
+                    std::thread::Builder::new()
+                        .name(format!("{}-{}", task.name, task.index))
+                        .spawn_scoped(scope, move || {
+                            if let TaskKind::Bolt { core, rx } = &mut task.kind {
+                                core.build();
+                                while let Ok(envelope) = rx.recv() {
+                                    if core.handle(envelope, &mut task.outbox) {
+                                        break;
+                                    }
                                 }
+                            } else {
+                                while let Pull::Pulled = task.pull() {}
                             }
-                        } else {
-                            while let Pull::Pulled = task.pull() {}
-                        }
-                        task.outbox.send_eos();
-                        task.end(sink.as_ref())
-                    })
-                    .expect("spawn task")
-            })
-            .collect();
-        let ends: Vec<TaskEnd> = handles
-            .into_iter()
-            .map(|h| h.join().expect("task thread itself never panics"))
-            .collect();
+                            task.outbox.send_eos();
+                            task.end(sink)
+                        })
+                        .expect("spawn task")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("task thread itself never panics"))
+                .collect()
+        });
         report(ends, &clock)
     }
 }
 
 /// One task of a running topology: its outbox, plus a spout's source and
 /// handler or a bolt's core and input queue.
-pub(crate) struct Task<M: Message> {
+pub(crate) struct Task<'a, M: Message> {
     pub(crate) name: String,
     pub(crate) index: usize,
     pub(crate) outbox: Outbox<M>,
-    pub(crate) kind: TaskKind<M>,
+    pub(crate) kind: TaskKind<'a, M>,
 }
 
-pub(crate) enum TaskKind<M: Message> {
+pub(crate) enum TaskKind<'a, M: Message> {
     Spout {
-        source: Source<M>,
-        handler: Box<dyn Bolt<M>>,
+        source: Source<'a, M>,
+        handler: Box<dyn Bolt<M> + 'a>,
         /// Tuples pulled so far: the dispatch-event ordinal.
         pulls: u64,
         failures: Vec<String>,
     },
     Bolt {
         // Boxed: BoltCore is much larger than the spout variant.
-        core: Box<BoltCore<M>>,
+        core: Box<BoltCore<'a, M>>,
         rx: Receiver<Envelope<M>>,
     },
 }
@@ -413,7 +419,7 @@ pub(crate) struct TaskEnd {
     restarts: u64,
 }
 
-impl<M: Message> Task<M> {
+impl<M: Message> Task<'_, M> {
     /// Pulls the next tuple from this spout's source and hands it to the
     /// handler, or runs the handler's `finish` at exhaustion. Each pull is
     /// isolated: a panicking source or handler stops the spout, but the
@@ -511,8 +517,8 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 /// injected-fault restarts, panic isolation and tuple execution. The
 /// threaded executor drives it from a blocking `recv` loop; the simulation
 /// scheduler feeds it one envelope per step.
-pub(crate) struct BoltCore<M: Message> {
-    factory: Arc<Mutex<BoltFactory<M>>>,
+pub(crate) struct BoltCore<'a, M: Message> {
+    factory: Arc<Mutex<BoltFactory<'a, M>>>,
     task: usize,
     expected_eos: usize,
     eos_seen: usize,
@@ -522,12 +528,12 @@ pub(crate) struct BoltCore<M: Message> {
     /// injected crash points are expressed in this count.
     processed: u64,
     next_fault: std::iter::Peekable<std::vec::IntoIter<u64>>,
-    bolt: Option<Box<dyn Bolt<M>>>,
+    bolt: Option<Box<dyn Bolt<M> + 'a>>,
 }
 
-impl<M: Message> BoltCore<M> {
+impl<'a, M: Message> BoltCore<'a, M> {
     fn new(
-        factory: Arc<Mutex<BoltFactory<M>>>,
+        factory: Arc<Mutex<BoltFactory<'a, M>>>,
         task: usize,
         expected_eos: usize,
         fault_points: Vec<u64>,
@@ -904,6 +910,77 @@ mod tests {
         let _out = t.collector("sink");
         t.wire("src", "sink", Grouping::global());
         t.run();
+    }
+
+    /// Logs each value plus a borrowed offset into a borrowed log, emits
+    /// it, and panics on `mine`: a task whose state lives on the caller's
+    /// stack.
+    struct Borrowing<'s> {
+        offset: &'s u64,
+        log: &'s Mutex<Vec<u64>>,
+        mine: Option<u64>,
+    }
+    impl Bolt<N> for Borrowing<'_> {
+        fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
+            assert_ne!(Some(msg.0), self.mine, "borrowing task hit the mine");
+            self.log.lock().push(msg.0 + self.offset);
+            out.emit(msg);
+        }
+    }
+
+    #[test]
+    fn tasks_borrow_from_the_caller() {
+        for scheduler in schedulers() {
+            let items: Vec<u64> = (0..100).collect();
+            let (offset, log) = (1000, Mutex::new(Vec::new()));
+            let mut t = Topology::new().with_channel_capacity(1);
+            t.spout("src", items.iter().map(|&i| N(i)));
+            t.bolt("borrow", 2, |_| Borrowing {
+                offset: &offset,
+                log: &log,
+                mine: None,
+            });
+            t.wire("src", "borrow", Grouping::global());
+            let report = t.run_with(scheduler);
+            assert!(report.is_clean(), "{scheduler:?}");
+            let want: Vec<u64> = items.iter().map(|i| i + offset).collect();
+            assert_eq!(*log.lock(), want, "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_holding_borrowed_state_is_reported() {
+        for scheduler in schedulers() {
+            let offset = 0;
+            let (handled, executed) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+            let mut t = Topology::new();
+            let handler = Borrowing {
+                offset: &offset,
+                log: &handled,
+                mine: Some(30),
+            };
+            t.spout_into("src", (0..50).map(N), handler);
+            t.bolt("borrow", 1, |_| Borrowing {
+                offset: &offset,
+                log: &executed,
+                mine: Some(13),
+            });
+            t.wire("src", "borrow", Grouping::global());
+            let report = t.run_with(scheduler);
+            let failed: Vec<&str> = report.failures.iter().map(|f| f.0.as_str()).collect();
+            assert_eq!(failed, ["src", "borrow"], "{scheduler:?}");
+            assert_eq!(
+                *handled.lock(),
+                (0..30).collect::<Vec<_>>(),
+                "{scheduler:?}"
+            );
+            assert_eq!(
+                *executed.lock(),
+                (0..13).collect::<Vec<_>>(),
+                "{scheduler:?}"
+            );
+            assert_eq!(report.component("borrow").dropped_poisoned, 1);
+        }
     }
 
     #[test]

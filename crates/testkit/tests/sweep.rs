@@ -11,6 +11,8 @@
 //! buffer and takes over with the message in flight. Each task's cells run
 //! from the first kill point up to the first one the stream never reaches
 //! (the run ends without a respawn or restart). The cells are crossed with
+//! a self-join and a bi-stream join of the same stream (split into sides
+//! by id parity, so the lazy merge of the two sides is on the path),
 //! `dispatch_batch` None / 8 and checkpointing off / every 15 records, and
 //! every run must equal the O(n²) oracle as a sorted list of keys — so a
 //! pair published twice fails as surely as a lost one.
@@ -20,13 +22,14 @@
 
 use ssj_core::{JoinConfig, MatchPair, Window};
 use ssj_distrib::{
-    run_cluster, run_distributed, ClusterBackend, ClusterFault, DistributedJoinConfig, LocalAlgo,
-    PartitionMethod, Strategy,
+    run_bistream_distributed, run_cluster, run_cluster_bistream, run_distributed, ClusterBackend,
+    ClusterFault, DistributedJoinConfig, LocalAlgo, PartitionMethod, Strategy,
 };
 use ssj_text::Record;
 use stormlite::FaultPlan;
 use testkit::{
-    assert_pairs_equal, cluster_config_for, differential_records, self_join, DifferentialCase,
+    assert_pairs_equal, bistream_join, cluster_config_for, differential_records, self_join,
+    DifferentialCase,
 };
 
 const SEED: u64 = 19;
@@ -44,37 +47,52 @@ fn sweep(
 ) -> usize {
     let join = JoinConfig::jaccard(0.7).with_window(Window::Count(60));
     let records = differential_records(SEED, RECORDS);
-    let expect = self_join(&records, &join);
-    assert!(!expect.is_empty(), "the stream produced no pairs");
+    let (left, right) = sides(&records);
     let mut killed = 0;
-    for batch in [None, Some(8)] {
-        for checkpoint in [None, Some(15)] {
-            let mut case = DifferentialCase::new(
-                RECORDS,
-                K,
-                join,
-                LocalAlgo::bundle(),
-                Strategy::LengthAuto {
-                    method: PartitionMethod::LoadAware,
-                    sample: 50,
-                },
-            )
-            .with_dispatch_batch(batch);
-            case.checkpoint_interval = checkpoint;
-            for task in 0..K {
-                for point in (first..).step_by(stride) {
-                    let cell = format!(
-                        "batch {batch:?}, checkpoint {checkpoint:?}, task {task}, kill point {point}"
-                    );
-                    if !kill(&case, &records, &expect, task, point, &cell) {
-                        break; // the kill point lies past this task's stream
+    for bistream in [false, true] {
+        let expect = if bistream {
+            bistream_join(&left, &right, &join)
+        } else {
+            self_join(&records, &join)
+        };
+        assert!(!expect.is_empty(), "the stream produced no pairs");
+        for batch in [None, Some(8)] {
+            for checkpoint in [None, Some(15)] {
+                let mut case = DifferentialCase::new(
+                    RECORDS,
+                    K,
+                    join,
+                    LocalAlgo::bundle(),
+                    Strategy::LengthAuto {
+                        method: PartitionMethod::LoadAware,
+                        sample: 50,
+                    },
+                )
+                .with_dispatch_batch(batch);
+                case.bistream = bistream;
+                case.checkpoint_interval = checkpoint;
+                for task in 0..K {
+                    for point in (first..).step_by(stride) {
+                        let cell = format!(
+                            "bistream {bistream}, batch {batch:?}, \
+                             checkpoint {checkpoint:?}, task {task}, kill point {point}"
+                        );
+                        if !kill(&case, &records, &expect, task, point, &cell) {
+                            break; // the kill point lies past this task's stream
+                        }
+                        killed += 1;
                     }
-                    killed += 1;
                 }
             }
         }
     }
     killed
+}
+
+/// `records` as the two sides of a bi-stream join: even ids left, odd
+/// ids right, as `DifferentialCase::bistream` splits them.
+fn sides(records: &[Record]) -> (Vec<Record>, Vec<Record>) {
+    records.iter().cloned().partition(|r| r.id().0 % 2 == 0)
 }
 
 /// The cluster killed after `after_acks` acks of `task`: whether it
@@ -90,7 +108,12 @@ fn cluster_kill(
     let mut cfg = cluster_config_for(SEED, case, ClusterBackend::InProcess);
     cfg.logical_time = true;
     cfg.fault = Some(ClusterFault { task, after_acks });
-    let out = run_cluster(records, &cfg);
+    let out = if case.bistream {
+        let (left, right) = sides(records);
+        run_cluster_bistream(&left, &right, &cfg)
+    } else {
+        run_cluster(records, &cfg)
+    };
     assert_pairs_equal(SEED, &out.pairs, expect.to_vec(), cell);
     out.health.respawns > 0
 }
@@ -108,7 +131,12 @@ fn topology_kill(
     let cfg = DistributedJoinConfig::new(case.spec())
         .with_sim(SEED)
         .with_fault(FaultPlan::new().crash("joiner", task, after_tuples));
-    let out = run_distributed(records, &cfg);
+    let out = if case.bistream {
+        let (left, right) = sides(records);
+        run_bistream_distributed(&left, &right, &cfg)
+    } else {
+        run_distributed(records, &cfg)
+    };
     assert_pairs_equal(SEED, &out.pairs, expect.to_vec(), cell);
     if out.report.total_restarts() == 0 {
         return false;

@@ -23,9 +23,8 @@ fn two_feeds(n: usize) -> (Vec<Record>, Vec<Record>) {
 }
 
 fn ground_truth(left: &[Record], right: &[Record], join: JoinConfig) -> Vec<(u64, u64)> {
-    let merged = merge_streams(left, right);
     let mut j = BiStreamJoiner::new(|| NaiveJoiner::new(join));
-    let mut keys: Vec<_> = run_bistream(&mut j, &merged)
+    let mut keys: Vec<_> = run_bistream(&mut j, merge_streams(left, right))
         .iter()
         .map(|m| m.key())
         .collect();
@@ -100,9 +99,8 @@ fn local_bistream_asymmetric_sizes() {
     let (left, right): (Vec<Record>, Vec<Record>) = all.into_iter().partition(|r| r.id().0 < 280);
     let join = JoinConfig::jaccard(0.8);
     let expect = ground_truth(&left, &right, join);
-    let merged = merge_streams(&left, &right);
     let mut j = BiStreamJoiner::new(|| dssj::PpJoinJoiner::new(join));
-    let mut got: Vec<_> = run_bistream(&mut j, &merged)
+    let mut got: Vec<_> = run_bistream(&mut j, merge_streams(&left, &right))
         .iter()
         .map(|m| m.key())
         .collect();

@@ -40,10 +40,9 @@ const BURSTY: ArrivalProcess = ArrivalProcess::Bursty {
 };
 
 /// Every third record on the left stream, the rest on the right.
-fn sides(records: &[Record]) -> Vec<(Side, Record)> {
+fn sides(records: &[Record]) -> impl Iterator<Item = (Side, &Record)> + Clone {
     (records.iter().enumerate())
-        .map(|(i, r)| (if i % 3 == 0 { Side::Left } else { Side::Right }, r.clone()))
-        .collect()
+        .map(|(i, r)| (if i % 3 == 0 { Side::Left } else { Side::Right }, r))
 }
 
 fn keys(pairs: &[MatchPair]) -> Vec<(u64, u64)> {
@@ -78,10 +77,10 @@ fn slot_reuse_preserves_results() {
 
         let arrivals = sides(&records);
         let mut naive = BiStreamJoiner::new(|| NaiveJoiner::new(cfg));
-        let expect = keys(&run_bistream(&mut naive, &arrivals));
+        let expect = keys(&run_bistream(&mut naive, arrivals.clone()));
         assert!(!expect.is_empty());
         let mut bi = BiStreamJoiner::new(|| BundleJoiner::with_defaults(cfg));
-        let got = keys(&run_bistream(&mut bi, &arrivals));
+        let got = keys(&run_bistream(&mut bi, arrivals));
         assert_eq!(got, expect, "bi-stream bundle {window:?}");
     }
 }
@@ -103,11 +102,11 @@ fn memory_stays_bounded_by_the_window() {
         let mut bi = BiStreamJoiner::new(|| BundleJoiner::with_defaults(cfg));
         let mut out = Vec::new();
         let mut oldest = 0;
-        for (i, (side, r)) in arrivals.iter().enumerate() {
+        for (i, (side, r)) in arrivals.enumerate() {
             pp.process(r, &mut out);
             ap.process(r, &mut out);
             bj.process(r, &mut out);
-            bi.process(*side, r, &mut out);
+            bi.process(side, r, &mut out);
             out.clear();
             let expired =
                 |s: &Record| window.expired(s.id().0, s.timestamp(), r.id().0, r.timestamp());
