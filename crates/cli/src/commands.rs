@@ -26,7 +26,7 @@ pub fn usage() -> ExitCode {
         "usage:
   dssj join      --input FILE [JOIN] [--verbose] [--shed-watermark W] [TOPOLOGY]
   dssj bistream  --left FILE --right FILE [JOIN] [--verbose] [TOPOLOGY]
-  dssj cluster   --input FILE [JOIN] [--shed-watermark W] [--recovery-budget N] [CLUSTER]
+  dssj cluster   --input FILE [JOIN] [--shed-watermark W] [CLUSTER]
   dssj cluster   --left FILE --right FILE [JOIN] [CLUSTER]
   dssj generate  --profile aol|dblp|enron|tweet --n N --out FILE [--seed S=1]
   dssj partition --input FILE [--qgram Q] [--tau T=0.8] [--k K=8]
@@ -35,8 +35,7 @@ pub fn usage() -> ExitCode {
   JOIN:     [--qgram Q] [--tau T=0.8] [--window N] [--algo bundle|ppjoin|allpairs|naive]
             [--k K=4, cluster K=2] [--show-pairs N=10]
             [--dispatch-batch B, cluster B=32]   (B messages per joiner wire
-                  and one result batch back; on the topology also B records
-                  per source message unless --source-rate)
+                  and one result batch back)
             [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
             [--restore-from DIR [--verify-restore]]
   TOPOLOGY: [--source-rate R] [--sim SEED] [--trace-out FILE] [--chrome-out FILE]
@@ -45,7 +44,7 @@ pub fn usage() -> ExitCode {
             [--kill-task T --kill-after N] [--logical-time]
             [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
             [--heartbeat-interval MS=25] [--suspect-after MS=250]
-            [--retry-max-ms MS=640] [--metrics-out FILE]
+            [--recovery-budget N] [--retry-max-ms MS=640] [--metrics-out FILE]
   Every command refuses an option it does not read."
     );
     ExitCode::from(2)
@@ -510,13 +509,6 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
     // Self-healing knobs. Any health flag — or a scripted outage — turns
     // the failure detector on; the heartbeat/suspect cadence then comes
     // from the flags or HealthConfig::recommended() defaults.
-    if bistream {
-        args.forbid(
-            "recovery-budget",
-            "cannot be combined with bistream input (fencing sheds records, \
-             and shed accounting is only defined for self-joins)",
-        )?;
-    }
     parse_outages(args, "stall", false, k, &mut cfg.outages)?;
     parse_outages(args, "partition", true, k, &mut cfg.outages)?;
     let recovery_budget = parse_opt::<u32>(args, "recovery-budget")?;
@@ -628,14 +620,6 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
             h.detection_latency.max().as_secs_f64() * 1e3
         );
     }
-    if !h.fenced_tasks.is_empty() {
-        let fenced: Vec<String> = h.fenced_tasks.iter().map(|t| t.to_string()).collect();
-        println!(
-            "fenced      : node(s) {} exhausted their recovery budget; their \
-             records were shed with exact accounting",
-            fenced.join(", ")
-        );
-    }
     if h.stalled_frames + h.partition_dropped_frames > 0 {
         println!(
             "outages     : {} frames stalled, {} dropped by partitions",
@@ -668,7 +652,7 @@ pub fn cluster(args: &Args) -> CliResult {
     let qgram = qgram(args)?;
     let cfg = cluster_config(args, bistream)?;
     // The cluster's metrics snapshot includes liveness gauges,
-    // suspect/respawn/fence counters and the detection-latency histogram.
+    // suspect/respawn counters and the detection-latency histogram.
     let metrics = args.get("metrics-out");
     let show: usize = args.get_or("show-pairs", 10)?;
     args.reject_unread("cluster")?;

@@ -271,6 +271,69 @@ fn cluster_reports_what_batching_amortised_and_rejects_a_zero_batch() {
     assert!(stderr.contains("--dispatch-batch must be > 0"), "{stderr}");
 }
 
+/// A node that exhausts its recovery budget fails the run: the command
+/// exits non-zero naming the task, and prints no partial answer.
+#[test]
+fn an_exhausted_recovery_budget_fails_the_cluster_run() {
+    let input = write_temp("cluster_budget.txt", &DOCS.repeat(40));
+    let out = dssj(&[
+        "cluster",
+        "--input",
+        input.to_str().unwrap(),
+        "--tau",
+        "0.6",
+        "--node-bin",
+        env!("CARGO_BIN_EXE_ssj-node"),
+        "--recovery-budget",
+        "0",
+        "--kill-task",
+        "1",
+        "--kill-after",
+        "5",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("task 1 exhausted its recovery budget of 0 respawn(s)"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("pairs"), "{stdout}");
+}
+
+/// A bi-stream cluster run takes a recovery budget like a self-join, and
+/// a kill within it recovers.
+#[test]
+fn a_bistream_cluster_run_takes_a_recovery_budget() {
+    let input = write_temp("cluster_budget_bistream.txt", &DOCS.repeat(40));
+    let input = input.to_str().unwrap();
+    let out = dssj(&[
+        "cluster",
+        "--left",
+        input,
+        "--right",
+        input,
+        "--tau",
+        "0.6",
+        "--backend",
+        "inprocess",
+        "--recovery-budget",
+        "1",
+        "--kill-task",
+        "0",
+        "--kill-after",
+        "5",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("pairs       : 12800"), "{stdout}");
+    assert!(stdout.contains("node 0 restarted 1 time(s)"), "{stdout}");
+}
+
 #[test]
 fn bad_chaos_seed_rejected() {
     // Topology wires cannot lose a tuple, so the flag names no behaviour

@@ -47,10 +47,6 @@ impl DispatchPort for OutboxPort<'_> {
         self.out.direct_queue_depth(task)
     }
 
-    fn reachable(&self, _task: usize) -> bool {
-        true
-    }
-
     fn send(&mut self, task: usize, msg: JoinMsg) {
         self.out.emit_direct(task, msg);
     }
@@ -78,7 +74,6 @@ impl<R: Router> Bolt<JoinMsg> for DispatcherBolt<R> {
                 out.trace_instant(Stage::Shed, id, depth as u64);
                 self.shed_log.lock().push(id);
             }
-            Dispatched::Unreachable => unreachable!("topology wires are never fenced"),
         }
     }
 

@@ -61,8 +61,6 @@
 //!   kill horizon lands at the same stream position batched or not;
 //! * the recovery watermark moves once per ack, to the last record the
 //!   acked frame carried;
-//! * fencing sheds *every* record inside an in-flight batch, and inside a
-//!   batch refused because its target was fenced meanwhile;
 //! * [`ClusterOutage`] windows keep counting frame *transmissions* — one
 //!   per batch.
 //!
@@ -155,7 +153,7 @@ use std::time::{Duration, Instant};
 use obs::{LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
 use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
-use ssj_text::{FxHashSet, Record};
+use ssj_text::Record;
 use stormlite::{
     ChaosLink, ChaosWindow, CloseReason, IntegrityReport, LinkFault, LinkOutage, RetryConfig,
     TcpWire, Timestamp, Wire, WireEvent,
@@ -210,15 +208,15 @@ pub struct HealthConfig {
     pub heartbeat_interval: Duration,
     /// Declare a node suspect after this long without any inbound frame.
     pub suspect_after: Duration,
-    /// Respawns allowed per task before it is fenced and its partition is
-    /// shed with exact recall accounting. `None` = recover forever.
-    /// Fencing accounting is defined for self-joins only.
+    /// Respawns allowed per task before the run fails: the launcher tears
+    /// the cluster down and panics naming the task, so a run never returns
+    /// a partial answer. `None` = recover forever.
     pub recovery_budget: Option<u32>,
 }
 
 impl HealthConfig {
     /// Defaults tuned for localhost wires: probe every 25ms, suspect
-    /// after 250ms of silence, never fence.
+    /// after 250ms of silence, respawn as often as it takes.
     pub fn recommended() -> Self {
         Self {
             heartbeat_interval: Duration::from_millis(25),
@@ -371,8 +369,6 @@ pub struct HealthReport {
     pub suspects: u64,
     /// Respawn recoveries performed (scripted kills included).
     pub respawns: u64,
-    /// Tasks fenced after exhausting their recovery budget.
-    pub fenced_tasks: Vec<usize>,
     /// Silence observed at each suspicion — bounded by `suspect_after`
     /// plus one detector pass when the detector is healthy.
     pub detection_latency: LatencyHistogram,
@@ -408,8 +404,7 @@ pub struct ClusterResult {
     pub restored_cut: Option<u64>,
     /// Result pairs discarded unacked with a dead or poisoned incarnation:
     /// its node sent them but not the ack that would have published them.
-    /// A respawned node reprocesses their frame; a fenced one's records
-    /// are shed.
+    /// The respawned node reprocesses their frame and publishes them then.
     pub dup_results_dropped: u64,
     /// Frames retransmitted by the at-least-once layer.
     pub retransmissions: u64,
@@ -482,7 +477,7 @@ impl ClusterResult {
             ),
             (
                 "dssj_cluster_shed_records_total",
-                "Records shed by watermark or fencing",
+                "Records shed at the shed watermark",
                 self.shed_records.len() as u64,
             ),
             (
@@ -596,12 +591,6 @@ impl ClusterResult {
             "Joiner tasks in the run",
             &[],
             self.joiners.len() as i64,
-        );
-        snap.push_gauge(
-            "dssj_cluster_fenced_tasks",
-            "Tasks fenced after budget exhaustion",
-            &[],
-            self.health.fenced_tasks.len() as i64,
         );
         snap.push_gauge(
             "dssj_cluster_restore_fallback_depth",
@@ -887,13 +876,6 @@ fn carried(msg: &JoinMsg) -> &[JoinMsg] {
     }
 }
 
-/// Ids of the records one data frame carries (none for a barrier).
-fn carried_ids(msg: &JoinMsg) -> impl Iterator<Item = u64> + '_ {
-    carried(msg)
-        .iter()
-        .filter_map(|m| m.record().map(|r| r.id().0))
-}
-
 struct NodeLink {
     wire: Box<dyn Wire>,
     proc: NodeProc,
@@ -922,8 +904,8 @@ struct NodeLink {
     /// What this incarnation sent ahead of an ack not yet received: result
     /// pairs, and the decoded window of a barrier's snapshot (a barrier
     /// travels alone, so at most one) with its epoch and task. The ack
-    /// that removes an `unacked` entry publishes them; a respawn or a
-    /// fence discards them.
+    /// that removes an `unacked` entry publishes them; a respawn discards
+    /// them.
     staged: Vec<(MatchPair, Timestamp)>,
     staged_snapshot: Option<(u64, usize, Vec<SnapshotEntry>)>,
     chaos: Option<ChaosLink>,
@@ -944,11 +926,9 @@ struct NodeLink {
     held_inbound: Vec<Vec<u8>>,
     /// Respawns charged against this task's recovery budget.
     health_respawns: u32,
-    /// Fenced: budget exhausted, partition shed, wire abandoned.
-    fenced: bool,
     /// This incarnation is over — it closed, failed a send, sent a frame
     /// the launcher rejected, or reached its scripted kill — and is
-    /// respawned or fenced at the end of the current pass.
+    /// respawned at the end of the current pass.
     dead: bool,
     /// Scripted [`OutageKind::CorruptInbound`] windows, keyed on this
     /// wire's inbound frame ordinal.
@@ -995,7 +975,6 @@ impl NodeLink {
             hb_last: now,
             held_inbound: Vec::new(),
             health_respawns: 0,
-            fenced: false,
             dead: false,
             corrupt_inbound,
             inbound_seq: 0,
@@ -1013,6 +992,24 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Closes a node's wire, which releases the node, and reaps it: joins its
+/// thread, or waits for its process — killed first when `kill` is set.
+fn close_node(wire: Box<dyn Wire>, proc_: NodeProc, kill: bool) {
+    drop(wire);
+    match proc_ {
+        NodeProc::Thread(Some(handle)) => {
+            let _ = handle.join();
+        }
+        NodeProc::Thread(None) => {}
+        NodeProc::Child(mut child) => {
+            if kill {
+                let _ = child.kill();
+            }
+            let _ = child.wait();
+        }
+    }
 }
 
 /// Folds the batch counters of a wire about to be dropped into `total`.
@@ -1077,11 +1074,6 @@ struct Launcher<'a> {
     health_report: HealthReport,
     /// Wire-frame rejections so far; storage-side counters join at the end.
     integrity: IntegrityReport,
-    /// Records shed by fencing (retroactive in-flight sheds included):
-    /// the sink filters every past and future pair against this set so a
-    /// fenced run reports exactly the surviving-record join.
-    shed_ids: FxHashSet<u64>,
-    any_fenced: bool,
 }
 
 impl<'a> Launcher<'a> {
@@ -1114,8 +1106,6 @@ impl<'a> Launcher<'a> {
             fault_armed: cfg.fault,
             health_report: HealthReport::default(),
             integrity: IntegrityReport::default(),
-            shed_ids: FxHashSet::default(),
-            any_fenced: false,
         }
     }
 
@@ -1187,13 +1177,7 @@ impl<'a> Launcher<'a> {
         for (dispatched, msg) in run.source.enumerate() {
             self.record_started = Instant::now();
             let id = msg.record().expect("dispatched a record").id().0;
-            let outcome = dispatcher.dispatch(msg, &mut self);
-            if outcome != Dispatched::Sent {
-                // A record shed for an unreachable (fenced) target also
-                // joins the set the sink filters pairs against.
-                if outcome == Dispatched::Unreachable {
-                    self.shed_ids.insert(id);
-                }
+            if dispatcher.dispatch(msg, &mut self) != Dispatched::Sent {
                 self.shed_log.push(id);
             }
             self.stages
@@ -1218,12 +1202,8 @@ impl<'a> Launcher<'a> {
             }
         }
         dispatcher.flush(&mut self);
-        // Drain: every frame acked (fenced wires already dropped theirs).
-        while self
-            .links
-            .iter()
-            .any(|l| !l.fenced && !l.unacked.is_empty())
-        {
+        // Drain: every frame acked.
+        while self.links.iter().any(|l| !l.unacked.is_empty()) {
             self.pump(Duration::from_micros(500), None);
             self.service_timers();
             self.service_health();
@@ -1232,9 +1212,6 @@ impl<'a> Launcher<'a> {
         // first — all of them were already delivered via retransmission,
         // so the node just re-acks — then every node gets Eos and reports.
         for task in 0..k {
-            if self.links[task].fenced {
-                continue;
-            }
             let held: Vec<Vec<u8>> = self.links[task]
                 .chaos
                 .as_mut()
@@ -1245,7 +1222,7 @@ impl<'a> Launcher<'a> {
             }
             self.send_eos(task);
         }
-        while self.links.iter().any(|l| !l.fenced && l.done.is_none()) {
+        while self.links.iter().any(|l| l.done.is_none()) {
             self.pump(Duration::from_micros(500), None);
             self.service_health();
         }
@@ -1260,8 +1237,7 @@ impl<'a> Launcher<'a> {
                 self.health_report.stalled_frames += stalled;
                 self.health_report.partition_dropped_frames += dropped;
             }
-            // A fenced task has no final report; its counters default.
-            let report = link.done.clone().unwrap_or_default();
+            let report = link.done.expect("every node reported");
             let replayed = self.recovery.as_ref().map_or(0, |r| r.replayed(task));
             joiners.push(JoinerSnapshot {
                 task,
@@ -1273,16 +1249,7 @@ impl<'a> Launcher<'a> {
             });
             digests.push(link.digest);
             retire_batch_counters(&mut self.retired_batch_counters, link.wire.as_ref());
-            drop(link.wire);
-            match link.proc {
-                NodeProc::Thread(Some(handle)) => {
-                    let _ = handle.join();
-                }
-                NodeProc::Thread(None) => {}
-                NodeProc::Child(mut child) => {
-                    let _ = child.wait();
-                }
-            }
+            close_node(link.wire, link.proc, false);
         }
         self.integrity.merge(&run.restored.integrity);
         ClusterResult {
@@ -1443,7 +1410,7 @@ impl<'a> Launcher<'a> {
         let sent = send_frame(self.links[task].wire.as_mut(), &Frame::Eos)
             .and_then(|()| self.write_link(task));
         if sent.is_err() {
-            self.recover_or_fence(task); // re-sends Eos on the fresh wire
+            self.recover(task); // re-sends Eos on the fresh wire
         }
     }
 
@@ -1457,16 +1424,11 @@ impl<'a> Launcher<'a> {
     fn pump(&mut self, idle_wait: Duration, blocked_on: Option<usize>) {
         if !idle_wait.is_zero() {
             for task in 0..self.links.len() {
-                if !self.links[task].fenced {
-                    let _ = self.write_link(task);
-                }
+                let _ = self.write_link(task);
             }
         }
         let mut got = false;
         for task in 0..self.links.len() {
-            if self.links[task].fenced {
-                continue;
-            }
             // A two-way partition also cuts the inbound direction: frames
             // that arrive while the window is active are held in order and
             // released once it heals, so the node looks silent without
@@ -1485,9 +1447,8 @@ impl<'a> Launcher<'a> {
                     }
                 }
             }
-            // Stop at a fence raised from inside `on_frame` handling, and
-            // stop consuming a poisoned incarnation.
-            while !self.links[task].fenced && !self.links[task].poisoned {
+            // Stop consuming a poisoned incarnation.
+            while !self.links[task].poisoned {
                 let event = self.links[task].wire.try_recv();
                 if !self.absorb(task, event, inbound_blocked, &mut got) {
                     break;
@@ -1499,7 +1460,7 @@ impl<'a> Launcher<'a> {
             // must not be read here, or holding and discarding would leak.
             let wait_on = blocked_on.filter(|&task| {
                 let link = &self.links[task];
-                !link.dead && !link.fenced && !link.poisoned && !self.inbound_blocked(task)
+                !link.dead && !link.poisoned && !self.inbound_blocked(task)
             });
             match wait_on {
                 Some(task) => {
@@ -1512,11 +1473,11 @@ impl<'a> Launcher<'a> {
         self.recover_dead();
     }
 
-    /// Respawns (or fences) every link marked dead since the last pass.
+    /// Respawns every link marked dead since the last pass.
     fn recover_dead(&mut self) {
         for task in 0..self.links.len() {
             if std::mem::take(&mut self.links[task].dead) {
-                self.recover_or_fence(task);
+                self.recover(task);
             }
         }
     }
@@ -1690,9 +1651,6 @@ impl<'a> Launcher<'a> {
     /// The sink: publishes what `task` staged ahead of the ack just taken
     /// off its wire — its snapshot to the coordinator, its pairs to the
     /// result, each with its emit latency (none under logical time).
-    /// Pairs touching a fence-shed record are excluded: the shed set
-    /// defines the surviving records, and the reported join is exactly the
-    /// join over survivors.
     fn publish_staged(&mut self, task: usize) {
         if let Some((epoch, from, entries)) = self.links[task].staged_snapshot.take() {
             let coordinator = self
@@ -1707,13 +1665,7 @@ impl<'a> Launcher<'a> {
             return;
         }
         let now = self.clock.wall_elapsed();
-        let shed_ids = &self.shed_ids;
         for (pair, ingest) in self.links[task].staged.drain(..) {
-            if self.any_fenced
-                && (shed_ids.contains(&pair.earlier.0) || shed_ids.contains(&pair.later.0))
-            {
-                continue;
-            }
             if let Some(now) = now {
                 let lat = now.saturating_sub(Duration::from_nanos(ingest.as_nanos()));
                 self.stages.record(Stage::Emit, lat);
@@ -1779,7 +1731,7 @@ impl<'a> Launcher<'a> {
         };
         let now = Instant::now();
         for task in 0..self.links.len() {
-            if self.links[task].fenced || self.links[task].done.is_some() {
+            if self.links[task].done.is_some() {
                 continue;
             }
             if now.duration_since(self.links[task].hb_last) >= h.heartbeat_interval {
@@ -1795,22 +1747,23 @@ impl<'a> Launcher<'a> {
             if silent >= h.suspect_after {
                 self.health_report.suspects += 1;
                 self.health_report.detection_latency.record(silent);
-                self.recover_or_fence(task);
+                self.recover(task);
             }
         }
         self.recover_dead();
     }
 
     /// A node is dead or suspect: respawn it while the recovery budget
-    /// lasts, fence it once the budget is exhausted.
-    fn recover_or_fence(&mut self, task: usize) {
-        if self.links[task].fenced {
-            return;
-        }
+    /// lasts. Past the budget the run fails rather than return a partial
+    /// answer: the cluster is torn down and the launcher panics naming
+    /// the task.
+    fn recover(&mut self, task: usize) {
         if let Some(max) = self.cfg.health.and_then(|h| h.recovery_budget) {
             if self.links[task].health_respawns >= max {
-                self.fence(task);
-                return;
+                for link in self.links.drain(..) {
+                    close_node(link.wire, link.proc, true);
+                }
+                panic!("task {task} exhausted its recovery budget of {max} respawn(s)");
             }
         }
         self.links[task].health_respawns += 1;
@@ -1818,59 +1771,6 @@ impl<'a> Launcher<'a> {
         let t0 = Instant::now();
         self.kill_and_respawn(task);
         self.stages.record(Stage::Recover, t0.elapsed());
-    }
-
-    /// Degrade gracefully: abandon the task and shed its partition with
-    /// exact recall accounting. Every record with any fenced target is
-    /// shed whole from here on (see `dispatch`), the in-flight suffix is
-    /// retroactively shed, and every past or future pair touching a shed
-    /// record is filtered — so the reported join is *exactly* the join
-    /// over surviving records, never a silent partial answer.
-    fn fence(&mut self, task: usize) {
-        assert!(
-            !self.bistream,
-            "fencing accounting is defined for self-joins only; \
-             do not set a recovery budget on bi-stream runs"
-        );
-        if self.links[task].fenced {
-            return;
-        }
-        self.links[task].fenced = true;
-        self.any_fenced = true;
-        self.health_report.fenced_tasks.push(task);
-        if let NodeProc::Child(child) = &mut self.links[task].proc {
-            // Free the OS process now; teardown reaps it. Thread nodes
-            // exit when their wire drops at teardown.
-            let _ = child.kill();
-        }
-        // Retroactively shed the in-flight suffix — every record inside
-        // every unacked frame: whether the dead node processed those
-        // records is unknowable, so they leave the surviving set entirely.
-        let link = &mut self.links[task];
-        let inflight: Vec<u64> = link
-            .unacked
-            .values()
-            .flat_map(|p| carried_ids(&p.msg))
-            .collect();
-        link.unacked.clear();
-        link.in_flight = 0;
-        link.held_inbound.clear();
-        self.discard_staged(task);
-        self.shed_for_fence(inflight);
-    }
-
-    /// Removes `ids` from the surviving set on behalf of a fenced task
-    /// and purges pairs already emitted with a now-shed endpoint; future
-    /// arrivals are filtered in `collect`.
-    fn shed_for_fence(&mut self, ids: impl IntoIterator<Item = u64>) {
-        for id in ids {
-            if self.shed_ids.insert(id) {
-                self.shed_log.push(id);
-            }
-        }
-        let shed_ids = &self.shed_ids;
-        self.pairs
-            .retain(|p| !shed_ids.contains(&p.earlier.0) && !shed_ids.contains(&p.later.0));
     }
 
     /// Consumes whatever `task` already delivered without blocking.
@@ -2026,28 +1926,12 @@ impl DispatchPort for Launcher<'_> {
         self.links[task].in_flight
     }
 
-    fn reachable(&self, task: usize) -> bool {
-        !self.links[task].fenced
-    }
-
     /// Sends after bounding this wire's in-flight backlog at the channel
     /// capacity — the launcher-side equivalent of a bounded channel
     /// blocking the dispatcher. The bound is checked before the send, so
     /// a batch may overshoot it by less than its length.
     fn send(&mut self, task: usize, msg: JoinMsg) {
-        loop {
-            if self.links[task].fenced {
-                // The target was fenced since these records were routed
-                // (from inside this wait, or while they sat in a pending
-                // batch): shed every one of them whole so the
-                // surviving-set accounting stays exact. Their messages
-                // already sent elsewhere are filtered at the sink.
-                self.shed_for_fence(carried_ids(&msg));
-                return;
-            }
-            if self.links[task].in_flight < self.cfg.channel_capacity {
-                break;
-            }
+        while self.links[task].in_flight >= self.cfg.channel_capacity {
             self.pump(Duration::from_micros(200), Some(task));
             self.service_timers();
             self.service_health();
@@ -2262,62 +2146,44 @@ mod tests {
     }
 
     #[test]
-    fn fencing_sheds_every_record_of_an_in_flight_batch_and_of_a_refused_one() {
-        let cfg = test_config(2);
-        let (mut l, _nodes) = launcher(&cfg, None);
-        let results = vec![
-            (pair(0, 1), Timestamp::ZERO),
-            (pair(0, 4), Timestamp::ZERO),
-            (pair(7, 8), Timestamp::ZERO),
-        ];
-        // Task 1 answers its in-flight frame: the pairs wait for the ack,
-        // which publishes all of them through the sink.
+    fn an_exhausted_budget_closes_every_wire_and_fails_naming_the_task() {
+        let mut cfg = test_config(2);
+        cfg.health = Some(HealthConfig {
+            recovery_budget: Some(0),
+            ..HealthConfig::recommended()
+        });
+        let (mut l, mut nodes) = launcher(&cfg, None);
+        // Task 1 answers its frame and acks it: the pair is published.
         l.send(1, batch(10..12));
-        assert!(l.on_frame(1, &sealed(&Frame::Results(results))));
-        assert!(l.pairs.is_empty(), "published ahead of the ack");
+        let published = vec![(pair(10, 11), Timestamp::ZERO)];
+        assert!(l.on_frame(1, &sealed(&Frame::Results(published))));
         assert!(l.on_frame(1, &sealed(&Frame::Ack { seq: 0 })));
-        assert_eq!(l.pairs.len(), 3);
-
+        // Task 0 answers its batch and dies before the ack, with no
+        // respawn left in its budget.
         l.send(0, batch(1..4));
-        l.send(
-            0,
-            JoinMsg::Barrier {
-                epoch: 1,
-                injected_at: Timestamp::ZERO,
-            },
-        );
-        // Task 0 answered its batch but never acked it: the fence
-        // discards the staged pair.
         let staged = vec![(pair(2, 3), Timestamp::ZERO)];
         assert!(l.on_frame(0, &sealed(&Frame::Results(staged))));
-        l.fence(0);
-        assert!(l.links[0].staged.is_empty());
-        assert_eq!(l.dup_results_dropped, 1);
-        assert_eq!(l.shed_log, vec![1, 2, 3], "every id of the in-flight batch");
-        assert_eq!(l.backlog(0), 0);
-        assert_eq!(l.pairs.len(), 2, "the pair touching record 1 is purged");
-
-        // A batch routed before the fence but framed after it is refused
-        // whole, and pairs its records already produced elsewhere go too.
-        l.send(0, batch(4..6));
-        assert_eq!(l.shed_log, vec![1, 2, 3, 4, 5]);
+        l.links[0].dead = true;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.recover_dead()))
+            .expect_err("a budget of 0 allows no respawn");
         assert_eq!(
-            l.links[0].next_seq, 2,
-            "nothing was framed for a fenced task"
+            failed.downcast_ref::<String>().map(String::as_str),
+            Some("task 0 exhausted its recovery budget of 0 respawn(s)")
         );
+        assert_eq!(l.health_report.respawns, 0);
+        assert!(l.links.is_empty(), "every link is torn down");
+        // A published pair is never taken back.
         assert_eq!(
             l.pairs.iter().map(MatchPair::key).collect::<Vec<_>>(),
-            vec![(7, 8)]
+            vec![(10, 11)]
         );
-        // And what is published later for a shed record is filtered.
-        l.send(1, batch(12..13));
-        let late = Frame::Result {
-            pair: pair(5, 9),
-            ingest: Timestamp::ZERO,
-        };
-        assert!(l.on_frame(1, &sealed(&late)));
-        assert!(l.on_frame(1, &sealed(&Frame::Ack { seq: 1 })));
-        assert_eq!(l.pairs.len(), 1);
+        for node in &mut nodes {
+            while let WireEvent::Frame(_) = node.try_recv().unwrap() {}
+            assert!(
+                matches!(node.try_recv().unwrap(), WireEvent::Closed(_)),
+                "every wire is closed"
+            );
+        }
     }
 
     /// Task 0's first incarnation, played by the test, sends its answer to

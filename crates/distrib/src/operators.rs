@@ -37,9 +37,6 @@ pub(crate) trait DispatchPort {
     /// Messages queued for, or in flight to, `task` — the shed signal.
     fn backlog(&self, task: usize) -> usize;
 
-    /// Whether `task` can still be sent to (a fenced cluster node cannot).
-    fn reachable(&self, task: usize) -> bool;
-
     /// Puts `msg` on `task`'s FIFO wire, blocking on backpressure.
     fn send(&mut self, task: usize, msg: JoinMsg);
 
@@ -60,10 +57,6 @@ pub(crate) enum Dispatched {
         /// The backlog that tripped the watermark.
         depth: usize,
     },
-    /// Shed whole: one of its targets is unreachable. Routing completeness
-    /// makes this exact — two surviving records that could match share no
-    /// unreachable target, so no surviving pair is lost.
-    Unreachable,
 }
 
 /// The dispatch operator: routes a record, sheds it or sends its
@@ -133,26 +126,18 @@ impl<R: Router> Dispatcher<R> {
         port.routed(&payload, decision.index.len() + decision.probe.len());
         let id = payload.record.id().0;
         if restore {
-            // An unreachable target is skipped: any later probe that would
-            // have needed this state there is itself shed below.
             for &ix in &decision.index {
-                if !port.reachable(ix) {
-                    continue;
-                }
                 self.buffer_for_replay(ix, &payload);
                 self.push(ix, JoinMsg::Index(payload.clone()), port);
             }
             self.close_record(id, port);
             return Dispatched::Sent;
         }
-        // Both shed checks run before any send or replay buffering: a shed
+        // The shed check runs before any send or replay buffering: a shed
         // record leaves no trace downstream, so the run's output is
         // exactly the join of the kept records.
-        let targets = decision.index.iter().chain(&decision.probe);
-        if targets.clone().any(|&t| !port.reachable(t)) {
-            return Dispatched::Unreachable;
-        }
         if let Some(watermark) = self.shed_watermark {
+            let targets = decision.index.iter().chain(&decision.probe);
             let depth = targets.map(|&t| port.backlog(t)).max().unwrap_or(0);
             if depth >= watermark {
                 return Dispatched::Shed { depth };
@@ -219,13 +204,6 @@ impl<R: Router> Dispatcher<R> {
         let Some(coordinator) = &self.coordinator else {
             return;
         };
-        let k = self.buffers.len();
-        // With a task unreachable no epoch can collect all k snapshots
-        // again, so none is opened; epochs in flight never commit, which
-        // nothing blocks on.
-        if (0..k).any(|t| !port.reachable(t)) {
-            return;
-        }
         self.routed_since_barrier += 1;
         if self.routed_since_barrier < coordinator.interval() {
             return;
@@ -241,7 +219,7 @@ impl<R: Router> Dispatcher<R> {
         // Pending batches hold messages dispatched before this barrier:
         // they go first, so every wire sees them ahead of it.
         self.flush(port);
-        for t in 0..k {
+        for t in 0..self.buffers.len() {
             port.send(t, JoinMsg::Barrier { epoch, injected_at });
         }
     }
@@ -548,15 +526,13 @@ mod tests {
     }
 
     /// A port that records what the dispatcher did to it: a logical clock
-    /// (every read counts), scripted backlogs and reachability, and every
-    /// message in send order. With `recovery` set it also asserts, at each
-    /// index-bearing send, that the record is already in `task`'s replay
-    /// buffer.
+    /// (every read counts), scripted backlogs and every message in send
+    /// order. With `recovery` set it also asserts, at each index-bearing
+    /// send, that the record is already in `task`'s replay buffer.
     #[derive(Default)]
     struct Recorder {
         clock: u64,
         backlog: [usize; K],
-        unreachable: [bool; K],
         sent: Vec<(usize, JoinMsg)>,
         recovery: Option<Arc<RecoveryState>>,
         index_sends: [usize; K],
@@ -569,9 +545,6 @@ mod tests {
         }
         fn backlog(&self, task: usize) -> usize {
             self.backlog[task]
-        }
-        fn reachable(&self, task: usize) -> bool {
-            !self.unreachable[task]
         }
         fn send(&mut self, task: usize, msg: JoinMsg) {
             if let (Some(recovery), true) = (&self.recovery, msg.indexes()) {
@@ -668,13 +641,8 @@ mod tests {
     }
 
     #[test]
-    fn a_shed_or_unreachable_record_leaves_no_message_and_no_replay_entry() {
-        let router = Scripted::new(&[
-            (&[1], &[0, 1]),
-            (&[1], &[0, 1]),
-            (&[2], &[2, 3]),
-            (&[0, 3], &[0, 3]),
-        ]);
+    fn a_shed_record_leaves_no_message_and_no_replay_entry() {
+        let router = Scripted::new(&[(&[1], &[0, 1]), (&[2], &[2, 3])]);
         let recovery = Arc::new(RecoveryState::new(K, Window::Unbounded));
         let coordinator =
             Arc::new(CheckpointCoordinator::new(K, &CheckpointConfig::in_memory(1)).unwrap());
@@ -693,32 +661,31 @@ mod tests {
             d.dispatch(source(&rec(0, &[1, 2])), &mut port),
             Dispatched::Shed { depth: 5 }
         );
-        // So does an unreachable one, whatever the backlogs say.
-        port.backlog[0] = 0;
-        port.unreachable[0] = true;
-        assert_eq!(
-            d.dispatch(source(&rec(1, &[1, 2])), &mut port),
-            Dispatched::Unreachable
-        );
         assert!(
             port.sent.is_empty(),
             "a shed record must not be sent anywhere"
         );
         assert!((0..K).all(|t| recovery.buffered(t) == 0));
-        assert_eq!(port.clock, 2, "shed records still take their ingest stamp");
-        // With a task unreachable, a record that avoids it still goes out,
-        // but no epoch is opened behind it (interval 1 would otherwise).
+        assert_eq!(port.clock, 1, "a shed record still takes its ingest stamp");
+        // The next record is kept: it goes out, and the epoch interval of 1
+        // opens a barrier behind it on every wire.
+        port.backlog[0] = 0;
         assert_eq!(
-            d.dispatch(source(&rec(2, &[1, 2])), &mut port),
+            d.dispatch(source(&rec(1, &[1, 2])), &mut port),
             Dispatched::Sent
         );
-        assert_eq!(shape(&port.sent), vec![(2, "probe+index"), (3, "probe")]);
-        assert_eq!(port.clock, 3);
-        // A restore tuple is state, not load: it skips the unreachable
-        // target and still reaches the others.
-        let restore = JoinMsg::Index(RecordMsg::solo(rec(3, &[1, 2]), Timestamp::ZERO));
-        assert_eq!(d.dispatch(restore, &mut port), Dispatched::Sent);
-        assert_eq!(shape(&port.sent[2..]), vec![(3, "index")]);
+        assert_eq!(
+            shape(&port.sent),
+            vec![
+                (2, "probe+index"),
+                (3, "probe"),
+                (0, "barrier"),
+                (1, "barrier"),
+                (2, "barrier"),
+                (3, "barrier")
+            ]
+        );
+        assert_eq!(port.clock, 3, "one ingest stamp plus one barrier stamp");
     }
 
     #[test]

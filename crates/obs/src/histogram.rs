@@ -1,7 +1,5 @@
-//! A log-bucket latency histogram (relocated here from
-//! `stormlite::metrics` so that crates below the engine — notably the
-//! local join algorithms — can time stages without depending on it;
-//! stormlite re-exports it for compatibility).
+//! A log-bucket latency histogram. It lives below the engine so that the
+//! local join algorithms can time stages without depending on stormlite.
 //!
 //! Nothing in this module reads the wall clock. Every duration recorded
 //! here is measured by the caller through its scheduler clock, so under

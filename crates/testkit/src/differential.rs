@@ -66,9 +66,9 @@ pub struct DifferentialCase {
     pub crash: bool,
     /// Override the cluster crash horizon: kill after this many acks from
     /// the victim task instead of the `records / 2` default. An early
-    /// horizon guarantees stream remains behind the kill — fence tests
-    /// over real sockets need that, because ack draining is bursty and a
-    /// late horizon can land after the last record was dispatched.
+    /// horizon guarantees the kill fires while stream remains — tests over
+    /// real sockets need that, because ack draining is bursty and a late
+    /// horizon can land after the last record was dispatched.
     /// Cluster-only, like `outages`.
     pub crash_after: Option<u64>,
     /// Roll seeded drop/duplicate/delay dice on every launcher→node link
@@ -96,9 +96,8 @@ pub struct DifferentialCase {
     /// this (or `chaos`) rather than silently running a weaker scenario.
     pub outages: Vec<ClusterOutage>,
     /// Per-task respawn budget for the cluster's failure detector. Within
-    /// budget recovery must mask faults exactly; once a task exhausts it
-    /// the task is fenced and its records shed with exact accounting.
-    /// Cluster-only, like `outages`; incompatible with `bistream`.
+    /// budget recovery must mask faults exactly; a task that exhausts it
+    /// fails the run. Cluster-only, like `outages`.
     pub recovery_budget: Option<u32>,
 }
 
@@ -224,8 +223,8 @@ impl DifferentialCase {
         self
     }
 
-    /// Caps each task at `budget` respawns; past it the task is fenced and
-    /// its records shed with exact accounting. Cluster-only.
+    /// Caps each task at `budget` respawns; past it the run fails.
+    /// Cluster-only.
     pub fn with_recovery_budget(mut self, budget: u32) -> Self {
         self.recovery_budget = Some(budget);
         self
@@ -262,7 +261,7 @@ fn assert_no_cluster_knobs(case: &DifferentialCase) {
             && case.crash_after.is_none(),
         "link chaos, link outages, recovery budgets and crash horizons are \
          cluster-only knobs; the simulated topology has no lossy or \
-         wall-clock wires to drop on, stall or fence"
+         wall-clock wires to drop on, stall or respawn"
     );
 }
 
@@ -316,25 +315,8 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         (result, expect)
     };
 
-    let got_keys = oracle::sorted_keys(&result.pairs);
-    let expect_keys = oracle::sorted_keys(&expect);
-    assert_eq!(
-        got_keys, expect_keys,
-        "seed {seed}: result pair set diverges from oracle ({case:?})"
-    );
-    let mut got_sorted = result.pairs.clone();
-    got_sorted.sort_by_key(|m| m.key());
-    let mut expect_sorted = expect;
-    expect_sorted.sort_by_key(|m| m.key());
-    for (g, e) in got_sorted.iter().zip(&expect_sorted) {
-        assert!(
-            (g.similarity - e.similarity).abs() < 1e-12,
-            "seed {seed}: similarity diverges on {:?}: {} vs oracle {}",
-            g.key(),
-            g.similarity,
-            e.similarity
-        );
-    }
+    let what = format!("result ({case:?})");
+    crate::cluster::assert_pairs_equal(seed, &result.pairs, expect, &what);
 
     let recall = if case.shed_watermark.is_some() {
         oracle::shed_recall(&records, &case.join, &result.shed_records)
@@ -342,7 +324,7 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         1.0
     };
     DifferentialOutcome {
-        pairs: got_keys.len(),
+        pairs: result.pairs.len(),
         shed: result.shed_records.len(),
         recall,
         result,

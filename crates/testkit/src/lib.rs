@@ -40,7 +40,8 @@ pub mod transcript;
 
 pub use cluster::{
     assert_pairs_equal, cluster_config_for, run_cluster_differential,
-    run_cluster_differential_relaxed, run_cluster_restore_differential, ClusterDifferentialOutcome,
+    run_cluster_differential_relaxed, run_cluster_exhausting_budget,
+    run_cluster_restore_differential, ClusterDifferentialOutcome,
 };
 pub use fault::{FaultHits, FaultStore, StoreFault};
 

@@ -13,9 +13,9 @@
 //! (the run ends without a respawn or restart). The cells are crossed with
 //! a self-join and a bi-stream join of the same stream (split into sides
 //! by id parity, so the lazy merge of the two sides is on the path),
-//! `dispatch_batch` None / 8 and checkpointing off / every 15 records, and
-//! every run must equal the O(n²) oracle as a sorted list of keys — so a
-//! pair published twice fails as surely as a lost one.
+//! `dispatch_batch` None / 8 / 32 and checkpointing off / every 15
+//! records, and every run must equal the O(n²) oracle as a sorted list of
+//! keys — so a pair published twice fails as surely as a lost one.
 //!
 //! The `#[test]`s take every 7th kill point; the full sweeps are
 //! `#[ignore]`d and run by `scripts/sweep.sh`.
@@ -56,7 +56,7 @@ fn sweep(
             self_join(&records, &join)
         };
         assert!(!expect.is_empty(), "the stream produced no pairs");
-        for batch in [None, Some(8)] {
+        for batch in [None, Some(8), Some(32)] {
             for checkpoint in [None, Some(15)] {
                 let mut case = DifferentialCase::new(
                     RECORDS,

@@ -153,8 +153,8 @@ fn exported_metrics_schema_is_complete_and_stable() {
 #[test]
 fn cluster_metrics_schema_is_complete_and_stable() {
     // A faulted in-process cluster: an inbound frame of task 0 is flipped
-    // (rejected as corrupt), task 1 crashes, and with no recovery budget
-    // a failed task is fenced rather than respawned.
+    // (rejected as corrupt) and task 1 crashes; with no recovery budget
+    // set, both are respawned.
     let case = DifferentialCase::new(
         150,
         3,
@@ -166,8 +166,7 @@ fn cluster_metrics_schema_is_complete_and_stable() {
         },
     )
     .with_corruption(0, 12, 2, true)
-    .with_crash_at(10)
-    .with_recovery_budget(0);
+    .with_crash_at(10);
     let out = with_deadline(Duration::from_secs(120), move || {
         run_cluster_differential(37, &case, ClusterBackend::InProcess)
     });
@@ -199,7 +198,6 @@ fn cluster_metrics_schema_is_complete_and_stable() {
             "dssj_cluster_quarantined_epochs_total",
             "dssj_cluster_wire_closes_total",
             "dssj_cluster_joiners",
-            "dssj_cluster_fenced_tasks",
             "dssj_cluster_restore_fallback_depth",
             "dssj_cluster_result_latency",
             "dssj_cluster_detection_latency",
@@ -216,7 +214,10 @@ fn cluster_metrics_schema_is_complete_and_stable() {
     };
     // The faults fired, so their families carry the values the stage
     // histogram no longer copies.
-    assert!(value("dssj_cluster_fenced_tasks") > 0, "no task was fenced");
+    assert!(
+        value("dssj_cluster_respawns_total") > 0,
+        "no task was respawned"
+    );
     assert!(
         value("dssj_cluster_corrupt_frames_total") > 0,
         "no frame was rejected"
@@ -241,6 +242,11 @@ fn cluster_metrics_schema_is_complete_and_stable() {
             "stage label {stage} has no launcher-side recorder"
         );
     }
+    let text = obs::prometheus(&snap);
+    assert!(
+        !text.contains("dssj_cluster_fenced_tasks"),
+        "dssj_cluster_fenced_tasks has no source any more"
+    );
 }
 
 #[test]

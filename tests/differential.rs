@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use testkit::{
     assert_pairs_equal, differential_records, run_cluster_differential_relaxed,
-    run_cluster_restore_differential, run_differential, run_restore_differential, self_join,
-    with_deadline, DifferentialCase,
+    run_cluster_exhausting_budget, run_cluster_restore_differential, run_differential,
+    run_restore_differential, self_join, with_deadline, DifferentialCase,
 };
 
 const STRATEGIES: usize = 4;
@@ -423,10 +423,10 @@ proptest! {
         on_cluster(seed, c);
     }
 
-    /// Budget zero: the kill fences its task, and every record inside an
-    /// in-flight or refused batch leaves the surviving set.
+    /// Budget zero: the kill fails the run naming its task, and a kill
+    /// that never fires leaves a run equal to the oracle.
     #[test]
-    fn fenced_cluster_runs_match_adjusted_oracle(
+    fn exhausted_budget_cluster_runs_fail_stop(
         seed in 0u64..1_000_000,
         k in 2usize..5,
         tau in 0.55f64..0.9,
@@ -437,11 +437,13 @@ proptest! {
             .with_crash_at(horizon)
             .with_recovery_budget(0)
             .with_dispatch_batch(batch(bat));
-        let out = on_cluster(seed, c);
-        if out.result.health.fenced_tasks.is_empty() {
-            prop_assert_eq!(out.shed, 0, "shed without a fence");
-        } else {
-            prop_assert_eq!(out.result.health.respawns, 0, "budget 0 respawned");
+        let failed = with_deadline(CLUSTER_DEADLINE, move || {
+            run_cluster_exhausting_budget(seed, &c, ClusterBackend::InProcess)
+        });
+        if let Some(msg) = failed {
+            let task = seed % k as u64;
+            let named = format!("task {task} exhausted its recovery budget of 0 respawn(s)");
+            prop_assert_eq!(msg, named);
         }
     }
 
