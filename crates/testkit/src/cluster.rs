@@ -63,14 +63,19 @@ pub fn cluster_config_for(
     }
     cfg.outages = case.outages.clone();
     if !case.outages.is_empty() || case.recovery_budget.is_some() {
-        // Any self-healing knob turns the failure detector on, with a
-        // cadence fast enough that a two-way partition outlasting
-        // `suspect_after` actually trips a suspect inside a short test.
-        cfg.health = Some(HealthConfig {
+        // Any self-healing knob turns the failure detector on, probing often
+        // enough that a short run sends heartbeats. Only an outage needs the
+        // 80 ms deadline, so that a partition trips a suspect in a short test;
+        // otherwise the recommended one spares a node a loaded host stalled.
+        let mut health = HealthConfig {
             heartbeat_interval: Duration::from_millis(10),
             suspect_after: Duration::from_millis(80),
             recovery_budget: case.recovery_budget,
-        });
+        };
+        if case.outages.is_empty() {
+            health.suspect_after = HealthConfig::recommended().suspect_after;
+        }
+        cfg.health = Some(health);
     }
     cfg
 }
@@ -149,7 +154,8 @@ fn run_cluster_differential_impl(
 
 /// Runs `case`, a crash past its recovery budget, and returns the message
 /// the run failed with. `None` means it completed: a relaxed kill never
-/// fired, and the run equalled the oracle with nothing respawned.
+/// fired, and the run equalled the full oracle with nothing respawned
+/// and nothing shed.
 pub fn run_cluster_exhausting_budget(
     seed: u64,
     case: &DifferentialCase,
@@ -161,6 +167,7 @@ pub fn run_cluster_exhausting_budget(
     match run {
         Ok(out) => {
             assert_eq!(out.result.health.respawns, 0, "seed {seed}");
+            assert_eq!(out.shed, 0, "seed {seed}: shed without a watermark");
             None
         }
         Err(panic) => Some(panic.downcast_ref::<String>().cloned().unwrap_or_default()),
