@@ -324,7 +324,6 @@ pub fn f5(scale: Scale, results: &Path) -> io::Result<()> {
             "tau",
             "allpairs",
             "ppjoin",
-            "ppjoin+",
             "bundle",
             "bundle_postings",
             "ppjoin_postings",
@@ -343,14 +342,12 @@ pub fn f5(scale: Scale, results: &Path) -> io::Result<()> {
             };
             let (ap, _) = time_joiner(Box::new(AllPairsJoiner::new(join)));
             let (pp, pp_post) = time_joiner(Box::new(PpJoinJoiner::new(join)));
-            let (ppp, _) = time_joiner(Box::new(PpJoinJoiner::new_plus(join)));
             let (bj, bj_post) = time_joiner(Box::new(BundleJoiner::with_defaults(join)));
             t.row(vec![
                 p.name.into(),
                 fnum(tau),
                 fnum(ap),
                 fnum(pp),
-                fnum(ppp),
                 fnum(bj),
                 bj_post.to_string(),
                 pp_post.to_string(),

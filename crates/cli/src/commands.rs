@@ -12,13 +12,20 @@ use ssj_partition::{imbalance, load_aware, CostModel, LengthHistogram};
 use ssj_text::{load_lines, Corpus, QGramTokenizer, Record, WordTokenizer};
 use ssj_workloads::{DatasetProfile, StreamGenerator};
 use std::error::Error;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 type CliResult = Result<(), Box<dyn Error>>;
+
+/// In this module `println!` returns a failed write (`| head`) through `?`.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*)?
+    };
+}
 
 /// Prints usage and returns the conventional exit code.
 pub fn usage() -> ExitCode {
@@ -225,7 +232,7 @@ enum Inputs<'a> {
 /// Prints the `show` most similar pairs, ties by key: of a self-join by
 /// line number, of a bi-stream join by record id. The order does not
 /// depend on the order the run collected them in.
-fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) {
+fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) -> CliResult {
     let mut pairs = pairs.to_vec();
     pairs.sort_by(|a, b| {
         b.similarity
@@ -242,26 +249,27 @@ fn print_pairs(pairs: &[MatchPair], bistream: bool, show: usize) {
             );
         }
     }
+    Ok(())
 }
 
 /// One summary line for corruption the run detected and survived —
 /// printed only when something actually rotted, mirroring the shed line.
-fn print_integrity(integrity: &ssj_distrib::IntegrityReport) {
-    if integrity.is_clean() {
-        return;
+fn print_integrity(integrity: &ssj_distrib::IntegrityReport) -> CliResult {
+    if !integrity.is_clean() {
+        println!(
+            "integrity   : {} corrupt frame(s), {} corrupt snapshot part(s), \
+             {} corrupt manifest(s); {} epoch(s) quarantined, restore fell back {} epoch(s)",
+            integrity.corrupt_frames,
+            integrity.corrupt_snapshot_parts,
+            integrity.corrupt_manifests,
+            integrity.quarantined_epochs,
+            integrity.restore_fallback_depth
+        );
     }
-    println!(
-        "integrity   : {} corrupt frame(s), {} corrupt snapshot part(s), \
-         {} corrupt manifest(s); {} epoch(s) quarantined, restore fell back {} epoch(s)",
-        integrity.corrupt_frames,
-        integrity.corrupt_snapshot_parts,
-        integrity.corrupt_manifests,
-        integrity.quarantined_epochs,
-        integrity.restore_fallback_depth
-    );
+    Ok(())
 }
 
-fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) {
+fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) -> CliResult {
     println!("records     : {}", out.records);
     println!("pairs       : {}", out.pairs.len());
     println!("throughput  : {:.0} records/s", out.throughput());
@@ -294,7 +302,7 @@ fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) {
     if let Some(cut) = out.restored_cut {
         println!("restored    : resumed from checkpoint cut at record id {cut}");
     }
-    print_integrity(&out.report.integrity);
+    print_integrity(&out.report.integrity)?;
     if verbose {
         for j in &out.joiners {
             let s = &j.stats;
@@ -311,6 +319,7 @@ fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) {
             );
         }
     }
+    Ok(())
 }
 
 /// `dssj join` (one `--input` file joined with itself) and `dssj bistream`
@@ -361,9 +370,9 @@ pub fn join(args: &Args, bistream: bool) -> CliResult {
             run_bistream_distributed(&left, &right, &cfg)
         }
     };
-    print_summary(&out, verbose);
+    print_summary(&out, verbose)?;
     exports.write(&out)?;
-    print_pairs(&out.pairs, bistream, show);
+    print_pairs(&out.pairs, bistream, show)?;
     Ok(())
 }
 
@@ -545,7 +554,7 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
     Ok(cfg)
 }
 
-fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBackend) {
+fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBackend) -> CliResult {
     let backend_name = match backend {
         ClusterBackend::InProcess => "in-process",
         ClusterBackend::Tcp { .. } => "tcp",
@@ -636,7 +645,7 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
         let rendered: Vec<String> = digests.iter().map(|d| format!("{d:016x}")).collect();
         println!("wire digests: {}", rendered.join(" "));
     }
-    print_integrity(&out.integrity);
+    print_integrity(&out.integrity)
 }
 
 /// `dssj cluster` — run the join on k joiner processes over localhost
@@ -665,9 +674,9 @@ pub fn cluster(args: &Args) -> CliResult {
             run_cluster_bistream(&left, &right, &cfg)
         }
     };
-    print_cluster_summary(&out, &cfg.backend);
+    print_cluster_summary(&out, &cfg.backend)?;
     write_metrics(metrics, &out.metrics_snapshot())?;
-    print_pairs(&out.sorted_pairs(), bistream, show);
+    print_pairs(&out.sorted_pairs(), bistream, show)?;
     Ok(())
 }
 

@@ -52,8 +52,11 @@ fn main() -> ExitCode {
             return commands::usage();
         }
     };
+    let broken_pipe = |e: &std::io::Error| e.kind() == std::io::ErrorKind::BrokenPipe;
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that stopped early (`dssj join ... | head`) got its lines.
+        Err(e) if e.downcast_ref().is_some_and(broken_pipe) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

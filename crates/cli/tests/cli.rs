@@ -1,7 +1,8 @@
 //! End-to-end CLI tests driving the built `dssj` binary.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn dssj(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dssj"))
@@ -36,6 +37,29 @@ fn join_finds_similar_lines() {
     assert!(stdout.contains("pairs       : 2"), "{stdout}");
     assert!(stdout.contains("line 0 <-> line 1"), "{stdout}");
     assert!(stdout.contains("line 2 <-> line 3"), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_run_quietly() {
+    // Two families of 100 similar lines: ~10k pair lines, several times
+    // what a pipe buffers, so dssj is still writing when the reader goes.
+    let input = write_temp("join_pipe.txt", &DOCS.repeat(50));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dssj"))
+        .args(["join", "--input", input.to_str().unwrap(), "--tau", "0.6"])
+        .args(["--show-pairs", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("records"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -444,10 +444,13 @@ impl InvertedIndex {
         let t = token.0 as usize;
         if t < DIRECT_SPAN {
             if t >= self.direct.len() {
-                // Jump straight to the full span: growing incrementally as
-                // larger token ids arrive would re-zero and re-copy the
-                // table O(log) times, which dominates the insert path.
-                self.direct.resize(DIRECT_SPAN, ListRef::default());
+                // The table spans the largest id so far, inside one
+                // allocation of the whole span reserved on the first add:
+                // a fresh index (a respawned joiner's) touches only the
+                // pages its ids use, and growing never copies or frees a
+                // smaller table.
+                self.direct.reserve_exact(DIRECT_SPAN - self.direct.len());
+                self.direct.resize(t + 1, ListRef::default());
             }
             self.direct[t] = lr;
         } else if lr.len == 0 {

@@ -251,13 +251,12 @@ mod snapshot_tests {
             "naive" => Box::new(NaiveJoiner::new(cfg)),
             "allpairs" => Box::new(AllPairsJoiner::new(cfg)),
             "ppjoin" => Box::new(PpJoinJoiner::new(cfg)),
-            "ppjoin+" => Box::new(PpJoinJoiner::new_plus(cfg)),
             "bundle" => Box::new(BundleJoiner::with_defaults(cfg)),
             other => panic!("unknown joiner {other}"),
         }
     }
 
-    const ALL: [&str; 5] = ["naive", "allpairs", "ppjoin", "ppjoin+", "bundle"];
+    const ALL: [&str; 4] = ["naive", "allpairs", "ppjoin", "bundle"];
 
     fn windows() -> [Window; 3] {
         [Window::Unbounded, Window::Count(12), Window::TimeMs(150)]

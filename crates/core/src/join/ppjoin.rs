@@ -1,11 +1,6 @@
 //! Streaming PPJoin: AllPairs plus the positional filter and resumed
 //! (partial) verification.
 //!
-//! The joiner also offers **PPJoin+** mode ([`PpJoinJoiner::new_plus`]):
-//! before verifying a surviving candidate, the *suffix filter* computes a
-//! cheap lower bound on the Hamming distance of the unseen suffixes and
-//! prunes pairs whose bound already rules out the required overlap.
-//!
 //! While scanning the probe's prefix tokens, the joiner accumulates for each
 //! candidate the exact number of shared prefix tokens `α` and the positions
 //! of the last shared token on both sides. At every shared token it applies
@@ -43,8 +38,6 @@ struct CandAcc {
 #[derive(Debug)]
 pub struct PpJoinJoiner {
     cfg: JoinConfig,
-    /// PPJoin+ mode: apply the suffix filter before verification.
-    suffix_filter: bool,
     store: RecordStore,
     index: InvertedIndex,
     queue: EvictionQueue<Slot>,
@@ -64,7 +57,6 @@ impl PpJoinJoiner {
     pub fn new(cfg: JoinConfig) -> Self {
         Self {
             cfg,
-            suffix_filter: false,
             store: RecordStore::new(),
             index: InvertedIndex::new(),
             queue: EvictionQueue::new(),
@@ -114,22 +106,9 @@ impl PpJoinJoiner {
     }
 }
 
-impl PpJoinJoiner {
-    /// A PPJoin+ joiner: PPJoin plus suffix filtering.
-    pub fn new_plus(cfg: JoinConfig) -> Self {
-        let mut j = Self::new(cfg);
-        j.suffix_filter = true;
-        j
-    }
-}
-
 impl StreamJoiner for PpJoinJoiner {
     fn name(&self) -> &'static str {
-        if self.suffix_filter {
-            "ppjoin+"
-        } else {
-            "ppjoin"
-        }
+        "ppjoin"
     }
 
     fn probe(&mut self, record: &Record, out: &mut Vec<MatchPair>) {
@@ -207,18 +186,6 @@ impl StreamJoiner for PpJoinJoiner {
             let mo = self.bounds.min_overlap(ls);
             let start_a = cand.last_probe_pos as usize + 1;
             let start_b = cand.last_index_pos as usize + 1;
-            if self.suffix_filter {
-                // Suffix filter: the unseen suffixes must still contribute
-                // `mo - alpha` common tokens; bound their Hamming distance.
-                let xs = &record.tokens()[start_a..];
-                let ys = &s_tokens[start_b..];
-                let needed = mo.saturating_sub(cand.alpha as usize);
-                let budget = (xs.len() + ys.len()).saturating_sub(2 * needed);
-                if verify::hamming_lower_bound(xs, ys, budget) > budget {
-                    self.stats.suffix_filtered += 1;
-                    continue;
-                }
-            }
             self.stats.verifications += 1;
             self.stats.verify_steps += ((lr - start_a) + (ls - start_b)) as u64;
             if let Some(o) = verify::overlap_from(
@@ -362,67 +329,6 @@ mod tests {
         assert!(out.is_empty());
         assert!(j.stats().position_filtered >= 1);
         assert_eq!(j.stats().verifications, 0);
-    }
-
-    #[test]
-    fn plus_mode_agrees_with_naive() {
-        let records: Vec<Record> = (0..60)
-            .map(|i| {
-                let b = (i % 5) as u32 * 40;
-                rec(
-                    i,
-                    &[b, b + 1, b + 2, b + 3, b + 4, b + 5, 500 + (i % 3) as u32],
-                )
-            })
-            .collect();
-        for tau in [0.5, 0.7, 0.9] {
-            let cfg = JoinConfig::jaccard(tau);
-            let mut naive = NaiveJoiner::new(cfg);
-            let mut plus = PpJoinJoiner::new_plus(cfg);
-            let mut expect: Vec<_> = run_stream(&mut naive, &records)
-                .iter()
-                .map(|m| m.key())
-                .collect();
-            let mut got: Vec<_> = run_stream(&mut plus, &records)
-                .iter()
-                .map(|m| m.key())
-                .collect();
-            expect.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(expect, got, "tau={tau}");
-        }
-    }
-
-    #[test]
-    fn suffix_filter_fires_and_saves_verifications() {
-        // Candidates share two early prefix tokens but have completely
-        // disjoint suffixes: the positional filter passes (plenty of
-        // remaining tokens) while the suffix filter sees the divergence.
-        let mk = |id: u64, base: u32| {
-            let mut toks = vec![1, 2];
-            toks.extend((0..18).map(|x| base + x));
-            rec(id, &toks)
-        };
-        let cfg = JoinConfig::jaccard(0.6);
-        let mut plain = PpJoinJoiner::new(cfg);
-        let mut plus = PpJoinJoiner::new_plus(cfg);
-        let mut out = Vec::new();
-        for (i, base) in [100u32, 200, 300, 400, 500].iter().enumerate() {
-            plain.process(&mk(i as u64, *base), &mut out);
-            plus.process(&mk(100 + i as u64, *base), &mut out);
-        }
-        assert!(out.is_empty());
-        assert!(
-            plus.stats().suffix_filtered > 0,
-            "suffix filter never fired"
-        );
-        assert!(
-            plus.stats().verifications < plain.stats().verifications,
-            "plus {} vs plain {}",
-            plus.stats().verifications,
-            plain.stats().verifications
-        );
-        assert_eq!(plus.name(), "ppjoin+");
     }
 
     #[test]

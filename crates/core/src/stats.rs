@@ -24,8 +24,6 @@ pub struct JoinStats {
     /// verification of every member at once, on a bound over the probe's
     /// overlap with the representative.
     pub position_filtered: u64,
-    /// Candidates removed by the suffix filter (PPJoin+ only).
-    pub suffix_filtered: u64,
     /// Merge-based verifications performed: per candidate record, or per
     /// candidate bundle (one merge against its representative).
     pub verifications: u64,
@@ -63,7 +61,6 @@ impl JoinStats {
         self.candidates += other.candidates;
         self.length_filtered += other.length_filtered;
         self.position_filtered += other.position_filtered;
-        self.suffix_filtered += other.suffix_filtered;
         self.verifications += other.verifications;
         self.verify_steps += other.verify_steps;
         self.delta_verifications += other.delta_verifications;
@@ -102,7 +99,6 @@ impl fmt::Display for JoinStats {
         writeln!(f, "candidates         {:>12}", self.candidates)?;
         writeln!(f, "length filtered    {:>12}", self.length_filtered)?;
         writeln!(f, "position filtered  {:>12}", self.position_filtered)?;
-        writeln!(f, "suffix filtered    {:>12}", self.suffix_filtered)?;
         writeln!(f, "verifications      {:>12}", self.verifications)?;
         writeln!(f, "verify steps       {:>12}", self.verify_steps)?;
         writeln!(f, "delta verifs       {:>12}", self.delta_verifications)?;

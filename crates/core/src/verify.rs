@@ -213,48 +213,6 @@ pub fn intersect_small(small: &[TokenId], big: &[TokenId]) -> usize {
     count
 }
 
-/// Recursion cap for [`hamming_lower_bound`]: deeper probing gives tighter
-/// bounds at higher cost; 4 levels matches the PPJoin+ paper's sweet spot.
-const SUFFIX_FILTER_MAX_DEPTH: usize = 4;
-
-/// A lower bound on the Hamming distance `|x| + |y| − 2·|x ∩ y|` of two
-/// strictly ascending token slices — the PPJoin+ *suffix filter* primitive.
-///
-/// The sets are recursively split around the median token of `y`; the
-/// distance decomposes exactly across the split, and each side is bounded
-/// from below by its size difference. Recursion aborts early once the
-/// accumulated bound exceeds `hd_max` (the caller prunes in that case), so
-/// the typical cost is logarithmic rather than linear.
-pub fn hamming_lower_bound(x: &[TokenId], y: &[TokenId], hd_max: usize) -> usize {
-    hamming_lb_rec(x, y, hd_max as isize, 0) as usize
-}
-
-fn hamming_lb_rec(x: &[TokenId], y: &[TokenId], hd_max: isize, depth: usize) -> isize {
-    if depth >= SUFFIX_FILTER_MAX_DEPTH || x.is_empty() || y.is_empty() {
-        return (x.len() as isize - y.len() as isize).abs();
-    }
-    let mid = y.len() / 2;
-    let pivot = y[mid];
-    let (yl, yr) = (&y[..mid], &y[mid + 1..]);
-    let (xl, xr, shared) = match x.binary_search(&pivot) {
-        Ok(p) => (&x[..p], &x[p + 1..], true),
-        Err(p) => (&x[..p], &x[p..], false),
-    };
-    // The pivot itself contributes 0 if present in both, else 1.
-    let pivot_diff = isize::from(!shared);
-    let left_floor = (xl.len() as isize - yl.len() as isize).abs();
-    let right_floor = (xr.len() as isize - yr.len() as isize).abs();
-    if left_floor + right_floor + pivot_diff > hd_max {
-        return left_floor + right_floor + pivot_diff;
-    }
-    let left = hamming_lb_rec(xl, yl, hd_max - right_floor - pivot_diff, depth + 1);
-    if left + right_floor + pivot_diff > hd_max {
-        return left + right_floor + pivot_diff;
-    }
-    let right = hamming_lb_rec(xr, yr, hd_max - left - pivot_diff, depth + 1);
-    left + right + pivot_diff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,39 +299,5 @@ mod tests {
             let exact = overlap(&a, &b);
             prop_assert_eq!(overlap_from(&a, &b, 0, 0, 0, 0), Some(exact));
         }
-
-        /// The suffix-filter bound never exceeds the true Hamming distance
-        /// (the safety property: pruning on it cannot drop true matches).
-        #[test]
-        fn hamming_bound_is_a_lower_bound(
-            a in sorted_set(), b in sorted_set(), hd_max in 0usize..100
-        ) {
-            let true_hamming = a.len() + b.len() - 2 * overlap(&a, &b);
-            let bound = hamming_lower_bound(&a, &b, hd_max);
-            prop_assert!(bound <= true_hamming,
-                "bound {bound} exceeds true hamming {true_hamming}");
-        }
-    }
-
-    #[test]
-    fn hamming_bound_identical_sets_is_zero() {
-        let a = tid(&[1, 2, 3, 4, 5]);
-        assert_eq!(hamming_lower_bound(&a, &a, 10), 0);
-    }
-
-    #[test]
-    fn hamming_bound_disjoint_sets_detected() {
-        let a = tid(&[1, 2, 3, 4]);
-        let b = tid(&[10, 20, 30, 40]);
-        // True hamming is 8; the bound must exceed a tight budget so the
-        // filter actually prunes.
-        assert!(hamming_lower_bound(&a, &b, 1) > 1);
-    }
-
-    #[test]
-    fn hamming_bound_empty_side() {
-        let a = tid(&[1, 2, 3]);
-        assert_eq!(hamming_lower_bound(&a, &tid(&[]), 5), 3);
-        assert_eq!(hamming_lower_bound(&tid(&[]), &tid(&[]), 5), 0);
     }
 }

@@ -1,5 +1,5 @@
 //! Adversarial-input unit tests: the filtered joiners (ppjoin's prefix /
-//! positional / suffix filters, bundle's batch verification) against the
+//! positional filters, bundle's batch verification) against the
 //! naive reference on inputs chosen to break filter edge cases —
 //! singleton-token records, all-identical streams, disjoint streams,
 //! shared-prefix-only records, and boundary thresholds.
@@ -35,7 +35,6 @@ fn keys(pairs: &[ssj_core::MatchPair]) -> Vec<(u64, u64)> {
 fn filtered(cfg: JoinConfig) -> Vec<(&'static str, Box<dyn ssj_core::StreamJoiner>)> {
     vec![
         ("ppjoin", Box::new(PpJoinJoiner::new(cfg))),
-        ("ppjoin+", Box::new(PpJoinJoiner::new_plus(cfg))),
         ("bundle", Box::new(BundleJoiner::with_defaults(cfg))),
         (
             "bundle-tight",
@@ -122,7 +121,7 @@ fn pairwise_disjoint_sets_produce_nothing() {
 fn shared_prefix_disjoint_suffix() {
     // All records share one hot leading token but nothing else: maximal
     // candidate generation with (mostly) sub-threshold verification — the
-    // case the positional and suffix filters exist for.
+    // case the positional filter exists for.
     let records: Vec<Record> = (0..25u32)
         .map(|i| rec(i as u64, &[0, 100 + 4 * i, 101 + 4 * i, 102 + 4 * i]))
         .collect();

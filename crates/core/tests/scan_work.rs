@@ -42,7 +42,6 @@ struct Work {
     candidates: u64,
     length_filtered: u64,
     position_filtered: u64,
-    suffix_filtered: u64,
     verifications: u64,
     verify_steps: u64,
     delta_verifications: u64,
@@ -58,7 +57,6 @@ impl Work {
             candidates: s.candidates,
             length_filtered: s.length_filtered,
             position_filtered: s.position_filtered,
-            suffix_filtered: s.suffix_filtered,
             verifications: s.verifications,
             verify_steps: s.verify_steps,
             delta_verifications: s.delta_verifications,
@@ -94,13 +92,12 @@ const PROFILES: [Profile; 3] = [
     ("aol", DatasetProfile::aol, 0.8),
 ];
 
-const ALGOS: [&str; 4] = ["bundle", "ppjoin", "ppjoin+", "allpairs"];
+const ALGOS: [&str; 3] = ["bundle", "ppjoin", "allpairs"];
 
 fn joiner(algo: &str, join: JoinConfig) -> Box<dyn StreamJoiner> {
     match algo {
         "bundle" => Box::new(BundleJoiner::with_defaults(join)),
         "ppjoin" => Box::new(PpJoinJoiner::new(join)),
-        "ppjoin+" => Box::new(PpJoinJoiner::new_plus(join)),
         "allpairs" => Box::new(AllPairsJoiner::new(join)),
         other => unreachable!("no joiner {other}"),
     }
@@ -121,18 +118,17 @@ fn measure() -> Vec<(&'static str, &'static str, Work)> {
     all
 }
 
-const fn w(c: [u64; 10], digest: u64) -> Work {
+const fn w(c: [u64; 9], digest: u64) -> Work {
     Work {
         posting_hits: c[0],
         candidates: c[1],
         length_filtered: c[2],
         position_filtered: c[3],
-        suffix_filtered: c[4],
-        verifications: c[5],
-        verify_steps: c[6],
-        delta_verifications: c[7],
-        results: c[8],
-        evicted: c[9],
+        verifications: c[4],
+        verify_steps: c[5],
+        delta_verifications: c[6],
+        results: c[7],
+        evicted: c[8],
         digest,
     }
 }
@@ -140,18 +136,15 @@ const fn w(c: [u64; 10], digest: u64) -> Work {
 /// `(profile, algorithm, work)`; counters in [`Work`]'s field order.
 #[rustfmt::skip]
 const PINS: &[(&str, &str, Work)] = &[
-    ("tweet", "bundle", w([1235, 693, 232, 88, 0, 373, 5963, 436, 412, 1499], 0xebbc6af236f884de)),
-    ("tweet", "ppjoin", w([1570, 870, 288, 105, 0, 477, 7812, 0, 412, 1499], 0x9e520e57608b5292)),
-    ("tweet", "ppjoin+", w([1570, 870, 288, 105, 65, 412, 6952, 0, 412, 1499], 0x9e520e57608b5292)),
-    ("tweet", "allpairs", w([1570, 870, 288, 0, 0, 582, 12502, 0, 412, 1499], 0x9e520e57608b5292)),
-    ("enron", "bundle", w([22321, 15687, 9229, 5315, 0, 1143, 288556, 173, 173, 1499], 0xa575e6fbfdec3e3d)),
-    ("enron", "ppjoin", w([24417, 16525, 9704, 5604, 0, 1217, 305822, 0, 173, 1499], 0xa575e6fbfdec3e3d)),
-    ("enron", "ppjoin+", w([24417, 16525, 9704, 5604, 908, 309, 85022, 0, 173, 1499], 0xa575e6fbfdec3e3d)),
-    ("enron", "allpairs", w([24417, 16525, 9704, 0, 0, 6821, 2082439, 0, 173, 1499], 0xa575e6fbfdec3e3d)),
-    ("aol", "bundle", w([611, 533, 201, 2, 0, 330, 1605, 497, 486, 1499], 0xdd4924d466681abe)),
-    ("aol", "ppjoin", w([883, 782, 246, 4, 0, 532, 2219, 0, 486, 1499], 0x3cf3911accd1d812)),
-    ("aol", "ppjoin+", w([883, 782, 246, 4, 46, 486, 2012, 0, 486, 1499], 0x3cf3911accd1d812)),
-    ("aol", "allpairs", w([883, 782, 246, 0, 0, 536, 3555, 0, 486, 1499], 0x3cf3911accd1d812)),
+    ("tweet", "bundle", w([1235, 693, 232, 88, 373, 5963, 436, 412, 1499], 0xebbc6af236f884de)),
+    ("tweet", "ppjoin", w([1570, 870, 288, 105, 477, 7812, 0, 412, 1499], 0x9e520e57608b5292)),
+    ("tweet", "allpairs", w([1570, 870, 288, 0, 582, 12502, 0, 412, 1499], 0x9e520e57608b5292)),
+    ("enron", "bundle", w([22321, 15687, 9229, 5315, 1143, 288556, 173, 173, 1499], 0xa575e6fbfdec3e3d)),
+    ("enron", "ppjoin", w([24417, 16525, 9704, 5604, 1217, 305822, 0, 173, 1499], 0xa575e6fbfdec3e3d)),
+    ("enron", "allpairs", w([24417, 16525, 9704, 0, 6821, 2082439, 0, 173, 1499], 0xa575e6fbfdec3e3d)),
+    ("aol", "bundle", w([611, 533, 201, 2, 330, 1605, 497, 486, 1499], 0xdd4924d466681abe)),
+    ("aol", "ppjoin", w([883, 782, 246, 4, 532, 2219, 0, 486, 1499], 0x3cf3911accd1d812)),
+    ("aol", "allpairs", w([883, 782, 246, 0, 536, 3555, 0, 486, 1499], 0x3cf3911accd1d812)),
 ];
 
 #[test]
@@ -180,7 +173,6 @@ fn the_pinned_runs_evict_filter_and_match() {
     let any = |f: fn(&Work) -> bool| PINS.iter().any(|(_, _, w)| f(w));
     assert!(any(|w| w.length_filtered > 0));
     assert!(any(|w| w.position_filtered > 0));
-    assert!(any(|w| w.suffix_filtered > 0));
     assert!(any(|w| w.delta_verifications > 0));
 }
 
@@ -189,12 +181,11 @@ fn the_pinned_runs_evict_filter_and_match() {
 fn print() {
     for (profile, algo, w) in measure() {
         println!(
-            "    (\"{profile}\", \"{algo}\", w([{}, {}, {}, {}, {}, {}, {}, {}, {}, {}], {:#018x})),",
+            "    (\"{profile}\", \"{algo}\", w([{}, {}, {}, {}, {}, {}, {}, {}, {}], {:#018x})),",
             w.posting_hits,
             w.candidates,
             w.length_filtered,
             w.position_filtered,
-            w.suffix_filtered,
             w.verifications,
             w.verify_steps,
             w.delta_verifications,

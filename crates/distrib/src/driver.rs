@@ -36,8 +36,6 @@ pub enum LocalAlgo {
     AllPairs,
     /// Prefix + length + positional filtering.
     PpJoin,
-    /// PPJoin plus suffix filtering.
-    PpJoinPlus,
     /// The paper's bundle-based join with batch verification.
     Bundle {
         /// Absorption threshold; `None` uses the [`BundleConfig`] default.
@@ -65,7 +63,6 @@ impl LocalAlgo {
             LocalAlgo::Naive => "naive",
             LocalAlgo::AllPairs => "allpairs",
             LocalAlgo::PpJoin => "ppjoin",
-            LocalAlgo::PpJoinPlus => "ppjoin+",
             LocalAlgo::Bundle { .. } => "bundle",
         }
     }
@@ -75,7 +72,6 @@ impl LocalAlgo {
             LocalAlgo::Naive => Box::new(NaiveJoiner::new(cfg)),
             LocalAlgo::AllPairs => Box::new(AllPairsJoiner::new(cfg)),
             LocalAlgo::PpJoin => Box::new(PpJoinJoiner::new(cfg)),
-            LocalAlgo::PpJoinPlus => Box::new(PpJoinJoiner::new_plus(cfg)),
             LocalAlgo::Bundle {
                 bundle_tau,
                 max_members,

@@ -18,7 +18,7 @@ use crate::driver::LocalAlgo;
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::RecoveryState;
 use crate::route::{token_owner, Router};
-use ssj_core::join::bistream::BiStreamJoiner;
+use ssj_core::join::bistream::{BiStreamJoiner, Side};
 use ssj_core::snapshot::SnapshotEntry;
 use ssj_core::window::EvictionQueue;
 use ssj_core::{JoinConfig, JoinStats, MatchPair, StreamJoiner, Threshold, Window};
@@ -403,13 +403,17 @@ impl Joiner {
 
     /// Stores `payload`'s record in the index.
     pub(crate) fn insert(&mut self, payload: &RecordMsg) {
-        match (&mut self.local, payload.side) {
-            (LocalState::Solo(j), None) => j.insert(&payload.record),
-            (LocalState::Bi(j), Some(side)) => j.insert(side, &payload.record),
+        self.index(payload.side, &payload.record);
+    }
+
+    fn index(&mut self, side: Option<Side>, record: &Record) {
+        match (&mut self.local, side) {
+            (LocalState::Solo(j), None) => j.insert(record),
+            (LocalState::Bi(j), Some(side)) => j.insert(side, record),
             _ => panic!("message side does not match the joiner mode"),
         }
         if let Some(d) = &mut self.dedup {
-            d.on_index(&payload.record);
+            d.on_index(record);
         }
     }
 
@@ -418,21 +422,8 @@ impl Joiner {
     /// dedup filter is re-fed, or later probes could not place the
     /// restored records.
     pub(crate) fn restore(&mut self, entries: &[SnapshotEntry]) {
-        match &mut self.local {
-            LocalState::Solo(j) => {
-                let records: Vec<Record> = entries.iter().map(|(_, r)| r.clone()).collect();
-                j.restore(&records);
-            }
-            LocalState::Bi(j) => {
-                for (side, record) in entries {
-                    j.insert(side.expect("bi-stream entries carry a side"), record);
-                }
-            }
-        }
-        if let Some(d) = &mut self.dedup {
-            for (_, record) in entries {
-                d.on_index(record);
-            }
+        for (side, record) in entries {
+            self.index(*side, record);
         }
     }
 
@@ -472,7 +463,6 @@ mod tests {
     use crate::checkpoint::CheckpointConfig;
     use crate::driver::{calibrate_partition, PartitionMethod};
     use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, RouteDecision};
-    use ssj_core::join::bistream::Side;
     use std::collections::VecDeque;
 
     const K: usize = 4;

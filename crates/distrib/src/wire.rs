@@ -43,7 +43,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 /// one [`JoinMsg::Batch`], which a node answers with at most one
 /// [`Frame::Results`] and exactly one [`Frame::Ack`]. The liveness probes
 /// [`Frame::Heartbeat`] and [`Frame::HealthAck`] are bare tags.
-pub const PROTO_VERSION: u16 = 5;
+pub const PROTO_VERSION: u16 = 6;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CONFIG: u8 = 0x02;
@@ -392,7 +392,6 @@ fn encode_algo(out: &mut Vec<u8>, algo: &LocalAlgo) {
         LocalAlgo::Naive => out.push(0),
         LocalAlgo::AllPairs => out.push(1),
         LocalAlgo::PpJoin => out.push(2),
-        LocalAlgo::PpJoinPlus => out.push(3),
         LocalAlgo::Bundle {
             bundle_tau,
             max_members,
@@ -412,7 +411,6 @@ fn decode_algo<R: Read>(r: &mut R) -> io::Result<LocalAlgo> {
         0 => Ok(LocalAlgo::Naive),
         1 => Ok(LocalAlgo::AllPairs),
         2 => Ok(LocalAlgo::PpJoin),
-        3 => Ok(LocalAlgo::PpJoinPlus),
         4 => {
             let has_tau = match get_u8(r)? {
                 0 => false,
@@ -432,7 +430,7 @@ fn decode_algo<R: Read>(r: &mut R) -> io::Result<LocalAlgo> {
     }
 }
 
-const STATS_FIELDS: usize = 15;
+const STATS_FIELDS: usize = 14;
 
 fn stats_to_array(s: &JoinStats) -> [u64; STATS_FIELDS] {
     [
@@ -442,7 +440,6 @@ fn stats_to_array(s: &JoinStats) -> [u64; STATS_FIELDS] {
         s.candidates,
         s.length_filtered,
         s.position_filtered,
-        s.suffix_filtered,
         s.verifications,
         s.verify_steps,
         s.delta_verifications,
@@ -463,7 +460,6 @@ fn stats_from_array(a: [u64; STATS_FIELDS]) -> JoinStats {
         &mut s.candidates,
         &mut s.length_filtered,
         &mut s.position_filtered,
-        &mut s.suffix_filtered,
         &mut s.verifications,
         &mut s.verify_steps,
         &mut s.delta_verifications,
@@ -777,6 +773,26 @@ mod tests {
                 stored: 6,
                 postings: 12,
             }),
+            Frame::Done(NodeReport {
+                stats: JoinStats {
+                    probed: 101,
+                    indexed: 102,
+                    posting_hits: 103,
+                    candidates: 104,
+                    length_filtered: 105,
+                    position_filtered: 106,
+                    verifications: 107,
+                    verify_steps: 108,
+                    delta_verifications: 109,
+                    results: 110,
+                    postings_created: 111,
+                    evicted: 112,
+                    bundles_created: 113,
+                    bundle_absorbed: 114,
+                },
+                stored: 7,
+                postings: 13,
+            }),
             Frame::Heartbeat,
             Frame::HealthAck,
         ];
@@ -785,6 +801,33 @@ mod tests {
             let back = Frame::decode(&bytes).unwrap();
             assert_eq!(back.encode().unwrap(), bytes, "{f:?}");
         }
+    }
+
+    #[test]
+    fn a_config_with_a_retired_algo_tag_is_refused() {
+        let mut bytes = Frame::Config(NodeConfig {
+            task: 0,
+            k: 2,
+            sim: SimFn::Jaccard,
+            tau: 0.8,
+            window: Window::Unbounded,
+            algo: LocalAlgo::PpJoin,
+            bistream: false,
+            dedup: false,
+            resume_seq: 0,
+        })
+        .encode()
+        .unwrap();
+        // The algo tag is followed by the bistream and dedup flags and the
+        // 8-byte resume sequence.
+        let at = bytes.len() - 11;
+        assert_eq!(bytes[at], 2);
+        bytes[at] = 3;
+        let err = Frame::decode(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown local-algo tag 3"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn bistream_window_and_prefix_strategy() {
     let cfg = DistributedJoinConfig {
         channel_capacity: 64,
         ..DistributedJoinConfig::new(JoinSpec {
-            local: LocalAlgo::PpJoinPlus,
+            local: LocalAlgo::PpJoin,
             strategy: Strategy::Prefix,
             ..JoinSpec::recommended(3, join)
         })

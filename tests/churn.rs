@@ -67,7 +67,7 @@ fn slot_reuse_preserves_results() {
 
         let joiners: [(&str, Box<dyn StreamJoiner>); 3] = [
             ("allpairs", Box::new(AllPairsJoiner::new(cfg))),
-            ("ppjoin+", Box::new(PpJoinJoiner::new_plus(cfg))),
+            ("ppjoin", Box::new(PpJoinJoiner::new(cfg))),
             ("bundle", Box::new(BundleJoiner::with_defaults(cfg))),
         ];
         for (name, mut j) in joiners {

@@ -33,7 +33,9 @@ use testkit::{
 };
 
 const STRATEGIES: usize = 4;
-const LOCALS: usize = 5;
+const LOCALS: usize = 4;
+/// `local(BUNDLE)` is the bundle joiner.
+const BUNDLE: usize = 3;
 const WINDOWS: usize = 3;
 
 fn strategy(idx: usize, k: usize) -> Strategy {
@@ -58,7 +60,6 @@ fn local(idx: usize) -> LocalAlgo {
         LocalAlgo::Naive,
         LocalAlgo::AllPairs,
         LocalAlgo::PpJoin,
-        LocalAlgo::PpJoinPlus,
         LocalAlgo::bundle(),
     ][idx]
 }
@@ -349,7 +350,7 @@ proptest! {
         fault in 1usize..4, // bit 0: kill, bit 1: chaos
         bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, 4, win).with_dispatch_batch(batch(bat));
+        let mut c = case(k, tau, strat, BUNDLE, win).with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
             c = c.with_crash();
         }
@@ -373,7 +374,7 @@ proptest! {
         fault in 0usize..4, // bit 0: kill, bit 1: chaos
         bat in 0usize..BATCHES,
     ) {
-        let mut c = case(k, tau, strat, 4, win)
+        let mut c = case(k, tau, strat, BUNDLE, win)
             .with_checkpoints(interval)
             .with_dispatch_batch(batch(bat));
         if fault & 1 != 0 {
@@ -398,7 +399,7 @@ proptest! {
         interval in 8u64..24,
         bat in 0usize..BATCHES,
     ) {
-        let c = case(k, tau, strat, 4, win)
+        let c = case(k, tau, strat, BUNDLE, win)
             .with_checkpoints(interval)
             .with_dispatch_batch(batch(bat));
         let out = with_deadline(CLUSTER_DEADLINE, move || {
@@ -417,7 +418,7 @@ proptest! {
         watermark in 2usize..8,
         bat in 0usize..BATCHES,
     ) {
-        let c = case(k, tau, 0, 4, 1)
+        let c = case(k, tau, 0, BUNDLE, 1)
             .with_shedding(watermark)
             .with_dispatch_batch(batch(bat));
         on_cluster(seed, c);
@@ -433,7 +434,7 @@ proptest! {
         horizon in 5u64..40,
         bat in 0usize..BATCHES,
     ) {
-        let c = case(k, tau, 0, 4, 1)
+        let c = case(k, tau, 0, BUNDLE, 1)
             .with_crash_at(horizon)
             .with_recovery_budget(0)
             .with_dispatch_batch(batch(bat));

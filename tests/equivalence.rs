@@ -72,8 +72,6 @@ proptest! {
         prop_assert_eq!(&sorted_keys(&run_stream(&mut ap, &records)), &expect, "allpairs");
         let mut pp = PpJoinJoiner::new(cfg);
         prop_assert_eq!(&sorted_keys(&run_stream(&mut pp, &records)), &expect, "ppjoin");
-        let mut ppp = PpJoinJoiner::new_plus(cfg);
-        prop_assert_eq!(&sorted_keys(&run_stream(&mut ppp, &records)), &expect, "ppjoin+");
         let mut bj = BundleJoiner::with_defaults(cfg);
         prop_assert_eq!(&sorted_keys(&run_stream(&mut bj, &records)), &expect, "bundle");
     }

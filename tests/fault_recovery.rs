@@ -74,11 +74,10 @@ fn strategies(k: usize) -> [DistStrategy; 4] {
     ]
 }
 
-const LOCALS: [LocalAlgo; 5] = [
+const LOCALS: [LocalAlgo; 4] = [
     LocalAlgo::Naive,
     LocalAlgo::AllPairs,
     LocalAlgo::PpJoin,
-    LocalAlgo::PpJoinPlus,
     LocalAlgo::Bundle {
         bundle_tau: None,
         max_members: 64,
@@ -330,7 +329,7 @@ proptest! {
         seed in 0u64..10_000,
         tau in 0.55f64..0.9,
         fault_seed in 0u64..1_000_000,
-        local_idx in 0usize..5,
+        local_idx in 0usize..LOCALS.len(),
         strat_idx in 0usize..4,
     ) {
         let k = 4;
@@ -371,7 +370,7 @@ proptest! {
         window_kind in 0usize..3,
         fault_seed in 0u64..1_000_000,
         chaos_seed in 0u64..1_000_000,
-        local_idx in 0usize..5,
+        local_idx in 0usize..LOCALS.len(),
     ) {
         let records = StreamGenerator::new(profile, seed).take_records(150);
         let window = match window_kind {
@@ -426,7 +425,7 @@ proptest! {
         chaos_seed in 0u64..1_000_000,
         shed_raw in 0usize..8, // 0..3 → no shedding, else watermark
 
-        local_idx in 0usize..5,
+        local_idx in 0usize..LOCALS.len(),
         strat_idx in 0usize..4,
     ) {
         let records = StreamGenerator::new(profile, seed).take_records(150);

@@ -118,13 +118,13 @@ fn local_joiners_agree_on_overlap_measure() {
     got.sort_unstable();
     assert_eq!(got, expect, "allpairs");
 
-    let mut pp = dssj::PpJoinJoiner::new_plus(cfg);
+    let mut pp = dssj::PpJoinJoiner::new(cfg);
     let mut got: Vec<_> = run_stream(&mut pp, &records)
         .iter()
         .map(|m| m.key())
         .collect();
     got.sort_unstable();
-    assert_eq!(got, expect, "ppjoin+");
+    assert_eq!(got, expect, "ppjoin");
 
     let mut bj = dssj::BundleJoiner::with_defaults(cfg);
     let mut got: Vec<_> = run_stream(&mut bj, &records)

@@ -62,7 +62,6 @@ fn every_local_algorithm_agrees_with_naive_exactly_on_the_threshold() {
         LocalAlgo::Naive,
         LocalAlgo::AllPairs,
         LocalAlgo::PpJoin,
-        LocalAlgo::PpJoinPlus,
         LocalAlgo::bundle(),
     ];
     let mut on_threshold = 0usize;
