@@ -325,6 +325,62 @@ fn an_exhausted_recovery_budget_fails_the_cluster_run() {
     assert!(!stdout.contains("pairs"), "{stdout}");
 }
 
+/// A checkpoint store that cannot take a snapshot part fails the run on
+/// every engine: threads, the simulator and the cluster each exit non-zero
+/// naming the store write, and print no partial answer. The input is long
+/// enough that the dispatcher still sends to the failed joiner, which must
+/// not add a panic message of its own.
+#[test]
+fn a_failed_snapshot_write_fails_the_run_on_every_engine() {
+    let dir = std::env::temp_dir().join("dssj-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("store_fault.txt");
+    let input = input.to_str().unwrap();
+    let out = dssj(&[
+        "generate",
+        "--profile",
+        "tweet",
+        "--n",
+        "5000",
+        "--seed",
+        "3",
+        "--out",
+        input,
+    ]);
+    assert!(out.status.success());
+    for (name, engine) in [
+        ("threads", &["join"][..]),
+        ("sim", &["join", "--sim", "3"][..]),
+        ("cluster", &["cluster", "--backend", "inprocess"][..]),
+    ] {
+        // Epoch 2's part of joiner 1 is a directory: that store write fails.
+        let ckpt = dir.join(format!("store-fault-{name}"));
+        let _ = std::fs::remove_dir_all(&ckpt);
+        std::fs::create_dir_all(ckpt.join("epoch-2/joiner-1.snap")).unwrap();
+        let mut args = engine.to_vec();
+        args.extend([
+            "--input",
+            input,
+            "--tau",
+            "0.6",
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-interval",
+            "1000",
+        ]);
+        let out = dssj(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: {stderr}");
+        assert!(
+            stderr.contains("snapshot store write failed"),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("receiver alive"), "{name}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("pairs"), "{name}: {stdout}");
+    }
+}
+
 /// A bi-stream cluster run takes a recovery budget like a self-join, and
 /// a kill within it recovers.
 #[test]

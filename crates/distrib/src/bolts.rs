@@ -8,11 +8,11 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::Router;
-use obs::Stage;
+use obs::{LatencyHistogram, Stage};
 use parking_lot::Mutex;
 use ssj_core::{JoinStats, MatchPair};
 use std::sync::Arc;
-use stormlite::{Bolt, LatencyHistogram, Outbox, Timestamp};
+use stormlite::{Bolt, Outbox, Timestamp};
 
 /// Routes each arriving record to its index/probe joiners: the handler of
 /// the `dispatcher` spout, so it runs on the task that pulls the source.
@@ -313,8 +313,8 @@ impl Bolt<JoinMsg> for JoinerBolt {
         // everything the message carried is fully visible (results
         // published, index updated). A batch therefore advances it in one
         // step, to its last record, after its pairs are published — the
-        // unit the engine redelivers after an injected crash, or drops as
-        // poisoned after a panic, is the whole batch too.
+        // unit the engine redelivers after an injected crash is the whole
+        // batch too.
         if let (Some(recovery), Some((id, ts))) = (&self.recovery, processed) {
             recovery.mark_processed(self.task, id, ts);
         }
@@ -343,7 +343,7 @@ mod tests {
     use ssj_core::join::bistream::Side;
     use ssj_core::{JoinConfig, Window};
     use ssj_text::{Record, RecordId, TokenId};
-    use stormlite::{FaultPlan, Grouping, RunReport, SimConfig, Topology};
+    use stormlite::{FaultPlan, Grouping, RunReport, Scheduler, SimConfig, Topology};
 
     fn payload(id: u64, tokens: &[u32]) -> RecordMsg {
         let tokens = tokens.iter().copied().map(TokenId).collect();
@@ -354,10 +354,19 @@ mod tests {
     }
 
     /// Feeds `input` to a single, terminal joiner task (τ = 0.5, no
-    /// dedup), crashing it as `fault` says, and returns what it published
-    /// with the run report. A crashed joiner restores from a replay buffer
-    /// fed the way a dispatcher feeds it.
+    /// dedup) on a simulated run, crashing it as `fault` says, and returns
+    /// what it published with the run report. A crashed joiner restores
+    /// from a replay buffer fed the way a dispatcher feeds it.
     fn run_joiner(input: Vec<JoinMsg>, fault: Option<FaultPlan>) -> (SinkState, RunReport) {
+        run_joiner_on(input, fault, Scheduler::Sim(SimConfig::seeded(1)))
+    }
+
+    /// [`run_joiner`] on `scheduler`.
+    fn run_joiner_on(
+        input: Vec<JoinMsg>,
+        fault: Option<FaultPlan>,
+        scheduler: Scheduler,
+    ) -> (SinkState, RunReport) {
         let recovery = fault.as_ref().map(|_| {
             let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
             let carried = input.iter().flat_map(|m| match m {
@@ -382,7 +391,7 @@ mod tests {
             JoinerBolt::new(joiner, task, Arc::default(), slot, recovery.clone(), None)
         });
         t.wire("source", "joiner", Grouping::global());
-        let report = t.run_sim(SimConfig::seeded(1)).report;
+        let report = t.run_with(scheduler);
         assert_eq!(
             report.component("joiner").msgs_out,
             0,
@@ -413,8 +422,7 @@ mod tests {
     #[test]
     fn batched_and_unbatched_input_publish_the_same_pairs_in_probe_order() {
         let (stored, probes) = matching_stream();
-        let (unbatched, report) = run_joiner([stored.clone(), probes.clone()].concat(), None);
-        assert!(report.is_clean());
+        let (unbatched, _) = run_joiner([stored.clone(), probes.clone()].concat(), None);
         // Record 2 matches 0 and 1; record 3 matches 0, 1 and 2.
         let probe_order = vec![(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)];
         assert_eq!(keys(&unbatched), probe_order);
@@ -422,8 +430,7 @@ mod tests {
 
         let mut input = stored;
         input.push(JoinMsg::Batch(probes));
-        let (batched, report) = run_joiner(input, None);
-        assert!(report.is_clean());
+        let (batched, _) = run_joiner(input, None);
         assert_eq!(keys(&batched), probe_order, "batching must not reorder");
         assert_eq!(batched.latency.count(), 5, "one sample per pair");
 
@@ -433,17 +440,14 @@ mod tests {
             JoinMsg::Probe(payload(1, &[7, 8, 9])),
             JoinMsg::Index(payload(2, &[4, 5, 6])),
         ])];
-        let (nothing, report) = run_joiner(input, None);
-        assert!(report.is_clean());
+        let (nothing, _) = run_joiner(input, None);
         assert!(nothing.pairs.is_empty() && nothing.latency.is_empty());
     }
 
-    /// The engine drops a tuple whose `execute` panicked, and the bolt
-    /// instance with it; for a batch that is the whole batch. The pairs it
-    /// held die with the instance, and the dead task discards the rest of
-    /// its input.
+    /// A panic inside a joiner fails the run, on both schedulers: no
+    /// report comes back, and the panic is the joiner's own.
     #[test]
-    fn a_batch_that_panics_publishes_nothing_and_is_dropped_once() {
+    fn a_joiner_panic_fails_the_run() {
         let wrong_mode = RecordMsg {
             side: Some(Side::Left),
             ..payload(9, &[1, 2, 3])
@@ -451,22 +455,30 @@ mod tests {
         let input = vec![
             JoinMsg::ProbeAndIndex(payload(0, &[1, 2, 3, 4])),
             JoinMsg::Batch(vec![
-                JoinMsg::ProbeAndIndex(payload(1, &[1, 2, 3, 5])), // matches 0: held, never published
+                JoinMsg::ProbeAndIndex(payload(1, &[1, 2, 3, 5])),
                 JoinMsg::Probe(wrong_mode), // a sided message in a self-join panics
             ]),
-            JoinMsg::ProbeAndIndex(payload(2, &[1, 2, 3, 4, 5])), // would match 0 and 1
+            JoinMsg::ProbeAndIndex(payload(2, &[1, 2, 3, 4, 5])),
         ];
-        let (published, report) = run_joiner(input, None);
-        assert_eq!(report.dropped_poisoned(), 1);
-        assert_eq!(report.total_restarts(), 0);
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].0, "joiner");
-        assert!(
-            published.pairs.is_empty(),
-            "published {:?}",
-            published.pairs
-        );
-        assert!(published.latency.is_empty());
+        for scheduler in [Scheduler::Threads, Scheduler::Sim(SimConfig::seeded(1))] {
+            let input = input.clone();
+            // The run fails within a deadline: it neither completes nor
+            // hangs.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = std::thread::spawn(move || run_joiner_on(input, None, scheduler));
+                let _ = tx.send(run.join().map(|_| ()));
+            });
+            let failure = rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("the run ends within its deadline")
+                .expect_err("the run fails");
+            assert_eq!(
+                failure.downcast_ref::<&str>(),
+                Some(&"message side does not match the joiner mode"),
+                "{scheduler:?}"
+            );
+        }
     }
 
     /// An injected crash rebuilds the bolt between engine messages. What
@@ -484,7 +496,6 @@ mod tests {
             let plan = FaultPlan::new().crash("joiner", 0, crash_at);
             let (got, report) = run_joiner(input.clone(), Some(plan));
             assert_eq!(report.total_restarts(), 1, "crash at {crash_at}");
-            assert_eq!(report.dropped_poisoned(), 0, "crash at {crash_at}");
             assert_eq!(keys(&got), keys(&want), "crash at {crash_at}");
             assert_eq!(got.latency.count(), want.pairs.len() as u64);
         }

@@ -10,7 +10,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::{BroadcastRouter, LengthRouter, PrefixRouter, Router};
-use obs::{RunTrace, TraceConfig, TraceSink};
+use obs::{LatencyHistogram, RunTrace, TraceConfig, TraceSink};
 use parking_lot::Mutex;
 use ssj_core::join::bistream::{merge_streams, Side};
 use ssj_core::{
@@ -23,8 +23,8 @@ use ssj_partition::{
 use ssj_text::Record;
 use std::sync::Arc;
 use stormlite::{
-    FaultPlan, Grouping, IntegrityReport, LatencyHistogram, RunReport, Scheduler, SimConfig,
-    Timestamp, Topology, Transcript,
+    FaultPlan, Grouping, IntegrityReport, RunReport, Scheduler, SimConfig, Timestamp, Topology,
+    Transcript,
 };
 
 /// Which local join algorithm each joiner runs.
@@ -195,11 +195,10 @@ pub struct JoinSpec {
     /// record and travels alone; batches flush before every barrier and at
     /// stream end, and unpack in order at the joiner.
     /// Results, recovery and checkpoints match unbatched runs; a topology
-    /// batch is one `Execute` span, advances the replay watermark once, and
-    /// a panic inside it drops it whole. `None` and `Some(1)` send messages
-    /// singly; of the `recommended` configurations only
-    /// [`crate::cluster::ClusterConfig::recommended`] batches, at
-    /// [`stormlite::BATCH_MAX_FRAMES`].
+    /// batch is one `Execute` span and advances the replay watermark once.
+    /// `None` and `Some(1)` send messages singly; of the `recommended`
+    /// configurations only [`crate::cluster::ClusterConfig::recommended`]
+    /// batches, at [`stormlite::BATCH_MAX_FRAMES`].
     pub dispatch_batch: Option<usize>,
 }
 

@@ -12,12 +12,11 @@
 //! end-of-stream protocol, and per-task metrics (throughput, queue wait,
 //! bytes moved). [`Topology::run`] joins every task before it returns, so
 //! spouts, handlers and bolts may borrow from the caller: a spout can
-//! iterate a slice the caller owns instead of a copy of it.
-//! A bolt that panics is dropped and its task drains its input; only an
-//! injected [`FaultPlan`] crash rebuilds a bolt. Links that can lose a
-//! frame belong to the layer above: [`transport`] and [`link`] carry the
-//! framing, chaos and retry policy the cluster's launcher↔node sessions
-//! are built from.
+//! iterate a slice the caller owns instead of a copy of it. A panic in any
+//! task fails the run; only an injected [`FaultPlan`] crash rebuilds a
+//! bolt. Links that can lose a frame belong to the layer above:
+//! [`transport`] and [`link`] carry the framing, chaos and retry policy the
+//! cluster's launcher↔node sessions are built from.
 //!
 //! ```
 //! use stormlite::{Bolt, Grouping, Message, Outbox, Topology};
@@ -72,7 +71,7 @@ pub use fault::{FaultPlan, FaultSpec};
 pub use grouping::Grouping;
 pub use link::{LinkFault, RetryConfig};
 pub use message::{Bolt, CollectorBolt, Message, Outbox};
-pub use metrics::{IntegrityReport, LatencyHistogram, RunReport, TaskMetrics};
+pub use metrics::{IntegrityReport, RunReport, TaskMetrics};
 pub use obs::{RunTrace, Stage, TraceConfig, TraceSink};
 pub use sim::{Scheduler, SimConfig, SimRun, Transcript};
 pub use topology::Topology;

@@ -100,9 +100,18 @@ impl<M: Message> OutWire<M> {
         if let Some(tr) = tracer {
             tr.record(Event::instant(now.as_nanos(), Stage::Deliver, self.link, 0));
         }
-        self.senders[dest]
-            .send(Envelope::Data(msg, now))
-            .expect("receiver alive until EOS");
+        send(&self.senders[dest], Envelope::Data(msg, now));
+    }
+}
+
+/// Sends into a task's queue, or unwinds if the queue is dead. A queue dies
+/// before its EOS only when its task panicked, and `Topology::run`
+/// re-raises that panic; this unwind runs no panic hook, so stderr names
+/// only the original.
+fn send<M>(queue: &Sender<Envelope<M>>, envelope: Envelope<M>) {
+    if queue.send(envelope).is_err() {
+        struct DownstreamFailed;
+        std::panic::resume_unwind(Box::new(DownstreamFailed));
     }
 }
 
@@ -256,7 +265,7 @@ impl<M: Message> Outbox<M> {
     /// channels are FIFO, so it cannot overtake a tuple emitted before it.
     pub(crate) fn send_eos(&mut self) {
         for s in self.wire.iter().flat_map(|w| &w.senders) {
-            s.send(Envelope::Eos).expect("receiver alive until EOS");
+            send(s, Envelope::Eos);
         }
     }
 }
@@ -330,6 +339,27 @@ mod tests {
         o.send_eos();
         for r in &rs {
             assert!(matches!(r.try_recv().unwrap(), Envelope::Eos));
+        }
+    }
+
+    #[test]
+    fn a_send_into_a_dead_queue_unwinds_without_a_message() {
+        // A message payload would mean a panic hook ran and printed it
+        // beside the panic that killed the queue's task.
+        for eos in [false, true] {
+            let (mut o, rs) = outbox_with(Grouping::global(), 1);
+            drop(rs);
+            let unwound = std::thread::spawn(move || {
+                if eos {
+                    o.send_eos();
+                } else {
+                    o.emit(N(1));
+                }
+            })
+            .join()
+            .expect_err("a dead queue unwinds the sender");
+            assert!(unwound.downcast_ref::<&str>().is_none());
+            assert!(unwound.downcast_ref::<String>().is_none());
         }
     }
 

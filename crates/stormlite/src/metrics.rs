@@ -8,13 +8,9 @@
 //! in scheduler ticks rather than host nanoseconds. A threaded run uses a
 //! wall-anchored clock and reports real time through the same types.
 
+use obs::LatencyHistogram;
 use std::fmt;
 use std::time::Duration;
-
-// The histogram now lives in the `obs` crate (shared with the metrics
-// registry and exporters); re-exported here so existing `stormlite`
-// paths keep working.
-pub use obs::LatencyHistogram;
 
 /// Counters for one task of one component.
 #[derive(Debug, Clone, Default)]
@@ -34,9 +30,6 @@ pub struct TaskMetrics {
     /// Input records shed by this task's overload policy
     /// (see [`Outbox::record_shed`](crate::Outbox::record_shed)).
     pub shed: u64,
-    /// Tuples consumed by an organic bolt panic: the panicking instance is
-    /// dropped and the tuple is never redelivered.
-    pub dropped_poisoned: u64,
     /// Checkpoint snapshots captured by this task
     /// (see [`Outbox::record_checkpoint`](crate::Outbox::record_checkpoint)).
     pub checkpoints: u64,
@@ -61,7 +54,6 @@ impl TaskMetrics {
         self.busy += other.busy;
         self.queue_wait.merge(&other.queue_wait);
         self.shed += other.shed;
-        self.dropped_poisoned += other.dropped_poisoned;
         self.checkpoints += other.checkpoints;
         self.checkpoint_bytes += other.checkpoint_bytes;
         self.checkpoint_latency.merge(&other.checkpoint_latency);
@@ -110,17 +102,11 @@ impl IntegrityReport {
     }
 }
 
-/// The outcome of a topology run.
+/// The outcome of a topology run; a run in which a task panicked has none.
 #[derive(Debug)]
 pub struct RunReport {
     /// `(component, task_index, metrics)` for every task.
     pub tasks: Vec<(String, usize, TaskMetrics)>,
-    /// Tasks that panicked: `(component, task_index, panic message)`.
-    /// Injected faults are recorded here too. A task whose bolt panicked
-    /// drains (and discards) its remaining input, so the topology always
-    /// completes; results are partial unless the application layer
-    /// recovers the lost state.
-    pub failures: Vec<(String, usize, String)>,
     /// Tasks that were rebuilt after an injected crash:
     /// `(component, task_index, restart count)`. Only restarted tasks
     /// appear.
@@ -133,11 +119,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Whether every task completed without panicking.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// Total task restarts across the run.
     pub fn total_restarts(&self) -> u64 {
         self.restarts.iter().map(|(_, _, n)| n).sum()
@@ -152,13 +133,6 @@ impl RunReport {
     /// record is an explicit, accounted recall loss — never a silent drop.
     pub fn shed(&self) -> u64 {
         self.tasks.iter().map(|(_, _, m)| m.shed).sum()
-    }
-
-    /// Tuples consumed by organic bolt panics across all tasks (the
-    /// poisoned tuple is intentionally not redelivered; this counter is
-    /// its trace).
-    pub fn dropped_poisoned(&self) -> u64 {
-        self.tasks.iter().map(|(_, _, m)| m.dropped_poisoned).sum()
     }
 
     /// Checkpoint snapshots captured across all tasks.
@@ -217,7 +191,7 @@ impl RunReport {
             fn(&TaskMetrics) -> &LatencyHistogram,
         );
         let mut snap = obs::MetricsSnapshot::new();
-        let counters: [CounterRow; 9] = [
+        let counters: [CounterRow; 8] = [
             ("dssj_msgs_in_total", "Data tuples received", |m| m.msgs_in),
             ("dssj_msgs_out_total", "Data tuples emitted", |m| m.msgs_out),
             ("dssj_bytes_in_total", "Bytes received", |m| m.bytes_in),
@@ -230,11 +204,6 @@ impl RunReport {
             ("dssj_shed_total", "Records shed by overload policy", |m| {
                 m.shed
             }),
-            (
-                "dssj_dropped_poisoned_total",
-                "Tuples consumed by organic panics",
-                |m| m.dropped_poisoned,
-            ),
             (
                 "dssj_checkpoints_total",
                 "Checkpoint snapshots captured",
@@ -271,12 +240,6 @@ impl RunReport {
                 snap.push_histogram(name, help, &[("comp", comp), ("task", &task)], get(m));
             }
         }
-        snap.push_counter(
-            "dssj_task_failures_total",
-            "Task panics across the run (injected and organic)",
-            &[],
-            self.failures.len() as u64,
-        );
         snap.push_counter(
             "dssj_task_restarts_total",
             "Task restarts across the run",
@@ -368,12 +331,10 @@ mod tests {
                 ("joiner".into(), 0, m1),
                 ("sink".into(), 0, TaskMetrics::default()),
             ],
-            failures: Vec::new(),
             restarts: Vec::new(),
             elapsed: Duration::from_millis(1),
             integrity: IntegrityReport::default(),
         };
-        assert!(report.is_clean());
         assert_eq!(report.total_restarts(), 0);
         assert_eq!(report.total_processed(), 12);
         assert_eq!(report.component("joiner").msgs_in, 12);
@@ -393,7 +354,6 @@ mod tests {
             bytes_out: 4,
             busy: Duration::from_nanos(5),
             shed: 11,
-            dropped_poisoned: 12,
             checkpoints: 14,
             checkpoint_bytes: 15,
             ..TaskMetrics::default()
@@ -406,7 +366,6 @@ mod tests {
                 ("joiner".into(), 0, m),
                 ("sink".into(), 0, TaskMetrics::default()),
             ],
-            failures: vec![("joiner".into(), 0, "boom".into())],
             restarts: vec![("joiner".into(), 0, 2)],
             elapsed: Duration::from_nanos(99),
             integrity: IntegrityReport {
@@ -425,13 +384,11 @@ mod tests {
             "dssj_bytes_out_total",
             "dssj_busy_ns_total",
             "dssj_shed_total",
-            "dssj_dropped_poisoned_total",
             "dssj_checkpoints_total",
             "dssj_checkpoint_bytes_total",
             "dssj_queue_wait_ns",
             "dssj_checkpoint_latency_ns",
             "dssj_barrier_stall_ns",
-            "dssj_task_failures_total",
             "dssj_task_restarts_total",
             "dssj_corrupt_frames_total",
             "dssj_corrupt_snapshot_parts_total",
@@ -450,7 +407,6 @@ mod tests {
         }
         assert!(text.contains("dssj_msgs_in_total{comp=\"joiner\",task=\"0\"} 1"));
         assert!(text.contains("dssj_msgs_in_total{comp=\"sink\",task=\"0\"} 0"));
-        assert!(text.contains("dssj_task_failures_total 1"));
         assert!(text.contains("dssj_task_restarts_total 2"));
         assert!(text.contains("dssj_corrupt_frames_total 21"));
         assert!(text.contains("dssj_corrupt_snapshot_parts_total 22"));

@@ -9,6 +9,7 @@ use crate::sim::{Scheduler, SimConfig, SimRun};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use obs::{Stage, TaskTracer, TraceConfig, TraceSink};
 use parking_lot::Mutex;
+use std::panic;
 use std::sync::Arc;
 
 const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
@@ -97,8 +98,8 @@ impl<'a, M: Message> Topology<'a, M> {
     /// tears the targeted bolt instance down at its exact crash point and
     /// rebuilds it from the component factory; the in-flight tuple is then
     /// delivered to the fresh instance exactly once. Injected crashes are
-    /// recorded in [`RunReport::failures`] and counted in
-    /// [`RunReport::restarts`].
+    /// counted in [`RunReport::restarts`]. Only they rebuild a bolt: any
+    /// other panic fails the run.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -135,9 +136,8 @@ impl<'a, M: Message> Topology<'a, M> {
     }
 
     /// Adds a one-task source that runs `handler` on each item it pulls, in
-    /// order, then the handler's `finish` at exhaustion. A panic in either
-    /// ends the spout, is recorded in [`RunReport::failures`], and the task
-    /// still sends end-of-stream. A spout records no busy time.
+    /// order, then the handler's `finish` at exhaustion. A spout records no
+    /// busy time.
     pub fn spout_into<I, B>(&mut self, name: &str, source: I, handler: B)
     where
         I: IntoIterator<Item = M>,
@@ -290,7 +290,6 @@ impl<'a, M: Message> Topology<'a, M> {
                         source,
                         handler,
                         pulls: 0,
-                        failures: Vec::new(),
                     },
                 }),
                 Kind::Bolt(factory) => {
@@ -335,36 +334,49 @@ impl<'a, M: Message> Topology<'a, M> {
 
     /// Executes the topology deterministically under the simulation
     /// scheduler (see [`crate::sim`]) and returns both the run report and
-    /// the recorded transcript.
+    /// the recorded transcript. A task's panic propagates out of this call,
+    /// as from [`run`](Self::run).
     pub fn run_sim(self, cfg: SimConfig) -> SimRun {
         crate::sim::execute(self, cfg)
     }
 
     /// Executes the topology to completion, one scoped OS thread per task,
-    /// and returns the run report once every task has been joined.
+    /// and returns the run report once every task has been joined. A run
+    /// never returns a partial answer: once every task has been joined,
+    /// the first task panic is re-raised with its original payload.
     pub fn run(self) -> RunReport {
         let clock = Clock::wall();
         let capacity = self.channel_capacity;
         let (tasks, sink) = self.into_tasks(&clock, || bounded(capacity));
         let sink = sink.as_ref();
+        let first_panic = Mutex::new(None);
         let ends: Vec<TaskEnd> = std::thread::scope(|scope| {
             let handles: Vec<_> = tasks
                 .into_iter()
                 .map(|mut task| {
+                    let first_panic = &first_panic;
                     std::thread::Builder::new()
                         .name(format!("{}-{}", task.name, task.index))
                         .spawn_scoped(scope, move || {
-                            if let TaskKind::Bolt { core, rx } = &mut task.kind {
-                                core.build();
-                                while let Ok(envelope) = rx.recv() {
-                                    if core.handle(envelope, &mut task.outbox) {
-                                        break;
+                            let ran = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+                                if let TaskKind::Bolt { core, rx } = &mut task.kind {
+                                    core.build();
+                                    while let Ok(envelope) = rx.recv() {
+                                        if core.handle(envelope, &mut task.outbox) {
+                                            break;
+                                        }
                                     }
+                                } else {
+                                    while task.pull() {}
                                 }
-                            } else {
-                                while let Pull::Pulled = task.pull() {}
+                                task.outbox.send_eos();
+                            }));
+                            // Stored before `task`, and with it this task's
+                            // queue, drops: a peer unwinding on that queue
+                            // can never come first.
+                            if let Err(payload) = ran {
+                                first_panic.lock().get_or_insert(payload);
                             }
-                            task.outbox.send_eos();
                             task.end(sink)
                         })
                         .expect("spawn task")
@@ -372,9 +384,12 @@ impl<'a, M: Message> Topology<'a, M> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("task thread itself never panics"))
+                .map(|h| h.join().expect("a task catches its own panic"))
                 .collect()
         });
+        if let Some(payload) = first_panic.into_inner() {
+            panic::resume_unwind(payload);
+        }
         report(ends, &clock)
     }
 }
@@ -394,7 +409,6 @@ pub(crate) enum TaskKind<'a, M: Message> {
         handler: Box<dyn Bolt<M> + 'a>,
         /// Tuples pulled so far: the dispatch-event ordinal.
         pulls: u64,
-        failures: Vec<String>,
     },
     Bolt {
         // Boxed: BoltCore is much larger than the spout variant.
@@ -403,58 +417,35 @@ pub(crate) enum TaskKind<'a, M: Message> {
     },
 }
 
-/// What one spout pull did.
-pub(crate) enum Pull {
-    Pulled,
-    Exhausted,
-    Panicked,
-}
-
 /// A finished task's row of the run report.
 pub(crate) struct TaskEnd {
     name: String,
     index: usize,
     metrics: TaskMetrics,
-    failures: Vec<String>,
     restarts: u64,
 }
 
 impl<M: Message> Task<'_, M> {
     /// Pulls the next tuple from this spout's source and hands it to the
-    /// handler, or runs the handler's `finish` at exhaustion. Each pull is
-    /// isolated: a panicking source or handler stops the spout, but the
-    /// task still sends EOS and the topology drains cleanly.
-    pub(crate) fn pull(&mut self) -> Pull {
+    /// handler, or runs the handler's `finish` at exhaustion and returns
+    /// `false`.
+    pub(crate) fn pull(&mut self) -> bool {
         let TaskKind::Spout {
             source,
             handler,
             pulls,
-            failures,
         } = &mut self.kind
         else {
             unreachable!("only spouts pull")
         };
-        let outbox = &mut self.outbox;
-        let pulled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let Some(msg) = source.next() else {
-                handler.finish(outbox);
-                return false;
-            };
-            outbox.trace_instant(Stage::Dispatch, *pulls, 0);
-            handler.execute(msg, outbox);
-            true
-        }));
-        match pulled {
-            Ok(true) => {
-                *pulls += 1;
-                Pull::Pulled
-            }
-            Ok(false) => Pull::Exhausted,
-            Err(panic) => {
-                failures.push(panic_message(panic));
-                Pull::Panicked
-            }
-        }
+        let Some(msg) = source.next() else {
+            handler.finish(&mut self.outbox);
+            return false;
+        };
+        self.outbox.trace_instant(Stage::Dispatch, *pulls, 0);
+        handler.execute(msg, &mut self.outbox);
+        *pulls += 1;
+        true
     }
 
     /// Deposits the task's trace ring into `sink` and returns its report
@@ -463,15 +454,14 @@ impl<M: Message> Task<'_, M> {
         if let (Some(sink), Some(trace)) = (sink, self.outbox.take_trace()) {
             sink.push(trace);
         }
-        let (failures, restarts) = match self.kind {
-            TaskKind::Spout { failures, .. } => (failures, 0),
-            TaskKind::Bolt { core, .. } => (core.failures, core.restarts),
+        let restarts = match self.kind {
+            TaskKind::Spout { .. } => 0,
+            TaskKind::Bolt { core, .. } => core.restarts,
         };
         TaskEnd {
             name: self.name,
             index: self.index,
             metrics: self.outbox.metrics,
-            failures,
             restarts,
         }
     }
@@ -482,7 +472,6 @@ impl<M: Message> Task<'_, M> {
 pub(crate) fn report(ends: Vec<TaskEnd>, clock: &Clock) -> RunReport {
     let mut report = RunReport {
         tasks: Vec::with_capacity(ends.len()),
-        failures: Vec::new(),
         restarts: Vec::new(),
         elapsed: clock.now().saturating_since(Timestamp::ZERO),
         // In-process wires cannot rot; corruption counters are filled in
@@ -490,8 +479,6 @@ pub(crate) fn report(ends: Vec<TaskEnd>, clock: &Clock) -> RunReport {
         integrity: Default::default(),
     };
     for end in ends {
-        let at = |what| (end.name.clone(), end.index, what);
-        report.failures.extend(end.failures.into_iter().map(at));
         if end.restarts > 0 {
             report
                 .restarts
@@ -502,27 +489,15 @@ pub(crate) fn report(ends: Vec<TaskEnd>, clock: &Clock) -> RunReport {
     report
 }
 
-/// Renders a caught panic payload for the run report.
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
 /// The scheduler-independent heart of one bolt task: EOS accounting,
-/// injected-fault restarts, panic isolation and tuple execution. The
-/// threaded executor drives it from a blocking `recv` loop; the simulation
-/// scheduler feeds it one envelope per step.
+/// injected-fault restarts and tuple execution. The threaded executor
+/// drives it from a blocking `recv` loop; the simulation scheduler feeds
+/// it one envelope per step.
 pub(crate) struct BoltCore<'a, M: Message> {
     factory: Arc<Mutex<BoltFactory<'a, M>>>,
     task: usize,
     expected_eos: usize,
     eos_seen: usize,
-    failures: Vec<String>,
     restarts: u64,
     /// Tuples fully processed across all incarnations of this task;
     /// injected crash points are expressed in this count.
@@ -543,7 +518,6 @@ impl<'a, M: Message> BoltCore<'a, M> {
             task,
             expected_eos,
             eos_seen: 0,
-            failures: Vec::new(),
             restarts: 0,
             processed: 0,
             next_fault: fault_points.into_iter().peekable(),
@@ -553,14 +527,15 @@ impl<'a, M: Message> BoltCore<'a, M> {
 
     /// Builds a fresh bolt instance from the factory. The executors build
     /// the first one on the task's own thread, where its state will live,
-    /// before the first envelope. A panicking factory is recorded as a
-    /// failure and leaves the task without a bolt.
+    /// before the first envelope.
     pub(crate) fn build(&mut self) {
-        let (factory, task) = (&self.factory, self.task);
-        self.bolt =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (factory.lock())(task)))
-                .map_err(|panic| self.failures.push(panic_message(panic)))
-                .ok();
+        self.bolt = Some((self.factory.lock())(self.task));
+    }
+
+    fn instance(&mut self) -> &mut (dyn Bolt<M> + 'a) {
+        self.bolt
+            .as_deref_mut()
+            .expect("the executors build the bolt before its first envelope")
     }
 
     /// Processes one envelope. Returns `true` once the last expected EOS
@@ -574,14 +549,7 @@ impl<'a, M: Message> BoltCore<'a, M> {
                 if self.eos_seen < self.expected_eos {
                     return false;
                 }
-                if let Some(instance) = self.bolt.as_deref_mut() {
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        instance.finish(outbox)
-                    }));
-                    if let Err(panic) = r {
-                        self.failures.push(panic_message(panic));
-                    }
-                }
+                self.instance().finish(outbox);
                 return true;
             }
         };
@@ -598,39 +566,16 @@ impl<'a, M: Message> BoltCore<'a, M> {
         // `processed` tuples, and a fresh instance — which sees none of the
         // old one's in-memory state — takes over with this tuple, delivered
         // exactly once.
-        while self.bolt.is_some() && self.next_fault.next_if_eq(&self.processed).is_some() {
-            self.failures.push(format!(
-                "injected fault: task crashed after {} tuples",
-                self.processed
-            ));
+        while self.next_fault.next_if_eq(&self.processed).is_some() {
             self.build();
-            if self.bolt.is_some() {
-                self.restarts += 1;
-            }
+            self.restarts += 1;
             // Rebuilding (state replay included) is not execution.
             t0 = outbox.clock.now();
         }
-        let Some(instance) = self.bolt.as_deref_mut() else {
-            // A dead bolt keeps draining its queue so upstream senders
-            // never block on a dead consumer; tuples are discarded.
-            return false;
-        };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            instance.execute(msg, outbox)
-        }));
+        self.instance().execute(msg, outbox);
         outbox.metrics.busy += outbox.clock.now().saturating_since(t0);
         outbox.trace_span(Stage::Execute, t0, self.processed, 0);
-        match r {
-            Ok(()) => self.processed += 1,
-            Err(panic) => {
-                // An organic panic kills the instance and consumes its
-                // tuple, counted as a poisoned drop so the loss is never
-                // silent; the task drains the rest of its input.
-                self.failures.push(panic_message(panic));
-                outbox.metrics.dropped_poisoned += 1;
-                self.bolt = None;
-            }
-        }
+        self.processed += 1;
         false
     }
 }
@@ -782,54 +727,142 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_bolt_is_isolated_and_reported() {
-        let mut t = Topology::new();
-        t.spout("src", (0..50u64).map(N));
-        t.bolt("mine", 1, |_| Minefield);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        assert!(!report.is_clean());
-        assert_eq!(report.failures.len(), 1);
-        let (comp, task, msg) = &report.failures[0];
-        assert_eq!(comp, "mine");
-        assert_eq!(*task, 0);
-        assert!(msg.contains("mine"), "panic message propagated: {msg}");
-        // Tuples before the mine made it through; the rest were discarded.
-        assert_eq!(out.lock().len(), 13);
+    fn schedulers() -> [Scheduler; 2] {
+        [Scheduler::Threads, Scheduler::Sim(SimConfig::seeded(5))]
     }
 
-    #[test]
-    fn panicking_bolt_does_not_stall_backpressured_upstream() {
-        // Tiny channels: if the failed task stopped draining, the spout
-        // would block forever and run() would hang.
-        let mut t = Topology::new().with_channel_capacity(1);
-        t.spout("src", (0..500u64).map(N));
-        t.bolt("mine", 1, |_| Minefield);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        assert!(!report.is_clean());
-        assert_eq!(out.lock().len(), 13);
-    }
-
-    #[test]
-    fn panicking_spout_still_drains() {
-        let source = (0..20u64).map(|i| {
-            assert!(i < 7, "spout exploded");
-            N(i)
+    /// Runs `body` on a thread of its own and returns the message it
+    /// panicked with. Fails if `body` returns, or if it has not ended
+    /// within 20 s: a failing run must neither complete nor hang.
+    fn panic_of(body: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::thread::spawn(body).join());
         });
-        let mut t = Topology::new();
-        t.spout("src", source);
-        let out = t.collector("sink");
-        t.wire("src", "sink", Grouping::global());
-        let report = t.run();
-        assert!(!report.is_clean());
-        assert_eq!(report.failures[0].0, "src");
-        assert_eq!(out.lock().len(), 7);
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the run ends within its deadline")
+            .expect_err("the run fails");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => (*payload.downcast::<&str>().expect("a message payload")).to_owned(),
+        }
+    }
+
+    /// Runs `src → stage → sink` over `0..n` on `scheduler`, with
+    /// `capacity`-deep queues, and returns the message the run failed with.
+    fn failing_run<B: Bolt<N> + 'static>(
+        n: u64,
+        capacity: usize,
+        stage: impl FnMut(usize) -> B + Send + 'static,
+        scheduler: Scheduler,
+    ) -> String {
+        panic_of(move || {
+            let mut t = Topology::new().with_channel_capacity(capacity);
+            t.spout("src", (0..n).map(N));
+            t.bolt("stage", 1, stage);
+            let _out = t.collector("sink");
+            t.wire("src", "stage", Grouping::global());
+            t.wire("stage", "sink", Grouping::global());
+            t.run_with(scheduler);
+        })
+    }
+
+    #[test]
+    fn a_panicking_bolt_fails_the_run() {
+        for scheduler in schedulers() {
+            let msg = failing_run(50, 1024, |_| Minefield, scheduler);
+            assert!(msg.contains("landed on the mine"), "{scheduler:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_bolt_wakes_its_backpressured_upstream() {
+        // Capacity-1 queues: the spout is blocked on the mine's full queue
+        // when it panics, and must be woken to unwind, or run() would hang.
+        // Its own unwind is quiet, so the mine's panic is the one raised.
+        let msg = failing_run(500, 1, |_| Minefield, Scheduler::Threads);
+        assert!(msg.contains("landed on the mine"), "{msg}");
+    }
+
+    #[test]
+    fn a_panicking_source_fails_the_run() {
+        for scheduler in schedulers() {
+            let msg = panic_of(move || {
+                let source = (0..20u64).map(|i| {
+                    assert!(i < 7, "spout exploded");
+                    N(i)
+                });
+                let mut t = Topology::new();
+                t.spout("src", source);
+                let _out = t.collector("sink");
+                t.wire("src", "sink", Grouping::global());
+                t.run_with(scheduler);
+            });
+            assert!(msg.contains("spout exploded"), "{scheduler:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_factory_fails_the_run() {
+        for scheduler in schedulers() {
+            let msg = panic_of(move || {
+                let mut t = Topology::new().with_channel_capacity(1);
+                t.spout("src", (0..100u64).map(N));
+                t.bolt("spread", 1, |_| Spread(2));
+                t.bolt("inc", 2, |task| {
+                    assert_ne!(task, 1, "no instance for task 1");
+                    AddOne
+                });
+                let _out = t.collector("sink");
+                t.wire("src", "spread", Grouping::global());
+                t.wire("spread", "inc", Grouping::direct());
+                t.wire("inc", "sink", Grouping::global());
+                t.run_with(scheduler);
+            });
+            assert!(
+                msg.contains("no instance for task 1"),
+                "{scheduler:?}: {msg}"
+            );
+        }
+    }
+
+    /// Passes everything through, then panics at end of stream.
+    struct FailingFinish;
+    impl Bolt<N> for FailingFinish {
+        fn execute(&mut self, msg: N, out: &mut Outbox<N>) {
+            out.emit(msg);
+        }
+        fn finish(&mut self, _out: &mut Outbox<N>) {
+            panic!("finish failed");
+        }
+    }
+
+    #[test]
+    fn a_panicking_finish_fails_the_run() {
+        for scheduler in schedulers() {
+            let msg = failing_run(50, 1, |_| FailingFinish, scheduler);
+            assert!(msg.contains("finish failed"), "{scheduler:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn only_an_injected_crash_rebuilds_a_bolt() {
+        // The plan's crash at 5 rebuilds the mine; the organic panic at 13
+        // still fails the run.
+        for scheduler in schedulers() {
+            let msg = panic_of(move || {
+                let plan = crate::FaultPlan::new().crash("mine", 0, 5);
+                let mut t = Topology::new().with_fault_plan(plan);
+                t.spout("src", (0..50u64).map(N));
+                t.bolt("mine", 1, |_| Minefield);
+                let _out = t.collector("sink");
+                t.wire("src", "mine", Grouping::global());
+                t.wire("mine", "sink", Grouping::global());
+                t.run_with(scheduler);
+            });
+            assert!(msg.contains("landed on the mine"), "{scheduler:?}: {msg}");
+        }
     }
 
     /// A spout handler that logs what it is handed and when it finishes,
@@ -849,56 +882,53 @@ mod tests {
         }
     }
 
-    /// Runs a `Logged` spout over `0..n` into a collector on `scheduler`:
-    /// the handler's log, what the collector got, and the report.
+    /// A `Logged` spout over `0..n` into a collector, with capacity-1
+    /// queues: the topology and what the collector gets.
     fn logged_spout(
         n: u64,
         mine: Option<u64>,
-        scheduler: Scheduler,
-    ) -> (Vec<Option<u64>>, usize, RunReport) {
-        let log = Arc::new(Mutex::new(Vec::new()));
+        log: &Arc<Mutex<Vec<Option<u64>>>>,
+    ) -> (Topology<'static, N>, Arc<Mutex<Vec<N>>>) {
         let mut t = Topology::new().with_channel_capacity(1);
         let handler = Logged {
-            log: Arc::clone(&log),
+            log: Arc::clone(log),
             mine,
         };
         t.spout_into("src", (0..n).map(N), handler);
         let out = t.collector("sink");
         t.wire("src", "sink", Grouping::global());
-        let report = t.run_with(scheduler);
-        let log = std::mem::take(&mut *log.lock());
-        let collected = out.lock().len();
-        (log, collected, report)
-    }
-
-    fn schedulers() -> [Scheduler; 2] {
-        [Scheduler::Threads, Scheduler::Sim(SimConfig::seeded(5))]
+        (t, out)
     }
 
     #[test]
     fn spout_handler_sees_every_item_in_order_then_finishes_once() {
         for scheduler in schedulers() {
-            let (log, collected, report) = logged_spout(100, None, scheduler);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (t, out) = logged_spout(100, None, &log);
+            let report = t.run_with(scheduler);
             let mut want: Vec<Option<u64>> = (0..100).map(Some).collect();
             want.push(None);
-            assert_eq!(log, want, "{scheduler:?}");
-            assert_eq!(collected, 100, "{scheduler:?}");
-            assert!(report.is_clean(), "{scheduler:?}");
+            assert_eq!(*log.lock(), want, "{scheduler:?}");
+            assert_eq!(out.lock().len(), 100, "{scheduler:?}");
             assert_eq!(report.component("src").msgs_out, 100, "{scheduler:?}");
         }
     }
 
     #[test]
-    fn panicking_spout_handler_is_reported_and_the_topology_drains() {
+    fn a_panicking_spout_handler_fails_the_run() {
         for scheduler in schedulers() {
-            let (log, collected, report) = logged_spout(50, Some(13), scheduler);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let (t, _out) = logged_spout(50, Some(13), &log);
+            let msg = panic_of(move || {
+                t.run_with(scheduler);
+            });
+            assert!(msg.contains("handler hit the mine"), "{scheduler:?}: {msg}");
             // Items before the mine were handled; `finish` never ran.
-            assert_eq!(log, (0..13).map(Some).collect::<Vec<_>>(), "{scheduler:?}");
-            assert_eq!(collected, 13, "{scheduler:?}");
-            assert_eq!(report.failures.len(), 1, "{scheduler:?}");
-            let (comp, task, msg) = &report.failures[0];
-            assert_eq!((comp.as_str(), *task), ("src", 0), "{scheduler:?}");
-            assert!(msg.contains("mine"), "panic message propagated: {msg}");
+            assert_eq!(
+                *log.lock(),
+                (0..13).map(Some).collect::<Vec<_>>(),
+                "{scheduler:?}"
+            );
         }
     }
 
@@ -941,55 +971,46 @@ mod tests {
                 mine: None,
             });
             t.wire("src", "borrow", Grouping::global());
-            let report = t.run_with(scheduler);
-            assert!(report.is_clean(), "{scheduler:?}");
+            t.run_with(scheduler);
             let want: Vec<u64> = items.iter().map(|i| i + offset).collect();
             assert_eq!(*log.lock(), want, "{scheduler:?}");
         }
     }
 
     #[test]
-    fn a_panicking_task_holding_borrowed_state_is_reported() {
+    fn a_panicking_task_holding_borrowed_state_fails_the_run() {
         for scheduler in schedulers() {
-            let offset = 0;
-            let (handled, executed) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
-            let mut t = Topology::new();
-            let handler = Borrowing {
-                offset: &offset,
-                log: &handled,
-                mine: Some(30),
-            };
-            t.spout_into("src", (0..50).map(N), handler);
-            t.bolt("borrow", 1, |_| Borrowing {
-                offset: &offset,
-                log: &executed,
-                mine: Some(13),
+            let msg = panic_of(move || {
+                let offset = 0;
+                let (handled, executed) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
+                let mut t = Topology::new();
+                let handler = Borrowing {
+                    offset: &offset,
+                    log: &handled,
+                    mine: Some(30),
+                };
+                t.spout_into("src", (0..50).map(N), handler);
+                t.bolt("borrow", 1, |_| Borrowing {
+                    offset: &offset,
+                    log: &executed,
+                    mine: Some(13),
+                });
+                t.wire("src", "borrow", Grouping::global());
+                let failed = std::thread::scope(|s| s.spawn(|| t.run_with(scheduler)).join())
+                    .expect_err("a mine fires");
+                // Every task has stopped touching the borrowed state: each
+                // log holds a prefix of the items before its mine.
+                let (handled, executed) = (handled.into_inner(), executed.into_inner());
+                assert!(handled.iter().copied().eq(0..handled.len() as u64));
+                assert!(executed.iter().copied().eq(0..executed.len() as u64));
+                assert!(handled.len() <= 30 && executed.len() <= 13);
+                panic::resume_unwind(failed);
             });
-            t.wire("src", "borrow", Grouping::global());
-            let report = t.run_with(scheduler);
-            let failed: Vec<&str> = report.failures.iter().map(|f| f.0.as_str()).collect();
-            assert_eq!(failed, ["src", "borrow"], "{scheduler:?}");
-            assert_eq!(
-                *handled.lock(),
-                (0..30).collect::<Vec<_>>(),
-                "{scheduler:?}"
+            assert!(
+                msg.contains("borrowing task hit the mine"),
+                "{scheduler:?}: {msg}"
             );
-            assert_eq!(
-                *executed.lock(),
-                (0..13).collect::<Vec<_>>(),
-                "{scheduler:?}"
-            );
-            assert_eq!(report.component("borrow").dropped_poisoned, 1);
         }
-    }
-
-    #[test]
-    fn clean_run_reports_no_failures() {
-        let mut t = Topology::new();
-        t.spout("src", (0..5u64).map(N));
-        let _out = t.collector("sink");
-        t.wire("src", "sink", Grouping::global());
-        assert!(t.run().is_clean());
     }
 
     /// Tags each value with the incarnation of the instance that handled
@@ -1037,8 +1058,6 @@ mod tests {
         }
         assert_eq!(report.restarts, vec![("tag".to_owned(), 0, 1)]);
         assert_eq!(report.total_restarts(), 1);
-        assert_eq!(report.failures.len(), 1);
-        assert!(report.failures[0].2.contains("injected fault"));
     }
 
     #[test]
@@ -1078,7 +1097,6 @@ mod tests {
         assert_eq!(tagged.len(), 50);
         assert!(tagged.iter().all(|&(inc, _)| inc == 0));
         assert!(report.restarts.is_empty());
-        assert!(report.is_clean());
     }
 
     #[test]
@@ -1137,27 +1155,6 @@ mod tests {
             // tuple entering a stage leaves it.
             assert_eq!(sink.msgs_in, 300);
         }
-    }
-
-    #[test]
-    fn poisoned_tuple_drop_is_counted() {
-        // The tuple consumed by an organic panic is never a silent loss:
-        // dropped_poisoned traces it, and the dead task restarts nothing.
-        let mut t = Topology::new();
-        t.spout("src", (0..50u64).map(N));
-        t.bolt("mine", 1, |_| Minefield);
-        let out = t.collector("sink");
-        t.wire("src", "mine", Grouping::global());
-        t.wire("mine", "sink", Grouping::global());
-        let report = t.run();
-        assert_eq!(out.lock().len(), 13);
-        assert_eq!(report.dropped_poisoned(), 1);
-        assert_eq!(report.component("mine").dropped_poisoned, 1);
-        assert_eq!(report.total_restarts(), 0);
-        // The dead task drains: it receives every tuple and emits none
-        // after the poisoned one.
-        let mine = report.component("mine");
-        assert_eq!((mine.msgs_in, mine.msgs_out), (50, 13));
     }
 
     #[test]

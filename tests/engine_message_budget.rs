@@ -37,7 +37,6 @@ const BATCH: usize = 32;
 
 /// `(dispatcher msgs_out, Σ msgs_in over all tasks)`.
 fn message_counts(run: &DistributedJoinResult) -> (u64, u64) {
-    assert!(run.report.is_clean(), "{:?}", run.report.failures);
     (
         run.report.component("dispatcher").msgs_out,
         run.report.tasks.iter().map(|(_, _, m)| m.msgs_in).sum(),
