@@ -328,8 +328,9 @@ fn an_exhausted_recovery_budget_fails_the_cluster_run() {
 /// A checkpoint store that cannot take a snapshot part fails the run on
 /// every engine: threads, the simulator and the cluster each exit non-zero
 /// naming the store write, and print no partial answer. The input is long
-/// enough that the dispatcher still sends to the failed joiner, which must
-/// not add a panic message of its own.
+/// enough that later epochs are published after the write fails, so a
+/// joiner meets the error while the dispatcher still sends to it, and the
+/// dispatcher must not add a panic message of its own.
 #[test]
 fn a_failed_snapshot_write_fails_the_run_on_every_engine() {
     let dir = std::env::temp_dir().join("dssj-cli-tests");
@@ -353,10 +354,11 @@ fn a_failed_snapshot_write_fails_the_run_on_every_engine() {
         ("sim", &["join", "--sim", "3"][..]),
         ("cluster", &["cluster", "--backend", "inprocess"][..]),
     ] {
-        // Epoch 2's part of joiner 1 is a directory: that store write fails.
+        // Epoch 2's staging file is a directory: its first store write
+        // fails.
         let ckpt = dir.join(format!("store-fault-{name}"));
         let _ = std::fs::remove_dir_all(&ckpt);
-        std::fs::create_dir_all(ckpt.join("epoch-2/joiner-1.snap")).unwrap();
+        std::fs::create_dir_all(ckpt.join("epoch-2.tmp")).unwrap();
         let mut args = engine.to_vec();
         args.extend([
             "--input",
@@ -578,22 +580,18 @@ fn scrub_passes_clean_checkpoints_and_flags_bit_rot() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 corrupt"), "{stdout}");
 
-    // Rot one bit in every snapshot part: scrub must flag every epoch
-    // and exit nonzero.
+    // Rot one bit in the middle of every epoch file, among its snapshot
+    // parts: scrub must flag every epoch and exit nonzero.
     let mut rotted = 0;
     for epoch in std::fs::read_dir(&ckpt).unwrap() {
-        for f in std::fs::read_dir(epoch.unwrap().path()).unwrap() {
-            let path = f.unwrap().path();
-            if path.extension().is_some_and(|e| e == "snap") {
-                let mut bytes = std::fs::read(&path).unwrap();
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x01;
-                std::fs::write(&path, bytes).unwrap();
-                rotted += 1;
-            }
-        }
+        let path = epoch.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        rotted += 1;
     }
-    assert!(rotted > 0, "join never committed a snapshot part");
+    assert!(rotted > 0, "join never committed an epoch");
     let out = dssj(&["scrub", ckpt.to_str().unwrap()]);
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -310,15 +310,6 @@ impl RecordStore {
         self.meta[slot as usize].stamp
     }
 
-    /// Reconstructs the full record in `slot` (snapshot path; allocates).
-    pub fn to_record(&self, slot: Slot) -> Record {
-        Record::from_sorted(
-            self.id(slot),
-            self.timestamp(slot),
-            self.tokens(slot).to_vec(),
-        )
-    }
-
     /// Frees live `slot` and its token block for reuse. Its postings must
     /// already be gone from every index.
     pub fn remove(&mut self, slot: Slot) {
@@ -760,10 +751,9 @@ mod tests {
         let mut s = RecordStore::new();
         let r = rec(7, &[3, 9, 12]);
         let slot = s.insert(&r);
-        let back = s.to_record(slot);
-        assert_eq!(back.id(), r.id());
-        assert_eq!(back.timestamp(), r.timestamp());
-        assert_eq!(back.tokens(), r.tokens());
+        assert_eq!(s.id(slot), r.id());
+        assert_eq!(s.timestamp(slot), r.timestamp());
+        assert_eq!(s.tokens(slot), r.tokens());
     }
 
     #[test]

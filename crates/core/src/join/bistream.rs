@@ -13,7 +13,7 @@
 
 use super::{MatchPair, StreamJoiner};
 use crate::stats::JoinStats;
-use ssj_text::Record;
+use ssj_text::{Record, RecordId, TokenId};
 
 /// Which input stream a record belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,6 +33,10 @@ impl Side {
         }
     }
 }
+
+/// A [`BiStreamJoiner::visit_window`] visitor: side, id, timestamp and
+/// sorted tokens of one live record.
+pub type SideVisitor<'a> = dyn FnMut(Side, RecordId, u64, &[TokenId]) + 'a;
 
 /// A bi-stream joiner built from two single-stream joiners of the same
 /// algorithm (one index per side).
@@ -100,30 +104,44 @@ impl<J: StreamJoiner> BiStreamJoiner<J> {
         self.left.postings() + self.right.postings()
     }
 
-    /// Side-tagged snapshot of every record both sides consider live, in
-    /// global arrival (ascending id) order — the bi-stream analogue of
-    /// [`StreamJoiner::window_snapshot`], suitable for checkpointing and
-    /// for replay through [`Self::insert`].
-    pub fn window_snapshot(&self) -> Vec<(Side, Record)> {
-        let left = self.left.window_snapshot();
-        let right = self.right.window_snapshot();
-        let mut out = Vec::with_capacity(left.len() + right.len());
-        let (mut i, mut j) = (0, 0);
-        while i < left.len() || j < right.len() {
-            let take_left = match (left.get(i), right.get(j)) {
-                (Some(l), Some(r)) => l.id() < r.id(),
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                out.push((Side::Left, left[i].clone()));
-                i += 1;
-            } else {
-                out.push((Side::Right, right[j].clone()));
-                j += 1;
+    /// Walks every record both sides consider live in global arrival
+    /// (ascending id) order, with its side — the bi-stream analogue of
+    /// [`StreamJoiner::visit_window`]. A side's walk is a callback, so the
+    /// right side is copied once into one flat buffer and interleaved into
+    /// the left side's walk.
+    pub fn visit_window(&self, visit: &mut SideVisitor<'_>) {
+        let mut heads: Vec<(RecordId, u64, usize)> = Vec::new();
+        let mut tokens = Vec::new();
+        self.right.visit_window(&mut |id, ts, toks| {
+            tokens.extend_from_slice(toks);
+            heads.push((id, ts, tokens.len()));
+        });
+        let (mut next, mut start) = (0, 0);
+        let mut right_before = |limit: Option<RecordId>, visit: &mut SideVisitor<'_>| {
+            while let Some(&(id, ts, end)) = heads.get(next) {
+                if limit.is_some_and(|l| id >= l) {
+                    break;
+                }
+                visit(Side::Right, id, ts, &tokens[start..end]);
+                (next, start) = (next + 1, end);
             }
-        }
-        debug_assert!(out.windows(2).all(|w| w[0].1.id() < w[1].1.id()));
+        };
+        self.left.visit_window(&mut |id, ts, toks| {
+            right_before(Some(id), visit);
+            visit(Side::Left, id, ts, toks);
+        });
+        right_before(None, visit);
+    }
+
+    /// Side-tagged snapshot of every record both sides consider live, in
+    /// global arrival (ascending id) order: the
+    /// [`visit_window`](Self::visit_window) walk, collected — suitable for
+    /// checkpointing and for replay through [`Self::insert`].
+    pub fn window_snapshot(&self) -> Vec<(Side, Record)> {
+        let mut out = Vec::with_capacity(self.stored());
+        self.visit_window(&mut |side, id, ts, tokens| {
+            out.push((side, Record::from_sorted(id, ts, tokens.to_vec())));
+        });
         out
     }
 }

@@ -681,11 +681,11 @@ impl BundleJoiner {
     }
 }
 
-/// Inverse of [`token_deltas`]: reconstructs a member's token set
-/// `(rep \ del) ∪ add` as one sorted merge. Exact because `del ⊆ rep` and
-/// `add ∩ rep = ∅` (the delta invariants).
-fn apply_deltas(rep: &[TokenId], add: &[TokenId], del: &[TokenId]) -> Vec<TokenId> {
-    let mut out = Vec::with_capacity((rep.len() + add.len()).saturating_sub(del.len()));
+/// Inverse of [`token_deltas`]: rebuilds a member's token set
+/// `(rep \ del) ∪ add` into `out` (cleared first) as one sorted merge.
+/// Exact because `del ⊆ rep` and `add ∩ rep = ∅` (the delta invariants).
+fn apply_deltas(rep: &[TokenId], add: &[TokenId], del: &[TokenId], out: &mut Vec<TokenId>) {
+    out.clear();
     let mut ai = 0;
     let mut di = 0;
     for &tok in rep {
@@ -701,7 +701,6 @@ fn apply_deltas(rep: &[TokenId], add: &[TokenId], del: &[TokenId]) -> Vec<TokenI
     }
     out.extend_from_slice(&add[ai..]);
     debug_assert_eq!(di, del.len(), "del must be a subset of rep");
-    out
 }
 
 /// `(a \ b, b \ a)` of two sorted token slices.
@@ -755,29 +754,28 @@ impl StreamJoiner for BundleJoiner {
         self.insert_with(record, target);
     }
 
-    fn window_snapshot(&self) -> Vec<Record> {
+    fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {
         // The queue holds (bundle, member) handles in arrival order; each
-        // member's full token set is reconstructed from its delta against
-        // the representative, so the snapshot is exact even though the
-        // joiner never stores member records.
-        self.queue
-            .entries()
-            .map(|(id, ts, &(slot, member_idx))| {
-                let bundle = self.store.get(slot).expect("queued member in live bundle");
-                if member_idx == FOUNDER_IDX {
-                    debug_assert!(bundle.founder_alive, "queued founder is alive");
-                    debug_assert_eq!(bundle.rep.id().0, id);
-                    debug_assert_eq!(bundle.rep.timestamp(), ts);
-                    return bundle.rep.clone();
-                }
-                let m = &bundle.members[member_idx as usize];
-                debug_assert!(m.alive, "queued member is alive");
-                debug_assert_eq!(m.id.0, id);
-                let tokens = apply_deltas(bundle.rep.tokens(), &m.add, &m.del);
-                debug_assert_eq!(tokens.len(), m.len as usize);
-                Record::from_sorted(m.id, ts, tokens)
-            })
-            .collect()
+        // member's full token set is rebuilt from its delta against the
+        // representative into one reused buffer, so the walk is exact even
+        // though the joiner never stores member records.
+        let mut scratch = Vec::new();
+        for (id, ts, &(slot, member_idx)) in self.queue.entries() {
+            let bundle = self.store.get(slot).expect("queued member in live bundle");
+            if member_idx == FOUNDER_IDX {
+                debug_assert!(bundle.founder_alive, "queued founder is alive");
+                debug_assert_eq!(bundle.rep.id().0, id);
+                debug_assert_eq!(bundle.rep.timestamp(), ts);
+                visit(bundle.rep.id(), ts, bundle.rep.tokens());
+                continue;
+            }
+            let m = &bundle.members[member_idx as usize];
+            debug_assert!(m.alive, "queued member is alive");
+            debug_assert_eq!(m.id.0, id);
+            apply_deltas(bundle.rep.tokens(), &m.add, &m.del, &mut scratch);
+            debug_assert_eq!(scratch.len(), m.len as usize);
+            visit(m.id, ts, &scratch);
+        }
     }
 
     fn stats(&self) -> &JoinStats {

@@ -30,7 +30,7 @@ pub use ppjoin::PpJoinJoiner;
 use crate::sim::Threshold;
 use crate::stats::JoinStats;
 use crate::window::Window;
-use ssj_text::{Record, RecordId};
+use ssj_text::{Record, RecordId, TokenId};
 
 /// One join result: an (earlier, later) record pair and its similarity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,16 +98,28 @@ pub trait StreamJoiner {
         self.insert(record);
     }
 
-    /// The live window contents as full records, in arrival order.
+    /// Walks the live window in arrival order, calling `visit` with each
+    /// record's id, timestamp and sorted tokens, without building a
+    /// [`Record`]. Joiners that store deltas rather than full records (the
+    /// bundle joiner) reconstruct each record's tokens exactly; the slice
+    /// is valid only for the duration of its call.
+    fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId]));
+
+    /// The live window contents as full records, in arrival order: the
+    /// [`visit_window`](Self::visit_window) walk, collected.
     ///
     /// Together with [`restore`](Self::restore) this is the recovery path:
     /// a replacement joiner rebuilds its index from the in-window records in
-    /// O(window) work instead of re-processing the whole stream. Joiners
-    /// that store deltas rather than full records (the bundle joiner)
-    /// reconstruct each record exactly, so
+    /// O(window) work instead of re-processing the whole stream, and
     /// `fresh.restore(&old.window_snapshot())` always reproduces the old
     /// joiner's visible index state.
-    fn window_snapshot(&self) -> Vec<Record>;
+    fn window_snapshot(&self) -> Vec<Record> {
+        let mut out = Vec::with_capacity(self.stored());
+        self.visit_window(&mut |id, ts, tokens| {
+            out.push(Record::from_sorted(id, ts, tokens.to_vec()));
+        });
+        out
+    }
 
     /// Rebuilds index state from `records`, the in-window portion of the
     /// stream in arrival order. Index-only: nothing is probed and no
@@ -147,8 +159,8 @@ impl StreamJoiner for Box<dyn StreamJoiner + Send> {
         self.as_mut().process(record, out)
     }
 
-    fn window_snapshot(&self) -> Vec<Record> {
-        self.as_ref().window_snapshot()
+    fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {
+        self.as_ref().visit_window(visit)
     }
 
     fn restore(&mut self, records: &[Record]) {

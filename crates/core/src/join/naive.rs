@@ -8,7 +8,7 @@ use super::{JoinConfig, MatchPair, StreamJoiner};
 use crate::stats::JoinStats;
 use crate::verify;
 use crate::window::EvictionQueue;
-use ssj_text::Record;
+use ssj_text::{Record, RecordId, TokenId};
 
 /// Scan-everything reference joiner.
 #[derive(Debug)]
@@ -67,8 +67,10 @@ impl StreamJoiner for NaiveJoiner {
         self.stats.indexed += 1;
     }
 
-    fn window_snapshot(&self) -> Vec<Record> {
-        self.live.iter().cloned().collect()
+    fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {
+        for r in self.live.iter() {
+            visit(r.id(), r.timestamp(), r.tokens());
+        }
     }
 
     fn stats(&self) -> &JoinStats {

@@ -16,7 +16,7 @@ use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
 use crate::verify;
 use crate::window::EvictionQueue;
-use ssj_text::Record;
+use ssj_text::{Record, RecordId, TokenId};
 
 /// Per-candidate accumulator built during the prefix scan.
 #[derive(Debug, Clone, Copy)]
@@ -221,11 +221,14 @@ impl StreamJoiner for PpJoinJoiner {
         self.insert_unevicted(record);
     }
 
-    fn window_snapshot(&self) -> Vec<Record> {
-        self.queue
-            .iter()
-            .map(|&slot| self.store.to_record(slot))
-            .collect()
+    fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {
+        for &slot in self.queue.iter() {
+            visit(
+                self.store.id(slot),
+                self.store.timestamp(slot),
+                self.store.tokens(slot),
+            );
+        }
     }
 
     fn stats(&self) -> &JoinStats {

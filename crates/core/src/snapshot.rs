@@ -1,8 +1,7 @@
 //! Serialization of joiner window snapshots for checkpointing.
 //!
 //! A checkpoint persists, per joiner task, the records currently alive in
-//! that task's window — exactly what
-//! [`StreamJoiner::window_snapshot`](crate::StreamJoiner::window_snapshot)
+//! that task's window — exactly what [`StreamJoiner::window_snapshot`]
 //! returns, tagged with the bi-stream [`Side`] when the joiner runs an R–S
 //! join. The encoding reuses the `ssj-text` binary record codec so
 //! snapshot files are readable by the same tooling as encoded streams:
@@ -16,10 +15,16 @@
 //! Entries are written (and validated on decode to be) in strictly
 //! ascending record-id order — the arrival order every joiner's
 //! `window_snapshot` already guarantees, and the order `restore` expects.
+//!
+//! A checkpoint encodes a live joiner with [`encode_joiner`] or
+//! [`encode_bistream`]: straight from its
+//! [`visit_window`](StreamJoiner::visit_window) walk into one
+//! buffer, building no [`Record`]. Their bytes equal
+//! [`encode_window_vec`] of the same joiner's `window_snapshot`.
 
-use crate::join::Side;
+use crate::join::{BiStreamJoiner, Side, StreamJoiner};
 use ssj_text::codec::{decode_record, encode_record};
-use ssj_text::Record;
+use ssj_text::{Record, RecordId, TokenId};
 use std::io::{self, Cursor, Read, Write};
 
 /// Magic number leading every window snapshot.
@@ -89,6 +94,96 @@ pub fn encode_window_vec(entries: &[SnapshotEntry]) -> io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     encode_window(entries, &mut buf)?;
     Ok(buf)
+}
+
+/// Encodes a window snapshot entry by entry into one buffer: the header,
+/// then each entry as it is pushed, with the count patched in by
+/// [`finish`](Self::finish).
+struct WindowEncoder {
+    buf: Vec<u8>,
+    count: u32,
+    prev: Option<RecordId>,
+    error: Option<io::Error>,
+}
+
+impl WindowEncoder {
+    fn new() -> Self {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        Self {
+            buf,
+            count: 0,
+            prev: None,
+            error: None,
+        }
+    }
+
+    /// Appends one entry in the record codec's layout: id, timestamp,
+    /// token count, tokens, all little-endian.
+    fn push(&mut self, side: Option<Side>, id: RecordId, ts: u64, tokens: &[TokenId]) {
+        if self.error.is_some() {
+            return;
+        }
+        if self.prev.is_some_and(|p| p >= id) {
+            self.error = Some(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot entries must be in strictly ascending id order",
+            ));
+            return;
+        }
+        let Some(count) = self.count.checked_add(1) else {
+            self.error = Some(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot too large",
+            ));
+            return;
+        };
+        (self.count, self.prev) = (count, Some(id));
+        // Sized once, then filled in place: the token loop is a plain
+        // copy the compiler can vectorize.
+        let start = self.buf.len();
+        self.buf.resize(start + 21 + 4 * tokens.len(), 0);
+        let (head, body) = self.buf[start..].split_at_mut(21);
+        head[0] = side_tag(side);
+        head[1..9].copy_from_slice(&id.0.to_le_bytes());
+        head[9..17].copy_from_slice(&ts.to_le_bytes());
+        head[17..21].copy_from_slice(&(tokens.len() as u32).to_le_bytes());
+        for (out, t) in body.chunks_exact_mut(4).zip(tokens) {
+            out.copy_from_slice(&t.raw().to_le_bytes());
+        }
+    }
+
+    fn finish(mut self) -> io::Result<Vec<u8>> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        self.buf[4..8].copy_from_slice(&self.count.to_le_bytes());
+        Ok(self.buf)
+    }
+}
+
+/// Encodes `joiner`'s live window (untagged entries) straight from its
+/// [`visit_window`](StreamJoiner::visit_window) walk.
+///
+/// # Errors
+/// Fails if the walk is not in strictly ascending id order or holds more
+/// than `u32::MAX` records.
+pub fn encode_joiner<J: StreamJoiner + ?Sized>(joiner: &J) -> io::Result<Vec<u8>> {
+    let mut enc = WindowEncoder::new();
+    joiner.visit_window(&mut |id, ts, tokens| enc.push(None, id, ts, tokens));
+    enc.finish()
+}
+
+/// Encodes a bi-stream joiner's live window (side-tagged entries) straight
+/// from its [`visit_window`](BiStreamJoiner::visit_window) walk.
+///
+/// # Errors
+/// See [`encode_joiner`].
+pub fn encode_bistream<J: StreamJoiner>(joiner: &BiStreamJoiner<J>) -> io::Result<Vec<u8>> {
+    let mut enc = WindowEncoder::new();
+    joiner.visit_window(&mut |side, id, ts, tokens| enc.push(Some(side), id, ts, tokens));
+    enc.finish()
 }
 
 /// Decodes a window snapshot from `input`, validating the magic, the

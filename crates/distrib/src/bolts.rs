@@ -274,13 +274,13 @@ impl JoinerBolt {
                     .coordinator
                     .as_ref()
                     .expect("barrier received without a checkpoint coordinator");
-                let entries = self.joiner.window_snapshot();
-                let outcome = coordinator.publish(epoch, self.task, &entries);
+                let outcome = coordinator.publish(epoch, self.task, self.joiner.encode_snapshot());
                 out.record_checkpoint(outcome.bytes);
                 out.trace_instant(Stage::Checkpoint, epoch, outcome.bytes);
                 if outcome.completed {
                     // Epoch latency, charged to the task that closed it:
-                    // barrier injection to durable commit.
+                    // barrier injection to the hand-over of the epoch's
+                    // last part to the store writer, once per epoch.
                     let lat = out.now().saturating_since(outcome.injected_at);
                     out.record_checkpoint_latency(lat);
                 }

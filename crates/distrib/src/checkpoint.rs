@@ -6,30 +6,36 @@
 //! same FIFO channels as data, so when a joiner sees the epoch-`e` barrier
 //! its local state reflects exactly the records dispatched before the
 //! barrier — a Chandy–Lamport consistent cut, with no stop-the-world
-//! pause. The joiner captures its
-//! [`window_snapshot`](ssj_core::StreamJoiner::window_snapshot), publishes
-//! it to the run's [`SnapshotStore`], and moves on.
+//! pause. The joiner encodes its live window straight from its index
+//! ([`ssj_core::snapshot::encode_joiner`]), publishes the bytes to the
+//! [`CheckpointCoordinator`], and moves on: it never waits on the store.
 //!
 //! The [`CheckpointCoordinator`] tracks which of the `k` tasks have
-//! published for each in-flight epoch. When the last one lands, the epoch
-//! **commits**: the manifest (cut id, topology shape, routing partition)
-//! is written atomically. Checkpoints are durability only: a whole-process
-//! restart rebuilds a topology from the latest complete checkpoint through
-//! [`load_latest_verified`] and the driver's `restore_from` path, while a
-//! joiner that crashes mid-run rebuilds from its replay buffer alone
-//! ([`crate::recovery`]) and never reads the store.
+//! published for each in-flight epoch, and owns the run's one store
+//! writer thread ([`STORE_WRITER_THREAD`]). Capturing a snapshot is
+//! synchronous at the barrier; persisting it is not. The writer seals and
+//! stages every part in hand-over order, and when an epoch's last part is
+//! staged it **commits** the epoch: the manifest (cut id, topology shape,
+//! routing partition) is written atomically.
+//! [`CheckpointCoordinator::finish`] joins the writer, so a run that
+//! returns has committed every epoch it completed. Checkpoints are
+//! durability only: a whole-process restart rebuilds a topology from the
+//! latest complete checkpoint through [`load_latest_verified`] and the
+//! driver's `restore_from` path, while a joiner that crashes mid-run
+//! rebuilds from its replay buffer alone ([`crate::recovery`]) and never
+//! reads the store.
 //!
 //! Two stores are provided: [`MemStore`] (tests, simulation) and
-//! [`FileStore`] (epoch-stamped snapshot files encoded with the `ssj-text`
-//! record codec via [`ssj_core::snapshot`]).
+//! [`FileStore`] (one `epoch-<e>` file per committed epoch, written with
+//! one `sync_all` and renamed into place).
 //!
 //! # Integrity
 //!
-//! Every `.snap` part and `MANIFEST` payload is wrapped in an 8-byte
+//! Every snapshot part and manifest payload is wrapped in an 8-byte
 //! envelope — [`STORE_MAGIC`] plus a CRC32C of the payload (see
-//! [`seal_payload`] / [`open_payload`]) — written at the *coordinator*
-//! layer so any [`SnapshotStore`], including fault-injecting test
-//! wrappers, exercises verification on read-back. A payload without the
+//! [`seal_payload`] / [`open_payload`]) — sealed by the coordinator's
+//! store writer, above the store, so any [`SnapshotStore`], including
+//! fault-injecting test wrappers, exercises verification on read-back. A payload without the
 //! envelope, or one that fails its check, is never trusted:
 //! [`load_latest_verified`] quarantines the epoch and falls back to the
 //! newest fully-verified earlier one, and [`scrub`] audits a whole store
@@ -38,14 +44,18 @@
 //! [`JoinMsg::Barrier`]: crate::msg::JoinMsg::Barrier
 
 use parking_lot::Mutex;
-use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
+use ssj_core::snapshot::{decode_window_slice, SnapshotEntry};
 use ssj_partition::LengthPartition;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use stormlite::Timestamp;
 
 /// Durable storage for checkpoint snapshots, pluggable per run.
@@ -55,15 +65,17 @@ use stormlite::Timestamp;
 /// manifest; readers must ignore parts of uncommitted epochs (a crash may
 /// leave them behind).
 pub trait SnapshotStore: fmt::Debug + Send + Sync {
-    /// Persists one part of an epoch's checkpoint, overwriting any
-    /// previous attempt.
+    /// Stages one part of an epoch's checkpoint, replacing any earlier
+    /// staging of the same part. A staged part is neither durable nor
+    /// visible to a restore until [`commit`](Self::commit) returns.
     fn put(&self, epoch: u64, part: &str, bytes: &[u8]) -> io::Result<()>;
 
     /// Reads one part of an epoch's checkpoint.
     fn get(&self, epoch: u64, part: &str) -> io::Result<Option<Vec<u8>>>;
 
-    /// Atomically marks `epoch` complete by recording its manifest. After
-    /// this returns, a crashed process may restore from `epoch`.
+    /// Atomically makes `epoch`'s staged parts durable and marks it
+    /// complete by recording its manifest. After this returns, a crashed
+    /// process may restore from `epoch`.
     fn commit(&self, epoch: u64, manifest: &[u8]) -> io::Result<()>;
 
     /// The manifest of a committed epoch.
@@ -120,13 +132,34 @@ impl SnapshotStore for MemStore {
     }
 }
 
-/// File-backed [`SnapshotStore`]: one `epoch-<e>` directory per epoch,
-/// one `<part>.snap` file per task, and a `MANIFEST` file whose
-/// write-then-rename creation is the atomic commit point.
+/// File-backed [`SnapshotStore`]: one `epoch-<e>` file per committed
+/// epoch, holding its sealed parts and then its manifest.
+///
+/// [`put`](SnapshotStore::put) appends a part to the epoch's
+/// `epoch-<e>.tmp` staging file, unsynced and invisible to every reader.
+/// [`commit`](SnapshotStore::commit) appends the manifest, calls
+/// `sync_all` once and renames the file to `epoch-<e>`: the rename is the
+/// commit point, so an epoch file either exists complete or not at all. A
+/// committed epoch is immutable: a later `put` or `commit` of it fails.
+///
+/// File layout: the magic `"SNEF"` (u32 le), then one entry per `put`
+/// and a last entry named `MANIFEST`, each
+/// `[name_len u16 le][name][len u64 le][bytes]`. A later entry of the same
+/// name supersedes an earlier one. A file that does not parse to its
+/// `MANIFEST` entry (a torn write) is corrupt: every read of it fails with
+/// [`io::ErrorKind::InvalidData`], and a restore quarantines it.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
+    /// Staging files of the epochs put to but not yet committed.
+    staging: Mutex<BTreeMap<u64, fs::File>>,
 }
+
+/// Magic leading every epoch file of a [`FileStore`] (`"SNEF"` on disk).
+const EPOCH_FILE_MAGIC: u32 = 0x4645_4e53;
+
+/// The entry name of an epoch file's manifest.
+const MANIFEST_ENTRY: &str = "MANIFEST";
 
 impl FileStore {
     /// Opens (creating if needed) a snapshot directory.
@@ -136,7 +169,10 @@ impl FileStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Self { dir })
+        Ok(Self {
+            dir,
+            staging: Mutex::new(BTreeMap::new()),
+        })
     }
 
     /// The directory this store persists into.
@@ -144,73 +180,132 @@ impl FileStore {
         &self.dir
     }
 
-    fn epoch_dir(&self, epoch: u64) -> PathBuf {
+    fn epoch_path(&self, epoch: u64) -> PathBuf {
         self.dir.join(format!("epoch-{epoch}"))
+    }
+
+    fn staging_path(&self, epoch: u64) -> PathBuf {
+        self.dir.join(format!("epoch-{epoch}.tmp"))
+    }
+
+    /// Appends one entry to `epoch`'s staging file, creating it on the
+    /// epoch's first entry unless the epoch is already committed.
+    fn stage(&self, epoch: u64, name: &str, bytes: &[u8]) -> io::Result<()> {
+        let mut staging = self.staging.lock();
+        let file = match staging.entry(epoch) {
+            Entry::Occupied(f) => f.into_mut(),
+            Entry::Vacant(slot) => {
+                if self.epoch_path(epoch).exists() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::AlreadyExists,
+                        format!("epoch {epoch} is committed and immutable"),
+                    ));
+                }
+                let mut file = fs::File::create(self.staging_path(epoch))?;
+                file.write_all(&EPOCH_FILE_MAGIC.to_le_bytes())?;
+                slot.insert(file)
+            }
+        };
+        let name_len = u16::try_from(name.len())
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "part name too long"))?;
+        file.write_all(&name_len.to_le_bytes())?;
+        file.write_all(name.as_bytes())?;
+        file.write_all(&(bytes.len() as u64).to_le_bytes())?;
+        file.write_all(bytes)
+    }
+
+    /// The last entry named `name` in committed `epoch`'s file, `None`
+    /// when the epoch is not committed or holds no such entry.
+    fn entry(&self, epoch: u64, name: &str) -> io::Result<Option<Vec<u8>>> {
+        let bytes = match fs::read(self.epoch_path(epoch)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let torn = || {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("epoch {epoch} file is torn"),
+            )
+        };
+        if bytes.get(..4) != Some(&EPOCH_FILE_MAGIC.to_le_bytes()[..]) {
+            return Err(torn());
+        }
+        let take = |at: usize, n: usize| {
+            at.checked_add(n)
+                .and_then(|end| bytes.get(at..end))
+                .ok_or_else(torn)
+        };
+        let (mut at, mut found, mut last) = (4, None, None);
+        while at < bytes.len() {
+            let name_len = u16::from_le_bytes(take(at, 2)?.try_into().expect("2 bytes")) as usize;
+            let entry_name = take(at + 2, name_len)?;
+            at += 2 + name_len;
+            let len = u64::from_le_bytes(take(at, 8)?.try_into().expect("8 bytes"));
+            let len = usize::try_from(len).map_err(|_| torn())?;
+            let body = take(at + 8, len)?;
+            at += 8 + len;
+            if entry_name == name.as_bytes() {
+                found = Some(body);
+            }
+            last = Some(entry_name);
+        }
+        if last != Some(MANIFEST_ENTRY.as_bytes()) {
+            return Err(torn());
+        }
+        Ok(found.map(<[u8]>::to_vec))
     }
 }
 
 impl SnapshotStore for FileStore {
     fn put(&self, epoch: u64, part: &str, bytes: &[u8]) -> io::Result<()> {
-        let dir = self.epoch_dir(epoch);
-        fs::create_dir_all(&dir)?;
-        let mut f = fs::File::create(dir.join(format!("{part}.snap")))?;
-        f.write_all(bytes)?;
-        f.sync_all()
+        if part == MANIFEST_ENTRY {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "MANIFEST is not a part name",
+            ));
+        }
+        self.stage(epoch, part, bytes)
     }
 
     fn get(&self, epoch: u64, part: &str) -> io::Result<Option<Vec<u8>>> {
-        let path = self.epoch_dir(epoch).join(format!("{part}.snap"));
-        match fs::File::open(&path) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                Ok(Some(buf))
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
+        self.entry(epoch, part)
     }
 
     fn commit(&self, epoch: u64, manifest: &[u8]) -> io::Result<()> {
-        let dir = self.epoch_dir(epoch);
-        fs::create_dir_all(&dir)?;
-        let tmp = dir.join("MANIFEST.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(manifest)?;
-            f.sync_all()?;
-        }
-        // The rename is the commit point: MANIFEST either exists complete
-        // or not at all, so a crash mid-checkpoint is indistinguishable
-        // from never having started the epoch.
-        fs::rename(&tmp, dir.join("MANIFEST"))
+        self.stage(epoch, MANIFEST_ENTRY, manifest)?;
+        let file = self
+            .staging
+            .lock()
+            .remove(&epoch)
+            .expect("staged just above");
+        file.sync_all()?;
+        drop(file);
+        // The rename is the commit point: the epoch file either exists
+        // complete or not at all, so a crash mid-checkpoint is
+        // indistinguishable from never having started the epoch.
+        fs::rename(self.staging_path(epoch), self.epoch_path(epoch))
     }
 
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
-        let path = self.epoch_dir(epoch).join("MANIFEST");
-        match fs::read(&path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        }
+        self.entry(epoch, MANIFEST_ENTRY)
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {
         let mut epochs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let Some(epoch) = name
+            // Only a renamed file is committed: a staging file's name does
+            // not parse, and a directory is not an epoch.
+            let committed = entry
+                .file_name()
                 .to_str()
                 .and_then(|n| n.strip_prefix("epoch-"))
-                .and_then(|e| e.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            // A directory without a MANIFEST is an uncommitted (possibly
-            // torn) attempt — invisible to restore.
-            if entry.path().join("MANIFEST").is_file() {
-                epochs.push(epoch);
+                .and_then(|e| e.parse::<u64>().ok());
+            if let Some(epoch) = committed {
+                if entry.file_type()?.is_file() {
+                    epochs.push(epoch);
+                }
             }
         }
         epochs.sort_unstable();
@@ -413,7 +508,8 @@ impl fmt::Debug for CheckpointConfig {
 pub struct PublishOutcome {
     /// Serialized size of the published snapshot.
     pub bytes: u64,
-    /// `true` iff this publication completed (committed) the epoch.
+    /// `true` iff this publication handed over the epoch's last part: the
+    /// store writer commits the epoch next.
     pub completed: bool,
     /// When the epoch's barrier was injected (for latency accounting).
     pub injected_at: Timestamp,
@@ -428,42 +524,86 @@ struct Inflight {
     pending: usize,
 }
 
+/// One store operation, in the order the store writer runs them.
+enum StoreOp {
+    /// One task's encoded (unsealed) window snapshot.
+    Put {
+        epoch: u64,
+        task: usize,
+        window: Vec<u8>,
+    },
+    /// Commits an epoch whose every part was handed over before this.
+    Commit { epoch: u64, manifest: Manifest },
+}
+
 #[derive(Debug)]
 struct CoordInner {
     next_epoch: u64,
     inflight: BTreeMap<u64, Inflight>,
-    epochs_committed: u64,
+    /// The store writer's input; `None` once [`CheckpointCoordinator::finish`]
+    /// has closed it.
+    ops: Option<SyncSender<StoreOp>>,
 }
 
+/// What the store writer reports back.
+#[derive(Debug, Default)]
+struct WriterState {
+    committed: AtomicU64,
+    /// The first store error, after which the writer stops.
+    failure: Mutex<Option<String>>,
+}
+
+/// The name of the thread that runs every store write of a
+/// [`CheckpointCoordinator`].
+pub const STORE_WRITER_THREAD: &str = "snapshot-store";
+
 /// Shared epoch bookkeeping between the dispatcher (which opens epochs)
-/// and the joiners (which publish snapshots into them).
+/// and the joiners (which publish snapshots into them), and the owner of
+/// the run's store writer thread.
+///
+/// A publishing task only encodes its part and hands the bytes over: the
+/// writer thread seals each part, stages it, and commits each epoch once
+/// its last part is staged, so no task thread runs a store write. The
+/// writer's input holds at most one epoch (`k` parts and a commit); a task
+/// that outruns the store by more than that waits for room. A store error fails the
+/// run at the next [`publish`](Self::publish) or at
+/// [`finish`](Self::finish), whichever comes first.
 #[derive(Debug)]
 pub struct CheckpointCoordinator {
     k: usize,
     interval: u64,
-    store: Arc<dyn SnapshotStore>,
     inner: Mutex<CoordInner>,
+    writer: Arc<WriterState>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl CheckpointCoordinator {
-    /// A coordinator for `k` joiner tasks, committing into `cfg.store`.
-    /// Epoch numbering continues after whatever the store already holds,
-    /// so restarting into a used [`FileStore`] directory never collides
-    /// with prior checkpoints.
+    /// A coordinator for `k` joiner tasks, committing into `cfg.store`,
+    /// with its store writer thread started. Epoch numbering continues
+    /// after whatever the store already holds, so restarting into a used
+    /// [`FileStore`] directory never collides with prior checkpoints.
     ///
     /// # Errors
-    /// Fails if the store cannot report its latest complete epoch.
+    /// Fails if the store cannot report its latest complete epoch, or the
+    /// writer thread cannot be started.
     pub fn new(k: usize, cfg: &CheckpointConfig) -> io::Result<Self> {
         let next_epoch = cfg.store.latest_complete()?.map_or(1, |e| e + 1);
+        let (ops, input) = sync_channel(k + 1);
+        let writer = Arc::new(WriterState::default());
+        let (store, state) = (Arc::clone(&cfg.store), Arc::clone(&writer));
+        let thread = thread::Builder::new()
+            .name(STORE_WRITER_THREAD.to_owned())
+            .spawn(move || write_epochs(store.as_ref(), &input, &state))?;
         Ok(Self {
             k,
             interval: cfg.interval,
-            store: Arc::clone(&cfg.store),
             inner: Mutex::new(CoordInner {
                 next_epoch,
                 inflight: BTreeMap::new(),
-                epochs_committed: 0,
+                ops: Some(ops),
             }),
+            writer,
+            thread: Mutex::new(Some(thread)),
         })
     }
 
@@ -503,55 +643,122 @@ impl CheckpointCoordinator {
         epoch
     }
 
-    /// Joiner side: publishes `task`'s window snapshot for `epoch`. When
-    /// the last task publishes, the epoch commits: the manifest is written
-    /// atomically.
+    /// Joiner side: hands `task`'s encoded window snapshot for `epoch`
+    /// (the [`ssj_core::snapshot`] encoding, unsealed) to the store
+    /// writer. The publication of the epoch's last part also hands over
+    /// its commit.
     ///
     /// # Panics
     /// Panics on an unknown epoch (a barrier the dispatcher never
     /// opened — FIFO wires make that a protocol violation, not an
-    /// environmental failure) or if the store fails (checkpointing to a
-    /// broken store must be loud, never silently skipped).
-    pub fn publish(&self, epoch: u64, task: usize, entries: &[SnapshotEntry]) -> PublishOutcome {
-        let bytes = encode_window_vec(entries).expect("window snapshots are always encodable");
-        // Sealed at this layer so every store — including fault-injecting
-        // wrappers — holds checksummed payloads. `bytes` stays the logical
-        // (unsealed) snapshot size: the metric and trace operand it feeds
-        // describe the snapshot, not the envelope.
-        self.store
-            .put(epoch, &part_name(task), &seal_payload(&bytes))
-            .expect("snapshot store write failed");
+    /// environmental failure), after [`finish`](Self::finish), or once a
+    /// store write has failed (checkpointing to a broken store must be
+    /// loud, never silently skipped).
+    pub fn publish(&self, epoch: u64, task: usize, window: Vec<u8>) -> PublishOutcome {
+        let bytes = window.len() as u64;
+        // Held across the hand-over, so every part of an epoch enters the
+        // writer's input before its commit.
         let mut inner = self.inner.lock();
+        self.check_store();
         let inflight = inner
             .inflight
             .get_mut(&epoch)
             .expect("barrier for an unopened epoch");
         assert!(inflight.pending > 0, "epoch over-published");
         inflight.pending -= 1;
-        let injected_at = inflight.injected_at;
-        if inflight.pending > 0 {
-            return PublishOutcome {
-                bytes: bytes.len() as u64,
-                completed: false,
-                injected_at,
-            };
+        let (injected_at, completed) = (inflight.injected_at, inflight.pending == 0);
+        let done = completed.then(|| inner.inflight.remove(&epoch).expect("present above"));
+        let ops = inner.ops.as_ref().expect("publish after finish");
+        self.hand_over(
+            ops,
+            StoreOp::Put {
+                epoch,
+                task,
+                window,
+            },
+        );
+        if let Some(done) = done {
+            let manifest = done.manifest;
+            self.hand_over(ops, StoreOp::Commit { epoch, manifest });
         }
-        let done = inner.inflight.remove(&epoch).expect("present above");
-        self.store
-            .commit(epoch, &seal_payload(&done.manifest.encode()))
-            .expect("snapshot store commit failed");
-        inner.epochs_committed += 1;
         PublishOutcome {
-            bytes: bytes.len() as u64,
-            completed: true,
+            bytes,
+            completed,
             injected_at,
         }
     }
 
-    /// Epochs committed by this coordinator (not counting pre-existing
-    /// checkpoints in the store).
+    fn hand_over(&self, ops: &SyncSender<StoreOp>, op: StoreOp) {
+        if ops.send(op).is_err() {
+            // The writer stopped: a store error, or a store that panicked.
+            self.check_store();
+            panic!("snapshot store write failed: the store writer panicked");
+        }
+    }
+
+    /// Panics if a store write has failed.
+    fn check_store(&self) {
+        if let Some(e) = &*self.writer.failure.lock() {
+            panic!("snapshot store write failed: {e}");
+        }
+    }
+
+    /// Closes the writer's input and joins the writer thread, so every
+    /// epoch handed over is committed when this returns. Every engine
+    /// calls it once its tasks are done, before it reports. Idempotent.
+    ///
+    /// # Panics
+    /// Panics if a store write failed, or re-raises the writer's panic.
+    pub fn finish(&self) {
+        drop(self.inner.lock().ops.take());
+        if let Some(thread) = self.thread.lock().take() {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        self.check_store();
+    }
+
+    /// Epochs the store writer has committed (not counting pre-existing
+    /// checkpoints in the store): every completed epoch once
+    /// [`finish`](Self::finish) has returned.
     pub fn epochs_committed(&self) -> u64 {
-        self.inner.lock().epochs_committed
+        self.writer.committed.load(Ordering::Acquire)
+    }
+}
+
+impl Drop for CheckpointCoordinator {
+    /// A coordinator dropped without [`finish`](Self::finish) — its run
+    /// failed — still closes its writer's input and joins the thread; an
+    /// error or panic there is the failed run's to report, not this one's.
+    fn drop(&mut self) {
+        drop(self.inner.get_mut().ops.take());
+        if let Some(thread) = self.thread.get_mut().take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The store writer thread: runs each operation in hand-over order and
+/// stops at the first store error, recording it.
+fn write_epochs(store: &dyn SnapshotStore, input: &Receiver<StoreOp>, state: &WriterState) {
+    for op in input {
+        let written = match op {
+            StoreOp::Put {
+                epoch,
+                task,
+                window,
+            } => store.put(epoch, &part_name(task), &seal_payload(&window)),
+            StoreOp::Commit { epoch, manifest } => store
+                .commit(epoch, &seal_payload(&manifest.encode()))
+                .map(|()| {
+                    state.committed.fetch_add(1, Ordering::Release);
+                }),
+        };
+        if let Err(e) = written {
+            *state.failure.lock() = Some(format!("{e:?}"));
+            return;
+        }
     }
 }
 
@@ -822,6 +1029,7 @@ pub fn scrub(store: &dyn SnapshotStore) -> io::Result<ScrubReport> {
 mod tests {
     use super::*;
     use ssj_core::join::bistream::Side;
+    use ssj_core::snapshot::encode_window_vec;
     use ssj_text::{Record, RecordId, TokenId};
 
     fn rec(id: u64) -> Record {
@@ -830,6 +1038,10 @@ mod tests {
 
     fn entries(ids: &[u64]) -> Vec<SnapshotEntry> {
         ids.iter().map(|&id| (None, rec(id))).collect()
+    }
+
+    fn window(ids: &[u64]) -> Vec<u8> {
+        encode_window_vec(&entries(ids)).unwrap()
     }
 
     fn roundtrip_store(store: &dyn SnapshotStore) {
@@ -845,14 +1057,20 @@ mod tests {
         assert_eq!(store.get(1, "joiner-0").unwrap().unwrap(), b"zero");
         assert_eq!(store.get(1, "joiner-2").unwrap(), None);
         assert_eq!(store.manifest(1).unwrap().unwrap(), b"manifest-1");
-        // A later epoch supersedes.
+        // A later epoch supersedes; restaging a part before the commit
+        // replaces it (a retried checkpoint attempt).
+        store.put(3, "joiner-0", b"three-first").unwrap();
         store.put(3, "joiner-0", b"three").unwrap();
         store.commit(3, b"manifest-3").unwrap();
         assert_eq!(store.latest_complete().unwrap(), Some(3));
         assert_eq!(store.epochs().unwrap(), vec![1, 3]);
-        // Overwriting a part is allowed (retried checkpoint attempt).
-        store.put(3, "joiner-0", b"three-again").unwrap();
-        assert_eq!(store.get(3, "joiner-0").unwrap().unwrap(), b"three-again");
+        assert_eq!(store.get(3, "joiner-0").unwrap().unwrap(), b"three");
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ssj-ckpt-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -862,9 +1080,21 @@ mod tests {
 
     #[test]
     fn file_store_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("ssj-ckpt-rt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        roundtrip_store(&FileStore::open(&dir).unwrap());
+        let dir = scratch_dir("rt");
+        let store = FileStore::open(&dir).unwrap();
+        roundtrip_store(&store);
+        // A committed epoch is immutable.
+        assert!(store.put(3, "joiner-0", b"three-again").is_err());
+        assert!(store.commit(3, b"manifest-3-again").is_err());
+        assert_eq!(store.get(3, "joiner-0").unwrap().unwrap(), b"three");
+        assert_eq!(store.manifest(3).unwrap().unwrap(), b"manifest-3");
+        // One file per committed epoch, no staging file left behind.
+        let mut names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort_unstable();
+        assert_eq!(names, ["epoch-1", "epoch-3"]);
         // Reopening sees the committed state (durability).
         let reopened = FileStore::open(&dir).unwrap();
         assert_eq!(reopened.latest_complete().unwrap(), Some(3));
@@ -874,8 +1104,7 @@ mod tests {
 
     #[test]
     fn file_store_crash_mid_commit_never_exposes_a_partial_epoch() {
-        let dir = std::env::temp_dir().join(format!("ssj-ckpt-crash-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = scratch_dir("crash");
         let store = FileStore::open(&dir).unwrap();
         let part = |ids: &[u64]| seal_payload(&encode_window_vec(&entries(ids)).unwrap());
         let manifest = |epoch: u64, cut_id: u64| {
@@ -896,45 +1125,70 @@ mod tests {
         store.put(1, "joiner-1", &part(&[2])).unwrap();
         store.commit(1, &manifest(1, 2)).unwrap();
 
-        let assert_only_epoch_1 = |when: &str| {
-            assert_eq!(store.latest_complete().unwrap(), Some(1), "{when}");
-            assert_eq!(store.epochs().unwrap(), vec![1], "{when}");
+        let assert_newest = |epoch: u64, cut_id: u64, when: &str| {
+            assert_eq!(store.latest_complete().unwrap(), Some(epoch), "{when}");
+            assert_eq!(
+                store.epochs().unwrap(),
+                (1..=epoch).collect::<Vec<_>>(),
+                "{when}"
+            );
             let scan = load_latest_verified(&store).unwrap();
-            let image = scan.image.expect("epoch 1 restores");
-            assert_eq!(image.epoch, 1, "{when}");
-            assert_eq!(image.cut_id, 2, "{when}");
             assert!(
                 scan.quarantined.is_empty(),
                 "{when}: nothing committed to quarantine"
             );
+            let image = scan.image.expect("a clean epoch restores");
+            assert_eq!((image.epoch, image.cut_id), (epoch, cut_id), "{when}");
             let report = scrub(&store).unwrap();
-            assert_eq!((report.verified(), report.corrupt()), (1, 0), "{when}");
+            assert_eq!(
+                (report.verified(), report.corrupt()),
+                (epoch as usize, 0),
+                "{when}"
+            );
         };
 
-        // Kill point 1: crash between part writes — epoch 2 has one of
-        // its two parts.
+        // Staged parts of an uncommitted epoch are never visible: crash
+        // between the part writes, and after the last one.
         store.put(2, "joiner-0", &part(&[3])).unwrap();
-        assert_only_epoch_1("crash between part writes");
-
-        // Kill point 2: all parts landed, crash before the manifest was
-        // even staged.
+        assert_newest(1, 2, "crash between part writes");
         store.put(2, "joiner-1", &part(&[4])).unwrap();
-        assert_only_epoch_1("crash after last part, before MANIFEST.tmp");
+        assert_newest(1, 2, "crash after the last part");
+        assert_eq!(store.get(2, "joiner-0").unwrap(), None);
+        assert_eq!(store.manifest(2).unwrap(), None);
 
-        // Kill point 3: MANIFEST.tmp fully written, crash before the
-        // rename — the commit point was never crossed.
-        let tmp = dir.join("epoch-2").join("MANIFEST.tmp");
-        fs::write(&tmp, manifest(2, 4)).unwrap();
-        assert_only_epoch_1("crash between MANIFEST.tmp write and rename");
+        // A staging file written whole and synced but not renamed is
+        // invisible: the commit point was never crossed.
+        store.stage(2, MANIFEST_ENTRY, &manifest(2, 4)).unwrap();
+        let staged = store.staging.lock().remove(&2).unwrap();
+        staged.sync_all().unwrap();
+        drop(staged);
+        assert_newest(1, 2, "crash between the sync and the rename");
 
         // Completing the rename is exactly the commit: epoch 2 appears,
         // whole, with nothing to quarantine.
-        fs::rename(&tmp, dir.join("epoch-2").join("MANIFEST")).unwrap();
-        assert_eq!(store.latest_complete().unwrap(), Some(2));
-        assert_eq!(store.epochs().unwrap(), vec![1, 2]);
+        fs::rename(dir.join("epoch-2.tmp"), dir.join("epoch-2")).unwrap();
+        assert_newest(2, 4, "after the rename");
+
+        // A torn epoch file is quarantined, and the restore falls back one
+        // epoch.
+        store.put(3, "joiner-0", &part(&[5])).unwrap();
+        store.put(3, "joiner-1", &part(&[6])).unwrap();
+        store.commit(3, &manifest(3, 6)).unwrap();
+        assert_newest(3, 6, "epoch 3 committed");
+        let path = dir.join("epoch-3");
+        let len = fs::metadata(&path).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 5)
+            .unwrap();
+        assert_eq!(store.epochs().unwrap(), vec![1, 2, 3]);
         let scan = load_latest_verified(&store).unwrap();
+        assert_eq!(scan.quarantined, vec![3]);
         assert_eq!(scan.image.expect("epoch 2 restores").epoch, 2);
-        assert!(scan.quarantined.is_empty());
+        let report = scrub(&store).unwrap();
+        assert_eq!((report.verified(), report.corrupt()), (2, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -970,7 +1224,7 @@ mod tests {
         let epoch = coord.begin_epoch(Timestamp::ZERO, 9, false, None);
         assert_eq!(epoch, 1);
 
-        let first = coord.publish(epoch, 0, &entries(&[0, 2, 4, 6, 8]));
+        let first = coord.publish(epoch, 0, window(&[0, 2, 4, 6, 8]));
         assert!(!first.completed);
         assert_eq!(coord.epochs_committed(), 0);
         assert_eq!(
@@ -979,8 +1233,9 @@ mod tests {
             "no commit before the last part"
         );
 
-        let second = coord.publish(epoch, 1, &entries(&[1, 3, 5, 7, 9]));
+        let second = coord.publish(epoch, 1, window(&[1, 3, 5, 7, 9]));
         assert!(second.completed);
+        coord.finish();
         assert_eq!(coord.epochs_committed(), 1);
         let manifest = store.manifest(1).unwrap().expect("committed");
         let manifest = Manifest::decode(open_payload(&manifest).unwrap()).unwrap();

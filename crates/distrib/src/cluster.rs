@@ -151,7 +151,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use obs::{LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
-use ssj_core::snapshot::{decode_window_slice, encode_window_vec, SnapshotEntry};
+use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::Record;
 use stormlite::{
@@ -693,7 +693,7 @@ fn node_join(
 fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
     match msg {
         JoinMsg::Barrier { epoch, .. } => {
-            let window = encode_window_vec(&joiner.window_snapshot())?;
+            let window = joiner.encode_snapshot();
             send_frame(
                 wire,
                 &Frame::Snapshot {
@@ -902,12 +902,12 @@ struct NodeLink {
     /// counts).
     acked: u64,
     /// What this incarnation sent ahead of an ack not yet received: result
-    /// pairs, and the decoded window of a barrier's snapshot (a barrier
-    /// travels alone, so at most one) with its epoch and task. The ack
+    /// pairs, and the validated window bytes of a barrier's snapshot (a
+    /// barrier travels alone, so at most one) with its epoch and task. The ack
     /// that removes an `unacked` entry publishes them; a respawn discards
     /// them.
     staged: Vec<(MatchPair, Timestamp)>,
-    staged_snapshot: Option<(u64, usize, Vec<SnapshotEntry>)>,
+    staged_snapshot: Option<(u64, usize, Vec<u8>)>,
     chaos: Option<ChaosLink>,
     incarnation: u64,
     /// FNV-1a over first-transmission data-frame bytes, in seq order
@@ -1252,6 +1252,9 @@ impl<'a> Launcher<'a> {
             close_node(link.wire, link.proc, false);
         }
         self.integrity.merge(&run.restored.integrity);
+        if let Some(coordinator) = &self.coordinator {
+            coordinator.finish();
+        }
         ClusterResult {
             pairs: self.pairs,
             joiners,
@@ -1621,15 +1624,17 @@ impl<'a> Launcher<'a> {
                 task: from,
                 window,
             } => {
-                let Ok(entries) = decode_window_slice(&window) else {
+                // Decoded once, to validate; the bytes are published as
+                // they came.
+                if decode_window_slice(&window).is_err() {
                     return self.note_corrupt(task, true);
-                };
+                }
                 if self.coordinator.is_none() {
                     // A snapshot with no checkpointing armed is a
                     // protocol violation — classified, not a panic.
                     return self.note_corrupt(task, false);
                 }
-                self.links[task].staged_snapshot = Some((epoch, from as usize, entries));
+                self.links[task].staged_snapshot = Some((epoch, from as usize, window));
             }
             Frame::Done(report) => {
                 self.links[task].done = Some(report);
@@ -1652,13 +1657,13 @@ impl<'a> Launcher<'a> {
     /// off its wire — its snapshot to the coordinator, its pairs to the
     /// result, each with its emit latency (none under logical time).
     fn publish_staged(&mut self, task: usize) {
-        if let Some((epoch, from, entries)) = self.links[task].staged_snapshot.take() {
+        if let Some((epoch, from, window)) = self.links[task].staged_snapshot.take() {
             let coordinator = self
                 .coordinator
                 .as_ref()
                 .expect("staged only when checkpointing");
             let t0 = Instant::now();
-            coordinator.publish(epoch, from, &entries);
+            coordinator.publish(epoch, from, window);
             self.stages.record(Stage::Checkpoint, t0.elapsed());
         }
         if self.links[task].staged.is_empty() {
@@ -2255,6 +2260,7 @@ mod tests {
         };
         // A second publication of the epoch would panic in the coordinator.
         let l = die_before_the_ack(&cfg, barrier, answer, Some(Arc::clone(&coordinator)));
+        coordinator.finish();
         assert_eq!(coordinator.epochs_committed(), 1);
         assert_eq!(l.dup_results_dropped, 0, "a snapshot carries no pairs");
     }

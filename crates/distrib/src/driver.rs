@@ -615,6 +615,7 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     let run = spec.assemble(input, cfg.fault.is_some());
     let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
     let (recovery, coordinator) = (run.recovery, run.coordinator);
+    let store_writer = coordinator.clone();
 
     // One result slot per joiner task, so the joiners never contend on a
     // lock or grow one shared vector; a rebuilt incarnation keeps
@@ -681,6 +682,9 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         }
         Scheduler::Threads => (topology.run_with(Scheduler::Threads), None),
     };
+    if let Some(coordinator) = &store_writer {
+        coordinator.finish();
+    }
     report.integrity.merge(&run.restored.integrity);
     let wall = report.elapsed;
 

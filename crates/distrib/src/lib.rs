@@ -42,7 +42,7 @@ pub mod wire;
 pub use checkpoint::{
     load_latest_verified, open_payload, scrub, seal_payload, CheckpointConfig,
     CheckpointCoordinator, CheckpointImage, EpochScrub, FileStore, MemStore, RestoreScan,
-    ScrubReport, SnapshotStore, STORE_MAGIC,
+    ScrubReport, SnapshotStore, STORE_MAGIC, STORE_WRITER_THREAD,
 };
 pub use cluster::{
     node_main, node_serve, run_cluster, run_cluster_bistream, ClusterBackend, ClusterConfig,

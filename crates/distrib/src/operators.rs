@@ -19,7 +19,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::RecoveryState;
 use crate::route::{token_owner, Router};
 use ssj_core::join::bistream::{BiStreamJoiner, Side};
-use ssj_core::snapshot::SnapshotEntry;
+use ssj_core::snapshot::{encode_bistream, encode_joiner, SnapshotEntry};
 use ssj_core::window::EvictionQueue;
 use ssj_core::{JoinConfig, JoinStats, MatchPair, StreamJoiner, Threshold, Window};
 use ssj_text::{FxHashMap, Record, RecordId, TokenId};
@@ -323,7 +323,7 @@ enum LocalState {
 /// [`process`](Self::process) its kind names — a probe-and-index message
 /// is always the fused `process`, one index scan, never `probe` then
 /// `insert`; a barrier is answered with
-/// [`window_snapshot`](Self::window_snapshot); lost state comes back
+/// [`encode_snapshot`](Self::encode_snapshot); lost state comes back
 /// through [`restore`](Self::restore).
 pub(crate) struct Joiner {
     local: LocalState,
@@ -427,17 +427,14 @@ impl Joiner {
         }
     }
 
-    /// The in-window records held, as checkpoint snapshot entries in
-    /// ascending id order.
-    pub(crate) fn window_snapshot(&self) -> Vec<SnapshotEntry> {
+    /// The in-window records held, as a checkpoint snapshot encoded
+    /// straight from the index walk ([`ssj_core::snapshot`]).
+    pub(crate) fn encode_snapshot(&self) -> Vec<u8> {
         match &self.local {
-            LocalState::Solo(j) => j.window_snapshot().into_iter().map(|r| (None, r)).collect(),
-            LocalState::Bi(j) => j
-                .window_snapshot()
-                .into_iter()
-                .map(|(side, r)| (Some(side), r))
-                .collect(),
+            LocalState::Solo(j) => encode_joiner(j),
+            LocalState::Bi(j) => encode_bistream(j),
         }
+        .expect("a joiner's window walk is in id order")
     }
 
     /// Records (or bundle members) currently held.
@@ -870,7 +867,7 @@ mod tests {
                     assert_eq!(got, expect, "{} task {me} {:?}", local.name(), r.id());
                     pairs += got.len();
                 }
-                assert_eq!(fused.window_snapshot(), split.window_snapshot());
+                assert_eq!(fused.encode_snapshot(), split.encode_snapshot());
                 let ((f, f_stored, f_postings), (s, s_stored, s_postings)) =
                     (fused.counters(), split.counters());
                 assert_eq!((f_stored, f_postings), (s_stored, s_postings));

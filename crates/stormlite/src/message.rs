@@ -255,8 +255,9 @@ impl<M: Message> Outbox<M> {
         self.metrics.barrier_stall.record(stall);
     }
 
-    /// Records the end-to-end latency of one completed checkpoint epoch:
-    /// barrier injection to the last task's snapshot publication.
+    /// Records the latency of one completed checkpoint epoch: barrier
+    /// injection to the hand-over of the epoch's last part to the store
+    /// writer, recorded once per epoch, by the task that hands it over.
     pub fn record_checkpoint_latency(&mut self, latency: Duration) {
         self.metrics.checkpoint_latency.record(latency);
     }

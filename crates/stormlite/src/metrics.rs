@@ -35,9 +35,9 @@ pub struct TaskMetrics {
     pub checkpoints: u64,
     /// Total serialized bytes of this task's checkpoint snapshots.
     pub checkpoint_bytes: u64,
-    /// End-to-end latency of checkpoint epochs this task completed
-    /// (barrier injection → last snapshot published); recorded only on the
-    /// task whose snapshot completed the epoch.
+    /// Latency of checkpoint epochs this task completed (barrier
+    /// injection → the epoch's last part handed to the store writer);
+    /// recorded only on the task that handed it over.
     pub checkpoint_latency: LatencyHistogram,
     /// Time barrier control tuples stalled between upstream injection and
     /// this task aligning on them.
@@ -146,7 +146,7 @@ impl RunReport {
     }
 
     /// Merged per-epoch checkpoint latency histogram (barrier injection →
-    /// epoch complete) across all tasks.
+    /// the epoch's last part handed to the store writer) across all tasks.
     pub fn checkpoint_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::default();
         for (_, _, m) in &self.tasks {

@@ -14,6 +14,9 @@
 //! write tears every attempt at that part, a dropped commit drops every
 //! commit of that epoch. Counters record how often each kind fired so
 //! tests can assert the fault actually engaged.
+//!
+//! [`ThreadLogStore`] injects nothing: it records which thread ran each
+//! store write.
 
 use ssj_distrib::SnapshotStore;
 use std::io;
@@ -208,6 +211,63 @@ impl<S: SnapshotStore> SnapshotStore for FaultStore<S> {
     fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
         let bytes = self.inner.manifest(epoch)?;
         self.filter_read(epoch, None, bytes)
+    }
+
+    fn epochs(&self) -> io::Result<Vec<u64>> {
+        self.inner.epochs()
+    }
+}
+
+/// A [`SnapshotStore`] wrapper that records, for every `put` and
+/// `commit`, the name of the thread that ran it — what shows that no
+/// task thread ever waits on the store.
+#[derive(Debug)]
+pub struct ThreadLogStore<S> {
+    inner: S,
+    writers: Mutex<Vec<(&'static str, String)>>,
+}
+
+impl<S: SnapshotStore> ThreadLogStore<S> {
+    /// Wraps `inner` with an empty log.
+    pub fn new(inner: S) -> Self {
+        Self {
+            inner,
+            writers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Every write so far, in order: `("put" | "commit", thread name)`
+    /// (`"<unnamed>"` for a thread without a name).
+    pub fn writers(&self) -> Vec<(&'static str, String)> {
+        self.writers.lock().unwrap().clone()
+    }
+
+    fn log(&self, op: &'static str) {
+        let name = std::thread::current()
+            .name()
+            .unwrap_or("<unnamed>")
+            .to_owned();
+        self.writers.lock().unwrap().push((op, name));
+    }
+}
+
+impl<S: SnapshotStore> SnapshotStore for ThreadLogStore<S> {
+    fn put(&self, epoch: u64, part: &str, bytes: &[u8]) -> io::Result<()> {
+        self.log("put");
+        self.inner.put(epoch, part, bytes)
+    }
+
+    fn get(&self, epoch: u64, part: &str) -> io::Result<Option<Vec<u8>>> {
+        self.inner.get(epoch, part)
+    }
+
+    fn commit(&self, epoch: u64, manifest: &[u8]) -> io::Result<()> {
+        self.log("commit");
+        self.inner.commit(epoch, manifest)
+    }
+
+    fn manifest(&self, epoch: u64) -> io::Result<Option<Vec<u8>>> {
+        self.inner.manifest(epoch)
     }
 
     fn epochs(&self) -> io::Result<Vec<u64>> {

@@ -43,7 +43,7 @@ pub use cluster::{
     run_cluster_differential_relaxed, run_cluster_exhausting_budget,
     run_cluster_restore_differential, ClusterDifferentialOutcome,
 };
-pub use fault::{FaultHits, FaultStore, StoreFault};
+pub use fault::{FaultHits, FaultStore, StoreFault, ThreadLogStore};
 
 pub use differential::{
     differential_profile, differential_records, run_differential, run_restore_differential,
