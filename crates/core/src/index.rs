@@ -27,7 +27,12 @@
 //! asked for token `i + 2`'s reference and token `i + 1`'s first postings,
 //! and within a list [`InvertedIndex::scan`] announces each posting's slot
 //! a cache line of postings ahead. The joiners' verification loops likewise
-//! fetch the next survivor's record while the current one merges. Every
+//! fetch the next survivor's record while the current one merges. Two chains
+//! start outside any scan, and are fetched ahead in the same two stages
+//! (`InvertedIndex::prefetch_lists`): removing an expired record's
+//! postings, which the joiners look ahead for along the eviction queue
+//! after each eviction, and the first lists of a probe still queued in the
+//! engine batch, which the drivers announce a few messages ahead. Every
 //! such step is a cache hint or a plain read, so what a scan visits, and in
 //! which order, does not depend on it.
 
@@ -38,7 +43,7 @@ pub type Slot = u32;
 
 /// Hints the CPU to pull `target`'s cache line in ahead of a read.
 #[inline]
-fn prefetch<T>(target: &T) {
+pub(crate) fn prefetch<T>(target: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a pure cache hint on a valid address; it cannot
     // fault or alter program state.
@@ -292,6 +297,27 @@ impl RecordStore {
         }
     }
 
+    /// Hints the CPU to pull `slot`'s metadata row into cache.
+    #[inline]
+    pub(crate) fn prefetch_row(&self, slot: Slot) {
+        if let Some(m) = self.meta.get(slot as usize) {
+            prefetch(m);
+        }
+    }
+
+    /// Hints the CPU to pull the first cache line of `slot`'s token run
+    /// into cache: all an eviction reads when the record's posted prefix
+    /// fits in it. Reads the row an earlier
+    /// [`prefetch_row`](Self::prefetch_row) fetched.
+    #[inline]
+    pub(crate) fn prefetch_first_tokens(&self, slot: Slot) {
+        if let Some(m) = self.meta.get(slot as usize) {
+            if let Some(t) = self.tokens.arena.get(m.tok_start as usize) {
+                prefetch(t);
+            }
+        }
+    }
+
     /// Token-set size of the record in `slot`.
     #[inline]
     pub fn token_len(&self, slot: Slot) -> usize {
@@ -373,9 +399,31 @@ const SCAN_AHEAD: usize = 8;
 /// [`InvertedIndex::scan_prefix`] fetches a token's list reference, and
 /// then — reading that reference a token later — its first postings. The
 /// slots those postings name are left to [`SCAN_AHEAD`], which announces
-/// the first of them as the token's scan starts.
-const REF_AHEAD: usize = 2;
-const POSTINGS_AHEAD: usize = 1;
+/// the first of them as the token's scan starts. The two lookaheads of
+/// [`InvertedIndex::prefetch_lists`] use the same distances, counted in
+/// engine messages or in evictions.
+pub(crate) const REF_AHEAD: usize = 2;
+pub(crate) const POSTINGS_AHEAD: usize = 1;
+
+/// Evictions ahead at which the eviction lookahead fetches an entry's
+/// store row, then the first line of its tokens; its posted tokens' lists
+/// follow at [`REF_AHEAD`] and [`POSTINGS_AHEAD`].
+pub(crate) const ROW_AHEAD: usize = 8;
+pub(crate) const TOKENS_AHEAD: usize = 4;
+
+/// Posted tokens per evicted entry whose lists the eviction lookahead
+/// fetches: a long record's prefix (enron's run to ~40 tokens at τ = 0.6)
+/// would otherwise flood the cache with lists the next probes need less.
+pub(crate) const EVICT_HINT_TOKENS: usize = 4;
+
+/// Engine messages ahead at which the batch lookahead fetches the first
+/// line of a probe's tokens, which the list steps at [`REF_AHEAD`] and
+/// [`POSTINGS_AHEAD`] then read.
+pub(crate) const RECORD_AHEAD: usize = REF_AHEAD + 1;
+
+/// Probe-prefix tokens whose lists the batch lookahead fetches: the ones
+/// [`InvertedIndex::scan_prefix`]'s own lookahead reaches too late for.
+pub(crate) const PROBE_HINT_TOKENS: usize = REF_AHEAD + 1;
 
 /// Capacity of a fresh posting list; a full list moves to a block twice
 /// its size.
@@ -547,6 +595,24 @@ impl InvertedIndex {
             if let Some(first) = self.blocks.arena.get(lr.start as usize) {
                 prefetch(first);
             }
+        }
+    }
+
+    /// Hints the CPU at the first misses of a scan of, or a posting removal
+    /// from, the lists of `tokens` that lies `distance` steps ahead: at
+    /// [`REF_AHEAD`] their list references, at [`POSTINGS_AHEAD`] — reading
+    /// the references the earlier step fetched — their first postings, at
+    /// any other distance nothing.
+    #[inline]
+    pub(crate) fn prefetch_lists<'t>(
+        &self,
+        tokens: impl IntoIterator<Item = &'t TokenId>,
+        distance: usize,
+    ) {
+        match distance {
+            REF_AHEAD => tokens.into_iter().for_each(|&t| self.prefetch_ref(t)),
+            POSTINGS_AHEAD => tokens.into_iter().for_each(|&t| self.prefetch_postings(t)),
+            _ => {}
         }
     }
 

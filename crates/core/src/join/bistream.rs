@@ -78,6 +78,15 @@ impl<J: StreamJoiner> BiStreamJoiner<J> {
         }
     }
 
+    /// [`StreamJoiner::prefetch_probe`] of the opposite index, which a
+    /// probe from `side` will scan.
+    pub fn prefetch_probe(&mut self, side: Side, record: &Record, distance: usize) {
+        match side {
+            Side::Left => self.right.prefetch_probe(record, distance),
+            Side::Right => self.left.prefetch_probe(record, distance),
+        }
+    }
+
     /// Insert-only into the own side (distributed index messages).
     pub fn insert(&mut self, side: Side, record: &Record) {
         match side {

@@ -46,8 +46,11 @@
 //! every record still posts its full streaming prefix: the same joiner may
 //! later be probed by any length.
 
-use super::{JoinConfig, MatchPair, StreamJoiner};
-use crate::index::{prefetch_tokens, CandMap, InvertedIndex, Posting, Slot, SlotStore};
+use super::{prefetch_probe_lists, JoinConfig, MatchPair, StreamJoiner};
+use crate::index::{
+    prefetch, prefetch_tokens, CandMap, InvertedIndex, Posting, Slot, SlotStore, EVICT_HINT_TOKENS,
+    POSTINGS_AHEAD, REF_AHEAD, ROW_AHEAD, TOKENS_AHEAD,
+};
 use crate::sim::{ProbeBounds, Threshold};
 use crate::stats::JoinStats;
 use crate::verify;
@@ -379,7 +382,7 @@ impl BundleJoiner {
         let (store, index) = (&mut self.store, &mut self.index);
         let stats = &mut self.stats;
         let live_members = &mut self.live_members;
-        self.queue.drain_expired(
+        let evicted = self.queue.drain_expired(
             self.cfg.join.window,
             probe_id,
             probe_ts,
@@ -407,6 +410,43 @@ impl BundleJoiner {
                 }
             },
         );
+        if evicted > 0 {
+            self.prefetch_evictions();
+        }
+    }
+
+    /// The eviction lookahead, run after each eviction pass that evicted
+    /// something: the queue's front is one eviction away, the entry `d − 1`
+    /// behind it `d` evictions away. For each entry it fetches, in stages,
+    /// what evicting it reads: at [`ROW_AHEAD`] its bundle and head; at [`TOKENS_AHEAD`]
+    /// the first line of its members when the bundle outlives the eviction
+    /// (their bounds are recomputed), of its representative otherwise;
+    /// and, for a bundle the eviction empties, at most
+    /// [`EVICT_HINT_TOKENS`] of its posted tokens' lists through
+    /// [`InvertedIndex::prefetch_lists`]'s two steps.
+    fn prefetch_evictions(&self) {
+        let ahead = |distance: usize| self.queue.behind_front(distance - 1).map(|&(slot, _)| slot);
+        if let Some(slot) = ahead(ROW_AHEAD) {
+            self.store.prefetch(slot);
+            self.store.prefetch_head(slot);
+        }
+        if let Some(bundle) = ahead(TOKENS_AHEAD).and_then(|slot| self.store.get(slot)) {
+            match bundle.members.first() {
+                Some(member) if bundle.alive > 1 => prefetch(member),
+                _ => bundle.rep.tokens().iter().take(1).for_each(prefetch),
+            }
+        }
+        for distance in [REF_AHEAD, POSTINGS_AHEAD] {
+            let Some(slot) = ahead(distance) else {
+                continue;
+            };
+            if let Some(bundle) = self.store.get(slot).filter(|b| b.alive == 1) {
+                let closed = self.store.head(slot).closed as usize;
+                let posted = bundle.rep.tokens()[..closed].iter();
+                let posted = posted.chain(&bundle.posted_beyond).take(EVICT_HINT_TOKENS);
+                self.index.prefetch_lists(posted, distance);
+            }
+        }
     }
 
     /// Scans `record`'s prefix for candidate bundles, batch-verifies the
@@ -752,6 +792,10 @@ impl StreamJoiner for BundleJoiner {
         let target = self.probe_internal(record, Some(out), true);
         self.stats.probed += 1;
         self.insert_with(record, target);
+    }
+
+    fn prefetch_probe(&mut self, record: &Record, distance: usize) {
+        prefetch_probe_lists(&self.index, &mut self.bounds, self.floor, record, distance);
     }
 
     fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {

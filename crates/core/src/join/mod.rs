@@ -27,10 +27,19 @@ pub use bundle::{BundleConfig, BundleJoiner};
 pub use naive::NaiveJoiner;
 pub use ppjoin::PpJoinJoiner;
 
-use crate::sim::Threshold;
+use crate::index::{
+    prefetch, InvertedIndex, RecordStore, Slot, EVICT_HINT_TOKENS, POSTINGS_AHEAD,
+    PROBE_HINT_TOKENS, RECORD_AHEAD, REF_AHEAD, ROW_AHEAD, TOKENS_AHEAD,
+};
+use crate::sim::{ProbeBounds, Threshold};
 use crate::stats::JoinStats;
-use crate::window::Window;
+use crate::window::{EvictionQueue, Window};
 use ssj_text::{Record, RecordId, TokenId};
+
+/// How many engine messages ahead a driver announces a probe through
+/// [`StreamJoiner::prefetch_probe`]: every distance from 1 up to this one
+/// fetches something.
+pub const PROBE_LOOKAHEAD: usize = RECORD_AHEAD;
 
 /// One join result: an (earlier, later) record pair and its similarity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +107,14 @@ pub trait StreamJoiner {
         self.insert(record);
     }
 
+    /// Announces a probe by `record` that is `distance` engine messages
+    /// away (`1..=`[`PROBE_LOOKAHEAD`]), so the indexed joiners can fetch
+    /// the first cache lines its scan will miss on: at 3 the first line of
+    /// its tokens, at 2 the list references of its first scan-prefix
+    /// tokens, at 1 those lists' first postings. A hint only: it changes no
+    /// result, no counter and no index state. The default does nothing.
+    fn prefetch_probe(&mut self, _record: &Record, _distance: usize) {}
+
     /// Walks the live window in arrival order, calling `visit` with each
     /// record's id, timestamp and sorted tokens, without building a
     /// [`Record`]. Joiners that store deltas rather than full records (the
@@ -159,6 +176,10 @@ impl StreamJoiner for Box<dyn StreamJoiner + Send> {
         self.as_mut().process(record, out)
     }
 
+    fn prefetch_probe(&mut self, record: &Record, distance: usize) {
+        self.as_mut().prefetch_probe(record, distance)
+    }
+
     fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {
         self.as_ref().visit_window(visit)
     }
@@ -177,6 +198,60 @@ impl StreamJoiner for Box<dyn StreamJoiner + Send> {
 
     fn postings(&self) -> usize {
         self.as_ref().postings()
+    }
+}
+
+/// [`StreamJoiner::prefetch_probe`] of an indexed joiner over `index`, whose
+/// shortest stored record is `floor` tokens long: at [`RECORD_AHEAD`] the
+/// first line of `record`'s tokens — the joiner's first read of a record
+/// whose reference count the dispatcher's thread just wrote — then, reading
+/// it, the lists of the first [`PROBE_HINT_TOKENS`] tokens of the prefix the
+/// probe will scan, through [`InvertedIndex::prefetch_lists`]'s two steps.
+/// `bounds` is repointed, as every user of it does first.
+pub(crate) fn prefetch_probe_lists(
+    index: &InvertedIndex,
+    bounds: &mut ProbeBounds,
+    floor: usize,
+    record: &Record,
+    distance: usize,
+) {
+    if distance == RECORD_AHEAD {
+        record.tokens().iter().take(1).for_each(prefetch);
+        return;
+    }
+    bounds.rebuild(record.len());
+    let scanned = bounds.probe_prefix_len(floor);
+    index.prefetch_lists(record.prefix(scanned.min(PROBE_HINT_TOKENS)), distance);
+}
+
+/// The eviction lookahead of a joiner over a [`RecordStore`], run after each
+/// eviction pass that evicted something. The queue's front is one eviction
+/// away, the entry `d − 1` behind it `d` evictions away; for each entry it
+/// fetches, in stages, what removing it reads: at [`ROW_AHEAD`] its
+/// metadata row, at [`TOKENS_AHEAD`] the first line of its tokens, then —
+/// for at most [`EVICT_HINT_TOKENS`] of its posted prefix —
+/// [`InvertedIndex::prefetch_lists`]'s two steps. Hints and plain reads
+/// only (`bounds` is repointed, as every user of it does first).
+pub(crate) fn prefetch_record_evictions(
+    queue: &EvictionQueue<Slot>,
+    store: &RecordStore,
+    index: &InvertedIndex,
+    bounds: &mut ProbeBounds,
+) {
+    let ahead = |distance: usize| queue.behind_front(distance - 1).copied();
+    if let Some(slot) = ahead(ROW_AHEAD) {
+        store.prefetch_row(slot);
+    }
+    if let Some(slot) = ahead(TOKENS_AHEAD) {
+        store.prefetch_first_tokens(slot);
+    }
+    for distance in [REF_AHEAD, POSTINGS_AHEAD] {
+        if let Some(slot) = ahead(distance) {
+            let tokens = store.tokens(slot);
+            bounds.rebuild(tokens.len());
+            let posted = bounds.prefix_len().min(EVICT_HINT_TOKENS);
+            index.prefetch_lists(tokens.iter().take(posted), distance);
+        }
     }
 }
 

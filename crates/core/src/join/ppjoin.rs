@@ -10,7 +10,7 @@
 //! Verification then resumes the merge *after* the last shared positions,
 //! reusing `α` instead of re-scanning the prefixes.
 
-use super::{JoinConfig, MatchPair, StreamJoiner};
+use super::{prefetch_probe_lists, prefetch_record_evictions, JoinConfig, MatchPair, StreamJoiner};
 use crate::index::{prefetch_tokens, CandMap, InvertedIndex, Posting, RecordStore, Slot};
 use crate::sim::ProbeBounds;
 use crate::stats::JoinStats;
@@ -73,7 +73,8 @@ impl PpJoinJoiner {
     fn evict(&mut self, probe_id: u64, probe_ts: u64) {
         let (store, index) = (&mut self.store, &mut self.index);
         let (bounds, stats) = (&mut self.bounds, &mut self.stats);
-        self.queue
+        let evicted = self
+            .queue
             .drain_expired(self.cfg.window, probe_id, probe_ts, |slot| {
                 let tokens = store.tokens(slot);
                 bounds.rebuild(tokens.len());
@@ -83,6 +84,9 @@ impl PpJoinJoiner {
                 store.remove(slot);
                 stats.evicted += 1;
             });
+        if evicted > 0 {
+            prefetch_record_evictions(&self.queue, &self.store, &self.index, &mut self.bounds);
+        }
     }
 
     /// Insert minus the eviction pass (shared by `insert` and the fused
@@ -219,6 +223,10 @@ impl StreamJoiner for PpJoinJoiner {
         // the watermark to this record, so the insert-side pass is skipped.
         self.probe(record, out);
         self.insert_unevicted(record);
+    }
+
+    fn prefetch_probe(&mut self, record: &Record, distance: usize) {
+        prefetch_probe_lists(&self.index, &mut self.bounds, self.floor, record, distance);
     }
 
     fn visit_window(&self, visit: &mut dyn FnMut(RecordId, u64, &[TokenId])) {

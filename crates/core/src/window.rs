@@ -94,6 +94,14 @@ impl<T> EvictionQueue<T> {
         n
     }
 
+    /// The payload `d` entries behind the front — the `(d + 1)`-th to
+    /// expire — if the queue holds that many. Read-only: the eviction
+    /// lookahead uses it to fetch what the next evictions will read.
+    #[inline]
+    pub fn behind_front(&self, d: usize) -> Option<&T> {
+        self.entries.get(d).map(|(_, _, payload)| payload)
+    }
+
     /// Iterates the live payloads in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|(_, _, payload)| payload)
@@ -175,6 +183,37 @@ mod tests {
         q.drain_expired(Window::TimeMs(300), 3, 1000, |p| out.push(p));
         assert_eq!(out, vec!["a", "b"]); // 900 is within (700, 1000]
         assert_eq!(q.len(), 1);
+    }
+
+    /// `behind_front(d)` names the entry `d` places behind whatever the
+    /// front is now, across pushes and drains, and nothing past the back.
+    #[test]
+    fn behind_front_tracks_the_front_across_push_and_drain() {
+        let mut q = EvictionQueue::new();
+        assert_eq!(q.behind_front(0), None);
+        for i in 0..6u64 {
+            q.push(i, i, i * 10);
+        }
+        assert_eq!(q.behind_front(0), Some(&0));
+        assert_eq!(q.behind_front(5), Some(&50));
+        assert_eq!(q.behind_front(6), None);
+        // Probe id 5 under a count window of 2 expires ids 0..=2.
+        let mut evicted = Vec::new();
+        q.drain_expired(Window::Count(2), 5, 5, |p| evicted.push(p));
+        assert_eq!(evicted, [0, 10, 20]);
+        let ahead: Vec<_> = (0..4).map(|d| q.behind_front(d).copied()).collect();
+        assert_eq!(ahead, [Some(30), Some(40), Some(50), None]);
+        // A push lands at the back; draining one entry at a time hands out
+        // the payloads in exactly the order `behind_front` listed them.
+        q.push(6, 6, 60);
+        let listed: Vec<_> = (0..4).map(|d| q.behind_front(d).copied()).collect();
+        let mut drained = Vec::new();
+        for probe_id in 4..8 {
+            q.drain_expired(Window::Count(0), probe_id, 0, |p| drained.push(Some(p)));
+        }
+        assert_eq!(drained, listed);
+        assert_eq!(listed, [Some(30), Some(40), Some(50), Some(60)]);
+        assert_eq!(q.behind_front(0), None);
     }
 
     #[test]

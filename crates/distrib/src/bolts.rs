@@ -241,21 +241,21 @@ impl JoinerBolt {
 
     /// Processes one message that is not a batch. Returns the
     /// `(id, timestamp)` of the record it carried, for the watermark.
-    fn apply(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) -> Option<(u64, u64)> {
+    fn apply(&mut self, msg: &JoinMsg, out: &mut Outbox<JoinMsg>) -> Option<(u64, u64)> {
         let processed = msg.record().map(|r| (r.id().0, r.timestamp()));
-        match msg {
-            JoinMsg::Probe(payload) => {
+        match *msg {
+            JoinMsg::Probe(ref payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, false, out);
+                self.probe(payload, false, out);
             }
-            JoinMsg::Index(payload) => {
+            JoinMsg::Index(ref payload) => {
                 self.joiner.advance(&payload.record);
-                self.index(&payload, false, out);
+                self.index(payload, false, out);
             }
-            JoinMsg::ProbeAndIndex(payload) => {
+            JoinMsg::ProbeAndIndex(ref payload) => {
                 self.joiner.advance(&payload.record);
-                self.probe(&payload, true, out);
-                self.index(&payload, true, out);
+                self.probe(payload, true, out);
+                self.index(payload, true, out);
             }
             JoinMsg::Batch(_) => unreachable!("batches are never nested"),
             JoinMsg::Barrier { epoch, injected_at } => {
@@ -294,19 +294,22 @@ impl Bolt<JoinMsg> for JoinerBolt {
     /// One engine message in, its result pairs published at its end, in
     /// probe order. An inbound [`JoinMsg::Batch`]'s sub-messages run the
     /// full per-message path in dispatch order (dedup advance, stage
-    /// spans), and its pairs are published together when the batch ends.
+    /// spans), each after announcing the probes behind it
+    /// ([`Joiner::prefetch_batch`]), and its pairs are published together
+    /// when the batch ends.
     /// Results never wait for a later message, so batching adds no latency
     /// beyond the batch's own processing time.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
         let processed = match msg {
             JoinMsg::Batch(msgs) => {
                 let mut last = None;
-                for m in msgs {
+                for (i, m) in msgs.iter().enumerate() {
+                    self.joiner.prefetch_batch(&msgs, i);
                     last = self.apply(m, out).or(last);
                 }
                 last
             }
-            msg => self.apply(msg, out),
+            msg => self.apply(&msg, out),
         };
         self.publish(out);
         // Watermark last, once per engine message: published only when

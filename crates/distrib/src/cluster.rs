@@ -688,8 +688,9 @@ fn node_join(
 /// Every frame it produces is written to the wire *before* the caller
 /// writes the frame's ack, which is what lets an ack stand in for "all of
 /// this frame's output arrived". A batch holds its pairs back and answers
-/// with at most one `Results` frame; a message outside a batch is answered
-/// result by result.
+/// with at most one `Results` frame, announcing the probes behind each
+/// sub-message before it runs ([`Joiner::prefetch_batch`]); a message
+/// outside a batch is answered result by result.
 fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire) -> io::Result<()> {
     match msg {
         JoinMsg::Barrier { epoch, .. } => {
@@ -705,7 +706,8 @@ fn node_apply(joiner: &mut Joiner, task: u32, msg: JoinMsg, wire: &mut dyn Wire)
         }
         JoinMsg::Batch(msgs) => {
             let mut held = Vec::new();
-            for m in &msgs {
+            for (i, m) in msgs.iter().enumerate() {
+                joiner.prefetch_batch(&msgs, i);
                 node_join(joiner, m, |pairs, ingest| {
                     held.extend(pairs.iter().map(|&pair| (pair, ingest)));
                     Ok(())

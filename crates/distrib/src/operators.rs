@@ -17,8 +17,9 @@ use crate::checkpoint::CheckpointCoordinator;
 use crate::driver::LocalAlgo;
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::RecoveryState;
-use crate::route::{token_owner, Router};
+use crate::route::{token_owner, RouteDecision, Router};
 use ssj_core::join::bistream::{BiStreamJoiner, Side};
+use ssj_core::join::PROBE_LOOKAHEAD;
 use ssj_core::snapshot::{encode_bistream, encode_joiner, SnapshotEntry};
 use ssj_core::window::EvictionQueue;
 use ssj_core::{JoinConfig, JoinStats, MatchPair, StreamJoiner, Threshold, Window};
@@ -77,6 +78,9 @@ pub(crate) struct Dispatcher<R: Router> {
     buffers: Vec<Vec<JoinMsg>>,
     /// Records dispatched since the last barrier.
     routed_since_barrier: u64,
+    /// The routing decision, refilled for every record
+    /// ([`Router::route_into`]) so routing allocates nothing.
+    decision: RouteDecision,
 }
 
 impl<R: Router> Dispatcher<R> {
@@ -103,6 +107,7 @@ impl<R: Router> Dispatcher<R> {
             batch,
             buffers: vec![Vec::new(); k],
             routed_since_barrier: 0,
+            decision: RouteDecision::default(),
         }
     }
 
@@ -122,12 +127,26 @@ impl<R: Router> Dispatcher<R> {
             ingest: port.now(),
             ..incoming
         };
-        let decision = self.router.route(&payload.record);
-        port.routed(&payload, decision.index.len() + decision.probe.len());
+        let mut decision = std::mem::take(&mut self.decision);
+        self.router.route_into(&payload.record, &mut decision);
+        let dispatched = self.send_routed(restore, &payload, &decision, port);
+        self.decision = decision;
+        dispatched
+    }
+
+    /// Sends a routed record's messages, or sheds it whole.
+    fn send_routed<P: DispatchPort>(
+        &mut self,
+        restore: bool,
+        payload: &RecordMsg,
+        decision: &RouteDecision,
+        port: &mut P,
+    ) -> Dispatched {
+        port.routed(payload, decision.index.len() + decision.probe.len());
         let id = payload.record.id().0;
         if restore {
             for &ix in &decision.index {
-                self.buffer_for_replay(ix, &payload);
+                self.buffer_for_replay(ix, payload);
                 self.push(ix, JoinMsg::Index(payload.clone()), port);
             }
             self.close_record(id, port);
@@ -151,7 +170,7 @@ impl<R: Router> Dispatcher<R> {
             while let Some(p) = probes.next_if(|&p| p < ix) {
                 self.push(p, JoinMsg::Probe(payload.clone()), port);
             }
-            self.buffer_for_replay(ix, &payload);
+            self.buffer_for_replay(ix, payload);
             if probes.next_if_eq(&ix).is_some() {
                 self.push(ix, JoinMsg::ProbeAndIndex(payload.clone()), port);
             } else {
@@ -391,6 +410,28 @@ impl Joiner {
             d.on_index(&payload.record);
         }
         &self.buf
+    }
+
+    /// The batch lookahead: announces to the local joiner the probes of the
+    /// messages after `msgs[i]`, which is about to run, so its index can
+    /// fetch their first cache misses while `msgs[i]` works
+    /// ([`StreamJoiner::prefetch_probe`]). Index-only messages are skipped;
+    /// the set of joined pairs and every counter are unchanged.
+    pub(crate) fn prefetch_batch(&mut self, msgs: &[JoinMsg], i: usize) {
+        let later = msgs.iter().skip(i + 1).take(PROBE_LOOKAHEAD);
+        for (distance, msg) in (1..).zip(later) {
+            let (JoinMsg::Probe(payload) | JoinMsg::ProbeAndIndex(payload)) = msg else {
+                continue;
+            };
+            match (&mut self.local, payload.side) {
+                (LocalState::Solo(j), None) => j.prefetch_probe(&payload.record, distance),
+                (LocalState::Bi(j), Some(side)) => {
+                    j.prefetch_probe(side, &payload.record, distance)
+                }
+                // The message's own turn raises the mode mismatch.
+                _ => {}
+            }
+        }
     }
 
     /// Drops from `buf` the pairs of `probe` that another joiner emits

@@ -6,7 +6,7 @@ use ssj_text::{Record, TokenId};
 use std::hash::Hasher;
 
 /// Where one record must go.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteDecision {
     /// Joiners that must store the record (deduplicated, sorted).
     pub index: Vec<usize>,
@@ -41,6 +41,13 @@ pub trait Router: Send {
     /// Computes the index/probe targets of one record.
     fn route(&mut self, record: &Record) -> RouteDecision;
 
+    /// [`route`](Self::route) into `decision`, overwriting whatever it held:
+    /// a router that overrides this fills the two vectors in place, so a
+    /// caller reusing one decision routes without allocating.
+    fn route_into(&mut self, record: &Record, decision: &mut RouteDecision) {
+        *decision = self.route(record);
+    }
+
     /// Whether duplicate result pairs are possible (the joiner layer then
     /// enables exact smallest-common-token deduplication).
     fn needs_result_dedup(&self) -> bool {
@@ -68,6 +75,10 @@ impl Router for Box<dyn Router + Send> {
 
     fn route(&mut self, record: &Record) -> RouteDecision {
         self.as_mut().route(record)
+    }
+
+    fn route_into(&mut self, record: &Record, decision: &mut RouteDecision) {
+        self.as_mut().route_into(record, decision)
     }
 
     fn needs_result_dedup(&self) -> bool {
@@ -122,15 +133,20 @@ impl Router for LengthRouter {
     }
 
     fn route(&mut self, record: &Record) -> RouteDecision {
+        let mut decision = RouteDecision::default();
+        self.route_into(record, &mut decision);
+        decision
+    }
+
+    fn route_into(&mut self, record: &Record, decision: &mut RouteDecision) {
         let l = record.len();
-        let index = vec![self.partition.partition_of(l)];
+        decision.index.clear();
+        decision.index.push(self.partition.partition_of(l));
         let lo = self.threshold.min_len(l);
         let hi = self.threshold.max_len(l);
         let (a, b) = self.partition.probe_targets(lo, hi);
-        RouteDecision {
-            index,
-            probe: (a..=b).collect(),
-        }
+        decision.probe.clear();
+        decision.probe.extend(a..=b);
     }
 
     fn length_partition(&self) -> Option<&LengthPartition> {
@@ -383,6 +399,53 @@ mod tests {
 
                 let mut broadcast = BroadcastRouter::new(k);
                 prop_assert!(covers(&mut broadcast, &r_a, &r_b), "broadcast router missed");
+            }
+        }
+    }
+
+    mod route_into {
+        //! `route_into` is `route` for every router, whatever the decision
+        //! it overwrites held: the dispatcher refills one decision for
+        //! every record.
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Routes `first` then `second` through two twins of `router`, one
+        /// by `route`, one by `route_into` a decision still holding
+        /// `first`'s targets, and compares what each says of `second`.
+        fn agrees<R: Router + Clone>(router: &R, first: &Record, second: &Record) -> bool {
+            let (mut by_value, mut in_place) = (router.clone(), router.clone());
+            by_value.route(first);
+            let want = by_value.route(second);
+            let mut dirty = in_place.route(first);
+            in_place.route_into(second, &mut dirty);
+            dirty == want
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn route_into_a_dirty_decision_equals_route(
+                a in proptest::collection::btree_set(0u32..300, 1..40),
+                b in proptest::collection::btree_set(0u32..300, 1..40),
+                tau in 0.5f64..0.95,
+                k in 1usize..9,
+                cal_lens in proptest::collection::vec(1usize..50, 1..30),
+            ) {
+                let rec = |id, toks: &std::collections::BTreeSet<u32>| {
+                    Record::from_sorted(RecordId(id), 0, toks.iter().copied().map(TokenId).collect())
+                };
+                let (r_a, r_b) = (rec(0, &a), rec(1, &b));
+                let t = Threshold::jaccard(tau);
+                let mut hist = ssj_partition::LengthHistogram::new();
+                for &l in &cal_lens {
+                    hist.add(l);
+                }
+                let cost = ssj_partition::CostModel::build(&hist, t, hist.max_len());
+                let length = LengthRouter::new(t, ssj_partition::load_aware(&cost, k));
+                prop_assert!(agrees(&length, &r_a, &r_b), "length router");
+                prop_assert!(agrees(&PrefixRouter::new(t, k), &r_a, &r_b), "prefix router");
+                prop_assert!(agrees(&BroadcastRouter::new(k), &r_a, &r_b), "broadcast router");
             }
         }
     }
