@@ -308,12 +308,13 @@ fn print_summary(out: &ssj_distrib::DistributedJoinResult, verbose: bool) -> Cli
             let s = &j.stats;
             println!(
                 "joiner {}: indexed {} probed {} posting_hits {} candidates {} \
-                 verifications {} results {}",
+                 length_filtered {} verifications {} results {}",
                 j.task,
                 s.indexed,
                 s.probed,
                 s.posting_hits,
                 s.candidates,
+                s.length_filtered,
                 s.verifications,
                 s.results
             );

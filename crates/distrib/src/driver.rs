@@ -96,7 +96,8 @@ pub enum PartitionMethod {
     EqualWidth,
     /// Equi-frequency (record-count balanced) ranges.
     EqualDepth,
-    /// Load-aware minimax DP over the cost mass `H(ℓ)` (the paper's).
+    /// Load-aware minimax DP over the joiner loads of the [`CostModel`]
+    /// (the paper's).
     LoadAware,
 }
 

@@ -129,25 +129,27 @@ impl<R: Router> Dispatcher<R> {
         };
         let mut decision = std::mem::take(&mut self.decision);
         self.router.route_into(&payload.record, &mut decision);
-        let dispatched = self.send_routed(restore, &payload, &decision, port);
+        let dispatched = self.send_routed(restore, payload, &decision, port);
         self.decision = decision;
         dispatched
     }
 
-    /// Sends a routed record's messages, or sheds it whole.
+    /// Sends a routed record's messages, or sheds it whole. Every message
+    /// but the last carries a clone of `payload`; the last carries it.
     fn send_routed<P: DispatchPort>(
         &mut self,
         restore: bool,
-        payload: &RecordMsg,
+        payload: RecordMsg,
         decision: &RouteDecision,
         port: &mut P,
     ) -> Dispatched {
-        port.routed(payload, decision.index.len() + decision.probe.len());
+        port.routed(&payload, decision.index.len() + decision.probe.len());
         let id = payload.record.id().0;
         if restore {
+            let mut copies = Copies::new(payload, decision.index.len());
             for &ix in &decision.index {
-                self.buffer_for_replay(ix, payload);
-                self.push(ix, JoinMsg::Index(payload.clone()), port);
+                self.buffer_for_replay(ix, copies.payload());
+                self.push(ix, JoinMsg::Index(copies.next()), port);
             }
             self.close_record(id, port);
             return Dispatched::Sent;
@@ -165,20 +167,21 @@ impl<R: Router> Dispatcher<R> {
         // Both target lists ascend. Probes go out interleaved with the
         // index targets in task order; a task in both sets gets the atomic
         // combined message.
+        let mut copies = Copies::new(payload, decision.message_count());
         let mut probes = decision.probe.iter().copied().peekable();
         for &ix in &decision.index {
             while let Some(p) = probes.next_if(|&p| p < ix) {
-                self.push(p, JoinMsg::Probe(payload.clone()), port);
+                self.push(p, JoinMsg::Probe(copies.next()), port);
             }
-            self.buffer_for_replay(ix, payload);
+            self.buffer_for_replay(ix, copies.payload());
             if probes.next_if_eq(&ix).is_some() {
-                self.push(ix, JoinMsg::ProbeAndIndex(payload.clone()), port);
+                self.push(ix, JoinMsg::ProbeAndIndex(copies.next()), port);
             } else {
-                self.push(ix, JoinMsg::Index(payload.clone()), port);
+                self.push(ix, JoinMsg::Index(copies.next()), port);
             }
         }
         for p in probes {
-            self.push(p, JoinMsg::Probe(payload.clone()), port);
+            self.push(p, JoinMsg::Probe(copies.next()), port);
         }
         self.close_record(id, port);
         Dispatched::Sent
@@ -240,6 +243,36 @@ impl<R: Router> Dispatcher<R> {
         self.flush(port);
         for t in 0..self.buffers.len() {
             port.send(t, JoinMsg::Barrier { epoch, injected_at });
+        }
+    }
+}
+
+/// A record's payload, handed out once per message it costs: a clone for
+/// each message but the last, which takes the payload itself.
+struct Copies {
+    payload: Option<RecordMsg>,
+    left: usize,
+}
+
+impl Copies {
+    fn new(payload: RecordMsg, messages: usize) -> Self {
+        Self {
+            payload: Some(payload),
+            left: messages,
+        }
+    }
+
+    /// The payload, for a look before the next message takes it.
+    fn payload(&self) -> &RecordMsg {
+        self.payload.as_ref().expect("a message is still due")
+    }
+
+    fn next(&mut self) -> RecordMsg {
+        self.left -= 1;
+        if self.left == 0 {
+            self.payload.take().expect("one payload per message")
+        } else {
+            self.payload().clone()
         }
     }
 }

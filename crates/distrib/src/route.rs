@@ -106,20 +106,55 @@ pub fn token_owner(token: TokenId, k: usize) -> usize {
 pub struct LengthRouter {
     threshold: Threshold,
     partition: LengthPartition,
+    /// `table[ℓ]`: the index target and the probe range of length `ℓ`, for
+    /// lengths up to the partition's domain maximum (at most
+    /// [`Self::MAX_TABLE_LEN`]); longer ones are computed per record.
+    table: Vec<LengthRoute>,
+}
+
+/// Where a record of one length goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LengthRoute {
+    index: u32,
+    probe: (u32, u32),
 }
 
 impl LengthRouter {
+    /// Longest length the route table covers.
+    const MAX_TABLE_LEN: usize = 4096;
+
     /// A router over an existing partition.
     pub fn new(threshold: Threshold, partition: LengthPartition) -> Self {
-        Self {
+        let mut router = Self {
             threshold,
             partition,
-        }
+            table: Vec::new(),
+        };
+        let len = router.partition.domain_max().min(Self::MAX_TABLE_LEN);
+        router.table = (0..=len).map(|l| router.compute(l.max(1))).collect();
+        router
     }
 
     /// The partition in use.
     pub fn partition(&self) -> &LengthPartition {
         &self.partition
+    }
+
+    fn compute(&self, len: usize) -> LengthRoute {
+        let (lo, hi) = (self.threshold.min_len(len), self.threshold.max_len(len));
+        let (a, b) = self.partition.probe_targets(lo, hi);
+        LengthRoute {
+            index: self.partition.partition_of(len) as u32,
+            probe: (a as u32, b as u32),
+        }
+    }
+
+    #[inline]
+    fn lookup(&self, len: usize) -> LengthRoute {
+        match self.table.get(len) {
+            Some(&route) => route,
+            None => self.compute(len),
+        }
     }
 }
 
@@ -139,14 +174,13 @@ impl Router for LengthRouter {
     }
 
     fn route_into(&mut self, record: &Record, decision: &mut RouteDecision) {
-        let l = record.len();
+        let route = self.lookup(record.len());
         decision.index.clear();
-        decision.index.push(self.partition.partition_of(l));
-        let lo = self.threshold.min_len(l);
-        let hi = self.threshold.max_len(l);
-        let (a, b) = self.partition.probe_targets(lo, hi);
+        decision.index.push(route.index as usize);
         decision.probe.clear();
-        decision.probe.extend(a..=b);
+        decision
+            .probe
+            .extend(route.probe.0 as usize..=route.probe.1 as usize);
     }
 
     fn length_partition(&self) -> Option<&LengthPartition> {
@@ -279,6 +313,37 @@ mod tests {
                 d.probe.contains(&d.index[0]),
                 "len {len}: index target must be within the probe range"
             );
+        }
+    }
+
+    #[test]
+    fn the_route_table_equals_the_partition_lookups() {
+        let partitions = [
+            LengthPartition::from_uppers(vec![7, 10, 12, 24]),
+            LengthPartition::from_uppers(vec![3]),
+            equal_width(600, 8),
+        ];
+        let thresholds = [
+            Threshold::jaccard(0.6),
+            Threshold::jaccard(0.8),
+            Threshold::new(ssj_core::SimFn::Cosine, 0.8),
+        ];
+        for partition in &partitions {
+            for &t in &thresholds {
+                let router = LengthRouter::new(t, partition.clone());
+                assert_eq!(router.table.len(), partition.domain_max() + 1);
+                for len in 1..=partition.domain_max() + 64 {
+                    let (a, b) = partition.probe_targets(t.min_len(len), t.max_len(len));
+                    let want = LengthRoute {
+                        index: partition.partition_of(len) as u32,
+                        probe: (a as u32, b as u32),
+                    };
+                    assert_eq!(router.lookup(len), want, "{t:?} {partition:?} len {len}");
+                    if let Some(&entry) = router.table.get(len) {
+                        assert_eq!(entry, want, "{t:?} {partition:?} len {len}");
+                    }
+                }
+            }
         }
     }
 

@@ -3,23 +3,31 @@
 use ssj_text::Record;
 
 /// Counts of records per length. Index 0 is unused (records are non-empty).
+///
+/// A histogram built [`from_records`](Self::from_records) also borrows the
+/// records themselves: the cost model reads their prefix tokens to count
+/// the posting hits and candidate pairs a joiner would meet. One built from
+/// bare lengths ([`add`](Self::add)) has none, and the model then prices
+/// engine messages only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LengthHistogram {
+pub struct LengthHistogram<'a> {
     counts: Vec<u64>,
     total: u64,
+    sample: Vec<&'a Record>,
 }
 
-impl LengthHistogram {
+impl<'a> LengthHistogram<'a> {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Builds a histogram from a record sample.
-    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a Record>) -> Self {
+    pub fn from_records(records: impl IntoIterator<Item = &'a Record>) -> Self {
         let mut h = Self::new();
         for r in records {
             h.add(r.len());
+            h.sample.push(r);
         }
         h
     }
@@ -49,6 +57,11 @@ impl LengthHistogram {
         self.total
     }
 
+    /// The records the histogram was built from, in the order given.
+    pub fn sample(&self) -> &[&'a Record] {
+        &self.sample
+    }
+
     /// Whether nothing has been counted.
     pub fn is_empty(&self) -> bool {
         self.total == 0
@@ -69,7 +82,7 @@ impl LengthHistogram {
     }
 
     /// Adds another histogram into this one.
-    pub fn merge(&mut self, other: &LengthHistogram) {
+    pub fn merge(&mut self, other: &LengthHistogram<'a>) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
@@ -77,6 +90,7 @@ impl LengthHistogram {
             self.counts[l] += c;
         }
         self.total += other.total;
+        self.sample.extend_from_slice(&other.sample);
     }
 }
 
@@ -109,6 +123,7 @@ mod tests {
         assert_eq!(h.count(2), 2);
         assert_eq!(h.count(5), 1);
         assert!((h.mean() - 3.0).abs() < 1e-9);
+        assert!(h.sample().iter().copied().eq(&records));
     }
 
     #[test]

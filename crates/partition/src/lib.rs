@@ -7,12 +7,12 @@
 //! target its length range and how expensive each is.
 //!
 //! * [`histogram`] — length histograms collected from samples;
-//! * [`cost`] — the per-indexed-length cost mass `H(ℓ)` derived from a
-//!   histogram and a threshold (the quantity the paper's load-aware
-//!   partition balances);
+//! * [`cost`] — the load of a joiner owning a length range: engine
+//!   messages, posting hits and merges counted on a calibration sample
+//!   (the quantity the paper's load-aware partition balances);
 //! * [`partitioner`] — equal-width and equal-depth baselines plus the
-//!   load-aware partitioner (exact minimax DP and a faster
-//!   binary-search/greedy variant).
+//!   load-aware partitioner (exact minimax DP, and a budget search with a
+//!   greedy sweep that reaches the same optimum).
 
 #![warn(missing_docs)]
 

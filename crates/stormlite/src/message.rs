@@ -25,9 +25,9 @@ pub trait Message: Send + Sized + 'static {
 /// The envelope moving through channels: payload plus queueing metadata,
 /// or the end-of-stream marker.
 pub(crate) enum Envelope<M> {
-    /// A data tuple and the run time it was enqueued (for queue-wait
-    /// metrics).
-    Data(M, Timestamp),
+    /// A data tuple, the run time it was enqueued (for queue-wait
+    /// metrics) and its [`Message::wire_bytes`], counted once by the sender.
+    Data(M, Timestamp, u64),
     /// One upstream task finished.
     Eos,
 }
@@ -95,12 +95,13 @@ impl<M: Message> OutWire<M> {
         metrics: &mut TaskMetrics,
         tracer: &mut Option<TaskTracer>,
     ) {
+        let bytes = msg.wire_bytes();
         metrics.msgs_out += 1;
-        metrics.bytes_out += msg.wire_bytes();
+        metrics.bytes_out += bytes;
         if let Some(tr) = tracer {
             tr.record(Event::instant(now.as_nanos(), Stage::Deliver, self.link, 0));
         }
-        send(&self.senders[dest], Envelope::Data(msg, now));
+        send(&self.senders[dest], Envelope::Data(msg, now, bytes));
     }
 }
 

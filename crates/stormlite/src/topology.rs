@@ -542,8 +542,8 @@ impl<'a, M: Message> BoltCore<'a, M> {
     /// has arrived and `finish` has run — the caller then sends the task's
     /// own EOS downstream.
     pub(crate) fn handle(&mut self, envelope: Envelope<M>, outbox: &mut Outbox<M>) -> bool {
-        let (msg, sent_at) = match envelope {
-            Envelope::Data(msg, sent_at) => (msg, sent_at),
+        let (msg, sent_at, bytes) = match envelope {
+            Envelope::Data(msg, sent_at, bytes) => (msg, sent_at, bytes),
             Envelope::Eos => {
                 self.eos_seen += 1;
                 if self.eos_seen < self.expected_eos {
@@ -561,7 +561,7 @@ impl<'a, M: Message> BoltCore<'a, M> {
             .queue_wait
             .record(t0.saturating_since(sent_at));
         outbox.metrics.msgs_in += 1;
-        outbox.metrics.bytes_in += msg.wire_bytes();
+        outbox.metrics.bytes_in += bytes;
         // Injected crash boundary: the instance dies having fully processed
         // `processed` tuples, and a fresh instance — which sees none of the
         // old one's in-memory state — takes over with this tuple, delivered

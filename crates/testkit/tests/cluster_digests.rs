@@ -55,16 +55,16 @@ const PINS: [Pin; 6] = [
         LENGTH_AUTO,
         None,
         false,
-        [0x43c87c148dcc545f, 0x0c8c93696638a6ab, 0x620d70e369442b06],
-        [0xef190c6ddf36c459, 0x4cd366cf589ac3a5, 0x1658c7751d5ee1e5],
+        [0x4cc5328812e80243, 0x578d084614179e6b, 0xc4e9ed7201de2baf],
+        [0x7aff55b06cd31a65, 0xe37fa1089fadd754, 0xea4b9469b96f740b],
     ),
     (
         "length-auto/bistream",
         LENGTH_AUTO,
         None,
         true,
-        [0x8e0b134b5597312e, 0xb6cc65d9270a51bd, 0x2fc0abd91896cdf6],
-        [0x1337bbf133b67fd6, 0x58c9ec559ba841e5, 0x548de9ad670b50d5],
+        [0x0770c6450665bc1e, 0xd419362c16d7ffc2, 0x1cc68587b3f604c8],
+        [0x6620b7244d6bb2e8, 0xa80a92ea0ef8d541, 0x5bd365d8e6f0e540],
     ),
     (
         "prefix/self",
@@ -87,16 +87,16 @@ const PINS: [Pin; 6] = [
         LENGTH_AUTO,
         Some(40),
         false,
-        [0x423c6ea3549bb800, 0x87878dcde1fa7c7e, 0x1dfb4b8e1ba28b2b],
-        [0x5def7dce2c3c9325, 0x266dff2f21821c2e, 0x049ed7b1dc732aa5],
+        [0x210587f1a377c678, 0xcd389b3d921774f4, 0xb9a94c28e55d426d],
+        [0x26fda8fb4bbd836c, 0x4fed56587e88d12e, 0x9e1716984c7d8dfa],
     ),
     (
         "length-auto+ckpt/bistream",
         LENGTH_AUTO,
         Some(40),
         true,
-        [0x68db182915566745, 0xc38e570fa882d86c, 0x787c5078d7b0c63b],
-        [0xae5143f75bde4c4a, 0x4841f6897873d5f4, 0xee4fcd1f29a5fe0f],
+        [0xb73033c162e486ed, 0x034ec25c71409a7d, 0x596a92baa8a13162],
+        [0xa76cf36a65d2b1b5, 0x6195e052fb3effe3, 0x9589462079ec10fd],
     ),
 ];
 

@@ -16,6 +16,10 @@
 //! epochs record by record and flushes its batches before each barrier,
 //! so a checkpoint interval that ends in the middle of a batch opens its
 //! epoch at exactly the record an unbatched run opens it at.
+//!
+//! The fourth pins the byte accounting: an envelope carries the size its
+//! sender counted, so the joiners receive exactly the bytes the dispatcher
+//! sent, batched or not.
 
 use dssj::core::join::run_stream;
 use dssj::core::snapshot::decode_window_slice;
@@ -72,6 +76,24 @@ fn dispatch_batch_bounds_engine_messages_per_record_paced_or_not() {
             "{engine}: {all_in} engine messages for {n} records"
         );
         assert_eq!(sorted_keys(&run.pairs), expected, "{engine}");
+    }
+}
+
+#[test]
+fn joiners_receive_the_bytes_the_dispatcher_sends() {
+    let records: Vec<Record> = StreamGenerator::new(DatasetProfile::tweet(), 23).take_records(N);
+    let base = DistributedJoinConfig::recommended(K, JoinConfig::jaccard(0.8));
+    for (engine, cfg) in [
+        ("threads", base.clone()),
+        ("threads, batched", base.clone().with_dispatch_batch(BATCH)),
+        ("sim", base.clone().with_sim(7)),
+        ("sim, batched", base.with_dispatch_batch(BATCH).with_sim(7)),
+    ] {
+        let run = run_distributed(&records, &cfg);
+        let sent = run.report.component("dispatcher").bytes_out;
+        let received = run.report.component("joiner").bytes_in;
+        assert!(sent > 0, "{engine}");
+        assert_eq!(received, sent, "{engine}");
     }
 }
 
