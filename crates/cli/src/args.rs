@@ -170,7 +170,7 @@ mod tests {
         assert!(e.to_string().contains("not valid here"));
         // Bare flags count as present too; absent keys pass.
         assert!(a.forbid("verbose", "no").is_err());
-        assert!(a.forbid("chaos-seed", "no").is_ok());
+        assert!(a.forbid("sim", "no").is_ok());
     }
 
     #[test]

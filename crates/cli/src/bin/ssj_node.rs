@@ -2,7 +2,7 @@
 //!
 //! The launcher (`dssj cluster --backend tcp`) spawns one of these per
 //! joiner task; each connects back over localhost TCP and serves the
-//! at-least-once join protocol until end of stream. It is not meant to be
+//! sequenced join protocol until end of stream. It is not meant to be
 //! run by hand, but doing so is harmless: it connects, handshakes, and
 //! exits when the launcher closes the wire.
 //!

@@ -47,11 +47,11 @@ pub fn usage() -> ExitCode {
             [--restore-from DIR [--verify-restore]]
   TOPOLOGY: [--source-rate R] [--sim SEED] [--trace-out FILE] [--chrome-out FILE]
             [--metrics-out FILE]
-  CLUSTER:  [--backend tcp|inprocess] [--node-bin PATH] [--chaos-seed S]
+  CLUSTER:  [--backend tcp|inprocess] [--node-bin PATH]
             [--kill-task T --kill-after N] [--logical-time]
             [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
             [--heartbeat-interval MS=25] [--suspect-after MS=250]
-            [--recovery-budget N] [--retry-max-ms MS=640] [--metrics-out FILE]
+            [--recovery-budget N] [--metrics-out FILE]
   Every command refuses an option it does not read."
     );
     ExitCode::from(2)
@@ -333,10 +333,6 @@ pub fn join(args: &Args, bistream: bool) -> CliResult {
         Inputs::One(args.required("input")?)
     };
     let qgram = qgram(args)?;
-    args.forbid(
-        "chaos-seed",
-        "link chaos is a cluster feature: use `dssj cluster --chaos-seed`",
-    )?;
     let scheduler = match parse_opt::<u64>(args, "sim")? {
         // Deterministic replay: the whole topology runs on the virtual
         // clock, so wall-clock pacing is meaningless there.
@@ -512,7 +508,6 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
         _ => None,
     };
     let mut cfg = ClusterConfig::new(spec, backend);
-    cfg.chaos_seed = parse_opt(args, "chaos-seed")?;
     cfg.fault = fault;
     cfg.logical_time = args.flag("logical-time");
 
@@ -543,15 +538,6 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
         health.recovery_budget = recovery_budget;
         cfg.health = Some(health);
     }
-    if let Some(ms) = parse_opt::<u64>(args, "retry-max-ms")? {
-        if Duration::from_millis(ms) < cfg.retry.base_timeout {
-            return Err(ArgError(format!(
-                "--retry-max-ms {ms} is below the {}ms base retransmission timeout",
-                cfg.retry.base_timeout.as_millis()
-            )));
-        }
-        cfg.retry.max_timeout = Duration::from_millis(ms);
-    }
     Ok(cfg)
 }
 
@@ -573,7 +559,7 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
     }
     if out.retransmissions + out.dup_results_dropped > 0 {
         println!(
-            "reliability : {} retransmissions, {} result pairs discarded unacked",
+            "reliability : {} frames resent to respawned nodes, {} result pairs discarded unacked",
             out.retransmissions, out.dup_results_dropped
         );
     }

@@ -7,8 +7,8 @@
 //! checkpoint coordinator) and collects the results, while each joiner
 //! runs behind one [`stormlite::Wire`]. The dispatch and join algorithms are
 //! the ones the topology runs (the crate's `operators` module); this is the
-//! run-time around them — sequenced sessions, retransmission,
-//! supervision. Two backends are interchangeable:
+//! run-time around them — sequenced sessions and supervision. Two
+//! backends are interchangeable:
 //!
 //! * [`ClusterBackend::InProcess`] — joiners are threads behind channel
 //!   wires. Same protocol, no sockets; this is the reference the TCP
@@ -17,37 +17,39 @@
 //!   connected over localhost TCP (ephemeral ports, see
 //!   [`stormlite::listen_loopback`]).
 //!
-//! # The at-least-once protocol, over the wire
+//! # Sessions: reliable FIFO within an incarnation, fail-stop across
 //!
 //! A `Data{seq, msg}` frame is one sequenced unit with a per-connection
 //! sequence number. It carries either one routed [`JoinMsg`] or, with
 //! [`JoinSpec::dispatch_batch`] set, one [`JoinMsg::Batch`] of up to
 //! that many record-bearing messages for this wire in dispatch order —
-//! encoded once, sealed with one CRC, tracked by one `unacked` entry and
-//! one retransmit timer. Barriers always travel alone: the dispatcher
-//! flushes its pending batches ahead of every barrier.
+//! encoded once, sealed with one CRC, tracked by one `unacked` entry.
+//! Barriers always travel alone: the dispatcher flushes its pending
+//! batches ahead of every barrier.
 //!
-//! A node processes frames in strict `seq` order (buffering out-of-order
-//! arrivals, re-acking retransmissions of already-processed sequence
-//! numbers). It answers a batch with at most one `Results` frame (all of
-//! the batch's pairs, in probe order; nothing when there were none) and a
+//! Both backends are reliable FIFO while a node lives (a TCP connection,
+//! an in-process channel), so a node takes every `Data` frame in `seq`
+//! order and anything else — a gap, a repeated seq, a checksum mismatch —
+//! is a protocol error that ends the node. The launcher treats that like
+//! any other break (a close, a corrupt inbound frame, a suspect): the node
+//! is killed and respawned, and its session resumes (see *Crash recovery*).
+//! There is no retransmission timer: an unacked frame is resent only to a
+//! respawned node.
+//!
+//! A node answers a batch with at most one `Results` frame (all of the
+//! batch's pairs, in probe order; nothing when there were none) and a
 //! message that arrived outside a batch result by result, one `Result`
 //! frame per pair; either way every result/snapshot frame a unit produces
-//! is written *before* its single `Ack{seq}` on the same FIFO stream, and
-//! the launcher retransmits unacked frames on a backoff timer built from
-//! [`stormlite::RetryConfig`]. Because acks follow results in FIFO order,
-//! a received ack proves every result of everything that frame carried
-//! arrived, so **results and snapshots are published at the ack that
-//! covers them**: until then they wait staged on their link, and a link
-//! whose incarnation dies or is poisoned discards what it staged. Any
-//! output lost that way belongs to an unacked frame, which the next
-//! incarnation reprocesses — and a node answers only frames it has not
-//! acked, re-acking a duplicate with nothing ahead of it — so each pair
+//! is written *before* its single `Ack{seq}` on the same FIFO stream.
+//! Because acks follow results in FIFO order, a received ack proves every
+//! result of everything that frame carried arrived, so **results and
+//! snapshots are published at the ack that covers them**: until then they
+//! wait staged on their link, and a link whose incarnation dies or is
+//! poisoned discards what it staged. Any output lost that way belongs to
+//! an unacked frame, which the next incarnation reprocesses, so each pair
 //! and each epoch snapshot is published exactly once, with no dedup. This
-//! is the one seq/ack/retry layer in the workspace — a topology's
-//! in-process wires are reliable FIFO channels and need none — and a frame more than
-//! [`NODE_INBOUND_CAP`] ahead of a node's cursor is a protocol error, so a
-//! gap the peer never fills cannot grow the reorder buffer without bound.
+//! is the one seq/ack layer in the workspace — a topology's in-process
+//! wires are plain FIFO channels and need none.
 //!
 //! # What is counted in messages, and what in frames
 //!
@@ -61,7 +63,7 @@
 //!   kill horizon lands at the same stream position batched or not;
 //! * the recovery watermark moves once per ack, to the last record the
 //!   acked frame carried;
-//! * [`ClusterOutage`] windows keep counting frame *transmissions* — one
+//! * [`ClusterOutage`] windows count data-frame *transmissions* — one
 //!   per batch.
 //!
 //! [`ClusterResult::routed_messages`] ÷ [`ClusterResult::data_frames`] is
@@ -75,9 +77,11 @@
 //! snapshot the node emitted before dying still counts — then restarts
 //! the node, replays its lost index state over one [`Frame::Restore`]
 //! (the replay buffer's in-window records up to the watermark, index-only
-//! exactly like the in-process replay path) and retransmits the unacked
+//! exactly like the in-process replay path) and resends the unacked
 //! frames in their original order under their original sequence numbers —
-//! whole batches, as first framed. The restored state equals the state
+//! whole batches, as first framed. A respawn also closes every outage
+//! window open on that wire, so a drill that blocks a wire costs one
+//! respawn. The restored state equals the state
 //! after the acked prefix, which always ends on a frame boundary, so
 //! reprocessing the unacked suffix is bit-exact. A node that dies mid-batch has sent neither
 //! that batch's `Results` nor its ack, so the batch is reprocessed whole:
@@ -104,21 +108,18 @@
 //! bytes. Pending batches are *framed* every `BATCH_MAX_FRAMES`-th source
 //! record, ahead of every barrier and before the drain — by record count
 //! alone, so batch cuts never depend on timing — with the housekeeping
-//! (poll, retransmit timers, failure detector) at the same points. A link
+//! (poll, failure detector) at the same points. A link
 //! is *written* by `write_link`, the launcher's only explicit flush, when:
 //!
 //! * the messages framed onto it since its last write reach half its
 //!   window — [`ClusterConfig::channel_capacity`], or a lower shed
 //!   watermark, whose backlog must be mostly written for acks to drain it;
 //! * a checkpoint barrier is framed on it, so no epoch waits on its traffic;
-//! * the launcher is about to wait (backpressure, drain, `Eos`, respawn),
-//!   sends a heartbeat, or resent frames on it in a timer pass.
+//! * the launcher is about to wait (backpressure, drain, `Eos`, respawn)
+//!   or sends a heartbeat.
 //!
-//! The retransmission clock starts at `write_link`, which stamps every
-//! frame framed since the last write; timers skip the rest, so no frame is
-//! resent for time it spent unwritten (a batcher-flushed one is resent
-//! late, never early). The price: a sparse link's frames wait for half a
-//! window of its own traffic or the next wait — at worst the drain.
+//! The price: a sparse link's frames wait for half a window of its own
+//! traffic or the next wait — at worst the drain.
 //!
 //! Nodes follow the same rule from the other side: `node_serve` flushes
 //! its results and acks whenever its inbound queue runs empty. The
@@ -134,7 +135,7 @@
 //! captures it and the golden-transcript test pins it. Everything beyond
 //! that outbound stream is **inherently nondeterministic over real
 //! sockets**: OS scheduling of k processes interleaves result arrival
-//! across wires, retransmission timers fire on real time, and wall-clock
+//! across wires, the failure detector fires on real time, and wall-clock
 //! latencies vary run to run. The determinism contract is therefore:
 //! per-wire outbound frame bytes (under logical time) and the final
 //! *result set* are exact; arrival order and timing metrics are not —
@@ -155,8 +156,8 @@ use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::Record;
 use stormlite::{
-    ChaosLink, ChaosWindow, CloseReason, IntegrityReport, LinkFault, LinkOutage, RetryConfig,
-    TcpWire, Timestamp, Wire, WireEvent,
+    ChaosLink, ChaosWindow, CloseReason, IntegrityReport, LinkOutage, TcpWire, Timestamp, Wire,
+    WireEvent,
 };
 
 use crate::bolts::JoinerSnapshot;
@@ -198,10 +199,13 @@ pub struct ClusterFault {
 /// acking data never trips the detector; heartbeats only force traffic on
 /// an otherwise idle wire. A wire silent for longer than `suspect_after`
 /// is declared suspect and recovered (kill + respawn + session resume
-/// under the original sequence numbers). The detector runs on the wall
-/// clock even under [`ClusterConfig::logical_time`] — heartbeat frames
-/// are never folded into wire digests, so detector timing cannot perturb
-/// the deterministic outbound data stream.
+/// under the original sequence numbers). It is the only wall-clock
+/// deadline the launcher keeps, and the only thing that ends an outage
+/// which blocks a wire: [`run_cluster`] refuses scripted outages without
+/// it. The detector runs on the wall clock even under
+/// [`ClusterConfig::logical_time`] — heartbeat frames are never folded
+/// into wire digests, so detector timing cannot perturb the deterministic
+/// outbound data stream.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
     /// Probe an idle wire with a [`Frame::Heartbeat`] this often.
@@ -229,7 +233,8 @@ impl HealthConfig {
 /// What a scripted [`ClusterOutage`] does to its wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutageKind {
-    /// Outbound frames freeze (lossless) for the window, then release.
+    /// Outbound frames are held for the window and released in order once
+    /// later transmissions pass it; a respawn drops them instead.
     Stall,
     /// Outbound frames are dropped for the window; inbound still flows.
     PartitionOneWay,
@@ -245,7 +250,7 @@ pub enum OutageKind {
     /// Inbound (node→launcher) frames in the window each have one bit
     /// flipped just before the launcher parses them, exercising the
     /// launcher-side classified corruption path: discard the poisoned
-    /// incarnation's remaining output, respawn, retransmit. The window is
+    /// incarnation's remaining output, respawn, resend. The window is
     /// keyed on this wire's inbound frame ordinal.
     CorruptInbound,
 }
@@ -294,7 +299,7 @@ impl ClusterOutage {
 }
 
 /// How the launcher runs a [`JoinSpec`]: with `k` nodes (= joiner tasks)
-/// behind sequenced at-least-once wires.
+/// behind sequenced, acknowledged wires.
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// The join to run; the launcher hosts its dispatcher (routing,
@@ -307,17 +312,14 @@ pub struct ClusterConfig {
     /// channel capacity. Half of it (or of a lower `shed_watermark`) is
     /// the write unit: messages framed on a link before it is written.
     pub channel_capacity: usize,
-    /// Seeded link chaos on every launcher→joiner wire (drops, dups,
-    /// delays — masked by the at-least-once protocol).
-    pub chaos_seed: Option<u64>,
     /// Supervised mid-run kill + restart of one node.
     pub fault: Option<ClusterFault>,
-    /// Scripted stall/partition windows on individual wires.
+    /// Scripted stall/partition/corruption windows on individual wires;
+    /// they need `health`, whose detector ends an outage that blocks a
+    /// wire.
     pub outages: Vec<ClusterOutage>,
     /// Heartbeat liveness detection and recovery budgets.
     pub health: Option<HealthConfig>,
-    /// Retransmission backoff for unacked frames.
-    pub retry: RetryConfig,
     /// Stamp ingest/barrier times from a logical counter instead of the
     /// wall clock, making each wire's outbound data stream
     /// byte-deterministic (the golden-transcript mode). Latency metrics
@@ -336,23 +338,16 @@ impl ClusterConfig {
         Self::new(spec, backend)
     }
 
-    /// Runs `spec` on `backend` with 256 messages in flight per wire, the
-    /// localhost retransmission backoff, and no chaos, faults, outages or
-    /// failure detector.
+    /// Runs `spec` on `backend` with 256 messages in flight per wire, and
+    /// no faults, outages or failure detector.
     pub fn new(spec: JoinSpec, backend: ClusterBackend) -> Self {
         Self {
             spec,
             backend,
             channel_capacity: 256,
-            chaos_seed: None,
             fault: None,
             outages: Vec::new(),
             health: None,
-            retry: RetryConfig {
-                base_timeout: Duration::from_millis(40),
-                backoff_factor: 2,
-                max_timeout: Duration::from_millis(640),
-            },
             logical_time: false,
         }
     }
@@ -406,7 +401,9 @@ pub struct ClusterResult {
     /// its node sent them but not the ack that would have published them.
     /// The respawned node reprocesses their frame and publishes them then.
     pub dup_results_dropped: u64,
-    /// Frames retransmitted by the at-least-once layer.
+    /// Frames resent to respawned nodes: each respawn resends its wire's
+    /// unacked suffix under the original seqs. 0 on a run that respawned
+    /// nothing.
     pub retransmissions: u64,
     /// Messages the dispatcher routed onto the wires (barriers included),
     /// a batch counting its length.
@@ -423,9 +420,8 @@ pub struct ClusterResult {
     pub wire_flushes: u64,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
-    /// Launcher-side per-stage latencies (dispatch, route, deliver,
-    /// retry, emit, checkpoint, recover): the cluster's one per-stage
-    /// record.
+    /// Launcher-side per-stage latencies (dispatch, route, deliver, emit,
+    /// checkpoint, recover): the cluster's one per-stage record.
     pub stages: StageProfile,
     /// End-to-end dispatch→result latency (empty under logical time): a
     /// copy of `stages`' emit histogram, taken at teardown.
@@ -487,7 +483,7 @@ impl ClusterResult {
             ),
             (
                 "dssj_cluster_retransmissions_total",
-                "Frames retransmitted by the at-least-once layer",
+                "Frames resent to respawned nodes",
                 self.retransmissions,
             ),
             (
@@ -642,13 +638,10 @@ pub fn run_cluster_bistream(
 // Node side
 // ---------------------------------------------------------------------------
 
-/// Node-side inbound bound, on the frame queue and on how far ahead of
-/// its sequence cursor a node buffers. The launcher's in-flight cap
-/// ([`ClusterConfig::channel_capacity`], which may not exceed this) is the
-/// tight bound; this only absorbs retransmission/duplication slack before
-/// socket backpressure (a stalled reader, a closed TCP window) kicks in
-/// and feeds the launcher's shed watermark — and makes a peer that opens a
-/// sequence gap it never fills a protocol error, not unbounded memory.
+/// Bound on a TCP node's inbound frame queue. The launcher's in-flight
+/// cap ([`ClusterConfig::channel_capacity`]) is the tight bound; past
+/// this one the node's socket reader stops, the TCP window closes, and the
+/// backpressure reaches the launcher and its shed watermark.
 pub const NODE_INBOUND_CAP: usize = 4096;
 
 /// Launcher-side inbound queue bound — effectively unbounded, because
@@ -758,10 +751,6 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
     let dedup = cfg.dedup.then_some((cfg.k as usize, task));
     let mut joiner = Joiner::new(cfg.algo, join, cfg.bistream, dedup);
     let mut next_seq = cfg.resume_seq;
-    // Out-of-order arrivals (chaos delays/duplicates) wait here until the
-    // sequence gap closes; processing is strictly in `seq` order. Keys stay
-    // within `NODE_INBOUND_CAP` of `next_seq`, which bounds the map.
-    let mut pending: BTreeMap<u64, JoinMsg> = BTreeMap::new();
     loop {
         let event = if wire.queue_depth() > 0 {
             wire.try_recv()?
@@ -783,29 +772,19 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
                     wire.flush()?;
                 }
                 Frame::Data { seq, msg } => {
-                    if seq < next_seq {
-                        // Retransmission of an already-processed frame: its
-                        // effects (and results) are final; just re-ack.
-                        send_frame(wire, &Frame::Ack { seq })?;
-                    } else if seq - next_seq > NODE_INBOUND_CAP as u64 {
+                    // A live wire is reliable FIFO: a gap or a repeat
+                    // means it broke, and this incarnation ends here.
+                    if seq != next_seq {
                         return Err(proto_err(format!(
-                            "Data seq {seq} is more than {NODE_INBOUND_CAP} frames ahead \
-                             of the next expected seq {next_seq}"
+                            "Data seq {seq} where seq {next_seq} was next"
                         )));
-                    } else {
-                        pending.insert(seq, msg);
-                        while let Some(msg) = pending.remove(&next_seq) {
-                            node_apply(&mut joiner, cfg.task, msg, wire)?;
-                            send_frame(wire, &Frame::Ack { seq: next_seq })?;
-                            next_seq += 1;
-                        }
                     }
+                    node_apply(&mut joiner, cfg.task, msg, wire)?;
+                    send_frame(wire, &Frame::Ack { seq })?;
+                    next_seq += 1;
                 }
                 Frame::Restore { window } => joiner.restore(&decode_window_slice(&window)?),
                 Frame::Eos => {
-                    if !pending.is_empty() {
-                        return Err(proto_err("end of stream with unfilled sequence gaps"));
-                    }
                     let (stats, stored, postings) = joiner.counters();
                     let report = NodeReport {
                         stats,
@@ -854,19 +833,9 @@ enum NodeProc {
     Child(Child),
 }
 
-struct PendingFrame {
-    /// What the frame carries: one message, or one batch.
-    msg: JoinMsg,
-    /// When the frame was last written (stamped by `write_link`).
-    last_sent: Instant,
-    retries: u32,
-}
-
-impl PendingFrame {
-    /// The sealed `Data` frame that (re)transmits this message as `seq`.
-    fn sealed(&self, seq: u64) -> Vec<u8> {
-        stormlite::seal(encode_data(seq, &self.msg).expect("data frames are always encodable"))
-    }
+/// The sealed `Data` frame that carries `msg` as `seq`.
+fn sealed(seq: u64, msg: &JoinMsg) -> Vec<u8> {
+    stormlite::seal(encode_data(seq, msg).expect("data frames are always encodable"))
 }
 
 /// The routed messages one data frame carries: a batch's, or the message
@@ -882,23 +851,16 @@ struct NodeLink {
     wire: Box<dyn Wire>,
     proc: NodeProc,
     next_seq: u64,
-    /// Sent-but-unacknowledged frames, by sequence number. Acks arrive in
-    /// order (the node processes in order over FIFO wires), so this is
-    /// always a contiguous suffix of the sequence space.
-    unacked: BTreeMap<u64, PendingFrame>,
+    /// Sent-but-unacknowledged frames — one message, or one batch — by
+    /// sequence number. Acks arrive in order (the node processes in order
+    /// over FIFO wires), so this is always a contiguous suffix of the
+    /// sequence space.
+    unacked: BTreeMap<u64, JoinMsg>,
     /// Messages those frames carry — what the in-flight bound and the shed
     /// watermark count.
     in_flight: usize,
-    /// No unacked frame is overdue before this instant — a lower bound on
-    /// every frame's `last_sent + timeout_after(retries)`, so the timer pass can
-    /// skip the link without looking at `unacked`. Only ever too early,
-    /// never too late: an ack leaves it stale (the next pass past it
-    /// rescans and tightens it), anything that makes a frame due sooner
-    /// lowers it on the spot. Frames not yet written do not count.
-    retry_due: Instant,
-    /// Frames from this seq on were framed since the last write, carrying
-    /// `unwritten` messages; their retransmission clock has not started.
-    unwritten_from: u64,
+    /// Messages framed on this link since its last write (the half-window
+    /// write rule).
     unwritten: usize,
     /// Messages acknowledged so far (what [`ClusterFault::after_acks`]
     /// counts).
@@ -941,7 +903,7 @@ struct NodeLink {
     inbound_seq: u64,
     /// A corrupt frame arrived from this incarnation: everything else it
     /// sends is untrustworthy (an ack surviving a corrupted result would
-    /// cancel the retransmission that re-creates the result), so the
+    /// cancel the resend that re-creates the result), so the
     /// remaining inbound backlog is discarded instead of drained during
     /// the respawn. Cleared once the fresh incarnation is up.
     poisoned: bool,
@@ -962,8 +924,6 @@ impl NodeLink {
             next_seq: 0,
             unacked: BTreeMap::new(),
             in_flight: 0,
-            retry_due: now,
-            unwritten_from: 0,
             unwritten: 0,
             acked: 0,
             staged: Vec::new(),
@@ -1081,8 +1041,9 @@ struct Launcher<'a> {
 impl<'a> Launcher<'a> {
     fn new(cfg: &'a ClusterConfig) -> Self {
         assert!(
-            cfg.channel_capacity <= NODE_INBOUND_CAP,
-            "a node refuses frames more than {NODE_INBOUND_CAP} ahead of its cursor"
+            cfg.outages.is_empty() || cfg.health.is_some(),
+            "scripted outages need the failure detector: a wire an outage \
+             blocks is healed only by a suspect's respawn (set ClusterConfig::health)"
         );
         Self {
             cfg,
@@ -1147,21 +1108,7 @@ impl<'a> Launcher<'a> {
                 .filter(|o| o.task == task && o.kind == OutageKind::CorruptInbound)
                 .map(|o| o.window())
                 .collect();
-            let chaos = match (self.cfg.chaos_seed, outages.is_empty()) {
-                (Some(seed), _) => Some(
-                    // Each wire gets an independent deterministic fault
-                    // stream derived from the run seed and its task.
-                    ChaosLink::new(
-                        seed,
-                        LinkFault::seeded(seed.wrapping_add(task as u64)),
-                        2,
-                        task,
-                    )
-                    .with_outages(outages),
-                ),
-                (None, false) => Some(ChaosLink::from_outages(outages)),
-                (None, true) => None,
-            };
+            let chaos = (!outages.is_empty()).then(|| ChaosLink::from_outages(outages));
             self.links
                 .push(NodeLink::new(wire, proc_, chaos, corrupt_inbound));
             if let Some(r) = &self.recovery {
@@ -1199,29 +1146,18 @@ impl<'a> Launcher<'a> {
                 // the half-window rule and before waits, not here.
                 dispatcher.flush(&mut self);
                 self.pump(Duration::ZERO, None);
-                self.service_timers();
                 self.service_health();
             }
         }
         dispatcher.flush(&mut self);
-        // Drain: every frame acked.
+        // Drain: every frame acked. A frame a stall still holds is unacked,
+        // so no wire reaches end of stream with anything held back.
         while self.links.iter().any(|l| !l.unacked.is_empty()) {
             self.pump(Duration::from_micros(500), None);
-            self.service_timers();
             self.service_health();
         }
-        // End of stream. Chaos-held (stalled/delayed) frames are released
-        // first — all of them were already delivered via retransmission,
-        // so the node just re-acks — then every node gets Eos and reports.
+        // End of stream: every node gets Eos and reports.
         for task in 0..k {
-            let held: Vec<Vec<u8>> = self.links[task]
-                .chaos
-                .as_mut()
-                .map(|c| c.drain())
-                .unwrap_or_default();
-            for f in held {
-                let _ = self.links[task].wire.send(&f);
-            }
             self.send_eos(task);
         }
         while self.links.iter().any(|l| l.done.is_none()) {
@@ -1351,14 +1287,7 @@ impl<'a> Launcher<'a> {
         let frame = stormlite::seal(unsealed);
         link.in_flight += messages;
         link.unwritten += messages;
-        link.unacked.insert(
-            seq,
-            PendingFrame {
-                msg,
-                last_sent: Instant::now(),
-                retries: 0,
-            },
-        );
+        link.unacked.insert(seq, msg);
         self.transmit(task, frame, ChaosLink::transmit);
         let cap = self.cfg.channel_capacity;
         let window = cap.min(self.cfg.spec.shed_watermark.unwrap_or(cap));
@@ -1371,7 +1300,7 @@ impl<'a> Launcher<'a> {
     /// chaos link's `gate` makes of it: `ChaosLink::transmit` for data,
     /// `ChaosLink::transmit_control` for a heartbeat. A send failure means
     /// the node died mid-write; a data frame stays in `unacked` and
-    /// recovery retransmits it.
+    /// recovery resends it.
     fn transmit(
         &mut self,
         task: usize,
@@ -1391,22 +1320,12 @@ impl<'a> Launcher<'a> {
     }
 
     /// Writes `task`'s batched frames — the one place a data link is
-    /// flushed (see the module docs) — and starts the retransmission clock
-    /// of every frame framed since the previous write. A failure means the
-    /// node is going away; the reader side reports the close.
+    /// flushed (see the module docs). A failure means the node is going
+    /// away; the reader side reports the close.
     fn write_link(&mut self, task: usize) -> io::Result<()> {
         let link = &mut self.links[task];
-        let written = link.wire.flush();
-        if link.unwritten_from < link.next_seq {
-            let now = Instant::now();
-            for (_, p) in link.unacked.range_mut(link.unwritten_from..) {
-                p.last_sent = now;
-            }
-            link.retry_due = link.retry_due.min(now + self.cfg.retry.timeout_after(0));
-        }
-        link.unwritten_from = link.next_seq;
         link.unwritten = 0;
-        written
+        link.wire.flush()
     }
 
     fn send_eos(&mut self, task: usize) {
@@ -1446,8 +1365,8 @@ impl<'a> Launcher<'a> {
                     self.links[task].last_seen = Instant::now();
                     if !self.on_frame(task, &b) {
                         // Corrupt frame: the rest of the held batch dies
-                        // with the poisoned incarnation; recovery
-                        // retransmits everything it covered.
+                        // with the poisoned incarnation; recovery resends
+                        // everything it covered.
                         break;
                     }
                 }
@@ -1579,37 +1498,26 @@ impl<'a> Launcher<'a> {
         };
         match frame {
             Frame::Ack { seq } => {
-                let Some(acked) = self.links[task].unacked.remove(&seq) else {
-                    // A re-ack answers a duplicate `Data` frame and has
-                    // nothing ahead of it: staged output is a violation.
-                    let link = &self.links[task];
-                    if link.staged.is_empty() && link.staged_snapshot.is_none() {
-                        return true;
-                    }
+                // Acks come in seq order, each once: an ack for anything
+                // but the oldest unacked frame is a protocol violation.
+                let oldest = self.links[task].unacked.first_entry();
+                let Some(acked) = oldest.filter(|e| *e.key() == seq).map(|e| e.remove()) else {
                     return self.note_corrupt(task, false);
                 };
                 self.publish_staged(task);
-                let messages = carried(&acked.msg);
+                let messages = carried(&acked);
                 self.links[task].in_flight -= messages.len();
                 self.links[task].acked += messages.len() as u64;
-                self.stages
-                    .record(Stage::Deliver, acked.last_sent.elapsed());
-                if acked.retries > 0 {
-                    // An ack for a frame that needed retransmission means
-                    // the link just healed (or caught up): reset the
-                    // remaining unacked frames' grown backoff so recovery
-                    // proceeds at the base cadence instead of waiting out
-                    // a fully-grown exponential delay.
-                    for p in self.links[task].unacked.values_mut() {
-                        p.retries = 0;
-                    }
-                    // Shorter backoffs are due sooner: rescan next pass.
-                    self.links[task].retry_due = Instant::now();
+                // Delivery latency and the recovery watermark are both
+                // read off the last record the frame carried (a barrier
+                // carries none): dispatched then, acked now.
+                let last = messages.iter().rev().find_map(JoinMsg::payload);
+                if let (Some(now), Some(last)) = (self.clock.wall_elapsed(), last) {
+                    let lat = now.saturating_sub(Duration::from_nanos(last.ingest.as_nanos()));
+                    self.stages.record(Stage::Deliver, lat);
                 }
-                // The watermark moves once per ack, to the last record
-                // the frame carried (a barrier carries none).
-                let last = messages.iter().rev().find_map(JoinMsg::record);
-                if let (Some(recovery), Some(record)) = (&self.recovery, last) {
+                if let (Some(recovery), Some(last)) = (&self.recovery, last) {
+                    let record = &last.record;
                     recovery.mark_processed(task, record.id().0, record.timestamp());
                 }
                 if let Some(fault) = self.fault_armed {
@@ -1690,42 +1598,6 @@ impl<'a> Launcher<'a> {
         link.staged_snapshot = None;
     }
 
-    /// Retransmits overdue written frames with exponential backoff, then
-    /// writes the links it resent on. Runs at every framing point and wait
-    /// loop; a link is walked only past its `retry_due`, and only up to its
-    /// first unwritten frame, whose clock has not started.
-    fn service_timers(&mut self) {
-        let retry = self.cfg.retry;
-        let now = Instant::now();
-        for task in 0..self.links.len() {
-            if now < self.links[task].retry_due {
-                continue;
-            }
-            let mut resend: Vec<(Vec<u8>, Duration)> = Vec::new();
-            let mut next_due = now + retry.base_timeout;
-            let link = &mut self.links[task];
-            for (&seq, p) in link.unacked.range_mut(..link.unwritten_from) {
-                let age = now.duration_since(p.last_sent);
-                if age >= retry.timeout_after(p.retries) {
-                    p.last_sent = now;
-                    p.retries += 1;
-                    resend.push((p.sealed(seq), age));
-                }
-                next_due = next_due.min(p.last_sent + retry.timeout_after(p.retries));
-            }
-            link.retry_due = next_due;
-            let resent = !resend.is_empty();
-            for (frame, age) in resend {
-                self.retransmissions += 1;
-                self.stages.record(Stage::Retry, age);
-                self.transmit(task, frame, ChaosLink::transmit);
-            }
-            if resent {
-                let _ = self.write_link(task);
-            }
-        }
-    }
-
     /// The failure detector: probes idle wires with heartbeats and
     /// declares wires silent past the deadline suspect. Runs on the wall
     /// clock even under logical time — heartbeats go through
@@ -1782,7 +1654,7 @@ impl<'a> Launcher<'a> {
 
     /// Consumes whatever `task` already delivered without blocking.
     /// Stops at the first corrupt frame: the poisoned remainder is
-    /// discarded and recovery retransmits whatever it covered.
+    /// discarded and recovery resends whatever it covered.
     fn drain_available(&mut self, task: usize) {
         while !self.links[task].poisoned {
             match self.links[task].wire.try_recv() {
@@ -1822,8 +1694,9 @@ impl<'a> Launcher<'a> {
     }
 
     /// Kills (if still alive) and restarts one node: consume its
-    /// delivered prefix, respawn, handshake with the resume sequence,
-    /// replay lost index state, retransmit the unacked suffix.
+    /// delivered prefix, respawn, close the wire's open outage windows,
+    /// handshake with the resume sequence, replay lost index state, resend
+    /// the unacked suffix.
     fn kill_and_respawn(&mut self, task: usize) {
         let Some(recovery) = self.recovery.clone() else {
             panic!("node {task} died but the run keeps no replay buffers");
@@ -1833,7 +1706,7 @@ impl<'a> Launcher<'a> {
         // punch holes in the contiguous unacked suffix the resume
         // sequence number is derived from. A poisoned incarnation's held
         // frames are discarded instead — an ack surviving a corrupted
-        // result would cancel the retransmission that re-creates it.
+        // result would cancel the resend that re-creates it.
         let held = std::mem::take(&mut self.links[task].held_inbound);
         if !self.links[task].poisoned {
             for b in held {
@@ -1875,11 +1748,19 @@ impl<'a> Launcher<'a> {
             hello as usize, task,
             "respawned node announced the wrong task"
         );
-        // Fresh incarnation: fresh liveness horizon, fresh trust.
-        self.links[task].last_seen = Instant::now();
-        self.links[task].hb_last = Instant::now();
-        self.links[task].poisoned = false;
-        self.links[task].dead = false;
+        // Fresh incarnation: fresh liveness horizon, fresh trust, and every
+        // outage window open on the wire closed — a drill that broke the
+        // session costs one respawn.
+        let link = &mut self.links[task];
+        link.last_seen = Instant::now();
+        link.hb_last = Instant::now();
+        link.poisoned = false;
+        link.dead = false;
+        if let Some(chaos) = &mut link.chaos {
+            chaos.heal();
+        }
+        let inbound_seq = link.inbound_seq;
+        link.corrupt_inbound.retain(|w| !w.covers(inbound_seq));
         // Unacked seqs form a contiguous suffix; the node resumes at its
         // lowest (or at next_seq when nothing is in flight).
         let resume = self.links[task]
@@ -1901,15 +1782,12 @@ impl<'a> Launcher<'a> {
                 .expect("send restore frame");
         }
 
-        // Retransmit the unacked suffix: original order, original seqs —
-        // all of it unwritten on the fresh wire until the write below
-        // restarts its retransmission clocks.
+        // Resend the unacked suffix: original order, original seqs.
         let frames: Vec<Vec<u8>> = self.links[task]
             .unacked
             .iter()
-            .map(|(&seq, p)| p.sealed(seq))
+            .map(|(&seq, msg)| sealed(seq, msg))
             .collect();
-        self.links[task].unwritten_from = resume;
         self.retransmissions += frames.len() as u64;
         for frame in frames {
             self.transmit(task, frame, ChaosLink::transmit);
@@ -1922,8 +1800,8 @@ impl<'a> Launcher<'a> {
 }
 
 /// The dispatcher's view of the cluster: the run clock, and per joiner a
-/// sequenced at-least-once wire whose in-flight (sent-but-unacked)
-/// messages are its backlog.
+/// sequenced wire whose in-flight (sent-but-unacked) messages are its
+/// backlog.
 impl DispatchPort for Launcher<'_> {
     fn now(&mut self) -> Timestamp {
         self.clock.now()
@@ -1940,7 +1818,6 @@ impl DispatchPort for Launcher<'_> {
     fn send(&mut self, task: usize, msg: JoinMsg) {
         while self.links[task].in_flight >= self.cfg.channel_capacity {
             self.pump(Duration::from_micros(200), Some(task));
-            self.service_timers();
             self.service_health();
         }
         self.send_data(task, msg);
@@ -2139,8 +2016,10 @@ mod tests {
         assert_eq!(l.links[0].acked, 6);
         assert!(l.links[0].dead);
         assert_eq!(recovery.replay_for(0).len(), 6);
-        // A re-ack changes nothing.
-        assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
+        // A live wire never repeats an ack: a second one is a protocol
+        // violation that poisons the incarnation and counts nothing.
+        assert!(!l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
+        assert!(l.links[0].poisoned);
         assert_eq!((l.links[0].acked, l.backlog(0)), (6, 0));
     }
 
@@ -2296,7 +2175,28 @@ mod tests {
     }
 
     #[test]
-    fn wire_digests_fold_only_under_logical_time_and_a_retransmission_repeats_the_bytes() {
+    fn outages_without_a_detector_are_refused() {
+        let mut cfg = test_config(1);
+        cfg.outages.push(ClusterOutage {
+            task: 0,
+            after: 0,
+            len: 1,
+            kind: OutageKind::Stall,
+        });
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cluster(&[], &cfg)))
+                .expect_err("nothing would end a stall that blocks the wire");
+        let msg = refused.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(
+            msg.starts_with("scripted outages need the failure detector"),
+            "{msg}"
+        );
+        cfg.health = Some(HealthConfig::recommended());
+        assert!(run_cluster(&[], &cfg).pairs.is_empty());
+    }
+
+    #[test]
+    fn wire_digests_fold_only_under_logical_time_and_a_resend_repeats_the_bytes() {
         let mut cfg = test_config(1);
         let (mut l, _nodes) = launcher(&cfg, None);
         l.send(0, batch(0..4));
@@ -2304,12 +2204,12 @@ mod tests {
             l.links[0].digest, FNV_OFFSET,
             "wall-clock runs report no digest"
         );
-        // A retransmission carries the bytes of the first transmission.
+        // A resend carries the bytes of the first transmission.
         let first = Frame::Data {
             seq: 0,
             msg: batch(0..4),
         };
-        assert_eq!(l.links[0].unacked[&0].sealed(0), sealed(&first));
+        assert_eq!(super::sealed(0, &l.links[0].unacked[&0]), sealed(&first));
         drop(l);
 
         cfg.logical_time = true;
@@ -2322,37 +2222,15 @@ mod tests {
     }
 
     #[test]
-    fn the_retransmission_clock_starts_at_the_write_not_at_framing() {
+    fn half_a_window_framed_since_the_last_write_writes_the_link() {
         let mut cfg = test_config(1);
         cfg.channel_capacity = 8;
-        cfg.retry.base_timeout = Duration::from_millis(1);
         let (mut l, _nodes) = launcher(&cfg, None);
         l.send(0, batch(0..3));
-        std::thread::sleep(Duration::from_millis(5));
-        // Framed five timeouts ago but never written: not overdue.
-        l.service_timers();
-        assert_eq!(l.retransmissions, 0, "retransmitted an unwritten frame");
-
-        let before = Instant::now();
-        l.write_link(0).unwrap();
-        let after = Instant::now();
-        let link = &l.links[0];
-        assert!(
-            link.unacked[&0].last_sent >= before,
-            "the clock started at framing, not at the write"
-        );
-        assert!(link.retry_due <= after + cfg.retry.timeout_after(0));
-
-        std::thread::sleep(Duration::from_millis(5));
-        l.service_timers();
-        assert_eq!(l.retransmissions, 1, "a written frame times out");
-
-        // Half a window (4 of 8 messages) framed since the last write
-        // makes the link write itself.
-        l.send(0, batch(3..6));
-        assert_eq!(l.links[0].unwritten_from, 1);
-        l.send(0, msg(6));
-        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (3, 0));
+        assert_eq!(l.links[0].unwritten, 3);
+        // The fourth of 8 messages completes the write unit.
+        l.send(0, msg(3));
+        assert_eq!(l.links[0].unwritten, 0);
     }
 
     #[test]
@@ -2361,13 +2239,13 @@ mod tests {
         let cfg = test_config(1);
         let (mut l, _nodes) = launcher(&cfg, None);
         l.send(0, msg(0));
-        assert_eq!(l.links[0].unwritten_from, 0);
+        assert_eq!(l.links[0].unwritten, 1);
         let barrier = JoinMsg::Barrier {
             epoch: 1,
             injected_at: Timestamp::ZERO,
         };
         l.send(0, barrier);
-        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (2, 0));
+        assert_eq!(l.links[0].unwritten, 0);
 
         // A watermark of 4 under the same capacity writes every 2
         // messages, so the backlog it sheds on is never mostly unwritten.
@@ -2375,9 +2253,9 @@ mod tests {
         cfg.spec.shed_watermark = Some(4);
         let (mut l, _nodes) = launcher(&cfg, None);
         l.send(0, msg(0));
-        assert_eq!(l.links[0].unwritten_from, 0);
+        assert_eq!(l.links[0].unwritten, 1);
         l.send(0, msg(1));
-        assert_eq!((l.links[0].unwritten_from, l.links[0].unwritten), (2, 0));
+        assert_eq!(l.links[0].unwritten, 0);
     }
 
     /// Plays launcher to `node_serve` over a channel wire and returns the
@@ -2449,6 +2327,23 @@ mod tests {
         };
         let keys: Vec<_> = pairs.iter().map(|(p, _)| p.key()).collect();
         assert_eq!(keys, vec![(1, 2), (1, 3), (2, 3)], "probe order");
+    }
+
+    #[test]
+    fn a_gap_or_a_repeat_ends_the_incarnation() {
+        let data = |seq, id| Frame::Data { seq, msg: msg(id) };
+        // A gap is not buffered: seq 2 where seq 1 was next ends the node.
+        let (replies, end) = serve(vec![data(0, 0), data(2, 1)]);
+        assert_eq!(kinds(&replies), "a0");
+        let err = end.expect_err("a gap breaks the session");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "Data seq 2 where seq 1 was next");
+        // A repeat of an acked seq is not re-acked: it ends the node too,
+        // before it touches the joiner again.
+        let (replies, end) = serve(vec![data(0, 0), data(1, 1), data(0, 0)]);
+        assert_eq!(kinds(&replies), "a0 r a1");
+        let err = end.expect_err("a repeat breaks the session");
+        assert_eq!(err.to_string(), "Data seq 0 where seq 2 was next");
     }
 
     #[test]

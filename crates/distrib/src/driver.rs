@@ -251,7 +251,7 @@ pub struct DistributedJoinConfig {
     /// with `source_rate` (pacing sleeps on the wall clock).
     pub scheduler: Scheduler,
     /// Structured event tracing, the run's only per-stage record: every
-    /// task records pipeline events (dispatch → route → deliver/retry →
+    /// task records pipeline events (dispatch → route → deliver →
     /// index → verify → emit, plus barrier/checkpoint/shed) into bounded
     /// rings, collected into [`DistributedJoinResult::trace`]. Barrier
     /// stalls and epoch latencies are also in the [`RunReport`], and
@@ -410,7 +410,13 @@ impl DistributedJoinResult {
         self.records as f64 / bottleneck
     }
 
-    /// Joiner load imbalance: max/avg of per-joiner busy time.
+    /// Joiner load imbalance: max/avg of per-joiner busy time — how long
+    /// each joiner thread was runnable, not the work it did. The two part
+    /// once joiners share vCPUs: a thread waiting for a core still counts
+    /// as busy, so on a host with fewer cores than joiners this ratio
+    /// understates a skewed split. For work, price each joiner's exact
+    /// counters as `tests/partition_balance.rs` does (messages, posting
+    /// hits, verifications and merge steps at the cost model's weights).
     pub fn load_imbalance(&self) -> f64 {
         let busy: Vec<f64> = self
             .report

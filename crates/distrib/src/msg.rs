@@ -59,7 +59,7 @@ pub enum JoinMsg {
     ///   `JoinMsg`.
     ///
     /// A batch is one engine tuple: it is redelivered (on the cluster:
-    /// retransmitted under its original sequence number) whole after a
+    /// resent under its original sequence number) whole after a
     /// crash, dropped whole (and counted once) if processing it panics,
     /// and moves the joiner's recovery watermark once.
     Batch(Vec<JoinMsg>),

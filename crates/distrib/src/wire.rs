@@ -37,7 +37,7 @@ use crate::msg::{JoinMsg, RecordMsg};
 ///
 /// Every frame after the [`Frame::Hello`] is sealed with a CRC32C trailer
 /// ([`stormlite::crc32c()`]), so a flipped bit is a detected corruption
-/// (classified error close → respawn + session-resume retransmission),
+/// (classified error close → respawn + session resume),
 /// never a misparse; only the `Hello` travels unsealed, so a peer of any
 /// version can read it. A [`Frame::Data`] carries one routed message or
 /// one [`JoinMsg::Batch`], which a node answers with at most one
@@ -118,10 +118,10 @@ pub enum Frame {
     /// Launcher → node: engine configuration (handshake reply).
     Config(NodeConfig),
     /// Launcher → node: one routed [`JoinMsg`] — or one
-    /// [`JoinMsg::Batch`] of them — under the at-least-once protocol.
-    /// `seq` increases by one per *distinct* frame on this wire, whatever
-    /// it carries; retransmissions reuse the original `seq` so the node
-    /// can deduplicate.
+    /// [`JoinMsg::Batch`] of them. `seq` increases by one per *distinct*
+    /// frame on this wire, whatever it carries; a node takes exactly the
+    /// next one, and a respawned node gets the unacked ones again under
+    /// their original `seq`.
     Data {
         /// Per-wire sequence number.
         seq: u64,
@@ -476,8 +476,8 @@ fn stats_from_array(a: [u64; STATS_FIELDS]) -> JoinStats {
 }
 
 /// The unsealed bytes of `Frame::Data { seq, msg }`, encoded from a
-/// borrowed message: the launcher keeps every in-flight message for
-/// retransmission and must not clone it (for a batch, a `Vec` of records)
+/// borrowed message: the launcher keeps every in-flight message for a
+/// resend after a respawn and must not clone it (for a batch, a `Vec` of records)
 /// just to put it on the wire.
 pub fn encode_data(seq: u64, msg: &JoinMsg) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64);

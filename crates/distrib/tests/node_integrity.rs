@@ -5,13 +5,13 @@
 //! cleanly.
 //!
 //! The same hand-built frames pin the receiver side of the session
-//! contract: duplicates re-acked and not re-applied, a reordered link
-//! applied in sequence order, a unit's results ahead of its ack, and a
-//! sequence gap the peer never fills refused instead of buffered.
+//! contract: frames applied in sequence order, a unit's results ahead of
+//! its ack, and a reordered link — which a live wire never is — ending
+//! the node instead of being buffered.
 
 use ssj_core::{JoinConfig, SimFn, Threshold, Window};
 use ssj_distrib::wire::{Frame, NodeConfig, PROTO_VERSION};
-use ssj_distrib::{node_serve, JoinMsg, RecordMsg, NODE_INBOUND_CAP};
+use ssj_distrib::{node_serve, JoinMsg, RecordMsg};
 use ssj_text::{Record, RecordId, TokenId};
 use std::io;
 use std::time::Duration;
@@ -148,17 +148,14 @@ fn single_bit_flip_on_a_valid_frame_is_a_checksum_mismatch() {
 }
 
 #[test]
-fn receiver_applies_in_seq_order_acks_after_results_and_reacks_duplicates() {
+fn receiver_applies_in_seq_order_and_acks_after_results() {
     let (mut launcher, mut node_wire) = channel_wire_pair(64);
     let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
     expect_hello(&mut launcher);
     send(&mut launcher, config_frame(0));
-    // A reordered link: seq 2, 0, 1 carrying records 3, 1, 2. Had the node
-    // applied seq 2 on arrival its ack would lead and record 3 would pair
-    // with nothing.
-    send(&mut launcher, data_frame(2, 3));
     send(&mut launcher, data_frame(0, 1));
     send(&mut launcher, data_frame(1, 2));
+    send(&mut launcher, data_frame(2, 3));
     // A batch is one unit: one Results frame, then its one ack.
     send(
         &mut launcher,
@@ -167,11 +164,9 @@ fn receiver_applies_in_seq_order_acks_after_results_and_reacks_duplicates() {
             msg: JoinMsg::Batch(vec![probe_and_index(4), probe_and_index(5)]),
         },
     );
-    // A retransmission of an applied frame: re-acked, nothing else.
-    send(&mut launcher, data_frame(1, 2));
     send(&mut launcher, Frame::Eos);
 
-    let seen: Vec<Seen> = (0..9).map(|_| next_seen(&mut launcher)).collect();
+    let seen: Vec<Seen> = (0..8).map(|_| next_seen(&mut launcher)).collect();
     assert_eq!(
         seen,
         [
@@ -183,11 +178,9 @@ fn receiver_applies_in_seq_order_acks_after_results_and_reacks_duplicates() {
             Seen::Ack(2),
             Seen::Results(vec![4, 4, 4, 5, 5, 5, 5]),
             Seen::Ack(3),
-            Seen::Ack(1),
         ]
     );
-    // The duplicate touched no counter: five records probed and indexed
-    // once each, 0 + 1 + 2 + 3 + 4 pairs.
+    // Five records probed and indexed once each, 0 + 1 + 2 + 3 + 4 pairs.
     match next_frame(&mut launcher) {
         Frame::Done(report) => {
             assert_eq!(
@@ -207,21 +200,23 @@ fn receiver_applies_in_seq_order_acks_after_results_and_reacks_duplicates() {
 }
 
 #[test]
-fn a_frame_too_far_ahead_of_the_cursor_is_refused_not_buffered() {
+fn a_reordered_link_ends_the_node_before_it_applies_anything() {
     let (mut launcher, mut node_wire) = channel_wire_pair(64);
     let node = std::thread::spawn(move || node_serve(&mut node_wire, 0));
     expect_hello(&mut launcher);
     send(&mut launcher, config_frame(0));
-    // The far edge of the reorder window is buffered like any gap: the
-    // node stays up and answers a probe.
-    let cap = NODE_INBOUND_CAP as u64;
-    send(&mut launcher, data_frame(cap, 1));
-    send(&mut launcher, Frame::Heartbeat);
-    assert!(matches!(next_frame(&mut launcher), Frame::HealthAck));
-    // One past it could only be filled by more frames than the node ever
-    // holds: the peer is not speaking the protocol.
-    send(&mut launcher, data_frame(cap + 1, 2));
-    let err = node.join().unwrap().expect_err("runaway seq must fail");
+    // Seq 1 ahead of seq 0: had the node buffered it, seq 0 would now
+    // fill the gap. A live wire never reorders, so the session is broken.
+    send(&mut launcher, data_frame(1, 2));
+    send(&mut launcher, data_frame(0, 1));
+    let err = node
+        .join()
+        .unwrap()
+        .expect_err("a reordered link must fail");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("ahead"), "{err}");
+    assert!(err.to_string().contains("seq 1 where seq 0"), "{err}");
+    assert!(
+        !matches!(launcher.try_recv().unwrap(), WireEvent::Frame(_)),
+        "the node answered a frame it should not have applied"
+    );
 }

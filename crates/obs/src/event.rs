@@ -16,7 +16,6 @@
 //! | dispatch   | pull ordinal     | —                       |
 //! | route      | record id        | fan-out (targets)       |
 //! | deliver    | link id          | sequence number         |
-//! | retry      | sequence number  | retry count             |
 //! | execute    | tuples drained   | —                       |
 //! | index      | record id        | index size after insert |
 //! | verify     | record id        | results produced        |
@@ -42,11 +41,9 @@ pub enum Stage {
     /// A dispatcher routing decision: one record mapped to its target
     /// joiner task(s).
     Route,
-    /// A packet was placed on a wire toward its destination task
-    /// (including fault-injected duplicates).
+    /// A packet reached its destination task (the cluster launcher times
+    /// a data frame from the dispatch of its last record to its ack).
     Deliver,
-    /// A reliable-delivery retransmission of an unacked packet.
-    Retry,
     /// One bolt `execute` invocation (drain of deliverable tuples).
     Execute,
     /// A record was inserted into a joiner's local inverted index.
@@ -62,17 +59,16 @@ pub enum Stage {
     /// A record was shed by the overload policy.
     Shed,
     /// A suspect node was respawned and its session resumed (the span
-    /// duration covers kill, drain, handshake, restore and retransmit).
+    /// duration covers kill, drain, handshake, restore and resend).
     Recover,
 }
 
 impl Stage {
     /// Every stage in discriminant order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Dispatch,
         Stage::Route,
         Stage::Deliver,
-        Stage::Retry,
         Stage::Execute,
         Stage::Index,
         Stage::Verify,
@@ -90,7 +86,6 @@ impl Stage {
             Stage::Dispatch => "dispatch",
             Stage::Route => "route",
             Stage::Deliver => "deliver",
-            Stage::Retry => "retry",
             Stage::Execute => "execute",
             Stage::Index => "index",
             Stage::Verify => "verify",

@@ -14,7 +14,13 @@
 //! empty plan adds no per-tuple work to the hot path beyond one branch on an
 //! empty slice.
 
-use crate::link::splitmix64;
+use crate::sim::mix;
+
+/// SplitMix64 step + finalizer: enough to spread a test seed over tasks
+/// and crash points without a rand dependency.
+fn splitmix64(seed: u64) -> u64 {
+    mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
 
 /// One injected crash: `component` task `task` dies after fully processing
 /// `after_tuples` data tuples.

@@ -14,9 +14,9 @@
 //! spouts, handlers and bolts may borrow from the caller: a spout can
 //! iterate a slice the caller owns instead of a copy of it. A panic in any
 //! task fails the run; only an injected [`FaultPlan`] crash rebuilds a
-//! bolt. Links that can lose a frame belong to the layer above:
-//! [`transport`] and [`link`] carry the framing, chaos and retry policy the
-//! cluster's launcher↔node sessions are built from.
+//! bolt. [`transport`] carries the framing and the scripted outage gate the
+//! cluster's launcher↔node sessions are built from; a broken session
+//! ends its node's incarnation, and the layer above respawns it.
 //!
 //! ```
 //! use stormlite::{Bolt, Grouping, Message, Outbox, Topology};
@@ -58,7 +58,6 @@ pub mod clock;
 pub mod crc32c;
 pub mod fault;
 pub mod grouping;
-pub mod link;
 pub mod message;
 pub mod metrics;
 pub mod sim;
@@ -69,7 +68,6 @@ pub use clock::{Clock, Timestamp};
 pub use crc32c::{crc32c, open_sealed, seal};
 pub use fault::{FaultPlan, FaultSpec};
 pub use grouping::Grouping;
-pub use link::{LinkFault, RetryConfig};
 pub use message::{Bolt, CollectorBolt, Message, Outbox};
 pub use metrics::{IntegrityReport, RunReport, TaskMetrics};
 pub use obs::{RunTrace, Stage, TraceConfig, TraceSink};

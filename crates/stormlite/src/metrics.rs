@@ -65,7 +65,7 @@ impl TaskMetrics {
 ///
 /// Every byte that crosses a wire or a disk is checksummed (CRC32C); a
 /// failed check never panics — the frame or snapshot is rejected, counted
-/// here, and the run heals (respawn + retransmission) or falls back to an
+/// here, and the run heals (respawn + resend) or falls back to an
 /// older verified checkpoint. A default (all-zero) report means no
 /// corruption was ever observed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

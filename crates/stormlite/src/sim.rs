@@ -2,7 +2,7 @@
 //!
 //! The thread-per-task executor ([`Topology::run`]) is faithful to real
 //! deployments but nondeterministic: the OS scheduler decides every
-//! interleaving, so a failing chaos test cannot be replayed bit for bit.
+//! interleaving, so a failing fault test cannot be replayed bit for bit.
 //! The simulation scheduler closes that gap, in the style of
 //! FoundationDB-class deterministic simulation testing:
 //!
@@ -54,7 +54,6 @@
 //! ```
 
 use crate::clock::Clock;
-use crate::link::mix;
 use crate::message::{Envelope, Message};
 use crate::metrics::RunReport;
 use crate::topology::{report, TaskKind, Topology};
@@ -166,6 +165,14 @@ pub struct SimRun {
     pub report: RunReport,
     /// The deterministic decision log of this run.
     pub transcript: Transcript,
+}
+
+/// SplitMix64 finalizer.
+pub(crate) fn mix(seed: u64) -> u64 {
+    let mut z = seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// SplitMix64 step-choice RNG: `state += golden; mix(state)`.

@@ -38,9 +38,11 @@
 //!
 //! Both backends speak frames (`Vec<u8>`); what the bytes mean is the
 //! caller's business (the distributed join layers its own message codec on
-//! top). Link-fault chaos composes with either backend through
-//! [`ChaosLink`], which replays the deterministic drop/duplicate/delay
-//! dice of [`crate::link`] against an outbound frame stream.
+//! top). Both are reliable and FIFO while they live: a frame is never
+//! dropped, duplicated or reordered on an open wire. Scripted outages
+//! (stall, partition, corruption) compose with either backend through
+//! [`ChaosLink`], a gate on the outbound frame stream that exists to
+//! drill the failure detector and the checksums above it.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -50,8 +52,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-
-use crate::link::{ChaosDice, LinkAction, LinkFault};
 
 /// Hard upper bound on a single frame's payload, enforced by
 /// [`read_frame`]. A length prefix above this is treated as a corrupt or
@@ -594,9 +594,9 @@ pub fn listen_loopback() -> io::Result<TcpListener> {
 /// (1-based ordinals, counted per [`ChaosLink::transmit`] call).
 ///
 /// Keying on the *transmission* count rather than wall time keeps outage
-/// placement deterministic across schedulers — and guarantees every window
-/// eventually closes, because retransmissions of unacked frames also flow
-/// through `transmit` and advance the ordinal.
+/// placement deterministic across schedulers. A window closes when later
+/// transmissions pass it, or early, when [`ChaosLink::heal`] reports that
+/// the peer behind the link was replaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosWindow {
     /// The window opens after this many transmissions have been attempted.
@@ -612,12 +612,12 @@ impl ChaosWindow {
     }
 }
 
-/// A scripted link outage, beyond the per-frame drop/dup/delay dice.
+/// A scripted link outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkOutage {
-    /// The link freezes: frames sent during the window are held (lossless)
-    /// and released in order once the window passes. Models a hung or
-    /// GC-paused peer — traffic resumes, nothing was lost.
+    /// The link freezes: frames sent during the window are held and
+    /// released in order once the window passes. Models a hung or
+    /// GC-paused peer; a link that heals first drops what it held.
     Stall(ChaosWindow),
     /// The link is cut: outbound frames attempted during the window are
     /// dropped. With `two_way`, the receiving side should also hold
@@ -638,27 +638,26 @@ pub enum LinkOutage {
     Corrupt(ChaosWindow),
 }
 
-/// Deterministic link chaos for an outbound frame stream.
-///
-/// Rolls the seeded drop/duplicate/delay dice of [`crate::link`] against
-/// raw frames, so a sender can inject network faults *above* a (reliable)
-/// socket or channel. Delayed frames are held back and released after `1..=max_delay`
-/// later transmissions, reordering the link; [`ChaosLink::drain`] releases
-/// any still-held frames at end of stream.
-///
-/// On top of the per-frame dice, scripted [`LinkOutage`] windows model
-/// coarse failures: stalls (lossless freeze) and partitions (drop
-/// everything attempted in the window). Windows are keyed on the
-/// transmission ordinal, which only [`ChaosLink::transmit`] advances —
-/// control traffic sent through [`ChaosLink::transmit_control`] is subject
-/// to the windows but does not shift them, so data-frame outage placement
-/// is independent of how often the supervisor heartbeats.
-#[derive(Debug)]
+impl LinkOutage {
+    fn window(&self) -> ChaosWindow {
+        match *self {
+            LinkOutage::Stall(w) | LinkOutage::Corrupt(w) => w,
+            LinkOutage::Partition { window, .. } => window,
+        }
+    }
+}
+
+/// Scripted outages on an outbound frame stream: stalls (held in order),
+/// partitions (dropped) and corruption (one bit flipped), each active
+/// over a [`ChaosWindow`] of transmission ordinals. Only
+/// [`ChaosLink::transmit`] advances the ordinal — control traffic sent
+/// through [`ChaosLink::transmit_control`] is subject to the windows but
+/// does not shift them, so data-frame outage placement is independent of
+/// how often the supervisor heartbeats.
+#[derive(Debug, Default)]
 pub struct ChaosLink {
-    dice: Option<ChaosDice>,
-    held: Vec<(u64, Vec<u8>)>,
-    stalled: Vec<Vec<u8>>,
     outages: Vec<LinkOutage>,
+    stalled: Vec<Vec<u8>>,
     seq: u64,
     stalls: u64,
     partition_drops: u64,
@@ -666,73 +665,27 @@ pub struct ChaosLink {
 }
 
 impl ChaosLink {
-    /// A chaos link applying `fault` with the decision stream of
-    /// sending-task `sender_task` on wire number `wire_index` under `seed`.
-    ///
-    /// # Panics
-    /// Panics if `fault`'s rates are out of range (see [`LinkFault`]).
-    pub fn new(seed: u64, fault: LinkFault, wire_index: usize, sender_task: usize) -> Self {
-        Self {
-            dice: Some(ChaosDice::new(seed, fault, wire_index, sender_task)),
-            held: Vec::new(),
-            stalled: Vec::new(),
-            outages: Vec::new(),
-            seq: 0,
-            stalls: 0,
-            partition_drops: 0,
-            corruptions: 0,
-        }
-    }
-
-    /// A chaos link with no per-frame dice, only scripted outages.
+    /// A link gated by the scripted `outages`.
     pub fn from_outages(outages: Vec<LinkOutage>) -> Self {
         Self {
-            dice: None,
-            held: Vec::new(),
-            stalled: Vec::new(),
             outages,
-            seq: 0,
-            stalls: 0,
-            partition_drops: 0,
-            corruptions: 0,
+            ..Self::default()
         }
     }
 
-    /// Adds scripted outage windows on top of the existing configuration.
-    pub fn with_outages(mut self, outages: Vec<LinkOutage>) -> Self {
-        self.outages.extend(outages);
-        self
-    }
-
-    fn stall_active(&self) -> bool {
-        self.outages.iter().any(|o| match o {
-            LinkOutage::Stall(w) => w.covers(self.seq),
-            _ => false,
-        })
-    }
-
-    fn partition_active(&self) -> bool {
-        self.outages.iter().any(|o| match o {
-            LinkOutage::Partition { window, .. } => window.covers(self.seq),
-            _ => false,
-        })
-    }
-
-    fn corrupt_active(&self) -> bool {
-        self.outages.iter().any(|o| match o {
-            LinkOutage::Corrupt(w) => w.covers(self.seq),
-            _ => false,
-        })
+    /// Whether an outage of the kind `is_kind` accepts covers the current
+    /// transmission ordinal.
+    fn active(&self, is_kind: impl Fn(&LinkOutage) -> bool) -> bool {
+        self.outages
+            .iter()
+            .any(|o| is_kind(o) && o.window().covers(self.seq))
     }
 
     /// Whether a two-way partition window is active at the current
     /// transmission ordinal: the receiving side should hold (not deliver)
     /// inbound frames from this peer while true.
     pub fn inbound_blocked(&self) -> bool {
-        self.outages.iter().any(|o| match o {
-            LinkOutage::Partition { window, two_way } => *two_way && window.covers(self.seq),
-            _ => false,
-        })
+        self.active(|o| matches!(o, LinkOutage::Partition { two_way: true, .. }))
     }
 
     /// `(stalled frames, partition-dropped frames)` so far.
@@ -746,94 +699,60 @@ impl ChaosLink {
         self.corruptions
     }
 
-    /// Moves stalled frames to `out` if no outage currently holds them.
-    fn release_stalled(&mut self, out: &mut Vec<Vec<u8>>) {
-        if !self.stalled.is_empty() && !self.stall_active() && !self.partition_active() {
-            out.append(&mut self.stalled);
-        }
+    /// The peer behind this link was replaced: every window open at the
+    /// current ordinal closes, and the frames a stall held are dropped —
+    /// they were addressed to the peer that is gone. Windows that have not
+    /// opened yet stay scripted.
+    pub fn heal(&mut self) {
+        let seq = self.seq;
+        self.outages.retain(|o| !o.window().covers(seq));
+        self.stalled.clear();
     }
 
-    /// Routes a frame that is due to go on the wire now through any active
-    /// outage window: stall holds it, partition drops it.
-    fn gate(&mut self, frame: Vec<u8>, out: &mut Vec<Vec<u8>>) {
-        if self.stall_active() {
+    /// Routes a frame that is due to go on the wire now: first releases
+    /// stalled frames if no outage holds them any more, then a stall holds
+    /// the frame, a partition drops it, or it goes out.
+    fn gate(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
+        let stall = self.active(|o| matches!(o, LinkOutage::Stall(_)));
+        let partition = self.active(|o| matches!(o, LinkOutage::Partition { .. }));
+        let mut out = Vec::new();
+        if !stall && !partition {
+            out.append(&mut self.stalled);
+        }
+        if stall {
             self.stalled.push(frame);
             self.stalls += 1;
-        } else if self.partition_active() {
+        } else if partition {
             self.partition_drops += 1;
         } else {
             out.push(frame);
         }
-    }
-
-    /// Flips one bit of `frame`, keyed on the current transmission
-    /// ordinal so reruns mangle the identical bit. The receiver's frame
-    /// checksum (wire protocol v3) is what turns this into a detected
-    /// corruption rather than a silent misparse.
-    fn mangle(&mut self, frame: &mut [u8]) {
-        if frame.is_empty() {
-            return;
-        }
-        let byte = (self.seq as usize * 31) % frame.len();
-        frame[byte] ^= 1 << (self.seq % 8);
-        self.corruptions += 1;
-    }
-
-    /// Rolls the dice for one transmission: the returned frames (possibly
-    /// none, possibly several) are what actually goes on the wire, in
-    /// order — including any previously delayed frames now due.
-    pub fn transmit(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        self.seq += 1;
-        let mut frame = frame;
-        if self.corrupt_active() {
-            self.mangle(&mut frame);
-        }
-        let mut out = Vec::new();
-        self.release_stalled(&mut out);
-        match self
-            .dice
-            .as_mut()
-            .map(|d| d.roll())
-            .unwrap_or(LinkAction::Pass)
-        {
-            LinkAction::Pass => self.gate(frame, &mut out),
-            LinkAction::Drop => {}
-            LinkAction::Duplicate => {
-                self.gate(frame.clone(), &mut out);
-                self.gate(frame, &mut out);
-            }
-            LinkAction::Delay(d) => self.held.push((self.seq + d as u64, frame)),
-        }
-        let due: Vec<usize> = (0..self.held.len())
-            .rev()
-            .filter(|&i| self.held[i].0 <= self.seq)
-            .collect();
-        for i in due {
-            let f = self.held.remove(i).1;
-            self.gate(f, &mut out);
-        }
         out
+    }
+
+    /// Sends one data frame through the link, advancing the transmission
+    /// ordinal: the returned frames (possibly none, possibly several) are
+    /// what actually goes on the wire, in order — including previously
+    /// stalled frames now released. Inside a corrupt window the frame has
+    /// one bit flipped, keyed on the ordinal so reruns mangle the
+    /// identical bit; the receiver's frame checksum turns that into a
+    /// detected corruption rather than a silent misparse.
+    pub fn transmit(&mut self, mut frame: Vec<u8>) -> Vec<Vec<u8>> {
+        self.seq += 1;
+        if !frame.is_empty() && self.active(|o| matches!(o, LinkOutage::Corrupt(_))) {
+            let byte = (self.seq as usize * 31) % frame.len();
+            frame[byte] ^= 1 << (self.seq % 8);
+            self.corruptions += 1;
+        }
+        self.gate(frame)
     }
 
     /// Sends a control frame (heartbeat, config) through the link: subject
-    /// to outage windows, but never dice'd and never advancing the
+    /// to outage windows, but never corrupted and never advancing the
     /// transmission ordinal, so control cadence cannot shift where data
     /// frames land relative to outage windows.
     pub fn transmit_control(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        self.release_stalled(&mut out);
-        self.gate(frame, &mut out);
-        out
-    }
-
-    /// Releases every still-held frame — stalled first (already in send
-    /// order), then delayed, in hold order. Call at end of stream so
-    /// stalls and delays never become silent drops.
-    pub fn drain(&mut self) -> Vec<Vec<u8>> {
-        let mut out = std::mem::take(&mut self.stalled);
-        self.held.sort_by_key(|(due, _)| *due);
-        out.extend(self.held.drain(..).map(|(_, f)| f));
-        out
+        self.gate(frame)
     }
 }
 
@@ -955,33 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_link_is_deterministic_and_lossless_when_drained() {
-        let fault = LinkFault {
-            drop_rate: 0.0,
-            dup_rate: 0.1,
-            delay_rate: 0.3,
-            max_delay: 4,
-        };
-        let run = |seed: u64| {
-            let mut link = ChaosLink::new(seed, fault, 2, 1);
-            let mut out = Vec::new();
-            for i in 0..200u32 {
-                out.extend(link.transmit(i.to_le_bytes().to_vec()));
-            }
-            out.extend(link.drain());
-            out
-        };
-        assert_eq!(run(9), run(9), "same seed must replay exactly");
-        assert_ne!(run(9), run(10), "different seeds explore different chaos");
-        // With no drops, a drained link loses nothing (dups allowed).
-        let got = run(9);
-        let mut uniq: Vec<[u8; 4]> = got.iter().map(|f| f[..4].try_into().unwrap()).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 200);
-    }
-
-    #[test]
     fn stall_window_is_lossless_and_ordered() {
         let w = ChaosWindow { after: 3, len: 4 };
         let mut link = ChaosLink::from_outages(vec![LinkOutage::Stall(w)]);
@@ -994,21 +886,41 @@ mod tests {
         let got: Vec<u8> = out.iter().map(|f| f[0]).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(link.outage_counters(), (4, 0));
-        assert!(link.drain().is_empty(), "nothing left held");
     }
 
     #[test]
-    fn stall_drain_releases_before_window_closes() {
-        let w = ChaosWindow {
+    fn heal_closes_the_open_windows_and_drops_what_they_held() {
+        let open = ChaosWindow {
             after: 0,
             len: 1000,
         };
-        let mut link = ChaosLink::from_outages(vec![LinkOutage::Stall(w)]);
-        for i in 0..5u32 {
-            assert!(link.transmit(vec![i as u8]).is_empty());
+        let later = ChaosWindow { after: 10, len: 2 };
+        let mut link = ChaosLink::from_outages(vec![
+            LinkOutage::Stall(open),
+            LinkOutage::Partition {
+                window: open,
+                two_way: true,
+            },
+            LinkOutage::Partition {
+                window: later,
+                two_way: false,
+            },
+        ]);
+        for i in 0..5u8 {
+            assert!(link.transmit(vec![i]).is_empty());
         }
-        let released: Vec<u8> = link.drain().iter().map(|f| f[0]).collect();
-        assert_eq!(released, vec![0, 1, 2, 3, 4]);
+        assert!(link.inbound_blocked());
+        link.heal();
+        assert!(!link.inbound_blocked(), "the open two-way window closed");
+        // The held frames belonged to the replaced peer: never released.
+        let got: Vec<u8> = (5..10u8)
+            .flat_map(|i| link.transmit(vec![i]))
+            .map(|f| f[0])
+            .collect();
+        assert_eq!(got, vec![5, 6, 7, 8, 9]);
+        // A window that had not opened at the heal still fires.
+        assert!(link.transmit(vec![10]).is_empty());
+        assert_eq!(link.outage_counters(), (5, 1));
     }
 
     #[test]
@@ -1110,31 +1022,5 @@ mod tests {
         // order once the window passed — never silently dropped.
         let hb_count = b_out.iter().filter(|f| f[0] == 0xEE).count();
         assert_eq!(hb_count, 15);
-    }
-
-    #[test]
-    fn dice_and_outages_compose() {
-        let fault = LinkFault {
-            drop_rate: 0.0,
-            dup_rate: 0.2,
-            delay_rate: 0.2,
-            max_delay: 3,
-        };
-        let w = ChaosWindow { after: 10, len: 5 };
-        let run = || {
-            let mut link = ChaosLink::new(7, fault, 0, 0).with_outages(vec![LinkOutage::Stall(w)]);
-            let mut out = Vec::new();
-            for i in 0..50u32 {
-                out.extend(link.transmit(vec![i as u8]));
-            }
-            out.extend(link.drain());
-            out
-        };
-        let (x, y) = (run(), run());
-        assert_eq!(x, y, "dice plus windows replay deterministically");
-        let mut uniq: Vec<u8> = x.iter().map(|f| f[0]).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 50, "no drops configured: stall stays lossless");
     }
 }

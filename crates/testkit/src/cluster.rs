@@ -49,7 +49,6 @@ pub fn cluster_config_for(
     // horizon, and the pinned digests, were placed on that frame stream.
     let mut cfg = ClusterConfig::new(case.spec(), backend);
     cfg.channel_capacity = 64;
-    cfg.chaos_seed = case.chaos.then_some(seed);
     if case.crash {
         // Same crash-horizon convention as the simulated differential: the
         // kill lands within the stream so it actually fires on most seeds.
@@ -210,10 +209,9 @@ pub fn run_cluster_restore_differential(
 
     let mut phase2 = cluster_config_for(seed, case, backend);
     phase2.fault = None;
-    phase2.chaos_seed = None;
     phase2.spec.checkpoint = None;
     phase2.spec.restore_from = Some(Arc::clone(&store));
-    // Like chaos, link outages are phase-one faults: phase two is the
+    // Like the kill, link outages are phase-one faults: phase two is the
     // clean restored incarnation.
     phase2.outages.clear();
 
@@ -313,10 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn in_process_cluster_survives_crash_and_chaos() {
-        let mut case = base_case().with_crash().with_chaos();
-        case.join = case.join.with_window(Window::Count(60));
-        run_cluster_differential(23, &case, ClusterBackend::InProcess);
+    fn in_process_cluster_survives_a_crash_and_seeded_outages() {
+        // Each seed adds one outage of its own kind, wire and window to the
+        // kill: both respawn, and the answer is still the oracle's.
+        let mut respawns = 0;
+        for seed in 20..30 {
+            let mut case = base_case().with_crash().with_seeded_outage(seed);
+            case.join = case.join.with_window(Window::Count(60));
+            let out = run_cluster_differential(seed, &case, ClusterBackend::InProcess);
+            assert!(out.result.health.respawns >= 1, "seed {seed}");
+            respawns += out.result.health.respawns;
+        }
+        assert!(respawns > 10, "no outage ever broke a session");
     }
 
     #[test]
@@ -350,27 +356,53 @@ mod tests {
 
     #[test]
     fn one_way_partition_is_masked_exactly() {
-        // Dropped outbound frames are retransmitted under their original
-        // seqs once the window closes; the result must stay exact.
+        // The first frame past the window shows the node a gap: it dies,
+        // and its successor gets the dropped frames under their original
+        // seqs. The result must stay exact.
         let case = base_case().with_partition(0, 8, 12, false);
         let out = run_cluster_differential(43, &case, ClusterBackend::InProcess);
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
-        assert!(
-            out.result.health.partition_dropped_frames > 0,
-            "partition never fired"
-        );
+        let h = &out.result.health;
+        assert!(h.partition_dropped_frames > 0, "partition never fired");
+        assert!(h.respawns >= 1, "the gap never ended the node");
+        assert!(out.result.retransmissions > 0);
     }
 
     #[test]
     fn two_way_partition_is_masked_exactly() {
-        // Both directions go dark: either the window closes before the
-        // detector fires (retransmission masks it) or the node is declared
-        // suspect and respawned (recovery masks it). Exact either way.
+        // Both directions go dark: a gap ends the node, or the detector
+        // declares it suspect. Either way it is respawned, the respawn
+        // closes the window, and the result is exact.
         let case = base_case().with_partition(2, 5, 20, true);
         let out = run_cluster_differential(47, &case, ClusterBackend::InProcess);
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
+        assert!(out.result.health.respawns >= 1);
+    }
+
+    #[test]
+    fn a_stall_that_blocks_its_wire_costs_one_respawn() {
+        // The window outlasts the 64 messages the wire may have in flight,
+        // so nothing but the detector can end it: the suspect's respawn
+        // closes the window, drops what it held and resends the unacked
+        // frames, which no window holds any more. The deadline is raised
+        // so that a loaded host does not add a suspect of its own.
+        let case = base_case().with_stall(1, 10, 1_000);
+        let records = differential_records(41, case.records);
+        let mut cfg = cluster_config_for(41, &case, ClusterBackend::InProcess);
+        let health = cfg.health.as_mut().expect("outages arm the detector");
+        health.suspect_after = Duration::from_millis(400);
+        let out = crate::with_deadline(Duration::from_secs(60), move || {
+            let out = run_cluster(&records, &cfg);
+            (records, out)
+        });
+        let (records, out) = out;
+        let expect = oracle::self_join_surviving(&records, &case.join, &[]);
+        assert_pairs_equal(41, &out.pairs, expect, "blocked-stall result");
+        assert!(out.health.stalled_frames >= 64, "the wire never blocked");
+        assert_eq!((out.health.suspects, out.health.respawns), (1, 1));
+        assert_eq!(out.retransmissions, 64, "the stalled frames, resent once");
     }
 
     #[test]

@@ -71,10 +71,6 @@ pub struct DifferentialCase {
     /// horizon can land after the last record was dispatched.
     /// Cluster-only, like `outages`.
     pub crash_after: Option<u64>,
-    /// Roll seeded drop/duplicate/delay dice on every launcher→node link
-    /// (the session layer must mask the faults exactly). Cluster-only,
-    /// like `outages`: a topology's in-process wires cannot lose a tuple.
-    pub chaos: bool,
     /// Shed records above this dispatcher queue depth; the comparison then
     /// uses the shed-adjusted oracle. Incompatible with `bistream` (the
     /// bi-stream oracle has no shed accounting).
@@ -90,10 +86,10 @@ pub struct DifferentialCase {
     /// outage windows count frame transmissions, of which a batched run
     /// makes fewer.
     pub dispatch_batch: Option<usize>,
-    /// Link outages (stall / partition windows) injected on cluster wires.
-    /// Consumed by the cluster harness only — the simulated topology has
-    /// no lossy links, so [`run_differential`] rejects cases that set
-    /// this (or `chaos`) rather than silently running a weaker scenario.
+    /// Link outages (stall / partition / corruption windows) injected on
+    /// cluster wires. Consumed by the cluster harness only — the simulated
+    /// topology has no wires to break, so [`run_differential`] rejects
+    /// cases that set this rather than silently running a weaker scenario.
     pub outages: Vec<ClusterOutage>,
     /// Per-task respawn budget for the cluster's failure detector. Within
     /// budget recovery must mask faults exactly; a task that exhausts it
@@ -119,7 +115,6 @@ impl DifferentialCase {
             bistream: false,
             crash: false,
             crash_after: None,
-            chaos: false,
             shed_watermark: None,
             checkpoint_interval: None,
             dispatch_batch: None,
@@ -146,12 +141,6 @@ impl DifferentialCase {
     pub fn with_crash_at(mut self, after_acks: u64) -> Self {
         self.crash = true;
         self.crash_after = Some(after_acks);
-        self
-    }
-
-    /// Makes every launcher→node link lossy. Cluster-only.
-    pub fn with_chaos(mut self) -> Self {
-        self.chaos = true;
         self
     }
 
@@ -208,7 +197,7 @@ impl DifferentialCase {
     /// fall in `(after, after + len]` on `task`'s wire — outbound
     /// (launcher → node) normally, launcher-side inbound when `inbound`.
     /// The checksum layer must detect every flip and heal by respawn +
-    /// session-resume retransmission, bit-exactly. Cluster-only.
+    /// session resume, bit-exactly. Cluster-only.
     pub fn with_corruption(mut self, task: usize, after: u64, len: u64, inbound: bool) -> Self {
         self.outages.push(ClusterOutage {
             task,
@@ -220,6 +209,13 @@ impl DifferentialCase {
                 OutageKind::Corrupt
             },
         });
+        self
+    }
+
+    /// Adds one outage drawn from `seed` (see [`seeded_outage`]).
+    /// Cluster-only.
+    pub fn with_seeded_outage(mut self, seed: u64) -> Self {
+        self.outages.push(seeded_outage(seed, self.k));
         self
     }
 
@@ -253,15 +249,36 @@ impl DifferentialCase {
     }
 }
 
+/// One scripted outage on one of `k` wires, read off `seed` as digits of
+/// a mixed radix: the kind (any [`OutageKind`]), then the wire, then a
+/// window that opens after zero to three transmissions, then its length of
+/// one to three. Consecutive seeds walk every kind on every wire. Whatever
+/// the kind, a window that breaks a session ends in one respawn of that
+/// node — so a sweep over seeds drills the node's gap check, both
+/// checksums and the failure detector.
+pub fn seeded_outage(seed: u64, k: usize) -> ClusterOutage {
+    const KINDS: [OutageKind; 5] = [
+        OutageKind::Stall,
+        OutageKind::PartitionOneWay,
+        OutageKind::PartitionTwoWay,
+        OutageKind::Corrupt,
+        OutageKind::CorruptInbound,
+    ];
+    let rest = seed / KINDS.len() as u64 / k as u64;
+    ClusterOutage {
+        task: (seed / KINDS.len() as u64 % k as u64) as usize,
+        after: rest % 4,
+        len: 1 + rest / 4 % 3,
+        kind: KINDS[(seed % KINDS.len() as u64) as usize],
+    }
+}
+
 fn assert_no_cluster_knobs(case: &DifferentialCase) {
     assert!(
-        !case.chaos
-            && case.outages.is_empty()
-            && case.recovery_budget.is_none()
-            && case.crash_after.is_none(),
-        "link chaos, link outages, recovery budgets and crash horizons are \
-         cluster-only knobs; the simulated topology has no lossy or \
-         wall-clock wires to drop on, stall or respawn"
+        case.outages.is_empty() && case.recovery_budget.is_none() && case.crash_after.is_none(),
+        "link outages, recovery budgets and crash horizons are cluster-only \
+         knobs; the simulated topology has no wall-clock wires to stall, \
+         cut or respawn"
     );
 }
 
@@ -477,8 +494,22 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cluster-only")]
-    fn link_chaos_is_refused_rather_than_ignored() {
-        run_differential(23, &base_case().with_chaos());
+    fn link_outages_are_refused_rather_than_ignored() {
+        run_differential(23, &base_case().with_seeded_outage(23));
+    }
+
+    #[test]
+    fn consecutive_seeds_walk_every_kind_on_every_wire() {
+        let first: Vec<(OutageKind, usize)> = (0..15)
+            .map(|seed| seeded_outage(seed, 3))
+            .map(|o| (o.kind, o.task))
+            .collect();
+        for (i, cell) in first.iter().enumerate() {
+            assert!(!first[..i].contains(cell), "{cell:?} drawn twice");
+        }
+        assert!((0..1000)
+            .map(|seed| seeded_outage(seed, 3))
+            .all(|o| o.after < 4 && (1..=3).contains(&o.len)));
     }
 
     #[test]

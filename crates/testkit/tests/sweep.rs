@@ -5,7 +5,7 @@
 //!
 //! A cluster cell kills joiner `task` once it has acknowledged
 //! `after_acks` messages, then lets the launcher respawn it, restore its
-//! window from the replay buffer and retransmit the unacked frames. A
+//! window from the replay buffer and resend the unacked frames. A
 //! topology cell crashes joiner `task` once it has processed `after_tuples`
 //! engine messages; the rebuilt incarnation restores from the replay
 //! buffer and takes over with the message in flight. Each task's cells run

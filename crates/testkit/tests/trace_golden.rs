@@ -235,7 +235,6 @@ fn cluster_metrics_schema_is_complete_and_stable() {
                 "dispatch",
                 "route",
                 "deliver",
-                "retry",
                 "emit",
                 "checkpoint",
                 "recover"

@@ -11,7 +11,7 @@
 //!
 //! The second block pins the same oracle on the cluster launcher's
 //! in-process backend across its `dispatch_batch` settings, and there
-//! (the only links that can lose a frame) under seeded link chaos — the
+//! under seeded outages that break a session and end in a respawn — the
 //! frame stream changes shape under batching (one `Data`, one `Results`,
 //! one ack per batch), the result set may not. Those runs are real threads on the
 //! wall clock, so a seed reproduces the inputs and the scripted faults but
@@ -337,9 +337,9 @@ proptest! {
         prop_assert_eq!(out.shed, 0);
     }
 
-    /// A supervised kill and/or seeded link chaos: whole batches are
-    /// retransmitted under their original seqs and the sink drops what
-    /// comes twice, so the oracle still matches exactly.
+    /// A supervised kill and/or a seeded outage: each broken session ends
+    /// in a respawn that resends whole batches under their original seqs,
+    /// and pairs publish at the ack, so the oracle still matches exactly.
     #[test]
     fn faulty_cluster_runs_match_oracle(
         seed in 0u64..1_000_000,
@@ -347,7 +347,7 @@ proptest! {
         tau in 0.55f64..0.9,
         strat in 0usize..STRATEGIES,
         win in 0usize..WINDOWS,
-        fault in 1usize..4, // bit 0: kill, bit 1: chaos
+        fault in 1usize..4, // bit 0: kill, bit 1: a seeded outage
         bat in 0usize..BATCHES,
     ) {
         let mut c = case(k, tau, strat, BUNDLE, win).with_dispatch_batch(batch(bat));
@@ -355,7 +355,7 @@ proptest! {
             c = c.with_crash();
         }
         if fault & 2 != 0 {
-            c = c.with_chaos();
+            c = c.with_seeded_outage(seed);
         }
         on_cluster(seed, c);
     }
@@ -371,7 +371,7 @@ proptest! {
         strat in 0usize..STRATEGIES,
         win in 0usize..WINDOWS,
         interval in 8u64..48,
-        fault in 0usize..4, // bit 0: kill, bit 1: chaos
+        fault in 0usize..4, // bit 0: kill, bit 1: a seeded outage
         bat in 0usize..BATCHES,
     ) {
         let mut c = case(k, tau, strat, BUNDLE, win)
@@ -381,7 +381,7 @@ proptest! {
             c = c.with_crash();
         }
         if fault & 2 != 0 {
-            c = c.with_chaos();
+            c = c.with_seeded_outage(seed);
         }
         let out = on_cluster(seed, c);
         prop_assert!(out.result.epochs_committed > 0, "no epoch ever committed");

@@ -5,11 +5,11 @@
 //! pairs, no duplicated pairs — for every `Strategy` × `LocalAlgo`.
 //!
 //! The chaos composition tests run on the cluster launcher's in-process
-//! backend, the one place a link can lose a frame: every launcher→node
-//! link rolls seeded drop / duplicate / delay dice, masked by the
-//! sequenced `Data`/`Ack` sessions, on top of a supervised node kill.
-//! Those runs are real threads on the wall clock, so each body carries a
-//! deadline — a hung cluster must fail its case, not the job.
+//! backend: one seeded outage (stall, partition or corruption, on a seeded
+//! wire and window) on top of a supervised node kill. A session the
+//! outage breaks ends in a respawn that resumes it under the original
+//! seqs. Those runs are real threads on the wall clock, so each body
+//! carries a deadline — a hung cluster must fail its case, not the job.
 //!
 //! How much a restart replays is pinned separately, on simulated runs
 //! with and without checkpoints, against a replay count derived from the
@@ -19,11 +19,11 @@ use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
 use dssj::distrib::{
     run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig, ClusterFault,
-    DistributedJoinConfig, JoinSpec, LengthRouter, LocalAlgo, PartitionMethod, Router,
-    Strategy as DistStrategy,
+    DistributedJoinConfig, JoinSpec, LengthRouter, LocalAlgo, OutageKind, PartitionMethod, Router,
+    Strategy as DistStrategy, BATCH_MAX_FRAMES,
 };
 use dssj::partition::{equal_depth, LengthHistogram, LengthPartition};
-use dssj::stormlite::{FaultPlan, RetryConfig};
+use dssj::stormlite::FaultPlan;
 use dssj::text::Record;
 use dssj::workloads::{DatasetProfile, LengthDist, StreamGenerator};
 use proptest::prelude::*;
@@ -106,22 +106,22 @@ fn threads_64(
     }
 }
 
-/// An in-process cluster of `k` nodes with chaos on every link and one
-/// supervised kill, task and ack count both derived from `fault_seed`
-/// (the kill never fires on a seed whose victim acks fewer messages).
+/// An in-process batched cluster of `k` nodes with one seeded outage
+/// drawn from `outage_seed` and one supervised kill, task and ack count
+/// both derived from `fault_seed` (the kill never fires on a seed whose
+/// victim acks fewer messages).
 fn chaotic_cluster(
     k: usize,
     join: JoinConfig,
     local: LocalAlgo,
     strategy: DistStrategy,
     fault_seed: u64,
-    chaos_seed: u64,
+    outage_seed: u64,
 ) -> ClusterConfig {
-    let mut cfg = ClusterConfig::recommended(k, join, ClusterBackend::InProcess);
-    cfg.spec.local = local;
-    cfg.spec.strategy = strategy;
-    cfg.channel_capacity = 64;
-    cfg.chaos_seed = Some(chaos_seed);
+    let case = DifferentialCase::new(150, k, join, local, strategy)
+        .with_dispatch_batch(Some(BATCH_MAX_FRAMES))
+        .with_seeded_outage(outage_seed);
+    let mut cfg = testkit::cluster_config_for(outage_seed, &case, ClusterBackend::InProcess);
     cfg.fault = Some(ClusterFault {
         task: (fault_seed % k as u64) as usize,
         after_acks: 1 + (fault_seed / k as u64) % 60,
@@ -129,11 +129,11 @@ fn chaotic_cluster(
     cfg
 }
 
-/// Over 100 seeds, seeded link chaos on every session of a 3-node cluster
-/// leaves the result equal to the oracle — and the sweep as a whole really
-/// did lose frames. The retry timeout is tightened well below the default:
-/// an in-process round trip is microseconds, and a spurious
-/// retransmission is only re-acked.
+/// Over 100 seeds, one seeded outage on a 3-node cluster — any kind, on
+/// a seeded wire and window — leaves the result equal to the oracle, and
+/// every outage kind must have fired somewhere in the sweep: a stall
+/// held frames, and each other kind broke a session that a respawn
+/// resumed.
 #[test]
 fn cluster_sessions_mask_link_chaos_for_100_seeds() {
     let join = JoinConfig::jaccard(0.7);
@@ -141,26 +141,32 @@ fn cluster_sessions_mask_link_chaos_for_100_seeds() {
         method: PartitionMethod::LoadAware,
         sample: 50,
     };
-    let case = DifferentialCase::new(300, 3, join, LocalAlgo::bundle(), strategy).with_chaos();
-    let (mut retransmissions, mut dup_results_dropped) = (0, 0);
+    let case = DifferentialCase::new(300, 3, join, LocalAlgo::bundle(), strategy);
+    let mut fired = Vec::new();
     for seed in 0..100u64 {
+        let case = case.clone().with_seeded_outage(seed);
         let records = testkit::differential_records(seed, case.records);
-        let mut cfg = testkit::cluster_config_for(seed, &case, ClusterBackend::InProcess);
-        cfg.retry = RetryConfig {
-            base_timeout: Duration::from_millis(4),
-            backoff_factor: 2,
-            max_timeout: Duration::from_millis(64),
-        };
+        let cfg = testkit::cluster_config_for(seed, &case, ClusterBackend::InProcess);
         let expect = testkit::self_join(&records, &join);
         let out = with_deadline(CASE_DEADLINE, move || run_cluster(&records, &cfg));
         testkit::assert_pairs_equal(seed, &out.pairs, expect, "chaotic cluster result");
-        retransmissions += out.retransmissions;
-        dup_results_dropped += out.dup_results_dropped;
+        let kind = case.outages[0].kind;
+        let held = out.health.stalled_frames > 0;
+        if (kind == OutageKind::Stall && held)
+            || (kind != OutageKind::Stall && out.health.respawns > 0)
+        {
+            fired.push(kind);
+        }
     }
-    assert!(
-        retransmissions + dup_results_dropped > 0,
-        "100 chaotic runs retransmitted nothing and dropped no duplicate result"
-    );
+    for kind in [
+        OutageKind::Stall,
+        OutageKind::PartitionOneWay,
+        OutageKind::PartitionTwoWay,
+        OutageKind::Corrupt,
+        OutageKind::CorruptInbound,
+    ] {
+        assert!(fired.contains(&kind), "no {kind:?} outage ever fired");
+    }
 }
 
 /// Joiner `task`'s inbound stream from an unbatched dispatcher, in order:
@@ -356,11 +362,10 @@ proptest! {
         );
     }
 
-    /// Full chaos composition: every launcher→node link drops, duplicates
-    /// and delays under seeded dice (masked by the session layer) while a
-    /// supervised node kill also fires — the result multiset must still
-    /// equal the fault-free naive ground truth for every strategy, across
-    /// local algorithms and window kinds.
+    /// Full chaos composition: a seeded outage breaks a session (healed by
+    /// a respawn) while a supervised node kill also fires — the result
+    /// multiset must still equal the fault-free naive ground truth for
+    /// every strategy, across local algorithms and window kinds.
     #[test]
     fn link_faults_and_crashes_compose_to_exact_results(
         profile in profile_strategy(),
@@ -369,7 +374,7 @@ proptest! {
         k in 2usize..5,
         window_kind in 0usize..3,
         fault_seed in 0u64..1_000_000,
-        chaos_seed in 0u64..1_000_000,
+        outage_seed in 0u64..1_000_000,
         local_idx in 0usize..LOCALS.len(),
     ) {
         let records = StreamGenerator::new(profile, seed).take_records(150);
@@ -386,7 +391,7 @@ proptest! {
         let outs = with_deadline(CASE_DEADLINE, move || {
             strategies(k).map(|strategy| {
                 let cfg =
-                    chaotic_cluster(k, join, local, strategy.clone(), fault_seed, chaos_seed);
+                    chaotic_cluster(k, join, local, strategy.clone(), fault_seed, outage_seed);
                 (strategy, run_cluster(&records, &cfg))
             })
         });
@@ -395,8 +400,8 @@ proptest! {
             prop_assert_eq!(
                 got.windows(2).filter(|w| w[0] == w[1]).count(),
                 0,
-                "duplicate pairs under chaos: strategy={} local={} retransmissions={}",
-                strategy.name(), local.name(), out.retransmissions
+                "duplicate pairs under chaos: strategy={} local={} respawns={}",
+                strategy.name(), local.name(), out.health.respawns
             );
             prop_assert_eq!(
                 &got, &expect,
@@ -409,8 +414,7 @@ proptest! {
     }
 
     /// Everything at once: epoch checkpointing (random interval), a
-    /// supervised node kill, link chaos on every session, and optional
-    /// load shedding. A node respawned from the last committed epoch plus
+    /// supervised node kill, a seeded outage, and optional load shedding. A node respawned from the last committed epoch plus
     /// the replay tail must never lose state, and the result must equal
     /// the oracle restricted to the records the run itself chose to shed —
     /// exactly.
@@ -422,7 +426,7 @@ proptest! {
         k in 2usize..5,
         interval in 8u64..64,
         fault_seed in 0u64..1_000_000,
-        chaos_seed in 0u64..1_000_000,
+        outage_seed in 0u64..1_000_000,
         shed_raw in 0usize..8, // 0..3 → no shedding, else watermark
 
         local_idx in 0usize..LOCALS.len(),
@@ -436,7 +440,7 @@ proptest! {
         };
         let strategy = strategies(k)[strat_idx].clone();
         let mut cfg =
-            chaotic_cluster(k, join, LOCALS[local_idx], strategy.clone(), fault_seed, chaos_seed);
+            chaotic_cluster(k, join, LOCALS[local_idx], strategy.clone(), fault_seed, outage_seed);
         cfg.spec.shed_watermark = shed;
         cfg.spec.checkpoint = Some(CheckpointConfig::in_memory(interval));
         let (records, out) = with_deadline(CASE_DEADLINE, move || {

@@ -1,13 +1,13 @@
 //! End-to-end data-integrity composition: seeded storage faults
 //! (bit-rot, torn writes, dropped commits, read errors) and wire
-//! corruption, composed with chaos, checkpointing and whole-cluster
-//! restore on the real cluster transport.
+//! corruption, composed with seeded outages, checkpointing and
+//! whole-cluster restore on the real cluster transport.
 //!
 //! The contract under test is the PR-10 integrity invariant: every byte
 //! that crosses a wire or a disk is checksummed, and a failed check is
 //! *classified and healed*, never a panic and never a silently wrong
-//! answer. Wire corruption heals by detector-driven respawn +
-//! session-resume retransmission (bit-exact vs the oracle). Storage
+//! answer. Wire corruption heals by respawn + session resume under the
+//! original seqs (bit-exact vs the oracle). Storage
 //! corruption heals by verified restore: the newest fully-verified epoch
 //! wins, corrupt epochs are quarantined, and an all-corrupt store
 //! degrades to exact recomputation from the full source.
@@ -46,7 +46,7 @@ fn base_case(records: usize, k: usize, tau: f64, windowed: bool) -> Differential
 }
 
 /// One seeded storage-fault restore case: phase one checkpoints into a
-/// fault-injected store (chaos on the wires), the whole cluster dies,
+/// fault-injected store (one seeded outage on a wire), the whole cluster dies,
 /// seed-derived corruption is armed, and the restored phase-two cluster
 /// must produce exactly the post-cut oracle pairs for *whichever* cut it
 /// verifiably restored — including the empty cut when every epoch is
@@ -75,8 +75,8 @@ fn storage_fault_case(seed: u64) {
         }
     }
 
-    let mut phase1 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-    phase1.chaos_seed = Some(seed);
+    let faulty = case.clone().with_seeded_outage(seed);
+    let mut phase1 = cluster_config_for(seed, &faulty, ClusterBackend::InProcess);
     phase1.spec.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&dyn_store)));
     let prefix = &records[..records.len() * 3 / 5];
     let _ = run_cluster(prefix, &phase1);
@@ -107,7 +107,6 @@ fn storage_fault_case(seed: u64) {
     }
 
     let mut phase2 = cluster_config_for(seed, &case, ClusterBackend::InProcess);
-    phase2.chaos_seed = None;
     phase2.spec.checkpoint = None;
     phase2.spec.restore_from = Some(Arc::clone(&dyn_store));
     let restored = run_cluster(&records, &phase2);
@@ -167,8 +166,8 @@ fn storage_fault_case(seed: u64) {
 }
 
 /// 16-seed deterministic sweep (mirrored by the CI `integrity` job) over
-/// the four storage-fault kinds × chaos × checkpoint × whole-cluster
-/// restore.
+/// the four storage-fault kinds × a seeded wire outage × checkpoint ×
+/// whole-cluster restore.
 #[test]
 fn storage_fault_sweep_restores_verified_or_recomputes_exactly() {
     for seed in 0..16 {

@@ -3,9 +3,9 @@
 //! crash recovery × restore-from-snapshot, all at once.
 //!
 //! Within the recovery budget the cluster must be *bit-exact* against
-//! the O(n²) oracle — every stall released, every partition-dropped
-//! frame retransmitted under its original seq, every suspect node
-//! respawned and resumed. Beyond the budget the run fails naming the
+//! the O(n²) oracle — every stall released or dropped with its node,
+//! every partition-dropped frame resent under its original seq to the
+//! node its gap ended, every suspect node respawned and resumed. Beyond the budget the run fails naming the
 //! task — never a hang, never a partial result.
 //!
 //! Runs on the in-process backend: identical protocol and failure
@@ -43,11 +43,11 @@ fn base_case(records: usize, k: usize, tau: f64, windowed: bool) -> Differential
     )
 }
 
-/// Attaches one seeded outage: kind 0 = stall, 1 = one-way partition,
-/// 2 = two-way partition. Windows stay short enough (≤ 30 transmissions
-/// vs the 64-frame in-flight cap) that retransmission always closes them
-/// promptly; longer windows escalate into detector-driven respawns,
-/// which the cases with a budget exercise too.
+/// Attaches one outage: kind 0 = stall, 1 = one-way partition, 2 =
+/// two-way partition. Windows stay under the 64-frame in-flight cap, so
+/// later frames can pass a stall; a partition's gap, or a window still
+/// open when the stream runs out, ends the node in a respawn that closes
+/// the window.
 fn with_outage(
     case: DifferentialCase,
     kind: u8,
@@ -65,7 +65,7 @@ fn with_outage(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Partition/stall chaos × checkpointing × crash, all within budget,
+    /// Partition/stall outages × checkpointing × crash, all within budget,
     /// on self-joins and bi-streams: the cluster result must equal the
     /// clean oracle bit-exactly, with nothing shed.
     #[test]
@@ -103,8 +103,8 @@ proptest! {
     }
 
     /// The same composition with a zero budget and a scripted kill: when
-    /// the kill fires, or the outage outlasts the failure detector, the
-    /// run fails naming the task instead of respawning it. (On seeds where
+    /// the kill fires, or the outage breaks a session, the run fails
+    /// naming the task instead of respawning it. (On seeds where
     /// neither happens the run completes, equal to the full oracle with
     /// nothing respawned.) The detector's 80 ms deadline may also suspect
     /// a node a loaded host stalled, so any task may be the one named.
