@@ -419,9 +419,8 @@ fn a_bistream_cluster_run_takes_a_recovery_budget() {
     assert!(stdout.contains("node 0 restarted 1 time(s)"), "{stdout}");
 }
 
-/// The link-chaos seed and the retransmission cap went with the
-/// mechanisms they drove: both are unread options now, on `join` as on
-/// `cluster`.
+/// No command reads a link-chaos seed or a retransmission cap: both are
+/// refused like any unread option, on `join` as on `cluster`.
 #[test]
 fn chaos_seed_and_retry_max_ms_are_refused_as_unread() {
     let input = write_temp("unread_flags.txt", "a b c\n");
@@ -429,7 +428,7 @@ fn chaos_seed_and_retry_max_ms_are_refused_as_unread() {
     for command in ["join", "cluster --backend inprocess"] {
         for (option, value) in [("chaos-seed", "42"), ("retry-max-ms", "640")] {
             let line = format!("{command} --input {input} --{option} {value}");
-            let out = dssj(&line.split_whitespace().collect::<Vec<_>>());
+            let out = dssj_line(&line);
             assert!(!out.status.success(), "{line}");
             let name = command.split(' ').next().unwrap();
             let refused = format!("--{option}: not an option of dssj {name}");

@@ -414,10 +414,10 @@ proptest! {
     }
 
     /// Everything at once: epoch checkpointing (random interval), a
-    /// supervised node kill, a seeded outage, and optional load shedding. A node respawned from the last committed epoch plus
-    /// the replay tail must never lose state, and the result must equal
-    /// the oracle restricted to the records the run itself chose to shed —
-    /// exactly.
+    /// supervised node kill, a seeded outage, and optional load shedding.
+    /// A node respawned from the last committed epoch plus the replay tail
+    /// must never lose state, and the result must equal the oracle
+    /// restricted to the records the run itself chose to shed — exactly.
     #[test]
     fn checkpointing_composes_with_crash_chaos_and_shedding(
         profile in profile_strategy(),
