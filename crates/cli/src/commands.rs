@@ -4,9 +4,8 @@ use crate::args::{ArgError, Args};
 use ssj_core::{JoinConfig, MatchPair, Threshold, Window};
 use ssj_distrib::{
     run_bistream_distributed, run_cluster, run_cluster_bistream, run_distributed, CheckpointConfig,
-    ClusterBackend, ClusterConfig, ClusterFault, ClusterOutage, DistributedJoinConfig, FileStore,
-    HealthConfig, JoinSpec, LocalAlgo, OutageKind, Scheduler, SimConfig, TraceConfig,
-    BATCH_MAX_FRAMES,
+    ClusterBackend, ClusterConfig, DistributedJoinConfig, Fault, FaultKind, FileStore,
+    HealthConfig, JoinSpec, LocalAlgo, Scheduler, SimConfig, TraceConfig, BATCH_MAX_FRAMES,
 };
 use ssj_partition::{imbalance, load_aware, CostModel, LengthHistogram};
 use ssj_text::{load_lines, Corpus, QGramTokenizer, Record, WordTokenizer};
@@ -45,11 +44,12 @@ pub fn usage() -> ExitCode {
                   and one result batch back)
             [--checkpoint-dir DIR [--checkpoint-interval N=1000]]
             [--restore-from DIR [--verify-restore]]
+            [--fault KIND:TASK:AFTER[:LEN][,..]]   (strikes TASK after its
+                  message AFTER: crash; on cluster also, for LEN messages,
+                  stall|partition|partition2|corrupt|corrupt-in)
   TOPOLOGY: [--source-rate R] [--sim SEED] [--trace-out FILE] [--chrome-out FILE]
             [--metrics-out FILE]
-  CLUSTER:  [--backend tcp|inprocess] [--node-bin PATH]
-            [--kill-task T --kill-after N] [--logical-time]
-            [--stall T:AFTER:LEN[,..]] [--partition T:AFTER:LEN[:oneway|twoway][,..]]
+  CLUSTER:  [--backend tcp|inprocess] [--node-bin PATH] [--logical-time]
             [--heartbeat-interval MS=25] [--suspect-after MS=250]
             [--recovery-budget N] [--metrics-out FILE]
   Every command refuses an option it does not read."
@@ -148,6 +148,7 @@ fn join_spec(
     if batch == Some(0) {
         return Err(ArgError("--dispatch-batch must be > 0".into()));
     }
+    let k = args.get_or("k", k)?;
     Ok(JoinSpec {
         local: local_algo(args)?,
         // Degraded mode: shed whole records above this backlog.
@@ -155,8 +156,52 @@ fn join_spec(
         checkpoint,
         restore_from,
         dispatch_batch: batch.or(dispatch_batch),
-        ..JoinSpec::recommended(args.get_or("k", k)?, join_config(args)?)
+        faults: faults(args, k)?,
+        ..JoinSpec::recommended(k, join_config(args)?)
     })
+}
+
+/// `--fault KIND:TASK:AFTER[:LEN][,..]`: each entry strikes joiner TASK
+/// after its message AFTER (see `ssj_distrib::fault`) — a `crash`, or a
+/// window of LEN messages: `stall`, `partition`, `partition2` (both ways),
+/// `corrupt` or `corrupt-in` (the node's answers).
+fn faults(args: &Args, k: usize) -> Result<Vec<Fault>, ArgError> {
+    let Some(list) = args.get("fault") else {
+        return Ok(Vec::new());
+    };
+    let windows = ["stall", "partition", "partition2", "corrupt", "corrupt-in"];
+    list.split(',')
+        .map(|entry| {
+            let bad = |why: &str| ArgError(format!("--fault {entry}: {why}"));
+            let parts: Vec<&str> = entry.split(':').collect();
+            let number = |at: usize| parts[at].parse::<u64>().map_err(|_| bad("not a number"));
+            if !(3..=4).contains(&parts.len()) {
+                return Err(bad("expected KIND:TASK:AFTER[:LEN]"));
+            }
+            let (name, task, after) = (parts[0], number(1)? as usize, number(2)?);
+            if task >= k {
+                return Err(bad(&format!("task {task} is not in 0..{k}")));
+            }
+            let kind = match (name, parts.get(3).map(|_| number(3)).transpose()?) {
+                ("crash", None) => FaultKind::Crash,
+                ("crash", Some(_)) => return Err(bad("a crash takes no length")),
+                (_, None | Some(0)) if windows.contains(&name) => {
+                    return Err(bad("a window needs a length > 0"))
+                }
+                ("stall", Some(len)) => FaultKind::Stall { len },
+                ("partition" | "partition2", Some(len)) => {
+                    let two_way = name == "partition2";
+                    FaultKind::Partition { len, two_way }
+                }
+                ("corrupt" | "corrupt-in", Some(len)) => {
+                    let inbound = name == "corrupt-in";
+                    FaultKind::Corrupt { len, inbound }
+                }
+                _ => return Err(bad(&format!("kind is one of crash|{}", windows.join("|")))),
+            };
+            Ok(Fault { task, after, kind })
+        })
+        .collect()
 }
 
 /// The observability exports of a topology run: a JSONL span trace
@@ -215,9 +260,10 @@ fn verify_restore(args: &Args) -> CliResult {
     let report = ssj_distrib::scrub(&store)?;
     println!("{report}");
     if !report.epochs.is_empty() && report.verified() == 0 {
-        return Err(Box::new(ArgError(format!(
+        return Err(format!(
             "--verify-restore: every epoch in {dir} is corrupt; nothing to restore from"
-        ))));
+        )
+        .into());
     }
     Ok(())
 }
@@ -355,6 +401,12 @@ pub fn join(args: &Args, bistream: bool) -> CliResult {
         trace: (exports.trace.is_some() || exports.chrome.is_some()).then(TraceConfig::default),
         ..DistributedJoinConfig::new(join_spec(args, 4, None, bistream)?)
     };
+    if let Some(f) = cfg.spec.faults.iter().find(|f| f.kind != FaultKind::Crash) {
+        return Err(Box::new(ArgError(format!(
+            "--fault: fault {} needs a wire; the topology engine honours only Crash",
+            f.kind.name()
+        ))));
+    }
     let verbose = args.flag("verbose");
     let show: usize = args.get_or("show-pairs", 10)?;
     args.reject_unread(if bistream { "bistream" } else { "join" })?;
@@ -416,58 +468,8 @@ fn tokenize_together(
     Ok((left, right))
 }
 
-/// Parses one comma-separated outage list: each entry is
-/// `task:after:len` (`--stall`) or `task:after:len[:oneway|twoway]`
-/// (`--partition`, default one-way). `after`/`len` count data-frame
-/// transmissions on that task's wire, so placement is deterministic.
-fn parse_outages(
-    args: &Args,
-    key: &str,
-    partition: bool,
-    k: usize,
-    out: &mut Vec<ClusterOutage>,
-) -> Result<(), ArgError> {
-    let Some(spec) = args.get(key) else {
-        return Ok(());
-    };
-    for entry in spec.split(',') {
-        let parts: Vec<&str> = entry.split(':').collect();
-        let bad = || ArgError(format!("--{key}: cannot parse '{entry}'"));
-        let (fields, kind) = match (partition, parts.len()) {
-            (false, 3) => (&parts[..3], OutageKind::Stall),
-            (true, 3) => (&parts[..3], OutageKind::PartitionOneWay),
-            (true, 4) => {
-                let kind = match parts[3] {
-                    "oneway" => OutageKind::PartitionOneWay,
-                    "twoway" => OutageKind::PartitionTwoWay,
-                    _ => return Err(bad()),
-                };
-                (&parts[..3], kind)
-            }
-            _ => return Err(bad()),
-        };
-        let task: usize = fields[0].parse().map_err(|_| bad())?;
-        let after: u64 = fields[1].parse().map_err(|_| bad())?;
-        let len: u64 = fields[2].parse().map_err(|_| bad())?;
-        if task >= k {
-            return Err(ArgError(format!("--{key}: task {task} is not in 0..{k}")));
-        }
-        if len == 0 {
-            return Err(ArgError(format!("--{key}: window length must be > 0")));
-        }
-        out.push(ClusterOutage {
-            task,
-            after,
-            len,
-            kind,
-        });
-    }
-    Ok(())
-}
-
 fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError> {
     let spec = join_spec(args, 2, Some(BATCH_MAX_FRAMES), bistream)?;
-    let k = spec.k;
     let node_bin = args.get("node-bin");
     let backend = match args.get("backend").unwrap_or("tcp") {
         "inprocess" | "in-process" => ClusterBackend::InProcess,
@@ -493,34 +495,17 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
         }
         other => return Err(ArgError(format!("--backend: unknown backend '{other}'"))),
     };
-    args.require_with("kill-after", "kill-task")?;
-    args.require_with("kill-task", "kill-after")?;
-    let fault = match (
-        parse_opt::<usize>(args, "kill-task")?,
-        parse_opt::<u64>(args, "kill-after")?,
-    ) {
-        (Some(task), Some(after_acks)) => {
-            if task >= k {
-                return Err(ArgError(format!("--kill-task {task} is not in 0..{k}")));
-            }
-            Some(ClusterFault { task, after_acks })
-        }
-        _ => None,
-    };
     let mut cfg = ClusterConfig::new(spec, backend);
-    cfg.fault = fault;
     cfg.logical_time = args.flag("logical-time");
 
-    // Self-healing knobs. Any health flag — or a scripted outage — turns
+    // Self-healing knobs. Any health flag — or an outage window — turns
     // the failure detector on; the heartbeat/suspect cadence then comes
     // from the flags or HealthConfig::recommended() defaults.
-    parse_outages(args, "stall", false, k, &mut cfg.outages)?;
-    parse_outages(args, "partition", true, k, &mut cfg.outages)?;
     let recovery_budget = parse_opt::<u32>(args, "recovery-budget")?;
     let health_requested = args.has("heartbeat-interval")
         || args.has("suspect-after")
         || recovery_budget.is_some()
-        || !cfg.outages.is_empty();
+        || cfg.spec.faults.iter().any(|f| f.kind != FaultKind::Crash);
     if health_requested {
         let mut health = HealthConfig::recommended();
         if let Some(ms) = parse_opt::<u64>(args, "heartbeat-interval")? {
@@ -704,7 +689,7 @@ pub fn partition(args: &Args) -> CliResult {
     let corpus = load(input, qgram)?;
     let hist = LengthHistogram::from_records(corpus.records());
     if hist.is_empty() {
-        return Err(Box::new(ArgError("input has no records".into())));
+        return Err("input has no records".into());
     }
     let cost = CostModel::build(&hist, Threshold::jaccard(tau), hist.max_len());
     let plan = load_aware(&cost, k);
@@ -744,11 +729,12 @@ pub fn scrub(args: &Args) -> CliResult {
     }
     println!("{report}");
     if !report.is_clean() {
-        return Err(Box::new(ArgError(format!(
+        return Err(format!(
             "{} of {} epoch(s) in {dir} failed verification",
             report.corrupt(),
             report.epochs.len()
-        ))));
+        )
+        .into());
     }
     Ok(())
 }

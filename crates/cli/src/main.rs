@@ -57,6 +57,11 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         // A reader that stopped early (`dssj join ... | head`) got its lines.
         Err(e) if e.downcast_ref().is_some_and(broken_pipe) => ExitCode::SUCCESS,
+        // A bad invocation exits 2, as a line the parser rejects does.
+        Err(e) if e.is::<args::ArgError>() => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -231,8 +231,8 @@ fn cluster_under_a_partition_finds_the_same_pairs() {
         "0.6",
         "--backend",
         "inprocess",
-        "--partition",
-        "0:0:1",
+        "--fault",
+        "partition:0:0:1",
     ]);
     assert!(
         out.status.success(),
@@ -313,10 +313,8 @@ fn an_exhausted_recovery_budget_fails_the_cluster_run() {
         env!("CARGO_BIN_EXE_ssj-node"),
         "--recovery-budget",
         "0",
-        "--kill-task",
-        "1",
-        "--kill-after",
-        "5",
+        "--fault",
+        "crash:1:1",
     ]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -404,10 +402,8 @@ fn a_bistream_cluster_run_takes_a_recovery_budget() {
         "inprocess",
         "--recovery-budget",
         "1",
-        "--kill-task",
-        "0",
-        "--kill-after",
-        "5",
+        "--fault",
+        "crash:0:1",
     ]);
     assert!(
         out.status.success(),
@@ -436,6 +432,91 @@ fn chaos_seed_and_retry_max_ms_are_refused_as_unread() {
             assert!(stderr.contains(&refused), "{line}: {stderr}");
         }
     }
+}
+
+/// `--fault` is the one fault option: the four it replaced are refused
+/// like any unread option.
+#[test]
+fn the_replaced_fault_options_are_refused_as_unread() {
+    let input = write_temp("unread_fault_flags.txt", "a b c\n");
+    let input = input.to_str().unwrap();
+    for (option, value) in [
+        ("kill-task", "0"),
+        ("kill-after", "5"),
+        ("stall", "0:1:2"),
+        ("partition", "0:1:2"),
+    ] {
+        let line = format!("cluster --backend inprocess --input {input} --{option} {value}");
+        let out = dssj_line(&line);
+        assert_eq!(out.status.code(), Some(2), "{line}");
+        let refused = format!("--{option}: not an option of dssj cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&refused), "{line}: {stderr}");
+    }
+}
+
+/// A malformed `--fault` entry, or a window the topology cannot honour,
+/// stops the command before it runs with one line and exit status 2.
+#[test]
+fn a_bad_fault_exits_2_with_one_line() {
+    let input = write_temp("bad_fault.txt", DOCS);
+    let input = input.to_str().unwrap();
+    for (line, says) in [
+        (
+            "cluster --backend inprocess --k 2 --fault crash:2:5",
+            "task 2 is not in 0..2",
+        ),
+        (
+            "cluster --backend inprocess --fault stall:0:5:0",
+            "a window needs a length > 0",
+        ),
+        (
+            "cluster --backend inprocess --fault partition:0:5",
+            "a window needs a length > 0",
+        ),
+        (
+            "cluster --backend inprocess --fault crash:0:5:3",
+            "a crash takes no length",
+        ),
+        (
+            "cluster --backend inprocess --fault drop:0:5:3",
+            "kind is one of crash|stall|",
+        ),
+        ("join --fault crash:0:x", "not a number"),
+        (
+            "join --fault stall:0:5:2",
+            "fault Stall needs a wire; the topology engine honours only Crash",
+        ),
+    ] {
+        let out = dssj_line(&format!("{line} --input {input}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{line}: {stderr}");
+        assert!(stderr.contains(says), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} ran before refusing");
+    }
+}
+
+/// A crash the topology honours changes nothing the join prints.
+#[test]
+fn a_crashed_joiner_prints_the_fault_free_pairs() {
+    let input = std::env::temp_dir().join("dssj-cli-tests/crash_input.txt");
+    std::fs::create_dir_all(input.parent().unwrap()).unwrap();
+    let input = input.to_str().unwrap();
+    let generated = dssj_line(&format!(
+        "generate --profile tweet --n 2000 --seed 3 --out {input}"
+    ));
+    assert!(generated.status.success());
+    let pairs = |fault: &str| {
+        let out = dssj_line(&format!("join --sim 7 --input {input} {fault}"));
+        assert!(out.status.success(), "{fault}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("pairs"));
+        line.expect("a pairs line").to_owned()
+    };
+    let clean = pairs("");
+    assert_ne!(clean, "pairs       : 0", "the input produced no pairs");
+    assert_eq!(pairs("--fault crash:1:40"), clean);
 }
 
 /// Runs `dssj` on a whitespace-separated command line.
@@ -488,12 +569,12 @@ fn an_option_the_command_does_not_read_is_refused() {
     for line in [
         "join --input {in} --qgram 3 --tau 0.6 --window 50 --algo ppjoin --k 2 --show-pairs 1 \
          --verbose --shed-watermark 64 --dispatch-batch 4 --checkpoint-dir {dir}/ckpt \
-         --checkpoint-interval 2 --sim 1 --trace-out {dir}/trace",
+         --checkpoint-interval 2 --sim 1 --trace-out {dir}/trace --fault crash:1:0",
         "join --input {in} --k 2 --restore-from {dir}/ckpt --verify-restore \
          --chrome-out {dir}/chrome --metrics-out {dir}/metrics",
         "bistream --left {in} --right {in} --verbose --dispatch-batch 4 --source-rate 1000000",
         "cluster --input {in} --backend inprocess --node-bin /none --window 50 --qgram 3 \
-         --logical-time --heartbeat-interval 25 --suspect-after 250",
+         --logical-time --heartbeat-interval 25 --suspect-after 250 --fault stall:0:0:1",
     ] {
         let out = dssj_line(
             &line

@@ -12,7 +12,9 @@
 //! on ephemeral loopback ports (the launcher binds 127.0.0.1:0).
 
 use ssj_core::{JoinConfig, Window};
-use ssj_distrib::{ClusterBackend, ClusterConfig, LocalAlgo, PartitionMethod, Strategy};
+use ssj_distrib::{
+    ClusterBackend, ClusterConfig, Fault, FaultKind, LocalAlgo, PartitionMethod, Strategy,
+};
 use ssj_partition::LengthPartition;
 use ssj_text::{Record, RecordId, TokenId};
 use std::path::PathBuf;
@@ -49,9 +51,26 @@ fn base_case() -> DifferentialCase {
     )
 }
 
+/// `kind` on `task`'s wire after its message `after`.
+fn at(task: usize, after: u64, kind: FaultKind) -> Fault {
+    Fault { task, after, kind }
+}
+
+fn stall(len: u64) -> FaultKind {
+    FaultKind::Stall { len }
+}
+
+fn partition(len: u64, two_way: bool) -> FaultKind {
+    FaultKind::Partition { len, two_way }
+}
+
+fn corrupt(len: u64, inbound: bool) -> FaultKind {
+    FaultKind::Corrupt { len, inbound }
+}
+
 /// The batched twin of [`base_case`]: eight messages per `Data` frame, and
 /// a stream four times as long, so that a wire still sees some fifty data
-/// frames and the frame-ordinal windows of the unbatched tests keep their
+/// frames and the message seqs of the unbatched tests' windows keep their
 /// place on it.
 fn batched_case() -> DifferentialCase {
     let mut case = base_case().with_dispatch_batch(Some(8));
@@ -135,7 +154,7 @@ fn tcp_cluster_restore_crosses_process_boundaries() {
 
 #[test]
 fn tcp_batched_cluster_recovers_from_a_killed_node_process() {
-    let mut case = batched_case().with_crash_at(100);
+    let mut case = batched_case().with_fault(Fault::crash(2, 12));
     case.join = case.join.with_window(Window::Count(60));
     let out = run_cluster_differential(23, &case, tcp_backend());
     assert!(out.pairs > 0);
@@ -147,10 +166,10 @@ fn tcp_batched_kill_with_a_batch_in_flight_resends_it_whole() {
     // Over a real socket a healthy node usually acks what it was sent
     // before SIGKILL reaches it, so "a batch was in flight" has to be
     // arranged: with one node and batches of 32, every data frame carries
-    // exactly 32 messages, so the kill horizon of 640 acked messages is
-    // the ack of frame 20 — and a stall window holds transmissions 21–30
-    // on the launcher's side of the wire. When that ack is read, every
-    // frame sent since is unacknowledged and the node has never seen it.
+    // exactly 32 messages. The crash follows message 20 — frame 20 — and
+    // a stall window holds messages 21–30 on the launcher's side of the
+    // wire. When frame 20's ack is read and frame 21 framed, every frame
+    // sent since is unacknowledged and the node has never seen it.
     // The respawn closes the window and drops what it held; the respawned
     // node gets those frames once, whole batches under their original
     // seqs — and the result is still the oracle's, pair for pair, asserted
@@ -158,8 +177,8 @@ fn tcp_batched_kill_with_a_batch_in_flight_resends_it_whole() {
     with_deadline(TEST_DEADLINE, || {
         let mut case = base_case()
             .with_dispatch_batch(Some(ssj_distrib::BATCH_MAX_FRAMES))
-            .with_crash_at(640)
-            .with_stall(0, 20, 10);
+            .with_fault(Fault::crash(0, 20))
+            .with_fault(at(0, 20, stall(10)));
         case.records = 2_000;
         case.k = 1;
         case.join = case.join.with_window(Window::Count(60));
@@ -185,7 +204,9 @@ fn tcp_batched_kill_with_a_batch_in_flight_resends_it_whole() {
 fn tcp_batched_crash_composes_with_seeded_outages() {
     with_deadline(TEST_DEADLINE, || {
         for seed in 23..26 {
-            let mut case = batched_case().with_crash_at(100).with_seeded_outage(seed);
+            let mut case = batched_case()
+                .with_fault(Fault::crash((seed % 3) as usize, 12))
+                .with_seeded_outage(seed);
             case.join = case.join.with_window(Window::Count(60));
             let out = run_cluster_differential(seed, &case, tcp_backend());
             assert_batched(&out);
@@ -196,7 +217,9 @@ fn tcp_batched_crash_composes_with_seeded_outages() {
 
 #[test]
 fn tcp_batched_checkpointed_crash_matches_oracle() {
-    let mut case = batched_case().with_crash_at(100).with_checkpoints(20);
+    let mut case = batched_case()
+        .with_fault(Fault::crash(2, 12))
+        .with_checkpoints(20);
     case.join = case.join.with_window(Window::Count(60));
     let out = run_cluster_differential(17, &case, tcp_backend());
     assert_batched(&out);
@@ -218,13 +241,13 @@ fn tcp_batched_outage_windows_are_masked_exactly() {
     // Stall, one-way and two-way partition on a batched wire: a window
     // holds or drops whole batches, and each must be seen to have fired.
     with_deadline(TEST_DEADLINE, || {
-        let stall = batched_case().with_stall(1, 10, 15);
+        let stall = batched_case().with_fault(at(1, 10, stall(15)));
         let out = run_cluster_differential(41, &stall, tcp_backend());
         assert_eq!(out.shed, 0);
         assert_batched(&out);
         assert!(out.result.health.stalled_frames > 0, "stall never fired");
 
-        let one_way = batched_case().with_partition(0, 8, 12, false);
+        let one_way = batched_case().with_fault(at(0, 8, partition(12, false)));
         let out = run_cluster_differential(43, &one_way, tcp_backend());
         assert_eq!(out.shed, 0);
         assert_batched(&out);
@@ -240,7 +263,7 @@ fn tcp_batched_outage_windows_are_masked_exactly() {
         // 64 messages in flight are some ten frames of eight: the window
         // swallows them and the wire blocks at its bound, dark both ways,
         // until the 80 ms deadline passes; the respawn closes the window.
-        let two_way = batched_case().with_partition(0, 10, 24, true);
+        let two_way = batched_case().with_fault(at(0, 10, partition(24, true)));
         let out = run_cluster_differential(47, &two_way, tcp_backend());
         assert_eq!(out.shed, 0);
         assert_batched(&out);
@@ -256,7 +279,7 @@ fn tcp_batched_corruption_windows_heal_exactly() {
     with_deadline(TEST_DEADLINE, || {
         // A flipped bit in a batch costs the node its checksum and its
         // life; the batch comes again, whole, to its successor.
-        let outbound = batched_case().with_corruption(1, 10, 2, false);
+        let outbound = batched_case().with_fault(at(1, 10, corrupt(2, false)));
         let out = run_cluster_differential(29, &outbound, tcp_backend());
         assert_eq!(out.shed, 0, "healing must not shed");
         assert_batched(&out);
@@ -266,7 +289,7 @@ fn tcp_batched_corruption_windows_heal_exactly() {
         );
 
         // Launcher side: the window lands on `Results` and `Ack` frames.
-        let inbound = batched_case().with_corruption(0, 12, 2, true);
+        let inbound = batched_case().with_fault(at(0, 12, corrupt(2, true)));
         let out = run_cluster_differential(37, &inbound, tcp_backend());
         assert_batched(&out);
         assert!(
@@ -281,7 +304,9 @@ fn tcp_batched_corruption_windows_heal_exactly() {
 fn tcp_batched_exhausted_budget_fails_the_run_naming_the_task() {
     // As unbatched, with batches in flight to the node when it dies.
     with_deadline(TEST_DEADLINE, || {
-        let mut case = batched_case().with_crash_at(30).with_recovery_budget(0);
+        let mut case = batched_case()
+            .with_fault(Fault::crash(2, 4))
+            .with_recovery_budget(0);
         case.join = case.join.with_window(Window::Count(60));
         assert_eq!(
             run_cluster_exhausting_budget(23, &case, tcp_backend()).as_deref(),
@@ -295,7 +320,7 @@ fn tcp_stall_window_is_masked_exactly() {
     // A stall on a real socket wire: frames freeze, then release in order
     // — nothing may be lost, duplicated, or reordered.
     with_deadline(TEST_DEADLINE, || {
-        let case = base_case().with_stall(1, 10, 15);
+        let case = base_case().with_fault(at(1, 10, stall(15)));
         let out = run_cluster_differential(41, &case, tcp_backend());
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
@@ -309,7 +334,7 @@ fn tcp_one_way_partition_is_masked_exactly() {
     // it shows the node a gap, the node dies, and its successor gets the
     // lost frames under their original seqs — bit-exactly.
     with_deadline(TEST_DEADLINE, || {
-        let case = base_case().with_partition(0, 8, 12, false);
+        let case = base_case().with_fault(at(0, 8, partition(12, false)));
         let out = run_cluster_differential(43, &case, tcp_backend());
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
@@ -324,10 +349,10 @@ fn tcp_two_way_partition_trips_the_detector_within_its_bound() {
     // Both directions go dark long enough to outlast `suspect_after`: the
     // heartbeat detector must declare the node suspect, respawn it, and
     // the result must still equal the oracle exactly. The window (170
-    // transmissions, past the 64 frames the wire may have in flight)
+    // messages, past the 64 frames the wire may have in flight)
     // keeps the wire dark until the detector fires; the respawn closes it.
     with_deadline(TEST_DEADLINE, || {
-        let case = base_case().with_partition(0, 10, 170, true);
+        let case = base_case().with_fault(at(0, 10, partition(170, true)));
         let cfg = cluster_config_for(47, &case, tcp_backend());
         let health = cfg.health.expect("outage cases enable the detector");
 
@@ -364,11 +389,12 @@ fn tcp_exhausted_budget_fails_the_run_naming_the_task() {
     // Budget zero: the first kill fails the run instead of respawning the
     // node. The launcher kills and reaps every `ssj-node` process before
     // it fails, so the run neither hangs nor returns a partial answer.
-    // The kill horizon is early (ack 30 of 400 records) because ack
-    // draining over real sockets is bursty: a late one can land after the
-    // last record was acked, and the kill never fires.
+    // The crash is early (message 30 of a 400-record stream), so it fires
+    // whatever the interleaving.
     with_deadline(TEST_DEADLINE, || {
-        let mut case = base_case().with_crash_at(30).with_recovery_budget(0);
+        let mut case = base_case()
+            .with_fault(Fault::crash(2, 30))
+            .with_recovery_budget(0);
         case.records = 400;
         case.join = case.join.with_window(Window::Count(60));
         assert_eq!(
@@ -395,7 +421,7 @@ fn tcp_golden_digests_survive_partitions_under_logical_time() {
     // partition window nor detector timing may perturb them: two runs
     // over real sockets must stay byte-identical.
     with_deadline(TEST_DEADLINE, || {
-        let case = base_case().with_partition(1, 8, 12, false);
+        let case = base_case().with_fault(at(1, 8, partition(12, false)));
         let records = testkit::differential_records(53, case.records);
         let digests_for = || {
             let mut cfg = cluster_config_for(53, &case, tcp_backend());
@@ -418,7 +444,7 @@ fn tcp_corruption_window_heals_to_the_clean_run_bit_exactly() {
     // (asserted inside run_cluster_differential) and a clean twin run of
     // the identical seed, bit-exactly.
     with_deadline(TEST_DEADLINE, || {
-        let corrupt = base_case().with_corruption(1, 10, 2, false);
+        let corrupt = base_case().with_fault(at(1, 10, corrupt(2, false)));
         let out = run_cluster_differential(29, &corrupt, tcp_backend());
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0, "healing must not shed");
@@ -444,7 +470,7 @@ fn tcp_inbound_corruption_is_counted_and_healed() {
     // the poisoned incarnation, and heal by respawn — visible in the
     // exported metrics.
     with_deadline(TEST_DEADLINE, || {
-        let case = base_case().with_corruption(0, 12, 2, true);
+        let case = base_case().with_fault(at(0, 12, corrupt(2, true)));
         let out = run_cluster_differential(37, &case, tcp_backend());
         assert!(out.pairs > 0);
         assert!(

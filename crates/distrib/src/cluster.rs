@@ -59,20 +59,19 @@
 //!   backlog the shed watermark reads count routed *messages*, a batch
 //!   counting its length — so `shed_watermark` and memory keep their
 //!   scale, and one batch may overshoot the bound by less than its length;
-//! * [`ClusterFault::after_acks`] counts acknowledged *messages*, so a
-//!   kill horizon lands at the same stream position batched or not;
+//! * a [`Fault`](crate::Fault) keys on the wire seq, one per `Data` frame
+//!   — a batch or a barrier counts once, as a topology joiner counts the
+//!   tuple that carries it;
 //! * the recovery watermark moves once per ack, to the last record the
-//!   acked frame carried;
-//! * [`ClusterOutage`] windows count data-frame *transmissions* — one
-//!   per batch.
+//!   acked frame carried.
 //!
 //! [`ClusterResult::routed_messages`] ÷ [`ClusterResult::data_frames`] is
 //! what batching amortised.
 //!
 //! # Crash recovery
 //!
-//! When a node dies (supervised [`ClusterFault`] kill, or a socket
-//! failure), the launcher consumes whatever the node managed to deliver —
+//! When a node dies (a scripted crash, or a socket failure), the
+//! launcher consumes whatever the node managed to deliver —
 //! TCP hands over the written prefix in order, so every ack, result and
 //! snapshot the node emitted before dying still counts — then restarts
 //! the node, replays its lost index state over one [`Frame::Restore`]
@@ -155,14 +154,12 @@ use obs::{LatencyHistogram, MetricsSnapshot, Stage, StageProfile};
 use ssj_core::snapshot::{decode_window_slice, encode_window_vec};
 use ssj_core::{JoinConfig, MatchPair, Threshold};
 use ssj_text::Record;
-use stormlite::{
-    ChaosLink, ChaosWindow, CloseReason, IntegrityReport, LinkOutage, TcpWire, Timestamp, Wire,
-    WireEvent,
-};
+use stormlite::{CloseReason, IntegrityReport, TcpWire, Timestamp, Wire, WireEvent};
 
 use crate::bolts::JoinerSnapshot;
 use crate::checkpoint::CheckpointCoordinator;
 use crate::driver::{Input, JoinSpec};
+use crate::fault::{FaultKind, Gate};
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Joiner};
 use crate::recovery::RecoveryState;
@@ -179,18 +176,6 @@ pub enum ClusterBackend {
         /// Path to the `ssj-node` binary to spawn.
         node_bin: PathBuf,
     },
-}
-
-/// A supervised mid-run kill: the launcher kills joiner `task` once it
-/// has acknowledged `after_acks` messages, then restarts it and replays —
-/// the cluster analogue of [`stormlite::FaultPlan`]'s joiner crashes.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterFault {
-    /// Which joiner task to kill.
-    pub task: usize,
-    /// Kill after this many acknowledged messages from that task (an
-    /// acked batch counts its length).
-    pub after_acks: u64,
 }
 
 /// Heartbeat-driven failure detection and bounded self-healing.
@@ -230,74 +215,6 @@ impl HealthConfig {
     }
 }
 
-/// What a scripted [`ClusterOutage`] does to its wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutageKind {
-    /// Outbound frames are held for the window and released in order once
-    /// later transmissions pass it; a respawn drops them instead.
-    Stall,
-    /// Outbound frames are dropped for the window; inbound still flows.
-    PartitionOneWay,
-    /// Both directions are cut: outbound drops, inbound is held (in
-    /// order) until the window passes.
-    PartitionTwoWay,
-    /// Outbound (launcher→node) data frames in the window each have one
-    /// bit flipped in flight. The node's frame checksum detects the
-    /// mismatch and it dies with an error close, which the
-    /// launcher heals exactly like a crash — corruption is a dropped
-    /// frame with extra steps.
-    Corrupt,
-    /// Inbound (node→launcher) frames in the window each have one bit
-    /// flipped just before the launcher parses them, exercising the
-    /// launcher-side classified corruption path: discard the poisoned
-    /// incarnation's remaining output, respawn, resend. The window is
-    /// keyed on this wire's inbound frame ordinal.
-    CorruptInbound,
-}
-
-/// A scripted outage on one launcher→joiner wire, keyed on that wire's
-/// data-transmission ordinal so placement is deterministic across
-/// schedulers and heartbeat cadences (see [`stormlite::ChaosWindow`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterOutage {
-    /// The joiner task whose wire is disturbed.
-    pub task: usize,
-    /// The window opens after this many data transmissions on the wire.
-    pub after: u64,
-    /// The window covers this many subsequent transmissions.
-    pub len: u64,
-    /// Stall or partition.
-    pub kind: OutageKind,
-}
-
-impl ClusterOutage {
-    fn window(self) -> ChaosWindow {
-        ChaosWindow {
-            after: self.after,
-            len: self.len,
-        }
-    }
-
-    /// The outbound [`LinkOutage`] this scripts, if any —
-    /// [`OutageKind::CorruptInbound`] is applied launcher-side instead.
-    fn to_link_outage(self) -> Option<LinkOutage> {
-        let window = self.window();
-        match self.kind {
-            OutageKind::Stall => Some(LinkOutage::Stall(window)),
-            OutageKind::PartitionOneWay => Some(LinkOutage::Partition {
-                window,
-                two_way: false,
-            }),
-            OutageKind::PartitionTwoWay => Some(LinkOutage::Partition {
-                window,
-                two_way: true,
-            }),
-            OutageKind::Corrupt => Some(LinkOutage::Corrupt(window)),
-            OutageKind::CorruptInbound => None,
-        }
-    }
-}
-
 /// How the launcher runs a [`JoinSpec`]: with `k` nodes (= joiner tasks)
 /// behind sequenced, acknowledged wires.
 #[derive(Clone)]
@@ -312,13 +229,9 @@ pub struct ClusterConfig {
     /// channel capacity. Half of it (or of a lower `shed_watermark`) is
     /// the write unit: messages framed on a link before it is written.
     pub channel_capacity: usize,
-    /// Supervised mid-run kill + restart of one node.
-    pub fault: Option<ClusterFault>,
-    /// Scripted stall/partition/corruption windows on individual wires;
-    /// they need `health`, whose detector ends an outage that blocks a
-    /// wire.
-    pub outages: Vec<ClusterOutage>,
-    /// Heartbeat liveness detection and recovery budgets.
+    /// Heartbeat liveness detection and recovery budgets; the spec's
+    /// outage windows need it, since its detector ends an outage that
+    /// blocks a wire.
     pub health: Option<HealthConfig>,
     /// Stamp ingest/barrier times from a logical counter instead of the
     /// wall clock, making each wire's outbound data stream
@@ -339,14 +252,12 @@ impl ClusterConfig {
     }
 
     /// Runs `spec` on `backend` with 256 messages in flight per wire, and
-    /// no faults, outages or failure detector.
+    /// no failure detector.
     pub fn new(spec: JoinSpec, backend: ClusterBackend) -> Self {
         Self {
             spec,
             backend,
             channel_capacity: 256,
-            fault: None,
-            outages: Vec::new(),
             health: None,
             logical_time: false,
         }
@@ -862,9 +773,6 @@ struct NodeLink {
     /// Messages framed on this link since its last write (the half-window
     /// write rule).
     unwritten: usize,
-    /// Messages acknowledged so far (what [`ClusterFault::after_acks`]
-    /// counts).
-    acked: u64,
     /// What this incarnation sent ahead of an ack not yet received: result
     /// pairs, and the validated window bytes of a barrier's snapshot (a
     /// barrier travels alone, so at most one) with its epoch and task. The ack
@@ -872,7 +780,8 @@ struct NodeLink {
     /// them.
     staged: Vec<(MatchPair, Timestamp)>,
     staged_snapshot: Option<(u64, usize, Vec<u8>)>,
-    chaos: Option<ChaosLink>,
+    /// The spec's faults on this wire, if any name its task.
+    gate: Option<Box<Gate>>,
     incarnation: u64,
     /// FNV-1a over first-transmission data-frame bytes, in seq order
     /// (folded under `logical_time` only).
@@ -894,13 +803,6 @@ struct NodeLink {
     /// the launcher rejected, or reached its scripted kill — and is
     /// respawned at the end of the current pass.
     dead: bool,
-    /// Scripted [`OutageKind::CorruptInbound`] windows, keyed on this
-    /// wire's inbound frame ordinal.
-    corrupt_inbound: Vec<ChaosWindow>,
-    /// Inbound frames received (pump path) — the ordinal the corrupt
-    /// windows key on. Not reset on respawn, so window placement is
-    /// global to the wire like the outbound chaos ordinal.
-    inbound_seq: u64,
     /// A corrupt frame arrived from this incarnation: everything else it
     /// sends is untrustworthy (an ack surviving a corrupted result would
     /// cancel the resend that re-creates the result), so the
@@ -911,12 +813,7 @@ struct NodeLink {
 
 impl NodeLink {
     /// A link to a freshly spawned node: nothing sent, nothing seen.
-    fn new(
-        wire: Box<dyn Wire>,
-        proc: NodeProc,
-        chaos: Option<ChaosLink>,
-        corrupt_inbound: Vec<ChaosWindow>,
-    ) -> Self {
+    fn new(wire: Box<dyn Wire>, proc: NodeProc, gate: Option<Box<Gate>>) -> Self {
         let now = Instant::now();
         Self {
             wire,
@@ -925,10 +822,9 @@ impl NodeLink {
             unacked: BTreeMap::new(),
             in_flight: 0,
             unwritten: 0,
-            acked: 0,
             staged: Vec::new(),
             staged_snapshot: None,
-            chaos,
+            gate,
             incarnation: 0,
             digest: FNV_OFFSET,
             eos_sent: false,
@@ -938,10 +834,18 @@ impl NodeLink {
             held_inbound: Vec::new(),
             health_respawns: 0,
             dead: false,
-            corrupt_inbound,
-            inbound_seq: 0,
             poisoned: false,
         }
+    }
+
+    /// Whether a scripted crash is due on this wire: messages are acked
+    /// in order, so the acked ones are those below the oldest unacked seq.
+    fn crash_due(&mut self) -> bool {
+        let Some(gate) = &mut self.gate else {
+            return false;
+        };
+        let acked = self.unacked.keys().next().copied().unwrap_or(self.next_seq);
+        gate.crash_due(acked, self.next_seq)
     }
 }
 
@@ -1031,7 +935,6 @@ struct Launcher<'a> {
     /// Batch counters of wires already replaced by a respawn.
     retired_batch_counters: (u64, u64),
     shed_log: Vec<u64>,
-    fault_armed: Option<ClusterFault>,
     // Health / self-healing state.
     health_report: HealthReport,
     /// Wire-frame rejections so far; storage-side counters join at the end.
@@ -1040,8 +943,13 @@ struct Launcher<'a> {
 
 impl<'a> Launcher<'a> {
     fn new(cfg: &'a ClusterConfig) -> Self {
+        let (k, faults) = (cfg.spec.k, &cfg.spec.faults);
         assert!(
-            cfg.outages.is_empty() || cfg.health.is_some(),
+            faults.iter().all(|f| f.task < k),
+            "a fault names a task outside 0..{k}"
+        );
+        assert!(
+            cfg.health.is_some() || faults.iter().all(|f| f.kind == FaultKind::Crash),
             "scripted outages need the failure detector: a wire an outage \
              blocks is healed only by a suspect's respawn (set ClusterConfig::health)"
         );
@@ -1066,7 +974,6 @@ impl<'a> Launcher<'a> {
             routed_messages: 0,
             retired_batch_counters: (0, 0),
             shed_log: Vec::new(),
-            fault_armed: cfg.fault,
             health_report: HealthReport::default(),
             integrity: IntegrityReport::default(),
         }
@@ -1076,12 +983,11 @@ impl<'a> Launcher<'a> {
         let started = Instant::now();
         let k = self.cfg.spec.k;
         // Anything that can kill a node needs the recovery machinery:
-        // scripted faults, the liveness detector, scripted outages (which
-        // drive the detector into respawns), or checkpointing, whose runs
-        // respawn a node that dies unplanned.
-        let can_lose_a_node = self.cfg.fault.is_some()
+        // scripted faults (outages drive the detector into respawns), the
+        // liveness detector, or checkpointing, whose runs respawn a node
+        // that dies unplanned.
+        let can_lose_a_node = !self.cfg.spec.faults.is_empty()
             || self.cfg.health.is_some()
-            || !self.cfg.outages.is_empty()
             || self.cfg.spec.checkpoint.is_some();
         let run = self.cfg.spec.assemble(input, can_lose_a_node);
         (self.bistream, self.needs_dedup) = (run.bistream, run.needs_dedup);
@@ -1094,23 +1000,8 @@ impl<'a> Launcher<'a> {
         }
         for task in 0..k {
             let (wire, proc_) = self.spawn_one(task);
-            let outages: Vec<LinkOutage> = self
-                .cfg
-                .outages
-                .iter()
-                .filter(|o| o.task == task)
-                .filter_map(|o| o.to_link_outage())
-                .collect();
-            let corrupt_inbound: Vec<ChaosWindow> = self
-                .cfg
-                .outages
-                .iter()
-                .filter(|o| o.task == task && o.kind == OutageKind::CorruptInbound)
-                .map(|o| o.window())
-                .collect();
-            let chaos = (!outages.is_empty()).then(|| ChaosLink::from_outages(outages));
-            self.links
-                .push(NodeLink::new(wire, proc_, chaos, corrupt_inbound));
+            let gate = Gate::new(&self.cfg.spec.faults, task);
+            self.links.push(NodeLink::new(wire, proc_, gate));
             if let Some(r) = &self.recovery {
                 r.begin_incarnation(task);
             }
@@ -1139,12 +1030,10 @@ impl<'a> Launcher<'a> {
                 self.pump(Duration::ZERO, None);
             }
             if (dispatched + 1) % stormlite::BATCH_MAX_FRAMES == 0 {
-                // The framing point: frame what the dispatcher still
-                // holds, then do the housekeeping a record does not need
-                // done for it alone. Placed by record count alone, so
-                // batch cuts never depend on timing; links are written by
-                // the half-window rule and before waits, not here.
-                dispatcher.flush(&mut self);
+                // The dispatcher's framing point has just framed what its
+                // batches held: do the housekeeping a record does not need
+                // done for it alone. Links are written by the half-window
+                // rule and before waits, not here.
                 self.pump(Duration::ZERO, None);
                 self.service_health();
             }
@@ -1170,10 +1059,9 @@ impl<'a> Launcher<'a> {
         let mut digests = Vec::new();
         let data_frames = self.links.iter().map(|l| l.next_seq).sum();
         for (task, link) in self.links.drain(..).enumerate() {
-            if let Some(chaos) = &link.chaos {
-                let (stalled, dropped) = chaos.outage_counters();
-                self.health_report.stalled_frames += stalled;
-                self.health_report.partition_dropped_frames += dropped;
+            if let Some(gate) = &link.gate {
+                self.health_report.stalled_frames += gate.stalled;
+                self.health_report.partition_dropped_frames += gate.dropped;
             }
             let report = link.done.expect("every node reported");
             let replayed = self.recovery.as_ref().map_or(0, |r| r.replayed(task));
@@ -1288,7 +1176,10 @@ impl<'a> Launcher<'a> {
         link.in_flight += messages;
         link.unwritten += messages;
         link.unacked.insert(seq, msg);
-        self.transmit(task, frame, ChaosLink::transmit);
+        if link.crash_due() {
+            link.dead = true;
+        }
+        self.transmit(task, frame, Some(seq + 1));
         let cap = self.cfg.channel_capacity;
         let window = cap.min(self.cfg.spec.shed_watermark.unwrap_or(cap));
         if barrier || self.links[task].unwritten >= window.div_ceil(2) {
@@ -1296,20 +1187,15 @@ impl<'a> Launcher<'a> {
         }
     }
 
-    /// Queues `frame` on the wire — directly, or as whatever the armed
-    /// chaos link's `gate` makes of it: `ChaosLink::transmit` for data,
-    /// `ChaosLink::transmit_control` for a heartbeat. A send failure means
-    /// the node died mid-write; a data frame stays in `unacked` and
-    /// recovery resends it.
-    fn transmit(
-        &mut self,
-        task: usize,
-        frame: Vec<u8>,
-        gate: fn(&mut ChaosLink, Vec<u8>) -> Vec<Vec<u8>>,
-    ) {
+    /// Queues `frame` — the data frame of `message`, or a control frame
+    /// — on the wire, directly or as whatever the wire's fault gate makes
+    /// of it. A send failure means the node died mid-write; a data frame
+    /// stays in `unacked` and recovery resends it.
+    fn transmit(&mut self, task: usize, frame: Vec<u8>, message: Option<u64>) {
         let link = &mut self.links[task];
-        let sent = match &mut link.chaos {
-            Some(chaos) => gate(chaos, frame)
+        let sent = match &mut link.gate {
+            Some(gate) => gate
+                .pass(message, frame)
                 .iter()
                 .try_for_each(|f| link.wire.send(f)),
             None => link.wire.send(&frame),
@@ -1410,9 +1296,9 @@ impl<'a> Launcher<'a> {
     /// inbound direction.
     fn inbound_blocked(&self, task: usize) -> bool {
         self.links[task]
-            .chaos
+            .gate
             .as_ref()
-            .is_some_and(|c| c.inbound_blocked())
+            .is_some_and(|g| g.inbound_blocked())
     }
 
     /// Handles one event `pump` took off `task`'s wire: a frame is run
@@ -1429,7 +1315,13 @@ impl<'a> Launcher<'a> {
     ) -> bool {
         match event {
             Ok(WireEvent::Frame(mut b)) => {
-                self.scripted_rx_corruption(task, &mut b);
+                // Acks come in seq order, so a frame answers the oldest
+                // unacked message, and an inbound corrupt window keys on
+                // it. Recovery-time drains pass clean.
+                let link = &mut self.links[task];
+                if let (Some(gate), Some(&seq)) = (&mut link.gate, link.unacked.keys().next()) {
+                    gate.inbound(seq + 1, &mut b);
+                }
                 if inbound_blocked {
                     self.links[task].held_inbound.push(b);
                     return true; // held frames are not a life sign
@@ -1451,24 +1343,6 @@ impl<'a> Launcher<'a> {
                 }
                 false
             }
-        }
-    }
-
-    /// Applies any scripted inbound-corruption window to a frame just
-    /// received from `task`: advances this wire's inbound frame ordinal
-    /// and flips one deterministic bit while a window covers it. Only the
-    /// pump receive path advances the ordinal, so window placement is
-    /// independent of recovery-time drains.
-    fn scripted_rx_corruption(&mut self, task: usize, frame: &mut [u8]) {
-        let link = &mut self.links[task];
-        if link.corrupt_inbound.is_empty() {
-            return;
-        }
-        link.inbound_seq += 1;
-        let seq = link.inbound_seq;
-        if !frame.is_empty() && link.corrupt_inbound.iter().any(|w| w.covers(seq)) {
-            let byte = (seq as usize * 31) % frame.len();
-            frame[byte] ^= 1 << (seq % 8);
         }
     }
 
@@ -1507,7 +1381,6 @@ impl<'a> Launcher<'a> {
                 self.publish_staged(task);
                 let messages = carried(&acked);
                 self.links[task].in_flight -= messages.len();
-                self.links[task].acked += messages.len() as u64;
                 // Delivery latency and the recovery watermark are both
                 // read off the last record the frame carried (a barrier
                 // carries none): dispatched then, acked now.
@@ -1520,11 +1393,8 @@ impl<'a> Launcher<'a> {
                     let record = &last.record;
                     recovery.mark_processed(task, record.id().0, record.timestamp());
                 }
-                if let Some(fault) = self.fault_armed {
-                    if fault.task == task && self.links[task].acked >= fault.after_acks {
-                        self.fault_armed = None;
-                        self.links[task].dead = true;
-                    }
+                if self.links[task].crash_due() {
+                    self.links[task].dead = true;
                 }
             }
             Frame::Result { pair, ingest } => self.links[task].staged.push((pair, ingest)),
@@ -1600,9 +1470,8 @@ impl<'a> Launcher<'a> {
 
     /// The failure detector: probes idle wires with heartbeats and
     /// declares wires silent past the deadline suspect. Runs on the wall
-    /// clock even under logical time — heartbeats go through
-    /// `ChaosLink::transmit_control`, which never advances the chaos
-    /// ordinal, and never touch the wire digest, so detector cadence
+    /// clock even under logical time — heartbeats carry no seq, so no fault
+    /// keys on them, and never touch the wire digest, so detector cadence
     /// cannot perturb determinism.
     fn service_health(&mut self) {
         let Some(h) = self.cfg.health else {
@@ -1619,7 +1488,7 @@ impl<'a> Launcher<'a> {
                 let frame = Frame::Heartbeat
                     .encode_sealed()
                     .expect("heartbeats are always encodable");
-                self.transmit(task, frame, ChaosLink::transmit_control);
+                self.transmit(task, frame, None);
                 let _ = self.write_link(task);
             }
             let silent = now.duration_since(self.links[task].last_seen);
@@ -1756,11 +1625,9 @@ impl<'a> Launcher<'a> {
         link.hb_last = Instant::now();
         link.poisoned = false;
         link.dead = false;
-        if let Some(chaos) = &mut link.chaos {
-            chaos.heal();
+        if let Some(gate) = &mut link.gate {
+            gate.heal();
         }
-        let inbound_seq = link.inbound_seq;
-        link.corrupt_inbound.retain(|w| !w.covers(inbound_seq));
         // Unacked seqs form a contiguous suffix; the node resumes at its
         // lowest (or at next_seq when nothing is in flight).
         let resume = self.links[task]
@@ -1783,14 +1650,14 @@ impl<'a> Launcher<'a> {
         }
 
         // Resend the unacked suffix: original order, original seqs.
-        let frames: Vec<Vec<u8>> = self.links[task]
+        let frames: Vec<(u64, Vec<u8>)> = self.links[task]
             .unacked
             .iter()
-            .map(|(&seq, msg)| sealed(seq, msg))
+            .map(|(&seq, msg)| (seq, sealed(seq, msg)))
             .collect();
         self.retransmissions += frames.len() as u64;
-        for frame in frames {
-            self.transmit(task, frame, ChaosLink::transmit);
+        for (seq, frame) in frames {
+            self.transmit(task, frame, Some(seq + 1));
         }
         if self.links[task].eos_sent {
             let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos);
@@ -1893,6 +1760,7 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
 mod tests {
     use super::*;
     use crate::driver::LocalAlgo;
+    use crate::fault::Fault;
     use ssj_core::Window;
     use ssj_text::{RecordId, TokenId};
     use stormlite::ChannelWire;
@@ -1917,20 +1785,16 @@ mod tests {
     }
 
     /// A launcher wired to `cfg.spec.k` channel wires whose node ends the
-    /// test holds — the test plays every node. `chaos` goes on task 0's
-    /// link.
-    fn launcher(cfg: &ClusterConfig, chaos: Option<ChaosLink>) -> (Launcher<'_>, Vec<ChannelWire>) {
+    /// test holds — the test plays every node.
+    fn launcher(cfg: &ClusterConfig) -> (Launcher<'_>, Vec<ChannelWire>) {
         let mut launcher = Launcher::new(cfg);
-        let mut chaos = chaos;
         let mut nodes = Vec::new();
-        for _ in 0..cfg.spec.k {
+        for task in 0..cfg.spec.k {
             let (ours, theirs) = stormlite::channel_wire_pair(64);
-            launcher.links.push(NodeLink::new(
-                Box::new(ours),
-                NodeProc::Thread(None),
-                chaos.take(),
-                Vec::new(),
-            ));
+            let gate = Gate::new(&cfg.spec.faults, task);
+            launcher
+                .links
+                .push(NodeLink::new(Box::new(ours), NodeProc::Thread(None), gate));
             nodes.push(theirs);
         }
         (launcher, nodes)
@@ -1952,7 +1816,7 @@ mod tests {
     fn the_in_flight_bound_and_the_backlog_count_messages_not_frames() {
         let mut cfg = test_config(1);
         cfg.channel_capacity = 4;
-        let (mut l, mut nodes) = launcher(&cfg, None);
+        let (mut l, mut nodes) = launcher(&cfg);
         l.send(0, batch(0..3));
         assert_eq!(l.backlog(0), 3);
         // 3 < 4, so the next batch goes out and overshoots the bound by
@@ -1965,7 +1829,6 @@ mod tests {
         nodes[0].send(&sealed(&Frame::Ack { seq: 0 })).unwrap();
         l.send(0, msg(6));
         assert_eq!((l.backlog(0), l.links[0].unacked.len()), (4, 2));
-        assert_eq!(l.links[0].acked, 3);
         assert_eq!((l.routed_messages, l.links[0].next_seq), (7, 3));
         // What reached the node: three sequenced frames, 3 + 3 + 1.
         let sizes: Vec<(u64, usize)> = std::iter::from_fn(|| next_frame(&mut nodes[0]))
@@ -1978,13 +1841,10 @@ mod tests {
     }
 
     #[test]
-    fn an_ack_counts_its_messages_and_moves_the_watermark_once_to_the_last_record() {
+    fn an_ack_moves_the_watermark_once_and_a_crash_waits_for_the_next_frame() {
         let mut cfg = test_config(1);
-        cfg.fault = Some(ClusterFault {
-            task: 0,
-            after_acks: 5,
-        });
-        let (mut l, _nodes) = launcher(&cfg, None);
+        cfg.spec.faults = vec![Fault::crash(0, 2)];
+        let (mut l, _nodes) = launcher(&cfg);
         let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
         for id in 0..6 {
             let payload = RecordMsg::solo(rec(id, &[1, 2, 3]), Timestamp::ZERO);
@@ -1996,8 +1856,7 @@ mod tests {
         assert!(recovery.replay_for(0).is_empty(), "nothing acked yet");
 
         assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 0 })));
-        assert_eq!(l.links[0].acked, 3);
-        assert!(!l.links[0].dead, "3 messages acked, the horizon is 5");
+        assert!(!l.links[0].dead, "message 1 acked, the crash follows 2");
         let replay: Vec<u64> = recovery
             .replay_for(0)
             .iter()
@@ -2009,18 +1868,19 @@ mod tests {
             "watermark at the batch's last record"
         );
 
-        // The second ack crosses the horizon mid-batch: the kill lands
-        // where an unbatched run's sixth ack would have put it, at most a
-        // batch late, never early.
+        // Message 2 is acked, but no message 3 follows it yet: there is
+        // nothing for the crash to come before, so the node lives on until
+        // one is framed.
         assert!(l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
-        assert_eq!(l.links[0].acked, 6);
-        assert!(l.links[0].dead);
+        assert!(!l.links[0].dead);
         assert_eq!(recovery.replay_for(0).len(), 6);
+        l.send(0, msg(6));
+        assert!(l.links[0].dead);
         // A live wire never repeats an ack: a second one is a protocol
         // violation that poisons the incarnation and counts nothing.
         assert!(!l.on_frame(0, &sealed(&Frame::Ack { seq: 1 })));
         assert!(l.links[0].poisoned);
-        assert_eq!((l.links[0].acked, l.backlog(0)), (6, 0));
+        assert_eq!(l.backlog(0), 1);
     }
 
     fn pair(earlier: u64, later: u64) -> MatchPair {
@@ -2038,7 +1898,7 @@ mod tests {
             recovery_budget: Some(0),
             ..HealthConfig::recommended()
         });
-        let (mut l, mut nodes) = launcher(&cfg, None);
+        let (mut l, mut nodes) = launcher(&cfg);
         // Task 1 answers its frame and acks it: the pair is published.
         l.send(1, batch(10..12));
         let published = vec![(pair(10, 11), Timestamp::ZERO)];
@@ -2082,7 +1942,7 @@ mod tests {
         answer: Frame,
         coordinator: Option<Arc<CheckpointCoordinator>>,
     ) -> Launcher<'a> {
-        let (mut l, mut nodes) = launcher(cfg, None);
+        let (mut l, mut nodes) = launcher(cfg);
         let recovery = Arc::new(RecoveryState::new(1, Window::Unbounded));
         recovery.begin_incarnation(0);
         l.recovery = Some(recovery);
@@ -2147,17 +2007,21 @@ mod tests {
     }
 
     #[test]
-    fn an_outage_window_counts_one_transmission_per_batch() {
-        let cfg = test_config(1);
-        let window = ChaosWindow { after: 1, len: 1 };
-        let chaos = ChaosLink::from_outages(vec![LinkOutage::Partition {
-            window,
-            two_way: false,
-        }]);
-        let (mut l, mut nodes) = launcher(&cfg, Some(chaos));
-        l.send(0, batch(0..8)); // transmission 1
-        l.send(0, batch(8..16)); // transmission 2: inside the window
-        l.send(0, msg(16)); // transmission 3
+    fn an_outage_window_covers_one_seq_per_batch() {
+        let mut cfg = test_config(1);
+        cfg.health = Some(HealthConfig::recommended());
+        cfg.spec.faults = vec![Fault {
+            task: 0,
+            after: 1,
+            kind: FaultKind::Partition {
+                len: 1,
+                two_way: false,
+            },
+        }];
+        let (mut l, mut nodes) = launcher(&cfg);
+        l.send(0, batch(0..8)); // message 1
+        l.send(0, batch(8..16)); // message 2: inside the window
+        l.send(0, msg(16)); // message 3
         let seqs: Vec<u64> = std::iter::from_fn(|| next_frame(&mut nodes[0]))
             .map(|f| match f {
                 Frame::Data { seq, .. } => seq,
@@ -2169,19 +2033,17 @@ mod tests {
             vec![0, 2],
             "exactly the second frame was dropped, whole"
         );
-        let (_, dropped) = l.links[0].chaos.as_ref().unwrap().outage_counters();
-        assert_eq!(dropped, 1);
+        assert_eq!(l.links[0].gate.as_ref().unwrap().dropped, 1);
         assert_eq!(l.backlog(0), 17, "the dropped batch is still in flight");
     }
 
     #[test]
     fn outages_without_a_detector_are_refused() {
         let mut cfg = test_config(1);
-        cfg.outages.push(ClusterOutage {
+        cfg.spec.faults.push(Fault {
             task: 0,
             after: 0,
-            len: 1,
-            kind: OutageKind::Stall,
+            kind: FaultKind::Stall { len: 1 },
         });
         let refused =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cluster(&[], &cfg)))
@@ -2198,7 +2060,7 @@ mod tests {
     #[test]
     fn wire_digests_fold_only_under_logical_time_and_a_resend_repeats_the_bytes() {
         let mut cfg = test_config(1);
-        let (mut l, _nodes) = launcher(&cfg, None);
+        let (mut l, _nodes) = launcher(&cfg);
         l.send(0, batch(0..4));
         assert_eq!(
             l.links[0].digest, FNV_OFFSET,
@@ -2213,7 +2075,7 @@ mod tests {
         drop(l);
 
         cfg.logical_time = true;
-        let (mut l, _nodes) = launcher(&cfg, None);
+        let (mut l, _nodes) = launcher(&cfg);
         l.send(0, batch(0..4));
         assert_eq!(
             l.links[0].digest,
@@ -2225,7 +2087,7 @@ mod tests {
     fn half_a_window_framed_since_the_last_write_writes_the_link() {
         let mut cfg = test_config(1);
         cfg.channel_capacity = 8;
-        let (mut l, _nodes) = launcher(&cfg, None);
+        let (mut l, _nodes) = launcher(&cfg);
         l.send(0, batch(0..3));
         assert_eq!(l.links[0].unwritten, 3);
         // The fourth of 8 messages completes the write unit.
@@ -2237,7 +2099,7 @@ mod tests {
     fn a_barrier_or_half_the_shed_watermark_writes_the_link() {
         // Default capacity (half-window 128): a barrier does not wait for it.
         let cfg = test_config(1);
-        let (mut l, _nodes) = launcher(&cfg, None);
+        let (mut l, _nodes) = launcher(&cfg);
         l.send(0, msg(0));
         assert_eq!(l.links[0].unwritten, 1);
         let barrier = JoinMsg::Barrier {
@@ -2251,7 +2113,7 @@ mod tests {
         // messages, so the backlog it sheds on is never mostly unwritten.
         let mut cfg = test_config(1);
         cfg.spec.shed_watermark = Some(4);
-        let (mut l, _nodes) = launcher(&cfg, None);
+        let (mut l, _nodes) = launcher(&cfg);
         l.send(0, msg(0));
         assert_eq!(l.links[0].unwritten, 1);
         l.send(0, msg(1));

@@ -27,6 +27,8 @@ use stormlite::{
     Transcript,
 };
 
+use crate::fault::{Fault, FaultKind};
+
 /// Which local join algorithm each joiner runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LocalAlgo {
@@ -193,20 +195,28 @@ pub struct JoinSpec {
     ///
     /// The dispatcher still stamps, sheds, buffers for replay and opens
     /// epochs record by record, so a barrier falls at the interval's exact
-    /// record and travels alone; batches flush before every barrier and at
-    /// stream end, and unpack in order at the joiner.
+    /// record and travels alone; batches flush every
+    /// [`stormlite::BATCH_MAX_FRAMES`] source records, before every barrier
+    /// and at stream end — the same cuts on both engines — and unpack in
+    /// order at the joiner.
     /// Results, recovery and checkpoints match unbatched runs; a topology
     /// batch is one `Execute` span and advances the replay watermark once.
     /// `None` and `Some(1)` send messages singly; of the `recommended`
     /// configurations only [`crate::cluster::ClusterConfig::recommended`]
     /// batches, at [`stormlite::BATCH_MAX_FRAMES`].
     pub dispatch_batch: Option<usize>,
+    /// Injected faults, keyed on each task's message seq (see
+    /// [`crate::fault`]). Both engines honour a crash; only the cluster's
+    /// wires can honour an outage window, and the topology refuses one by
+    /// name. Empty (the default) arms none of the recovery machinery a
+    /// fault needs.
+    pub faults: Vec<Fault>,
 }
 
 impl JoinSpec {
     /// The paper's default setup: length-based routing (load-aware,
     /// calibrated on the first 10k records) and the bundle join, with no
-    /// shedding, checkpointing, restore or batching.
+    /// shedding, checkpointing, restore, batching or faults.
     pub fn recommended(k: usize, join: JoinConfig) -> Self {
         Self {
             k,
@@ -220,6 +230,7 @@ impl JoinSpec {
             checkpoint: None,
             restore_from: None,
             dispatch_batch: None,
+            faults: Vec::new(),
         }
     }
 }
@@ -236,13 +247,6 @@ pub struct DistributedJoinConfig {
     /// Pace the source to this many records per second (`None` = as fast
     /// as the pipeline accepts; used by the latency experiments).
     pub source_rate: Option<f64>,
-    /// Injected joiner crashes for recovery testing. `None` (the default
-    /// everywhere outside fault experiments) skips all recovery machinery,
-    /// so fault-free runs pay nothing. Plans may only target `"joiner"`
-    /// tasks: the dispatcher is the topology's spout, which stormlite
-    /// never crashes; a joiner's published results live in a slot that
-    /// outlives its incarnations.
-    pub fault: Option<FaultPlan>,
     /// How the topology executes: [`Scheduler::Threads`] (the default) runs
     /// one OS thread per task; [`Scheduler::Sim`] runs the whole topology
     /// single-threaded under a virtual clock with a seeded interleaving, so
@@ -265,29 +269,21 @@ pub struct DistributedJoinConfig {
 }
 
 impl DistributedJoinConfig {
-    /// [`JoinSpec::recommended`] on threads, with no pacing, faults or
-    /// tracing.
+    /// [`JoinSpec::recommended`] on threads, with no pacing or tracing.
     pub fn recommended(k: usize, join: JoinConfig) -> Self {
         Self::new(JoinSpec::recommended(k, join))
     }
 
     /// Runs `spec` on threads with queues of 1 024 messages, and no
-    /// pacing, faults or tracing.
+    /// pacing or tracing.
     pub fn new(spec: JoinSpec) -> Self {
         Self {
             spec,
             channel_capacity: 1024,
             source_rate: None,
-            fault: None,
             scheduler: Scheduler::Threads,
             trace: None,
         }
-    }
-
-    /// Adds an injected fault plan (see [`FaultPlan`]).
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = Some(fault);
-        self
     }
 
     /// Enables epoch-based coordinated checkpointing (see
@@ -619,7 +615,20 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
         "source_rate paces on the wall clock and cannot run under simulation"
     );
     let spec = &cfg.spec;
-    let run = spec.assemble(input, cfg.fault.is_some());
+    // Refused before anything runs: a window fault needs a wire. A
+    // crashed joiner's published results live in a slot that outlives
+    // its incarnations.
+    let plan = spec
+        .faults
+        .iter()
+        .fold(FaultPlan::new(), |plan, f| match f.kind {
+            FaultKind::Crash => plan.crash("joiner", f.task, f.after),
+            kind => panic!(
+                "fault {} needs a wire; the topology engine honours only Crash",
+                kind.name()
+            ),
+        });
+    let run = spec.assemble(input, !plan.is_empty());
     let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
     let (recovery, coordinator) = (run.recovery, run.coordinator);
     let store_writer = coordinator.clone();
@@ -651,12 +660,11 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     if let Some((sink, tc)) = &trace_sink {
         topology = topology.with_tracing(sink.clone(), tc.clone());
     }
-    if let Some(plan) = &cfg.fault {
-        topology = topology.with_fault_plan(plan.clone());
-    }
+    topology = topology.with_fault_plan(plan);
     // The dispatcher is the topology's source: its one task pulls the
     // assembled stream and routes each record as it pulls it.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let spares = Arc::clone(&run.dispatcher.spares);
     let dispatcher = DispatcherBolt::new(run.dispatcher, Arc::clone(&shed_log));
     match cfg.source_rate {
         Some(rate) => topology.spout_into(
@@ -677,6 +685,7 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
             Arc::clone(&task_slots[task]),
             recovery.clone(),
             coordinator.clone(),
+            spares.clone(),
         )
     });
 
@@ -1099,8 +1108,10 @@ mod tests {
             Strategy::Broadcast,
         ] {
             let name = strategy.name();
-            let cfg = config(4, join, LocalAlgo::PpJoin, strategy, 128)
-                .with_fault(FaultPlan::new().crash("joiner", 1, 40));
+            let cfg = faulted(
+                config(4, join, LocalAlgo::PpJoin, strategy, 128),
+                &[Fault::crash(1, 40)],
+            );
             let result = run_distributed(&records, &cfg);
             let mut keys: Vec<_> = result.pairs.iter().map(|m| m.key()).collect();
             keys.sort_unstable();
@@ -1132,11 +1143,13 @@ mod tests {
             sample: 150,
         };
         // Task 0 dies twice; task 2 dies once, before any input.
-        let cfg = config(3, join, LocalAlgo::bundle(), strategy, 128).with_fault(
-            FaultPlan::new()
-                .crash("joiner", 0, 30)
-                .crash("joiner", 0, 120)
-                .crash("joiner", 2, 0),
+        let cfg = faulted(
+            config(3, join, LocalAlgo::bundle(), strategy, 128),
+            &[
+                Fault::crash(0, 30),
+                Fault::crash(0, 120),
+                Fault::crash(2, 0),
+            ],
         );
         let result = run_distributed(&records, &cfg);
         assert_eq!(run_keys_of(&result), expect);
@@ -1154,17 +1167,14 @@ mod tests {
         };
         let expect = bistream_ground_truth(&left, &right, join);
         assert!(!expect.is_empty());
-        let cfg = config(
-            3,
-            join,
-            LocalAlgo::PpJoin,
-            Strategy::LengthAuto {
-                method: PartitionMethod::LoadAware,
-                sample: 100,
-            },
-            64,
-        )
-        .with_fault(FaultPlan::new().crash("joiner", 0, 50));
+        let strategy = Strategy::LengthAuto {
+            method: PartitionMethod::LoadAware,
+            sample: 100,
+        };
+        let cfg = faulted(
+            config(3, join, LocalAlgo::PpJoin, strategy, 64),
+            &[Fault::crash(0, 50)],
+        );
         let out = run_bistream_distributed(&left, &right, &cfg);
         assert_eq!(run_keys_of(&out), expect);
         assert_eq!(out.report.total_restarts(), 1);
@@ -1174,7 +1184,7 @@ mod tests {
     fn fault_free_run_with_plan_absent_has_no_recovery_metadata() {
         let records = workload(300, 0.3);
         let cfg = DistributedJoinConfig::recommended(2, JoinConfig::jaccard(0.8));
-        assert!(cfg.fault.is_none());
+        assert!(cfg.spec.faults.is_empty());
         let result = run_distributed(&records, &cfg);
         assert_eq!(result.report.total_restarts(), 0);
         assert!(result.joiners.iter().all(|j| j.incarnation == 0));
@@ -1182,12 +1192,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fault plan targets spout 'dispatcher'")]
-    fn faults_on_the_dispatcher_are_rejected() {
+    fn the_topology_refuses_every_window_fault_by_name() {
         let records = workload(50, 0.2);
-        let cfg = DistributedJoinConfig::recommended(2, JoinConfig::jaccard(0.8))
-            .with_fault(FaultPlan::new().crash("dispatcher", 0, 5));
-        let _ = run_distributed(&records, &cfg);
+        for kind in [
+            FaultKind::Stall { len: 1 },
+            FaultKind::Partition {
+                len: 1,
+                two_way: true,
+            },
+            FaultKind::Corrupt {
+                len: 1,
+                inbound: false,
+            },
+        ] {
+            let fault = Fault {
+                task: 0,
+                after: 5,
+                kind,
+            };
+            let cfg = faulted(
+                DistributedJoinConfig::recommended(2, JoinConfig::jaccard(0.8)),
+                &[fault],
+            );
+            let run = std::panic::AssertUnwindSafe(|| run_distributed(&records, &cfg));
+            let refused = std::panic::catch_unwind(run).unwrap_err();
+            let msg = refused
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let name = kind.name();
+            assert_eq!(
+                msg,
+                format!("fault {name} needs a wire; the topology engine honours only Crash")
+            );
+        }
+    }
+
+    /// `cfg` with `faults` injected.
+    fn faulted(mut cfg: DistributedJoinConfig, faults: &[Fault]) -> DistributedJoinConfig {
+        cfg.spec.faults = faults.to_vec();
+        cfg
     }
 
     fn run_keys_of(result: &DistributedJoinResult) -> Vec<(u64, u64)> {
@@ -1255,9 +1299,11 @@ mod tests {
             Strategy::Broadcast,
         ] {
             let name = strategy.name();
-            let cfg = config(3, join, LocalAlgo::PpJoin, strategy, 32)
-                .with_fault(FaultPlan::new().crash("joiner", 1, 100))
-                .with_checkpointing(CheckpointConfig::in_memory(16));
+            let cfg = faulted(
+                config(3, join, LocalAlgo::PpJoin, strategy, 32),
+                &[Fault::crash(1, 100)],
+            )
+            .with_checkpointing(CheckpointConfig::in_memory(16));
             let result = run_distributed(&records, &cfg);
             assert_eq!(run_keys_of(&result), expect, "{name}");
             assert_eq!(result.report.total_restarts(), 1, "{name}");
@@ -1452,10 +1498,12 @@ mod tests {
             records.len()
         );
         for batch in [1usize, 8, 64] {
-            let cfg = DistributedJoinConfig::recommended(4, join)
-                .with_dispatch_batch(batch)
-                .with_fault(FaultPlan::new().crash("joiner", 1, 3))
-                .with_sim(batch as u64);
+            let cfg = faulted(
+                DistributedJoinConfig::recommended(4, join),
+                &[Fault::crash(1, 3)],
+            )
+            .with_dispatch_batch(batch)
+            .with_sim(batch as u64);
             let result = run_distributed(&records, &cfg);
             assert_eq!(run_keys_of(&result), expect, "aol batch={batch}");
             assert_eq!(result.report.total_restarts(), 1, "aol batch={batch}");
@@ -1487,10 +1535,12 @@ mod tests {
         let records = workload(800, 0.3);
         let join = JoinConfig::jaccard(0.7);
         let expect = ground_truth(&records, join);
-        let cfg = config(3, join, LocalAlgo::PpJoin, Strategy::Prefix, 32)
-            .with_fault(FaultPlan::new().crash("joiner", 1, 100))
-            .with_checkpointing(CheckpointConfig::in_memory(16))
-            .with_dispatch_batch(8);
+        let cfg = faulted(
+            config(3, join, LocalAlgo::PpJoin, Strategy::Prefix, 32),
+            &[Fault::crash(1, 100)],
+        )
+        .with_checkpointing(CheckpointConfig::in_memory(16))
+        .with_dispatch_batch(8);
         let result = run_distributed(&records, &cfg);
         assert_eq!(run_keys_of(&result), expect);
         assert_eq!(result.report.total_restarts(), 1);

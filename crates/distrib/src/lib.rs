@@ -32,6 +32,7 @@ pub mod bolts;
 pub mod checkpoint;
 pub mod cluster;
 pub mod driver;
+pub mod fault;
 pub mod msg;
 mod operators;
 pub mod pace;
@@ -46,13 +47,13 @@ pub use checkpoint::{
 };
 pub use cluster::{
     node_main, node_serve, run_cluster, run_cluster_bistream, ClusterBackend, ClusterConfig,
-    ClusterFault, ClusterOutage, ClusterResult, HealthConfig, HealthReport, OutageKind,
-    NODE_INBOUND_CAP,
+    ClusterResult, HealthConfig, HealthReport, NODE_INBOUND_CAP,
 };
 pub use driver::{
     calibrate_partition, run_bistream_distributed, run_distributed, DistributedJoinConfig,
     DistributedJoinResult, JoinSpec, LocalAlgo, PartitionMethod, Strategy,
 };
+pub use fault::{Fault, FaultKind};
 pub use msg::{JoinMsg, RecordMsg};
 pub use pace::PacedIter;
 pub use recovery::RecoveryState;

@@ -14,9 +14,9 @@
 //! spouts, handlers and bolts may borrow from the caller: a spout can
 //! iterate a slice the caller owns instead of a copy of it. A panic in any
 //! task fails the run; only an injected [`FaultPlan`] crash rebuilds a
-//! bolt. [`transport`] carries the framing and the scripted outage gate the
-//! cluster's launcher↔node sessions are built from; a broken session
-//! ends its node's incarnation, and the layer above respawns it.
+//! bolt. [`transport`] carries the framing the cluster's launcher↔node
+//! sessions are built from; a broken session ends its node's incarnation,
+//! and the layer above respawns it.
 //!
 //! ```
 //! use stormlite::{Bolt, Grouping, Message, Outbox, Topology};
@@ -75,6 +75,6 @@ pub use sim::{Scheduler, SimConfig, SimRun, Transcript};
 pub use topology::Topology;
 pub use transport::{
     channel_wire_pair, channel_wire_pair_asym, listen_loopback, read_frame, write_frame,
-    ChannelWire, ChaosLink, ChaosWindow, CloseReason, FrameBatcher, FrameParser, LinkOutage,
-    TcpWire, Wire, WireEvent, BATCH_MAX_BYTES, BATCH_MAX_FRAMES, MAX_FRAME_BYTES,
+    ChannelWire, CloseReason, FrameBatcher, FrameParser, TcpWire, Wire, WireEvent, BATCH_MAX_BYTES,
+    BATCH_MAX_FRAMES, MAX_FRAME_BYTES,
 };

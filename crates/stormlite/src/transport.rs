@@ -39,10 +39,9 @@
 //! Both backends speak frames (`Vec<u8>`); what the bytes mean is the
 //! caller's business (the distributed join layers its own message codec on
 //! top). Both are reliable and FIFO while they live: a frame is never
-//! dropped, duplicated or reordered on an open wire. Scripted outages
-//! (stall, partition, corruption) compose with either backend through
-//! [`ChaosLink`], a gate on the outbound frame stream that exists to
-//! drill the failure detector and the checksums above it.
+//! dropped, duplicated or reordered on an open wire; the cluster layer
+//! above scripts its outages (stall, partition, corruption) on the frames
+//! it hands them.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -589,173 +588,6 @@ pub fn listen_loopback() -> io::Result<TcpListener> {
     TcpListener::bind(("127.0.0.1", 0))
 }
 
-/// A half-open interval of transmission ordinals during which an outage
-/// is active: the window covers transmissions `after + 1 ..= after + len`
-/// (1-based ordinals, counted per [`ChaosLink::transmit`] call).
-///
-/// Keying on the *transmission* count rather than wall time keeps outage
-/// placement deterministic across schedulers. A window closes when later
-/// transmissions pass it, or early, when [`ChaosLink::heal`] reports that
-/// the peer behind the link was replaced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosWindow {
-    /// The window opens after this many transmissions have been attempted.
-    pub after: u64,
-    /// Number of transmissions the window stays active for.
-    pub len: u64,
-}
-
-impl ChaosWindow {
-    /// Whether the window is active at 1-based transmission ordinal `seq`.
-    pub fn covers(&self, seq: u64) -> bool {
-        seq > self.after && seq <= self.after.saturating_add(self.len)
-    }
-}
-
-/// A scripted link outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkOutage {
-    /// The link freezes: frames sent during the window are held and
-    /// released in order once the window passes. Models a hung or
-    /// GC-paused peer; a link that heals first drops what it held.
-    Stall(ChaosWindow),
-    /// The link is cut: outbound frames attempted during the window are
-    /// dropped. With `two_way`, the receiving side should also hold
-    /// inbound traffic while [`ChaosLink::inbound_blocked`] reports true.
-    Partition {
-        /// When the cut is active, in transmission ordinals.
-        window: ChaosWindow,
-        /// Whether inbound traffic is cut too (see
-        /// [`ChaosLink::inbound_blocked`]).
-        two_way: bool,
-    },
-    /// The link mangles payloads: each data frame transmitted during the
-    /// window has one bit flipped (deterministically keyed on the
-    /// transmission ordinal). The frame still arrives — models bit rot on
-    /// a middlebox or NIC, the failure a frame checksum exists to catch.
-    /// Only data transmissions are corrupted; control traffic passes
-    /// clean so the flip lands on a deterministic frame.
-    Corrupt(ChaosWindow),
-}
-
-impl LinkOutage {
-    fn window(&self) -> ChaosWindow {
-        match *self {
-            LinkOutage::Stall(w) | LinkOutage::Corrupt(w) => w,
-            LinkOutage::Partition { window, .. } => window,
-        }
-    }
-}
-
-/// Scripted outages on an outbound frame stream: stalls (held in order),
-/// partitions (dropped) and corruption (one bit flipped), each active
-/// over a [`ChaosWindow`] of transmission ordinals. Only
-/// [`ChaosLink::transmit`] advances the ordinal — control traffic sent
-/// through [`ChaosLink::transmit_control`] is subject to the windows but
-/// does not shift them, so data-frame outage placement is independent of
-/// how often the supervisor heartbeats.
-#[derive(Debug, Default)]
-pub struct ChaosLink {
-    outages: Vec<LinkOutage>,
-    stalled: Vec<Vec<u8>>,
-    seq: u64,
-    stalls: u64,
-    partition_drops: u64,
-    corruptions: u64,
-}
-
-impl ChaosLink {
-    /// A link gated by the scripted `outages`.
-    pub fn from_outages(outages: Vec<LinkOutage>) -> Self {
-        Self {
-            outages,
-            ..Self::default()
-        }
-    }
-
-    /// Whether an outage of the kind `is_kind` accepts covers the current
-    /// transmission ordinal.
-    fn active(&self, is_kind: impl Fn(&LinkOutage) -> bool) -> bool {
-        self.outages
-            .iter()
-            .any(|o| is_kind(o) && o.window().covers(self.seq))
-    }
-
-    /// Whether a two-way partition window is active at the current
-    /// transmission ordinal: the receiving side should hold (not deliver)
-    /// inbound frames from this peer while true.
-    pub fn inbound_blocked(&self) -> bool {
-        self.active(|o| matches!(o, LinkOutage::Partition { two_way: true, .. }))
-    }
-
-    /// `(stalled frames, partition-dropped frames)` so far.
-    pub fn outage_counters(&self) -> (u64, u64) {
-        (self.stalls, self.partition_drops)
-    }
-
-    /// Frames this link has deliberately mangled so far (see
-    /// [`LinkOutage::Corrupt`]).
-    pub fn corruptions(&self) -> u64 {
-        self.corruptions
-    }
-
-    /// The peer behind this link was replaced: every window open at the
-    /// current ordinal closes, and the frames a stall held are dropped —
-    /// they were addressed to the peer that is gone. Windows that have not
-    /// opened yet stay scripted.
-    pub fn heal(&mut self) {
-        let seq = self.seq;
-        self.outages.retain(|o| !o.window().covers(seq));
-        self.stalled.clear();
-    }
-
-    /// Routes a frame that is due to go on the wire now: first releases
-    /// stalled frames if no outage holds them any more, then a stall holds
-    /// the frame, a partition drops it, or it goes out.
-    fn gate(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        let stall = self.active(|o| matches!(o, LinkOutage::Stall(_)));
-        let partition = self.active(|o| matches!(o, LinkOutage::Partition { .. }));
-        let mut out = Vec::new();
-        if !stall && !partition {
-            out.append(&mut self.stalled);
-        }
-        if stall {
-            self.stalled.push(frame);
-            self.stalls += 1;
-        } else if partition {
-            self.partition_drops += 1;
-        } else {
-            out.push(frame);
-        }
-        out
-    }
-
-    /// Sends one data frame through the link, advancing the transmission
-    /// ordinal: the returned frames (possibly none, possibly several) are
-    /// what actually goes on the wire, in order — including previously
-    /// stalled frames now released. Inside a corrupt window the frame has
-    /// one bit flipped, keyed on the ordinal so reruns mangle the
-    /// identical bit; the receiver's frame checksum turns that into a
-    /// detected corruption rather than a silent misparse.
-    pub fn transmit(&mut self, mut frame: Vec<u8>) -> Vec<Vec<u8>> {
-        self.seq += 1;
-        if !frame.is_empty() && self.active(|o| matches!(o, LinkOutage::Corrupt(_))) {
-            let byte = (self.seq as usize * 31) % frame.len();
-            frame[byte] ^= 1 << (self.seq % 8);
-            self.corruptions += 1;
-        }
-        self.gate(frame)
-    }
-
-    /// Sends a control frame (heartbeat, config) through the link: subject
-    /// to outage windows, but never corrupted and never advancing the
-    /// transmission ordinal, so control cadence cannot shift where data
-    /// frames land relative to outage windows.
-    pub fn transmit_control(&mut self, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        self.gate(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,156 +703,5 @@ mod tests {
         assert!(flushes < frames, "batching should coalesce frames");
         drop(client);
         server.join().unwrap();
-    }
-
-    #[test]
-    fn stall_window_is_lossless_and_ordered() {
-        let w = ChaosWindow { after: 3, len: 4 };
-        let mut link = ChaosLink::from_outages(vec![LinkOutage::Stall(w)]);
-        let mut out = Vec::new();
-        for i in 0..10u32 {
-            out.extend(link.transmit(vec![i as u8]));
-        }
-        // Frames 4..=7 (ordinals) stall; the window closes at ordinal 8, so
-        // transmission 8 first releases the stalled run, then itself.
-        let got: Vec<u8> = out.iter().map(|f| f[0]).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(link.outage_counters(), (4, 0));
-    }
-
-    #[test]
-    fn heal_closes_the_open_windows_and_drops_what_they_held() {
-        let open = ChaosWindow {
-            after: 0,
-            len: 1000,
-        };
-        let later = ChaosWindow { after: 10, len: 2 };
-        let mut link = ChaosLink::from_outages(vec![
-            LinkOutage::Stall(open),
-            LinkOutage::Partition {
-                window: open,
-                two_way: true,
-            },
-            LinkOutage::Partition {
-                window: later,
-                two_way: false,
-            },
-        ]);
-        for i in 0..5u8 {
-            assert!(link.transmit(vec![i]).is_empty());
-        }
-        assert!(link.inbound_blocked());
-        link.heal();
-        assert!(!link.inbound_blocked(), "the open two-way window closed");
-        // The held frames belonged to the replaced peer: never released.
-        let got: Vec<u8> = (5..10u8)
-            .flat_map(|i| link.transmit(vec![i]))
-            .map(|f| f[0])
-            .collect();
-        assert_eq!(got, vec![5, 6, 7, 8, 9]);
-        // A window that had not opened at the heal still fires.
-        assert!(link.transmit(vec![10]).is_empty());
-        assert_eq!(link.outage_counters(), (5, 1));
-    }
-
-    #[test]
-    fn partition_window_drops_exactly_the_covered_ordinals() {
-        let w = ChaosWindow { after: 2, len: 3 };
-        let mut link = ChaosLink::from_outages(vec![LinkOutage::Partition {
-            window: w,
-            two_way: false,
-        }]);
-        let mut out = Vec::new();
-        for i in 0..8u32 {
-            out.extend(link.transmit(vec![i as u8]));
-        }
-        let got: Vec<u8> = out.iter().map(|f| f[0]).collect();
-        assert_eq!(got, vec![0, 1, 5, 6, 7], "ordinals 3..=5 dropped");
-        assert_eq!(link.outage_counters(), (0, 3));
-        assert!(!link.inbound_blocked(), "one-way never blocks inbound");
-    }
-
-    #[test]
-    fn two_way_partition_blocks_inbound_only_inside_window() {
-        let w = ChaosWindow { after: 1, len: 2 };
-        let mut link = ChaosLink::from_outages(vec![LinkOutage::Partition {
-            window: w,
-            two_way: true,
-        }]);
-        assert!(!link.inbound_blocked());
-        link.transmit(vec![0]);
-        assert!(!link.inbound_blocked(), "window opens after ordinal 1");
-        link.transmit(vec![1]);
-        assert!(link.inbound_blocked());
-        link.transmit(vec![2]);
-        assert!(link.inbound_blocked());
-        link.transmit(vec![3]);
-        assert!(!link.inbound_blocked(), "window closed");
-    }
-
-    #[test]
-    fn corrupt_window_flips_exactly_one_bit_per_covered_frame() {
-        let w = ChaosWindow { after: 1, len: 2 };
-        let build = || ChaosLink::from_outages(vec![LinkOutage::Corrupt(w)]);
-        let mut link = build();
-        let frame = vec![0u8; 16];
-        let mut mangled = Vec::new();
-        for _ in 0..4 {
-            let out = link.transmit(frame.clone());
-            assert_eq!(out.len(), 1, "corruption never drops the frame");
-            mangled.push(out.into_iter().next().unwrap());
-        }
-        assert_eq!(link.corruptions(), 2);
-        assert_eq!(mangled[0], frame, "before the window: clean");
-        assert_eq!(mangled[3], frame, "after the window: clean");
-        for m in &mangled[1..3] {
-            let flipped: u32 = m
-                .iter()
-                .zip(&frame)
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum();
-            assert_eq!(flipped, 1, "exactly one bit flipped in the window");
-        }
-        // Deterministic: a rebuilt link mangles the identical bits.
-        let mut twin = build();
-        for m in &mangled {
-            assert_eq!(&twin.transmit(frame.clone())[0], m);
-        }
-        // Control traffic passes clean even inside the window.
-        let mut ctl = build();
-        ctl.transmit(frame.clone());
-        ctl.transmit(frame.clone()); // ordinal 2: window open
-        assert_eq!(ctl.transmit_control(frame.clone()), vec![frame.clone()]);
-        assert_eq!(ctl.corruptions(), 1);
-    }
-
-    #[test]
-    fn control_traffic_respects_windows_without_shifting_them() {
-        let w = ChaosWindow { after: 1, len: 2 };
-        let build = || ChaosLink::from_outages(vec![LinkOutage::Stall(w)]);
-
-        // Control frames stall inside the window but never advance the
-        // ordinal: data frame placement is identical however many control
-        // frames interleave.
-        let mut a = build();
-        let mut a_out = Vec::new();
-        for i in 0..5u32 {
-            a_out.extend(a.transmit(vec![i as u8]));
-        }
-        let mut b = build();
-        let mut b_out = Vec::new();
-        for i in 0..5u32 {
-            for _ in 0..3 {
-                b_out.extend(b.transmit_control(vec![0xEE]));
-            }
-            b_out.extend(b.transmit(vec![i as u8]));
-        }
-        let data =
-            |v: &[Vec<u8>]| -> Vec<u8> { v.iter().map(|f| f[0]).filter(|&x| x != 0xEE).collect() };
-        assert_eq!(data(&a_out), data(&b_out));
-        // Control frames sent while stalled were held, then released in
-        // order once the window passed — never silently dropped.
-        let hb_count = b_out.iter().filter(|f| f[0] == 0xEE).count();
-        assert_eq!(hb_count, 15);
     }
 }

@@ -19,7 +19,7 @@ use crate::oracle;
 use ssj_core::MatchPair;
 use ssj_distrib::{
     run_cluster, run_cluster_bistream, CheckpointConfig, ClusterBackend, ClusterConfig,
-    ClusterFault, ClusterResult, HealthConfig, MemStore, SnapshotStore,
+    ClusterResult, FaultKind, HealthConfig, MemStore, SnapshotStore,
 };
 use ssj_text::Record;
 use std::sync::Arc;
@@ -45,23 +45,12 @@ pub fn cluster_config_for(
     case: &DifferentialCase,
     backend: ClusterBackend,
 ) -> ClusterConfig {
-    // Unbatched unless the case asks: every ordinal-keyed outage and kill
-    // horizon, and the pinned digests, were placed on that frame stream.
-    let mut cfg = ClusterConfig::new(case.spec(), backend);
+    // Unbatched unless the case asks: the pinned digests were taken on
+    // that frame stream.
+    let mut cfg = ClusterConfig::new(case.spec(seed), backend);
     cfg.channel_capacity = 64;
-    if case.crash {
-        // Same crash-horizon convention as the simulated differential: the
-        // kill lands within the stream so it actually fires on most seeds.
-        // `crash_after` overrides it for tests that need the kill to fire
-        // with stream guaranteed still behind it.
-        let horizon = case.crash_after.unwrap_or((case.records as u64 / 2).max(1));
-        cfg.fault = Some(ClusterFault {
-            task: (seed % case.k as u64) as usize,
-            after_acks: horizon,
-        });
-    }
-    cfg.outages = case.outages.clone();
-    if !case.outages.is_empty() || case.recovery_budget.is_some() {
+    let outages = case.faults.iter().any(|f| f.kind != FaultKind::Crash);
+    if outages || case.recovery_budget.is_some() {
         // Any self-healing knob turns the failure detector on, probing often
         // enough that a short run sends heartbeats. Only an outage needs the
         // 80 ms deadline, so that a partition trips a suspect in a short test;
@@ -71,7 +60,7 @@ pub fn cluster_config_for(
             suspect_after: Duration::from_millis(80),
             recovery_budget: case.recovery_budget,
         };
-        if case.outages.is_empty() {
+        if !outages {
             health.suspect_after = HealthConfig::recommended().suspect_after;
         }
         cfg.health = Some(health);
@@ -97,7 +86,7 @@ pub fn run_cluster_differential(
 }
 
 /// Like [`run_cluster_differential`], but tolerates a scripted crash
-/// whose ack horizon is never reached (the oracle comparison still runs
+/// that never fires (the oracle comparison still runs
 /// and must pass — the run is then simply fault-free). For property
 /// tests over random seeds, where no seed can vouch that the kill fires;
 /// fixed-seed tests should use the strict entry point so a crash test
@@ -136,7 +125,8 @@ fn run_cluster_differential_impl(
     };
 
     assert_pairs_equal(seed, &result.pairs, expect, "cluster result");
-    if case.crash && require_fault_fired {
+    let crashes = cfg.spec.faults.iter().any(|f| f.kind == FaultKind::Crash);
+    if crashes && require_fault_fired {
         // The fault must have fired: a crash case where nothing happened
         // is vacuous.
         assert!(
@@ -207,13 +197,11 @@ pub fn run_cluster_restore_differential(
     let mut phase1 = cluster_config_for(seed, case, backend.clone());
     phase1.spec.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&store)));
 
+    // Faults are phase one's: phase two is the clean restored incarnation.
     let mut phase2 = cluster_config_for(seed, case, backend);
-    phase2.fault = None;
+    phase2.spec.faults.clear();
     phase2.spec.checkpoint = None;
     phase2.spec.restore_from = Some(Arc::clone(&store));
-    // Like the kill, link outages are phase-one faults: phase two is the
-    // clean restored incarnation.
-    phase2.outages.clear();
 
     // The "whole-cluster crash": phase one sees only a prefix of the
     // stream, and nothing of it survives but the snapshot store.
@@ -279,7 +267,11 @@ pub fn assert_pairs_equal(seed: u64, got: &[MatchPair], expect: Vec<MatchPair>, 
 mod tests {
     use super::*;
     use ssj_core::{JoinConfig, Window};
-    use ssj_distrib::{LocalAlgo, PartitionMethod, Strategy};
+    use ssj_distrib::{Fault, LocalAlgo, PartitionMethod, Strategy};
+
+    fn window(task: usize, after: u64, kind: FaultKind) -> Fault {
+        Fault { task, after, kind }
+    }
 
     fn base_case() -> DifferentialCase {
         DifferentialCase::new(
@@ -347,7 +339,7 @@ mod tests {
     fn stall_window_is_masked_exactly() {
         // A lossless stall delays frames but loses nothing: the pair set
         // must equal the clean oracle with zero shed records.
-        let case = base_case().with_stall(1, 10, 15);
+        let case = base_case().with_fault(window(1, 10, FaultKind::Stall { len: 15 }));
         let out = run_cluster_differential(41, &case, ClusterBackend::InProcess);
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
@@ -359,7 +351,11 @@ mod tests {
         // The first frame past the window shows the node a gap: it dies,
         // and its successor gets the dropped frames under their original
         // seqs. The result must stay exact.
-        let case = base_case().with_partition(0, 8, 12, false);
+        let cut = FaultKind::Partition {
+            len: 12,
+            two_way: false,
+        };
+        let case = base_case().with_fault(window(0, 8, cut));
         let out = run_cluster_differential(43, &case, ClusterBackend::InProcess);
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
@@ -374,7 +370,11 @@ mod tests {
         // Both directions go dark: a gap ends the node, or the detector
         // declares it suspect. Either way it is respawned, the respawn
         // closes the window, and the result is exact.
-        let case = base_case().with_partition(2, 5, 20, true);
+        let cut = FaultKind::Partition {
+            len: 20,
+            two_way: true,
+        };
+        let case = base_case().with_fault(window(2, 5, cut));
         let out = run_cluster_differential(47, &case, ClusterBackend::InProcess);
         assert!(out.pairs > 0);
         assert_eq!(out.shed, 0);
@@ -388,7 +388,7 @@ mod tests {
         // closes the window, drops what it held and resends the unacked
         // frames, which no window holds any more. The deadline is raised
         // so that a loaded host does not add a suspect of its own.
-        let case = base_case().with_stall(1, 10, 1_000);
+        let case = base_case().with_fault(window(1, 10, FaultKind::Stall { len: 1_000 }));
         let records = differential_records(41, case.records);
         let mut cfg = cluster_config_for(41, &case, ClusterBackend::InProcess);
         let health = cfg.health.as_mut().expect("outages arm the detector");
@@ -418,10 +418,13 @@ mod tests {
     #[test]
     fn exhausted_budget_fails_the_run_naming_the_task() {
         // Budget zero: the first crash fails the run instead of respawning
-        // the task, and no partial answer comes back. The kill is pinned
-        // early (10 acks into a 150-record stream) so it fires on every
-        // interleaving; the deadline turns a teardown hang into a failure.
-        let mut case = base_case().with_crash_at(10).with_recovery_budget(0);
+        // the task, and no partial answer comes back. The crash is pinned
+        // early (message 10 of task 2, of a 150-record stream) so it fires
+        // on every interleaving; the deadline turns a teardown hang into a
+        // failure.
+        let mut case = base_case()
+            .with_fault(Fault::crash(2, 10))
+            .with_recovery_budget(0);
         case.join = case.join.with_window(Window::Count(60));
         let failed = crate::with_deadline(Duration::from_secs(60), move || {
             run_cluster_exhausting_budget(23, &case, ClusterBackend::InProcess)
@@ -446,6 +449,26 @@ mod tests {
         assert_eq!(out.result.health.suspects, 0);
         assert_eq!(out.result.health.respawns, 0);
         assert_eq!(out.shed, 0);
+    }
+
+    #[test]
+    fn one_case_builds_one_fault_list_on_every_harness() {
+        let tcp = ClusterBackend::Tcp {
+            node_bin: "ssj-node".into(),
+        };
+        for seed in 0..50 {
+            let case = base_case().with_crash();
+            let faults = case.simulated(seed).spec.faults;
+            assert_eq!(
+                faults,
+                [crate::differential::seeded_crash(seed, 3, 75)],
+                "seed {seed}"
+            );
+            for backend in [ClusterBackend::InProcess, tcp.clone()] {
+                let cfg = cluster_config_for(seed, &case, backend);
+                assert_eq!(cfg.spec.faults, faults, "seed {seed}");
+            }
+        }
     }
 
     #[test]

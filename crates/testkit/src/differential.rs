@@ -14,9 +14,9 @@
 use crate::oracle;
 use ssj_core::{JoinConfig, MatchPair};
 use ssj_distrib::{
-    run_bistream_distributed, run_distributed, CheckpointConfig, ClusterOutage,
-    DistributedJoinConfig, DistributedJoinResult, JoinSpec, LocalAlgo, MemStore, OutageKind,
-    SnapshotStore, Strategy,
+    run_bistream_distributed, run_distributed, CheckpointConfig, DistributedJoinConfig,
+    DistributedJoinResult, Fault, FaultKind, JoinSpec, LocalAlgo, MemStore, SnapshotStore,
+    Strategy,
 };
 use ssj_text::Record;
 use ssj_workloads::{DatasetProfile, LengthDist, StreamGenerator};
@@ -62,15 +62,10 @@ pub struct DifferentialCase {
     /// Run as a bi-stream (R–S) join: records with even ids form the left
     /// stream, odd ids the right.
     pub bistream: bool,
-    /// Inject a seeded joiner crash (recovery must mask it exactly).
+    /// Inject a joiner crash drawn from the seed (recovery must mask it
+    /// exactly): [`seeded_crash`] within the first `records / 2`
+    /// messages of a task, the same crash on every harness.
     pub crash: bool,
-    /// Override the cluster crash horizon: kill after this many acks from
-    /// the victim task instead of the `records / 2` default. An early
-    /// horizon guarantees the kill fires while stream remains — tests over
-    /// real sockets need that, because ack draining is bursty and a late
-    /// horizon can land after the last record was dispatched.
-    /// Cluster-only, like `outages`.
-    pub crash_after: Option<u64>,
     /// Shed records above this dispatcher queue depth; the comparison then
     /// uses the shed-adjusted oracle. Incompatible with `bistream` (the
     /// bi-stream oracle has no shed accounting).
@@ -82,18 +77,16 @@ pub struct DifferentialCase {
     /// Batch the dispatcher → joiner edge at this size (see
     /// `JoinSpec::dispatch_batch`). Batching must never change the
     /// output, so the oracle comparison is unchanged; it composes with
-    /// every other knob, simulated or cluster. Note that a cluster case's
-    /// outage windows count frame transmissions, of which a batched run
-    /// makes fewer.
+    /// every other knob, simulated or cluster. A fault counts a batch as
+    /// one message, so a batched run has fewer places to put one.
     pub dispatch_batch: Option<usize>,
-    /// Link outages (stall / partition / corruption windows) injected on
-    /// cluster wires. Consumed by the cluster harness only — the simulated
-    /// topology has no wires to break, so [`run_differential`] rejects
-    /// cases that set this rather than silently running a weaker scenario.
-    pub outages: Vec<ClusterOutage>,
+    /// Faults injected on every harness (see [`Fault`]). The simulated
+    /// topology honours crashes and refuses a window kind by name rather
+    /// than silently running a weaker scenario.
+    pub faults: Vec<Fault>,
     /// Per-task respawn budget for the cluster's failure detector. Within
     /// budget recovery must mask faults exactly; a task that exhausts it
-    /// fails the run. Cluster-only, like `outages`.
+    /// fails the run. Cluster-only: the simulated harness refuses it.
     pub recovery_budget: Option<u32>,
 }
 
@@ -114,11 +107,10 @@ impl DifferentialCase {
             strategy,
             bistream: false,
             crash: false,
-            crash_after: None,
             shed_watermark: None,
             checkpoint_interval: None,
             dispatch_batch: None,
-            outages: Vec::new(),
+            faults: Vec::new(),
             recovery_budget: None,
         }
     }
@@ -132,15 +124,6 @@ impl DifferentialCase {
     /// Injects a seeded joiner crash.
     pub fn with_crash(mut self) -> Self {
         self.crash = true;
-        self
-    }
-
-    /// Injects a seeded joiner crash that fires after `after_acks` acks
-    /// from the victim task (cluster runs only; the simulated harness has
-    /// its own crash-placement convention).
-    pub fn with_crash_at(mut self, after_acks: u64) -> Self {
-        self.crash = true;
-        self.crash_after = Some(after_acks);
         self
     }
 
@@ -163,60 +146,16 @@ impl DifferentialCase {
         self
     }
 
-    /// Stalls (losslessly holds) the frames whose data-transmission
-    /// ordinals fall in `(after, after + len]` on `task`'s wire.
-    /// Cluster-only.
-    pub fn with_stall(mut self, task: usize, after: u64, len: u64) -> Self {
-        self.outages.push(ClusterOutage {
-            task,
-            after,
-            len,
-            kind: OutageKind::Stall,
-        });
+    /// Injects `fault`.
+    pub fn with_fault(mut self, fault: Fault) -> Self {
+        self.faults.push(fault);
         self
     }
 
-    /// Drops the outbound frames whose data-transmission ordinals fall in
-    /// `(after, after + len]` on `task`'s wire; `two_way` also holds the
-    /// node's inbound traffic for the window's duration. Cluster-only.
-    pub fn with_partition(mut self, task: usize, after: u64, len: u64, two_way: bool) -> Self {
-        self.outages.push(ClusterOutage {
-            task,
-            after,
-            len,
-            kind: if two_way {
-                OutageKind::PartitionTwoWay
-            } else {
-                OutageKind::PartitionOneWay
-            },
-        });
-        self
-    }
-
-    /// Corrupts (single-bit-flips) the frames whose transmission ordinals
-    /// fall in `(after, after + len]` on `task`'s wire — outbound
-    /// (launcher → node) normally, launcher-side inbound when `inbound`.
-    /// The checksum layer must detect every flip and heal by respawn +
-    /// session resume, bit-exactly. Cluster-only.
-    pub fn with_corruption(mut self, task: usize, after: u64, len: u64, inbound: bool) -> Self {
-        self.outages.push(ClusterOutage {
-            task,
-            after,
-            len,
-            kind: if inbound {
-                OutageKind::CorruptInbound
-            } else {
-                OutageKind::Corrupt
-            },
-        });
-        self
-    }
-
-    /// Adds one outage drawn from `seed` (see [`seeded_outage`]).
-    /// Cluster-only.
-    pub fn with_seeded_outage(mut self, seed: u64) -> Self {
-        self.outages.push(seeded_outage(seed, self.k));
-        self
+    /// Injects one outage drawn from `seed` (see [`seeded_outage`]).
+    pub fn with_seeded_outage(self, seed: u64) -> Self {
+        let k = self.k;
+        self.with_fault(seeded_outage(seed, k))
     }
 
     /// Caps each task at `budget` respawns; past it the run fails.
@@ -226,60 +165,73 @@ impl DifferentialCase {
         self
     }
 
-    /// The join this case runs, on every harness: the simulated topology,
-    /// the in-process cluster and the TCP cluster.
-    pub fn spec(&self) -> JoinSpec {
+    /// The join this case runs under `seed`, on every harness — the
+    /// simulated topology, the in-process cluster and the TCP cluster —
+    /// its faults included.
+    pub fn spec(&self, seed: u64) -> JoinSpec {
+        let mut faults = self.faults.clone();
+        if self.crash {
+            let horizon = (self.records as u64 / 2).max(1);
+            faults.push(seeded_crash(seed, self.k, horizon));
+        }
         JoinSpec {
             local: self.local,
             strategy: self.strategy.clone(),
             shed_watermark: self.shed_watermark,
             checkpoint: self.checkpoint_interval.map(CheckpointConfig::in_memory),
             dispatch_batch: self.dispatch_batch,
+            faults,
             ..JoinSpec::recommended(self.k, self.join)
         }
     }
 
     /// [`Self::spec`] on the simulated topology, scheduled by `seed`.
-    fn simulated(&self, seed: u64) -> DistributedJoinConfig {
+    pub fn simulated(&self, seed: u64) -> DistributedJoinConfig {
+        assert!(
+            self.recovery_budget.is_none(),
+            "a recovery budget is cluster-only: the simulated topology has no \
+             failure detector to spend it"
+        );
         DistributedJoinConfig {
             channel_capacity: 64,
             scheduler: Scheduler::Sim(SimConfig::seeded(seed)),
-            ..DistributedJoinConfig::new(self.spec())
+            ..DistributedJoinConfig::new(self.spec(seed))
         }
     }
 }
 
-/// One scripted outage on one of `k` wires, read off `seed` as digits of
-/// a mixed radix: the kind (any [`OutageKind`]), then the wire, then a
-/// window that opens after zero to three transmissions, then its length of
-/// one to three. Consecutive seeds walk every kind on every wire. Whatever
-/// the kind, a window that breaks a session ends in one respawn of that
-/// node — so a sweep over seeds drills the node's gap check, both
-/// checksums and the failure detector.
-pub fn seeded_outage(seed: u64, k: usize) -> ClusterOutage {
-    const KINDS: [OutageKind; 5] = [
-        OutageKind::Stall,
-        OutageKind::PartitionOneWay,
-        OutageKind::PartitionTwoWay,
-        OutageKind::Corrupt,
-        OutageKind::CorruptInbound,
-    ];
-    let rest = seed / KINDS.len() as u64 / k as u64;
-    ClusterOutage {
-        task: (seed / KINDS.len() as u64 % k as u64) as usize,
-        after: rest % 4,
-        len: 1 + rest / 4 % 3,
-        kind: KINDS[(seed % KINDS.len() as u64) as usize],
-    }
+/// A crash of one of `k` tasks after a message in `0 .. horizon`, drawn
+/// from `seed` exactly as [`FaultPlan::crash_seeded`] draws them.
+pub fn seeded_crash(seed: u64, k: usize, horizon: u64) -> Fault {
+    let plan = FaultPlan::new().crash_seeded("joiner", k, horizon, seed);
+    Fault::crash(plan.specs()[0].task, plan.specs()[0].after_tuples)
 }
 
-fn assert_no_cluster_knobs(case: &DifferentialCase) {
-    assert!(
-        case.outages.is_empty() && case.recovery_budget.is_none() && case.crash_after.is_none(),
-        "link outages, recovery budgets and crash horizons are cluster-only \
-         knobs; the simulated topology has no wall-clock wires to stall, \
-         cut or respawn"
-    );
+/// One outage window on one of `k` wires, read off `seed` as digits of a
+/// mixed radix: the kind (stall, one-way and two-way partition, outbound
+/// and inbound corruption), the wire, an `after` of 0 to 3, a length of 1
+/// to 3. Consecutive seeds walk every kind on every wire. Whatever the
+/// kind, a window that breaks a session ends in one respawn of that node.
+pub fn seeded_outage(seed: u64, k: usize) -> Fault {
+    let (digit, rest) = (seed % 5, seed / 5 / k as u64);
+    let len = 1 + rest / 4 % 3;
+    let kind = match digit {
+        0 => FaultKind::Stall { len },
+        1 | 2 => FaultKind::Partition {
+            len,
+            two_way: digit == 2,
+        },
+        _ => FaultKind::Corrupt {
+            len,
+            inbound: digit == 4,
+        },
+    };
+    let task = (seed / 5 % k as u64) as usize;
+    Fault {
+        task,
+        after: rest % 4,
+        kind,
+    }
 }
 
 /// What a differential run produced, after the oracle comparison passed.
@@ -309,16 +261,8 @@ pub fn run_differential(seed: u64, case: &DifferentialCase) -> DifferentialOutco
         !(case.bistream && case.shed_watermark.is_some()),
         "shed accounting is only defined for the self-join oracle"
     );
-    assert_no_cluster_knobs(case);
     let records = StreamGenerator::new(differential_profile(), seed).take_records(case.records);
-
-    let mut cfg = case.simulated(seed);
-    if case.crash {
-        // Crash point within the stream so the crash actually fires on
-        // most seeds; recovery must reproduce the exact oracle result.
-        let horizon = (case.records as u64 / 2).max(1);
-        cfg.fault = Some(FaultPlan::new().crash_seeded("joiner", case.k, horizon, seed));
-    }
+    let cfg = case.simulated(seed);
 
     let (result, expect) = if case.bistream {
         let (left, right): (Vec<Record>, Vec<Record>) =
@@ -382,26 +326,22 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         case.shed_watermark.is_none(),
         "shed accounting is not defined across a restore boundary"
     );
-    assert_no_cluster_knobs(case);
     let records = StreamGenerator::new(differential_profile(), seed).take_records(case.records);
     let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
     let interval = case
         .checkpoint_interval
         .unwrap_or((case.records as u64 / 6).max(1));
 
-    let mut phase1 = case
+    let phase1 = case
         .simulated(seed)
         .with_checkpointing(CheckpointConfig::new(interval, Arc::clone(&store)));
-    if case.crash {
-        let horizon = (case.records as u64 / 4).max(1);
-        phase1.fault = Some(FaultPlan::new().crash_seeded("joiner", case.k, horizon, seed));
-    }
     // The "whole-process crash": phase one sees only a prefix of the
     // stream, and nothing of it survives but the snapshot store.
     let survives = (records.len() * 3 / 5).max(1);
     let prefix = &records[..survives];
 
     let mut phase2 = case.simulated(seed ^ 0x5eed);
+    phase2.spec.faults.clear();
     phase2.spec.checkpoint = None;
     phase2.spec.restore_from = Some(Arc::clone(&store));
 
@@ -493,23 +433,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cluster-only")]
+    #[should_panic(expected = "fault Corrupt needs a wire")]
     fn link_outages_are_refused_rather_than_ignored() {
         run_differential(23, &base_case().with_seeded_outage(23));
     }
 
     #[test]
-    fn consecutive_seeds_walk_every_kind_on_every_wire() {
-        let first: Vec<(OutageKind, usize)> = (0..15)
-            .map(|seed| seeded_outage(seed, 3))
-            .map(|o| (o.kind, o.task))
-            .collect();
-        for (i, cell) in first.iter().enumerate() {
-            assert!(!first[..i].contains(cell), "{cell:?} drawn twice");
+    fn seeded_crashes_draw_what_the_topology_plan_draws() {
+        for seed in 0..200 {
+            let plan = FaultPlan::new().crash_seeded("joiner", 3, 75, seed);
+            let spec = &plan.specs()[0];
+            let crash = Fault::crash(spec.task, spec.after_tuples);
+            assert_eq!(seeded_crash(seed, 3, 75), crash);
         }
-        assert!((0..1000)
-            .map(|seed| seeded_outage(seed, 3))
-            .all(|o| o.after < 4 && (1..=3).contains(&o.len)));
+    }
+
+    #[test]
+    fn consecutive_seeds_walk_every_kind_on_every_wire() {
+        let first: Vec<Fault> = (0..15).map(|seed| seeded_outage(seed, 3)).collect();
+        for (i, f) in first.iter().enumerate() {
+            assert!(!first[..i].contains(f), "{f:?} drawn twice");
+        }
+        assert!((0..1000).map(|seed| seeded_outage(seed, 3)).all(|f| {
+            let len = match f.kind {
+                FaultKind::Stall { len }
+                | FaultKind::Partition { len, .. }
+                | FaultKind::Corrupt { len, .. } => len,
+                FaultKind::Crash => 0,
+            };
+            f.after < 4 && (1..=3).contains(&len)
+        }));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use fault::{FaultHits, FaultStore, StoreFault, ThreadLogStore};
 
 pub use differential::{
     differential_profile, differential_records, run_differential, run_restore_differential,
-    seeded_outage, DifferentialCase, DifferentialOutcome, RestoreOutcome,
+    seeded_crash, seeded_outage, DifferentialCase, DifferentialOutcome, RestoreOutcome,
 };
 pub use oracle::{
     bistream_join, overlap, self_join, self_join_surviving, shed_recall, sorted_keys,

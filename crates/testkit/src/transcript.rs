@@ -77,11 +77,11 @@ pub fn reference_traceable_run(seed: u64, traced: bool) -> ssj_distrib::Distribu
             sample: 40,
         },
         checkpoint: Some(CheckpointConfig::in_memory(25)),
+        faults: vec![crate::differential::seeded_crash(seed, 2, 40)],
         ..JoinSpec::recommended(2, JoinConfig::jaccard(0.7))
     };
     let cfg = DistributedJoinConfig {
         channel_capacity: 32,
-        fault: Some(stormlite::FaultPlan::new().crash_seeded("joiner", 2, 40, seed)),
         scheduler: stormlite::Scheduler::Sim(SimConfig::seeded(seed)),
         trace: traced.then(TraceConfig::default),
         ..DistributedJoinConfig::new(spec)

@@ -16,7 +16,7 @@
 
 use obs::{MetricValue, MetricsSnapshot};
 use ssj_core::{JoinConfig, Window};
-use ssj_distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use ssj_distrib::{ClusterBackend, Fault, FaultKind, LocalAlgo, PartitionMethod, Strategy};
 use std::time::Duration;
 use testkit::{
     reference_trace_run, reference_traceable_run, run_cluster_differential, with_deadline,
@@ -167,8 +167,15 @@ fn cluster_metrics_schema_is_complete_and_stable() {
             sample: 50,
         },
     )
-    .with_corruption(0, 12, 2, true)
-    .with_crash_at(10);
+    .with_fault(Fault {
+        task: 0,
+        after: 12,
+        kind: FaultKind::Corrupt {
+            len: 2,
+            inbound: true,
+        },
+    })
+    .with_fault(Fault::crash(1, 10));
     let out = with_deadline(Duration::from_secs(120), move || {
         run_cluster_differential(37, &case, ClusterBackend::InProcess)
     });

@@ -20,7 +20,8 @@
 use dssj::core::{JoinConfig, Threshold, Window};
 use dssj::distrib::{
     run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig,
-    DistributedJoinConfig, JoinSpec, LocalAlgo, MemStore, PartitionMethod, SnapshotStore, Strategy,
+    DistributedJoinConfig, Fault, JoinSpec, LocalAlgo, MemStore, PartitionMethod, SnapshotStore,
+    Strategy,
 };
 use dssj::partition::LengthPartition;
 use proptest::prelude::*;
@@ -435,7 +436,7 @@ proptest! {
         bat in 0usize..BATCHES,
     ) {
         let c = case(k, tau, 0, BUNDLE, 1)
-            .with_crash_at(horizon)
+            .with_fault(Fault::crash((seed % k as u64) as usize, horizon))
             .with_recovery_budget(0)
             .with_dispatch_batch(batch(bat));
         let failed = with_deadline(CLUSTER_DEADLINE, move || {

@@ -27,9 +27,8 @@ use dssj::core::{BundleJoiner, JoinConfig, MatchPair};
 use dssj::distrib::checkpoint::Manifest;
 use dssj::distrib::{
     open_payload, run_distributed, CheckpointConfig, DistributedJoinConfig, DistributedJoinResult,
-    MemStore, SnapshotStore,
+    Fault, MemStore, SnapshotStore,
 };
-use dssj::stormlite::FaultPlan;
 use dssj::text::Record;
 use dssj::workloads::{DatasetProfile, StreamGenerator};
 use std::sync::Arc;
@@ -166,10 +165,10 @@ fn an_interval_that_ends_mid_batch_cuts_where_the_unbatched_run_cuts() {
         let store: Arc<dyn SnapshotStore> = Arc::new(MemStore::new());
         let mut cfg = DistributedJoinConfig::recommended(3, join).with_sim(5);
         cfg.spec.dispatch_batch = batch;
-        let first = cfg
+        let mut first = cfg
             .clone()
-            .with_checkpointing(CheckpointConfig::new(INTERVAL, Arc::clone(&store)))
-            .with_fault(FaultPlan::new().crash("joiner", 1, 25));
+            .with_checkpointing(CheckpointConfig::new(INTERVAL, Arc::clone(&store)));
+        first.spec.faults = vec![Fault::crash(1, 25)];
         let first = run_distributed(prefix, &first);
         assert_eq!(first.report.total_restarts(), 1, "batch {batch:?}");
 

@@ -18,12 +18,11 @@
 use dssj::core::join::run_stream;
 use dssj::core::{JoinConfig, NaiveJoiner, Threshold, Window};
 use dssj::distrib::{
-    run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig, ClusterFault,
-    DistributedJoinConfig, JoinSpec, LengthRouter, LocalAlgo, OutageKind, PartitionMethod, Router,
-    Strategy as DistStrategy, BATCH_MAX_FRAMES,
+    run_cluster, run_distributed, CheckpointConfig, ClusterBackend, ClusterConfig,
+    DistributedJoinConfig, Fault, FaultKind, JoinSpec, LengthRouter, LocalAlgo, PartitionMethod,
+    Router, Strategy as DistStrategy, BATCH_MAX_FRAMES,
 };
 use dssj::partition::{equal_depth, LengthHistogram, LengthPartition};
-use dssj::stormlite::FaultPlan;
 use dssj::text::Record;
 use dssj::workloads::{DatasetProfile, LengthDist, StreamGenerator};
 use proptest::prelude::*;
@@ -107,9 +106,9 @@ fn threads_64(
 }
 
 /// An in-process batched cluster of `k` nodes with one seeded outage
-/// drawn from `outage_seed` and one supervised kill, task and ack count
-/// both derived from `fault_seed` (the kill never fires on a seed whose
-/// victim acks fewer messages).
+/// drawn from `outage_seed` and one crash, task and message both derived
+/// from `fault_seed` (the crash never fires on a seed whose victim gets
+/// fewer messages).
 fn chaotic_cluster(
     k: usize,
     join: JoinConfig,
@@ -118,15 +117,27 @@ fn chaotic_cluster(
     fault_seed: u64,
     outage_seed: u64,
 ) -> ClusterConfig {
+    let crash = Fault::crash(
+        (fault_seed % k as u64) as usize,
+        (fault_seed / k as u64) % 6,
+    );
     let case = DifferentialCase::new(150, k, join, local, strategy)
         .with_dispatch_batch(Some(BATCH_MAX_FRAMES))
-        .with_seeded_outage(outage_seed);
-    let mut cfg = testkit::cluster_config_for(outage_seed, &case, ClusterBackend::InProcess);
-    cfg.fault = Some(ClusterFault {
-        task: (fault_seed % k as u64) as usize,
-        after_acks: 1 + (fault_seed / k as u64) % 60,
-    });
-    cfg
+        .with_seeded_outage(outage_seed)
+        .with_fault(crash);
+    testkit::cluster_config_for(outage_seed, &case, ClusterBackend::InProcess)
+}
+
+/// A fault kind without its length.
+fn variant(kind: FaultKind) -> &'static str {
+    match kind {
+        FaultKind::Crash => "crash",
+        FaultKind::Stall { .. } => "stall",
+        FaultKind::Partition { two_way: false, .. } => "one-way partition",
+        FaultKind::Partition { two_way: true, .. } => "two-way partition",
+        FaultKind::Corrupt { inbound: false, .. } => "outbound corruption",
+        FaultKind::Corrupt { inbound: true, .. } => "inbound corruption",
+    }
 }
 
 /// Over 100 seeds, one seeded outage on a 3-node cluster — any kind, on
@@ -150,22 +161,24 @@ fn cluster_sessions_mask_link_chaos_for_100_seeds() {
         let expect = testkit::self_join(&records, &join);
         let out = with_deadline(CASE_DEADLINE, move || run_cluster(&records, &cfg));
         testkit::assert_pairs_equal(seed, &out.pairs, expect, "chaotic cluster result");
-        let kind = case.outages[0].kind;
+        let kind = case.faults[0].kind;
         let held = out.health.stalled_frames > 0;
-        if (kind == OutageKind::Stall && held)
-            || (kind != OutageKind::Stall && out.health.respawns > 0)
-        {
-            fired.push(kind);
+        let broke = match kind {
+            FaultKind::Stall { .. } => held,
+            _ => out.health.respawns > 0,
+        };
+        if broke {
+            fired.push(variant(kind));
         }
     }
     for kind in [
-        OutageKind::Stall,
-        OutageKind::PartitionOneWay,
-        OutageKind::PartitionTwoWay,
-        OutageKind::Corrupt,
-        OutageKind::CorruptInbound,
+        "stall",
+        "one-way partition",
+        "two-way partition",
+        "outbound corruption",
+        "inbound corruption",
     ] {
-        assert!(fired.contains(&kind), "no {kind:?} outage ever fired");
+        assert!(fired.contains(&kind), "no {kind} outage ever fired");
     }
 }
 
@@ -249,10 +262,9 @@ fn late_crash_replays_exactly_the_live_window() {
             .with_sim(7)
         };
         let clean = run_distributed(&records, &cfg());
-        let out = run_distributed(
-            &records,
-            &cfg().with_fault(FaultPlan::new().crash("joiner", TASK, crash_after)),
-        );
+        let mut crashed = cfg();
+        crashed.spec.faults = vec![Fault::crash(TASK, crash_after)];
+        let out = run_distributed(&records, &crashed);
         assert_eq!(
             sorted_keys(&out.pairs),
             sorted_keys(&clean.pairs),
@@ -307,8 +319,8 @@ proptest! {
 
         for strategy in strategies(k) {
             for local in LOCALS {
-                let plan = FaultPlan::new().crash_seeded("joiner", k, 150, fault_seed);
-                let cfg = threads_64(k, join, local, strategy.clone()).with_fault(plan);
+                let mut cfg = threads_64(k, join, local, strategy.clone());
+                cfg.spec.faults = vec![testkit::seeded_crash(fault_seed, k, 150)];
                 let out = run_distributed(&records, &cfg);
                 let got = sorted_keys(&out.pairs);
                 prop_assert_eq!(
@@ -349,11 +361,12 @@ proptest! {
 
         let strategy = strategies(k)[strat_idx].clone();
         let local = LOCALS[local_idx];
-        let plan = FaultPlan::new()
-            .crash_seeded("joiner", k, 150, fault_seed)
-            .crash_seeded("joiner", k, 150, fault_seed.wrapping_add(1))
-            .crash("joiner", (fault_seed % k as u64) as usize, 0);
-        let cfg = threads_64(k, join, local, strategy.clone()).with_fault(plan);
+        let mut cfg = threads_64(k, join, local, strategy.clone());
+        cfg.spec.faults = vec![
+            testkit::seeded_crash(fault_seed, k, 150),
+            testkit::seeded_crash(fault_seed.wrapping_add(1), k, 150),
+            Fault::crash((fault_seed % k as u64) as usize, 0),
+        ];
         let out = run_distributed(&records, &cfg);
         prop_assert_eq!(
             &sorted_keys(&out.pairs), &expect,

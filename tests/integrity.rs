@@ -15,10 +15,9 @@
 use dssj::core::{JoinConfig, Window};
 use dssj::distrib::{
     load_latest_verified, run_cluster, run_distributed, scrub, CheckpointConfig, ClusterBackend,
-    ClusterFault, DistributedJoinConfig, LocalAlgo, MemStore, PartitionMethod, SnapshotStore,
+    DistributedJoinConfig, Fault, FaultKind, LocalAlgo, MemStore, PartitionMethod, SnapshotStore,
     Strategy,
 };
-use dssj::stormlite::FaultPlan;
 use std::sync::Arc;
 use std::time::Duration;
 use testkit::{
@@ -195,8 +194,9 @@ fn unreadable_store(k: usize) -> Arc<FaultStore<MemStore>> {
 
 /// A joiner that crashes mid-run rebuilds from its replay buffer alone:
 /// checkpoints are durability, never read while the run that wrote them
-/// is live. Both engines crash a joiner after several epochs committed
-/// into a store that can return nothing readable; the pairs must equal
+/// is live. Both engines crash joiner 1 after its message 150, once
+/// several epochs committed into a store that can return nothing
+/// readable; the pairs must equal
 /// the crash-free run's, no integrity counter may move, and the store
 /// must never have served a faulty read.
 #[test]
@@ -210,16 +210,17 @@ fn in_run_recovery_never_reads_the_checkpoint_store() {
         Some(CheckpointConfig::new(20, store))
     };
 
+    let crashed = case.clone().with_fault(Fault::crash(1, 150));
+
     // Simulated threads engine.
-    let sim = |fault: Option<FaultPlan>, store: &Arc<FaultStore<MemStore>>| {
-        let mut cfg = DistributedJoinConfig::new(case.spec()).with_sim(seed);
+    let sim = |case: &DifferentialCase, store: &Arc<FaultStore<MemStore>>| {
+        let mut cfg = DistributedJoinConfig::new(case.spec(seed)).with_sim(seed);
         cfg.spec.checkpoint = checkpointing(store);
-        cfg.fault = fault;
         run_distributed(&records, &cfg)
     };
-    let clean = sim(None, &Arc::new(FaultStore::new(MemStore::new())));
+    let clean = sim(&case, &Arc::new(FaultStore::new(MemStore::new())));
     let store = unreadable_store(k);
-    let out = sim(Some(FaultPlan::new().crash("joiner", 1, 200)), &store);
+    let out = sim(&crashed, &store);
     assert_eq!(out.report.total_restarts(), 1, "sim: the crash fired");
     assert!(out.joiners[1].replayed > 0, "sim: nothing replayed");
     assert!(store.epochs().unwrap().len() >= 5, "sim: too few epochs");
@@ -234,19 +235,14 @@ fn in_run_recovery_never_reads_the_checkpoint_store() {
 
     // In-process cluster.
     with_deadline(CASE_DEADLINE, move || {
-        let cluster = |fault: Option<ClusterFault>, store: &Arc<FaultStore<MemStore>>| {
-            let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
+        let cluster = |case: &DifferentialCase, store: &Arc<FaultStore<MemStore>>| {
+            let mut cfg = cluster_config_for(seed, case, ClusterBackend::InProcess);
             cfg.spec.checkpoint = checkpointing(store);
-            cfg.fault = fault;
             run_cluster(&records, &cfg)
         };
-        let clean = cluster(None, &Arc::new(FaultStore::new(MemStore::new())));
+        let clean = cluster(&case, &Arc::new(FaultStore::new(MemStore::new())));
         let store = unreadable_store(k);
-        let fault = ClusterFault {
-            task: 1,
-            after_acks: 150,
-        };
-        let out = cluster(Some(fault), &store);
+        let out = cluster(&crashed, &store);
         assert_eq!(out.joiners[1].incarnation, 1, "cluster: the kill fired");
         assert!(out.joiners[1].replayed > 0, "cluster: nothing replayed");
         assert!(
@@ -356,7 +352,14 @@ fn wire_corruption_heals_to_a_bit_exact_result() {
         let inbound = seed % 2 == 1;
         let case = base_case(150, 3, 0.6 + (seed % 4) as f64 * 0.06, false)
             .with_checkpoints(15)
-            .with_corruption(seed as usize % 3, 5 + seed % 20, 1 + seed % 3, inbound);
+            .with_fault(Fault {
+                task: seed as usize % 3,
+                after: 5 + seed % 20,
+                kind: FaultKind::Corrupt {
+                    len: 1 + seed % 3,
+                    inbound,
+                },
+            });
         let out = with_deadline(CASE_DEADLINE, move || {
             run_cluster_differential_relaxed(seed, &case, ClusterBackend::InProcess)
         });

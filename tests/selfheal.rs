@@ -13,7 +13,7 @@
 //! per-case process-spawn cost — so the proptest can afford composition.
 
 use dssj::core::{JoinConfig, Window};
-use dssj::distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use dssj::distrib::{ClusterBackend, Fault, FaultKind, LocalAlgo, PartitionMethod, Strategy};
 use proptest::prelude::*;
 use std::time::Duration;
 use testkit::{
@@ -55,11 +55,14 @@ fn with_outage(
     after: u64,
     len: u64,
 ) -> DifferentialCase {
-    match kind {
-        0 => case.with_stall(task, after, len),
-        1 => case.with_partition(task, after, len, false),
-        _ => case.with_partition(task, after, len, true),
-    }
+    let kind = match kind {
+        0 => FaultKind::Stall { len },
+        _ => FaultKind::Partition {
+            len,
+            two_way: kind == 2,
+        },
+    };
+    case.with_fault(Fault { task, after, kind })
 }
 
 proptest! {
