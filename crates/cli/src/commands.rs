@@ -401,12 +401,8 @@ pub fn join(args: &Args, bistream: bool) -> CliResult {
         trace: (exports.trace.is_some() || exports.chrome.is_some()).then(TraceConfig::default),
         ..DistributedJoinConfig::new(join_spec(args, 4, None, bistream)?)
     };
-    if let Some(f) = cfg.spec.faults.iter().find(|f| f.kind != FaultKind::Crash) {
-        return Err(Box::new(ArgError(format!(
-            "--fault: fault {} needs a wire; the topology engine honours only Crash",
-            f.kind.name()
-        ))));
-    }
+    ssj_distrib::fault::topology_plan(&cfg.spec.faults)
+        .map_err(|why| ArgError(format!("--fault: {why}")))?;
     let verbose = args.flag("verbose");
     let show: usize = args.get_or("show-pairs", 10)?;
     args.reject_unread(if bistream { "bistream" } else { "join" })?;
@@ -505,7 +501,7 @@ fn cluster_config(args: &Args, bistream: bool) -> Result<ClusterConfig, ArgError
     let health_requested = args.has("heartbeat-interval")
         || args.has("suspect-after")
         || recovery_budget.is_some()
-        || cfg.spec.faults.iter().any(|f| f.kind != FaultKind::Crash);
+        || cfg.spec.faults.iter().any(|f| f.kind.needs_wire());
     if health_requested {
         let mut health = HealthConfig::recommended();
         if let Some(ms) = parse_opt::<u64>(args, "heartbeat-interval")? {

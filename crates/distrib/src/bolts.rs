@@ -5,7 +5,7 @@
 
 use crate::checkpoint::CheckpointCoordinator;
 use crate::msg::{JoinMsg, RecordMsg};
-use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner, Spares};
+use crate::operators::{DispatchPort, Dispatched, Dispatcher, Joiner};
 use crate::recovery::RecoveryState;
 use crate::route::Router;
 use obs::{LatencyHistogram, Stage};
@@ -122,8 +122,6 @@ pub(crate) struct JoinerBolt {
     results: Arc<Mutex<SinkState>>,
     recovery: Option<Arc<RecoveryState>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
-    /// Where an emptied batch goes back to the dispatcher to be refilled.
-    spares: Spares,
     incarnation: u64,
     /// Result pairs of the engine message being executed, in probe order.
     /// Empty between engine messages; kept for its capacity.
@@ -145,7 +143,6 @@ impl JoinerBolt {
         results: Arc<Mutex<SinkState>>,
         recovery: Option<Arc<RecoveryState>>,
         coordinator: Option<Arc<CheckpointCoordinator>>,
-        spares: Spares,
     ) -> Self {
         let mut bolt = Self {
             joiner,
@@ -154,7 +151,6 @@ impl JoinerBolt {
             results,
             recovery,
             coordinator,
-            spares,
             incarnation: 0,
             pairs: Vec::new(),
             probes: Vec::new(),
@@ -305,14 +301,12 @@ impl Bolt<JoinMsg> for JoinerBolt {
     /// beyond the batch's own processing time.
     fn execute(&mut self, msg: JoinMsg, out: &mut Outbox<JoinMsg>) {
         let processed = match msg {
-            JoinMsg::Batch(mut msgs) => {
+            JoinMsg::Batch(msgs) => {
                 let mut last = None;
                 for (i, m) in msgs.iter().enumerate() {
                     self.joiner.prefetch_batch(&msgs, i);
                     last = self.apply(m, out).or(last);
                 }
-                msgs.clear();
-                self.spares.lock().push(msgs);
                 last
             }
             msg => self.apply(&msg, out),
@@ -397,16 +391,7 @@ mod tests {
         t.bolt("joiner", 1, move |task| {
             let joiner = Joiner::new(LocalAlgo::PpJoin, JoinConfig::jaccard(0.5), false, None);
             let slot = Arc::clone(&shared);
-            let spares = Arc::default();
-            JoinerBolt::new(
-                joiner,
-                task,
-                Arc::default(),
-                slot,
-                recovery.clone(),
-                None,
-                spares,
-            )
+            JoinerBolt::new(joiner, task, Arc::default(), slot, recovery.clone(), None)
         });
         t.wire("source", "joiner", Grouping::global());
         let report = t.run_with(scheduler);

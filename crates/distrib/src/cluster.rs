@@ -159,7 +159,7 @@ use stormlite::{CloseReason, IntegrityReport, TcpWire, Timestamp, Wire, WireEven
 use crate::bolts::JoinerSnapshot;
 use crate::checkpoint::CheckpointCoordinator;
 use crate::driver::{Input, JoinSpec};
-use crate::fault::{FaultKind, Gate};
+use crate::fault::Gate;
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::operators::{DispatchPort, Dispatched, Joiner};
 use crate::recovery::RecoveryState;
@@ -949,7 +949,7 @@ impl<'a> Launcher<'a> {
             "a fault names a task outside 0..{k}"
         );
         assert!(
-            cfg.health.is_some() || faults.iter().all(|f| f.kind == FaultKind::Crash),
+            cfg.health.is_some() || !faults.iter().any(|f| f.kind.needs_wire()),
             "scripted outages need the failure detector: a wire an outage \
              blocks is healed only by a suspect's respawn (set ClusterConfig::health)"
         );
@@ -993,6 +993,7 @@ impl<'a> Launcher<'a> {
         (self.bistream, self.needs_dedup) = (run.bistream, run.needs_dedup);
         (self.recovery, self.coordinator) = (run.recovery, run.coordinator);
         let mut dispatcher = run.dispatcher;
+        dispatcher.framing = true;
 
         if matches!(self.cfg.backend, ClusterBackend::Tcp { .. }) {
             self.listener =
@@ -1760,7 +1761,7 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<u32> {
 mod tests {
     use super::*;
     use crate::driver::LocalAlgo;
-    use crate::fault::Fault;
+    use crate::fault::{Fault, FaultKind};
     use ssj_core::Window;
     use ssj_text::{RecordId, TokenId};
     use stormlite::ChannelWire;

@@ -23,11 +23,10 @@ use ssj_partition::{
 use ssj_text::Record;
 use std::sync::Arc;
 use stormlite::{
-    FaultPlan, Grouping, IntegrityReport, RunReport, Scheduler, SimConfig, Timestamp, Topology,
-    Transcript,
+    Grouping, IntegrityReport, RunReport, Scheduler, SimConfig, Timestamp, Topology, Transcript,
 };
 
-use crate::fault::{Fault, FaultKind};
+use crate::fault::Fault;
 
 /// Which local join algorithm each joiner runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,10 +194,11 @@ pub struct JoinSpec {
     ///
     /// The dispatcher still stamps, sheds, buffers for replay and opens
     /// epochs record by record, so a barrier falls at the interval's exact
-    /// record and travels alone; batches flush every
-    /// [`stormlite::BATCH_MAX_FRAMES`] source records, before every barrier
-    /// and at stream end — the same cuts on both engines — and unpack in
-    /// order at the joiner.
+    /// record and travels alone; batches flush when full, before every
+    /// barrier and at stream end — and on the cluster, or a topology with
+    /// `faults` set, every [`stormlite::BATCH_MAX_FRAMES`] source records,
+    /// so a fault's message seq names the same batch on both engines —
+    /// and unpack in order at the joiner.
     /// Results, recovery and checkpoints match unbatched runs; a topology
     /// batch is one `Execute` span and advances the replay watermark once.
     /// `None` and `Some(1)` send messages singly; of the `recommended`
@@ -618,17 +618,10 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     // Refused before anything runs: a window fault needs a wire. A
     // crashed joiner's published results live in a slot that outlives
     // its incarnations.
-    let plan = spec
-        .faults
-        .iter()
-        .fold(FaultPlan::new(), |plan, f| match f.kind {
-            FaultKind::Crash => plan.crash("joiner", f.task, f.after),
-            kind => panic!(
-                "fault {} needs a wire; the topology engine honours only Crash",
-                kind.name()
-            ),
-        });
-    let run = spec.assemble(input, !plan.is_empty());
+    let plan = crate::fault::topology_plan(&spec.faults).unwrap_or_else(|why| panic!("{why}"));
+    let mut run = spec.assemble(input, !plan.is_empty());
+    // A fault's message seq must name the batch the cluster would send.
+    run.dispatcher.framing = !plan.is_empty();
     let (bistream, needs_dedup) = (run.bistream, run.needs_dedup);
     let (recovery, coordinator) = (run.recovery, run.coordinator);
     let store_writer = coordinator.clone();
@@ -664,7 +657,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
     // The dispatcher is the topology's source: its one task pulls the
     // assembled stream and routes each record as it pulls it.
     let shed_log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let spares = Arc::clone(&run.dispatcher.spares);
     let dispatcher = DispatcherBolt::new(run.dispatcher, Arc::clone(&shed_log));
     match cfg.source_rate {
         Some(rate) => topology.spout_into(
@@ -685,7 +677,6 @@ fn run_topology(input: Input<'_>, cfg: &DistributedJoinConfig) -> DistributedJoi
             Arc::clone(&task_slots[task]),
             recovery.clone(),
             coordinator.clone(),
-            spares.clone(),
         )
     });
 
@@ -752,6 +743,7 @@ fn merge_slots(slots: &[Arc<Mutex<SinkState>>]) -> (Vec<MatchPair>, LatencyHisto
 mod tests {
     use super::*;
     use crate::checkpoint::SnapshotStore;
+    use crate::fault::FaultKind;
     use ssj_core::{join::run_stream, Window};
 
     fn workload(n: usize, dup_rate: f64) -> Vec<Record> {

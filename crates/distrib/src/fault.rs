@@ -8,6 +8,8 @@
 //! [`crate::JoinSpec::faults`] carries the list to either engine; one
 //! that cannot honour a kind refuses it by name before the run starts.
 
+use stormlite::FaultPlan;
+
 /// One injected fault: `kind` strikes joiner `task` after its message
 /// `after`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +65,11 @@ impl FaultKind {
         }
     }
 
+    /// Whether honouring the kind takes a wire: every kind but a crash.
+    pub fn needs_wire(self) -> bool {
+        self != FaultKind::Crash
+    }
+
     fn len(self) -> u64 {
         match self {
             FaultKind::Crash => 0,
@@ -83,6 +90,20 @@ impl Fault {
     fn covers(&self, n: u64) -> bool {
         n > self.after && n <= self.after.saturating_add(self.kind.len())
     }
+}
+
+/// The topology's crash plan for `faults`, or the refusal naming the
+/// first kind it cannot honour: the topology has no wire for a window.
+pub fn topology_plan(faults: &[Fault]) -> Result<FaultPlan, String> {
+    faults.iter().try_fold(FaultPlan::new(), |plan, f| {
+        if f.kind.needs_wire() {
+            return Err(format!(
+                "fault {} needs a wire; the topology engine honours only Crash",
+                f.kind.name()
+            ));
+        }
+        Ok(plan.crash("joiner", f.task, f.after))
+    })
 }
 
 /// The faults of one cluster wire: crash points not yet fired (latest

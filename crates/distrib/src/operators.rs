@@ -18,7 +18,6 @@ use crate::driver::LocalAlgo;
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::RecoveryState;
 use crate::route::{token_owner, RouteDecision, Router};
-use parking_lot::Mutex;
 use ssj_core::join::bistream::{BiStreamJoiner, Side};
 use ssj_core::join::PROBE_LOOKAHEAD;
 use ssj_core::snapshot::{encode_bistream, encode_joiner, SnapshotEntry};
@@ -47,9 +46,6 @@ pub(crate) trait DispatchPort {
     /// the record's index plus probe targets.
     fn routed(&mut self, payload: &RecordMsg, fanout: usize);
 }
-
-/// Emptied batches on their way back to the dispatcher to be refilled.
-pub(crate) type Spares = Arc<Mutex<Vec<Vec<JoinMsg>>>>;
 
 /// What became of one dispatched record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +76,12 @@ pub(crate) struct Dispatcher<R: Router> {
     batch: Option<usize>,
     /// Per-task pending batch.
     buffers: Vec<Vec<JoinMsg>>,
-    /// Batches the topology's joiners hand back: a warm batched run
-    /// allocates none. The launcher keeps its frames, so its stays empty.
-    pub(crate) spares: Spares,
+    /// Whether every [`BATCH_MAX_FRAMES`]-th source message sends what
+    /// the batches hold (the *framing point*). The cluster always frames,
+    /// so a sparse wire's messages never wait long for company; a
+    /// topology frames only when a fault is armed, so a task's message n
+    /// is the same batch on both engines, and otherwise fills its batches.
+    pub(crate) framing: bool,
     /// Source messages dispatched, shed ones included.
     dispatched: u64,
     /// Records dispatched since the last barrier.
@@ -114,10 +113,8 @@ impl<R: Router> Dispatcher<R> {
             coordinator,
             shed_watermark,
             batch,
-            buffers: (0..k)
-                .map(|_| Vec::with_capacity(batch.unwrap_or(0)))
-                .collect(),
-            spares: Spares::default(),
+            buffers: vec![Vec::new(); k],
+            framing: false,
             dispatched: 0,
             routed_since_barrier: 0,
             decision: RouteDecision::default(),
@@ -144,13 +141,13 @@ impl<R: Router> Dispatcher<R> {
         self.router.route_into(&payload.record, &mut decision);
         let dispatched = self.send_routed(restore, payload, &decision, port);
         self.decision = decision;
-        // The framing point: every `BATCH_MAX_FRAMES`-th source message
-        // sends what the batches hold, so a sparse task's messages never
-        // wait long for company, and both engines cut the same batches —
-        // by record count alone, never by timing.
-        self.dispatched += 1;
-        if self.dispatched.is_multiple_of(BATCH_MAX_FRAMES as u64) {
-            self.flush(port);
+        // Placed by record count alone, so batch cuts never depend on
+        // timing.
+        if self.framing {
+            self.dispatched += 1;
+            if self.dispatched.is_multiple_of(BATCH_MAX_FRAMES as u64) {
+                self.flush(port);
+            }
         }
         dispatched
     }
@@ -212,7 +209,7 @@ impl<R: Router> Dispatcher<R> {
     /// no message is stranded.
     pub(crate) fn flush<P: DispatchPort>(&mut self, port: &mut P) {
         for (task, buf) in self.buffers.iter_mut().enumerate() {
-            flush_buffer(buf, task, &self.spares, port);
+            flush_buffer(buf, task, port);
         }
     }
 
@@ -225,7 +222,7 @@ impl<R: Router> Dispatcher<R> {
         let buf = &mut self.buffers[task];
         buf.push(msg);
         if buf.len() >= batch {
-            flush_buffer(buf, task, &self.spares, port);
+            flush_buffer(buf, task, port);
         }
     }
 
@@ -300,22 +297,16 @@ impl Copies {
 
 /// Sends `buf` to `task` as one message: unwrapped when it holds a single
 /// message (the wire shape of an unbatched run), as a [`JoinMsg::Batch`]
-/// otherwise, leaving a spare batch or a buffer of the same capacity for
-/// the next batch, so it never regrows from empty.
-fn flush_buffer<P: DispatchPort>(
-    buf: &mut Vec<JoinMsg>,
-    task: usize,
-    spares: &Spares,
-    port: &mut P,
-) {
+/// otherwise, leaving a buffer sized for the next batch so it never
+/// regrows from empty.
+fn flush_buffer<P: DispatchPort>(buf: &mut Vec<JoinMsg>, task: usize, port: &mut P) {
     match buf.len() {
         0 => {}
         1 => port.send(task, buf.pop().expect("len checked")),
-        _ => {
-            let next = spares.lock().pop();
-            let next = next.unwrap_or_else(|| Vec::with_capacity(buf.capacity()));
-            port.send(task, JoinMsg::Batch(std::mem::replace(buf, next)));
-        }
+        n => port.send(
+            task,
+            JoinMsg::Batch(std::mem::replace(buf, Vec::with_capacity(n))),
+        ),
     }
 }
 

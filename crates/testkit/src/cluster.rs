@@ -49,7 +49,7 @@ pub fn cluster_config_for(
     // that frame stream.
     let mut cfg = ClusterConfig::new(case.spec(seed), backend);
     cfg.channel_capacity = 64;
-    let outages = case.faults.iter().any(|f| f.kind != FaultKind::Crash);
+    let outages = case.faults.iter().any(|f| f.kind.needs_wire());
     if outages || case.recovery_budget.is_some() {
         // Any self-healing knob turns the failure detector on, probing often
         // enough that a short run sends heartbeats. Only an outage needs the
@@ -168,8 +168,9 @@ pub fn run_cluster_exhausting_budget(
 /// [`run_restore_differential`](crate::differential::run_restore_differential).
 ///
 /// Phase one streams ~60% of the workload through a full cluster with
-/// checkpointing into `store`, then the whole cluster — launcher, wires,
-/// every node — is torn down. Phase two builds a brand-new cluster that
+/// checkpointing into `store` (a seeded crash drawn as the simulated
+/// harness draws it), then the whole cluster — launcher, wires, every
+/// node — is torn down. Phase two builds a brand-new cluster that
 /// restores from the store's latest complete checkpoint and streams the
 /// full workload; it must produce exactly the oracle pairs whose probing
 /// record is past the checkpoint cut. With a TCP backend this exercises
@@ -196,6 +197,7 @@ pub fn run_cluster_restore_differential(
 
     let mut phase1 = cluster_config_for(seed, case, backend.clone());
     phase1.spec.checkpoint = Some(CheckpointConfig::new(interval, Arc::clone(&store)));
+    phase1.spec.faults = case.faults(seed, records.len() / 2);
 
     // Faults are phase one's: phase two is the clean restored incarnation.
     let mut phase2 = cluster_config_for(seed, case, backend);
@@ -452,22 +454,22 @@ mod tests {
     }
 
     #[test]
-    fn one_case_builds_one_fault_list_on_every_harness() {
-        let tcp = ClusterBackend::Tcp {
-            node_bin: "ssj-node".into(),
-        };
-        for seed in 0..50 {
-            let case = base_case().with_crash();
-            let faults = case.simulated(seed).spec.faults;
-            assert_eq!(
-                faults,
-                [crate::differential::seeded_crash(seed, 3, 75)],
-                "seed {seed}"
-            );
-            for backend in [ClusterBackend::InProcess, tcp.clone()] {
-                let cfg = cluster_config_for(seed, &case, backend);
-                assert_eq!(cfg.spec.faults, faults, "seed {seed}");
+    fn a_seeded_crash_fires_alike_on_both_engines() {
+        // One case, one fault list: the simulated topology restarts a
+        // joiner exactly when the in-process cluster respawns its node,
+        // and the batched horizon keeps most seeds crashing.
+        for batch in [None, Some(8), Some(32)] {
+            let case = base_case().with_crash().with_dispatch_batch(batch);
+            let mut fired = 0;
+            for seed in 0..50 {
+                let sim = crate::differential::run_differential(seed, &case);
+                let restarted = sim.result.report.total_restarts() > 0;
+                let out = run_cluster_differential_relaxed(seed, &case, ClusterBackend::InProcess);
+                let respawned = out.result.health.respawns > 0;
+                assert_eq!(respawned, restarted, "seed {seed}, batch {batch:?}");
+                fired += usize::from(restarted);
             }
+            assert!(fired >= 40, "batch {batch:?}: {fired} of 50 seeds crashed");
         }
     }
 

@@ -63,8 +63,7 @@ pub struct DifferentialCase {
     /// stream, odd ids the right.
     pub bistream: bool,
     /// Inject a joiner crash drawn from the seed (recovery must mask it
-    /// exactly): [`seeded_crash`] within the first `records / 2`
-    /// messages of a task, the same crash on every harness.
+    /// exactly): the same crash on every harness (see [`Self::faults`]).
     pub crash: bool,
     /// Shed records above this dispatcher queue depth; the comparison then
     /// uses the shed-adjusted oracle. Incompatible with `bistream` (the
@@ -165,15 +164,27 @@ impl DifferentialCase {
         self
     }
 
-    /// The join this case runs under `seed`, on every harness — the
-    /// simulated topology, the in-process cluster and the TCP cluster —
-    /// its faults included.
-    pub fn spec(&self, seed: u64) -> JoinSpec {
+    /// The faults this case injects under `seed` into a run over `span`
+    /// records: its own, and with `crash` set a [`seeded_crash`] within
+    /// the first `span / 2` messages of a task. A batch is one message
+    /// and carries up to `dispatch_batch` records, so a batched crash
+    /// draws from that many times fewer, or it would mostly fall past the
+    /// last batch a task gets and never fire.
+    pub fn faults(&self, seed: u64, span: usize) -> Vec<Fault> {
         let mut faults = self.faults.clone();
         if self.crash {
-            let horizon = (self.records as u64 / 2).max(1);
+            let per_message = self.dispatch_batch.unwrap_or(1).max(1) as u64;
+            let horizon = (span as u64 / 2 / per_message).max(1);
             faults.push(seeded_crash(seed, self.k, horizon));
         }
+        faults
+    }
+
+    /// The join this case runs under `seed`, on every harness — the
+    /// simulated topology, the in-process cluster and the TCP cluster —
+    /// its faults over the whole stream included.
+    pub fn spec(&self, seed: u64) -> JoinSpec {
+        let faults = self.faults(seed, self.records);
         JoinSpec {
             local: self.local,
             strategy: self.strategy.clone(),
@@ -310,7 +321,8 @@ pub struct RestoreOutcome {
 /// (interval from [`DifferentialCase::checkpoint_interval`], default
 /// `records / 6`) into a shared in-memory store, then the whole process
 /// "dies" — everything but the store is discarded, composing with any
-/// in-run crash the case injects. Phase two rebuilds the topology
+/// in-run crash the case injects (a seeded one drawn over half the
+/// stream, so it falls inside the prefix). Phase two rebuilds the topology
 /// from the store's latest complete checkpoint and streams the full
 /// workload; the driver skips records the checkpoint covers. The restored
 /// run must produce **exactly** the oracle pairs whose later (probing)
@@ -332,9 +344,10 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
         .checkpoint_interval
         .unwrap_or((case.records as u64 / 6).max(1));
 
-    let phase1 = case
+    let mut phase1 = case
         .simulated(seed)
         .with_checkpointing(CheckpointConfig::new(interval, Arc::clone(&store)));
+    phase1.spec.faults = case.faults(seed, records.len() / 2);
     // The "whole-process crash": phase one sees only a prefix of the
     // stream, and nothing of it survives but the snapshot store.
     let survives = (records.len() * 3 / 5).max(1);
@@ -366,33 +379,14 @@ pub fn run_restore_differential(seed: u64, case: &DifferentialCase) -> RestoreOu
     // the cut: earlier pairs were phase one's to emit (and died with it).
     let cut = restored.restored_cut;
     let floor = cut.unwrap_or(0);
-    let mut expect: Vec<MatchPair> = oracle_pairs
+    let expect: Vec<MatchPair> = oracle_pairs
         .into_iter()
         .filter(|m| m.later.0 > floor)
         .collect();
-    let got_keys = oracle::sorted_keys(&restored.pairs);
-    let expect_keys = oracle::sorted_keys(&expect);
-    assert_eq!(
-        got_keys, expect_keys,
-        "seed {seed}: restored run diverges from the post-cut oracle \
-         (cut {cut:?}, {case:?})"
-    );
-    let mut got_sorted = restored.pairs.clone();
-    got_sorted.sort_by_key(|m| m.key());
-    expect.sort_by_key(|m| m.key());
-    for (g, e) in got_sorted.iter().zip(&expect) {
-        assert!(
-            (g.similarity - e.similarity).abs() < 1e-12,
-            "seed {seed}: restored similarity diverges on {:?}: {} vs oracle {}",
-            g.key(),
-            g.similarity,
-            e.similarity
-        );
-    }
-    RestoreOutcome {
-        cut,
-        pairs: got_keys.len(),
-    }
+    let pairs = expect.len();
+    let what = format!("restored run (cut {cut:?}, {case:?})");
+    crate::cluster::assert_pairs_equal(seed, &restored.pairs, expect, &what);
+    RestoreOutcome { cut, pairs }
 }
 
 #[cfg(test)]
